@@ -8,12 +8,12 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race bench bench-json bench-planner bench-smoke bench-obs bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
+.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
 
 # test already carries the observability gates: the metrics-name lint
 # (internal/obs/lint_test.go) and the 0 allocs/op assertion over the
 # disabled metric, span, and wide-event paths (alloc_test.go).
-check: vet fmt-check build test race soak-smoke
+check: vet fmt-check build test race examples-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -30,6 +30,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The runnable examples have no tests, so an API migration can leave
+# them compiling but wrong; each exits non-zero when its own
+# expectations fail (quickstart must retrieve B and C, longquery and
+# streaming check themselves against a scan and a planted pattern).
+examples-smoke:
+	@for ex in quickstart longquery streaming; do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex >/dev/null || { echo "examples/$$ex failed"; exit 1; }; \
+	done
 
 # Quick benchmark smoke: the build comparison and the verification
 # micro-benchmarks committed under results/.

@@ -15,6 +15,7 @@
 package scaleshift_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func BenchmarkFig4CPUTime(b *testing.B) {
 				}
 				for i := 0; i < b.N; i++ {
 					q := e.Queries[i%len(e.Queries)]
-					if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), nil); err != nil {
+					if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -123,7 +124,7 @@ func BenchmarkFig5PageAccesses(b *testing.B) {
 				var stats core.SearchStats
 				for i := 0; i < b.N; i++ {
 					q := e.Queries[i%len(e.Queries)]
-					if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), &stats); err != nil {
+					if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -169,7 +170,7 @@ func BenchmarkAblationSplit(b *testing.B) {
 			b.ResetTimer() // exclude the one-off environment build
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), &stats); err != nil {
+				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,7 +192,7 @@ func BenchmarkAblationDims(b *testing.B) {
 			b.ResetTimer() // exclude the one-off environment build
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), &stats); err != nil {
+				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -212,7 +213,7 @@ func BenchmarkNearestNeighbors(b *testing.B) {
 			var stats core.SearchStats
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.NearestNeighbors(q.Values, k, &stats); err != nil {
+				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, K: k}, &stats); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -299,7 +300,7 @@ func BenchmarkTrailSearch(b *testing.B) {
 			b.ResetTimer() // exclude the one-off environment build
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), &stats); err != nil {
+				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
 					b.Fatal(err)
 				}
 			}

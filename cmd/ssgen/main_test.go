@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,14 +123,15 @@ func TestRunWritesSegmentedArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s1, s2 core.SearchStats
-		got, err := seg.Search(q, 0.05, core.UnboundedCosts(), &s1)
+		gotRes, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05}, &s1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Search(q, 0.05, core.UnboundedCosts(), &s2)
+		wantRes, err := ref.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05}, &s2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, want := gotRes.Matches, wantRes.Matches
 		if len(got) != len(want) {
 			t.Fatalf("start %d: %d matches vs %d from scratch", start, len(got), len(want))
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -136,26 +137,16 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *nn > 0 && force != engine.PathAuto {
-		return fmt.Errorf("-path applies to range queries; nearest-neighbour search is pinned to the index probe")
-	}
 
-	// Run.
+	// Run.  The query's kind follows from its shape: -nn selects k-NN, a
+	// query longer than the window (-long) the multipiece search.
 	var stats core.SearchStats
-	var matches []core.Match
-	var ex *engine.Explain
 	searchStart := time.Now()
-	switch {
-	case *nn > 0:
-		matches, err = ix.NearestNeighbors(q, *nn, &stats)
-	case *long:
-		matches, ex, err = ix.SearchLongPlanned(q, e, costs, force, &stats)
-	default:
-		matches, ex, err = ix.SearchPlanned(q, e, costs, force, nil, &stats)
-	}
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: e, K: max(*nn, 0), Costs: costs, Force: force}, &stats)
 	if err != nil {
 		return err
 	}
+	matches, ex := res.Matches, res.Explain
 	elapsed := time.Since(searchStart)
 
 	if *explain && ex != nil {

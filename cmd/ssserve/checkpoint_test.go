@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,10 +114,11 @@ func segSearch(t *testing.T, seg *core.SegmentedIndex) []core.Match {
 	if err := seg.QueryWindow(0, seg.Store().SequenceLen(0)-n, n, q); err != nil {
 		t.Fatal(err)
 	}
-	out, err := seg.Search(q, 0.05, core.UnboundedCosts(), nil)
+	res, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.Matches
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Seq != out[j].Seq {
 			return out[i].Seq < out[j].Seq

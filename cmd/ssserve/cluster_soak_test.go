@@ -604,11 +604,11 @@ func buildClusterSpecs(t *testing.T, st *store.Store, unionIx, minusIx *core.Ind
 		q := parseBack(vals)
 		eps := fracs[i%len(fracs)] * norm
 		var stats core.SearchStats
-		full, _, err := unionIx.SearchPlannedContext(t.Context(), q, eps, core.UnboundedCosts(), 0, nil, &stats)
+		full, err := unionIx.Exec(t.Context(), core.Query{Vec: q, Eps: eps}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minus, _, err := minusIx.SearchPlannedContext(t.Context(), q, eps, core.UnboundedCosts(), 0, nil, &stats)
+		minus, err := minusIx.Exec(t.Context(), core.Query{Vec: q, Eps: eps}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,7 +618,7 @@ func buildClusterSpecs(t *testing.T, st *store.Store, unionIx, minusIx *core.Ind
 		p.Set("limit", "0")
 		specs = append(specs, clusterSpec{
 			path: "/search?" + p.Encode(),
-			full: canonFromCore(full), minus: canonFromCore(minus),
+			full: canonFromCore(full.Matches), minus: canonFromCore(minus.Matches),
 		})
 	}
 	for i := 0; i < 4; i++ {
@@ -628,11 +628,11 @@ func buildClusterSpecs(t *testing.T, st *store.Store, unionIx, minusIx *core.Ind
 		_, vals := mkValues(seq, start, 32, 1, 0)
 		q := parseBack(vals)
 		var stats core.SearchStats
-		full, err := unionIx.NearestNeighborsWithCostsContext(t.Context(), q, k, core.UnboundedCosts(), &stats)
+		full, err := unionIx.Exec(t.Context(), core.Query{Vec: q, K: k}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minus, err := minusIx.NearestNeighborsWithCostsContext(t.Context(), q, k, core.UnboundedCosts(), &stats)
+		minus, err := minusIx.Exec(t.Context(), core.Query{Vec: q, K: k}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +643,7 @@ func buildClusterSpecs(t *testing.T, st *store.Store, unionIx, minusIx *core.Ind
 		p.Set("limit", "0")
 		specs = append(specs, clusterSpec{
 			path: "/search?" + p.Encode(), knn: k,
-			full: canonFromCore(full), minus: canonFromCore(minus),
+			full: canonFromCore(full.Matches), minus: canonFromCore(minus.Matches),
 		})
 	}
 	return specs

@@ -501,28 +501,7 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 	for k, vs := range p {
 		params[k] = vs
 	}
-	intParam := func(name string, def int) (int, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return n, nil
-	}
-	floatParam := func(name string, def float64) (float64, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return f, nil
-	}
+	pr := cluster.ParamReader{Values: p}
 
 	// Query vector: pass an explicit values= through; resolve seq/start
 	// against the owner shard and rewrite.
@@ -530,28 +509,14 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 		n := strings.Count(p.Get("values"), ",") + 1
 		describe = fmt.Sprintf("%d explicit values", n)
 	} else if p.Get("seq") != "" || p.Get("start") != "" {
-		seq, err := intParam("seq", 0)
-		if err != nil {
-			return nil, "", 0, 0, err
-		}
-		startAt, err := intParam("start", 0)
-		if err != nil {
-			return nil, "", 0, 0, err
-		}
-		n, err := intParam("len", s.coord.WindowLen())
-		if err != nil {
-			return nil, "", 0, 0, err
+		seq, startAt := pr.Int("seq", 0), pr.Int("start", 0)
+		n := pr.Int("len", s.coord.WindowLen())
+		scale, shift := pr.Float("scale", 1), pr.Float("shift", 0)
+		if pr.Err != nil {
+			return nil, "", 0, 0, pr.Err
 		}
 		if n <= 0 || n > maxAppendValues {
 			return nil, "", 0, 0, fmt.Errorf("parameter len must be in (0, %d]", maxAppendValues)
-		}
-		scale, err := floatParam("scale", 1)
-		if err != nil {
-			return nil, "", 0, 0, err
-		}
-		shift, err := floatParam("shift", 0)
-		if err != nil {
-			return nil, "", 0, 0, err
 		}
 		vals, werr := s.coord.Window(ctx, seq, startAt, n)
 		if werr != nil {
@@ -582,26 +547,16 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 
 	// Epsilon: resolve eps_frac here, against the cluster-wide norm
 	// scale, and fan out the absolute radius.
-	eps, err := floatParam("eps", -1)
-	if err != nil {
-		return nil, describe, 0, 0, err
-	}
+	eps := pr.Float("eps", -1)
 	if eps < 0 {
-		frac, err := floatParam("eps_frac", 0.02)
-		if err != nil {
-			return nil, describe, 0, 0, err
-		}
-		eps = frac * s.coord.NormScale()
+		eps = pr.Float("eps_frac", 0.02) * s.coord.NormScale()
+	}
+	knn, limit = pr.Int("nn", 0), pr.Int("limit", 100)
+	if pr.Err != nil {
+		return nil, describe, 0, 0, pr.Err
 	}
 	params.Set("eps", strconv.FormatFloat(eps, 'g', -1, 64))
 	params.Del("eps_frac")
-
-	if knn, err = intParam("nn", 0); err != nil {
-		return nil, describe, 0, 0, err
-	}
-	if limit, err = intParam("limit", 100); err != nil {
-		return nil, describe, knn, 0, err
-	}
 	return params, describe, knn, limit, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"scaleshift/internal/core"
-	"scaleshift/internal/engine"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -33,10 +32,8 @@ type queryIndex interface {
 	QueryWindow(seq, start, n int, dst vec.Vector) error
 	StoreShape() (seqs, values, pages int)
 	Store() *store.Store
-	SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs core.CostBounds, force engine.PathKind, pool *store.BufferPool, stats *core.SearchStats) ([]core.Match, *engine.Explain, error)
-	SearchLongPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs core.CostBounds, force engine.PathKind, stats *core.SearchStats) ([]core.Match, *engine.Explain, error)
-	NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vector, k int, costs core.CostBounds, stats *core.SearchStats) ([]core.Match, error)
-	SearchBatchPlannedContext(ctx context.Context, queries []core.BatchQuery, force engine.PathKind, parallelism int, stats *core.SearchStats) ([][]core.Match, []*engine.Explain, []core.BatchStatus, error)
+	Exec(ctx context.Context, q core.Query, stats *core.SearchStats) (core.Result, error)
+	ExecBatch(ctx context.Context, queries []core.Query, parallelism int, stats *core.SearchStats) ([]core.Result, []core.BatchStatus, error)
 }
 
 // maxAppendValues bounds one append request; larger loads belong in

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -241,14 +242,15 @@ func TestAppendWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st1, st2 core.SearchStats
-	m1, err := seg.Search(q, 0.01, core.UnboundedCosts(), &st1)
+	r1, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.01}, &st1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := seg2.Search(q, 0.01, core.UnboundedCosts(), &st2)
+	r2, err := seg2.Exec(context.Background(), core.Query{Vec: q, Eps: 0.01}, &st2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1, m2 := r1.Matches, r2.Matches
 	if len(m1) != len(m2) {
 		t.Fatalf("recovered search returned %d matches, original %d", len(m2), len(m1))
 	}

@@ -10,11 +10,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"scaleshift/internal/cliutil"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/obs"
@@ -508,146 +508,40 @@ func serveTraces(tracer *obs.Tracer, logger *slog.Logger, w http.ResponseWriter,
 	writeJSONResp(logger, w, http.StatusOK, traces)
 }
 
-// searchRequest is the decoded /search query string.
-type searchRequest struct {
-	q        vec.Vector
-	eps      float64
-	costs    core.CostBounds
-	force    engine.PathKind
-	nn       int
-	limit    int
-	describe string
-}
-
-// parseSearchRequest decodes the query parameters:
+// parseSearchRequest decodes the /search query string into the query
+// to run, the match limit, and a description for traces and events.
+// The query is either explicit (values=, decoded with every other
+// parameter by cluster.DecodeSearchQuery — the one decoder shards and
+// the ShardNode fixture share) or addresses a window of the store:
 //
 //	seq, start     address a window of the store (with optional len)
-//	values         comma-separated explicit query values (alternative)
 //	scale, shift   disguise the window (defaults 1, 0)
-//	eps, eps_frac  error bound, absolute or as a fraction of the mean
-//	               window SE-norm (default eps_frac=0.02)
-//	nn             k-nearest-neighbour mode when > 0
-//	path           auto | rtree | trail | scan
-//	scale_min, scale_max, shift_abs   transformation cost bounds
-//	limit          cap on returned matches (default 100, 0 = all)
-func (s *server) parseSearchRequest(sn *snapshot, r *http.Request) (*searchRequest, error) {
+//
+// limit defaults to 100 (0 = all).
+func (s *server) parseSearchRequest(sn *snapshot, r *http.Request) (q core.Query, limit int, describe string, err error) {
 	p := r.URL.Query()
-	floatParam := func(name string, def float64) (float64, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return f, nil
+	if q, limit, err = cluster.DecodeSearchQuery(p, sn.normScale, 100); err != nil {
+		return core.Query{}, 0, "", err
 	}
-	intParam := func(name string, def int) (int, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return n, nil
+	if q.Vec != nil {
+		return q, limit, fmt.Sprintf("%d explicit values", len(q.Vec)), nil
 	}
-
-	req := &searchRequest{}
-	window := sn.ix.Options().WindowLen
-
-	// Query vector.
-	if values := p.Get("values"); values != "" {
-		fields := strings.Split(values, ",")
-		req.q = make(vec.Vector, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("parameter values, field %d: %w", i+1, err)
-			}
-			req.q[i] = v
-		}
-		req.describe = fmt.Sprintf("%d explicit values", len(req.q))
-	} else if p.Get("seq") != "" || p.Get("start") != "" {
-		seq, err := intParam("seq", 0)
-		if err != nil {
-			return nil, err
-		}
-		start, err := intParam("start", 0)
-		if err != nil {
-			return nil, err
-		}
-		n, err := intParam("len", window)
-		if err != nil {
-			return nil, err
-		}
-		scale, err := floatParam("scale", 1)
-		if err != nil {
-			return nil, err
-		}
-		shift, err := floatParam("shift", 0)
-		if err != nil {
-			return nil, err
-		}
-		w := make(vec.Vector, n)
-		if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
-			return nil, err
-		}
-		req.q = vec.Apply(w, scale, shift)
-		req.describe = fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, start, n, scale, shift)
-	} else {
-		return nil, fmt.Errorf("provide seq=&start= or values=")
+	if p.Get("seq") == "" && p.Get("start") == "" {
+		return core.Query{}, 0, "", fmt.Errorf("provide seq=&start= or values=")
 	}
-
-	// Epsilon.
-	eps, err := floatParam("eps", -1)
-	if err != nil {
-		return nil, err
+	pr := cluster.ParamReader{Values: p}
+	seq, start := pr.Int("seq", 0), pr.Int("start", 0)
+	n := pr.Int("len", sn.ix.Options().WindowLen)
+	scale, shift := pr.Float("scale", 1), pr.Float("shift", 0)
+	if pr.Err != nil {
+		return core.Query{}, 0, "", pr.Err
 	}
-	if eps < 0 {
-		frac, err := floatParam("eps_frac", 0.02)
-		if err != nil {
-			return nil, err
-		}
-		eps = frac * sn.normScale
+	w := make(vec.Vector, n)
+	if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
+		return core.Query{}, 0, "", err
 	}
-	req.eps = eps
-
-	// Cost bounds.
-	req.costs = core.UnboundedCosts()
-	if v, err := floatParam("scale_min", 0); err != nil {
-		return nil, err
-	} else if v != 0 {
-		req.costs.ScaleMin = v
-	}
-	if v, err := floatParam("scale_max", 0); err != nil {
-		return nil, err
-	} else if v != 0 {
-		req.costs.ScaleMax = v
-	}
-	if v, err := floatParam("shift_abs", 0); err != nil {
-		return nil, err
-	} else if v != 0 {
-		req.costs.ShiftMin, req.costs.ShiftMax = -v, v
-	}
-
-	if req.force, err = engine.ParsePathKind(p.Get("path")); p.Get("path") != "" && err != nil {
-		return nil, err
-	} else if p.Get("path") == "" {
-		req.force = engine.PathAuto
-	}
-	if req.nn, err = intParam("nn", 0); err != nil {
-		return nil, err
-	}
-	if req.nn > 0 && req.force != engine.PathAuto {
-		return nil, fmt.Errorf("path applies to range queries; nearest-neighbour search is pinned to the index probe")
-	}
-	if req.limit, err = intParam("limit", 100); err != nil {
-		return nil, err
-	}
-	return req, nil
+	q.Vec = vec.Apply(w, scale, shift)
+	return q, limit, fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, start, n, scale, shift), nil
 }
 
 // matchJSON is one reported match.
@@ -751,7 +645,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, err := s.parseSearchRequest(sn, r)
+	q, limit, describe, err := s.parseSearchRequest(sn, r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -770,30 +664,21 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// stitch the cross-process timeline.
 	ctx, root := s.tracer.StartTraceWithID(r.Context(), "search",
 		obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)))
-	root.SetAttr("query", req.describe)
+	root.SetAttr("query", describe)
 	if id := obs.TraceIDFromContext(ctx); id != "" {
 		w.Header().Set(obs.TraceparentHeader, obs.FormatTraceparent(id))
 	}
 
 	var stats core.SearchStats
-	var matches []core.Match
-	var ex *engine.Explain
-	window := sn.ix.Options().WindowLen
 	start := time.Now()
-	switch {
-	case req.nn > 0:
-		matches, err = sn.ix.NearestNeighborsWithCostsContext(ctx, req.q, req.nn, req.costs, &stats)
-	case len(req.q) > window:
-		matches, ex, err = sn.ix.SearchLongPlannedContext(ctx, req.q, req.eps, req.costs, req.force, &stats)
-	default:
-		matches, ex, err = sn.ix.SearchPlannedContext(ctx, req.q, req.eps, req.costs, req.force, nil, &stats)
-	}
+	res, err := sn.ix.Exec(ctx, q, &stats)
 	elapsed := time.Since(start)
+	matches, ex := res.Matches, res.Explain
 	record(elapsed, err)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 		root.End()
-		fillSearchDraft(ctx, root, req.describe, &stats, ex, 0)
+		fillSearchDraft(ctx, root, describe, &stats, ex, 0)
 		s.writeSearchError(w, r, err)
 		return
 	}
@@ -804,12 +689,12 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		root.SetBool("degraded", true)
 	}
 	root.End() // commits the trace, so /debug/traces can serve it immediately
-	fillSearchDraft(ctx, root, req.describe, &stats, ex, len(matches))
+	fillSearchDraft(ctx, root, describe, &stats, ex, len(matches))
 
 	resp := searchResponse{
 		TraceID:   stats.TraceID,
-		Query:     req.describe,
-		Eps:       req.eps,
+		Query:     describe,
+		Eps:       q.Eps,
 		ElapsedNs: elapsed.Nanoseconds(),
 		Total:     len(matches),
 		Stats: statsJSON{
@@ -836,7 +721,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			EstCandidates:  ex.EstCandidates,
 		}
 	}
-	resp.Matches, resp.Truncated = matchesJSON(matches, len(req.q), req.limit)
+	resp.Matches, resp.Truncated = matchesJSON(matches, len(q.Vec), limit)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -902,7 +787,7 @@ type batchResponseJSON struct {
 }
 
 // toBatchQuery resolves one JSON query against the snapshot.
-func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON) (core.BatchQuery, int, error) {
+func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON, force engine.PathKind) (core.Query, error) {
 	window := sn.ix.Options().WindowLen
 	var q vec.Vector
 	switch {
@@ -921,7 +806,7 @@ func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON) (core.Batc
 		}
 		w := make(vec.Vector, n)
 		if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
-			return core.BatchQuery{}, 0, fmt.Errorf("query %d: %w", i, err)
+			return core.Query{}, fmt.Errorf("query %d: %w", i, err)
 		}
 		scale, shift := 1.0, 0.0
 		if bq.Scale != nil {
@@ -932,10 +817,10 @@ func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON) (core.Batc
 		}
 		q = vec.Apply(w, scale, shift)
 	default:
-		return core.BatchQuery{}, 0, fmt.Errorf("query %d: provide seq/start or values", i)
+		return core.Query{}, fmt.Errorf("query %d: provide seq/start or values", i)
 	}
 	if len(q) > window {
-		return core.BatchQuery{}, 0, fmt.Errorf("query %d: long queries (len %d > window %d) are not batchable; use GET /search", i, len(q), window)
+		return core.Query{}, fmt.Errorf("query %d: long queries (len %d > window %d) are not batchable; use GET /search", i, len(q), window)
 	}
 
 	eps := bq.Eps
@@ -956,7 +841,7 @@ func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON) (core.Batc
 	if bq.ShiftAbs != 0 {
 		costs.ShiftMin, costs.ShiftMax = -bq.ShiftAbs, bq.ShiftAbs
 	}
-	return core.BatchQuery{Q: q, Eps: eps, Costs: costs}, len(q), nil
+	return core.Query{Vec: q, Eps: eps, Costs: costs, Force: force}, nil
 }
 
 // handleSearchBatch answers POST /search: a JSON batch fanned out
@@ -998,16 +883,13 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 		limit = *breq.Limit
 	}
 
-	queries := make([]core.BatchQuery, len(breq.Queries))
-	qlens := make([]int, len(breq.Queries))
+	queries := make([]core.Query, len(breq.Queries))
 	for i, bq := range breq.Queries {
-		q, qlen, err := s.toBatchQuery(sn, i, bq)
-		if err != nil {
+		var err error
+		if queries[i], err = s.toBatchQuery(sn, i, bq, force); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		queries[i] = q
-		qlens[i] = qlen
 	}
 
 	record, ok := s.breakerGate(w, r, sn)
@@ -1024,7 +906,7 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 
 	var stats core.SearchStats
 	start := time.Now()
-	results, _, statuses, err := sn.ix.SearchBatchPlannedContext(ctx, queries, force, breq.Parallelism, &stats)
+	results, statuses, err := sn.ix.ExecBatch(ctx, queries, breq.Parallelism, &stats)
 	elapsed := time.Since(start)
 	record(elapsed, err)
 	describe := fmt.Sprintf("batch of %d queries", len(queries))
@@ -1066,12 +948,12 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 			VerifyNs:       stats.VerifyTime.Nanoseconds(),
 		},
 	}
-	for i, matches := range results {
+	for i, res := range results {
 		item := batchItemJSON{Status: statuses[i].String(), Eps: queries[i].Eps}
 		if statuses[i] == core.BatchComplete {
 			resp.Completed++
-			item.Total = len(matches)
-			item.Matches, item.Truncated = matchesJSON(matches, qlens[i], limit)
+			item.Total = len(res.Matches)
+			item.Matches, item.Truncated = matchesJSON(res.Matches, len(queries[i].Vec), limit)
 		} else {
 			item.Matches = []matchJSON{}
 		}

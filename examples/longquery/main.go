@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -55,10 +56,12 @@ func main() {
 	// Multipiece index search.
 	var stats core.SearchStats
 	start := time.Now()
-	matches, err := ix.SearchLong(q, eps, core.UnboundedCosts(), &stats)
+	// A query longer than the window runs as a multipiece search.
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		log.Fatal(err)
 	}
+	matches := res.Matches
 	indexTime := time.Since(start)
 	fmt.Printf("multipiece search: %d matches in %v (%d candidates, %d false alarms)\n",
 		len(matches), indexTime.Round(time.Microsecond), stats.Candidates, stats.FalseAlarms)

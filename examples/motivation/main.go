@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,10 +76,11 @@ func main() {
 
 	var ssHits, euHits, ssTotal, euTotal int
 	for _, q := range queries {
-		ssRes, err := ss.Search(q.Values, eps, core.UnboundedCosts(), nil)
+		res, err := ss.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ssRes := res.Matches
 		euRes, err := eu.Search(q.Values, eps, nil)
 		if err != nil {
 			log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,9 +61,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	matches, err := ix.Search(a, 0.001, core.UnboundedCosts(), nil)
+	// A query is a value; the zero Costs accepts every (a, b).
+	res, err := ix.Exec(context.Background(), core.Query{Vec: a, Eps: 0.001}, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	matches := res.Matches
+	if len(matches) != 2 {
+		log.Fatalf("query A found %d matches, want B and C", len(matches))
 	}
 	fmt.Printf("query A with eps=0.001 finds %d matches:\n", len(matches))
 	for _, m := range matches {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -61,10 +62,11 @@ func main() {
 
 	// 1. Unrestricted scale/shift search.
 	var stats core.SearchStats
-	all, err := ix.Search(q, eps, core.UnboundedCosts(), &stats)
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		log.Fatal(err)
 	}
+	all := res.Matches
 	fmt.Printf("same-trend windows (any scale/shift): %d matches, %d index + %d data pages\n",
 		len(all), stats.IndexNodeAccesses, stats.DataPageAccesses)
 
@@ -75,10 +77,11 @@ func main() {
 	costs.ScaleMin, costs.ScaleMax = 0.2, 5
 	costs.ShiftMin, costs.ShiftMax = -100, 100
 	stats = core.SearchStats{}
-	positive, err := ix.Search(q, eps, costs, &stats)
+	res, err = ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps, Costs: costs}, &stats)
 	if err != nil {
 		log.Fatal(err)
 	}
+	positive := res.Matches
 	fmt.Printf("with cost bounds 0.2<=a<=5, |b|<=100:     %d matches (%d rejected by cost)\n\n",
 		len(positive), stats.CostRejected)
 
@@ -86,13 +89,13 @@ func main() {
 	// cost bounds the ranking is dominated by near-flat penny-stock
 	// windows that "match" any query via a ≈ 0 — bounding the scale
 	// factor keeps only genuine trend-alikes.
-	nn, err := ix.NearestNeighborsWithCosts(q, 60, costs, nil)
+	res, err = ix.Exec(context.Background(), core.Query{Vec: q, K: 60, Costs: costs}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("top trend-alikes from other companies (cost-bounded):")
 	printed := 0
-	for _, m := range nn {
+	for _, m := range res.Matches {
 		if m.Seq == refSeq {
 			continue // skip self-overlapping windows
 		}

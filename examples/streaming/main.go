@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -76,10 +77,11 @@ func main() {
 		}
 
 		var stats core.SearchStats
-		matches, err := ix.Search(pattern, eps, costs, &stats)
+		res, err := ix.Exec(context.Background(), core.Query{Vec: pattern, Eps: eps, Costs: costs}, &stats)
 		if err != nil {
 			log.Fatal(err)
 		}
+		matches := res.Matches
 		// Report only hits on the just-listed ticker.
 		fresh := 0
 		for _, m := range matches {
@@ -90,6 +92,9 @@ func main() {
 				}
 				fresh++
 			}
+		}
+		if planted := batch == 3; planted != (fresh > 0) {
+			log.Fatalf("batch %d: %d alerts on %s, but the reversal is planted in batch 3 only", batch, fresh, name)
 		}
 		if fresh == 0 {
 			fmt.Printf("batch %d: %s indexed, no reversal (total windows %d, %d matches elsewhere)\n",

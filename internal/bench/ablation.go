@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -239,7 +240,7 @@ func (e *Env) RunNearestNeighbor(ks []int) ([]NNPoint, error) {
 		start := time.Now()
 		for _, q := range e.Queries {
 			var stats core.SearchStats
-			if _, err := e.Index.NearestNeighbors(q.Values, k, &stats); err != nil {
+			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, K: k}, &stats); err != nil {
 				return nil, err
 			}
 			agg.Add(stats)
@@ -315,11 +316,9 @@ func (e *Env) RunBufferSweep(sizes []int, epsFrac float64) ([]BufferPoint, error
 // searchWithPool runs one tree query charging data fetches through the
 // shared pool.
 func (e *Env) searchWithPool(q []float64, eps float64, pool *store.BufferPool) error {
-	// core.Index.Search owns its PageCounter, so replay the candidate
-	// fetches here: run the search and then touch the windows of each
-	// match... that would undercount false alarms.  Instead reuse the
-	// search but against a pool-attached counter via SearchPooled.
-	_, err := e.Index.SearchPooled(q, eps, core.UnboundedCosts(), pool, nil)
+	// The executor owns its PageCounter; Query.Pool attaches the shared
+	// pool to it, so false alarms are charged as well as matches.
+	_, err := e.Index.Exec(context.Background(), core.Query{Vec: q, Eps: eps, Pool: pool}, nil)
 	return err
 }
 
@@ -402,11 +401,11 @@ func RecallSweep(cfg Config, noises []float64) ([]RecallPoint, error) {
 			// amplify it.  Budget accordingly; the floor covers
 			// floating-point cancellation, which grows with magnitude.
 			qEps := eps*math.Max(1, 1/q.Scale) + 1e-7*(1+vec.Norm(q.Values))
-			ssRes, err := ss.Search(q.Values, qEps, core.UnboundedCosts(), nil)
+			ssRes, err := ss.Exec(context.Background(), core.Query{Vec: q.Values, Eps: qEps}, nil)
 			if err != nil {
 				return nil, err
 			}
-			for _, m := range ssRes {
+			for _, m := range ssRes.Matches {
 				if m.Seq == q.Seq && m.Start == q.Start {
 					point.ScaleShiftRecall++
 					break

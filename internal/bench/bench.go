@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -319,7 +320,7 @@ func (e *Env) runPoint(m Method, frac float64) (Row, error) {
 		start := time.Now()
 		for _, q := range e.Queries {
 			var stats core.SearchStats
-			if _, err := e.Index.Search(q.Values, eps, core.UnboundedCosts(), &stats); err != nil {
+			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
 				return row, err
 			}
 			agg.Add(stats)

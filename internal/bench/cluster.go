@@ -143,7 +143,7 @@ func RunCluster(cfg Config, shards int, stdout io.Writer) (*ClusterReport, error
 	// Exactness sweep first: every cluster answer against the in-process
 	// oracle, canonically sorted, compared bit-for-bit.
 	for i, q := range queries {
-		oracle, err := env.Index.Search(q, eps, core.UnboundedCosts(), nil)
+		oracle, err := env.Index.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func RunCluster(cfg Config, shards int, stdout io.Writer) (*ClusterReport, error
 			rep.Partials++
 			continue
 		}
-		if !clusterAnswersEqual(oracle, gr.Matches) {
+		if !clusterAnswersEqual(oracle.Matches, gr.Matches) {
 			rep.Mismatches++
 		}
 	}
@@ -161,7 +161,7 @@ func RunCluster(cfg Config, shards int, stdout io.Writer) (*ClusterReport, error
 	// Throughput: interleaved rounds, best matched pair (the same
 	// least-noise discipline the ingest gate uses).
 	rangeSingle := func(q vec.Vector) error {
-		_, err := env.Index.Search(q, eps, core.UnboundedCosts(), nil)
+		_, err := env.Index.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, nil)
 		return err
 	}
 	bestRatio := math.Inf(-1)

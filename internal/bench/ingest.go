@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -84,9 +85,9 @@ func RunIngest(cfg Config, stdout io.Writer) (*IngestReport, error) {
 	if err := env.Index.Freeze(); err != nil {
 		return nil, err
 	}
-	rangeOn := func(search func(q vec.Vector, eps float64, costs core.CostBounds, stats *core.SearchStats) ([]core.Match, error)) func(vec.Vector) error {
+	rangeOn := func(exec func(context.Context, core.Query, *core.SearchStats) (core.Result, error)) func(vec.Vector) error {
 		return func(q vec.Vector) error {
-			_, err := search(q, eps, core.UnboundedCosts(), nil)
+			_, err := exec(context.Background(), core.Query{Vec: q, Eps: eps}, nil)
 			return err
 		}
 	}
@@ -105,11 +106,11 @@ func RunIngest(cfg Config, stdout io.Writer) (*IngestReport, error) {
 	const rounds = 3
 	bestRatio := math.Inf(-1)
 	for r := 0; r < rounds; r++ {
-		base, _, err := measureQPS(reps, queries, rangeOn(env.Index.Search))
+		base, _, err := measureQPS(reps, queries, rangeOn(env.Index.Exec))
 		if err != nil {
 			return nil, err
 		}
-		idle, _, err := measureQPS(reps, queries, rangeOn(seg.Search))
+		idle, _, err := measureQPS(reps, queries, rangeOn(seg.Exec))
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +167,7 @@ func RunIngest(cfg Config, stdout io.Writer) (*IngestReport, error) {
 			}
 		}
 	}()
-	rep.QPSUnderIngest, _, err = measureQPS(reps, queries, rangeOn(seg.Search))
+	rep.QPSUnderIngest, _, err = measureQPS(reps, queries, rangeOn(seg.Exec))
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -287,13 +288,13 @@ func RunPerf(cfg Config, stdout io.Writer) (*PerfReport, error) {
 	// Pointer-tree throughput first, before the freeze.
 	rangeFn := func(ix *core.Index) func(vec.Vector) error {
 		return func(q vec.Vector) error {
-			_, err := ix.Search(q, eps, core.UnboundedCosts(), nil)
+			_, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, nil)
 			return err
 		}
 	}
 	nnFn := func(ix *core.Index) func(vec.Vector) error {
 		return func(q vec.Vector) error {
-			_, err := ix.NearestNeighbors(q, 10, nil)
+			_, err := ix.Exec(context.Background(), core.Query{Vec: q, K: 10}, nil)
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -78,13 +79,13 @@ func (e *Env) runPlannerPoint(frac float64) (PlannerPoint, error) {
 	// and which paths exist.
 	available := make([]engine.PathKind, 0, int(engine.NumPathKinds))
 	for i, q := range e.Queries {
-		_, ex, err := e.Index.SearchPlanned(q.Values, eps, core.UnboundedCosts(), engine.PathAuto, nil, nil)
+		res, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, nil)
 		if err != nil {
 			return p, err
 		}
 		if i == 0 {
-			p.Chosen = ex.Chosen
-			for _, plan := range ex.Plans {
+			p.Chosen = res.Explain.Chosen
+			for _, plan := range res.Explain.Plans {
 				if plan.Available {
 					available = append(available, plan.Path)
 				}
@@ -96,7 +97,7 @@ func (e *Env) runPlannerPoint(frac float64) (PlannerPoint, error) {
 	for _, kind := range available {
 		start := time.Now()
 		for _, q := range e.Queries {
-			if _, _, err := e.Index.SearchPlanned(q.Values, eps, core.UnboundedCosts(), kind, nil, nil); err != nil {
+			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps, Force: kind}, nil); err != nil {
 				return p, err
 			}
 		}
@@ -108,7 +109,7 @@ func (e *Env) runPlannerPoint(frac float64) (PlannerPoint, error) {
 
 	start := time.Now()
 	for _, q := range e.Queries {
-		if _, _, err := e.Index.SearchPlanned(q.Values, eps, core.UnboundedCosts(), engine.PathAuto, nil, nil); err != nil {
+		if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, nil); err != nil {
 			return p, err
 		}
 	}

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -70,11 +71,11 @@ func searchAnswer(t *testing.T, seg *core.SegmentedIndex) []core.Match {
 	if err := seg.QueryWindow(0, seg.Store().SequenceLen(0)-n, n, q); err != nil {
 		t.Fatal(err)
 	}
-	out, err := seg.Search(q, 0.5, core.UnboundedCosts(), nil)
+	res, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return res.Matches
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

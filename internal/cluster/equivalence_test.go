@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"scaleshift/internal/core"
-	"scaleshift/internal/engine"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
 	"scaleshift/internal/vec"
@@ -183,11 +182,11 @@ func TestRangeEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q, vals := topo.queryValues(t, tc.seq, tc.start, 32, tc.scale, tc.shift)
 			var stats core.SearchStats
-			single, _, err := topo.union.SearchPlannedContext(context.Background(), q, eps,
-				core.UnboundedCosts(), engine.PathAuto, nil, &stats)
+			res, err := topo.union.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, &stats)
 			if err != nil {
 				t.Fatal(err)
 			}
+			single := res.Matches
 			if len(single) == 0 {
 				t.Fatal("oracle found nothing; the equivalence check would be vacuous")
 			}
@@ -213,11 +212,11 @@ func TestLongQueryEquivalence(t *testing.T) {
 	eps := 0.25 * topo.norm
 	q, vals := topo.queryValues(t, 4, 8, 96, 1.2, -2)
 	var stats core.SearchStats
-	single, _, err := topo.union.SearchLongPlannedContext(context.Background(), q, eps,
-		core.UnboundedCosts(), engine.PathAuto, &stats)
+	res, err := topo.union.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := res.Matches
 	if len(single) == 0 {
 		t.Fatal("oracle found nothing; raise eps")
 	}
@@ -238,11 +237,11 @@ func TestKNNEquivalence(t *testing.T) {
 	const k = 9
 	q, vals := topo.queryValues(t, 9, 25, 32, 1, 0)
 	var stats core.SearchStats
-	single, err := topo.union.NearestNeighborsWithCostsContext(context.Background(), q, k,
-		core.UnboundedCosts(), &stats)
+	res, err := topo.union.Exec(context.Background(), core.Query{Vec: q, K: k}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := res.Matches
 	if len(single) != k {
 		t.Fatalf("oracle returned %d of %d neighbors", len(single), k)
 	}
@@ -289,11 +288,11 @@ func TestPartialCoverageAttribution(t *testing.T) {
 	eps := 0.08 * topo.norm
 	q, vals := topo.queryValues(t, 2, 10, 32, 1, 0)
 	var stats core.SearchStats
-	single, _, err := topo.union.SearchPlannedContext(context.Background(), q, eps,
-		core.UnboundedCosts(), engine.PathAuto, nil, &stats)
+	res, err := topo.union.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := res.Matches
 	deadSeqs := make(map[int]bool)
 	for _, g := range topo.man.Shards[dead].Seqs {
 		deadSeqs[g] = true

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"scaleshift/internal/core"
-	"scaleshift/internal/engine"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/vec"
 )
@@ -92,108 +90,17 @@ func (n *ShardNode) handleWindow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Query()
-	floatParam := func(name string, def float64) (float64, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return f, nil
+	q, limit, err := DecodeSearchQuery(r.URL.Query(), n.normScale, 0)
+	if err == nil && q.Vec == nil {
+		err = fmt.Errorf("shard search requires values=")
 	}
-	intParam := func(name string, def int) (int, error) {
-		v := p.Get(name)
-		if v == "" {
-			return def, nil
-		}
-		i, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return i, nil
-	}
-
-	values := p.Get("values")
-	if values == "" {
-		writeShardError(w, http.StatusBadRequest, fmt.Errorf("shard search requires values="))
-		return
-	}
-	fields := strings.Split(values, ",")
-	q := make(vec.Vector, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			writeShardError(w, http.StatusBadRequest, fmt.Errorf("parameter values, field %d: %w", i+1, err))
-			return
-		}
-		q[i] = v
-	}
-
-	eps, err := floatParam("eps", -1)
-	if err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	}
-	if eps < 0 {
-		frac, err := floatParam("eps_frac", 0.02)
-		if err != nil {
-			writeShardError(w, http.StatusBadRequest, err)
-			return
-		}
-		eps = frac * n.normScale
-	}
-	costs := core.UnboundedCosts()
-	if v, err := floatParam("scale_min", 0); err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	} else if v != 0 {
-		costs.ScaleMin = v
-	}
-	if v, err := floatParam("scale_max", 0); err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	} else if v != 0 {
-		costs.ScaleMax = v
-	}
-	if v, err := floatParam("shift_abs", 0); err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	} else if v != 0 {
-		costs.ShiftMin, costs.ShiftMax = -v, v
-	}
-	force := engine.PathAuto
-	if ps := p.Get("path"); ps != "" {
-		if force, err = engine.ParsePathKind(ps); err != nil {
-			writeShardError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	nn, err := intParam("nn", 0)
-	if err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	}
-	limit, err := intParam("limit", 0)
 	if err != nil {
 		writeShardError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	var stats core.SearchStats
-	var matches []core.Match
-	var ex *engine.Explain
-	window := n.ix.Options().WindowLen
-	switch {
-	case nn > 0:
-		matches, err = n.ix.NearestNeighborsWithCostsContext(r.Context(), q, nn, costs, &stats)
-	case len(q) > window:
-		matches, ex, err = n.ix.SearchLongPlannedContext(r.Context(), q, eps, costs, force, &stats)
-	default:
-		matches, ex, err = n.ix.SearchPlannedContext(r.Context(), q, eps, costs, force, nil, &stats)
-	}
+	res, err := n.ix.Exec(r.Context(), q, &stats)
 	if err != nil {
 		writeShardError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -201,17 +108,17 @@ func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	resp := SearchWire{
 		TraceID: obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)),
-		Eps:     eps,
-		Total:   len(matches),
-		Matches: make([]WireMatch, 0, len(matches)),
+		Eps:     q.Eps,
+		Total:   len(res.Matches),
+		Matches: make([]WireMatch, 0, len(res.Matches)),
 	}
-	for i, m := range matches {
+	for i, m := range res.Matches {
 		if limit > 0 && i >= limit {
 			resp.Truncated = true
 			break
 		}
 		resp.Matches = append(resp.Matches, WireMatch{
-			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + len(q),
+			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + len(q.Vec),
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,
 		})
 	}
@@ -225,9 +132,8 @@ func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ProbeNs:        stats.ProbeTime.Nanoseconds(),
 		VerifyNs:       stats.VerifyTime.Nanoseconds(),
 	}
-	if ex != nil {
-		degraded, reason := ex.Degraded, ex.DegradedReason
-		resp.Plan = &WirePlan{Path: ex.Chosen.String(), Degraded: degraded, DegradedReason: reason}
+	if ex := res.Explain; ex != nil {
+		resp.Plan = &WirePlan{Path: ex.Chosen.String(), Degraded: ex.Degraded, DegradedReason: ex.DegradedReason}
 	}
 	writeShardJSON(w, http.StatusOK, resp)
 }

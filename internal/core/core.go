@@ -914,13 +914,9 @@ func slackFromBounds(bounds geom.Rect, ok bool, dim int) float64 {
 	return 1e-7 * m * math.Sqrt(float64(dim))
 }
 
-// seLine returns the query's SE-line image in feature space: the line
-// {t·F(T_se(q))} through the origin (§5.1 property 3; linear maps send
-// lines through the origin to lines through the origin).
-func (ix *Index) seLine(q vec.Vector) vec.Line {
-	return seLineFor(ix.fmap, q)
-}
-
+// seLineFor returns the query's SE-line image in feature space: the
+// line {t·F(T_se(q))} through the origin (§5.1 property 3; linear maps
+// send lines through the origin to lines through the origin).
 func seLineFor(fmap *dft.FeatureMap, q vec.Vector) vec.Line {
 	se := vec.SETransform(q)
 	d := fmap.Transform(se)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,7 +14,7 @@ import (
 // forcedSearch runs one forced-path query, failing the test on error.
 func forcedSearch(t *testing.T, ix *Index, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind) []Match {
 	t.Helper()
-	out, ex, err := ix.SearchPlanned(q, eps, costs, force, nil, nil)
+	out, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Costs: costs, Force: force}, nil)
 	if err != nil {
 		t.Fatalf("forced %v search: %v", force, err)
 	}
@@ -62,7 +63,7 @@ func TestCrossPathEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(rtreeOut, scanOut) {
 					t.Fatalf("trial %d query %d eps %g: rtree %v != scan %v", trial, qi, eps, rtreeOut, scanOut)
 				}
-				autoOut, ex, err := ix.SearchPlanned(q, eps, costs, engine.PathAuto, nil, nil)
+				autoOut, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Costs: costs}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +101,7 @@ func TestCrossPathEquivalenceTrail(t *testing.T) {
 			if !reflect.DeepEqual(trailOut, scanOut) {
 				t.Fatalf("query %d eps %g: trail %v != scan %v", qi, eps, trailOut, scanOut)
 			}
-			autoOut, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathAuto, nil, nil)
+			autoOut, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +115,7 @@ func TestCrossPathEquivalenceTrail(t *testing.T) {
 	}
 
 	// The point-entry path must refuse to serve a trail index.
-	if _, _, err := ix.SearchPlanned(make(vec.Vector, opts.WindowLen), 1, UnboundedCosts(), engine.PathRTree, nil, nil); err == nil {
+	if _, _, err := run(context.Background(), ix, Query{Vec: make(vec.Vector, opts.WindowLen), Eps: 1, Force: engine.PathRTree}, nil); err == nil {
 		t.Error("forcing rtree on a trail index did not error")
 	}
 }
@@ -133,21 +134,21 @@ func TestCrossPathEquivalenceLong(t *testing.T) {
 	}
 	q = vec.Apply(q, 2, -5)
 	for _, eps := range []float64{1, 50, 1e4} {
-		rtreeOut, exR, err := ix.SearchLongPlanned(q, eps, UnboundedCosts(), engine.PathRTree, nil)
+		rtreeOut, exR, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathRTree}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if exR.Pieces != 2 {
 			t.Errorf("explain pieces = %d, want 2", exR.Pieces)
 		}
-		scanOut, _, err := ix.SearchLongPlanned(q, eps, UnboundedCosts(), engine.PathScan, nil)
+		scanOut, _, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rtreeOut, scanOut) {
 			t.Fatalf("eps %g: long rtree %v != scan %v", eps, rtreeOut, scanOut)
 		}
-		autoOut, err := ix.SearchLong(q, eps, UnboundedCosts(), nil)
+		autoOut, err := search(ix, q, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +171,14 @@ func TestPlannerRegimes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, exTiny, err := ix.SearchPlanned(q, 1e-3, UnboundedCosts(), engine.PathAuto, nil, nil)
+	_, exTiny, err := run(context.Background(), ix, Query{Vec: q, Eps: 1e-3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exTiny.Chosen != engine.PathRTree {
 		t.Errorf("tiny eps chose %v, want rtree", exTiny.Chosen)
 	}
-	_, exHuge, err := ix.SearchPlanned(q, 1e9, UnboundedCosts(), engine.PathAuto, nil, nil)
+	_, exHuge, err := run(context.Background(), ix, Query{Vec: q, Eps: 1e9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestPlannerEstimatesSaneOnIndex(t *testing.T) {
 		}
 		prev := -1.0
 		for _, eps := range []float64{0, 1e-3, 0.1, 1, 10, 1e3, 1e6} {
-			_, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathAuto, nil, nil)
+			_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +243,7 @@ func zeroTimes(s *SearchStats) {
 	s.PlanTime, s.ProbeTime, s.VerifyTime = 0, 0, 0
 }
 
-// TestSearchBatchPlannedMixedEps is the SearchBatch satellite: one
+// TestSearchBatchPlannedMixedEps is the ExecBatch satellite: one
 // batch holding a tiny-ε and a huge-ε query must plan per query —
 // choosing different paths within a single call — and its accumulated
 // stats must equal the sequential per-query totals exactly.
@@ -259,22 +260,22 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	if err := st.Window(5, 40, opts.WindowLen, q2, nil); err != nil {
 		t.Fatal(err)
 	}
-	batch := []BatchQuery{
-		{Q: q1, Eps: 1e-3, Costs: UnboundedCosts()},
-		{Q: q2, Eps: 1e9, Costs: UnboundedCosts()},
-		{Q: q1, Eps: 1e9, Costs: UnboundedCosts()},
+	batch := []Query{
+		{Vec: q1, Eps: 1e-3},
+		{Vec: q2, Eps: 1e9},
+		{Vec: q1, Eps: 1e9},
 	}
 
 	var batchStats SearchStats
-	results, explains, err := ix.SearchBatchPlanned(batch, engine.PathAuto, 2, &batchStats)
+	results, _, err := ix.ExecBatch(context.Background(), batch, 2, &batchStats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if explains[0].Chosen != engine.PathRTree {
-		t.Errorf("tiny-eps query planned %v, want rtree", explains[0].Chosen)
+	if got := results[0].Explain.Chosen; got != engine.PathRTree {
+		t.Errorf("tiny-eps query planned %v, want rtree", got)
 	}
-	if explains[1].Chosen != engine.PathScan || explains[2].Chosen != engine.PathScan {
-		t.Errorf("huge-eps queries planned %v and %v, want scan", explains[1].Chosen, explains[2].Chosen)
+	if a, b := results[1].Explain.Chosen, results[2].Explain.Chosen; a != engine.PathScan || b != engine.PathScan {
+		t.Errorf("huge-eps queries planned %v and %v, want scan", a, b)
 	}
 	if batchStats.PathProbes[engine.PathRTree] != 1 || batchStats.PathProbes[engine.PathScan] != 2 {
 		t.Errorf("PathProbes = %v, want 1 rtree + 2 scan", batchStats.PathProbes)
@@ -284,11 +285,11 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	// queries one at a time (timings aside).
 	var serialStats SearchStats
 	for i, bq := range batch {
-		out, _, err := ix.SearchPlanned(bq.Q, bq.Eps, bq.Costs, engine.PathAuto, nil, &serialStats)
+		out, _, err := run(context.Background(), ix, bq, &serialStats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out, results[i]) {
+		if !reflect.DeepEqual(out, results[i].Matches) {
 			t.Errorf("batch result %d differs from serial", i)
 		}
 	}
@@ -299,9 +300,8 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	}
 }
 
-// TestSearchBatchStillPlansPerQuery pins the legacy wrapper: even the
-// fixed-ε SearchBatch routes each query through the planner (one probe
-// counted per query).
+// TestSearchBatchStillPlansPerQuery pins that a fixed-ε batch routes
+// each query through the planner (one probe counted per query).
 func TestSearchBatchStillPlansPerQuery(t *testing.T) {
 	opts := testOptions()
 	ix := buildTestIndex(t, opts, 4, 100)
@@ -315,7 +315,7 @@ func TestSearchBatchStillPlansPerQuery(t *testing.T) {
 		queries[i] = q
 	}
 	var stats SearchStats
-	if _, err := ix.SearchBatch(queries, 0.5, UnboundedCosts(), 0, &stats); err != nil {
+	if _, _, err := ix.ExecBatch(context.Background(), rangeQueries(queries, 0.5), 0, &stats); err != nil {
 		t.Fatal(err)
 	}
 	total := 0

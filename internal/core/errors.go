@@ -17,9 +17,8 @@ import (
 // certified bounds and silently drop true matches.
 var ErrInvalidQuery = errors.New("invalid query")
 
-// validateQuery rejects query vectors the search pipeline cannot
-// answer correctly.  minLen is the smallest acceptable length (the
-// window length for range queries; SearchLong accepts longer).
+// validateQuery rejects range-query epsilons and samples the search
+// pipeline cannot answer correctly (length is checked by validate).
 func validateQuery(q vec.Vector, eps float64) error {
 	if math.IsNaN(eps) || eps < 0 {
 		return fmt.Errorf("core: %w: epsilon %v (want a finite value >= 0)", ErrInvalidQuery, eps)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,7 +51,7 @@ func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]
 	var allStats []SearchStats
 	for _, q := range qs {
 		var s SearchStats
-		m, err := ix.Search(q, eps, UnboundedCosts(), &s)
+		m, err := search(ix, q, eps, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]
 		allStats = append(allStats, s)
 
 		var ns SearchStats
-		nn, err := ix.NearestNeighbors(q, 5, &ns)
+		nn, err := nearest(ix, q, 5, &ns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,14 +75,18 @@ func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]
 		long[i] = qs[0][i%wl] + 0.01*float64(i)
 	}
 	var ls SearchStats
-	lm, err := ix.SearchLong(long, eps, UnboundedCosts(), &ls)
+	lm, err := search(ix, long, eps, &ls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStatsInvariant(t, ls)
-	batch, err := ix.SearchBatch(qs, eps, UnboundedCosts(), 2, nil)
+	results, _, err := ix.ExecBatch(context.Background(), rangeQueries(qs, eps), 2, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var batch [][]Match
+	for _, r := range results {
+		batch = append(batch, r.Matches)
 	}
 	batch = append(batch, lm)
 	return rangeRes, nnRes, batch, allStats

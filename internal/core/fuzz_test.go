@@ -59,7 +59,7 @@ func FuzzLoadIndex(f *testing.F) {
 		if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ix.Search(q, 0.1, UnboundedCosts(), nil); err != nil {
+		if _, err := search(ix, q, 0.1, nil); err != nil {
 			t.Fatalf("loaded index cannot search: %v", err)
 		}
 	})
@@ -126,7 +126,7 @@ func FuzzLoadSegments(f *testing.F) {
 		if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Search(q, 0.1, UnboundedCosts(), nil); err != nil {
+		if _, err := search(g, q, 0.1, nil); err != nil {
 			t.Fatalf("loaded segmented index cannot search: %v", err)
 		}
 	})

@@ -9,12 +9,11 @@ import (
 	"scaleshift/internal/rtree"
 )
 
-// Instrumentation hooks: every completed range query feeds its
-// SearchStats delta into the obs default registry.  Recording is one
-// atomic add per field — race-free under concurrent SearchBatch
-// workers — and the whole function is skipped with a single atomic
-// load when the observability layer is disabled, so library embedders
-// pay nothing.
+// Instrumentation hooks: every completed query feeds its SearchStats
+// delta into the obs default registry.  Recording is one atomic add
+// per field — race-free under concurrent ExecBatch workers — and the
+// whole function is skipped with a single atomic load when the
+// observability layer is disabled, so library embedders pay nothing.
 
 // cm holds the registered metric handles, created once on first
 // recording after obs.Enable (registration takes a lock; recording
@@ -50,9 +49,9 @@ var cm struct {
 func initCoreMetrics() {
 	r := obs.Default
 	cm.searches = r.Counter("scaleshift_searches_total",
-		"Range queries executed (a multipiece long query counts once).")
+		"Queries executed: range, long (a multipiece query counts once) and k-NN.")
 	cm.searchErrors = r.Counter("scaleshift_search_errors_total",
-		"Range queries that returned an error (including cancellation).")
+		"Queries that returned an error (including cancellation).")
 	cm.candidates = r.Counter("scaleshift_candidates_total",
 		"Candidate windows emitted by index probes and handed to verification.")
 	cm.falseAlarms = r.Counter("scaleshift_false_alarms_total",
@@ -73,7 +72,7 @@ func initCoreMetrics() {
 			obs.Label{Key: "path", Value: k.String()})
 	}
 	cm.searchDur = r.DurationHistogram("scaleshift_search_duration_seconds",
-		"End-to-end range-query latency (plan+probe+verify).")
+		"End-to-end query latency (plan+probe+verify; stream+refine for k-NN).")
 	cm.planDur = r.DurationHistogram("scaleshift_plan_duration_seconds",
 		"Planner stage latency.")
 	cm.probeDur = r.DurationHistogram("scaleshift_probe_duration_seconds",
@@ -96,27 +95,35 @@ func initCoreMetrics() {
 		"Ingest delta application: appending points to the mutable tail under the index lock.")
 }
 
-// recordSearchMetrics publishes one completed range query's stats
-// delta.  pieces is the number of index probes the query issued.
-func recordSearchMetrics(d *SearchStats, pieces int) {
+// recordSearchMetrics publishes one completed query's stats delta.
+// elapsed is its end-to-end latency and pieces the number of
+// window-length pieces it probed — 0 for a k-NN query, which counts as
+// a search and towards the page-read totals but stays out of the
+// candidate ledger and the per-stage histograms: it refines candidates
+// without classifying them, so counting them would break
+// candidates = false alarms + cost-rejected + matches on /metrics.
+func recordSearchMetrics(d *SearchStats, elapsed time.Duration, pieces int) {
 	if !obs.Enabled() {
 		return
 	}
 	cm.once.Do(initCoreMetrics)
 	cm.searches.Inc()
+	cm.searchDur.ObserveDuration(elapsed)
+	cm.nodeReads.Add(int64(d.IndexNodeAccesses))
+	cm.dataPages.Add(int64(d.DataPageAccesses))
+	if pieces == 0 {
+		return
+	}
 	cm.candidates.Add(int64(d.Candidates))
 	cm.falseAlarms.Add(int64(d.FalseAlarms))
 	cm.costRejected.Add(int64(d.CostRejected))
 	cm.matches.Add(int64(d.Results))
-	cm.nodeReads.Add(int64(d.IndexNodeAccesses))
-	cm.dataPages.Add(int64(d.DataPageAccesses))
 	cm.degraded.Add(int64(d.DegradedProbes))
 	for k := engine.PathRTree; k < engine.NumPathKinds; k++ {
 		if n := d.PathProbes[k]; n > 0 {
 			cm.pathProbes[k].Add(int64(n))
 		}
 	}
-	cm.searchDur.ObserveDuration(d.PlanTime + d.ProbeTime + d.VerifyTime)
 	cm.planDur.ObserveDuration(d.PlanTime)
 	cm.probeDur.ObserveDuration(d.ProbeTime)
 	cm.verifyDur.ObserveDuration(d.VerifyTime)
@@ -147,7 +154,7 @@ func recordDeltaApply(d time.Duration) {
 	cm.deltaApply.ObserveDuration(d)
 }
 
-// recordSearchError counts a failed range query (validation, I/O, or
+// recordSearchError counts a failed query (validation, I/O, or
 // cancellation).
 func recordSearchError() {
 	if !obs.Enabled() {

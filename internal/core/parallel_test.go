@@ -140,16 +140,16 @@ func TestBuildVariantsAgreeOnSearches(t *testing.T) {
 		if err := st.Window(src.seq, src.start, opts.WindowLen, w, nil); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := variants["insert"].Search(w, 0.2*scale, UnboundedCosts(), nil)
+		ref, err := search(variants["insert"], w, 0.2*scale, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refNN, err := variants["insert"].NearestNeighbors(w, 5, nil)
+		refNN, err := nearest(variants["insert"], w, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, ix := range variants {
-			got, err := ix.Search(w, 0.2*scale, UnboundedCosts(), nil)
+			got, err := search(ix, w, 0.2*scale, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestBuildVariantsAgreeOnSearches(t *testing.T) {
 					t.Fatalf("%s: match %d = %+v, insert %+v", name, i, got[i], ref[i])
 				}
 			}
-			gotNN, err := ix.NearestNeighbors(w, 5, nil)
+			gotNN, err := nearest(ix, w, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,28 +43,44 @@ func TestQueryValidationTyped(t *testing.T) {
 	infQ := q.Clone()
 	infQ[0] = math.Inf(1)
 
+	// A segmented index whose manifest holds no frozen segment yet
+	// (delta only): a forced trail path must still be refused.
+	deltaOnly, err := NewSegmentedIndex(store.New(), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deltaOnly.Close()
+	if _, err := deltaOnly.AppendSequence("fresh", append(q.Clone(), q...)); err != nil {
+		t.Fatal(err)
+	}
+	if b := deltaOnly.Backlog(); b.Frozen != 0 || b.DeltaWindows == 0 {
+		t.Fatalf("fixture is not delta-only: %+v", b)
+	}
+	try := func(ix execer, q Query) func() error {
+		return func() error { _, err := ix.Exec(context.Background(), q, nil); return err }
+	}
+
 	cases := []struct {
 		name string
 		run  func() error
+		want error
 	}{
-		{"NaN sample", func() error { _, err := ix.Search(nanQ, eps, UnboundedCosts(), nil); return err }},
-		{"Inf sample", func() error { _, err := ix.Search(infQ, eps, UnboundedCosts(), nil); return err }},
-		{"negative eps", func() error { _, err := ix.Search(q, -0.5, UnboundedCosts(), nil); return err }},
-		{"NaN eps", func() error { _, err := ix.Search(q, math.NaN(), UnboundedCosts(), nil); return err }},
-		{"short query", func() error { _, err := ix.Search(q[:n-1], eps, UnboundedCosts(), nil); return err }},
-		{"long-query short", func() error { _, err := ix.SearchLong(q[:n-1], eps, UnboundedCosts(), nil); return err }},
-		{"long-query NaN", func() error {
-			long := append(nanQ.Clone(), nanQ...)
-			_, err := ix.SearchLong(long, eps, UnboundedCosts(), nil)
-			return err
-		}},
-		{"NN NaN sample", func() error { _, err := ix.NearestNeighbors(nanQ, 3, nil); return err }},
-		{"NN bad k", func() error { _, err := ix.NearestNeighbors(q, 0, nil); return err }},
-		{"NN wrong length", func() error { _, err := ix.NearestNeighbors(q[:n-2], 3, nil); return err }},
+		{"NaN sample", try(ix, Query{Vec: nanQ, Eps: eps}), ErrInvalidQuery},
+		{"Inf sample", try(ix, Query{Vec: infQ, Eps: eps}), ErrInvalidQuery},
+		{"negative eps", try(ix, Query{Vec: q, Eps: -0.5}), ErrInvalidQuery},
+		{"NaN eps", try(ix, Query{Vec: q, Eps: math.NaN()}), ErrInvalidQuery},
+		{"short query", try(ix, Query{Vec: q[:n-1], Eps: eps}), ErrInvalidQuery},
+		{"long-query NaN", try(ix, Query{Vec: append(nanQ.Clone(), nanQ...), Eps: eps}), ErrInvalidQuery},
+		{"NN NaN sample", try(ix, Query{Vec: nanQ, K: 3}), ErrInvalidQuery},
+		{"NN bad k", try(ix, Query{Vec: q, K: -1}), ErrInvalidQuery},
+		{"NN wrong length", try(ix, Query{Vec: q[:n-2], K: 3}), ErrInvalidQuery},
+		{"NN forced path", try(ix, Query{Vec: q, K: 3, Force: engine.PathRTree}), ErrInvalidQuery},
+		{"NN forced path, segmented", try(deltaOnly, Query{Vec: q, K: 3, Force: engine.PathScan}), ErrInvalidQuery},
+		{"segmented delta-only forced trail", try(deltaOnly, Query{Vec: q, Eps: eps, Force: engine.PathTrail}), engine.ErrUnsupported},
 		{"batch NaN", func() error {
-			_, err := ix.SearchBatch([]vec.Vector{q, nanQ}, eps, UnboundedCosts(), 2, nil)
+			_, _, err := ix.ExecBatch(context.Background(), rangeQueries([]vec.Vector{q, nanQ}, eps), 2, nil)
 			return err
-		}},
+		}, ErrInvalidQuery},
 	}
 	for _, tc := range cases {
 		err := tc.run()
@@ -72,8 +88,8 @@ func TestQueryValidationTyped(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
-		if !errors.Is(err, ErrInvalidQuery) {
-			t.Errorf("%s: error %v is not ErrInvalidQuery", tc.name, err)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v is not %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -84,26 +100,28 @@ func TestSearchContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.SearchContext(ctx, q, eps, UnboundedCosts(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := ix.SearchLongContext(ctx, append(q.Clone(), q...), eps, UnboundedCosts(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Exec(ctx, Query{Vec: append(q.Clone(), q...), Eps: eps}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("long err = %v, want context.Canceled", err)
 	}
 
 	// An expired deadline surfaces as DeadlineExceeded.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := ix.SearchContext(dctx, q, eps, UnboundedCosts(), nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := ix.Exec(dctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 
-	// A live context changes nothing: results equal the plain API's.
-	want, err := ix.Search(q, eps, UnboundedCosts(), nil)
+	// A live cancellable context changes nothing.
+	want, err := search(ix, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.SearchContext(context.Background(), q, eps, UnboundedCosts(), nil)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, _, err := run(live, ix, Query{Vec: q, Eps: eps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +220,7 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 	for i := range queries {
 		queries[i] = q
 	}
-	want, err := ix.Search(q, eps, UnboundedCosts(), nil)
+	want, err := search(ix, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +231,7 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 	cancel()
 	baseline := runtime.NumGoroutine()
 	start := time.Now()
-	results, statuses, err := ix.SearchBatchContext(ctx, queries, eps, UnboundedCosts(), 4, nil)
+	results, statuses, err := ix.ExecBatch(ctx, rangeQueries(queries, eps), 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -224,10 +242,10 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 		t.Fatalf("%d statuses for %d queries", len(statuses), len(queries))
 	}
 	for i, s := range statuses {
-		if s == BatchComplete && results[i] == nil && len(want) > 0 {
+		if s == BatchComplete && results[i].Matches == nil && len(want) > 0 {
 			t.Errorf("query %d: complete but nil result", i)
 		}
-		if s == BatchIncomplete && results[i] != nil {
+		if s == BatchIncomplete && results[i].Matches != nil {
 			t.Errorf("query %d: incomplete but has a result", i)
 		}
 	}
@@ -242,7 +260,7 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 	// uncancelled answer, slot for slot.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go func() { time.Sleep(time.Millisecond); cancel2() }()
-	results, statuses, err = ix.SearchBatchContext(ctx2, queries, eps, UnboundedCosts(), 2, nil)
+	results, statuses, err = ix.ExecBatch(ctx2, rangeQueries(queries, eps), 2, nil)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -258,11 +276,12 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 		if s != BatchComplete {
 			continue
 		}
-		if len(results[i]) != len(want) {
-			t.Fatalf("completed query %d: %d matches, want %d", i, len(results[i]), len(want))
+		got := results[i].Matches
+		if len(got) != len(want) {
+			t.Fatalf("completed query %d: %d matches, want %d", i, len(got), len(want))
 		}
 		for j := range want {
-			if results[i][j] != want[j] {
+			if got[j] != want[j] {
 				t.Fatalf("completed query %d: match %d differs", i, j)
 			}
 		}
@@ -270,7 +289,7 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 
 	// Uncancelled context: statuses all complete, identical to the
 	// plain batch API.
-	results, statuses, err = ix.SearchBatchContext(context.Background(), queries, eps, UnboundedCosts(), 3, nil)
+	results, statuses, err = ix.ExecBatch(context.Background(), rangeQueries(queries, eps), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +297,8 @@ func TestSearchBatchContextPartialResults(t *testing.T) {
 		if s != BatchComplete {
 			t.Fatalf("query %d: %v, want complete", i, s)
 		}
-		if len(results[i]) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(results[i]), len(want))
+		if got := results[i].Matches; len(got) != len(want) {
+			t.Fatalf("query %d: %d matches, want %d", i, len(got), len(want))
 		}
 	}
 }
@@ -383,12 +402,12 @@ func TestDegradedIndexServesExactResults(t *testing.T) {
 	// Identical match sets, via the scan path, flagged in the explain
 	// and the stats.
 	for _, e := range []float64{0, eps, 3 * eps} {
-		want, err := healthy.Search(q, e, UnboundedCosts(), nil)
+		want, err := search(healthy, q, e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var stats SearchStats
-		got, ex, err := ix.SearchPlanned(q, e, UnboundedCosts(), engine.PathAuto, nil, &stats)
+		got, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: e}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +432,7 @@ func TestDegradedIndexServesExactResults(t *testing.T) {
 
 	// The explain text announces the mode.
 	var sb strings.Builder
-	_, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathAuto, nil, nil)
+	_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +445,11 @@ func TestDegradedIndexServesExactResults(t *testing.T) {
 
 	// Long queries degrade too.
 	long := append(q.Clone(), q...)
-	wantLong, err := healthy.SearchLong(long, eps, UnboundedCosts(), nil)
+	wantLong, err := search(healthy, long, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLong, err := ix.SearchLong(long, eps, UnboundedCosts(), nil)
+	gotLong, err := search(ix, long, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +459,10 @@ func TestDegradedIndexServesExactResults(t *testing.T) {
 
 	// Forcing the tree path fails loudly; NN, mutation, and
 	// serialization are refused rather than silently wrong.
-	if _, _, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathRTree, nil, nil); err == nil {
+	if _, _, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathRTree}, nil); err == nil {
 		t.Error("forced rtree path worked on a degraded index")
 	}
-	if _, err := ix.NearestNeighbors(q, 3, nil); err == nil {
+	if _, err := nearest(ix, q, 3, nil); err == nil {
 		t.Error("NN search worked on a degraded index")
 	}
 	if _, err := ix.AppendAndIndex("new", make([]float64, 64)); err == nil {
@@ -512,16 +531,18 @@ func TestNearestNeighborsContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.NearestNeighborsContext(ctx, q, 3, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Exec(ctx, Query{Vec: q, K: 3}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// A live context changes nothing: results equal the plain API's.
-	want, err := ix.NearestNeighbors(q, 5, nil)
+	// A live cancellable context changes nothing.
+	want, err := nearest(ix, q, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.NearestNeighborsContext(context.Background(), q, 5, nil)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, _, err := run(live, ix, Query{Vec: q, K: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +566,7 @@ func TestNearestNeighborsCancelsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ix.NearestNeighborsContext(ctx, q, 50, nil)
+		_, err := ix.Exec(ctx, Query{Vec: q, K: 50}, nil)
 		done <- err
 	}()
 	time.Sleep(time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -222,9 +223,10 @@ func verifyCandidates(ctx context.Context, v *verifier, cands []candidate, pc *s
 	return out, falseAlarms, costRejected, nil
 }
 
-// planQuery assembles the engine's view of one index-phase probe: the
-// query's SE-line, the slack-widened epsilon, and the scale-segment
-// restriction derived from the cost bounds.
+// buildEngineQuery assembles the engine's view of one index-phase
+// probe: the query's SE-line, the slack-widened epsilon, and the
+// scale-segment restriction derived from the cost bounds.  slack and
+// the candidate universe come from the caller's pinned view.
 //
 // When the cost bounds restrict the scale factor, the index phase can
 // search only the SEGMENT of the scaling line with t in
@@ -233,13 +235,6 @@ func verifyCandidates(ctx context.Context, v *verifier, cands []candidate, pc *s
 // ‖a·F(T_se q) − F(T_se v)‖ <= ‖a·T_se q − T_se v‖ <= eps, so the
 // candidate is still reached through the segment.  This prunes the
 // a ≈ 0 degeneracy at the directory rather than in post-processing.
-func (ix *Index) planQuery(line vec.Line, eps float64, costs CostBounds) engine.Query {
-	return buildEngineQuery(line, eps, ix.numericSlack(), costs, ix.WindowCount(), ix.fmap.Dim())
-}
-
-// buildEngineQuery is planQuery's index-free core, shared with the
-// segmented executor (which derives slack and the candidate universe
-// from a pinned manifest instead of a live index).
 func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds, windows, dim int) engine.Query {
 	segment := !math.IsInf(costs.ScaleMin, -1) || !math.IsInf(costs.ScaleMax, 1)
 	tMin, tMax := costs.ScaleMin, costs.ScaleMax
@@ -264,19 +259,116 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds, windo
 	}
 }
 
-// probe plans and runs the index phase for one SE-line: the planner
+// Query is one similarity query as a value: the paper's single
+// operation (§6) — find the windows S' with Q ~ε S' and the (a, b)
+// realizing each match — together with its §7 multipiece and
+// Corollary 1 nearest-neighbour variants.  The kind is derived, never
+// set:
+//
+//   - K > 0 asks for the K nearest windows (Eps is ignored and Force
+//     must stay PathAuto: the refinement needs the tree's best-first
+//     stream);
+//   - otherwise len(Vec) > Options.WindowLen is a multipiece long
+//     query and len(Vec) == WindowLen a plain range query, both within
+//     Eps.
+//
+// Query{Vec: q, Eps: eps} is a complete query: the zero Costs is read
+// as UnboundedCosts (so an omitted field cannot silently empty the
+// result set), the zero Force lets the planner choose, and a nil Pool
+// counts data pages without a buffer pool.
+type Query struct {
+	// Vec is the query sequence Q.
+	Vec vec.Vector
+	// Eps is the error bound ε of Definition 1.
+	Eps float64
+	// K, when positive, selects the K-nearest-neighbour search.
+	K int
+	// Costs bounds the transformation of every reported match.
+	Costs CostBounds
+	// Force pins the index phase to one access path — a debugging and
+	// benchmarking tool, never a correctness knob: the result set is
+	// bit-identical whichever path runs.
+	Force engine.PathKind
+	// Pool plays the verifier's data-page fetches through a shared LRU
+	// buffer pool, for bounded-memory cost studies.
+	Pool *store.BufferPool
+}
+
+// Result is a query's answer.  Range and long queries return Matches
+// ordered by (Seq, Start) and the Explain recording the plan decision,
+// per-path estimates, candidate actuals and stage timings; k-NN
+// queries return Matches by increasing distance and a nil Explain (no
+// plan is made: they are pinned to the index probe).
+type Result struct {
+	Matches []Match
+	Explain *engine.Explain
+}
+
+// pinnedView is an index whose contents cannot move for the duration
+// of one query — the surface the shared executors run against.
+// *Index satisfies it directly (it is immutable while queries run);
+// SegmentedIndex satisfies it per pinned *manifest.
+type pinnedView interface {
+	// view reads the data the index covers.
+	view() storeView
+	windowLen() int
+	// numericSlack bounds the rounding error of feature-space
+	// distances (see Index.numericSlack).
+	numericSlack() float64
+	// unsupported reports, as an engine.ErrUnsupported, a well-formed
+	// query this index cannot serve.
+	unsupported(k int, force engine.PathKind) error
+	// probe plans and runs the index phase for one window-length
+	// piece: every window within eps of the piece's SE-line reaches
+	// emit (a superset is fine, the verifier is exact), and the probes
+	// issued are counted into tally.
+	probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error)
+	// nearest streams windows to visit as runs [first, first+count) of
+	// one sequence sharing the lower bound lb on their true distance
+	// to q.  Within one ordered stream lb never decreases, and visit
+	// returning false ends that stream; a view made of several streams
+	// (one per segment) starts the next.
+	nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool)
+}
+
+// probeTally accumulates the index-phase accounting of one query
+// across its probes: tree counters, probes per access path, and how
+// many of them ran degraded.
+type probeTally struct {
+	tree     rtree.SearchStats
+	paths    [engine.NumPathKinds]int
+	degraded int
+}
+
+func (ix *Index) view() storeView { return ix.st }
+func (ix *Index) windowLen() int  { return ix.opts.WindowLen }
+
+func (ix *Index) unsupported(k int, _ engine.PathKind) error {
+	// A forced path the index lacks is the planner's to reject; only
+	// k-NN needs a check here.  Its refinement bound needs the tree's
+	// best-first stream; a degraded index has no tree, and silently
+	// returning nothing would be wrong, so NN queries fail loudly
+	// until a rebuild.
+	if k > 0 && ix.degraded != "" {
+		return fmt.Errorf("core: %w: nearest-neighbour search unavailable: index is degraded (%s)", engine.ErrUnsupported, ix.degraded)
+	}
+	return nil
+}
+
+// probe plans and runs the index phase for one piece: the planner
 // picks an access path (or honors force), the path emits its candidate
-// windows into fn, and the decision, estimates, degraded-mode flag,
+// windows into emit, and the decision, estimates, degraded-mode flag,
 // and stage timings land in the returned Explain.  Under a traced
 // context (obs.Tracer.StartTrace) the two stages open "plan" and
 // "probe" spans — with the chosen path, emitted-candidate, and
 // node-read attrs — and the paths themselves open descent spans as
 // children of "probe"; an untraced context skips all of it without
 // allocating.
-func (ix *Index) probe(ctx context.Context, line vec.Line, eps float64, costs CostBounds, force engine.PathKind, treeStats *rtree.SearchStats, fn func(seq, start int)) (*engine.Explain, error) {
+func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error) {
+	line := seLineFor(ix.fmap, piece)
 	planStart := time.Now()
 	_, planSpan := obs.StartSpan(ctx, "plan")
-	eq := ix.planQuery(line, eps, costs)
+	eq := buildEngineQuery(line, eps, ix.numericSlack(), costs, ix.WindowCount(), ix.fmap.Dim())
 	path, ex, err := ix.planner.Plan(eq, force)
 	if err != nil {
 		spanEndWithError(planSpan, err)
@@ -292,238 +384,217 @@ func (ix *Index) probe(ctx context.Context, line vec.Line, eps float64, costs Co
 
 	probeStart := time.Now()
 	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
-	emit := fn
 	emitted := 0
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
 		if ex.Degraded {
 			probeSpan.SetBool("degraded", true)
 		}
-		emit = func(seq, start int) { emitted++; fn(seq, start) }
+		inner := emit
+		emit = func(seq, start int) { emitted++; inner(seq, start) }
 	}
-	nodesBefore := treeStats.NodeAccesses
-	if err := path.Candidates(probeCtx, eq, treeStats, emit); err != nil {
+	nodesBefore := tally.tree.NodeAccesses
+	if err := path.Candidates(probeCtx, eq, &tally.tree, emit); err != nil {
 		spanEndWithError(probeSpan, err)
 		return ex, fmt.Errorf("core: %s probe: %w", ex.Chosen, err)
 	}
 	if probeSpan != nil {
 		probeSpan.SetInt("candidates", int64(emitted))
-		probeSpan.SetInt("node_reads", int64(treeStats.NodeAccesses-nodesBefore))
+		probeSpan.SetInt("node_reads", int64(tally.tree.NodeAccesses-nodesBefore))
 		probeSpan.End()
 	}
 	ex.ProbeTime = time.Since(probeStart)
+	tally.paths[ex.Chosen]++
+	if ex.Degraded {
+		tally.degraded++
+	}
 	return ex, nil
 }
 
-// Search returns every indexed window S' with Q ~ε S' (Definition 1)
-// whose optimal transformation passes the cost bounds, together with
-// the scale factor and shift offset realizing each match (§6).  The
-// query length must equal Options.WindowLen; use SearchLong for longer
-// queries.  stats may be nil.
-//
-// The result set is exact: the feature-space search cannot dismiss a
-// true match (the SE and DFT maps contract distances) and the
-// post-processing step verifies every candidate against the original
-// data.
-func (ix *Index) Search(q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	return ix.SearchPooled(q, eps, costs, nil, stats)
-}
-
-// SearchContext is Search with cooperative cancellation: the R*-tree
-// descent polls ctx per node, the verification loops per
-// verifyCheckInterval candidates, so a cancelled or expired context
-// stops the query within a bounded slice of work and returns
-// ctx.Err().
-func (ix *Index) SearchContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := ix.SearchPlannedContext(ctx, q, eps, costs, engine.PathAuto, nil, stats)
-	return out, err
-}
-
-// SearchPooled is Search with the data-page fetches of the
-// post-processing step played through a shared LRU buffer pool, for
-// bounded-memory cost studies.  pool may be nil (plain Search).
-func (ix *Index) SearchPooled(q vec.Vector, eps float64, costs CostBounds, pool *store.BufferPool, stats *SearchStats) ([]Match, error) {
-	out, _, err := ix.SearchPlanned(q, eps, costs, engine.PathAuto, pool, stats)
-	return out, err
-}
-
-// SearchPlanned is the engine's range-query executor: the planner
-// picks the cheapest access path for the query (or honors force when
-// it is not PathAuto, erroring if that path is unavailable), the path
-// emits candidate windows, and the shared verifier removes all false
-// alarms.  The result set is bit-identical whichever path runs — the
-// paths differ only in how many candidates reach verification — so
-// forcing a path is a debugging and benchmarking tool, never a
-// correctness knob.  The returned Explain records the decision, the
-// per-path cost estimates, the candidate actuals, and the per-stage
-// timings.  pool and stats may be nil.
-func (ix *Index) SearchPlanned(q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	return ix.SearchPlannedContext(context.Background(), q, eps, costs, force, pool, stats)
-}
-
-// SearchPlannedContext is SearchPlanned with cooperative cancellation
-// (see SearchContext).  Partial work is discarded on cancellation: the
-// function returns nil matches and ctx.Err(), never a silently
-// truncated answer set.
-func (ix *Index) SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	if len(q) != ix.opts.WindowLen {
-		recordSearchError()
-		return nil, nil, fmt.Errorf("core: %w: query length %d, index window length %d (use SearchLong for longer queries)",
-			ErrInvalidQuery, len(q), ix.opts.WindowLen)
+// nearest streams the tree's entries in non-decreasing feature-space
+// distance to q's SE-line, which lower-bounds the true distance of
+// every window behind an entry: a point entry is one window, a
+// sub-trail MBR bounds every window of its trail.
+func (ix *Index) nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool) {
+	line := seLineFor(ix.fmap, q)
+	if ix.trailMode() {
+		ix.qtree().NearestRectsToLineFunc(line, ts, func(it rtree.RectItemDist) bool {
+			seq, first := store.DecodeWindowID(it.ID)
+			return visit(it.Dist, seq, first, ix.trailWindows(seq, first))
+		})
+		return
 	}
-	if err := validateQuery(q, eps); err != nil {
-		recordSearchError()
-		return nil, nil, err
-	}
-
-	// Searching step: collect candidates through the planned access
-	// path.  The index phase widens eps by a numerical slack so
-	// floating-point cancellation in the feature-space distance cannot
-	// dismiss a true match; the exact post-processing check below
-	// still applies the caller's eps, so the widening only admits
-	// extra candidates.
-	var treeStats rtree.SearchStats
-	var cands []candidate
-	ex, err := ix.probe(ctx, ix.seLine(q), eps, costs, force, &treeStats, func(seq, start int) {
-		cands = append(cands, candidate{seq, start})
+	ix.qtree().NearestToLineFunc(line, ts, func(id rtree.ItemDist) bool {
+		seq, start := store.DecodeWindowID(id.Item.ID)
+		return visit(id.Dist, seq, start, 1)
 	})
+}
+
+// Exec answers one query.  The result set is exact: the feature-space
+// search cannot dismiss a true match (the SE and DFT maps contract
+// distances) and the post-processing step verifies every candidate
+// against the original data.  Cancellation is cooperative — tree
+// descents poll ctx per node, scans and verification every few
+// candidates — and partial work is discarded: a cancelled query
+// returns ctx.Err() and no matches, never a silently truncated answer
+// set.  A malformed query fails with ErrInvalidQuery, one the index
+// cannot serve with engine.ErrUnsupported.  stats may be nil; on
+// success the query's ledger is added to it.
+func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
+	return exec(ctx, ix, q, stats)
+}
+
+// ExecBatch answers many queries concurrently with up to parallelism
+// goroutines (capped at the query count; values < 1 default to
+// runtime.GOMAXPROCS(0)).  Every query is planned independently — a
+// tiny-ε query probes the tree while a huge-ε query in the same batch
+// scans — and results and statuses are positionally aligned with the
+// queries.  When ctx is cancelled mid-batch the call stops handing out
+// queries, lets in-flight ones unwind at their next poll, and returns
+// ctx.Err() together with the PARTIAL results: every BatchComplete
+// slot holds its full exact answer, every BatchIncomplete slot is
+// empty.  Any other failure (I/O error, recovered worker panic) aborts
+// the whole batch.  Stats are accumulated for completed queries only,
+// in query order, so the totals equal running them sequentially.
+func (ix *Index) ExecBatch(ctx context.Context, queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
+	return execBatch(ctx, ix.Exec, queries, parallelism, stats)
+}
+
+// SearchPlannedContext builds a range Query and calls Exec.  It is
+// retained only for the frozen benchmark/ harness; the next benchmark
+// PR removes it.
+func (ix *Index) SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
+	res, err := ix.Exec(ctx, Query{Vec: q, Eps: eps, Costs: costs, Force: force, Pool: pool}, stats)
+	return res.Matches, res.Explain, err
+}
+
+// NearestNeighborsWithCostsContext builds a k-NN Query and calls Exec.
+// It is retained only for the frozen benchmark/ harness; the next
+// benchmark PR removes it.
+func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vector, k int, costs CostBounds, stats *SearchStats) ([]Match, error) {
+	res, err := ix.Exec(ctx, Query{Vec: q, K: k, Costs: costs}, stats)
+	return res.Matches, err
+}
+
+// exec is the one query entry point behind both index types:
+// validation, dispatch on the derived kind, and the entry/exit
+// bookkeeping (error counter, metrics, trace id, caller's ledger) for
+// every kind.
+func exec(ctx context.Context, pv pinnedView, q Query, stats *SearchStats) (Result, error) {
+	if q.Costs == (CostBounds{}) {
+		q.Costs = UnboundedCosts()
+	}
+	var delta SearchStats
+	var res Result
+	var elapsed time.Duration
+	pieces := 0 // probes issued; none for k-NN
+	err := validate(pv, q)
+	switch {
+	case err != nil:
+	case q.K > 0:
+		start := time.Now()
+		res, err = execKNN(ctx, pv, q, &delta)
+		elapsed = time.Since(start)
+	default:
+		res, err = execRange(ctx, pv, q, &delta)
+		elapsed = delta.PlanTime + delta.ProbeTime + delta.VerifyTime
+		pieces = len(q.Vec) / pv.windowLen()
+	}
 	if err != nil {
 		recordSearchError()
-		return nil, ex, err
+		return Result{Explain: res.Explain}, err
 	}
-
-	// Post-processing step: exact check, transform recovery, cost
-	// bounds — prefix-sum filtered and, for large candidate sets,
-	// fanned across a worker pool (see verifyCandidates).
-	verifyStart := time.Now()
-	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
-	pc := store.PageCounter{Pool: pool}
-	v := newVerifier(ix.st, q, eps, costs)
-	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, cands, &pc)
-	if err != nil {
-		spanEndWithError(verifySpan, err)
-		recordSearchError()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, ex, err
-		}
-		return nil, ex, fmt.Errorf("core: post-processing: %w", err)
+	delta.TraceID = obs.TraceIDFromContext(ctx)
+	if res.Explain != nil {
+		res.Explain.TraceID = delta.TraceID
 	}
-	sortMatches(out)
-	if verifySpan != nil {
-		verifySpan.SetInt("candidates", int64(len(cands)))
-		verifySpan.SetInt("false_alarms", int64(falseAlarms))
-		verifySpan.SetInt("matches", int64(len(out)))
-		verifySpan.End()
-	}
-	ex.VerifyTime = time.Since(verifyStart)
-	ex.ActualCandidates = len(cands)
-	ex.Matches = len(out)
-	ex.TraceID = obs.TraceIDFromContext(ctx)
-
-	delta := SearchStats{
-		IndexNodeAccesses:  treeStats.NodeAccesses,
-		DataPageAccesses:   pc.Distinct(),
-		Candidates:         len(cands),
-		FalseAlarms:        falseAlarms,
-		CostRejected:       costRejected,
-		Results:            len(out),
-		LeafEntriesChecked: treeStats.LeafEntriesChecked,
-		Penetration:        treeStats.Penetration,
-		PlanTime:           ex.PlanTime,
-		ProbeTime:          ex.ProbeTime,
-		VerifyTime:         ex.VerifyTime,
-		TraceID:            ex.TraceID,
-	}
-	delta.PathProbes[ex.Chosen]++
-	if ex.Degraded {
-		delta.DegradedProbes++
-	}
-	recordSearchMetrics(&delta, 1)
+	recordSearchMetrics(&delta, elapsed, pieces)
 	if stats != nil {
 		stats.Add(delta)
 	}
-	return out, ex, nil
+	return res, nil
 }
 
-// SearchLong answers queries longer than the index window using the
-// multipiece method sketched in §7 (after [2]): the query is cut into
-// k = ⌊len(Q)/n⌋ disjoint length-n pieces, each piece is searched with
-// error bound ε/√k, every hit proposes a full-length alignment, and
-// each proposal is verified exactly against the original data.
+// validate rejects what no index can answer correctly (ErrInvalidQuery)
+// and then what this one cannot serve (engine.ErrUnsupported).
+func validate(pv pinnedView, q Query) error {
+	n := pv.windowLen()
+	switch {
+	case q.K < 0:
+		return fmt.Errorf("core: %w: k %d < 0", ErrInvalidQuery, q.K)
+	case q.K > 0 && len(q.Vec) != n:
+		return fmt.Errorf("core: %w: query length %d, index window length %d", ErrInvalidQuery, len(q.Vec), n)
+	case q.K > 0 && q.Force != engine.PathAuto:
+		return fmt.Errorf("core: %w: a forced path applies to range queries; nearest-neighbour search is pinned to the index probe", ErrInvalidQuery)
+	case len(q.Vec) < n:
+		return fmt.Errorf("core: %w: query length %d below index window length %d", ErrInvalidQuery, len(q.Vec), n)
+	}
+	var err error
+	if q.K > 0 {
+		err = validateQueryValues(q.Vec)
+	} else {
+		err = validateQuery(q.Vec, q.Eps)
+	}
+	if err != nil {
+		return err
+	}
+	return pv.unsupported(q.K, q.Force)
+}
+
+// execRange is the range-query executor, multipiece included (§7,
+// after [2]): the query is cut into k = ⌊len(Q)/n⌋ disjoint length-n
+// pieces, each piece is probed with error bound ε/√k, every hit
+// proposes a full-length alignment, and each proposal is verified
+// exactly against the original data.  A plain range query is the
+// one-piece case, its hits already the candidates.
 //
 // No qualified subsequence is missed: if ‖a·Q + b − V‖ ≤ ε over the
 // full length, then the piecewise residuals satisfy
 // Σᵢ ‖a·Qᵢ + b − Vᵢ‖² ≤ ε², so at least one piece is within ε/√k of
 // its aligned window at the same (a, b), and the per-piece optimal
 // distance can only be smaller.
-func (ix *Index) SearchLong(q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := ix.SearchLongPlanned(q, eps, costs, engine.PathAuto, stats)
-	return out, err
-}
+//
+// Each piece is planned independently and q.Force pins them all; the
+// returned Explain is the first piece's plan with candidate and timing
+// actuals totalled across pieces.  The ledger is written to delta only
+// when the whole query succeeds, so a failure mid-pieces never leaves
+// probes counted against zero candidates (the CheckInvariants
+// identity).
+func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (Result, error) {
+	n, sv := pv.windowLen(), pv.view()
+	pieces := len(q.Vec) / n
+	long := len(q.Vec) > n
+	pieceEps := q.Eps / math.Sqrt(float64(pieces))
 
-// SearchLongContext is SearchLong with cooperative cancellation (see
-// SearchContext).
-func (ix *Index) SearchLongContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := ix.SearchLongPlannedContext(ctx, q, eps, costs, engine.PathAuto, stats)
-	return out, err
-}
-
-// SearchLongPlanned is SearchLong with the per-piece index probes
-// routed through the engine: each piece is planned independently (with
-// the piece bound ε/√k), force pins every piece to one path, and the
-// returned Explain carries the first piece's plan with candidate and
-// timing actuals totalled across pieces.  As with SearchPlanned the
-// result set is bit-identical whichever path serves the pieces.
-func (ix *Index) SearchLongPlanned(q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	return ix.SearchLongPlannedContext(context.Background(), q, eps, costs, force, stats)
-}
-
-// SearchLongPlannedContext is SearchLongPlanned with cooperative
-// cancellation: ctx is polled inside every piece probe and throughout
-// full-length verification, so even a many-piece query over a large
-// store stops within a bounded slice of work.
-func (ix *Index) SearchLongPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	n := ix.opts.WindowLen
-	if len(q) == n {
-		return ix.SearchPlannedContext(ctx, q, eps, costs, force, nil, stats)
+	// Searching step.  The index phase widens eps by a numerical slack
+	// so floating-point cancellation in the feature-space distance
+	// cannot dismiss a true match; the exact post-processing check
+	// below still applies the caller's eps, so the widening only admits
+	// extra candidates.
+	// The candidates sit beside the tally so that everything the probes
+	// write through a pointer is one heap object per query.
+	var ph struct {
+		probeTally
+		cands []candidate
 	}
-	if len(q) < n {
-		recordSearchError()
-		return nil, nil, fmt.Errorf("core: %w: query length %d below index window length %d",
-			ErrInvalidQuery, len(q), n)
-	}
-	if err := validateQuery(q, eps); err != nil {
-		recordSearchError()
-		return nil, nil, err
-	}
-	pieces := len(q) / n
-	pieceEps := eps / math.Sqrt(float64(pieces))
-
-	// Searching step, once per piece; candidate alignments are the
-	// piece hits translated back to the query's start.  Per-path probe
-	// counts are collected locally and committed with the rest of the
-	// stats delta only when the whole query succeeds, so a failure
-	// mid-pieces never leaves probes counted against zero candidates
-	// (the CheckInvariants identity).
-	proposed := make(map[candidate]bool)
-	var treeStats rtree.SearchStats
 	var ex *engine.Explain
-	var pathProbes [engine.NumPathKinds]int
 	for i := 0; i < pieces; i++ {
-		piece := q[i*n : (i+1)*n]
-		i := i
-		pieceEx, err := ix.probe(ctx, ix.seLine(piece), pieceEps, costs, force, &treeStats, func(seq, start int) {
-			full := candidate{seq, start - i*n}
-			if full.start < 0 || full.start+len(q) > ix.st.SequenceLen(seq) {
-				return
+		emit := func(seq, start int) { ph.cands = append(ph.cands, candidate{seq, start}) }
+		if long {
+			// Translate a piece hit back to the query's start, dropping
+			// alignments that overhang the sequence.
+			off := i * n
+			emit = func(seq, start int) {
+				if start < off || start-off+len(q.Vec) > sv.SequenceLen(seq) {
+					return
+				}
+				ph.cands = append(ph.cands, candidate{seq, start - off})
 			}
-			proposed[full] = true
-		})
-		if err != nil {
-			recordSearchError()
-			return nil, pieceEx, err
 		}
-		pathProbes[pieceEx.Chosen]++
+		pieceEx, err := pv.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, &ph.probeTally, emit)
+		if err != nil {
+			return Result{Explain: pieceEx}, err
+		}
 		if ex == nil {
 			ex = pieceEx
 		} else {
@@ -531,35 +602,35 @@ func (ix *Index) SearchLongPlannedContext(ctx context.Context, q vec.Vector, eps
 			ex.ProbeTime += pieceEx.ProbeTime
 		}
 	}
-	ex.Pieces = pieces
-	// Sort the deduplicated proposals so verification order — and with
-	// it any page-access pattern — is deterministic despite map
-	// iteration.
-	cands := make([]candidate, 0, len(proposed))
-	for a := range proposed {
-		cands = append(cands, a)
+	cands, tally := ph.cands, &ph.probeTally
+	if long {
+		// Several pieces propose the same alignment; sorting to drop the
+		// duplicates also makes the verification order — and with it any
+		// page-access pattern — deterministic.
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].seq != cands[j].seq {
+				return cands[i].seq < cands[j].seq
+			}
+			return cands[i].start < cands[j].start
+		})
+		cands = slices.Compact(cands)
+		ex.Pieces = pieces
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq < cands[j].seq
-		}
-		return cands[i].start < cands[j].start
-	})
 
-	// Post-processing on the full-length windows, through the same
-	// prefix-sum filtered (and possibly parallel) path as Search.
+	// Post-processing step: exact check, transform recovery, cost
+	// bounds — prefix-sum filtered and, for large candidate sets,
+	// fanned across a worker pool (see verifyCandidates).
 	verifyStart := time.Now()
 	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
-	var pc store.PageCounter
-	v := newVerifier(ix.st, q, eps, costs)
+	pc := store.PageCounter{Pool: q.Pool}
+	v := newVerifier(sv, q.Vec, q.Eps, q.Costs)
 	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, cands, &pc)
 	if err != nil {
 		spanEndWithError(verifySpan, err)
-		recordSearchError()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, ex, err
+			return Result{Explain: ex}, err
 		}
-		return nil, ex, fmt.Errorf("core: long-query post-processing: %w", err)
+		return Result{Explain: ex}, fmt.Errorf("core: post-processing: %w", err)
 	}
 	sortMatches(out)
 	if verifySpan != nil {
@@ -571,190 +642,111 @@ func (ix *Index) SearchLongPlannedContext(ctx context.Context, q vec.Vector, eps
 	ex.VerifyTime = time.Since(verifyStart)
 	ex.ActualCandidates = len(cands)
 	ex.Matches = len(out)
-	ex.TraceID = obs.TraceIDFromContext(ctx)
 
-	delta := SearchStats{
-		IndexNodeAccesses:  treeStats.NodeAccesses,
+	*delta = SearchStats{
+		IndexNodeAccesses:  tally.tree.NodeAccesses,
 		DataPageAccesses:   pc.Distinct(),
-		Candidates:         len(proposed),
+		Candidates:         len(cands),
 		FalseAlarms:        falseAlarms,
 		CostRejected:       costRejected,
 		Results:            len(out),
-		LeafEntriesChecked: treeStats.LeafEntriesChecked,
-		Penetration:        treeStats.Penetration,
+		LeafEntriesChecked: tally.tree.LeafEntriesChecked,
+		Penetration:        tally.tree.Penetration,
 		PlanTime:           ex.PlanTime,
 		ProbeTime:          ex.ProbeTime,
 		VerifyTime:         ex.VerifyTime,
-		PathProbes:         pathProbes,
-		TraceID:            ex.TraceID,
+		PathProbes:         tally.paths,
+		DegradedProbes:     tally.degraded,
 	}
-	if ex.Degraded {
-		delta.DegradedProbes = pieces
-	}
-	recordSearchMetrics(&delta, pieces)
-	if stats != nil {
-		stats.Add(delta)
-	}
-	return out, ex, nil
+	return Result{Matches: out, Explain: ex}, nil
 }
 
-// NearestNeighbors returns the k indexed windows with the smallest
-// scale/shift distance to q, in increasing order (Corollary 1).  The
-// answer is exact: candidates stream from the tree in increasing
-// feature-space distance, which lower-bounds the true distance, so the
-// search stops as soon as the bound passes the kth best exact
-// distance (GEMINI-style refinement).  NN queries pin the index-probe
-// access path rather than consulting the planner: the refinement bound
-// requires candidates in non-decreasing lower-bound order, which only
-// the tree's best-first traversal provides (a scan has no early
-// termination, so it is never cheaper).  stats may be nil.
-func (ix *Index) NearestNeighbors(q vec.Vector, k int, stats *SearchStats) ([]Match, error) {
-	return ix.NearestNeighborsWithCosts(q, k, UnboundedCosts(), stats)
-}
-
-// NearestNeighborsContext is NearestNeighbors under a context: the
-// refinement loop polls ctx every verifyCheckInterval candidates, so
-// a disconnected client stops paying for exact window checks within
-// the same cancellation grain as range queries.  On cancellation the
-// function returns nil matches and ctx.Err().
-func (ix *Index) NearestNeighborsContext(ctx context.Context, q vec.Vector, k int, stats *SearchStats) ([]Match, error) {
-	return ix.NearestNeighborsWithCostsContext(ctx, q, k, UnboundedCosts(), stats)
-}
-
-// NearestNeighborsWithCosts is NearestNeighbors restricted to windows
-// whose optimal transformation passes the cost bounds — e.g. bounding
-// the scale factor away from zero excludes the degenerate matches
-// where a near-constant window "matches" any query via a ≈ 0.
-// The refinement bound remains valid because the feature distance
-// lower-bounds the true distance of every window, filtered or not.
-func (ix *Index) NearestNeighborsWithCosts(q vec.Vector, k int, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	return ix.NearestNeighborsWithCostsContext(context.Background(), q, k, costs, stats)
-}
-
-// NearestNeighborsWithCostsContext is NearestNeighborsWithCosts under
-// a context; see NearestNeighborsContext for the cancellation grain.
-func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vector, k int, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	if len(q) != ix.opts.WindowLen {
-		return nil, fmt.Errorf("core: %w: query length %d, index window length %d",
-			ErrInvalidQuery, len(q), ix.opts.WindowLen)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: %w: k %d < 1", ErrInvalidQuery, k)
-	}
-	if err := validateQueryValues(q); err != nil {
-		return nil, err
-	}
-	if ix.degraded != "" {
-		// The refinement bound needs the tree's best-first stream; a
-		// degraded index has no tree, and silently returning nothing
-		// would be wrong, so NN queries fail loudly until a rebuild.
-		return nil, fmt.Errorf("core: %w: nearest-neighbour search unavailable: index is degraded (%s)", engine.ErrUnsupported, ix.degraded)
-	}
+// execKNN returns the q.K windows with the smallest scale/shift
+// distance to q.Vec whose optimal transformation passes the cost
+// bounds — e.g. bounding the scale factor away from zero excludes the
+// degenerate matches where a near-constant window "matches" any query
+// via a ≈ 0 — in increasing order (Corollary 1).  The answer is exact:
+// candidates stream in non-decreasing feature-space distance, which
+// lower-bounds the true distance of every window, filtered or not, so
+// a stream stops as soon as its bound passes the kth best exact
+// distance (GEMINI-style refinement); the top-k shared across streams
+// keeps the answer exact over a segmented view.  NN queries pin the
+// index probe rather than consulting the planner: only the tree's
+// best-first traversal yields that order, and a scan has no early
+// termination, so it is never cheaper.  ctx is polled every
+// verifyCheckInterval refined windows.
+func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-
-	var treeStats rtree.SearchStats
-	var pc store.PageCounter
-	line := ix.seLine(q)
+	n, sv, k := pv.windowLen(), pv.view(), q.K
+	slack := pv.numericSlack()
+	vq := newVerifier(sv, q.Vec, 0, q.Costs)
+	pc := store.PageCounter{Pool: q.Pool}
+	var ts rtree.SearchStats
 	var best []Match // sorted ascending by Dist, at most k
 	var candidates int
-	var scanErr, ctxErr error
+	var failed error
 
-	slack := ix.numericSlack()
-	vq := newVerifier(ix.st, q, 0, costs)
 	// refine exact-checks one window against the running top-k.  The
 	// prefix-sum fast path supplies a certified lower bound on the true
 	// distance; when the running top-k is full and the bound already
 	// exceeds the kth best, the exact MinDist (and its cost check, which
 	// could only discard the window anyway) is skipped.
-	refine := func(seq, start int) bool {
+	refine := func(seq, start int) error {
 		candidates++
 		if candidates%verifyCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
+				return err
 			}
 		}
-		w, err := ix.st.WindowView(seq, start, ix.opts.WindowLen, &pc)
+		w, err := sv.WindowView(seq, start, n, &pc)
 		if err != nil {
-			scanErr = err
-			return false
+			return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
 		}
 		if len(best) == k {
-			ws, err := ix.st.WindowStats(seq, start, ix.opts.WindowLen)
+			ws, err := sv.WindowStats(seq, start, n)
 			if err != nil {
-				scanErr = err
-				return false
+				return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
 			}
 			fast, fslack := vec.MinDistWithStats(vq.su, vq.mu, vq.uu, w, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr)
 			if lb := fast.Dist*fast.Dist - fslack; lb > 0 && math.Sqrt(lb) >= best[k-1].Dist {
-				return true
+				return nil
 			}
 		}
-		m := vec.MinDist(q, w)
-		if !costs.Allow(m.Scale, m.Shift) {
-			return true
-		}
-		if len(best) == k && m.Dist >= best[k-1].Dist {
-			return true
-		}
-		match := Match{
-			Seq:   seq,
-			Start: start,
-			Name:  ix.st.SequenceName(seq),
-			Dist:  m.Dist,
-			Scale: m.Scale,
-			Shift: m.Shift,
+		m := vec.MinDist(q.Vec, w)
+		if !q.Costs.Allow(m.Scale, m.Shift) || (len(best) == k && m.Dist >= best[k-1].Dist) {
+			return nil
 		}
 		pos := sort.Search(len(best), func(i int) bool { return best[i].Dist > m.Dist })
 		if len(best) < k {
 			best = append(best, Match{})
 		}
 		copy(best[pos+1:], best[pos:])
-		best[pos] = match
-		return true
+		best[pos] = Match{Seq: seq, Start: start, Name: sv.SequenceName(seq), Dist: m.Dist, Scale: m.Scale, Shift: m.Shift}
+		return nil
 	}
-	if ix.trailMode() {
-		// Trails stream in non-decreasing line-to-MBR distance, a lower
-		// bound for every window feature inside the MBR.
-		ix.qtree().NearestRectsToLineFunc(line, &treeStats, func(it rtree.RectItemDist) bool {
-			if len(best) == k && it.Dist > best[k-1].Dist+slack {
-				return false
-			}
-			seq, first := store.DecodeWindowID(it.ID)
-			count := ix.trailWindows(seq, first)
-			for i := 0; i < count; i++ {
-				if !refine(seq, first+i) {
-					return false
-				}
-			}
-			return true
-		})
-	} else {
-		ix.qtree().NearestToLineFunc(line, &treeStats, func(id rtree.ItemDist) bool {
-			if len(best) == k && id.Dist > best[k-1].Dist+slack {
-				return false // lower bound exceeds kth exact distance: done
-			}
-			seq, start := store.DecodeWindowID(id.Item.ID)
-			return refine(seq, start)
-		})
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	if scanErr != nil {
-		return nil, fmt.Errorf("core: nearest-neighbour refinement: %w", scanErr)
+	pv.nearest(q.Vec, &ts, func(lb float64, seq, first, count int) bool {
+		if failed != nil || (len(best) == k && lb > best[k-1].Dist+slack) {
+			return false // this stream cannot improve the top-k
+		}
+		for i := 0; i < count && failed == nil; i++ {
+			failed = refine(seq, first+i)
+		}
+		return failed == nil
+	})
+	if failed != nil {
+		return Result{}, failed
 	}
 
-	if stats != nil {
-		stats.IndexNodeAccesses += treeStats.NodeAccesses
-		stats.DataPageAccesses += pc.Distinct()
-		stats.Candidates += candidates
-		stats.Results += len(best)
-		stats.LeafEntriesChecked += treeStats.LeafEntriesChecked
+	*delta = SearchStats{
+		IndexNodeAccesses:  ts.NodeAccesses,
+		DataPageAccesses:   pc.Distinct(),
+		Candidates:         candidates,
+		Results:            len(best),
+		LeafEntriesChecked: ts.LeafEntriesChecked,
 	}
-	return best, nil
+	return Result{Matches: best}, nil
 }
 
 // sortMatches orders matches by (Seq, Start) for deterministic output.
@@ -767,79 +759,18 @@ func sortMatches(ms []Match) {
 	})
 }
 
-// SearchBatch answers many queries concurrently with up to parallelism
-// goroutines (capped at the query count; values < 1 default to
-// runtime.GOMAXPROCS(0)).  Results are positionally aligned with the
-// queries, and per-query stats are summed into stats when it is
-// non-nil.  Searches are read-only, so no locking is needed; do not
-// mutate the index concurrently.
-func (ix *Index) SearchBatch(queries []vec.Vector, eps float64, costs CostBounds, parallelism int, stats *SearchStats) ([][]Match, error) {
-	results, _, err := ix.SearchBatchContext(context.Background(), queries, eps, costs, parallelism, stats)
-	return results, err
-}
-
-// SearchBatchContext is SearchBatch under a context: when ctx is
-// cancelled mid-batch the call returns ctx.Err() together with the
-// PARTIAL results — every query whose status is BatchComplete holds
-// its full exact answer, every BatchIncomplete slot is nil — so a
-// deadline turns into "here is what finished in time" instead of all
-// work lost.
-func (ix *Index) SearchBatchContext(ctx context.Context, queries []vec.Vector, eps float64, costs CostBounds, parallelism int, stats *SearchStats) ([][]Match, []BatchStatus, error) {
-	bqs := make([]BatchQuery, len(queries))
-	for i, q := range queries {
-		bqs[i] = BatchQuery{Q: q, Eps: eps, Costs: costs}
-	}
-	results, _, statuses, err := ix.SearchBatchPlannedContext(ctx, bqs, engine.PathAuto, parallelism, stats)
-	return results, statuses, err
-}
-
-// BatchQuery is one query of a heterogeneous batch: its own vector,
-// error bound, and cost bounds.
-type BatchQuery struct {
-	Q     vec.Vector
-	Eps   float64
-	Costs CostBounds
-}
-
-// SearchBatchPlanned answers a heterogeneous batch with the engine
-// planning EVERY query independently — a tiny-ε query probes the tree
-// while a huge-ε query in the same batch scans, each recorded in its
-// own Explain (positionally aligned with the queries, like the
-// results).  force pins every query to one path.  Per-query stats are
-// accumulated into stats in query order, so the totals are identical
-// to running the queries sequentially.
-func (ix *Index) SearchBatchPlanned(queries []BatchQuery, force engine.PathKind, parallelism int, stats *SearchStats) ([][]Match, []*engine.Explain, error) {
-	results, explains, _, err := ix.SearchBatchPlannedContext(context.Background(), queries, force, parallelism, stats)
-	return results, explains, err
-}
-
-// SearchBatchPlannedContext is SearchBatchPlanned under a context.
-// On cancellation it stops handing out new queries, lets in-flight
-// queries unwind at their next poll, and returns the partial results
-// with a per-query status slice and ctx.Err(); completed slots are
-// exact and usable, incomplete slots are nil.  A non-context failure
-// in any query (I/O error, recovered worker panic) aborts the whole
-// batch with that error, as before.  Per-query stats are accumulated
-// only for completed queries, in query order.
-func (ix *Index) SearchBatchPlannedContext(ctx context.Context, queries []BatchQuery, force engine.PathKind, parallelism int, stats *SearchStats) ([][]Match, []*engine.Explain, []BatchStatus, error) {
-	return searchBatchPlannedContext(ctx, ix, queries, force, parallelism, stats)
-}
-
-// rangeSearcher is the single-query surface the shared batch executor
-// fans out over; *Index and *SegmentedIndex both provide it.
-type rangeSearcher interface {
-	SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error)
-}
-
-func searchBatchPlannedContext(ctx context.Context, rs rangeSearcher, queries []BatchQuery, force engine.PathKind, parallelism int, stats *SearchStats) ([][]Match, []*engine.Explain, []BatchStatus, error) {
+// execBatch fans queries over one index's Exec; *Index and
+// *SegmentedIndex share it (a segmented batch pins a manifest per
+// query, so each query is consistent and none holds a generation for
+// the whole batch).
+func execBatch(ctx context.Context, exec func(context.Context, Query, *SearchStats) (Result, error), queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
 	if parallelism < 1 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	if parallelism > len(queries) {
 		parallelism = len(queries)
 	}
-	results := make([][]Match, len(queries))
-	explains := make([]*engine.Explain, len(queries))
+	results := make([]Result, len(queries))
 	statuses := make([]BatchStatus, len(queries))
 	perQuery := make([]SearchStats, len(queries))
 	errs := make([]error, len(queries))
@@ -865,8 +796,7 @@ func searchBatchPlannedContext(ctx context.Context, rs rangeSearcher, queries []
 				}
 				func(i int) {
 					defer recoverWorkerPanic("batch search", nil, nil, &errs[i])
-					bq := queries[i]
-					results[i], explains[i], errs[i] = rs.SearchPlannedContext(ctx, bq.Q, bq.Eps, bq.Costs, force, nil, &perQuery[i])
+					results[i], errs[i] = exec(ctx, queries[i], &perQuery[i])
 				}(i)
 				if errs[i] == nil {
 					statuses[i] = BatchComplete
@@ -886,10 +816,10 @@ func searchBatchPlannedContext(ctx context.Context, rs rangeSearcher, queries []
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			canceled = true
-			results[i] = nil
+			results[i] = Result{}
 			continue
 		}
-		return nil, nil, nil, fmt.Errorf("core: batch query %d: %w", i, err)
+		return nil, nil, fmt.Errorf("core: batch query %d: %w", i, err)
 	}
 	if stats != nil {
 		for i := range perQuery {
@@ -898,20 +828,20 @@ func searchBatchPlannedContext(ctx context.Context, rs rangeSearcher, queries []
 			}
 		}
 	}
-	if canceled {
-		err := ctx.Err()
-		if err == nil {
-			// A per-query context error surfaced before ctx.Err()
-			// transitioned (possible with per-query deadlines seen
-			// through the shared ctx); report the first one.
-			for _, e := range errs {
-				if e != nil {
-					err = e
-					break
-				}
+	if !canceled {
+		return results, statuses, nil
+	}
+	err := ctx.Err()
+	if err == nil {
+		// A per-query context error surfaced before ctx.Err()
+		// transitioned (possible with per-query deadlines seen
+		// through the shared ctx); report the first one.
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
 			}
 		}
-		return results, explains, statuses, err
 	}
-	return results, explains, statuses, nil
+	return results, statuses, err
 }

@@ -48,6 +48,9 @@ type deltaEntry struct {
 // query, writers publish a fresh one after every mutation, and no
 // reader ever observes a half-updated view.
 type manifest struct {
+	// ix is the owning index, read for its immutable configuration
+	// (options, feature map) only.
+	ix     *SegmentedIndex
 	gen    int64
 	snap   *store.Snapshot
 	frozen []*frozenSeg

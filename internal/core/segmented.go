@@ -361,6 +361,7 @@ func (g *SegmentedIndex) manifestLocked() *manifest {
 		slack = 1e-7 * g.maxAbs * math.Sqrt(float64(g.fmap.Dim()))
 	}
 	return &manifest{
+		ix:     g,
 		gen:    g.gen,
 		snap:   g.st.Snapshot(),
 		frozen: append([]*frozenSeg(nil), g.frozen...),
@@ -659,35 +660,40 @@ func (g *SegmentedIndex) StoreShape() (seqs, values, pages int) {
 	return sn.NumSequences(), sn.TotalValues(), sn.PageCount()
 }
 
+func (m *manifest) view() storeView       { return m.snap }
+func (m *manifest) windowLen() int        { return m.ix.opts.WindowLen }
+func (m *manifest) numericSlack() float64 { return m.slack }
+
+func (m *manifest) unsupported(_ int, force engine.PathKind) error {
+	// Segments hold per-window point entries, so only the tree and scan
+	// paths exist; rejecting here (not per segment) also covers a
+	// manifest with no frozen segment yet.
+	if force != engine.PathAuto && force != engine.PathRTree && force != engine.PathScan {
+		return fmt.Errorf("core: %w: segmented index cannot serve the %s path", engine.ErrUnsupported, force)
+	}
+	return nil
+}
+
 // probeSegment plans and runs the index phase of one frozen segment:
 // a per-segment cost choice between the segment's flat tree and an
-// exact range enumeration, honoring force for the tree/scan paths.
-func (g *SegmentedIndex) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, ts *rtree.SearchStats, emit func(seq, start int)) (engine.SegmentPlan, error) {
+// exact range enumeration, honoring force.
+func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, ts *rtree.SearchStats, emit func(seq, start int)) (engine.SegmentPlan, error) {
 	eq.Windows = sg.count
 	hints := sg.flat.CostHints()
 	treeCost := engine.EstimateTreeCostSampled(hints, sg.count, eq.Eps, sampleDists(hints, eq))
 	scanCost := engine.EstimateScanCost(sg.count)
-	chosen := engine.PathRTree
-	cost := treeCost
-	switch force {
-	case engine.PathAuto:
-		if scanCost.Units < treeCost.Units {
-			chosen, cost = engine.PathScan, scanCost
-		}
-	case engine.PathRTree:
-	case engine.PathScan:
+	chosen, cost := engine.PathRTree, treeCost
+	if force == engine.PathScan || (force == engine.PathAuto && scanCost.Units < treeCost.Units) {
 		chosen, cost = engine.PathScan, scanCost
-	default:
-		return engine.SegmentPlan{}, fmt.Errorf("core: %w: segmented index cannot serve the %s path", engine.ErrUnsupported, force)
 	}
 	plan := engine.SegmentPlan{Seg: idx, Kind: "frozen", Windows: sg.count, Chosen: chosen, Cost: cost}
 	if chosen == engine.PathRTree {
 		var items []rtree.Item
 		var err error
 		if eq.Segment {
-			items, err = sg.flat.SegmentSearchContext(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, g.opts.Strategy, ts)
+			items, err = sg.flat.SegmentSearchContext(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, ts)
 		} else {
-			items, err = sg.flat.LineSearchContext(ctx, eq.Line, eq.Eps, g.opts.Strategy, ts)
+			items, err = sg.flat.LineSearchContext(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, ts)
 		}
 		if err != nil {
 			return plan, err
@@ -715,19 +721,20 @@ func (g *SegmentedIndex) probeSegment(ctx context.Context, idx int, sg *frozenSe
 	return plan, nil
 }
 
-// probeManifest fans one query's index phase across every segment of
-// the manifest: frozen segments go through probeSegment, the delta is
-// emitted wholesale (an exact scan — the verifier filters it).  It
-// returns the per-segment Explain and per-path probe counts.
-func (g *SegmentedIndex) probeManifest(ctx context.Context, man *manifest, line vec.Line, eps float64, costs CostBounds, force engine.PathKind, ts *rtree.SearchStats, emit func(seq, start int)) (*engine.Explain, [engine.NumPathKinds]int, error) {
-	var probes [engine.NumPathKinds]int
+// probe fans one piece's index phase across every segment of the
+// manifest: frozen segments go through probeSegment, the delta is
+// emitted wholesale (an exact scan — the verifier filters it).  The
+// returned Explain carries one SegmentPlan per probed segment.
+func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error) {
+	fmap := m.ix.fmap
+	line := seLineFor(fmap, piece)
 	planStart := time.Now()
 	_, planSpan := obs.StartSpan(ctx, "plan")
-	eq := buildEngineQuery(line, eps, man.slack, costs, man.windowCount(), g.fmap.Dim())
+	eq := buildEngineQuery(line, eps, m.slack, costs, m.windowCount(), fmap.Dim())
 	ex := &engine.Explain{Chosen: engine.PathScan, Forced: force != engine.PathAuto}
 	if planSpan != nil {
-		planSpan.SetInt("segments", int64(len(man.frozen)))
-		planSpan.SetInt("delta_windows", int64(len(man.delta)))
+		planSpan.SetInt("segments", int64(len(m.frozen)))
+		planSpan.SetInt("delta_windows", int64(len(m.delta)))
 		planSpan.End()
 	}
 	ex.PlanTime = time.Since(planStart)
@@ -739,31 +746,35 @@ func (g *SegmentedIndex) probeManifest(ctx context.Context, man *manifest, line 
 		inner := emit
 		emit = func(seq, start int) { emitted++; inner(seq, start) }
 	}
+	fail := func(err error) (*engine.Explain, error) {
+		spanEndWithError(probeSpan, err)
+		ex.ProbeTime = time.Since(probeStart)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return ex, err
+		}
+		return ex, fmt.Errorf("core: segmented probe: %w", err)
+	}
 	largest := -1
-	for i, sg := range man.frozen {
-		plan, err := g.probeSegment(probeCtx, i, sg, eq, force, ts, emit)
+	for i, sg := range m.frozen {
+		plan, err := m.probeSegment(probeCtx, i, sg, eq, force, &tally.tree, emit)
 		if err != nil {
-			spanEndWithError(probeSpan, err)
-			ex.ProbeTime = time.Since(probeStart)
-			return ex, probes, err
+			return fail(err)
 		}
 		ex.Segments = append(ex.Segments, plan)
 		ex.EstCandidates += plan.Cost.Candidates
-		probes[plan.Chosen]++
+		tally.paths[plan.Chosen]++
 		if sg.count > largest {
 			largest = sg.count
 			ex.Chosen = plan.Chosen
 		}
 	}
-	if len(man.delta) > 0 {
+	if len(m.delta) > 0 {
 		// The delta always scans, whatever force says: skipping it
 		// would silently drop the freshest windows from the answer.
-		for i, e := range man.delta {
+		for i, e := range m.delta {
 			if i%scanCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
-					spanEndWithError(probeSpan, err)
-					ex.ProbeTime = time.Since(probeStart)
-					return ex, probes, err
+					return fail(err)
 				}
 			}
 			emit(e.seq, e.start)
@@ -771,14 +782,14 @@ func (g *SegmentedIndex) probeManifest(ctx context.Context, man *manifest, line 
 		dplan := engine.SegmentPlan{
 			Seg:        -1,
 			Kind:       "delta",
-			Windows:    len(man.delta),
+			Windows:    len(m.delta),
 			Chosen:     engine.PathScan,
-			Cost:       engine.EstimateScanCost(len(man.delta)),
-			Candidates: len(man.delta),
+			Cost:       engine.EstimateScanCost(len(m.delta)),
+			Candidates: len(m.delta),
 		}
 		ex.Segments = append(ex.Segments, dplan)
 		ex.EstCandidates += dplan.Cost.Candidates
-		probes[engine.PathScan]++
+		tally.paths[engine.PathScan]++
 	}
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
@@ -786,345 +797,49 @@ func (g *SegmentedIndex) probeManifest(ctx context.Context, man *manifest, line 
 		probeSpan.End()
 	}
 	ex.ProbeTime = time.Since(probeStart)
-	return ex, probes, nil
+	return ex, nil
 }
 
-// Search is Index.Search over the segmented index.
-func (g *SegmentedIndex) Search(q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := g.SearchPlannedContext(context.Background(), q, eps, costs, engine.PathAuto, nil, stats)
-	return out, err
-}
-
-// SearchContext is Search with cooperative cancellation.
-func (g *SegmentedIndex) SearchContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := g.SearchPlannedContext(ctx, q, eps, costs, engine.PathAuto, nil, stats)
-	return out, err
-}
-
-// SearchPlannedContext is the segmented range-query executor: it pins
-// the current manifest, fans the index phase across segments, and
-// verifies every candidate against the manifest's store snapshot
-// through the same exact verifier as Index — so the result set is
-// bit-identical to a from-scratch index over the same data, whatever
-// the segment layout.  The returned Explain carries one SegmentPlan
-// per probed segment.
-func (g *SegmentedIndex) SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	if len(q) != g.opts.WindowLen {
-		recordSearchError()
-		return nil, nil, fmt.Errorf("core: %w: query length %d, index window length %d (use SearchLong for longer queries)",
-			ErrInvalidQuery, len(q), g.opts.WindowLen)
-	}
-	if err := validateQuery(q, eps); err != nil {
-		recordSearchError()
-		return nil, nil, err
-	}
-	pin := g.cell.Acquire()
-	defer pin.Release()
-	man := pin.Value()
-
-	var treeStats rtree.SearchStats
-	var cands []candidate
-	ex, pathProbes, err := g.probeManifest(ctx, man, seLineFor(g.fmap, q), eps, costs, force, &treeStats, func(seq, start int) {
-		cands = append(cands, candidate{seq, start})
-	})
-	if err != nil {
-		recordSearchError()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, ex, err
-		}
-		return nil, ex, fmt.Errorf("core: segmented probe: %w", err)
-	}
-
-	verifyStart := time.Now()
-	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
-	pc := store.PageCounter{Pool: pool}
-	v := newVerifier(man.snap, q, eps, costs)
-	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, cands, &pc)
-	if err != nil {
-		spanEndWithError(verifySpan, err)
-		recordSearchError()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, ex, err
-		}
-		return nil, ex, fmt.Errorf("core: post-processing: %w", err)
-	}
-	sortMatches(out)
-	if verifySpan != nil {
-		verifySpan.SetInt("candidates", int64(len(cands)))
-		verifySpan.SetInt("false_alarms", int64(falseAlarms))
-		verifySpan.SetInt("matches", int64(len(out)))
-		verifySpan.End()
-	}
-	ex.VerifyTime = time.Since(verifyStart)
-	ex.ActualCandidates = len(cands)
-	ex.Matches = len(out)
-	ex.TraceID = obs.TraceIDFromContext(ctx)
-
-	delta := SearchStats{
-		IndexNodeAccesses:  treeStats.NodeAccesses,
-		DataPageAccesses:   pc.Distinct(),
-		Candidates:         len(cands),
-		FalseAlarms:        falseAlarms,
-		CostRejected:       costRejected,
-		Results:            len(out),
-		LeafEntriesChecked: treeStats.LeafEntriesChecked,
-		Penetration:        treeStats.Penetration,
-		PlanTime:           ex.PlanTime,
-		ProbeTime:          ex.ProbeTime,
-		VerifyTime:         ex.VerifyTime,
-		PathProbes:         pathProbes,
-		TraceID:            ex.TraceID,
-	}
-	recordSearchMetrics(&delta, 1)
-	if stats != nil {
-		stats.Add(delta)
-	}
-	return out, ex, nil
-}
-
-// SearchLong is the multipiece long-query search over the segmented
-// index; see Index.SearchLong for the method.
-func (g *SegmentedIndex) SearchLong(q vec.Vector, eps float64, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	out, _, err := g.SearchLongPlannedContext(context.Background(), q, eps, costs, engine.PathAuto, stats)
-	return out, err
-}
-
-// SearchLongPlannedContext cuts the query into length-n pieces, probes
-// every piece across every segment of ONE pinned manifest (so all
-// pieces see the same generation), and verifies the deduplicated
-// full-length proposals against the manifest's snapshot.
-func (g *SegmentedIndex) SearchLongPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	n := g.opts.WindowLen
-	if len(q) == n {
-		return g.SearchPlannedContext(ctx, q, eps, costs, force, nil, stats)
-	}
-	if len(q) < n {
-		recordSearchError()
-		return nil, nil, fmt.Errorf("core: %w: query length %d below index window length %d",
-			ErrInvalidQuery, len(q), n)
-	}
-	if err := validateQuery(q, eps); err != nil {
-		recordSearchError()
-		return nil, nil, err
-	}
-	pieces := len(q) / n
-	pieceEps := eps / math.Sqrt(float64(pieces))
-
-	pin := g.cell.Acquire()
-	defer pin.Release()
-	man := pin.Value()
-
-	proposed := make(map[candidate]bool)
-	var treeStats rtree.SearchStats
-	var ex *engine.Explain
-	var pathProbes [engine.NumPathKinds]int
-	for i := 0; i < pieces; i++ {
-		piece := q[i*n : (i+1)*n]
-		i := i
-		pieceEx, probes, err := g.probeManifest(ctx, man, seLineFor(g.fmap, piece), pieceEps, costs, force, &treeStats, func(seq, start int) {
-			full := candidate{seq, start - i*n}
-			if full.start < 0 || full.start+len(q) > man.snap.SequenceLen(seq) {
-				return
-			}
-			proposed[full] = true
-		})
-		if err != nil {
-			recordSearchError()
-			return nil, pieceEx, err
-		}
-		for k := range probes {
-			pathProbes[k] += probes[k]
-		}
-		if ex == nil {
-			ex = pieceEx
-		} else {
-			ex.PlanTime += pieceEx.PlanTime
-			ex.ProbeTime += pieceEx.ProbeTime
-		}
-	}
-	ex.Pieces = pieces
-	cands := make([]candidate, 0, len(proposed))
-	for a := range proposed {
-		cands = append(cands, a)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq < cands[j].seq
-		}
-		return cands[i].start < cands[j].start
-	})
-
-	verifyStart := time.Now()
-	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
-	var pc store.PageCounter
-	v := newVerifier(man.snap, q, eps, costs)
-	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, cands, &pc)
-	if err != nil {
-		spanEndWithError(verifySpan, err)
-		recordSearchError()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, ex, err
-		}
-		return nil, ex, fmt.Errorf("core: long-query post-processing: %w", err)
-	}
-	sortMatches(out)
-	if verifySpan != nil {
-		verifySpan.SetInt("candidates", int64(len(cands)))
-		verifySpan.SetInt("false_alarms", int64(falseAlarms))
-		verifySpan.SetInt("matches", int64(len(out)))
-		verifySpan.End()
-	}
-	ex.VerifyTime = time.Since(verifyStart)
-	ex.ActualCandidates = len(cands)
-	ex.Matches = len(out)
-	ex.TraceID = obs.TraceIDFromContext(ctx)
-
-	delta := SearchStats{
-		IndexNodeAccesses:  treeStats.NodeAccesses,
-		DataPageAccesses:   pc.Distinct(),
-		Candidates:         len(proposed),
-		FalseAlarms:        falseAlarms,
-		CostRejected:       costRejected,
-		Results:            len(out),
-		LeafEntriesChecked: treeStats.LeafEntriesChecked,
-		Penetration:        treeStats.Penetration,
-		PlanTime:           ex.PlanTime,
-		ProbeTime:          ex.ProbeTime,
-		VerifyTime:         ex.VerifyTime,
-		PathProbes:         pathProbes,
-		TraceID:            ex.TraceID,
-	}
-	recordSearchMetrics(&delta, pieces)
-	if stats != nil {
-		stats.Add(delta)
-	}
-	return out, ex, nil
-}
-
-// NearestNeighbors is Index.NearestNeighbors over the segmented index.
-func (g *SegmentedIndex) NearestNeighbors(q vec.Vector, k int, stats *SearchStats) ([]Match, error) {
-	return g.NearestNeighborsWithCostsContext(context.Background(), q, k, UnboundedCosts(), stats)
-}
-
-// NearestNeighborsWithCostsContext streams each frozen segment's
-// candidates in increasing feature-space lower-bound order (with the
-// GEMINI-style early termination against the running kth best) and
-// refines every delta window unconditionally; the shared top-k makes
-// the answer exact across segments.
-func (g *SegmentedIndex) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vector, k int, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	if len(q) != g.opts.WindowLen {
-		return nil, fmt.Errorf("core: %w: query length %d, index window length %d",
-			ErrInvalidQuery, len(q), g.opts.WindowLen)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: %w: k %d < 1", ErrInvalidQuery, k)
-	}
-	if err := validateQueryValues(q); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pin := g.cell.Acquire()
-	defer pin.Release()
-	man := pin.Value()
-
-	var treeStats rtree.SearchStats
-	var pc store.PageCounter
-	line := seLineFor(g.fmap, q)
-	slack := man.slack
-	var best []Match
-	var candidates int
-	var scanErr, ctxErr error
-
-	vq := newVerifier(man.snap, q, 0, costs)
-	refine := func(seq, start int) bool {
-		candidates++
-		if candidates%verifyCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
-			}
-		}
-		w, err := man.snap.WindowView(seq, start, g.opts.WindowLen, &pc)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if len(best) == k {
-			ws, err := man.snap.WindowStats(seq, start, g.opts.WindowLen)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			fast, fslack := vec.MinDistWithStats(vq.su, vq.mu, vq.uu, w, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr)
-			if lb := fast.Dist*fast.Dist - fslack; lb > 0 && math.Sqrt(lb) >= best[k-1].Dist {
-				return true
-			}
-		}
-		m := vec.MinDist(q, w)
-		if !costs.Allow(m.Scale, m.Shift) {
-			return true
-		}
-		if len(best) == k && m.Dist >= best[k-1].Dist {
-			return true
-		}
-		match := Match{
-			Seq:   seq,
-			Start: start,
-			Name:  man.snap.SequenceName(seq),
-			Dist:  m.Dist,
-			Scale: m.Scale,
-			Shift: m.Shift,
-		}
-		pos := sort.Search(len(best), func(i int) bool { return best[i].Dist > m.Dist })
-		if len(best) < k {
-			best = append(best, Match{})
-		}
-		copy(best[pos+1:], best[pos:])
-		best[pos] = match
-		return true
-	}
-	for _, sg := range man.frozen {
-		sg.flat.NearestToLineFunc(line, &treeStats, func(id rtree.ItemDist) bool {
-			if len(best) == k && id.Dist > best[k-1].Dist+slack {
-				return false // this segment cannot improve the top-k
-			}
+// nearest streams each frozen segment's windows in increasing
+// feature-space lower-bound order, one stream per segment, then every
+// delta window with no bound (lb 0: always refined).
+func (m *manifest) nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool) {
+	line := seLineFor(m.ix.fmap, q)
+	for _, sg := range m.frozen {
+		sg.flat.NearestToLineFunc(line, ts, func(id rtree.ItemDist) bool {
 			seq, start := store.DecodeWindowID(id.Item.ID)
-			return refine(seq, start)
+			return visit(id.Dist, seq, start, 1)
 		})
-		if ctxErr != nil || scanErr != nil {
-			break
+	}
+	for _, e := range m.delta {
+		if !visit(0, e.seq, e.start, 1) {
+			return
 		}
 	}
-	for _, e := range man.delta {
-		if ctxErr != nil || scanErr != nil {
-			break
-		}
-		if !refine(e.seq, e.start) {
-			break
-		}
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	if scanErr != nil {
-		return nil, fmt.Errorf("core: nearest-neighbour refinement: %w", scanErr)
-	}
-
-	if stats != nil {
-		stats.IndexNodeAccesses += treeStats.NodeAccesses
-		stats.DataPageAccesses += pc.Distinct()
-		stats.Candidates += candidates
-		stats.Results += len(best)
-		stats.LeafEntriesChecked += treeStats.LeafEntriesChecked
-	}
-	return best, nil
 }
 
-// SearchBatchPlannedContext fans a heterogeneous batch over the
-// segmented executor with the same partial-progress semantics as
-// Index.SearchBatchPlannedContext.
-func (g *SegmentedIndex) SearchBatchPlannedContext(ctx context.Context, queries []BatchQuery, force engine.PathKind, parallelism int, stats *SearchStats) ([][]Match, []*engine.Explain, []BatchStatus, error) {
-	return searchBatchPlannedContext(ctx, g, queries, force, parallelism, stats)
+// Exec is Index.Exec over the segmented index: it pins the current
+// manifest, fans the index phase across segments (all pieces of a long
+// query see the same generation), and verifies every candidate against
+// the manifest's store snapshot through the same executors as Index —
+// so the result set is bit-identical to a from-scratch index over the
+// same data, whatever the segment layout.
+func (g *SegmentedIndex) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
+	pin := g.cell.Acquire()
+	defer pin.Release()
+	return exec(ctx, pin.Value(), q, stats)
+}
+
+// ExecBatch is Index.ExecBatch over the segmented index, with the same
+// partial-progress semantics; each query pins its own manifest.
+func (g *SegmentedIndex) ExecBatch(ctx context.Context, queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
+	return execBatch(ctx, g.Exec, queries, parallelism, stats)
+}
+
+// SearchPlannedContext builds a range Query and calls Exec.  It is
+// retained only for the frozen benchmark/ harness; the next benchmark
+// PR removes it.
+func (g *SegmentedIndex) SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
+	res, err := g.Exec(ctx, Query{Vec: q, Eps: eps, Costs: costs, Force: force, Pool: pool}, stats)
+	return res.Matches, res.Explain, err
 }

@@ -144,11 +144,11 @@ func TestSegmentedEquivalence(t *testing.T) {
 		for _, mult := range []float64{0.5, 1, 2} {
 			e := eps * mult
 			var rs, gs SearchStats
-			want, err := ref.Search(q, e, UnboundedCosts(), &rs)
+			want, err := search(ref, q, e, &rs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := g.Search(q, e, UnboundedCosts(), &gs)
+			got, err := search(g, q, e, &gs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,22 +166,22 @@ func TestSegmentedEquivalence(t *testing.T) {
 		// Scale-bounded query (exercises segment-restricted probes) and
 		// a forced scan (must match too — same verifier).
 		costs := CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)}
-		want, err := ref.Search(q, eps, costs, nil)
+		want, _, err := run(context.Background(), ref, Query{Vec: q, Eps: eps, Costs: costs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := g.Search(q, eps, costs, nil)
+		got, _, err := run(context.Background(), g, Query{Vec: q, Eps: eps, Costs: costs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !matchesEqual(got, want) {
 			t.Fatalf("trial %d: scale-bounded results diverge", trial)
 		}
-		gotScan, _, err := g.SearchPlannedContext(context.Background(), q, eps, UnboundedCosts(), engine.PathScan, nil, nil)
+		gotScan, _, err := run(context.Background(), g, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantScan, _, err := ref.SearchPlannedContext(context.Background(), q, eps, UnboundedCosts(), engine.PathScan, nil, nil)
+		wantScan, _, err := run(context.Background(), ref, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,11 +189,11 @@ func TestSegmentedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: forced-scan results diverge", trial)
 		}
 
-		wantLong, err := ref.SearchLong(longQ, 2*eps, UnboundedCosts(), nil)
+		wantLong, err := search(ref, longQ, 2*eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotLong, err := g.SearchLong(longQ, 2*eps, UnboundedCosts(), nil)
+		gotLong, err := search(g, longQ, 2*eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +202,11 @@ func TestSegmentedEquivalence(t *testing.T) {
 		}
 
 		var ns SearchStats
-		wantNN, err := ref.NearestNeighbors(q, 5, nil)
+		wantNN, err := nearest(ref, q, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotNN, err := g.NearestNeighborsWithCostsContext(context.Background(), q, 5, UnboundedCosts(), &ns)
+		gotNN, err := nearest(g, q, 5, &ns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		}
 
 		// The Explain must carry one plan per probed segment.
-		_, ex, err := g.SearchPlannedContext(context.Background(), q, eps, UnboundedCosts(), engine.PathAuto, nil, nil)
+		_, ex, err := run(context.Background(), g, Query{Vec: q, Eps: eps}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestSegmentedConcurrent(t *testing.T) {
 				default:
 				}
 				var s SearchStats
-				if _, err := g.Search(q, eps, UnboundedCosts(), &s); err != nil {
+				if _, err := search(g, q, eps, &s); err != nil {
 					t.Error(err)
 					return
 				}
@@ -309,7 +309,7 @@ func TestSegmentedConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := g.NearestNeighbors(q, 3, nil); err != nil {
+				if _, err := nearest(g, q, 3, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -346,11 +346,11 @@ func TestSegmentedConcurrent(t *testing.T) {
 	if err := g.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Search(q, eps, UnboundedCosts(), nil)
+	want, err := search(ref, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Search(q, eps, UnboundedCosts(), nil)
+	got, err := search(g, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +512,11 @@ func TestSegmentedTieredRetention(t *testing.T) {
 		t.Fatalf("segmented covers %d windows, reference %d", got, want)
 	}
 
-	want, err := ref.Search(q, eps, UnboundedCosts(), nil)
+	want, err := search(ref, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Search(q, eps, UnboundedCosts(), nil)
+	got, err := search(g, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestSegmentedTieredRetention(t *testing.T) {
 		t.Fatalf("tiered layout failed artifact validation: %v", err)
 	}
 	defer g2.Close()
-	got2, err := g2.Search(q, eps, UnboundedCosts(), nil)
+	got2, err := search(g2, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,11 +651,11 @@ func TestWriteLoadSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := ref.Search(q, eps, UnboundedCosts(), nil)
+	want, err := search(ref, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g2.Search(q, eps, UnboundedCosts(), nil)
+	got, err := search(g2, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		}
 		q := vec.Apply(w, 1.3, -2)
 		for _, eps := range []float64{0, 0.1 * scale} {
-			a, err := ix.Search(q, eps, UnboundedCosts(), nil)
+			a, err := search(ix, q, eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ix2.Search(q, eps, UnboundedCosts(), nil)
+			b, err := search(ix2, q, eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func TestStatsInvariantsAcrossPaths(t *testing.T) {
 	q, eps := invariantQuery(t, ix)
 	for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree, engine.PathScan} {
 		var stats SearchStats
-		matches, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), force, nil, &stats)
+		matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: force}, &stats)
 		if err != nil {
 			t.Fatalf("path %v: %v", force, err)
 		}
@@ -68,7 +68,7 @@ func TestStatsInvariantsTrailPath(t *testing.T) {
 	ix := buildTestIndex(t, opts, 12, 120)
 	q, eps := invariantQuery(t, ix)
 	var stats SearchStats
-	matches, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathTrail, nil, &stats)
+	matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathTrail}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestStatsInvariantsDegraded(t *testing.T) {
 	}
 	q, eps := invariantQuery(t, ix)
 	var stats SearchStats
-	matches, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathAuto, nil, &stats)
+	matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStatsInvariantsLongQuery(t *testing.T) {
 	_, eps := invariantQuery(t, ix)
 	for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree, engine.PathScan} {
 		var stats SearchStats
-		matches, ex, err := ix.SearchLongPlanned(q, eps, UnboundedCosts(), force, &stats)
+		matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: force}, &stats)
 		if err != nil {
 			t.Fatalf("path %v: %v", force, err)
 		}
@@ -136,18 +136,18 @@ func TestStatsInvariantsBatchAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats SearchStats
-	queries := []BatchQuery{
-		{Q: q, Eps: eps, Costs: UnboundedCosts()},
-		{Q: q2, Eps: eps, Costs: UnboundedCosts()},
-		{Q: q, Eps: eps / 2, Costs: UnboundedCosts()},
+	queries := []Query{
+		{Vec: q, Eps: eps},
+		{Vec: q2, Eps: eps},
+		{Vec: q, Eps: eps / 2},
 	}
-	results, _, err := ix.SearchBatchPlanned(queries, engine.PathAuto, 2, &stats)
+	results, _, err := ix.ExecBatch(context.Background(), queries, 2, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for _, r := range results {
-		total += len(r)
+		total += len(r.Matches)
 	}
 	checkStats(t, "batch", stats, total)
 }
@@ -185,7 +185,7 @@ func TestSearchRecordsTraceAndMetrics(t *testing.T) {
 	var stats SearchStats
 	cm.once.Do(initCoreMetrics) // handles are lazily created on first record
 	before := cm.searches.Value()
-	_, ex, err := ix.SearchPlannedContext(ctx, q, eps, UnboundedCosts(), engine.PathAuto, nil, &stats)
+	_, ex, err := run(ctx, ix, Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +224,67 @@ func TestSearchRecordsTraceAndMetrics(t *testing.T) {
 	}
 }
 
+// TestKNNRecordsTraceAndMetrics pins Exec's entry/exit bookkeeping for
+// the k-NN kind on both index types: a completed query counts as a
+// search with a latency sample and a stamped trace id, a failed one as
+// a search error, and the candidate ledger — which k-NN refines without
+// classifying — stays range-only.
+func TestKNNRecordsTraceAndMetrics(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	ix := buildTestIndex(t, testOptions(), 12, 120)
+	q, _ := invariantQuery(t, ix)
+	seg, err := NewSegmentedIndex(ix.Store(), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	cm.once.Do(initCoreMetrics) // handles are lazily created on first record
+
+	for name, target := range map[string]execer{"index": ix, "segmented": seg} {
+		searches, errs := cm.searches.Value(), cm.searchErrors.Value()
+		durs, cands, falseAlarms := cm.searchDur.Count(), cm.candidates.Value(), cm.falseAlarms.Value()
+
+		ctx, root := obs.NewTracer(4).StartTrace(context.Background(), "test-knn")
+		var stats SearchStats
+		res, err := target.Exec(ctx, Query{Vec: q, K: 3}, &stats)
+		root.End()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Matches) != 3 || res.Explain != nil {
+			t.Fatalf("%s: k-NN returned %d matches, explain %v", name, len(res.Matches), res.Explain)
+		}
+		if stats.TraceID == "" || stats.TraceID != obs.TraceIDFromContext(ctx) {
+			t.Errorf("%s: stats.TraceID = %q, want the query's trace id", name, stats.TraceID)
+		}
+		if got := cm.searches.Value() - searches; got != 1 {
+			t.Errorf("%s: scaleshift_searches_total advanced by %d, want 1", name, got)
+		}
+		if got := cm.searchDur.Count() - durs; got != 1 {
+			t.Errorf("%s: scaleshift_search_duration_seconds took %d samples, want 1", name, got)
+		}
+		if cm.candidates.Value() != cands || cm.falseAlarms.Value() != falseAlarms {
+			t.Errorf("%s: k-NN moved the range-only candidate ledger", name)
+		}
+
+		if _, err := target.Exec(context.Background(), Query{Vec: q[:len(q)-1], K: 3}, nil); err == nil {
+			t.Fatalf("%s: short k-NN query accepted", name)
+		}
+		if got := cm.searchErrors.Value() - errs; got != 1 {
+			t.Errorf("%s: scaleshift_search_errors_total advanced by %d, want 1", name, got)
+		}
+		if got := cm.searches.Value() - searches; got != 1 {
+			t.Errorf("%s: a failed query counted as a completed search", name)
+		}
+	}
+}
+
 func TestUntracedSearchHasNoTraceID(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 8, 100)
 	q, eps := invariantQuery(t, ix)
 	var stats SearchStats
-	_, ex, err := ix.SearchPlanned(q, eps, UnboundedCosts(), engine.PathAuto, nil, &stats)
+	_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

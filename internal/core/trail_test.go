@@ -62,7 +62,7 @@ func TestTrailSearchExactlyMatchesSeqScan(t *testing.T) {
 		for _, q := range qs {
 			for _, frac := range []float64{0, 0.1} {
 				eps := frac * scale
-				got, err := ix.Search(q.Values, eps, UnboundedCosts(), nil)
+				got, err := search(ix, q.Values, eps, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +94,7 @@ func TestTrailNearestNeighborsExact(t *testing.T) {
 	}
 	q := vec.Apply(w, 2, -7)
 	for _, k := range []int{1, 10} {
-		got, err := ix.NearestNeighbors(q, k, nil)
+		got, err := nearest(ix, q, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestTrailSearchLongExact(t *testing.T) {
 	}
 	q := vec.Apply(w, 0.6, 9)
 	eps := 0.05 * vec.Norm(vec.SETransform(q))
-	got, err := ix.SearchLong(q, eps, UnboundedCosts(), nil)
+	got, err := search(ix, q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTrailPartialReplacementOnGrowth(t *testing.T) {
 		if err := st.Window(0, start, 8, w, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := ix.Search(vec.Apply(w, 3, 1), 1e-7*(1+vec.Norm(w)), UnboundedCosts(), nil)
+		res, err := search(ix, vec.Apply(w, 3, 1), 1e-7*(1+vec.Norm(w)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +254,11 @@ func TestTrailSerializationRoundTrip(t *testing.T) {
 	if err := st.Window(2, 11, opts.WindowLen, w, nil); err != nil {
 		t.Fatal(err)
 	}
-	a, err := ix.Search(w, 0.5, UnboundedCosts(), nil)
+	a, err := search(ix, w, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ix2.Search(w, 0.5, UnboundedCosts(), nil)
+	b, err := search(ix2, w, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestAllVariantsAgree(t *testing.T) {
 			if err := ix.Build(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ix.Search(q, eps, UnboundedCosts(), nil)
+			got, err := search(ix, q, eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +409,7 @@ func TestExtendAndIndexPointMode(t *testing.T) {
 	if err := st.Window(0, 30, 16, w, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.Search(vec.Apply(w, 2, 1), 1e-6*(1+vec.Norm(w)), UnboundedCosts(), nil)
+	got, err := search(ix, vec.Apply(w, 2, 1), 1e-6*(1+vec.Norm(w)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestExtendAndIndexPointMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Search(w, 0.5, UnboundedCosts(), nil)
+	res, err := search(ix, w, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestExtendAndIndexTrailMode(t *testing.T) {
 		if err := st2.Window(0, start, 8, w, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := ix.Search(w, 1e-6*(1+vec.Norm(w)), UnboundedCosts(), nil)
+		res, err := search(ix, w, 1e-6*(1+vec.Norm(w)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,13 @@
 // scale factor a and shift offset b satisfy ‖a·u + b·(1,…,1) − v‖₂ ≤ ε.
 // Given a database of sequences, an Index answers range queries under
 // this similarity over every sliding window, returning the optimal
-// (a, b) for each match.  See the repository README for a tour and
-// EXPERIMENTS.md for the reproduction of the paper's evaluation.
+// (a, b) for each match.  A query is a value — Query{Vec, Eps, K,
+// Costs, Force, Pool} — and Index.Exec is the one way to run it: the
+// kind follows from the value (K > 0 is k-nearest-neighbour, a Vec
+// longer than the window is a multipiece long query, otherwise a range
+// query), and ExecBatch runs a slice of them concurrently.  See the
+// repository README for a tour and EXPERIMENTS.md for the reproduction
+// of the paper's evaluation.
 //
 // Basic use:
 //
@@ -19,7 +24,8 @@
 //	if err != nil { ... }
 //	if err := ix.Build(); err != nil { ... }
 //
-//	matches, err := ix.Search(query, eps, scaleshift.UnboundedCosts(), nil)
+//	res, err := ix.Exec(ctx, scaleshift.Query{Vec: q, Eps: eps}, nil)
+//	for _, m := range res.Matches { ... } // m.Scale, m.Shift: the optimal (a, b)
 //
 // The concrete types live in internal packages; this package re-exports
 // them with type aliases, so values are interchangeable across the
@@ -45,6 +51,12 @@ type (
 	Options = core.Options
 	// CostBounds restricts matches by their transformation cost (§3).
 	CostBounds = core.CostBounds
+	// Query is one similarity query as a value: range, multipiece long
+	// or k-NN, by its fields.  The zero Costs means UnboundedCosts.
+	Query = core.Query
+	// Result is a query's answer: the matches and, for range and long
+	// queries, the Explain of the plan that produced them.
+	Result = core.Result
 	// Match is one qualifying subsequence with its optimal transform.
 	Match = core.Match
 	// SearchStats accounts one query in the paper's page-cost model,
@@ -55,9 +67,6 @@ type (
 	// Explain records one planned query: the chosen access path, the
 	// per-path cost estimates, and the per-stage actuals.
 	Explain = engine.Explain
-	// BatchQuery is one query of a heterogeneous SearchBatchPlanned
-	// batch, carrying its own error and cost bounds.
-	BatchQuery = core.BatchQuery
 	// ReductionKind selects the dimension-reduction basis.
 	ReductionKind = core.ReductionKind
 	// Strategy selects the MBR penetration check (§7).
@@ -82,9 +91,10 @@ const (
 	BoundingSpheres = geom.BoundingSpheres
 )
 
-// Query-engine access paths: pass one of these to SearchPlanned (and
-// friends) to force a physical plan, or PathAuto to let the cost-based
-// planner choose.  Results are bit-identical whichever path runs.
+// Query-engine access paths: set Query.Force to one of these to force
+// a physical plan, or leave it PathAuto (the zero value) to let the
+// cost-based planner choose.  Results are bit-identical whichever path
+// runs.
 const (
 	PathAuto  = engine.PathAuto
 	PathRTree = engine.PathRTree

@@ -2,6 +2,7 @@ package scaleshift_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -43,10 +44,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	costs := scaleshift.UnboundedCosts()
 	costs.ScaleMin = 0.01
 	var stats scaleshift.SearchStats
-	matches, err := ix.Search(q, 1e-6, costs, &stats)
+	res, err := ix.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: costs}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	matches := res.Matches
 	foundWave := false
 	for _, m := range matches {
 		if m.Name == "flat" {
@@ -67,11 +69,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Nearest neighbours.
-	nn, err := ix.NearestNeighbors(q, 3, nil)
+	res, err = ix.Exec(context.Background(), scaleshift.Query{Vec: q, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nn) != 3 || nn[0].Dist > 1e-6 {
+	if nn := res.Matches; len(nn) != 3 || nn[0].Dist > 1e-6 {
 		t.Errorf("nn = %+v", nn)
 	}
 
@@ -80,11 +82,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	for i := range lq {
 		lq[i] = wave[20+i]
 	}
-	long, err := ix.SearchLong(lq, 1e-6, scaleshift.UnboundedCosts(), nil)
+	long, err := ix.Exec(context.Background(), scaleshift.Query{Vec: lq, Eps: 1e-6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(long) == 0 {
+	if len(long.Matches) == 0 {
 		t.Error("long query found nothing")
 	}
 
@@ -104,12 +106,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ix2.Search(q, 1e-6, costs, nil)
+	again, err := ix2.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: costs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != len(matches) {
-		t.Errorf("reloaded index returned %d matches, want %d", len(again), len(matches))
+	if len(again.Matches) != len(matches) {
+		t.Errorf("reloaded index returned %d matches, want %d", len(again.Matches), len(matches))
 	}
 }
 
@@ -148,12 +150,12 @@ func TestPublicAPIVariants(t *testing.T) {
 			for i := range q {
 				q[i] = 2*vals[50+i] + 3
 			}
-			res, err := ix.Search(q, 1e-6, scaleshift.UnboundedCosts(), nil)
+			res, err := ix.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			found := false
-			for _, m := range res {
+			for _, m := range res.Matches {
 				if m.Start == 50 {
 					found = true
 				}
