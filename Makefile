@@ -8,11 +8,14 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
+.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-verify bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
 
-# test already carries the observability gates: the metrics-name lint
-# (internal/obs/lint_test.go) and the 0 allocs/op assertion over the
-# disabled metric, span, and wide-event paths (alloc_test.go).
+# test already carries the allocation gates: the metrics-name lint
+# (internal/obs/lint_test.go), the 0 allocs/op assertion over the
+# disabled metric, span, and wide-event paths (internal/obs/
+# alloc_test.go), and the range executor's allocs/query ceiling, which
+# must not scale with the candidate count (TestExecRangeAllocCeiling in
+# internal/core/exec_bench_test.go).
 check: vet fmt-check build test race examples-smoke soak-smoke
 
 vet:
@@ -106,6 +109,14 @@ bench-cluster:
 		./cmd/ssbench -experiment cluster -scale small -label "$$rev" \
 		-json "results/BENCH_$$rev.json" -enforce && \
 	echo "wrote results/BENCH_$$rev.json"
+
+# The verifier's inner loop: range Exec at a tight and a loose ε over
+# the fixed 200 x 650 fixture of the allocation ceiling test, reporting
+# ns/op, B/op, allocs/op and candidates/op in about ten seconds, with
+# no server to start.  Run it before and after touching the probe,
+# the candidate ordering or the verifier.
+bench-verify:
+	$(GO) test -run '^$$' -bench 'BenchmarkExecRange(Tight|Loose)' -benchmem ./internal/core
 
 # Recovery cost trajectory: cold-restart time vs WAL tail length past
 # the last checkpoint.  -enforce fails the run if recovery replays a

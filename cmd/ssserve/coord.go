@@ -439,12 +439,12 @@ func (s *coordServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 			VerifyNs:       g.Stats.VerifyNs,
 		},
 	}
-	resp.Matches = make([]matchJSON, 0, len(g.Matches))
-	for i, m := range g.Matches {
-		if limit > 0 && i >= limit {
-			resp.Truncated = true
-			break
-		}
+	// limit caps what this response carries; g.Truncated says a shard
+	// already capped what it sent.
+	rows, truncated := cluster.LimitRows(len(g.Matches), limit)
+	resp.Truncated = resp.Truncated || truncated
+	resp.Matches = make([]matchJSON, 0, rows)
+	for _, m := range g.Matches[:rows] {
 		resp.Matches = append(resp.Matches, matchJSON{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.End,
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,

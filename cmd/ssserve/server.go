@@ -592,12 +592,9 @@ type searchResponse struct {
 
 // matchesJSON converts engine matches, applying the per-query limit.
 func matchesJSON(matches []core.Match, qlen, limit int) (out []matchJSON, truncated bool) {
-	out = make([]matchJSON, 0, len(matches))
-	for i, m := range matches {
-		if limit > 0 && i >= limit {
-			truncated = true
-			break
-		}
+	rows, truncated := cluster.LimitRows(len(matches), limit)
+	out = make([]matchJSON, 0, rows)
+	for _, m := range matches[:rows] {
 		out = append(out, matchJSON{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + qlen,
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,

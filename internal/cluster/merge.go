@@ -11,8 +11,8 @@ import (
 // set-union, which is what makes a healthy gather bit-identical to a
 // single-node search over the union store.
 
-// matchLess is the global result order: (Seq, Start), matching the
-// single node's sortMatches, with (Dist, Scale) as a defensive final
+// matchLess is the global result order: (Seq, Start), the order a
+// single node's answers are born in, with (Dist, Scale) as a defensive final
 // tiebreak that never fires on well-formed inputs (a (Seq, Start) pair
 // names one window, which has one optimal (scale, shift)).
 func matchLess(a, b WireMatch) bool {

@@ -106,17 +106,15 @@ func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	rows, truncated := LimitRows(len(res.Matches), limit)
 	resp := SearchWire{
-		TraceID: obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)),
-		Eps:     q.Eps,
-		Total:   len(res.Matches),
-		Matches: make([]WireMatch, 0, len(res.Matches)),
+		TraceID:   obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)),
+		Eps:       q.Eps,
+		Total:     len(res.Matches),
+		Truncated: truncated,
+		Matches:   make([]WireMatch, 0, rows),
 	}
-	for i, m := range res.Matches {
-		if limit > 0 && i >= limit {
-			resp.Truncated = true
-			break
-		}
+	for _, m := range res.Matches[:rows] {
 		resp.Matches = append(resp.Matches, WireMatch{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + len(q.Vec),
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,

@@ -30,8 +30,8 @@ type searchTree interface {
 	Bounds() (geom.Rect, bool)
 	CostHints() rtree.CostHints
 	WriteStats(io.Writer) error
-	LineSearchContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *rtree.SearchStats) ([]rtree.Item, error)
-	SegmentSearchContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *rtree.SearchStats) ([]rtree.Item, error)
+	LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *rtree.SearchStats, ids []int64) ([]int64, error)
+	SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *rtree.SearchStats, ids []int64) ([]int64, error)
 	LineSearchRectsContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *rtree.SearchStats) ([]rtree.RectItem, error)
 	SegmentSearchRectsContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *rtree.SearchStats) ([]rtree.RectItem, error)
 	NearestToLineFunc(l vec.Line, stats *rtree.SearchStats, fn func(rtree.ItemDist) bool)

@@ -51,25 +51,18 @@ func (p *rtreePath) EstimateCost(q engine.Query) engine.Cost {
 	return engine.EstimateTreeCostSampled(h, q.Windows, q.Eps, sampleDists(h, q))
 }
 
-func (p *rtreePath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, emit func(seq, start int)) error {
+func (p *rtreePath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
 	descentCtx, span := obs.StartSpan(ctx, "rtree.descent")
 	nodesBefore, leavesBefore := descentBaseline(ts)
-	var cands []rtree.Item
+	before := len(ids)
 	var err error
 	if q.Segment {
-		cands, err = p.ix.qtree().SegmentSearchContext(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts)
+		ids, err = p.ix.qtree().SegmentSearchIDs(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts, ids)
 	} else {
-		cands, err = p.ix.qtree().LineSearchContext(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts)
+		ids, err = p.ix.qtree().LineSearchIDs(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts, ids)
 	}
-	endDescentSpan(span, ts, nodesBefore, leavesBefore, len(cands), err)
-	if err != nil {
-		return err
-	}
-	for _, cand := range cands {
-		seq, start := store.DecodeWindowID(cand.ID)
-		emit(seq, start)
-	}
-	return nil
+	endDescentSpan(span, ts, nodesBefore, leavesBefore, len(ids)-before, err)
+	return ids, err
 }
 
 // trailPath is the sub-trail MBR variant (ST-index style): leaf
@@ -94,7 +87,7 @@ func (p *trailPath) EstimateCost(q engine.Query) engine.Cost {
 	return engine.EstimateTrailCostSampled(h, q.Windows, p.ix.opts.SubtrailLen, q.Eps, sampleDists(h, q))
 }
 
-func (p *trailPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, emit func(seq, start int)) error {
+func (p *trailPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
 	descentCtx, span := obs.StartSpan(ctx, "rtree.descent")
 	nodesBefore, leavesBefore := descentBaseline(ts)
 	var cands []rtree.RectItem
@@ -106,19 +99,18 @@ func (p *trailPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.Se
 	}
 	endDescentSpan(span, ts, nodesBefore, leavesBefore, len(cands), err)
 	if err != nil {
-		return err
+		return ids, err
 	}
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
-			return err
+			return ids, err
 		}
 		seq, first := store.DecodeWindowID(cand.ID)
-		count := p.ix.trailWindows(seq, first)
-		for i := 0; i < count; i++ {
-			emit(seq, first+i)
+		for i, count := 0, p.ix.trailWindows(seq, first); i < count; i++ {
+			ids = append(ids, store.EncodeWindowID(seq, first+i))
 		}
 	}
-	return nil
+	return ids, nil
 }
 
 // scanPath is experiment set 1 adapted to the engine: every indexed
@@ -137,24 +129,23 @@ func (p *scanPath) EstimateCost(q engine.Query) engine.Cost {
 	return engine.EstimateScanCost(q.Windows)
 }
 
-func (p *scanPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, emit func(seq, start int)) error {
+func (p *scanPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
 	_, span := obs.StartSpan(ctx, "scan")
-	n := 0
+	before := len(ids)
 	seqscan.Addresses(p.ix.st, p.ix.opts.WindowLen, p.ix.indexed, func(seq, start int) bool {
-		if n%scanCheckInterval == 0 && ctx.Err() != nil {
+		if (len(ids)-before)%scanCheckInterval == 0 && ctx.Err() != nil {
 			return false
 		}
-		n++
-		emit(seq, start)
+		ids = append(ids, store.EncodeWindowID(seq, start))
 		return true
 	})
 	err := ctx.Err()
 	if span != nil {
 		span.SetBool("degraded", p.ix.degraded != "")
-		span.SetInt("emitted", int64(n))
+		span.SetInt("emitted", int64(len(ids)-before))
 		spanEndWithError(span, err)
 	}
-	return err
+	return ids, err
 }
 
 // sampleDists measures the tree's maintained feature sample against

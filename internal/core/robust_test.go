@@ -356,18 +356,28 @@ func TestVerifyWorkerPanicRecovered(t *testing.T) {
 	// Poison the verifier: a nil store makes every window fetch panic
 	// with a nil dereference inside the worker.
 	v.sv = (*store.Store)(nil)
-	cands := make([]candidate, 2*verifyParallelThreshold)
-	for i := range cands {
-		cands[i] = candidate{0, i}
+	// Sequence 2, starts 5, 6, ...: every chunk opens on a window of its
+	// own, so the report must name a window of the poisoned chunk, not a
+	// zero value or a sibling's position.
+	const seq, firstStart = 2, 5
+	sc := acquireScratch()
+	defer sc.release()
+	for i := 0; i < 2*verifyParallelThreshold; i++ {
+		sc.ids = append(sc.ids, store.EncodeWindowID(seq, firstStart+i))
 	}
 	var pc store.PageCounter
-	_, _, _, err := verifyCandidates(context.Background(), v, cands, &pc)
+	_, _, _, err := verifyCandidates(context.Background(), v, sc, &pc)
 	var wpe *WorkerPanicError
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want *WorkerPanicError", err)
 	}
-	if wpe.Op != "verification" || wpe.Seq != 0 {
+	if wpe.Op != "verification" || wpe.Seq != seq {
 		t.Fatalf("wrong panic site: %+v", wpe)
+	}
+	// Four workers, contiguous chunks: each panics on its first window.
+	chunk := len(sc.ids) / 4
+	if off := wpe.Start - firstStart; off < 0 || off >= len(sc.ids) || off%chunk != 0 {
+		t.Fatalf("panic reported window (%d, %d), not the head of a chunk of %d", wpe.Seq, wpe.Start, chunk)
 	}
 }
 

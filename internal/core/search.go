@@ -18,9 +18,6 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// candidate addresses one window proposed by the index phase.
-type candidate struct{ seq, start int }
-
 // Post-processing verdicts.
 const (
 	verdictMatch = iota
@@ -51,13 +48,15 @@ type storeView interface {
 
 // verifier carries the query-side quantities shared by every candidate
 // check of one query: the SE image su = T_se(q), its squared norm uu,
-// and the query mean mu feed the prefix-sum fast path of
-// vec.MinDistWithStats; q itself feeds the exact confirmation.  A
-// verifier is read-only after construction and therefore shared by the
-// parallel verification workers.
+// and the query mean mu feed both the prefix-sum fast path of
+// vec.MinDistWithStats and the exact confirmation of
+// vec.MinDistPrepared, so a candidate never pays for the query's own
+// reductions.  A verifier is read-only after construction and therefore
+// shared by the parallel verification workers.
 type verifier struct {
 	sv     storeView
-	q, su  vec.Vector
+	n      int // window length, len(q)
+	su     vec.Vector
 	mu, uu float64
 	eps    float64
 	costs  CostBounds
@@ -65,7 +64,7 @@ type verifier struct {
 
 func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *verifier {
 	su := vec.SETransform(q)
-	return &verifier{sv: sv, q: q, su: su, mu: vec.Mean(q), uu: vec.NormSq(su), eps: eps, costs: costs}
+	return &verifier{sv: sv, n: len(q), su: su, mu: vec.Mean(q), uu: vec.NormSq(su), eps: eps, costs: costs}
 }
 
 // verify runs the exact post-processing check on one candidate window.
@@ -73,10 +72,10 @@ func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *ver
 // prefix-sum fast path rejects candidates whose distance provably
 // exceeds eps after one cross-term pass, and only survivors — true
 // matches and candidates within the fast path's error bound of the
-// boundary — pay for the exact MinDist, whose values are reported so
-// results are bit-identical to the all-exact path.
+// boundary — pay for the exact distance, whose values (bit-identical to
+// vec.MinDist's) are reported so results equal the all-exact path's.
 func (v *verifier) verify(seq, start int, pc *store.PageCounter) (Match, int, error) {
-	n := len(v.q)
+	n := v.n
 	w, err := v.sv.WindowView(seq, start, n, pc)
 	if err != nil {
 		return Match{}, 0, err
@@ -89,7 +88,7 @@ func (v *verifier) verify(seq, start int, pc *store.PageCounter) (Match, int, er
 	if fast.Dist*fast.Dist > v.eps*v.eps+slack {
 		return Match{}, verdictFalseAlarm, nil
 	}
-	m := vec.MinDist(v.q, w)
+	m := vec.MinDistPrepared(v.su, v.mu, v.uu, w)
 	if m.Dist > v.eps {
 		return Match{}, verdictFalseAlarm, nil
 	}
@@ -110,115 +109,124 @@ func (v *verifier) verify(seq, start int, pc *store.PageCounter) (Match, int, er
 // per-query verification fan-out is not worth the goroutine handoff.
 const verifyParallelThreshold = 32
 
-// verifyCandidates post-processes the candidate list, returning the
-// matches in candidate order plus the false-alarm and cost-rejection
-// counts.  When the query yields enough candidates, pc is not attached
-// to a buffer pool, and GOMAXPROCS allows, verification fans out
-// across a bounded worker pool: workers fill disjoint slots of a
-// verdict array and keep private page counters that are merged into pc
-// afterwards, so results, ordering, and every SearchStats field are
-// identical to the sequential pass.  Both the sequential loop and the
-// workers poll ctx every verifyCheckInterval candidates; a worker
-// panic (a poisoned window) is recovered into a *WorkerPanicError
-// rather than crashing the process.
-func verifyCandidates(ctx context.Context, v *verifier, cands []candidate, pc *store.PageCounter) ([]Match, int, int, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if len(cands) < verifyParallelThreshold || workers < 2 || pc.Pool != nil {
-		var out []Match
-		var falseAlarms, costRejected int
-		for i, c := range cands {
-			if i%verifyCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, 0, err
-				}
+// verifyWorker is the verification of one contiguous chunk of the
+// ordered candidate ids: its matches in id order, its verdict counts,
+// and — on the parallel pass — its private page counter and failure.
+type verifyWorker struct {
+	out                       []Match
+	falseAlarms, costRejected int
+	seq, start                int // the window in hand, for a panic report
+	pc                        store.PageCounter
+	err                       error
+	// Workers sit side by side in one slice and write their own fields
+	// on every window; the pad keeps neighbours off each other's cache
+	// line.
+	_ [64]byte
+}
+
+// run verifies ids in order, charging pages to pc and polling ctx every
+// verifyCheckInterval candidates.
+func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *store.PageCounter) error {
+	out := w.out[:0]
+	for i, id := range ids {
+		if i%verifyCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			m, verdict, err := v.verify(c.seq, c.start, pc)
-			if err != nil {
+		}
+		w.seq, w.start = store.DecodeWindowID(id)
+		m, verdict, err := v.verify(w.seq, w.start, pc)
+		if err != nil {
+			return err
+		}
+		switch verdict {
+		case verdictFalseAlarm:
+			w.falseAlarms++
+		case verdictCostRejected:
+			w.costRejected++
+		default:
+			out = append(out, m)
+		}
+	}
+	w.out = out
+	return nil
+}
+
+// verifyCandidates post-processes the ordered candidate ids in sc,
+// returning the matches in id order — (Seq, Start) order, the order of
+// the answer — plus the false-alarm and cost-rejection counts.  The ids
+// are cut into contiguous chunks, one per worker; each worker appends
+// its matches to its own scratch buffer and counts its own verdicts,
+// and the answer is the chunk-order concatenation into one exactly
+// sized slice (nil when empty).  When the query yields enough
+// candidates, pc is not attached to a buffer pool, and GOMAXPROCS
+// allows, the chunks run concurrently with private page counters that
+// are merged into pc afterwards; otherwise there is one chunk, run on
+// the caller's goroutine against pc itself.  Either way results,
+// ordering, and every SearchStats field are identical.  Every chunk
+// polls ctx every verifyCheckInterval candidates; a panic on a worker
+// goroutine (a poisoned window) is recovered into a *WorkerPanicError
+// rather than crashing the process.
+func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *store.PageCounter) ([]Match, int, int, error) {
+	ids := sc.ids
+	workers := runtime.GOMAXPROCS(0)
+	if len(ids) < verifyParallelThreshold || pc.Pool != nil {
+		workers = 1
+	}
+	if workers > len(ids) {
+		workers = len(ids)
+	}
+	ws := sc.verifyWorkers(workers)
+	if workers == 1 {
+		if err := ws[0].run(ctx, v, ids, pc); err != nil {
+			return nil, 0, 0, err
+		}
+	} else if workers > 1 {
+		chunk := (len(ids) + workers - 1) / workers
+		var wg sync.WaitGroup
+		for g := range ws {
+			lo := g * chunk
+			hi := min(lo+chunk, len(ids))
+			if lo >= hi {
+				break
+			}
+			wg.Add(1)
+			go func(w *verifyWorker, ids []int64) {
+				defer wg.Done()
+				defer recoverWorkerPanic("verification", &w.seq, &w.start, &w.err)
+				w.err = w.run(ctx, v, ids, &w.pc)
+			}(&ws[g], ids[lo:hi])
+		}
+		wg.Wait()
+		// A real failure (panic, I/O) outranks a context error seen by a
+		// sibling worker.
+		var ctxErr error
+		for g := range ws {
+			if err := ws[g].err; err != nil {
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					ctxErr = err
+					continue
+				}
 				return nil, 0, 0, err
 			}
-			switch verdict {
-			case verdictFalseAlarm:
-				falseAlarms++
-			case verdictCostRejected:
-				costRejected++
-			default:
-				out = append(out, m)
-			}
+			pc.Merge(&ws[g].pc)
 		}
-		return out, falseAlarms, costRejected, nil
-	}
-
-	type outcome struct {
-		m       Match
-		verdict int
-	}
-	outs := make([]outcome, len(cands))
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	pcs := make([]store.PageCounter, workers)
-	errs := make([]error, workers)
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
+		if ctxErr != nil {
+			return nil, 0, 0, ctxErr
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			curSeq, curStart := -1, -1
-			defer recoverWorkerPanic("verification", &curSeq, &curStart, &errs[g])
-			for i := lo; i < hi; i++ {
-				if (i-lo)%verifyCheckInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-				curSeq, curStart = cands[i].seq, cands[i].start
-				m, verdict, err := v.verify(cands[i].seq, cands[i].start, &pcs[g])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				outs[i] = outcome{m, verdict}
-			}
-		}(g, lo, hi)
 	}
-	wg.Wait()
-	// A real failure (panic, I/O) outranks a context error seen by a
-	// sibling worker.
-	var ctxErr error
-	for g := range errs {
-		if errs[g] != nil {
-			if errors.Is(errs[g], context.Canceled) || errors.Is(errs[g], context.DeadlineExceeded) {
-				ctxErr = errs[g]
-				continue
-			}
-			return nil, 0, 0, errs[g]
-		}
-		pc.Merge(&pcs[g])
+	var total, falseAlarms, costRejected int
+	for g := range ws {
+		total += len(ws[g].out)
+		falseAlarms += ws[g].falseAlarms
+		costRejected += ws[g].costRejected
 	}
-	if ctxErr != nil {
-		return nil, 0, 0, ctxErr
+	if total == 0 {
+		return nil, falseAlarms, costRejected, nil
 	}
-	var out []Match
-	var falseAlarms, costRejected int
-	for i := range outs {
-		switch outs[i].verdict {
-		case verdictFalseAlarm:
-			falseAlarms++
-		case verdictCostRejected:
-			costRejected++
-		default:
-			out = append(out, outs[i].m)
-		}
+	out := make([]Match, 0, total)
+	for g := range ws {
+		out = append(out, ws[g].out...)
 	}
 	return out, falseAlarms, costRejected, nil
 }
@@ -319,10 +327,10 @@ type pinnedView interface {
 	// query this index cannot serve.
 	unsupported(k int, force engine.PathKind) error
 	// probe plans and runs the index phase for one window-length
-	// piece: every window within eps of the piece's SE-line reaches
-	// emit (a superset is fine, the verifier is exact), and the probes
-	// issued are counted into tally.
-	probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error)
+	// piece: the id of every window within eps of the piece's SE-line is
+	// appended to sc.ids (a superset is fine, the verifier is exact), and
+	// the probes issued are counted into sc's tally.
+	probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error)
 	// nearest streams windows to visit as runs [first, first+count) of
 	// one sequence sharing the lower bound lb on their true distance
 	// to q.  Within one ordered stream lb never decreases, and visit
@@ -356,15 +364,15 @@ func (ix *Index) unsupported(k int, _ engine.PathKind) error {
 }
 
 // probe plans and runs the index phase for one piece: the planner
-// picks an access path (or honors force), the path emits its candidate
-// windows into emit, and the decision, estimates, degraded-mode flag,
-// and stage timings land in the returned Explain.  Under a traced
-// context (obs.Tracer.StartTrace) the two stages open "plan" and
-// "probe" spans — with the chosen path, emitted-candidate, and
-// node-read attrs — and the paths themselves open descent spans as
+// picks an access path (or honors force), the path appends its
+// candidate windows to sc.ids, and the decision, estimates,
+// degraded-mode flag, and stage timings land in the returned Explain.
+// Under a traced context (obs.Tracer.StartTrace) the two stages open
+// "plan" and "probe" spans — with the chosen path, emitted-candidate,
+// and node-read attrs — and the paths themselves open descent spans as
 // children of "probe"; an untraced context skips all of it without
 // allocating.
-func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error) {
+func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
 	line := seLineFor(ix.fmap, piece)
 	planStart := time.Now()
 	_, planSpan := obs.StartSpan(ctx, "plan")
@@ -384,29 +392,27 @@ func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs
 
 	probeStart := time.Now()
 	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
-	emitted := 0
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
 		if ex.Degraded {
 			probeSpan.SetBool("degraded", true)
 		}
-		inner := emit
-		emit = func(seq, start int) { emitted++; inner(seq, start) }
 	}
-	nodesBefore := tally.tree.NodeAccesses
-	if err := path.Candidates(probeCtx, eq, &tally.tree, emit); err != nil {
+	idsBefore, nodesBefore := len(sc.ids), sc.tree.NodeAccesses
+	sc.ids, err = path.Candidates(probeCtx, eq, &sc.tree, sc.ids)
+	if err != nil {
 		spanEndWithError(probeSpan, err)
 		return ex, fmt.Errorf("core: %s probe: %w", ex.Chosen, err)
 	}
 	if probeSpan != nil {
-		probeSpan.SetInt("candidates", int64(emitted))
-		probeSpan.SetInt("node_reads", int64(tally.tree.NodeAccesses-nodesBefore))
+		probeSpan.SetInt("candidates", int64(len(sc.ids)-idsBefore))
+		probeSpan.SetInt("node_reads", int64(sc.tree.NodeAccesses-nodesBefore))
 		probeSpan.End()
 	}
 	ex.ProbeTime = time.Since(probeStart)
-	tally.paths[ex.Chosen]++
+	sc.paths[ex.Chosen]++
 	if ex.Degraded {
-		tally.degraded++
+		sc.degraded++
 	}
 	return ex, nil
 }
@@ -544,9 +550,9 @@ func validate(pv pinnedView, q Query) error {
 // execRange is the range-query executor, multipiece included (§7,
 // after [2]): the query is cut into k = ⌊len(Q)/n⌋ disjoint length-n
 // pieces, each piece is probed with error bound ε/√k, every hit
-// proposes a full-length alignment, and each proposal is verified
-// exactly against the original data.  A plain range query is the
-// one-piece case, its hits already the candidates.
+// proposes a full-length alignment, and each distinct proposal is
+// verified exactly against the original data.  A plain range query is
+// the one-piece case, its hits already the candidates.
 //
 // No qualified subsequence is missed: if ‖a·Q + b − V‖ ≤ ε over the
 // full length, then the piecewise residuals satisfy
@@ -571,29 +577,17 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 	// cannot dismiss a true match; the exact post-processing check
 	// below still applies the caller's eps, so the widening only admits
 	// extra candidates.
-	// The candidates sit beside the tally so that everything the probes
-	// write through a pointer is one heap object per query.
-	var ph struct {
-		probeTally
-		cands []candidate
-	}
+	sc := acquireScratch()
+	defer sc.release()
 	var ex *engine.Explain
 	for i := 0; i < pieces; i++ {
-		emit := func(seq, start int) { ph.cands = append(ph.cands, candidate{seq, start}) }
-		if long {
-			// Translate a piece hit back to the query's start, dropping
-			// alignments that overhang the sequence.
-			off := i * n
-			emit = func(seq, start int) {
-				if start < off || start-off+len(q.Vec) > sv.SequenceLen(seq) {
-					return
-				}
-				ph.cands = append(ph.cands, candidate{seq, start - off})
-			}
-		}
-		pieceEx, err := pv.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, &ph.probeTally, emit)
+		first := len(sc.ids)
+		pieceEx, err := pv.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, sc)
 		if err != nil {
 			return Result{Explain: pieceEx}, err
+		}
+		if long {
+			sc.ids = alignPieceHits(sc.ids, first, i*n, len(q.Vec), sv)
 		}
 		if ex == nil {
 			ex = pieceEx
@@ -602,29 +596,26 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 			ex.ProbeTime += pieceEx.ProbeTime
 		}
 	}
-	cands, tally := ph.cands, &ph.probeTally
-	if long {
-		// Several pieces propose the same alignment; sorting to drop the
-		// duplicates also makes the verification order — and with it any
-		// page-access pattern — deterministic.
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].seq != cands[j].seq {
-				return cands[i].seq < cands[j].seq
-			}
-			return cands[i].start < cands[j].start
-		})
-		cands = slices.Compact(cands)
-		ex.Pieces = pieces
-	}
 
 	// Post-processing step: exact check, transform recovery, cost
 	// bounds — prefix-sum filtered and, for large candidate sets,
-	// fanned across a worker pool (see verifyCandidates).
+	// fanned across a worker pool (see verifyCandidates).  The stage
+	// opens by putting the candidates in storage order, once: the
+	// verifier then walks the store sequentially (adjacent windows share
+	// all but one sample and a prefix-sum line), the matches are born in
+	// answer order, and the alignments several pieces of a long query
+	// proposed in common become adjacent duplicates.
 	verifyStart := time.Now()
 	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
+	sc.ids, sc.spare = sortIDs(sc.ids, sc.spare)
+	if long {
+		sc.ids = slices.Compact(sc.ids)
+		ex.Pieces = pieces
+	}
+	cands := len(sc.ids)
 	pc := store.PageCounter{Pool: q.Pool}
 	v := newVerifier(sv, q.Vec, q.Eps, q.Costs)
-	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, cands, &pc)
+	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, sc, &pc)
 	if err != nil {
 		spanEndWithError(verifySpan, err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -632,31 +623,30 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 		}
 		return Result{Explain: ex}, fmt.Errorf("core: post-processing: %w", err)
 	}
-	sortMatches(out)
 	if verifySpan != nil {
-		verifySpan.SetInt("candidates", int64(len(cands)))
+		verifySpan.SetInt("candidates", int64(cands))
 		verifySpan.SetInt("false_alarms", int64(falseAlarms))
 		verifySpan.SetInt("matches", int64(len(out)))
 		verifySpan.End()
 	}
 	ex.VerifyTime = time.Since(verifyStart)
-	ex.ActualCandidates = len(cands)
+	ex.ActualCandidates = cands
 	ex.Matches = len(out)
 
 	*delta = SearchStats{
-		IndexNodeAccesses:  tally.tree.NodeAccesses,
+		IndexNodeAccesses:  sc.tree.NodeAccesses,
 		DataPageAccesses:   pc.Distinct(),
-		Candidates:         len(cands),
+		Candidates:         cands,
 		FalseAlarms:        falseAlarms,
 		CostRejected:       costRejected,
 		Results:            len(out),
-		LeafEntriesChecked: tally.tree.LeafEntriesChecked,
-		Penetration:        tally.tree.Penetration,
+		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
+		Penetration:        sc.tree.Penetration,
 		PlanTime:           ex.PlanTime,
 		ProbeTime:          ex.ProbeTime,
 		VerifyTime:         ex.VerifyTime,
-		PathProbes:         tally.paths,
-		DegradedProbes:     tally.degraded,
+		PathProbes:         sc.paths,
+		DegradedProbes:     sc.degraded,
 	}
 	return Result{Matches: out, Explain: ex}, nil
 }
@@ -714,7 +704,7 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 				return nil
 			}
 		}
-		m := vec.MinDist(q.Vec, w)
+		m := vec.MinDistPrepared(vq.su, vq.mu, vq.uu, w)
 		if !q.Costs.Allow(m.Scale, m.Shift) || (len(best) == k && m.Dist >= best[k-1].Dist) {
 			return nil
 		}
@@ -747,16 +737,6 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 		LeafEntriesChecked: ts.LeafEntriesChecked,
 	}
 	return Result{Matches: best}, nil
-}
-
-// sortMatches orders matches by (Seq, Start) for deterministic output.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Seq != ms[j].Seq {
-			return ms[i].Seq < ms[j].Seq
-		}
-		return ms[i].Start < ms[j].Start
-	})
 }
 
 // execBatch fans queries over one index's Exec; *Index and

@@ -677,7 +677,7 @@ func (m *manifest) unsupported(_ int, force engine.PathKind) error {
 // probeSegment plans and runs the index phase of one frozen segment:
 // a per-segment cost choice between the segment's flat tree and an
 // exact range enumeration, honoring force.
-func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, ts *rtree.SearchStats, emit func(seq, start int)) (engine.SegmentPlan, error) {
+func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, ts *rtree.SearchStats, ids []int64) ([]int64, engine.SegmentPlan, error) {
 	eq.Windows = sg.count
 	hints := sg.flat.CostHints()
 	treeCost := engine.EstimateTreeCostSampled(hints, sg.count, eq.Eps, sampleDists(hints, eq))
@@ -687,45 +687,36 @@ func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq 
 		chosen, cost = engine.PathScan, scanCost
 	}
 	plan := engine.SegmentPlan{Seg: idx, Kind: "frozen", Windows: sg.count, Chosen: chosen, Cost: cost}
+	before := len(ids)
 	if chosen == engine.PathRTree {
-		var items []rtree.Item
 		var err error
 		if eq.Segment {
-			items, err = sg.flat.SegmentSearchContext(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, ts)
+			ids, err = sg.flat.SegmentSearchIDs(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, ts, ids)
 		} else {
-			items, err = sg.flat.LineSearchContext(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, ts)
+			ids, err = sg.flat.LineSearchIDs(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, ts, ids)
 		}
-		if err != nil {
-			return plan, err
-		}
-		for _, it := range items {
-			seq, start := store.DecodeWindowID(it.ID)
-			emit(seq, start)
-		}
-		plan.Candidates = len(items)
-		return plan, nil
+		plan.Candidates = len(ids) - before
+		return ids, plan, err
 	}
-	n := 0
 	for _, r := range sg.ranges {
 		for start := r.Lo; start < r.Hi; start++ {
-			if n%scanCheckInterval == 0 {
+			if (len(ids)-before)%scanCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
-					return plan, err
+					return ids, plan, err
 				}
 			}
-			n++
-			emit(r.Seq, start)
+			ids = append(ids, store.EncodeWindowID(r.Seq, start))
 		}
 	}
-	plan.Candidates = n
-	return plan, nil
+	plan.Candidates = len(ids) - before
+	return ids, plan, nil
 }
 
 // probe fans one piece's index phase across every segment of the
 // manifest: frozen segments go through probeSegment, the delta is
 // emitted wholesale (an exact scan — the verifier filters it).  The
 // returned Explain carries one SegmentPlan per probed segment.
-func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, tally *probeTally, emit func(seq, start int)) (*engine.Explain, error) {
+func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
 	fmap := m.ix.fmap
 	line := seLineFor(fmap, piece)
 	planStart := time.Now()
@@ -741,11 +732,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 
 	probeStart := time.Now()
 	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
-	emitted := 0
-	if probeSpan != nil {
-		inner := emit
-		emit = func(seq, start int) { emitted++; inner(seq, start) }
-	}
+	before := len(sc.ids)
 	fail := func(err error) (*engine.Explain, error) {
 		spanEndWithError(probeSpan, err)
 		ex.ProbeTime = time.Since(probeStart)
@@ -756,13 +743,15 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	}
 	largest := -1
 	for i, sg := range m.frozen {
-		plan, err := m.probeSegment(probeCtx, i, sg, eq, force, &tally.tree, emit)
+		var plan engine.SegmentPlan
+		var err error
+		sc.ids, plan, err = m.probeSegment(probeCtx, i, sg, eq, force, &sc.tree, sc.ids)
 		if err != nil {
 			return fail(err)
 		}
 		ex.Segments = append(ex.Segments, plan)
 		ex.EstCandidates += plan.Cost.Candidates
-		tally.paths[plan.Chosen]++
+		sc.paths[plan.Chosen]++
 		if sg.count > largest {
 			largest = sg.count
 			ex.Chosen = plan.Chosen
@@ -777,7 +766,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 					return fail(err)
 				}
 			}
-			emit(e.seq, e.start)
+			sc.ids = append(sc.ids, store.EncodeWindowID(e.seq, e.start))
 		}
 		dplan := engine.SegmentPlan{
 			Seg:        -1,
@@ -789,11 +778,11 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		}
 		ex.Segments = append(ex.Segments, dplan)
 		ex.EstCandidates += dplan.Cost.Candidates
-		tally.paths[engine.PathScan]++
+		sc.paths[engine.PathScan]++
 	}
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
-		probeSpan.SetInt("candidates", int64(emitted))
+		probeSpan.SetInt("candidates", int64(len(sc.ids)-before))
 		probeSpan.End()
 	}
 	ex.ProbeTime = time.Since(probeStart)

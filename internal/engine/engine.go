@@ -123,14 +123,16 @@ type AccessPath interface {
 	Available() (bool, string)
 	// EstimateCost predicts the work of Candidates for q.
 	EstimateCost(q Query) Cost
-	// Candidates emits every candidate window address for q.  Tree
-	// probes record their page and pruning work in ts.  The emitted
-	// set must be a superset of the true answer set (no false
-	// dismissals); the shared verifier removes all false alarms.
+	// Candidates appends every candidate window address for q to ids,
+	// as the packed id the index leaves store (store.EncodeWindowID),
+	// and returns the extended slice.  Tree probes record their page
+	// and pruning work in ts.  The appended set must be a superset of
+	// the true answer set (no false dismissals), in any order; the
+	// shared verifier orders it and removes all false alarms.
 	// Implementations poll ctx cooperatively and return ctx.Err() on
 	// cancellation; a partial emission followed by a non-nil error is
 	// never treated as an answer set.
-	Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, emit func(seq, start int)) error
+	Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, ids []int64) ([]int64, error)
 }
 
 // Cost is a predicted probe cost in abstract units where 1 unit is one

@@ -22,13 +22,12 @@ type stubPath struct {
 func (p *stubPath) Kind() PathKind            { return p.kind }
 func (p *stubPath) Available() (bool, string) { return p.available, p.reason }
 func (p *stubPath) EstimateCost(q Query) Cost { return p.cost }
-func (p *stubPath) Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, emit func(seq, start int)) error {
+func (p *stubPath) Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return ids, err
 	}
 	p.probes++
-	emit(0, 0)
-	return nil
+	return append(ids, 0), nil
 }
 
 func units(u float64) Cost { return Cost{Candidates: u, Units: u} }

@@ -7,176 +7,42 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// Context-aware search variants.  Each polls ctx at every node visit —
-// the natural cooperative-cancellation grain: a node is one page of
-// work (≤ M entries of O(d) geometry), so cancellation latency is
-// bounded by a single page regardless of tree size.  On cancellation
-// they return the candidates collected so far together with ctx.Err();
-// the plain variants remain unchecked (and allocation-identical) for
-// callers without deadlines.
+// Context-aware search variants — the ones the query engine drives.
+// Each polls ctx at every node visit (see Tree.descend), reports one
+// descent to the obs registry, and on cancellation returns the
+// candidates collected so far together with ctx.Err().
 
-// LineSearchContext is LineSearch with cooperative cancellation.
-func (t *Tree) LineSearchContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]Item, error) {
+// LineSearchIDs is LineSearch with cooperative cancellation, appending
+// only the ID of every hit to ids.
+func (t *Tree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
+	return t.searchIDs(ctx, &lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
+}
+
+// SegmentSearchIDs is LineSearchIDs restricted to the parameter range
+// [tMin, tMax].
+func (t *Tree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
+	return t.searchIDs(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
+}
+
+func (t *Tree) searchIDs(ctx context.Context, q *lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
 	nb, lb := descentBefore(stats)
-	var out []Item
-	err := t.lineSearchCtx(ctx, t.root, l, eps, strategy, &out, stats)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (t *Tree) lineSearchCtx(ctx context.Context, n *node, l vec.Line, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if vec.PLDFast(e.item.Point, l) <= eps {
-				*out = append(*out, e.item)
-			}
-		}
-		return nil
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-			if err := t.lineSearchCtx(ctx, e.child, l, eps, strategy, out, stats); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SegmentSearchContext is SegmentSearch with cooperative cancellation.
-func (t *Tree) SegmentSearchContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]Item, error) {
-	nb, lb := descentBefore(stats)
-	var out []Item
-	err := t.segmentSearchCtx(ctx, t.root, l, tMin, tMax, eps, strategy, &out, stats)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (t *Tree) segmentSearchCtx(ctx context.Context, n *node, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if vec.PSegDFast(e.item.Point, l, tMin, tMax) <= eps {
-				*out = append(*out, e.item)
-			}
-		}
-		return nil
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-			if err := t.segmentSearchCtx(ctx, e.child, l, tMin, tMax, eps, strategy, out, stats); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	defer recordDescent(stats, nb, lb)
+	err := t.descend(ctx, t.root, q, stats, func(e *entry) { ids = append(ids, e.item.ID) })
+	return ids, err
 }
 
 // LineSearchRectsContext is LineSearchRects with cooperative
 // cancellation.
 func (t *Tree) LineSearchRectsContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
-	var out []RectItem
-	err := t.lineSearchRectsCtx(ctx, t.root, l, eps, strategy, &out, stats)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (t *Tree) lineSearchRectsCtx(ctx context.Context, n *node, l vec.Line, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-				*out = append(*out, RectItem{Rect: e.rect, ID: e.item.ID})
-			}
-		}
-		return nil
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-			if err := t.lineSearchRectsCtx(ctx, e.child, l, eps, strategy, out, stats); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	defer recordDescent(stats, nb, lb)
+	return t.searchRects(ctx, &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // SegmentSearchRectsContext is SegmentSearchRects with cooperative
 // cancellation.
 func (t *Tree) SegmentSearchRectsContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
-	var out []RectItem
-	err := t.segmentSearchRectsCtx(ctx, t.root, l, tMin, tMax, eps, strategy, &out, stats)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (t *Tree) segmentSearchRectsCtx(ctx context.Context, n *node, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-				*out = append(*out, RectItem{Rect: e.rect, ID: e.item.ID})
-			}
-		}
-		return nil
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-			if err := t.segmentSearchRectsCtx(ctx, e.child, l, tMin, tMax, eps, strategy, out, stats); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	defer recordDescent(stats, nb, lb)
+	return t.searchRects(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 }

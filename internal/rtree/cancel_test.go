@@ -36,26 +36,32 @@ func TestContextSearchesMatchPlain(t *testing.T) {
 	const eps = 1.2
 
 	plain := tree.LineSearch(line, eps, geom.EnteringExiting, nil)
-	got, err := tree.LineSearchContext(ctx, line, eps, geom.EnteringExiting, nil)
+	// The IDs are appended after whatever the caller's buffer holds.
+	got, err := tree.LineSearchIDs(ctx, line, eps, geom.EnteringExiting, nil, []int64{-7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(plain) {
-		t.Fatalf("line: %d vs %d items", len(got), len(plain))
+	if len(got) != len(plain)+1 || got[0] != -7 {
+		t.Fatalf("line: %d ids after the prefix vs %d items", len(got)-1, len(plain))
 	}
-	for i := range got {
-		if got[i].ID != plain[i].ID {
+	for i, id := range got[1:] {
+		if id != plain[i].ID {
 			t.Fatalf("line item %d differs", i)
 		}
 	}
 
 	plainSeg := tree.SegmentSearch(line, -0.5, 2, eps, geom.EnteringExiting, nil)
-	gotSeg, err := tree.SegmentSearchContext(ctx, line, -0.5, 2, eps, geom.EnteringExiting, nil)
+	gotSeg, err := tree.SegmentSearchIDs(ctx, line, -0.5, 2, eps, geom.EnteringExiting, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gotSeg) != len(plainSeg) {
 		t.Fatalf("segment: %d vs %d items", len(gotSeg), len(plainSeg))
+	}
+	for i, id := range gotSeg {
+		if id != plainSeg[i].ID {
+			t.Fatalf("segment item %d differs", i)
+		}
 	}
 
 	plainR := tree.LineSearchRects(line, eps, geom.EnteringExiting, nil)
@@ -86,13 +92,13 @@ func TestContextSearchesStopWhenCancelled(t *testing.T) {
 	cancel()
 
 	var stats SearchStats
-	if _, err := tree.LineSearchContext(ctx, line, 1.2, geom.EnteringExiting, &stats); !errors.Is(err, context.Canceled) {
+	if _, err := tree.LineSearchIDs(ctx, line, 1.2, geom.EnteringExiting, &stats, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("line err = %v", err)
 	}
 	if stats.NodeAccesses != 0 {
 		t.Errorf("cancelled-before-start search visited %d pages", stats.NodeAccesses)
 	}
-	if _, err := tree.SegmentSearchContext(ctx, line, -1, 1, 1.2, geom.EnteringExiting, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tree.SegmentSearchIDs(ctx, line, -1, 1, 1.2, geom.EnteringExiting, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("segment err = %v", err)
 	}
 	if _, err := tree.LineSearchRectsContext(ctx, line, 1.2, geom.EnteringExiting, nil); !errors.Is(err, context.Canceled) {

@@ -135,403 +135,164 @@ func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchSt
 	}
 }
 
-// LineSearch returns every item whose point lies within eps of the
-// line l — the flat counterpart of Tree.LineSearch.  stats may be nil.
-func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
+// penetrated is the batched Theorem 3 test of the node viewed by pl.
+// The returned verdicts alias sc and are valid until its next use.
+func (q *lineQuery) penetrated(pl geom.NodePlanes, sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
+	if q.segment {
+		return geom.PenetratesEnlargedSegmentBatch(q.strategy, pl, q.eps, q.l, q.tMin, q.tMax, sc, pen)
+	}
+	return geom.PenetratesEnlargedBatch(q.strategy, pl, q.eps, q.l, sc, pen)
+}
+
+// descend visits every node under ni whose ε-enlarged MBR q penetrates,
+// entries in slot order, depth first, polling ctx at every node visit —
+// the natural cancellation grain: a node is one page of work.  Each
+// qualifying leaf entry k of the leaf at entry offset s (planes pl) is
+// handed to hit.  Traversal order, pruning decisions and stats are those
+// of Tree.descend.
+func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.NodePlanes, s, k int)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var pen *geom.CheckStats
+	if stats != nil {
+		stats.NodeAccesses += f.nodePages(ni)
+		pen = &stats.Penetration
+	}
+	s, e := f.nodeEntries(ni)
+	c := e - s
+	lvl := f.nodeLevel(ni)
+	if lvl == 0 {
+		if stats != nil {
+			stats.LeafEntriesChecked += c
+		}
+		if c == 0 {
+			return nil
+		}
+		pl := f.nodePlanes(s, e)
+		if q.rects {
+			for k, in := range q.penetrated(pl, &sc.bs, pen) {
+				if in {
+					hit(pl, s, k)
+				}
+			}
+			return nil
+		}
+		if q.segment {
+			vec.PSegDFastBatch(pl.Data, c, q.l, q.tMin, q.tMax, sc.qpD, sc.qpQp, sc.dist)
+		} else {
+			vec.PLDFastBatch(pl.Data, c, q.l, sc.qpD, sc.qpQp, sc.dist)
+		}
+		for k, d := range sc.dist[:c] {
+			if d <= q.eps {
+				hit(pl, s, k)
+			}
+		}
+		return nil
+	}
+	// The verdicts must survive the recursion below, which reuses sc.bs.
+	verdict := sc.levels[lvl][:c]
+	copy(verdict, q.penetrated(f.nodePlanes(s, e), &sc.bs, pen))
+	for k, in := range verdict {
+		if in {
+			if err := f.descend(ctx, f.child(ni, s+k), q, stats, sc, hit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// searchItems runs q to completion and materializes the hits as Items.
+func (f *FlatTree) searchItems(q *lineQuery, stats *SearchStats) []Item {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
 	var out []Item
-	f.lineSearch(0, l, eps, strategy, &out, stats, sc)
+	// A background context never cancels, so the descent cannot fail.
+	_ = f.descend(context.Background(), 0, q, stats, sc, func(pl geom.NodePlanes, s, k int) {
+		out = append(out, f.leafItem(s+k, pl, k))
+	})
 	return out
 }
 
-func (f *FlatTree) lineSearch(ni int, l vec.Line, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats, sc *flatScratch) {
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return
-		}
-		pl := f.nodePlanes(s, e)
-		vec.PLDFastBatch(pl.Data, c, l, sc.qpD, sc.qpQp, sc.dist)
-		for k := 0; k < c; k++ {
-			if sc.dist[k] <= eps {
-				*out = append(*out, f.leafItem(s+k, pl, k))
-			}
-		}
-		return
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedBatch(strategy, f.nodePlanes(s, e), eps, l, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			f.lineSearch(f.child(ni, s+k), l, eps, strategy, out, stats, sc)
-		}
-	}
-}
-
-// LineSearchRects returns every leaf entry whose ε-enlarged extent is
-// penetrated by l — the flat counterpart of Tree.LineSearchRects.
-func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
+// searchRects runs q and materializes the hits as RectItems.
+func (f *FlatTree) searchRects(ctx context.Context, q *lineQuery, stats *SearchStats) ([]RectItem, error) {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
 	var out []RectItem
-	f.lineSearchRects(0, l, eps, strategy, &out, stats, sc)
-	return out
+	err := f.descend(ctx, 0, q, stats, sc, func(pl geom.NodePlanes, s, k int) {
+		out = append(out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
+	})
+	return out, err
 }
 
-func (f *FlatTree) lineSearchRects(ni int, l vec.Line, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats, sc *flatScratch) {
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return
-		}
-		pl := f.nodePlanes(s, e)
-		verdict := geom.PenetratesEnlargedBatch(strategy, pl, eps, l, &sc.bs, pen)
-		for k := 0; k < c; k++ {
-			if verdict[k] {
-				*out = append(*out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
-			}
-		}
-		return
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedBatch(strategy, f.nodePlanes(s, e), eps, l, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			f.lineSearchRects(f.child(ni, s+k), l, eps, strategy, out, stats, sc)
-		}
-	}
+// searchIDs runs q, appending the ID of every hit to ids and reporting
+// the descent to the obs registry.  Nothing is materialized per hit:
+// the ID is read straight out of the arena's ref column.
+func (f *FlatTree) searchIDs(ctx context.Context, q *lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
+	nb, lb := descentBefore(stats)
+	sc := f.getScratch()
+	err := f.descend(ctx, 0, q, stats, sc, func(_ geom.NodePlanes, s, k int) {
+		ids = append(ids, int64(f.refs[s+k]))
+	})
+	f.putScratch(sc)
+	recordDescent(stats, nb, lb)
+	return ids, err
+}
+
+// LineSearch returns every item whose point lies within eps of the
+// line l — the flat counterpart of Tree.LineSearch.  stats may be nil.
+func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
+	return f.searchItems(&lineQuery{l: l, eps: eps, strategy: strategy}, stats)
 }
 
 // SegmentSearch is LineSearch restricted to the parameter range
 // [tMin, tMax] — the flat counterpart of Tree.SegmentSearch.
 func (f *FlatTree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	var out []Item
-	f.segmentSearch(0, l, tMin, tMax, eps, strategy, &out, stats, sc)
-	return out
+	return f.searchItems(&lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
 }
 
-func (f *FlatTree) segmentSearch(ni int, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats, sc *flatScratch) {
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return
-		}
-		pl := f.nodePlanes(s, e)
-		vec.PSegDFastBatch(pl.Data, c, l, tMin, tMax, sc.qpD, sc.qpQp, sc.dist)
-		for k := 0; k < c; k++ {
-			if sc.dist[k] <= eps {
-				*out = append(*out, f.leafItem(s+k, pl, k))
-			}
-		}
-		return
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedSegmentBatch(strategy, f.nodePlanes(s, e), eps, l, tMin, tMax, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			f.segmentSearch(f.child(ni, s+k), l, tMin, tMax, eps, strategy, out, stats, sc)
-		}
-	}
+// LineSearchIDs appends to ids the ID of every item whose point lies
+// within eps of the line l, with cooperative cancellation — the flat
+// counterpart of Tree.LineSearchIDs and the query engine's probe.
+func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
+	return f.searchIDs(ctx, &lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
+}
+
+// SegmentSearchIDs is LineSearchIDs restricted to the parameter range
+// [tMin, tMax].
+func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
+	return f.searchIDs(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
+}
+
+// LineSearchRects returns every leaf entry whose ε-enlarged extent is
+// penetrated by l — the flat counterpart of Tree.LineSearchRects.
+func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
+	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
+	return out
 }
 
 // SegmentSearchRects is SegmentSearch for rectangle leaf entries —
 // the flat counterpart of Tree.SegmentSearchRects.
 func (f *FlatTree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	var out []RectItem
-	f.segmentSearchRects(0, l, tMin, tMax, eps, strategy, &out, stats, sc)
+	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
-}
-
-func (f *FlatTree) segmentSearchRects(ni int, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats, sc *flatScratch) {
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return
-		}
-		pl := f.nodePlanes(s, e)
-		verdict := geom.PenetratesEnlargedSegmentBatch(strategy, pl, eps, l, tMin, tMax, &sc.bs, pen)
-		for k := 0; k < c; k++ {
-			if verdict[k] {
-				*out = append(*out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
-			}
-		}
-		return
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedSegmentBatch(strategy, f.nodePlanes(s, e), eps, l, tMin, tMax, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			f.segmentSearchRects(f.child(ni, s+k), l, tMin, tMax, eps, strategy, out, stats, sc)
-		}
-	}
-}
-
-// LineSearchContext is LineSearch with cooperative cancellation,
-// polling ctx at every node visit like the pointer tree.
-func (f *FlatTree) LineSearchContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]Item, error) {
-	nb, lb := descentBefore(stats)
-	sc := f.getScratch()
-	var out []Item
-	err := f.lineSearchCtx(ctx, 0, l, eps, strategy, &out, stats, sc)
-	f.putScratch(sc)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (f *FlatTree) lineSearchCtx(ctx context.Context, ni int, l vec.Line, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats, sc *flatScratch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return nil
-		}
-		pl := f.nodePlanes(s, e)
-		vec.PLDFastBatch(pl.Data, c, l, sc.qpD, sc.qpQp, sc.dist)
-		for k := 0; k < c; k++ {
-			if sc.dist[k] <= eps {
-				*out = append(*out, f.leafItem(s+k, pl, k))
-			}
-		}
-		return nil
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedBatch(strategy, f.nodePlanes(s, e), eps, l, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			if err := f.lineSearchCtx(ctx, f.child(ni, s+k), l, eps, strategy, out, stats, sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SegmentSearchContext is SegmentSearch with cooperative cancellation.
-func (f *FlatTree) SegmentSearchContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]Item, error) {
-	nb, lb := descentBefore(stats)
-	sc := f.getScratch()
-	var out []Item
-	err := f.segmentSearchCtx(ctx, 0, l, tMin, tMax, eps, strategy, &out, stats, sc)
-	f.putScratch(sc)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (f *FlatTree) segmentSearchCtx(ctx context.Context, ni int, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats, sc *flatScratch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return nil
-		}
-		pl := f.nodePlanes(s, e)
-		vec.PSegDFastBatch(pl.Data, c, l, tMin, tMax, sc.qpD, sc.qpQp, sc.dist)
-		for k := 0; k < c; k++ {
-			if sc.dist[k] <= eps {
-				*out = append(*out, f.leafItem(s+k, pl, k))
-			}
-		}
-		return nil
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedSegmentBatch(strategy, f.nodePlanes(s, e), eps, l, tMin, tMax, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			if err := f.segmentSearchCtx(ctx, f.child(ni, s+k), l, tMin, tMax, eps, strategy, out, stats, sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // LineSearchRectsContext is LineSearchRects with cooperative
 // cancellation.
 func (f *FlatTree) LineSearchRectsContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
-	sc := f.getScratch()
-	var out []RectItem
-	err := f.lineSearchRectsCtx(ctx, 0, l, eps, strategy, &out, stats, sc)
-	f.putScratch(sc)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (f *FlatTree) lineSearchRectsCtx(ctx context.Context, ni int, l vec.Line, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats, sc *flatScratch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return nil
-		}
-		pl := f.nodePlanes(s, e)
-		verdict := geom.PenetratesEnlargedBatch(strategy, pl, eps, l, &sc.bs, pen)
-		for k := 0; k < c; k++ {
-			if verdict[k] {
-				*out = append(*out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
-			}
-		}
-		return nil
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedBatch(strategy, f.nodePlanes(s, e), eps, l, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			if err := f.lineSearchRectsCtx(ctx, f.child(ni, s+k), l, eps, strategy, out, stats, sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	defer recordDescent(stats, nb, lb)
+	return f.searchRects(ctx, &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // SegmentSearchRectsContext is SegmentSearchRects with cooperative
 // cancellation.
 func (f *FlatTree) SegmentSearchRectsContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
-	sc := f.getScratch()
-	var out []RectItem
-	err := f.segmentSearchRectsCtx(ctx, 0, l, tMin, tMax, eps, strategy, &out, stats, sc)
-	f.putScratch(sc)
-	recordDescent(stats, nb, lb)
-	return out, err
-}
-
-func (f *FlatTree) segmentSearchRectsCtx(ctx context.Context, ni int, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats, sc *flatScratch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return nil
-		}
-		pl := f.nodePlanes(s, e)
-		verdict := geom.PenetratesEnlargedSegmentBatch(strategy, pl, eps, l, tMin, tMax, &sc.bs, pen)
-		for k := 0; k < c; k++ {
-			if verdict[k] {
-				*out = append(*out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
-			}
-		}
-		return nil
-	}
-	verdict := sc.levels[lvl][:c]
-	copy(verdict, geom.PenetratesEnlargedSegmentBatch(strategy, f.nodePlanes(s, e), eps, l, tMin, tMax, &sc.bs, pen))
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			if err := f.segmentSearchRectsCtx(ctx, f.child(ni, s+k), l, tMin, tMax, eps, strategy, out, stats, sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	defer recordDescent(stats, nb, lb)
+	return f.searchRects(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // flatNNEntry is one best-first queue element: a node to expand

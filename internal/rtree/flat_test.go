@@ -64,6 +64,14 @@ func sortItems(items []Item) {
 	}
 }
 
+func itemIDs(items []Item) []int64 {
+	var ids []int64
+	for _, it := range items {
+		ids = append(ids, it.ID)
+	}
+	return ids
+}
+
 func sortRectItems(items []RectItem) {
 	for i := 1; i < len(items); i++ {
 		for j := i; j > 0 && items[j].ID < items[j-1].ID; j-- {
@@ -108,15 +116,28 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 				if ts != fs {
 					t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", ts, fs)
 				}
-				cw, err1 := tr.LineSearchContext(ctx, l, eps, strat, nil)
-				cg, err2 := f.LineSearchContext(ctx, l, eps, strat, nil)
+				// The ID-emitting descents the query engine drives: same
+				// hits in the same order as the item searches, same stats,
+				// on both representations.
+				ts, fs = SearchStats{}, SearchStats{}
+				wantIDs, err1 := tr.LineSearchIDs(ctx, l, eps, strat, &ts, nil)
+				gotIDs, err2 := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("context search errors: %v %v", err1, err2)
 				}
-				sortItems(cw)
-				sortItems(cg)
-				if !reflect.DeepEqual(cw, cg) {
-					t.Fatalf("LineSearchContext diverged (q=%d)", q)
+				if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(gotIDs, itemIDs(f.LineSearch(l, eps, strat, nil))) {
+					t.Fatalf("LineSearchIDs diverged (q=%d)", q)
+				}
+				if ts != fs {
+					t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", ts, fs)
+				}
+				wantIDs, err1 = tr.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, nil, nil)
+				gotIDs, err2 = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, nil, nil)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("context search errors: %v %v", err1, err2)
+				}
+				if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(gotIDs, itemIDs(f.SegmentSearch(l, tMin, tMax, eps, strat, nil))) {
+					t.Fatalf("SegmentSearchIDs diverged (q=%d)", q)
 				}
 			} else {
 				var ts, fs SearchStats

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"container/heap"
+	"context"
 
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
@@ -55,41 +56,100 @@ func (t *Tree) rangeSearch(n *node, r geom.Rect, out *[]Item, stats *SearchStats
 	}
 }
 
-// LineSearch returns every item whose point lies within eps of the
-// line l, in the order encountered.  Internal subtrees are pruned by
-// Theorem 3: a child is visited only when its ε-enlarged MBR is
-// penetrated by l under the chosen strategy.  At the leaves the exact
-// point-to-line distance (Lemma 1) decides.  stats may be nil.
-func (t *Tree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	var out []Item
-	t.lineSearch(t.root, l, eps, strategy, &out, stats)
-	return out
+// lineQuery is one line or segment probe: what a descent prunes
+// subtrees and tests leaf entries against.  Both tree representations
+// descend on it, so the line and segment searches — over point or
+// rectangle leaf entries, returning items or IDs — share one loop per
+// representation.
+type lineQuery struct {
+	l vec.Line
+	// segment restricts the line to the parameter range [tMin, tMax].
+	segment    bool
+	tMin, tMax float64
+	eps        float64
+	strategy   geom.Strategy
+	// rects applies the Theorem 3 box test all the way to the leaf
+	// slots (rectangle entries); otherwise leaves hold points and the
+	// exact point-to-line distance (Lemma 1) decides.
+	rects bool
 }
 
-func (t *Tree) lineSearch(n *node, l vec.Line, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats) {
+// descend visits every node under n whose ε-enlarged MBR q penetrates
+// (Theorem 3), entries in slot order, depth first, polling ctx at every
+// node visit — the natural cooperative-cancellation grain: a node is
+// one page of work (≤ M entries of O(d) geometry), so cancellation
+// latency is bounded by a single page regardless of tree size.  Every
+// qualifying leaf entry is handed to hit.  On cancellation the hits so
+// far stand and ctx.Err() is returned.
+func (t *Tree) descend(ctx context.Context, n *node, q *lineQuery, stats *SearchStats, hit func(*entry)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var pen *geom.CheckStats
 	if stats != nil {
 		stats.NodeAccesses += n.pages()
+		pen = &stats.Penetration
 	}
 	if n.isLeaf() {
 		for _, e := range n.entries {
 			if stats != nil {
 				stats.LeafEntriesChecked++
 			}
-			if vec.PLDFast(e.item.Point, l) <= eps {
-				*out = append(*out, e.item)
+			var in bool
+			switch {
+			case q.rects:
+				in = q.penetrates(e.rect, pen)
+			case q.segment:
+				in = vec.PSegDFast(e.item.Point, q.l, q.tMin, q.tMax) <= q.eps
+			default:
+				in = vec.PLDFast(e.item.Point, q.l) <= q.eps
+			}
+			if in {
+				hit(e)
 			}
 		}
-		return
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
+		return nil
 	}
 	for _, e := range n.entries {
-		if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-			t.lineSearch(e.child, l, eps, strategy, out, stats)
+		if q.penetrates(e.rect, pen) {
+			if err := t.descend(ctx, e.child, q, stats, hit); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// penetrates is the Theorem 3 test of one MBR.
+func (q *lineQuery) penetrates(r geom.Rect, pen *geom.CheckStats) bool {
+	if q.segment {
+		return geom.PenetratesEnlargedSegment(q.strategy, r, q.eps, q.l, q.tMin, q.tMax, pen)
+	}
+	return geom.PenetratesEnlarged(q.strategy, r, q.eps, q.l, pen)
+}
+
+// searchItems runs q to completion and collects the hit items.
+func (t *Tree) searchItems(q *lineQuery, stats *SearchStats) []Item {
+	var out []Item
+	// A background context never cancels, so the descent cannot fail.
+	_ = t.descend(context.Background(), t.root, q, stats, func(e *entry) { out = append(out, e.item) })
+	return out
+}
+
+// searchRects runs q and collects the hit entries with their extents.
+func (t *Tree) searchRects(ctx context.Context, q *lineQuery, stats *SearchStats) ([]RectItem, error) {
+	var out []RectItem
+	err := t.descend(ctx, t.root, q, stats, func(e *entry) { out = append(out, RectItem{Rect: e.rect, ID: e.item.ID}) })
+	return out, err
+}
+
+// LineSearch returns every item whose point lies within eps of the
+// line l, in the order encountered.  Internal subtrees are pruned by
+// Theorem 3: a child is visited only when its ε-enlarged MBR is
+// penetrated by l under the chosen strategy.  At the leaves the exact
+// point-to-line distance (Lemma 1) decides.  stats may be nil.
+func (t *Tree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
+	return t.searchItems(&lineQuery{l: l, eps: eps, strategy: strategy}, stats)
 }
 
 // RectItem is a leaf entry together with its extent, as returned by
@@ -108,35 +168,8 @@ type RectItem struct {
 // is missed; the caller's exact post-check removes the extra
 // candidates the L∞ box test admits.  stats may be nil.
 func (t *Tree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	var out []RectItem
-	t.lineSearchRects(t.root, l, eps, strategy, &out, stats)
+	out, _ := t.searchRects(context.Background(), &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
-}
-
-func (t *Tree) lineSearchRects(n *node, l vec.Line, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats) {
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-				*out = append(*out, RectItem{Rect: e.rect, ID: e.item.ID})
-			}
-		}
-		return
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlarged(strategy, e.rect, eps, l, pen) {
-			t.lineSearchRects(e.child, l, eps, strategy, out, stats)
-		}
-	}
 }
 
 // RectItemDist pairs a leaf entry with a lower bound on the distance
@@ -311,68 +344,13 @@ func (t *Tree) All() []Item {
 // [tMin, tMax] of the line: returned items lie within eps of the
 // SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.  Point entries only.
 func (t *Tree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	var out []Item
-	t.segmentSearch(t.root, l, tMin, tMax, eps, strategy, &out, stats)
-	return out
-}
-
-func (t *Tree) segmentSearch(n *node, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]Item, stats *SearchStats) {
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if vec.PSegDFast(e.item.Point, l, tMin, tMax) <= eps {
-				*out = append(*out, e.item)
-			}
-		}
-		return
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-			t.segmentSearch(e.child, l, tMin, tMax, eps, strategy, out, stats)
-		}
-	}
+	return t.searchItems(&lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
 }
 
 // SegmentSearchRects is SegmentSearch for trees with rectangle
 // (sub-trail MBR) leaf entries: the ε-enlarged extent must be
 // penetrated by the segment.
 func (t *Tree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	var out []RectItem
-	t.segmentSearchRects(t.root, l, tMin, tMax, eps, strategy, &out, stats)
+	out, _ := t.searchRects(context.Background(), &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
-}
-
-func (t *Tree) segmentSearchRects(n *node, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, out *[]RectItem, stats *SearchStats) {
-	if stats != nil {
-		stats.NodeAccesses += n.pages()
-	}
-	var pen *geom.CheckStats
-	if stats != nil {
-		pen = &stats.Penetration
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			if stats != nil {
-				stats.LeafEntriesChecked++
-			}
-			if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-				*out = append(*out, RectItem{Rect: e.rect, ID: e.item.ID})
-			}
-		}
-		return
-	}
-	for _, e := range n.entries {
-		if geom.PenetratesEnlargedSegment(strategy, e.rect, eps, l, tMin, tMax, pen) {
-			t.segmentSearchRects(e.child, l, tMin, tMax, eps, strategy, out, stats)
-		}
-	}
 }

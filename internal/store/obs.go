@@ -6,10 +6,11 @@ import (
 	"scaleshift/internal/obs"
 )
 
-// Page-level instrumentation: every PageCounter touch also feeds the
-// obs default registry, giving the /metrics view the same raw-touch
-// and buffer-miss numbers the per-query counters report.  The check is
-// one atomic load when the layer is disabled.
+// Page-level instrumentation: PageCounters feed the obs default
+// registry the same raw-touch and buffer-miss numbers the per-query
+// counters report.  Touches arrive once per query (see PageCounter),
+// so verification workers do not contend on the counter's cache line;
+// the check is one atomic load when the layer is disabled.
 var sm struct {
 	once sync.Once
 
@@ -25,13 +26,20 @@ func initStoreMetrics() {
 		"Page touches that missed the shared LRU buffer pool.")
 }
 
-func recordTouch(miss bool) {
+// recordTouches publishes n raw page touches.
+func recordTouches(n int) {
+	if n == 0 || !obs.Enabled() {
+		return
+	}
+	sm.once.Do(initStoreMetrics)
+	sm.pageTouches.Add(int64(n))
+}
+
+// recordPoolMiss publishes one touch that missed the buffer pool.
+func recordPoolMiss() {
 	if !obs.Enabled() {
 		return
 	}
 	sm.once.Do(initStoreMetrics)
-	sm.pageTouches.Inc()
-	if miss {
-		sm.poolMisses.Inc()
-	}
+	sm.poolMisses.Inc()
 }

@@ -36,30 +36,52 @@ const ValuesPerPage = PageSize / 8
 // most once per query).  When Pool is set, every touch is also played
 // through the shared LRU buffer pool and Misses counts the touches
 // that had to go to disk under that bounded-memory model.
+//
+// The process-wide scaleshift_store_page_touches_total metric is fed
+// once per query, not once per touch: touches accumulate in the counter
+// and are published by Distinct (the query's final read) or Reset, and
+// Merge hands a worker's unpublished touches to the query's counter.
 type PageCounter struct {
 	Raw    int
 	Misses int
 	Pool   *BufferPool
 	seen   map[int]struct{}
+	// last is the page of the previous touch, valid while seen is
+	// non-nil.  Verification walks windows in storage order, so most
+	// touches repeat it and skip the set insert.
+	last int
+	// unpublished counts the touches not yet added to the metric.
+	unpublished int
 }
 
 // Touch records an access to the given page number.
 func (c *PageCounter) Touch(page int) {
 	c.Raw++
-	if c.seen == nil {
-		c.seen = make(map[int]struct{})
-	}
-	c.seen[page] = struct{}{}
-	miss := false
+	c.unpublished++
 	if c.Pool != nil && !c.Pool.Access(page) {
 		c.Misses++
-		miss = true
+		recordPoolMiss()
 	}
-	recordTouch(miss)
+	if c.seen == nil {
+		c.seen = make(map[int]struct{})
+	} else if page == c.last {
+		return
+	}
+	c.seen[page] = struct{}{}
+	c.last = page
 }
 
 // Distinct returns the number of unique pages touched.
-func (c *PageCounter) Distinct() int { return len(c.seen) }
+func (c *PageCounter) Distinct() int {
+	c.publish()
+	return len(c.seen)
+}
+
+// publish adds the touches made since the last call to the metric.
+func (c *PageCounter) publish() {
+	recordTouches(c.unpublished)
+	c.unpublished = 0
+}
 
 // Merge folds o's accesses into c as if c had performed them: raw
 // touches and misses add, distinct pages union.  It combines the
@@ -68,11 +90,14 @@ func (c *PageCounter) Distinct() int { return len(c.seen) }
 func (c *PageCounter) Merge(o *PageCounter) {
 	c.Raw += o.Raw
 	c.Misses += o.Misses
+	c.unpublished += o.unpublished
+	o.unpublished = 0
 	if len(o.seen) == 0 {
 		return
 	}
 	if c.seen == nil {
 		c.seen = make(map[int]struct{}, len(o.seen))
+		c.last = o.last
 	}
 	for p := range o.seen {
 		c.seen[p] = struct{}{}
@@ -83,6 +108,7 @@ func (c *PageCounter) Merge(o *PageCounter) {
 // any) keeps its resident set, modelling a cache that stays warm
 // across queries.
 func (c *PageCounter) Reset() {
+	c.publish()
 	c.Raw = 0
 	c.Misses = 0
 	c.seen = nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scaleshift/internal/obs"
 	"scaleshift/internal/vec"
 )
 
@@ -489,5 +490,68 @@ func TestPageCounterMerge(t *testing.T) {
 	empty.Merge(&a)
 	if empty.Distinct() != 3 || empty.Raw != 5 {
 		t.Errorf("merge into empty: %d distinct, %d raw", empty.Distinct(), empty.Raw)
+	}
+}
+
+// TestPageTouchMetricPublishedPerQuery pins the metric's accounting:
+// touches reach scaleshift_store_page_touches_total once per query —
+// through the final Distinct read, a worker's Merge, or Reset — and
+// none is lost or counted twice on the way.
+func TestPageTouchMetricPublishedPerQuery(t *testing.T) {
+	wasEnabled := obs.Enabled()
+	obs.Enable()
+	defer func() {
+		if !wasEnabled {
+			obs.Disable()
+		}
+	}()
+	sm.once.Do(initStoreMetrics)
+	total := func() int64 { return sm.pageTouches.Value() }
+
+	// Two workers walk pages in storage order (long runs of repeats),
+	// the query's counter merges them and reads Distinct once.
+	base := total()
+	var query, w1, w2 PageCounter
+	const n = 1000
+	for i := 0; i < n; i++ {
+		w1.Touch(i / 7)
+		w2.Touch(n/7 + i/5)
+	}
+	if got := total() - base; got != 0 {
+		t.Errorf("metric moved by %d before any publish point", got)
+	}
+	query.Merge(&w1)
+	query.Merge(&w2)
+	// w1 covers pages 0..142 and w2 pages 142..341, sharing page 142.
+	if want := 342; query.Raw != 2*n || query.Distinct() != want {
+		t.Errorf("Raw=%d Distinct=%d, want %d and %d", query.Raw, query.Distinct(), 2*n, want)
+	}
+	if got := total() - base; got != 2*n {
+		t.Errorf("metric rose by %d after Merge + Distinct, want exactly %d", got, 2*n)
+	}
+	// A second read, and reads of the drained workers, add nothing.
+	query.Distinct()
+	w1.Distinct()
+	w2.Reset()
+	if got := total() - base; got != 2*n {
+		t.Errorf("metric rose by %d after repeated reads, want %d", got, 2*n)
+	}
+
+	// Reset publishes what no read has yet.
+	base = total()
+	var pc PageCounter
+	pc.Touch(4)
+	pc.Touch(4)
+	pc.Touch(9)
+	pc.Reset()
+	if got := total() - base; got != 3 {
+		t.Errorf("Reset published %d touches, want 3", got)
+	}
+	pc.Touch(4)
+	if pc.Raw != 1 || pc.Distinct() != 1 {
+		t.Errorf("after Reset and one touch: Raw=%d Distinct=%d", pc.Raw, pc.Distinct())
+	}
+	if got := total() - base; got != 4 {
+		t.Errorf("metric at %d after the post-Reset touch, want 4", got)
 	}
 }

@@ -93,6 +93,37 @@ func MinDist(u, v Vector) Match {
 	return Match{Dist: math.Sqrt(math.Max(0, distSq)), Scale: a, Shift: b}
 }
 
+// MinDistPrepared is MinDist(u, v) with the query side hoisted out: su
+// = T_se(u), mu = mean(u) and uu = ‖su‖² are computed once per query
+// (SETransform, Mean, NormSq) and reused for every candidate v, leaving
+// mean(v) and one fused pass over v per call.  Every floating-point
+// operation that involves v happens in MinDist's order on MinDist's
+// operands — SETransform yields exactly the u[i] − mu that MinDist
+// recomputes, and NormSq accumulates uu exactly as MinDist's loop does
+// — so the result is Float64bits-identical to MinDist(u, v).
+func MinDistPrepared(su Vector, mu, uu float64, v Vector) Match {
+	assertSameDim(su, v)
+	mv := Mean(v)
+	var uv, vv float64
+	for i, s := range su {
+		sv := v[i] - mv
+		uv += s * sv
+		vv += sv * sv
+	}
+	if uu == 0 || len(v) == 0 {
+		return Match{
+			Dist:       math.Sqrt(math.Max(0, vv)),
+			Scale:      0,
+			Shift:      mv,
+			Degenerate: true,
+		}
+	}
+	a := uv / uu
+	distSq := vv - uv*uv/uu
+	b := mv - a*mu
+	return Match{Dist: math.Sqrt(math.Max(0, distSq)), Scale: a, Shift: b}
+}
+
 // Similar reports whether u ~ε v per Definition 1, using Theorem 1.
 func Similar(u, v Vector, epsilon float64) bool {
 	return MinDist(u, v).Dist <= epsilon

@@ -436,3 +436,82 @@ func BenchmarkVerifyPrefixSum(b *testing.B) {
 		})
 	}
 }
+
+// preparedVsMinDist reports how MinDistPrepared, fed the query-side
+// quantities exactly as the verifier prepares them, differs from
+// MinDist(u, v); "" means bit-identical.
+func preparedVsMinDist(u, v Vector) string {
+	su := SETransform(u)
+	got := MinDistPrepared(su, Mean(u), NormSq(su), v)
+	want := MinDist(u, v)
+	if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) ||
+		math.Float64bits(got.Scale) != math.Float64bits(want.Scale) ||
+		math.Float64bits(got.Shift) != math.Float64bits(want.Shift) ||
+		got.Degenerate != want.Degenerate {
+		return fmt.Sprintf("MinDistPrepared = %+v, MinDist = %+v", got, want)
+	}
+	return ""
+}
+
+// TestMinDistPreparedBitIdentical pins the exact kernel of candidate
+// verification to the definition the scan and the oracle use: hoisting
+// the query's reductions must not move one bit of (Dist, Scale, Shift).
+func TestMinDistPreparedBitIdentical(t *testing.T) {
+	denormal := math.SmallestNonzeroFloat64
+	tests := []struct {
+		name string
+		u, v Vector
+	}{
+		{"empty", Vector{}, Vector{}},
+		{"n=1", Vector{3}, Vector{-7}},
+		{"n=1 zeros", Vector{0}, Vector{0}},
+		{"exact scale-shift", Vector{1, 2, 3, 4}, Vector{5, 7, 9, 11}},
+		{"constant u", Vector{4, 4, 4, 4}, Vector{1, -2, 3, 0.5}},
+		{"constant v", Vector{1, -2, 3, 0.5}, Vector{4, 4, 4, 4}},
+		{"both constant", Vector{2, 2, 2}, Vector{-9, -9, -9}},
+		{"huge", Vector{1e150, -3e150, 2e150, 5e149}, Vector{-2e150, 1e150, 4e150, 1e149}},
+		{"huge vs tiny", Vector{1e150, -3e150, 2e150}, Vector{1e-150, 2e-150, -1e-150}},
+		{"tiny", Vector{1e-150, -3e-150, 2e-150, 5e-151}, Vector{-2e-150, 1e-150, 4e-150, 1e-151}},
+		{"denormal", Vector{denormal, 3 * denormal, 0, 2 * denormal}, Vector{5 * denormal, 0, denormal, denormal}},
+		{"denormal u, normal v", Vector{denormal, 0, 2 * denormal}, Vector{1, 2, 4}},
+		{"overflowing norm", Vector{1e200, -1e200, 1e200}, Vector{1e200, 1e200, -1e200}},
+		{"cancelling mean", Vector{1e16, 1, -1e16, 1}, Vector{1, 1e16, 1, -1e16}},
+		{"near-constant u", Vector{1, 1 + 0x1p-52, 1, 1 - 0x1p-53}, Vector{0.3, 0.1, 0.2, 0.7}},
+	}
+	for _, tc := range tests {
+		if diff := preparedVsMinDist(tc.u, tc.v); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+	}
+
+	// Random vectors over a wide range of lengths and magnitudes, with
+	// constant u or v mixed in.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(200)
+		scale := math.Pow(10, float64(r.Intn(301)-150))
+		u, v := make(Vector, n), make(Vector, n)
+		for i := range u {
+			u[i] = r.NormFloat64() * scale
+			v[i] = r.NormFloat64()*scale + float64(r.Intn(3))*scale
+		}
+		switch r.Intn(8) {
+		case 0:
+			for i := range u {
+				u[i] = u[0]
+			}
+		case 1:
+			for i := range v {
+				v[i] = v[0]
+			}
+		}
+		if diff := preparedVsMinDist(u, v); diff != "" {
+			t.Logf("seed %d, n %d, scale %g: %s", seed, n, scale, diff)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
