@@ -14,7 +14,8 @@ LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
 # disabled metric, span, and wide-event paths (internal/obs/
 # alloc_test.go), and the range executor's allocs/query ceiling, which
-# must not scale with the candidate count (TestExecRangeAllocCeiling in
+# must scale neither with the candidate count nor with a segmented
+# index's delta (TestExecRangeAllocCeiling in
 # internal/core/exec_bench_test.go).
 check: vet fmt-check build test race examples-smoke soak-smoke
 
@@ -111,12 +112,15 @@ bench-cluster:
 	echo "wrote results/BENCH_$$rev.json"
 
 # The verifier's inner loop: range Exec at a tight and a loose ε over
-# the fixed 200 x 650 fixture of the allocation ceiling test, reporting
-# ns/op, B/op, allocs/op and candidates/op in about ten seconds, with
-# no server to start.  Run it before and after touching the probe,
-# the candidate ordering or the verifier.
+# the fixed 200 x 650 fixture of the allocation ceiling test — frozen,
+# and again as an append-mode server holds it (three frozen segments
+# and a 4 000-window delta of boundary-straddling windows), there with
+# a 10-NN query too — reporting ns/op, B/op, allocs/op and
+# candidates/op in about twenty seconds, with no server to start.  Run
+# it before and after touching the probe, the delta, the candidate
+# ordering or the verifier.
 bench-verify:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecRange(Tight|Loose)' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkExec(Range|KNN)' -benchmem ./internal/core
 
 # Recovery cost trajectory: cold-restart time vs WAL tail length past
 # the last checkpoint.  -enforce fails the run if recovery replays a

@@ -15,8 +15,11 @@ import (
 // ssserve serves it (paper options, bulk-loaded, frozen), ten disguised
 // windows, and two error bounds — tight (a handful of candidates: probe
 // and fixed costs) and loose (over 20 000 candidates per query:
-// ordering and verification).  `make bench-verify` runs the two
-// benchmarks; TestExecRangeAllocCeiling pins the allocation count.
+// ordering and verification) — and the same store served the way an
+// append-mode ssserve holds it mid-stream: three frozen segments and a
+// delta of some 4 000 windows, every one straddling its sequence's
+// packed/tail boundary.  `make bench-verify` runs the benchmarks;
+// TestExecRangeAllocCeiling pins the allocation count.
 const (
 	execFixtureTightFrac = 0.001
 	execFixtureLooseFrac = 0.04
@@ -62,60 +65,189 @@ func execRangeFixture(tb testing.TB) (*Index, []query.Query, float64) {
 	return f.ix, f.queries, f.scale
 }
 
-func benchmarkExecRange(b *testing.B, frac float64) {
-	ix, queries, scale := execRangeFixture(b)
+// segmentedExecFixture is the append-mode shape of the fixture: the
+// 200 × 650 store behind a SegmentedIndex that then takes 16-value
+// appends round-robin over the sequences, as the ingest workload sends
+// them.  Two rounds are compacted into a frozen segment each (merging
+// off, so three frozen segments stand); later appends stay in the
+// delta.  Every sequence gains fewer than WindowLen values, so every
+// delta window straddles its sequence's packed/tail boundary.
+type segmentedExecFixture struct {
+	g       *SegmentedIndex
+	queries []query.Query
+	scale   float64
+	feed    [][]float64 // per sequence, the values not yet appended
+	next    int         // the sequence the next append goes to
+}
+
+const execFixtureAppendLen = 16
+
+func newSegmentedExecFixture(tb testing.TB, deltaAppends int) *segmentedExecFixture {
+	tb.Helper()
+	const companies, days, extraDays = 200, 650, 96
+	names, vals := stockSeries(tb, companies, days+extraDays)
+	f := &segmentedExecFixture{feed: make([][]float64, companies)}
+	st := store.New()
+	for seq := range names {
+		st.AppendSequence(names[seq], vals[seq][:days])
+		f.feed[seq] = vals[seq][days:]
+	}
+	var err error
+	if f.g, err = NewSegmentedIndex(st, DefaultOptions()); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.g.Close() })
+	f.g.MergeRatio, f.g.MaxFrozen = 0, 0
+	qcfg := query.DefaultConfig()
+	qcfg.N = 10
+	if f.queries, err = query.Generate(st, qcfg); err != nil {
+		tb.Fatal(err)
+	}
+	if f.scale, err = query.SENormScale(st, qcfg.WindowLen, 1000, qcfg.Seed); err != nil {
+		tb.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		f.appendMore(tb, companies)
+		if err := f.g.Compact(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	f.appendMore(tb, deltaAppends)
+	if b := f.g.Backlog(); b.Frozen != 3 || b.DeltaWindows != deltaAppends*execFixtureAppendLen {
+		tb.Fatalf("fixture holds %d frozen segments and %d delta windows", b.Frozen, b.DeltaWindows)
+	}
+	return f
+}
+
+// appendMore sends the next appends of the round-robin.
+func (f *segmentedExecFixture) appendMore(tb testing.TB, appends int) {
+	tb.Helper()
+	for ; appends > 0; appends-- {
+		seq := f.next
+		f.next = (f.next + 1) % len(f.feed)
+		if err := f.g.AppendValues(seq, f.feed[seq][:execFixtureAppendLen]); err != nil {
+			tb.Fatal(err)
+		}
+		f.feed[seq] = f.feed[seq][execFixtureAppendLen:]
+	}
+}
+
+// execFixtureDeltaAppends fills the benchmarks' delta to 4 000 windows,
+// just under the compaction threshold an ingesting server hovers at.
+const execFixtureDeltaAppends = 250
+
+func benchmarkExec(b *testing.B, ix execer, queries []query.Query, q Query) {
 	ctx := context.Background()
 	var stats SearchStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Exec(ctx, Query{Vec: queries[i%len(queries)].Values, Eps: frac * scale}, &stats); err != nil {
+		q.Vec = queries[i%len(queries)].Values
+		if _, err := ix.Exec(ctx, q, &stats); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(stats.Candidates)/float64(b.N), "candidates/op")
 }
 
+func benchmarkExecRange(b *testing.B, frac float64) {
+	ix, queries, scale := execRangeFixture(b)
+	benchmarkExec(b, ix, queries, Query{Eps: frac * scale})
+}
+
+func benchmarkExecRangeSegmentedDelta(b *testing.B, frac float64) {
+	f := newSegmentedExecFixture(b, execFixtureDeltaAppends)
+	benchmarkExec(b, f.g, f.queries, Query{Eps: frac * f.scale})
+}
+
 func BenchmarkExecRangeTight(b *testing.B) { benchmarkExecRange(b, execFixtureTightFrac) }
 func BenchmarkExecRangeLoose(b *testing.B) { benchmarkExecRange(b, execFixtureLooseFrac) }
 
+func BenchmarkExecRangeSegmentedDeltaTight(b *testing.B) {
+	benchmarkExecRangeSegmentedDelta(b, execFixtureTightFrac)
+}
+
+func BenchmarkExecRangeSegmentedDeltaLoose(b *testing.B) {
+	benchmarkExecRangeSegmentedDelta(b, execFixtureLooseFrac)
+}
+
+// BenchmarkExecKNNSegmentedDelta is the 10-nearest query over the same
+// index; candidates/op counts the windows refined.
+func BenchmarkExecKNNSegmentedDelta(b *testing.B) {
+	f := newSegmentedExecFixture(b, execFixtureDeltaAppends)
+	benchmarkExec(b, f.g, f.queries, Query{K: 10})
+}
+
 // TestExecRangeAllocCeiling pins the point of the pooled, id-based
-// pipeline: a range query's allocations do not scale with its candidate
-// count.  What remains per query is the plan and Explain, the
-// verifier's query-side vectors, the page sets, and one exactly sized
-// answer slice.
+// pipeline: a range query's allocations scale neither with its
+// candidate count nor, on a segmented index, with the size of the delta
+// it filters or the number of delta candidates that straddle a
+// packed/tail boundary.  What remains per query is the plan and
+// Explain (one SegmentPlan per segment), the verifier's query-side
+// vectors, the page sets, and one exactly sized answer slice.
 func TestExecRangeAllocCeiling(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random, so pooled buffers are reallocated")
 	}
 	const ceiling = 400
-	ix, queries, scale := execRangeFixture(t)
 	ctx := context.Background()
-	q := queries[0].Values
-	for _, tc := range []struct {
+	// measure returns the allocations and candidates of one query.
+	measure := func(ix execer, q Query) (allocs float64, candidates int) {
+		var stats SearchStats
+		run := func() {
+			if _, err := ix.Exec(ctx, q, &stats); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // grow the pooled buffers to this query's size
+		stats = SearchStats{}
+		allocs = testing.AllocsPerRun(10, run)
+		return allocs, stats.Candidates / 11 // AllocsPerRun adds a warm-up run
+	}
+	cases := []struct {
 		name          string
 		frac          float64
 		minCandidates int
 	}{
 		{"tight", execFixtureTightFrac, 1},
 		{"loose", execFixtureLooseFrac, 20000},
-	} {
-		var stats SearchStats
-		run := func() {
-			if _, err := ix.Exec(ctx, Query{Vec: q, Eps: tc.frac * scale}, &stats); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // grow the pooled buffers to this query's size
-		stats = SearchStats{}
-		allocs := testing.AllocsPerRun(10, run)
-		perQuery := stats.Candidates / 11 // AllocsPerRun adds a warm-up run
-		t.Logf("%s: %d candidates, %.0f allocs/query (GOMAXPROCS %d)", tc.name, perQuery, allocs, runtime.GOMAXPROCS(0))
-		if perQuery < tc.minCandidates {
-			t.Errorf("%s: only %d candidates per query, the fixture needs at least %d", tc.name, perQuery, tc.minCandidates)
+	}
+
+	ix, queries, scale := execRangeFixture(t)
+	for _, tc := range cases {
+		allocs, candidates := measure(ix, Query{Vec: queries[0].Values, Eps: tc.frac * scale})
+		t.Logf("%s: %d candidates, %.0f allocs/query (GOMAXPROCS %d)", tc.name, candidates, allocs, runtime.GOMAXPROCS(0))
+		if candidates < tc.minCandidates {
+			t.Errorf("%s: only %d candidates per query, the fixture needs at least %d", tc.name, candidates, tc.minCandidates)
 		}
 		if allocs > ceiling {
-			t.Errorf("%s: %.0f allocs per query over %d candidates, ceiling %d", tc.name, allocs, perQuery, ceiling)
+			t.Errorf("%s: %.0f allocs per query over %d candidates, ceiling %d", tc.name, allocs, candidates, ceiling)
+		}
+	}
+
+	// The segmented index, at a delta of 2 000 windows and again at 4 000.
+	f := newSegmentedExecFixture(t, execFixtureDeltaAppends/2)
+	var atHalf [2]float64
+	for pass := 0; pass < 2; pass++ {
+		delta := f.g.Backlog().DeltaWindows
+		for i, tc := range cases {
+			q := Query{Vec: f.queries[0].Values, Eps: tc.frac * f.scale}
+			allocs, candidates := measure(f.g, q)
+			t.Logf("segmented %s, %d-window delta: %d candidates, %.0f allocs/query", tc.name, delta, candidates, allocs)
+			if candidates < tc.minCandidates {
+				t.Errorf("segmented %s: only %d candidates per query, the fixture needs at least %d", tc.name, candidates, tc.minCandidates)
+			}
+			if allocs > ceiling {
+				t.Errorf("segmented %s: %.0f allocs per query with a %d-window delta, ceiling %d", tc.name, allocs, delta, ceiling)
+			}
+			if pass == 0 {
+				atHalf[i] = allocs
+			} else if allocs > atHalf[i]+4 {
+				t.Errorf("segmented %s: %.0f allocs per query with a %d-window delta, %.0f at half of it", tc.name, allocs, delta, atHalf[i])
+			}
+		}
+		if pass == 0 {
+			f.appendMore(t, execFixtureDeltaAppends-execFixtureDeltaAppends/2)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (p *rtreePath) Available() (bool, string) {
 
 func (p *rtreePath) EstimateCost(q engine.Query) engine.Cost {
 	h := p.ix.qtree().CostHints()
-	return engine.EstimateTreeCostSampled(h, q.Windows, q.Eps, sampleDists(h, q))
+	return engine.EstimateTreeCostSampled(h, q.Windows, q.Eps, sampleDists(nil, h, q))
 }
 
 func (p *rtreePath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
@@ -84,7 +84,7 @@ func (p *trailPath) Available() (bool, string) {
 
 func (p *trailPath) EstimateCost(q engine.Query) engine.Cost {
 	h := p.ix.qtree().CostHints()
-	return engine.EstimateTrailCostSampled(h, q.Windows, p.ix.opts.SubtrailLen, q.Eps, sampleDists(h, q))
+	return engine.EstimateTrailCostSampled(h, q.Windows, p.ix.opts.SubtrailLen, q.Eps, sampleDists(nil, h, q))
 }
 
 func (p *trailPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
@@ -150,13 +150,14 @@ func (p *scanPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.Sea
 
 // sampleDists measures the tree's maintained feature sample against
 // the query's SE-line (restricted to the scale segment when cost
-// bounds apply), feeding the planner's empirical selectivity estimate.
-func sampleDists(h rtree.CostHints, q engine.Query) []float64 {
+// bounds apply) into dst[:0], feeding the planner's empirical
+// selectivity estimate.
+func sampleDists(dst []float64, h rtree.CostHints, q engine.Query) []float64 {
 	tMin, tMax := math.Inf(-1), math.Inf(1)
 	if q.Segment {
 		tMin, tMax = q.TMin, q.TMax
 	}
-	return engine.SegmentDistances(h.Sample, q.Line, tMin, tMax)
+	return engine.SegmentDistances(dst, h.Sample, q.Line, tMin, tMax)
 }
 
 // newPlanner registers the paths in deterministic preference order

@@ -7,11 +7,13 @@ import (
 	"scaleshift/internal/store"
 )
 
-// queryScratch is the working memory of one range query, acquired once
-// in execRange and threaded through probe and verify: the index-phase
-// tally, the candidate ids from the leaf that proposed them to the
-// verifier, and the verification workers' match buffers.  It is pooled,
-// so a query allocates per answer, not per candidate.
+// queryScratch is the working memory of one query, acquired once by its
+// executor and threaded through the index phase and the verification:
+// the index-phase tally, the candidate ids from the leaf that proposed
+// them to the verifier, the kernel rows a segmented index sweeps its
+// delta with, and the verification workers' match and stitch buffers.
+// It is pooled, so a query allocates per answer, not per candidate and
+// not per delta window.
 type queryScratch struct {
 	probeTally
 	// ids holds the candidates — the windows the index phase proposes —
@@ -22,15 +24,27 @@ type queryScratch struct {
 	// spare is the radix sort's second buffer.
 	spare   []int64
 	workers []verifyWorker
+	// sample receives the planner-sample distances of the frozen segment
+	// being planned.
+	sample []float64
+	// qpD, qpQp and dist are the batched PLD kernel's accumulator and
+	// output rows for one delta block.
+	qpD, qpQp, dist [deltaBlockLen]float64
+	// nnDist and nnHeap hold a k-NN query's lower bound for every delta
+	// window and the heap that orders them.
+	nnDist []float64
+	nnHeap []int32
 }
 
 // Buffers beyond these capacities are dropped on release instead of
 // pooled, so one huge query (a full scan, an ε that matches everything)
 // does not pin its high-water mark in every pooled scratch: 1 MiB of
-// ids per buffer, 3.5 MiB of matches per worker.
+// ids per buffer, 3.5 MiB of matches and a 32 KiB stitch buffer (a
+// window, or a long query of up to 4 096 samples) per worker.
 const (
 	maxPooledIDs     = 1 << 17
 	maxPooledMatches = 1 << 16
+	maxPooledStitch  = 1 << 12
 )
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -44,8 +58,12 @@ func (sc *queryScratch) release() {
 	sc.probeTally = probeTally{}
 	sc.ids = pooled(sc.ids, maxPooledIDs)
 	sc.spare = pooled(sc.spare, maxPooledIDs)
+	sc.sample = pooled(sc.sample, maxPooledIDs)
+	sc.nnDist = pooled(sc.nnDist, maxPooledIDs)
+	sc.nnHeap = pooled(sc.nnHeap, maxPooledIDs)
 	for i := range sc.workers {
-		sc.workers[i] = verifyWorker{out: pooled(sc.workers[i].out, maxPooledMatches)}
+		w := &sc.workers[i]
+		*w = verifyWorker{out: pooled(w.out, maxPooledMatches), stitch: pooled(w.stitch, maxPooledStitch)}
 	}
 	scratchPool.Put(sc)
 }
@@ -58,13 +76,20 @@ func pooled[T any](buf []T, limit int) []T {
 	return buf[:0]
 }
 
-// verifyWorkers returns n workers in their released state: zero but for
-// the match buffers of earlier queries.
-func (sc *queryScratch) verifyWorkers(n int) []verifyWorker {
+// verifyWorkers returns n workers in their released state — zero but
+// for the match and stitch buffers of earlier queries — each with a
+// stitch buffer of at least windowLen samples.
+func (sc *queryScratch) verifyWorkers(n, windowLen int) []verifyWorker {
 	if n > len(sc.workers) {
 		sc.workers = append(sc.workers, make([]verifyWorker, n-len(sc.workers))...)
 	}
-	return sc.workers[:n]
+	ws := sc.workers[:n]
+	for i := range ws {
+		if cap(ws[i].stitch) < windowLen {
+			ws[i].stitch = make([]float64, windowLen)
+		}
+	}
+	return ws
 }
 
 // alignPieceHits rewrites ids[first:], the hits of the long-query piece

@@ -42,7 +42,7 @@ type storeView interface {
 	SequenceName(seq int) string
 	SequenceLen(seq int) int
 	Window(seq, start, n int, dst vec.Vector, pc *store.PageCounter) error
-	WindowView(seq, start, n int, pc *store.PageCounter) (vec.Vector, error)
+	WindowViewInto(seq, start, n int, buf vec.Vector, pc *store.PageCounter) (vec.Vector, error)
 	WindowStats(seq, start, n int) (store.WindowStats, error)
 }
 
@@ -68,15 +68,17 @@ func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *ver
 }
 
 // verify runs the exact post-processing check on one candidate window.
-// The window is read in place (no copy) and charged to pc; the
-// prefix-sum fast path rejects candidates whose distance provably
+// The window is read in place (no copy) and charged to pc — or, when it
+// straddles a grown sequence's packed/tail boundary, stitched into the
+// caller's stitch buffer, which a worker reuses from window to window;
+// the prefix-sum fast path rejects candidates whose distance provably
 // exceeds eps after one cross-term pass, and only survivors — true
 // matches and candidates within the fast path's error bound of the
 // boundary — pay for the exact distance, whose values (bit-identical to
 // vec.MinDist's) are reported so results equal the all-exact path's.
-func (v *verifier) verify(seq, start int, pc *store.PageCounter) (Match, int, error) {
+func (v *verifier) verify(seq, start int, stitch vec.Vector, pc *store.PageCounter) (Match, int, error) {
 	n := v.n
-	w, err := v.sv.WindowView(seq, start, n, pc)
+	w, err := v.sv.WindowViewInto(seq, start, n, stitch, pc)
 	if err != nil {
 		return Match{}, 0, err
 	}
@@ -111,9 +113,11 @@ const verifyParallelThreshold = 32
 
 // verifyWorker is the verification of one contiguous chunk of the
 // ordered candidate ids: its matches in id order, its verdict counts,
-// and — on the parallel pass — its private page counter and failure.
+// the buffer its boundary-straddling windows are stitched into, and —
+// on the parallel pass — its private page counter and failure.
 type verifyWorker struct {
 	out                       []Match
+	stitch                    vec.Vector
 	falseAlarms, costRejected int
 	seq, start                int // the window in hand, for a panic report
 	pc                        store.PageCounter
@@ -135,7 +139,7 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *st
 			}
 		}
 		w.seq, w.start = store.DecodeWindowID(id)
-		m, verdict, err := v.verify(w.seq, w.start, pc)
+		m, verdict, err := v.verify(w.seq, w.start, w.stitch, pc)
 		if err != nil {
 			return err
 		}
@@ -176,7 +180,7 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *st
 	if workers > len(ids) {
 		workers = len(ids)
 	}
-	ws := sc.verifyWorkers(workers)
+	ws := sc.verifyWorkers(workers, v.n)
 	if workers == 1 {
 		if err := ws[0].run(ctx, v, ids, pc); err != nil {
 			return nil, 0, 0, err
@@ -333,10 +337,11 @@ type pinnedView interface {
 	probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error)
 	// nearest streams windows to visit as runs [first, first+count) of
 	// one sequence sharing the lower bound lb on their true distance
-	// to q.  Within one ordered stream lb never decreases, and visit
-	// returning false ends that stream; a view made of several streams
-	// (one per segment) starts the next.
-	nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool)
+	// to q, counting the index work into sc's tally.  Within one ordered
+	// stream lb never decreases, and visit returning false ends that
+	// stream; a view made of several streams (one per segment) starts
+	// the next.
+	nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool)
 }
 
 // probeTally accumulates the index-phase accounting of one query
@@ -421,16 +426,16 @@ func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs
 // distance to q's SE-line, which lower-bounds the true distance of
 // every window behind an entry: a point entry is one window, a
 // sub-trail MBR bounds every window of its trail.
-func (ix *Index) nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool) {
+func (ix *Index) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
 	line := seLineFor(ix.fmap, q)
 	if ix.trailMode() {
-		ix.qtree().NearestRectsToLineFunc(line, ts, func(it rtree.RectItemDist) bool {
+		ix.qtree().NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
 			seq, first := store.DecodeWindowID(it.ID)
 			return visit(it.Dist, seq, first, ix.trailWindows(seq, first))
 		})
 		return
 	}
-	ix.qtree().NearestToLineFunc(line, ts, func(id rtree.ItemDist) bool {
+	ix.qtree().NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
 		seq, start := store.DecodeWindowID(id.Item.ID)
 		return visit(id.Dist, seq, start, 1)
 	})
@@ -673,7 +678,9 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 	slack := pv.numericSlack()
 	vq := newVerifier(sv, q.Vec, 0, q.Costs)
 	pc := store.PageCounter{Pool: q.Pool}
-	var ts rtree.SearchStats
+	sc := acquireScratch()
+	defer sc.release()
+	stitch := sc.verifyWorkers(1, n)[0].stitch
 	var best []Match // sorted ascending by Dist, at most k
 	var candidates int
 	var failed error
@@ -690,7 +697,7 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 				return err
 			}
 		}
-		w, err := sv.WindowView(seq, start, n, &pc)
+		w, err := sv.WindowViewInto(seq, start, n, stitch, &pc)
 		if err != nil {
 			return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
 		}
@@ -716,7 +723,7 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 		best[pos] = Match{Seq: seq, Start: start, Name: sv.SequenceName(seq), Dist: m.Dist, Scale: m.Scale, Shift: m.Shift}
 		return nil
 	}
-	pv.nearest(q.Vec, &ts, func(lb float64, seq, first, count int) bool {
+	pv.nearest(q.Vec, sc, func(lb float64, seq, first, count int) bool {
 		if failed != nil || (len(best) == k && lb > best[k-1].Dist+slack) {
 			return false // this stream cannot improve the top-k
 		}
@@ -730,11 +737,11 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 	}
 
 	*delta = SearchStats{
-		IndexNodeAccesses:  ts.NodeAccesses,
+		IndexNodeAccesses:  sc.tree.NodeAccesses,
 		DataPageAccesses:   pc.Distinct(),
 		Candidates:         candidates,
 		Results:            len(best),
-		LeafEntriesChecked: ts.LeafEntriesChecked,
+		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
 	}
 	return Result{Matches: best}, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"scaleshift/internal/dft"
@@ -14,9 +16,9 @@ import (
 // The segment model behind SegmentedIndex: an ordered set of immutable
 // frozen segments — each a pointer-free flat R*-tree over a contiguous
 // per-sequence window range — plus a small mutable delta absorbing
-// freshly appended windows.  Every manifest generation pins a store
-// snapshot, so queries fan across segments and verify against data
-// that cannot move under them.
+// freshly appended windows (deltaSeg, delta.go).  Every manifest
+// generation pins a store snapshot, so queries fan across segments and
+// verify against data that cannot move under them.
 
 // winRange addresses the windows [Lo, Hi) of sequence Seq covered by a
 // frozen segment.  Coverage is contiguous per sequence: window Lo of a
@@ -35,14 +37,6 @@ type frozenSeg struct {
 	count  int
 }
 
-// deltaEntry is one window absorbed by the mutable delta segment: its
-// address and its feature point (kept so compaction can bulk-load the
-// next frozen segment without re-extracting).
-type deltaEntry struct {
-	seq, start int
-	feat       vec.Vector
-}
-
 // manifest is one immutable generation of the segmented index.  It is
 // published through an RCU cell: readers pin it for the duration of a
 // query, writers publish a fresh one after every mutation, and no
@@ -54,17 +48,18 @@ type manifest struct {
 	gen    int64
 	snap   *store.Snapshot
 	frozen []*frozenSeg
-	delta  []deltaEntry
+	// delta is the view of the mutable segment as of this generation.
+	delta deltaSeg
 	// slack is the numeric slack for index-phase epsilon widening,
-	// derived from the largest feature magnitude ever published (a
-	// monotone overestimate is safe: the exact verifier reapplies the
-	// caller's epsilon).
+	// derived from the largest feature magnitude ever published, the
+	// delta's included (a monotone overestimate is safe: the exact
+	// verifier reapplies the caller's epsilon).
 	slack float64
 }
 
 // windowCount is the manifest's candidate universe size.
 func (m *manifest) windowCount() int {
-	total := len(m.delta)
+	total := m.delta.n
 	for _, sg := range m.frozen {
 		total += sg.count
 	}
@@ -128,41 +123,52 @@ func extractRange(sv storeView, fmap *dft.FeatureMap, opts Options, seq, lo, hi 
 	return nil
 }
 
-// rangesOf derives the contiguous window ranges covered by entries,
-// which must be sorted by (seq, start).
-func rangesOf(entries []deltaEntry) []winRange {
+// rangesOf derives the contiguous window ranges covered by items, which
+// must be sorted by id.
+func rangesOf(items []rtree.Item) []winRange {
 	var out []winRange
-	for _, e := range entries {
-		if k := len(out) - 1; k >= 0 && out[k].Seq == e.seq && out[k].Hi == e.start {
+	for _, it := range items {
+		seq, start := store.DecodeWindowID(it.ID)
+		if k := len(out) - 1; k >= 0 && out[k].Seq == seq && out[k].Hi == start {
 			out[k].Hi++
 			continue
 		}
-		out = append(out, winRange{Seq: e.seq, Lo: e.start, Hi: e.start + 1})
+		out = append(out, winRange{Seq: seq, Lo: start, Hi: start + 1})
 	}
 	return out
 }
 
-// buildSegment bulk-loads one frozen segment from delta entries.  The
-// entries' feature points were extracted under the checkpoint
+// buildSegment bulk-loads one frozen segment from the windows of d,
+// reading the ids and feature planes in place: the points the loader
+// sorts are rows of one transposed buffer, not a heap object per
+// window.  The feature points were extracted under the checkpoint
 // discipline, so the segment indexes exactly the features a
-// from-scratch build would.  Returns nil for an empty entry set.
-func buildSegment(entries []deltaEntry, opts Options, dim int) (*frozenSeg, error) {
-	if len(entries) == 0 {
+// from-scratch build would.  Returns nil for an empty view.
+func buildSegment(d deltaSeg, opts Options) (*frozenSeg, error) {
+	if d.n == 0 {
 		return nil, nil
 	}
-	sorted := append([]deltaEntry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].seq != sorted[j].seq {
-			return sorted[i].seq < sorted[j].seq
-		}
-		return sorted[i].start < sorted[j].start
-	})
-	items := make([]rtree.Item, len(sorted))
-	for i, e := range sorted {
-		items[i] = rtree.Item{Point: e.feat, ID: store.EncodeWindowID(e.seq, e.start)}
+	// Items go to the loader in (seq, start) order, whatever order the
+	// windows arrived in.
+	ids := d.appendIDs(make([]int64, 0, d.n))
+	order := make([]int32, d.n)
+	for i := range order {
+		order[i] = int32(i)
 	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	points := make([]float64, d.n*d.dim)
+	items := make([]rtree.Item, d.n)
+	for i, w := range order {
+		feats, k := d.blocks[w/deltaBlockLen].feats, int(w)%deltaBlockLen
+		p := points[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
+		for j := range p {
+			p[j] = feats[j*deltaBlockLen+k]
+		}
+		items[i] = rtree.Item{Point: p, ID: ids[w]}
+	}
+	ranges := rangesOf(items) // before the loader reorders them
 	cfg := opts.Tree
-	cfg.Dim = dim
+	cfg.Dim = d.dim
 	tree, err := rtree.BulkLoadParallel(cfg, items, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("core: segment bulk load: %w", err)
@@ -171,11 +177,11 @@ func buildSegment(entries []deltaEntry, opts Options, dim int) (*frozenSeg, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: segment freeze: %w", err)
 	}
-	return &frozenSeg{flat: flat, ranges: rangesOf(sorted), count: len(sorted)}, nil
+	return &frozenSeg{flat: flat, ranges: ranges, count: d.n}, nil
 }
 
 // mergeSegments re-extracts every window covered by the given frozen
-// segments and delta entries from snap and bulk-loads them into one
+// segments and the delta view from snap and bulk-loads them into one
 // consolidated segment.  Re-extraction (rather than stitching stored
 // feature points) keeps the merged segment bit-identical to a
 // from-scratch build by construction.
@@ -185,7 +191,7 @@ func buildSegment(entries []deltaEntry, opts Options, dim int) (*frozenSeg, erro
 // sequence their ranges then tile one contiguous span [lo, hi), and
 // only that span is re-extracted — the size-tiered policy depends on a
 // partial merge not paying for the untouched older segments.
-func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, frozen []*frozenSeg, delta []deltaEntry) (*frozenSeg, error) {
+func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, frozen []*frozenSeg, delta deltaSeg) (*frozenSeg, error) {
 	lo := map[int]int{}
 	hi := map[int]int{}
 	cover := func(seq, l, h int) {
@@ -201,23 +207,24 @@ func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, fro
 			cover(r.Seq, r.Lo, r.Hi)
 		}
 	}
-	for _, e := range delta {
-		cover(e.seq, e.start, e.start+1)
+	for _, id := range delta.appendIDs(nil) {
+		seq, start := store.DecodeWindowID(id)
+		cover(seq, start, start+1)
 	}
 	seqs := make([]int, 0, len(hi))
 	for seq := range hi {
 		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
-	var entries []deltaEntry
+	merged := deltaSeg{dim: fmap.Dim()}
 	for _, seq := range seqs {
 		err := extractRange(snap, fmap, opts, seq, lo[seq], hi[seq], func(start int, f vec.Vector) error {
-			entries = append(entries, deltaEntry{seq: seq, start: start, feat: f.Clone()})
+			merged.append(store.EncodeWindowID(seq, start), f)
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: segment merge: %w", err)
 		}
 	}
-	return buildSegment(entries, opts, fmap.Dim())
+	return buildSegment(merged, opts)
 }

@@ -28,6 +28,13 @@ import (
 // compaction.  A background compactor folds the delta into frozen
 // bulk-loaded segments and merges segments when they pile up.
 //
+// The delta is a segment like the others, minus the directory: it
+// keeps each window's feature point (deltaSeg), and a query filters it
+// in feature space with the test a frozen leaf applies — a range query
+// verifies only the delta windows within the slack-widened ε of its
+// SE-line, a k-NN query visits them by increasing lower bound and stops
+// at the first one past its kth best.
+//
 // Results are bit-identical to a from-scratch Index over the same
 // final data: extraction follows the same checkpoint discipline, every
 // segment feeds the same exact verifier, and the verifier reads
@@ -72,7 +79,7 @@ type SegmentedIndex struct {
 	compactMu sync.Mutex
 
 	frozen  []*frozenSeg
-	delta   []deltaEntry
+	delta   deltaSeg
 	sliders map[int]*seqSlider
 	next    []int // per-sequence next window start to extract
 	maxAbs  float64
@@ -174,6 +181,7 @@ func emptySegmented(st *store.Store, opts Options, fmap *dft.FeatureMap, base *I
 		st:               st,
 		fmap:             fmap,
 		base:             base,
+		delta:            deltaSeg{dim: fmap.Dim()},
 		CompactThreshold: 4096,
 		MergeRatio:       2,
 		MaxFrozen:        8,
@@ -344,7 +352,7 @@ func (g *SegmentedIndex) extractLocked(seq int) error {
 }
 
 func (g *SegmentedIndex) absorbLocked(seq, start int, feat vec.Vector) {
-	g.delta = append(g.delta, deltaEntry{seq: seq, start: start, feat: feat.Clone()})
+	g.delta.append(store.EncodeWindowID(seq, start), feat)
 	for _, v := range feat {
 		if a := math.Abs(v); a > g.maxAbs {
 			g.maxAbs = a
@@ -354,7 +362,8 @@ func (g *SegmentedIndex) absorbLocked(seq, start int, feat vec.Vector) {
 }
 
 // manifestLocked assembles the current immutable view: frozen segment
-// list and delta pinned by value, store pinned via Snapshot.
+// list pinned by value, delta pinned by length, store pinned via
+// Snapshot.
 func (g *SegmentedIndex) manifestLocked() *manifest {
 	var slack float64
 	if g.maxAbs > 0 {
@@ -365,7 +374,7 @@ func (g *SegmentedIndex) manifestLocked() *manifest {
 		gen:    g.gen,
 		snap:   g.st.Snapshot(),
 		frozen: append([]*frozenSeg(nil), g.frozen...),
-		delta:  g.delta[:len(g.delta):len(g.delta)],
+		delta:  g.delta.prefix(g.delta.n),
 		slack:  slack,
 	}
 }
@@ -376,7 +385,7 @@ func (g *SegmentedIndex) publishLocked() {
 }
 
 func (g *SegmentedIndex) maybeKickLocked() {
-	if g.compactorOn && g.CompactThreshold > 0 && len(g.delta) >= g.CompactThreshold {
+	if g.compactorOn && g.CompactThreshold > 0 && g.delta.n >= g.CompactThreshold {
 		select {
 		case g.kick <- struct{}{}:
 		default:
@@ -466,13 +475,13 @@ func (g *SegmentedIndex) Compact() error {
 
 	// Phase 1 (brief, locked): decide what to compact and pin it.
 	g.mu.Lock()
-	cut := len(g.delta)
+	cut := g.delta.n
 	k := g.mergeRunLocked(cut)
 	if cut == 0 && k >= len(g.frozen) {
 		g.mu.Unlock()
 		return nil
 	}
-	pinned := g.delta[:cut:cut]
+	pinned := g.delta.prefix(cut)
 	keep := append([]*frozenSeg(nil), g.frozen[:k]...)
 	run := append([]*frozenSeg(nil), g.frozen[k:]...)
 	snap := g.st.Snapshot()
@@ -500,7 +509,7 @@ func (g *SegmentedIndex) Compact() error {
 	if len(run) > 0 {
 		seg, err = mergeSegments(snap, g.fmap, g.opts, run, pinned)
 	} else {
-		seg, err = buildSegment(pinned, g.opts, g.fmap.Dim())
+		seg, err = buildSegment(pinned, g.opts)
 	}
 	if err != nil {
 		return fail(err)
@@ -516,7 +525,7 @@ func (g *SegmentedIndex) Compact() error {
 	start := time.Now()
 	g.mu.Lock()
 	g.frozen = newFrozen
-	g.delta = append([]deltaEntry(nil), g.delta[cut:]...)
+	g.delta = g.delta.suffix(cut)
 	g.publishLocked()
 	g.compactions++
 	g.lastErr = nil
@@ -558,7 +567,7 @@ func (g *SegmentedIndex) Backlog() Backlog {
 	b := Backlog{
 		Generation:   g.gen,
 		Frozen:       len(g.frozen),
-		DeltaWindows: len(g.delta),
+		DeltaWindows: g.delta.n,
 		Compactions:  g.compactions,
 	}
 	for _, sg := range g.frozen {
@@ -676,46 +685,76 @@ func (m *manifest) unsupported(_ int, force engine.PathKind) error {
 
 // probeSegment plans and runs the index phase of one frozen segment:
 // a per-segment cost choice between the segment's flat tree and an
-// exact range enumeration, honoring force.
-func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, ts *rtree.SearchStats, ids []int64) ([]int64, engine.SegmentPlan, error) {
+// exact range enumeration, honoring force.  The candidates land in
+// sc.ids; the returned tree estimate is reported whichever path ran,
+// so the caller can carry the segment's measured selectivity over to
+// the delta.
+func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, sc *queryScratch) (plan engine.SegmentPlan, treeCost engine.Cost, err error) {
 	eq.Windows = sg.count
 	hints := sg.flat.CostHints()
-	treeCost := engine.EstimateTreeCostSampled(hints, sg.count, eq.Eps, sampleDists(hints, eq))
+	sc.sample = sampleDists(sc.sample, hints, eq)
+	treeCost = engine.EstimateTreeCostSampled(hints, sg.count, eq.Eps, sc.sample)
 	scanCost := engine.EstimateScanCost(sg.count)
 	chosen, cost := engine.PathRTree, treeCost
 	if force == engine.PathScan || (force == engine.PathAuto && scanCost.Units < treeCost.Units) {
 		chosen, cost = engine.PathScan, scanCost
 	}
-	plan := engine.SegmentPlan{Seg: idx, Kind: "frozen", Windows: sg.count, Chosen: chosen, Cost: cost}
-	before := len(ids)
+	plan = engine.SegmentPlan{Seg: idx, Kind: "frozen", Windows: sg.count, Chosen: chosen, Cost: cost}
+	before := len(sc.ids)
 	if chosen == engine.PathRTree {
-		var err error
 		if eq.Segment {
-			ids, err = sg.flat.SegmentSearchIDs(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, ts, ids)
+			sc.ids, err = sg.flat.SegmentSearchIDs(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, &sc.tree, sc.ids)
 		} else {
-			ids, err = sg.flat.LineSearchIDs(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, ts, ids)
+			sc.ids, err = sg.flat.LineSearchIDs(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, &sc.tree, sc.ids)
 		}
-		plan.Candidates = len(ids) - before
-		return ids, plan, err
+		plan.Candidates = len(sc.ids) - before
+		return plan, treeCost, err
 	}
 	for _, r := range sg.ranges {
 		for start := r.Lo; start < r.Hi; start++ {
-			if (len(ids)-before)%scanCheckInterval == 0 {
+			if (len(sc.ids)-before)%scanCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
-					return ids, plan, err
+					return plan, treeCost, err
 				}
 			}
-			ids = append(ids, store.EncodeWindowID(r.Seq, start))
+			sc.ids = append(sc.ids, store.EncodeWindowID(r.Seq, start))
 		}
 	}
-	plan.Candidates = len(ids) - before
-	return ids, plan, nil
+	plan.Candidates = len(sc.ids) - before
+	return plan, treeCost, nil
+}
+
+// probeDelta runs the index phase of the delta.  It has no directory
+// to descend, so its probe is the leaf test of the tree path swept over
+// every window (deltaSeg.filter): exact for the reason a frozen leaf is
+// — the features are the ones extraction computed, ε carries the
+// manifest's slack, which spans the delta's features too, and the
+// kernel is the leaf's — and reported as PathRTree.  Only a forced scan
+// emits every window, so that Force: PathScan stays the in-index
+// sequential-scan oracle over all segments.  sel, the selectivity the
+// frozen segments' samples measured for this query (1 when there are
+// none), prices the filter's estimate.
+func (m *manifest) probeDelta(ctx context.Context, eq engine.Query, force engine.PathKind, sel float64, sc *queryScratch) (engine.SegmentPlan, error) {
+	d := m.delta
+	plan := engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: d.n}
+	before := len(sc.ids)
+	var err error
+	if force == engine.PathScan {
+		plan.Chosen, plan.Cost = engine.PathScan, engine.EstimateScanCost(d.n)
+		sc.ids = d.appendIDs(sc.ids)
+	} else {
+		est := sel * float64(d.n)
+		plan.Chosen, plan.Cost = engine.PathRTree, engine.Cost{Candidates: est, Units: est}
+		err = d.filter(ctx, eq, sc)
+	}
+	plan.Candidates = len(sc.ids) - before
+	return plan, err
 }
 
 // probe fans one piece's index phase across every segment of the
-// manifest: frozen segments go through probeSegment, the delta is
-// emitted wholesale (an exact scan — the verifier filters it).  The
-// returned Explain carries one SegmentPlan per probed segment.
+// manifest: frozen segments go through probeSegment, the delta through
+// probeDelta.  The returned Explain carries one SegmentPlan per probed
+// segment.
 func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
 	fmap := m.ix.fmap
 	line := seLineFor(fmap, piece)
@@ -725,7 +764,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	ex := &engine.Explain{Chosen: engine.PathScan, Forced: force != engine.PathAuto}
 	if planSpan != nil {
 		planSpan.SetInt("segments", int64(len(m.frozen)))
-		planSpan.SetInt("delta_windows", int64(len(m.delta)))
+		planSpan.SetInt("delta_windows", int64(m.delta.n))
 		planSpan.End()
 	}
 	ex.PlanTime = time.Since(planStart)
@@ -741,44 +780,36 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		}
 		return ex, fmt.Errorf("core: segmented probe: %w", err)
 	}
-	largest := -1
-	for i, sg := range m.frozen {
-		var plan engine.SegmentPlan
-		var err error
-		sc.ids, plan, err = m.probeSegment(probeCtx, i, sg, eq, force, &sc.tree, sc.ids)
-		if err != nil {
-			return fail(err)
-		}
+	record := func(plan engine.SegmentPlan) {
 		ex.Segments = append(ex.Segments, plan)
 		ex.EstCandidates += plan.Cost.Candidates
 		sc.paths[plan.Chosen]++
+	}
+	largest := -1
+	var sampled, frozenWindows float64
+	for i, sg := range m.frozen {
+		plan, treeCost, err := m.probeSegment(probeCtx, i, sg, eq, force, sc)
+		if err != nil {
+			return fail(err)
+		}
+		record(plan)
+		sampled += treeCost.Candidates
+		frozenWindows += float64(sg.count)
 		if sg.count > largest {
 			largest = sg.count
 			ex.Chosen = plan.Chosen
 		}
 	}
-	if len(m.delta) > 0 {
-		// The delta always scans, whatever force says: skipping it
-		// would silently drop the freshest windows from the answer.
-		for i, e := range m.delta {
-			if i%scanCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return fail(err)
-				}
-			}
-			sc.ids = append(sc.ids, store.EncodeWindowID(e.seq, e.start))
+	if m.delta.n > 0 {
+		sel := 1.0
+		if frozenWindows > 0 {
+			sel = sampled / frozenWindows
 		}
-		dplan := engine.SegmentPlan{
-			Seg:        -1,
-			Kind:       "delta",
-			Windows:    len(m.delta),
-			Chosen:     engine.PathScan,
-			Cost:       engine.EstimateScanCost(len(m.delta)),
-			Candidates: len(m.delta),
+		plan, err := m.probeDelta(probeCtx, eq, force, sel, sc)
+		if err != nil {
+			return fail(err)
 		}
-		ex.Segments = append(ex.Segments, dplan)
-		ex.EstCandidates += dplan.Cost.Candidates
-		sc.paths[engine.PathScan]++
+		record(plan)
 	}
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
@@ -790,20 +821,25 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 }
 
 // nearest streams each frozen segment's windows in increasing
-// feature-space lower-bound order, one stream per segment, then every
-// delta window with no bound (lb 0: always refined).
-func (m *manifest) nearest(q vec.Vector, ts *rtree.SearchStats, visit func(lb float64, seq, first, count int) bool) {
+// feature-space lower-bound order, one stream per segment, and then the
+// delta's as one more such stream: the same point-to-line distances,
+// from the same kernel, that a frozen leaf pushes on its segment's
+// queue.  Each stream ends at its first window whose bound passes the
+// running kth best, so a full delta costs a sweep of its feature planes
+// and a handful of refinements, not a refinement per window.
+func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
 	line := seLineFor(m.ix.fmap, q)
 	for _, sg := range m.frozen {
-		sg.flat.NearestToLineFunc(line, ts, func(id rtree.ItemDist) bool {
+		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
 			seq, start := store.DecodeWindowID(id.Item.ID)
 			return visit(id.Dist, seq, start, 1)
 		})
 	}
-	for _, e := range m.delta {
-		if !visit(0, e.seq, e.start, 1) {
-			return
-		}
+	if m.delta.n > 0 {
+		m.delta.nearest(line, sc, func(lb float64, id int64) bool {
+			seq, start := store.DecodeWindowID(id)
+			return visit(lb, seq, start, 1)
+		})
 	}
 }
 

@@ -45,9 +45,9 @@ func (g *SegmentedIndex) WriteSegments(w io.Writer) error {
 func (g *SegmentedIndex) SegmentWriter() (write func(io.Writer) error, release func(), err error) {
 	pin := g.cell.Acquire()
 	man := pin.Value()
-	if len(man.delta) > 0 {
+	if man.delta.n > 0 {
 		pin.Release()
-		return nil, nil, fmt.Errorf("core: %d uncompacted delta windows; run Compact before writing segments", len(man.delta))
+		return nil, nil, fmt.Errorf("core: %d uncompacted delta windows; run Compact before writing segments", man.delta.n)
 	}
 	return func(w io.Writer) error { return writeSegments(g.opts, man, w) }, pin.Release, nil
 }

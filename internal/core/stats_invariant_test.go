@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -150,6 +152,77 @@ func TestStatsInvariantsBatchAccumulate(t *testing.T) {
 		total += len(r.Matches)
 	}
 	checkStats(t, "batch", stats, total)
+}
+
+// TestStatsInvariantsSegmentedDelta holds the ledger, the per-segment
+// plans and the exported counters on a segmented index with a populated
+// delta: the delta's plan reports its window count, what its filter
+// let through and an estimate below "every window"; its feature tests
+// count as leaf entries checked; a forced scan still emits every
+// window of every segment.
+func TestStatsInvariantsSegmentedDelta(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	cm.once.Do(initCoreMetrics) // handles are lazily created on first record
+	opts := testOptions()
+	n := opts.WindowLen
+	names, vals := stockSeries(t, 8, 400)
+	f := growWithDelta(t, opts, names, vals, rand.New(rand.NewSource(21)))
+	delta, _, frozen := f.deltaShape()
+	w := f.window(t, 3, len(vals[3])-n-9, n) // a delta window
+	q, eps := vec.Apply(w, 1.1, 5), 0.02*seNorm(w)
+	costs := CostBounds{ScaleMin: 0.5, ScaleMax: 1.5, ShiftMin: -1, ShiftMax: 1} // rejects the source window's shift
+
+	for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree, engine.PathScan} {
+		for _, c := range []CostBounds{UnboundedCosts(), costs} {
+			label := fmt.Sprintf("%s, costs %+v", force, c)
+			before := [4]int64{cm.candidates.Value(), cm.falseAlarms.Value(), cm.costRejected.Value(), cm.matches.Value()}
+			var stats SearchStats
+			matches, ex, err := run(context.Background(), f.g, Query{Vec: q, Eps: eps, Costs: c, Force: force}, &stats)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkStats(t, label, stats, len(matches))
+			after := [4]int64{cm.candidates.Value(), cm.falseAlarms.Value(), cm.costRejected.Value(), cm.matches.Value()}
+			for i, want := range []int{stats.Candidates, stats.FalseAlarms, stats.CostRejected, stats.Results} {
+				if got := after[i] - before[i]; got != int64(want) {
+					t.Errorf("%s: exported counter %d advanced by %d, the query's ledger says %d", label, i, got, want)
+				}
+			}
+			if len(ex.Segments) != frozen+1 {
+				t.Fatalf("%s: %d segment plans for %d frozen segments and a delta", label, len(ex.Segments), frozen)
+			}
+			emitted, probes := 0, 0
+			for _, sp := range ex.Segments {
+				emitted += sp.Candidates
+			}
+			for _, p := range stats.PathProbes {
+				probes += p
+			}
+			if emitted != stats.Candidates || probes != frozen+1 {
+				t.Errorf("%s: segment plans emitted %d candidates over %d probes, the ledger has %d over %d segments", label, emitted, probes, stats.Candidates, frozen+1)
+			}
+			dp := ex.Segments[frozen]
+			if dp.Kind != "delta" || dp.Windows != delta {
+				t.Fatalf("%s: last plan is %+v, want the delta's with %d windows", label, dp, delta)
+			}
+			if force == engine.PathScan {
+				if dp.Chosen != engine.PathScan || dp.Candidates != delta || stats.Candidates != f.ref.WindowCount() {
+					t.Errorf("%s: forced scan emitted %d of the delta's %d windows, %d of %d overall (plan %+v)", label, dp.Candidates, delta, stats.Candidates, f.ref.WindowCount(), dp)
+				}
+				continue
+			}
+			if dp.Chosen != engine.PathRTree || dp.Candidates == 0 || dp.Candidates >= delta {
+				t.Errorf("%s: the delta's filter let %d of %d windows through (plan %+v)", label, dp.Candidates, delta, dp)
+			}
+			if dp.Cost.Candidates <= 0 || dp.Cost.Candidates >= float64(delta) {
+				t.Errorf("%s: the delta's estimate is %v candidates of %d windows", label, dp.Cost.Candidates, delta)
+			}
+			if stats.LeafEntriesChecked < delta {
+				t.Errorf("%s: %d leaf entries checked, fewer than the delta's %d feature tests", label, stats.LeafEntriesChecked, delta)
+			}
+		}
+	}
 }
 
 func TestCheckInvariantsDetectsDrift(t *testing.T) {

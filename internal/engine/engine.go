@@ -189,8 +189,8 @@ type Explain struct {
 	TraceID string
 	// Segments holds one entry per probed segment when the query ran
 	// against a segmented (LSM-style) index: each frozen segment is
-	// planned independently and the mutable delta is scanned exactly.
-	// Empty for single-index queries.
+	// planned independently and the mutable delta is filtered by the
+	// leaf test.  Empty for single-index queries.
 	Segments []SegmentPlan
 }
 
@@ -204,9 +204,13 @@ type SegmentPlan struct {
 	Kind string
 	// Windows is the segment's window count (its candidate universe).
 	Windows int
-	// Chosen is the access path that probed the segment.
+	// Chosen is the access path that probed the segment.  The delta has
+	// no directory: PathRTree there is the tree path's leaf test swept
+	// over every window, PathScan (forced only) emits them all.
 	Chosen PathKind
-	// Cost is the estimate the per-segment choice was based on.
+	// Cost is the estimate the per-segment choice was based on; the
+	// delta's is priced from the selectivity the frozen segments'
+	// samples measured for the query.
 	Cost Cost
 	// Candidates is what the segment's probe actually emitted.
 	Candidates int

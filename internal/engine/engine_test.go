@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -218,17 +219,84 @@ func TestSegmentDistances(t *testing.T) {
 	inf := math.Inf(1)
 
 	// Full line: distance is perpendicular.
-	d := SegmentDistances(sample, l, -inf, inf)
+	d := SegmentDistances(nil, sample, l, -inf, inf)
 	if d[0] != 0 || d[1] != 3 || d[2] != 0 {
 		t.Errorf("line distances %v, want [0 3 0]", d)
 	}
 	// Segment [0, 1]: points beyond an endpoint measure to it.
-	d = SegmentDistances(sample, l, 0, 1)
+	d = SegmentDistances(d, sample, l, 0, 1)
 	if d[0] != 4 || d[2] != 2 {
 		t.Errorf("segment distances %v, want [4 ... 2]", d)
 	}
-	if SegmentDistances(nil, l, 0, 1) != nil {
-		t.Error("empty sample should return nil")
+	if len(SegmentDistances(d, nil, l, 0, 1)) != 0 {
+		t.Error("empty sample should return no distances")
+	}
+}
+
+// TestSegmentDistancesBitIdenticalToPLD pins the allocation-free
+// scoring to the composition of vec functions the planner was
+// calibrated with — vec.PLD, and vec.Dist to the clamped end point — so
+// no sampled selectivity, and with it no plan choice, can move.  The
+// lines cover the paper's shape (through the origin), an offset base
+// point, a zero direction, and magnitudes where a reassociated sum
+// would round differently.
+func TestSegmentDistancesBitIdenticalToPLD(t *testing.T) {
+	reference := func(sample []vec.Vector, l vec.Line, tMin, tMax float64) []float64 {
+		out := make([]float64, len(sample))
+		for i, p := range sample {
+			d, t := vec.PLD(p, l)
+			switch {
+			case t < tMin:
+				d = vec.Dist(p, l.At(tMin))
+			case t > tMax:
+				d = vec.Dist(p, l.At(tMax))
+			}
+			out[i] = d
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(17))
+	inf := math.Inf(1)
+	scratch := make([]float64, 0, 256)
+	for trial := 0; trial < 400; trial++ {
+		dim := 1 + rng.Intn(8)
+		mag := math.Pow(10, float64(rng.Intn(7)-3)*50) // 1e-150 … 1e150
+		sample := make([]vec.Vector, 1+rng.Intn(256))
+		for i := range sample {
+			sample[i] = make(vec.Vector, dim)
+			for j := range sample[i] {
+				sample[i][j] = rng.NormFloat64() * mag
+			}
+		}
+		l := vec.Line{P: make(vec.Vector, dim), D: make(vec.Vector, dim)}
+		for j := 0; j < dim; j++ {
+			if trial%3 == 0 {
+				l.P[j] = rng.NormFloat64() * mag
+			}
+			if trial%5 != 0 {
+				l.D[j] = rng.NormFloat64() * mag
+			}
+		}
+		tMin, tMax := -inf, inf
+		if trial%2 == 0 {
+			tMin, tMax = rng.NormFloat64(), rng.NormFloat64()+2
+		}
+		want := reference(sample, l, tMin, tMax)
+		got := SegmentDistances(scratch, sample, l, tMin, tMax)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d distances for %d points", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d point %d: %v (%x), composed vec functions give %v (%x)",
+					trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	sample := []vec.Vector{{1, 2, 3}, {4, 5, 6}}
+	l := vec.Line{P: vec.Vector{0, 0, 0}, D: vec.Vector{1, 1, 0}}
+	if allocs := testing.AllocsPerRun(20, func() { scratch = SegmentDistances(scratch, sample, l, 0, 1) }); allocs != 0 {
+		t.Errorf("scoring into scratch allocated %.0f times", allocs)
 	}
 }
 

@@ -49,25 +49,46 @@ func lineSelectivity(diameter, volume float64, dim int, eps float64) float64 {
 	return sel
 }
 
-// SegmentDistances returns each sample point's Euclidean distance to
-// the query segment {P + t·D : t ∈ [tMin, tMax]} — the empirical input
-// to SampleSelectivity.  Pass ±Inf bounds for a full line.
-func SegmentDistances(sample []vec.Vector, l vec.Line, tMin, tMax float64) []float64 {
-	if len(sample) == 0 {
-		return nil
-	}
-	out := make([]float64, len(sample))
-	for i, p := range sample {
-		d, t := vec.PLD(p, l)
-		switch {
-		case t < tMin:
-			d = vec.Dist(p, l.At(tMin))
-		case t > tMax:
-			d = vec.Dist(p, l.At(tMax))
+// SegmentDistances appends to dst[:0] each sample point's Euclidean
+// distance to the query segment {P + t·D : t ∈ [tMin, tMax]} — the
+// empirical input to SampleSelectivity.  Pass ±Inf bounds for a full
+// line.  It runs on every query of every segment, so it allocates
+// nothing beyond dst; the arithmetic is, operation for operation, that
+// of vec.PLD for a point whose foot lies inside the range and of
+// vec.Dist to the range's end point otherwise, so the distances — and
+// every plan choice made from them — are bit-identical to composing
+// those functions.
+func SegmentDistances(dst []float64, sample []vec.Vector, l vec.Line, tMin, tMax float64) []float64 {
+	dst = dst[:0]
+	dd := vec.NormSq(l.D)
+	for _, p := range sample {
+		var t float64
+		if dd != 0 {
+			var qpD float64
+			for i, x := range p {
+				qpD += (x - l.P[i]) * l.D[i]
+			}
+			t = qpD / dd
 		}
-		out[i] = d
+		var s float64
+		if t < tMin || t > tMax {
+			end := tMax
+			if t < tMin {
+				end = tMin
+			}
+			for i, x := range p {
+				r := x - (l.P[i] + end*l.D[i])
+				s += r * r
+			}
+		} else {
+			for i, x := range p {
+				r := (x - l.P[i]) - t*l.D[i]
+				s += r * r
+			}
+		}
+		dst = append(dst, math.Sqrt(s))
 	}
-	return out
+	return dst
 }
 
 // SampleSelectivity estimates the fraction of stored features within

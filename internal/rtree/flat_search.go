@@ -179,9 +179,9 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 			return nil
 		}
 		if q.segment {
-			vec.PSegDFastBatch(pl.Data, c, q.l, q.tMin, q.tMax, sc.qpD, sc.qpQp, sc.dist)
+			vec.PSegDFastBatch(pl.Data, c, c, q.l, q.tMin, q.tMax, sc.qpD, sc.qpQp, sc.dist)
 		} else {
-			vec.PLDFastBatch(pl.Data, c, q.l, sc.qpD, sc.qpQp, sc.dist)
+			vec.PLDFastBatch(pl.Data, c, c, q.l, sc.qpD, sc.qpQp, sc.dist)
 		}
 		for k, d := range sc.dist[:c] {
 			if d <= q.eps {
@@ -369,7 +369,7 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 				continue
 			}
 			pl := f.nodePlanes(s, e)
-			vec.PLDFastBatch(pl.Data, c, l, sc.qpD, sc.qpQp, sc.dist)
+			vec.PLDFastBatch(pl.Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
 			for k := 0; k < c; k++ {
 				heap.Push(h, flatNNEntry{dist: sc.dist[k], node: ni, k: k})
 			}

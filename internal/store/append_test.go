@@ -56,6 +56,8 @@ func TestAppendValuesEquivalence(t *testing.T) {
 		t.Fatalf("TotalValues %d, want %d", grown.TotalValues(), ref.TotalValues())
 	}
 	const n = 8
+	stitch := make(vec.Vector, n)
+	straddling := 0
 	for seq := range names {
 		if grown.SequenceLen(seq) != ref.SequenceLen(seq) {
 			t.Fatalf("seq %d length %d, want %d", seq, grown.SequenceLen(seq), ref.SequenceLen(seq))
@@ -83,6 +85,33 @@ func TestAppendValuesEquivalence(t *testing.T) {
 					t.Fatalf("view (%d,%d)[%d] = %v, want %v", seq, start, i, gv[i], want[i])
 				}
 			}
+			// The buffer-taking view returns the same samples and pages,
+			// in place unless the window straddles the packed/tail
+			// boundary — and then in the caller's buffer, not a fresh one.
+			var pcView, pcInto PageCounter
+			if _, err := grown.WindowView(seq, start, n, &pcView); err != nil {
+				t.Fatal(err)
+			}
+			iv, err := grown.WindowViewInto(seq, start, n, stitch, &pcInto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range iv {
+				if iv[i] != want[i] {
+					t.Fatalf("view into (%d,%d)[%d] = %v, want %v", seq, start, i, iv[i], want[i])
+				}
+			}
+			if pcInto.Distinct() != pcView.Distinct() || pcInto.Raw != pcView.Raw {
+				t.Fatalf("view into (%d,%d) charged (%d,%d) pages, view (%d,%d)", seq, start,
+					pcInto.Distinct(), pcInto.Raw, pcView.Distinct(), pcView.Raw)
+			}
+			straddles := start < len(init[seq]) && start+n > len(init[seq])
+			if aliases := &iv[0] == &stitch[0]; aliases != straddles {
+				t.Fatalf("view into (%d,%d): aliases the stitch buffer %v, straddles %v", seq, start, aliases, straddles)
+			}
+			if straddles {
+				straddling++
+			}
 			gs, err := grown.WindowStats(seq, start, n)
 			if err != nil {
 				t.Fatal(err)
@@ -95,6 +124,17 @@ func TestAppendValuesEquivalence(t *testing.T) {
 				t.Fatalf("stats (%d,%d) = %+v, want %+v", seq, start, gs, ws)
 			}
 		}
+	}
+
+	if want := len(names) * (n - 1); straddling != want {
+		t.Fatalf("%d straddling windows, want n-1 per appended sequence = %d", straddling, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := grown.WindowViewInto(0, len(init[0])-1, n, stitch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a stitched view into the caller's buffer allocated %.0f times", allocs)
 	}
 
 	// ScanWindows must visit the same windows with the same values.

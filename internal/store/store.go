@@ -355,11 +355,24 @@ func (v *view) copyWindow(seq, start, n int, dst vec.Vector, pc *PageCounter) {
 // as a read-only view of the backing array, charging the covering
 // pages to pc like Window but without copying.  A window that crosses
 // the packed/tail boundary is returned as a freshly allocated stitched
-// copy — at most one boundary exists per sequence, so this stays rare.
+// copy.  On a store that grows by AppendValues up to n−1 windows of
+// every appended sequence straddle its boundary — under steady ingest,
+// exactly the newest windows — so a hot reader passes its own stitch
+// memory through WindowViewInto instead.
 // The view must not be modified; on a live Store it is invalidated by
 // the next mutation (take a Snapshot to pin it), and it is safe for
 // concurrent use with other reads.
 func (v *view) WindowView(seq, start, n int, pc *PageCounter) (vec.Vector, error) {
+	return v.WindowViewInto(seq, start, n, nil, pc)
+}
+
+// WindowViewInto is WindowView with caller-owned stitch memory: a
+// window inside the packed region or inside the tail is still returned
+// in place, and one that straddles the boundary is stitched into
+// buf[:n] when buf has the capacity (allocated otherwise).  The result
+// aliases buf only in the straddling case, so it is valid until the
+// caller's next use of buf.
+func (v *view) WindowViewInto(seq, start, n int, buf vec.Vector, pc *PageCounter) (vec.Vector, error) {
 	if err := v.checkWindow(seq, start, n); err != nil {
 		return nil, err
 	}
@@ -375,7 +388,10 @@ func (v *view) WindowView(seq, start, n int, pc *PageCounter) (vec.Vector, error
 		t := v.tails[seq]
 		return t[lo : lo+n : lo+n], nil
 	default:
-		w := make(vec.Vector, n)
+		if cap(buf) < n {
+			buf = make(vec.Vector, n)
+		}
+		w := buf[:n]
 		v.copyWindow(seq, start, n, w, pc)
 		return w, nil
 	}

@@ -4,18 +4,22 @@ import "math"
 
 // Batched point-to-line kernels over structure-of-arrays point data.
 //
-// A flat tree leaf stores its points dimension-major: rows[j*count+k]
-// is coordinate j of point k.  The kernels below compute PLDFast /
-// PSegDFast for every point of the leaf in one sweep, accumulating per
-// point in dimension-ascending order — the same addition sequence as
-// the scalar functions — so every returned distance is BIT-IDENTICAL
-// to the scalar result for the same point.
+// Points are stored dimension-major with a row stride:
+// rows[j*stride+k] is coordinate j of point k.  A flat tree leaf packs
+// its rows back to back (stride == count); a delta block of the
+// segmented index keeps room for more points than a reader may look at
+// (stride is the block capacity, count the published prefix), and the
+// kernels never touch a slot at or past count.  They compute PLDFast /
+// PSegDFast for every point in one sweep, accumulating per point in
+// dimension-ascending order — the same addition sequence as the scalar
+// functions — so every returned distance is BIT-IDENTICAL to the scalar
+// result for the same point.
 
 // PLDFastBatch writes PLDFast(point_k, l) into out[0:count] for count
-// points stored dimension-major in rows (len(l.P)*count values).  qpD
-// and qpQp are caller scratch of length >= count.
-func PLDFastBatch(rows []float64, count int, l Line, qpD, qpQp, out []float64) {
-	dd := accumBatch(rows, count, l, qpD, qpQp)
+// points stored dimension-major in rows with the given row stride.
+// qpD and qpQp are caller scratch of length >= count.
+func PLDFastBatch(rows []float64, stride, count int, l Line, qpD, qpQp, out []float64) {
+	dd := accumBatch(rows, stride, count, l, qpD, qpQp)
 	if dd == 0 {
 		for k := 0; k < count; k++ {
 			out[k] = math.Sqrt(qpQp[k])
@@ -29,8 +33,8 @@ func PLDFastBatch(rows []float64, count int, l Line, qpD, qpQp, out []float64) {
 
 // PSegDFastBatch writes PSegDFast(point_k, l, tMin, tMax) into
 // out[0:count] — the segment-restricted form of PLDFastBatch.
-func PSegDFastBatch(rows []float64, count int, l Line, tMin, tMax float64, qpD, qpQp, out []float64) {
-	dd := accumBatch(rows, count, l, qpD, qpQp)
+func PSegDFastBatch(rows []float64, stride, count int, l Line, tMin, tMax float64, qpD, qpQp, out []float64) {
+	dd := accumBatch(rows, stride, count, l, qpD, qpQp)
 	if dd == 0 {
 		for k := 0; k < count; k++ {
 			out[k] = math.Sqrt(qpQp[k])
@@ -57,7 +61,7 @@ func PSegDFastBatch(rows []float64, count int, l Line, tMin, tMax float64, qpD, 
 // dd = Σⱼ Dⱼ² accumulated the same way.  The inner sweep over points
 // is 4-wide unrolled; the unroll is across points, never across
 // dimensions, so each point's accumulation order is untouched.
-func accumBatch(rows []float64, count int, l Line, qpD, qpQp []float64) float64 {
+func accumBatch(rows []float64, stride, count int, l Line, qpD, qpQp []float64) float64 {
 	for k := 0; k < count; k++ {
 		qpD[k], qpQp[k] = 0, 0
 	}
@@ -65,7 +69,7 @@ func accumBatch(rows []float64, count int, l Line, qpD, qpQp []float64) float64 
 	for j := range l.P {
 		p, d := l.P[j], l.D[j]
 		dd += d * d
-		row := rows[j*count : (j+1)*count]
+		row := rows[j*stride : j*stride+count]
 		k := 0
 		for ; k+4 <= count; k += 4 {
 			qp0 := row[k] - p

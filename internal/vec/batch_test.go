@@ -6,14 +6,19 @@ import (
 	"testing"
 )
 
-// packRows lays points out dimension-major: rows[j*count+k] is
-// coordinate j of point k, matching the flat leaf layout.
-func packRows(points []Vector, dim int) []float64 {
-	count := len(points)
-	rows := make([]float64, dim*count)
+// packRows lays points out dimension-major with the given row stride:
+// rows[j*stride+k] is coordinate j of point k.  stride == len(points)
+// is the flat leaf layout; a larger stride is a partly published delta
+// block, whose slots past the last point hold NaN so that a kernel
+// reading one would show in its output.
+func packRows(points []Vector, dim, stride int) []float64 {
+	rows := make([]float64, dim*stride)
+	for i := range rows {
+		rows[i] = math.NaN()
+	}
 	for k, p := range points {
 		for j := 0; j < dim; j++ {
-			rows[j*count+k] = p[j]
+			rows[j*stride+k] = p[j]
 		}
 	}
 	return rows
@@ -42,11 +47,13 @@ func TestPLDFastBatchBitIdentical(t *testing.T) {
 				if trial%7 == 0 {
 					l.D = make(Vector, dim) // degenerate line: dd == 0
 				}
-				rows := packRows(points, dim)
+				// Alternate the packed leaf layout with a strided block.
+				stride := count + (trial%3)*5
+				rows := packRows(points, dim, stride)
 				qpD := make([]float64, count)
 				qpQp := make([]float64, count)
 				out := make([]float64, count)
-				PLDFastBatch(rows, count, l, qpD, qpQp, out)
+				PLDFastBatch(rows, stride, count, l, qpD, qpQp, out)
 				for k, p := range points {
 					want := PLDFast(p, l)
 					if math.Float64bits(out[k]) != math.Float64bits(want) {
@@ -56,7 +63,7 @@ func TestPLDFastBatchBitIdentical(t *testing.T) {
 				}
 
 				tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
-				PSegDFastBatch(rows, count, l, tMin, tMax, qpD, qpQp, out)
+				PSegDFastBatch(rows, stride, count, l, tMin, tMax, qpD, qpQp, out)
 				for k, p := range points {
 					want := PSegDFast(p, l, tMin, tMax)
 					if math.Float64bits(out[k]) != math.Float64bits(want) {
@@ -95,11 +102,12 @@ func FuzzPLDBatchParity(f *testing.F) {
 		if !math.IsNaN(b) && !math.IsInf(b, 0) {
 			l.D[0] = b
 		}
-		rows := packRows(points, dim)
+		stride := count + int(dim8/8)%4
+		rows := packRows(points, dim, stride)
 		qpD := make([]float64, count)
 		qpQp := make([]float64, count)
 		out := make([]float64, count)
-		PLDFastBatch(rows, count, l, qpD, qpQp, out)
+		PLDFastBatch(rows, stride, count, l, qpD, qpQp, out)
 		for k, p := range points {
 			want := PLDFast(p, l)
 			if math.Float64bits(out[k]) != math.Float64bits(want) {
