@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-verify bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
+.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-verify bench-build bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -16,7 +16,10 @@ LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 # alloc_test.go), and the range executor's allocs/query ceiling, which
 # must scale neither with the candidate count nor with a segmented
 # index's delta (TestExecRangeAllocCeiling in
-# internal/core/exec_bench_test.go).
+# internal/core/exec_bench_test.go), beside the k-NN queue's
+# (TestExecKNNAllocCeiling) and the bulk build's, which must not scale
+# with the window count (TestBuildBulkAllocCeiling in
+# internal/core/build_bench_test.go).
 check: vet fmt-check build test race examples-smoke soak-smoke
 
 vet:
@@ -121,6 +124,16 @@ bench-cluster:
 # ordering or the verifier.
 bench-verify:
 	$(GO) test -run '^$$' -bench 'BenchmarkExec(Range|KNN)' -benchmem ./internal/core
+
+# The build pipeline's inner loop: a cold start's bulk build (feature
+# extraction into columns, STR over a permutation, the serving arena) at
+# 200 x 650 and at paper scale 1000 x 650, the fold of a 4 096-window
+# delta into a frozen segment, and the write of the 1000 x 650 index
+# artifact — ns/op, B/op and allocs/op, in about fifteen seconds.  Run
+# it before and after touching extraction, rtree.BulkLoadFlat, the
+# arena layout or the artifact writers.
+bench-build:
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildBulk|BenchmarkCompactSegment|BenchmarkWriteIndexArtifact' -benchmem -benchtime 5x ./internal/core
 
 # Recovery cost trajectory: cold-restart time vs WAL tail length past
 # the last checkpoint.  -enforce fails the run if recovery replays a

@@ -130,7 +130,7 @@ func (rl *reloader) load() (*snapshot, error) {
 			return nil, fmt.Errorf("rebuilding index: %w", err)
 		}
 		if cfg.Bulk {
-			err = ix.BuildBulk()
+			err = ix.BuildBulkParallel(0)
 		} else {
 			err = ix.Build()
 		}

@@ -285,7 +285,11 @@ func RunPerf(cfg Config, stdout io.Writer) (*PerfReport, error) {
 		reps = 10
 	}
 
-	// Pointer-tree throughput first, before the freeze.
+	// Pointer-tree throughput first: the bulk build leaves the index
+	// frozen, so thaw it for the pointer side of the comparison.
+	if err := env.Index.Thaw(); err != nil {
+		return nil, err
+	}
 	rangeFn := func(ix *core.Index) func(vec.Vector) error {
 		return func(q vec.Vector) error {
 			_, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps}, nil)

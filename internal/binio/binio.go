@@ -100,9 +100,57 @@ func (bw *Writer) Magic(magic []byte) {
 
 // Section writes one length-prefixed payload followed by its CRC32C.
 func (bw *Writer) Section(payload []byte) {
-	bw.writeU64(uint64(len(payload)))
-	bw.write(payload)
-	bw.writeU32(crc32.Checksum(payload, castagnoli))
+	bw.StreamSection(int64(len(payload)), func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// StreamSection writes one section of exactly n payload bytes without
+// holding them: the length prefix goes out first, fill then writes the
+// payload to the writer it is handed — as many Writes as it likes; each
+// is checksummed and passed on at most sectionChunk bytes at a time, so
+// the bytes are still in cache when they are copied out — and the
+// CRC32C accumulated on the way closes the section.  A fill that fails,
+// or writes more or fewer than n bytes, is an error of the artifact
+// (sticky, like every other).
+func (bw *Writer) StreamSection(n int64, fill func(io.Writer) error) {
+	bw.writeU64(uint64(n))
+	sw := sectionWriter{bw: bw, left: n}
+	if err := fill(&sw); err != nil && bw.err == nil {
+		bw.err = err
+	}
+	if sw.left != 0 && bw.err == nil {
+		bw.err = fmt.Errorf("binio: section payload is %d bytes short of the %d announced", sw.left, n)
+	}
+	bw.writeU32(sw.crc)
+}
+
+// sectionWriter is the payload sink of one StreamSection.
+type sectionWriter struct {
+	bw   *Writer
+	left int64
+	crc  uint32
+}
+
+func (sw *sectionWriter) Write(p []byte) (int, error) {
+	if int64(len(p)) > sw.left {
+		if sw.bw.err == nil {
+			sw.bw.err = fmt.Errorf("binio: section payload overruns the length announced by %d bytes", int64(len(p))-sw.left)
+		}
+		return 0, sw.bw.err
+	}
+	sw.left -= int64(len(p))
+	for rest := p; len(rest) > 0; {
+		c := rest[:min(len(rest), sectionChunk)]
+		sw.crc = crc32.Update(sw.crc, castagnoli, c)
+		sw.bw.write(c)
+		rest = rest[len(c):]
+	}
+	if sw.bw.err != nil {
+		return 0, sw.bw.err
+	}
+	return len(p), nil
 }
 
 // Close writes the whole-file trailer (the CRC32C of every byte framed

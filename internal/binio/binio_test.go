@@ -2,7 +2,9 @@ package binio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -163,4 +165,63 @@ func (f failAfter) Write(p []byte) (int, error) {
 		return f.n, io.ErrShortWrite
 	}
 	return len(p), nil
+}
+
+// TestStreamSectionFraming streams payloads in one write, byte by byte,
+// and across the internal chunk size, and requires the framing the
+// format defines — u64 length, payload, CRC32C of the payload, and at
+// the end the CRC32C of everything before it — spelled out here by
+// hand; then checks that a fill which writes too little, too much, or
+// fails makes Close fail.
+func TestStreamSectionFraming(t *testing.T) {
+	big := make([]byte, 2*sectionChunk+123)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	small := []byte("streamed payload")
+	want := append([]byte(nil), testMagic...)
+	for _, payload := range [][]byte{small, big, nil} {
+		want = binary.LittleEndian.AppendUint64(want, uint64(len(payload)))
+		want = append(want, payload...)
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, castagnoli))
+	}
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Magic(testMagic)
+	w.StreamSection(int64(len(small)), func(sw io.Writer) error {
+		for i := range small {
+			if _, err := sw.Write(small[i : i+1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	w.StreamSection(int64(len(big)), func(sw io.Writer) error {
+		_, err := sw.Write(big)
+		return err
+	})
+	w.StreamSection(0, func(io.Writer) error { return nil })
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("streamed sections are not framed as the format defines")
+	}
+
+	boom := errors.New("boom")
+	for name, fill := range map[string]func(io.Writer) error{
+		"short":   func(sw io.Writer) error { _, err := sw.Write(small[:3]); return err },
+		"overrun": func(sw io.Writer) error { _, err := sw.Write(big[:len(small)+1]); return err },
+		"failed":  func(io.Writer) error { return boom },
+	} {
+		w := NewWriter(io.Discard)
+		w.StreamSection(int64(len(small)), fill)
+		if err := w.Close(); err == nil {
+			t.Errorf("%s fill: Close reported no error", name)
+		} else if name == "failed" && !errors.Is(err, boom) {
+			t.Errorf("failed fill: Close reported %v, want the fill's error", err)
+		}
+	}
 }

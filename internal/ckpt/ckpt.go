@@ -87,26 +87,45 @@ func PathsFor(base string) Paths {
 // Write serializes one checkpoint to w: meta, then the store bytes
 // produced by writeStore (store/Snapshot WriteBinary), then the segment
 // bytes produced by writeSegments (core SegmentWriter).
+//
+// Neither artifact is staged in memory.  A section's length precedes
+// its bytes, so each writer runs twice — once into a counter, once into
+// the frame — and must write the same bytes both times; the two above
+// do, serializing a pinned snapshot and a pinned manifest.
 func Write(w io.Writer, meta Meta, writeStore, writeSegments func(io.Writer) error) error {
 	head := make([]byte, metaLen)
 	binary.LittleEndian.PutUint64(head[0:], uint64(meta.Generation))
 	binary.LittleEndian.PutUint64(head[8:], uint64(meta.WALOffset))
 	binary.LittleEndian.PutUint64(head[16:], uint64(meta.CreatedAt.UnixNano()))
 
-	var stBuf, segBuf bytes.Buffer
-	if err := writeStore(&stBuf); err != nil {
-		return fmt.Errorf("ckpt: store section: %w", err)
-	}
-	if err := writeSegments(&segBuf); err != nil {
-		return fmt.Errorf("ckpt: segments section: %w", err)
-	}
-
 	bw := binio.NewWriter(w)
 	bw.Magic(ckptMagic)
 	bw.Section(head)
-	bw.Section(stBuf.Bytes())
-	bw.Section(segBuf.Bytes())
+	if err := streamArtifact(bw, writeStore); err != nil {
+		return fmt.Errorf("ckpt: store section: %w", err)
+	}
+	if err := streamArtifact(bw, writeSegments); err != nil {
+		return fmt.Errorf("ckpt: segments section: %w", err)
+	}
 	return bw.Close()
+}
+
+// streamArtifact frames what write produces as the next section of bw.
+func streamArtifact(bw *binio.Writer, write func(io.Writer) error) error {
+	var n byteCounter
+	if err := write(&n); err != nil {
+		return err
+	}
+	bw.StreamSection(int64(n), write)
+	return nil
+}
+
+// byteCounter counts the bytes written to it.
+type byteCounter int64
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
 }
 
 // Read parses and fully validates a checkpoint written by Write,

@@ -199,7 +199,7 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 	}
 	start := time.Now()
 	if bulk {
-		err = ix.BuildBulk()
+		err = ix.BuildBulkParallel(0)
 	} else {
 		err = ix.Build()
 	}
@@ -210,10 +210,11 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 	if cache != "" {
 		// Atomic replace: a crash mid-save leaves the previous cache (or
 		// none), never a torn file for the next run to choke on.
+		start = time.Now()
 		if err := atomicfile.WriteFile(cache, ix.WriteBinary); err != nil {
 			return nil, "", fmt.Errorf("writing index cache: %w", err)
 		}
-		how += fmt.Sprintf(", cached to %s", cache)
+		how += fmt.Sprintf(", cached to %s in %v", cache, time.Since(start).Round(time.Millisecond))
 	}
 	return ix, how, nil
 }

@@ -1,0 +1,130 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"scaleshift/internal/store"
+)
+
+// The build pipeline's inner loop (`make bench-build`): what a cold
+// start, a compaction and an artifact write cost in time, bytes and
+// allocations, at the verifier fixture's size and at paper scale.
+
+func benchmarkBuildBulk(b *testing.B, companies int) {
+	st := populatedStore(b, companies, 650, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := NewIndex(st, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.BuildBulkParallel(0); err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.Freeze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildBulk is the cold start's index build: extraction, STR
+// and the serving arena (Freeze is a no-op after a bulk build).
+func BenchmarkBuildBulk(b *testing.B) {
+	for _, companies := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("%dx650", companies), func(b *testing.B) { benchmarkBuildBulk(b, companies) })
+	}
+}
+
+// BenchmarkCompactSegment folds a 4 096-window delta — the compaction
+// threshold — into a frozen segment.
+func BenchmarkCompactSegment(b *testing.B) {
+	f := newSegmentedExecFixture(b, 4096/execFixtureAppendLen)
+	f.g.mu.Lock()
+	d := f.g.delta.prefix(f.g.delta.n)
+	f.g.mu.Unlock()
+	if d.n != 4096 {
+		b.Fatalf("delta holds %d windows", d.n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := buildSegment(d, f.g.opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteIndexArtifact writes the 1000 × 650 index's SSIDX
+// artifact to a file, as a cold start caching its build does.
+func BenchmarkWriteIndexArtifact(b *testing.B) {
+	ix, err := NewIndex(populatedStore(b, 1000, 650, 1), DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.BuildBulkParallel(0); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.index")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.WriteBinary(f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// buildCost is what one bulk build of st allocates.
+func buildCost(t *testing.T, st *store.Store) (allocs, bytes, arena uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := NewIndex(st, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.BuildBulkParallel(0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, uint64(ix.flat.ArenaSize())
+}
+
+// TestBuildBulkAllocCeiling pins the point of the arena-native loader:
+// a bulk build makes no object per window, nor per checkpoint segment.
+// What it allocates is a few buffers per tree level and per worker, so
+// doubling the windows (100 × 650 to 200 × 650 adds 52 300 windows in
+// 300 segments) adds a tree level's worth at most; and everything it
+// allocates, the arena included, stays within three arenas.
+func TestBuildBulkAllocCeiling(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	const ceiling, growth = 1000, 100
+	small, _, _ := buildCost(t, populatedStore(t, 100, 650, 1))
+	large, bytes, arena := buildCost(t, populatedStore(t, 200, 650, 1))
+	t.Logf("allocations per build: %d at 100 x 650, %d at 200 x 650; %d bytes for a %d-byte arena (GOMAXPROCS %d)",
+		small, large, bytes, arena, runtime.GOMAXPROCS(0))
+	if large > ceiling {
+		t.Errorf("%d allocations per build, ceiling %d", large, ceiling)
+	}
+	if large > small+growth {
+		t.Errorf("allocations grew from %d to %d as the window count doubled", small, large)
+	}
+	if bytes > 3*arena {
+		t.Errorf("build allocated %d bytes, over three times its %d-byte arena", bytes, arena)
+	}
+}

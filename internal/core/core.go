@@ -36,6 +36,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scaleshift/internal/binio"
@@ -346,7 +347,7 @@ func (ix *Index) checkMutable() error {
 	if ix.degraded != "" {
 		return fmt.Errorf("core: index is degraded (%s); rebuild it before mutating", ix.degraded)
 	}
-	return ix.thaw()
+	return ix.Thaw()
 }
 
 // trailRect computes the MBR of the features of windows
@@ -506,45 +507,12 @@ func (ix *Index) Build() error {
 // BuildBulk indexes every window of every sequence by building the
 // R*-tree with Sort-Tile-Recursive bulk loading instead of one-by-one
 // insertion — typically an order of magnitude faster and producing a
-// tighter tree.  It requires an empty index; dynamic insertion and
-// removal work normally afterwards.
+// tighter tree.  It requires an empty index and leaves it frozen (the
+// loader emits the serving arena directly; see rtree.BulkLoadFlat);
+// dynamic insertion and removal work normally afterwards, thawing the
+// arena first.  It is BuildBulkParallel on one worker.
 func (ix *Index) BuildBulk() error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
-	if ix.tree.Len() != 0 {
-		return fmt.Errorf("core: BuildBulk requires an empty index (have %d windows)", ix.tree.Len())
-	}
-	if ix.trailMode() {
-		// Trail entries are rectangles; STR bulk loading packs points.
-		// Trail indexes are already ~SubtrailLen× smaller, so plain
-		// insertion is fast enough.
-		return ix.Build()
-	}
-	var items []rtree.Item
-	ix.indexed = make([]int, ix.st.NumSequences())
-	feat := make(vec.Vector, ix.fmap.Dim())
-	for seq := 0; seq < ix.st.NumSequences(); seq++ {
-		err := ix.featureWindows(seq, 0, func(start int, f vec.Vector) error {
-			items = append(items, rtree.Item{
-				Point: f.Clone(),
-				ID:    store.EncodeWindowID(seq, start),
-			})
-			ix.indexed[seq] = start + 1
-			return nil
-		}, feat)
-		if err != nil {
-			return fmt.Errorf("core: bulk indexing: %w", err)
-		}
-	}
-	cfg := ix.opts.Tree
-	cfg.Dim = ix.fmap.Dim()
-	tree, err := rtree.BulkLoad(cfg, items)
-	if err != nil {
-		return fmt.Errorf("core: bulk loading: %w", err)
-	}
-	ix.tree = tree
-	return nil
+	return ix.BuildBulkParallelContext(context.Background(), 1)
 }
 
 // BuildBulkParallel is BuildBulk with the pre-processing fanned out
@@ -568,54 +536,64 @@ func (ix *Index) BuildBulkParallel(workers int) error {
 // *WorkerPanicError naming the offending (seq, window) instead of
 // crashing the process.
 func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
+	if n := ix.qtree().Len(); n != 0 {
+		return fmt.Errorf("core: BuildBulk requires an empty index (have %d windows)", n)
+	}
 	if err := ix.checkMutable(); err != nil {
 		return err
 	}
-	if ix.tree.Len() != 0 {
-		return fmt.Errorf("core: BuildBulkParallel requires an empty index (have %d windows)", ix.tree.Len())
-	}
 	if ix.trailMode() {
 		// Trail entries are rectangles; STR bulk loading packs points.
+		// Trail indexes are already ~SubtrailLen× smaller, so plain
+		// insertion is fast enough.
 		return ix.Build()
 	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := ix.opts.WindowLen
 	nSeq := ix.st.NumSequences()
-	ix.indexed = make([]int, nSeq)
-
-	// Per-sequence item offsets: window (seq, s) goes to slot
-	// base[seq]+s, making the item order independent of scheduling.
-	base := make([]int, nSeq+1)
-	type segment struct{ seq, cp, segLast int }
-	var segs []segment
-	for seq := 0; seq < nSeq; seq++ {
-		count := ix.st.SequenceLen(seq) - n + 1
-		if count < 0 {
-			count = 0
+	indexed := make([]int, nSeq)
+	ranges := make([]winRange, 0, nSeq)
+	for seq := range indexed {
+		if count := ix.st.SequenceLen(seq) - ix.opts.WindowLen + 1; count > 0 {
+			indexed[seq] = count
+			ranges = append(ranges, winRange{Seq: seq, Lo: 0, Hi: count})
 		}
-		base[seq+1] = base[seq] + count
-		lastStart := count - 1
-		for cp := 0; cp <= lastStart; cp += featureCheckpoint {
-			segLast := cp + featureCheckpoint - 1
-			if segLast > lastStart {
-				segLast = lastStart
-			}
-			segs = append(segs, segment{seq, cp, segLast})
+	}
+	flat, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers)
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return err
 		}
-		ix.indexed[seq] = count
+		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
-	items := make([]rtree.Item, base[nSeq])
-	if workers > len(segs) {
-		workers = len(segs)
-	}
+	ix.flat, ix.indexed = flat, indexed
+	return nil
+}
 
-	next := make(chan segment, len(segs))
-	for _, sg := range segs {
-		next <- sg
+// bulkLoadRanges extracts the feature point of every window of ranges
+// and bulk loads them into a frozen tree.  Extraction writes straight
+// into the columnar buffer the loader reads — window k of the
+// concatenated ranges has coordinate j at cols[j·n+k] — so no object is
+// made per window.  The work is cut at featureCheckpoint boundaries,
+// where the sliding DFT restarts, and shared over workers goroutines
+// that poll ctx between pieces; every piece lands at slots fixed in
+// advance, so the tree does not depend on the schedule.
+func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (*rtree.FlatTree, error) {
+	type piece struct{ seq, cp, segLast, lo, slot int }
+	var pieces []piece
+	n := 0
+	for _, r := range ranges {
+		for cp := r.Lo - r.Lo%featureCheckpoint; cp < r.Hi; cp += featureCheckpoint {
+			pieces = append(pieces, piece{r.Seq, cp, min(cp+featureCheckpoint, r.Hi) - 1, r.Lo, n - r.Lo})
+		}
+		n += r.Hi - r.Lo
 	}
-	close(next)
+	dim := fmap.Dim()
+	ids, cols := make([]int64, n), make([]float64, n*dim)
+
+	workers = max(1, min(workers, len(pieces)))
+	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -624,25 +602,23 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 			defer wg.Done()
 			curSeq, curStart := -1, -1
 			defer recoverWorkerPanic("bulk build", &curSeq, &curStart, &errs[g])
-			sc := ix.newSegScratch()
-			feat := make(vec.Vector, ix.fmap.Dim())
-			for sg := range next {
-				if err := ctx.Err(); err != nil {
-					errs[g] = err
+			sc := newSegScratch(opts)
+			feat := make(vec.Vector, dim)
+			for k := int(next.Add(1)) - 1; k < len(pieces); k = int(next.Add(1)) - 1 {
+				if errs[g] = ctx.Err(); errs[g] != nil {
 					return
 				}
-				curSeq, curStart = sg.seq, sg.cp
-				off := base[sg.seq]
-				err := ix.featureSegment(sg.seq, sg.cp, sg.segLast, sg.cp, sc, feat, func(start int, f vec.Vector) error {
+				pc := pieces[k]
+				curSeq, curStart = pc.seq, pc.cp
+				errs[g] = extractSegment(sv, fmap, opts, pc.seq, pc.cp, pc.segLast, pc.lo, sc, feat, func(start int, f vec.Vector) error {
 					curStart = start
-					items[off+start] = rtree.Item{
-						Point: f.Clone(),
-						ID:    store.EncodeWindowID(sg.seq, start),
+					ids[pc.slot+start] = store.EncodeWindowID(pc.seq, start)
+					for j, x := range f {
+						cols[j*n+pc.slot+start] = x
 					}
 					return nil
 				})
-				if err != nil {
-					errs[g] = err
+				if errs[g] != nil {
 					return
 				}
 			}
@@ -654,30 +630,18 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 	// cancellation, the cause is the more useful message.
 	var ctxErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			ctxErr = err
-			continue
+		} else if err != nil {
+			return nil, err
 		}
-		ix.indexed = make([]int, nSeq)
-		return fmt.Errorf("core: parallel bulk indexing: %w", err)
 	}
 	if ctxErr != nil {
-		ix.indexed = make([]int, nSeq)
-		return ctxErr
+		return nil, ctxErr
 	}
-
-	cfg := ix.opts.Tree
-	cfg.Dim = ix.fmap.Dim()
-	tree, err := rtree.BulkLoadParallel(cfg, items, workers)
-	if err != nil {
-		ix.indexed = make([]int, nSeq)
-		return fmt.Errorf("core: parallel bulk loading: %w", err)
-	}
-	ix.tree = tree
-	return nil
+	cfg := opts.Tree
+	cfg.Dim = dim
+	return rtree.BulkLoadFlat(cfg, ids, cols, workers)
 }
 
 // IndexSequence indexes the windows of sequence seq that are not yet
@@ -702,24 +666,17 @@ func (ix *Index) IndexSequence(seq int) error {
 	if from+n > L {
 		return nil // nothing new to index
 	}
-	feat := make(vec.Vector, ix.fmap.Dim())
 	err := ix.featureWindows(seq, from, func(start int, f vec.Vector) error {
 		ix.tree.Insert(f, store.EncodeWindowID(seq, start))
 		ix.indexed[seq] = start + 1
 		return nil
-	}, feat)
+	})
 	if err != nil {
 		return fmt.Errorf("core: indexing: %w", err)
 	}
 	return nil
 }
 
-// featureWindows streams the feature point of every window of sequence
-// seq from position from onward into fn, reusing feat as the output
-// buffer.  For the DFT basis the features are computed incrementally
-// with the sliding recurrence of [2] — O(f_c) per window instead of
-// O(n·f_c) — exploiting that the retained non-DC coefficients are
-// unaffected by mean removal, so raw windows yield SE features.
 // featureCheckpoint is the absolute window-start stride at which the
 // sliding DFT restarts from scratch.  Restarting at fixed checkpoints
 // makes every window's feature bit-reproducible no matter where a
@@ -729,81 +686,98 @@ func (ix *Index) IndexSequence(seq int) error {
 // as a side effect.
 const featureCheckpoint = 256
 
-func (ix *Index) featureWindows(seq, from int, fn func(start int, f vec.Vector) error, feat vec.Vector) error {
-	n := ix.opts.WindowLen
-	lastStart := ix.st.SequenceLen(seq) - n
-	if from > lastStart {
+// featureWindows streams the feature point of every window of sequence
+// seq from position from onward into fn; the vector it passes is reused
+// from window to window.  For the DFT basis the features are computed
+// incrementally with the sliding recurrence of [2] — O(f_c) per window
+// instead of O(n·f_c) — exploiting that the retained non-DC
+// coefficients are unaffected by mean removal, so raw windows yield SE
+// features.
+func (ix *Index) featureWindows(seq, from int, fn func(start int, f vec.Vector) error) error {
+	return extractRange(ix.st, ix.fmap, ix.opts, seq, from, ix.st.SequenceLen(seq)-ix.opts.WindowLen+1, fn)
+}
+
+// extractRange streams the features of windows [lo, hi) of sequence
+// seq into fn, reading through sv, one checkpoint segment at a time —
+// so the emitted features are bit-identical to what any other
+// extraction computes for the same windows, regardless of how [lo, hi)
+// slices the sequence.
+func extractRange(sv storeView, fmap *dft.FeatureMap, opts Options, seq, lo, hi int, fn func(start int, f vec.Vector) error) error {
+	if lo >= hi {
 		return nil
 	}
-	sc := ix.newSegScratch()
-	for cp := from - from%featureCheckpoint; cp <= lastStart; cp += featureCheckpoint {
-		segLast := cp + featureCheckpoint - 1
-		if segLast > lastStart {
-			segLast = lastStart
-		}
-		if err := ix.featureSegment(seq, cp, segLast, from, sc, feat, fn); err != nil {
+	sc := newSegScratch(opts)
+	feat := make(vec.Vector, fmap.Dim())
+	for cp := lo - lo%featureCheckpoint; cp < hi; cp += featureCheckpoint {
+		if err := extractSegment(sv, fmap, opts, seq, cp, min(cp+featureCheckpoint, hi)-1, lo, sc, feat, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// segScratch holds the per-worker buffers of one feature-extraction
-// stream: raw spans a checkpoint segment's samples for the sliding
-// DFT; w and se serve the direct (Haar) transform.
+// segScratch holds the per-worker state of one feature-extraction
+// stream: raw spans a checkpoint segment's samples for the sliding DFT
+// and slider is the transformer re-seeded on each segment; w and se
+// serve the direct (Haar) transform.
 type segScratch struct {
 	raw, w, se vec.Vector
+	slider     *dft.SlidingTransformer
 }
 
-func (ix *Index) newSegScratch() *segScratch {
-	n := ix.opts.WindowLen
-	if ix.opts.Reduction == ReductionDFT {
+func newSegScratch(opts Options) *segScratch {
+	n := opts.WindowLen
+	if opts.Reduction == ReductionDFT {
 		return &segScratch{raw: make(vec.Vector, n+featureCheckpoint-1)}
 	}
 	return &segScratch{w: make(vec.Vector, n), se: make(vec.Vector, n)}
 }
 
-// featureSegment streams the features of windows [max(cp, from),
+// extractSegment streams the features of windows [max(cp, from),
 // segLast] of sequence seq into fn, where cp is a checkpoint-aligned
 // segment start.  The sliding DFT restarts from scratch at cp, so the
 // emitted features depend only on (seq, cp) — any caller that respects
 // checkpoint alignment reproduces them bit-identically, which is what
-// lets the parallel build shard segments across workers.
-func (ix *Index) featureSegment(seq, cp, segLast, from int, sc *segScratch, feat vec.Vector, fn func(start int, f vec.Vector) error) error {
-	n := ix.opts.WindowLen
-	if ix.opts.Reduction == ReductionDFT {
+// lets the bulk build shard segments across workers and a compaction
+// re-extract any slice of a sequence.
+func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, segLast, from int, sc *segScratch, feat vec.Vector, fn func(start int, f vec.Vector) error) error {
+	n := opts.WindowLen
+	if opts.Reduction == ReductionDFT {
 		span := segLast - cp + n // samples covering windows [cp, segLast]
-		if err := ix.st.Window(seq, cp, span, sc.raw[:span], nil); err != nil {
+		if err := sv.Window(seq, cp, span, sc.raw[:span], nil); err != nil {
 			return err
 		}
-		slider, err := dft.NewSlidingTransformer(ix.fmap, sc.raw[:n])
+		// Reposition seeds exactly as NewSlidingTransformer does, so the
+		// features do not depend on what the scratch extracted before.
+		var err error
+		if sc.slider == nil {
+			sc.slider, err = dft.NewSlidingTransformer(fmap, sc.raw[:n])
+		} else {
+			err = sc.slider.Reposition(sc.raw[:n])
+		}
 		if err != nil {
 			return err
 		}
 		for s := cp; s <= segLast; s++ {
 			if s > cp {
-				slider.Slide(sc.raw[s-cp+n-1])
+				sc.slider.Slide(sc.raw[s-cp+n-1])
 			}
 			if s < from {
 				continue
 			}
-			slider.Feature(feat)
+			sc.slider.Feature(feat)
 			if err := fn(s, feat); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	start := cp
-	if start < from {
-		start = from
-	}
-	for ; start <= segLast; start++ {
-		if err := ix.st.Window(seq, start, n, sc.w, nil); err != nil {
+	for start := max(cp, from); start <= segLast; start++ {
+		if err := sv.Window(seq, start, n, sc.w, nil); err != nil {
 			return err
 		}
 		vec.SETransformInPlace(sc.se, sc.w)
-		ix.fmap.TransformInto(feat, sc.se)
+		fmap.TransformInto(feat, sc.se)
 		if err := fn(start, feat); err != nil {
 			return err
 		}
@@ -867,7 +841,6 @@ func (ix *Index) UnindexSequence(seq int) error {
 		ix.indexed[seq] = 0
 		return nil
 	}
-	feat := make(vec.Vector, ix.fmap.Dim())
 	// Regenerate the stored feature points with featureWindows so they
 	// are bit-identical to what Build/IndexSequence inserted (the
 	// sliding DFT path differs from the direct transform by float
@@ -880,7 +853,7 @@ func (ix *Index) UnindexSequence(seq int) error {
 			return fmt.Errorf("core: window (%d, %d) missing from tree", seq, start)
 		}
 		return nil
-	}, feat)
+	})
 	if err != nil {
 		return fmt.Errorf("core: unindexing: %w", err)
 	}

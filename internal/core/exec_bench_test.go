@@ -251,3 +251,28 @@ func TestExecRangeAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestExecKNNAllocCeiling pins the typed best-first queue: a 10-NN
+// query over the segmented fixture pushes some 19 000 queue entries,
+// and boxed one object each while the queue went through
+// container/heap.  What is left is geom.LineRectDist's breakpoint
+// slices, a few per internal entry visited — some 12 000 a query here.
+func TestExecKNNAllocCeiling(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random, so pooled buffers are reallocated")
+	}
+	const ceiling = 15000
+	f := newSegmentedExecFixture(t, execFixtureDeltaAppends)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, q := range f.queries {
+			if _, err := f.g.Exec(ctx, Query{Vec: q.Values, K: 10}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(f.queries))
+	t.Logf("%.0f allocs per 10-NN query", allocs)
+	if allocs > ceiling {
+		t.Errorf("%.0f allocs per 10-NN query, ceiling %d", allocs, ceiling)
+	}
+}

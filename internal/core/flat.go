@@ -13,13 +13,15 @@ import (
 )
 
 // The frozen query path.  An Index can hold its R*-tree in one of two
-// representations: the mutable pointer tree (ix.tree, the build/insert
-// form) or a frozen flat arena (ix.flat, the serving form — one
-// contiguous pointer-free blob traversed with batched kernels; see
-// rtree.FlatTree).  When ix.flat is non-nil every search routes
-// through it; mutation thaws back to the pointer form first.  The two
-// representations answer every query bit-identically, so freezing and
-// thawing are invisible in result sets.
+// representations: the mutable pointer tree (ix.tree, the insert form)
+// or a frozen flat arena (ix.flat, the serving form — one contiguous
+// pointer-free blob traversed with batched kernels; see
+// rtree.FlatTree).  A bulk build and an artifact open produce the arena
+// directly; Freeze converts an insert-built tree.  When ix.flat is
+// non-nil every search routes through it; mutation thaws back to the
+// pointer form first.  The two representations answer every query
+// bit-identically, so freezing and thawing are invisible in result
+// sets.
 
 // searchTree is the read-only tree surface the query engine consumes;
 // *rtree.Tree and *rtree.FlatTree both implement it.
@@ -49,7 +51,8 @@ func (ix *Index) qtree() searchTree {
 
 // Freeze converts the index's tree to the flat serving representation.
 // Subsequent searches run on the arena; the pointer tree is released.
-// Freezing an already-frozen or degraded index is a no-op.
+// Freezing an already-frozen index — bulk-built, opened from an
+// artifact — or a degraded one is a no-op.
 func (ix *Index) Freeze() error {
 	if ix.flat != nil || ix.degraded != "" {
 		return nil
@@ -70,10 +73,12 @@ func (ix *Index) Freeze() error {
 // Frozen reports whether searches are served from the flat arena.
 func (ix *Index) Frozen() bool { return ix.flat != nil }
 
-// thaw reconstructs the mutable pointer tree from the frozen arena and
-// drops the arena (closing its backing mapping, if any).  Called by
-// checkMutable before any structural mutation.
-func (ix *Index) thaw() error {
+// Thaw reconstructs the mutable pointer tree from the frozen arena and
+// drops the arena (closing its backing mapping, if any); on an unfrozen
+// index it does nothing.  checkMutable calls it before any structural
+// mutation; the pointer-versus-arena ablations call it to search a
+// bulk-built tree through the pointer representation.
+func (ix *Index) Thaw() error {
 	if ix.flat == nil {
 		return nil
 	}

@@ -108,6 +108,10 @@ func TestFrozenIndexEquivalence(t *testing.T) {
 			if err := fresh.BuildBulk(); err != nil {
 				t.Fatal(err)
 			}
+			// A bulk build is born frozen; compare from the pointer form.
+			if err := fresh.Thaw(); err != nil {
+				t.Fatal(err)
+			}
 			ix = fresh
 		}
 		qs := testQueries(t, ix, 6)
@@ -211,6 +215,63 @@ func TestFrozenIndexMutationThaws(t *testing.T) {
 	wl := opts.WindowLen
 	if got, want := ix.WindowCount(), before+(64-wl+1); got != want {
 		t.Fatalf("window count after thaw+append = %d, want %d", got, want)
+	}
+}
+
+// TestBulkBuiltIndexIsBornFrozen checks the loader's contract at the
+// Index: a bulk build serves from the arena it emitted, Freeze has
+// nothing left to do, and inserts and deletes still work — the first
+// one thaws — leaving the same answers as an insert-built index put
+// through the same edits.
+func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
+	opts := testOptions()
+	ref := buildTestIndex(t, opts, 6, 100)
+	names, vals := fullSequences(t, ref.Store())
+	st := store.New()
+	for i := range names {
+		st.AppendSequence(names[i], vals[i])
+	}
+	ix, err := NewIndex(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.BuildBulkParallel(2); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Frozen() {
+		t.Fatal("a bulk build should leave the index frozen")
+	}
+	arena := ix.flat
+	if err := ix.Freeze(); err != nil || ix.flat != arena {
+		t.Fatalf("Freeze after a bulk build: err %v, arena replaced %v", err, ix.flat != arena)
+	}
+
+	extra := make([]float64, 40)
+	for i := range extra {
+		extra[i] = 50 + float64(i%7)
+	}
+	for _, x := range []*Index{ref, ix} {
+		if err := x.ExtendAndIndex(5, extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.UnindexSequence(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Frozen() {
+		t.Fatal("mutation should thaw the bulk-built index")
+	}
+	if err := ix.tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.WindowCount(), ref.WindowCount(); got != want {
+		t.Fatalf("%d windows after the edits, insert-built index has %d", got, want)
+	}
+	qs := testQueries(t, ref, 4)
+	wantR, wantNN, _, _ := runAllSearches(t, ref, qs, 8.0)
+	gotR, gotNN, _, _ := runAllSearches(t, ix, qs, 8.0)
+	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) {
+		t.Fatal("bulk-built index diverged from the insert-built one after the same edits")
 	}
 }
 

@@ -164,7 +164,8 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *st
 // and the answer is the chunk-order concatenation into one exactly
 // sized slice (nil when empty).  When the query yields enough
 // candidates, pc is not attached to a buffer pool, and GOMAXPROCS
-// allows, the chunks run concurrently with private page counters that
+// allows, the chunks run concurrently — the first on the caller's
+// goroutine, the rest on helpers — with private page counters that
 // are merged into pc afterwards; otherwise there is one chunk, run on
 // the caller's goroutine against pc itself.  Either way results,
 // ordering, and every SearchStats field are identical.  Every chunk
@@ -188,18 +189,30 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *st
 	} else if workers > 1 {
 		chunk := (len(ids) + workers - 1) / workers
 		var wg sync.WaitGroup
-		for g := range ws {
+		work := func(w *verifyWorker, ids []int64) {
+			defer wg.Done()
+			defer recoverWorkerPanic("verification", &w.seq, &w.start, &w.err)
+			w.err = w.run(ctx, v, ids, &w.pc)
+		}
+		// The caller verifies the first chunk itself — it would only wait
+		// otherwise — and every helper first makes sure it is not sharing
+		// the caller's CPU (leaveCPU says when a kernel leaves it there).
+		home := currentCPU()
+		for g := len(ws) - 1; g >= 0; g-- {
 			lo := g * chunk
 			hi := min(lo+chunk, len(ids))
 			if lo >= hi {
-				break
+				continue
 			}
 			wg.Add(1)
-			go func(w *verifyWorker, ids []int64) {
-				defer wg.Done()
-				defer recoverWorkerPanic("verification", &w.seq, &w.start, &w.err)
-				w.err = w.run(ctx, v, ids, &w.pc)
-			}(&ws[g], ids[lo:hi])
+			if g == 0 {
+				work(&ws[0], ids[:hi])
+			} else {
+				go func(w *verifyWorker, ids []int64) {
+					leaveCPU(home)
+					work(w, ids)
+				}(&ws[g], ids[lo:hi])
+			}
 		}
 		wg.Wait()
 		// A real failure (panic, I/O) outranks a context error seen by a

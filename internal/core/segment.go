@@ -2,15 +2,14 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 
 	"scaleshift/internal/dft"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
-	"scaleshift/internal/vec"
 )
 
 // The segment model behind SegmentedIndex: an ordered set of immutable
@@ -66,69 +65,12 @@ func (m *manifest) windowCount() int {
 	return total
 }
 
-// extractRange streams the features of windows [lo, hi) of sequence
-// seq into fn, reading through sv.  It replicates featureSegment's
-// checkpoint discipline — the sliding DFT restarts at every absolute
-// multiple of featureCheckpoint — so the emitted features are
-// bit-identical to what Build/BuildBulkParallel computes for the same
-// windows, regardless of how [lo, hi) slices the sequence.
-func extractRange(sv storeView, fmap *dft.FeatureMap, opts Options, seq, lo, hi int, fn func(start int, f vec.Vector) error) error {
-	if lo >= hi {
-		return nil
-	}
-	n := opts.WindowLen
-	feat := make(vec.Vector, fmap.Dim())
-	if opts.Reduction != ReductionDFT {
-		w := make(vec.Vector, n)
-		se := make(vec.Vector, n)
-		for start := lo; start < hi; start++ {
-			if err := sv.Window(seq, start, n, w, nil); err != nil {
-				return err
-			}
-			vec.SETransformInPlace(se, w)
-			fmap.TransformInto(feat, se)
-			if err := fn(start, feat); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	raw := make(vec.Vector, n+featureCheckpoint-1)
-	for cp := lo - lo%featureCheckpoint; cp < hi; cp += featureCheckpoint {
-		segLast := cp + featureCheckpoint - 1
-		if segLast > hi-1 {
-			segLast = hi - 1
-		}
-		span := segLast - cp + n
-		if err := sv.Window(seq, cp, span, raw[:span], nil); err != nil {
-			return err
-		}
-		slider, err := dft.NewSlidingTransformer(fmap, raw[:n])
-		if err != nil {
-			return err
-		}
-		for s := cp; s <= segLast; s++ {
-			if s > cp {
-				slider.Slide(raw[s-cp+n-1])
-			}
-			if s < lo {
-				continue
-			}
-			slider.Feature(feat)
-			if err := fn(s, feat); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// rangesOf derives the contiguous window ranges covered by items, which
-// must be sorted by id.
-func rangesOf(items []rtree.Item) []winRange {
+// rangesOf derives the contiguous window ranges covered by ids, which
+// must be sorted.
+func rangesOf(ids []int64) []winRange {
 	var out []winRange
-	for _, it := range items {
-		seq, start := store.DecodeWindowID(it.ID)
+	for _, id := range ids {
+		seq, start := store.DecodeWindowID(id)
 		if k := len(out) - 1; k >= 0 && out[k].Seq == seq && out[k].Hi == start {
 			out[k].Hi++
 			continue
@@ -138,9 +80,9 @@ func rangesOf(items []rtree.Item) []winRange {
 	return out
 }
 
-// buildSegment bulk-loads one frozen segment from the windows of d,
-// reading the ids and feature planes in place: the points the loader
-// sorts are rows of one transposed buffer, not a heap object per
+// buildSegment bulk-loads one frozen segment from the windows of d: the
+// ids and feature planes go to the loader as columns, in (seq, start)
+// order whatever order the windows arrived in — no object is made per
 // window.  The feature points were extracted under the checkpoint
 // discipline, so the segment indexes exactly the features a
 // from-scratch build would.  Returns nil for an empty view.
@@ -148,43 +90,34 @@ func buildSegment(d deltaSeg, opts Options) (*frozenSeg, error) {
 	if d.n == 0 {
 		return nil, nil
 	}
-	// Items go to the loader in (seq, start) order, whatever order the
-	// windows arrived in.
-	ids := d.appendIDs(make([]int64, 0, d.n))
+	arrival := d.appendIDs(make([]int64, 0, d.n))
 	order := make([]int32, d.n)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
-	points := make([]float64, d.n*d.dim)
-	items := make([]rtree.Item, d.n)
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(arrival[a], arrival[b]) })
+	ids, cols := make([]int64, d.n), make([]float64, d.n*d.dim)
 	for i, w := range order {
+		ids[i] = arrival[w]
 		feats, k := d.blocks[w/deltaBlockLen].feats, int(w)%deltaBlockLen
-		p := points[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
-		for j := range p {
-			p[j] = feats[j*deltaBlockLen+k]
+		for j := 0; j < d.dim; j++ {
+			cols[j*d.n+i] = feats[j*deltaBlockLen+k]
 		}
-		items[i] = rtree.Item{Point: p, ID: ids[w]}
 	}
-	ranges := rangesOf(items) // before the loader reorders them
 	cfg := opts.Tree
 	cfg.Dim = d.dim
-	tree, err := rtree.BulkLoadParallel(cfg, items, runtime.GOMAXPROCS(0))
+	flat, err := rtree.BulkLoadFlat(cfg, ids, cols, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("core: segment bulk load: %w", err)
 	}
-	flat, err := tree.Freeze()
-	if err != nil {
-		return nil, fmt.Errorf("core: segment freeze: %w", err)
-	}
-	return &frozenSeg{flat: flat, ranges: ranges, count: d.n}, nil
+	return &frozenSeg{flat: flat, ranges: rangesOf(ids), count: d.n}, nil
 }
 
 // mergeSegments re-extracts every window covered by the given frozen
 // segments and the delta view from snap and bulk-loads them into one
-// consolidated segment.  Re-extraction (rather than stitching stored
-// feature points) keeps the merged segment bit-identical to a
-// from-scratch build by construction.
+// consolidated segment (bulkLoadRanges, the cold start's own build).
+// Re-extraction (rather than stitching stored feature points) keeps the
+// merged segment bit-identical to a from-scratch build by construction.
 //
 // The segments must be an ADJACENT run of the frozen list (plus the
 // folding delta, which continues past the newest segment): per
@@ -211,20 +144,16 @@ func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, fro
 		seq, start := store.DecodeWindowID(id)
 		cover(seq, start, start+1)
 	}
-	seqs := make([]int, 0, len(hi))
+	ranges := make([]winRange, 0, len(hi))
+	count := 0
 	for seq := range hi {
-		seqs = append(seqs, seq)
+		ranges = append(ranges, winRange{Seq: seq, Lo: lo[seq], Hi: hi[seq]})
+		count += hi[seq] - lo[seq]
 	}
-	sort.Ints(seqs)
-	merged := deltaSeg{dim: fmap.Dim()}
-	for _, seq := range seqs {
-		err := extractRange(snap, fmap, opts, seq, lo[seq], hi[seq], func(start int, f vec.Vector) error {
-			merged.append(store.EncodeWindowID(seq, start), f)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: segment merge: %w", err)
-		}
+	slices.SortFunc(ranges, func(a, b winRange) int { return cmp.Compare(a.Seq, b.Seq) })
+	flat, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, fmt.Errorf("core: segment merge: %w", err)
 	}
-	return buildSegment(merged, opts)
+	return &frozenSeg{flat: flat, ranges: ranges, count: count}, nil
 }

@@ -80,14 +80,7 @@ func writeSegments(opts Options, man *manifest, w io.Writer) error {
 	bw.Magic(segMagic)
 	bw.Section(head)
 	for _, sg := range man.frozen {
-		// Same alignment discipline as Index.WriteBinary: the section
-		// payload is a u64 pad length, pad zero bytes, then the arena
-		// verbatim, placed so the arena starts on an 8-byte file offset.
-		pad := int((8 - (bw.Pos()+16)%8) % 8)
-		payload := make([]byte, 8+pad, 8+pad+sg.flat.ArenaSize())
-		binary.LittleEndian.PutUint64(payload, uint64(pad))
-		payload = sg.flat.AppendArena(payload)
-		bw.Section(payload)
+		writeArenaSection(bw, sg.flat)
 	}
 	return bw.Close()
 }

@@ -156,8 +156,9 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 // window counts, and the frozen flat R*-tree arena — in the
 // checksummed v3 format, so it can be reopened with LoadIndex (or
 // memory-mapped with LoadIndexFile) without re-running
-// pre-processing.  An unfrozen index is frozen transiently for
-// writing; the in-memory representation is left unchanged.  The
+// pre-processing.  A bulk-built or artifact-loaded index streams the
+// arena it serves from; an insert-built one is frozen transiently for
+// writing, its in-memory representation left unchanged.  The
 // underlying store is NOT included; persist it separately with
 // Store.WriteBinary.  A degraded index (see OpenOrRebuild) refuses to
 // serialize: it has no tree to persist.
@@ -176,20 +177,29 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
 	bw.Section(ix.encodeHeader())
-
-	// The arena section payload is a u64 pad length, that many zero
-	// bytes, then the arena verbatim.  The pad is chosen so the arena's
-	// first byte lands on an 8-byte FILE offset: the section starts at
-	// Pos(), its payload at Pos()+8 (after the length prefix), the
-	// arena at Pos()+16+pad.  With every array element 8 bytes wide,
-	// file-offset alignment is what lets an mmap-backed open
-	// reinterpret the arrays in place.
-	pad := int((8 - (bw.Pos()+16)%8) % 8)
-	payload := make([]byte, 8+pad, 8+pad+flat.ArenaSize())
-	binary.LittleEndian.PutUint64(payload, uint64(pad))
-	payload = flat.AppendArena(payload)
-	bw.Section(payload)
+	writeArenaSection(bw, flat)
 	return bw.Close()
+}
+
+// writeArenaSection frames one flat tree as the next section of bw.
+// The payload is a u64 pad length, that many zero bytes, then the
+// arena verbatim.  The pad is chosen so the arena's first byte lands on
+// an 8-byte FILE offset: the section starts at Pos(), its payload at
+// Pos()+8 (after the length prefix), the arena at Pos()+16+pad.  With
+// every array element 8 bytes wide, file-offset alignment is what lets
+// an mmap-backed open reinterpret the arrays in place.  The arena is
+// streamed from the tree (rtree.FlatTree.WriteArena) — for a built or
+// mapped tree, the bytes it already holds — not staged.
+func writeArenaSection(bw *binio.Writer, flat *rtree.FlatTree) {
+	pad := int((8 - (bw.Pos()+16)%8) % 8)
+	bw.StreamSection(int64(8+pad+flat.ArenaSize()), func(w io.Writer) error {
+		var prefix [16]byte
+		binary.LittleEndian.PutUint64(prefix[:], uint64(pad))
+		if _, err := w.Write(prefix[:8+pad]); err != nil {
+			return err
+		}
+		return flat.WriteArena(w)
+	})
 }
 
 // arenaFromSection peels the pad prefix off an arena section payload.

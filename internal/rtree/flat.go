@@ -1,9 +1,12 @@
 package rtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -455,21 +458,13 @@ const (
 	maxArenaSample  = 1 << 12
 )
 
-// AppendArena appends the little-endian arena encoding of f to dst
-// and returns the result.  The layout is a 14-word header, the root
-// bounds, the planner sample, then the meta/starts/refs/planes arrays
-// verbatim; every field is 8 bytes wide, so a blob starting at an
-// 8-byte-aligned offset has every array aligned for zero-copy reads.
-func (f *FlatTree) AppendArena(dst []byte) []byte {
+// arenaHead returns the words of the arena that precede the four
+// arrays: the 14-word header, the root bounds, and the planner sample
+// behind its count.
+func (f *FlatTree) arenaHead() []uint64 {
 	d := f.cfg.Dim
-	putU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		dst = append(dst, b[:]...)
-	}
-	putF64 := func(v float64) { putU64(math.Float64bits(v)) }
-
-	for _, v := range []uint64{
+	head := make([]uint64, 0, arenaHeaderWords+2*d+1+len(f.sample)*d)
+	head = append(head,
 		arenaVersion,
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
 		uint64(f.cfg.ReinsertCount), uint64(f.cfg.Split),
@@ -477,42 +472,80 @@ func (f *FlatTree) AppendArena(dst []byte) []byte {
 		uint64(f.size), uint64(f.height), uint64(f.leafKind),
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
-	} {
-		putU64(v)
-	}
-	for j := 0; j < d; j++ {
-		if f.size > 0 {
-			putF64(f.bounds.L[j])
-		} else {
-			putF64(0)
+	)
+	for _, side := range []vec.Vector{f.bounds.L, f.bounds.H} {
+		for j := 0; j < d; j++ {
+			if f.size > 0 {
+				head = append(head, math.Float64bits(side[j]))
+			} else {
+				head = append(head, 0)
+			}
 		}
 	}
-	for j := 0; j < d; j++ {
-		if f.size > 0 {
-			putF64(f.bounds.H[j])
-		} else {
-			putF64(0)
-		}
-	}
-	putU64(uint64(len(f.sample)))
+	head = append(head, uint64(len(f.sample)))
 	for _, p := range f.sample {
 		for j := 0; j < d; j++ {
-			putF64(p[j])
+			head = append(head, math.Float64bits(p[j]))
 		}
 	}
-	for _, v := range f.meta {
-		putU64(v)
+	return head
+}
+
+// arenaChunk is how many words WriteArena encodes at a time on a host
+// whose memory is not already in arena byte order.
+const arenaChunk = 1 << 13
+
+// WriteArena writes the little-endian arena encoding of f to w.  The
+// layout is a 14-word header, the root bounds, the planner sample, then
+// the meta/starts/refs/planes arrays verbatim; every field is 8 bytes
+// wide, so a blob starting at an 8-byte-aligned offset has every array
+// aligned for zero-copy reads.  A tree that is a view of an arena —
+// bulk-loaded, or opened from one — writes the bytes it holds; one
+// frozen from a pointer tree writes its arrays as the byte ranges they
+// are on a little-endian host, and encodes them chunk by chunk
+// elsewhere.
+func (f *FlatTree) WriteArena(w io.Writer) error {
+	if f.arena != nil {
+		_, err := w.Write(f.arena)
+		return err
 	}
-	for _, v := range f.starts {
-		putU64(v)
+	// On a little-endian host a run of words is its own encoding.
+	put := func(words []uint64) error {
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words)))
+		return err
 	}
-	for _, v := range f.refs {
-		putU64(v)
+	if !hostLittleEndian {
+		var buf []byte
+		put = func(words []uint64) error {
+			for len(words) > 0 {
+				c := min(len(words), arenaChunk)
+				buf = buf[:0]
+				for _, v := range words[:c] {
+					buf = binary.LittleEndian.AppendUint64(buf, v)
+				}
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				words = words[c:]
+			}
+			return nil
+		}
 	}
-	for _, v := range f.planes {
-		putF64(v)
+	planes := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f.planes))), len(f.planes))
+	for _, words := range [][]uint64{f.arenaHead(), f.meta, f.starts, f.refs, planes} {
+		if err := put(words); err != nil {
+			return err
+		}
 	}
-	return dst
+	return nil
+}
+
+// AppendArena appends the arena encoding of f (see WriteArena) to dst
+// and returns the result.
+func (f *FlatTree) AppendArena(dst []byte) []byte {
+	buf := bytes.NewBuffer(slices.Grow(dst, f.ArenaSize()))
+	f.WriteArena(buf) // a bytes.Buffer does not fail
+	return buf.Bytes()
 }
 
 // ArenaSize returns the exact encoded size of the arena in bytes.

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"context"
 	"io"
 
@@ -32,6 +31,7 @@ type flatScratch struct {
 	qpQp   []float64
 	dist   []float64
 	rL, rH vec.Vector // entryRect gather destination
+	nn     flatNNHeap // best-first queue of the k-NN streams
 }
 
 func (f *FlatTree) getScratch() *flatScratch {
@@ -304,18 +304,47 @@ type flatNNEntry struct {
 	k    int
 }
 
+// flatNNHeap is the best-first queue: a binary min-heap on dist in a
+// typed slice, so a push boxes nothing.  push and pop sift exactly as
+// container/heap does over the same Less — up from the new last slot;
+// root swapped with the last slot, then down — because the order in
+// which entries at equal distance leave the queue, and with it the
+// emitted stream, depends on the sift order.
 type flatNNHeap []flatNNEntry
 
-func (h flatNNHeap) Len() int            { return len(h) }
-func (h flatNNHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h flatNNHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *flatNNHeap) Push(x interface{}) { *h = append(*h, x.(flatNNEntry)) }
-func (h *flatNNHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *flatNNHeap) push(e flatNNEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *flatNNHeap) pop() flatNNEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].dist < s[j].dist {
+			j = r
+		}
+		if !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // NearestToLine returns the k items closest to the line l — the flat
@@ -344,9 +373,10 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
-	h := &flatNNHeap{{dist: 0, node: 0, k: -1}}
-	for h.Len() > 0 {
-		top := heap.Pop(h).(flatNNEntry)
+	h := &sc.nn
+	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
+	for len(*h) > 0 {
+		top := h.pop()
 		if top.k >= 0 {
 			s, e := f.nodeEntries(top.node)
 			pl := f.nodePlanes(s, e)
@@ -371,14 +401,14 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 			pl := f.nodePlanes(s, e)
 			vec.PLDFastBatch(pl.Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
 			for k := 0; k < c; k++ {
-				heap.Push(h, flatNNEntry{dist: sc.dist[k], node: ni, k: k})
+				h.push(flatNNEntry{dist: sc.dist[k], node: ni, k: k})
 			}
 			continue
 		}
 		pl := f.nodePlanes(s, e)
 		for k := 0; k < c; k++ {
 			d := geom.LineRectDist(sc.entryRect(pl, k), l)
-			heap.Push(h, flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
+			h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
 		}
 	}
 }
@@ -394,9 +424,10 @@ func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn fun
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
-	h := &flatNNHeap{{dist: 0, node: 0, k: -1}}
-	for h.Len() > 0 {
-		top := heap.Pop(h).(flatNNEntry)
+	h := &sc.nn
+	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
+	for len(*h) > 0 {
+		top := h.pop()
 		if top.k >= 0 {
 			s, e := f.nodeEntries(top.node)
 			pl := f.nodePlanes(s, e)
@@ -420,9 +451,9 @@ func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn fun
 				if stats != nil {
 					stats.LeafEntriesChecked++
 				}
-				heap.Push(h, flatNNEntry{dist: d, node: ni, k: k})
+				h.push(flatNNEntry{dist: d, node: ni, k: k})
 			} else {
-				heap.Push(h, flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
+				h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
 			}
 		}
 	}
