@@ -118,8 +118,10 @@ bench-cluster:
 # the fixed 200 x 650 fixture of the allocation ceiling test — frozen,
 # and again as an append-mode server holds it (three frozen segments
 # and a 4 000-window delta of boundary-straddling windows), there with
-# a 10-NN query too — reporting ns/op, B/op, allocs/op and
-# candidates/op in about twenty seconds, with no server to start.  Run
+# a 10-NN query too, and the loose query once more with Limit 100 (first
+# rows exact, the rest counted from the certified bound) — reporting
+# ns/op, B/op, allocs/op and candidates/op in about twenty-five
+# seconds, with no server to start.  Run
 # it before and after touching the probe, the delta, the candidate
 # ordering or the verifier.
 bench-verify:

@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	scaleMin := fs.Float64("scale-min", 0, "cost bound: minimum allowed scale factor (0=unbounded)")
 	scaleMax := fs.Float64("scale-max", 0, "cost bound: maximum allowed scale factor (0=unbounded)")
 	shiftAbs := fs.Float64("shift-abs", 0, "cost bound: maximum |shift offset| (0=unbounded)")
-	limit := fs.Int("limit", 20, "print at most this many matches")
+	limit := fs.Int("limit", 20, "print at most this many matches (0 = all); the count is always complete")
 	long := fs.Bool("long", false, "treat the query as longer than the window (multipiece search)")
 	explain := fs.Bool("explain", false, "print the query plan: per-path cost estimates and stage timings")
 	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, scan, or trail")
@@ -142,11 +142,11 @@ func run(args []string, stdout io.Writer) error {
 	// query longer than the window (-long) the multipiece search.
 	var stats core.SearchStats
 	searchStart := time.Now()
-	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: e, K: max(*nn, 0), Costs: costs, Force: force}, &stats)
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: e, K: max(*nn, 0), Costs: costs, Force: force, Limit: *limit}, &stats)
 	if err != nil {
 		return err
 	}
-	matches, ex := res.Matches, res.Explain
+	ex := res.Explain
 	elapsed := time.Since(searchStart)
 
 	if *explain && ex != nil {
@@ -158,14 +158,13 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "search: %v cpu, %d index pages + %d data pages, %d candidates (%d false alarms, %d cost-rejected)\n",
 		elapsed.Round(time.Microsecond), stats.IndexNodeAccesses, stats.DataPageAccesses,
 		stats.Candidates, stats.FalseAlarms, stats.CostRejected)
-	fmt.Fprintf(stdout, "%d matches\n", len(matches))
-	for i, m := range matches {
-		if i >= *limit {
-			fmt.Fprintf(stdout, "  ... %d more\n", len(matches)-*limit)
-			break
-		}
+	fmt.Fprintf(stdout, "%d matches\n", res.Total)
+	for _, m := range res.Matches {
 		fmt.Fprintf(stdout, "  %-8s window [%d, %d)  dist=%.4g  a=%.4g  b=%.4g\n",
 			m.Name, m.Start, m.Start+len(q), m.Dist, m.Scale, m.Shift)
+	}
+	if more := res.Total - len(res.Matches); more > 0 {
+		fmt.Fprintf(stdout, "  ... %d more\n", more)
 	}
 	return obsFlags.Finish()
 }

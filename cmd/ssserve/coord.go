@@ -353,7 +353,7 @@ func (s *coordServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.TraceparentHeader, downstream)
 	}
 
-	params, describe, knn, limit, err := s.resolveQuery(ctx, r.URL.Query())
+	params, describe, knn, err := s.resolveQuery(ctx, r.URL.Query())
 	if err != nil {
 		root.SetAttr("error", err.Error())
 		root.End()
@@ -375,7 +375,7 @@ func (s *coordServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	g := s.coord.Scatter(ctx, params, knn, downstream)
 	elapsed := time.Since(start)
 
-	root.SetInt("matches", int64(len(g.Matches)))
+	root.SetInt("matches", int64(g.Total))
 	root.SetInt("shards_failed", int64(g.Failed))
 	if g.Failed > 0 {
 		root.SetAttr("coverage", "partial")
@@ -425,8 +425,9 @@ func (s *coordServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Query:     describe,
 		Eps:       g.Eps,
 		ElapsedNs: elapsed.Nanoseconds(),
-		Total:     len(g.Matches),
-		Truncated: g.Truncated,
+		Total:     g.Total,
+		Matches:   make([]matchJSON, 0, len(g.Matches)),
+		Truncated: g.Total > len(g.Matches),
 		Coverage:  cov,
 		Stats: statsJSON{
 			Candidates:     g.Stats.Candidates,
@@ -439,12 +440,7 @@ func (s *coordServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 			VerifyNs:       g.Stats.VerifyNs,
 		},
 	}
-	// limit caps what this response carries; g.Truncated says a shard
-	// already capped what it sent.
-	rows, truncated := cluster.LimitRows(len(g.Matches), limit)
-	resp.Truncated = resp.Truncated || truncated
-	resp.Matches = make([]matchJSON, 0, rows)
-	for _, m := range g.Matches[:rows] {
+	for _, m := range g.Matches {
 		resp.Matches = append(resp.Matches, matchJSON{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.End,
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,
@@ -461,7 +457,7 @@ func (s *coordServer) fillDraft(ctx context.Context, root *obs.Span, describe st
 	}
 	d.trace = root.Trace()
 	d.query = describe
-	d.matches = len(g.Matches)
+	d.matches = g.Total
 	d.stats = &obs.EventStats{
 		Candidates:     g.Stats.Candidates,
 		FalseAlarms:    g.Stats.FalseAlarms,
@@ -491,12 +487,13 @@ func (e *unavailableError) Error() string { return e.err.Error() }
 func (e *unavailableError) Unwrap() error { return e.err }
 
 // resolveQuery turns the caller's parameters into the exact parameter
-// set to fan out: an explicit values vector and an absolute eps.  Both
-// resolutions matter for exactness — every shard must search the same
-// query at the same radius, so per-shard eps_frac resolution (each
-// against its own norm scale) or per-shard seq addressing (local ids)
-// would quietly turn one query into N different ones.
-func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params url.Values, describe string, knn, limit int, err error) {
+// set to fan out: an explicit values vector, an absolute eps and the
+// row limit (default 100, 0 = all).  The first two resolutions matter
+// for exactness — every shard must search the same query at the same
+// radius, so per-shard eps_frac resolution (each against its own norm
+// scale) or per-shard seq addressing (local ids) would quietly turn
+// one query into N different ones.
+func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params url.Values, describe string, knn int, err error) {
 	params = url.Values{}
 	for k, vs := range p {
 		params[k] = vs
@@ -513,10 +510,10 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 		n := pr.Int("len", s.coord.WindowLen())
 		scale, shift := pr.Float("scale", 1), pr.Float("shift", 0)
 		if pr.Err != nil {
-			return nil, "", 0, 0, pr.Err
+			return nil, "", 0, pr.Err
 		}
 		if n <= 0 || n > maxAppendValues {
-			return nil, "", 0, 0, fmt.Errorf("parameter len must be in (0, %d]", maxAppendValues)
+			return nil, "", 0, fmt.Errorf("parameter len must be in (0, %d]", maxAppendValues)
 		}
 		vals, werr := s.coord.Window(ctx, seq, startAt, n)
 		if werr != nil {
@@ -524,9 +521,9 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 			if errors.As(werr, &down) {
 				// The bytes live only on the owner shard; with that fault
 				// domain gone the query cannot be resolved at all.
-				return nil, "", 0, 0, &unavailableError{err: werr}
+				return nil, "", 0, &unavailableError{err: werr}
 			}
-			return nil, "", 0, 0, werr
+			return nil, "", 0, werr
 		}
 		fields := make([]string, len(vals))
 		for i, v := range vals {
@@ -542,7 +539,7 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 		params.Del("shift")
 		describe = fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, startAt, n, scale, shift)
 	} else {
-		return nil, "", 0, 0, fmt.Errorf("provide seq=&start= or values=")
+		return nil, "", 0, fmt.Errorf("provide seq=&start= or values=")
 	}
 
 	// Epsilon: resolve eps_frac here, against the cluster-wide norm
@@ -551,13 +548,15 @@ func (s *coordServer) resolveQuery(ctx context.Context, p url.Values) (params ur
 	if eps < 0 {
 		eps = pr.Float("eps_frac", 0.02) * s.coord.NormScale()
 	}
-	knn, limit = pr.Int("nn", 0), pr.Int("limit", 100)
+	knn = pr.Int("nn", 0)
+	limit := pr.Int("limit", 100)
 	if pr.Err != nil {
-		return nil, describe, 0, 0, pr.Err
+		return nil, describe, 0, pr.Err
 	}
 	params.Set("eps", strconv.FormatFloat(eps, 'g', -1, 64))
 	params.Del("eps_frac")
-	return params, describe, knn, limit, nil
+	params.Set("limit", strconv.Itoa(limit))
+	return params, describe, knn, nil
 }
 
 // coordRunOpts carries the -coordinator flag set into runCoordinator.

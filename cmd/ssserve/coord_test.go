@@ -134,11 +134,12 @@ func coordGet(t *testing.T, h http.Handler, path string, header http.Header) (*h
 }
 
 type coordRespJSON struct {
-	TraceID  string      `json:"trace_id"`
-	Eps      float64     `json:"eps"`
-	Total    int         `json:"total_matches"`
-	Matches  []matchJSON `json:"matches"`
-	Coverage struct {
+	TraceID   string      `json:"trace_id"`
+	Eps       float64     `json:"eps"`
+	Total     int         `json:"total_matches"`
+	Matches   []matchJSON `json:"matches"`
+	Truncated bool        `json:"truncated"`
+	Coverage  struct {
 		Complete bool `json:"complete"`
 		OK       int  `json:"ok"`
 		Degraded int  `json:"degraded"`
@@ -159,41 +160,46 @@ type coordRespJSON struct {
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	tc := buildCoordCluster(t, 3)
 	eps := 0.08 * tc.norm
-	path := fmt.Sprintf("/search?seq=3&start=12&eps=%s&limit=0", strconv.FormatFloat(eps, 'g', -1, 64))
+	// Unlimited, with a limit the shards each apply before the merge, and
+	// with the default.
+	for _, limit := range []string{"&limit=0", "&limit=2", ""} {
+		path := fmt.Sprintf("/search?seq=3&start=12&eps=%s%s", strconv.FormatFloat(eps, 'g', -1, 64), limit)
 
-	resp, body := coordGet(t, tc.front, path, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("coordinator status %d: %s", resp.StatusCode, body)
-	}
-	var got coordRespJSON
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("decoding: %v\n%s", err, body)
-	}
-	if !got.Coverage.Complete || got.Coverage.OK != 3 {
-		t.Fatalf("coverage %+v, want complete with 3 ok shards", got.Coverage)
-	}
+		resp, body := coordGet(t, tc.front, path, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("coordinator status %d: %s", resp.StatusCode, body)
+		}
+		var got coordRespJSON
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("decoding: %v\n%s", err, body)
+		}
+		if !got.Coverage.Complete || got.Coverage.OK != 3 {
+			t.Fatalf("coverage %+v, want complete with 3 ok shards", got.Coverage)
+		}
 
-	sresp, sbody := get(t, tc.single, path)
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("oracle status %d: %s", sresp.StatusCode, sbody)
-	}
-	var want searchResponse
-	if err := json.Unmarshal(sbody, &want); err != nil {
-		t.Fatal(err)
-	}
-	if want.Total == 0 {
-		t.Fatal("oracle found nothing; the comparison would be vacuous")
-	}
-	if got.Total != want.Total {
-		t.Fatalf("coordinator found %d matches, single node %d", got.Total, want.Total)
-	}
-	for i := range want.Matches {
-		g, w := got.Matches[i], want.Matches[i]
-		if g.Seq != w.Seq || g.Start != w.Start || g.Name != w.Name ||
-			math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
-			math.Float64bits(g.Scale) != math.Float64bits(w.Scale) ||
-			math.Float64bits(g.Shift) != math.Float64bits(w.Shift) {
-			t.Fatalf("match %d differs:\n  coordinator %+v\n  oracle      %+v", i, g, w)
+		sresp, sbody := get(t, tc.single, path)
+		if sresp.StatusCode != http.StatusOK {
+			t.Fatalf("oracle status %d: %s", sresp.StatusCode, sbody)
+		}
+		var want searchResponse
+		if err := json.Unmarshal(sbody, &want); err != nil {
+			t.Fatal(err)
+		}
+		if want.Total < 3 {
+			t.Fatalf("oracle found %d matches; the comparison needs at least 3", want.Total)
+		}
+		if got.Total != want.Total || len(got.Matches) != len(want.Matches) || got.Truncated != want.Truncated {
+			t.Fatalf("%q: coordinator returned %d of %d matches (truncated %v), single node %d of %d (%v)",
+				limit, len(got.Matches), got.Total, got.Truncated, len(want.Matches), want.Total, want.Truncated)
+		}
+		for i := range want.Matches {
+			g, w := got.Matches[i], want.Matches[i]
+			if g.Seq != w.Seq || g.Start != w.Start || g.Name != w.Name ||
+				math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
+				math.Float64bits(g.Scale) != math.Float64bits(w.Scale) ||
+				math.Float64bits(g.Shift) != math.Float64bits(w.Shift) {
+				t.Fatalf("%q: match %d differs:\n  coordinator %+v\n  oracle      %+v", limit, i, g, w)
+			}
 		}
 	}
 }

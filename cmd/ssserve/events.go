@@ -54,6 +54,7 @@ func eventStats(st *core.SearchStats) *obs.EventStats {
 		FalseAlarms:    st.FalseAlarms,
 		CostRejected:   st.CostRejected,
 		Results:        st.Results,
+		ExactChecks:    st.ExactChecks,
 		IndexNodeReads: st.IndexNodeAccesses,
 		DataPageReads:  st.DataPageAccesses,
 		ScanProbes:     st.PathProbes[engine.PathScan],

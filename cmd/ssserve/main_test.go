@@ -408,17 +408,43 @@ func counterValue(t *testing.T, body, name string) int64 {
 
 func TestSearchLimitTruncates(t *testing.T) {
 	s := newTestServer(t, false)
-	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.2&limit=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	fetch := func(limit string) searchResponse {
+		t.Helper()
+		resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.2"+limit)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var sr searchResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	var sr searchResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
+	full := fetch("&limit=0")
+	if full.Total < 4 || len(full.Matches) != full.Total || full.Truncated {
+		t.Fatalf("limit=0 returned %d of %d matches, truncated=%v; the test needs at least 4", len(full.Matches), full.Total, full.Truncated)
 	}
-	if sr.Total > 1 && (len(sr.Matches) != 1 || !sr.Truncated) {
-		t.Fatalf("limit=1 returned %d matches, truncated=%v (total %d)",
-			len(sr.Matches), sr.Truncated, sr.Total)
+	// The limit reaches the engine, which counts what it does not
+	// return: same total, same ledger, the unlimited answer's first rows.
+	for _, limit := range []int{1, 3} {
+		sr := fetch(fmt.Sprintf("&limit=%d", limit))
+		if sr.Total != full.Total || len(sr.Matches) != limit || !sr.Truncated {
+			t.Fatalf("limit=%d returned %d matches, truncated=%v, total %d (unlimited %d)",
+				limit, len(sr.Matches), sr.Truncated, sr.Total, full.Total)
+		}
+		for i, m := range sr.Matches {
+			if m != full.Matches[i] {
+				t.Fatalf("limit=%d: row %d is %+v, the unlimited answer has %+v", limit, i, m, full.Matches[i])
+			}
+		}
+		got, want := sr.Stats, full.Stats
+		got.PlanNs, got.ProbeNs, got.VerifyNs = want.PlanNs, want.ProbeNs, want.VerifyNs
+		if got != want {
+			t.Fatalf("limit=%d: stats %+v, unlimited %+v", limit, sr.Stats, full.Stats)
+		}
+	}
+	if def := fetch(""); def.Total != full.Total || len(def.Matches) != min(full.Total, 100) {
+		t.Fatalf("default limit returned %d of %d matches", len(def.Matches), def.Total)
 	}
 }
 

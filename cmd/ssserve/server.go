@@ -509,7 +509,7 @@ func serveTraces(tracer *obs.Tracer, logger *slog.Logger, w http.ResponseWriter,
 }
 
 // parseSearchRequest decodes the /search query string into the query
-// to run, the match limit, and a description for traces and events.
+// to run and a description for traces and events.
 // The query is either explicit (values=, decoded with every other
 // parameter by cluster.DecodeSearchQuery — the one decoder shards and
 // the ShardNode fixture share) or addresses a window of the store:
@@ -518,30 +518,30 @@ func serveTraces(tracer *obs.Tracer, logger *slog.Logger, w http.ResponseWriter,
 //	scale, shift   disguise the window (defaults 1, 0)
 //
 // limit defaults to 100 (0 = all).
-func (s *server) parseSearchRequest(sn *snapshot, r *http.Request) (q core.Query, limit int, describe string, err error) {
+func (s *server) parseSearchRequest(sn *snapshot, r *http.Request) (q core.Query, describe string, err error) {
 	p := r.URL.Query()
-	if q, limit, err = cluster.DecodeSearchQuery(p, sn.normScale, 100); err != nil {
-		return core.Query{}, 0, "", err
+	if q, err = cluster.DecodeSearchQuery(p, sn.normScale, 100); err != nil {
+		return core.Query{}, "", err
 	}
 	if q.Vec != nil {
-		return q, limit, fmt.Sprintf("%d explicit values", len(q.Vec)), nil
+		return q, fmt.Sprintf("%d explicit values", len(q.Vec)), nil
 	}
 	if p.Get("seq") == "" && p.Get("start") == "" {
-		return core.Query{}, 0, "", fmt.Errorf("provide seq=&start= or values=")
+		return core.Query{}, "", fmt.Errorf("provide seq=&start= or values=")
 	}
 	pr := cluster.ParamReader{Values: p}
 	seq, start := pr.Int("seq", 0), pr.Int("start", 0)
 	n := pr.Int("len", sn.ix.Options().WindowLen)
 	scale, shift := pr.Float("scale", 1), pr.Float("shift", 0)
 	if pr.Err != nil {
-		return core.Query{}, 0, "", pr.Err
+		return core.Query{}, "", pr.Err
 	}
 	w := make(vec.Vector, n)
 	if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
-		return core.Query{}, 0, "", err
+		return core.Query{}, "", err
 	}
 	q.Vec = vec.Apply(w, scale, shift)
-	return q, limit, fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, start, n, scale, shift), nil
+	return q, fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, start, n, scale, shift), nil
 }
 
 // matchJSON is one reported match.
@@ -590,17 +590,17 @@ type searchResponse struct {
 	Plan      *planJSON   `json:"plan,omitempty"`
 }
 
-// matchesJSON converts engine matches, applying the per-query limit.
-func matchesJSON(matches []core.Match, qlen, limit int) (out []matchJSON, truncated bool) {
-	rows, truncated := cluster.LimitRows(len(matches), limit)
-	out = make([]matchJSON, 0, rows)
-	for _, m := range matches[:rows] {
+// matchesJSON converts the engine's rows (the query's limit is already
+// applied: core.Query.Limit).
+func matchesJSON(matches []core.Match, qlen int) []matchJSON {
+	out := make([]matchJSON, 0, len(matches))
+	for _, m := range matches {
 		out = append(out, matchJSON{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + qlen,
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,
 		})
 	}
-	return out, truncated
+	return out
 }
 
 // breakerGate admits or rejects a query that would run on the
@@ -642,7 +642,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	q, limit, describe, err := s.parseSearchRequest(sn, r)
+	q, describe, err := s.parseSearchRequest(sn, r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -670,7 +670,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := sn.ix.Exec(ctx, q, &stats)
 	elapsed := time.Since(start)
-	matches, ex := res.Matches, res.Explain
+	ex := res.Explain
 	record(elapsed, err)
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -679,21 +679,23 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeSearchError(w, r, err)
 		return
 	}
-	root.SetInt("matches", int64(len(matches)))
+	root.SetInt("matches", int64(res.Total))
 	if ex != nil && ex.Degraded {
 		// Flagging the root span routes the trace into the tracer's
 		// degraded retention bucket (and the ?degraded=1 filter).
 		root.SetBool("degraded", true)
 	}
 	root.End() // commits the trace, so /debug/traces can serve it immediately
-	fillSearchDraft(ctx, root, describe, &stats, ex, len(matches))
+	fillSearchDraft(ctx, root, describe, &stats, ex, res.Total)
 
 	resp := searchResponse{
 		TraceID:   stats.TraceID,
 		Query:     describe,
 		Eps:       q.Eps,
 		ElapsedNs: elapsed.Nanoseconds(),
-		Total:     len(matches),
+		Total:     res.Total,
+		Matches:   matchesJSON(res.Matches, len(q.Vec)),
+		Truncated: res.Total > len(res.Matches),
 		Stats: statsJSON{
 			Candidates:     stats.Candidates,
 			FalseAlarms:    stats.FalseAlarms,
@@ -718,7 +720,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			EstCandidates:  ex.EstCandidates,
 		}
 	}
-	resp.Matches, resp.Truncated = matchesJSON(matches, len(q.Vec), limit)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -887,6 +888,7 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		queries[i].Limit = limit
 	}
 
 	record, ok := s.breakerGate(w, r, sn)
@@ -949,8 +951,9 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 		item := batchItemJSON{Status: statuses[i].String(), Eps: queries[i].Eps}
 		if statuses[i] == core.BatchComplete {
 			resp.Completed++
-			item.Total = len(res.Matches)
-			item.Matches, item.Truncated = matchesJSON(res.Matches, len(queries[i].Vec), limit)
+			item.Total = res.Total
+			item.Matches = matchesJSON(res.Matches, len(queries[i].Vec))
+			item.Truncated = res.Total > len(res.Matches)
 		} else {
 			item.Matches = []matchJSON{}
 		}

@@ -86,17 +86,6 @@ type WireMatch struct {
 	Shift float64 `json:"shift"`
 }
 
-// LimitRows reports how many of total result rows a response capped at
-// limit rows (0 = uncapped) carries, and whether that truncates it.
-// Every encoder of a match list sizes its row slice by it: a loose
-// query has tens of thousands of matches and a default cap of 100.
-func LimitRows(total, limit int) (rows int, truncated bool) {
-	if limit > 0 && total > limit {
-		return limit, true
-	}
-	return total, false
-}
-
 // WireStats is the per-query cost ledger a shard reports; the
 // coordinator sums them across covered shards (each shard's ledger
 // satisfies Candidates == FalseAlarms + CostRejected + Results, so the

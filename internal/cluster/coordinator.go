@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -49,10 +50,13 @@ type ShardOutcome struct {
 
 // GatherResult is one scatter-gather answer with its coverage.
 type GatherResult struct {
-	Matches   []WireMatch
-	Stats     WireStats
-	Eps       float64
-	Truncated bool
+	// Matches is the merged answer's first limit rows (all of them
+	// without a limit) and Total the size of the whole merged answer
+	// over the covered shards.
+	Matches []WireMatch
+	Total   int
+	Stats   WireStats
+	Eps     float64
 	// ShardResults is the sum of the covered shards' result counts —
 	// the Results term that keeps the summed stats ledger's
 	// Candidates == FalseAlarms + CostRejected + Results invariant
@@ -316,18 +320,28 @@ func (c *Coordinator) ProbeReady(ctx context.Context) []ShardReady {
 
 // Scatter fans one search to every shard and gathers the exact merge.
 // params must already carry an absolute eps (or nn for k-NN) and an
-// explicit values vector; knn > 0 selects the k-NN merge.  traceparent,
-// when non-empty, is forwarded verbatim so each shard roots its trace
-// under the coordinator's trace id.
+// explicit values vector, and may carry the caller's row limit (absent
+// or 0: all rows); knn > 0 selects the k-NN merge.  traceparent, when
+// non-empty, is forwarded verbatim so each shard roots its trace under
+// the coordinator's trace id.
 func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, traceparent string) *GatherResult {
 	q := url.Values{}
 	for k, vs := range params {
 		q[k] = vs
 	}
-	// Shards must return their complete answer: the coordinator's
-	// limit applies to the merged result, and a shard-side cap would
-	// silently drop matches that belong in the global answer.
-	q.Set("limit", "0")
+	// A range query's limit travels to the shards.  Each answers with
+	// its first limit rows in (seq, start) order and the count of all
+	// its matches; a shard's sequence list is ascending in the manifest,
+	// so its local order is the global order, the global first limit rows
+	// are among the shards' first limit rows, and the counts add up.  A
+	// k-NN merge needs every shard's whole top-k — a shard-side cut could
+	// break a distance tie differently from the merge — so there the
+	// limit applies to the merged list alone.  (A malformed limit is
+	// forwarded as it is and comes back as every shard's 400.)
+	limit, _ := strconv.Atoi(q.Get("limit"))
+	if knn > 0 || q.Get("limit") == "" {
+		q.Set("limit", "0")
+	}
 	pathQuery := "/search?" + q.Encode()
 	var header http.Header
 	if traceparent != "" {
@@ -392,9 +406,6 @@ func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, t
 			out.State = "ok"
 			g.OK++
 		}
-		if r.resp.Truncated {
-			g.Truncated = true
-		}
 		if g.Eps == 0 {
 			g.Eps = r.resp.Eps
 		}
@@ -417,8 +428,19 @@ func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, t
 	}
 	if knn > 0 {
 		g.Matches = MergeKNN(lists, knn)
+		g.Total = len(g.Matches)
 	} else {
 		g.Matches = MergeRange(lists)
+		// Every row the merge dropped as a duplicate is one the shards
+		// counted twice.
+		dropped := -len(g.Matches)
+		for _, ms := range lists {
+			dropped += len(ms)
+		}
+		g.Total = g.ShardResults - dropped
+	}
+	if limit > 0 && len(g.Matches) > limit {
+		g.Matches = g.Matches[:limit]
 	}
 	c.okGauge.Set(float64(g.OK))
 	c.degradedGauge.Set(float64(g.Degraded))

@@ -54,18 +54,19 @@ func (r *ParamReader) Int(name string, def int) int {
 //	nn             k-nearest-neighbour mode when > 0
 //	path           auto | rtree | trail | scan
 //	scale_min, scale_max, shift_abs   transformation cost bounds
-//	limit          cap on returned matches (0 = all)
+//	limit          cap on returned matches (0 or less = all), carried by
+//	               the query as core.Query.Limit
 //
 // Vec stays nil when values= is absent: whether a query may instead be
 // addressed by seq/start is the caller's decision.
-func DecodeSearchQuery(p url.Values, normScale float64, defaultLimit int) (q core.Query, limit int, err error) {
+func DecodeSearchQuery(p url.Values, normScale float64, defaultLimit int) (q core.Query, err error) {
 	pr := ParamReader{Values: p}
 	if values := p.Get("values"); values != "" {
 		fields := strings.Split(values, ",")
 		q.Vec = make(vec.Vector, len(fields))
 		for i, f := range fields {
 			if q.Vec[i], err = strconv.ParseFloat(strings.TrimSpace(f), 64); err != nil {
-				return core.Query{}, 0, fmt.Errorf("parameter values, field %d: %w", i+1, err)
+				return core.Query{}, fmt.Errorf("parameter values, field %d: %w", i+1, err)
 			}
 		}
 	}
@@ -86,14 +87,14 @@ func DecodeSearchQuery(p url.Values, normScale float64, defaultLimit int) (q cor
 	if nn := pr.Int("nn", 0); nn > 0 {
 		q.K = nn
 	}
-	limit = pr.Int("limit", defaultLimit)
+	q.Limit = pr.Int("limit", defaultLimit)
 	if pr.Err != nil {
-		return core.Query{}, 0, pr.Err
+		return core.Query{}, pr.Err
 	}
 	if path := p.Get("path"); path != "" {
 		if q.Force, err = engine.ParsePathKind(path); err != nil {
-			return core.Query{}, 0, err
+			return core.Query{}, err
 		}
 	}
-	return q, limit, nil
+	return q, nil
 }

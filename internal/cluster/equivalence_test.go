@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -200,8 +201,22 @@ func TestRangeEquivalence(t *testing.T) {
 			want := canonCore(single)
 			sortCanon(want)
 			diffCanon(t, "range", canonWire(g.Matches), want)
-			if g.ShardResults != len(single) {
-				t.Fatalf("shard result total %d, oracle %d", g.ShardResults, len(single))
+			if g.ShardResults != len(single) || g.Total != len(single) {
+				t.Fatalf("shard result total %d, merged total %d, oracle %d", g.ShardResults, g.Total, len(single))
+			}
+			// A limit travels to the shards, each of which answers with its
+			// own first rows and counts the rest: the merged head and the
+			// total must still be the single node's.
+			for _, limit := range []int{1, 5, len(single), 1000} {
+				params.Set("limit", strconv.Itoa(limit))
+				g := topo.scatter(t, params, 0)
+				if g.Failed != 0 {
+					t.Fatalf("limit %d: healthy topology reported %d failed shards", limit, g.Failed)
+				}
+				diffCanon(t, fmt.Sprintf("range, limit %d", limit), canonWire(g.Matches), want[:min(limit, len(want))])
+				if g.ShardResults != len(single) || g.Total != len(single) {
+					t.Fatalf("limit %d: shard result total %d, merged total %d, oracle %d", limit, g.ShardResults, g.Total, len(single))
+				}
 			}
 		})
 	}
@@ -274,6 +289,16 @@ func TestKNNEquivalence(t *testing.T) {
 	byDist(got)
 	byDist(want)
 	diffCanon(t, "knn", got, want)
+
+	// A limit cuts the merged top-k; the shards still send all of theirs.
+	params.Set("limit", "4")
+	g = topo.scatter(t, params, k)
+	if g.Total != k || len(g.Matches) != 4 {
+		t.Fatalf("limit 4: %d rows, total %d, want 4 of %d", len(g.Matches), g.Total, k)
+	}
+	got = canonWire(g.Matches)
+	byDist(got)
+	diffCanon(t, "knn, limit 4", got, want[:4])
 }
 
 // TestPartialCoverageAttribution kills one fault domain and checks the

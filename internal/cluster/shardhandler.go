@@ -90,7 +90,7 @@ func (n *ShardNode) handleWindow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q, limit, err := DecodeSearchQuery(r.URL.Query(), n.normScale, 0)
+	q, err := DecodeSearchQuery(r.URL.Query(), n.normScale, 0)
 	if err == nil && q.Vec == nil {
 		err = fmt.Errorf("shard search requires values=")
 	}
@@ -106,15 +106,14 @@ func (n *ShardNode) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rows, truncated := LimitRows(len(res.Matches), limit)
 	resp := SearchWire{
 		TraceID:   obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)),
 		Eps:       q.Eps,
-		Total:     len(res.Matches),
-		Truncated: truncated,
-		Matches:   make([]WireMatch, 0, rows),
+		Total:     res.Total,
+		Truncated: res.Total > len(res.Matches),
+		Matches:   make([]WireMatch, 0, len(res.Matches)),
 	}
-	for _, m := range res.Matches[:rows] {
+	for _, m := range res.Matches {
 		resp.Matches = append(resp.Matches, WireMatch{
 			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + len(q.Vec),
 			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,

@@ -164,8 +164,13 @@ type SearchStats struct {
 	FalseAlarms int
 	// CostRejected counts exact matches rejected by the cost bounds.
 	CostRejected int
-	// Results counts reported matches.
+	// Results counts the matches — all of them, whatever Query.Limit
+	// returned.
 	Results int
+	// ExactChecks counts the candidates that paid the exact distance
+	// pass: every returned row, plus the windows the certified
+	// prefix-sum bound could not classify.
+	ExactChecks int
 	// LeafEntriesChecked counts leaf feature points compared.
 	LeafEntriesChecked int
 	// Penetration counts geometric pruning primitives.
@@ -202,6 +207,7 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.FalseAlarms += o.FalseAlarms
 	s.CostRejected += o.CostRejected
 	s.Results += o.Results
+	s.ExactChecks += o.ExactChecks
 	s.LeafEntriesChecked += o.LeafEntriesChecked
 	s.Penetration.Add(o.Penetration)
 	s.PlanTime += o.PlanTime
@@ -241,6 +247,7 @@ func (s SearchStats) CheckInvariants() error {
 		{"FalseAlarms", s.FalseAlarms},
 		{"CostRejected", s.CostRejected},
 		{"Results", s.Results},
+		{"ExactChecks", s.ExactChecks},
 		{"LeafEntriesChecked", s.LeafEntriesChecked},
 		{"DegradedProbes", s.DegradedProbes},
 	} {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -163,12 +165,24 @@ func benchmarkExecRangeSegmentedDelta(b *testing.B, frac float64) {
 func BenchmarkExecRangeTight(b *testing.B) { benchmarkExecRange(b, execFixtureTightFrac) }
 func BenchmarkExecRangeLoose(b *testing.B) { benchmarkExecRange(b, execFixtureLooseFrac) }
 
+// BenchmarkExecRangeLooseLimit100 is the loose query as ssserve runs it
+// by default: the first 100 rows exact, the rest counted.
+func BenchmarkExecRangeLooseLimit100(b *testing.B) {
+	ix, queries, scale := execRangeFixture(b)
+	benchmarkExec(b, ix, queries, Query{Eps: execFixtureLooseFrac * scale, Limit: 100})
+}
+
 func BenchmarkExecRangeSegmentedDeltaTight(b *testing.B) {
 	benchmarkExecRangeSegmentedDelta(b, execFixtureTightFrac)
 }
 
 func BenchmarkExecRangeSegmentedDeltaLoose(b *testing.B) {
 	benchmarkExecRangeSegmentedDelta(b, execFixtureLooseFrac)
+}
+
+func BenchmarkExecRangeSegmentedDeltaLooseLimit100(b *testing.B) {
+	f := newSegmentedExecFixture(b, execFixtureDeltaAppends)
+	benchmarkExec(b, f.g, f.queries, Query{Eps: execFixtureLooseFrac * f.scale, Limit: 100})
 }
 
 // BenchmarkExecKNNSegmentedDelta is the 10-nearest query over the same
@@ -182,7 +196,8 @@ func BenchmarkExecKNNSegmentedDelta(b *testing.B) {
 // pipeline: a range query's allocations scale neither with its
 // candidate count nor, on a segmented index, with the size of the delta
 // it filters or the number of delta candidates that straddle a
-// packed/tail boundary.  What remains per query is the plan and
+// packed/tail boundary, and with a Limit neither allocations nor bytes
+// scale with the match count.  What remains per query is the plan and
 // Explain (one SegmentPlan per segment), the verifier's query-side
 // vectors, the page sets, and one exactly sized answer slice.
 func TestExecRangeAllocCeiling(t *testing.T) {
@@ -223,6 +238,51 @@ func TestExecRangeAllocCeiling(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocs per query over %d candidates, ceiling %d", tc.name, allocs, candidates, ceiling)
 		}
+	}
+
+	// A limited query pays for the rows it returns, not for the matches it
+	// counts: twice the ε finds almost twice the matches, in the same
+	// allocations and the same bytes, a small fraction of what the
+	// unlimited answer takes.
+	measureBytes := func(q Query) (bytes uint64, matches int) {
+		// The steady state is the cheapest of a few runs: a collection, or
+		// a run that lands on a P whose pool is empty, regrows the pooled
+		// buffers and would charge them to this query.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		bytes = math.MaxUint64
+		for i := 0; i < 10; i++ {
+			var stats SearchStats
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := ix.Exec(ctx, q, &stats); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes, matches = min(bytes, after.TotalAlloc-before.TotalAlloc), stats.Results
+		}
+		return bytes, matches
+	}
+	limited := Query{Vec: queries[0].Values, Eps: execFixtureLooseFrac * scale, Limit: 100}
+	wider := limited
+	wider.Eps *= 2
+	unlimited := limited
+	unlimited.Limit = 0
+	allocs, _ := measure(ix, limited)
+	widerAllocs, _ := measure(ix, wider)
+	bytes, matches := measureBytes(limited)
+	widerBytes, widerMatches := measureBytes(wider)
+	unlimitedBytes, _ := measureBytes(unlimited)
+	t.Logf("limit 100: %d matches in %.0f allocs, %d B; %d matches in %.0f allocs, %d B; unlimited %d B",
+		matches, allocs, bytes, widerMatches, widerAllocs, widerBytes, unlimitedBytes)
+	if matches < 10000 || widerMatches < matches+10000 {
+		t.Errorf("limit 100: %d and %d matches, the comparison needs at least 10000 and 10000 more", matches, widerMatches)
+	}
+	if widerAllocs > allocs+4 || widerBytes > bytes+bytes/4+4096 {
+		t.Errorf("limit 100: %.0f allocs and %d B for %d matches, %.0f allocs and %d B for %d",
+			allocs, bytes, matches, widerAllocs, widerBytes, widerMatches)
+	}
+	if bytes > unlimitedBytes/10 {
+		t.Errorf("limit 100: %d B per query, the unlimited answer takes %d B", bytes, unlimitedBytes)
 	}
 
 	// The segmented index, at a delta of 2 000 windows and again at 4 000.

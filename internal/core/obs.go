@@ -26,6 +26,7 @@ var cm struct {
 	candidates   *obs.Counter
 	falseAlarms  *obs.Counter
 	costRejected *obs.Counter
+	exactChecks  *obs.Counter
 	matches      *obs.Counter
 	nodeReads    *obs.Counter
 	dataPages    *obs.Counter
@@ -58,8 +59,10 @@ func initCoreMetrics() {
 		"Candidates rejected by the exact distance check.")
 	cm.costRejected = r.Counter("scaleshift_cost_rejected_total",
 		"Exact matches rejected by the transformation cost bounds.")
+	cm.exactChecks = r.Counter("scaleshift_exact_checks_total",
+		"Candidates that paid the exact distance pass (returned rows and windows the certified bound left undecided); k-NN refinements included.")
 	cm.matches = r.Counter("scaleshift_matches_total",
-		"Matches returned to callers.")
+		"Matches found (all of them, whatever row limit the query carried).")
 	cm.nodeReads = r.Counter("scaleshift_index_node_reads_total",
 		"R*-tree index pages read by searches.")
 	cm.dataPages = r.Counter("scaleshift_data_page_reads_total",
@@ -111,6 +114,7 @@ func recordSearchMetrics(d *SearchStats, elapsed time.Duration, pieces int) {
 	cm.searchDur.ObserveDuration(elapsed)
 	cm.nodeReads.Add(int64(d.IndexNodeAccesses))
 	cm.dataPages.Add(int64(d.DataPageAccesses))
+	cm.exactChecks.Add(int64(d.ExactChecks))
 	if pieces == 0 {
 		return
 	}

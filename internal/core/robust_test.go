@@ -366,7 +366,7 @@ func TestVerifyWorkerPanicRecovered(t *testing.T) {
 		sc.ids = append(sc.ids, store.EncodeWindowID(seq, firstStart+i))
 	}
 	var pc store.PageCounter
-	_, _, _, err := verifyCandidates(context.Background(), v, sc, &pc)
+	_, _, err := verifyCandidates(context.Background(), v, sc, 0, &pc)
 	var wpe *WorkerPanicError
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want *WorkerPanicError", err)

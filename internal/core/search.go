@@ -18,11 +18,13 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// Post-processing verdicts.
+// Post-processing verdicts.  verdictUndecided is certify's alone: the
+// bound could not classify the window and the exact pass must.
 const (
 	verdictMatch = iota
 	verdictFalseAlarm
 	verdictCostRejected
+	verdictUndecided
 )
 
 // verifyCheckInterval is how many candidates a verification loop
@@ -47,81 +49,111 @@ type storeView interface {
 }
 
 // verifier carries the query-side quantities shared by every candidate
-// check of one query: the SE image su = T_se(q), its squared norm uu,
-// and the query mean mu feed both the prefix-sum fast path of
-// vec.MinDistWithStats and the exact confirmation of
-// vec.MinDistPrepared, so a candidate never pays for the query's own
-// reductions.  A verifier is read-only after construction and therefore
-// shared by the parallel verification workers.
+// check of one query: the prepared query feeds both the prefix-sum pass
+// (vec.Prepared.Certify) and the exact confirmation (vec.Prepared.
+// MinDist), so a candidate never pays for the query's own reductions.
+// A range query's verifier is read-only after construction and
+// therefore shared by the parallel verification workers.
 type verifier struct {
-	sv     storeView
-	n      int // window length, len(q)
-	su     vec.Vector
-	mu, uu float64
-	eps    float64
-	costs  CostBounds
+	sv    storeView
+	n     int // window length, len(q)
+	q     *vec.Prepared
+	costs CostBounds
+	// eps is the distance threshold; a certified squared distance above
+	// epsHi dismisses a window and one at or below epsLo accepts it (see
+	// setEps).
+	eps, epsLo, epsHi float64
 }
 
 func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *verifier {
-	su := vec.SETransform(q)
-	return &verifier{sv: sv, n: len(q), su: su, mu: vec.Mean(q), uu: vec.NormSq(su), eps: eps, costs: costs}
+	v := &verifier{sv: sv, n: len(q), q: vec.Prepare(q), costs: costs}
+	v.setEps(eps)
+	return v
 }
 
-// verify runs the exact post-processing check on one candidate window.
-// The window is read in place (no copy) and charged to pc — or, when it
-// straddles a grown sequence's packed/tail boundary, stitched into the
-// caller's stitch buffer, which a worker reuses from window to window;
-// the prefix-sum fast path rejects candidates whose distance provably
-// exceeds eps after one cross-term pass, and only survivors — true
-// matches and candidates within the fast path's error bound of the
-// boundary — pay for the exact distance, whose values (bit-identical to
-// vec.MinDist's) are reported so results equal the all-exact path's.
-func (v *verifier) verify(seq, start int, stitch vec.Vector, pc *store.PageCounter) (Match, int, error) {
-	n := v.n
-	w, err := v.sv.WindowViewInto(seq, start, n, stitch, pc)
-	if err != nil {
-		return Match{}, 0, err
+// setEps moves the distance threshold.  The exact pass decides
+// Dist > eps on Dist = fl(√x), x its clamped squared distance; eps·eps
+// is within one rounding of ε², and the correctly rounded, monotone
+// square root puts fl(√x) strictly above eps once x > ε²·(1+2⁻⁵²)² and
+// at or below it once x < ε², so a guard of four roundings on eps·eps
+// makes the squared comparison agree with the exact pass's on both
+// sides.  Where that reasoning has no footing — ε² overflows, or it or
+// the query's ‖T_se q‖² underflows into the subnormals, where roundings
+// stop being relative — the band opens to (−Inf, +Inf) and every window
+// is decided by the exact pass.
+func (v *verifier) setEps(eps float64) {
+	const machEps, tiny = 0x1p-52, 0x1p-900
+	e2 := eps * eps
+	v.eps, v.epsLo, v.epsHi = eps, e2-4*machEps*e2, e2+4*machEps*e2
+	if (e2 != 0 && e2 < tiny) || math.IsInf(e2, 1) || (v.q.UU != 0 && v.q.UU < tiny) {
+		v.epsLo, v.epsHi = math.Inf(-1), math.Inf(1)
 	}
-	ws, err := v.sv.WindowStats(seq, start, n)
-	if err != nil {
-		return Match{}, 0, err
+}
+
+// certify classifies window w from one cross-term pass and its O(1)
+// statistics wherever the certified bound (vec.Certificate: the exact
+// pass's Dist², scale and shift lie within stated errors of the fast
+// values) leaves the exact pass only one possible verdict: a false
+// alarm when even the smallest possible distance exceeds eps; a match
+// or a cost rejection when even the largest is within eps and (a, b)
+// are farther from every finite cost bound than their errors (an
+// infinite bound is never near).  It answers verdictUndecided otherwise
+// — and for a NaN bound, which fails every comparison below.
+func (v *verifier) certify(w vec.Vector, ws store.WindowStats) int {
+	c := v.q.Certify(w, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr)
+	switch {
+	case c.DistSq-c.DistSqErr > v.epsHi:
+		return verdictFalseAlarm
+	case !(c.DistSq+c.DistSqErr <= v.epsLo):
+		return verdictUndecided
 	}
-	fast, slack := vec.MinDistWithStats(v.su, v.mu, v.uu, w, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr)
-	if fast.Dist*fast.Dist > v.eps*v.eps+slack {
-		return Match{}, verdictFalseAlarm, nil
+	aLo, aHi := c.Scale-c.ScaleErr, c.Scale+c.ScaleErr
+	bLo, bHi := c.Shift-c.ShiftErr, c.Shift+c.ShiftErr
+	switch {
+	case v.costs.Allow(aLo, bLo) && v.costs.Allow(aHi, bHi):
+		return verdictMatch
+	case aHi < v.costs.ScaleMin || aLo > v.costs.ScaleMax || bHi < v.costs.ShiftMin || bLo > v.costs.ShiftMax:
+		return verdictCostRejected
 	}
-	m := vec.MinDistPrepared(v.su, v.mu, v.uu, w)
-	if m.Dist > v.eps {
-		return Match{}, verdictFalseAlarm, nil
+	return verdictUndecided
+}
+
+// exact runs the exact post-processing check on window w: the verdict,
+// and the exact pass's values (bit-identical to vec.MinDist's) a match
+// is reported with.
+func (v *verifier) exact(w vec.Vector) (vec.Match, int) {
+	m := v.q.MinDist(w)
+	switch {
+	case m.Dist > v.eps:
+		return m, verdictFalseAlarm
+	case !v.costs.Allow(m.Scale, m.Shift):
+		return m, verdictCostRejected
 	}
-	if !v.costs.Allow(m.Scale, m.Shift) {
-		return Match{}, verdictCostRejected, nil
-	}
-	return Match{
-		Seq:   seq,
-		Start: start,
-		Name:  v.sv.SequenceName(seq),
-		Dist:  m.Dist,
-		Scale: m.Scale,
-		Shift: m.Shift,
-	}, verdictMatch, nil
+	return m, verdictMatch
 }
 
 // verifyParallelThreshold is the candidate count below which the
 // per-query verification fan-out is not worth the goroutine handoff.
 const verifyParallelThreshold = 32
 
+// verdicts is the classification of a query's candidates: every one is
+// a match, a false alarm or a cost rejection; exactChecks counts those
+// that paid the exact pass.
+type verdicts struct {
+	matches, falseAlarms, costRejected, exactChecks int
+}
+
 // verifyWorker is the verification of one contiguous chunk of the
-// ordered candidate ids: its matches in id order, its verdict counts,
+// ordered candidate ids: its first rows in id order, its verdict counts,
 // the buffer its boundary-straddling windows are stitched into, and —
 // on the parallel pass — its private page counter and failure.
 type verifyWorker struct {
-	out                       []Match
-	stitch                    vec.Vector
-	falseAlarms, costRejected int
-	seq, start                int // the window in hand, for a panic report
-	pc                        store.PageCounter
-	err                       error
+	out    []Match
+	stitch vec.Vector
+	verdicts
+	seq, start int // the window in hand, for a panic report
+	pc         store.PageCounter
+	err        error
 	// Workers sit side by side in one slice and write their own fields
 	// on every window; the pad keeps neighbours off each other's cache
 	// line.
@@ -129,8 +161,14 @@ type verifyWorker struct {
 }
 
 // run verifies ids in order, charging pages to pc and polling ctx every
-// verifyCheckInterval candidates.
-func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *store.PageCounter) error {
+// verifyCheckInterval candidates.  Every window is read in place (no
+// copy; one that straddles a grown sequence's packed/tail boundary is
+// stitched into the worker's buffer) and classified by certify.  The
+// exact pass runs on what certify leaves undecided and on every match
+// that becomes a row — the chunk's first limit matches, all of them
+// without a positive limit — so rows carry the exact pass's values and the rest of the
+// chunk is counted from the bound alone.
+func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit int, pc *store.PageCounter) error {
 	out := w.out[:0]
 	for i, id := range ids {
 		if i%verifyCheckInterval == 0 {
@@ -139,9 +177,30 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *st
 			}
 		}
 		w.seq, w.start = store.DecodeWindowID(id)
-		m, verdict, err := v.verify(w.seq, w.start, w.stitch, pc)
+		win, err := v.sv.WindowViewInto(w.seq, w.start, v.n, w.stitch, pc)
 		if err != nil {
 			return err
+		}
+		ws, err := v.sv.WindowStats(w.seq, w.start, v.n)
+		if err != nil {
+			return err
+		}
+		verdict := v.certify(win, ws)
+		row := limit <= 0 || len(out) < limit
+		if verdict == verdictUndecided || (verdict == verdictMatch && row) {
+			var m vec.Match
+			m, verdict = v.exact(win)
+			w.exactChecks++
+			if verdict == verdictMatch && row {
+				out = append(out, Match{
+					Seq:   w.seq,
+					Start: w.start,
+					Name:  v.sv.SequenceName(w.seq),
+					Dist:  m.Dist,
+					Scale: m.Scale,
+					Shift: m.Shift,
+				})
+			}
 		}
 		switch verdict {
 		case verdictFalseAlarm:
@@ -149,7 +208,7 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *st
 		case verdictCostRejected:
 			w.costRejected++
 		default:
-			out = append(out, m)
+			w.matches++
 		}
 	}
 	w.out = out
@@ -157,22 +216,25 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, pc *st
 }
 
 // verifyCandidates post-processes the ordered candidate ids in sc,
-// returning the matches in id order — (Seq, Start) order, the order of
-// the answer — plus the false-alarm and cost-rejection counts.  The ids
-// are cut into contiguous chunks, one per worker; each worker appends
-// its matches to its own scratch buffer and counts its own verdicts,
-// and the answer is the chunk-order concatenation into one exactly
-// sized slice (nil when empty).  When the query yields enough
-// candidates, pc is not attached to a buffer pool, and GOMAXPROCS
-// allows, the chunks run concurrently — the first on the caller's
-// goroutine, the rest on helpers — with private page counters that
-// are merged into pc afterwards; otherwise there is one chunk, run on
-// the caller's goroutine against pc itself.  Either way results,
-// ordering, and every SearchStats field are identical.  Every chunk
-// polls ctx every verifyCheckInterval candidates; a panic on a worker
-// goroutine (a poisoned window) is recovered into a *WorkerPanicError
-// rather than crashing the process.
-func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *store.PageCounter) ([]Match, int, int, error) {
+// returning the first limit matches (all, without a positive limit) in id
+// order —
+// (Seq, Start) order, the order of the answer — and the classification
+// of every candidate.  The ids are cut into contiguous chunks, one per
+// worker; each worker keeps the first limit rows of its chunk in its own
+// scratch buffer and counts its own verdicts, and the answer is the
+// head of the chunk-order concatenation, copied into one exactly sized
+// slice (nil when empty).  When the query yields enough candidates, pc
+// is not attached to a buffer pool, and GOMAXPROCS allows, the chunks
+// run concurrently — the first on the caller's goroutine, the rest on
+// helpers — with private page counters that are merged into pc
+// afterwards; otherwise there is one chunk, run on the caller's
+// goroutine against pc itself.  Either way rows, ordering, and every
+// SearchStats field but ExactChecks (each chunk runs the exact pass
+// until it holds limit rows) are identical.  Every chunk polls ctx
+// every verifyCheckInterval candidates; a panic on a worker goroutine
+// (a poisoned window) is recovered into a *WorkerPanicError rather than
+// crashing the process.
+func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit int, pc *store.PageCounter) ([]Match, verdicts, error) {
 	ids := sc.ids
 	workers := runtime.GOMAXPROCS(0)
 	if len(ids) < verifyParallelThreshold || pc.Pool != nil {
@@ -183,8 +245,8 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *st
 	}
 	ws := sc.verifyWorkers(workers, v.n)
 	if workers == 1 {
-		if err := ws[0].run(ctx, v, ids, pc); err != nil {
-			return nil, 0, 0, err
+		if err := ws[0].run(ctx, v, ids, limit, pc); err != nil {
+			return nil, verdicts{}, err
 		}
 	} else if workers > 1 {
 		chunk := (len(ids) + workers - 1) / workers
@@ -192,7 +254,7 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *st
 		work := func(w *verifyWorker, ids []int64) {
 			defer wg.Done()
 			defer recoverWorkerPanic("verification", &w.seq, &w.start, &w.err)
-			w.err = w.run(ctx, v, ids, &w.pc)
+			w.err = w.run(ctx, v, ids, limit, &w.pc)
 		}
 		// The caller verifies the first chunk itself — it would only wait
 		// otherwise — and every helper first makes sure it is not sharing
@@ -224,28 +286,34 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, pc *st
 					ctxErr = err
 					continue
 				}
-				return nil, 0, 0, err
+				return nil, verdicts{}, err
 			}
 			pc.Merge(&ws[g].pc)
 		}
 		if ctxErr != nil {
-			return nil, 0, 0, ctxErr
+			return nil, verdicts{}, ctxErr
 		}
 	}
-	var total, falseAlarms, costRejected int
+	var vd verdicts
+	rows := 0
 	for g := range ws {
-		total += len(ws[g].out)
-		falseAlarms += ws[g].falseAlarms
-		costRejected += ws[g].costRejected
+		rows += len(ws[g].out)
+		vd.matches += ws[g].matches
+		vd.falseAlarms += ws[g].falseAlarms
+		vd.costRejected += ws[g].costRejected
+		vd.exactChecks += ws[g].exactChecks
 	}
-	if total == 0 {
-		return nil, falseAlarms, costRejected, nil
+	if limit > 0 {
+		rows = min(rows, limit)
 	}
-	out := make([]Match, 0, total)
+	if rows == 0 {
+		return nil, vd, nil
+	}
+	out := make([]Match, 0, rows)
 	for g := range ws {
-		out = append(out, ws[g].out...)
+		out = append(out, ws[g].out[:min(len(ws[g].out), rows-len(out))]...)
 	}
-	return out, falseAlarms, costRejected, nil
+	return out, vd, nil
 }
 
 // buildEngineQuery assembles the engine's view of one index-phase
@@ -317,15 +385,24 @@ type Query struct {
 	// Pool plays the verifier's data-page fetches through a shared LRU
 	// buffer pool, for bounded-memory cost studies.
 	Pool *store.BufferPool
+	// Limit, when positive, caps Result.Matches at the answer's first
+	// Limit rows; otherwise every match is returned.  The answer is the same either
+	// way — Result.Total and the ledger count every match — but only
+	// returned rows pay for the exact distance and (a, b): the rest are
+	// counted from the certified prefix-sum bound (see verifier.certify).
+	Limit int
 }
 
 // Result is a query's answer.  Range and long queries return Matches
 // ordered by (Seq, Start) and the Explain recording the plan decision,
 // per-path estimates, candidate actuals and stage timings; k-NN
 // queries return Matches by increasing distance and a nil Explain (no
-// plan is made: they are pinned to the index probe).
+// plan is made: they are pinned to the index probe).  Total is the
+// size of the whole answer, of which Matches is the first Query.Limit
+// rows: len(Matches) == Total unless the limit cut it.
 type Result struct {
 	Matches []Match
+	Total   int
 	Explain *engine.Explain
 }
 
@@ -616,8 +693,9 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 	}
 
 	// Post-processing step: exact check, transform recovery, cost
-	// bounds — prefix-sum filtered and, for large candidate sets,
-	// fanned across a worker pool (see verifyCandidates).  The stage
+	// bounds — prefix-sum certified, exact for the rows returned, and,
+	// for large candidate sets, fanned across a worker pool (see
+	// verifyCandidates).  The stage
 	// opens by putting the candidates in storage order, once: the
 	// verifier then walks the store sequentially (adjacent windows share
 	// all but one sample and a prefix-sum line), the matches are born in
@@ -633,7 +711,7 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 	cands := len(sc.ids)
 	pc := store.PageCounter{Pool: q.Pool}
 	v := newVerifier(sv, q.Vec, q.Eps, q.Costs)
-	out, falseAlarms, costRejected, err := verifyCandidates(verifyCtx, v, sc, &pc)
+	out, vd, err := verifyCandidates(verifyCtx, v, sc, q.Limit, &pc)
 	if err != nil {
 		spanEndWithError(verifySpan, err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -643,21 +721,23 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 	}
 	if verifySpan != nil {
 		verifySpan.SetInt("candidates", int64(cands))
-		verifySpan.SetInt("false_alarms", int64(falseAlarms))
-		verifySpan.SetInt("matches", int64(len(out)))
+		verifySpan.SetInt("false_alarms", int64(vd.falseAlarms))
+		verifySpan.SetInt("matches", int64(vd.matches))
+		verifySpan.SetInt("exact_checks", int64(vd.exactChecks))
 		verifySpan.End()
 	}
 	ex.VerifyTime = time.Since(verifyStart)
 	ex.ActualCandidates = cands
-	ex.Matches = len(out)
+	ex.Matches = vd.matches
 
 	*delta = SearchStats{
 		IndexNodeAccesses:  sc.tree.NodeAccesses,
 		DataPageAccesses:   pc.Distinct(),
 		Candidates:         cands,
-		FalseAlarms:        falseAlarms,
-		CostRejected:       costRejected,
-		Results:            len(out),
+		FalseAlarms:        vd.falseAlarms,
+		CostRejected:       vd.costRejected,
+		Results:            vd.matches,
+		ExactChecks:        vd.exactChecks,
 		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
 		Penetration:        sc.tree.Penetration,
 		PlanTime:           ex.PlanTime,
@@ -666,7 +746,7 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 		PathProbes:         sc.paths,
 		DegradedProbes:     sc.degraded,
 	}
-	return Result{Matches: out, Explain: ex}, nil
+	return Result{Matches: out, Total: vd.matches, Explain: ex}, nil
 }
 
 // execKNN returns the q.K windows with the smallest scale/shift
@@ -695,14 +775,13 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 	defer sc.release()
 	stitch := sc.verifyWorkers(1, n)[0].stitch
 	var best []Match // sorted ascending by Dist, at most k
-	var candidates int
+	var candidates, exactChecks int
 	var failed error
 
-	// refine exact-checks one window against the running top-k.  The
-	// prefix-sum fast path supplies a certified lower bound on the true
-	// distance; when the running top-k is full and the bound already
-	// exceeds the kth best, the exact MinDist (and its cost check, which
-	// could only discard the window anyway) is skipped.
+	// refine exact-checks one window against the running top-k.  Once the
+	// top-k is full, certify runs first with the kth best distance as its
+	// threshold: a window certainly farther, or certainly outside the cost
+	// bounds, cannot enter the answer and skips the exact MinDist.
 	refine := func(seq, start int) error {
 		candidates++
 		if candidates%verifyCheckInterval == 0 {
@@ -719,12 +798,12 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 			if err != nil {
 				return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
 			}
-			fast, fslack := vec.MinDistWithStats(vq.su, vq.mu, vq.uu, w, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr)
-			if lb := fast.Dist*fast.Dist - fslack; lb > 0 && math.Sqrt(lb) >= best[k-1].Dist {
+			if verdict := vq.certify(w, ws); verdict == verdictFalseAlarm || verdict == verdictCostRejected {
 				return nil
 			}
 		}
-		m := vec.MinDistPrepared(vq.su, vq.mu, vq.uu, w)
+		exactChecks++
+		m := vq.q.MinDist(w)
 		if !q.Costs.Allow(m.Scale, m.Shift) || (len(best) == k && m.Dist >= best[k-1].Dist) {
 			return nil
 		}
@@ -734,6 +813,9 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 		}
 		copy(best[pos+1:], best[pos:])
 		best[pos] = Match{Seq: seq, Start: start, Name: sv.SequenceName(seq), Dist: m.Dist, Scale: m.Scale, Shift: m.Shift}
+		if len(best) == k {
+			vq.setEps(best[k-1].Dist)
+		}
 		return nil
 	}
 	pv.nearest(q.Vec, sc, func(lb float64, seq, first, count int) bool {
@@ -754,9 +836,14 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 		DataPageAccesses:   pc.Distinct(),
 		Candidates:         candidates,
 		Results:            len(best),
+		ExactChecks:        exactChecks,
 		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
 	}
-	return Result{Matches: best}, nil
+	total := len(best)
+	if q.Limit > 0 && q.Limit < total {
+		best = best[:q.Limit]
+	}
+	return Result{Matches: best, Total: total}, nil
 }
 
 // execBatch fans queries over one index's Exec; *Index and

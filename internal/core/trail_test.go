@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
+	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
 	"scaleshift/internal/rtree"
@@ -542,5 +544,77 @@ func TestExtendThenUnindexPointMode(t *testing.T) {
 	}
 	if ix.WindowCount() != 0 {
 		t.Fatalf("%d windows left", ix.WindowCount())
+	}
+}
+
+// TestTrailPlannerUsesTreeAtPaperScale pins the planner on a trail
+// index at the paper's scale (1000 × 650, k = 8).  The trail estimate
+// once sized an entry as an equal share of the index volume — tens of
+// times the real reach of a run of eight consecutive windows, swamping
+// any ε — so the planner scanned for every query, 7–20× slower than
+// the tree it had built.  With the entry radius measured on the tree,
+// a tight and a loose ε both take the trail path, and a forced scan
+// returns the same answer.
+func TestTrailPlannerUsesTreeAtPaperScale(t *testing.T) {
+	if testing.Short() || raceDetectorEnabled {
+		t.Skip("builds a 66 000-entry R*-tree by insertion")
+	}
+	st := store.New()
+	cfg := stock.DefaultConfig()
+	cfg.Companies, cfg.Days = 1000, 650
+	if _, err := stock.Populate(st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.SubtrailLen = 8
+	ix, err := NewIndex(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.BuildBulk(); err != nil {
+		t.Fatal(err)
+	}
+	qcfg := query.DefaultConfig()
+	qcfg.N = 100
+	queries, err := query.Generate(st, qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := query.SENormScale(st, qcfg.WindowLen, 1000, qcfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hints := ix.qtree().CostHints()
+	if hints.EntryRadius <= 0 || hints.EntryRadius > hints.Diameter/100 {
+		t.Fatalf("mean entry radius %g on an index of diameter %g", hints.EntryRadius, hints.Diameter)
+	}
+	for _, frac := range []float64{0.001, 0.02} {
+		eps := frac * scale
+		trail := 0
+		for _, q := range queries {
+			line := seLineFor(ix.fmap, q.Values)
+			eq := buildEngineQuery(line, eps, ix.numericSlack(), UnboundedCosts(), ix.WindowCount(), ix.fmap.Dim())
+			_, ex, err := ix.planner.Plan(eq, engine.PathAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Chosen == engine.PathTrail {
+				trail++
+			}
+		}
+		if trail < 95 {
+			t.Errorf("eps-frac %g: the planner takes the trail path for %d of %d queries", frac, trail, len(queries))
+		}
+		auto, err := ix.Exec(context.Background(), Query{Vec: queries[0].Values, Eps: eps}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := ix.Exec(context.Background(), Query{Vec: queries[0].Values, Eps: eps, Force: engine.PathScan}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameMatches(auto.Matches, scan.Matches); err != nil || len(auto.Matches) == 0 {
+			t.Errorf("eps-frac %g: planned answer (%d rows) vs forced scan: %v", frac, len(auto.Matches), err)
+		}
 	}
 }

@@ -158,10 +158,11 @@ func EstimateScanCost(windows int) Cost {
 
 // EstimateTrailCost predicts the cost of the sub-trail MBR probe
 // (PathTrail): leaf entries are rectangles covering subtrailLen
-// consecutive windows, so the effective probe radius grows by half the
-// mean entry diameter (estimated from the index volume per entry, a
-// uniform-spread heuristic), and every penetrated entry expands into
-// its run of windows.
+// consecutive windows, so the effective probe radius grows by the mean
+// reach of an entry around its center (h.EntryRadius, measured on the
+// tree: a trail of consecutive windows is a short, thin box, orders of
+// magnitude smaller than an equal share of the index volume), and every
+// penetrated entry expands into its run of windows.
 func EstimateTrailCost(h rtree.CostHints, windows, subtrailLen int, eps float64) Cost {
 	return EstimateTrailCostSampled(h, windows, subtrailLen, eps, nil)
 }
@@ -173,12 +174,9 @@ func EstimateTrailCostSampled(h rtree.CostHints, windows, subtrailLen int, eps f
 	if eps < 0 {
 		eps = 0
 	}
-	entryDiam := 0.0
-	if h.Entries > 0 && h.Volume > 0 && h.Dim > 0 {
-		entryDiam = math.Sqrt(float64(h.Dim)) * math.Pow(h.Volume/float64(h.Entries), 1/float64(h.Dim))
-	}
-	sel := lineSelectivity(h.Diameter, h.Volume, h.Dim, eps+entryDiam/2)
-	if s := SampleSelectivity(sampleDists, eps+entryDiam/2); s > sel {
+	reach := eps + h.EntryRadius
+	sel := lineSelectivity(h.Diameter, h.Volume, h.Dim, reach)
+	if s := SampleSelectivity(sampleDists, reach); s > sel {
 		sel = s
 	}
 	cands := float64(h.Entries) * sel * float64(subtrailLen)

@@ -41,6 +41,7 @@ type EventStats struct {
 	FalseAlarms    int   `json:"false_alarms"`
 	CostRejected   int   `json:"cost_rejected"`
 	Results        int   `json:"results"`
+	ExactChecks    int   `json:"exact_checks,omitempty"`
 	IndexNodeReads int   `json:"index_node_reads"`
 	DataPageReads  int   `json:"data_page_reads"`
 	ScanProbes     int   `json:"scan_probes,omitempty"`

@@ -22,6 +22,10 @@ import (
 //   - histograms end in _seconds, _bytes, or _per_query (the last is
 //     the repo's suffix for dimensionless per-query distributions)
 //   - DurationHistogram names end in _seconds specifically
+//
+// and the verification ledger's counters must all be registered: a
+// dashboard reads candidates = false alarms + cost-rejected + matches,
+// and exact checks against candidates, from these names.
 
 var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
@@ -89,6 +93,19 @@ func TestMetricNameLint(t *testing.T) {
 	}
 	if len(sites) < 10 {
 		t.Fatalf("lint found only %d scaleshift_* registration sites — scanner is broken", len(sites))
+	}
+
+	registered := map[string]bool{}
+	for _, s := range sites {
+		registered[s.name] = true
+	}
+	for _, name := range []string{
+		"scaleshift_candidates_total", "scaleshift_false_alarms_total", "scaleshift_cost_rejected_total",
+		"scaleshift_matches_total", "scaleshift_exact_checks_total",
+	} {
+		if !registered[name] {
+			t.Errorf("ledger counter %q is not registered anywhere", name)
+		}
 	}
 
 	for _, s := range sites {

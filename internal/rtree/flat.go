@@ -51,6 +51,11 @@ type FlatTree struct {
 	sample []vec.Vector // planner sample (see CostHints)
 	arena  []byte       // backing arena when loaded zero-copy, else nil
 	pool   sync.Pool    // *flatScratch, per-search reusable buffers
+
+	// entryRadius is CostHints.EntryRadius, measured from the leaf planes
+	// on first use (the arena does not carry it).
+	radiusOnce  sync.Once
+	entryRadius float64
 }
 
 // Leaf-entry kinds of a FlatTree.
@@ -182,7 +187,33 @@ func (f *FlatTree) CostHints() CostHints {
 	}
 	h.Diameter = math.Sqrt(diagSq)
 	h.Volume = volume
+	if f.leafKind == flatLeafRects {
+		f.radiusOnce.Do(f.measureEntryRadius)
+		h.EntryRadius = f.entryRadius
+	}
 	return h
+}
+
+// measureEntryRadius sets entryRadius to the mean outer radius of the
+// leaf entries' MBRs, as geom.Rect.OuterRadius computes it.
+func (f *FlatTree) measureEntryRadius() {
+	var sum float64
+	for i := range f.meta {
+		if f.nodeLevel(i) != 0 {
+			continue
+		}
+		s, e := f.nodeEntries(i)
+		pl := f.nodePlanes(s, e)
+		for k := 0; k < pl.Count; k++ {
+			var sq float64
+			for j := 0; j < pl.Dim; j++ {
+				half := (pl.HRow(j)[k] - pl.LRow(j)[k]) / 2
+				sq += half * half
+			}
+			sum += math.Sqrt(sq)
+		}
+	}
+	f.entryRadius = sum / float64(f.size)
 }
 
 // nodeLevel returns the level of node i (0 = leaf).

@@ -96,6 +96,33 @@ func TestDeleteRect(t *testing.T) {
 	if tr.DeleteRect(randRect(r, 2), 9999) {
 		t.Error("absent DeleteRect succeeded")
 	}
+
+	// The planner's entry-size statistic follows inserts and deletes, and
+	// every representation of the tree reports the same value.
+	var want float64
+	for _, rc := range rects[100:] {
+		want += rc.OuterRadius() / 50
+	}
+	flat, err := tr.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := FlatFromArena(flat.AppendArena(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := mapped.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, got := range map[string]float64{
+		"tree": tr.CostHints().EntryRadius, "frozen": flat.CostHints().EntryRadius,
+		"mapped": mapped.CostHints().EntryRadius, "thawed": thawed.CostHints().EntryRadius,
+	} {
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: EntryRadius = %g, the remaining rects average %g", what, got, want)
+		}
+	}
 }
 
 func TestNearestRectsToLineFunc(t *testing.T) {

@@ -220,6 +220,10 @@ type Tree struct {
 	sample       []vec.Vector
 	sampleStride int
 	sampleTick   int
+	// radiusSum totals the leaf entries' outer radii (half diagonals;
+	// 0 for points), the planner's entry-size statistic: maintained by
+	// InsertRect and DeleteRect, recounted by rebuildSample.
+	radiusSum float64
 	// pathScratch is reused by insertEntry to record the chooseSubtree
 	// descent, so the MBR-adjust ascent never scans a parent's entries.
 	pathScratch []*entry
@@ -289,6 +293,7 @@ func (t *Tree) InsertRect(r geom.Rect, id int64) {
 	t.reinsertDone = make(map[int]bool)
 	t.insertEntry(e, 0)
 	t.size++
+	t.radiusSum += e.rect.OuterRadius()
 	t.sampleAdd(e.rect.Center())
 }
 

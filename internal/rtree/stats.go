@@ -117,9 +117,9 @@ func writeLevelStats(w io.Writer, stats []LevelStats) error {
 
 // CostHints summarizes the tree's structure for selectivity and cost
 // estimation by a query planner: the leaf-entry count, the page count,
-// the height, the root MBR's diagonal length and volume, and a small
-// feature sample.  All fields are O(1) reads of maintained state, so a
-// planner can call this on every query.
+// the height, the root MBR's diagonal length and volume, the mean size
+// of a leaf entry, and a small feature sample.  All fields are O(1)
+// reads of maintained state, so a planner can call this on every query.
 type CostHints struct {
 	// Entries counts leaf entries (points or sub-trail MBRs).
 	Entries int
@@ -130,6 +130,10 @@ type CostHints struct {
 	// Diameter is the Euclidean length of the root MBR's diagonal and
 	// Volume its d-dimensional volume; both are 0 for an empty tree.
 	Diameter, Volume float64
+	// EntryRadius is the mean outer radius (half the MBR diagonal) of a
+	// leaf entry: 0 for point entries, the reach of a sub-trail MBR around
+	// its center otherwise.
+	EntryRadius float64
 	// Sample is a deterministic stratified sample of the stored feature
 	// points (rect entries are represented by their centers), for
 	// distribution-aware selectivity estimation — the MBR-volume model
@@ -152,6 +156,7 @@ func (t *Tree) CostHints() CostHints {
 	if !ok {
 		return h
 	}
+	h.EntryRadius = max(t.radiusSum, 0) / float64(t.size)
 	var diagSq float64
 	volume := 1.0
 	for i := range bounds.L {
@@ -192,13 +197,15 @@ func (t *Tree) sampleAdd(p vec.Vector) {
 	t.sampleTick++
 }
 
-// rebuildSample repopulates the sample with a leaf walk — used by the
+// rebuildSample repopulates the sample, and recounts radiusSum, with a
+// leaf walk — used by the
 // constructors that assemble nodes directly instead of inserting
 // (bulk loading, deserialization).
 func (t *Tree) rebuildSample() {
 	t.sample = nil
 	t.sampleStride = 1 + t.size/sampleCap
 	t.sampleTick = 0
+	t.radiusSum = 0
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
@@ -208,6 +215,7 @@ func (t *Tree) rebuildSample() {
 			case e.item.Point != nil:
 				t.sampleAdd(e.item.Point)
 			default:
+				t.radiusSum += e.rect.OuterRadius()
 				t.sampleAdd(e.rect.Center())
 			}
 		}

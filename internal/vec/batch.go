@@ -94,25 +94,30 @@ func accumBatch(rows []float64, stride, count int, l Line, qpD, qpQp []float64) 
 	return dd
 }
 
-// dotUnrolled is Dot with four independent accumulators, letting the
-// compiler keep four multiply-adds in flight instead of serializing on
-// one.  The summation order differs from Dot, so the result may differ
-// by normal floating-point rounding — each accumulator performs n/4
-// sequential additions plus three combining additions, so the rounding
-// error stays within the (n+2)·ε·‖u‖·‖v‖ bound MinDistWithStats
-// assumes for its certified slack.
+// dotUnrolled is Dot with eight independent accumulators: a
+// floating-point add takes about four cycles and issues twice a cycle,
+// so eight chains keep the adders busy where one (or four) would wait
+// on the previous sum.  The summation order differs from Dot, so the
+// result may differ by normal floating-point rounding — each
+// accumulator performs n/8 sequential additions plus three combining
+// additions, so the rounding error stays within the (n+2)·ε·‖u‖·‖v‖
+// bound Prepared.Certify assumes for its certified slack.
 func dotUnrolled(u, v Vector) float64 {
 	assertSameDim(u, v)
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(u); i += 4 {
-		s0 += u[i] * v[i]
-		s1 += u[i+1] * v[i+1]
-		s2 += u[i+2] * v[i+2]
-		s3 += u[i+3] * v[i+3]
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for len(u) >= 8 && len(v) >= 8 {
+		s0 += u[0] * v[0]
+		s1 += u[1] * v[1]
+		s2 += u[2] * v[2]
+		s3 += u[3] * v[3]
+		s4 += u[4] * v[4]
+		s5 += u[5] * v[5]
+		s6 += u[6] * v[6]
+		s7 += u[7] * v[7]
+		u, v = u[8:], v[8:]
 	}
-	for ; i < len(u); i++ {
-		s0 += u[i] * v[i]
+	for i, x := range u {
+		s0 += x * v[i]
 	}
-	return (s0 + s1) + (s2 + s3)
+	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 }

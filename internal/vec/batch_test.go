@@ -118,7 +118,7 @@ func FuzzPLDBatchParity(f *testing.F) {
 }
 
 // TestDotUnrolledAccuracy bounds dotUnrolled's divergence from the
-// sequential Dot by the rounding-error budget MinDistWithStats
+// sequential Dot by the rounding-error budget Prepared.Certify
 // certifies its slack against.
 func TestDotUnrolledAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

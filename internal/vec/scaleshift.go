@@ -132,62 +132,132 @@ func Similar(u, v Vector, epsilon float64) bool {
 // machEps is the double-precision machine epsilon 2⁻⁵².
 const machEps = 0x1p-52
 
-// MinDistWithStats computes the scale-shift match of a query u against
-// a candidate window v from precomputed query-side quantities and O(1)
-// window statistics, replacing MinDist's three O(n) reductions with a
-// single cross-term pass:
+// Prepared is the query side of the scale-shift match, reduced once per
+// query and shared by every candidate check: the SE image SU = T_se(u),
+// the query mean Mu and UU = ‖SU‖² — exactly MinDistPrepared's
+// arguments — plus the constants the prefix-sum pass needs for its
+// error bound.  It is read-only after Prepare.
+type Prepared struct {
+	SU     Vector
+	Mu, UU float64
+	// rootUU = √UU, invUU = 1/UU and rootN = √n are hoisted out of the
+	// per-window pass; sumSU bounds |Σ SUᵢ|, which is zero in exact
+	// arithmetic and a few ulps of the query's values after SETransform's
+	// rounding.
+	rootUU, invUU, rootN, sumSU float64
+}
+
+// Prepare reduces the query u for MinDist and Certify.
+func Prepare(u Vector) *Prepared {
+	su := SETransform(u)
+	uu := NormSq(su)
+	n := float64(len(u))
+	var s float64
+	for _, x := range su {
+		s += x
+	}
+	rootUU, rootN := math.Sqrt(uu), math.Sqrt(n)
+	return &Prepared{
+		SU: su, Mu: Mean(u), UU: uu,
+		rootUU: rootUU, invUU: 1 / uu, rootN: rootN,
+		// The computed sum is within n·ε·Σ|SUᵢ| ≤ n·ε·√(n·UU) of the real
+		// one (Cauchy–Schwarz).
+		sumSU: math.Abs(s) + n*machEps*rootN*rootUU,
+	}
+}
+
+// MinDist is the exact pass: MinDistPrepared on the prepared query,
+// Float64bits-identical to MinDist(u, v).
+func (p *Prepared) MinDist(v Vector) Match { return MinDistPrepared(p.SU, p.Mu, p.UU, v) }
+
+// Certificate is the prefix-sum estimate of one window's match with a
+// certified error on each value: MinDistPrepared on the same query and
+// window returns a squared distance (the clamped value under its final
+// square root), a scale and a shift within DistSqErr, ScaleErr and
+// ShiftErr of DistSq, Scale and Shift — in both directions, so a caller
+// may dismiss a window on DistSq − DistSqErr and accept one on
+// DistSq + DistSqErr without running the exact pass.
+type Certificate struct {
+	DistSq, Scale, Shift          float64
+	DistSqErr, ScaleErr, ShiftErr float64
+}
+
+// Certify evaluates the scale-shift match of the prepared query against
+// a candidate window v from O(1) window statistics, replacing
+// MinDist's three O(n) reductions with a single cross-term pass:
 //
-//	su  = T_se(u)   (the query's SE image, computed once per query)
-//	mu  = mean(u),  uu = ‖su‖²
 //	sum = Σvᵢ,  sumSq = Σvᵢ²   (from the store's prefix sums)
 //
 // Then mv = sum/n, vv = ‖T_se(v)‖² = sumSq − n·mv², and because
-// Σ(su)ᵢ = 0 the cross term reduces to su·v, so MinDist's closed forms
+// Σ(SU)ᵢ = 0 the cross term reduces to SU·v, so MinDist's closed forms
 // apply unchanged.
 //
 // The window statistics come from differencing long-running prefix
 // sums, so the result carries floating-point error proportional to the
 // prefix magnitudes rather than the window's.  sumErr and sumSqErr are
 // the caller's absolute error bounds on sum and sumSq (see
-// store.WindowStats); the second return value bounds |Dist² − exact
-// Dist²| so callers can use the fast value as a conservative filter
-// and fall back to MinDist only near the decision boundary.
-func MinDistWithStats(su Vector, mu, uu float64, v Vector, sum, sumSq, sumErr, sumSqErr float64) (Match, float64) {
-	assertSameDim(su, v)
+// store.WindowStats).  The returned errors bound the difference to
+// what MinDistPrepared computes, not to real arithmetic: each adds the
+// exact pass's own rounding to the fast pass's, both measured against
+// the real-arithmetic value of the same closed form.
+//
+// Domain: finite inputs, n ≤ 2²⁰, and squares that neither overflow nor
+// lose their relative precision to underflow (UU zero or normal).  An
+// overflow — or an empty window — makes an error NaN or +Inf; callers
+// compare so that either reads as "undecided".  Second-order terms (products of two roundings,
+// at most n·ε times a first-order term) are covered by the final
+// doubling rather than spelled out.
+func (p *Prepared) Certify(v Vector, sum, sumSq, sumErr, sumSqErr float64) Certificate {
+	assertSameDim(p.SU, v)
 	n := float64(len(v))
-	if n == 0 {
-		return Match{Degenerate: true}, 0
-	}
 	mv := sum / n
-	vv := sumSq - n*mv*mv
-	// |Δvv| ≤ Δ(sumSq) + 2|mv|·Δ(sum) (mean-error propagation) plus the
-	// cancellation rounding of the subtraction itself.
-	slack := sumSqErr + 2*math.Abs(mv)*sumErr + 4*machEps*(math.Abs(sumSq)+n*mv*mv)
+	nmm := n * mv * mv
+	vv := sumSq - nmm
 	if vv < 0 {
 		vv = 0
 	}
-	if uu == 0 {
-		return Match{
-			Dist:       math.Sqrt(vv),
-			Scale:      0,
-			Shift:      mv,
-			Degenerate: true,
-		}, slack
+	// Fast side: |Δvv| ≤ Δ(sumSq) + 2|mv|·Δ(sum) (mean-error propagation)
+	// plus the rounding of n·mv² and of the cancelling subtraction.
+	vvErr := sumSqErr + 2*math.Abs(mv)*sumErr + 4*machEps*(math.Abs(sumSq)+nmm)
+	// Exact side: n squares of rounded differences and their sum, each
+	// within ε/2, on a total of at most vv + vvErr; the n·Δ(mean)² its
+	// own mean's rounding adds is second order.
+	vvErr += (n + 4) * machEps * (vv + vvErr)
+	// ‖v‖ ≤ nrmV (NaN, hence undecided, should the differenced Σv² come
+	// out negative beyond its error); the two means differ by the prefix
+	// sums' error, the division's rounding and the exact pass's plain
+	// summation.
+	nrmV := math.Sqrt(sumSq + sumSqErr)
+	mvErr := sumErr/n + machEps*(p.rootN*nrmV+math.Abs(mv))
+	if p.UU == 0 {
+		return Certificate{
+			DistSq: vv, Shift: mv,
+			DistSqErr: 2 * vvErr, ShiftErr: 2 * mvErr,
+		}
 	}
-	uv := dotUnrolled(su, v)
-	// Dot-product rounding: ≤ (n+2)·ε·‖su‖·‖v‖, with ‖v‖² ≤ sumSq
-	// widened by its own error.  The identity Σ(su)ᵢ = 0 holds only up
-	// to the rounding of su's construction, adding ≤ 4ε·|mv|·Σ|uᵢ| with
-	// Σ|uᵢ| ≤ √(n·(uu + n·mu²)) by Cauchy–Schwarz.
-	nrmV := math.Sqrt(math.Max(0, sumSq+sumSqErr))
-	uvErr := (n+2)*machEps*math.Sqrt(uu)*nrmV +
-		4*machEps*math.Abs(mv)*math.Sqrt(n*(uu+n*mu*mu))
-	a := uv / uu
-	distSq := vv - uv*uv/uu
-	slack += (2*math.Abs(uv)*uvErr+uvErr*uvErr)/uu + 4*machEps*(uv*uv)/uu
-	slack *= 2 // safety margin on the assembled bound
+	uv := dotUnrolled(p.SU, v)
+	// Both passes target R = Σ SUᵢ·(vᵢ − mean v).  The fast pass sums
+	// SUᵢ·vᵢ — dot-product rounding ≤ (n+2)·ε·‖SU‖·‖v‖ — and leaves out
+	// mean·ΣSUᵢ; the exact pass sums SUᵢ·(vᵢ − mv) with one more rounding
+	// per term, ≤ (n+4)·ε·‖SU‖·‖T_se v‖ ≤ (n+4)·ε·‖SU‖·‖v‖.
+	uvErr := (2*n+6)*machEps*p.rootUU*nrmV + (math.Abs(mv)+mvErr)*p.sumSU
+	// Multiplying by the hoisted 1/UU costs the fast values one rounding
+	// more than the exact pass's divisions; the ε terms below have room.
+	a := uv * p.invUU
+	q := uv * a
+	// |Δ(uv²/UU)| from Δuv, plus the roundings of the quotient (two in the
+	// exact pass, three here) and one of the subtraction on each side
+	// (vv's share sits in vvErr's n+4).
+	distSqErr := vvErr + (2*math.Abs(uv)*uvErr+uvErr*uvErr)*p.invUU + 4*machEps*q
+	aErr := uvErr*p.invUU + 2*machEps*math.Abs(a)
+	amu := a * p.Mu
+	bErr := mvErr + math.Abs(p.Mu)*aErr + 2*machEps*(math.Abs(mv)+math.Abs(amu))
+	distSq := vv - q
 	if distSq < 0 {
 		distSq = 0
 	}
-	return Match{Dist: math.Sqrt(distSq), Scale: a, Shift: mv - a*mu}, slack
+	return Certificate{
+		DistSq: distSq, Scale: a, Shift: mv - amu,
+		DistSqErr: 2 * distSqErr, ScaleErr: 2 * aErr, ShiftErr: 2 * bErr,
+	}
 }

@@ -310,14 +310,32 @@ func BenchmarkLLD128(b *testing.B) {
 	}
 }
 
-// statsOf reduces v directly for MinDistWithStats tests; the zero
-// error bounds model exact statistics.
+// statsOf reduces v directly for the Certify tests; the zero error
+// bounds model exact statistics.
 func statsOf(v Vector) (sum, sumSq float64) {
 	for _, x := range v {
 		sum += x
 		sumSq += x * x
 	}
 	return sum, sumSq
+}
+
+// certifyCovers reports how the exact pass's (Dist², Scale, Shift)
+// escape the certificate's error bounds; "" means all three are inside.
+func certifyCovers(c Certificate, exact Match) string {
+	// Dist² is re-squared from the rounded square root, which moves it by
+	// up to two ulps of itself.
+	ed := exact.Dist * exact.Dist
+	if d := math.Abs(c.DistSq - ed); !(d <= c.DistSqErr+2*machEps*ed) {
+		return fmt.Sprintf("Dist² %v vs exact %v: off by %v, certified %v", c.DistSq, ed, d, c.DistSqErr)
+	}
+	if d := math.Abs(c.Scale - exact.Scale); !(d <= c.ScaleErr) {
+		return fmt.Sprintf("Scale %v vs exact %v: off by %v, certified %v", c.Scale, exact.Scale, d, c.ScaleErr)
+	}
+	if d := math.Abs(c.Shift - exact.Shift); !(d <= c.ShiftErr) {
+		return fmt.Sprintf("Shift %v vs exact %v: off by %v, certified %v", c.Shift, exact.Shift, d, c.ShiftErr)
+	}
+	return ""
 }
 
 func TestMinDistWithStatsAgreesWithMinDist(t *testing.T) {
@@ -332,34 +350,22 @@ func TestMinDistWithStatsAgreesWithMinDist(t *testing.T) {
 				v[j] += 250
 			}
 		}
-		su := SETransform(u)
 		sum, sumSq := statsOf(v)
-		fast, slack := MinDistWithStats(su, Mean(u), NormSq(su), v, sum, sumSq, 0, 0)
+		c := Prepare(u).Certify(v, sum, sumSq, 0, 0)
 		exact := MinDist(u, v)
-		if math.Abs(fast.Dist*fast.Dist-exact.Dist*exact.Dist) > slack+1e-12 {
-			t.Fatalf("n=%d: fast Dist² %v vs exact %v exceeds slack %v",
-				n, fast.Dist*fast.Dist, exact.Dist*exact.Dist, slack)
+		if msg := certifyCovers(c, exact); msg != "" {
+			t.Fatalf("n=%d: %s", n, msg)
 		}
-		if exact.Degenerate != fast.Degenerate {
-			t.Fatalf("degeneracy mismatch: %+v vs %+v", fast, exact)
-		}
-		if exact.Degenerate {
-			continue
-		}
-		scale := math.Max(1, math.Abs(exact.Scale))
-		if math.Abs(fast.Scale-exact.Scale) > 1e-6*scale {
-			t.Fatalf("Scale %v vs %v", fast.Scale, exact.Scale)
-		}
-		shift := math.Max(1, math.Abs(exact.Shift))
-		if math.Abs(fast.Shift-exact.Shift) > 1e-6*shift {
-			t.Fatalf("Shift %v vs %v", fast.Shift, exact.Shift)
+		// The certificate is tight, not merely valid.
+		if c.DistSqErr > 1e-9*(1+c.DistSq) || c.ScaleErr > 1e-9*(1+math.Abs(c.Scale)) || c.ShiftErr > 1e-9*(1+math.Abs(c.Shift)) {
+			t.Fatalf("n=%d: loose certificate %+v", n, c)
 		}
 	}
 }
 
 func TestMinDistWithStatsSlackCoversStatErrors(t *testing.T) {
 	// Perturb the statistics within their declared error bounds; the
-	// distance bound must still cover the exact value.
+	// certificate must still cover the exact values.
 	r := rand.New(rand.NewSource(43))
 	for i := 0; i < 300; i++ {
 		n := 8 + r.Intn(120)
@@ -367,19 +373,14 @@ func TestMinDistWithStatsSlackCoversStatErrors(t *testing.T) {
 		for j := range v {
 			v[j] += 500 // large mean: worst case for Σv² cancellation
 		}
-		su := SETransform(u)
 		sum, sumSq := statsOf(v)
 		sumErr := 1e-9 * math.Abs(sum)
 		sumSqErr := 1e-9 * sumSq
 		pSum := sum + (2*r.Float64()-1)*sumErr
 		pSumSq := sumSq + (2*r.Float64()-1)*sumSqErr
-		fast, slack := MinDistWithStats(su, Mean(u), NormSq(su), v, pSum, pSumSq, sumErr, sumSqErr)
-		exact := MinDist(u, v)
-		lo := fast.Dist*fast.Dist - slack
-		hi := fast.Dist*fast.Dist + slack
-		ed := exact.Dist * exact.Dist
-		if ed < lo-1e-12 || ed > hi+1e-12 {
-			t.Fatalf("n=%d: exact Dist² %v outside [%v, %v]", n, ed, lo, hi)
+		c := Prepare(u).Certify(v, pSum, pSumSq, sumErr, sumSqErr)
+		if msg := certifyCovers(c, MinDist(u, v)); msg != "" {
+			t.Fatalf("n=%d: %s", n, msg)
 		}
 	}
 }
@@ -387,17 +388,59 @@ func TestMinDistWithStatsSlackCoversStatErrors(t *testing.T) {
 func TestMinDistWithStatsDegenerate(t *testing.T) {
 	u := Vector{3, 3, 3, 3}
 	v := Vector{1, 2, 3, 4}
-	su := SETransform(u)
 	sum, sumSq := statsOf(v)
-	fast, _ := MinDistWithStats(su, Mean(u), NormSq(su), v, sum, sumSq, 0, 0)
+	c := Prepare(u).Certify(v, sum, sumSq, 0, 0)
 	exact := MinDist(u, v)
-	if !fast.Degenerate || math.Abs(fast.Dist-exact.Dist) > 1e-9 || fast.Shift != exact.Shift {
-		t.Errorf("degenerate fast %+v vs exact %+v", fast, exact)
+	if msg := certifyCovers(c, exact); msg != "" || c.Scale != 0 || c.Shift != exact.Shift {
+		t.Errorf("degenerate certificate %+v vs exact %+v: %s", c, exact, msg)
 	}
-	empty, slack := MinDistWithStats(Vector{}, 0, 0, Vector{}, 0, 0, 0, 0)
-	if !empty.Degenerate || slack != 0 {
-		t.Errorf("empty = %+v slack %v", empty, slack)
-	}
+}
+
+// FuzzCertifyBound is the property the count pass rests on: for any
+// query, any window, and window statistics anywhere inside their
+// declared error bounds — prefix-sum magnitudes up to 2⁴⁰ times the
+// window's — MinDistPrepared's squared distance, scale and shift lie
+// within the certificate's errors of its values, above and below.
+func FuzzCertifyBound(f *testing.F) {
+	f.Add(int64(1), uint8(16), 1.0, 0.0, 0.0, 0.5, 0.5)
+	f.Add(int64(2), uint8(128), 3.0, 100.0, 1e-9, -1.0, 1.0)
+	f.Add(int64(3), uint8(2), 1e-3, 1e6, 1e-3, 1.0, -1.0)
+	f.Add(int64(4), uint8(200), 1e4, -1e4, 1e-12, 0.0, 0.0)
+	f.Add(int64(5), uint8(64), 0.0, 7.0, 1e-6, 1.0, 1.0) // constant query and window
+	f.Fuzz(func(t *testing.T, seed int64, n8 uint8, spread, offset, relErr, atSum, atSumSq float64) {
+		n := 1 + int(n8)
+		if !(math.Abs(spread) <= 1e6 && math.Abs(offset) <= 1e9 && relErr >= 0 && relErr <= 0x1p-12 &&
+			math.Abs(atSum) <= 1 && math.Abs(atSumSq) <= 1) {
+			t.Skip("outside the documented domain")
+		}
+		r := rand.New(rand.NewSource(seed))
+		u, v := make(Vector, n), make(Vector, n)
+		for i := range u {
+			u[i] = offset/3 + spread*r.NormFloat64()
+			v[i] = offset + spread*r.NormFloat64()
+		}
+		if seed%5 == 0 {
+			// A window that is an exact image of the query: Dist² cancels to
+			// rounding noise, the regime where a relative bound would fail.
+			for i := range v {
+				v[i] = 1.5*u[i] - offset
+			}
+		}
+		sum, sumSq := statsOf(v)
+		// relErr stands for ε·(prefix magnitude / window magnitude).
+		sumErr := relErr * (math.Abs(sum) + math.Sqrt(float64(n)*sumSq))
+		sumSqErr := relErr * sumSq
+		// statsOf's own plain summation is part of what the declared
+		// errors must cover.
+		sumErr += float64(n) * machEps * math.Sqrt(float64(n)*sumSq)
+		sumSqErr += float64(n) * machEps * sumSq
+		p := Prepare(u)
+		c := p.Certify(v, sum+atSum*relErr*math.Abs(sum), sumSq+atSumSq*relErr*sumSq, sumErr, sumSqErr)
+		exact := p.MinDist(v)
+		if msg := certifyCovers(c, exact); msg != "" {
+			t.Fatalf("n=%d spread=%g offset=%g relErr=%g: %s", n, spread, offset, relErr, msg)
+		}
+	})
 }
 
 // BenchmarkVerifyDirect is the seed verification path: copy the window
@@ -425,13 +468,12 @@ func BenchmarkVerifyPrefixSum(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(99))
 			u, v := randVec(r, n), randVec(r, n)
-			su := SETransform(u)
-			mu, uu := Mean(u), NormSq(su)
+			p := Prepare(u)
 			sum, sumSq := statsOf(v)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _ = MinDistWithStats(su, mu, uu, v, sum, sumSq, 1e-9, 1e-9)
+				_ = p.Certify(v, sum, sumSq, 1e-9, 1e-9)
 			}
 		})
 	}

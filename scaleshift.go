@@ -8,10 +8,12 @@
 // Given a database of sequences, an Index answers range queries under
 // this similarity over every sliding window, returning the optimal
 // (a, b) for each match.  A query is a value — Query{Vec, Eps, K,
-// Costs, Force, Pool} — and Index.Exec is the one way to run it: the
-// kind follows from the value (K > 0 is k-nearest-neighbour, a Vec
+// Costs, Force, Pool, Limit} — and Index.Exec is the one way to run it:
+// the kind follows from the value (K > 0 is k-nearest-neighbour, a Vec
 // longer than the window is a multipiece long query, otherwise a range
-// query), and ExecBatch runs a slice of them concurrently.  See the
+// query), Limit > 0 returns only the answer's first rows beside its
+// exact size (Result.Total), and ExecBatch runs a slice of them
+// concurrently.  See the
 // repository README for a tour and EXPERIMENTS.md for the reproduction
 // of the paper's evaluation.
 //
@@ -54,8 +56,9 @@ type (
 	// Query is one similarity query as a value: range, multipiece long
 	// or k-NN, by its fields.  The zero Costs means UnboundedCosts.
 	Query = core.Query
-	// Result is a query's answer: the matches and, for range and long
-	// queries, the Explain of the plan that produced them.
+	// Result is a query's answer: the matches (the first Query.Limit of
+	// them), their Total and, for range and long queries, the Explain of
+	// the plan that produced them.
 	Result = core.Result
 	// Match is one qualifying subsequence with its optimal transform.
 	Match = core.Match
