@@ -4,11 +4,11 @@
 GO ?= go
 
 # Build-info stamp: binaries report this via the scaleshift_build_info
-# metric and ssbench -json reports; defaults to the working revision.
+# metric; defaults to the working revision.
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke bench bench-json bench-planner bench-smoke bench-obs bench-verify bench-build bench-recovery fmt-check soak soak-smoke soak-cluster bench-cluster
+.PHONY: check vet build test race examples-smoke bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -54,18 +54,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBulkBuild' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkVerify' -benchtime 0.2s ./internal/vec/
 
-# Hot-path perf trajectory: pointer tree vs frozen flat arena (range
-# and k-NN QPS, allocations), scalar vs batched pruning kernel, and
-# zero-copy cold-open latency, written per revision under results/.
-# -enforce fails the run if the batched kernel is below 1.5x the
-# scalar path or the flat tree regresses throughput by more than 10%.
-bench-json:
-	@rev="$$(git rev-parse --short HEAD 2>/dev/null || echo dev)"; \
-	$(GO) run -ldflags "-X scaleshift/internal/cliutil.Version=$$rev" \
-		./cmd/ssbench -experiment perf -scale small -label "$$rev" \
-		-json "results/BENCH_$$rev.json" -enforce && \
-	echo "wrote results/BENCH_$$rev.json"
-
 # Planner calibration: time cost-based auto against every forced access
 # path over a store-size x epsilon grid, regenerating the committed
 # ablation artifact.
@@ -102,18 +90,6 @@ soak:
 soak-cluster:
 	SOAK_SECONDS=30 SOAK_CLUSTER_METRICS_OUT=SOAK_cluster.json $(GO) test -race -count=1 -timeout 10m -run 'TestSoakCluster$$' -v ./cmd/ssserve
 
-# Distribution overhead: single-node vs 3-shard scatter-gather QPS on
-# identical data and queries, with a full exactness sweep (every
-# cluster answer bit-identical to the single-node oracle).  -enforce
-# gates exactness and coverage, not throughput; the overhead factor
-# lands in results/BENCH_<rev>.json alongside the other perf rows.
-bench-cluster:
-	@rev="$$(git rev-parse --short HEAD 2>/dev/null || echo dev)"; \
-	$(GO) run -ldflags "-X scaleshift/internal/cliutil.Version=$$rev" \
-		./cmd/ssbench -experiment cluster -scale small -label "$$rev" \
-		-json "results/BENCH_$$rev.json" -enforce && \
-	echo "wrote results/BENCH_$$rev.json"
-
 # The verifier's inner loop: range Exec at a tight and a loose ε over
 # the fixed 200 x 650 fixture of the allocation ceiling test — frozen,
 # and again as an append-mode server holds it (three frozen segments
@@ -136,13 +112,6 @@ bench-verify:
 # arena layout or the artifact writers.
 bench-build:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildBulk|BenchmarkCompactSegment|BenchmarkWriteIndexArtifact' -benchmem -benchtime 5x ./internal/core
-
-# Recovery cost trajectory: cold-restart time vs WAL tail length past
-# the last checkpoint.  -enforce fails the run if recovery replays a
-# record count different from the designed tail, or if a zero-tail
-# checkpoint recovery fails to beat full WAL replay.
-bench-recovery:
-	$(GO) run ./cmd/ssbench -experiment recovery -scale small -enforce
 
 # Observability overhead: the disabled-path micro-benchmarks — metric
 # updates, span starts, and wide-event emission must all be 0 allocs/op

@@ -1,18 +1,6 @@
 // Command ssbench regenerates the paper's evaluation (§7) and the
-// ablation tables listed in DESIGN.md.
-//
-// Experiments:
-//
-//	fig45            Figures 4 and 5: CPU time and page accesses vs ε
-//	                 for the three method sets (one run feeds both)
-//	ablation-split   R* vs Guttman quadratic vs linear node splits
-//	ablation-dims    DFT coefficient count f_c sweep
-//	ablation-window  extracting-window length n sweep
-//	ablation-fanout  node capacity M sweep
-//	nn               nearest-neighbour search cost vs k (Corollary 1)
-//	planner          query-engine calibration: cost-based path choice
-//	                 vs each forced access path over an ε × size grid
-//	all              everything above
+// ablation tables listed in DESIGN.md.  The experiments table below
+// names every -experiment value once: `ssbench -h` prints it.
 //
 // -scale full reproduces the paper's 1 000 × 650 data set (the index
 // build alone takes tens of seconds); -scale medium and small shrink
@@ -28,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"scaleshift/internal/atomicfile"
@@ -42,12 +31,129 @@ func main() {
 	}
 }
 
+// runner is what an experiment runs against: the configuration the
+// ablations and the planner grid build their own environments from,
+// and — for the experiments marked env — the shared built environment.
+type runner struct {
+	stdout    io.Writer
+	ablCfg    bench.Config
+	env       *bench.Env
+	scale     string
+	companies int
+	csvPath   string
+}
+
+// ablEps is the ε (as a fraction of the mean SE-norm) the ablations
+// compare at.
+const ablEps = 0.02
+
+// An experiment is one -experiment value; env marks those that need the
+// shared environment built first.
+type experiment struct {
+	name, about string
+	env         bool
+	run         func(r *runner) error
+}
+
+// experiments lists every -experiment value, in the order "all" runs
+// them.
+var experiments = []experiment{
+	{"fig45", "Figures 4 and 5: CPU time and page accesses vs ε for the three method sets (one run feeds both)", true, (*runner).fig45},
+	{"ablation-split", "R* vs Guttman quadratic vs linear node splits", false, func(r *runner) error {
+		rows, err := bench.SplitAblation(r.ablCfg, ablEps)
+		return r.ablation("split algorithm", rows, err)
+	}},
+	{"ablation-dims", "DFT coefficient count f_c sweep", false, func(r *runner) error {
+		rows, err := bench.DimsAblation(r.ablCfg, []int{1, 2, 3, 4, 6}, ablEps)
+		return r.ablation("DFT coefficients f_c", rows, err)
+	}},
+	{"ablation-window", "extracting-window length n sweep", false, func(r *runner) error {
+		windows := []int{32, 64, 128, 256}
+		if r.ablCfg.Days <= 330 {
+			windows = []int{32, 64, 128}
+		}
+		rows, err := bench.WindowAblation(r.ablCfg, windows, ablEps)
+		return r.ablation("window length n", rows, err)
+	}},
+	{"ablation-fanout", "node capacity M sweep", false, func(r *runner) error {
+		rows, err := bench.FanoutAblation(r.ablCfg, []int{10, 20, 40, 80}, ablEps)
+		return r.ablation("node fanout M", rows, err)
+	}},
+	{"ablation-trail", "sub-trail MBR length sweep (ST-index leaf entries)", false, func(r *runner) error {
+		rows, err := bench.TrailAblation(r.ablCfg, []int{1, 8, 32, 128}, ablEps)
+		return r.ablation("sub-trail MBR length", rows, err)
+	}},
+	{"ablation-index", "R*-tree vs X-tree supernodes", false, func(r *runner) error {
+		rows, err := bench.IndexAblation(r.ablCfg, ablEps)
+		return r.ablation("R*-tree vs X-tree", rows, err)
+	}},
+	{"ablation-reduction", "feature basis: DFT vs Haar", false, func(r *runner) error {
+		rows, err := bench.ReductionAblation(r.ablCfg, ablEps)
+		return r.ablation("feature basis DFT vs Haar", rows, err)
+	}},
+	{"ablation-build", "construction: insertion vs bulk vs parallel bulk", false, func(r *runner) error {
+		rows, err := bench.BuildAblation(r.ablCfg, ablEps)
+		return r.ablation("construction method", rows, err)
+	}},
+	{"shape", "per-level directory geometry (why bounding spheres fail)", true, func(r *runner) error {
+		fmt.Fprintln(r.stdout, "Index directory shape (why bounding spheres fail, cf. [26]):")
+		if err := r.env.Index.WriteIndexStats(r.stdout); err != nil {
+			return err
+		}
+		fmt.Fprintln(r.stdout)
+		return nil
+	}},
+	{"buffer", "data-page reads vs LRU buffer-pool size", true, func(r *runner) error {
+		pages := r.env.Store.PageCount()
+		points, err := r.env.RunBufferSweep([]int{pages / 16, pages / 4, pages / 2, pages, 2 * pages}, ablEps)
+		if err != nil {
+			return err
+		}
+		if err := bench.WriteBufferTable(r.stdout, points, pages); err != nil {
+			return err
+		}
+		fmt.Fprintln(r.stdout)
+		return nil
+	}},
+	{"recall", "scale/shift-invariant vs plain Euclidean recall under noise", false, func(r *runner) error {
+		points, err := bench.RecallSweep(r.ablCfg, []float64{0, 0.1, 0.5, 1, 2})
+		if err != nil {
+			return err
+		}
+		if err := bench.WriteRecallTable(r.stdout, points); err != nil {
+			return err
+		}
+		fmt.Fprintln(r.stdout)
+		return nil
+	}},
+	{"planner", "query-engine calibration: cost-based path choice vs each forced access path over an ε × size grid", false, (*runner).planner},
+	{"nn", "nearest-neighbour search cost vs k (Corollary 1)", true, func(r *runner) error {
+		points, err := r.env.RunNearestNeighbor([]int{1, 5, 10, 50})
+		if err != nil {
+			return err
+		}
+		if err := bench.WriteNNTable(r.stdout, points, r.env.Store.PageCount()); err != nil {
+			return err
+		}
+		fmt.Fprintln(r.stdout)
+		return nil
+	}},
+}
+
+// experimentUsage renders the table for the -experiment flag's help.
+func experimentUsage() string {
+	var b strings.Builder
+	b.WriteString("one of:")
+	for _, e := range experiments {
+		fmt.Fprintf(&b, "\n  %-18s %s", e.name, e.about)
+	}
+	fmt.Fprintf(&b, "\n  %-18s everything above", "all")
+	return b.String()
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ssbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "fig45", "fig45 | ablation-split | ablation-dims | ablation-window | ablation-fanout | ablation-build | ablation-reduction | ablation-index | ablation-trail | nn | buffer | shape | recall | planner | perf | ingest | recovery | cluster | all")
-	jsonPath := fs.String("json", "", "write the perf experiment's report as JSON to this file")
-	enforce := fs.Bool("enforce", false, "fail if the perf report misses the regression gates (kernel >= 1.5x, flat within 10% of pointer throughput)")
-	label := fs.String("label", "", "label recorded in the perf JSON report (e.g. a git revision)")
+	which := fs.String("experiment", "fig45", experimentUsage())
 	scale := fs.String("scale", "medium", "full (paper: 1000x650, 100 queries) | medium (200x650, 30) | small (50x330, 10)")
 	companies := fs.Int("companies", 0, "override company count")
 	queries := fs.Int("queries", 0, "override query count")
@@ -60,6 +166,17 @@ func run(args []string, stdout io.Writer) error {
 	obsFlags := cliutil.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var selected []experiment
+	needEnv := false
+	for _, e := range experiments {
+		if *which == e.name || *which == "all" {
+			selected = append(selected, e)
+			needEnv = needEnv || e.env
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown -experiment %q", *which)
 	}
 	if _, err := obsFlags.Setup(); err != nil {
 		return err
@@ -118,295 +235,98 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cfg.SubtrailLen = *subtrail
 
-	runFig45 := *experiment == "fig45" || *experiment == "all"
-	runNN := *experiment == "nn" || *experiment == "all"
-	runBuffer := *experiment == "buffer" || *experiment == "all"
-	runShape := *experiment == "shape" || *experiment == "all"
-	needEnv := runFig45 || runNN || runBuffer || runShape
-
-	var env *bench.Env
+	r := &runner{stdout: stdout, ablCfg: cfg, scale: *scale, companies: *companies, csvPath: *csvPath}
+	if r.ablCfg.Companies > 200 {
+		r.ablCfg.Companies = 200 // keep rebuild sweeps tractable
+	}
 	if needEnv {
 		fmt.Fprintf(stdout, "building environment (%s): %d companies x %d days, window %d, %d queries...\n",
 			mode, cfg.Companies, cfg.Days, cfg.WindowLen, cfg.Queries)
 		start := time.Now()
-		var err error
-		env, err = bench.NewEnvBuilt(cfg, mode)
-		if err != nil {
+		if r.env, err = bench.NewEnvBuilt(cfg, mode); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "environment ready in %v: %d values (%d data pages), %d windows indexed (%d index pages, height %d)\n\n",
 			time.Since(start).Round(time.Millisecond),
-			env.Store.TotalValues(), env.Store.PageCount(),
-			env.Index.WindowCount(), env.Index.IndexPageCount(), env.Index.TreeHeight())
+			r.env.Store.TotalValues(), r.env.Store.PageCount(),
+			r.env.Index.WindowCount(), r.env.Index.IndexPageCount(), r.env.Index.TreeHeight())
 	}
-
-	if runFig45 {
-		series, err := env.RunAll()
-		if err != nil {
+	for _, e := range selected {
+		if err := e.run(r); err != nil {
 			return err
 		}
-		if err := bench.WriteCPUTable(stdout, series); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		if err := bench.WritePagesTable(stdout, series); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		if err := bench.WriteTotalPagesTable(stdout, series); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		if err := bench.WriteCPUPlot(stdout, series); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		if err := bench.WritePagesPlot(stdout, series); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		for _, s := range series[1:] {
-			if err := bench.WriteDetailTable(stdout, s); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout)
-		}
-		if *csvPath != "" {
-			// Atomic replace so downstream plot scripts never read a
-			// half-written sweep.
-			err := atomicfile.WriteFile(*csvPath, func(w io.Writer) error {
-				return bench.WriteCSV(w, series)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n\n", *csvPath)
-		}
-	}
-
-	// Ablations rebuild their own (smaller) environments.
-	ablCfg := cfg
-	if ablCfg.Companies > 200 {
-		ablCfg.Companies = 200 // keep rebuild sweeps tractable
-	}
-	const ablEps = 0.02
-
-	if *experiment == "ablation-split" || *experiment == "all" {
-		rows, err := bench.SplitAblation(ablCfg, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: split algorithm (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-dims" || *experiment == "all" {
-		rows, err := bench.DimsAblation(ablCfg, []int{1, 2, 3, 4, 6}, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: DFT coefficients f_c (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-window" || *experiment == "all" {
-		windows := []int{32, 64, 128, 256}
-		if ablCfg.Days <= 330 {
-			windows = []int{32, 64, 128}
-		}
-		rows, err := bench.WindowAblation(ablCfg, windows, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: window length n (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-fanout" || *experiment == "all" {
-		rows, err := bench.FanoutAblation(ablCfg, []int{10, 20, 40, 80}, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: node fanout M (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-trail" || *experiment == "all" {
-		rows, err := bench.TrailAblation(ablCfg, []int{1, 8, 32, 128}, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: sub-trail MBR length (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-index" || *experiment == "all" {
-		rows, err := bench.IndexAblation(ablCfg, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: R*-tree vs X-tree (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-reduction" || *experiment == "all" {
-		rows, err := bench.ReductionAblation(ablCfg, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: feature basis DFT vs Haar (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "ablation-build" || *experiment == "all" {
-		rows, err := bench.BuildAblation(ablCfg, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAblationTable(stdout, "Ablation: construction method (eps/scale = 0.02)", rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if runShape {
-		fmt.Fprintln(stdout, "Index directory shape (why bounding spheres fail, cf. [26]):")
-		if err := env.Index.WriteIndexStats(stdout); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if runBuffer {
-		pages := env.Store.PageCount()
-		points, err := env.RunBufferSweep([]int{pages / 16, pages / 4, pages / 2, pages, 2 * pages}, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteBufferTable(stdout, points, pages); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "recall" || *experiment == "all" {
-		points, err := bench.RecallSweep(ablCfg, []float64{0, 0.1, 0.5, 1, 2})
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteRecallTable(stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if *experiment == "planner" || *experiment == "all" {
-		// The planner grid builds one environment per store size, so it
-		// ignores the shared env and derives its sizes from the scale.
-		sizes := []int{50, 200}
-		switch *scale {
-		case "full":
-			sizes = []int{100, 400, 1000}
-		case "small":
-			sizes = []int{25, 50}
-		}
-		if *companies > 0 {
-			sizes = []int{*companies}
-		}
-		points, err := bench.PlannerSweep(ablCfg, sizes, []float64{0.01, 0.05, 0.2, 1, 5})
-		if err != nil {
-			return err
-		}
-		if err := bench.WritePlannerTable(stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-	if runNN {
-		points, err := env.RunNearestNeighbor([]int{1, 5, 10, 50})
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteNNTable(stdout, points, env.Store.PageCount()); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-
-	if *experiment == "perf" || *experiment == "ingest" || *experiment == "recovery" || *experiment == "cluster" || *experiment == "all" {
-		// The ingest, recovery, and cluster rows travel inside the perf
-		// report so one JSON artifact carries all of them; -experiment
-		// ingest/recovery/cluster skip the (slower) perf sweep and
-		// report only their own rows.
-		var rep *bench.PerfReport
-		if *experiment == "ingest" || *experiment == "recovery" || *experiment == "cluster" {
-			rep = &bench.PerfReport{
-				Version:   cliutil.Version,
-				GoVersion: runtime.Version(),
-				Timestamp: time.Now().UTC().Format(time.RFC3339),
-				Companies: cfg.Companies, Days: cfg.Days,
-				WindowLen: cfg.WindowLen, Queries: cfg.Queries,
-			}
-		} else {
-			rep, err = bench.RunPerf(cfg, stdout)
-			if err != nil {
-				return err
-			}
-		}
-		if *experiment != "recovery" && *experiment != "cluster" {
-			rep.Ingest, err = bench.RunIngest(cfg, stdout)
-			if err != nil {
-				return err
-			}
-		}
-		if *experiment == "recovery" || *experiment == "all" {
-			rep.Recovery, err = bench.RunRecovery(cfg, stdout)
-			if err != nil {
-				return err
-			}
-		}
-		if *experiment == "cluster" || *experiment == "all" {
-			rep.Cluster, err = bench.RunCluster(cfg, 3, stdout)
-			if err != nil {
-				return err
-			}
-		}
-		rep.Label = *label
-		if *jsonPath != "" {
-			err := atomicfile.WriteFile(*jsonPath, func(w io.Writer) error {
-				return rep.WriteJSON(w)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n\n", *jsonPath)
-		}
-		if *enforce {
-			switch *experiment {
-			case "ingest":
-				err = rep.Ingest.Enforce(0.10)
-			case "recovery":
-				err = rep.Recovery.Enforce()
-			case "cluster":
-				err = rep.Cluster.Enforce()
-			default:
-				err = rep.Enforce(1.5, 0.10)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "perf: regression gates passed")
-		}
-	}
-
-	if !runFig45 && !runNN && !runBuffer && !runShape && *experiment != "recall" && *experiment != "planner" && *experiment != "perf" && *experiment != "ingest" && *experiment != "recovery" && *experiment != "cluster" && *experiment != "ablation-split" && *experiment != "ablation-dims" &&
-		*experiment != "ablation-window" && *experiment != "ablation-fanout" &&
-		*experiment != "ablation-build" && *experiment != "ablation-reduction" &&
-		*experiment != "ablation-index" && *experiment != "ablation-trail" && *experiment != "all" {
-		return fmt.Errorf("unknown -experiment %q", *experiment)
 	}
 	return obsFlags.Finish()
+}
+
+// fig45 sweeps the three method sets over ε and prints Figures 4 and 5.
+func (r *runner) fig45() error {
+	stdout := r.stdout
+	series, err := r.env.RunAll()
+	if err != nil {
+		return err
+	}
+	for _, write := range []func(io.Writer, []bench.Series) error{
+		bench.WriteCPUTable, bench.WritePagesTable, bench.WriteTotalPagesTable, bench.WriteCPUPlot, bench.WritePagesPlot,
+	} {
+		if err := write(stdout, series); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
+	}
+	for _, s := range series[1:] {
+		if err := bench.WriteDetailTable(stdout, s); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
+	}
+	if r.csvPath != "" {
+		// Atomic replace so downstream plot scripts never read a
+		// half-written sweep.
+		err := atomicfile.WriteFile(r.csvPath, func(w io.Writer) error {
+			return bench.WriteCSV(w, series)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n\n", r.csvPath)
+	}
+	return nil
+}
+
+// ablation prints one ablation's rows under its title.
+func (r *runner) ablation(what string, rows []bench.AblationRow, err error) error {
+	if err != nil {
+		return err
+	}
+	if err := bench.WriteAblationTable(r.stdout, fmt.Sprintf("Ablation: %s (eps/scale = %v)", what, ablEps), rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(r.stdout)
+	return nil
+}
+
+// planner prints the calibration grid.  It builds one environment per
+// store size, so it ignores the shared env and derives its sizes from
+// the scale.
+func (r *runner) planner() error {
+	sizes := []int{50, 200}
+	switch r.scale {
+	case "full":
+		sizes = []int{100, 400, 1000}
+	case "small":
+		sizes = []int{25, 50}
+	}
+	if r.companies > 0 {
+		sizes = []int{r.companies}
+	}
+	points, err := bench.PlannerSweep(r.ablCfg, sizes, []float64{0.01, 0.05, 0.2, 1, 5})
+	if err != nil {
+		return err
+	}
+	if err := bench.WritePlannerTable(r.stdout, points); err != nil {
+		return err
+	}
+	fmt.Fprintln(r.stdout)
+	return nil
 }

@@ -58,10 +58,23 @@ func TestBenchErrors(t *testing.T) {
 	if err := run([]string{"-scale", "galactic"}, nil); err == nil {
 		t.Error("bad scale accepted")
 	}
-	var sb strings.Builder
-	if err := run([]string{"-experiment", "bogus", "-scale", "small"}, &sb); err == nil {
-		t.Error("bad experiment accepted")
+	// An unknown experiment — the four that left with the in-process
+	// perf harness included — is rejected before anything is built.
+	for _, name := range []string{"bogus", "perf", "ingest", "recovery", "cluster", ""} {
+		var sb strings.Builder
+		if err := run([]string{"-experiment", name, "-scale", "small"}, &sb); err == nil {
+			t.Errorf("experiment %q accepted", name)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("experiment %q: ran before being rejected:\n%s", name, sb.String())
+		}
 	}
+	for _, gone := range []string{"-json", "-enforce", "-label"} {
+		if err := run([]string{gone, "x", "-scale", "small"}, nil); err == nil {
+			t.Errorf("flag %s accepted", gone)
+		}
+	}
+	var sb strings.Builder
 	if err := run([]string{"-build", "osmotic", "-scale", "small"}, &sb); err == nil {
 		t.Error("bad build mode accepted")
 	}

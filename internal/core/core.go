@@ -272,11 +272,12 @@ type Index struct {
 	opts Options
 	st   *store.Store
 	fmap *dft.FeatureMap
-	tree *rtree.Tree
-	// flat, when non-nil, is the frozen pointer-free serving
-	// representation; every search routes through it (qtree) and
-	// structural mutation thaws it back into tree first.
-	flat *rtree.FlatTree
+	// flat is the arena every search and shape accessor reads; see
+	// flat.go for the life cycle.  builder, when non-nil, holds the
+	// tree an incremental mutator thawed it into: queries are refused
+	// until Freeze folds the builder back into flat.
+	flat    *rtree.FlatTree
+	builder *rtree.Tree
 	// mapping backs flat when the index was opened zero-copy from a
 	// file (LoadIndexFile); the arena's arrays alias it, so it must
 	// outlive the last search.  artifact is the whole mapped frame,
@@ -319,7 +320,7 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	}
 	cfg := opts.Tree
 	cfg.Dim = fmap.Dim()
-	tree, err := rtree.New(cfg)
+	flat, err := rtree.BulkLoadFlat(cfg, nil, nil, 1) // the empty arena
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -331,7 +332,7 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	if opts.SubtrailLen < 0 {
 		return nil, fmt.Errorf("core: negative SubtrailLen %d", opts.SubtrailLen)
 	}
-	ix := &Index{opts: opts, st: st, fmap: fmap, tree: tree}
+	ix := &Index{opts: opts, st: st, fmap: fmap, flat: flat}
 	ix.planner = ix.newPlanner()
 	return ix, nil
 }
@@ -348,13 +349,12 @@ func (ix *Index) Degraded() (bool, string) {
 // checkMutable rejects structural mutation of a degraded index: with
 // no tree to keep consistent, inserts and deletes would silently
 // desynchronize the indexed-window accounting the scan path relies
-// on.  Rebuild from the store instead.  A frozen index is mutable —
-// it is thawed back to the pointer representation first.
+// on.  Rebuild from the store instead.
 func (ix *Index) checkMutable() error {
 	if ix.degraded != "" {
 		return fmt.Errorf("core: index is degraded (%s); rebuild it before mutating", ix.degraded)
 	}
-	return ix.Thaw()
+	return nil
 }
 
 // trailRect computes the MBR of the features of windows
@@ -401,7 +401,7 @@ func (ix *Index) indexSequenceTrails(seq int) error {
 		if err != nil {
 			return fmt.Errorf("core: trail indexing: %w", err)
 		}
-		if !ix.tree.DeleteRect(r, store.EncodeWindowID(seq, g0)) {
+		if !ix.builder.DeleteRect(r, store.EncodeWindowID(seq, g0)) {
 			return fmt.Errorf("core: partial trail (%d, %d) missing from tree", seq, g0)
 		}
 		from = g0
@@ -415,7 +415,7 @@ func (ix *Index) indexSequenceTrails(seq int) error {
 		if err != nil {
 			return fmt.Errorf("core: trail indexing: %w", err)
 		}
-		ix.tree.InsertRect(r, store.EncodeWindowID(seq, g))
+		ix.builder.InsertRect(r, store.EncodeWindowID(seq, g))
 		ix.indexed[seq] = g + count
 	}
 	return nil
@@ -468,10 +468,12 @@ func (ix *Index) StoreShape() (seqs, values, pages int) {
 
 // WindowCount returns the number of indexed windows.  On a degraded
 // index this is the number of scannable windows — the tree is empty,
-// but every window of the raw store remains searchable.
+// but every window of the raw store remains searchable.  Like the
+// other shape accessors it describes the arena: incremental mutations
+// show once Freeze has folded them in.
 func (ix *Index) WindowCount() int {
 	if !ix.trailMode() && ix.degraded == "" {
-		return ix.qtree().Len()
+		return ix.flat.Len()
 	}
 	total := 0
 	for _, c := range ix.indexed {
@@ -483,22 +485,23 @@ func (ix *Index) WindowCount() int {
 // EntryCount returns the number of leaf entries in the tree — equal to
 // WindowCount for point mode, and the number of sub-trail MBRs in
 // trail mode.
-func (ix *Index) EntryCount() int { return ix.qtree().Len() }
+func (ix *Index) EntryCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages (tree nodes).
-func (ix *Index) IndexPageCount() int { return ix.qtree().NodeCount() }
+func (ix *Index) IndexPageCount() int { return ix.flat.NodeCount() }
 
 // TreeHeight returns the R*-tree height.
-func (ix *Index) TreeHeight() int { return ix.qtree().Height() }
+func (ix *Index) TreeHeight() int { return ix.flat.Height() }
 
 // WriteIndexStats renders per-level geometry statistics of the
 // directory (occupancy, MBR elongation, circumscribed/inscribed sphere
 // gap) — the numbers behind §7's explanation of the bounding-spheres
 // failure.
-func (ix *Index) WriteIndexStats(w io.Writer) error { return ix.qtree().WriteStats(w) }
+func (ix *Index) WriteIndexStats(w io.Writer) error { return ix.flat.WriteStats(w) }
 
 // Build indexes every not-yet-indexed window of every sequence
-// currently in the store (§6 pre-processing).
+// currently in the store (§6 pre-processing) by one-by-one R* insertion,
+// and freezes the result: like BuildBulk it returns a servable index.
 func (ix *Index) Build() error {
 	if err := ix.checkMutable(); err != nil {
 		return err
@@ -508,16 +511,16 @@ func (ix *Index) Build() error {
 			return err
 		}
 	}
-	return nil
+	return ix.Freeze()
 }
 
 // BuildBulk indexes every window of every sequence by building the
 // R*-tree with Sort-Tile-Recursive bulk loading instead of one-by-one
 // insertion — typically an order of magnitude faster and producing a
-// tighter tree.  It requires an empty index and leaves it frozen (the
-// loader emits the serving arena directly; see rtree.BulkLoadFlat);
-// dynamic insertion and removal work normally afterwards, thawing the
-// arena first.  It is BuildBulkParallel on one worker.
+// tighter tree.  It requires an empty index; the loader emits the
+// serving arena directly (see rtree.BulkLoadFlat).  Dynamic insertion
+// and removal work normally afterwards, thawing the arena first.  It is
+// BuildBulkParallel on one worker.
 func (ix *Index) BuildBulk() error {
 	return ix.BuildBulkParallelContext(context.Background(), 1)
 }
@@ -543,11 +546,11 @@ func (ix *Index) BuildBulkParallel(workers int) error {
 // *WorkerPanicError naming the offending (seq, window) instead of
 // crashing the process.
 func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
-	if n := ix.qtree().Len(); n != 0 {
-		return fmt.Errorf("core: BuildBulk requires an empty index (have %d windows)", n)
-	}
 	if err := ix.checkMutable(); err != nil {
 		return err
+	}
+	if ix.flat.Len() != 0 || ix.builder != nil {
+		return fmt.Errorf("core: BuildBulk requires an empty index")
 	}
 	if ix.trailMode() {
 		// Trail entries are rectangles; STR bulk loading packs points.
@@ -655,7 +658,7 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 // indexed.  It is idempotent and supports sequences that grew since
 // the last call (requirement 2 of §3).
 func (ix *Index) IndexSequence(seq int) error {
-	if err := ix.checkMutable(); err != nil {
+	if err := ix.thaw(); err != nil {
 		return err
 	}
 	if seq < 0 || seq >= ix.st.NumSequences() {
@@ -674,7 +677,7 @@ func (ix *Index) IndexSequence(seq int) error {
 		return nil // nothing new to index
 	}
 	err := ix.featureWindows(seq, from, func(start int, f vec.Vector) error {
-		ix.tree.Insert(f, store.EncodeWindowID(seq, start))
+		ix.builder.Insert(f, store.EncodeWindowID(seq, start))
 		ix.indexed[seq] = start + 1
 		return nil
 	})
@@ -795,7 +798,7 @@ func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, s
 // AppendAndIndex appends a new sequence to the store and indexes its
 // windows, returning the sequence id.
 func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
-	if err := ix.checkMutable(); err != nil {
+	if err := ix.thaw(); err != nil {
 		return -1, err
 	}
 	seq := ix.st.AppendSequence(name, values)
@@ -810,7 +813,7 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 // windows spanning the old end (requirement 2 of §3: time series are
 // collected regularly and must become searchable as they arrive).
 func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
-	if err := ix.checkMutable(); err != nil {
+	if err := ix.thaw(); err != nil {
 		return err
 	}
 	if err := ix.st.ExtendSequence(seq, values); err != nil {
@@ -823,7 +826,7 @@ func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
 // the tree.  The raw data remains in the store (the store is
 // append-only) but the windows will no longer be found by searches.
 func (ix *Index) UnindexSequence(seq int) error {
-	if err := ix.checkMutable(); err != nil {
+	if err := ix.thaw(); err != nil {
 		return err
 	}
 	if seq < 0 || seq >= len(ix.indexed) {
@@ -841,7 +844,7 @@ func (ix *Index) UnindexSequence(seq int) error {
 			if err != nil {
 				return fmt.Errorf("core: unindexing: %w", err)
 			}
-			if !ix.tree.DeleteRect(r, store.EncodeWindowID(seq, g)) {
+			if !ix.builder.DeleteRect(r, store.EncodeWindowID(seq, g)) {
 				return fmt.Errorf("core: trail (%d, %d) missing from tree", seq, g)
 			}
 		}
@@ -856,7 +859,7 @@ func (ix *Index) UnindexSequence(seq int) error {
 		if start >= limit {
 			return nil
 		}
-		if !ix.tree.Delete(f, store.EncodeWindowID(seq, start)) {
+		if !ix.builder.Delete(f, store.EncodeWindowID(seq, start)) {
 			return fmt.Errorf("core: window (%d, %d) missing from tree", seq, start)
 		}
 		return nil
@@ -877,7 +880,7 @@ func (ix *Index) UnindexSequence(seq int) error {
 // exact post-processing check reapplies the caller's epsilon, so the
 // widening never adds false results.
 func (ix *Index) numericSlack() float64 {
-	bounds, ok := ix.qtree().Bounds()
+	bounds, ok := ix.flat.Bounds()
 	return slackFromBounds(bounds, ok, ix.fmap.Dim())
 }
 

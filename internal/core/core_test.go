@@ -49,6 +49,15 @@ func buildTestIndex(t testing.TB, opts Options, companies, days int) *Index {
 	return ix
 }
 
+// freeze folds ix's pending mutations into the arena, which a search
+// after an incremental mutation needs first.
+func freeze(t testing.TB, ix *Index) {
+	t.Helper()
+	if err := ix.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // execer is the query surface both index types share.
 type execer interface {
 	Exec(context.Context, Query, *SearchStats) (Result, error)
@@ -408,11 +417,12 @@ func TestDynamicAppendAndIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	wantNew := 100 - opts.WindowLen + 1
 	if got := ix.WindowCount() - before; got != wantNew {
 		t.Errorf("indexed %d new windows, want %d", got, wantNew)
 	}
-	// The new data is immediately searchable.
+	// The new data is searchable.
 	w := make(vec.Vector, opts.WindowLen)
 	if err := ix.Store().Window(seq, 20, opts.WindowLen, w, nil); err != nil {
 		t.Fatal(err)
@@ -443,6 +453,7 @@ func TestUnindexSequence(t *testing.T) {
 	if err := ix.UnindexSequence(2); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if got := before - ix.WindowCount(); got != perSeq {
 		t.Errorf("removed %d windows, want %d", got, perSeq)
 	}
@@ -464,6 +475,7 @@ func TestUnindexSequence(t *testing.T) {
 	if err := ix.IndexSequence(2); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != before {
 		t.Errorf("re-index count %d, want %d", ix.WindowCount(), before)
 	}
@@ -642,6 +654,7 @@ func TestIndexSequenceErrors(t *testing.T) {
 	if err := ix.IndexSequence(0); err != nil {
 		t.Errorf("short sequence errored: %v", err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != 0 {
 		t.Error("short sequence produced windows")
 	}
@@ -661,10 +674,15 @@ func TestIndexSequenceIncrementalGrowth(t *testing.T) {
 	if err := ix.IndexSequence(0); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	n1 := ix.WindowCount()
+	if n1 != 50-opts.WindowLen+1 {
+		t.Fatalf("indexed %d windows, want %d", n1, 50-opts.WindowLen+1)
+	}
 	if err := ix.IndexSequence(0); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != n1 {
 		t.Error("second IndexSequence call re-indexed windows")
 	}
@@ -1030,12 +1048,14 @@ func TestTrailGrowthAcrossPartialBoundaries(t *testing.T) {
 		if err := ix.IndexSequence(0); err != nil {
 			t.Fatal(err)
 		}
+		freeze(t, ix)
 		if ix.EntryCount() != 3 || ix.WindowCount() != 10 {
 			t.Fatalf("cycle %d: entries=%d windows=%d", cycle, ix.EntryCount(), ix.WindowCount())
 		}
 		if err := ix.UnindexSequence(0); err != nil {
 			t.Fatal(err)
 		}
+		freeze(t, ix)
 		if ix.EntryCount() != 0 {
 			t.Fatalf("cycle %d: %d entries after unindex", cycle, ix.EntryCount())
 		}

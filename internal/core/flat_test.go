@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"scaleshift/internal/binio"
+	"scaleshift/internal/engine"
+	"scaleshift/internal/seqscan"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -92,51 +95,58 @@ func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]
 	return rangeRes, nnRes, batch, allStats
 }
 
-// TestFrozenIndexEquivalence freezes an index and asserts every search
-// family returns bit-identical results and identical deterministic
-// stats to the pointer-tree representation.
+// TestFrozenIndexEquivalence asserts that the trip a mutation takes —
+// the arena thawed into a builder, the builder frozen into a new arena —
+// is invisible when nothing was changed: every search family returns
+// bit-identical results and identical deterministic stats before and
+// after, for an insert-built and for a bulk-built index.
 func TestFrozenIndexEquivalence(t *testing.T) {
 	for _, bulk := range []bool{false, true} {
 		opts := testOptions()
 		ix := buildTestIndex(t, opts, 8, 120)
 		if bulk {
-			st := ix.Store()
-			fresh, err := NewIndex(st, opts)
+			fresh, err := NewIndex(ix.Store(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := fresh.BuildBulk(); err != nil {
 				t.Fatal(err)
 			}
-			// A bulk build is born frozen; compare from the pointer form.
-			if err := fresh.Thaw(); err != nil {
-				t.Fatal(err)
-			}
 			ix = fresh
+		}
+		if !ix.Frozen() {
+			t.Fatalf("bulk=%v: a built index should be frozen", bulk)
 		}
 		qs := testQueries(t, ix, 6)
 		eps := 8.0
 		wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
 
+		arena := ix.flat
+		if err := ix.thaw(); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Frozen() {
+			t.Fatal("a pending builder should mark the index unfrozen")
+		}
 		if err := ix.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		if !ix.Frozen() {
-			t.Fatal("Freeze did not mark index frozen")
+		if !ix.Frozen() || ix.flat == arena {
+			t.Fatalf("Freeze left frozen=%v, arena replaced=%v", ix.Frozen(), ix.flat != arena)
 		}
 		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, eps)
 
 		if !reflect.DeepEqual(wantR, gotR) {
-			t.Fatalf("bulk=%v: range results diverged after freeze", bulk)
+			t.Fatalf("bulk=%v: range results diverged after thaw and freeze", bulk)
 		}
 		if !reflect.DeepEqual(wantNN, gotNN) {
-			t.Fatalf("bulk=%v: k-NN results diverged after freeze", bulk)
+			t.Fatalf("bulk=%v: k-NN results diverged after thaw and freeze", bulk)
 		}
 		if !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("bulk=%v: batch/long results diverged after freeze", bulk)
+			t.Fatalf("bulk=%v: batch/long results diverged after thaw and freeze", bulk)
 		}
 		if !reflect.DeepEqual(wantS, gotS) {
-			t.Fatalf("bulk=%v: search stats diverged after freeze:\n%+v\nvs\n%+v", bulk, wantS, gotS)
+			t.Fatalf("bulk=%v: search stats diverged after thaw and freeze:\n%+v\nvs\n%+v", bulk, wantS, gotS)
 		}
 	}
 }
@@ -196,33 +206,147 @@ func TestFileLoadedIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrozenIndexMutationThaws checks that a frozen (and file-loaded)
-// index transparently returns to the mutable representation on
-// structural mutation, with nothing lost.
+// TestFrozenIndexMutationThaws checks the life cycle's one rule on a
+// built and on a file-loaded index: a structural mutation leaves a
+// builder pending, queries are refused until Freeze, and Freeze folds
+// the mutation in with nothing lost.
 func TestFrozenIndexMutationThaws(t *testing.T) {
 	opts := testOptions()
-	ix := buildTestIndex(t, opts, 4, 80)
-	before := ix.WindowCount()
-	if err := ix.Freeze(); err != nil {
+	built := buildTestIndex(t, opts, 4, 80)
+	path := filepath.Join(t.TempDir(), "ix.v3")
+	var buf bytes.Buffer
+	if err := built.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.AppendAndIndex("NEW", make([]float64, 64)); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Frozen() {
-		t.Fatal("mutation should thaw the frozen index")
+	loaded, err := LoadIndexFile(path, built.Store())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wl := opts.WindowLen
-	if got, want := ix.WindowCount(), before+(64-wl+1); got != want {
-		t.Fatalf("window count after thaw+append = %d, want %d", got, want)
+	defer loaded.Close()
+	for _, ix := range []*Index{built, loaded} {
+		before := ix.WindowCount()
+		if _, err := ix.AppendAndIndex("NEW", make([]float64, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Frozen() {
+			t.Fatal("mutation should leave a builder pending")
+		}
+		q := Query{Vec: make(vec.Vector, opts.WindowLen), Eps: 1}
+		if _, err := ix.Exec(context.Background(), q, nil); !errors.Is(err, engine.ErrUnsupported) {
+			t.Fatalf("Exec with a pending builder: err = %v, want ErrUnsupported", err)
+		}
+		freeze(t, ix)
+		if got, want := ix.WindowCount(), before+(64-opts.WindowLen+1); got != want {
+			t.Fatalf("window count after append+freeze = %d, want %d", got, want)
+		}
+		if _, err := ix.Exec(context.Background(), q, nil); err != nil {
+			t.Fatalf("Exec after Freeze: %v", err)
+		}
+	}
+}
+
+// TestUnfrozenMutationIsRefused walks the life cycle through every
+// incremental mutator, in point and in trail mode: with a builder
+// pending, range, k-NN and batch queries all fail with
+// engine.ErrUnsupported — the arena lacks the mutation, so an answer
+// from it would be a false dismissal — and once Freeze has folded the
+// builder in, the answers are the sequential scan's.
+func TestUnfrozenMutationIsRefused(t *testing.T) {
+	for _, opts := range []Options{testOptions(), trailOptions(4)} {
+		ix := buildTestIndex(t, opts, 5, 90)
+		st := ix.Store()
+		wl := opts.WindowLen
+		tail := make([]float64, wl+10)
+		for i := range tail {
+			tail[i] = 40 + float64(i*i%17)
+		}
+		// Each step returns the sequence whose last window it made
+		// searchable.
+		steps := []struct {
+			name   string
+			mutate func() (int, error)
+		}{
+			{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
+			{"ExtendAndIndex", func() (int, error) {
+				last := st.NumSequences() - 1
+				return last, ix.ExtendAndIndex(last, tail[:7])
+			}},
+			{"IndexSequence", func() (int, error) {
+				seq := st.AppendSequence("RAW", tail)
+				return seq, ix.IndexSequence(seq)
+			}},
+			// Unindexing alone would leave the scan covering more than the
+			// index; taking the sequence out and putting it back does not.
+			{"UnindexSequence", func() (int, error) {
+				if err := ix.UnindexSequence(2); err != nil {
+					return 2, err
+				}
+				return 2, ix.IndexSequence(2)
+			}},
+		}
+		ctx := context.Background()
+		for _, step := range steps {
+			seq, err := step.mutate()
+			if err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			if ix.Frozen() {
+				t.Fatalf("%s left no builder pending", step.name)
+			}
+			w := make(vec.Vector, wl)
+			if err := st.Window(seq, st.SequenceLen(seq)-wl, wl, w, nil); err != nil {
+				t.Fatal(err)
+			}
+			q := vec.Apply(w, 1.5, -4)
+			const eps = 6.0
+			if _, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, engine.ErrUnsupported) {
+				t.Fatalf("%s: range query with a builder pending: err = %v", step.name, err)
+			}
+			if _, err := ix.Exec(ctx, Query{Vec: q, K: 3}, nil); !errors.Is(err, engine.ErrUnsupported) {
+				t.Fatalf("%s: k-NN query with a builder pending: err = %v", step.name, err)
+			}
+			if _, _, err := ix.ExecBatch(ctx, rangeQueries([]vec.Vector{q, w}, eps), 2, nil); !errors.Is(err, engine.ErrUnsupported) {
+				t.Fatalf("%s: batch with a builder pending: err = %v", step.name, err)
+			}
+
+			freeze(t, ix)
+			got, err := search(ix, q, eps, nil)
+			if err != nil {
+				t.Fatalf("%s: after Freeze: %v", step.name, err)
+			}
+			scan, err := seqscan.Search(st, q, eps, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameAsScan(got, scan); err != nil {
+				t.Fatalf("%s: after Freeze: %v", step.name, err)
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s: the disguised window was not found", step.name)
+			}
+			nn, err := nearest(ix, q, 3, nil)
+			if err != nil {
+				t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
+			}
+			nscan, err := seqscan.Nearest(st, q, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameAsScan(nn, nscan); err != nil {
+				t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
+			}
+		}
 	}
 }
 
 // TestBulkBuiltIndexIsBornFrozen checks the loader's contract at the
 // Index: a bulk build serves from the arena it emitted, Freeze has
 // nothing left to do, and inserts and deletes still work — the first
-// one thaws — leaving the same answers as an insert-built index put
-// through the same edits.
+// one thaws — leaving, once frozen again, the same answers as an
+// insert-built index put through the same edits.
 func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	opts := testOptions()
 	ref := buildTestIndex(t, opts, 6, 100)
@@ -261,9 +385,11 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	if ix.Frozen() {
 		t.Fatal("mutation should thaw the bulk-built index")
 	}
-	if err := ix.tree.CheckInvariants(); err != nil {
+	if err := ix.builder.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ref)
+	freeze(t, ix)
 	if got, want := ix.WindowCount(), ref.WindowCount(); got != want {
 		t.Fatalf("%d windows after the edits, insert-built index has %d", got, want)
 	}
@@ -300,7 +426,7 @@ func TestV3ArtifactCorruption(t *testing.T) {
 		if _, err := LoadIndex(bytes.NewReader(mut), st); err == nil {
 			t.Fatalf("%s at %d: stream load accepted a corrupt artifact", what, i)
 		}
-		lazy, err := loadIndexBytes(mut, st)
+		lazy, _, err := loadIndexBytes(mut, st)
 		if err != nil {
 			return
 		}
@@ -328,8 +454,12 @@ func writeV2Artifact(t *testing.T, ix *Index) []byte {
 	bw := binio.NewWriter(&buf)
 	bw.Magic([]byte("SSIDX\x02"))
 	bw.Section(ix.encodeHeader())
+	tree, err := ix.flat.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var tb bytes.Buffer
-	if err := ix.tree.WriteBinary(&tb); err != nil {
+	if err := tree.WriteBinary(&tb); err != nil {
 		t.Fatal(err)
 	}
 	bw.Section(tb.Bytes())
@@ -340,8 +470,8 @@ func writeV2Artifact(t *testing.T, ix *Index) []byte {
 }
 
 // TestV2ArtifactCompatibility loads a v2 (pointer-tree) artifact
-// through both the stream and file paths and asserts full equality
-// with the live index.
+// through both the stream and file paths and asserts it is frozen at
+// load and fully equal to the live index.
 func TestV2ArtifactCompatibility(t *testing.T) {
 	opts := testOptions()
 	ix := buildTestIndex(t, opts, 6, 100)
@@ -354,8 +484,8 @@ func TestV2ArtifactCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 stream load: %v", err)
 	}
-	if streamed.Frozen() {
-		t.Fatal("v2 artifacts parse into the pointer representation")
+	if !streamed.Frozen() {
+		t.Fatal("a v2 artifact should be frozen at load")
 	}
 	sR, sNN, sB, sS := runAllSearches(t, streamed, qs, eps)
 	if !reflect.DeepEqual(wantR, sR) || !reflect.DeepEqual(wantNN, sNN) ||
@@ -372,6 +502,9 @@ func TestV2ArtifactCompatibility(t *testing.T) {
 		t.Fatalf("v2 file load: %v", err)
 	}
 	defer fromFile.Close()
+	if !fromFile.Frozen() {
+		t.Fatal("a v2 artifact should be frozen at load")
+	}
 	fR, _, _, _ := runAllSearches(t, fromFile, qs, eps)
 	if !reflect.DeepEqual(wantR, fR) {
 		t.Fatal("v2 file-loaded index diverged")
@@ -383,7 +516,7 @@ func TestV2ArtifactCompatibility(t *testing.T) {
 	if _, err := LoadIndex(bytes.NewReader(mut), ix.Store()); err == nil {
 		t.Fatal("corrupt v2 accepted by stream load")
 	}
-	if _, err := loadIndexBytes(mut, ix.Store()); err == nil {
+	if _, _, err := loadIndexBytes(mut, ix.Store()); err == nil {
 		t.Fatal("corrupt v2 accepted by byte load")
 	}
 }

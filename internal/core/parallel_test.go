@@ -31,10 +31,7 @@ func populatedStore(t testing.TB, companies, days, seed int) *store.Store {
 // sortedFeatures extracts every leaf feature point of the index in a
 // canonical (ID-sorted) order.
 func sortedFeatures(ix *Index) []rtreeFeature {
-	items := ix.tree.All()
-	if ix.flat != nil { // a bulk build leaves the index frozen
-		items = ix.flat.All()
-	}
+	items := ix.flat.All()
 	feats := make([]rtreeFeature, len(items))
 	for i, it := range items {
 		feats[i] = rtreeFeature{id: it.ID, point: it.Point}

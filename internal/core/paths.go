@@ -47,7 +47,7 @@ func (p *rtreePath) Available() (bool, string) {
 }
 
 func (p *rtreePath) EstimateCost(q engine.Query) engine.Cost {
-	h := p.ix.qtree().CostHints()
+	h := p.ix.flat.CostHints()
 	return engine.EstimateTreeCostSampled(h, q.Windows, q.Eps, sampleDists(nil, h, q))
 }
 
@@ -57,9 +57,9 @@ func (p *rtreePath) Candidates(ctx context.Context, q engine.Query, ts *rtree.Se
 	before := len(ids)
 	var err error
 	if q.Segment {
-		ids, err = p.ix.qtree().SegmentSearchIDs(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts, ids)
+		ids, err = p.ix.flat.SegmentSearchIDs(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts, ids)
 	} else {
-		ids, err = p.ix.qtree().LineSearchIDs(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts, ids)
+		ids, err = p.ix.flat.LineSearchIDs(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts, ids)
 	}
 	endDescentSpan(span, ts, nodesBefore, leavesBefore, len(ids)-before, err)
 	return ids, err
@@ -83,7 +83,7 @@ func (p *trailPath) Available() (bool, string) {
 }
 
 func (p *trailPath) EstimateCost(q engine.Query) engine.Cost {
-	h := p.ix.qtree().CostHints()
+	h := p.ix.flat.CostHints()
 	return engine.EstimateTrailCostSampled(h, q.Windows, p.ix.opts.SubtrailLen, q.Eps, sampleDists(nil, h, q))
 }
 
@@ -93,9 +93,9 @@ func (p *trailPath) Candidates(ctx context.Context, q engine.Query, ts *rtree.Se
 	var cands []rtree.RectItem
 	var err error
 	if q.Segment {
-		cands, err = p.ix.qtree().SegmentSearchRectsContext(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts)
+		cands, err = p.ix.flat.SegmentSearchRectsContext(descentCtx, q.Line, q.TMin, q.TMax, q.Eps, p.ix.opts.Strategy, ts)
 	} else {
-		cands, err = p.ix.qtree().LineSearchRectsContext(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts)
+		cands, err = p.ix.flat.LineSearchRectsContext(descentCtx, q.Line, q.Eps, p.ix.opts.Strategy, ts)
 	}
 	endDescentSpan(span, ts, nodesBefore, leavesBefore, len(cands), err)
 	if err != nil {

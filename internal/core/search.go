@@ -447,6 +447,11 @@ func (ix *Index) view() storeView { return ix.st }
 func (ix *Index) windowLen() int  { return ix.opts.WindowLen }
 
 func (ix *Index) unsupported(k int, _ engine.PathKind) error {
+	// The arena does not hold mutations still pending in the builder,
+	// and answering without them would be a false dismissal.
+	if ix.builder != nil {
+		return fmt.Errorf("core: %w: the index has unfrozen mutations; call Freeze before searching", engine.ErrUnsupported)
+	}
 	// A forced path the index lacks is the planner's to reject; only
 	// k-NN needs a check here.  Its refinement bound needs the tree's
 	// best-first stream; a degraded index has no tree, and silently
@@ -519,13 +524,13 @@ func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs
 func (ix *Index) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
 	line := seLineFor(ix.fmap, q)
 	if ix.trailMode() {
-		ix.qtree().NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
+		ix.flat.NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
 			seq, first := store.DecodeWindowID(it.ID)
 			return visit(it.Dist, seq, first, ix.trailWindows(seq, first))
 		})
 		return
 	}
-	ix.qtree().NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
+	ix.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
 		seq, start := store.DecodeWindowID(id.Item.ID)
 		return visit(id.Dist, seq, start, 1)
 	})

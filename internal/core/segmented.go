@@ -161,11 +161,10 @@ func newSegmentedFrom(ix *Index) (*SegmentedIndex, error) {
 		}
 	}
 	if count > 0 {
-		flat := ix.flat
-		if flat == nil || flat.Len() != count {
+		if ix.flat.Len() != count {
 			return nil, fmt.Errorf("core: index covers %d windows but its tree disagrees", count)
 		}
-		g.frozen = append(g.frozen, &frozenSeg{flat: flat, ranges: ranges, count: count})
+		g.frozen = append(g.frozen, &frozenSeg{flat: ix.flat, ranges: ranges, count: count})
 	}
 	if err := g.finishInit(); err != nil {
 		return nil, err
@@ -298,7 +297,7 @@ func (g *SegmentedIndex) extractLocked(seq int) error {
 		switch {
 		case st%featureCheckpoint == 0:
 			// Checkpoint boundary: restart the recurrence from scratch,
-			// as featureSegment does for a fresh segment.
+			// as extractSegment does for a fresh segment.
 			if err := g.st.Window(seq, st, n, buf, nil); err != nil {
 				return fmt.Errorf("core: incremental extraction: %w", err)
 			}

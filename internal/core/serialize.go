@@ -20,8 +20,9 @@ import (
 // a memory-mapped artifact serves queries zero-copy (LoadIndexFile).
 //
 // Version 2 (same framing, pointer-tree payload in the second
-// section) is still read.  Version 1 (unchecksummed) artifacts are
-// rejected with ErrVersion; rebuild them from the store.
+// section) is still read, and frozen at load.  Version 1
+// (unchecksummed) artifacts are rejected with ErrVersion; rebuild them
+// from the store.
 var indexMagic = []byte("SSIDX\x03")
 
 // indexVersions lists the format versions LoadIndex accepts.
@@ -156,9 +157,9 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 // window counts, and the frozen flat R*-tree arena — in the
 // checksummed v3 format, so it can be reopened with LoadIndex (or
 // memory-mapped with LoadIndexFile) without re-running
-// pre-processing.  A bulk-built or artifact-loaded index streams the
-// arena it serves from; an insert-built one is frozen transiently for
-// writing, its in-memory representation left unchanged.  The
+// pre-processing.  The index streams the arena it serves from; one with
+// mutations pending a Freeze is frozen transiently for writing, its
+// in-memory state left unchanged.  The
 // underlying store is NOT included; persist it separately with
 // Store.WriteBinary.  A degraded index (see OpenOrRebuild) refuses to
 // serialize: it has no tree to persist.
@@ -167,10 +168,9 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 		return fmt.Errorf("core: refusing to serialize a degraded index (%s)", ix.degraded)
 	}
 	flat := ix.flat
-	if flat == nil {
+	if ix.builder != nil {
 		var err error
-		flat, err = ix.tree.Freeze()
-		if err != nil {
+		if flat, err = ix.builder.Freeze(); err != nil {
 			return err
 		}
 	}
@@ -244,29 +244,14 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 		return nil, fmt.Errorf("core: tree section: %w", err)
 	}
 
+	var flat *rtree.FlatTree
 	if version == 2 {
-		tree, err := rtree.ReadBinary(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := br.Trailer(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		ix, err := assembleIndex(h, tree.Config(), tree.Len(), st)
-		if err != nil {
-			return nil, err
-		}
-		ix.tree = tree
-		return ix, nil
+		flat, err = flatFromV2(body)
+	} else {
+		flat, err = flatFromSection(body)
 	}
-
-	arena, err := arenaFromSection(body)
 	if err != nil {
 		return nil, err
-	}
-	flat, err := rtree.FlatFromArena(arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := br.Trailer(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -285,55 +270,24 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	return ix, nil
 }
 
-// loadIndexBytes opens an index artifact already resident in memory
-// (typically a memory mapping).  v3 artifacts open in O(1): the header
-// section is small and CRC-checked, but the arena section's checksum
-// and structural validation are DEFERRED (Index.VerifyArtifact) and
-// the arena's arrays are reinterpreted in place, aliasing data.  v2
-// artifacts are fully verified and parsed, exactly like LoadIndex.
-func loadIndexBytes(data []byte, st *store.Store) (*Index, error) {
-	br := binio.NewByteReader(data)
-	version, err := br.MagicVersions(indexMagic, indexVersions...)
+// flatFromV2 parses a version-2 tree section — the pointer tree, node by
+// node — and freezes it, so an old artifact serves from the arena like
+// any other.
+func flatFromV2(body []byte) (*rtree.FlatTree, error) {
+	tree, err := rtree.ReadBinary(bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	flat, err := tree.Freeze()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return flat, nil
+}
 
-	head, err := br.Section(maxIndexSection)
-	if err != nil {
-		return nil, fmt.Errorf("core: header section: %w", err)
-	}
-	h, err := parseIndexHeader(head, st)
-	if err != nil {
-		return nil, err
-	}
-
-	if version == 2 {
-		body, err := br.Section(maxIndexSection)
-		if err != nil {
-			return nil, fmt.Errorf("core: tree section: %w", err)
-		}
-		tree, err := rtree.ReadBinary(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := br.Trailer(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		ix, err := assembleIndex(h, tree.Config(), tree.Len(), st)
-		if err != nil {
-			return nil, err
-		}
-		ix.tree = tree
-		return ix, nil
-	}
-
-	body, err := br.SectionLazy(maxIndexSection)
-	if err != nil {
-		return nil, fmt.Errorf("core: arena section: %w", err)
-	}
-	if rest := len(data) - br.Offset(); rest != 4 {
-		return nil, fmt.Errorf("core: %d bytes after arena section (want 4-byte trailer): %w", rest, ErrTruncated)
-	}
+// flatFromSection opens the arena of a version-3 arena section in
+// place.
+func flatFromSection(body []byte) (*rtree.FlatTree, error) {
 	arena, err := arenaFromSection(body)
 	if err != nil {
 		return nil, err
@@ -342,10 +296,50 @@ func loadIndexBytes(data []byte, st *store.Store) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ix, err := assembleIndex(h, flat.Config(), flat.Len(), st)
+	return flat, nil
+}
+
+// loadIndexBytes opens an index artifact already resident in memory
+// (typically a memory mapping).  v3 artifacts open in O(1): the header
+// section is small and CRC-checked, but the arena section's checksum
+// and structural validation are DEFERRED (Index.VerifyArtifact) and
+// the arena's arrays are reinterpreted in place, aliasing data — which
+// aliased reports.  v2 artifacts are fully verified and parsed, exactly
+// like LoadIndex.
+func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err error) {
+	br := binio.NewByteReader(data)
+	version, err := br.MagicVersions(indexMagic, indexVersions...)
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("core: reading magic: %w", err)
+	}
+	if version == 2 {
+		ix, err = LoadIndex(bytes.NewReader(data), st)
+		return ix, false, err
+	}
+
+	head, err := br.Section(maxIndexSection)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: header section: %w", err)
+	}
+	h, err := parseIndexHeader(head, st)
+	if err != nil {
+		return nil, false, err
+	}
+	body, err := br.SectionLazy(maxIndexSection)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: arena section: %w", err)
+	}
+	if rest := len(data) - br.Offset(); rest != 4 {
+		return nil, false, fmt.Errorf("core: %d bytes after arena section (want 4-byte trailer): %w", rest, ErrTruncated)
+	}
+	flat, err := flatFromSection(body)
+	if err != nil {
+		return nil, false, err
+	}
+	ix, err = assembleIndex(h, flat.Config(), flat.Len(), st)
+	if err != nil {
+		return nil, false, err
 	}
 	ix.flat = flat
-	return ix, nil
+	return ix, true, nil
 }

@@ -165,6 +165,7 @@ func TestTrailDynamicGrowthAndUnindex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != 40 {
 		t.Fatalf("WindowCount = %d", ix.WindowCount())
 	}
@@ -176,6 +177,7 @@ func TestTrailDynamicGrowthAndUnindex(t *testing.T) {
 	if err := ix.IndexSequence(seq); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.EntryCount() != 6 {
 		t.Fatalf("EntryCount after re-index = %d", ix.EntryCount())
 	}
@@ -183,6 +185,7 @@ func TestTrailDynamicGrowthAndUnindex(t *testing.T) {
 	if err := ix.UnindexSequence(seq); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.EntryCount() != 2 || ix.WindowCount() != 15 {
 		t.Fatalf("after unindex: entries=%d windows=%d", ix.EntryCount(), ix.WindowCount())
 	}
@@ -402,6 +405,7 @@ func TestExtendAndIndexPointMode(t *testing.T) {
 	if err := ix.ExtendAndIndex(0, ticks); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != 35 {
 		t.Fatalf("after extend: WindowCount = %d", ix.WindowCount())
 	}
@@ -460,6 +464,7 @@ func TestExtendAndIndexTrailMode(t *testing.T) {
 	if err := ix.ExtendAndIndex(0, seqVals(15, 3)); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.EntryCount() != 3 || ix.WindowCount() != 11 {
 		t.Fatalf("after +3: entries=%d windows=%d", ix.EntryCount(), ix.WindowCount())
 	}
@@ -468,6 +473,7 @@ func TestExtendAndIndexTrailMode(t *testing.T) {
 	if err := ix.ExtendAndIndex(0, seqVals(18, 2)); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.EntryCount() != 4 || ix.WindowCount() != 13 {
 		t.Fatalf("after +2: entries=%d windows=%d", ix.EntryCount(), ix.WindowCount())
 	}
@@ -496,6 +502,7 @@ func TestExtendAndIndexTrailMode(t *testing.T) {
 	if err := ix.UnindexSequence(0); err != nil {
 		t.Fatal(err)
 	}
+	freeze(t, ix)
 	if ix.EntryCount() != 0 {
 		t.Fatalf("%d entries after unindex", ix.EntryCount())
 	}
@@ -535,6 +542,7 @@ func TestExtendThenUnindexPointMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != 380-16+1 {
 		t.Fatalf("WindowCount = %d", ix.WindowCount())
 	}
@@ -542,6 +550,7 @@ func TestExtendThenUnindexPointMode(t *testing.T) {
 	if err := ix.UnindexSequence(0); err != nil {
 		t.Fatalf("unindex after extension: %v", err)
 	}
+	freeze(t, ix)
 	if ix.WindowCount() != 0 {
 		t.Fatalf("%d windows left", ix.WindowCount())
 	}
@@ -584,7 +593,7 @@ func TestTrailPlannerUsesTreeAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hints := ix.qtree().CostHints()
+	hints := ix.flat.CostHints()
 	if hints.EntryRadius <= 0 || hints.EntryRadius > hints.Diameter/100 {
 		t.Fatalf("mean entry radius %g on an index of diameter %g", hints.EntryRadius, hints.Diameter)
 	}

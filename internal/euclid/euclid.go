@@ -70,7 +70,8 @@ type Index struct {
 	opts Options
 	st   *store.Store
 	fmap *dft.FeatureMap
-	tree *rtree.Tree
+	// flat is the frozen tree searches read: empty until Build.
+	flat *rtree.FlatTree
 	dim  int
 }
 
@@ -84,13 +85,12 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("euclid: %w", err)
 	}
 	dim := fmap.Dim() + 1 // +1 for the (normalized) mean component
-	cfg := opts.Tree
-	cfg.Dim = dim
-	tree, err := rtree.New(cfg)
+	opts.Tree.Dim = dim
+	flat, err := rtree.BulkLoadFlat(opts.Tree, nil, nil, 1) // the empty arena
 	if err != nil {
 		return nil, fmt.Errorf("euclid: %w", err)
 	}
-	return &Index{opts: opts, st: st, fmap: fmap, tree: tree, dim: dim}, nil
+	return &Index{opts: opts, st: st, fmap: fmap, flat: flat, dim: dim}, nil
 }
 
 // feature maps a raw window to its feature point: the 2·f_c non-DC DFT
@@ -106,13 +106,18 @@ func (ix *Index) feature(w vec.Vector) vec.Vector {
 }
 
 // WindowCount returns the number of indexed windows.
-func (ix *Index) WindowCount() int { return ix.tree.Len() }
+func (ix *Index) WindowCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages.
-func (ix *Index) IndexPageCount() int { return ix.tree.NodeCount() }
+func (ix *Index) IndexPageCount() int { return ix.flat.NodeCount() }
 
-// Build indexes every window of every sequence.
+// Build indexes every window of every sequence by R* insertion and
+// freezes the tree.
 func (ix *Index) Build() error {
+	tree, err := rtree.New(ix.opts.Tree)
+	if err != nil {
+		return fmt.Errorf("euclid: %w", err)
+	}
 	n := ix.opts.WindowLen
 	w := make(vec.Vector, n)
 	for seq := 0; seq < ix.st.NumSequences(); seq++ {
@@ -121,8 +126,11 @@ func (ix *Index) Build() error {
 			if err := ix.st.Window(seq, start, n, w, nil); err != nil {
 				return fmt.Errorf("euclid: indexing: %w", err)
 			}
-			ix.tree.Insert(ix.feature(w), store.EncodeWindowID(seq, start))
+			tree.Insert(ix.feature(w), store.EncodeWindowID(seq, start))
 		}
+	}
+	if ix.flat, err = tree.Freeze(); err != nil {
+		return fmt.Errorf("euclid: %w", err)
 	}
 	return nil
 }
@@ -144,7 +152,7 @@ func (ix *Index) Search(q vec.Vector, eps float64, stats *Stats) ([]Match, error
 	rect := geom.RectFromPoint(fq).Enlarge(eps + ix.slack())
 
 	var treeStats rtree.SearchStats
-	candidates := ix.tree.RangeSearch(rect, &treeStats)
+	candidates := ix.flat.RangeSearch(rect, &treeStats)
 
 	var pc store.PageCounter
 	w := make(vec.Vector, ix.opts.WindowLen)
@@ -176,7 +184,7 @@ func (ix *Index) Search(q vec.Vector, eps float64, stats *Stats) ([]Match, error
 // slack widens the index-phase box against floating-point rounding in
 // the feature computation, mirroring core's numeric slack.
 func (ix *Index) slack() float64 {
-	b, ok := ix.tree.Bounds()
+	b, ok := ix.flat.Bounds()
 	if !ok {
 		return 0
 	}

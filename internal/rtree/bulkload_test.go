@@ -31,7 +31,7 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got := idSet(tr.All())
+		got := idSet(frozen(t, tr).All())
 		if len(got) != n {
 			t.Fatalf("n=%d: %d items reachable", n, len(got))
 		}
@@ -56,7 +56,7 @@ func TestBulkLoadCopiesPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	p[0] = 99
-	if tr.All()[0].Point[0] != 1 {
+	if frozen(t, tr).All()[0].Point[0] != 1 {
 		t.Error("bulk load shares caller's slice")
 	}
 }
@@ -76,14 +76,15 @@ func TestBulkLoadSearchMatchesInsertBuilt(t *testing.T) {
 	for _, it := range items {
 		inc.Insert(it.Point, it.ID)
 	}
+	fb, fi := frozen(t, bulk), frozen(t, inc)
 	for q := 0; q < 25; q++ {
 		rect := randRect(r, 3)
-		if !sameIDSet(idSet(bulk.RangeSearch(rect, nil)), idSet(inc.RangeSearch(rect, nil))) {
+		if !sameIDSet(idSet(fb.RangeSearch(rect, nil)), idSet(fi.RangeSearch(rect, nil))) {
 			t.Fatal("range results differ between bulk and incremental trees")
 		}
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		if !sameIDSet(idSet(bulk.LineSearch(l, 1.5, geom.EnteringExiting, nil)),
-			idSet(inc.LineSearch(l, 1.5, geom.EnteringExiting, nil))) {
+		if !sameIDSet(idSet(fb.LineSearch(l, 1.5, geom.EnteringExiting, nil)),
+			idSet(fi.LineSearch(l, 1.5, geom.EnteringExiting, nil))) {
 			t.Fatal("line results differ between bulk and incremental trees")
 		}
 	}
@@ -141,11 +142,12 @@ func TestBulkLoadPackingQuality(t *testing.T) {
 		t.Errorf("bulk tree has %d nodes, incremental %d", bulk.NodeCount(), inc.NodeCount())
 	}
 	var bulkAcc, incAcc int
+	fb, fi := frozen(t, bulk), frozen(t, inc)
 	for q := 0; q < 40; q++ {
 		l := vec.Line{P: make(vec.Vector, 4), D: randVec(r, 4)}
 		var sb, si SearchStats
-		bulk.LineSearch(l, 0.3, geom.EnteringExiting, &sb)
-		inc.LineSearch(l, 0.3, geom.EnteringExiting, &si)
+		fb.LineSearch(l, 0.3, geom.EnteringExiting, &sb)
+		fi.LineSearch(l, 0.3, geom.EnteringExiting, &si)
 		bulkAcc += sb.NodeAccesses
 		incAcc += si.NodeAccesses
 	}

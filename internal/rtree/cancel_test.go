@@ -10,7 +10,7 @@ import (
 	"scaleshift/internal/vec"
 )
 
-func buildCancelTree(t *testing.T, n int) (*Tree, vec.Line) {
+func buildCancelTree(t *testing.T, n int) (*FlatTree, vec.Line) {
 	t.Helper()
 	tree, err := New(DefaultConfig(4))
 	if err != nil {
@@ -25,7 +25,7 @@ func buildCancelTree(t *testing.T, n int) (*Tree, vec.Line) {
 		tree.Insert(p, int64(i))
 	}
 	d := vec.Vector{1, 0.5, -0.25, 2}
-	return tree, vec.Line{P: make(vec.Vector, 4), D: d}
+	return frozen(t, tree), vec.Line{P: make(vec.Vector, 4), D: d}
 }
 
 // TestContextSearchesMatchPlain asserts the ctx variants return
@@ -83,28 +83,84 @@ func TestContextSearchesMatchPlain(t *testing.T) {
 	}
 }
 
-// TestContextSearchesStopWhenCancelled asserts a dead context stops
-// every variant with ctx.Err() and stats untouched beyond the partial
-// visit.
+// dyingContext is a context that reports cancellation from its nth
+// Err call on: the descent polls once per node, so it dies n-1 nodes in.
+type dyingContext struct {
+	context.Context
+	polls, n int
+}
+
+func (c *dyingContext) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestContextSearchesStopWhenCancelled asserts the serving descent's
+// cancellation contract on every ctx variant: a context already dead
+// stops it before the first page, and one that dies mid-descent stops it
+// within one node — exactly the pages polled so far are read — returning
+// the hits found until then (a prefix of the full answer) with ctx.Err().
 func TestContextSearchesStopWhenCancelled(t *testing.T) {
 	tree, line := buildCancelTree(t, 600)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	const eps = 1.2
+	ee := geom.EnteringExiting
+	searches := map[string]func(ctx context.Context, stats *SearchStats) ([]int64, error){
+		"line": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
+			return tree.LineSearchIDs(ctx, line, eps, ee, stats, nil)
+		},
+		"segment": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
+			return tree.SegmentSearchIDs(ctx, line, -1, 1, eps, ee, stats, nil)
+		},
+		"rects": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
+			items, err := tree.LineSearchRectsContext(ctx, line, eps, ee, stats)
+			return rectItemIDs(items), err
+		},
+		"segment rects": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
+			items, err := tree.SegmentSearchRectsContext(ctx, line, -1, 1, eps, ee, stats)
+			return rectItemIDs(items), err
+		},
+	}
+	for name, search := range searches {
+		var full SearchStats
+		want, err := search(context.Background(), &full)
+		if err != nil || len(want) == 0 || full.NodeAccesses < 10 {
+			t.Fatalf("%s: full search: %d hits over %d pages, err %v", name, len(want), full.NodeAccesses, err)
+		}
 
-	var stats SearchStats
-	if _, err := tree.LineSearchIDs(ctx, line, 1.2, geom.EnteringExiting, &stats, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("line err = %v", err)
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		var stats SearchStats
+		if got, err := search(dead, &stats); !errors.Is(err, context.Canceled) || len(got) != 0 || stats.NodeAccesses != 0 {
+			t.Errorf("%s: cancelled before the start: %d hits, %d pages, err %v", name, len(got), stats.NodeAccesses, err)
+		}
+
+		for _, n := range []int{2, full.NodeAccesses / 2, full.NodeAccesses} {
+			stats = SearchStats{}
+			got, err := search(&dyingContext{Context: context.Background(), n: n}, &stats)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: dying at poll %d: err = %v", name, n, err)
+			}
+			if stats.NodeAccesses != n-1 {
+				t.Errorf("%s: dying at poll %d: read %d pages, want %d", name, n, stats.NodeAccesses, n-1)
+			}
+			if len(got) > len(want) {
+				t.Fatalf("%s: dying at poll %d: %d hits, the full answer has %d", name, n, len(got), len(want))
+			}
+			for i, id := range got {
+				if id != want[i] {
+					t.Fatalf("%s: dying at poll %d: hit %d is %d, want %d", name, n, i, id, want[i])
+				}
+			}
+		}
 	}
-	if stats.NodeAccesses != 0 {
-		t.Errorf("cancelled-before-start search visited %d pages", stats.NodeAccesses)
+}
+
+func rectItemIDs(items []RectItem) []int64 {
+	var ids []int64
+	for _, it := range items {
+		ids = append(ids, it.ID)
 	}
-	if _, err := tree.SegmentSearchIDs(ctx, line, -1, 1, 1.2, geom.EnteringExiting, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("segment err = %v", err)
-	}
-	if _, err := tree.LineSearchRectsContext(ctx, line, 1.2, geom.EnteringExiting, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("rects err = %v", err)
-	}
-	if _, err := tree.SegmentSearchRectsContext(ctx, line, -1, 1, 1.2, geom.EnteringExiting, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("segment rects err = %v", err)
-	}
+	return ids
 }

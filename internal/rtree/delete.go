@@ -32,7 +32,6 @@ func (t *Tree) DeleteRect(r geom.Rect, id int64) bool {
 	if leaf == nil {
 		return false
 	}
-	t.radiusSum -= leaf.entries[idx].rect.OuterRadius()
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
 	t.condense(leaf)

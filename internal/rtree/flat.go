@@ -14,17 +14,15 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// FlatTree is the frozen, pointer-free, array-backed form of a Tree:
-// one contiguous node arena with offset-indexed children and
-// structure-of-arrays MBR planes.  It serves the same searches as the
-// pointer tree — with identical traversal order, identical results,
-// and identical SearchStats — but traverses contiguous memory with
-// batched (4-wide unrolled) pruning kernels, and (de)serializes as a
-// single verbatim byte blob that can be memory-mapped and served
-// zero-copy.
+// FlatTree is the frozen, pointer-free, array-backed form of a Tree
+// and the only form that is searched: one contiguous node arena with
+// offset-indexed children and structure-of-arrays MBR planes,
+// traversed with batched (4-wide unrolled) pruning kernels, that
+// (de)serializes as a single verbatim byte blob which can be
+// memory-mapped and served zero-copy.
 //
 // A FlatTree is immutable and safe for concurrent searches.  Mutation
-// goes through Thaw, which reconstructs an independent pointer tree.
+// goes through Thaw, which reconstructs an independent builder.
 //
 // Node 0 is the root.  For node i, entries occupy the half-open range
 // [starts[i], starts[i+1]) of refs/planes.  refs holds the child node
@@ -38,7 +36,7 @@ type FlatTree struct {
 	cfg      Config
 	size     int
 	height   int
-	pages    int // total pages, the NodeCount of the pointer tree
+	pages    int // total pages (a supernode spans several)
 	leafKind uint8
 	maxNode  int // largest single-node entry count, for scratch sizing
 
@@ -164,9 +162,7 @@ func (f *FlatTree) Bounds() (geom.Rect, bool) {
 	return geom.Rect{L: f.bounds.L.Clone(), H: f.bounds.H.Clone()}, true
 }
 
-// CostHints returns the planner's view of the tree — the same numbers
-// the pointer tree reports, with the bounds-derived fields read from
-// the frozen root MBR.
+// CostHints returns the planner's view of the tree.
 func (f *FlatTree) CostHints() CostHints {
 	h := CostHints{
 		Entries: f.size,
@@ -337,7 +333,7 @@ func (f *FlatTree) Validate() error {
 	return nil
 }
 
-// Thaw reconstructs a mutable pointer tree from the frozen arena.
+// Thaw reconstructs a mutable builder from the frozen arena.
 // The result shares no memory with f (or its backing mapping), so the
 // arena may be closed once Thaw returns.
 func (f *FlatTree) Thaw() (*Tree, error) {
@@ -402,8 +398,7 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 	return t, nil
 }
 
-// Stats returns per-level geometry statistics, leaves first —
-// the flat counterpart of Tree.Stats.
+// Stats returns per-level geometry statistics, leaves first.
 func (f *FlatTree) Stats() []LevelStats {
 	byLevel := make([]*LevelStats, f.height)
 	d := f.cfg.Dim
@@ -532,7 +527,7 @@ const arenaChunk = 1 << 13
 // wide, so a blob starting at an 8-byte-aligned offset has every array
 // aligned for zero-copy reads.  A tree that is a view of an arena —
 // bulk-loaded, or opened from one — writes the bytes it holds; one
-// frozen from a pointer tree writes its arrays as the byte ranges they
+// frozen from a builder writes its arrays as the byte ranges they
 // are on a little-endian host, and encodes them chunk by chunk
 // elsewhere.
 func (f *FlatTree) WriteArena(w io.Writer) error {

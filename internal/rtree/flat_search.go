@@ -8,16 +8,70 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// Flat-tree searches.  Every method here is RESULT- and
-// STATS-IDENTICAL to its pointer-tree counterpart in search.go /
-// cancel.go: the traversal order is the same (entries in slot order,
-// depth-first / best-first), and the pruning decisions come from the
-// batched kernels of geom/batch.go and vec/batch.go, which evaluate
-// the exact scalar expressions per entry.  The only differences are
-// mechanical: MBR planes are read from the contiguous SoA arena, a
-// node's entries are tested in one kernel sweep before any descent,
-// and returned Items/Rects are materialized fresh (the arena has no
-// per-entry objects to share).
+// The searches.  The arena is the only representation searched: a node's
+// entries are tested in one sweep of the batched kernels of
+// geom/batch.go and vec/batch.go — which evaluate the scalar
+// expressions of Theorem 3 and Lemma 1 per entry — before any descent,
+// entries are visited in slot order (depth first for the range probes,
+// best first for k-NN), and returned Items and Rects are materialized
+// fresh (the arena has no per-entry objects to share).
+
+// SearchStats records the cost of one query in the paper's model:
+// every node visited is one index page access.
+type SearchStats struct {
+	// NodeAccesses counts tree nodes read (index pages, §7).
+	NodeAccesses int
+	// LeafEntriesChecked counts leaf items whose distance was evaluated.
+	LeafEntriesChecked int
+	// Penetration counts the geometric primitives used while pruning.
+	Penetration geom.CheckStats
+}
+
+// Add accumulates o into s.
+func (s *SearchStats) Add(o SearchStats) {
+	s.NodeAccesses += o.NodeAccesses
+	s.LeafEntriesChecked += o.LeafEntriesChecked
+	s.Penetration.Add(o.Penetration)
+}
+
+// RectItem is a leaf entry together with its extent, as returned by
+// the rectangle-aware searches.  For point entries the rectangle is
+// degenerate (L == H == the point).
+type RectItem struct {
+	Rect geom.Rect
+	ID   int64
+}
+
+// RectItemDist pairs a leaf entry with a lower bound on the distance
+// from the line to anything inside its extent.
+type RectItemDist struct {
+	Rect geom.Rect
+	ID   int64
+	Dist float64
+}
+
+// ItemDist pairs an item with its distance to the query line.
+type ItemDist struct {
+	Item Item
+	Dist float64
+}
+
+// lineQuery is one line or segment probe: what a descent prunes
+// subtrees and tests leaf entries against.  The line and segment
+// searches — over point or rectangle leaf entries, returning items or
+// IDs — share the one descend loop on it.
+type lineQuery struct {
+	l vec.Line
+	// segment restricts the line to the parameter range [tMin, tMax].
+	segment    bool
+	tMin, tMax float64
+	eps        float64
+	strategy   geom.Strategy
+	// rects applies the Theorem 3 box test all the way to the leaf
+	// slots (rectangle entries); otherwise leaves hold points and the
+	// exact point-to-line distance (Lemma 1) decides.
+	rects bool
+}
 
 // flatScratch holds the per-search reusable buffers.  Verdicts of
 // internal nodes must survive the recursive descent below them, so
@@ -92,8 +146,8 @@ func (sc *flatScratch) entryRect(pl geom.NodePlanes, k int) geom.Rect {
 	return geom.Rect{L: sc.rL, H: sc.rH}
 }
 
-// RangeSearch appends to out every item whose point lies inside r —
-// the flat counterpart of Tree.RangeSearch.  stats may be nil.
+// RangeSearch returns every item whose point lies inside r.  stats may
+// be nil.
 func (f *FlatTree) RangeSearch(r geom.Rect, stats *SearchStats) []Item {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
@@ -148,8 +202,8 @@ func (q *lineQuery) penetrated(pl geom.NodePlanes, sc *geom.BatchScratch, pen *g
 // entries in slot order, depth first, polling ctx at every node visit —
 // the natural cancellation grain: a node is one page of work.  Each
 // qualifying leaf entry k of the leaf at entry offset s (planes pl) is
-// handed to hit.  Traversal order, pruning decisions and stats are those
-// of Tree.descend.
+// handed to hit.  On cancellation the hits so far stand and ctx.Err()
+// is returned.
 func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.NodePlanes, s, k int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -241,20 +295,24 @@ func (f *FlatTree) searchIDs(ctx context.Context, q *lineQuery, stats *SearchSta
 }
 
 // LineSearch returns every item whose point lies within eps of the
-// line l — the flat counterpart of Tree.LineSearch.  stats may be nil.
+// line l, in the order encountered.  Internal subtrees are pruned by
+// Theorem 3: a child is visited only when its ε-enlarged MBR is
+// penetrated by l under the chosen strategy.  At the leaves the exact
+// point-to-line distance (Lemma 1) decides.  stats may be nil.
 func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
 	return f.searchItems(&lineQuery{l: l, eps: eps, strategy: strategy}, stats)
 }
 
 // SegmentSearch is LineSearch restricted to the parameter range
-// [tMin, tMax] — the flat counterpart of Tree.SegmentSearch.
+// [tMin, tMax] of the line: returned items lie within eps of the
+// SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.  Point entries only.
 func (f *FlatTree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
 	return f.searchItems(&lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
 }
 
 // LineSearchIDs appends to ids the ID of every item whose point lies
-// within eps of the line l, with cooperative cancellation — the flat
-// counterpart of Tree.LineSearchIDs and the query engine's probe.
+// within eps of the line l, with cooperative cancellation — the query
+// engine's probe.
 func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
 	return f.searchIDs(ctx, &lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
 }
@@ -266,14 +324,20 @@ func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax,
 }
 
 // LineSearchRects returns every leaf entry whose ε-enlarged extent is
-// penetrated by l — the flat counterpart of Tree.LineSearchRects.
+// penetrated by the line l — the Theorem 3 test applied all the way to
+// the leaf slots.  Unlike LineSearch it works for rectangle (sub-trail
+// MBR) entries: any point within L2 distance ε of the line lies inside
+// the ε-enlargement of every box containing it, so no qualifying entry
+// is missed; the caller's exact post-check removes the extra
+// candidates the L∞ box test admits.  stats may be nil.
 func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
 	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
 }
 
-// SegmentSearchRects is SegmentSearch for rectangle leaf entries —
-// the flat counterpart of Tree.SegmentSearchRects.
+// SegmentSearchRects is SegmentSearch for trees with rectangle
+// (sub-trail MBR) leaf entries: the ε-enlarged extent must be
+// penetrated by the segment.
 func (f *FlatTree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
 	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
@@ -306,10 +370,10 @@ type flatNNEntry struct {
 
 // flatNNHeap is the best-first queue: a binary min-heap on dist in a
 // typed slice, so a push boxes nothing.  push and pop sift exactly as
-// container/heap does over the same Less — up from the new last slot;
-// root swapped with the last slot, then down — because the order in
-// which entries at equal distance leave the queue, and with it the
-// emitted stream, depends on the sift order.
+// the standard library's heap does over the same Less — up from the new
+// last slot; root swapped with the last slot, then down — because the
+// order in which entries at equal distance leave the queue, and with it
+// the emitted stream, depends on the sift order.
 type flatNNHeap []flatNNEntry
 
 func (h *flatNNHeap) push(e flatNNEntry) {
@@ -347,8 +411,10 @@ func (h *flatNNHeap) pop() flatNNEntry {
 	return s[n]
 }
 
-// NearestToLine returns the k items closest to the line l — the flat
-// counterpart of Tree.NearestToLine.
+// NearestToLine returns the k items whose points are closest to the
+// line l in increasing distance order, using best-first traversal with
+// the exact line-to-MBR distance as the bound (nearest-neighbour
+// search per Corollary 1).  stats may be nil.
 func (f *FlatTree) NearestToLine(l vec.Line, k int, stats *SearchStats) []ItemDist {
 	if k <= 0 {
 		return nil
@@ -361,10 +427,11 @@ func (f *FlatTree) NearestToLine(l vec.Line, k int, stats *SearchStats) []ItemDi
 	return out
 }
 
-// NearestToLineFunc streams items in non-decreasing distance to l —
-// the flat counterpart of Tree.NearestToLineFunc.  The push sequence
-// and distance values match the pointer tree bit for bit, and the
-// heap orders on distance alone, so the emitted stream is identical.
+// NearestToLineFunc streams items in non-decreasing distance to the
+// line l until fn returns false or the tree is exhausted.  The caller
+// can use the monotone distances as lower bounds for early termination
+// (e.g. GEMINI-style exact refinement over reduced features).  stats
+// may be nil.
 func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(ItemDist) bool) {
 	if f.size == 0 {
 		return
@@ -414,8 +481,8 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 }
 
 // NearestRectsToLineFunc streams leaf entries in non-decreasing
-// line-to-extent distance — the flat counterpart of
-// Tree.NearestRectsToLineFunc.
+// line-to-extent distance (exact LineRectDist, a valid lower bound for
+// every point inside).  Works for both point and rectangle entries.
 func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn func(RectItemDist) bool) {
 	if f.size == 0 {
 		return
@@ -459,8 +526,8 @@ func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn fun
 	}
 }
 
-// All returns every stored item in document order — the flat
-// counterpart of Tree.All.
+// All returns every stored item in document order.  Intended for tests
+// and diagnostics.
 func (f *FlatTree) All() []Item {
 	var out []Item
 	var walk func(ni int)
@@ -481,8 +548,7 @@ func (f *FlatTree) All() []Item {
 	return out
 }
 
-// WriteStats renders Stats as an aligned table, matching
-// Tree.WriteStats output byte for byte on an equivalent tree.
+// WriteStats renders Stats as an aligned table.
 func (f *FlatTree) WriteStats(w io.Writer) error {
 	return writeLevelStats(w, f.Stats())
 }

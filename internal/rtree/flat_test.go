@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -56,155 +55,111 @@ func buildRectTree(t *testing.T, rng *rand.Rand, cfg Config, n int) *Tree {
 	return tr
 }
 
-func sortItems(items []Item) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].ID < items[j-1].ID; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-}
-
-func itemIDs(items []Item) []int64 {
-	var ids []int64
-	for _, it := range items {
-		ids = append(ids, it.ID)
-	}
-	return ids
-}
-
-func sortRectItems(items []RectItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].ID < items[j-1].ID; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-}
-
-// checkSearchEquivalence asserts every search variant returns
-// identical results AND identical stats on the pointer tree and its
-// frozen form.  Point trees exercise the Item variants; rect trees the
-// RectItem variants.
+// checkSearchEquivalence asserts every search of the arena against the
+// references over the builder it was frozen from (reference_test.go):
+// the same hits in the same order, and the same SearchStats — node
+// accesses, leaf checks and penetration primitives — for every range
+// descent under both strategies; the brute-force order for the k-NN
+// streams.  Point trees exercise the Item and ID variants; rect trees
+// the RectItem variants.
 func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand, points bool) {
 	t.Helper()
 	dim := tr.Config().Dim
 	ctx := context.Background()
+	all := builderEntries(tr)
 	for q := 0; q < 30; q++ {
 		l := randLine(rng, dim)
 		eps := rng.Float64() * 4
 		tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
 		for _, strat := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
+			line := lineQuery{l: l, eps: eps, strategy: strat, rects: !points}
+			seg := lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strat, rects: !points}
+			wantLine, lineStats := refLine(tr, line)
+			wantSeg, segStats := refLine(tr, seg)
 			if points {
-				var ts, fs SearchStats
-				want := tr.LineSearch(l, eps, strat, &ts)
-				got := f.LineSearch(l, eps, strat, &fs)
-				sortItems(want)
-				sortItems(got)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(want), len(got))
+				var fs SearchStats
+				if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(entryItems(wantLine), got) {
+					t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(wantLine), len(got))
 				}
-				if ts != fs {
-					t.Fatalf("LineSearch stats diverged: %+v vs %+v", ts, fs)
+				if lineStats != fs {
+					t.Fatalf("LineSearch stats diverged: %+v vs %+v", lineStats, fs)
 				}
-				ts, fs = SearchStats{}, SearchStats{}
-				want = tr.SegmentSearch(l, tMin, tMax, eps, strat, &ts)
-				got = f.SegmentSearch(l, tMin, tMax, eps, strat, &fs)
-				sortItems(want)
-				sortItems(got)
-				if !reflect.DeepEqual(want, got) {
+				fs = SearchStats{}
+				if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(entryItems(wantSeg), got) {
 					t.Fatalf("SegmentSearch diverged (q=%d)", q)
 				}
-				if ts != fs {
-					t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", ts, fs)
+				if segStats != fs {
+					t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", segStats, fs)
 				}
-				// The ID-emitting descents the query engine drives: same
-				// hits in the same order as the item searches, same stats,
-				// on both representations.
-				ts, fs = SearchStats{}, SearchStats{}
-				wantIDs, err1 := tr.LineSearchIDs(ctx, l, eps, strat, &ts, nil)
-				gotIDs, err2 := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("context search errors: %v %v", err1, err2)
+				// The ID-emitting descents the query engine drives.
+				fs = SearchStats{}
+				gotIDs, err := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
+				if err != nil || !reflect.DeepEqual(entryIDs(wantLine), gotIDs) {
+					t.Fatalf("LineSearchIDs diverged (q=%d): %v", q, err)
 				}
-				if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(gotIDs, itemIDs(f.LineSearch(l, eps, strat, nil))) {
-					t.Fatalf("LineSearchIDs diverged (q=%d)", q)
+				if lineStats != fs {
+					t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", lineStats, fs)
 				}
-				if ts != fs {
-					t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", ts, fs)
+				fs = SearchStats{}
+				gotIDs, err = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, &fs, nil)
+				if err != nil || !reflect.DeepEqual(entryIDs(wantSeg), gotIDs) {
+					t.Fatalf("SegmentSearchIDs diverged (q=%d): %v", q, err)
 				}
-				wantIDs, err1 = tr.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, nil, nil)
-				gotIDs, err2 = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, nil, nil)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("context search errors: %v %v", err1, err2)
-				}
-				if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(gotIDs, itemIDs(f.SegmentSearch(l, tMin, tMax, eps, strat, nil))) {
-					t.Fatalf("SegmentSearchIDs diverged (q=%d)", q)
+				if segStats != fs {
+					t.Fatalf("SegmentSearchIDs stats diverged: %+v vs %+v", segStats, fs)
 				}
 			} else {
-				var ts, fs SearchStats
-				want := tr.LineSearchRects(l, eps, strat, &ts)
-				got := f.LineSearchRects(l, eps, strat, &fs)
-				sortRectItems(want)
-				sortRectItems(got)
-				if !reflect.DeepEqual(want, got) {
+				var fs SearchStats
+				if got := f.LineSearchRects(l, eps, strat, &fs); !reflect.DeepEqual(entryRectItems(wantLine), got) {
 					t.Fatalf("LineSearchRects diverged (q=%d strat=%d)", q, strat)
 				}
-				if ts != fs {
-					t.Fatalf("LineSearchRects stats diverged: %+v vs %+v", ts, fs)
+				if lineStats != fs {
+					t.Fatalf("LineSearchRects stats diverged: %+v vs %+v", lineStats, fs)
 				}
-				ts, fs = SearchStats{}, SearchStats{}
-				want = tr.SegmentSearchRects(l, tMin, tMax, eps, strat, &ts)
-				got = f.SegmentSearchRects(l, tMin, tMax, eps, strat, &fs)
-				sortRectItems(want)
-				sortRectItems(got)
-				if !reflect.DeepEqual(want, got) {
+				fs = SearchStats{}
+				if got := f.SegmentSearchRects(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(entryRectItems(wantSeg), got) {
 					t.Fatalf("SegmentSearchRects diverged (q=%d)", q)
 				}
-				if ts != fs {
-					t.Fatalf("SegmentSearchRects stats diverged: %+v vs %+v", ts, fs)
+				if segStats != fs {
+					t.Fatalf("SegmentSearchRects stats diverged: %+v vs %+v", segStats, fs)
 				}
-				cw, err1 := tr.SegmentSearchRectsContext(ctx, l, tMin, tMax, eps, strat, nil)
-				cg, err2 := f.SegmentSearchRectsContext(ctx, l, tMin, tMax, eps, strat, nil)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("context search errors: %v %v", err1, err2)
+				fs = SearchStats{}
+				got, err := f.LineSearchRectsContext(ctx, l, eps, strat, &fs)
+				if err != nil || !reflect.DeepEqual(entryRectItems(wantLine), got) || lineStats != fs {
+					t.Fatalf("LineSearchRectsContext diverged (q=%d): %v", q, err)
 				}
-				sortRectItems(cw)
-				sortRectItems(cg)
-				if !reflect.DeepEqual(cw, cg) {
-					t.Fatalf("SegmentSearchRectsContext diverged (q=%d)", q)
+				fs = SearchStats{}
+				got, err = f.SegmentSearchRectsContext(ctx, l, tMin, tMax, eps, strat, &fs)
+				if err != nil || !reflect.DeepEqual(entryRectItems(wantSeg), got) || segStats != fs {
+					t.Fatalf("SegmentSearchRectsContext diverged (q=%d): %v", q, err)
 				}
 			}
 		}
 
-		// Nearest-neighbour streams must be BIT-identical, in order —
-		// same IDs, same float64 distances.
+		// Nearest-neighbour streams: the brute-force order, bit for bit.
+		dist := make(map[int64]float64, len(all))
+		var ids []int64
+		var dists []float64
+		var ns SearchStats
 		if points {
-			var ts, fs SearchStats
-			k := 1 + rng.Intn(20)
-			want := tr.NearestToLine(l, k, &ts)
-			got := f.NearestToLine(l, k, &fs)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("NearestToLine(k=%d) diverged:\n%v\nvs\n%v", k, want, got)
+			for _, e := range all {
+				dist[e.item.ID] = vec.PLDFast(e.item.Point, l)
 			}
-			if ts != fs {
-				t.Fatalf("NearestToLine stats diverged: %+v vs %+v", ts, fs)
+			for _, id := range f.NearestToLine(l, 1+rng.Intn(20), &ns) {
+				ids, dists = append(ids, id.Item.ID), append(dists, id.Dist)
 			}
 		} else {
-			var want, got []RectItemDist
-			var ts, fs SearchStats
-			tr.NearestRectsToLineFunc(l, &ts, func(d RectItemDist) bool {
-				want = append(want, d)
-				return len(want) < 15
-			})
-			f.NearestRectsToLineFunc(l, &fs, func(d RectItemDist) bool {
-				got = append(got, d)
-				return len(got) < 15
-			})
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("NearestRectsToLineFunc diverged")
+			for _, e := range all {
+				dist[e.item.ID] = geom.LineRectDist(e.rect, l)
 			}
-			if ts != fs {
-				t.Fatalf("NearestRectsToLineFunc stats diverged: %+v vs %+v", ts, fs)
-			}
+			f.NearestRectsToLineFunc(l, &ns, func(d RectItemDist) bool {
+				ids, dists = append(ids, d.ID), append(dists, d.Dist)
+				return len(ids) < 15
+			})
+		}
+		checkStream(t, "nearest", ids, dists, dist)
+		if len(all) > 0 && (len(ids) == 0 || ns.NodeAccesses < f.Height() || ns.NodeAccesses > f.NodeCount() || ns.LeafEntriesChecked < len(ids)) {
+			t.Fatalf("nearest: %d hits with implausible stats %+v", len(ids), ns)
 		}
 
 		// Range queries (defined for point leaves only).
@@ -216,16 +171,13 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 		for j := range lo {
 			r.H[j] += rng.Float64() * 8
 		}
-		var ts, fs SearchStats
-		want := tr.RangeSearch(r, &ts)
-		got := f.RangeSearch(r, &fs)
-		sortItems(want)
-		sortItems(got)
-		if !reflect.DeepEqual(want, got) {
+		want, ws := refRange(tr, r)
+		var fs SearchStats
+		if got := f.RangeSearch(r, &fs); !reflect.DeepEqual(entryItems(want), got) {
 			t.Fatalf("RangeSearch diverged (q=%d)", q)
 		}
-		if ts != fs {
-			t.Fatalf("RangeSearch stats diverged: %+v vs %+v", ts, fs)
+		if ws != fs {
+			t.Fatalf("RangeSearch stats diverged: %+v vs %+v", ws, fs)
 		}
 	}
 }
@@ -310,24 +262,7 @@ func checkFlatShape(t *testing.T, tr *Tree, f *FlatTree) {
 	if tok != fok || (tok && !reflect.DeepEqual(tb, fb)) {
 		t.Fatalf("bounds diverged: %v,%v vs %v,%v", tb, tok, fb, fok)
 	}
-	if !reflect.DeepEqual(tr.Stats(), f.Stats()) {
-		t.Fatalf("level stats diverged:\n%+v\nvs\n%+v", tr.Stats(), f.Stats())
-	}
-	var tw, fw bytes.Buffer
-	if err := tr.WriteStats(&tw); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteStats(&fw); err != nil {
-		t.Fatal(err)
-	}
-	if tw.String() != fw.String() {
-		t.Fatalf("WriteStats diverged:\n%s\nvs\n%s", tw.String(), fw.String())
-	}
-	want := tr.All()
-	got := f.All()
-	sortItems(want)
-	sortItems(got)
-	if !reflect.DeepEqual(want, got) {
+	if want, got := entryItems(builderEntries(tr)), f.All(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("All() diverged: %d vs %d items", len(want), len(got))
 	}
 }
@@ -344,11 +279,8 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.All()
-	got := back.All()
-	sortItems(want)
-	sortItems(got)
-	if !reflect.DeepEqual(want, got) {
+	want := entryItems(builderEntries(tr))
+	if got := entryItems(builderEntries(back)); !reflect.DeepEqual(want, got) {
 		t.Fatal("thawed tree lost or mutated items")
 	}
 	// The thawed tree must be fully mutable again.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scaleshift/internal/geom"
@@ -28,7 +29,7 @@ func TestInsertRectAndLineSearchRects(t *testing.T) {
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 		for _, eps := range []float64{0, 1, 4} {
 			got := map[int64]bool{}
-			for _, it := range tr.LineSearchRects(l, eps, geom.EnteringExiting, nil) {
+			for _, it := range frozen(t, tr).LineSearchRects(l, eps, geom.EnteringExiting, nil) {
 				got[it.ID] = true
 			}
 			want := map[int64]bool{}
@@ -57,9 +58,9 @@ func TestLineSearchRectsIsSupersetOfPointSemantics(t *testing.T) {
 	for q := 0; q < 20; q++ {
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 		eps := 1.5
-		exact := idSet(tr.LineSearch(l, eps, geom.EnteringExiting, nil))
+		exact := idSet(frozen(t, tr).LineSearch(l, eps, geom.EnteringExiting, nil))
 		boxed := map[int64]bool{}
-		for _, it := range tr.LineSearchRects(l, eps, geom.EnteringExiting, nil) {
+		for _, it := range frozen(t, tr).LineSearchRects(l, eps, geom.EnteringExiting, nil) {
 			boxed[it.ID] = true
 		}
 		for id := range exact {
@@ -97,8 +98,8 @@ func TestDeleteRect(t *testing.T) {
 		t.Error("absent DeleteRect succeeded")
 	}
 
-	// The planner's entry-size statistic follows inserts and deletes, and
-	// every representation of the tree reports the same value.
+	// The planner's entry-size statistic follows inserts and deletes
+	// through every freeze, mapping and thaw.
 	var want float64
 	for _, rc := range rects[100:] {
 		want += rc.OuterRadius() / 50
@@ -116,8 +117,8 @@ func TestDeleteRect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for what, got := range map[string]float64{
-		"tree": tr.CostHints().EntryRadius, "frozen": flat.CostHints().EntryRadius,
-		"mapped": mapped.CostHints().EntryRadius, "thawed": thawed.CostHints().EntryRadius,
+		"frozen": flat.CostHints().EntryRadius, "mapped": mapped.CostHints().EntryRadius,
+		"thawed": frozen(t, thawed).CostHints().EntryRadius,
 	} {
 		if math.Abs(got-want) > 1e-9*want {
 			t.Errorf("%s: EntryRadius = %g, the remaining rects average %g", what, got, want)
@@ -136,7 +137,7 @@ func TestNearestRectsToLineFunc(t *testing.T) {
 	l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 	var prev float64 = -1
 	count := 0
-	tr.NearestRectsToLineFunc(l, nil, func(it RectItemDist) bool {
+	frozen(t, tr).NearestRectsToLineFunc(l, nil, func(it RectItemDist) bool {
 		if it.Dist < prev-1e-9 {
 			t.Fatalf("distances not monotone: %v after %v", it.Dist, prev)
 		}
@@ -174,10 +175,15 @@ func TestRectEntriesSerializeRoundTrip(t *testing.T) {
 	if tr2.Len() != tr.Len() {
 		t.Fatalf("size mismatch")
 	}
-	l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-	a := tr.LineSearchRects(l, 1, geom.EnteringExiting, nil)
-	b := tr2.LineSearchRects(l, 1, geom.EnteringExiting, nil)
-	if len(a) != len(b) {
+	// A tree mixing both kinds cannot be frozen; the reference descent
+	// compares the two builders.
+	q := lineQuery{l: vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, eps: 1, strategy: geom.EnteringExiting, rects: true}
+	a, _ := refLine(tr, q)
+	b, _ := refLine(tr2, q)
+	if len(a) == 0 || !reflect.DeepEqual(entryRectItems(a), entryRectItems(b)) {
 		t.Fatalf("results differ after round trip: %d vs %d", len(a), len(b))
+	}
+	if _, err := tr.Freeze(); err == nil {
+		t.Fatal("froze a tree mixing point and rect leaf entries")
 	}
 }

@@ -3,8 +3,13 @@
 // [16]) storing feature points, with the classic Guttman R-tree split
 // algorithms available for ablation.
 //
-// Beyond standard rectangle range search, the tree supports the
-// paper's two query primitives:
+// The index is built, then only searched, and the package has one type
+// for each half.  Tree is the builder: nodes, choose-subtree, split,
+// forced reinsertion, deletion — and Freeze, which emits the FlatTree,
+// a pointer-free arena that is the only thing searched (BulkLoadFlat
+// emits one directly; Thaw turns one back into a builder).  Beyond
+// standard rectangle range search, the FlatTree supports the paper's
+// two query primitives:
 //
 //   - LineSearch — all points within ε of an arbitrary line, descending
 //     only into children whose ε-enlarged MBR is penetrated by the line
@@ -203,8 +208,9 @@ func (n *node) parentEntry() *entry {
 	panic("rtree: node not referenced by its parent")
 }
 
-// Tree is a dynamic R-tree variant.  It is not safe for concurrent
-// mutation; wrap it in a mutex if writers and readers overlap.
+// Tree is a dynamic R-tree variant under construction: it is mutated,
+// never searched — Freeze it to search.  It is not safe for concurrent
+// use.
 type Tree struct {
 	cfg  Config
 	root *node
@@ -220,10 +226,6 @@ type Tree struct {
 	sample       []vec.Vector
 	sampleStride int
 	sampleTick   int
-	// radiusSum totals the leaf entries' outer radii (half diagonals;
-	// 0 for points), the planner's entry-size statistic: maintained by
-	// InsertRect and DeleteRect, recounted by rebuildSample.
-	radiusSum float64
 	// pathScratch is reused by insertEntry to record the chooseSubtree
 	// descent, so the MBR-adjust ascent never scans a parent's entries.
 	pathScratch []*entry
@@ -281,9 +283,10 @@ func (t *Tree) Insert(point vec.Vector, id int64) {
 // InsertRect adds a rectangle with its identifier — the sub-trail MBR
 // entry of the ST-index [2], where one leaf slot summarizes a run of
 // consecutive feature points.  The rectangle is copied.  Rect items
-// are returned by the rectangle-aware searches (LineSearchRects,
-// RangeSearchRects) with a nil Item.Point; the plain point searches
-// must not be used on trees containing them.
+// are returned by the frozen tree's rectangle-aware searches
+// (LineSearchRects, SegmentSearchRects); its point searches must not be
+// used on trees containing them, and a tree mixing both kinds cannot
+// be frozen.
 func (t *Tree) InsertRect(r geom.Rect, id int64) {
 	if r.Dim() != t.cfg.Dim {
 		panic(fmt.Sprintf("rtree: inserting %d-dimensional rect into %d-dimensional tree",
@@ -293,7 +296,6 @@ func (t *Tree) InsertRect(r geom.Rect, id int64) {
 	t.reinsertDone = make(map[int]bool)
 	t.insertEntry(e, 0)
 	t.size++
-	t.radiusSum += e.rect.OuterRadius()
 	t.sampleAdd(e.rect.Center())
 }
 

@@ -103,7 +103,7 @@ func TestInsertGrowsAndStaysValid(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(tr.All()); got != 500 {
+			if got := len(frozen(t, tr).All()); got != 500 {
 				t.Errorf("All() returned %d items", got)
 			}
 		})
@@ -125,7 +125,7 @@ func TestInsertCopiesPoint(t *testing.T) {
 	p := vec.Vector{1, 2}
 	tr.Insert(p, 7)
 	p[0] = 99
-	items := tr.All()
+	items := frozen(t, tr).All()
 	if items[0].Point[0] != 1 {
 		t.Error("tree shares caller's slice")
 	}
@@ -143,7 +143,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			}
 			for q := 0; q < 50; q++ {
 				rect := randRect(r, 3)
-				got := idSet(tr.RangeSearch(rect, nil))
+				got := idSet(frozen(t, tr).RangeSearch(rect, nil))
 				want := map[int64]bool{}
 				for i, p := range pts {
 					if rect.Contains(p) {
@@ -193,7 +193,7 @@ func TestLineSearchMatchesBruteForce(t *testing.T) {
 					l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 					for _, eps := range []float64{0, 0.5, 2, 5} {
 						var stats SearchStats
-						got := idSet(tr.LineSearch(l, eps, strategy, &stats))
+						got := idSet(frozen(t, tr).LineSearch(l, eps, strategy, &stats))
 						want := map[int64]bool{}
 						for i, p := range pts {
 							if d, _ := vec.PLD(p, l); d <= eps {
@@ -226,7 +226,7 @@ func TestLineSearchDegenerateLine(t *testing.T) {
 	}
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{0, 0}}
 	eps := 3.0
-	got := idSet(tr.LineSearch(l, eps, geom.EnteringExiting, nil))
+	got := idSet(frozen(t, tr).LineSearch(l, eps, geom.EnteringExiting, nil))
 	want := map[int64]bool{}
 	for i, p := range pts {
 		if vec.Norm(p) <= eps {
@@ -249,7 +249,7 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 	for q := 0; q < 20; q++ {
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 		for _, k := range []int{1, 5, 17} {
-			got := tr.NearestToLine(l, k, nil)
+			got := frozen(t, tr).NearestToLine(l, k, nil)
 			// Brute force: k smallest PLDs.
 			type pd struct {
 				id int64
@@ -276,14 +276,14 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 func TestNearestToLineEdgeCases(t *testing.T) {
 	tr := newTestTree(t, 2, SplitRStar)
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 0}}
-	if got := tr.NearestToLine(l, 3, nil); got != nil {
+	if got := frozen(t, tr).NearestToLine(l, 3, nil); got != nil {
 		t.Errorf("empty tree returned %v", got)
 	}
 	tr.Insert(vec.Vector{1, 1}, 1)
-	if got := tr.NearestToLine(l, 0, nil); got != nil {
+	if got := frozen(t, tr).NearestToLine(l, 0, nil); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	got := tr.NearestToLine(l, 10, nil)
+	got := frozen(t, tr).NearestToLine(l, 10, nil)
 	if len(got) != 1 || got[0].Item.ID != 1 {
 		t.Errorf("k larger than size: %v", got)
 	}
@@ -318,7 +318,7 @@ func TestDelete(t *testing.T) {
 			for i, p := range pts {
 				rect := geom.RectFromPoint(p)
 				found := false
-				for _, it := range tr.RangeSearch(rect, nil) {
+				for _, it := range frozen(t, tr).RangeSearch(rect, nil) {
 					if it.ID == int64(i) {
 						found = true
 					}
@@ -399,7 +399,7 @@ func TestInterleavedInsertDeleteProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Final: all live items retrievable.
-			got := idSet(tr.All())
+			got := idSet(frozen(t, tr).All())
 			if len(got) != len(live) {
 				t.Fatalf("All=%d live=%d", len(got), len(live))
 			}
@@ -421,7 +421,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := idSet(tr.RangeSearch(geom.RectFromPoint(p), nil))
+	got := idSet(frozen(t, tr).RangeSearch(geom.RectFromPoint(p), nil))
 	if len(got) != 60 {
 		t.Errorf("retrieved %d of 60 duplicates", len(got))
 	}
@@ -480,7 +480,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		var s SearchStats
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		tr.LineSearch(l, 1, geom.BoundingSpheres, &s)
+		frozen(t, tr).LineSearch(l, 1, geom.BoundingSpheres, &s)
 		if s.NodeAccesses == 0 {
 			t.Error("no node accesses recorded")
 		}
@@ -508,7 +508,7 @@ func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 	}
 	var s SearchStats
 	l := vec.Line{P: randVec(r, 4), D: randVec(r, 4)}
-	tr.LineSearch(l, 0.1, geom.EnteringExiting, &s)
+	frozen(t, tr).LineSearch(l, 0.1, geom.EnteringExiting, &s)
 	if s.LeafEntriesChecked >= nPts/2 {
 		t.Errorf("tree checked %d of %d entries; pruning ineffective",
 			s.LeafEntriesChecked, nPts)
@@ -542,10 +542,11 @@ func BenchmarkLineSearchDim6(b *testing.B) {
 		tr.Insert(randVec(r, 6), int64(i))
 	}
 	l := vec.Line{P: make(vec.Vector, 6), D: randVec(r, 6)}
+	f := frozen(b, tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.LineSearch(l, 0.5, geom.EnteringExiting, nil)
+		f.LineSearch(l, 0.5, geom.EnteringExiting, nil)
 	}
 }
 
@@ -578,7 +579,7 @@ func TestTreeSerializationRoundTrip(t *testing.T) {
 		// Same results on a few queries.
 		for q := 0; q < 5; q++ {
 			rect := randRect(r, 4)
-			if !sameIDSet(idSet(tr.RangeSearch(rect, nil)), idSet(tr2.RangeSearch(rect, nil))) {
+			if !sameIDSet(idSet(frozen(t, tr).RangeSearch(rect, nil)), idSet(frozen(t, tr2).RangeSearch(rect, nil))) {
 				t.Fatalf("n=%d: range results differ after round trip", n)
 			}
 		}
@@ -626,7 +627,7 @@ func TestStats(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
 	}
-	stats := tr.Stats()
+	stats := frozen(t, tr).Stats()
 	if len(stats) != tr.Height() {
 		t.Fatalf("%d levels reported, height %d", len(stats), tr.Height())
 	}
@@ -659,7 +660,7 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats pages %d, tree pages %d", totalPages, tr.NodeCount())
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteStats(&buf); err != nil {
+	if err := frozen(t, tr).WriteStats(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "sphere-gap") {
@@ -673,7 +674,7 @@ func TestStatsDegenerate(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		tr.Insert(vec.Vector{1, 1}, int64(i))
 	}
-	for _, ls := range tr.Stats() {
+	for _, ls := range frozen(t, tr).Stats() {
 		if ls.Level == 0 && (ls.AvgElongation != 1 || ls.AvgSphereGap != 1) {
 			t.Errorf("degenerate stats: %+v", ls)
 		}
@@ -694,7 +695,7 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 			tMin := r.Float64()*4 - 2
 			tMax := tMin + r.Float64()*3
 			for _, eps := range []float64{0.5, 2} {
-				got := idSet(tr.SegmentSearch(l, tMin, tMax, eps, strategy, nil))
+				got := idSet(frozen(t, tr).SegmentSearch(l, tMin, tMax, eps, strategy, nil))
 				want := map[int64]bool{}
 				for i, p := range pts {
 					if vec.PSegDFast(p, l, tMin, tMax) <= eps {
@@ -707,13 +708,13 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		// Empty parameter range returns nothing.
-		if got := tr.SegmentSearch(vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, 2, 1, 10, strategy, nil); len(got) != 0 {
+		if got := frozen(t, tr).SegmentSearch(vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, 2, 1, 10, strategy, nil); len(got) != 0 {
 			t.Errorf("inverted range returned %d items", len(got))
 		}
 		// A huge range reproduces the full line search.
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		full := idSet(tr.LineSearch(l, 1, strategy, nil))
-		seg := idSet(tr.SegmentSearch(l, -1e9, 1e9, 1, strategy, nil))
+		full := idSet(frozen(t, tr).LineSearch(l, 1, strategy, nil))
+		seg := idSet(frozen(t, tr).SegmentSearch(l, -1e9, 1e9, 1, strategy, nil))
 		if !sameIDSet(full, seg) {
 			t.Error("wide segment differs from full line search")
 		}

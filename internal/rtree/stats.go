@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"scaleshift/internal/vec"
@@ -34,72 +33,7 @@ type LevelStats struct {
 	AvgSphereGap float64
 }
 
-// Stats returns per-level geometry statistics, leaves first.
-func (t *Tree) Stats() []LevelStats {
-	byLevel := map[int]*LevelStats{}
-	var walk func(n *node)
-	walk = func(n *node) {
-		ls, ok := byLevel[n.level]
-		if !ok {
-			ls = &LevelStats{Level: n.level}
-			byLevel[n.level] = ls
-		}
-		ls.Nodes++
-		ls.Pages += n.pages()
-		ls.Entries += len(n.entries)
-		if len(n.entries) > 0 {
-			r := n.mbr()
-			minSide, maxSide := math.Inf(1), 0.0
-			for i := range r.L {
-				side := r.H[i] - r.L[i]
-				minSide = math.Min(minSide, side)
-				maxSide = math.Max(maxSide, side)
-			}
-			if minSide > 0 {
-				ls.AvgElongation += maxSide / minSide
-			} else if maxSide > 0 {
-				ls.AvgElongation += math.Inf(1)
-			} else {
-				ls.AvgElongation++ // a point is a degenerate cube
-			}
-			if inner := r.InnerRadius(); inner > 0 {
-				ls.AvgSphereGap += r.OuterRadius() / inner
-			} else if r.OuterRadius() > 0 {
-				ls.AvgSphereGap += math.Inf(1)
-			} else {
-				ls.AvgSphereGap++
-			}
-		}
-		for _, e := range n.entries {
-			if e.child != nil {
-				walk(e.child)
-			}
-		}
-	}
-	walk(t.root)
-
-	out := make([]LevelStats, 0, len(byLevel))
-	for lvl := 0; lvl <= t.root.level; lvl++ {
-		ls := byLevel[lvl]
-		if ls == nil {
-			continue
-		}
-		n := float64(ls.Nodes)
-		ls.AvgElongation /= n
-		ls.AvgSphereGap /= n
-		ls.AvgOccupancy = float64(ls.Entries) / float64(ls.Pages*t.cfg.MaxEntries)
-		out = append(out, *ls)
-	}
-	return out
-}
-
-// WriteStats renders Stats as an aligned table.
-func (t *Tree) WriteStats(w io.Writer) error {
-	return writeLevelStats(w, t.Stats())
-}
-
-// writeLevelStats renders a Stats result as an aligned table — shared
-// by the pointer and flat trees.
+// writeLevelStats renders a Stats result as an aligned table.
 func writeLevelStats(w io.Writer, stats []LevelStats) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %8s %8s %8s %10s %12s %12s\n",
@@ -138,35 +72,8 @@ type CostHints struct {
 	// points (rect entries are represented by their centers), for
 	// distribution-aware selectivity estimation — the MBR-volume model
 	// alone wildly underestimates selectivity on concentrated data.
-	// The slice is shared with the tree: read-only, and valid only
-	// until the next mutation.  It may lag deletions.
+	// The slice is shared with the tree: read-only.
 	Sample []vec.Vector
-}
-
-// CostHints returns the planner's view of the tree.
-func (t *Tree) CostHints() CostHints {
-	h := CostHints{
-		Entries: t.size,
-		Nodes:   t.nodes,
-		Height:  t.Height(),
-		Dim:     t.cfg.Dim,
-		Sample:  t.sample,
-	}
-	bounds, ok := t.Bounds()
-	if !ok {
-		return h
-	}
-	h.EntryRadius = max(t.radiusSum, 0) / float64(t.size)
-	var diagSq float64
-	volume := 1.0
-	for i := range bounds.L {
-		side := bounds.H[i] - bounds.L[i]
-		diagSq += side * side
-		volume *= side
-	}
-	h.Diameter = math.Sqrt(diagSq)
-	h.Volume = volume
-	return h
 }
 
 // sampleCap bounds the planner's feature sample.  The sample holds
@@ -197,15 +104,13 @@ func (t *Tree) sampleAdd(p vec.Vector) {
 	t.sampleTick++
 }
 
-// rebuildSample repopulates the sample, and recounts radiusSum, with a
-// leaf walk — used by the
+// rebuildSample repopulates the sample with a leaf walk — used by the
 // constructors that assemble nodes directly instead of inserting
-// (bulk loading, deserialization).
+// (thawing, deserialization).
 func (t *Tree) rebuildSample() {
 	t.sample = nil
 	t.sampleStride = 1 + t.size/sampleCap
 	t.sampleTick = 0
-	t.radiusSum = 0
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
@@ -215,7 +120,6 @@ func (t *Tree) rebuildSample() {
 			case e.item.Point != nil:
 				t.sampleAdd(e.item.Point)
 			default:
-				t.radiusSum += e.rect.OuterRadius()
 				t.sampleAdd(e.rect.Center())
 			}
 		}

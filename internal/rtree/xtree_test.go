@@ -95,15 +95,16 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	fx, fp := frozen(t, x), frozen(t, plain)
 	for q := 0; q < 25; q++ {
 		rect := geom.RectFromPoint(clusteredVec(r, 6))
 		rect.ExtendPoint(clusteredVec(r, 6))
-		if !sameIDSet(idSet(x.RangeSearch(rect, nil)), idSet(plain.RangeSearch(rect, nil))) {
+		if !sameIDSet(idSet(fx.RangeSearch(rect, nil)), idSet(fp.RangeSearch(rect, nil))) {
 			t.Fatal("range results differ between X-tree and R*-tree")
 		}
 		l := vec.Line{P: make(vec.Vector, 6), D: clusteredVec(r, 6)}
-		if !sameIDSet(idSet(x.LineSearch(l, 0.2, geom.EnteringExiting, nil)),
-			idSet(plain.LineSearch(l, 0.2, geom.EnteringExiting, nil))) {
+		if !sameIDSet(idSet(fx.LineSearch(l, 0.2, geom.EnteringExiting, nil)),
+			idSet(fp.LineSearch(l, 0.2, geom.EnteringExiting, nil))) {
 			t.Fatal("line results differ between X-tree and R*-tree")
 		}
 	}
@@ -164,7 +165,7 @@ func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// All duplicates retrievable, and a line query through the point
 	// charges the supernode's full page span.
 	var stats SearchStats
-	got := tr.LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
+	got := frozen(t, tr).LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
 	if len(got) != 200 {
 		t.Errorf("retrieved %d of 200 near-duplicates", len(got))
 	}

@@ -29,6 +29,17 @@
 //	res, err := ix.Exec(ctx, scaleshift.Query{Vec: q, Eps: eps}, nil)
 //	for _, m := range res.Matches { ... } // m.Scale, m.Shift: the optimal (a, b)
 //
+// The index is built, then searched.  Build, BuildBulk and LoadIndex
+// hand back a frozen index, served from one contiguous arena.  The
+// incremental mutators (IndexSequence, AppendAndIndex, ExtendAndIndex,
+// UnindexSequence) reopen it as an R*-tree under construction, and
+// Exec refuses queries — an unsupported-query error, never a stale
+// answer — until Freeze folds the changes back into the arena:
+//
+//	seq, err := ix.AppendAndIndex("NEW", prices)
+//	if err := ix.Freeze(); err != nil { ... }
+//	res, err = ix.Exec(ctx, q, nil) // sees the new windows
+//
 // The concrete types live in internal packages; this package re-exports
 // them with type aliases, so values are interchangeable across the
 // boundary.
