@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -47,6 +47,19 @@ examples-smoke:
 		echo "== examples/$$ex"; \
 		$(GO) run ./examples/$$ex >/dev/null || { echo "examples/$$ex failed"; exit 1; }; \
 	done
+
+# The line count the north star quotes ("net-negative lines"): tracked
+# Go lines per package, test files apart; the frozen benchmark/ harness
+# is listed but kept out of the total.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		if ($$2 ~ /_test\.go$$/) t[d] += $$1; else s[d] += $$1; seen[d] = 1 } \
+		END { for (d in seen) print d, s[d] + 0, t[d] + 0 }' | sort | awk ' \
+		BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+		{ printf "%-28s %8d %8d\n", $$1, $$2, $$3 } \
+		$$1 !~ /^benchmark/ { s += $$2; t += $$3 } \
+		END { printf "%-28s %8d %8d\n", "total (benchmark/ excluded)", s, t }'
 
 # Quick benchmark smoke: the build comparison and the verification
 # micro-benchmarks committed under results/.

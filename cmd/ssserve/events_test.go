@@ -239,14 +239,25 @@ func TestAppendEmitsOneWideEvent(t *testing.T) {
 		t.Fatalf("rejected append events = %+v", page.Events)
 	}
 
-	// Searches served by the segmented (append-mode) executor carry the
-	// same stage spans as the frozen-index path.
-	if resp, raw := get(t, s, "/search?seq=0&start=5&eps_frac=0.05"); resp.StatusCode != http.StatusOK {
+	// Searches served by an append-mode server carry the same stage
+	// spans, plan table and plan summary as a static one's.
+	resp, raw = get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("segmented search status %d: %s", resp.StatusCode, raw)
+	}
+	var sr searchResponse
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Plan == nil || sr.Plan.Pieces != 1 {
+		t.Errorf("segmented search body plan = %+v, want pieces 1", sr.Plan)
 	}
 	page = drainEvents(t, s, page.Next)
 	if len(page.Events) != 1 || page.Events[0].Kind != "search" {
 		t.Fatalf("segmented search events = %+v", page.Events)
+	}
+	if len(page.Events[0].Plan) == 0 {
+		t.Error("segmented search event has no plan rows")
 	}
 	seen = map[string]bool{}
 	for _, sp := range page.Events[0].Spans {

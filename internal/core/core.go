@@ -178,13 +178,15 @@ type SearchStats struct {
 	// PlanTime, ProbeTime, and VerifyTime are the wall-clock totals of
 	// the engine's three execution stages.
 	PlanTime, ProbeTime, VerifyTime time.Duration
-	// PathProbes counts index-phase probes served by each access path
-	// (one per range query; one per piece for multipiece long
-	// queries), indexed by engine.PathKind.
+	// PathProbes counts index-phase probes served by each access path,
+	// indexed by engine.PathKind: one per piece per probed segment — an
+	// Index is one segment, so one per range query and one per piece of
+	// a multipiece long query; a segmented index adds one per further
+	// frozen segment and one for a non-empty delta.
 	PathProbes [engine.NumPathKinds]int
-	// DegradedProbes counts probes answered in degraded mode (scan
-	// fallback after the index artifact failed validation); nonzero
-	// means results were exact but index acceleration was lost.
+	// DegradedProbes counts probes of a degraded segment (scan fallback
+	// after the index artifact failed validation); nonzero means results
+	// were exact but index acceleration was lost.
 	DegradedProbes int
 	// TraceID references the obs trace recorded for this query, when
 	// the search ran under a traced context (obs.Tracer.StartTrace);
@@ -272,12 +274,16 @@ type Index struct {
 	opts Options
 	st   *store.Store
 	fmap *dft.FeatureMap
-	// flat is the arena every search and shape accessor reads; see
-	// flat.go for the life cycle.  builder, when non-nil, holds the
-	// tree an incremental mutator thawed it into: queries are refused
-	// until Freeze folds the builder back into flat.
+	// flat is the arena; see flat.go for the life cycle.  builder, when
+	// non-nil, holds the tree an incremental mutator thawed it into:
+	// queries are refused until Freeze folds the builder back into flat.
 	flat    *rtree.FlatTree
 	builder *rtree.Tree
+	// man is what every query and shape accessor reads: the arena and
+	// the indexed counts as the one frozen segment of a manifest with no
+	// delta, over the live store.  It is immutable; whatever replaces
+	// flat, indexed or the strategy pins a fresh one (see pin).
+	man *manifest
 	// mapping backs flat when the index was opened zero-copy from a
 	// file (LoadIndexFile); the arena's arrays alias it, so it must
 	// outlive the last search.  artifact is the whole mapped frame,
@@ -287,14 +293,10 @@ type Index struct {
 	// indexed tracks how many windows of each sequence are indexed, so
 	// dynamic extension indexes only the new ones.
 	indexed []int
-	// planner routes every range query through one of the engine's
-	// access paths (paths.go); its paths read the live tree through
-	// the Index, so rebuilds need no re-registration.
-	planner *engine.Planner
 	// degraded, when non-empty, records why the index artifact could
 	// not be loaded (see OpenOrRebuild): the tree is empty but indexed
-	// covers every window, so the scan path still answers every query
-	// exactly.  A degraded index is read-only and refuses to
+	// covers every window, so the segment's scan still answers every
+	// query exactly.  A degraded index is read-only and refuses to
 	// serialize.
 	degraded string
 }
@@ -333,8 +335,31 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("core: negative SubtrailLen %d", opts.SubtrailLen)
 	}
 	ix := &Index{opts: opts, st: st, fmap: fmap, flat: flat}
-	ix.planner = ix.newPlanner()
+	ix.pin()
 	return ix, nil
+}
+
+// pin derives the manifest from the index's current arena, indexed
+// counts, options and degraded state.  It runs whenever one of those is
+// replaced — construction, a bulk build, Freeze, an artifact open,
+// SetStrategy — never per query.
+func (ix *Index) pin() {
+	seg := &frozenSeg{flat: ix.flat, ranges: make([]winRange, 0, len(ix.indexed)), trail: ix.opts.SubtrailLen, degraded: ix.degraded}
+	for seq, c := range ix.indexed {
+		if c > 0 {
+			seg.ranges = append(seg.ranges, winRange{Seq: seq, Lo: 0, Hi: c})
+			seg.count += c
+		}
+	}
+	bounds, _ := ix.flat.Bounds() // the zero Rect, hence no slack, while empty
+	ix.man = &manifest{
+		opts:   ix.opts,
+		fmap:   ix.fmap,
+		sv:     ix.st,
+		frozen: []*frozenSeg{seg},
+		delta:  deltaSeg{dim: ix.fmap.Dim()},
+		slack:  numericSlack(maxAbsRect(bounds), ix.fmap.Dim()),
+	}
 }
 
 // trailMode reports whether leaf entries are sub-trail MBRs.
@@ -421,18 +446,6 @@ func (ix *Index) indexSequenceTrails(seq int) error {
 	return nil
 }
 
-// trailWindows returns the first window and window count covered by
-// the trail starting at first in sequence seq.
-func (ix *Index) trailWindows(seq, first int) (count int) {
-	k := ix.opts.SubtrailLen
-	limit := ix.indexed[seq]
-	count = k
-	if first+count > limit {
-		count = limit - first
-	}
-	return count
-}
-
 // Options returns the index configuration.
 func (ix *Index) Options() Options { return ix.opts }
 
@@ -443,6 +456,7 @@ func (ix *Index) SetStrategy(s geom.Strategy) error {
 	switch s {
 	case geom.EnteringExiting, geom.BoundingSpheres:
 		ix.opts.Strategy = s
+		ix.pin()
 		return nil
 	default:
 		return fmt.Errorf("core: unknown penetration strategy %d", int(s))
@@ -457,30 +471,19 @@ func (ix *Index) Store() *store.Store { return ix.st }
 // Store().Window; the segmented counterpart reads through the
 // published manifest's snapshot so the read cannot race with appends.
 func (ix *Index) QueryWindow(seq, start, n int, dst vec.Vector) error {
-	return ix.st.Window(seq, start, n, dst, nil)
+	return ix.man.sv.Window(seq, start, n, dst, nil)
 }
 
 // StoreShape reports the store's sequence, value, and page counts for
 // serving-layer gauges; see QueryWindow for the concurrency contract.
-func (ix *Index) StoreShape() (seqs, values, pages int) {
-	return ix.st.NumSequences(), ix.st.TotalValues(), ix.st.PageCount()
-}
+func (ix *Index) StoreShape() (seqs, values, pages int) { return ix.man.storeShape() }
 
 // WindowCount returns the number of indexed windows.  On a degraded
 // index this is the number of scannable windows — the tree is empty,
 // but every window of the raw store remains searchable.  Like the
 // other shape accessors it describes the arena: incremental mutations
 // show once Freeze has folded them in.
-func (ix *Index) WindowCount() int {
-	if !ix.trailMode() && ix.degraded == "" {
-		return ix.flat.Len()
-	}
-	total := 0
-	for _, c := range ix.indexed {
-		total += c
-	}
-	return total
-}
+func (ix *Index) WindowCount() int { return ix.man.windowCount() }
 
 // EntryCount returns the number of leaf entries in the tree — equal to
 // WindowCount for point mode, and the number of sub-trail MBRs in
@@ -488,10 +491,10 @@ func (ix *Index) WindowCount() int {
 func (ix *Index) EntryCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages (tree nodes).
-func (ix *Index) IndexPageCount() int { return ix.flat.NodeCount() }
+func (ix *Index) IndexPageCount() int { return ix.man.indexPageCount() }
 
 // TreeHeight returns the R*-tree height.
-func (ix *Index) TreeHeight() int { return ix.flat.Height() }
+func (ix *Index) TreeHeight() int { return ix.man.treeHeight() }
 
 // WriteIndexStats renders per-level geometry statistics of the
 // directory (occupancy, MBR elongation, circumscribed/inscribed sphere
@@ -578,6 +581,7 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
 	ix.flat, ix.indexed = flat, indexed
+	ix.pin()
 	return nil
 }
 
@@ -876,25 +880,12 @@ func (ix *Index) UnindexSequence(seq int) error {
 // catastrophically, with absolute error on the order of
 // ‖point‖·√ε_machine ≈ 1.5e-8·‖point‖; the slack widens the index
 // phase's epsilon by a conservative multiple of the largest point norm
-// in the tree so that no true match is dismissed by rounding.  The
-// exact post-processing check reapplies the caller's epsilon, so the
-// widening never adds false results.
-func (ix *Index) numericSlack() float64 {
-	bounds, ok := ix.flat.Bounds()
-	return slackFromBounds(bounds, ok, ix.fmap.Dim())
-}
-
-// slackFromBounds is numericSlack over explicit tree bounds, shared
-// with the segmented index (whose slack spans every frozen segment).
-func slackFromBounds(bounds geom.Rect, ok bool, dim int) float64 {
-	if !ok {
-		return 0
-	}
-	var m float64
-	for i := range bounds.L {
-		m = math.Max(m, math.Max(math.Abs(bounds.L[i]), math.Abs(bounds.H[i])))
-	}
-	return 1e-7 * m * math.Sqrt(float64(dim))
+// in the index — maxAbs is its largest coordinate magnitude — so that
+// no true match is dismissed by rounding.  The exact post-processing
+// check reapplies the caller's epsilon, so the widening never adds
+// false results.
+func numericSlack(maxAbs float64, dim int) float64 {
+	return 1e-7 * maxAbs * math.Sqrt(float64(dim))
 }
 
 // seLineFor returns the query's SE-line image in feature space: the

@@ -138,13 +138,13 @@ func (d deltaSeg) filter(ctx context.Context, eq engine.Query, sc *queryScratch)
 	return nil
 }
 
-// nearest streams the view's windows in non-decreasing feature-space
+// stream yields the view's windows in non-decreasing feature-space
 // distance to line, the lower bound a frozen segment's best-first
 // stream reports for the same points, until visit returns false.  All
 // distances are computed in one pass of block sweeps; a binary heap
 // over them then yields the order lazily, so a stream that stops after
 // a few windows pays for a heapify, not a sort.
-func (d deltaSeg) nearest(line vec.Line, sc *queryScratch, visit func(lb float64, id int64) bool) {
+func (d deltaSeg) stream(line vec.Line, sc *queryScratch, visit func(lb float64, id int64) bool) {
 	if cap(sc.nnDist) < d.n {
 		sc.nnDist = make([]float64, d.n)
 	}

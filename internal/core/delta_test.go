@@ -615,7 +615,7 @@ func TestDeltaSegViews(t *testing.T) {
 		sc := acquireScratch()
 		defer sc.release()
 		seen, last := 0, -1.0
-		v.nearest(line, sc, func(lb float64, id int64) bool {
+		v.stream(line, sc, func(lb float64, id int64) bool {
 			if lb < last || !sameBits(lb, vec.PLDFast(feats[id], line)) {
 				t.Fatalf("%s: stream yields window %d at bound %v after %v", label, id, lb, last)
 			}

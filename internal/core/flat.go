@@ -9,7 +9,8 @@ import (
 
 // The life cycle of the tree.  Every search and shape accessor reads
 // ix.flat, the frozen arena — one contiguous pointer-free blob
-// traversed with batched kernels (see rtree.FlatTree).  An index is
+// traversed with batched kernels (see rtree.FlatTree) — as the one
+// segment of ix.man.  An index is
 // born with the empty arena; a bulk build and an artifact open install
 // theirs directly, and Build ends by freezing what it inserted.  The
 // incremental mutators (IndexSequence, AppendAndIndex, ExtendAndIndex,
@@ -45,6 +46,7 @@ func (ix *Index) Freeze() error {
 		return fmt.Errorf("core: freezing index: %w", err)
 	}
 	ix.flat, ix.builder, ix.artifact = f, nil, nil
+	ix.pin()
 	m := ix.mapping
 	ix.mapping = nil
 	return m.Close()
@@ -80,7 +82,7 @@ func (ix *Index) VerifyArtifact() error {
 // mapping.  Indexes without a mapping Close trivially; nil-safe via
 // Mapping.Close.
 func (ix *Index) Close() error {
-	ix.flat = nil
+	ix.flat, ix.man = nil, nil
 	ix.artifact = nil
 	m := ix.mapping
 	ix.mapping = nil

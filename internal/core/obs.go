@@ -177,26 +177,15 @@ func spanEndWithError(s *obs.Span, err error) {
 	s.End()
 }
 
-// descentBaseline snapshots the tree counters before a descent so the
-// span can attribute only this probe's reads (ts is cumulative across
-// the pieces of a long query).
-func descentBaseline(ts *rtree.SearchStats) (nodes, leaves int) {
-	if ts == nil {
-		return 0, 0
-	}
-	return ts.NodeAccesses, ts.LeafEntriesChecked
-}
-
 // endDescentSpan closes a per-descent span with the probe's node-read
-// and leaf-check deltas plus the candidate count.
+// and leaf-check deltas (ts is cumulative across the segments and
+// pieces of a query) plus the candidate count.
 func endDescentSpan(s *obs.Span, ts *rtree.SearchStats, nodesBefore, leavesBefore, cands int, err error) {
 	if s == nil {
 		return
 	}
-	if ts != nil {
-		s.SetInt("nodes", int64(ts.NodeAccesses-nodesBefore))
-		s.SetInt("leaf_checks", int64(ts.LeafEntriesChecked-leavesBefore))
-	}
+	s.SetInt("nodes", int64(ts.NodeAccesses-nodesBefore))
+	s.SetInt("leaf_checks", int64(ts.LeafEntriesChecked-leavesBefore))
 	s.SetInt("candidates", int64(cands))
 	spanEndWithError(s, err)
 }

@@ -47,8 +47,8 @@ func OpenOrRebuild(r io.Reader, st *store.Store, opts Options) (*Index, OpenStat
 }
 
 // NewDegradedIndex builds an index that has no tree but marks every
-// complete window of every sequence in st as searchable, so the scan
-// access path enumerates all of them and the exact verifier keeps the
+// complete window of every sequence in st as searchable, so its
+// segment's scan enumerates all of them and the exact verifier keeps the
 // result set identical to a healthy index.  reason is surfaced in
 // Explain output and Degraded().
 func NewDegradedIndex(st *store.Store, opts Options, reason string) (*Index, error) {
@@ -67,5 +67,6 @@ func NewDegradedIndex(st *store.Store, opts Options, reason string) (*Index, err
 			ix.indexed[seq] = count
 		}
 	}
+	ix.pin()
 	return ix, nil
 }

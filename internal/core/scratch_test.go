@@ -87,7 +87,7 @@ func TestLongQueryOverlappingProposals(t *testing.T) {
 	proposals, outOfOrder := 0, false
 	for i := 0; i < pieces; i++ {
 		sc := acquireScratch()
-		if _, err := ix.probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, sc); err != nil {
+		if _, err := ix.man.probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, sc); err != nil {
 			t.Fatal(err)
 		}
 		outOfOrder = outOfOrder || !slices.IsSorted(sc.ids)

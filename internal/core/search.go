@@ -34,13 +34,15 @@ const (
 // keeping the poll invisible in the loop.
 const verifyCheckInterval = 64
 
-// storeView is the read surface the verification and extraction layers
-// need from a data store.  Both *store.Store and *store.Snapshot
-// satisfy it, so the same verifier runs against a live store (the
-// single-Index path) or a pinned snapshot (the segmented path, where
-// appends race with queries and only the snapshot is stable).
+// storeView is the read surface a manifest needs from a data store.
+// Both *store.Store and *store.Snapshot satisfy it, so the same
+// executors run against a live store (an Index's manifest) or a pinned
+// snapshot (a SegmentedIndex's, where appends race with queries and
+// only the snapshot is stable).
 type storeView interface {
 	NumSequences() int
+	TotalValues() int
+	PageCount() int
 	SequenceName(seq int) string
 	SequenceLen(seq int) int
 	Window(seq, start, n int, dst vec.Vector, pc *store.PageCounter) error
@@ -318,8 +320,8 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit 
 
 // buildEngineQuery assembles the engine's view of one index-phase
 // probe: the query's SE-line, the slack-widened epsilon, and the
-// scale-segment restriction derived from the cost bounds.  slack and
-// the candidate universe come from the caller's pinned view.
+// scale-segment restriction derived from the cost bounds.  slack comes
+// from the caller's manifest.
 //
 // When the cost bounds restrict the scale factor, the index phase can
 // search only the SEGMENT of the scaling line with t in
@@ -328,7 +330,7 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit 
 // ‖a·F(T_se q) − F(T_se v)‖ <= ‖a·T_se q − T_se v‖ <= eps, so the
 // candidate is still reached through the segment.  This prunes the
 // a ≈ 0 degeneracy at the directory rather than in post-processing.
-func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds, windows, dim int) engine.Query {
+func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds) engine.Query {
 	segment := !math.IsInf(costs.ScaleMin, -1) || !math.IsInf(costs.ScaleMax, 1)
 	tMin, tMax := costs.ScaleMin, costs.ScaleMax
 	if segment {
@@ -347,8 +349,6 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds, windo
 		Segment: segment,
 		TMin:    tMin,
 		TMax:    tMax,
-		Windows: windows,
-		Dim:     dim,
 	}
 }
 
@@ -367,8 +367,9 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds, windo
 //
 // Query{Vec: q, Eps: eps} is a complete query: the zero Costs is read
 // as UnboundedCosts (so an omitted field cannot silently empty the
-// result set), the zero Force lets the planner choose, and a nil Pool
-// counts data pages without a buffer pool.
+// result set), the zero Force lets every segment of the index choose
+// its cheapest path, and a nil Pool counts data pages without a buffer
+// pool.
 type Query struct {
 	// Vec is the query sequence Q.
 	Vec vec.Vector
@@ -378,9 +379,11 @@ type Query struct {
 	K int
 	// Costs bounds the transformation of every reported match.
 	Costs CostBounds
-	// Force pins the index phase to one access path — a debugging and
-	// benchmarking tool, never a correctness knob: the result set is
-	// bit-identical whichever path runs.
+	// Force pins the index phase of every segment to one access path —
+	// a debugging and benchmarking tool, never a correctness knob: the
+	// result set is bit-identical whichever path runs.  A path some
+	// segment lacks (the trail probe over point entries, an index probe
+	// on a degraded index) fails the query with engine.ErrUnsupported.
 	Force engine.PathKind
 	// Pool plays the verifier's data-page fetches through a shared LRU
 	// buffer pool, for bounded-memory cost studies.
@@ -395,7 +398,8 @@ type Query struct {
 
 // Result is a query's answer.  Range and long queries return Matches
 // ordered by (Seq, Start) and the Explain recording the plan decision,
-// per-path estimates, candidate actuals and stage timings; k-NN
+// the per-path estimates behind it, one row per probed segment (an
+// Index is one), candidate actuals and stage timings; k-NN
 // queries return Matches by increasing distance and a nil Explain (no
 // plan is made: they are pinned to the index probe).  Total is the
 // size of the whole answer, of which Matches is the first Query.Limit
@@ -406,34 +410,6 @@ type Result struct {
 	Explain *engine.Explain
 }
 
-// pinnedView is an index whose contents cannot move for the duration
-// of one query — the surface the shared executors run against.
-// *Index satisfies it directly (it is immutable while queries run);
-// SegmentedIndex satisfies it per pinned *manifest.
-type pinnedView interface {
-	// view reads the data the index covers.
-	view() storeView
-	windowLen() int
-	// numericSlack bounds the rounding error of feature-space
-	// distances (see Index.numericSlack).
-	numericSlack() float64
-	// unsupported reports, as an engine.ErrUnsupported, a well-formed
-	// query this index cannot serve.
-	unsupported(k int, force engine.PathKind) error
-	// probe plans and runs the index phase for one window-length
-	// piece: the id of every window within eps of the piece's SE-line is
-	// appended to sc.ids (a superset is fine, the verifier is exact), and
-	// the probes issued are counted into sc's tally.
-	probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error)
-	// nearest streams windows to visit as runs [first, first+count) of
-	// one sequence sharing the lower bound lb on their true distance
-	// to q, counting the index work into sc's tally.  Within one ordered
-	// stream lb never decreases, and visit returning false ends that
-	// stream; a view made of several streams (one per segment) starts
-	// the next.
-	nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool)
-}
-
 // probeTally accumulates the index-phase accounting of one query
 // across its probes: tree counters, probes per access path, and how
 // many of them ran degraded.
@@ -441,99 +417,6 @@ type probeTally struct {
 	tree     rtree.SearchStats
 	paths    [engine.NumPathKinds]int
 	degraded int
-}
-
-func (ix *Index) view() storeView { return ix.st }
-func (ix *Index) windowLen() int  { return ix.opts.WindowLen }
-
-func (ix *Index) unsupported(k int, _ engine.PathKind) error {
-	// The arena does not hold mutations still pending in the builder,
-	// and answering without them would be a false dismissal.
-	if ix.builder != nil {
-		return fmt.Errorf("core: %w: the index has unfrozen mutations; call Freeze before searching", engine.ErrUnsupported)
-	}
-	// A forced path the index lacks is the planner's to reject; only
-	// k-NN needs a check here.  Its refinement bound needs the tree's
-	// best-first stream; a degraded index has no tree, and silently
-	// returning nothing would be wrong, so NN queries fail loudly
-	// until a rebuild.
-	if k > 0 && ix.degraded != "" {
-		return fmt.Errorf("core: %w: nearest-neighbour search unavailable: index is degraded (%s)", engine.ErrUnsupported, ix.degraded)
-	}
-	return nil
-}
-
-// probe plans and runs the index phase for one piece: the planner
-// picks an access path (or honors force), the path appends its
-// candidate windows to sc.ids, and the decision, estimates,
-// degraded-mode flag, and stage timings land in the returned Explain.
-// Under a traced context (obs.Tracer.StartTrace) the two stages open
-// "plan" and "probe" spans — with the chosen path, emitted-candidate,
-// and node-read attrs — and the paths themselves open descent spans as
-// children of "probe"; an untraced context skips all of it without
-// allocating.
-func (ix *Index) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
-	line := seLineFor(ix.fmap, piece)
-	planStart := time.Now()
-	_, planSpan := obs.StartSpan(ctx, "plan")
-	eq := buildEngineQuery(line, eps, ix.numericSlack(), costs, ix.WindowCount(), ix.fmap.Dim())
-	path, ex, err := ix.planner.Plan(eq, force)
-	if err != nil {
-		spanEndWithError(planSpan, err)
-		return ex, fmt.Errorf("core: planning: %w", err)
-	}
-	if ix.degraded != "" {
-		ex.Degraded = true
-		ex.DegradedReason = ix.degraded
-	}
-	planSpan.SetAttr("path", ex.Chosen.String())
-	planSpan.End()
-	ex.PlanTime = time.Since(planStart)
-
-	probeStart := time.Now()
-	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
-	if probeSpan != nil {
-		probeSpan.SetAttr("path", ex.Chosen.String())
-		if ex.Degraded {
-			probeSpan.SetBool("degraded", true)
-		}
-	}
-	idsBefore, nodesBefore := len(sc.ids), sc.tree.NodeAccesses
-	sc.ids, err = path.Candidates(probeCtx, eq, &sc.tree, sc.ids)
-	if err != nil {
-		spanEndWithError(probeSpan, err)
-		return ex, fmt.Errorf("core: %s probe: %w", ex.Chosen, err)
-	}
-	if probeSpan != nil {
-		probeSpan.SetInt("candidates", int64(len(sc.ids)-idsBefore))
-		probeSpan.SetInt("node_reads", int64(sc.tree.NodeAccesses-nodesBefore))
-		probeSpan.End()
-	}
-	ex.ProbeTime = time.Since(probeStart)
-	sc.paths[ex.Chosen]++
-	if ex.Degraded {
-		sc.degraded++
-	}
-	return ex, nil
-}
-
-// nearest streams the tree's entries in non-decreasing feature-space
-// distance to q's SE-line, which lower-bounds the true distance of
-// every window behind an entry: a point entry is one window, a
-// sub-trail MBR bounds every window of its trail.
-func (ix *Index) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
-	line := seLineFor(ix.fmap, q)
-	if ix.trailMode() {
-		ix.flat.NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
-			seq, first := store.DecodeWindowID(it.ID)
-			return visit(it.Dist, seq, first, ix.trailWindows(seq, first))
-		})
-		return
-	}
-	ix.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
-		seq, start := store.DecodeWindowID(id.Item.ID)
-		return visit(id.Dist, seq, start, 1)
-	})
 }
 
 // Exec answers one query.  The result set is exact: the feature-space
@@ -547,7 +430,13 @@ func (ix *Index) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, 
 // cannot serve with engine.ErrUnsupported.  stats may be nil; on
 // success the query's ledger is added to it.
 func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
-	return exec(ctx, ix, q, stats)
+	// The arena does not hold mutations still pending in the builder,
+	// and answering without them would be a false dismissal.
+	if ix.builder != nil {
+		recordSearchError()
+		return Result{}, fmt.Errorf("core: %w: the index has unfrozen mutations; call Freeze before searching", engine.ErrUnsupported)
+	}
+	return exec(ctx, ix.man, q, stats)
 }
 
 // ExecBatch answers many queries concurrently with up to parallelism
@@ -582,11 +471,12 @@ func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vec
 	return res.Matches, err
 }
 
-// exec is the one query entry point behind both index types:
-// validation, dispatch on the derived kind, and the entry/exit
-// bookkeeping (error counter, metrics, trace id, caller's ledger) for
-// every kind.
-func exec(ctx context.Context, pv pinnedView, q Query, stats *SearchStats) (Result, error) {
+// exec is the one query entry point behind both index types, run
+// against a manifest — a view whose contents cannot move for the
+// duration of the query: validation, dispatch on the derived kind, and
+// the entry/exit bookkeeping (error counter, metrics, trace id,
+// caller's ledger) for every kind.
+func exec(ctx context.Context, m *manifest, q Query, stats *SearchStats) (Result, error) {
 	if q.Costs == (CostBounds{}) {
 		q.Costs = UnboundedCosts()
 	}
@@ -594,17 +484,17 @@ func exec(ctx context.Context, pv pinnedView, q Query, stats *SearchStats) (Resu
 	var res Result
 	var elapsed time.Duration
 	pieces := 0 // probes issued; none for k-NN
-	err := validate(pv, q)
+	err := validate(m, q)
 	switch {
 	case err != nil:
 	case q.K > 0:
 		start := time.Now()
-		res, err = execKNN(ctx, pv, q, &delta)
+		res, err = execKNN(ctx, m, q, &delta)
 		elapsed = time.Since(start)
 	default:
-		res, err = execRange(ctx, pv, q, &delta)
+		res, err = execRange(ctx, m, q, &delta)
 		elapsed = delta.PlanTime + delta.ProbeTime + delta.VerifyTime
-		pieces = len(q.Vec) / pv.windowLen()
+		pieces = len(q.Vec) / m.opts.WindowLen
 	}
 	if err != nil {
 		recordSearchError()
@@ -623,8 +513,8 @@ func exec(ctx context.Context, pv pinnedView, q Query, stats *SearchStats) (Resu
 
 // validate rejects what no index can answer correctly (ErrInvalidQuery)
 // and then what this one cannot serve (engine.ErrUnsupported).
-func validate(pv pinnedView, q Query) error {
-	n := pv.windowLen()
+func validate(m *manifest, q Query) error {
+	n := m.opts.WindowLen
 	switch {
 	case q.K < 0:
 		return fmt.Errorf("core: %w: k %d < 0", ErrInvalidQuery, q.K)
@@ -644,7 +534,17 @@ func validate(pv pinnedView, q Query) error {
 	if err != nil {
 		return err
 	}
-	return pv.unsupported(q.K, q.Force)
+	// A forced path a segment lacks is its plan's to reject; only k-NN
+	// needs a check here.  Its refinement bound needs the tree's
+	// best-first stream; a degraded segment has no tree, and silently
+	// returning nothing would be wrong, so NN queries fail loudly until
+	// a rebuild.
+	for _, sg := range m.frozen {
+		if q.K > 0 && sg.degraded != "" {
+			return fmt.Errorf("core: %w: nearest-neighbour search unavailable: index is degraded (%s)", engine.ErrUnsupported, sg.degraded)
+		}
+	}
+	return nil
 }
 
 // execRange is the range-query executor, multipiece included (§7,
@@ -666,8 +566,8 @@ func validate(pv pinnedView, q Query) error {
 // when the whole query succeeds, so a failure mid-pieces never leaves
 // probes counted against zero candidates (the CheckInvariants
 // identity).
-func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (Result, error) {
-	n, sv := pv.windowLen(), pv.view()
+func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Result, error) {
+	n, sv := m.opts.WindowLen, m.sv
 	pieces := len(q.Vec) / n
 	long := len(q.Vec) > n
 	pieceEps := q.Eps / math.Sqrt(float64(pieces))
@@ -682,7 +582,7 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 	var ex *engine.Explain
 	for i := 0; i < pieces; i++ {
 		first := len(sc.ids)
-		pieceEx, err := pv.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, sc)
+		pieceEx, err := m.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, sc)
 		if err != nil {
 			return Result{Explain: pieceEx}, err
 		}
@@ -768,12 +668,12 @@ func execRange(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) 
 // best-first traversal yields that order, and a scan has no early
 // termination, so it is never cheaper.  ctx is polled every
 // verifyCheckInterval refined windows.
-func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (Result, error) {
+func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	n, sv, k := pv.windowLen(), pv.view(), q.K
-	slack := pv.numericSlack()
+	n, sv, k := m.opts.WindowLen, m.sv, q.K
+	slack := m.slack
 	vq := newVerifier(sv, q.Vec, 0, q.Costs)
 	pc := store.PageCounter{Pool: q.Pool}
 	sc := acquireScratch()
@@ -823,7 +723,7 @@ func execKNN(ctx context.Context, pv pinnedView, q Query, delta *SearchStats) (R
 		}
 		return nil
 	}
-	pv.nearest(q.Vec, sc, func(lb float64, seq, first, count int) bool {
+	m.nearest(q.Vec, sc, func(lb float64, seq, first, count int) bool {
 		if failed != nil || (len(best) == k && lb > best[k-1].Dist+slack) {
 			return false // this stream cannot improve the top-k
 		}

@@ -4,20 +4,35 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sort"
+	"time"
 
 	"scaleshift/internal/dft"
+	"scaleshift/internal/engine"
+	"scaleshift/internal/geom"
+	"scaleshift/internal/obs"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
+	"scaleshift/internal/vec"
 )
 
-// The segment model behind SegmentedIndex: an ordered set of immutable
-// frozen segments — each a pointer-free flat R*-tree over a contiguous
-// per-sequence window range — plus a small mutable delta absorbing
-// freshly appended windows (deltaSeg, delta.go).  Every manifest
-// generation pins a store snapshot, so queries fan across segments and
-// verify against data that cannot move under them.
+// The segment model behind both index types: an ordered set of
+// immutable frozen segments — each a pointer-free flat R*-tree over a
+// contiguous per-sequence window range — plus a small mutable delta
+// absorbing freshly appended windows (deltaSeg, delta.go), read through
+// one manifest.  A segment is the unit of planning: each one prices its
+// own access paths and is probed down the cheapest.  An Index is the
+// one-segment, empty-delta manifest over its live store; every
+// generation of a SegmentedIndex pins a store snapshot, so queries fan
+// across segments and verify against data that cannot move under them.
+
+// scanCheckInterval is how many emitted windows pass between ctx polls
+// in a segment scan: frequent enough that cancellation latency stays in
+// the microseconds, rare enough to stay invisible in the emit loop.
+const scanCheckInterval = 1024
 
 // winRange addresses the windows [Lo, Hi) of sequence Seq covered by a
 // frozen segment.  Coverage is contiguous per sequence: window Lo of a
@@ -29,29 +44,173 @@ type winRange struct {
 }
 
 // frozenSeg is one immutable segment: a frozen flat tree over the
-// feature points of its windows, plus the window ranges it covers.
+// features of its windows, plus the window ranges it covers, in
+// (Seq, Lo) order.
 type frozenSeg struct {
 	flat   *rtree.FlatTree
 	ranges []winRange
 	count  int
+	// trail, when >= 2, says the leaves hold one MBR per run of that
+	// many consecutive windows (Options.SubtrailLen) instead of one
+	// point per window; runs start at multiples of trail and the last
+	// one of a sequence may be short.
+	trail int
+	// degraded, when non-empty, is why the segment has no tree (see
+	// NewDegradedIndex): flat is the empty arena, and only the scan
+	// reads the segment.
+	degraded string
 }
 
-// manifest is one immutable generation of the segmented index.  It is
-// published through an RCU cell: readers pin it for the duration of a
+// Why a plan-table row is unavailable.  Availability is structural: a
+// segment stores one leaf representation, so its point-entry and
+// sub-trail probes are mutually exclusive, both are off without a tree,
+// and the scan always works.
+const (
+	reasonTrailEntries = "index stores sub-trail MBR entries (SubtrailLen >= 2)"
+	reasonPointEntries = "index stores per-window point entries (SubtrailLen < 2)"
+)
+
+// planTable is one segment's plan: a row per access path, index probes
+// before the scan so an exact cost tie keeps the paper's behavior.
+type planTable [3]engine.PathPlan
+
+// plan prices the three ways to emit the segment's candidates for eq —
+// each a superset of the true answer set, the shared verifier removing
+// the rest, which is what keeps the choice among them invisible in the
+// result set.  The tree's maintained feature sample is measured against
+// the query's SE-line (its scale segment when cost bounds apply) once,
+// into sc.sample, for whichever index probe the segment has: the
+// empirical half of the selectivity estimate.
+func (sg *frozenSeg) plan(eq engine.Query, sc *queryScratch) planTable {
+	t := planTable{{Path: engine.PathRTree}, {Path: engine.PathTrail},
+		{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(sg.count)}}
+	tree, trail := &t[0], &t[1]
+	if sg.degraded != "" {
+		tree.Reason = "index degraded: " + sg.degraded
+		trail.Reason = tree.Reason
+		return t
+	}
+	h := sg.flat.CostHints()
+	tMin, tMax := math.Inf(-1), math.Inf(1)
+	if eq.Segment {
+		tMin, tMax = eq.TMin, eq.TMax
+	}
+	sc.sample = engine.SegmentDistances(sc.sample, h.Sample, eq.Line, tMin, tMax)
+	if sg.trail >= 2 {
+		tree.Reason = reasonTrailEntries
+		trail.Available, trail.Cost = true, engine.EstimateTrailCostSampled(h, sg.count, sg.trail, eq.Eps, sc.sample)
+	} else {
+		trail.Reason = reasonPointEntries
+		tree.Available, tree.Cost = true, engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)
+	}
+	return t
+}
+
+// candidates appends the segment's candidate windows for eq to sc.ids
+// down path, which plan must have listed available, counting tree work
+// into sc's tally.  An index probe is the paper's §6 index phase —
+// descend into children whose ε-enlarged MBR the SE-line penetrates,
+// collect the leaf entries within ε of it, expand each penetrated
+// sub-trail into its windows — under an "rtree.descent" span; the scan
+// is experiment set 1, every window of the segment in storage order and
+// no index page read, under a "scan" span.
+func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, strategy geom.Strategy, sc *queryScratch) error {
+	before := len(sc.ids)
+	if path == engine.PathScan {
+		_, span := obs.StartSpan(ctx, "scan")
+		err := sg.appendWindows(ctx, sc)
+		if span != nil {
+			span.SetBool("degraded", sg.degraded != "")
+			span.SetInt("emitted", int64(len(sc.ids)-before))
+			spanEndWithError(span, err)
+		}
+		return err
+	}
+	descentCtx, span := obs.StartSpan(ctx, "rtree.descent")
+	nodesBefore, leavesBefore := sc.tree.NodeAccesses, sc.tree.LeafEntriesChecked
+	var err error
+	if path == engine.PathRTree {
+		if eq.Segment {
+			sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree, sc.ids)
+		} else {
+			sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree, sc.ids)
+		}
+		endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(sc.ids)-before, err)
+		return err
+	}
+	var trails []rtree.RectItem
+	if eq.Segment {
+		trails, err = sg.flat.SegmentSearchRectsContext(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree)
+	} else {
+		trails, err = sg.flat.LineSearchRectsContext(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree)
+	}
+	endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(trails), err)
+	if err != nil {
+		return err
+	}
+	for _, tr := range trails {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		seq, first := store.DecodeWindowID(tr.ID)
+		for i, count := 0, sg.trailWindows(seq, first); i < count; i++ {
+			sc.ids = append(sc.ids, store.EncodeWindowID(seq, first+i))
+		}
+	}
+	return nil
+}
+
+// appendWindows appends every window of the segment to sc.ids, in
+// storage order.
+func (sg *frozenSeg) appendWindows(ctx context.Context, sc *queryScratch) error {
+	before := len(sc.ids)
+	for _, r := range sg.ranges {
+		for start := r.Lo; start < r.Hi; start++ {
+			if (len(sc.ids)-before)%scanCheckInterval == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			sc.ids = append(sc.ids, store.EncodeWindowID(r.Seq, start))
+		}
+	}
+	return nil
+}
+
+// trailWindows returns how many windows the sub-trail entry starting at
+// window first of sequence seq covers: a full trail, clipped by the end
+// of the segment's range (none when no range holds the window).
+func (sg *frozenSeg) trailWindows(seq, first int) int {
+	i := sort.Search(len(sg.ranges), func(i int) bool {
+		r := sg.ranges[i]
+		return r.Seq > seq || (r.Seq == seq && r.Hi > first)
+	})
+	if i == len(sg.ranges) || sg.ranges[i].Seq != seq {
+		return 0
+	}
+	return min(sg.trail, sg.ranges[i].Hi-first)
+}
+
+// manifest is one immutable view of an index: what every query plans,
+// probes and verifies against.  A SegmentedIndex publishes one per
+// generation through an RCU cell — readers pin it for the duration of a
 // query, writers publish a fresh one after every mutation, and no
-// reader ever observes a half-updated view.
+// reader ever observes a half-updated view; an Index holds the one that
+// describes its arena.
 type manifest struct {
-	// ix is the owning index, read for its immutable configuration
-	// (options, feature map) only.
-	ix     *SegmentedIndex
-	gen    int64
-	snap   *store.Snapshot
+	opts Options
+	fmap *dft.FeatureMap
+	gen  int64
+	// sv reads the data the segments cover: a pinned snapshot under a
+	// SegmentedIndex, where appends race with queries, and the store
+	// itself under an Index, which is immutable while queries run.
+	sv     storeView
 	frozen []*frozenSeg
 	// delta is the view of the mutable segment as of this generation.
 	delta deltaSeg
-	// slack is the numeric slack for index-phase epsilon widening,
-	// derived from the largest feature magnitude ever published, the
-	// delta's included (a monotone overestimate is safe: the exact
+	// slack is the numeric slack for index-phase epsilon widening (see
+	// numericSlack), over the largest feature magnitude ever published,
+	// the delta's included (a monotone overestimate is safe: the exact
 	// verifier reapplies the caller's epsilon).
 	slack float64
 }
@@ -63,6 +222,183 @@ func (m *manifest) windowCount() int {
 		total += sg.count
 	}
 	return total
+}
+
+// indexPageCount is the total of index pages across frozen segments.
+func (m *manifest) indexPageCount() int {
+	total := 0
+	for _, sg := range m.frozen {
+		total += sg.flat.NodeCount()
+	}
+	return total
+}
+
+// treeHeight is the tallest frozen segment's height.
+func (m *manifest) treeHeight() int {
+	h := 0
+	for _, sg := range m.frozen {
+		h = max(h, sg.flat.Height())
+	}
+	return h
+}
+
+// storeShape reports the data's sequence, value, and page counts.
+func (m *manifest) storeShape() (seqs, values, pages int) {
+	return m.sv.NumSequences(), m.sv.TotalValues(), m.sv.PageCount()
+}
+
+// probe plans and runs the index phase for one window-length piece:
+// the id of every window within eps of the piece's SE-line is appended
+// to sc.ids (a superset is fine, the verifier is exact) and the probes
+// issued are counted into sc's tally.  All planning comes first, under
+// the "plan" span and PlanTime — every frozen segment fills its table
+// and engine.ChoosePath picks its path or honors force, then the delta
+// is priced — and the chosen probes run after it, under "probe" and
+// ProbeTime, each segment opening its own descent or scan span (an
+// untraced context skips the spans without allocating).  The returned
+// Explain has one SegmentPlan per probed segment; its Chosen and Plans
+// are the largest frozen segment's (the delta's while nothing is
+// frozen).
+func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
+	line := seLineFor(m.fmap, piece)
+	planStart := time.Now()
+	_, planSpan := obs.StartSpan(ctx, "plan")
+	eq := buildEngineQuery(line, eps, m.slack, costs)
+	ex := &engine.Explain{
+		Chosen:   engine.PathScan,
+		Forced:   force != engine.PathAuto,
+		Pieces:   1,
+		Segments: make([]engine.SegmentPlan, 0, len(m.frozen)+1),
+	}
+	lead := -1 // window count of the segment that set ex.Chosen
+	choose := func(sp engine.SegmentPlan, t planTable, leads bool) error {
+		k, err := engine.ChoosePath(t[:], force)
+		if leads || err != nil {
+			ex.Plans = append(ex.Plans[:0], t[:]...)
+		}
+		if err != nil {
+			return err
+		}
+		sp.Chosen, sp.Cost = t[k].Path, t[k].Cost
+		if leads {
+			lead, ex.Chosen = sp.Windows, sp.Chosen
+		}
+		ex.Segments = append(ex.Segments, sp)
+		ex.EstCandidates += sp.Cost.Candidates
+		return nil
+	}
+	var err error
+	// sampled totals the candidates the frozen segments' samples predict
+	// for their index probes: the query's measured selectivity, carried
+	// over to the delta.
+	var sampled, frozenWindows float64
+	for i, sg := range m.frozen {
+		t := sg.plan(eq, sc)
+		if sg.degraded != "" {
+			ex.Degraded, ex.DegradedReason = true, sg.degraded
+		}
+		if err = choose(engine.SegmentPlan{Seg: i, Kind: "frozen", Windows: sg.count}, t, sg.count > lead); err != nil {
+			break
+		}
+		sampled += t[0].Cost.Candidates + t[1].Cost.Candidates
+		frozenWindows += float64(sg.count)
+	}
+	if err == nil && m.delta.n > 0 {
+		// The delta has no directory, so its PathRTree is the tree path's
+		// leaf test swept over every window (deltaSeg.filter), priced at
+		// the frozen segments' selectivity (1 when there are none): never
+		// dearer than emitting every window, which only a forced scan does
+		// — Force: PathScan stays the scan oracle over all segments.
+		sel := 1.0
+		if frozenWindows > 0 {
+			sel = sampled / frozenWindows
+		}
+		est := sel * float64(m.delta.n)
+		err = choose(engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: m.delta.n}, planTable{
+			{Path: engine.PathRTree, Available: true, Cost: engine.Cost{Candidates: est, Units: est}},
+			{Path: engine.PathTrail, Reason: reasonPointEntries},
+			{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(m.delta.n)},
+		}, lead < 0)
+	}
+	if err != nil {
+		spanEndWithError(planSpan, err)
+		return ex, fmt.Errorf("core: planning: %w", err)
+	}
+	planSpan.SetAttr("path", ex.Chosen.String())
+	planSpan.End()
+	ex.PlanTime = time.Since(planStart)
+
+	probeStart := time.Now()
+	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
+	if probeSpan != nil {
+		probeSpan.SetAttr("path", ex.Chosen.String())
+		if ex.Degraded {
+			probeSpan.SetBool("degraded", true)
+		}
+	}
+	idsBefore, nodesBefore := len(sc.ids), sc.tree.NodeAccesses
+	for i := range ex.Segments {
+		sp := &ex.Segments[i]
+		first := len(sc.ids)
+		switch {
+		case sp.Seg >= 0:
+			sg := m.frozen[sp.Seg]
+			err = sg.candidates(probeCtx, sp.Chosen, eq, m.opts.Strategy, sc)
+			if sg.degraded != "" {
+				sc.degraded++
+			}
+		case sp.Chosen == engine.PathScan:
+			sc.ids = m.delta.appendIDs(sc.ids)
+		default:
+			err = m.delta.filter(probeCtx, eq, sc)
+		}
+		if err != nil {
+			spanEndWithError(probeSpan, err)
+			return ex, fmt.Errorf("core: %s probe: %w", sp.Chosen, err)
+		}
+		sp.Candidates = len(sc.ids) - first
+		sc.paths[sp.Chosen]++
+	}
+	if probeSpan != nil {
+		probeSpan.SetInt("candidates", int64(len(sc.ids)-idsBefore))
+		probeSpan.SetInt("node_reads", int64(sc.tree.NodeAccesses-nodesBefore))
+		probeSpan.End()
+	}
+	ex.ProbeTime = time.Since(probeStart)
+	return ex, nil
+}
+
+// nearest streams windows to visit as runs [first, first+count) of one
+// sequence sharing the lower bound lb on their true distance to q,
+// counting the index work into sc's tally: one stream per frozen
+// segment, its entries in non-decreasing feature-space distance to q's
+// SE-line (a point entry is one window, a sub-trail MBR bounds every
+// window of its trail), then the delta's windows as one more, by the
+// distances a frozen leaf computes for the same points.  Within a stream
+// lb never decreases; visit returning false ends it and starts the next,
+// so each stops at its first bound past the running kth best and a full
+// delta costs a sweep of its feature planes, not a refinement per window.
+func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
+	line := seLineFor(m.fmap, q)
+	for _, sg := range m.frozen {
+		if sg.trail >= 2 {
+			sg.flat.NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
+				seq, first := store.DecodeWindowID(it.ID)
+				return visit(it.Dist, seq, first, sg.trailWindows(seq, first))
+			})
+			continue
+		}
+		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
+			seq, start := store.DecodeWindowID(id.Item.ID)
+			return visit(id.Dist, seq, start, 1)
+		})
+	}
+	if m.delta.n > 0 {
+		m.delta.stream(line, sc, func(lb float64, id int64) bool {
+			seq, start := store.DecodeWindowID(id)
+			return visit(lb, seq, start, 1)
+		})
+	}
 }
 
 // rangesOf derives the contiguous window ranges covered by ids, which

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -12,9 +11,7 @@ import (
 	"scaleshift/internal/dft"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
-	"scaleshift/internal/obs"
 	"scaleshift/internal/resilience"
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -147,24 +144,16 @@ func newSegmentedFrom(ix *Index) (*SegmentedIndex, error) {
 		return nil, err
 	}
 	g := emptySegmented(ix.st, ix.opts, ix.fmap, ix)
-	var ranges []winRange
-	count := 0
-	for seq := range g.next {
-		c := 0
-		if seq < len(ix.indexed) {
-			c = ix.indexed[seq]
-		}
-		g.next[seq] = c
-		if c > 0 {
-			ranges = append(ranges, winRange{Seq: seq, Lo: 0, Hi: c})
-			count += c
-		}
+	// The index's one segment is the initial frozen segment.
+	seg := ix.man.frozen[0]
+	for _, r := range seg.ranges {
+		g.next[r.Seq] = r.Hi
 	}
-	if count > 0 {
-		if ix.flat.Len() != count {
-			return nil, fmt.Errorf("core: index covers %d windows but its tree disagrees", count)
+	if seg.count > 0 {
+		if seg.flat.Len() != seg.count {
+			return nil, fmt.Errorf("core: index covers %d windows but its tree disagrees", seg.count)
 		}
-		g.frozen = append(g.frozen, &frozenSeg{flat: ix.flat, ranges: ranges, count: count})
+		g.frozen = append(g.frozen, seg)
 	}
 	if err := g.finishInit(); err != nil {
 		return nil, err
@@ -196,11 +185,8 @@ func emptySegmented(st *store.Store, opts Options, fmap *dft.FeatureMap, base *I
 // publishes the initial manifest.
 func (g *SegmentedIndex) finishInit() error {
 	for _, sg := range g.frozen {
-		if b, ok := sg.flat.Bounds(); ok {
-			if m := maxAbsRect(b); m > g.maxAbs {
-				g.maxAbs = m
-			}
-		}
+		b, _ := sg.flat.Bounds() // the zero Rect while empty
+		g.maxAbs = max(g.maxAbs, maxAbsRect(b))
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -364,17 +350,14 @@ func (g *SegmentedIndex) absorbLocked(seq, start int, feat vec.Vector) {
 // list pinned by value, delta pinned by length, store pinned via
 // Snapshot.
 func (g *SegmentedIndex) manifestLocked() *manifest {
-	var slack float64
-	if g.maxAbs > 0 {
-		slack = 1e-7 * g.maxAbs * math.Sqrt(float64(g.fmap.Dim()))
-	}
 	return &manifest{
-		ix:     g,
+		opts:   g.opts,
+		fmap:   g.fmap,
 		gen:    g.gen,
-		snap:   g.st.Snapshot(),
+		sv:     g.st.Snapshot(),
 		frozen: append([]*frozenSeg(nil), g.frozen...),
 		delta:  g.delta.prefix(g.delta.n),
-		slack:  slack,
+		slack:  numericSlack(g.maxAbs, g.fmap.Dim()),
 	}
 }
 
@@ -631,24 +614,14 @@ func (g *SegmentedIndex) WindowCount() int {
 func (g *SegmentedIndex) IndexPageCount() int {
 	pin := g.cell.Acquire()
 	defer pin.Release()
-	total := 0
-	for _, sg := range pin.Value().frozen {
-		total += sg.flat.NodeCount()
-	}
-	return total
+	return pin.Value().indexPageCount()
 }
 
 // TreeHeight returns the tallest frozen segment's height.
 func (g *SegmentedIndex) TreeHeight() int {
 	pin := g.cell.Acquire()
 	defer pin.Release()
-	h := 0
-	for _, sg := range pin.Value().frozen {
-		if sh := sg.flat.Height(); sh > h {
-			h = sh
-		}
-	}
-	return h
+	return pin.Value().treeHeight()
 }
 
 // QueryWindow reads one window through the published manifest's store
@@ -656,7 +629,7 @@ func (g *SegmentedIndex) TreeHeight() int {
 func (g *SegmentedIndex) QueryWindow(seq, start, n int, dst vec.Vector) error {
 	pin := g.cell.Acquire()
 	defer pin.Release()
-	return pin.Value().snap.Window(seq, start, n, dst, nil)
+	return pin.Value().sv.Window(seq, start, n, dst, nil)
 }
 
 // StoreShape reports the snapshot's sequence, value, and page counts
@@ -664,182 +637,7 @@ func (g *SegmentedIndex) QueryWindow(seq, start, n int, dst vec.Vector) error {
 func (g *SegmentedIndex) StoreShape() (seqs, values, pages int) {
 	pin := g.cell.Acquire()
 	defer pin.Release()
-	sn := pin.Value().snap
-	return sn.NumSequences(), sn.TotalValues(), sn.PageCount()
-}
-
-func (m *manifest) view() storeView       { return m.snap }
-func (m *manifest) windowLen() int        { return m.ix.opts.WindowLen }
-func (m *manifest) numericSlack() float64 { return m.slack }
-
-func (m *manifest) unsupported(_ int, force engine.PathKind) error {
-	// Segments hold per-window point entries, so only the tree and scan
-	// paths exist; rejecting here (not per segment) also covers a
-	// manifest with no frozen segment yet.
-	if force != engine.PathAuto && force != engine.PathRTree && force != engine.PathScan {
-		return fmt.Errorf("core: %w: segmented index cannot serve the %s path", engine.ErrUnsupported, force)
-	}
-	return nil
-}
-
-// probeSegment plans and runs the index phase of one frozen segment:
-// a per-segment cost choice between the segment's flat tree and an
-// exact range enumeration, honoring force.  The candidates land in
-// sc.ids; the returned tree estimate is reported whichever path ran,
-// so the caller can carry the segment's measured selectivity over to
-// the delta.
-func (m *manifest) probeSegment(ctx context.Context, idx int, sg *frozenSeg, eq engine.Query, force engine.PathKind, sc *queryScratch) (plan engine.SegmentPlan, treeCost engine.Cost, err error) {
-	eq.Windows = sg.count
-	hints := sg.flat.CostHints()
-	sc.sample = sampleDists(sc.sample, hints, eq)
-	treeCost = engine.EstimateTreeCostSampled(hints, sg.count, eq.Eps, sc.sample)
-	scanCost := engine.EstimateScanCost(sg.count)
-	chosen, cost := engine.PathRTree, treeCost
-	if force == engine.PathScan || (force == engine.PathAuto && scanCost.Units < treeCost.Units) {
-		chosen, cost = engine.PathScan, scanCost
-	}
-	plan = engine.SegmentPlan{Seg: idx, Kind: "frozen", Windows: sg.count, Chosen: chosen, Cost: cost}
-	before := len(sc.ids)
-	if chosen == engine.PathRTree {
-		if eq.Segment {
-			sc.ids, err = sg.flat.SegmentSearchIDs(ctx, eq.Line, eq.TMin, eq.TMax, eq.Eps, m.ix.opts.Strategy, &sc.tree, sc.ids)
-		} else {
-			sc.ids, err = sg.flat.LineSearchIDs(ctx, eq.Line, eq.Eps, m.ix.opts.Strategy, &sc.tree, sc.ids)
-		}
-		plan.Candidates = len(sc.ids) - before
-		return plan, treeCost, err
-	}
-	for _, r := range sg.ranges {
-		for start := r.Lo; start < r.Hi; start++ {
-			if (len(sc.ids)-before)%scanCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return plan, treeCost, err
-				}
-			}
-			sc.ids = append(sc.ids, store.EncodeWindowID(r.Seq, start))
-		}
-	}
-	plan.Candidates = len(sc.ids) - before
-	return plan, treeCost, nil
-}
-
-// probeDelta runs the index phase of the delta.  It has no directory
-// to descend, so its probe is the leaf test of the tree path swept over
-// every window (deltaSeg.filter): exact for the reason a frozen leaf is
-// — the features are the ones extraction computed, ε carries the
-// manifest's slack, which spans the delta's features too, and the
-// kernel is the leaf's — and reported as PathRTree.  Only a forced scan
-// emits every window, so that Force: PathScan stays the in-index
-// sequential-scan oracle over all segments.  sel, the selectivity the
-// frozen segments' samples measured for this query (1 when there are
-// none), prices the filter's estimate.
-func (m *manifest) probeDelta(ctx context.Context, eq engine.Query, force engine.PathKind, sel float64, sc *queryScratch) (engine.SegmentPlan, error) {
-	d := m.delta
-	plan := engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: d.n}
-	before := len(sc.ids)
-	var err error
-	if force == engine.PathScan {
-		plan.Chosen, plan.Cost = engine.PathScan, engine.EstimateScanCost(d.n)
-		sc.ids = d.appendIDs(sc.ids)
-	} else {
-		est := sel * float64(d.n)
-		plan.Chosen, plan.Cost = engine.PathRTree, engine.Cost{Candidates: est, Units: est}
-		err = d.filter(ctx, eq, sc)
-	}
-	plan.Candidates = len(sc.ids) - before
-	return plan, err
-}
-
-// probe fans one piece's index phase across every segment of the
-// manifest: frozen segments go through probeSegment, the delta through
-// probeDelta.  The returned Explain carries one SegmentPlan per probed
-// segment.
-func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
-	fmap := m.ix.fmap
-	line := seLineFor(fmap, piece)
-	planStart := time.Now()
-	_, planSpan := obs.StartSpan(ctx, "plan")
-	eq := buildEngineQuery(line, eps, m.slack, costs, m.windowCount(), fmap.Dim())
-	ex := &engine.Explain{Chosen: engine.PathScan, Forced: force != engine.PathAuto}
-	if planSpan != nil {
-		planSpan.SetInt("segments", int64(len(m.frozen)))
-		planSpan.SetInt("delta_windows", int64(m.delta.n))
-		planSpan.End()
-	}
-	ex.PlanTime = time.Since(planStart)
-
-	probeStart := time.Now()
-	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
-	before := len(sc.ids)
-	fail := func(err error) (*engine.Explain, error) {
-		spanEndWithError(probeSpan, err)
-		ex.ProbeTime = time.Since(probeStart)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return ex, err
-		}
-		return ex, fmt.Errorf("core: segmented probe: %w", err)
-	}
-	record := func(plan engine.SegmentPlan) {
-		ex.Segments = append(ex.Segments, plan)
-		ex.EstCandidates += plan.Cost.Candidates
-		sc.paths[plan.Chosen]++
-	}
-	largest := -1
-	var sampled, frozenWindows float64
-	for i, sg := range m.frozen {
-		plan, treeCost, err := m.probeSegment(probeCtx, i, sg, eq, force, sc)
-		if err != nil {
-			return fail(err)
-		}
-		record(plan)
-		sampled += treeCost.Candidates
-		frozenWindows += float64(sg.count)
-		if sg.count > largest {
-			largest = sg.count
-			ex.Chosen = plan.Chosen
-		}
-	}
-	if m.delta.n > 0 {
-		sel := 1.0
-		if frozenWindows > 0 {
-			sel = sampled / frozenWindows
-		}
-		plan, err := m.probeDelta(probeCtx, eq, force, sel, sc)
-		if err != nil {
-			return fail(err)
-		}
-		record(plan)
-	}
-	if probeSpan != nil {
-		probeSpan.SetAttr("path", ex.Chosen.String())
-		probeSpan.SetInt("candidates", int64(len(sc.ids)-before))
-		probeSpan.End()
-	}
-	ex.ProbeTime = time.Since(probeStart)
-	return ex, nil
-}
-
-// nearest streams each frozen segment's windows in increasing
-// feature-space lower-bound order, one stream per segment, and then the
-// delta's as one more such stream: the same point-to-line distances,
-// from the same kernel, that a frozen leaf pushes on its segment's
-// queue.  Each stream ends at its first window whose bound passes the
-// running kth best, so a full delta costs a sweep of its feature planes
-// and a handful of refinements, not a refinement per window.
-func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
-	line := seLineFor(m.ix.fmap, q)
-	for _, sg := range m.frozen {
-		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
-			seq, start := store.DecodeWindowID(id.Item.ID)
-			return visit(id.Dist, seq, start, 1)
-		})
-	}
-	if m.delta.n > 0 {
-		m.delta.nearest(line, sc, func(lb float64, id int64) bool {
-			seq, start := store.DecodeWindowID(id)
-			return visit(lb, seq, start, 1)
-		})
-	}
+	return pin.Value().storeShape()
 }
 
 // Exec is Index.Exec over the segmented index: it pins the current

@@ -267,6 +267,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 		return nil, err
 	}
 	ix.flat = flat
+	ix.pin()
 	return ix, nil
 }
 
@@ -341,5 +342,6 @@ func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err 
 		return nil, false, err
 	}
 	ix.flat = flat
+	ix.pin()
 	return ix, true, nil
 }

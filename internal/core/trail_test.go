@@ -602,12 +602,15 @@ func TestTrailPlannerUsesTreeAtPaperScale(t *testing.T) {
 		trail := 0
 		for _, q := range queries {
 			line := seLineFor(ix.fmap, q.Values)
-			eq := buildEngineQuery(line, eps, ix.numericSlack(), UnboundedCosts(), ix.WindowCount(), ix.fmap.Dim())
-			_, ex, err := ix.planner.Plan(eq, engine.PathAuto)
+			eq := buildEngineQuery(line, eps, ix.man.slack, UnboundedCosts())
+			sc := acquireScratch()
+			table := ix.man.frozen[0].plan(eq, sc)
+			sc.release()
+			k, err := engine.ChoosePath(table[:], engine.PathAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ex.Chosen == engine.PathTrail {
+			if table[k].Path == engine.PathTrail {
 				trail++
 			}
 		}

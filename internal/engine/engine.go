@@ -6,28 +6,28 @@
 // tree visits every node and then verifies every window anyway), and a
 // sub-trail MBR index (ST-index style) is a third physical shape.
 //
-// The engine models each of these as an AccessPath — a candidate
-// generator with a cost estimate — and a cost-based Planner that picks
-// the cheapest available path per query.  Candidate verification is
-// NOT part of a path: every path feeds the same exact post-processing
-// check, which is what makes the planner's choice invisible in the
-// result set (the bit-identical-results invariant, DESIGN.md §8).
+// The planner is three estimates and a choice: a segment of the index
+// (internal/core) fills one PathPlan row per path — its availability
+// and the cost the pure Estimate* functions predict from the segment's
+// structural hints — and ChoosePath picks the cheapest available row.
+// Candidate verification is NOT part of a path: every path feeds the
+// same exact post-processing check, which is what makes the choice
+// invisible in the result set (the bit-identical-results invariant,
+// DESIGN.md §8).
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
 )
 
 // ErrUnsupported tags a query that asks for an operation the current
 // index state or configuration cannot serve — a forced path that is
-// unavailable or unregistered, no access path at all, or (wrapped by
+// unavailable or not in the plan table, no access path at all, or (wrapped by
 // the core layer) nearest-neighbour search on a degraded index.  These
 // are the caller's problem, not the path's: serving layers use
 // errors.Is(err, ErrUnsupported) to map them to 4xx responses and keep
@@ -86,12 +86,11 @@ func ParsePathKind(s string) (PathKind, error) {
 	}
 }
 
-// Query is the planner's view of one index-phase probe: the query's
+// Query is the engine's view of one index-phase probe: the query's
 // SE-line image in feature space, the (slack-widened) index epsilon,
-// the optional scale-segment restriction derived from the cost bounds,
-// and the candidate universe size.  It carries no data pointers — the
-// paths close over their index — so cost estimation is a pure function
-// of this struct and the paths' structural hints.
+// and the optional scale-segment restriction derived from the cost
+// bounds.  It carries no data pointers, so cost estimation is a pure
+// function of this struct and a segment's structural hints.
 type Query struct {
 	// Line is the query's SE-line in feature space (through the origin).
 	Line vec.Line
@@ -102,37 +101,6 @@ type Query struct {
 	// t in [TMin, TMax] (scale-factor cost bounds, §3).
 	Segment    bool
 	TMin, TMax float64
-	// Windows is the number of indexed windows — the candidate
-	// universe every path draws from.
-	Windows int
-	// Dim is the feature-space dimensionality 2·f_c.
-	Dim int
-}
-
-// AccessPath is one physical way to generate candidate windows for the
-// shared verifier.  Implementations live next to the index internals
-// (internal/core); the engine only needs the three operations below.
-type AccessPath interface {
-	// Kind identifies the path.
-	Kind() PathKind
-	// Available reports whether the path can serve queries against the
-	// current index structure, with a human-readable reason when not
-	// (e.g. the trail path on an index with per-window point entries).
-	// Availability is structural — it must not depend on the query —
-	// so a forced path either always works or always errors.
-	Available() (bool, string)
-	// EstimateCost predicts the work of Candidates for q.
-	EstimateCost(q Query) Cost
-	// Candidates appends every candidate window address for q to ids,
-	// as the packed id the index leaves store (store.EncodeWindowID),
-	// and returns the extended slice.  Tree probes record their page
-	// and pruning work in ts.  The appended set must be a superset of
-	// the true answer set (no false dismissals), in any order; the
-	// shared verifier orders it and removes all false alarms.
-	// Implementations poll ctx cooperatively and return ctx.Err() on
-	// cancellation; a partial emission followed by a non-nil error is
-	// never treated as an answer set.
-	Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, ids []int64) ([]int64, error)
 }
 
 // Cost is a predicted probe cost in abstract units where 1 unit is one
@@ -146,13 +114,17 @@ type Cost struct {
 	Units float64
 }
 
-// PathPlan records what the planner knew about one path.
+// PathPlan is one row of a segment's plan table: what the planner knew
+// about one path.  Availability is structural — it depends on how the
+// segment stores its windows, never on the query — so a forced path
+// either always works or always errors.
 type PathPlan struct {
 	Path      PathKind
 	Available bool
 	// Reason explains unavailability (empty when available).
 	Reason string
-	Cost   Cost
+	// Cost is the estimate for an available path, zero otherwise.
+	Cost Cost
 }
 
 // Explain records one planned query: the decision, the per-path
@@ -163,10 +135,13 @@ type Explain struct {
 	// forced it rather than letting the cost model decide.
 	Chosen PathKind
 	Forced bool
-	// Plans holds one entry per registered path, in planner order.
+	// Plans is the plan table — one row per path, in preference order —
+	// of the segment that set Chosen: the largest frozen one (an Index
+	// has exactly one).
 	Plans []PathPlan
-	// EstCandidates is the chosen path's predicted candidate count;
-	// ActualCandidates is what the probe emitted.
+	// EstCandidates is the predicted candidate count of the chosen
+	// paths, summed over the probed segments; ActualCandidates is what
+	// the probe emitted.
 	EstCandidates    float64
 	ActualCandidates int
 	// Matches counts verified results.
@@ -178,8 +153,8 @@ type Explain struct {
 	// PlanTime, ProbeTime, and VerifyTime are the per-stage wall-clock
 	// times of this query.
 	PlanTime, ProbeTime, VerifyTime time.Duration
-	// Degraded reports that the index artifact failed validation and
-	// the query was served through the scan fallback over the raw
+	// Degraded reports that the index artifact failed validation and a
+	// segment was served through the scan fallback over the raw
 	// store; DegradedReason says why.  Results remain exact — the scan
 	// path feeds the same verifier — only slower.
 	Degraded       bool
@@ -187,15 +162,15 @@ type Explain struct {
 	// TraceID links this plan to the structured trace the query
 	// produced (empty when tracing was off or no trace was active).
 	TraceID string
-	// Segments holds one entry per probed segment when the query ran
-	// against a segmented (LSM-style) index: each frozen segment is
-	// planned independently and the mutable delta is filtered by the
-	// leaf test.  Empty for single-index queries.
+	// Segments holds one entry per probed segment: each frozen segment
+	// is planned independently and the mutable delta of a segmented
+	// (LSM-style) index is filtered by the leaf test.  An Index is one
+	// frozen segment.
 	Segments []SegmentPlan
 }
 
-// SegmentPlan records how one segment of a segmented index served its
-// share of a query's probe.
+// SegmentPlan records how one segment of an index served its share of
+// a query's probe.
 type SegmentPlan struct {
 	// Seg is the frozen segment's position in the manifest; -1 is the
 	// mutable delta segment.

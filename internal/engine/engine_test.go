@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,24 +11,9 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// stubPath is a configurable AccessPath for planner tests.
-type stubPath struct {
-	kind      PathKind
-	available bool
-	reason    string
-	cost      Cost
-	probes    int
-}
-
-func (p *stubPath) Kind() PathKind            { return p.kind }
-func (p *stubPath) Available() (bool, string) { return p.available, p.reason }
-func (p *stubPath) EstimateCost(q Query) Cost { return p.cost }
-func (p *stubPath) Candidates(ctx context.Context, q Query, ts *rtree.SearchStats, ids []int64) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return ids, err
-	}
-	p.probes++
-	return append(ids, 0), nil
+// row is one plan-table row for the choice tests.
+func row(kind PathKind, available bool, reason string, cost Cost) PathPlan {
+	return PathPlan{Path: kind, Available: available, Reason: reason, Cost: cost}
 }
 
 func units(u float64) Cost { return Cost{Candidates: u, Units: u} }
@@ -49,95 +34,79 @@ func TestPathKindStringParseRoundTrip(t *testing.T) {
 }
 
 func TestPlanPicksCheapestAvailable(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: true, cost: units(10)}
-	scan := &stubPath{kind: PathScan, available: true, cost: units(100)}
-	p := NewPlanner(tree, scan)
-
-	path, ex, err := p.Plan(Query{}, PathAuto)
+	plans := []PathPlan{row(PathRTree, true, "", units(10)), row(PathScan, true, "", units(100))}
+	k, err := ChoosePath(plans, PathAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path.Kind() != PathRTree || ex.Chosen != PathRTree || ex.Forced {
-		t.Errorf("chose %v (forced=%v), want rtree cost-based", ex.Chosen, ex.Forced)
-	}
-	if len(ex.Plans) != 2 || ex.EstCandidates != 10 {
-		t.Errorf("Plans=%v EstCandidates=%v", ex.Plans, ex.EstCandidates)
+	if plans[k].Path != PathRTree || plans[k].Cost.Candidates != 10 {
+		t.Errorf("chose %+v, want rtree cost-based", plans[k])
 	}
 
-	scan.cost = units(1)
-	if _, ex, _ := p.Plan(Query{}, PathAuto); ex.Chosen != PathScan {
-		t.Errorf("after cheapening scan, chose %v", ex.Chosen)
+	plans[1].Cost = units(1)
+	if k, _ := ChoosePath(plans, PathAuto); plans[k].Path != PathScan {
+		t.Errorf("after cheapening scan, chose %v", plans[k].Path)
 	}
 }
 
 func TestPlanSkipsUnavailableAndRecordsReason(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: false, reason: "no point entries", cost: units(1)}
-	scan := &stubPath{kind: PathScan, available: true, cost: units(1000)}
-	p := NewPlanner(tree, scan)
-
-	_, ex, err := p.Plan(Query{}, PathAuto)
+	plans := []PathPlan{row(PathRTree, false, "no point entries", units(1)), row(PathScan, true, "", units(1000))}
+	k, err := ChoosePath(plans, PathAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Chosen != PathScan {
-		t.Errorf("chose unavailable path %v", ex.Chosen)
+	if plans[k].Path != PathScan {
+		t.Errorf("chose unavailable path %v", plans[k].Path)
 	}
-	if ex.Plans[0].Available || ex.Plans[0].Reason != "no point entries" {
-		t.Errorf("plan entry %+v lacks unavailability reason", ex.Plans[0])
+	_, err = ChoosePath(plans, PathRTree)
+	if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "no point entries") {
+		t.Errorf("forcing the unavailable row: %v, want ErrUnsupported naming the reason", err)
 	}
 }
 
 func TestPlanTieBreaksTowardRegistrationOrder(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: true, cost: units(7)}
-	scan := &stubPath{kind: PathScan, available: true, cost: units(7)}
-	_, ex, err := NewPlanner(tree, scan).Plan(Query{}, PathAuto)
+	plans := []PathPlan{row(PathRTree, true, "", units(7)), row(PathScan, true, "", units(7))}
+	k, err := ChoosePath(plans, PathAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Chosen != PathRTree {
-		t.Errorf("tie chose %v, want first registered (rtree)", ex.Chosen)
+	if plans[k].Path != PathRTree {
+		t.Errorf("tie chose %v, want the earlier row (rtree)", plans[k].Path)
 	}
 }
 
 func TestPlanForce(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: true, cost: units(1)}
-	trail := &stubPath{kind: PathTrail, available: false, reason: "point entries", cost: units(1)}
-	scan := &stubPath{kind: PathScan, available: true, cost: units(1000)}
-	p := NewPlanner(tree, trail, scan)
-
-	path, ex, err := p.Plan(Query{}, PathScan)
+	plans := []PathPlan{
+		row(PathRTree, true, "", units(1)),
+		row(PathTrail, false, "point entries", units(1)),
+		row(PathScan, true, "", units(1000)),
+	}
+	k, err := ChoosePath(plans, PathScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path.Kind() != PathScan || !ex.Forced {
-		t.Errorf("forced scan got %v forced=%v", path.Kind(), ex.Forced)
+	if plans[k].Path != PathScan {
+		t.Errorf("forced scan got %v", plans[k].Path)
 	}
-	if len(ex.Plans) != 3 {
-		t.Errorf("forced plan recorded %d paths, want all 3", len(ex.Plans))
+	if _, err := ChoosePath(plans, PathTrail); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("forcing an unavailable path: %v, want ErrUnsupported", err)
 	}
-
-	if _, _, err := p.Plan(Query{}, PathTrail); err == nil {
-		t.Error("forcing an unavailable path did not error")
-	}
-	if _, _, err := p.Plan(Query{}, PathKind(42)); err == nil {
-		t.Error("forcing an unregistered path did not error")
+	if _, err := ChoosePath(plans, PathKind(42)); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("forcing a path the table lacks: %v, want ErrUnsupported", err)
 	}
 }
 
 func TestPlanNoPathAvailable(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: false, reason: "x"}
-	if _, _, err := NewPlanner(tree).Plan(Query{}, PathAuto); err == nil {
-		t.Error("planner with no available path did not error")
+	if _, err := ChoosePath([]PathPlan{row(PathRTree, false, "x", Cost{})}, PathAuto); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("a table with no available path: %v, want ErrUnsupported", err)
 	}
 }
 
 func TestExplainWriteText(t *testing.T) {
-	tree := &stubPath{kind: PathRTree, available: true, cost: units(3)}
-	trail := &stubPath{kind: PathTrail, available: false, reason: "point entries"}
-	_, ex, err := NewPlanner(tree, trail).Plan(Query{}, PathAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := &Explain{Chosen: PathRTree, Pieces: 1, EstCandidates: 3, Plans: []PathPlan{
+		row(PathRTree, true, "", units(3)),
+		row(PathTrail, false, "point entries", Cost{}),
+	}}
 	ex.ActualCandidates = 5
 	ex.Matches = 2
 	var b strings.Builder

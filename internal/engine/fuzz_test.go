@@ -96,25 +96,24 @@ func FuzzCostEstimatesMonotone(f *testing.F) {
 }
 
 // FuzzPlanChoosesAvailablePath checks the planning contract over
-// arbitrary availability patterns and costs: Plan errors if and only
-// if nothing is available (or an unavailable path is forced), and a
-// successful plan always names an available path — e.g. never trail
-// when the index stores point entries.
+// arbitrary availability patterns and costs: ChoosePath errors if and
+// only if nothing is available (or an unavailable path is forced), and
+// a successful choice always names an available path — the cheapest,
+// unless forced — e.g. never trail when the index stores point entries.
 func FuzzPlanChoosesAvailablePath(f *testing.F) {
 	f.Add(true, false, true, 10.0, 20.0, 30.0, uint8(0))
 	f.Add(false, false, false, 1.0, 1.0, 1.0, uint8(1))
 	f.Add(false, true, true, 5.0, 5.0, 5.0, uint8(3))
 	f.Fuzz(func(t *testing.T, treeOK, trailOK, scanOK bool, c1, c2, c3 float64, forceRaw uint8) {
-		paths := []*stubPath{
-			{kind: PathRTree, available: treeOK, reason: "r", cost: units(sane(c1, 1e9))},
-			{kind: PathTrail, available: trailOK, reason: "t", cost: units(sane(c2, 1e9))},
-			{kind: PathScan, available: scanOK, reason: "s", cost: units(sane(c3, 1e9))},
+		plans := []PathPlan{
+			row(PathRTree, treeOK, "r", units(sane(c1, 1e9))),
+			row(PathTrail, trailOK, "t", units(sane(c2, 1e9))),
+			row(PathScan, scanOK, "s", units(sane(c3, 1e9))),
 		}
 		avail := map[PathKind]bool{PathRTree: treeOK, PathTrail: trailOK, PathScan: scanOK}
-		p := NewPlanner(paths[0], paths[1], paths[2])
 		force := PathKind(forceRaw % uint8(NumPathKinds))
 
-		path, ex, err := p.Plan(Query{}, force)
+		k, err := ChoosePath(plans, force)
 		if err != nil {
 			if force == PathAuto && (treeOK || trailOK || scanOK) {
 				t.Fatalf("auto plan errored with available paths: %v", err)
@@ -124,11 +123,17 @@ func FuzzPlanChoosesAvailablePath(f *testing.F) {
 			}
 			return
 		}
-		if !avail[ex.Chosen] || path.Kind() != ex.Chosen {
-			t.Fatalf("plan chose unavailable path %v (avail %v)", ex.Chosen, avail)
+		chosen := plans[k].Path
+		if !avail[chosen] {
+			t.Fatalf("plan chose unavailable path %v (avail %v)", chosen, avail)
 		}
-		if force != PathAuto && ex.Chosen != force {
-			t.Fatalf("forced %v but chose %v", force, ex.Chosen)
+		if force != PathAuto && chosen != force {
+			t.Fatalf("forced %v but chose %v", force, chosen)
+		}
+		for _, p := range plans {
+			if force == PathAuto && p.Available && p.Cost.Units < plans[k].Cost.Units {
+				t.Fatalf("chose %v at %v units over %v at %v", chosen, plans[k].Cost.Units, p.Path, p.Cost.Units)
+			}
 		}
 	})
 }

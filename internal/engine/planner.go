@@ -187,56 +187,34 @@ func EstimateTrailCostSampled(h rtree.CostHints, windows, subtrailLen int, eps f
 	return Cost{Candidates: cands, NodeReads: nodes, Units: NodeReadCost*nodes + cands}
 }
 
-// Planner picks an access path per query by comparing the paths' cost
-// estimates.  Ties break toward the earlier registered path, so the
-// choice is deterministic.
-type Planner struct {
-	paths []AccessPath
-}
-
-// NewPlanner registers the candidate paths in preference order.
-func NewPlanner(paths ...AccessPath) *Planner {
-	return &Planner{paths: paths}
-}
-
-// Plan chooses the path for q: the forced path when force is not
-// PathAuto (erroring when that path is unavailable), otherwise the
-// available path with the lowest estimated cost.  The returned Explain
-// records every path's availability and estimate; the executor fills
-// in the actuals.
-func (p *Planner) Plan(q Query, force PathKind) (AccessPath, *Explain, error) {
-	ex := &Explain{Pieces: 1}
-	var chosen AccessPath
-	var chosenCost Cost
-	for _, path := range p.paths {
-		ok, reason := path.Available()
-		pp := PathPlan{Path: path.Kind(), Available: ok, Reason: reason}
-		if ok {
-			pp.Cost = path.EstimateCost(q)
-		}
-		ex.Plans = append(ex.Plans, pp)
+// ChoosePath picks the row of plans a probe runs: the forced path when
+// force is not PathAuto — an error when that row is unavailable or the
+// table has none — otherwise the available row with the lowest
+// estimated cost, ties going to the earlier row, so the choice is
+// deterministic and a table that lists index probes before the scan
+// keeps the paper's behavior on an exact tie.  It returns the row's
+// index; every failure is an ErrUnsupported.
+func ChoosePath(plans []PathPlan, force PathKind) (int, error) {
+	chosen := -1
+	for i, p := range plans {
 		if force != PathAuto {
-			if path.Kind() != force {
+			if p.Path != force {
 				continue
 			}
-			if !ok {
-				return nil, ex, fmt.Errorf("engine: %w: path %s unavailable: %s", ErrUnsupported, force, reason)
+			if !p.Available {
+				return -1, fmt.Errorf("engine: %w: path %s unavailable: %s", ErrUnsupported, force, p.Reason)
 			}
-			chosen, chosenCost = path, pp.Cost
-			ex.Forced = true
-			continue
+			return i, nil
 		}
-		if ok && (chosen == nil || pp.Cost.Units < chosenCost.Units) {
-			chosen, chosenCost = path, pp.Cost
+		if p.Available && (chosen < 0 || p.Cost.Units < plans[chosen].Cost.Units) {
+			chosen = i
 		}
 	}
-	if chosen == nil {
-		if force != PathAuto {
-			return nil, ex, fmt.Errorf("engine: %w: path %s is not registered", ErrUnsupported, force)
-		}
-		return nil, ex, fmt.Errorf("engine: %w: no access path available", ErrUnsupported)
+	if force != PathAuto {
+		return -1, fmt.Errorf("engine: %w: path %s is not registered", ErrUnsupported, force)
 	}
-	ex.Chosen = chosen.Kind()
-	ex.EstCandidates = chosenCost.Candidates
-	return chosen, ex, nil
+	if chosen < 0 {
+		return -1, fmt.Errorf("engine: %w: no access path available", ErrUnsupported)
+	}
+	return chosen, nil
 }

@@ -442,38 +442,3 @@ func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *Flat
 	}
 	return f
 }
-
-// BulkLoad builds a mutable tree over the items by bulk loading the
-// frozen form (BulkLoadFlat) and thawing it.  The result is a valid
-// dynamic tree — inserts and deletes work as usual — with far less
-// overlap (and a far cheaper build) than one-by-one insertion.
-//
-// Points are copied.  Items of the wrong dimension are rejected.
-func BulkLoad(cfg Config, items []Item) (*Tree, error) {
-	return BulkLoadParallel(cfg, items, 1)
-}
-
-// BulkLoadParallel is BulkLoad with the tiling passes shared out over
-// at most workers goroutines (including the caller; values < 2 mean
-// sequential).  The tree is identical to BulkLoad's.
-func BulkLoadParallel(cfg Config, items []Item, workers int) (*Tree, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := len(items)
-	ids, cols := make([]int64, n), make([]float64, n*cfg.Dim)
-	for i, it := range items {
-		if len(it.Point) != cfg.Dim {
-			return nil, fmt.Errorf("rtree: bulk item %d has dimension %d, want %d", i, len(it.Point), cfg.Dim)
-		}
-		ids[i] = it.ID
-		for j, x := range it.Point {
-			cols[j*n+i] = x
-		}
-	}
-	f, err := BulkLoadFlat(cfg, ids, cols, workers)
-	if err != nil {
-		return nil, err
-	}
-	return f.Thaw()
-}

@@ -17,11 +17,29 @@ func bulkItems(r *rand.Rand, n, dim int) []Item {
 	return items
 }
 
+// bulkLoadTree bulk loads items (BulkLoadFlat over their columns) and
+// thaws the arena into the mutable tree these tests inspect.
+func bulkLoadTree(cfg Config, items []Item, workers int) (*Tree, error) {
+	n := len(items)
+	ids, cols := make([]int64, n), make([]float64, n*cfg.Dim)
+	for i, it := range items {
+		ids[i] = it.ID
+		for j, x := range it.Point {
+			cols[j*n+i] = x
+		}
+	}
+	f, err := BulkLoadFlat(cfg, ids, cols, workers)
+	if err != nil {
+		return nil, err
+	}
+	return f.Thaw()
+}
+
 func TestBulkLoadValidAndComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	for _, n := range []int{0, 1, 7, 20, 21, 100, 5000} {
 		items := bulkItems(r, n, 4)
-		tr, err := BulkLoad(DefaultConfig(4), items)
+		tr, err := bulkLoadTree(DefaultConfig(4), items, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -39,19 +57,18 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 }
 
 func TestBulkLoadRejectsBadInput(t *testing.T) {
-	if _, err := BulkLoad(Config{}, nil); err == nil {
+	if _, err := BulkLoadFlat(Config{}, nil, nil, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
-	items := []Item{{Point: vec.Vector{1, 2, 3}, ID: 1}}
-	if _, err := BulkLoad(DefaultConfig(2), items); err == nil {
-		t.Error("wrong-dimension item accepted")
+	if _, err := BulkLoadFlat(DefaultConfig(2), []int64{1}, []float64{1, 2, 3}, 1); err == nil {
+		t.Error("wrong-dimension point accepted")
 	}
 }
 
 func TestBulkLoadCopiesPoints(t *testing.T) {
 	p := vec.Vector{1, 2}
 	cfg := Config{Dim: 2, MaxEntries: 8, MinEntries: 3, Split: SplitRStar}
-	tr, err := BulkLoad(cfg, []Item{{Point: p, ID: 1}})
+	tr, err := bulkLoadTree(cfg, []Item{{Point: p, ID: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +82,7 @@ func TestBulkLoadSearchMatchesInsertBuilt(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	items := bulkItems(r, 2000, 3)
 	cfg := Config{Dim: 3, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
-	bulk, err := BulkLoad(cfg, items)
+	bulk, err := bulkLoadTree(cfg, items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +111,7 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	items := bulkItems(r, 1000, 2)
 	cfg := Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
-	tr, err := BulkLoad(cfg, items)
+	tr, err := bulkLoadTree(cfg, items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +144,7 @@ func TestBulkLoadPackingQuality(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	items := bulkItems(r, 5000, 4)
 	cfg := DefaultConfig(4)
-	bulk, err := BulkLoad(cfg, items)
+	bulk, err := bulkLoadTree(cfg, items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +180,7 @@ func BenchmarkBulkLoad50k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BulkLoad(cfg, items); err != nil {
+		if _, err := bulkLoadTree(cfg, items, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +199,7 @@ func TestBulkLoadParallelDeterministic(t *testing.T) {
 		for i := 0; i+10 < len(items); i += 10 {
 			items[i+1].Point = items[i].Point.Clone()
 		}
-		want, err := BulkLoad(DefaultConfig(4), items)
+		want, err := bulkLoadTree(DefaultConfig(4), items, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +208,7 @@ func TestBulkLoadParallelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 4, 13} {
-			got, err := BulkLoadParallel(DefaultConfig(4), items, workers)
+			got, err := bulkLoadTree(DefaultConfig(4), items, workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -236,7 +236,7 @@ func TestFlatEquivalenceBulkLoaded(t *testing.T) {
 	for i := range items {
 		items[i] = Item{Point: randPoint(rng, 6, 10), ID: int64(i)}
 	}
-	tr, err := BulkLoad(cfg, items)
+	tr, err := bulkLoadTree(cfg, items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,33 +29,6 @@ type Result struct {
 // match (the user-specified cost bound of §3).
 type Filter func(scale, shift float64) bool
 
-// Addresses enumerates window start addresses in storage order —
-// sequence by sequence, start ascending — without touching the window
-// data, stopping early when fn returns false.  limits caps the
-// per-sequence window count (limits[seq] windows of sequence seq are
-// visited; sequences beyond len(limits) are skipped); a nil limits
-// visits every window of every sequence.  This is the sequential
-// access path's candidate generator: callers pair it with their own
-// verifier, so the scan shares the exact post-processing (and its page
-// accounting) with the index-probe paths.
-func Addresses(st *store.Store, n int, limits []int, fn func(seq, start int) bool) {
-	numSeq := st.NumSequences()
-	if limits != nil && len(limits) < numSeq {
-		numSeq = len(limits)
-	}
-	for seq := 0; seq < numSeq; seq++ {
-		count := st.SequenceLen(seq) - n + 1
-		if limits != nil && limits[seq] < count {
-			count = limits[seq]
-		}
-		for start := 0; start < count; start++ {
-			if !fn(seq, start) {
-				return
-			}
-		}
-	}
-}
-
 // Search scans every length-len(q) window of st and returns those with
 // scale/shift distance at most eps that pass the filter.  Page
 // accesses are charged to pc (may be nil): the whole database, once,

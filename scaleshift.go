@@ -13,7 +13,10 @@
 // longer than the window is a multipiece long query, otherwise a range
 // query), Limit > 0 returns only the answer's first rows beside its
 // exact size (Result.Total), and ExecBatch runs a slice of them
-// concurrently.  See the
+// concurrently.  An Index is read as one immutable segment: the segment
+// prices its access paths (tree probe, sub-trail probe, scan) for the
+// query, the cheapest runs, and one exact verifier checks whatever it
+// emits, so the choice shows only in Result.Explain.  See the
 // repository README for a tour and EXPERIMENTS.md for the reproduction
 // of the paper's evaluation.
 //
