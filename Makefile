@@ -108,11 +108,15 @@ soak-cluster:
 # and again as an append-mode server holds it (three frozen segments
 # and a 4 000-window delta of boundary-straddling windows), there with
 # a 10-NN query too, and the loose query once more with Limit 100 (first
-# rows exact, the rest counted from the certified bound) — reporting
-# ns/op, B/op, allocs/op and candidates/op in about twenty-five
-# seconds, with no server to start.  Run
-# it before and after touching the probe, the delta, the candidate
-# ordering or the verifier.
+# rows exact, the rest counted from the certified bounds) — and that
+# limited loose query at the benchmark's own scale, 1000 x 650 at
+# ε-frac 0.02 (BenchmarkExecRangePaperLooseLimit100: range_loose in
+# process) — reporting ns/op, B/op, allocs/op, candidates/op and
+# norm-certified/op in about thirty seconds, with no server to start.
+# Run it before and after touching the probe, the delta, the candidate
+# ordering, the kernels or the verifier; to compare two commits, build
+# each once (`go test -c -o <file> ./internal/core`) and alternate the
+# binaries three times.
 bench-verify:
 	$(GO) test -run '^$$' -bench 'BenchmarkExec(Range|KNN)' -benchmem ./internal/core
 

@@ -100,6 +100,20 @@ var experiments = []experiment{
 		if err := r.env.Index.WriteIndexStats(r.stdout); err != nil {
 			return err
 		}
+		bytes, windows := r.env.Index.IndexByteCount(), r.env.Index.WindowCount()
+		fmt.Fprintf(r.stdout, "arena: %d bytes with its header and planner sample, %.1f per window\n\n",
+			bytes, float64(bytes)/float64(max(windows, 1)))
+		return nil
+	}},
+	{"probe", "index phase vs ε: node reads, leaf checks, candidates and stage times per query", true, func(r *runner) error {
+		points, err := r.env.RunProbeSweep([]float64{0.001, 0.005, 0.02})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(r.stdout, "Index phase per query (row limit 100); arena %d bytes\n", r.env.Index.IndexByteCount())
+		if err := bench.WriteProbeTable(r.stdout, points); err != nil {
+			return err
+		}
 		fmt.Fprintln(r.stdout)
 		return nil
 	}},

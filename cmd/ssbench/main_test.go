@@ -44,13 +44,19 @@ func TestBenchAblations(t *testing.T) {
 }
 
 func TestBenchNN(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-experiment", "nn", "-scale", "small", "-companies", "12", "-queries", "3"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Nearest-neighbour") {
-		t.Errorf("nn output:\n%s", sb.String())
+	for exp, want := range map[string]string{
+		"nn":    "Nearest-neighbour",
+		"probe": "leaf-checks",
+		"shape": "per window",
+	} {
+		var sb strings.Builder
+		err := run([]string{"-experiment", exp, "-scale", "small", "-companies", "12", "-queries", "3"}, &sb)
+		if err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("%s output:\n%s", exp, sb.String())
+		}
 	}
 }
 

@@ -55,6 +55,7 @@ func eventStats(st *core.SearchStats) *obs.EventStats {
 		CostRejected:   st.CostRejected,
 		Results:        st.Results,
 		ExactChecks:    st.ExactChecks,
+		NormCertified:  st.NormCertified,
 		IndexNodeReads: st.IndexNodeAccesses,
 		DataPageReads:  st.DataPageAccesses,
 		ScanProbes:     st.PathProbes[engine.PathScan],

@@ -26,6 +26,7 @@ type queryIndex interface {
 	Options() core.Options
 	WindowCount() int
 	IndexPageCount() int
+	IndexByteCount() int
 	TreeHeight() int
 	Degraded() (bool, string)
 	Close() error

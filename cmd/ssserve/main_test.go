@@ -303,6 +303,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"scaleshift_candidates_total",
 		"scaleshift_http_requests_total{handler=\"search\"}",
 		"scaleshift_index_windows",
+		"scaleshift_index_bytes",
 		"scaleshift_search_duration_seconds_bucket",
 		"# TYPE scaleshift_searches_total counter",
 	} {

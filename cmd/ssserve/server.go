@@ -147,6 +147,7 @@ func (s *server) publishSnapshotGauges(sn *snapshot) {
 	seqs, values, pages := sn.ix.StoreShape()
 	s.reg.Gauge("scaleshift_index_windows", "Windows indexed by the loaded index.").Set(float64(sn.ix.WindowCount()))
 	s.reg.Gauge("scaleshift_index_pages", "Pages of the loaded R*-tree.").Set(float64(sn.ix.IndexPageCount()))
+	s.reg.Gauge("scaleshift_index_bytes", "Arena bytes of the loaded R*-tree.").Set(float64(sn.ix.IndexByteCount()))
 	s.reg.Gauge("scaleshift_index_height", "Height of the loaded R*-tree.").Set(float64(sn.ix.TreeHeight()))
 	s.reg.Gauge("scaleshift_store_sequences", "Sequences in the loaded store.").Set(float64(seqs))
 	s.reg.Gauge("scaleshift_store_values", "Samples in the loaded store.").Set(float64(values))

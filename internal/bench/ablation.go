@@ -255,6 +255,42 @@ func (e *Env) RunNearestNeighbor(ks []int) ([]NNPoint, error) {
 	return out, nil
 }
 
+// ProbePoint is the index phase of the workload at one ε, per query:
+// what a change to the tree's layout or kernels moves, apart from the
+// verification it feeds.
+type ProbePoint struct {
+	EpsFrac float64
+	// Nodes and LeafChecks count index pages read and leaf entries
+	// tested; Candidates counts what the probe hands the verifier.
+	Nodes, LeafChecks, Candidates float64
+	// ProbeTime is the engine's probe stage, VerifyTime what follows it.
+	ProbeTime, VerifyTime time.Duration
+}
+
+// RunProbeSweep runs the workload's range queries at each ε fraction,
+// with the row limit ssserve defaults to.
+func (e *Env) RunProbeSweep(epsFracs []float64) ([]ProbePoint, error) {
+	var out []ProbePoint
+	nq := float64(len(e.Queries))
+	for _, frac := range epsFracs {
+		var agg core.SearchStats
+		for _, q := range e.Queries {
+			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: frac * e.NormScale, Limit: 100}, &agg); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, ProbePoint{
+			EpsFrac:    frac,
+			Nodes:      float64(agg.IndexNodeAccesses) / nq,
+			LeafChecks: float64(agg.LeafEntriesChecked) / nq,
+			Candidates: float64(agg.Candidates) / nq,
+			ProbeTime:  time.Duration(float64(agg.ProbeTime) / nq),
+			VerifyTime: time.Duration(float64(agg.VerifyTime) / nq),
+		})
+	}
+	return out, nil
+}
+
 // BufferPoint is one LRU buffer-pool size in the warm-cache sweep.
 type BufferPoint struct {
 	// PoolPages is the buffer capacity in 4 KB pages.

@@ -388,7 +388,10 @@ func (d *Dash) Render(w io.Writer) {
 	degraded, _ := cur.Lookup("scaleshift_index_degraded", nil)
 	gen, _ := cur.Lookup("scaleshift_snapshot_generation", nil)
 	fmt.Fprintf(w, "ssserve %s  version=%s  %s\n", d.Base, version, at)
-	fmt.Fprintf(w, "ready=%.0f  degraded=%.0f  snapshot_gen=%.0f\n\n", ready, degraded, gen)
+	indexBytes, _ := cur.Lookup("scaleshift_index_bytes", nil)
+	indexPages, _ := cur.Lookup("scaleshift_index_pages", nil)
+	fmt.Fprintf(w, "ready=%.0f  degraded=%.0f  snapshot_gen=%.0f  index=%s in %.0f pages\n\n",
+		ready, degraded, gen, fmtBytes(indexBytes), indexPages)
 
 	fmt.Fprintf(w, "%-10s %9s %11s %11s %9s\n", "endpoint", "qps", "p50", "p99", "err/s")
 	for _, h := range []string{"search", "append", "metrics", "events", "traces"} {

@@ -23,6 +23,8 @@ scaleshift_http_request_duration_seconds_count{handler="search"} 100
 scaleshift_admission_shed_total{reason="queue_full"} 3
 scaleshift_admission_shed_total{reason="deadline"} 2
 scaleshift_ready 1
+scaleshift_index_pages 32690
+scaleshift_index_bytes 19363672
 scaleshift_build_info{version="abc123",go_version="go1.22"} 1
 weird_label{msg="a \"quoted\" value,with=punct\nand newline"} 7
 `
@@ -150,6 +152,7 @@ func TestDashRender(t *testing.T) {
 	for _, want := range []string{
 		"version=abc123",
 		"ready=1",
+		"index=18.5MiB in 32690 pages",
 		"search", "25.0", // qps from the +50/2s delta
 		"append",
 		"shed/s", "breaker=closed",

@@ -156,7 +156,8 @@ type SearchStats struct {
 	// IndexNodeAccesses counts R*-tree pages read.
 	IndexNodeAccesses int
 	// DataPageAccesses counts distinct data pages fetched during
-	// post-processing.
+	// post-processing: under a positive Query.Limit, at most what the
+	// unlimited query fetches (see NormCertified).
 	DataPageAccesses int
 	// Candidates counts leaf hits forwarded to post-processing.
 	Candidates int
@@ -171,6 +172,10 @@ type SearchStats struct {
 	// pass: every returned row, plus the windows the certified
 	// prefix-sum bound could not classify.
 	ExactChecks int
+	// NormCertified counts the matches beyond the returned rows that
+	// were counted from their window statistics alone — SE-norm within
+	// ε, no cost bound — without the window being fetched.
+	NormCertified int
 	// LeafEntriesChecked counts leaf feature points compared.
 	LeafEntriesChecked int
 	// Penetration counts geometric pruning primitives.
@@ -210,6 +215,7 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.CostRejected += o.CostRejected
 	s.Results += o.Results
 	s.ExactChecks += o.ExactChecks
+	s.NormCertified += o.NormCertified
 	s.LeafEntriesChecked += o.LeafEntriesChecked
 	s.Penetration.Add(o.Penetration)
 	s.PlanTime += o.PlanTime
@@ -250,6 +256,7 @@ func (s SearchStats) CheckInvariants() error {
 		{"CostRejected", s.CostRejected},
 		{"Results", s.Results},
 		{"ExactChecks", s.ExactChecks},
+		{"NormCertified", s.NormCertified},
 		{"LeafEntriesChecked", s.LeafEntriesChecked},
 		{"DegradedProbes", s.DegradedProbes},
 	} {
@@ -492,6 +499,11 @@ func (ix *Index) EntryCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages (tree nodes).
 func (ix *Index) IndexPageCount() int { return ix.man.indexPageCount() }
+
+// IndexByteCount returns the size of the arena in bytes.  Pages count
+// nodes, the paper's unit of index I/O, whatever a node's entries weigh;
+// this is what the index costs in memory and on disk.
+func (ix *Index) IndexByteCount() int { return ix.man.indexByteCount() }
 
 // TreeHeight returns the R*-tree height.
 func (ix *Index) TreeHeight() int { return ix.man.treeHeight() }
@@ -875,17 +887,29 @@ func (ix *Index) UnindexSequence(seq int) error {
 	return nil
 }
 
-// numericSlack bounds the floating-point error of the feature-space
-// point-to-line distance.  Computing PLD near zero cancels
-// catastrophically, with absolute error on the order of
-// ‖point‖·√ε_machine ≈ 1.5e-8·‖point‖; the slack widens the index
-// phase's epsilon by a conservative multiple of the largest point norm
-// in the index — maxAbs is its largest coordinate magnitude — so that
-// no true match is dismissed by rounding.  The exact post-processing
-// check reapplies the caller's epsilon, so the widening never adds
-// false results.
+// numericSlack is how far the index phase widens ε so that neither of
+// its two inexactnesses dismisses a true match; maxAbs is the largest
+// coordinate magnitude in the index.  The exact post-processing check
+// reapplies the caller's epsilon, so the widening never adds false
+// results.
+//
+// Computing PLD near zero cancels catastrophically, with absolute error
+// on the order of ‖point‖·√ε_machine ≈ 1.5e-8·‖point‖: the 1e-7 term is
+// a conservative multiple of the largest point norm.
+//
+// A frozen arena stores each feature point p rounded to a float32 p̃ in
+// units of 2^exp, ½ ≤ maxAbs·2^-exp < 1 (rtree.FlatTree): per
+// coordinate |pⱼ − p̃ⱼ| ≤ 2⁻²⁴·|p̃ⱼ| where the scaled value is a normal
+// float32 and ≤ 2⁻¹⁵⁰·2^exp ≤ 2⁻¹⁴⁹·maxAbs where it is subnormal, so
+// ‖p − p̃‖ ≤ 2⁻²⁴·maxAbs·√dim (the subnormal case is 2¹²⁵ times
+// smaller, and vanishes in float64 beside the other).  Point-to-line
+// distance is 1-Lipschitz in the point: PLD(p, l) ≤ ε implies
+// PLD(p̃, l) ≤ ε + ‖p − p̃‖, and the MBRs above contain p̃.  The k-NN
+// stream's stop rule reads the same inequality the other way (a streamed
+// bound is at most the true distance plus the slack).  The delta's exact
+// float64 features do not need the term; one slack serves a manifest.
 func numericSlack(maxAbs float64, dim int) float64 {
-	return 1e-7 * maxAbs * math.Sqrt(float64(dim))
+	return (1e-7 + 0x1p-24) * maxAbs * math.Sqrt(float64(dim))
 }
 
 // seLineFor returns the query's SE-line image in feature space: the

@@ -9,16 +9,18 @@ import (
 
 // Artifact bytes are a compatibility surface: a server must reopen what
 // an older build wrote, and the benchmark's pages_per_query and
-// space_amp read the tree those bytes describe.  The digests below were
-// recorded from the pointer-tree loader (BulkLoad → Freeze →
-// AppendArena, staged section by section) before the arena-native
-// loader replaced it, over the 200 × 650 fixture of exec_bench_test.go;
-// any change to the STR cascade, the arena layout or the section
-// framing moves them.
+// space_amp read the tree those bytes describe.  The digests below are
+// of the 200 × 650 fixture of exec_bench_test.go; any change to the STR
+// cascade, the arena layout or the section framing moves them, and must
+// come with a version it can be told by.  They were recorded when the
+// arena went to version 2 (float32 planes, points stored once); the
+// version-1 digests before them dated from the pointer-tree loader
+// (BulkLoad → Freeze → AppendArena, staged section by section), and a
+// version-1 artifact is still opened: TestArenaV1Fixture.
 const (
-	digestSSIDX         = "cadbaf13ff41ae1023d574304217e84e57916301c33e1b1e6c60909c73be836d"
-	digestSSSEGThree    = "b9add808d910f9f5581f71838d01e32e7403bc9c903f874ca9a6edbe6b770a55"
-	digestSSSEGMergedTo = "9d653c9b0e66644d146be487df46cedd8b367190aa61d8195d3e64098c4cf2dc"
+	digestSSIDX         = "e794343badca29bb5f8a488ceec14d073d8157b1f90f2d87d0ffb609858af750"
+	digestSSSEGThree    = "e1e835631813408c4db07a0cf28d1247bb3aab4b145c7701f4927d2f9b1becee"
+	digestSSSEGMergedTo = "2b118a7a3a57135574eaf9db8f6158ed2e3377ddd5d6955645c171a785d9bd1c"
 )
 
 func digestOf(t *testing.T, write func(io.Writer) error) string {

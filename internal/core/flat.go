@@ -95,8 +95,16 @@ func (ix *Index) Close() error {
 // section is parsed and checksummed.  The deferred integrity check is
 // VerifyArtifact; until it (or a full CRC pass) has run, a corrupted
 // arena can surface as a traversal panic rather than wrong results.
-// v2 artifacts (pointer-tree payload) are parsed eagerly and frozen at
-// load — compatibility costs the O(n) parse, not correctness.
+//
+// "Aliased" is the property all of that hangs on: the index's arrays
+// ARE the mapped bytes, so the mapping lives as long as the index and
+// the deferred check has something to check.  An artifact that must be
+// converted instead — a v2 one (pointer-tree payload), or a v3 one whose
+// arena is version 1 (float64 planes) — is verified in full and parsed
+// into the heap at open, in O(n); the mapping is released, nothing is
+// deferred, and the index writes itself in the current layout from then
+// on.  Compatibility costs the parse, not correctness, and lasts until
+// the caller next saves the index.
 func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 	m, err := binio.OpenMapping(path)
 	if err != nil {
@@ -113,7 +121,7 @@ func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 		ix.mapping = m
 		ix.artifact = m.Data
 	} else {
-		// v2 artifact: fully parsed into the heap; the mapping can go.
+		// Converted at open: fully parsed into the heap; the mapping can go.
 		m.Close()
 	}
 	return ix, nil
@@ -122,7 +130,8 @@ func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 // OpenOrRebuildFile is OpenOrRebuild over a file path: it opens the
 // artifact zero-copy via LoadIndexFile and degrades to the scan path
 // instead of failing when the artifact is missing or damaged.  Like
-// LoadIndexFile it defers full checksum verification; callers that
+// LoadIndexFile it defers full checksum verification of an artifact it
+// can alias (one it had to convert is verified at open); callers that
 // must not serve unverified bytes should VerifyArtifact (and treat
 // failure as a reload/rebuild trigger) before publishing the index.
 func OpenOrRebuildFile(path string, st *store.Store, opts Options) (*Index, OpenStatus, error) {

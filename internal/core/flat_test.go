@@ -509,6 +509,18 @@ func TestV2ArtifactCompatibility(t *testing.T) {
 	if !reflect.DeepEqual(wantR, fR) {
 		t.Fatal("v2 file-loaded index diverged")
 	}
+	// Parsed into the heap, not aliasing the file, and written back as
+	// an artifact that maps.
+	if fromFile.mapping != nil || fromFile.artifact != nil {
+		t.Fatal("a v2 artifact should not stay mapped")
+	}
+	var again bytes.Buffer
+	if err := fromFile.WriteBinary(&again); err != nil {
+		t.Fatal(err)
+	}
+	if _, aliased, err := loadIndexBytes(again.Bytes(), ix.Store()); err != nil || !aliased {
+		t.Fatalf("a v2 artifact written back: aliased=%v, err %v", aliased, err)
+	}
 
 	// v2 corruption is rejected eagerly on both paths.
 	mut := append([]byte(nil), v2...)
@@ -518,6 +530,113 @@ func TestV2ArtifactCompatibility(t *testing.T) {
 	}
 	if _, _, err := loadIndexBytes(mut, ix.Store()); err == nil {
 		t.Fatal("corrupt v2 accepted by byte load")
+	}
+}
+
+// TestArenaV1Fixture opens artifacts the commit before arena version 2
+// wrote (testdata/arena_v1.*: the bulk-built index over
+// populatedStore(3, 100, 1) as SSIDX v3, and the same index as a
+// one-segment SSSEG v1 — float64 planes, every point twice): both
+// containers still load, converted at open — not aliasing the file,
+// verified in full because nothing is left to defer — answer as a fresh
+// build does, and write themselves back as the bytes a fresh build
+// writes; a flipped byte is refused at open.
+func TestArenaV1Fixture(t *testing.T) {
+	st := populatedStore(t, 3, 100, 1)
+	fresh, err := NewIndex(st, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.BuildBulk(); err != nil {
+		t.Fatal(err)
+	}
+	qs := testQueries(t, fresh, 4)
+	wantR, wantNN, wantB, wantS := runAllSearches(t, fresh, qs, 8)
+	wantBytes := digestOf(t, fresh.WriteBinary)
+
+	old, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) < fresh.flat.ArenaSize()*3/2 {
+		t.Fatalf("fixture is %d bytes, a fresh arena %d: not a version-1 arena", len(old), fresh.flat.ArenaSize())
+	}
+	mapped, err := LoadIndexFile(filepath.Join("testdata", "arena_v1.ssidx"), st)
+	if err != nil {
+		t.Fatalf("file load: %v", err)
+	}
+	defer mapped.Close()
+	if mapped.mapping != nil || mapped.artifact != nil {
+		t.Fatal("a converted arena should not alias the file")
+	}
+	streamed, err := LoadIndex(bytes.NewReader(old), st)
+	if err != nil {
+		t.Fatalf("stream load: %v", err)
+	}
+	for what, ix := range map[string]*Index{"file": mapped, "stream": streamed} {
+		if err := ix.VerifyArtifact(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, 8)
+		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) ||
+			!reflect.DeepEqual(wantB, gotB) || !reflect.DeepEqual(wantS, gotS) {
+			t.Fatalf("%s-loaded version-1 arena diverged from a fresh build", what)
+		}
+		if got := digestOf(t, ix.WriteBinary); got != wantBytes {
+			t.Fatalf("%s-loaded version-1 arena re-serialises as %s, a fresh build as %s", what, got, wantBytes)
+		}
+	}
+
+	mut := append([]byte(nil), old...)
+	mut[len(mut)-200] ^= 0x04 // inside the planes
+	if _, _, err := loadIndexBytes(mut, st); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt version-1 arena: %v, want a checksum error at open", err)
+	}
+
+	g, err := NewSegmentedFromIndex(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSeg, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSegments(bytes.NewReader(oldSeg), st)
+	if err != nil {
+		t.Fatalf("segments load: %v", err)
+	}
+	if got, want := digestOf(t, loaded.WriteSegments), digestOf(t, g.WriteSegments); got != want {
+		t.Fatalf("version-1 segment re-serialises as %s, a fresh one as %s", got, want)
+	}
+	for i, q := range qs {
+		got, err := search(loaded, q, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameMatches(got, wantR[i]); err != nil {
+			t.Fatalf("query %d over the version-1 segment: %v", i, err)
+		}
+	}
+}
+
+// TestPaperScaleArenaSize holds the index to its budget at the
+// benchmark's scale: 523 000 windows at 32 B a leaf entry and 56 B a
+// directory entry.  (Version 1, 104 B each, was 58 327 208 bytes.)
+func TestPaperScaleArenaSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 1000 x 650 index")
+	}
+	ix, err := NewIndex(populatedStore(t, 1000, 650, 1), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.BuildBulkParallel(0); err != nil {
+		t.Fatal(err)
+	}
+	size, windows := ix.flat.ArenaSize(), ix.WindowCount()
+	t.Logf("%d windows, %d index pages, %d arena bytes (%.1f per window)", windows, ix.IndexPageCount(), size, float64(size)/float64(windows))
+	if size > 20<<20 {
+		t.Fatalf("arena is %d bytes, over 20 MiB", size)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // TestLimitDifferential holds Query.Limit to its contract: the limited
 // answer is the unlimited answer's prefix, bit for bit, Total is the
 // unlimited answer's size, and the ledger classifies every candidate
-// the same way — on an Index and on a SegmentedIndex with a populated
+// the same way, reading at most the unlimited query's data pages (the
+// same ones once a cost bound is finite: only then must every window be
+// fetched) — on an Index and on a SegmentedIndex with a populated
 // delta, sequentially and fanned out, for range and multipiece queries,
 // unbounded and finite cost bounds, constant queries and constant
 // windows, and with ε and a cost bound placed exactly on a window's
@@ -77,7 +79,8 @@ func TestLimitDifferential(t *testing.T) {
 				CostBounds{ScaleMin: scale, ScaleMax: math.Inf(1), ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)})
 		}
 
-		counted := 0 // candidates classified without the exact pass
+		counted := 0   // candidates classified without the exact pass
+		unfetched := 0 // of them, matches counted from their norm alone
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
 			for _, ix := range []struct {
@@ -111,20 +114,26 @@ func TestLimitDifferential(t *testing.T) {
 						}
 						if stats.Candidates != fullStats.Candidates || stats.FalseAlarms != fullStats.FalseAlarms ||
 							stats.CostRejected != fullStats.CostRejected || stats.Results != fullStats.Results ||
-							stats.DataPageAccesses != fullStats.DataPageAccesses {
+							stats.DataPageAccesses > fullStats.DataPageAccesses {
 							t.Fatalf("%s, limit %d: ledger %+v, unlimited %+v", label, limit, stats, fullStats)
 						}
-						if stats.ExactChecks > stats.Candidates || stats.ExactChecks < len(got.Matches) {
-							t.Fatalf("%s, limit %d: %d exact checks for %d candidates and %d rows", label, limit, stats.ExactChecks, stats.Candidates, len(got.Matches))
+						if tq.costs != UnboundedCosts() && (stats.NormCertified != 0 || stats.DataPageAccesses != fullStats.DataPageAccesses) {
+							t.Fatalf("%s, limit %d: finite cost bounds need every window's (a, b), yet %d were not fetched (%d data pages, unlimited %d)",
+								label, limit, stats.NormCertified, stats.DataPageAccesses, fullStats.DataPageAccesses)
+						}
+						if stats.ExactChecks+stats.NormCertified > stats.Candidates || stats.ExactChecks < len(got.Matches) || fullStats.NormCertified != 0 {
+							t.Fatalf("%s, limit %d: %d exact checks and %d norm-certified for %d candidates and %d rows (%d norm-certified unlimited)",
+								label, limit, stats.ExactChecks, stats.NormCertified, stats.Candidates, len(got.Matches), fullStats.NormCertified)
 						}
 						counted += stats.Candidates - stats.ExactChecks
+						unfetched += stats.NormCertified
 					}
 				}
 			}
 			runtime.GOMAXPROCS(prev)
 		}
-		if counted == 0 {
-			t.Fatalf("trial %d: no candidate was ever classified from the bound alone", trial)
+		if counted == 0 || unfetched == 0 {
+			t.Fatalf("trial %d: %d candidates classified from the bounds alone, %d of them without being fetched", trial, counted, unfetched)
 		}
 	}
 }

@@ -61,6 +61,9 @@ type verifier struct {
 	n     int // window length, len(q)
 	q     *vec.Prepared
 	costs CostBounds
+	// anyCost says the cost bounds accept every transformation, so a
+	// window within eps needs no (a, b) to be counted a match.
+	anyCost bool
 	// eps is the distance threshold; a certified squared distance above
 	// epsHi dismisses a window and one at or below epsLo accepts it (see
 	// setEps).
@@ -68,7 +71,7 @@ type verifier struct {
 }
 
 func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *verifier {
-	v := &verifier{sv: sv, n: len(q), q: vec.Prepare(q), costs: costs}
+	v := &verifier{sv: sv, n: len(q), q: vec.Prepare(q), costs: costs, anyCost: costs == UnboundedCosts()}
 	v.setEps(eps)
 	return v
 }
@@ -120,6 +123,17 @@ func (v *verifier) certify(w vec.Vector, ws store.WindowStats) int {
 	return verdictUndecided
 }
 
+// normMatch reports that a window with statistics ws matches whatever
+// its values are: its own SE-norm, certified from the statistics alone
+// (vec.Prepared.NormBound), is within eps — Lemma 2's minimum over the
+// scale factor can always take a = 0 — and no cost bound could reject
+// the transformation the exact pass would find.  A NaN bound fails the
+// comparison; setEps's open band (epsLo = −Inf) fails it for every
+// window.
+func (v *verifier) normMatch(ws store.WindowStats) bool {
+	return v.anyCost && v.q.NormBound(v.n, ws.Sum, ws.SumSq, ws.SumErr, ws.SumSqErr) <= v.epsLo
+}
+
 // exact runs the exact post-processing check on window w: the verdict,
 // and the exact pass's values (bit-identical to vec.MinDist's) a match
 // is reported with.
@@ -140,9 +154,10 @@ const verifyParallelThreshold = 32
 
 // verdicts is the classification of a query's candidates: every one is
 // a match, a false alarm or a cost rejection; exactChecks counts those
-// that paid the exact pass.
+// that paid the exact pass, normCertified the matches counted from
+// their statistics without the window being fetched (normMatch).
 type verdicts struct {
-	matches, falseAlarms, costRejected, exactChecks int
+	matches, falseAlarms, costRejected, exactChecks, normCertified int
 }
 
 // verifyWorker is the verification of one contiguous chunk of the
@@ -163,13 +178,15 @@ type verifyWorker struct {
 }
 
 // run verifies ids in order, charging pages to pc and polling ctx every
-// verifyCheckInterval candidates.  Every window is read in place (no
-// copy; one that straddles a grown sequence's packed/tail boundary is
-// stitched into the worker's buffer) and classified by certify.  The
-// exact pass runs on what certify leaves undecided and on every match
-// that becomes a row — the chunk's first limit matches, all of them
-// without a positive limit — so rows carry the exact pass's values and the rest of the
-// chunk is counted from the bound alone.
+// verifyCheckInterval candidates.  Once the chunk holds its rows — its
+// first limit matches; never, without a positive limit — a window whose
+// statistics alone certify a match (normMatch) is counted without being
+// fetched: no data page is charged for it.  Every other window is read
+// in place (no copy; one that straddles a grown sequence's packed/tail
+// boundary is stitched into the worker's buffer) and classified by
+// certify.  The exact pass runs on what certify leaves undecided and on
+// every match that becomes a row, so rows carry the exact pass's values
+// and the rest of the chunk is counted from the bounds alone.
 func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit int, pc *store.PageCounter) error {
 	out := w.out[:0]
 	for i, id := range ids {
@@ -179,16 +196,21 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 			}
 		}
 		w.seq, w.start = store.DecodeWindowID(id)
-		win, err := v.sv.WindowViewInto(w.seq, w.start, v.n, w.stitch, pc)
-		if err != nil {
-			return err
-		}
 		ws, err := v.sv.WindowStats(w.seq, w.start, v.n)
 		if err != nil {
 			return err
 		}
-		verdict := v.certify(win, ws)
 		row := limit <= 0 || len(out) < limit
+		if !row && v.normMatch(ws) {
+			w.matches++
+			w.normCertified++
+			continue
+		}
+		win, err := v.sv.WindowViewInto(w.seq, w.start, v.n, w.stitch, pc)
+		if err != nil {
+			return err
+		}
+		verdict := v.certify(win, ws)
 		if verdict == verdictUndecided || (verdict == verdictMatch && row) {
 			var m vec.Match
 			m, verdict = v.exact(win)
@@ -231,8 +253,9 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 // helpers — with private page counters that are merged into pc
 // afterwards; otherwise there is one chunk, run on the caller's
 // goroutine against pc itself.  Either way rows, ordering, and every
-// SearchStats field but ExactChecks (each chunk runs the exact pass
-// until it holds limit rows) are identical.  Every chunk polls ctx
+// SearchStats field are identical but ExactChecks, NormCertified and
+// DataPageAccesses under a positive limit: each chunk runs the exact
+// pass, and fetches every window, until it holds limit rows.  Every chunk polls ctx
 // every verifyCheckInterval candidates; a panic on a worker goroutine
 // (a poisoned window) is recovered into a *WorkerPanicError rather than
 // crashing the process.
@@ -304,6 +327,7 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit 
 		vd.falseAlarms += ws[g].falseAlarms
 		vd.costRejected += ws[g].costRejected
 		vd.exactChecks += ws[g].exactChecks
+		vd.normCertified += ws[g].normCertified
 	}
 	if limit > 0 {
 		rows = min(rows, limit)
@@ -392,7 +416,12 @@ type Query struct {
 	// Limit rows; otherwise every match is returned.  The answer is the same either
 	// way — Result.Total and the ledger count every match — but only
 	// returned rows pay for the exact distance and (a, b): the rest are
-	// counted from the certified prefix-sum bound (see verifier.certify).
+	// counted from the certified prefix-sum bound (see verifier.certify),
+	// or, when no cost bound applies, from their own norm without being
+	// fetched (verifier.normMatch).  A limited query therefore reads at
+	// most the data pages the unlimited one does — the same ones when a
+	// cost bound is finite — and, like ExactChecks, how many depends on
+	// how the candidates were chunked over the verification workers.
 	Limit int
 }
 
@@ -629,11 +658,15 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 		verifySpan.SetInt("false_alarms", int64(vd.falseAlarms))
 		verifySpan.SetInt("matches", int64(vd.matches))
 		verifySpan.SetInt("exact_checks", int64(vd.exactChecks))
+		if vd.normCertified > 0 {
+			verifySpan.SetInt("norm_certified", int64(vd.normCertified))
+		}
 		verifySpan.End()
 	}
 	ex.VerifyTime = time.Since(verifyStart)
 	ex.ActualCandidates = cands
 	ex.Matches = vd.matches
+	ex.NormCertified = vd.normCertified
 
 	*delta = SearchStats{
 		IndexNodeAccesses:  sc.tree.NodeAccesses,
@@ -643,6 +676,7 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 		CostRejected:       vd.costRejected,
 		Results:            vd.matches,
 		ExactChecks:        vd.exactChecks,
+		NormCertified:      vd.normCertified,
 		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
 		Penetration:        sc.tree.Penetration,
 		PlanTime:           ex.PlanTime,

@@ -233,6 +233,16 @@ func (m *manifest) indexPageCount() int {
 	return total
 }
 
+// indexByteCount is the total arena size of the frozen segments: what
+// the index occupies mapped, and on disk behind a few framing bytes.
+func (m *manifest) indexByteCount() int {
+	total := 0
+	for _, sg := range m.frozen {
+		total += sg.flat.ArenaSize()
+	}
+	return total
+}
+
 // treeHeight is the tallest frozen segment's height.
 func (m *manifest) treeHeight() int {
 	h := 0

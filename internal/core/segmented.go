@@ -617,6 +617,13 @@ func (g *SegmentedIndex) IndexPageCount() int {
 	return pin.Value().indexPageCount()
 }
 
+// IndexByteCount returns the total arena bytes across frozen segments.
+func (g *SegmentedIndex) IndexByteCount() int {
+	pin := g.cell.Acquire()
+	defer pin.Release()
+	return pin.Value().indexByteCount()
+}
+
 // TreeHeight returns the tallest frozen segment's height.
 func (g *SegmentedIndex) TreeHeight() int {
 	pin := g.cell.Acquire()

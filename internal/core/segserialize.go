@@ -15,7 +15,10 @@ import (
 // a CRC32C-protected header section (options, segment directory with
 // per-segment window ranges) followed by one arena section per frozen
 // segment — each using the same pad-to-8 scheme as the SSIDX v3 arena
-// so the format stays mmap-friendly — and a whole-file trailer.
+// so the format stays mmap-friendly — and a whole-file trailer.  As in
+// SSIDX the arenas are versioned on their own: a version-1 arena is
+// converted as its segment is loaded, and written back in the current
+// layout by the next checkpoint.
 var segMagic = []byte("SSSEG\x01")
 
 // segVersions lists the format versions LoadSegments accepts.
@@ -195,7 +198,7 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		flat, err := rtree.FlatFromArena(arena)
+		flat, _, err := rtree.FlatFromArena(arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: segment %d: %w", i, err)
 		}

@@ -16,11 +16,17 @@ import (
 // CRC32C-protected sections (header: options and per-sequence indexed
 // window counts; arena: the frozen flat R*-tree, padded so its arrays
 // land on 8-byte file offsets) and a whole-file trailer checksum.  The
-// arena is stored verbatim — little-endian float64/uint64 arrays — so
-// a memory-mapped artifact serves queries zero-copy (LoadIndexFile).
+// arena is stored verbatim — little-endian uint64 arrays, then the
+// float32 planes padded to a whole word (rtree.FlatTree.WriteArena) —
+// so a memory-mapped artifact serves queries zero-copy (LoadIndexFile).
 //
-// Version 2 (same framing, pointer-tree payload in the second
-// section) is still read, and frozen at load.  Version 1
+// The arena carries its own version, and the container's does not move
+// with it: an artifact holding a version-1 arena (float64 planes) is
+// converted to the current layout when it is opened, in O(n) and into
+// the heap, as is Version 2 of the container (same framing, pointer-tree
+// payload in the second section, frozen at load).  Either way the
+// opened index serves, and writes itself as, the current arena; the old
+// file is replaced the next time the caller saves one.  Version 1
 // (unchecksummed) artifacts are rejected with ErrVersion; rebuild them
 // from the store.
 var indexMagic = []byte("SSIDX\x03")
@@ -185,9 +191,10 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 // The payload is a u64 pad length, that many zero bytes, then the
 // arena verbatim.  The pad is chosen so the arena's first byte lands on
 // an 8-byte FILE offset: the section starts at Pos(), its payload at
-// Pos()+8 (after the length prefix), the arena at Pos()+16+pad.  With
-// every array element 8 bytes wide, file-offset alignment is what lets
-// an mmap-backed open reinterpret the arrays in place.  The arena is
+// Pos()+8 (after the length prefix), the arena at Pos()+16+pad.  The
+// arena's 8-byte arrays come first and its 4-byte planes last, padded to
+// a whole word, so file-offset alignment is what lets an mmap-backed
+// open reinterpret every array in place.  The arena is
 // streamed from the tree (rtree.FlatTree.WriteArena) — for a built or
 // mapped tree, the bytes it already holds — not staged.
 func writeArenaSection(bw *binio.Writer, flat *rtree.FlatTree) {
@@ -248,7 +255,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	if version == 2 {
 		flat, err = flatFromV2(body)
 	} else {
-		flat, err = flatFromSection(body)
+		flat, _, err = flatFromSection(body)
 	}
 	if err != nil {
 		return nil, err
@@ -286,18 +293,18 @@ func flatFromV2(body []byte) (*rtree.FlatTree, error) {
 	return flat, nil
 }
 
-// flatFromSection opens the arena of a version-3 arena section in
-// place.
-func flatFromSection(body []byte) (*rtree.FlatTree, error) {
+// flatFromSection opens the arena of an arena section: in place, or —
+// converted reports which — rounded into a fresh tree when the section
+// holds a version-1 arena.
+func flatFromSection(body []byte) (flat *rtree.FlatTree, converted bool, err error) {
 	arena, err := arenaFromSection(body)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	flat, err := rtree.FlatFromArena(arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if flat, converted, err = rtree.FlatFromArena(arena); err != nil {
+		return nil, false, fmt.Errorf("core: %w", err)
 	}
-	return flat, nil
+	return flat, converted, nil
 }
 
 // loadIndexBytes opens an index artifact already resident in memory
@@ -305,8 +312,10 @@ func flatFromSection(body []byte) (*rtree.FlatTree, error) {
 // section is small and CRC-checked, but the arena section's checksum
 // and structural validation are DEFERRED (Index.VerifyArtifact) and
 // the arena's arrays are reinterpreted in place, aliasing data — which
-// aliased reports.  v2 artifacts are fully verified and parsed, exactly
-// like LoadIndex.
+// aliased reports.  What has to be converted anyway — a v2 artifact, or
+// a v3 one around a version-1 arena — is fully verified and parsed into
+// the heap, exactly like LoadIndex: aliased is false and data may be
+// released.
 func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err error) {
 	br := binio.NewByteReader(data)
 	version, err := br.MagicVersions(indexMagic, indexVersions...)
@@ -333,9 +342,19 @@ func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err 
 	if rest := len(data) - br.Offset(); rest != 4 {
 		return nil, false, fmt.Errorf("core: %d bytes after arena section (want 4-byte trailer): %w", rest, ErrTruncated)
 	}
-	flat, err := flatFromSection(body)
+	flat, converted, err := flatFromSection(body)
 	if err != nil {
 		return nil, false, err
+	}
+	if converted {
+		// Nothing is deferred for a tree that no longer aliases the bytes
+		// VerifyArtifact would check.
+		if err := binio.CheckFrame(data, len(indexMagic), 2); err != nil {
+			return nil, false, fmt.Errorf("core: index artifact: %w", err)
+		}
+		if err := flat.Validate(); err != nil {
+			return nil, false, fmt.Errorf("core: %w", err)
+		}
 	}
 	ix, err = assembleIndex(h, flat.Config(), flat.Len(), st)
 	if err != nil {
@@ -343,5 +362,5 @@ func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err 
 	}
 	ix.flat = flat
 	ix.pin()
-	return ix, true, nil
+	return ix, !converted, nil
 }

@@ -144,8 +144,11 @@ type Explain struct {
 	// the probe emitted.
 	EstCandidates    float64
 	ActualCandidates int
-	// Matches counts verified results.
-	Matches int
+	// Matches counts verified results; NormCertified those of them
+	// counted from their window statistics without the window being
+	// read (a row limit, no cost bound, the window's own norm within ε).
+	Matches       int
+	NormCertified int
 	// Pieces is 1 for a plain range query and the number of length-n
 	// pieces for a multipiece (long-query) search, where the recorded
 	// estimates are the first piece's and the actuals are totals.
@@ -233,8 +236,12 @@ func (e *Explain) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "  candidates: %d actual vs %.4g estimated; %d matched\n",
-		e.ActualCandidates, e.EstCandidates, e.Matches); err != nil {
+	norm := ""
+	if e.NormCertified > 0 {
+		norm = fmt.Sprintf(" (%d norm-certified)", e.NormCertified)
+	}
+	if _, err := fmt.Fprintf(w, "  candidates: %d actual vs %.4g estimated; %d matched%s\n",
+		e.ActualCandidates, e.EstCandidates, e.Matches, norm); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "  stages: plan=%v probe=%v verify=%v\n",

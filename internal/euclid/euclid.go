@@ -182,7 +182,9 @@ func (ix *Index) Search(q vec.Vector, eps float64, stats *Stats) ([]Match, error
 }
 
 // slack widens the index-phase box against floating-point rounding in
-// the feature computation, mirroring core's numeric slack.
+// the feature computation and against the arena's float32 planes (each
+// stored coordinate is within 2⁻²⁴ of its magnitude of the exact one),
+// mirroring core's numeric slack coordinate by coordinate.
 func (ix *Index) slack() float64 {
 	b, ok := ix.flat.Bounds()
 	if !ok {
@@ -192,5 +194,5 @@ func (ix *Index) slack() float64 {
 	for i := range b.L {
 		m = math.Max(m, math.Max(math.Abs(b.L[i]), math.Abs(b.H[i])))
 	}
-	return 1e-7 * m
+	return (1e-7 + 0x1p-24) * m
 }

@@ -22,22 +22,34 @@ import (
 // never differs from the scalar one by even a final-ulp rounding flip.
 // CheckStats counting also matches the scalar path test for test.
 
-// NodePlanes is the dimension-major view of one node's entry MBRs.
-// Data holds 2·Dim·Count float64s: Dim rows of L values followed by
-// Dim rows of H values, each row Count long.
-type NodePlanes struct {
-	Data  []float64
+// Planes is the dimension-major view of one node's entry MBRs.  Data
+// holds 2·Dim·Count values — Dim rows of L values followed by Dim rows
+// of H values, each row Count long — or, for a node whose entries are
+// points, the Dim rows once: a point is its own lower and upper bound,
+// so its H rows are its L rows.  The element type is what the node is
+// stored in (a frozen arena keeps float32); every kernel widens a value
+// to float64 as it reads it and evaluates the float64 expressions of
+// penetrate.go on the widened values.
+type Planes[T vec.Coord] struct {
+	Data  []T
 	Count int
 	Dim   int
 }
 
+// NodePlanes is Planes over float64 rows.
+type NodePlanes = Planes[float64]
+
 // LRow returns the L values of dimension j across all entries.
-func (pl NodePlanes) LRow(j int) []float64 {
+func (pl Planes[T]) LRow(j int) []T {
 	return pl.Data[j*pl.Count : (j+1)*pl.Count : (j+1)*pl.Count]
 }
 
-// HRow returns the H values of dimension j across all entries.
-func (pl NodePlanes) HRow(j int) []float64 {
+// HRow returns the H values of dimension j across all entries: the L
+// row again when the entries are points.
+func (pl Planes[T]) HRow(j int) []T {
+	if len(pl.Data) == pl.Dim*pl.Count {
+		return pl.LRow(j)
+	}
 	base := (pl.Dim + j) * pl.Count
 	return pl.Data[base : base+pl.Count : base+pl.Count]
 }
@@ -87,18 +99,18 @@ func (sc *BatchScratch) grow(c int) {
 // scalar function exactly: one slab test per entry under
 // EnteringExiting; one sphere test per entry plus a slab test for each
 // inconclusive sphere under BoundingSpheres.  stats may be nil.
-func PenetratesEnlargedBatch(strategy Strategy, pl NodePlanes, eps float64, l vec.Line, sc *BatchScratch, stats *CheckStats) []bool {
+func PenetratesEnlargedBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, sc *BatchScratch, stats *CheckStats) []bool {
 	return penetrateBatch(strategy, pl, eps, l, math.Inf(-1), math.Inf(1), false, sc, stats)
 }
 
 // PenetratesEnlargedSegmentBatch is the batched
 // PenetratesEnlargedSegment: the line is restricted to the parameter
 // range [tMin, tMax].
-func PenetratesEnlargedSegmentBatch(strategy Strategy, pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, sc *BatchScratch, stats *CheckStats) []bool {
+func PenetratesEnlargedSegmentBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, sc *BatchScratch, stats *CheckStats) []bool {
 	return penetrateBatch(strategy, pl, eps, l, tMin, tMax, true, sc, stats)
 }
 
-func penetrateBatch(strategy Strategy, pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segment bool, sc *BatchScratch, stats *CheckStats) []bool {
+func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, sc *BatchScratch, stats *CheckStats) []bool {
 	c := pl.Count
 	sc.grow(c)
 	verdict := sc.verdict
@@ -155,7 +167,7 @@ func penetrateBatch(strategy Strategy, pl NodePlanes, eps float64, l vec.Line, t
 // the sign of the shared direction component alone decides which plane
 // parameter is the lower one.  x−eps is evaluated as x+(−eps), which
 // IEEE-754 defines as the identical operation.
-func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segment bool, skip []bool, sc *BatchScratch) int {
+func slabBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, skip []bool, sc *BatchScratch) int {
 	c := pl.Count
 	tLo, tHi := sc.tLo, sc.tHi
 	active := sc.active
@@ -177,7 +189,7 @@ func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segme
 		lr, hr := pl.LRow(0), pl.HRow(0)
 		if d == 0 {
 			for k := 0; k < c; k++ {
-				if p < lr[k]-eps || p > hr[k]+eps {
+				if p < float64(lr[k])-eps || p > float64(hr[k])+eps {
 					continue
 				}
 				tLo[k], tHi[k] = lo0, hi0
@@ -209,7 +221,7 @@ func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segme
 		if d == 0 {
 			for i := 0; i < na; i++ {
 				k := active[i]
-				if p < lr[k]-eps || p > hr[k]+eps {
+				if p < float64(lr[k])-eps || p > float64(hr[k])+eps {
 					continue
 				}
 				active[w] = k
@@ -228,14 +240,14 @@ func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segme
 		i := 0
 		for ; i+4 <= na; i += 4 {
 			k0, k1, k2, k3 := active[i], active[i+1], active[i+2], active[i+3]
-			a0 := (aRow[k0] + aOff - p) / d
-			b0 := (bRow[k0] + bOff - p) / d
-			a1 := (aRow[k1] + aOff - p) / d
-			b1 := (bRow[k1] + bOff - p) / d
-			a2 := (aRow[k2] + aOff - p) / d
-			b2 := (bRow[k2] + bOff - p) / d
-			a3 := (aRow[k3] + aOff - p) / d
-			b3 := (bRow[k3] + bOff - p) / d
+			a0 := (float64(aRow[k0]) + aOff - p) / d
+			b0 := (float64(bRow[k0]) + bOff - p) / d
+			a1 := (float64(aRow[k1]) + aOff - p) / d
+			b1 := (float64(bRow[k1]) + bOff - p) / d
+			a2 := (float64(aRow[k2]) + aOff - p) / d
+			b2 := (float64(bRow[k2]) + bOff - p) / d
+			a3 := (float64(aRow[k3]) + aOff - p) / d
+			b3 := (float64(bRow[k3]) + bOff - p) / d
 			lo, hi := tLo[k0], tHi[k0]
 			if a0 > lo {
 				lo = a0
@@ -287,8 +299,8 @@ func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segme
 		}
 		for ; i < na; i++ {
 			k := active[i]
-			a := (aRow[k] + aOff - p) / d
-			b := (bRow[k] + bOff - p) / d
+			a := (float64(aRow[k]) + aOff - p) / d
+			b := (float64(bRow[k]) + bOff - p) / d
 			lo, hi := tLo[k], tHi[k]
 			if a > lo {
 				lo = a
@@ -316,19 +328,19 @@ func slabBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segme
 // the lower/upper plane rows pre-ordered by the caller for the sign of
 // d, with aOff/bOff the matching ±eps offsets.  Returns the survivor
 // count.
-func slabDim0Unrolled(aRow, bRow, tLo, tHi []float64, active []int32, p, d, aOff, bOff, lo0, hi0 float64) int {
+func slabDim0Unrolled[T vec.Coord](aRow, bRow []T, tLo, tHi []float64, active []int32, p, d, aOff, bOff, lo0, hi0 float64) int {
 	c := len(aRow)
 	na := 0
 	k := 0
 	for ; k+4 <= c; k += 4 {
-		a0 := (aRow[k] + aOff - p) / d
-		b0 := (bRow[k] + bOff - p) / d
-		a1 := (aRow[k+1] + aOff - p) / d
-		b1 := (bRow[k+1] + bOff - p) / d
-		a2 := (aRow[k+2] + aOff - p) / d
-		b2 := (bRow[k+2] + bOff - p) / d
-		a3 := (aRow[k+3] + aOff - p) / d
-		b3 := (bRow[k+3] + bOff - p) / d
+		a0 := (float64(aRow[k]) + aOff - p) / d
+		b0 := (float64(bRow[k]) + bOff - p) / d
+		a1 := (float64(aRow[k+1]) + aOff - p) / d
+		b1 := (float64(bRow[k+1]) + bOff - p) / d
+		a2 := (float64(aRow[k+2]) + aOff - p) / d
+		b2 := (float64(bRow[k+2]) + bOff - p) / d
+		a3 := (float64(aRow[k+3]) + aOff - p) / d
+		b3 := (float64(bRow[k+3]) + bOff - p) / d
 		lo, hi := lo0, hi0
 		if a0 > lo {
 			lo = a0
@@ -379,8 +391,8 @@ func slabDim0Unrolled(aRow, bRow, tLo, tHi []float64, active []int32, p, d, aOff
 		}
 	}
 	for ; k < c; k++ {
-		a := (aRow[k] + aOff - p) / d
-		b := (bRow[k] + bOff - p) / d
+		a := (float64(aRow[k]) + aOff - p) / d
+		b := (float64(bRow[k]) + bOff - p) / d
 		lo, hi := lo0, hi0
 		if a > lo {
 			lo = a
@@ -401,7 +413,7 @@ func slabDim0Unrolled(aRow, bRow, tLo, tHi []float64, active []int32, p, d, aOff
 // setting decided[k] (and verdict[k] when decided) per
 // sphereCheckEnlarged / sphereCheckEnlargedSegment.  The accumulation
 // order per entry is dimension-ascending, matching the scalar loops.
-func sphereBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, segment bool, decided, verdict []bool, sc *BatchScratch) {
+func sphereBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, decided, verdict []bool, sc *BatchScratch) {
 	c := pl.Count
 	if segment && tMin > tMax {
 		for k := 0; k < c; k++ {
@@ -427,10 +439,10 @@ func sphereBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, seg
 		lr, hr := pl.LRow(j), pl.HRow(j)
 		k := 0
 		for ; k+4 <= c; k += 4 {
-			c0 := (lr[k] + hr[k]) / 2
-			c1 := (lr[k+1] + hr[k+1]) / 2
-			c2 := (lr[k+2] + hr[k+2]) / 2
-			c3 := (lr[k+3] + hr[k+3]) / 2
+			c0 := (float64(lr[k]) + float64(hr[k])) / 2
+			c1 := (float64(lr[k+1]) + float64(hr[k+1])) / 2
+			c2 := (float64(lr[k+2]) + float64(hr[k+2])) / 2
+			c3 := (float64(lr[k+3]) + float64(hr[k+3])) / 2
 			qp0 := c0 - p
 			qp1 := c1 - p
 			qp2 := c2 - p
@@ -443,10 +455,10 @@ func sphereBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, seg
 			qpQp[k+1] += qp1 * qp1
 			qpQp[k+2] += qp2 * qp2
 			qpQp[k+3] += qp3 * qp3
-			h0 := (hr[k]-lr[k])/2 + eps
-			h1 := (hr[k+1]-lr[k+1])/2 + eps
-			h2 := (hr[k+2]-lr[k+2])/2 + eps
-			h3 := (hr[k+3]-lr[k+3])/2 + eps
+			h0 := (float64(hr[k])-float64(lr[k]))/2 + eps
+			h1 := (float64(hr[k+1])-float64(lr[k+1]))/2 + eps
+			h2 := (float64(hr[k+2])-float64(lr[k+2]))/2 + eps
+			h3 := (float64(hr[k+3])-float64(lr[k+3]))/2 + eps
 			outerSq[k] += h0 * h0
 			outerSq[k+1] += h1 * h1
 			outerSq[k+2] += h2 * h2
@@ -465,11 +477,11 @@ func sphereBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, seg
 			}
 		}
 		for ; k < c; k++ {
-			ctr := (lr[k] + hr[k]) / 2
+			ctr := (float64(lr[k]) + float64(hr[k])) / 2
 			qp := ctr - p
 			qpD[k] += qp * d
 			qpQp[k] += qp * qp
-			h := (hr[k]-lr[k])/2 + eps
+			h := (float64(hr[k])-float64(lr[k]))/2 + eps
 			outerSq[k] += h * h
 			if h < inner[k] {
 				inner[k] = h
@@ -507,7 +519,7 @@ func sphereBatch(pl NodePlanes, eps float64, l vec.Line, tMin, tMax float64, seg
 
 // IntersectsBatch fills verdict[k] with Rect.Intersects(rect_k, r) for
 // every entry of pl (the batched internal-node test of range search).
-func IntersectsBatch(pl NodePlanes, r Rect, sc *BatchScratch, verdict []bool) {
+func IntersectsBatch[T vec.Coord](pl Planes[T], r Rect, sc *BatchScratch, verdict []bool) {
 	c := pl.Count
 	for k := 0; k < c; k++ {
 		verdict[k] = true
@@ -516,7 +528,7 @@ func IntersectsBatch(pl NodePlanes, r Rect, sc *BatchScratch, verdict []bool) {
 		rl, rh := r.L[j], r.H[j]
 		lr, hr := pl.LRow(j), pl.HRow(j)
 		for k := 0; k < c; k++ {
-			if verdict[k] && (hr[k] < rl || lr[k] > rh) {
+			if verdict[k] && (float64(hr[k]) < rl || float64(lr[k]) > rh) {
 				verdict[k] = false
 			}
 		}
@@ -526,7 +538,7 @@ func IntersectsBatch(pl NodePlanes, r Rect, sc *BatchScratch, verdict []bool) {
 // ContainsBatch fills verdict[k] with Rect.Contains(point_k, r) for
 // points stored dimension-major in rows (the L planes of a point-mode
 // leaf, where L == H == the point).
-func ContainsBatch(rows []float64, count int, r Rect, verdict []bool) {
+func ContainsBatch[T vec.Coord](rows []T, count int, r Rect, verdict []bool) {
 	for k := 0; k < count; k++ {
 		verdict[k] = true
 	}
@@ -534,7 +546,7 @@ func ContainsBatch(rows []float64, count int, r Rect, verdict []bool) {
 		rl, rh := r.L[j], r.H[j]
 		row := rows[j*count : (j+1)*count]
 		for k := 0; k < count; k++ {
-			if verdict[k] && (row[k] < rl || row[k] > rh) {
+			if verdict[k] && (float64(row[k]) < rl || float64(row[k]) > rh) {
 				verdict[k] = false
 			}
 		}

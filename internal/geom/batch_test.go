@@ -23,6 +23,56 @@ func packPlanes(rects []Rect, dim int) NodePlanes {
 	return NodePlanes{Data: data, Count: count, Dim: dim}
 }
 
+// narrowPlanes returns pl as a frozen arena keeps it — float32 values,
+// and for a node of points the L rows alone — and rounds rects in place
+// to what those values widen back to, so the scalar functions see the
+// rectangles the kernels do.
+func narrowPlanes(pl NodePlanes, rects []Rect, points bool) Planes[float32] {
+	data := pl.Data
+	if points {
+		data = data[:pl.Dim*pl.Count]
+	}
+	out := Planes[float32]{Data: make([]float32, len(data)), Count: pl.Count, Dim: pl.Dim}
+	for i, x := range data {
+		out.Data[i] = float32(x)
+	}
+	for _, r := range rects {
+		for j := range r.L {
+			r.L[j], r.H[j] = float64(float32(r.L[j])), float64(float32(r.H[j]))
+		}
+	}
+	return out
+}
+
+// checkPenetrateParity holds the batched kernels over pl to the scalar
+// primitives over rects, verdict for verdict and stat for stat, in the
+// line and segment forms under both strategies.
+func checkPenetrateParity[T vec.Coord](t *testing.T, pl Planes[T], rects []Rect, eps float64, l vec.Line, tMin, tMax float64, sc *BatchScratch) {
+	t.Helper()
+	for _, strat := range []Strategy{EnteringExiting, BoundingSpheres} {
+		var bs, ss CheckStats
+		verdict := PenetratesEnlargedBatch(strat, pl, eps, l, sc, &bs)
+		for k, r := range rects {
+			if want := PenetratesEnlarged(strat, r, eps, l, &ss); verdict[k] != want {
+				t.Fatalf("%T dim=%d count=%d strat=%v k=%d: batch=%v scalar=%v", pl.Data, pl.Dim, pl.Count, strat, k, verdict[k], want)
+			}
+		}
+		if bs != ss {
+			t.Fatalf("%T dim=%d count=%d strat=%v: stats %+v vs %+v", pl.Data, pl.Dim, pl.Count, strat, bs, ss)
+		}
+		bs, ss = CheckStats{}, CheckStats{}
+		verdict = PenetratesEnlargedSegmentBatch(strat, pl, eps, l, tMin, tMax, sc, &bs)
+		for k, r := range rects {
+			if want := PenetratesEnlargedSegment(strat, r, eps, l, tMin, tMax, &ss); verdict[k] != want {
+				t.Fatalf("segment %T dim=%d count=%d strat=%v k=%d", pl.Data, pl.Dim, pl.Count, strat, k)
+			}
+		}
+		if bs != ss {
+			t.Fatalf("segment stats: %+v vs %+v", bs, ss)
+		}
+	}
+}
+
 func randRectSlice(rng *rand.Rand, dim, count int) []Rect {
 	rects := make([]Rect, count)
 	for k := range rects {
@@ -50,7 +100,9 @@ func randLineDim(rng *rand.Rand, dim int) vec.Line {
 // TestPenetrateBatchParity checks that the batched slab/sphere kernels
 // agree with the scalar primitives verdict-for-verdict and
 // stat-for-stat across strategies, counts (hitting both the unrolled
-// and remainder loops), and line/segment forms.
+// and remainder loops), and line/segment forms — over float64 planes,
+// over the float32 planes an arena stores (decided on the values they
+// widen to), and over a node of points stored as their L rows alone.
 func TestPenetrateBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var sc BatchScratch
@@ -62,33 +114,12 @@ func TestPenetrateBatchParity(t *testing.T) {
 				l := randLineDim(rng, dim)
 				eps := rng.Float64() * 2
 				tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
-				for _, strat := range []Strategy{EnteringExiting, BoundingSpheres} {
-					var bs CheckStats
-					verdict := PenetratesEnlargedBatch(strat, pl, eps, l, &sc, &bs)
-					var ss CheckStats
-					for k, r := range rects {
-						want := PenetratesEnlarged(strat, r, eps, l, &ss)
-						if verdict[k] != want {
-							t.Fatalf("dim=%d count=%d strat=%v k=%d: batch=%v scalar=%v",
-								dim, count, strat, k, verdict[k], want)
-						}
-					}
-					if bs != ss {
-						t.Fatalf("dim=%d count=%d strat=%v: stats %+v vs %+v", dim, count, strat, bs, ss)
-					}
-
-					bs, ss = CheckStats{}, CheckStats{}
-					verdict = PenetratesEnlargedSegmentBatch(strat, pl, eps, l, tMin, tMax, &sc, &bs)
-					for k, r := range rects {
-						want := PenetratesEnlargedSegment(strat, r, eps, l, tMin, tMax, &ss)
-						if verdict[k] != want {
-							t.Fatalf("segment dim=%d count=%d strat=%v k=%d", dim, count, strat, k)
-						}
-					}
-					if bs != ss {
-						t.Fatalf("segment stats: %+v vs %+v", bs, ss)
-					}
+				checkPenetrateParity(t, pl, rects, eps, l, tMin, tMax, &sc)
+				checkPenetrateParity(t, narrowPlanes(pl, rects, false), rects, eps, l, tMin, tMax, &sc)
+				for _, r := range rects {
+					copy(r.H, r.L)
 				}
+				checkPenetrateParity(t, narrowPlanes(packPlanes(rects, dim), rects, true), rects, eps, l, tMin, tMax, &sc)
 			}
 		}
 	}
@@ -110,6 +141,12 @@ func TestIntersectsContainsBatchParity(t *testing.T) {
 						t.Fatalf("IntersectsBatch dim=%d k=%d: %v vs %v", dim, k, verdict[k], q.Intersects(r))
 					}
 				}
+				IntersectsBatch(narrowPlanes(pl, rects, false), q, &sc, verdict)
+				for k, r := range rects {
+					if verdict[k] != q.Intersects(r) {
+						t.Fatalf("IntersectsBatch over float32 planes dim=%d k=%d: %v vs %v", dim, k, verdict[k], q.Intersects(r))
+					}
+				}
 				// ContainsBatch reads point rows: degenerate rects.
 				pts := make([]Rect, count)
 				for k := range pts {
@@ -124,6 +161,12 @@ func TestIntersectsContainsBatchParity(t *testing.T) {
 				for k := range pts {
 					if verdict[k] != q.Contains(pts[k].L) {
 						t.Fatalf("ContainsBatch dim=%d k=%d", dim, k)
+					}
+				}
+				ContainsBatch(narrowPlanes(ppl, pts, true).Data, count, q, verdict)
+				for k := range pts {
+					if verdict[k] != q.Contains(pts[k].L) {
+						t.Fatalf("ContainsBatch over float32 rows dim=%d k=%d", dim, k)
 					}
 				}
 			}

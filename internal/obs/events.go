@@ -42,6 +42,7 @@ type EventStats struct {
 	CostRejected   int   `json:"cost_rejected"`
 	Results        int   `json:"results"`
 	ExactChecks    int   `json:"exact_checks,omitempty"`
+	NormCertified  int   `json:"norm_certified,omitempty"`
 	IndexNodeReads int   `json:"index_node_reads"`
 	DataPageReads  int   `json:"data_page_reads"`
 	ScanProbes     int   `json:"scan_probes,omitempty"`

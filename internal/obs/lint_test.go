@@ -25,7 +25,8 @@ import (
 //
 // and the verification ledger's counters must all be registered: a
 // dashboard reads candidates = false alarms + cost-rejected + matches,
-// and exact checks against candidates, from these names.
+// and exact checks against candidates, from these names — as must the
+// two gauges that size the index, in the paper's pages and in bytes.
 
 var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
@@ -102,9 +103,10 @@ func TestMetricNameLint(t *testing.T) {
 	for _, name := range []string{
 		"scaleshift_candidates_total", "scaleshift_false_alarms_total", "scaleshift_cost_rejected_total",
 		"scaleshift_matches_total", "scaleshift_exact_checks_total",
+		"scaleshift_index_pages", "scaleshift_index_bytes",
 	} {
 		if !registered[name] {
-			t.Errorf("ledger counter %q is not registered anywhere", name)
+			t.Errorf("metric %q is not registered anywhere", name)
 		}
 	}
 

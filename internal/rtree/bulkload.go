@@ -42,6 +42,10 @@ const maxSortChunks = 8
 // from an artifact are therefore the same thing, and writing the
 // artifact is a copy of bytes already held.
 //
+// The cascade runs on the exact coordinates; the arena stores every
+// value rounded to nearest (see FlatTree), which makes each node's MBR
+// the exact minimum and maximum of the stored points beneath it.
+//
 // The tree does not depend on workers (values < 2 mean sequential):
 // every sort orders on the key and then on the position before the
 // sort, a total order, so any sorting method and any division of the
@@ -350,34 +354,44 @@ func (t *tiler) sortChunk(from, to, d int) {
 // the root, each node's entries and MBR planes in its group's order —
 // the walk Tree.Freeze makes over the pointer tree the same cascade
 // would have linked — in one buffer in arena layout.  On a
-// little-endian host that buffer is the arena verbatim.
+// little-endian host that buffer is the arena verbatim.  Plane values
+// are rounded as they are written; the planner sample keeps the exact
+// points.
 func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *FlatTree {
 	n, dim := len(ids), cfg.Dim
+	root := &levels[len(levels)-1]
+	q := quantExp(0)
+	if n > 0 {
+		q = quantForRect(geom.Rect{L: root.lo, H: root.hi})
+	}
 	numNodes, numEntries := 0, n
 	for _, lv := range levels {
 		numNodes += lv.nodes()
 	}
 	numEntries += numNodes - 1
+	numPlanes := dim*n + 2*dim*(numNodes-1)
 	stride, sampleCount := 1+n/sampleCap, 0
 	if n > 0 {
 		sampleCount = (n + stride - 1) / stride
 	}
 
 	head := arenaHeaderWords + 2*dim + 1 + sampleCount*dim
-	words := make([]uint64, head+numNodes+(numNodes+1)+numEntries+2*dim*numEntries)
+	words := make([]uint64, head+numNodes+2*(numNodes+1)+numEntries+(numPlanes+1)/2)
 	f := &FlatTree{
 		cfg:      cfg,
 		size:     n,
 		height:   len(levels),
 		pages:    numNodes,
 		leafKind: flatLeafPoints,
+		q:        q,
 	}
 	off := head
 	f.meta, off = words[off:off+numNodes], off+numNodes
 	f.starts, off = words[off:off+numNodes+1], off+numNodes+1
+	f.poff, off = words[off:off+numNodes+1], off+numNodes+1
 	f.refs, off = words[off:off+numEntries], off+numEntries
-	if numEntries > 0 {
-		f.planes = unsafe.Slice((*float64)(unsafe.Pointer(&words[off])), 2*dim*numEntries)
+	if numPlanes > 0 {
+		f.planes = unsafe.Slice((*float32)(unsafe.Pointer(&words[off])), numPlanes)
 	}
 	sample := unsafe.Slice((*float64)(unsafe.Pointer(&words[head-sampleCount*dim])), sampleCount*dim)
 	f.sample = make([]vec.Vector, sampleCount)
@@ -385,23 +399,25 @@ func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *Flat
 		f.sample[i] = sample[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 
-	nextNode, nextEntry, tick := 0, 0, 0
+	nextNode, nextEntry, nextPlane, tick := 0, 0, 0, 0
 	var emit func(l int, g int32) int
 	emit = func(l int, g int32) int {
 		lv := &levels[l]
 		run := lv.perm[lv.starts[g]:lv.starts[g+1]]
 		idx, s, c := nextNode, nextEntry, len(run)
+		planes := f.planes[nextPlane : nextPlane+c*f.planeWidth(l)]
 		nextNode++
 		nextEntry += c
+		nextPlane += len(planes)
 		f.meta[idx] = packMeta(l, 1)
 		f.starts[idx] = uint64(s)
+		f.poff[idx+1] = uint64(nextPlane)
 		f.maxNode = max(f.maxNode, c)
-		planes := f.planes[2*dim*s : 2*dim*(s+c)]
 		if l == 0 {
 			for j := 0; j < dim; j++ {
-				col, lrow, hrow := cols[j*n:(j+1)*n], planes[j*c:(j+1)*c], planes[(dim+j)*c:(dim+j+1)*c]
+				col, row := cols[j*n:(j+1)*n], planes[j*c:(j+1)*c]
 				for k, e := range run {
-					lrow[k], hrow[k] = col[e], col[e]
+					row[k] = q.near(col[e])
 				}
 			}
 			for k, e := range run {
@@ -421,7 +437,7 @@ func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *Flat
 			lcol, hcol := below.lo[j*kb:(j+1)*kb], below.hi[j*kb:(j+1)*kb]
 			lrow, hrow := planes[j*c:(j+1)*c], planes[(dim+j)*c:(dim+j+1)*c]
 			for k, e := range run {
-				lrow[k], hrow[k] = lcol[e], hcol[e]
+				lrow[k], hrow[k] = q.near(lcol[e]), q.near(hcol[e])
 			}
 		}
 		for k, e := range run {
@@ -433,8 +449,7 @@ func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *Flat
 	f.starts[numNodes] = uint64(numEntries)
 
 	if n > 0 {
-		root := &levels[len(levels)-1]
-		f.bounds = geom.Rect{L: slices.Clone(root.lo), H: slices.Clone(root.hi)}
+		f.bounds = f.storedRect(geom.Rect{L: root.lo, H: root.hi})
 	}
 	copy(words, f.arenaHead())
 	if hostLittleEndian {

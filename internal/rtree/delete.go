@@ -1,12 +1,17 @@
 package rtree
 
 import (
+	"math"
+
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
 // Delete removes one item equal to (point, id) and reports whether it
-// was found.  When several identical items exist, one is removed.
+// was found.  When several identical items exist, one is removed.  In a
+// tree thawed from an arena, "equal" allows for the rounding the arena
+// applied: the caller deletes by the point it inserted, the tree holds
+// the float32 nearest it (see Tree.tol).
 func (t *Tree) Delete(point vec.Vector, id int64) bool {
 	leaf, idx := t.findLeaf(t.root, point, id)
 	if leaf == nil {
@@ -52,14 +57,14 @@ func (t *Tree) findLeafRect(n *node, r geom.Rect, id int64) (*node, int) {
 			if e.item.ID != id || e.item.Point != nil {
 				continue
 			}
-			if rectsEqual(e.rect, r) {
+			if within(e.rect.L, r.L, t.tol) && within(e.rect.H, r.H, t.tol) {
 				return n, i
 			}
 		}
 		return nil, 0
 	}
 	for _, e := range n.entries {
-		if e.rect.ContainsRect(r) {
+		if containsWithin(e.rect, r.L, t.tol) && containsWithin(e.rect, r.H, t.tol) {
 			if leaf, i := t.findLeafRect(e.child, r, id); leaf != nil {
 				return leaf, i
 			}
@@ -76,14 +81,14 @@ func (t *Tree) findLeaf(n *node, point vec.Vector, id int64) (*node, int) {
 			if e.item.ID != id {
 				continue
 			}
-			if pointsEqual(e.item.Point, point) {
+			if within(e.item.Point, point, t.tol) {
 				return n, i
 			}
 		}
 		return nil, 0
 	}
 	for _, e := range n.entries {
-		if e.rect.Contains(point) {
+		if containsWithin(e.rect, point, t.tol) {
 			if leaf, i := t.findLeaf(e.child, point, id); leaf != nil {
 				return leaf, i
 			}
@@ -92,12 +97,24 @@ func (t *Tree) findLeaf(n *node, point vec.Vector, id int64) (*node, int) {
 	return nil, 0
 }
 
-func pointsEqual(a, b vec.Vector) bool {
+// within reports whether a and b agree to tol in every coordinate
+// (exactly, for tol 0).
+func within(a, b vec.Vector, tol float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i] != b[i] && !(math.Abs(a[i]-b[i]) <= tol) {
+			return false
+		}
+	}
+	return true
+}
+
+// containsWithin reports whether r, enlarged by tol, contains p.
+func containsWithin(r geom.Rect, p vec.Vector, tol float64) bool {
+	for i := range p {
+		if p[i] < r.L[i]-tol || p[i] > r.H[i]+tol {
 			return false
 		}
 	}

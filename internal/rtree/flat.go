@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"slices"
 	"sync"
@@ -25,13 +26,24 @@ import (
 // goes through Thaw, which reconstructs an independent builder.
 //
 // Node 0 is the root.  For node i, entries occupy the half-open range
-// [starts[i], starts[i+1]) of refs/planes.  refs holds the child node
-// index for internal entries and the item ID (as uint64 bits) for
-// leaf entries.  planes holds, per node, the entry MBRs
-// dimension-major: all L planes (dimension 0 of every entry, then
-// dimension 1, ...), then all H planes — the layout geom.NodePlanes
-// describes.  Point-mode leaves store each point as its degenerate
-// rect (L == H), so the L rows double as SoA point storage.
+// [starts[i], starts[i+1]) of refs and the values [poff[i], poff[i+1])
+// of planes.  refs holds the child node index for internal entries and
+// the item ID (as uint64 bits) for leaf entries.  planes holds, per
+// node, the entry MBRs dimension-major — all L planes (dimension 0 of
+// every entry, then dimension 1, ...), then all H planes: the layout
+// geom.Planes describes — except that a point-mode leaf stores each
+// point once, as its L rows alone.
+//
+// The tree is a filter (the caller's exact check decides), so a plane
+// value is a float32: coordinate x is stored as float32(x·2^-e) with one
+// exponent e per arena (see quant).  Over point leaves every value —
+// point coordinate or MBR bound — rounds to nearest; over rectangle
+// leaves every lower bound rounds down and every upper bound up.  Each
+// rounding is monotone, so min and max commute with it: an MBR rounded
+// on its own is exactly the MBR of the stored entries beneath it, and
+// contains the stored form of everything the exact one contained.
+// Searches scale the query into the arena's units instead of widening
+// the planes, and return coordinates and distances in the caller's.
 type FlatTree struct {
 	cfg      Config
 	size     int
@@ -39,13 +51,15 @@ type FlatTree struct {
 	pages    int // total pages (a supernode spans several)
 	leafKind uint8
 	maxNode  int // largest single-node entry count, for scratch sizing
+	q        quant
 
 	meta   []uint64  // per node: level<<32 | pages
 	starts []uint64  // len numNodes+1: entry range offsets
+	poff   []uint64  // len numNodes+1: plane value offsets
 	refs   []uint64  // per entry: child index or item ID bits
-	planes []float64 // per entry block: SoA MBR planes
+	planes []float32 // per node: SoA MBR planes, in arena units
 
-	bounds geom.Rect    // root MBR, valid when size > 0
+	bounds geom.Rect    // root MBR as stored, in caller units; valid when size > 0
 	sample []vec.Vector // planner sample (see CostHints)
 	arena  []byte       // backing arena when loaded zero-copy, else nil
 	pool   sync.Pool    // *flatScratch, per-search reusable buffers
@@ -56,6 +70,88 @@ type FlatTree struct {
 	entryRadius float64
 }
 
+// quant is an arena's number format: the coordinate x is stored as
+// float32(x·2^-exp).  exp is chosen from the largest coordinate
+// magnitude m the arena holds so that m·2^-exp lies in [½, 1): feature
+// magnitudes far outside float32's range (1e75, 1e-150) fit, and
+// scaling by a power of two is exact.  A stored point p̃ then differs
+// from p by at most 2⁻²⁴·|p̃ⱼ| per coordinate where the scaled value is
+// a normal float32 and by 2⁻¹⁵⁰·2^exp ≤ 2⁻¹⁴⁹·m where it is subnormal:
+// ‖p − p̃‖ ≤ (2⁻²⁴ + 2⁻¹⁴⁹)·m·√dim, the term callers add to the ε they
+// search with (point-to-line distance is 1-Lipschitz in the point).
+type quant struct {
+	exp        int
+	scale, inv float64 // 2^exp and 2^-exp
+}
+
+// Exponents an arena may carry: both 2^exp and 2^-exp are then exact
+// float64s.  Magnitudes beyond them (subnormal, or above 2¹⁰²³) keep the
+// nearest one.
+const minQuantExp, maxQuantExp = -1021, 1023
+
+func quantExp(e int) quant {
+	return quant{exp: e, scale: math.Ldexp(1, e), inv: math.Ldexp(1, -e)}
+}
+
+// quantFor returns the format for coordinates of magnitude up to maxAbs.
+func quantFor(maxAbs float64) quant {
+	_, e := math.Frexp(maxAbs)
+	return quantExp(min(max(e, minQuantExp), maxQuantExp))
+}
+
+// quantForRect returns the format for coordinates inside r.
+func quantForRect(r geom.Rect) quant {
+	var m float64
+	for j := range r.L {
+		m = max(m, math.Abs(r.L[j]), math.Abs(r.H[j]))
+	}
+	return quantFor(m)
+}
+
+// near stores a coordinate rounded to nearest.  Adding zero turns −0
+// into +0, here and below: stored values that compare equal are equal
+// bit for bit, whichever of them a min or max kept.
+func (q quant) near(x float64) float32 { return float32(x*q.inv) + 0 }
+
+// down stores a lower bound: the largest float32 at or below x·2^-exp.
+func (q quant) down(x float64) float32 {
+	x *= q.inv
+	v := float32(x)
+	if float64(v) > x {
+		v = math.Nextafter32(v, float32(math.Inf(-1)))
+	}
+	return v + 0
+}
+
+// up stores an upper bound: the smallest float32 at or above x·2^-exp.
+func (q quant) up(x float64) float32 {
+	x *= q.inv
+	v := float32(x)
+	if float64(v) < x {
+		v = math.Nextafter32(v, float32(math.Inf(1)))
+	}
+	return v + 0
+}
+
+// lower and upper store the bounds of an MBR in an arena whose leaves
+// are points (to nearest, like the points) or rectangles (outward).
+func (q quant) lower(x float64, points bool) float32 {
+	if points {
+		return q.near(x)
+	}
+	return q.down(x)
+}
+
+func (q quant) upper(x float64, points bool) float32 {
+	if points {
+		return q.near(x)
+	}
+	return q.up(x)
+}
+
+// wide returns the coordinate a stored value stands for.
+func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
+
 // Leaf-entry kinds of a FlatTree.
 const (
 	flatLeafPoints uint8 = 0 // leaves hold points (L == H)
@@ -64,16 +160,31 @@ const (
 
 // Freeze builds the flat form of t.  The tree is walked pre-order;
 // the result shares nothing mutable with t (the planner sample
-// vectors are shared, but neither representation mutates them).
-// Trees mixing point and rectangle leaf entries cannot be frozen.
+// vectors are shared, but neither representation mutates them).  Every
+// value is rounded on its own (see FlatTree), which leaves the arena
+// BulkLoadFlat computes for the same tree.  Trees mixing point and
+// rectangle leaf entries cannot be frozen.
 func (t *Tree) Freeze() (*FlatTree, error) {
 	f := &FlatTree{
 		cfg:      t.cfg,
 		size:     t.size,
 		height:   t.root.level + 1,
 		leafKind: flatLeafPoints,
+		q:        quantExp(0),
 	}
-	kindSet := false
+	if t.size > 0 {
+		f.q = quantForRect(t.root.mbr())
+	}
+	// The leaf kind decides how the directory above rounds, so it is read
+	// off the first leaf before the walk writes anything.
+	first := t.root
+	for !first.isLeaf() {
+		first = first.entries[0].child
+	}
+	if len(first.entries) > 0 && first.entries[0].item.Point == nil {
+		f.leafKind = flatLeafRects
+	}
+	points := f.leafKind == flatLeafPoints
 	dim := t.cfg.Dim
 
 	var walk func(n *node) (int, error)
@@ -86,34 +197,34 @@ func (t *Tree) Freeze() (*FlatTree, error) {
 			f.maxNode = c
 		}
 		f.starts = append(f.starts, uint64(len(f.refs)))
+		f.poff = append(f.poff, uint64(len(f.planes)))
 		refBase := len(f.refs)
-		for range n.entries {
-			f.refs = append(f.refs, 0)
-		}
-		for j := 0; j < dim; j++ {
-			for _, e := range n.entries {
-				f.planes = append(f.planes, e.rect.L[j])
-			}
-		}
-		for j := 0; j < dim; j++ {
-			for _, e := range n.entries {
-				f.planes = append(f.planes, e.rect.H[j])
-			}
-		}
 		for k, e := range n.entries {
-			if n.isLeaf() {
-				kind := flatLeafRects
-				if e.item.Point != nil {
-					kind = flatLeafPoints
-				}
-				if !kindSet {
-					f.leafKind, kindSet = kind, true
-				} else if kind != f.leafKind {
-					return 0, fmt.Errorf("rtree: cannot freeze a tree mixing point and rect leaf entries")
-				}
-				f.refs[refBase+k] = uint64(e.item.ID)
+			f.refs = append(f.refs, 0)
+			if !n.isLeaf() {
 				continue
 			}
+			if (e.item.Point != nil) != points {
+				return 0, fmt.Errorf("rtree: cannot freeze a tree mixing point and rect leaf entries")
+			}
+			f.refs[refBase+k] = uint64(e.item.ID)
+		}
+		for j := 0; j < dim; j++ {
+			for _, e := range n.entries {
+				f.planes = append(f.planes, f.q.lower(e.rect.L[j], points))
+			}
+		}
+		if f.planeWidth(n.level) == 2*dim {
+			for j := 0; j < dim; j++ {
+				for _, e := range n.entries {
+					f.planes = append(f.planes, f.q.upper(e.rect.H[j], points))
+				}
+			}
+		}
+		if n.isLeaf() {
+			return idx, nil
+		}
+		for k, e := range n.entries {
 			ci, err := walk(e.child)
 			if err != nil {
 				return 0, err
@@ -126,11 +237,22 @@ func (t *Tree) Freeze() (*FlatTree, error) {
 		return nil, err
 	}
 	f.starts = append(f.starts, uint64(len(f.refs)))
+	f.poff = append(f.poff, uint64(len(f.planes)))
 	if t.size > 0 {
-		f.bounds = t.root.mbr()
+		f.bounds = f.storedRect(t.root.mbr())
 	}
 	f.sample = append([]vec.Vector(nil), t.sample...)
 	return f, nil
+}
+
+// storedRect returns the MBR r as the arena stores it, in caller units.
+func (f *FlatTree) storedRect(r geom.Rect) geom.Rect {
+	points := f.leafKind == flatLeafPoints
+	out := geom.Rect{L: make(vec.Vector, len(r.L)), H: make(vec.Vector, len(r.H))}
+	for j := range r.L {
+		out.L[j], out.H[j] = f.q.wide(f.q.lower(r.L[j], points)), f.q.wide(f.q.upper(r.H[j], points))
+	}
+	return out
 }
 
 func packMeta(level, pages int) uint64 {
@@ -198,18 +320,17 @@ func (f *FlatTree) measureEntryRadius() {
 		if f.nodeLevel(i) != 0 {
 			continue
 		}
-		s, e := f.nodeEntries(i)
-		pl := f.nodePlanes(s, e)
+		pl := f.nodePlanes(i)
 		for k := 0; k < pl.Count; k++ {
 			var sq float64
 			for j := 0; j < pl.Dim; j++ {
-				half := (pl.HRow(j)[k] - pl.LRow(j)[k]) / 2
+				half := (float64(pl.HRow(j)[k]) - float64(pl.LRow(j)[k])) / 2
 				sq += half * half
 			}
 			sum += math.Sqrt(sq)
 		}
 	}
-	f.entryRadius = sum / float64(f.size)
+	f.entryRadius = sum / float64(f.size) * f.q.scale
 }
 
 // nodeLevel returns the level of node i (0 = leaf).
@@ -223,10 +344,20 @@ func (f *FlatTree) nodeEntries(i int) (s, e int) {
 	return int(f.starts[i]), int(f.starts[i+1])
 }
 
-// nodePlanes returns the SoA MBR view of node i's entries.
-func (f *FlatTree) nodePlanes(s, e int) geom.NodePlanes {
-	d := f.cfg.Dim
-	return geom.NodePlanes{Data: f.planes[2*d*s : 2*d*e], Count: e - s, Dim: d}
+// nodePlanes returns the SoA MBR view of node i's entries, in arena
+// units: what every kernel and every statistic reads.
+func (f *FlatTree) nodePlanes(i int) geom.Planes[float32] {
+	s, e := f.nodeEntries(i)
+	return geom.Planes[float32]{Data: f.planes[f.poff[i]:f.poff[i+1]], Count: e - s, Dim: f.cfg.Dim}
+}
+
+// planeWidth returns how many plane values an entry of a node at level
+// lvl occupies: a point is stored once, a rectangle as two bounds.
+func (f *FlatTree) planeWidth(lvl int) int {
+	if lvl == 0 && f.leafKind == flatLeafPoints {
+		return f.cfg.Dim
+	}
+	return 2 * f.cfg.Dim
 }
 
 // child resolves the entry at index ei of node n to its child node
@@ -243,21 +374,28 @@ func (f *FlatTree) child(n, ei int) int {
 	return ci
 }
 
-// Validate runs the full structural check of the arena — the O(n)
-// counterpart of the O(1) checks done at load.  After Validate
-// returns nil, every traversal is guaranteed panic-free.  It is meant
-// to run with artifact checksum verification, off the serving path.
+// Validate runs the full check of the arena — the O(n) counterpart of
+// the O(1) checks done at load.  After Validate returns nil, every
+// traversal is guaranteed panic-free, and the tree has the one property
+// Theorem 3's pruning rests on: every plane value is finite and every
+// internal entry's rectangle contains the entries of the child it
+// references, so a subtree is never skipped while holding a qualifying
+// entry.  It is meant to run with artifact checksum verification, off
+// the serving path.
 func (f *FlatTree) Validate() error {
 	numNodes := len(f.meta)
 	numEntries := len(f.refs)
-	if len(f.starts) != numNodes+1 {
-		return fmt.Errorf("rtree: flat arena: %d nodes but %d start offsets", numNodes, len(f.starts))
+	if len(f.starts) != numNodes+1 || len(f.poff) != numNodes+1 {
+		return fmt.Errorf("rtree: flat arena: %d nodes but %d entry and %d plane offsets", numNodes, len(f.starts), len(f.poff))
 	}
 	if f.starts[0] != 0 || f.starts[numNodes] != uint64(numEntries) {
 		return fmt.Errorf("rtree: flat arena: entry offsets do not span [0, %d]", numEntries)
 	}
-	if len(f.planes) != 2*f.cfg.Dim*numEntries {
-		return fmt.Errorf("rtree: flat arena: %d plane values for %d entries", len(f.planes), numEntries)
+	if f.poff[0] != 0 || f.poff[numNodes] != uint64(len(f.planes)) {
+		return fmt.Errorf("rtree: flat arena: plane offsets do not span [0, %d]", len(f.planes))
+	}
+	if f.q.exp < minQuantExp || f.q.exp > maxQuantExp {
+		return fmt.Errorf("rtree: flat arena: plane exponent %d outside [%d, %d]", f.q.exp, minQuantExp, maxQuantExp)
 	}
 	if f.nodeLevel(0) != f.height-1 {
 		return fmt.Errorf("rtree: flat arena: root level %d but height %d", f.nodeLevel(0), f.height)
@@ -279,6 +417,9 @@ func (f *FlatTree) Validate() error {
 		}
 		if pg < 1 || pg > 1<<16 || c > pg*f.cfg.MaxEntries {
 			return fmt.Errorf("rtree: flat arena: implausible node %d (pages=%d, entries=%d)", i, pg, c)
+		}
+		if f.poff[i+1]-f.poff[i] != uint64(c*f.planeWidth(lvl)) || f.poff[i+1] > uint64(len(f.planes)) {
+			return fmt.Errorf("rtree: flat arena: node %d holds %d entries in plane range [%d, %d)", i, c, f.poff[i], f.poff[i+1])
 		}
 		pages += pg
 		if lvl == 0 {
@@ -316,16 +457,41 @@ func (f *FlatTree) Validate() error {
 	if maxNode != f.maxNode {
 		return fmt.Errorf("rtree: flat arena: max node size %d but %d recorded", maxNode, f.maxNode)
 	}
-	// Every entry rect must be well-formed (L <= H per dimension).
+	// Every plane value is finite, every entry rect well-formed (L <= H
+	// per dimension), and every child sits inside the entry referencing
+	// it.  The root's entries are checked on their own; every other
+	// node's are ordered and inside the rectangle of the one entry that
+	// references the node (the structural pass above found exactly one),
+	// which by induction from the root makes them finite too — a NaN
+	// fails every comparison.
 	d := f.cfg.Dim
+	inside := func(pl geom.Planes[float32], j int, lo, hi float32) bool {
+		lr, hr := pl.LRow(j), pl.HRow(j)
+		ok := true
+		for k, l := range lr {
+			ok = ok && l >= lo && hr[k] <= hi && l <= hr[k]
+		}
+		return ok
+	}
+	root := f.nodePlanes(0)
+	for j := 0; j < d; j++ {
+		if !inside(root, j, -math.MaxFloat32, math.MaxFloat32) {
+			return fmt.Errorf("rtree: flat arena: inverted or non-finite rect in the root (dim %d)", j)
+		}
+	}
 	for i := 0; i < numNodes; i++ {
-		s, e := f.nodeEntries(i)
-		pl := f.nodePlanes(s, e)
-		for j := 0; j < d; j++ {
-			lr, hr := pl.LRow(j), pl.HRow(j)
-			for k := range lr {
-				if !(lr[k] <= hr[k]) { // also rejects NaN planes
-					return fmt.Errorf("rtree: flat arena: inverted rect (node %d, entry %d, dim %d)", i, s+k, j)
+		if f.nodeLevel(i) == 0 {
+			continue
+		}
+		s, _ := f.nodeEntries(i)
+		pl := f.nodePlanes(i)
+		for k := 0; k < pl.Count; k++ {
+			ci := int(f.refs[s+k])
+			child := f.nodePlanes(ci)
+			for j := 0; j < d; j++ {
+				if lo, hi := pl.LRow(j)[k], pl.HRow(j)[k]; !inside(child, j, lo, hi) {
+					return fmt.Errorf("rtree: flat arena: node %d holds an inverted rect or reaches outside entry %d of node %d, which references it (dim %d: [%v, %v])",
+						ci, s+k, i, j, lo, hi)
 				}
 			}
 		}
@@ -333,9 +499,11 @@ func (f *FlatTree) Validate() error {
 	return nil
 }
 
-// Thaw reconstructs a mutable builder from the frozen arena.
-// The result shares no memory with f (or its backing mapping), so the
-// arena may be closed once Thaw returns.
+// Thaw reconstructs a mutable builder from the frozen arena, over the
+// coordinates the arena stores: freezing it again, unchanged, rounds
+// nothing (every value is already representable).  The result shares no
+// memory with f (or its backing mapping), so the arena may be closed
+// once Thaw returns.
 func (f *FlatTree) Thaw() (*Tree, error) {
 	t, err := New(f.cfg)
 	if err != nil {
@@ -353,13 +521,16 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 		}
 		lvl := f.nodeLevel(i)
 		n := &node{level: lvl, super: f.nodePages(i)}
-		pl := f.nodePlanes(s, e)
+		if f.poff[i] > f.poff[i+1] || f.poff[i+1] > uint64(len(f.planes)) || f.poff[i+1]-f.poff[i] != uint64((e-s)*f.planeWidth(lvl)) {
+			return nil, fmt.Errorf("rtree: flat arena: node %d plane range invalid", i)
+		}
+		pl := f.nodePlanes(i)
 		for k := 0; k < e-s; k++ {
 			lo := make(vec.Vector, d)
 			hi := make(vec.Vector, d)
 			for j := 0; j < d; j++ {
-				lo[j] = pl.LRow(j)[k]
-				hi[j] = pl.HRow(j)[k]
+				lo[j] = f.q.wide(pl.LRow(j)[k])
+				hi[j] = f.q.wide(pl.HRow(j)[k])
 			}
 			if lvl == 0 {
 				var en *entry
@@ -391,6 +562,9 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 	t.root = root
 	t.size = f.size
 	t.nodes = f.pages
+	// A stored point is within 2⁻²⁴ of its magnitude of the inserted one,
+	// a rectangle bound within 2⁻²³, and no magnitude exceeds 2·2^exp.
+	t.tol = 0x1p-21 * f.q.scale
 	if err := t.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("rtree: thawed tree invalid: %w", err)
 	}
@@ -413,10 +587,12 @@ func (f *FlatTree) Stats() []LevelStats {
 		ls.Nodes++
 		ls.Pages += f.nodePages(i)
 		ls.Entries += e - s
+		ls.Bytes += 24 + (e-s)*(8+4*f.planeWidth(lvl))
 		if e == s {
 			continue
 		}
-		pl := f.nodePlanes(s, e)
+		// Ratios of side lengths: the arena's units cancel.
+		pl := f.nodePlanes(i)
 		minSide, maxSide := math.Inf(1), 0.0
 		var outerSq float64
 		innerHalf := math.Inf(1)
@@ -431,7 +607,7 @@ func (f *FlatTree) Stats() []LevelStats {
 					hi = hr[k]
 				}
 			}
-			side := hi - lo
+			side := float64(hi) - float64(lo)
 			minSide = math.Min(minSide, side)
 			maxSide = math.Max(maxSide, side)
 			outerSq += (side / 2) * (side / 2)
@@ -471,10 +647,17 @@ func (f *FlatTree) Stats() []LevelStats {
 }
 
 // arenaVersion identifies the arena encoding; bump on layout changes.
-const arenaVersion = 1
+// Version 1 — every entry a float64 rectangle, points included, no
+// exponent and no plane-offset column — is still read, and converted at
+// open (see FlatFromArena).
+const arenaVersion = 2
 
-// arenaHeaderWords is the fixed u64 header of an arena blob.
-const arenaHeaderWords = 14
+// arenaHeaderWords is the fixed u64 header of an arena blob; version 1
+// had one word less (no plane exponent).
+const (
+	arenaHeaderWords   = 15
+	arenaHeaderWordsV1 = 14
+)
 
 // arena sanity bounds: far above any real index, far below anything
 // that could drive pathological allocation from a corrupt header.
@@ -484,9 +667,9 @@ const (
 	maxArenaSample  = 1 << 12
 )
 
-// arenaHead returns the words of the arena that precede the four
-// arrays: the 14-word header, the root bounds, and the planner sample
-// behind its count.
+// arenaHead returns the words of the arena that precede the arrays: the
+// 15-word header, the root bounds, and the planner sample behind its
+// count.
 func (f *FlatTree) arenaHead() []uint64 {
 	d := f.cfg.Dim
 	head := make([]uint64, 0, arenaHeaderWords+2*d+1+len(f.sample)*d)
@@ -498,6 +681,7 @@ func (f *FlatTree) arenaHead() []uint64 {
 		uint64(f.size), uint64(f.height), uint64(f.leafKind),
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
+		uint64(int64(f.q.exp)),
 	)
 	for _, side := range []vec.Vector{f.bounds.L, f.bounds.H} {
 		for j := 0; j < d; j++ {
@@ -522,27 +706,34 @@ func (f *FlatTree) arenaHead() []uint64 {
 const arenaChunk = 1 << 13
 
 // WriteArena writes the little-endian arena encoding of f to w.  The
-// layout is a 14-word header, the root bounds, the planner sample, then
-// the meta/starts/refs/planes arrays verbatim; every field is 8 bytes
-// wide, so a blob starting at an 8-byte-aligned offset has every array
-// aligned for zero-copy reads.  A tree that is a view of an arena —
-// bulk-loaded, or opened from one — writes the bytes it holds; one
-// frozen from a builder writes its arrays as the byte ranges they
-// are on a little-endian host, and encodes them chunk by chunk
-// elsewhere.
+// layout is a 15-word header (the last word the plane exponent), the
+// root bounds, the planner sample, the meta/starts/poff/refs arrays of
+// 8-byte words verbatim, then the planes as 4-byte float32s, zero-padded
+// to a whole word: the blob is a multiple of 8 bytes long, and one
+// starting at an 8-byte-aligned offset has every array aligned for
+// zero-copy reads.  A tree that is a view of an arena — bulk-loaded, or
+// opened from one — writes the bytes it holds; one frozen from a builder
+// writes its arrays as the byte ranges they are on a little-endian host,
+// and encodes them chunk by chunk elsewhere.
 func (f *FlatTree) WriteArena(w io.Writer) error {
 	if f.arena != nil {
 		_, err := w.Write(f.arena)
 		return err
 	}
-	// On a little-endian host a run of words is its own encoding.
-	put := func(words []uint64) error {
-		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words)))
-		return err
-	}
-	if !hostLittleEndian {
-		var buf []byte
-		put = func(words []uint64) error {
+	var pad [4]byte
+	if hostLittleEndian {
+		// A run of words or float32s is its own encoding.
+		for _, words := range [][]uint64{f.arenaHead(), f.meta, f.starts, f.poff, f.refs} {
+			if _, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))); err != nil {
+				return err
+			}
+		}
+		if _, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f.planes))), 4*len(f.planes))); err != nil {
+			return err
+		}
+	} else {
+		buf := make([]byte, 0, 8*arenaChunk)
+		for _, words := range [][]uint64{f.arenaHead(), f.meta, f.starts, f.poff, f.refs} {
 			for len(words) > 0 {
 				c := min(len(words), arenaChunk)
 				buf = buf[:0]
@@ -554,16 +745,21 @@ func (f *FlatTree) WriteArena(w io.Writer) error {
 				}
 				words = words[c:]
 			}
-			return nil
+		}
+		for planes := f.planes; len(planes) > 0; {
+			c := min(len(planes), 2*arenaChunk)
+			buf = buf[:0]
+			for _, v := range planes[:c] {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			planes = planes[c:]
 		}
 	}
-	planes := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f.planes))), len(f.planes))
-	for _, words := range [][]uint64{f.arenaHead(), f.meta, f.starts, f.refs, planes} {
-		if err := put(words); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(pad[:4*(len(f.planes)%2)])
+	return err
 }
 
 // AppendArena appends the arena encoding of f (see WriteArena) to dst
@@ -578,33 +774,43 @@ func (f *FlatTree) AppendArena(dst []byte) []byte {
 func (f *FlatTree) ArenaSize() int {
 	d := f.cfg.Dim
 	return 8 * (arenaHeaderWords + 2*d + 1 + len(f.sample)*d +
-		len(f.meta) + len(f.starts) + len(f.refs) + len(f.planes))
+		len(f.meta) + len(f.starts) + len(f.poff) + len(f.refs) + (len(f.planes)+1)/2)
 }
 
+// convertLog reports the first conversion of an old arena in a process.
+var convertLog sync.Once
+
 // FlatFromArena decodes an arena blob in O(1): only the header and
-// the small bounds/sample blocks are parsed; the four big arrays are
+// the small bounds/sample blocks are parsed; the big arrays are
 // reinterpreted in place when the blob is 8-byte aligned on a
 // little-endian host (the zero-copy path) and copied otherwise.  The
 // returned tree keeps b alive; callers memory-mapping the blob must
 // not unmap it while the tree is in use.
+//
+// A version-1 blob is converted instead, in O(n): its float64 planes
+// are rounded into a fresh version-2 tree, exactly as Freeze rounds a
+// builder's, and converted reports true — the tree shares nothing with
+// b, and writes itself as version 2 (the next Freeze, compaction or
+// checkpoint replaces the old artifact).
 //
 // Only length- and range-consistency is checked here.  A blob whose
 // checksum has not been verified can still describe a structurally
 // corrupt tree; run Validate (or verify the enclosing artifact's CRC)
 // before serving queries — see the child accessor for the failure
 // mode when neither has run.
-func FlatFromArena(b []byte) (*FlatTree, error) {
+func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("rtree: flat arena length %d is not a multiple of 8", len(b))
+		return nil, false, fmt.Errorf("rtree: flat arena length %d is not a multiple of 8", len(b))
 	}
-	if len(b) < 8*arenaHeaderWords {
-		return nil, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
+	if len(b) < 8*arenaHeaderWordsV1 {
+		return nil, false, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	if v := word(0); v != arenaVersion {
-		return nil, fmt.Errorf("rtree: unsupported flat arena version %d", v)
+	version := word(0)
+	if version != 1 && version != arenaVersion {
+		return nil, false, fmt.Errorf("rtree: unsupported flat arena version %d", version)
 	}
-	f := &FlatTree{
+	f = &FlatTree{
 		cfg: Config{
 			Dim:                 int(word(1)),
 			MaxEntries:          int(word(2)),
@@ -618,36 +824,47 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 		leafKind: uint8(word(9)),
 		pages:    int(word(10)),
 		maxNode:  int(word(11)),
-		arena:    b,
+		q:        quantExp(0),
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
-		return nil, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
+		return nil, false, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
 	}
 	if err := f.cfg.validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	numNodes, numEntries := word(12), word(13)
 	if numNodes < 1 || numNodes > maxArenaNodes || numEntries > maxArenaEntries {
-		return nil, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
+		return nil, false, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
 	}
 	if f.leafKind != flatLeafPoints && f.leafKind != flatLeafRects {
-		return nil, fmt.Errorf("rtree: unknown flat leaf kind %d", f.leafKind)
+		return nil, false, fmt.Errorf("rtree: unknown flat leaf kind %d", f.leafKind)
 	}
 	if f.size < 0 || uint64(f.size) > numEntries {
-		return nil, fmt.Errorf("rtree: flat arena size %d exceeds %d entries", f.size, numEntries)
+		return nil, false, fmt.Errorf("rtree: flat arena size %d exceeds %d entries", f.size, numEntries)
 	}
 	if f.height < 1 || uint64(f.height) > numNodes {
-		return nil, fmt.Errorf("rtree: implausible flat height %d for %d nodes", f.height, numNodes)
+		return nil, false, fmt.Errorf("rtree: implausible flat height %d for %d nodes", f.height, numNodes)
 	}
 	if f.maxNode < 0 || uint64(f.maxNode) > numEntries || f.pages < int(numNodes) {
-		return nil, fmt.Errorf("rtree: implausible flat arena counters (maxNode=%d, pages=%d)", f.maxNode, f.pages)
+		return nil, false, fmt.Errorf("rtree: implausible flat arena counters (maxNode=%d, pages=%d)", f.maxNode, f.pages)
 	}
 	d := uint64(f.cfg.Dim)
-	off := uint64(arenaHeaderWords)
+	off := uint64(arenaHeaderWordsV1)
+	if version == arenaVersion {
+		off = arenaHeaderWords
+		if len(b) < 8*arenaHeaderWords {
+			return nil, false, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
+		}
+		e := int64(word(arenaHeaderWords - 1))
+		if e < minQuantExp || e > maxQuantExp {
+			return nil, false, fmt.Errorf("rtree: flat arena plane exponent %d outside [%d, %d]", e, minQuantExp, maxQuantExp)
+		}
+		f.q = quantExp(int(e))
+	}
 
 	// Bounds block.
 	if uint64(len(b))/8 < off+2*d+1 {
-		return nil, fmt.Errorf("rtree: flat arena bounds truncated")
+		return nil, false, fmt.Errorf("rtree: flat arena bounds truncated")
 	}
 	if f.size > 0 {
 		lo := make(vec.Vector, d)
@@ -664,12 +881,21 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	sampleCount := word(int(off))
 	off++
 	if sampleCount > maxArenaSample {
-		return nil, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
+		return nil, false, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
 	}
-	need := off + sampleCount*d +
-		numNodes + (numNodes + 1) + numEntries + 2*d*numEntries
+	// A point leaf entry is d plane values wide, every other entry 2·d;
+	// version 1 stored them all 2·d wide, as 8-byte values.
+	numPlanes := 2 * d * numEntries
+	planeWords := numPlanes
+	if version == arenaVersion {
+		if f.leafKind == flatLeafPoints {
+			numPlanes -= d * uint64(f.size)
+		}
+		planeWords = (numPlanes+1)/2 + numNodes + 1 // with the poff column
+	}
+	need := off + sampleCount*d + numNodes + (numNodes + 1) + numEntries + planeWords
 	if uint64(len(b)) != 8*need {
-		return nil, fmt.Errorf("rtree: flat arena is %d bytes, layout requires %d", len(b), 8*need)
+		return nil, false, fmt.Errorf("rtree: flat arena is %d bytes, layout requires %d", len(b), 8*need)
 	}
 	if sampleCount > 0 {
 		f.sample = make([]vec.Vector, sampleCount)
@@ -687,10 +913,63 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	off += numNodes
 	f.starts = u64View(b[8*off:], int(numNodes+1))
 	off += numNodes + 1
+	if version == 1 {
+		f.refs = u64View(b[8*off:], int(numEntries))
+		off += numEntries
+		if err := f.convertV1(u64View(b[8*off:], int(numPlanes))); err != nil {
+			return nil, false, err
+		}
+		convertLog.Do(func() {
+			slog.Info("rtree: version-1 arena converted to version 2 at open (not zero-copy); the next Freeze, compaction or checkpoint rewrites it",
+				"entries", numEntries, "v1_bytes", len(b), "v2_bytes", f.ArenaSize())
+		})
+		return f, true, nil
+	}
+	f.poff = u64View(b[8*off:], int(numNodes+1))
+	off += numNodes + 1
 	f.refs = u64View(b[8*off:], int(numEntries))
 	off += numEntries
-	f.planes = f64View(b[8*off:], int(2*d*numEntries))
-	return f, nil
+	f.planes = f32View(b[8*off:], int(numPlanes))
+	f.arena = b
+	return f, false, nil
+}
+
+// convertV1 finishes the decode of a version-1 arena whose header,
+// meta, starts and refs are in f (possibly as views of the blob) and
+// whose float64 planes — an L and an H block per node, point leaves
+// included, as their bit patterns — are v1: the planes are rounded
+// value by value as Freeze
+// rounds a builder's, the plane offsets derived, the stored bounds
+// rounded with them, and every array f keeps is copied, so the result
+// shares nothing with the blob.
+func (f *FlatTree) convertV1(v1 []uint64) error {
+	d, points := f.cfg.Dim, f.leafKind == flatLeafPoints
+	numNodes, numEntries := len(f.meta), len(f.refs)
+	if f.size > 0 {
+		f.q = quantForRect(f.bounds)
+		f.bounds = f.storedRect(f.bounds)
+	}
+	f.meta, f.starts, f.refs = slices.Clone(f.meta), slices.Clone(f.starts), slices.Clone(f.refs)
+	f.poff = make([]uint64, numNodes+1)
+	f.planes = make([]float32, 0, 2*d*numEntries-d*f.size)
+	for i := 0; i < numNodes; i++ {
+		if f.starts[i] > f.starts[i+1] || f.starts[i+1] > uint64(numEntries) {
+			return fmt.Errorf("rtree: flat arena: node %d entry range [%d, %d) out of order", i, f.starts[i], f.starts[i+1])
+		}
+		s, e := f.nodeEntries(i)
+		c := e - s
+		old := v1[2*d*s : 2*d*e]
+		for _, x := range old[:d*c] {
+			f.planes = append(f.planes, f.q.lower(math.Float64frombits(x), points))
+		}
+		if f.planeWidth(f.nodeLevel(i)) == 2*d {
+			for _, x := range old[d*c:] {
+				f.planes = append(f.planes, f.q.upper(math.Float64frombits(x), points))
+			}
+		}
+		f.poff[i+1] = uint64(len(f.planes))
+	}
+	return nil
 }
 
 // hostLittleEndian reports whether uint64 loads read little-endian
@@ -716,17 +995,18 @@ func u64View(b []byte, n int) []uint64 {
 	return out
 }
 
-// f64View is u64View for float64 payloads.
-func f64View(b []byte, n int) []float64 {
+// f32View reinterprets the first 4*n bytes of b as a []float32,
+// zero-copy when aligned on a little-endian host, copying otherwise.
+func f32View(b []byte, n int) []float32 {
 	if n == 0 {
 		return nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n)
+	if hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), n)
 	}
-	out := make([]float64, n)
+	out := make([]float32, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }

@@ -15,6 +15,13 @@ import (
 // entries are visited in slot order (depth first for the range probes,
 // best first for k-NN), and returned Items and Rects are materialized
 // fresh (the arena has no per-entry objects to share).
+//
+// The planes are in the arena's units (see quant), so every search first
+// scales its query into them — a line's point, ε and a segment's
+// parameter range by 2^-exp, exactly; the direction is a direction in
+// either — and converts what it returns, coordinates and distances, back.
+// What comes back is the stored, rounded geometry: a caller after the
+// exact answer widens ε by the arena's rounding bound and post-checks.
 
 // SearchStats records the cost of one query in the paper's model:
 // every node visited is one index page access.
@@ -84,7 +91,8 @@ type flatScratch struct {
 	qpD    []float64
 	qpQp   []float64
 	dist   []float64
-	rL, rH vec.Vector // entryRect gather destination
+	rL, rH vec.Vector // entryRect gather destination; RangeSearch's query rect
+	lineP  vec.Vector // the query line's point in arena units
 	nn     flatNNHeap // best-first queue of the k-NN streams
 }
 
@@ -99,6 +107,7 @@ func (f *FlatTree) getScratch() *flatScratch {
 		dist:   make([]float64, f.maxNode),
 		rL:     make(vec.Vector, f.cfg.Dim),
 		rH:     make(vec.Vector, f.cfg.Dim),
+		lineP:  make(vec.Vector, f.cfg.Dim),
 	}
 	for i := range sc.levels {
 		sc.levels[i] = make([]bool, f.maxNode)
@@ -109,41 +118,60 @@ func (f *FlatTree) getScratch() *flatScratch {
 func (f *FlatTree) putScratch(sc *flatScratch) { f.pool.Put(sc) }
 
 // leafItem materializes the Item of leaf entry s+k, whose node planes
-// are pl.  Point-mode leaves store the point as the degenerate rect,
-// so the L rows are gathered; rect-mode items carry only the ID.
-func (f *FlatTree) leafItem(ei int, pl geom.NodePlanes, k int) Item {
+// are pl, in caller units.  Point-mode leaves store the point as their
+// L rows, which are gathered; rect-mode items carry only the ID.
+func (f *FlatTree) leafItem(ei int, pl geom.Planes[float32], k int) Item {
 	id := int64(f.refs[ei])
 	if f.leafKind != flatLeafPoints {
 		return Item{ID: id}
 	}
 	p := make(vec.Vector, f.cfg.Dim)
 	for j := range p {
-		p[j] = pl.LRow(j)[k]
+		p[j] = f.q.wide(pl.LRow(j)[k])
 	}
 	return Item{Point: p, ID: id}
 }
 
-// leafRect materializes the extent of entry k of the node viewed by pl.
-func (f *FlatTree) leafRect(pl geom.NodePlanes, k int) geom.Rect {
+// leafRect materializes the extent of entry k of the node viewed by pl,
+// in caller units.
+func (f *FlatTree) leafRect(pl geom.Planes[float32], k int) geom.Rect {
 	d := f.cfg.Dim
 	lo := make(vec.Vector, d)
 	hi := make(vec.Vector, d)
 	for j := 0; j < d; j++ {
-		lo[j] = pl.LRow(j)[k]
-		hi[j] = pl.HRow(j)[k]
+		lo[j] = f.q.wide(pl.LRow(j)[k])
+		hi[j] = f.q.wide(pl.HRow(j)[k])
 	}
 	return geom.Rect{L: lo, H: hi}
 }
 
 // entryRect gathers entry k of pl into the scratch rect (no
-// allocation) for kernels that take a Rect by value and do not retain
-// it, like geom.LineRectDist.
-func (sc *flatScratch) entryRect(pl geom.NodePlanes, k int) geom.Rect {
+// allocation), still in arena units, for kernels that take a Rect by
+// value and do not retain it, like geom.LineRectDist.
+func (sc *flatScratch) entryRect(pl geom.Planes[float32], k int) geom.Rect {
 	for j := range sc.rL {
-		sc.rL[j] = pl.LRow(j)[k]
-		sc.rH[j] = pl.HRow(j)[k]
+		sc.rL[j] = float64(pl.LRow(j)[k])
+		sc.rH[j] = float64(pl.HRow(j)[k])
 	}
 	return geom.Rect{L: sc.rL, H: sc.rH}
+}
+
+// arenaLine returns l in arena units, its point in sc's buffer.
+func (f *FlatTree) arenaLine(l vec.Line, sc *flatScratch) vec.Line {
+	for j, p := range l.P {
+		sc.lineP[j] = p * f.q.inv
+	}
+	return vec.Line{P: sc.lineP[:len(l.P)], D: l.D}
+}
+
+// arenaQuery returns q in arena units: with the direction kept, the
+// point P + t·D becomes P·2^-exp + (t·2^-exp)·D.
+func (f *FlatTree) arenaQuery(q lineQuery, sc *flatScratch) lineQuery {
+	q.l = f.arenaLine(q.l, sc)
+	q.eps *= f.q.inv
+	q.tMin *= f.q.inv
+	q.tMax *= f.q.inv
+	return q
 }
 
 // RangeSearch returns every item whose point lies inside r.  stats may
@@ -151,6 +179,10 @@ func (sc *flatScratch) entryRect(pl geom.NodePlanes, k int) geom.Rect {
 func (f *FlatTree) RangeSearch(r geom.Rect, stats *SearchStats) []Item {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
+	for j := range r.L {
+		sc.rL[j], sc.rH[j] = r.L[j]*f.q.inv, r.H[j]*f.q.inv
+	}
+	r = geom.Rect{L: sc.rL, H: sc.rH} // in arena units
 	var out []Item
 	f.rangeSearch(0, r, &out, stats, sc)
 	return out
@@ -170,7 +202,7 @@ func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchSt
 		if c == 0 {
 			return
 		}
-		pl := f.nodePlanes(s, e)
+		pl := f.nodePlanes(ni)
 		verdict := sc.levels[0][:c]
 		geom.ContainsBatch(pl.Data, c, r, verdict)
 		for k := 0; k < c; k++ {
@@ -181,7 +213,7 @@ func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchSt
 		return
 	}
 	verdict := sc.levels[lvl][:c]
-	geom.IntersectsBatch(f.nodePlanes(s, e), r, &sc.bs, verdict)
+	geom.IntersectsBatch(f.nodePlanes(ni), r, &sc.bs, verdict)
 	for k := 0; k < c; k++ {
 		if verdict[k] {
 			f.rangeSearch(f.child(ni, s+k), r, out, stats, sc)
@@ -191,7 +223,7 @@ func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchSt
 
 // penetrated is the batched Theorem 3 test of the node viewed by pl.
 // The returned verdicts alias sc and are valid until its next use.
-func (q *lineQuery) penetrated(pl geom.NodePlanes, sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
+func (q *lineQuery) penetrated(pl geom.Planes[float32], sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
 	if q.segment {
 		return geom.PenetratesEnlargedSegmentBatch(q.strategy, pl, q.eps, q.l, q.tMin, q.tMax, sc, pen)
 	}
@@ -202,9 +234,9 @@ func (q *lineQuery) penetrated(pl geom.NodePlanes, sc *geom.BatchScratch, pen *g
 // entries in slot order, depth first, polling ctx at every node visit —
 // the natural cancellation grain: a node is one page of work.  Each
 // qualifying leaf entry k of the leaf at entry offset s (planes pl) is
-// handed to hit.  On cancellation the hits so far stand and ctx.Err()
-// is returned.
-func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.NodePlanes, s, k int)) error {
+// handed to hit.  q is in arena units.  On cancellation the hits so far
+// stand and ctx.Err() is returned.
+func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.Planes[float32], s, k int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -223,7 +255,7 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 		if c == 0 {
 			return nil
 		}
-		pl := f.nodePlanes(s, e)
+		pl := f.nodePlanes(ni)
 		if q.rects {
 			for k, in := range q.penetrated(pl, &sc.bs, pen) {
 				if in {
@@ -246,7 +278,7 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 	}
 	// The verdicts must survive the recursion below, which reuses sc.bs.
 	verdict := sc.levels[lvl][:c]
-	copy(verdict, q.penetrated(f.nodePlanes(s, e), &sc.bs, pen))
+	copy(verdict, q.penetrated(f.nodePlanes(ni), &sc.bs, pen))
 	for k, in := range verdict {
 		if in {
 			if err := f.descend(ctx, f.child(ni, s+k), q, stats, sc, hit); err != nil {
@@ -258,23 +290,25 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 }
 
 // searchItems runs q to completion and materializes the hits as Items.
-func (f *FlatTree) searchItems(q *lineQuery, stats *SearchStats) []Item {
+func (f *FlatTree) searchItems(q lineQuery, stats *SearchStats) []Item {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
+	q = f.arenaQuery(q, sc)
 	var out []Item
 	// A background context never cancels, so the descent cannot fail.
-	_ = f.descend(context.Background(), 0, q, stats, sc, func(pl geom.NodePlanes, s, k int) {
+	_ = f.descend(context.Background(), 0, &q, stats, sc, func(pl geom.Planes[float32], s, k int) {
 		out = append(out, f.leafItem(s+k, pl, k))
 	})
 	return out
 }
 
 // searchRects runs q and materializes the hits as RectItems.
-func (f *FlatTree) searchRects(ctx context.Context, q *lineQuery, stats *SearchStats) ([]RectItem, error) {
+func (f *FlatTree) searchRects(ctx context.Context, q lineQuery, stats *SearchStats) ([]RectItem, error) {
 	sc := f.getScratch()
 	defer f.putScratch(sc)
+	q = f.arenaQuery(q, sc)
 	var out []RectItem
-	err := f.descend(ctx, 0, q, stats, sc, func(pl geom.NodePlanes, s, k int) {
+	err := f.descend(ctx, 0, &q, stats, sc, func(pl geom.Planes[float32], s, k int) {
 		out = append(out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
 	})
 	return out, err
@@ -283,10 +317,11 @@ func (f *FlatTree) searchRects(ctx context.Context, q *lineQuery, stats *SearchS
 // searchIDs runs q, appending the ID of every hit to ids and reporting
 // the descent to the obs registry.  Nothing is materialized per hit:
 // the ID is read straight out of the arena's ref column.
-func (f *FlatTree) searchIDs(ctx context.Context, q *lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
+func (f *FlatTree) searchIDs(ctx context.Context, q lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
 	nb, lb := descentBefore(stats)
 	sc := f.getScratch()
-	err := f.descend(ctx, 0, q, stats, sc, func(_ geom.NodePlanes, s, k int) {
+	q = f.arenaQuery(q, sc)
+	err := f.descend(ctx, 0, &q, stats, sc, func(_ geom.Planes[float32], s, k int) {
 		ids = append(ids, int64(f.refs[s+k]))
 	})
 	f.putScratch(sc)
@@ -300,27 +335,27 @@ func (f *FlatTree) searchIDs(ctx context.Context, q *lineQuery, stats *SearchSta
 // penetrated by l under the chosen strategy.  At the leaves the exact
 // point-to-line distance (Lemma 1) decides.  stats may be nil.
 func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	return f.searchItems(&lineQuery{l: l, eps: eps, strategy: strategy}, stats)
+	return f.searchItems(lineQuery{l: l, eps: eps, strategy: strategy}, stats)
 }
 
 // SegmentSearch is LineSearch restricted to the parameter range
 // [tMin, tMax] of the line: returned items lie within eps of the
 // SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.  Point entries only.
 func (f *FlatTree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	return f.searchItems(&lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
+	return f.searchItems(lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
 }
 
 // LineSearchIDs appends to ids the ID of every item whose point lies
 // within eps of the line l, with cooperative cancellation — the query
 // engine's probe.
 func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
-	return f.searchIDs(ctx, &lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
+	return f.searchIDs(ctx, lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
 }
 
 // SegmentSearchIDs is LineSearchIDs restricted to the parameter range
 // [tMin, tMax].
 func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
-	return f.searchIDs(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
+	return f.searchIDs(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
 }
 
 // LineSearchRects returns every leaf entry whose ε-enlarged extent is
@@ -331,7 +366,7 @@ func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax,
 // is missed; the caller's exact post-check removes the extra
 // candidates the L∞ box test admits.  stats may be nil.
 func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
+	out, _ := f.searchRects(context.Background(), lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
 }
 
@@ -339,7 +374,7 @@ func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strate
 // (sub-trail MBR) leaf entries: the ε-enlarged extent must be
 // penetrated by the segment.
 func (f *FlatTree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	out, _ := f.searchRects(context.Background(), &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
+	out, _ := f.searchRects(context.Background(), lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 	return out
 }
 
@@ -348,7 +383,7 @@ func (f *FlatTree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strat
 func (f *FlatTree) LineSearchRectsContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
 	defer recordDescent(stats, nb, lb)
-	return f.searchRects(ctx, &lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
+	return f.searchRects(ctx, lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // SegmentSearchRectsContext is SegmentSearchRects with cooperative
@@ -356,7 +391,7 @@ func (f *FlatTree) LineSearchRectsContext(ctx context.Context, l vec.Line, eps f
 func (f *FlatTree) SegmentSearchRectsContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
 	nb, lb := descentBefore(stats)
 	defer recordDescent(stats, nb, lb)
-	return f.searchRects(ctx, &lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
+	return f.searchRects(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // flatNNEntry is one best-first queue element: a node to expand
@@ -440,14 +475,14 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
+	l = f.arenaLine(l, sc)
 	h := &sc.nn
 	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
 	for len(*h) > 0 {
 		top := h.pop()
 		if top.k >= 0 {
-			s, e := f.nodeEntries(top.node)
-			pl := f.nodePlanes(s, e)
-			if !fn(ItemDist{Item: f.leafItem(s+top.k, pl, top.k), Dist: top.dist}) {
+			s, _ := f.nodeEntries(top.node)
+			if !fn(ItemDist{Item: f.leafItem(s+top.k, f.nodePlanes(top.node), top.k), Dist: top.dist * f.q.scale}) {
 				return
 			}
 			continue
@@ -465,14 +500,13 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 			if c == 0 {
 				continue
 			}
-			pl := f.nodePlanes(s, e)
-			vec.PLDFastBatch(pl.Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
+			vec.PLDFastBatch(f.nodePlanes(ni).Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
 			for k := 0; k < c; k++ {
 				h.push(flatNNEntry{dist: sc.dist[k], node: ni, k: k})
 			}
 			continue
 		}
-		pl := f.nodePlanes(s, e)
+		pl := f.nodePlanes(ni)
 		for k := 0; k < c; k++ {
 			d := geom.LineRectDist(sc.entryRect(pl, k), l)
 			h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
@@ -491,14 +525,14 @@ func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn fun
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
+	l = f.arenaLine(l, sc)
 	h := &sc.nn
 	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
 	for len(*h) > 0 {
 		top := h.pop()
 		if top.k >= 0 {
-			s, e := f.nodeEntries(top.node)
-			pl := f.nodePlanes(s, e)
-			ri := RectItemDist{Rect: f.leafRect(pl, top.k), ID: int64(f.refs[s+top.k]), Dist: top.dist}
+			s, _ := f.nodeEntries(top.node)
+			ri := RectItemDist{Rect: f.leafRect(f.nodePlanes(top.node), top.k), ID: int64(f.refs[s+top.k]), Dist: top.dist * f.q.scale}
 			if !fn(ri) {
 				return
 			}
@@ -510,7 +544,7 @@ func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn fun
 		}
 		s, e := f.nodeEntries(ni)
 		c := e - s
-		pl := f.nodePlanes(s, e)
+		pl := f.nodePlanes(ni)
 		leaf := f.nodeLevel(ni) == 0
 		for k := 0; k < c; k++ {
 			d := geom.LineRectDist(sc.entryRect(pl, k), l)
@@ -534,7 +568,7 @@ func (f *FlatTree) All() []Item {
 	walk = func(ni int) {
 		s, e := f.nodeEntries(ni)
 		if f.nodeLevel(ni) == 0 {
-			pl := f.nodePlanes(s, e)
+			pl := f.nodePlanes(ni)
 			for k := 0; k < e-s; k++ {
 				out = append(out, f.leafItem(s+k, pl, k))
 			}

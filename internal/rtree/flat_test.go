@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -56,7 +57,8 @@ func buildRectTree(t *testing.T, rng *rand.Rand, cfg Config, n int) *Tree {
 }
 
 // checkSearchEquivalence asserts every search of the arena against the
-// references over the builder it was frozen from (reference_test.go):
+// references over the builder it was frozen from, as the arena stores it
+// (reference_test.go):
 // the same hits in the same order, and the same SearchStats — node
 // accesses, leaf checks and penetration primitives — for every range
 // descent under both strategies; the brute-force order for the k-NN
@@ -66,7 +68,8 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 	t.Helper()
 	dim := tr.Config().Dim
 	ctx := context.Background()
-	all := builderEntries(tr)
+	root := storedView(tr, f)
+	all := leafEntries(root)
 	for q := 0; q < 30; q++ {
 		l := randLine(rng, dim)
 		eps := rng.Float64() * 4
@@ -74,18 +77,18 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 		for _, strat := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
 			line := lineQuery{l: l, eps: eps, strategy: strat, rects: !points}
 			seg := lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strat, rects: !points}
-			wantLine, lineStats := refLine(tr, line)
-			wantSeg, segStats := refLine(tr, seg)
+			wantLine, lineStats := refLine(root, arenaUnits(f, line))
+			wantSeg, segStats := refLine(root, arenaUnits(f, seg))
 			if points {
 				var fs SearchStats
-				if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(entryItems(wantLine), got) {
+				if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantLine), got) {
 					t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(wantLine), len(got))
 				}
 				if lineStats != fs {
 					t.Fatalf("LineSearch stats diverged: %+v vs %+v", lineStats, fs)
 				}
 				fs = SearchStats{}
-				if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(entryItems(wantSeg), got) {
+				if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantSeg), got) {
 					t.Fatalf("SegmentSearch diverged (q=%d)", q)
 				}
 				if segStats != fs {
@@ -110,14 +113,14 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 				}
 			} else {
 				var fs SearchStats
-				if got := f.LineSearchRects(l, eps, strat, &fs); !reflect.DeepEqual(entryRectItems(wantLine), got) {
+				if got := f.LineSearchRects(l, eps, strat, &fs); !reflect.DeepEqual(storedRectItems(f, wantLine), got) {
 					t.Fatalf("LineSearchRects diverged (q=%d strat=%d)", q, strat)
 				}
 				if lineStats != fs {
 					t.Fatalf("LineSearchRects stats diverged: %+v vs %+v", lineStats, fs)
 				}
 				fs = SearchStats{}
-				if got := f.SegmentSearchRects(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(entryRectItems(wantSeg), got) {
+				if got := f.SegmentSearchRects(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedRectItems(f, wantSeg), got) {
 					t.Fatalf("SegmentSearchRects diverged (q=%d)", q)
 				}
 				if segStats != fs {
@@ -125,12 +128,12 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 				}
 				fs = SearchStats{}
 				got, err := f.LineSearchRectsContext(ctx, l, eps, strat, &fs)
-				if err != nil || !reflect.DeepEqual(entryRectItems(wantLine), got) || lineStats != fs {
+				if err != nil || !reflect.DeepEqual(storedRectItems(f, wantLine), got) || lineStats != fs {
 					t.Fatalf("LineSearchRectsContext diverged (q=%d): %v", q, err)
 				}
 				fs = SearchStats{}
 				got, err = f.SegmentSearchRectsContext(ctx, l, tMin, tMax, eps, strat, &fs)
-				if err != nil || !reflect.DeepEqual(entryRectItems(wantSeg), got) || segStats != fs {
+				if err != nil || !reflect.DeepEqual(storedRectItems(f, wantSeg), got) || segStats != fs {
 					t.Fatalf("SegmentSearchRectsContext diverged (q=%d): %v", q, err)
 				}
 			}
@@ -141,16 +144,17 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 		var ids []int64
 		var dists []float64
 		var ns SearchStats
+		al := arenaUnits(f, lineQuery{l: l}).l
 		if points {
 			for _, e := range all {
-				dist[e.item.ID] = vec.PLDFast(e.item.Point, l)
+				dist[e.item.ID] = vec.PLDFast(e.item.Point, al) * f.q.scale
 			}
 			for _, id := range f.NearestToLine(l, 1+rng.Intn(20), &ns) {
 				ids, dists = append(ids, id.Item.ID), append(dists, id.Dist)
 			}
 		} else {
 			for _, e := range all {
-				dist[e.item.ID] = geom.LineRectDist(e.rect, l)
+				dist[e.item.ID] = geom.LineRectDist(e.rect, al) * f.q.scale
 			}
 			f.NearestRectsToLineFunc(l, &ns, func(d RectItemDist) bool {
 				ids, dists = append(ids, d.ID), append(dists, d.Dist)
@@ -171,9 +175,14 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 		for j := range lo {
 			r.H[j] += rng.Float64() * 8
 		}
-		want, ws := refRange(tr, r)
+		ar := geom.Rect{L: r.L.Clone(), H: r.H.Clone()}
+		for j := range ar.L {
+			ar.L[j] *= f.q.inv
+			ar.H[j] *= f.q.inv
+		}
+		want, ws := refRange(root, ar)
 		var fs SearchStats
-		if got := f.RangeSearch(r, &fs); !reflect.DeepEqual(entryItems(want), got) {
+		if got := f.RangeSearch(r, &fs); !reflect.DeepEqual(storedItems(f, want), got) {
 			t.Fatalf("RangeSearch diverged (q=%d)", q)
 		}
 		if ws != fs {
@@ -259,10 +268,10 @@ func checkFlatShape(t *testing.T, tr *Tree, f *FlatTree) {
 	}
 	tb, tok := tr.Bounds()
 	fb, fok := f.Bounds()
-	if tok != fok || (tok && !reflect.DeepEqual(tb, fb)) {
+	if tok != fok || (tok && !reflect.DeepEqual(f.storedRect(tb), fb)) {
 		t.Fatalf("bounds diverged: %v,%v vs %v,%v", tb, tok, fb, fok)
 	}
-	if want, got := entryItems(builderEntries(tr)), f.All(); !reflect.DeepEqual(want, got) {
+	if want, got := storedItems(f, leafEntries(storedView(tr, f))), f.All(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("All() diverged: %d vs %d items", len(want), len(got))
 	}
 }
@@ -279,20 +288,32 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := entryItems(builderEntries(tr))
-	if got := entryItems(builderEntries(back)); !reflect.DeepEqual(want, got) {
+	// The thawed tree holds what the arena stored, and freezing it again
+	// rounds nothing: the same arena, byte for byte.
+	if want, got := f.All(), entryItems(builderEntries(back)); !reflect.DeepEqual(want, got) {
 		t.Fatal("thawed tree lost or mutated items")
 	}
-	// The thawed tree must be fully mutable again.
+	again, err := back.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.sample = f.sample // a thaw resamples by leaf walk
+	if !bytes.Equal(f.AppendArena(nil), again.AppendArena(nil)) {
+		t.Fatal("freezing a thawed arena changed it")
+	}
+	// The thawed tree must be fully mutable again — deleting by the point
+	// the caller inserted, not the one the arena rounded it to.
 	back.Insert(randPoint(rng, 3, 10), 10_000)
-	if !back.Delete(want[0].Point, want[0].ID) {
+	inserted := builderEntries(tr)[0].item
+	if !back.Delete(inserted.Point, inserted.ID) {
 		t.Fatal("delete on thawed tree failed")
+	}
+	if back.Delete(inserted.Point, inserted.ID) {
+		t.Fatal("second delete of the same item succeeded")
 	}
 	if back.Len() != tr.Len() {
 		t.Fatalf("len after insert+delete = %d, want %d", back.Len(), tr.Len())
 	}
-	// And refreezable: search equivalence against the original still
-	// holds for the untouched items.
 	if _, err := back.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +338,7 @@ func TestArenaRoundtrip(t *testing.T) {
 			t.Fatalf("ArenaSize %d != emitted %d", f.ArenaSize(), len(arena))
 		}
 		// Aligned decode (zero-copy on little-endian hosts).
-		g, err := FlatFromArena(arena)
+		g, _, err := FlatFromArena(arena)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +351,7 @@ func TestArenaRoundtrip(t *testing.T) {
 		// Misaligned decode must transparently fall back to copying.
 		buf := make([]byte, 4+len(arena))
 		copy(buf[4:], arena)
-		h, err := FlatFromArena(buf[4:])
+		h, _, err := FlatFromArena(buf[4:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +383,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 				t.Fatalf("%s at %d: panic %v", what, i, r)
 			}
 		}()
-		g, err := FlatFromArena(b)
+		g, _, err := FlatFromArena(b)
 		if err != nil {
 			return
 		}
@@ -405,7 +426,7 @@ func FuzzFlatFromArena(f *testing.F) {
 	f.Add(ft.AppendArena(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := FlatFromArena(data)
+		g, _, err := FlatFromArena(data)
 		if err != nil {
 			return
 		}

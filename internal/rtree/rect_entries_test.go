@@ -108,7 +108,7 @@ func TestDeleteRect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := FlatFromArena(flat.AppendArena(nil))
+	mapped, _, err := FlatFromArena(flat.AppendArena(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDeleteRect(t *testing.T) {
 		"frozen": flat.CostHints().EntryRadius, "mapped": mapped.CostHints().EntryRadius,
 		"thawed": frozen(t, thawed).CostHints().EntryRadius,
 	} {
-		if math.Abs(got-want) > 1e-9*want {
+		if math.Abs(got-want) > 1e-6*want {
 			t.Errorf("%s: EntryRadius = %g, the remaining rects average %g", what, got, want)
 		}
 	}
@@ -141,7 +141,8 @@ func TestNearestRectsToLineFunc(t *testing.T) {
 		if it.Dist < prev-1e-9 {
 			t.Fatalf("distances not monotone: %v after %v", it.Dist, prev)
 		}
-		if want := geom.LineRectDist(rects[it.ID], l); math.Abs(it.Dist-want) > 1e-9 {
+		// The stored rect is the inserted one rounded outward to float32s.
+		if want := geom.LineRectDist(rects[it.ID], l); it.Dist > want+1e-9 || it.Dist < want-1e-5 {
 			t.Fatalf("id %d: dist %v, want %v", it.ID, it.Dist, want)
 		}
 		prev = it.Dist
@@ -178,9 +179,15 @@ func TestRectEntriesSerializeRoundTrip(t *testing.T) {
 	// A tree mixing both kinds cannot be frozen; the reference descent
 	// compares the two builders.
 	q := lineQuery{l: vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, eps: 1, strategy: geom.EnteringExiting, rects: true}
-	a, _ := refLine(tr, q)
-	b, _ := refLine(tr2, q)
-	if len(a) == 0 || !reflect.DeepEqual(entryRectItems(a), entryRectItems(b)) {
+	a, _ := refLine(tr.root, q)
+	b, _ := refLine(tr2.root, q)
+	rectItems := func(es []*entry) (items []RectItem) {
+		for _, e := range es {
+			items = append(items, RectItem{Rect: e.rect, ID: e.item.ID})
+		}
+		return items
+	}
+	if len(a) == 0 || !reflect.DeepEqual(rectItems(a), rectItems(b)) {
 		t.Fatalf("results differ after round trip: %d vs %d", len(a), len(b))
 	}
 	if _, err := tr.Freeze(); err == nil {

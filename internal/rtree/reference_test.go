@@ -17,6 +17,13 @@ import (
 // scalar geometry (geom.PenetratesEnlarged[Segment], vec.PLDFast,
 // vec.PSegDFast), and the best-first k-NN streams against a sort of
 // every entry's distance.
+//
+// An arena stores rounded coordinates in its own units, so the
+// recursion runs over storedView's copy of the builder — every value
+// rounded the way Freeze rounds it, widened back to float64 and left in
+// arena units — with the query scaled into those units: the same
+// float64 expressions on the same values, which is what makes the
+// comparison exact.
 
 // frozen freezes tr: the only way to search what a builder holds.
 func frozen(t testing.TB, tr *Tree) *FlatTree {
@@ -26,6 +33,40 @@ func frozen(t testing.TB, tr *Tree) *FlatTree {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// storedView copies the nodes of tr with every coordinate as f stores it:
+// rounded by f's format and widened to float64, in arena units.  Point
+// entries keep their point as the lower corner of their rect.
+func storedView(tr *Tree, f *FlatTree) *node {
+	points := f.PointLeaves()
+	var cp func(n *node) *node
+	cp = func(n *node) *node {
+		out := &node{level: n.level, super: n.super}
+		for _, e := range n.entries {
+			r := geom.Rect{L: make(vec.Vector, len(e.rect.L)), H: make(vec.Vector, len(e.rect.H))}
+			for j := range r.L {
+				r.L[j] = float64(f.q.lower(e.rect.L[j], points))
+				r.H[j] = float64(f.q.upper(e.rect.H[j], points))
+			}
+			ce := &entry{rect: r, item: Item{ID: e.item.ID}}
+			if e.item.Point != nil {
+				ce.item.Point = r.L
+			}
+			if e.child != nil {
+				ce.child = cp(e.child)
+				ce.child.parent = out
+			}
+			out.entries = append(out.entries, ce)
+		}
+		return out
+	}
+	return cp(tr.root)
+}
+
+// arenaUnits returns q as f's searches run it.
+func arenaUnits(f *FlatTree, q lineQuery) lineQuery {
+	return f.arenaQuery(q, f.getScratch())
 }
 
 // refDescend visits n and, depth first in slot order, every child whose
@@ -48,10 +89,10 @@ func refDescend(n *node, stats *SearchStats, prune func(geom.Rect) bool, accept 
 	}
 }
 
-// refLine answers q over tr's nodes: Theorem 3 prunes the directory,
-// and the leaves are decided by the same test (rects) or by the exact
-// point-to-line distance of Lemma 1.
-func refLine(tr *Tree, q lineQuery) ([]*entry, SearchStats) {
+// refLine answers q over the nodes under root: Theorem 3 prunes the
+// directory, and the leaves are decided by the same test (rects) or by
+// the exact point-to-line distance of Lemma 1.
+func refLine(root *node, q lineQuery) ([]*entry, SearchStats) {
 	var stats SearchStats
 	var hits []*entry
 	penetrates := func(r geom.Rect) bool {
@@ -69,26 +110,29 @@ func refLine(tr *Tree, q lineQuery) ([]*entry, SearchStats) {
 		}
 		return vec.PLDFast(e.item.Point, q.l) <= q.eps
 	}
-	refDescend(tr.root, &stats, penetrates, accept, &hits)
+	refDescend(root, &stats, penetrates, accept, &hits)
 	return hits, stats
 }
 
-// refRange answers a rectangle range query over tr's nodes.
-func refRange(tr *Tree, r geom.Rect) ([]*entry, SearchStats) {
+// refRange answers a rectangle range query over the nodes under root.
+func refRange(root *node, r geom.Rect) ([]*entry, SearchStats) {
 	var stats SearchStats
 	var hits []*entry
-	refDescend(tr.root, &stats, r.Intersects, func(e *entry) bool { return r.Contains(e.item.Point) }, &hits)
+	refDescend(root, &stats, r.Intersects, func(e *entry) bool { return r.Contains(e.item.Point) }, &hits)
 	return hits, stats
 }
 
-// builderEntries returns every leaf entry of tr in document order.
-func builderEntries(tr *Tree) []*entry {
+// leafEntries returns every leaf entry under root in document order.
+func leafEntries(root *node) []*entry {
 	var all []*entry
 	var stats SearchStats
 	yes := func(geom.Rect) bool { return true }
-	refDescend(tr.root, &stats, yes, func(*entry) bool { return true }, &all)
+	refDescend(root, &stats, yes, func(*entry) bool { return true }, &all)
 	return all
 }
+
+// builderEntries returns every leaf entry of tr in document order.
+func builderEntries(tr *Tree) []*entry { return leafEntries(tr.root) }
 
 func entryIDs(es []*entry) []int64 {
 	var ids []int64
@@ -106,10 +150,33 @@ func entryItems(es []*entry) []Item {
 	return items
 }
 
-func entryRectItems(es []*entry) []RectItem {
+// callerUnits returns v, in f's arena units, as f's searches report it.
+func callerUnits(f *FlatTree, v vec.Vector) vec.Vector {
+	if v == nil {
+		return nil
+	}
+	out := make(vec.Vector, len(v))
+	for j, x := range v {
+		out[j] = x * f.q.scale
+	}
+	return out
+}
+
+// storedItems is entryItems for entries of a storedView, in caller
+// units.
+func storedItems(f *FlatTree, es []*entry) []Item {
+	var items []Item
+	for _, e := range es {
+		items = append(items, Item{Point: callerUnits(f, e.item.Point), ID: e.item.ID})
+	}
+	return items
+}
+
+// storedRectItems is the RectItem form of storedItems.
+func storedRectItems(f *FlatTree, es []*entry) []RectItem {
 	var items []RectItem
 	for _, e := range es {
-		items = append(items, RectItem{Rect: e.rect, ID: e.item.ID})
+		items = append(items, RectItem{Rect: geom.Rect{L: callerUnits(f, e.rect.L), H: callerUnits(f, e.rect.H)}, ID: e.item.ID})
 	}
 	return items
 }

@@ -229,6 +229,12 @@ type Tree struct {
 	// pathScratch is reused by insertEntry to record the chooseSubtree
 	// descent, so the MBR-adjust ascent never scans a parent's entries.
 	pathScratch []*entry
+	// tol is how far a stored coordinate may sit from the one its caller
+	// inserted: zero for a tree only ever inserted into, a few float32
+	// ulps of the arena's scale for one thawed from an arena (see
+	// FlatTree.Thaw), whose entries were rounded when it was frozen.
+	// Delete and DeleteRect match within it.
+	tol float64
 }
 
 // New returns an empty tree with the given configuration.

@@ -265,7 +265,8 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 				t.Fatalf("k=%d: returned %d items", k, len(got))
 			}
 			for i := range got {
-				if diff := got[i].Dist - all[i].d; diff > 1e-9 || diff < -1e-9 {
+				// The arena ranks the float32-rounded points.
+				if diff := got[i].Dist - all[i].d; diff > 1e-5 || diff < -1e-5 {
 					t.Fatalf("k=%d rank %d: dist %v, want %v", k, i, got[i].Dist, all[i].d)
 				}
 			}
@@ -316,7 +317,8 @@ func TestDelete(t *testing.T) {
 			}
 			// Deleted items are gone; survivors remain findable.
 			for i, p := range pts {
-				rect := geom.RectFromPoint(p)
+				// Around the float32 the arena keeps for p.
+				rect := geom.RectFromPoint(p).Enlarge(1e-5)
 				found := false
 				for _, it := range frozen(t, tr).RangeSearch(rect, nil) {
 					if it.ID == int64(i) {

@@ -21,6 +21,10 @@ type LevelStats struct {
 	Nodes, Pages int
 	// Entries is the total number of entries across the level.
 	Entries int
+	// Bytes is what the level occupies in the arena: 24 per node (its
+	// meta word and two offsets) and, per entry, an 8-byte reference and
+	// its float32 planes — one per dimension for a point, two for an MBR.
+	Bytes int
 	// AvgOccupancy is Entries divided by the level's capacity.
 	AvgOccupancy float64
 	// AvgElongation is the mean ratio of an MBR's longest side to its
@@ -36,13 +40,13 @@ type LevelStats struct {
 // writeLevelStats renders a Stats result as an aligned table.
 func writeLevelStats(w io.Writer, stats []LevelStats) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %8s %8s %8s %10s %12s %12s\n",
-		"level", "nodes", "pages", "entries", "occupancy", "elongation", "sphere-gap")
-	b.WriteString(strings.Repeat("-", 70))
+	fmt.Fprintf(&b, "%-6s %8s %8s %8s %10s %10s %12s %12s\n",
+		"level", "nodes", "pages", "entries", "bytes", "occupancy", "elongation", "sphere-gap")
+	b.WriteString(strings.Repeat("-", 81))
 	b.WriteByte('\n')
 	for _, ls := range stats {
-		fmt.Fprintf(&b, "%-6d %8d %8d %8d %9.1f%% %12.1f %12.1f\n",
-			ls.Level, ls.Nodes, ls.Pages, ls.Entries,
+		fmt.Fprintf(&b, "%-6d %8d %8d %8d %10d %9.1f%% %12.1f %12.1f\n",
+			ls.Level, ls.Nodes, ls.Pages, ls.Entries, ls.Bytes,
 			100*ls.AvgOccupancy, ls.AvgElongation, ls.AvgSphereGap)
 	}
 	_, err := io.WriteString(w, b.String())

@@ -14,11 +14,20 @@ import "math"
 // dimension-ascending order — the same addition sequence as the scalar
 // functions — so every returned distance is BIT-IDENTICAL to the scalar
 // result for the same point.
+//
+// The kernels are generic over the row element type: a frozen arena
+// stores its planes as float32, a delta block keeps exact float64
+// features.  Every coordinate is widened to float64 as it is read and the
+// arithmetic is float64 throughout, so "the same point" means the widened
+// values.
+
+// Coord is the element type of a coordinate row.
+type Coord interface{ float32 | float64 }
 
 // PLDFastBatch writes PLDFast(point_k, l) into out[0:count] for count
 // points stored dimension-major in rows with the given row stride.
 // qpD and qpQp are caller scratch of length >= count.
-func PLDFastBatch(rows []float64, stride, count int, l Line, qpD, qpQp, out []float64) {
+func PLDFastBatch[T Coord](rows []T, stride, count int, l Line, qpD, qpQp, out []float64) {
 	dd := accumBatch(rows, stride, count, l, qpD, qpQp)
 	if dd == 0 {
 		for k := 0; k < count; k++ {
@@ -33,7 +42,7 @@ func PLDFastBatch(rows []float64, stride, count int, l Line, qpD, qpQp, out []fl
 
 // PSegDFastBatch writes PSegDFast(point_k, l, tMin, tMax) into
 // out[0:count] — the segment-restricted form of PLDFastBatch.
-func PSegDFastBatch(rows []float64, stride, count int, l Line, tMin, tMax float64, qpD, qpQp, out []float64) {
+func PSegDFastBatch[T Coord](rows []T, stride, count int, l Line, tMin, tMax float64, qpD, qpQp, out []float64) {
 	dd := accumBatch(rows, stride, count, l, qpD, qpQp)
 	if dd == 0 {
 		for k := 0; k < count; k++ {
@@ -61,7 +70,7 @@ func PSegDFastBatch(rows []float64, stride, count int, l Line, tMin, tMax float6
 // dd = Σⱼ Dⱼ² accumulated the same way.  The inner sweep over points
 // is 4-wide unrolled; the unroll is across points, never across
 // dimensions, so each point's accumulation order is untouched.
-func accumBatch(rows []float64, stride, count int, l Line, qpD, qpQp []float64) float64 {
+func accumBatch[T Coord](rows []T, stride, count int, l Line, qpD, qpQp []float64) float64 {
 	for k := 0; k < count; k++ {
 		qpD[k], qpQp[k] = 0, 0
 	}
@@ -72,10 +81,10 @@ func accumBatch(rows []float64, stride, count int, l Line, qpD, qpQp []float64) 
 		row := rows[j*stride : j*stride+count]
 		k := 0
 		for ; k+4 <= count; k += 4 {
-			qp0 := row[k] - p
-			qp1 := row[k+1] - p
-			qp2 := row[k+2] - p
-			qp3 := row[k+3] - p
+			qp0 := float64(row[k]) - p
+			qp1 := float64(row[k+1]) - p
+			qp2 := float64(row[k+2]) - p
+			qp3 := float64(row[k+3]) - p
 			qpD[k] += qp0 * d
 			qpD[k+1] += qp1 * d
 			qpD[k+2] += qp2 * d
@@ -86,7 +95,7 @@ func accumBatch(rows []float64, stride, count int, l Line, qpD, qpQp []float64) 
 			qpQp[k+3] += qp3 * qp3
 		}
 		for ; k < count; k++ {
-			qp := row[k] - p
+			qp := float64(row[k]) - p
 			qpD[k] += qp * d
 			qpQp[k] += qp * qp
 		}

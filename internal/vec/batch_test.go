@@ -24,9 +24,52 @@ func packRows(points []Vector, dim, stride int) []float64 {
 	return rows
 }
 
+// narrowRows returns rows as a frozen arena keeps them — float32 — and
+// rounds points in place to the values those rows widen back to, so the
+// scalar functions see the same points the kernel does.
+func narrowRows(rows []float64, points []Vector) []float32 {
+	out := make([]float32, len(rows))
+	for i, x := range rows {
+		out[i] = float32(x)
+	}
+	for _, p := range points {
+		for j, x := range p {
+			p[j] = float64(float32(x))
+		}
+	}
+	return out
+}
+
+// checkBatchBitIdentical runs both kernels over rows and requires the
+// scalar functions' exact float64 for every point.
+func checkBatchBitIdentical[T Coord](t *testing.T, rows []T, points []Vector, stride int, l Line, tMin, tMax float64) {
+	t.Helper()
+	count := len(points)
+	qpD := make([]float64, count)
+	qpQp := make([]float64, count)
+	out := make([]float64, count)
+	PLDFastBatch(rows, stride, count, l, qpD, qpQp, out)
+	for k, p := range points {
+		want := PLDFast(p, l)
+		if math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("PLDFastBatch[%T] dim=%d count=%d k=%d: %x != %x (%v vs %v)",
+				rows, len(l.P), count, k, math.Float64bits(out[k]), math.Float64bits(want), out[k], want)
+		}
+	}
+	PSegDFastBatch(rows, stride, count, l, tMin, tMax, qpD, qpQp, out)
+	for k, p := range points {
+		want := PSegDFast(p, l, tMin, tMax)
+		if math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("PSegDFastBatch[%T] dim=%d count=%d k=%d: %v vs %v", rows, len(l.P), count, k, out[k], want)
+		}
+	}
+}
+
 // TestPLDFastBatchBitIdentical asserts the batched kernel returns the
 // EXACT float64 the scalar PLDFast returns for every point — the
-// property the flat tree's bit-identical-results contract rests on.
+// property the flat tree's bit-identical-results contract rests on —
+// over float64 rows (a delta block) and over float32 rows (an arena
+// leaf), where the points are the values the rows widen to.
 func TestPLDFastBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dim := range []int{1, 2, 3, 6, 9} {
@@ -50,27 +93,9 @@ func TestPLDFastBatchBitIdentical(t *testing.T) {
 				// Alternate the packed leaf layout with a strided block.
 				stride := count + (trial%3)*5
 				rows := packRows(points, dim, stride)
-				qpD := make([]float64, count)
-				qpQp := make([]float64, count)
-				out := make([]float64, count)
-				PLDFastBatch(rows, stride, count, l, qpD, qpQp, out)
-				for k, p := range points {
-					want := PLDFast(p, l)
-					if math.Float64bits(out[k]) != math.Float64bits(want) {
-						t.Fatalf("PLDFastBatch dim=%d count=%d k=%d: %x != %x (%v vs %v)",
-							dim, count, k, math.Float64bits(out[k]), math.Float64bits(want), out[k], want)
-					}
-				}
-
 				tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
-				PSegDFastBatch(rows, stride, count, l, tMin, tMax, qpD, qpQp, out)
-				for k, p := range points {
-					want := PSegDFast(p, l, tMin, tMax)
-					if math.Float64bits(out[k]) != math.Float64bits(want) {
-						t.Fatalf("PSegDFastBatch dim=%d count=%d k=%d: %v vs %v",
-							dim, count, k, out[k], want)
-					}
-				}
+				checkBatchBitIdentical(t, rows, points, stride, l, tMin, tMax)
+				checkBatchBitIdentical(t, narrowRows(rows, points), points, stride, l, tMin, tMax)
 			}
 		}
 	}

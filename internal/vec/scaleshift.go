@@ -210,25 +210,7 @@ type Certificate struct {
 func (p *Prepared) Certify(v Vector, sum, sumSq, sumErr, sumSqErr float64) Certificate {
 	assertSameDim(p.SU, v)
 	n := float64(len(v))
-	mv := sum / n
-	nmm := n * mv * mv
-	vv := sumSq - nmm
-	if vv < 0 {
-		vv = 0
-	}
-	// Fast side: |Δvv| ≤ Δ(sumSq) + 2|mv|·Δ(sum) (mean-error propagation)
-	// plus the rounding of n·mv² and of the cancelling subtraction.
-	vvErr := sumSqErr + 2*math.Abs(mv)*sumErr + 4*machEps*(math.Abs(sumSq)+nmm)
-	// Exact side: n squares of rounded differences and their sum, each
-	// within ε/2, on a total of at most vv + vvErr; the n·Δ(mean)² its
-	// own mean's rounding adds is second order.
-	vvErr += (n + 4) * machEps * (vv + vvErr)
-	// ‖v‖ ≤ nrmV (NaN, hence undecided, should the differenced Σv² come
-	// out negative beyond its error); the two means differ by the prefix
-	// sums' error, the division's rounding and the exact pass's plain
-	// summation.
-	nrmV := math.Sqrt(sumSq + sumSqErr)
-	mvErr := sumErr/n + machEps*(p.rootN*nrmV+math.Abs(mv))
+	mv, mvErr, vv, vvErr, nrmV := p.windowNorm(n, sum, sumSq, sumErr, sumSqErr)
 	if p.UU == 0 {
 		return Certificate{
 			DistSq: vv, Shift: mv,
@@ -260,4 +242,45 @@ func (p *Prepared) Certify(v Vector, sum, sumSq, sumErr, sumSqErr float64) Certi
 		DistSq: distSq, Scale: a, Shift: mv - amu,
 		DistSqErr: 2 * distSqErr, ScaleErr: 2 * aErr, ShiftErr: 2 * bErr,
 	}
+}
+
+// windowNorm is the part of Certify that reads no window value: from
+// the O(1) statistics of a window of n values it returns the window's
+// mean mv and vv = ‖T_se(v)‖², each with the bound on its distance from
+// what the exact pass computes for the same window, and nrmV ≥ ‖v‖.
+func (p *Prepared) windowNorm(n, sum, sumSq, sumErr, sumSqErr float64) (mv, mvErr, vv, vvErr, nrmV float64) {
+	mv = sum / n
+	nmm := n * mv * mv
+	vv = sumSq - nmm
+	if vv < 0 {
+		vv = 0
+	}
+	// Fast side: |Δvv| ≤ Δ(sumSq) + 2|mv|·Δ(sum) (mean-error propagation)
+	// plus the rounding of n·mv² and of the cancelling subtraction.
+	vvErr = sumSqErr + 2*math.Abs(mv)*sumErr + 4*machEps*(math.Abs(sumSq)+nmm)
+	// Exact side: n squares of rounded differences and their sum, each
+	// within ε/2, on a total of at most vv + vvErr; the n·Δ(mean)² its
+	// own mean's rounding adds is second order.
+	vvErr += (n + 4) * machEps * (vv + vvErr)
+	// ‖v‖ ≤ nrmV (NaN, hence undecided, should the differenced Σv² come
+	// out negative beyond its error); the two means differ by the prefix
+	// sums' error, the division's rounding and the exact pass's plain
+	// summation.
+	nrmV = math.Sqrt(sumSq + sumSqErr)
+	mvErr = sumErr/n + machEps*(p.rootN*nrmV+math.Abs(mv))
+	return mv, mvErr, vv, vvErr, nrmV
+}
+
+// NormBound bounds, from the statistics of a window of n values alone,
+// the squared distance the exact pass reports for it against ANY query:
+// MinDistPrepared computes Dist² = vv − uv·uv/UU with uv·uv/UU ≥ 0, and
+// a correctly rounded subtraction of a non-negative term cannot exceed
+// vv — the a = 0 member of the minimum over scale factors, the window's
+// own SE-norm.  The value is Certify's DistSq + DistSqErr for a constant
+// query: the fast vv plus its certified error, doubled like the others.
+// A window whose bound is within ε² matches every query the cost bounds
+// let through, without its values being read.
+func (p *Prepared) NormBound(n int, sum, sumSq, sumErr, sumSqErr float64) float64 {
+	_, _, vv, vvErr, _ := p.windowNorm(float64(n), sum, sumSq, sumErr, sumSqErr)
+	return vv + 2*vvErr
 }

@@ -400,7 +400,11 @@ func TestMinDistWithStatsDegenerate(t *testing.T) {
 // query, any window, and window statistics anywhere inside their
 // declared error bounds — prefix-sum magnitudes up to 2⁴⁰ times the
 // window's — MinDistPrepared's squared distance, scale and shift lie
-// within the certificate's errors of its values, above and below.
+// within the certificate's errors of its values, above and below; and
+// NormBound, which never sees the window, never accepts one the exact
+// pass rejects — with ε on the bound itself, on the window's own norm,
+// and on the floats either side of each, compared as the verifier
+// compares (ε² less four roundings).
 func FuzzCertifyBound(f *testing.F) {
 	f.Add(int64(1), uint8(16), 1.0, 0.0, 0.0, 0.5, 0.5)
 	f.Add(int64(2), uint8(128), 3.0, 100.0, 1e-9, -1.0, 1.0)
@@ -439,6 +443,15 @@ func FuzzCertifyBound(f *testing.F) {
 		exact := p.MinDist(v)
 		if msg := certifyCovers(c, exact); msg != "" {
 			t.Fatalf("n=%d spread=%g offset=%g relErr=%g: %s", n, spread, offset, relErr, msg)
+		}
+		bound := p.NormBound(n, sum+atSum*relErr*math.Abs(sum), sumSq+atSumSq*relErr*sumSq, sumErr, sumSqErr)
+		for _, at := range []float64{math.Sqrt(bound), Norm(SETransform(v)), exact.Dist} {
+			for _, eps := range []float64{math.Nextafter(at, 0), at, math.Nextafter(at, math.Inf(1))} {
+				if e2 := eps * eps; bound <= e2-4*machEps*e2 && !(exact.Dist <= eps) {
+					t.Fatalf("n=%d spread=%g offset=%g relErr=%g: norm bound %g accepts at eps %g a window the exact pass puts at %g",
+						n, spread, offset, relErr, bound, eps, exact.Dist)
+				}
+			}
 		}
 	})
 }
