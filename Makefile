@@ -135,4 +135,4 @@ bench-build:
 # — and the query benchmarks obs hooks ride on.
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkDisabled|BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem ./internal/obs/
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4CPUTime|BenchmarkTrailSearch' -benchtime 2x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4CPUTime' -benchtime 2x -benchmem .

@@ -287,29 +287,6 @@ func BenchmarkBulkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTrailSearch compares the per-window leaf representation
-// against sub-trail MBR leaves (DESIGN.md abl-trail) at a tight ε.
-func BenchmarkTrailSearch(b *testing.B) {
-	for _, k := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			cfg := benchConfig().Scaled(100, 20)
-			cfg.SubtrailLen = k
-			e := ablationEnv(b, fmt.Sprintf("trail/%d", k), cfg)
-			eps := 0.02 * e.NormScale
-			var stats core.SearchStats
-			b.ResetTimer() // exclude the one-off environment build
-			for i := 0; i < b.N; i++ {
-				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.PageAccesses())/float64(b.N), "total-pages/query")
-			b.ReportMetric(float64(e.Index.IndexPageCount()), "index-pages")
-		})
-	}
-}
-
 // BenchmarkEuclideanBaseline measures the prior-art Euclidean index
 // ([1,2]) on the same workload for scale comparison — note it answers
 // a different (weaker) similarity question.

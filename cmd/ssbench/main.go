@@ -79,10 +79,6 @@ var experiments = []experiment{
 		rows, err := bench.FanoutAblation(r.ablCfg, []int{10, 20, 40, 80}, ablEps)
 		return r.ablation("node fanout M", rows, err)
 	}},
-	{"ablation-trail", "sub-trail MBR length sweep (ST-index leaf entries)", false, func(r *runner) error {
-		rows, err := bench.TrailAblation(r.ablCfg, []int{1, 8, 32, 128}, ablEps)
-		return r.ablation("sub-trail MBR length", rows, err)
-	}},
 	{"ablation-index", "R*-tree vs X-tree supernodes", false, func(r *runner) error {
 		rows, err := bench.IndexAblation(r.ablCfg, ablEps)
 		return r.ablation("R*-tree vs X-tree", rows, err)
@@ -173,7 +169,6 @@ func run(args []string, stdout io.Writer) error {
 	queries := fs.Int("queries", 0, "override query count")
 	seed := fs.Int64("seed", 1, "data and workload seed")
 	csvPath := fs.String("csv", "", "also write the fig45 sweep as CSV to this file")
-	subtrail := fs.Int("subtrail", 0, "sub-trail MBR length for the index (0/1 = per-window point entries)")
 	buildMode := fs.String("build", "insert", "index construction: insert | bulk | parallel")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -247,7 +242,6 @@ func run(args []string, stdout io.Writer) error {
 	if *queries > 0 {
 		cfg.Queries = *queries
 	}
-	cfg.SubtrailLen = *subtrail
 
 	r := &runner{stdout: stdout, ablCfg: cfg, scale: *scale, companies: *companies, csvPath: *csvPath}
 	if r.ablCfg.Companies > 200 {

@@ -63,10 +63,9 @@ func run(args []string, stdout io.Writer) error {
 	limit := fs.Int("limit", 20, "print at most this many matches (0 = all); the count is always complete")
 	long := fs.Bool("long", false, "treat the query as longer than the window (multipiece search)")
 	explain := fs.Bool("explain", false, "print the query plan: per-path cost estimates and stage timings")
-	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, scan, or trail")
+	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, or scan")
 	indexCache := fs.String("index-cache", "", "cache the built index at this path (load when present, save after building)")
 	strictCache := fs.Bool("strict-cache", false, "fail instead of degrading to a scan when the index cache is invalid")
-	subtrail := fs.Int("subtrail", 0, "sub-trail MBR length (0/1 = per-window point entries)")
 	bulk := fs.Bool("bulk", false, "construct the index with STR bulk loading")
 	obsFlags := cliutil.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +93,6 @@ func run(args []string, stdout io.Writer) error {
 	if *spheres {
 		opts.Strategy = geom.BoundingSpheres
 	}
-	opts.SubtrailLen = *subtrail
 	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *bulk, *strictCache, logger)
 	if err != nil {
 		return err

@@ -265,15 +265,14 @@ func TestQueryExplainAndForcedPaths(t *testing.T) {
 		t.Errorf("auto plan claims to be forced:\n%s", outputs["auto"])
 	}
 
-	// Forcing trail on a point-entry index must fail cleanly...
+	// An unknown path name is rejected — "trail", the retired sub-trail
+	// probe, like any other.
 	var sb strings.Builder
-	if err := run(append(query, "-path", "trail"), &sb); err == nil {
-		t.Error("-path trail accepted on a point-entry index")
-	}
-	// ...and an unknown path name is rejected.
-	sb.Reset()
-	if err := run(append(query, "-path", "btree"), &sb); err == nil {
-		t.Error("-path btree accepted")
+	for _, name := range []string{"trail", "btree"} {
+		sb.Reset()
+		if err := run(append(query, "-path", name), &sb); err == nil || !strings.Contains(err.Error(), "unknown access path") {
+			t.Errorf("-path %s: err = %v, want an unknown access path", name, err)
+		}
 	}
 	// -path is meaningless for nearest-neighbour search.
 	sb.Reset()
@@ -291,15 +290,8 @@ func TestQueryExplainAndForcedPaths(t *testing.T) {
 	}
 }
 
-func TestQueryTrailAndBulkModes(t *testing.T) {
+func TestQueryBulkMode(t *testing.T) {
 	var sb strings.Builder
-	if err := run(smallArgs("-query", "3:50", "-scale", "2", "-eps-frac", "0.001", "-subtrail", "8"), &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "HK0004") {
-		t.Errorf("trail mode missed the source:\n%s", sb.String())
-	}
-	sb.Reset()
 	if err := run(smallArgs("-query", "3:50", "-eps-frac", "0.001", "-bulk"), &sb); err != nil {
 		t.Fatal(err)
 	}

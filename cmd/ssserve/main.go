@@ -81,7 +81,6 @@ func run(args []string) error {
 	window := fs.Int("window", 128, "index window length n")
 	fc := fs.Int("fc", 3, "DFT coefficients f_c")
 	spheres := fs.Bool("spheres", false, "use the bounding-spheres penetration heuristic")
-	subtrail := fs.Int("subtrail", 0, "sub-trail MBR length (0/1 = per-window point entries)")
 	bulk := fs.Bool("bulk", false, "construct the index with STR bulk loading")
 	indexCache := fs.String("index", "", "index artifact path (load when present, save after building)")
 	strictCache := fs.Bool("strict", false, "fail instead of degrading to a scan when the index artifact is invalid")
@@ -152,7 +151,6 @@ func run(args []string) error {
 	if *spheres {
 		opts.Strategy = geom.BoundingSpheres
 	}
-	opts.SubtrailLen = *subtrail
 
 	// loadSeed is the cold-start data path: the configured store (or
 	// synthetic data) plus a built-or-loaded index artifact.  In append

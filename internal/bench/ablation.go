@@ -163,28 +163,6 @@ func IndexAblation(base Config, epsFrac float64) ([]AblationRow, error) {
 	return out, nil
 }
 
-// TrailAblation sweeps the sub-trail MBR length (abl-trail): grouping
-// k consecutive windows per leaf entry shrinks the directory by ~k and
-// with it the strict (index-inclusive) page cost, at the price of
-// extra exact checks when a trail is hit.
-func TrailAblation(base Config, ks []int, epsFrac float64) ([]AblationRow, error) {
-	var out []AblationRow
-	for _, k := range ks {
-		cfg := base
-		cfg.SubtrailLen = k
-		label := "points (k=1)"
-		if k >= 2 {
-			label = fmt.Sprintf("trail k=%d", k)
-		}
-		row, err := runAblationPoint(cfg, label, epsFrac)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // BuildAblation compares one-by-one R* insertion against sequential
 // and parallel STR bulk loading (abl-build in DESIGN.md): construction
 // time, index size, and query cost of the resulting trees.  The two

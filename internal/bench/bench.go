@@ -81,9 +81,6 @@ type Config struct {
 	Reduction core.ReductionKind
 	// SupernodeMaxOverlap enables X-tree supernodes when positive.
 	SupernodeMaxOverlap float64
-	// SubtrailLen stores one leaf MBR per run of this many consecutive
-	// windows (ST-index style) when >= 2.
-	SubtrailLen int
 	// MaxEntries overrides the tree fanout M when nonzero (m and p are
 	// derived as 40 % and 30 % of M, as in §7).
 	MaxEntries int
@@ -202,7 +199,6 @@ func NewEnvBuilt(cfg Config, mode BuildMode) (*Env, error) {
 	opts.WindowLen = cfg.WindowLen
 	opts.Coefficients = cfg.Coefficients
 	opts.Reduction = cfg.Reduction
-	opts.SubtrailLen = cfg.SubtrailLen
 	opts.Tree = cfg.treeConfig()
 	ix, err := core.NewIndex(st, opts)
 	if err != nil {

@@ -336,27 +336,6 @@ func TestIndexAblation(t *testing.T) {
 	}
 }
 
-func TestTrailAblation(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Companies = 15
-	rows, err := TrailAblation(cfg, []int{1, 16}, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// Trails cannot change the result set...
-	if rows[0].Results != rows[1].Results {
-		t.Errorf("results differ: %v vs %v", rows[0].Results, rows[1].Results)
-	}
-	// ...but shrink the directory substantially.
-	if rows[1].IndexPagesTotal*4 > rows[0].IndexPagesTotal {
-		t.Errorf("trail index %d pages vs point %d — shrink too small",
-			rows[1].IndexPagesTotal, rows[0].IndexPagesTotal)
-	}
-}
-
 func TestPlots(t *testing.T) {
 	env, err := NewEnv(quickConfig())
 	if err != nil {
@@ -535,9 +514,6 @@ func TestPlannerSweep(t *testing.T) {
 		chosen[p.Chosen] = true
 		if p.ForcedCPU[p.Chosen] == 0 {
 			t.Errorf("chosen path %s was not measured: %+v", p.Chosen, p)
-		}
-		if p.ForcedCPU[engine.PathTrail] != 0 {
-			t.Errorf("trail measured on a point-entry index: %+v", p)
 		}
 		if p.AutoCPU <= 0 || p.ForcedCPU[p.Best] <= 0 {
 			t.Errorf("timings missing: %+v", p)

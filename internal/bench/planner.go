@@ -11,10 +11,10 @@ import (
 	"scaleshift/internal/engine"
 )
 
-// PlannerPoint is one cell of the planner calibration grid: one store
+// CalibrationPoint is one cell of the planner calibration grid: one store
 // size at one ε, with the auto plan timed against every forced access
 // path over the same workload.
-type PlannerPoint struct {
+type CalibrationPoint struct {
 	// Companies and Windows size the store at this cell.
 	Companies, Windows int
 	// EpsFrac and Eps locate the cell on the error-bound axis.
@@ -36,15 +36,15 @@ type PlannerPoint struct {
 
 // Mispredicted reports whether this cell is a calibration miss: the
 // planner's choice cost more than 10 % over the best forced path.
-func (p PlannerPoint) Mispredicted() bool { return p.LossPct > 10 }
+func (p CalibrationPoint) Mispredicted() bool { return p.LossPct > 10 }
 
 // PlannerSweep calibrates the cost model over a store-size × ε grid.
 // Each store size builds a fresh environment (bulk loading — the tree
 // is identical to the insert-built one for planning purposes); each
 // cell runs the whole workload once per available forced path and once
 // under auto.
-func PlannerSweep(base Config, companies []int, epsFracs []float64) ([]PlannerPoint, error) {
-	var out []PlannerPoint
+func PlannerSweep(base Config, companies []int, epsFracs []float64) ([]CalibrationPoint, error) {
+	var out []CalibrationPoint
 	for _, c := range companies {
 		cfg := base
 		cfg.Companies = c
@@ -53,7 +53,7 @@ func PlannerSweep(base Config, companies []int, epsFracs []float64) ([]PlannerPo
 			return nil, fmt.Errorf("bench: planner sweep (%d companies): %w", c, err)
 		}
 		for _, frac := range epsFracs {
-			p, err := env.runPlannerPoint(frac)
+			p, err := env.runCalibrationPoint(frac)
 			if err != nil {
 				return nil, fmt.Errorf("bench: planner sweep (%d companies, eps %g): %w", c, frac, err)
 			}
@@ -63,10 +63,10 @@ func PlannerSweep(base Config, companies []int, epsFracs []float64) ([]PlannerPo
 	return out, nil
 }
 
-// runPlannerPoint measures one grid cell on e's workload.
-func (e *Env) runPlannerPoint(frac float64) (PlannerPoint, error) {
+// runCalibrationPoint measures one grid cell on e's workload.
+func (e *Env) runCalibrationPoint(frac float64) (CalibrationPoint, error) {
 	eps := frac * e.NormScale
-	p := PlannerPoint{
+	p := CalibrationPoint{
 		Companies: e.Config.Companies,
 		Windows:   e.Index.WindowCount(),
 		EpsFrac:   frac,
@@ -120,29 +120,29 @@ func (e *Env) runPlannerPoint(frac float64) (PlannerPoint, error) {
 
 // WritePlannerTable renders the calibration grid and lists any cells
 // where cost-based planning lost more than 10 % to the forced oracle.
-func WritePlannerTable(w io.Writer, points []PlannerPoint) error {
+func WritePlannerTable(w io.Writer, points []CalibrationPoint) error {
 	var b strings.Builder
 	b.WriteString("Planner calibration: cost-based auto vs forced access paths (cpu/query)\n")
-	fmt.Fprintf(&b, "%-10s %-9s %-9s %-7s %10s %10s %10s %10s %-7s %8s\n",
-		"companies", "windows", "eps-frac", "chosen", "rtree", "trail", "scan", "auto", "best", "loss")
-	b.WriteString(strings.Repeat("-", 100))
+	fmt.Fprintf(&b, "%-10s %-9s %-9s %-7s %10s %10s %10s %-7s %8s\n",
+		"companies", "windows", "eps-frac", "chosen", "rtree", "scan", "auto", "best", "loss")
+	b.WriteString(strings.Repeat("-", 89))
 	b.WriteByte('\n')
-	forced := func(p PlannerPoint, k engine.PathKind) string {
+	forced := func(p CalibrationPoint, k engine.PathKind) string {
 		if p.ForcedCPU[k] == 0 {
 			return "-"
 		}
 		return fmtDuration(p.ForcedCPU[k])
 	}
-	var misses []PlannerPoint
+	var misses []CalibrationPoint
 	for _, p := range points {
 		flag := ""
 		if p.Mispredicted() {
 			flag = "  <-- MISS"
 			misses = append(misses, p)
 		}
-		fmt.Fprintf(&b, "%-10d %-9d %-9g %-7s %10s %10s %10s %10s %-7s %7.1f%%%s\n",
+		fmt.Fprintf(&b, "%-10d %-9d %-9g %-7s %10s %10s %10s %-7s %7.1f%%%s\n",
 			p.Companies, p.Windows, p.EpsFrac, p.Chosen,
-			forced(p, engine.PathRTree), forced(p, engine.PathTrail), forced(p, engine.PathScan),
+			forced(p, engine.PathRTree), forced(p, engine.PathScan),
 			fmtDuration(p.AutoCPU), p.Best.String(), p.LossPct, flag)
 	}
 	if len(misses) == 0 {

@@ -52,7 +52,7 @@ func (r *ParamReader) Int(name string, def int) int {
 //	eps, eps_frac  error bound, absolute or as a fraction of normScale
 //	               (the mean window SE-norm; default eps_frac=0.02)
 //	nn             k-nearest-neighbour mode when > 0
-//	path           auto | rtree | trail | scan
+//	path           auto | rtree | scan
 //	scale_min, scale_max, shift_abs   transformation cost bounds
 //	limit          cap on returned matches (0 or less = all), carried by
 //	               the query as core.Query.Limit

@@ -84,14 +84,6 @@ type Options struct {
 	Coefficients int
 	// Reduction selects the feature basis (default DFT, as in §7).
 	Reduction ReductionKind
-	// SubtrailLen, when >= 2, stores one leaf entry per run of that
-	// many consecutive windows — the sub-trail MBR representation of
-	// the ST-index ([2], which §6 builds on) — instead of one entry per
-	// window.  The index shrinks by roughly that factor; searches
-	// expand each qualifying trail back into its windows for the exact
-	// post-check, so results are unchanged.  0 and 1 mean per-window
-	// point entries (the paper's presentation).
-	SubtrailLen int
 	// Tree holds the R*-tree structural parameters.  Tree.Dim is
 	// ignored; it is derived from Coefficients.
 	Tree rtree.Config
@@ -184,7 +176,8 @@ type SearchStats struct {
 	// the engine's three execution stages.
 	PlanTime, ProbeTime, VerifyTime time.Duration
 	// PathProbes counts index-phase probes served by each access path,
-	// indexed by engine.PathKind: one per piece per probed segment — an
+	// indexed by engine.PathKind (PathRTree and PathScan; the PathAuto
+	// slot stays zero): one per piece per probed segment — an
 	// Index is one segment, so one per range query and one per piece of
 	// a multipiece long query; a segmented index adds one per further
 	// frozen segment and one for a non-empty delta.
@@ -338,9 +331,6 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown penetration strategy %d", int(opts.Strategy))
 	}
-	if opts.SubtrailLen < 0 {
-		return nil, fmt.Errorf("core: negative SubtrailLen %d", opts.SubtrailLen)
-	}
 	ix := &Index{opts: opts, st: st, fmap: fmap, flat: flat}
 	ix.pin()
 	return ix, nil
@@ -351,7 +341,7 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 // replaced — construction, a bulk build, Freeze, an artifact open,
 // SetStrategy — never per query.
 func (ix *Index) pin() {
-	seg := &frozenSeg{flat: ix.flat, ranges: make([]winRange, 0, len(ix.indexed)), trail: ix.opts.SubtrailLen, degraded: ix.degraded}
+	seg := &frozenSeg{flat: ix.flat, ranges: make([]winRange, 0, len(ix.indexed)), degraded: ix.degraded}
 	for seq, c := range ix.indexed {
 		if c > 0 {
 			seg.ranges = append(seg.ranges, winRange{Seq: seq, Lo: 0, Hi: c})
@@ -369,9 +359,6 @@ func (ix *Index) pin() {
 	}
 }
 
-// trailMode reports whether leaf entries are sub-trail MBRs.
-func (ix *Index) trailMode() bool { return ix.opts.SubtrailLen >= 2 }
-
 // Degraded reports whether the index is serving in degraded mode
 // (scan fallback over the raw store; see OpenOrRebuild) and why.
 func (ix *Index) Degraded() (bool, string) {
@@ -385,70 +372,6 @@ func (ix *Index) Degraded() (bool, string) {
 func (ix *Index) checkMutable() error {
 	if ix.degraded != "" {
 		return fmt.Errorf("core: index is degraded (%s); rebuild it before mutating", ix.degraded)
-	}
-	return nil
-}
-
-// trailRect computes the MBR of the features of windows
-// [first, first+count) of sequence seq, using the direct transform so
-// the result is bit-reproducible from any starting call (required for
-// DeleteRect on dynamic updates).
-func (ix *Index) trailRect(seq, first, count int) (geom.Rect, error) {
-	n := ix.opts.WindowLen
-	w := make(vec.Vector, n)
-	se := make(vec.Vector, n)
-	feat := make(vec.Vector, ix.fmap.Dim())
-	var r geom.Rect
-	for i := 0; i < count; i++ {
-		if err := ix.st.Window(seq, first+i, n, w, nil); err != nil {
-			return geom.Rect{}, err
-		}
-		vec.SETransformInPlace(se, w)
-		ix.fmap.TransformInto(feat, se)
-		if i == 0 {
-			r = geom.RectFromPoint(feat)
-		} else {
-			r.ExtendPoint(feat)
-		}
-	}
-	return r, nil
-}
-
-// indexSequenceTrails is IndexSequence for trail mode: trails are
-// aligned to multiples of SubtrailLen; a partial trailing trail is
-// replaced when the sequence has grown since the last call.
-func (ix *Index) indexSequenceTrails(seq int) error {
-	n := ix.opts.WindowLen
-	k := ix.opts.SubtrailLen
-	L := ix.st.SequenceLen(seq)
-	lastStart := L - n
-	from := ix.indexed[seq]
-	if lastStart < 0 || from > lastStart {
-		return nil // nothing new
-	}
-	if rem := from % k; rem != 0 {
-		// A partial trail [g0, from) was inserted earlier; replace it.
-		g0 := from - rem
-		r, err := ix.trailRect(seq, g0, rem)
-		if err != nil {
-			return fmt.Errorf("core: trail indexing: %w", err)
-		}
-		if !ix.builder.DeleteRect(r, store.EncodeWindowID(seq, g0)) {
-			return fmt.Errorf("core: partial trail (%d, %d) missing from tree", seq, g0)
-		}
-		from = g0
-	}
-	for g := from; g <= lastStart; g += k {
-		count := k
-		if g+count-1 > lastStart {
-			count = lastStart - g + 1
-		}
-		r, err := ix.trailRect(seq, g, count)
-		if err != nil {
-			return fmt.Errorf("core: trail indexing: %w", err)
-		}
-		ix.builder.InsertRect(r, store.EncodeWindowID(seq, g))
-		ix.indexed[seq] = g + count
 	}
 	return nil
 }
@@ -492,9 +415,8 @@ func (ix *Index) StoreShape() (seqs, values, pages int) { return ix.man.storeSha
 // show once Freeze has folded them in.
 func (ix *Index) WindowCount() int { return ix.man.windowCount() }
 
-// EntryCount returns the number of leaf entries in the tree — equal to
-// WindowCount for point mode, and the number of sub-trail MBRs in
-// trail mode.
+// EntryCount returns the number of leaf entries in the tree: one
+// feature point per indexed window.
 func (ix *Index) EntryCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages (tree nodes).
@@ -566,12 +488,6 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 	}
 	if ix.flat.Len() != 0 || ix.builder != nil {
 		return fmt.Errorf("core: BuildBulk requires an empty index")
-	}
-	if ix.trailMode() {
-		// Trail entries are rectangles; STR bulk loading packs points.
-		// Trail indexes are already ~SubtrailLen× smaller, so plain
-		// insertion is fast enough.
-		return ix.Build()
 	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -682,9 +598,6 @@ func (ix *Index) IndexSequence(seq int) error {
 	}
 	for len(ix.indexed) <= seq {
 		ix.indexed = append(ix.indexed, 0)
-	}
-	if ix.trailMode() {
-		return ix.indexSequenceTrails(seq)
 	}
 	n := ix.opts.WindowLen
 	L := ix.st.SequenceLen(seq)
@@ -849,24 +762,6 @@ func (ix *Index) UnindexSequence(seq int) error {
 		return fmt.Errorf("core: sequence %d not indexed", seq)
 	}
 	limit := ix.indexed[seq]
-	if ix.trailMode() {
-		k := ix.opts.SubtrailLen
-		for g := 0; g < limit; g += k {
-			count := k
-			if g+count > limit {
-				count = limit - g
-			}
-			r, err := ix.trailRect(seq, g, count)
-			if err != nil {
-				return fmt.Errorf("core: unindexing: %w", err)
-			}
-			if !ix.builder.DeleteRect(r, store.EncodeWindowID(seq, g)) {
-				return fmt.Errorf("core: trail (%d, %d) missing from tree", seq, g)
-			}
-		}
-		ix.indexed[seq] = 0
-		return nil
-	}
 	// Regenerate the stored feature points with featureWindows so they
 	// are bit-identical to what Build/IndexSequence inserted (the
 	// sliding DFT path differs from the direct transform by float

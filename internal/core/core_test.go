@@ -15,6 +15,7 @@ import (
 	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/seqscan"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
@@ -953,48 +954,45 @@ func TestWriteIndexStats(t *testing.T) {
 }
 
 // TestScaleBoundedSearchExact verifies the segment-pruned search
-// returns exactly the brute-force result set under scale bounds, in
-// both leaf representations and both strategies.
+// returns exactly the brute-force result set under scale bounds, under
+// both strategies.
 func TestScaleBoundedSearchExact(t *testing.T) {
-	for _, trail := range []int{0, 8} {
-		for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-			opts := testOptions()
-			opts.SubtrailLen = trail
-			opts.Strategy = strategy
-			ix := buildTestIndex(t, opts, 10, 130)
-			st := ix.Store()
-			scale, err := query.SENormScale(st, opts.WindowLen, 100, 3)
+	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
+		opts := testOptions()
+		opts.Strategy = strategy
+		ix := buildTestIndex(t, opts, 10, 130)
+		st := ix.Store()
+		scale, err := query.SENormScale(st, opts.WindowLen, 100, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make(vec.Vector, opts.WindowLen)
+		if err := st.Window(4, 30, opts.WindowLen, w, nil); err != nil {
+			t.Fatal(err)
+		}
+		q := vec.Apply(w, 2, 5)
+		costs := UnboundedCosts()
+		costs.ScaleMin, costs.ScaleMax = 0.1, 3
+		for _, frac := range []float64{0.02, 0.15} {
+			eps := frac * scale
+			res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: costs}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := make(vec.Vector, opts.WindowLen)
-			if err := st.Window(4, 30, opts.WindowLen, w, nil); err != nil {
+			got := res.Matches
+			want, err := seqscan.Search(st, q, eps, func(a, b float64) bool {
+				return a >= 0.1 && a <= 3
+			}, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			q := vec.Apply(w, 2, 5)
-			costs := UnboundedCosts()
-			costs.ScaleMin, costs.ScaleMax = 0.1, 3
-			for _, frac := range []float64{0.02, 0.15} {
-				eps := frac * scale
-				res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: costs}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := res.Matches
-				want, err := seqscan.Search(st, q, eps, func(a, b float64) bool {
-					return a >= 0.1 && a <= 3
-				}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("trail=%d strategy=%v eps=%v: index %d, scan %d",
-						trail, strategy, eps, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Seq != want[i].Seq || got[i].Start != want[i].Start {
-						t.Fatalf("trail=%d rank %d differs", trail, i)
-					}
+			if len(got) != len(want) {
+				t.Fatalf("strategy=%v eps=%v: index %d, scan %d",
+					strategy, eps, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq || got[i].Start != want[i].Start {
+					t.Fatalf("strategy=%v rank %d differs", strategy, i)
 				}
 			}
 		}
@@ -1026,38 +1024,196 @@ func TestReductionKindString(t *testing.T) {
 	}
 }
 
-func TestTrailGrowthAcrossPartialBoundaries(t *testing.T) {
-	// Exercise indexSequenceTrails' partial-trail replacement through a
-	// genuinely growing last sequence: append short, index, append the
-	// next chunk as new data is not supported by the store, so instead
-	// grow via repeated IndexSequence over a store whose sequence was
-	// fully present but indexed in stages using UnindexSequence+partial
-	// re-index is not exposed either.  What IS reachable: a sequence
-	// whose window count is not a trail multiple (partial final trail),
-	// then unindexing and re-indexing repeatedly — each cycle walks the
-	// partial-trail bookkeeping.
-	opts := trailOptions(4)
-	opts.WindowLen = 8
+// TestAllVariantsAgree is the differential matrix test: every index
+// configuration — feature basis × penetration strategy × split
+// algorithm × X-tree — must return exactly the brute-force result set
+// on the same disguised queries.
+func TestAllVariantsAgree(t *testing.T) {
 	st := store.New()
-	st.AppendSequence("s", make([]float64, 17)) // 10 windows: trails 4+4+2
+	cfg := stockConfigForMatrix()
+	if _, err := stock.Populate(st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	scale, err := query.SENormScale(st, 32, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make(vec.Vector, 32)
+	if err := st.Window(4, 25, 32, w, nil); err != nil {
+		t.Fatal(err)
+	}
+	q := vec.Apply(w, 1.8, -6)
+	eps := 0.08 * scale
+	oracle, err := seqscan.Search(st, q, eps, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oracle) == 0 {
+		t.Fatal("oracle found nothing; workload too tight")
+	}
+
+	type variant struct {
+		name   string
+		mutate func(*Options)
+	}
+	variants := []variant{
+		{"baseline", func(o *Options) {}},
+		{"spheres", func(o *Options) { o.Strategy = geom.BoundingSpheres }},
+		{"haar", func(o *Options) { o.Reduction = ReductionHaar }},
+		{"quadratic", func(o *Options) { o.Tree.Split = rtree.SplitQuadratic }},
+		{"linear-noreinsert", func(o *Options) {
+			o.Tree.Split = rtree.SplitLinear
+			o.Tree.ReinsertCount = 0
+		}},
+		{"xtree", func(o *Options) { o.Tree.SupernodeMaxOverlap = 0.1 }},
+		{"fc2", func(o *Options) { o.Coefficients = 2; o.Tree = rtree.DefaultConfig(4) }},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			opts := testOptions()
+			v.mutate(&opts)
+			ix, err := NewIndex(st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Build(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := search(ix, q, eps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(oracle) {
+				t.Fatalf("%d matches, oracle %d", len(got), len(oracle))
+			}
+			for i := range got {
+				if got[i].Seq != oracle[i].Seq || got[i].Start != oracle[i].Start ||
+					math.Abs(got[i].Dist-oracle[i].Dist) > 1e-9 {
+					t.Fatalf("rank %d differs from oracle", i)
+				}
+			}
+		})
+	}
+}
+
+// stockConfigForMatrix keeps the matrix test fast.
+func stockConfigForMatrix() stock.Config {
+	cfg := stock.DefaultConfig()
+	cfg.Companies = 10
+	cfg.Days = 130
+	return cfg
+}
+
+// TestExtendAndIndexPointMode: samples arriving on a live series make
+// the boundary-spanning windows searchable (requirement 2 of §3).
+func TestExtendAndIndexPointMode(t *testing.T) {
+	opts := testOptions()
+	opts.WindowLen = 16
+	st := store.New()
+	first := make([]float64, 40)
+	for i := range first {
+		first[i] = float64(i % 7)
+	}
+	st.AppendSequence("live", first)
 	ix, err := NewIndex(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cycle := 0; cycle < 3; cycle++ {
-		if err := ix.IndexSequence(0); err != nil {
+	if err := ix.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.WindowCount() != 25 {
+		t.Fatalf("WindowCount = %d", ix.WindowCount())
+	}
+	// 10 new ticks arrive.
+	ticks := make([]float64, 10)
+	for i := range ticks {
+		ticks[i] = float64((40 + i) % 7)
+	}
+	if err := ix.ExtendAndIndex(0, ticks); err != nil {
+		t.Fatal(err)
+	}
+	freeze(t, ix)
+	if ix.WindowCount() != 35 {
+		t.Fatalf("after extend: WindowCount = %d", ix.WindowCount())
+	}
+	// A window spanning the old end (start 38 covers samples 38..53) is
+	// found exactly.
+	w := make(vec.Vector, 16)
+	if err := st.Window(0, 30, 16, w, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := search(ix, vec.Apply(w, 2, 1), 1e-6*(1+vec.Norm(w)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range got {
+		if m.Start == 30 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("boundary-spanning window not searchable after extension")
+	}
+	// Full agreement with brute force.
+	want, err := seqscan.Search(st, w, 0.5, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := search(ix, w, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(want) {
+		t.Fatalf("index %d, scan %d after extension", len(res), len(want))
+	}
+}
+
+// seqVals returns [base, base+n) as floats with a varying pattern.
+func seqVals(base, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		v := base + i
+		out[i] = float64(v*v%23) + float64(v%5)
+	}
+	return out
+}
+
+// TestExtendThenUnindexPointMode is the regression test for the
+// feature-reproducibility bug: features of windows indexed after an
+// extension must be regenerated bit-exactly by UnindexSequence even
+// though they were first computed by a slider starting mid-sequence
+// (fixed by restarting the sliding DFT at absolute checkpoints).
+func TestExtendThenUnindexPointMode(t *testing.T) {
+	opts := testOptions()
+	opts.WindowLen = 16
+	st := store.New()
+	st.AppendSequence("live", seqVals(0, 300)) // spans a checkpoint
+	ix, err := NewIndex(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Build(); err != nil {
+		t.Fatal(err)
+	}
+	// Extend across several increments, including past the 256-window
+	// checkpoint boundary.
+	for i := 0; i < 4; i++ {
+		if err := ix.ExtendAndIndex(0, seqVals(300+20*i, 20)); err != nil {
 			t.Fatal(err)
 		}
-		freeze(t, ix)
-		if ix.EntryCount() != 3 || ix.WindowCount() != 10 {
-			t.Fatalf("cycle %d: entries=%d windows=%d", cycle, ix.EntryCount(), ix.WindowCount())
-		}
-		if err := ix.UnindexSequence(0); err != nil {
-			t.Fatal(err)
-		}
-		freeze(t, ix)
-		if ix.EntryCount() != 0 {
-			t.Fatalf("cycle %d: %d entries after unindex", cycle, ix.EntryCount())
-		}
+	}
+	freeze(t, ix)
+	if ix.WindowCount() != 380-16+1 {
+		t.Fatalf("WindowCount = %d", ix.WindowCount())
+	}
+	// Every stored feature must be regenerable: unindex walks them all.
+	if err := ix.UnindexSequence(0); err != nil {
+		t.Fatalf("unindex after extension: %v", err)
+	}
+	freeze(t, ix)
+	if ix.WindowCount() != 0 {
+		t.Fatalf("%d windows left", ix.WindowCount())
 	}
 }

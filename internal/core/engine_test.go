@@ -78,48 +78,6 @@ func TestCrossPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrossPathEquivalenceTrail is the same invariant for a sub-trail
-// MBR index, where the available probes are trail and scan.
-func TestCrossPathEquivalenceTrail(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	opts := testOptions()
-	opts.SubtrailLen = 4
-	ix := buildTestIndex(t, opts, 5, 140)
-	st := ix.Store()
-
-	for qi := 0; qi < 6; qi++ {
-		q := make(vec.Vector, opts.WindowLen)
-		seq := rng.Intn(st.NumSequences())
-		start := rng.Intn(st.SequenceLen(seq) - opts.WindowLen + 1)
-		if err := st.Window(seq, start, opts.WindowLen, q, nil); err != nil {
-			t.Fatal(err)
-		}
-		q = vec.Apply(q, 1+rng.Float64(), rng.NormFloat64())
-		for _, eps := range []float64{0, 5, 1e3} {
-			trailOut := forcedSearch(t, ix, q, eps, UnboundedCosts(), engine.PathTrail)
-			scanOut := forcedSearch(t, ix, q, eps, UnboundedCosts(), engine.PathScan)
-			if !reflect.DeepEqual(trailOut, scanOut) {
-				t.Fatalf("query %d eps %g: trail %v != scan %v", qi, eps, trailOut, scanOut)
-			}
-			autoOut, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Chosen == engine.PathRTree {
-				t.Fatal("auto plan chose the point-entry path on a trail index")
-			}
-			if !reflect.DeepEqual(autoOut, trailOut) {
-				t.Fatalf("query %d eps %g: auto (%v) differs from forced paths", qi, eps, ex.Chosen)
-			}
-		}
-	}
-
-	// The point-entry path must refuse to serve a trail index.
-	if _, _, err := run(context.Background(), ix, Query{Vec: make(vec.Vector, opts.WindowLen), Eps: 1, Force: engine.PathRTree}, nil); err == nil {
-		t.Error("forcing rtree on a trail index did not error")
-	}
-}
-
 // TestCrossPathEquivalenceLong checks the multipiece executor: long
 // queries return identical matches whichever path serves the pieces.
 func TestCrossPathEquivalenceLong(t *testing.T) {
@@ -196,43 +154,36 @@ func TestPlannerRegimes(t *testing.T) {
 func TestPlannerEstimatesSaneOnIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	opts := testOptions()
-	for _, subtrail := range []int{0, 4} {
-		opts.SubtrailLen = subtrail
-		ix := buildTestIndex(t, opts, 4, 120)
-		q := make(vec.Vector, opts.WindowLen)
-		for i := range q {
-			q[i] = rng.NormFloat64() * 20
+	ix := buildTestIndex(t, opts, 4, 120)
+	q := make(vec.Vector, opts.WindowLen)
+	for i := range q {
+		q[i] = rng.NormFloat64() * 20
+	}
+	prev := -1.0
+	for _, eps := range []float64{0, 1e-3, 0.1, 1, 10, 1e3, 1e6} {
+		_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev := -1.0
-		for _, eps := range []float64{0, 1e-3, 0.1, 1, 10, 1e3, 1e6} {
-			_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
-			if err != nil {
-				t.Fatal(err)
+		chosenAvailable := false
+		for _, p := range ex.Plans {
+			if p.Available && (p.Cost.Units < 0 || p.Cost.Candidates < 0 || math.IsNaN(p.Cost.Units)) {
+				t.Fatalf("eps %g: bad estimate %+v", eps, p)
 			}
-			if subtrail >= 2 && ex.Chosen == engine.PathRTree {
-				t.Fatal("chose rtree on a trail index")
+			if p.Path == ex.Chosen {
+				chosenAvailable = p.Available
 			}
-			if subtrail < 2 && ex.Chosen == engine.PathTrail {
-				t.Fatal("chose trail on a point index")
-			}
-			var chosenUnits float64
-			for _, p := range ex.Plans {
-				if p.Available && (p.Cost.Units < 0 || p.Cost.Candidates < 0 || math.IsNaN(p.Cost.Units)) {
-					t.Fatalf("eps %g: bad estimate %+v", eps, p)
-				}
-				if p.Path == ex.Chosen {
-					chosenUnits = p.Cost.Units
-				}
-			}
-			_ = chosenUnits
-			if ex.EstCandidates < prev && ex.Chosen != engine.PathScan {
-				// Index-probe candidate estimates grow with eps; the
-				// scan's is constant, so only compare within probes.
-				t.Fatalf("est candidates shrank as eps grew: %v -> %v", prev, ex.EstCandidates)
-			}
-			if ex.Chosen != engine.PathScan {
-				prev = ex.EstCandidates
-			}
+		}
+		if !chosenAvailable {
+			t.Fatalf("eps %g: chose %v, which its plan table does not list available", eps, ex.Chosen)
+		}
+		if ex.EstCandidates < prev && ex.Chosen != engine.PathScan {
+			// Index-probe candidate estimates grow with eps; the
+			// scan's is constant, so only compare within probes.
+			t.Fatalf("est candidates shrank as eps grew: %v -> %v", prev, ex.EstCandidates)
+		}
+		if ex.Chosen != engine.PathScan {
+			prev = ex.EstCandidates
 		}
 	}
 }

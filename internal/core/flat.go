@@ -41,11 +41,7 @@ func (ix *Index) Freeze() error {
 	if ix.builder == nil {
 		return nil
 	}
-	f, err := ix.builder.Freeze()
-	if err != nil {
-		return fmt.Errorf("core: freezing index: %w", err)
-	}
-	ix.flat, ix.builder, ix.artifact = f, nil, nil
+	ix.flat, ix.builder, ix.artifact = ix.builder.Freeze(), nil, nil
 	ix.pin()
 	m := ix.mapping
 	ix.mapping = nil
@@ -99,12 +95,11 @@ func (ix *Index) Close() error {
 // "Aliased" is the property all of that hangs on: the index's arrays
 // ARE the mapped bytes, so the mapping lives as long as the index and
 // the deferred check has something to check.  An artifact that must be
-// converted instead — a v2 one (pointer-tree payload), or a v3 one whose
-// arena is version 1 (float64 planes) — is verified in full and parsed
-// into the heap at open, in O(n); the mapping is released, nothing is
-// deferred, and the index writes itself in the current layout from then
-// on.  Compatibility costs the parse, not correctness, and lasts until
-// the caller next saves the index.
+// converted instead — one whose arena is version 1 (float64 planes) — is
+// verified in full and parsed into the heap at open, in O(n); the
+// mapping is released, nothing is deferred, and the index writes itself
+// in the current layout from then on.  Compatibility costs the parse,
+// not correctness, and lasts until the caller next saves the index.
 func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 	m, err := binio.OpenMapping(path)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scaleshift/internal/binio"
@@ -249,95 +250,93 @@ func TestFrozenIndexMutationThaws(t *testing.T) {
 }
 
 // TestUnfrozenMutationIsRefused walks the life cycle through every
-// incremental mutator, in point and in trail mode: with a builder
-// pending, range, k-NN and batch queries all fail with
+// incremental mutator: with a builder pending, range, k-NN and batch queries all fail with
 // engine.ErrUnsupported — the arena lacks the mutation, so an answer
 // from it would be a false dismissal — and once Freeze has folded the
 // builder in, the answers are the sequential scan's.
 func TestUnfrozenMutationIsRefused(t *testing.T) {
-	for _, opts := range []Options{testOptions(), trailOptions(4)} {
-		ix := buildTestIndex(t, opts, 5, 90)
-		st := ix.Store()
-		wl := opts.WindowLen
-		tail := make([]float64, wl+10)
-		for i := range tail {
-			tail[i] = 40 + float64(i*i%17)
+	opts := testOptions()
+	ix := buildTestIndex(t, opts, 5, 90)
+	st := ix.Store()
+	wl := opts.WindowLen
+	tail := make([]float64, wl+10)
+	for i := range tail {
+		tail[i] = 40 + float64(i*i%17)
+	}
+	// Each step returns the sequence whose last window it made
+	// searchable.
+	steps := []struct {
+		name   string
+		mutate func() (int, error)
+	}{
+		{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
+		{"ExtendAndIndex", func() (int, error) {
+			last := st.NumSequences() - 1
+			return last, ix.ExtendAndIndex(last, tail[:7])
+		}},
+		{"IndexSequence", func() (int, error) {
+			seq := st.AppendSequence("RAW", tail)
+			return seq, ix.IndexSequence(seq)
+		}},
+		// Unindexing alone would leave the scan covering more than the
+		// index; taking the sequence out and putting it back does not.
+		{"UnindexSequence", func() (int, error) {
+			if err := ix.UnindexSequence(2); err != nil {
+				return 2, err
+			}
+			return 2, ix.IndexSequence(2)
+		}},
+	}
+	ctx := context.Background()
+	for _, step := range steps {
+		seq, err := step.mutate()
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
 		}
-		// Each step returns the sequence whose last window it made
-		// searchable.
-		steps := []struct {
-			name   string
-			mutate func() (int, error)
-		}{
-			{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
-			{"ExtendAndIndex", func() (int, error) {
-				last := st.NumSequences() - 1
-				return last, ix.ExtendAndIndex(last, tail[:7])
-			}},
-			{"IndexSequence", func() (int, error) {
-				seq := st.AppendSequence("RAW", tail)
-				return seq, ix.IndexSequence(seq)
-			}},
-			// Unindexing alone would leave the scan covering more than the
-			// index; taking the sequence out and putting it back does not.
-			{"UnindexSequence", func() (int, error) {
-				if err := ix.UnindexSequence(2); err != nil {
-					return 2, err
-				}
-				return 2, ix.IndexSequence(2)
-			}},
+		if ix.Frozen() {
+			t.Fatalf("%s left no builder pending", step.name)
 		}
-		ctx := context.Background()
-		for _, step := range steps {
-			seq, err := step.mutate()
-			if err != nil {
-				t.Fatalf("%s: %v", step.name, err)
-			}
-			if ix.Frozen() {
-				t.Fatalf("%s left no builder pending", step.name)
-			}
-			w := make(vec.Vector, wl)
-			if err := st.Window(seq, st.SequenceLen(seq)-wl, wl, w, nil); err != nil {
-				t.Fatal(err)
-			}
-			q := vec.Apply(w, 1.5, -4)
-			const eps = 6.0
-			if _, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, engine.ErrUnsupported) {
-				t.Fatalf("%s: range query with a builder pending: err = %v", step.name, err)
-			}
-			if _, err := ix.Exec(ctx, Query{Vec: q, K: 3}, nil); !errors.Is(err, engine.ErrUnsupported) {
-				t.Fatalf("%s: k-NN query with a builder pending: err = %v", step.name, err)
-			}
-			if _, _, err := ix.ExecBatch(ctx, rangeQueries([]vec.Vector{q, w}, eps), 2, nil); !errors.Is(err, engine.ErrUnsupported) {
-				t.Fatalf("%s: batch with a builder pending: err = %v", step.name, err)
-			}
+		w := make(vec.Vector, wl)
+		if err := st.Window(seq, st.SequenceLen(seq)-wl, wl, w, nil); err != nil {
+			t.Fatal(err)
+		}
+		q := vec.Apply(w, 1.5, -4)
+		const eps = 6.0
+		if _, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, engine.ErrUnsupported) {
+			t.Fatalf("%s: range query with a builder pending: err = %v", step.name, err)
+		}
+		if _, err := ix.Exec(ctx, Query{Vec: q, K: 3}, nil); !errors.Is(err, engine.ErrUnsupported) {
+			t.Fatalf("%s: k-NN query with a builder pending: err = %v", step.name, err)
+		}
+		if _, _, err := ix.ExecBatch(ctx, rangeQueries([]vec.Vector{q, w}, eps), 2, nil); !errors.Is(err, engine.ErrUnsupported) {
+			t.Fatalf("%s: batch with a builder pending: err = %v", step.name, err)
+		}
 
-			freeze(t, ix)
-			got, err := search(ix, q, eps, nil)
-			if err != nil {
-				t.Fatalf("%s: after Freeze: %v", step.name, err)
-			}
-			scan, err := seqscan.Search(st, q, eps, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameAsScan(got, scan); err != nil {
-				t.Fatalf("%s: after Freeze: %v", step.name, err)
-			}
-			if len(got) == 0 {
-				t.Fatalf("%s: the disguised window was not found", step.name)
-			}
-			nn, err := nearest(ix, q, 3, nil)
-			if err != nil {
-				t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
-			}
-			nscan, err := seqscan.Nearest(st, q, 3, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameAsScan(nn, nscan); err != nil {
-				t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
-			}
+		freeze(t, ix)
+		got, err := search(ix, q, eps, nil)
+		if err != nil {
+			t.Fatalf("%s: after Freeze: %v", step.name, err)
+		}
+		scan, err := seqscan.Search(st, q, eps, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAsScan(got, scan); err != nil {
+			t.Fatalf("%s: after Freeze: %v", step.name, err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s: the disguised window was not found", step.name)
+		}
+		nn, err := nearest(ix, q, 3, nil)
+		if err != nil {
+			t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
+		}
+		nscan, err := seqscan.Nearest(st, q, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAsScan(nn, nscan); err != nil {
+			t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
 		}
 	}
 }
@@ -446,90 +445,158 @@ func TestV3ArtifactCorruption(t *testing.T) {
 	}
 }
 
-// writeV2Artifact emits the previous format version so compatibility
-// stays pinned by a test even though WriteBinary now produces v3.
-func writeV2Artifact(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Magic([]byte("SSIDX\x02"))
-	bw.Section(ix.encodeHeader())
-	tree, err := ix.flat.Thaw()
+// TestV2ArtifactRejected holds the retirement of SSIDX version 2 (the
+// pointer-tree payload): testdata/pointer_v2.ssidx — buildTestIndex over
+// the 6 x 100 test store, written by the last commit that had a v2 writer
+// — is refused as a version error on the stream and the file path alike,
+// and OpenOrRebuild degrades on it and still answers as the scan does.
+func TestV2ArtifactRejected(t *testing.T) {
+	st := buildTestIndex(t, testOptions(), 6, 100).Store()
+	path := filepath.Join("testdata", "pointer_v2.ssidx")
+	rejectedArtifact(t, st, path, "format version 2")
+}
+
+// TestRunLeafArtifactRejected holds the one leaf shape at the container:
+// testdata/trail8.ssidx — the same store indexed as sub-trail MBRs of 8
+// windows, written by the last commit that had them — says 8 in header
+// word 4, which is reserved-zero now, and is refused by that word before
+// its rectangle-leaf arena is looked at; a segment artifact saying so is
+// refused the same way.
+func TestRunLeafArtifactRejected(t *testing.T) {
+	st := buildTestIndex(t, testOptions(), 6, 100).Store()
+	rejectedArtifact(t, st, filepath.Join("testdata", "trail8.ssidx"), "header word 4 (reserved; once the sub-trail run length) is 8")
+
+	g, err := NewSegmentedIndex(st, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tb bytes.Buffer
-	if err := tree.WriteBinary(&tb); err != nil {
+	defer g.Close()
+	var seg bytes.Buffer
+	if err := g.WriteSegments(&seg); err != nil {
 		t.Fatal(err)
 	}
-	bw.Section(tb.Bytes())
+	if _, err := LoadSegments(bytes.NewReader(reframed(t, seg.Bytes(), segMagic, func(sections [][]byte) {
+		sections[0][8*4] = 8
+	})), st); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "header word 4") {
+		t.Fatalf("segments with header word 4 = 8: err = %v, want ErrVersion naming the word", err)
+	}
+}
+
+// TestLeafKindArtifactRejected: an artifact whose arena says leaf kind 1
+// in header word 9 — every checksum valid — is refused at open, on the
+// eager path and on the lazy one, which parses the arena's header too.
+func TestLeafKindArtifactRejected(t *testing.T) {
+	ix := buildTestIndex(t, testOptions(), 3, 80)
+	bad := leafKindArtifact(t, ix)
+	_, streamErr := LoadIndex(bytes.NewReader(bad), ix.Store())
+	_, _, lazyErr := loadIndexBytes(bad, ix.Store())
+	for what, err := range map[string]error{"stream": streamErr, "lazy": lazyErr} {
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1") {
+			t.Errorf("%s load: err = %v, want ErrVersion for the leaf kind", what, err)
+		}
+	}
+}
+
+// leafKindArtifact returns ix's artifact with arena header word 9 set to
+// 1 and every checksum recomputed.
+func leafKindArtifact(t testing.TB, ix *Index) []byte {
+	var buf bytes.Buffer
+	if err := ix.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return reframed(t, buf.Bytes(), indexMagic, func(sections [][]byte) {
+		arena, err := arenaFromSection(sections[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena[8*9] = 1
+	})
+}
+
+// reframed parses the sections of a well-formed artifact, lets edit
+// change them in place, and frames them again under the same magic, so
+// the result differs from the original only where edit wrote — and in
+// the checksums, which are valid.
+func reframed(t testing.TB, artifact, magic []byte, edit func(sections [][]byte)) []byte {
+	br := binio.NewByteReader(artifact)
+	if err := br.Magic(magic); err != nil {
+		t.Fatal(err)
+	}
+	var sections [][]byte
+	for len(artifact)-br.Offset() > 4 {
+		s, err := br.Section(maxIndexSection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections = append(sections, append([]byte(nil), s...))
+	}
+	edit(sections)
+	var out bytes.Buffer
+	bw := binio.NewWriter(&out)
+	bw.Magic(magic)
+	for _, s := range sections {
+		bw.Section(s)
+	}
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return out.Bytes()
 }
 
-// TestV2ArtifactCompatibility loads a v2 (pointer-tree) artifact
-// through both the stream and file paths and asserts it is frozen at
-// load and fully equal to the live index.
-func TestV2ArtifactCompatibility(t *testing.T) {
-	opts := testOptions()
-	ix := buildTestIndex(t, opts, 6, 100)
-	qs := testQueries(t, ix, 4)
-	eps := 8.0
-	wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
-	v2 := writeV2Artifact(t, ix)
-
-	streamed, err := LoadIndex(bytes.NewReader(v2), ix.Store())
+// rejectedArtifact asserts that the index artifact at path, written over
+// st, is refused with an ErrVersion whose text contains want by LoadIndex
+// and LoadIndexFile, and that OpenOrRebuild and OpenOrRebuildFile degrade
+// on it — reason recorded — to an index whose range answers are
+// Float64bits-equal to seqscan's and whose Explain carries the reason.
+func rejectedArtifact(t *testing.T, st *store.Store, path, want string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("v2 stream load: %v", err)
-	}
-	if !streamed.Frozen() {
-		t.Fatal("a v2 artifact should be frozen at load")
-	}
-	sR, sNN, sB, sS := runAllSearches(t, streamed, qs, eps)
-	if !reflect.DeepEqual(wantR, sR) || !reflect.DeepEqual(wantNN, sNN) ||
-		!reflect.DeepEqual(wantB, sB) || !reflect.DeepEqual(wantS, sS) {
-		t.Fatal("v2 stream-loaded index diverged")
-	}
-
-	path := filepath.Join(t.TempDir(), "ix.v2")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := LoadIndexFile(path, ix.Store())
+	_, streamErr := LoadIndex(bytes.NewReader(data), st)
+	_, fileErr := LoadIndexFile(path, st)
+	for what, err := range map[string]error{"stream": streamErr, "file": fileErr} {
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s load: err = %v, want ErrVersion naming %q", what, err, want)
+		}
+	}
+	streamed, sStatus, err := OpenOrRebuild(bytes.NewReader(data), st, testOptions())
 	if err != nil {
-		t.Fatalf("v2 file load: %v", err)
-	}
-	defer fromFile.Close()
-	if !fromFile.Frozen() {
-		t.Fatal("a v2 artifact should be frozen at load")
-	}
-	fR, _, _, _ := runAllSearches(t, fromFile, qs, eps)
-	if !reflect.DeepEqual(wantR, fR) {
-		t.Fatal("v2 file-loaded index diverged")
-	}
-	// Parsed into the heap, not aliasing the file, and written back as
-	// an artifact that maps.
-	if fromFile.mapping != nil || fromFile.artifact != nil {
-		t.Fatal("a v2 artifact should not stay mapped")
-	}
-	var again bytes.Buffer
-	if err := fromFile.WriteBinary(&again); err != nil {
 		t.Fatal(err)
 	}
-	if _, aliased, err := loadIndexBytes(again.Bytes(), ix.Store()); err != nil || !aliased {
-		t.Fatalf("a v2 artifact written back: aliased=%v, err %v", aliased, err)
+	mapped, fStatus, err := OpenOrRebuildFile(path, st, testOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// v2 corruption is rejected eagerly on both paths.
-	mut := append([]byte(nil), v2...)
-	mut[len(mut)/2] ^= 0x10
-	if _, err := LoadIndex(bytes.NewReader(mut), ix.Store()); err == nil {
-		t.Fatal("corrupt v2 accepted by stream load")
+	w := make(vec.Vector, testOptions().WindowLen)
+	if err := st.Window(2, 11, len(w), w, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := loadIndexBytes(mut, ix.Store()); err == nil {
-		t.Fatal("corrupt v2 accepted by byte load")
+	q := vec.Apply(w, 1.5, -4)
+	scan, err := seqscan.Search(st, q, 8, nil, nil)
+	if err != nil || len(scan) == 0 {
+		t.Fatalf("scan: %d matches, err %v", len(scan), err)
+	}
+	for _, c := range []struct {
+		what   string
+		ix     *Index
+		status OpenStatus
+	}{{"stream", streamed, sStatus}, {"file", mapped, fStatus}} {
+		what, status := c.what, c.status
+		if !status.Degraded || !errors.Is(status.Err, ErrVersion) || !strings.Contains(status.Reason, want) {
+			t.Fatalf("%s: status %+v, want degraded by the version error", what, status)
+		}
+		got, ex, err := run(context.Background(), c.ix, Query{Vec: q, Eps: 8}, nil)
+		if err != nil {
+			t.Fatalf("%s: degraded search: %v", what, err)
+		}
+		if err := sameAsScan(got, scan); err != nil {
+			t.Fatalf("%s: degraded answer: %v", what, err)
+		}
+		if !ex.Degraded || !strings.Contains(ex.DegradedReason, want) {
+			t.Fatalf("%s: Explain degraded=%v reason %q", what, ex.Degraded, ex.DegradedReason)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"scaleshift/internal/stock"
@@ -22,20 +24,18 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	opts := DefaultOptions()
 	opts.WindowLen = 32
-	good := func() []byte {
-		ix, err := NewIndex(st, opts)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := ix.Build(); err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ix.WriteBinary(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
+	ix, err := NewIndex(st, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := ix.Build(); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("SSIDX\x01"))
@@ -44,6 +44,14 @@ func FuzzLoadIndex(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-2] ^= 0x40
 	f.Add(flipped)
+	// What is recognised and no longer read: a sub-trail MBR index (header
+	// word 4 says 8) and an arena whose leaf-kind word is set.
+	trail, err := os.ReadFile(filepath.Join("testdata", "trail8.ssidx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trail)
+	f.Add(leafKindArtifact(f, ix))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		ix, err := LoadIndex(bytes.NewReader(in), st)
 		if err != nil {

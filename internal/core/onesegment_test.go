@@ -49,7 +49,6 @@ func oneSegmentQueries(t *testing.T, st *store.Store, n int) []oneSegmentQuery {
 		{"loose", Query{Vec: q, Eps: 0.6 * scale}},
 		{"bounded", Query{Vec: q, Eps: 0.2 * scale, Costs: CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}}},
 		{"force-rtree", Query{Vec: q, Eps: 0.05 * scale, Force: engine.PathRTree}},
-		{"force-trail", Query{Vec: q, Eps: 0.05 * scale, Force: engine.PathTrail}},
 		{"force-scan", Query{Vec: q, Eps: 0.05 * scale, Force: engine.PathScan}},
 		{"long", Query{Vec: long, Eps: 0.1 * longScale}},
 		{"knn", Query{Vec: q, K: 5}},
@@ -106,47 +105,39 @@ func ledger(res Result, stats SearchStats, err error) string {
 // oneSegmentGolden holds ledger() of every cell, recorded at the parent
 // of the commit that folded Index's read path into the manifest (PR 18)
 // — where Index planned through its own planner over three path
-// objects and probed on its own — over the same seeded fixture.
+// objects and probed on its own — over the same seeded fixture.  When
+// the sub-trail leaf was retired (PR 22) its rows and columns left by a
+// mechanical edit — the trail8/* and */force-trail rows, the trail(…)
+// plan cell, and the fourth slot of probes=[…] (engine.NumPathKinds is
+// 3) — and no other character of a remaining cell moved.
 var oneSegmentGolden = map[string]string{
-	"bulk/tight":           "nodes=74 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=935 pen={325 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=98.41463414634146 actual=99 rtree(679.7444291932044 98.41463414634146 48.444149587238584) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/loose":           "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6802.917443424816 3510.1219512195125 274.3996243504419) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/bounded":         "nodes=22 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=255 pen={121 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/force-rtree":     "nodes=156 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=2329 pen={325 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1060.6910569105692 actual=1018 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/force-trail":     "error: core: planning: engine: unsupported operation: path trail unavailable: index stores per-window point entries (SubtrailLen < 2)",
-	"bulk/force-scan":      "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/long":            "nodes=726 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=11330 pen={997 0 0} probes=[0 3 0 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2154.1869918699185 actual=2076 rtree(4741.543130542343 2154.1869918699185 215.61301155603536) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"bulk/knn":             "nodes=63 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=748 pen={0 0 0} probes=[0 0 0 0] degraded=0",
-	"insert/tight":         "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=87.54437869822485 actual=99 rtree(726.4138413492329 87.54437869822485 53.23912188758401) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/loose":         "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(7372.080543214561 3557.4852071005917 317.8829446761641) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/bounded":       "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=7.958579881656805 actual=2 rtree(234.11242603550298 7.958579881656805 18.846153846153847) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/force-rtree":   "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1026.6568047337278 actual=1018 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/force-trail":   "error: core: planning: engine: unsupported operation: path trail unavailable: index stores per-window point entries (SubtrailLen < 2)",
-	"insert/force-scan":    "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/long":          "nodes=599 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=8239 pen={772 0 0} probes=[0 2 1 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2156.775147928994 actual=4100 rtree(5137.5575939586415 2156.775147928994 248.3985371691373) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"insert/knn":           "nodes=153 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=1976 pen={0 0 0} probes=[0 0 0 0] degraded=0",
-	"trail8/tight":         "nodes=40 pages=12 cand=1100 fa=1071 cr=0 res=29 exact=29 leaf=608 pen={652 0 0} probes=[0 0 0 1] degraded=0 | chosen=trail forced=false pieces=1 degraded=false est=3740.997067448681 actual=1100 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(4214.849892921115 3740.997067448681 39.48773545603615) scan(5380 5380 0)",
-	"trail8/loose":         "nodes=43 pages=12 cand=4507 fa=1202 cr=0 res=3305 exact=3305 leaf=646 pen={690 0 0} probes=[0 0 0 1] degraded=0 | chosen=trail forced=false pieces=1 degraded=false est=4411.026392961877 actual=4507 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(4922.475789882577 4411.026392961877 42.62078307672506) scan(5380 5380 0)",
-	"trail8/bounded":       "nodes=28 pages=8 cand=272 fa=270 cr=1 res=1 exact=1 leaf=402 pen={446 0 0} probes=[0 0 0 1] degraded=0 | chosen=trail forced=false pieces=1 degraded=false est=3294.310850439883 actual=272 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(3741.192514590869 3294.310850439883 37.24013867924886) scan(5380 5380 0)",
-	"trail8/force-rtree":   "error: core: planning: engine: unsupported operation: path rtree unavailable: index stores sub-trail MBR entries (SubtrailLen >= 2)",
-	"trail8/force-trail":   "nodes=42 pages=12 cand=2341 fa=1452 cr=0 res=889 exact=889 leaf=638 pen={682 0 0} probes=[0 0 0 1] degraded=0 | chosen=trail forced=true pieces=1 degraded=false est=3804.809384164223 actual=2341 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(4282.380771736584 3804.809384164223 39.797615631030126) scan(5380 5380 0)",
-	"trail8/force-scan":    "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(4282.380771736584 3804.809384164223 39.797615631030126) scan(5380 5380 0)",
-	"trail8/long":          "nodes=131 pages=12 cand=3725 fa=2807 cr=0 res=918 exact=918 leaf=1972 pen={2104 0 0} probes=[0 0 0 3] degraded=0 | chosen=trail forced=false pieces=3 degraded=false est=3868.6217008797657 actual=3725 rtree(index stores sub-trail MBR entries (SubtrailLen >= 2)) trail(4349.8805962103 3868.6217008797657 40.1049079442112) scan(5380 5380 0)",
-	"trail8/knn":           "nodes=40 pages=12 cand=818 fa=0 cr=0 res=5 exact=26 leaf=608 pen={0 0 0} probes=[0 0 0 0] degraded=0",
-	"spheres/tight":        "nodes=74 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=935 pen={236 325 89} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=98.41463414634146 actual=99 rtree(679.7444291932044 98.41463414634146 48.444149587238584) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/loose":        "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6802.917443424816 3510.1219512195125 274.3996243504419) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/bounded":      "nodes=22 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=255 pen={103 121 18} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/force-rtree":  "nodes=156 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=2329 pen={228 325 97} probes=[0 1 0 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1060.6910569105692 actual=1018 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/force-trail":  "error: core: planning: engine: unsupported operation: path trail unavailable: index stores per-window point entries (SubtrailLen < 2)",
-	"spheres/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/long":         "nodes=726 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=11330 pen={624 997 373} probes=[0 3 0 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2154.1869918699185 actual=2076 rtree(4741.543130542343 2154.1869918699185 215.61301155603536) trail(index stores per-window point entries (SubtrailLen < 2)) scan(5380 5380 0)",
-	"spheres/knn":          "nodes=63 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=748 pen={0 0 0} probes=[0 0 0 0] degraded=0",
-	"degraded/tight":       "nodes=0 pages=12 cand=5380 fa=5351 cr=0 res=29 exact=29 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) trail(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/loose":       "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) trail(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/bounded":     "nodes=0 pages=12 cand=5380 fa=3101 cr=2278 res=1 exact=1 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) trail(index degraded: artifact lost) scan(5380 5380 0)",
+	"bulk/tight":           "nodes=74 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=935 pen={325 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=98.41463414634146 actual=99 rtree(679.7444291932044 98.41463414634146 48.444149587238584) scan(5380 5380 0)",
+	"bulk/loose":           "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6802.917443424816 3510.1219512195125 274.3996243504419) scan(5380 5380 0)",
+	"bulk/bounded":         "nodes=22 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=255 pen={121 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
+	"bulk/force-rtree":     "nodes=156 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=2329 pen={325 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1060.6910569105692 actual=1018 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) scan(5380 5380 0)",
+	"bulk/force-scan":      "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) scan(5380 5380 0)",
+	"bulk/long":            "nodes=726 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=11330 pen={997 0 0} probes=[0 3 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2154.1869918699185 actual=2076 rtree(4741.543130542343 2154.1869918699185 215.61301155603536) scan(5380 5380 0)",
+	"bulk/knn":             "nodes=63 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=748 pen={0 0 0} probes=[0 0 0] degraded=0",
+	"insert/tight":         "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=87.54437869822485 actual=99 rtree(726.4138413492329 87.54437869822485 53.23912188758401) scan(5380 5380 0)",
+	"insert/loose":         "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(7372.080543214561 3557.4852071005917 317.8829446761641) scan(5380 5380 0)",
+	"insert/bounded":       "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=7.958579881656805 actual=2 rtree(234.11242603550298 7.958579881656805 18.846153846153847) scan(5380 5380 0)",
+	"insert/force-rtree":   "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1026.6568047337278 actual=1018 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
+	"insert/force-scan":    "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
+	"insert/long":          "nodes=599 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=8239 pen={772 0 0} probes=[0 2 1] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2156.775147928994 actual=4100 rtree(5137.5575939586415 2156.775147928994 248.3985371691373) scan(5380 5380 0)",
+	"insert/knn":           "nodes=153 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=1976 pen={0 0 0} probes=[0 0 0] degraded=0",
+	"spheres/tight":        "nodes=74 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=935 pen={236 325 89} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=98.41463414634146 actual=99 rtree(679.7444291932044 98.41463414634146 48.444149587238584) scan(5380 5380 0)",
+	"spheres/loose":        "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6802.917443424816 3510.1219512195125 274.3996243504419) scan(5380 5380 0)",
+	"spheres/bounded":      "nodes=22 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=255 pen={103 121 18} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
+	"spheres/force-rtree":  "nodes=156 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=2329 pen={228 325 97} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1060.6910569105692 actual=1018 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) scan(5380 5380 0)",
+	"spheres/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2886.982925743625 1060.6910569105692 152.19098906942133) scan(5380 5380 0)",
+	"spheres/long":         "nodes=726 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=11330 pen={624 997 373} probes=[0 3 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2154.1869918699185 actual=2076 rtree(4741.543130542343 2154.1869918699185 215.61301155603536) scan(5380 5380 0)",
+	"spheres/knn":          "nodes=63 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=748 pen={0 0 0} probes=[0 0 0] degraded=0",
+	"degraded/tight":       "nodes=0 pages=12 cand=5380 fa=5351 cr=0 res=29 exact=29 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
+	"degraded/loose":       "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
+	"degraded/bounded":     "nodes=0 pages=12 cand=5380 fa=3101 cr=2278 res=1 exact=1 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
 	"degraded/force-rtree": "error: core: planning: engine: unsupported operation: path rtree unavailable: index degraded: artifact lost",
-	"degraded/force-trail": "error: core: planning: engine: unsupported operation: path trail unavailable: index degraded: artifact lost",
-	"degraded/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1 0] degraded=1 | chosen=scan forced=true pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) trail(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/long":        "nodes=0 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=0 pen={0 0 0} probes=[0 0 3 0] degraded=3 | chosen=scan forced=false pieces=3 degraded=true est=5380 actual=4100 rtree(index degraded: artifact lost) trail(index degraded: artifact lost) scan(5380 5380 0)",
+	"degraded/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=true pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
+	"degraded/long":        "nodes=0 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=0 pen={0 0 0} probes=[0 0 3] degraded=3 | chosen=scan forced=false pieces=3 degraded=true est=5380 actual=4100 rtree(index degraded: artifact lost) scan(5380 5380 0)",
 	"degraded/knn":         "error: core: unsupported operation: nearest-neighbour search unavailable: index is degraded (artifact lost)",
 }
 
@@ -188,7 +179,6 @@ func TestIndexIsOneSegment(t *testing.T) {
 	}{
 		{"bulk", built(plain, (*Index).BuildBulk), true},
 		{"insert", built(plain, (*Index).Build), true},
-		{"trail8", built(func(o *Options) { o.SubtrailLen = 8 }, (*Index).Build), false},
 		{"spheres", built(func(o *Options) { o.Strategy = geom.BoundingSpheres }, (*Index).BuildBulk), true},
 		{"degraded", func(st *store.Store) *Index {
 			ix, err := NewDegradedIndex(st, testOptions(), "artifact lost")

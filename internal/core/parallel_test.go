@@ -177,9 +177,8 @@ func TestBuildVariantsAgreeOnSearches(t *testing.T) {
 	}
 }
 
-// TestBuildBulkParallelValidation covers the rejection and fallback
-// paths: non-empty index rejected, trail mode falls back to Build,
-// empty store is a no-op, and the built index remains dynamic.
+// TestBuildBulkParallelValidation covers the edges: non-empty index
+// rejected, empty store is a no-op, and the built index remains dynamic.
 func TestBuildBulkParallelValidation(t *testing.T) {
 	opts := testOptions()
 	st := populatedStore(t, 3, 120, 9)
@@ -208,27 +207,5 @@ func TestBuildBulkParallelValidation(t *testing.T) {
 	}
 	if empty.WindowCount() != 0 {
 		t.Fatalf("empty store indexed %d windows", empty.WindowCount())
-	}
-
-	// Trail mode: parallel bulk falls back to the sequential builder
-	// and must agree with Build.
-	topts := opts
-	topts.SubtrailLen = 4
-	trailRef, err := NewIndex(st, topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trailRef.Build(); err != nil {
-		t.Fatal(err)
-	}
-	trailPar, err := NewIndex(st, topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trailPar.BuildBulkParallel(4); err != nil {
-		t.Fatal(err)
-	}
-	if trailPar.WindowCount() != trailRef.WindowCount() {
-		t.Fatalf("trail fallback indexed %d windows, Build %d", trailPar.WindowCount(), trailRef.WindowCount())
 	}
 }

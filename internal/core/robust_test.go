@@ -44,7 +44,7 @@ func TestQueryValidationTyped(t *testing.T) {
 	infQ[0] = math.Inf(1)
 
 	// A segmented index whose manifest holds no frozen segment yet
-	// (delta only): a forced trail path must still be refused.
+	// (delta only).
 	deltaOnly, err := NewSegmentedIndex(store.New(), testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,6 @@ func TestQueryValidationTyped(t *testing.T) {
 		{"NN wrong length", try(ix, Query{Vec: q[:n-2], K: 3}), ErrInvalidQuery},
 		{"NN forced path", try(ix, Query{Vec: q, K: 3, Force: engine.PathRTree}), ErrInvalidQuery},
 		{"NN forced path, segmented", try(deltaOnly, Query{Vec: q, K: 3, Force: engine.PathScan}), ErrInvalidQuery},
-		{"segmented delta-only forced trail", try(deltaOnly, Query{Vec: q, Eps: eps, Force: engine.PathTrail}), engine.ErrUnsupported},
 		{"batch NaN", func() error {
 			_, _, err := ix.ExecBatch(context.Background(), rangeQueries([]vec.Vector{q, nanQ}, eps), 2, nil)
 			return err
@@ -91,6 +90,11 @@ func TestQueryValidationTyped(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: error %v is not %v", tc.name, err, tc.want)
 		}
+	}
+	// "trail" named the retired sub-trail probe: an unknown path name now,
+	// refused where the name is parsed, so no query can carry it.
+	if _, err := engine.ParsePathKind("trail"); err == nil {
+		t.Error("path=trail still parses")
 	}
 }
 

@@ -406,8 +406,8 @@ type Query struct {
 	// Force pins the index phase of every segment to one access path —
 	// a debugging and benchmarking tool, never a correctness knob: the
 	// result set is bit-identical whichever path runs.  A path some
-	// segment lacks (the trail probe over point entries, an index probe
-	// on a degraded index) fails the query with engine.ErrUnsupported.
+	// segment lacks (the index probe on a degraded index) fails the
+	// query with engine.ErrUnsupported.
 	Force engine.PathKind
 	// Pool plays the verifier's data-page fetches through a shared LRU
 	// buffer pool, for bounded-memory cost studies.
@@ -757,13 +757,11 @@ func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Res
 		}
 		return nil
 	}
-	m.nearest(q.Vec, sc, func(lb float64, seq, first, count int) bool {
+	m.nearest(q.Vec, sc, func(lb float64, seq, start int) bool {
 		if failed != nil || (len(best) == k && lb > best[k-1].Dist+slack) {
 			return false // this stream cannot improve the top-k
 		}
-		for i := 0; i < count && failed == nil; i++ {
-			failed = refine(seq, first+i)
-		}
+		failed = refine(seq, start)
 		return failed == nil
 	})
 	if failed != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"scaleshift/internal/dft"
@@ -50,44 +49,30 @@ type frozenSeg struct {
 	flat   *rtree.FlatTree
 	ranges []winRange
 	count  int
-	// trail, when >= 2, says the leaves hold one MBR per run of that
-	// many consecutive windows (Options.SubtrailLen) instead of one
-	// point per window; runs start at multiples of trail and the last
-	// one of a sequence may be short.
-	trail int
 	// degraded, when non-empty, is why the segment has no tree (see
 	// NewDegradedIndex): flat is the empty arena, and only the scan
 	// reads the segment.
 	degraded string
 }
 
-// Why a plan-table row is unavailable.  Availability is structural: a
-// segment stores one leaf representation, so its point-entry and
-// sub-trail probes are mutually exclusive, both are off without a tree,
-// and the scan always works.
-const (
-	reasonTrailEntries = "index stores sub-trail MBR entries (SubtrailLen >= 2)"
-	reasonPointEntries = "index stores per-window point entries (SubtrailLen < 2)"
-)
+// planTable is one segment's plan: a row per access path, the index
+// probe before the scan so an exact cost tie keeps the paper's behavior.
+// Availability is structural: the probe is off without a tree, and the
+// scan always works.
+type planTable [2]engine.PathPlan
 
-// planTable is one segment's plan: a row per access path, index probes
-// before the scan so an exact cost tie keeps the paper's behavior.
-type planTable [3]engine.PathPlan
-
-// plan prices the three ways to emit the segment's candidates for eq —
+// plan prices the two ways to emit the segment's candidates for eq —
 // each a superset of the true answer set, the shared verifier removing
-// the rest, which is what keeps the choice among them invisible in the
+// the rest, which is what keeps the choice between them invisible in the
 // result set.  The tree's maintained feature sample is measured against
 // the query's SE-line (its scale segment when cost bounds apply) once,
-// into sc.sample, for whichever index probe the segment has: the
-// empirical half of the selectivity estimate.
+// into sc.sample: the empirical half of the selectivity estimate.
 func (sg *frozenSeg) plan(eq engine.Query, sc *queryScratch) planTable {
-	t := planTable{{Path: engine.PathRTree}, {Path: engine.PathTrail},
+	t := planTable{{Path: engine.PathRTree},
 		{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(sg.count)}}
-	tree, trail := &t[0], &t[1]
+	tree := &t[0]
 	if sg.degraded != "" {
 		tree.Reason = "index degraded: " + sg.degraded
-		trail.Reason = tree.Reason
 		return t
 	}
 	h := sg.flat.CostHints()
@@ -96,24 +81,17 @@ func (sg *frozenSeg) plan(eq engine.Query, sc *queryScratch) planTable {
 		tMin, tMax = eq.TMin, eq.TMax
 	}
 	sc.sample = engine.SegmentDistances(sc.sample, h.Sample, eq.Line, tMin, tMax)
-	if sg.trail >= 2 {
-		tree.Reason = reasonTrailEntries
-		trail.Available, trail.Cost = true, engine.EstimateTrailCostSampled(h, sg.count, sg.trail, eq.Eps, sc.sample)
-	} else {
-		trail.Reason = reasonPointEntries
-		tree.Available, tree.Cost = true, engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)
-	}
+	tree.Available, tree.Cost = true, engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)
 	return t
 }
 
 // candidates appends the segment's candidate windows for eq to sc.ids
 // down path, which plan must have listed available, counting tree work
-// into sc's tally.  An index probe is the paper's §6 index phase —
+// into sc's tally.  The index probe is the paper's §6 index phase —
 // descend into children whose ε-enlarged MBR the SE-line penetrates,
-// collect the leaf entries within ε of it, expand each penetrated
-// sub-trail into its windows — under an "rtree.descent" span; the scan
-// is experiment set 1, every window of the segment in storage order and
-// no index page read, under a "scan" span.
+// collect the leaf entries within ε of it — under an "rtree.descent"
+// span; the scan is experiment set 1, every window of the segment in
+// storage order and no index page read, under a "scan" span.
 func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, strategy geom.Strategy, sc *queryScratch) error {
 	before := len(sc.ids)
 	if path == engine.PathScan {
@@ -129,35 +107,13 @@ func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq en
 	descentCtx, span := obs.StartSpan(ctx, "rtree.descent")
 	nodesBefore, leavesBefore := sc.tree.NodeAccesses, sc.tree.LeafEntriesChecked
 	var err error
-	if path == engine.PathRTree {
-		if eq.Segment {
-			sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree, sc.ids)
-		} else {
-			sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree, sc.ids)
-		}
-		endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(sc.ids)-before, err)
-		return err
-	}
-	var trails []rtree.RectItem
 	if eq.Segment {
-		trails, err = sg.flat.SegmentSearchRectsContext(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree)
+		sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree, sc.ids)
 	} else {
-		trails, err = sg.flat.LineSearchRectsContext(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree)
+		sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree, sc.ids)
 	}
-	endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(trails), err)
-	if err != nil {
-		return err
-	}
-	for _, tr := range trails {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seq, first := store.DecodeWindowID(tr.ID)
-		for i, count := 0, sg.trailWindows(seq, first); i < count; i++ {
-			sc.ids = append(sc.ids, store.EncodeWindowID(seq, first+i))
-		}
-	}
-	return nil
+	endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(sc.ids)-before, err)
+	return err
 }
 
 // appendWindows appends every window of the segment to sc.ids, in
@@ -175,20 +131,6 @@ func (sg *frozenSeg) appendWindows(ctx context.Context, sc *queryScratch) error 
 		}
 	}
 	return nil
-}
-
-// trailWindows returns how many windows the sub-trail entry starting at
-// window first of sequence seq covers: a full trail, clipped by the end
-// of the segment's range (none when no range holds the window).
-func (sg *frozenSeg) trailWindows(seq, first int) int {
-	i := sort.Search(len(sg.ranges), func(i int) bool {
-		r := sg.ranges[i]
-		return r.Seq > seq || (r.Seq == seq && r.Hi > first)
-	})
-	if i == len(sg.ranges) || sg.ranges[i].Seq != seq {
-		return 0
-	}
-	return min(sg.trail, sg.ranges[i].Hi-first)
 }
 
 // manifest is one immutable view of an index: what every query plans,
@@ -310,7 +252,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		if err = choose(engine.SegmentPlan{Seg: i, Kind: "frozen", Windows: sg.count}, t, sg.count > lead); err != nil {
 			break
 		}
-		sampled += t[0].Cost.Candidates + t[1].Cost.Candidates
+		sampled += t[0].Cost.Candidates
 		frozenWindows += float64(sg.count)
 	}
 	if err == nil && m.delta.n > 0 {
@@ -326,7 +268,6 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		est := sel * float64(m.delta.n)
 		err = choose(engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: m.delta.n}, planTable{
 			{Path: engine.PathRTree, Available: true, Cost: engine.Cost{Candidates: est, Units: est}},
-			{Path: engine.PathTrail, Reason: reasonPointEntries},
 			{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(m.delta.n)},
 		}, lead < 0)
 	}
@@ -378,35 +319,26 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	return ex, nil
 }
 
-// nearest streams windows to visit as runs [first, first+count) of one
-// sequence sharing the lower bound lb on their true distance to q,
-// counting the index work into sc's tally: one stream per frozen
-// segment, its entries in non-decreasing feature-space distance to q's
-// SE-line (a point entry is one window, a sub-trail MBR bounds every
-// window of its trail), then the delta's windows as one more, by the
+// nearest streams windows to visit, each with the lower bound lb on its
+// true distance to q, counting the index work into sc's tally: one
+// stream per frozen segment, its points in non-decreasing feature-space
+// distance to q's SE-line, then the delta's windows as one more, by the
 // distances a frozen leaf computes for the same points.  Within a stream
 // lb never decreases; visit returning false ends it and starts the next,
 // so each stops at its first bound past the running kth best and a full
 // delta costs a sweep of its feature planes, not a refinement per window.
-func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, first, count int) bool) {
+func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, start int) bool) {
 	line := seLineFor(m.fmap, q)
 	for _, sg := range m.frozen {
-		if sg.trail >= 2 {
-			sg.flat.NearestRectsToLineFunc(line, &sc.tree, func(it rtree.RectItemDist) bool {
-				seq, first := store.DecodeWindowID(it.ID)
-				return visit(it.Dist, seq, first, sg.trailWindows(seq, first))
-			})
-			continue
-		}
 		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
 			seq, start := store.DecodeWindowID(id.Item.ID)
-			return visit(id.Dist, seq, start, 1)
+			return visit(id.Dist, seq, start)
 		})
 	}
 	if m.delta.n > 0 {
 		m.delta.stream(line, sc, func(lb float64, id int64) bool {
 			seq, start := store.DecodeWindowID(id)
-			return visit(lb, seq, start, 1)
+			return visit(lb, seq, start)
 		})
 	}
 }

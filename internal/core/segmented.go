@@ -109,12 +109,8 @@ type seqSlider struct {
 // NewSegmentedIndex builds a segmented index over st: the current
 // contents become the initial frozen segment (bulk-loaded in
 // parallel), and subsequent AppendValues/AppendSequence calls grow the
-// delta.  Trail mode is not supported — segments store per-window
-// point entries.
+// delta.
 func NewSegmentedIndex(st *store.Store, opts Options) (*SegmentedIndex, error) {
-	if opts.SubtrailLen >= 2 {
-		return nil, fmt.Errorf("core: segmented index requires per-window point entries (SubtrailLen < 2)")
-	}
 	ix, err := NewIndex(st, opts)
 	if err != nil {
 		return nil, err
@@ -130,9 +126,6 @@ func NewSegmentedIndex(st *store.Store, opts Options) (*SegmentedIndex, error) {
 // the store gained after the index was built land in the delta, so
 // the segmented view covers the store completely from the start.
 func NewSegmentedFromIndex(ix *Index) (*SegmentedIndex, error) {
-	if ix.trailMode() {
-		return nil, fmt.Errorf("core: segmented index requires per-window point entries (SubtrailLen < 2)")
-	}
 	if deg, why := ix.Degraded(); deg {
 		return nil, fmt.Errorf("core: cannot segment a degraded index (%s)", why)
 	}

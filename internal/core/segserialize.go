@@ -15,7 +15,8 @@ import (
 // a CRC32C-protected header section (options, segment directory with
 // per-segment window ranges) followed by one arena section per frozen
 // segment — each using the same pad-to-8 scheme as the SSIDX v3 arena
-// so the format stays mmap-friendly — and a whole-file trailer.  As in
+// so the format stays mmap-friendly — and a whole-file trailer.  Header
+// word 4 is reserved-zero as in SSIDX (reservedRunLength).  As in
 // SSIDX the arenas are versioned on their own: a version-1 arena is
 // converted as its segment is loaded, and written back in the current
 // layout by the next checkpoint.
@@ -67,7 +68,7 @@ func writeSegments(opts Options, man *manifest, w io.Writer) error {
 	writeU64(uint64(opts.Coefficients))
 	writeU64(uint64(opts.Reduction))
 	writeU64(uint64(opts.Strategy))
-	writeU64(uint64(opts.SubtrailLen))
+	writeU64(0) // reserved, see reservedRunLength
 	writeU64(uint64(len(man.frozen)))
 	for _, sg := range man.frozen {
 		writeU64(uint64(sg.count))
@@ -116,14 +117,14 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 		off += 8
 		return v, nil
 	}
-	var windowLen, coeffs, reduction, strategy, subtrail, nsegs uint64
-	for _, dst := range []*uint64{&windowLen, &coeffs, &reduction, &strategy, &subtrail, &nsegs} {
+	var windowLen, coeffs, reduction, strategy, reserved, nsegs uint64
+	for _, dst := range []*uint64{&windowLen, &coeffs, &reduction, &strategy, &reserved, &nsegs} {
 		if *dst, err = readU64(); err != nil {
 			return nil, err
 		}
 	}
-	if subtrail >= 2 {
-		return nil, fmt.Errorf("core: segmented artifact with SubtrailLen %d (segments store per-window point entries)", subtrail)
+	if err := reservedRunLength(reserved); err != nil {
+		return nil, err
 	}
 	type segDir struct {
 		count  int
@@ -185,7 +186,6 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 		Coefficients: int(coeffs),
 		Reduction:    ReductionKind(reduction),
 		Strategy:     geom.Strategy(strategy),
-		SubtrailLen:  int(subtrail),
 		Tree:         DefaultOptions().Tree,
 	}
 	frozen := make([]*frozenSeg, 0, len(dirs))

@@ -23,16 +23,23 @@ import (
 // The arena carries its own version, and the container's does not move
 // with it: an artifact holding a version-1 arena (float64 planes) is
 // converted to the current layout when it is opened, in O(n) and into
-// the heap, as is Version 2 of the container (same framing, pointer-tree
-// payload in the second section, frozen at load).  Either way the
-// opened index serves, and writes itself as, the current arena; the old
-// file is replaced the next time the caller saves one.  Version 1
-// (unchecksummed) artifacts are rejected with ErrVersion; rebuild them
-// from the store.
+// the heap; the opened index serves, and writes itself as, the current
+// arena, and the old file is replaced the next time the caller saves
+// one.  Version 2 of the container (same framing, a pointer-tree payload
+// in the second section) and version 1 (unchecksummed) are rejected with
+// ErrVersion; rebuild them from the store.
+//
+// The header section is six words and the indexed counts.  Word 4 (the
+// fifth, after the strategy) is reserved and written as zero: it held
+// the run length of an index whose leaf entries were sub-trail MBRs, one
+// per run of consecutive windows, which no longer exists.  An artifact
+// that says 2 or more there is such an index and is rejected with
+// ErrVersion (see reservedRunLength); 0 and 1 always meant a point per
+// window.
 var indexMagic = []byte("SSIDX\x03")
 
 // indexVersions lists the format versions LoadIndex accepts.
-var indexVersions = []byte{2, 3}
+var indexVersions = []byte{3}
 
 // Typed artifact-validation failures from LoadIndex, re-exported from
 // the shared framing package so callers can errors.Is against
@@ -50,8 +57,19 @@ const maxIndexSection = 1 << 36
 
 // indexHeader is the decoded first section of an index artifact.
 type indexHeader struct {
-	windowLen, coeffs, reduction, strategy, subtrail uint64
-	indexed                                          []int
+	windowLen, coeffs, reduction, strategy uint64
+	indexed                                []int
+}
+
+// reservedRunLength checks header word 4 of an SSIDX or SSSEG artifact
+// (see indexMagic): a value of 2 or more marks an index of sub-trail MBR
+// leaves, which this code no longer reads — a version error, so the
+// callers that degrade on version skew degrade here too.
+func reservedRunLength(v uint64) error {
+	if v >= 2 {
+		return fmt.Errorf("core: header word 4 (reserved; once the sub-trail run length) is %d: an index of one MBR per run of windows is no longer read, rebuild it from the store: %w", v, ErrVersion)
+	}
+	return nil
 }
 
 // encodeHeader serializes the options and indexed counts.
@@ -67,7 +85,7 @@ func (ix *Index) encodeHeader() []byte {
 		uint64(ix.opts.Coefficients),
 		uint64(ix.opts.Reduction),
 		uint64(ix.opts.Strategy),
-		uint64(ix.opts.SubtrailLen),
+		0, // reserved, see reservedRunLength
 		uint64(len(ix.indexed)),
 	} {
 		writeU64(v)
@@ -90,13 +108,16 @@ func parseIndexHeader(head []byte, st *store.Store) (indexHeader, error) {
 		}
 		return binary.LittleEndian.Uint64(scratch[:]), nil
 	}
-	var nIndexed uint64
-	for _, dst := range []*uint64{&h.windowLen, &h.coeffs, &h.reduction, &h.strategy, &h.subtrail, &nIndexed} {
+	var reserved, nIndexed uint64
+	for _, dst := range []*uint64{&h.windowLen, &h.coeffs, &h.reduction, &h.strategy, &reserved, &nIndexed} {
 		v, err := readU64()
 		if err != nil {
 			return h, fmt.Errorf("core: reading header: %w", err)
 		}
 		*dst = v
+	}
+	if err := reservedRunLength(reserved); err != nil {
+		return h, err
 	}
 	if nIndexed > uint64(st.NumSequences()) {
 		return h, fmt.Errorf("core: index covers %d sequences but store has %d",
@@ -120,15 +141,13 @@ func parseIndexHeader(head []byte, st *store.Store) (indexHeader, error) {
 // the store-consistency checks shared by every load path: tree
 // dimensionality must match the options' feature map, and the indexed
 // counts must agree with the store's sequence lengths and the tree's
-// leaf-entry count (one entry per window in point mode, one per
-// sub-trail in trail mode).
+// leaf-entry count (one entry per window).
 func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store) (*Index, error) {
 	opts := Options{
 		WindowLen:    int(h.windowLen),
 		Coefficients: int(h.coeffs),
 		Reduction:    ReductionKind(h.reduction),
 		Strategy:     geom.Strategy(h.strategy),
-		SubtrailLen:  int(h.subtrail),
 		Tree:         cfg,
 	}
 	ix, err := NewIndex(st, opts)
@@ -145,11 +164,7 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 			return nil, fmt.Errorf("core: indexed count %d exceeds sequence %d (len %d)",
 				c, seq, st.SequenceLen(seq))
 		}
-		if k := int(h.subtrail); k >= 2 {
-			total += (c + k - 1) / k
-		} else {
-			total += c
-		}
+		total += c
 	}
 	if total != treeLen {
 		return nil, fmt.Errorf("core: indexed counts imply %d leaf entries but tree holds %d",
@@ -175,10 +190,7 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 	}
 	flat := ix.flat
 	if ix.builder != nil {
-		var err error
-		if flat, err = ix.builder.Freeze(); err != nil {
-			return err
-		}
+		flat = ix.builder.Freeze()
 	}
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
@@ -232,8 +244,7 @@ func arenaFromSection(payload []byte) ([]byte, error) {
 // served.  For O(1) zero-copy opens from a file, use LoadIndexFile.
 func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	br := binio.NewReader(r)
-	version, err := br.MagicVersions(indexMagic, indexVersions...)
-	if err != nil {
+	if _, err := br.MagicVersions(indexMagic, indexVersions...); err != nil {
 		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
 
@@ -251,12 +262,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 		return nil, fmt.Errorf("core: tree section: %w", err)
 	}
 
-	var flat *rtree.FlatTree
-	if version == 2 {
-		flat, err = flatFromV2(body)
-	} else {
-		flat, _, err = flatFromSection(body)
-	}
+	flat, _, err := flatFromSection(body)
 	if err != nil {
 		return nil, err
 	}
@@ -278,21 +284,6 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	return ix, nil
 }
 
-// flatFromV2 parses a version-2 tree section — the pointer tree, node by
-// node — and freezes it, so an old artifact serves from the arena like
-// any other.
-func flatFromV2(body []byte) (*rtree.FlatTree, error) {
-	tree, err := rtree.ReadBinary(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	flat, err := tree.Freeze()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return flat, nil
-}
-
 // flatFromSection opens the arena of an arena section: in place, or —
 // converted reports which — rounded into a fresh tree when the section
 // holds a version-1 arena.
@@ -308,23 +299,17 @@ func flatFromSection(body []byte) (flat *rtree.FlatTree, converted bool, err err
 }
 
 // loadIndexBytes opens an index artifact already resident in memory
-// (typically a memory mapping).  v3 artifacts open in O(1): the header
+// (typically a memory mapping).  It opens in O(1): the header
 // section is small and CRC-checked, but the arena section's checksum
 // and structural validation are DEFERRED (Index.VerifyArtifact) and
 // the arena's arrays are reinterpreted in place, aliasing data — which
-// aliased reports.  What has to be converted anyway — a v2 artifact, or
-// a v3 one around a version-1 arena — is fully verified and parsed into
-// the heap, exactly like LoadIndex: aliased is false and data may be
-// released.
+// aliased reports.  What has to be converted anyway — an artifact around
+// a version-1 arena — is fully verified and parsed into the heap,
+// exactly like LoadIndex: aliased is false and data may be released.
 func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err error) {
 	br := binio.NewByteReader(data)
-	version, err := br.MagicVersions(indexMagic, indexVersions...)
-	if err != nil {
+	if _, err := br.MagicVersions(indexMagic, indexVersions...); err != nil {
 		return nil, false, fmt.Errorf("core: reading magic: %w", err)
-	}
-	if version == 2 {
-		ix, err = LoadIndex(bytes.NewReader(data), st)
-		return ix, false, err
 	}
 
 	head, err := br.Section(maxIndexSection)

@@ -64,22 +64,6 @@ func TestStatsInvariantsAcrossPaths(t *testing.T) {
 	}
 }
 
-func TestStatsInvariantsTrailPath(t *testing.T) {
-	opts := testOptions()
-	opts.SubtrailLen = 8
-	ix := buildTestIndex(t, opts, 12, 120)
-	q, eps := invariantQuery(t, ix)
-	var stats SearchStats
-	matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathTrail}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Chosen != engine.PathTrail {
-		t.Fatalf("chosen path %v, want trail", ex.Chosen)
-	}
-	checkStats(t, "trail", stats, len(matches))
-}
-
 func TestStatsInvariantsDegraded(t *testing.T) {
 	healthy := buildTestIndex(t, testOptions(), 8, 100)
 	ix, err := NewDegradedIndex(healthy.Store(), testOptions(), "forced for test")

@@ -3,10 +3,9 @@
 // one of several ways to answer a range query Q ~ε S': the tree wins
 // when ε is small and the SE-line penetrates few directory MBRs, but a
 // sequential SE-plane scan wins on small stores or huge ε (where the
-// tree visits every node and then verifies every window anyway), and a
-// sub-trail MBR index (ST-index style) is a third physical shape.
+// tree visits every node and then verifies every window anyway).
 //
-// The planner is three estimates and a choice: a segment of the index
+// The planner is two estimates and a choice: a segment of the index
 // (internal/core) fills one PathPlan row per path — its availability
 // and the cost the pure Estimate* functions predict from the segment's
 // structural hints — and ChoosePath picks the cheapest available row.
@@ -46,9 +45,6 @@ const (
 	// PathScan enumerates every indexed window in storage order and
 	// relies entirely on the shared verifier (experiment set 1).
 	PathScan
-	// PathTrail probes the R*-tree with sub-trail MBR leaf entries and
-	// expands each penetrated trail into its windows.
-	PathTrail
 	// NumPathKinds sizes arrays indexed by PathKind (the PathAuto slot
 	// stays unused in per-path counters).
 	NumPathKinds
@@ -63,8 +59,6 @@ func (k PathKind) String() string {
 		return "rtree"
 	case PathScan:
 		return "scan"
-	case PathTrail:
-		return "trail"
 	default:
 		return fmt.Sprintf("path(%d)", int(k))
 	}
@@ -79,10 +73,8 @@ func ParsePathKind(s string) (PathKind, error) {
 		return PathRTree, nil
 	case "scan":
 		return PathScan, nil
-	case "trail":
-		return PathTrail, nil
 	default:
-		return 0, fmt.Errorf("engine: unknown access path %q (want auto, rtree, scan, or trail)", s)
+		return 0, fmt.Errorf("engine: unknown access path %q (want auto, rtree, or scan)", s)
 	}
 }
 

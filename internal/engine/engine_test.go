@@ -19,14 +19,20 @@ func row(kind PathKind, available bool, reason string, cost Cost) PathPlan {
 func units(u float64) Cost { return Cost{Candidates: u, Units: u} }
 
 func TestPathKindStringParseRoundTrip(t *testing.T) {
-	for _, k := range []PathKind{PathAuto, PathRTree, PathScan, PathTrail} {
+	for _, k := range []PathKind{PathAuto, PathRTree, PathScan} {
 		got, err := ParsePathKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParsePathKind(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	if _, err := ParsePathKind("btree"); err == nil {
-		t.Error("ParsePathKind accepted an unknown path")
+	// "trail" named the retired sub-trail probe: unknown, like any other.
+	for _, name := range []string{"btree", "trail"} {
+		if _, err := ParsePathKind(name); err == nil {
+			t.Errorf("ParsePathKind accepted the unknown path %q", name)
+		}
+	}
+	if NumPathKinds != 3 || PathScan != 2 {
+		t.Errorf("NumPathKinds = %d, PathScan = %d: wire and metrics indices moved", NumPathKinds, PathScan)
 	}
 	if s := PathKind(99).String(); !strings.Contains(s, "99") {
 		t.Errorf("unknown kind String = %q", s)
@@ -77,8 +83,7 @@ func TestPlanTieBreaksTowardRegistrationOrder(t *testing.T) {
 
 func TestPlanForce(t *testing.T) {
 	plans := []PathPlan{
-		row(PathRTree, true, "", units(1)),
-		row(PathTrail, false, "point entries", units(1)),
+		row(PathRTree, false, "index degraded", units(1)),
 		row(PathScan, true, "", units(1000)),
 	}
 	k, err := ChoosePath(plans, PathScan)
@@ -88,7 +93,7 @@ func TestPlanForce(t *testing.T) {
 	if plans[k].Path != PathScan {
 		t.Errorf("forced scan got %v", plans[k].Path)
 	}
-	if _, err := ChoosePath(plans, PathTrail); !errors.Is(err, ErrUnsupported) {
+	if _, err := ChoosePath(plans, PathRTree); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("forcing an unavailable path: %v, want ErrUnsupported", err)
 	}
 	if _, err := ChoosePath(plans, PathKind(42)); !errors.Is(err, ErrUnsupported) {
@@ -105,7 +110,7 @@ func TestPlanNoPathAvailable(t *testing.T) {
 func TestExplainWriteText(t *testing.T) {
 	ex := &Explain{Chosen: PathRTree, Pieces: 1, EstCandidates: 3, Plans: []PathPlan{
 		row(PathRTree, true, "", units(3)),
-		row(PathTrail, false, "point entries", Cost{}),
+		row(PathScan, false, "no windows", Cost{}),
 	}}
 	ex.ActualCandidates = 5
 	ex.Matches = 2
@@ -114,7 +119,7 @@ func TestExplainWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"path=rtree", "cost-based", "unavailable: point entries", "5 actual", "2 matched", "stages:"} {
+	for _, want := range []string{"path=rtree", "cost-based", "unavailable: no windows", "5 actual", "2 matched", "stages:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, out)
 		}
@@ -137,13 +142,6 @@ func TestEstimateCostShapes(t *testing.T) {
 	// At tiny eps over a big store the tree must win.
 	if scan := EstimateScanCost(1000); small.Units >= scan.Units {
 		t.Errorf("selective tree probe (%v) not cheaper than scan (%v)", small.Units, scan.Units)
-	}
-
-	// Trail estimates cover whole trails, so candidates never exceed
-	// the window universe.
-	trail := EstimateTrailCost(h, 500, 8, 1e6)
-	if trail.Candidates > 500 {
-		t.Errorf("trail candidates %v exceed window count", trail.Candidates)
 	}
 }
 

@@ -23,10 +23,10 @@ func sane(x, hi float64) float64 {
 // size — a planner whose predicted work shrank as the query loosened
 // or the database grew would flip paths erratically.
 func FuzzCostEstimatesMonotone(f *testing.F) {
-	f.Add(0.1, 0.5, uint16(100), uint16(5000), 50.0, 1e6, uint16(2000), uint8(3), uint8(8), 1.0, 7.0, 0.2)
-	f.Add(0.0, 0.0, uint16(0), uint16(0), 0.0, 0.0, uint16(0), uint8(1), uint8(0), 0.0, 0.0, 0.0)
-	f.Add(1e3, 2e3, uint16(7), uint16(7), 1e-3, 1e-9, uint16(1), uint8(12), uint8(2), 1e6, 3.0, 9.0)
-	f.Fuzz(func(t *testing.T, epsA, epsB float64, winA, winB uint16, diam, vol float64, entries uint16, dim, subtrail uint8, d1, d2, d3 float64) {
+	f.Add(0.1, 0.5, uint16(100), uint16(5000), 50.0, 1e6, uint16(2000), uint8(3), 1.0, 7.0, 0.2)
+	f.Add(0.0, 0.0, uint16(0), uint16(0), 0.0, 0.0, uint16(0), uint8(1), 0.0, 0.0, 0.0)
+	f.Add(1e3, 2e3, uint16(7), uint16(7), 1e-3, 1e-9, uint16(1), uint8(12), 1e6, 3.0, 9.0)
+	f.Fuzz(func(t *testing.T, epsA, epsB float64, winA, winB uint16, diam, vol float64, entries uint16, dim uint8, d1, d2, d3 float64) {
 		eps1, eps2 := sane(epsA, 1e9), sane(epsB, 1e9)
 		if eps1 > eps2 {
 			eps1, eps2 = eps2, eps1
@@ -43,7 +43,6 @@ func FuzzCostEstimatesMonotone(f *testing.F) {
 			Diameter: sane(diam, 1e6),
 			Volume:   sane(vol, 1e12),
 		}
-		k := 2 + int(subtrail)
 		dists := []float64{sane(d1, 1e9), sane(d2, 1e9), sane(d3, 1e9)}
 
 		checkCost := func(name string, c Cost) {
@@ -66,27 +65,16 @@ func FuzzCostEstimatesMonotone(f *testing.F) {
 			checkCost("tree", hi)
 			checkMonotone("tree in eps", lo, hi)
 
-			lot, hit := EstimateTrailCost(h, w, k, eps1), EstimateTrailCost(h, w, k, eps2)
-			checkCost("trail", lot)
-			checkCost("trail", hit)
-			checkMonotone("trail in eps", lot, hit)
-
 			los, his := EstimateTreeCostSampled(h, w, eps1, dists), EstimateTreeCostSampled(h, w, eps2, dists)
 			checkCost("tree-sampled", los)
 			checkCost("tree-sampled", his)
 			checkMonotone("tree-sampled in eps", los, his)
-			lost, hist := EstimateTrailCostSampled(h, w, k, eps1, dists), EstimateTrailCostSampled(h, w, k, eps2, dists)
-			checkCost("trail-sampled", lost)
-			checkCost("trail-sampled", hist)
-			checkMonotone("trail-sampled in eps", lost, hist)
 
 			checkCost("scan", EstimateScanCost(w))
 		}
 		for _, eps := range []float64{eps1, eps2} {
 			checkMonotone("tree in windows", EstimateTreeCost(h, w1, eps), EstimateTreeCost(h, w2, eps))
-			checkMonotone("trail in windows", EstimateTrailCost(h, w1, k, eps), EstimateTrailCost(h, w2, k, eps))
 			checkMonotone("tree-sampled in windows", EstimateTreeCostSampled(h, w1, eps, dists), EstimateTreeCostSampled(h, w2, eps, dists))
-			checkMonotone("trail-sampled in windows", EstimateTrailCostSampled(h, w1, k, eps, dists), EstimateTrailCostSampled(h, w2, k, eps, dists))
 			checkMonotone("scan in windows", EstimateScanCost(w1), EstimateScanCost(w2))
 			if s1, s2 := SampleSelectivity(dists, eps1), SampleSelectivity(dists, eps2); s1 < 0 || s1 > 1 || math.IsNaN(s1) || s1 > s2 {
 				t.Fatalf("sample selectivity not monotone in [0,1]: %v then %v", s1, s2)
@@ -99,23 +87,22 @@ func FuzzCostEstimatesMonotone(f *testing.F) {
 // arbitrary availability patterns and costs: ChoosePath errors if and
 // only if nothing is available (or an unavailable path is forced), and
 // a successful choice always names an available path — the cheapest,
-// unless forced — e.g. never trail when the index stores point entries.
+// unless forced — e.g. never the tree of a degraded index.
 func FuzzPlanChoosesAvailablePath(f *testing.F) {
-	f.Add(true, false, true, 10.0, 20.0, 30.0, uint8(0))
-	f.Add(false, false, false, 1.0, 1.0, 1.0, uint8(1))
-	f.Add(false, true, true, 5.0, 5.0, 5.0, uint8(3))
-	f.Fuzz(func(t *testing.T, treeOK, trailOK, scanOK bool, c1, c2, c3 float64, forceRaw uint8) {
+	f.Add(true, true, 10.0, 30.0, uint8(0))
+	f.Add(false, false, 1.0, 1.0, uint8(1))
+	f.Add(false, true, 5.0, 5.0, uint8(2))
+	f.Fuzz(func(t *testing.T, treeOK, scanOK bool, c1, c2 float64, forceRaw uint8) {
 		plans := []PathPlan{
 			row(PathRTree, treeOK, "r", units(sane(c1, 1e9))),
-			row(PathTrail, trailOK, "t", units(sane(c2, 1e9))),
-			row(PathScan, scanOK, "s", units(sane(c3, 1e9))),
+			row(PathScan, scanOK, "s", units(sane(c2, 1e9))),
 		}
-		avail := map[PathKind]bool{PathRTree: treeOK, PathTrail: trailOK, PathScan: scanOK}
+		avail := map[PathKind]bool{PathRTree: treeOK, PathScan: scanOK}
 		force := PathKind(forceRaw % uint8(NumPathKinds))
 
 		k, err := ChoosePath(plans, force)
 		if err != nil {
-			if force == PathAuto && (treeOK || trailOK || scanOK) {
+			if force == PathAuto && (treeOK || scanOK) {
 				t.Fatalf("auto plan errored with available paths: %v", err)
 			}
 			if force != PathAuto && avail[force] {

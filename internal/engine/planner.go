@@ -156,37 +156,6 @@ func EstimateScanCost(windows int) Cost {
 	return Cost{Candidates: w, Units: w}
 }
 
-// EstimateTrailCost predicts the cost of the sub-trail MBR probe
-// (PathTrail): leaf entries are rectangles covering subtrailLen
-// consecutive windows, so the effective probe radius grows by the mean
-// reach of an entry around its center (h.EntryRadius, measured on the
-// tree: a trail of consecutive windows is a short, thin box, orders of
-// magnitude smaller than an equal share of the index volume), and every
-// penetrated entry expands into its run of windows.
-func EstimateTrailCost(h rtree.CostHints, windows, subtrailLen int, eps float64) Cost {
-	return EstimateTrailCostSampled(h, windows, subtrailLen, eps, nil)
-}
-
-// EstimateTrailCostSampled is EstimateTrailCost with the empirical
-// refinement of EstimateTreeCostSampled; sampleDists are distances
-// from sub-trail MBR centers to the query line.
-func EstimateTrailCostSampled(h rtree.CostHints, windows, subtrailLen int, eps float64, sampleDists []float64) Cost {
-	if eps < 0 {
-		eps = 0
-	}
-	reach := eps + h.EntryRadius
-	sel := lineSelectivity(h.Diameter, h.Volume, h.Dim, reach)
-	if s := SampleSelectivity(sampleDists, reach); s > sel {
-		sel = s
-	}
-	cands := float64(h.Entries) * sel * float64(subtrailLen)
-	if w := float64(windows); cands > w {
-		cands = w
-	}
-	nodes := estimateNodes(h, sel)
-	return Cost{Candidates: cands, NodeReads: nodes, Units: NodeReadCost*nodes + cands}
-}
-
 // ChoosePath picks the row of plans a probe runs: the forced path when
 // force is not PathAuto — an error when that row is unavailable or the
 // table has none — otherwise the available row with the lowest

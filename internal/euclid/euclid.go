@@ -129,9 +129,7 @@ func (ix *Index) Build() error {
 			tree.Insert(ix.feature(w), store.EncodeWindowID(seq, start))
 		}
 	}
-	if ix.flat, err = tree.Freeze(); err != nil {
-		return fmt.Errorf("euclid: %w", err)
-	}
+	ix.flat = tree.Freeze()
 	return nil
 }
 

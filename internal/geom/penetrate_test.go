@@ -25,7 +25,7 @@ func bruteForcePenetrates(r Rect, l vec.Line) bool {
 }
 
 func TestSlabPenetratesKnownCases(t *testing.T) {
-	box := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	box := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	tests := []struct {
 		name string
 		l    vec.Line
@@ -154,7 +154,7 @@ func TestPenetratesStats(t *testing.T) {
 }
 
 func TestLineRectDistKnownCases(t *testing.T) {
-	box := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	box := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	tests := []struct {
 		name string
 		l    vec.Line
@@ -281,7 +281,7 @@ func BenchmarkPenetratesEnlarged6D(b *testing.B) {
 }
 
 func TestPenetratesEnlargedSegment(t *testing.T) {
-	box := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	box := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	l := vec.Line{P: vec.Vector{-3, 1}, D: vec.Vector{1, 0}} // enters box for t in [3, 5]
 	for _, strat := range []Strategy{EnteringExiting, BoundingSpheres} {
 		tests := []struct {

@@ -20,7 +20,7 @@ func rectFromRaw(a, b []float64) (Rect, bool) {
 		}
 	}
 	r := RectFromPoint(vec.Vector(a[:n]).Clone())
-	r.ExtendPoint(vec.Vector(b[:n]))
+	r.Extend(RectFromPoint(vec.Vector(b[:n])))
 	return r, true
 }
 

@@ -7,7 +7,6 @@
 package geom
 
 import (
-	"fmt"
 	"math"
 
 	"scaleshift/internal/vec"
@@ -17,21 +16,6 @@ import (
 // endpoints L and H of its major diagonal with L[i] ≤ H[i] (§6.1).
 type Rect struct {
 	L, H vec.Vector
-}
-
-// NewRect returns the rectangle with corners l and h.  It panics if the
-// dimensions differ or any l[i] > h[i]; use Union/Extend to build
-// rectangles from unordered data.
-func NewRect(l, h vec.Vector) Rect {
-	if len(l) != len(h) {
-		panic(fmt.Sprintf("geom: corner dimension mismatch: %d vs %d", len(l), len(h)))
-	}
-	for i := range l {
-		if l[i] > h[i] {
-			panic(fmt.Sprintf("geom: inverted rectangle on dim %d: %v > %v", i, l[i], h[i]))
-		}
-	}
-	return Rect{L: l.Clone(), H: h.Clone()}
 }
 
 // RectFromPoint returns the degenerate rectangle covering exactly p.
@@ -103,18 +87,6 @@ func (r *Rect) Extend(o Rect) {
 		}
 		if o.H[i] > r.H[i] {
 			r.H[i] = o.H[i]
-		}
-	}
-}
-
-// ExtendPoint grows r in place to cover the point p.
-func (r *Rect) ExtendPoint(p vec.Vector) {
-	for i := range r.L {
-		if p[i] < r.L[i] {
-			r.L[i] = p[i]
-		}
-		if p[i] > r.H[i] {
-			r.H[i] = p[i]
 		}
 	}
 }

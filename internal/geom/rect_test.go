@@ -20,40 +20,12 @@ func randVec(r *rand.Rand, n int) vec.Vector {
 func randRect(r *rand.Rand, n int) Rect {
 	a, b := randVec(r, n), randVec(r, n)
 	rect := RectFromPoint(a)
-	rect.ExtendPoint(b)
+	rect.Extend(RectFromPoint(b))
 	return rect
 }
 
-func TestNewRectValidation(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0}, vec.Vector{1, 2})
-	if r.Dim() != 2 {
-		t.Errorf("Dim = %d", r.Dim())
-	}
-	assertPanics(t, "inverted", func() { NewRect(vec.Vector{1}, vec.Vector{0}) })
-	assertPanics(t, "mismatch", func() { NewRect(vec.Vector{0}, vec.Vector{0, 1}) })
-}
-
-func assertPanics(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
-		}
-	}()
-	f()
-}
-
-func TestNewRectCopiesCorners(t *testing.T) {
-	l := vec.Vector{0, 0}
-	r := NewRect(l, vec.Vector{1, 1})
-	l[0] = 99
-	if r.L[0] != 0 {
-		t.Error("NewRect shares caller's slice")
-	}
-}
-
 func TestContains(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	r := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	tests := []struct {
 		p    vec.Vector
 		want bool
@@ -72,10 +44,10 @@ func TestContains(t *testing.T) {
 }
 
 func TestContainsRectAndIntersects(t *testing.T) {
-	outer := NewRect(vec.Vector{0, 0}, vec.Vector{10, 10})
-	inner := NewRect(vec.Vector{2, 2}, vec.Vector{5, 5})
-	overlap := NewRect(vec.Vector{8, 8}, vec.Vector{12, 12})
-	disjoint := NewRect(vec.Vector{11, 11}, vec.Vector{12, 12})
+	outer := Rect{L: vec.Vector{0, 0}, H: vec.Vector{10, 10}}
+	inner := Rect{L: vec.Vector{2, 2}, H: vec.Vector{5, 5}}
+	overlap := Rect{L: vec.Vector{8, 8}, H: vec.Vector{12, 12}}
+	disjoint := Rect{L: vec.Vector{11, 11}, H: vec.Vector{12, 12}}
 
 	if !outer.ContainsRect(inner) || inner.ContainsRect(outer) {
 		t.Error("ContainsRect wrong")
@@ -87,14 +59,14 @@ func TestContainsRectAndIntersects(t *testing.T) {
 		t.Error("Intersects wrong for disjoint")
 	}
 	// Touching edges intersect.
-	touch := NewRect(vec.Vector{10, 0}, vec.Vector{12, 10})
+	touch := Rect{L: vec.Vector{10, 0}, H: vec.Vector{12, 10}}
 	if !outer.Intersects(touch) {
 		t.Error("touching rects should intersect")
 	}
 }
 
 func TestEnlarge(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	r := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	e := r.Enlarge(0.5)
 	if e.L[0] != -0.5 || e.H[1] != 2.5 {
 		t.Errorf("Enlarge = %+v", e)
@@ -107,10 +79,10 @@ func TestEnlarge(t *testing.T) {
 }
 
 func TestUnionExtend(t *testing.T) {
-	a := NewRect(vec.Vector{0, 0}, vec.Vector{1, 1})
-	b := NewRect(vec.Vector{2, -1}, vec.Vector{3, 0.5})
+	a := Rect{L: vec.Vector{0, 0}, H: vec.Vector{1, 1}}
+	b := Rect{L: vec.Vector{2, -1}, H: vec.Vector{3, 0.5}}
 	u := a.Union(b)
-	want := NewRect(vec.Vector{0, -1}, vec.Vector{3, 1})
+	want := Rect{L: vec.Vector{0, -1}, H: vec.Vector{3, 1}}
 	if !u.ContainsRect(want) || !want.ContainsRect(u) {
 		t.Errorf("Union = %+v", u)
 	}
@@ -120,15 +92,10 @@ func TestUnionExtend(t *testing.T) {
 	if !c.ContainsRect(want) || !want.ContainsRect(c) {
 		t.Errorf("Extend = %+v", c)
 	}
-	d := RectFromPoint(vec.Vector{1, 1})
-	d.ExtendPoint(vec.Vector{-1, 2})
-	if d.L[0] != -1 || d.H[1] != 2 || d.H[0] != 1 || d.L[1] != 1 {
-		t.Errorf("ExtendPoint = %+v", d)
-	}
 }
 
 func TestAreaMargin(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0, 0}, vec.Vector{2, 3, 4})
+	r := Rect{L: vec.Vector{0, 0, 0}, H: vec.Vector{2, 3, 4}}
 	if got := r.Area(); got != 24 {
 		t.Errorf("Area = %v", got)
 	}
@@ -142,24 +109,24 @@ func TestAreaMargin(t *testing.T) {
 }
 
 func TestIntersectionArea(t *testing.T) {
-	a := NewRect(vec.Vector{0, 0}, vec.Vector{4, 4})
-	b := NewRect(vec.Vector{2, 2}, vec.Vector{6, 6})
+	a := Rect{L: vec.Vector{0, 0}, H: vec.Vector{4, 4}}
+	b := Rect{L: vec.Vector{2, 2}, H: vec.Vector{6, 6}}
 	if got := a.IntersectionArea(b); got != 4 {
 		t.Errorf("IntersectionArea = %v", got)
 	}
-	c := NewRect(vec.Vector{5, 5}, vec.Vector{6, 6})
+	c := Rect{L: vec.Vector{5, 5}, H: vec.Vector{6, 6}}
 	if got := a.IntersectionArea(c); got != 0 {
 		t.Errorf("disjoint IntersectionArea = %v", got)
 	}
 	// Touching: zero area.
-	d := NewRect(vec.Vector{4, 0}, vec.Vector{5, 4})
+	d := Rect{L: vec.Vector{4, 0}, H: vec.Vector{5, 4}}
 	if got := a.IntersectionArea(d); got != 0 {
 		t.Errorf("touching IntersectionArea = %v", got)
 	}
 }
 
 func TestCenterRadii(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0}, vec.Vector{4, 2})
+	r := Rect{L: vec.Vector{0, 0}, H: vec.Vector{4, 2}}
 	c := r.Center()
 	if c[0] != 2 || c[1] != 1 {
 		t.Errorf("Center = %v", c)
@@ -176,7 +143,7 @@ func TestCenterRadii(t *testing.T) {
 }
 
 func TestMinDistToPoint(t *testing.T) {
-	r := NewRect(vec.Vector{0, 0}, vec.Vector{2, 2})
+	r := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
 	tests := []struct {
 		p    vec.Vector
 		want float64

@@ -378,12 +378,11 @@ func emitFlat(cfg Config, ids []int64, cols []float64, levels []bulkLevel) *Flat
 	head := arenaHeaderWords + 2*dim + 1 + sampleCount*dim
 	words := make([]uint64, head+numNodes+2*(numNodes+1)+numEntries+(numPlanes+1)/2)
 	f := &FlatTree{
-		cfg:      cfg,
-		size:     n,
-		height:   len(levels),
-		pages:    numNodes,
-		leafKind: flatLeafPoints,
-		q:        q,
+		cfg:    cfg,
+		size:   n,
+		height: len(levels),
+		pages:  numNodes,
+		q:      q,
 	}
 	off := head
 	f.meta, off = words[off:off+numNodes], off+numNodes

@@ -33,10 +33,7 @@ func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := ref.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	frozen := ref.Freeze()
 	want := frozen.AppendArena(nil)
 	ids, cols := columnsOf(items, cfg.Dim)
 	for _, workers := range workerCounts {
@@ -272,10 +269,7 @@ func TestWriteArenaWithoutHostByteOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := tr.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := tr.Freeze()
 		g, err := BulkLoadFlat(DefaultConfig(3), ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)

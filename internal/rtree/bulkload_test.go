@@ -49,7 +49,7 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got := idSet(frozen(t, tr).All())
+		got := idSet(tr.Freeze().All())
 		if len(got) != n {
 			t.Fatalf("n=%d: %d items reachable", n, len(got))
 		}
@@ -73,7 +73,7 @@ func TestBulkLoadCopiesPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	p[0] = 99
-	if frozen(t, tr).All()[0].Point[0] != 1 {
+	if tr.Freeze().All()[0].Point[0] != 1 {
 		t.Error("bulk load shares caller's slice")
 	}
 }
@@ -93,7 +93,7 @@ func TestBulkLoadSearchMatchesInsertBuilt(t *testing.T) {
 	for _, it := range items {
 		inc.Insert(it.Point, it.ID)
 	}
-	fb, fi := frozen(t, bulk), frozen(t, inc)
+	fb, fi := bulk.Freeze(), inc.Freeze()
 	for q := 0; q < 25; q++ {
 		rect := randRect(r, 3)
 		if !sameIDSet(idSet(fb.RangeSearch(rect, nil)), idSet(fi.RangeSearch(rect, nil))) {
@@ -159,7 +159,7 @@ func TestBulkLoadPackingQuality(t *testing.T) {
 		t.Errorf("bulk tree has %d nodes, incremental %d", bulk.NodeCount(), inc.NodeCount())
 	}
 	var bulkAcc, incAcc int
-	fb, fi := frozen(t, bulk), frozen(t, inc)
+	fb, fi := bulk.Freeze(), inc.Freeze()
 	for q := 0; q < 40; q++ {
 		l := vec.Line{P: make(vec.Vector, 4), D: randVec(r, 4)}
 		var sb, si SearchStats
@@ -187,7 +187,7 @@ func BenchmarkBulkLoad50k(b *testing.B) {
 }
 
 // TestBulkLoadParallelDeterministic asserts the tentpole determinism
-// requirement: the parallel bulk load serializes byte-identically to
+// requirement: the parallel bulk load freezes into the arena bytes of
 // the sequential one at every worker count, including sizes that
 // exercise the parallel merge sort (> parallelSortCutoff) and
 // duplicate keys that would expose an unstable sort.
@@ -203,10 +203,7 @@ func TestBulkLoadParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantBuf bytes.Buffer
-		if err := want.WriteBinary(&wantBuf); err != nil {
-			t.Fatal(err)
-		}
+		wantArena := want.Freeze().AppendArena(nil)
 		for _, workers := range []int{0, 1, 2, 4, 13} {
 			got, err := bulkLoadTree(DefaultConfig(4), items, workers)
 			if err != nil {
@@ -215,11 +212,7 @@ func TestBulkLoadParallelDeterministic(t *testing.T) {
 			if err := got.CheckInvariants(); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			var gotBuf bytes.Buffer
-			if err := got.WriteBinary(&gotBuf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+			if !bytes.Equal(wantArena, got.Freeze().AppendArena(nil)) {
 				t.Fatalf("n=%d workers=%d: parallel bulk load differs from sequential", n, workers)
 			}
 		}

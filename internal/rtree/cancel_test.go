@@ -25,7 +25,7 @@ func buildCancelTree(t *testing.T, n int) (*FlatTree, vec.Line) {
 		tree.Insert(p, int64(i))
 	}
 	d := vec.Vector{1, 0.5, -0.25, 2}
-	return frozen(t, tree), vec.Line{P: make(vec.Vector, 4), D: d}
+	return tree.Freeze(), vec.Line{P: make(vec.Vector, 4), D: d}
 }
 
 // TestContextSearchesMatchPlain asserts the ctx variants return
@@ -63,24 +63,6 @@ func TestContextSearchesMatchPlain(t *testing.T) {
 			t.Fatalf("segment item %d differs", i)
 		}
 	}
-
-	plainR := tree.LineSearchRects(line, eps, geom.EnteringExiting, nil)
-	gotR, err := tree.LineSearchRectsContext(ctx, line, eps, geom.EnteringExiting, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotR) != len(plainR) {
-		t.Fatalf("rects: %d vs %d items", len(gotR), len(plainR))
-	}
-
-	plainSR := tree.SegmentSearchRects(line, -0.5, 2, eps, geom.EnteringExiting, nil)
-	gotSR, err := tree.SegmentSearchRectsContext(ctx, line, -0.5, 2, eps, geom.EnteringExiting, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotSR) != len(plainSR) {
-		t.Fatalf("segment rects: %d vs %d items", len(gotSR), len(plainSR))
-	}
 }
 
 // dyingContext is a context that reports cancellation from its nth
@@ -112,14 +94,6 @@ func TestContextSearchesStopWhenCancelled(t *testing.T) {
 		},
 		"segment": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
 			return tree.SegmentSearchIDs(ctx, line, -1, 1, eps, ee, stats, nil)
-		},
-		"rects": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
-			items, err := tree.LineSearchRectsContext(ctx, line, eps, ee, stats)
-			return rectItemIDs(items), err
-		},
-		"segment rects": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
-			items, err := tree.SegmentSearchRectsContext(ctx, line, -1, 1, eps, ee, stats)
-			return rectItemIDs(items), err
 		},
 	}
 	for name, search := range searches {
@@ -155,12 +129,4 @@ func TestContextSearchesStopWhenCancelled(t *testing.T) {
 			}
 		}
 	}
-}
-
-func rectItemIDs(items []RectItem) []int64 {
-	var ids []int64
-	for _, it := range items {
-		ids = append(ids, it.ID)
-	}
-	return ids
 }

@@ -30,49 +30,6 @@ func (t *Tree) Delete(point vec.Vector, id int64) bool {
 	return true
 }
 
-// DeleteRect removes one rectangle entry equal to (r, id) — inserted
-// with InsertRect — and reports whether it was found.
-func (t *Tree) DeleteRect(r geom.Rect, id int64) bool {
-	leaf, idx := t.findLeafRect(t.root, r, id)
-	if leaf == nil {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.size--
-	t.condense(leaf)
-	for !t.root.isLeaf() && len(t.root.entries) == 1 {
-		t.nodes -= t.root.pages()
-		t.root = t.root.entries[0].child
-		t.root.parent = nil
-	}
-	t.shrinkSupernodeIfPossible(t.root)
-	return true
-}
-
-// findLeafRect locates the leaf and entry index holding the rectangle
-// entry (r, id), or (nil, 0) when absent.
-func (t *Tree) findLeafRect(n *node, r geom.Rect, id int64) (*node, int) {
-	if n.isLeaf() {
-		for i, e := range n.entries {
-			if e.item.ID != id || e.item.Point != nil {
-				continue
-			}
-			if within(e.rect.L, r.L, t.tol) && within(e.rect.H, r.H, t.tol) {
-				return n, i
-			}
-		}
-		return nil, 0
-	}
-	for _, e := range n.entries {
-		if containsWithin(e.rect, r.L, t.tol) && containsWithin(e.rect, r.H, t.tol) {
-			if leaf, i := t.findLeafRect(e.child, r, id); leaf != nil {
-				return leaf, i
-			}
-		}
-	}
-	return nil, 0
-}
-
 // findLeaf locates the leaf and entry index holding (point, id), or
 // (nil, 0) when absent.
 func (t *Tree) findLeaf(n *node, point vec.Vector, id int64) (*node, int) {

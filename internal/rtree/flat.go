@@ -11,6 +11,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"scaleshift/internal/binio"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
@@ -31,27 +32,24 @@ import (
 // the item ID (as uint64 bits) for leaf entries.  planes holds, per
 // node, the entry MBRs dimension-major — all L planes (dimension 0 of
 // every entry, then dimension 1, ...), then all H planes: the layout
-// geom.Planes describes — except that a point-mode leaf stores each
-// point once, as its L rows alone.
+// geom.Planes describes — except that a leaf stores each point once, as
+// its L rows alone.
 //
 // The tree is a filter (the caller's exact check decides), so a plane
 // value is a float32: coordinate x is stored as float32(x·2^-e) with one
-// exponent e per arena (see quant).  Over point leaves every value —
-// point coordinate or MBR bound — rounds to nearest; over rectangle
-// leaves every lower bound rounds down and every upper bound up.  Each
-// rounding is monotone, so min and max commute with it: an MBR rounded
-// on its own is exactly the MBR of the stored entries beneath it, and
-// contains the stored form of everything the exact one contained.
+// exponent e per arena (see quant).  Every value — point coordinate or
+// MBR bound — rounds to nearest.  The rounding is monotone, so min and
+// max commute with it: an MBR rounded on its own is exactly the MBR of
+// the stored points beneath it.
 // Searches scale the query into the arena's units instead of widening
 // the planes, and return coordinates and distances in the caller's.
 type FlatTree struct {
-	cfg      Config
-	size     int
-	height   int
-	pages    int // total pages (a supernode spans several)
-	leafKind uint8
-	maxNode  int // largest single-node entry count, for scratch sizing
-	q        quant
+	cfg     Config
+	size    int
+	height  int
+	pages   int // total pages (a supernode spans several)
+	maxNode int // largest single-node entry count, for scratch sizing
+	q       quant
 
 	meta   []uint64  // per node: level<<32 | pages
 	starts []uint64  // len numNodes+1: entry range offsets
@@ -63,11 +61,6 @@ type FlatTree struct {
 	sample []vec.Vector // planner sample (see CostHints)
 	arena  []byte       // backing arena when loaded zero-copy, else nil
 	pool   sync.Pool    // *flatScratch, per-search reusable buffers
-
-	// entryRadius is CostHints.EntryRadius, measured from the leaf planes
-	// on first use (the arena does not carry it).
-	radiusOnce  sync.Once
-	entryRadius float64
 }
 
 // quant is an arena's number format: the coordinate x is stored as
@@ -109,86 +102,32 @@ func quantForRect(r geom.Rect) quant {
 }
 
 // near stores a coordinate rounded to nearest.  Adding zero turns −0
-// into +0, here and below: stored values that compare equal are equal
-// bit for bit, whichever of them a min or max kept.
+// into +0: stored values that compare equal are equal bit for bit,
+// whichever of them a min or max kept.
 func (q quant) near(x float64) float32 { return float32(x*q.inv) + 0 }
-
-// down stores a lower bound: the largest float32 at or below x·2^-exp.
-func (q quant) down(x float64) float32 {
-	x *= q.inv
-	v := float32(x)
-	if float64(v) > x {
-		v = math.Nextafter32(v, float32(math.Inf(-1)))
-	}
-	return v + 0
-}
-
-// up stores an upper bound: the smallest float32 at or above x·2^-exp.
-func (q quant) up(x float64) float32 {
-	x *= q.inv
-	v := float32(x)
-	if float64(v) < x {
-		v = math.Nextafter32(v, float32(math.Inf(1)))
-	}
-	return v + 0
-}
-
-// lower and upper store the bounds of an MBR in an arena whose leaves
-// are points (to nearest, like the points) or rectangles (outward).
-func (q quant) lower(x float64, points bool) float32 {
-	if points {
-		return q.near(x)
-	}
-	return q.down(x)
-}
-
-func (q quant) upper(x float64, points bool) float32 {
-	if points {
-		return q.near(x)
-	}
-	return q.up(x)
-}
 
 // wide returns the coordinate a stored value stands for.
 func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
-
-// Leaf-entry kinds of a FlatTree.
-const (
-	flatLeafPoints uint8 = 0 // leaves hold points (L == H)
-	flatLeafRects  uint8 = 1 // leaves hold sub-trail MBRs
-)
 
 // Freeze builds the flat form of t.  The tree is walked pre-order;
 // the result shares nothing mutable with t (the planner sample
 // vectors are shared, but neither representation mutates them).  Every
 // value is rounded on its own (see FlatTree), which leaves the arena
-// BulkLoadFlat computes for the same tree.  Trees mixing point and
-// rectangle leaf entries cannot be frozen.
-func (t *Tree) Freeze() (*FlatTree, error) {
+// BulkLoadFlat computes for the same tree.
+func (t *Tree) Freeze() *FlatTree {
 	f := &FlatTree{
-		cfg:      t.cfg,
-		size:     t.size,
-		height:   t.root.level + 1,
-		leafKind: flatLeafPoints,
-		q:        quantExp(0),
+		cfg:    t.cfg,
+		size:   t.size,
+		height: t.root.level + 1,
+		q:      quantExp(0),
 	}
 	if t.size > 0 {
 		f.q = quantForRect(t.root.mbr())
 	}
-	// The leaf kind decides how the directory above rounds, so it is read
-	// off the first leaf before the walk writes anything.
-	first := t.root
-	for !first.isLeaf() {
-		first = first.entries[0].child
-	}
-	if len(first.entries) > 0 && first.entries[0].item.Point == nil {
-		f.leafKind = flatLeafRects
-	}
-	points := f.leafKind == flatLeafPoints
 	dim := t.cfg.Dim
 
-	var walk func(n *node) (int, error)
-	walk = func(n *node) (int, error) {
+	var walk func(n *node) int
+	walk = func(n *node) int {
 		idx := len(f.meta)
 		f.meta = append(f.meta, packMeta(n.level, n.pages()))
 		f.pages += n.pages()
@@ -199,58 +138,44 @@ func (t *Tree) Freeze() (*FlatTree, error) {
 		f.starts = append(f.starts, uint64(len(f.refs)))
 		f.poff = append(f.poff, uint64(len(f.planes)))
 		refBase := len(f.refs)
-		for k, e := range n.entries {
-			f.refs = append(f.refs, 0)
-			if !n.isLeaf() {
-				continue
-			}
-			if (e.item.Point != nil) != points {
-				return 0, fmt.Errorf("rtree: cannot freeze a tree mixing point and rect leaf entries")
-			}
-			f.refs[refBase+k] = uint64(e.item.ID)
+		// A leaf entry's item ID; a directory entry's (zero) item gives way
+		// to the child's index once the walk below knows it.
+		for _, e := range n.entries {
+			f.refs = append(f.refs, uint64(e.item.ID))
 		}
 		for j := 0; j < dim; j++ {
 			for _, e := range n.entries {
-				f.planes = append(f.planes, f.q.lower(e.rect.L[j], points))
-			}
-		}
-		if f.planeWidth(n.level) == 2*dim {
-			for j := 0; j < dim; j++ {
-				for _, e := range n.entries {
-					f.planes = append(f.planes, f.q.upper(e.rect.H[j], points))
-				}
+				f.planes = append(f.planes, f.q.near(e.rect.L[j]))
 			}
 		}
 		if n.isLeaf() {
-			return idx, nil
+			return idx
+		}
+		for j := 0; j < dim; j++ {
+			for _, e := range n.entries {
+				f.planes = append(f.planes, f.q.near(e.rect.H[j]))
+			}
 		}
 		for k, e := range n.entries {
-			ci, err := walk(e.child)
-			if err != nil {
-				return 0, err
-			}
-			f.refs[refBase+k] = uint64(ci)
+			f.refs[refBase+k] = uint64(walk(e.child))
 		}
-		return idx, nil
+		return idx
 	}
-	if _, err := walk(t.root); err != nil {
-		return nil, err
-	}
+	walk(t.root)
 	f.starts = append(f.starts, uint64(len(f.refs)))
 	f.poff = append(f.poff, uint64(len(f.planes)))
 	if t.size > 0 {
 		f.bounds = f.storedRect(t.root.mbr())
 	}
 	f.sample = append([]vec.Vector(nil), t.sample...)
-	return f, nil
+	return f
 }
 
 // storedRect returns the MBR r as the arena stores it, in caller units.
 func (f *FlatTree) storedRect(r geom.Rect) geom.Rect {
-	points := f.leafKind == flatLeafPoints
 	out := geom.Rect{L: make(vec.Vector, len(r.L)), H: make(vec.Vector, len(r.H))}
 	for j := range r.L {
-		out.L[j], out.H[j] = f.q.wide(f.q.lower(r.L[j], points)), f.q.wide(f.q.upper(r.H[j], points))
+		out.L[j], out.H[j] = f.q.wide(f.q.near(r.L[j])), f.q.wide(f.q.near(r.H[j]))
 	}
 	return out
 }
@@ -270,10 +195,6 @@ func (f *FlatTree) Height() int { return f.height }
 
 // NodeCount returns the number of pages the tree occupies.
 func (f *FlatTree) NodeCount() int { return f.pages }
-
-// PointLeaves reports whether the leaf entries are points (true) or
-// sub-trail MBRs (false).
-func (f *FlatTree) PointLeaves() bool { return f.leafKind == flatLeafPoints }
 
 // Bounds returns the MBR of the whole tree and true, or a zero Rect
 // and false when the tree is empty.  The rectangle is a copy.
@@ -305,32 +226,7 @@ func (f *FlatTree) CostHints() CostHints {
 	}
 	h.Diameter = math.Sqrt(diagSq)
 	h.Volume = volume
-	if f.leafKind == flatLeafRects {
-		f.radiusOnce.Do(f.measureEntryRadius)
-		h.EntryRadius = f.entryRadius
-	}
 	return h
-}
-
-// measureEntryRadius sets entryRadius to the mean outer radius of the
-// leaf entries' MBRs, as geom.Rect.OuterRadius computes it.
-func (f *FlatTree) measureEntryRadius() {
-	var sum float64
-	for i := range f.meta {
-		if f.nodeLevel(i) != 0 {
-			continue
-		}
-		pl := f.nodePlanes(i)
-		for k := 0; k < pl.Count; k++ {
-			var sq float64
-			for j := 0; j < pl.Dim; j++ {
-				half := (float64(pl.HRow(j)[k]) - float64(pl.LRow(j)[k])) / 2
-				sq += half * half
-			}
-			sum += math.Sqrt(sq)
-		}
-	}
-	f.entryRadius = sum / float64(f.size) * f.q.scale
 }
 
 // nodeLevel returns the level of node i (0 = leaf).
@@ -352,9 +248,9 @@ func (f *FlatTree) nodePlanes(i int) geom.Planes[float32] {
 }
 
 // planeWidth returns how many plane values an entry of a node at level
-// lvl occupies: a point is stored once, a rectangle as two bounds.
+// lvl occupies: a leaf's point is stored once, an MBR as two bounds.
 func (f *FlatTree) planeWidth(lvl int) int {
-	if lvl == 0 && f.leafKind == flatLeafPoints {
+	if lvl == 0 {
 		return f.cfg.Dim
 	}
 	return 2 * f.cfg.Dim
@@ -509,7 +405,6 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := f.cfg.Dim
 	var build func(i int) (*node, error)
 	build = func(i int) (*node, error) {
 		if i < 0 || i >= len(f.meta) {
@@ -526,20 +421,9 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 		}
 		pl := f.nodePlanes(i)
 		for k := 0; k < e-s; k++ {
-			lo := make(vec.Vector, d)
-			hi := make(vec.Vector, d)
-			for j := 0; j < d; j++ {
-				lo[j] = f.q.wide(pl.LRow(j)[k])
-				hi[j] = f.q.wide(pl.HRow(j)[k])
-			}
 			if lvl == 0 {
-				var en *entry
-				if f.leafKind == flatLeafPoints {
-					en = &entry{rect: geom.Rect{L: lo, H: hi}, item: Item{Point: lo, ID: int64(f.refs[s+k])}}
-				} else {
-					en = &entry{rect: geom.Rect{L: lo, H: hi}, item: Item{ID: int64(f.refs[s+k])}}
-				}
-				n.entries = append(n.entries, en)
+				it := f.leafItem(s+k, pl, k)
+				n.entries = append(n.entries, &entry{rect: geom.Rect{L: it.Point, H: it.Point.Clone()}, item: it})
 				continue
 			}
 			ci := int(f.refs[s+k])
@@ -563,7 +447,7 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 	t.size = f.size
 	t.nodes = f.pages
 	// A stored point is within 2⁻²⁴ of its magnitude of the inserted one,
-	// a rectangle bound within 2⁻²³, and no magnitude exceeds 2·2^exp.
+	// and no magnitude exceeds 2·2^exp.
 	t.tol = 0x1p-21 * f.q.scale
 	if err := t.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("rtree: thawed tree invalid: %w", err)
@@ -678,7 +562,7 @@ func (f *FlatTree) arenaHead() []uint64 {
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
 		uint64(f.cfg.ReinsertCount), uint64(f.cfg.Split),
 		math.Float64bits(f.cfg.SupernodeMaxOverlap),
-		uint64(f.size), uint64(f.height), uint64(f.leafKind),
+		uint64(f.size), uint64(f.height), 0, // word 9: reserved, see FlatFromArena
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
 		uint64(int64(f.q.exp)),
@@ -819,12 +703,18 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 			Split:               SplitAlgorithm(word(5)),
 			SupernodeMaxOverlap: math.Float64frombits(word(6)),
 		},
-		size:     int(word(7)),
-		height:   int(word(8)),
-		leafKind: uint8(word(9)),
-		pages:    int(word(10)),
-		maxNode:  int(word(11)),
-		q:        quantExp(0),
+		size:    int(word(7)),
+		height:  int(word(8)),
+		pages:   int(word(10)),
+		maxNode: int(word(11)),
+		q:       quantExp(0),
+	}
+	// Word 9 said what a leaf entry was while rectangle (sub-trail MBR)
+	// leaves existed: 0 for points, the only kind left and the only value
+	// written.  Anything else is an arena this code cannot read, and says
+	// so before any plane is touched.
+	if kind := word(9); kind != 0 {
+		return nil, false, fmt.Errorf("rtree: unsupported leaf kind %d in flat arena header word 9 (only point leaves, 0, are read; rebuild the index): %w", kind, binio.ErrVersion)
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
 		return nil, false, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
@@ -835,9 +725,6 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	numNodes, numEntries := word(12), word(13)
 	if numNodes < 1 || numNodes > maxArenaNodes || numEntries > maxArenaEntries {
 		return nil, false, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
-	}
-	if f.leafKind != flatLeafPoints && f.leafKind != flatLeafRects {
-		return nil, false, fmt.Errorf("rtree: unknown flat leaf kind %d", f.leafKind)
 	}
 	if f.size < 0 || uint64(f.size) > numEntries {
 		return nil, false, fmt.Errorf("rtree: flat arena size %d exceeds %d entries", f.size, numEntries)
@@ -883,14 +770,12 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	if sampleCount > maxArenaSample {
 		return nil, false, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
 	}
-	// A point leaf entry is d plane values wide, every other entry 2·d;
-	// version 1 stored them all 2·d wide, as 8-byte values.
+	// A leaf entry is d plane values wide, every other entry 2·d; version 1
+	// stored them all 2·d wide, as 8-byte values.
 	numPlanes := 2 * d * numEntries
 	planeWords := numPlanes
 	if version == arenaVersion {
-		if f.leafKind == flatLeafPoints {
-			numPlanes -= d * uint64(f.size)
-		}
+		numPlanes -= d * uint64(f.size)
 		planeWords = (numPlanes+1)/2 + numNodes + 1 // with the poff column
 	}
 	need := off + sampleCount*d + numNodes + (numNodes + 1) + numEntries + planeWords
@@ -943,7 +828,7 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 // rounded with them, and every array f keeps is copied, so the result
 // shares nothing with the blob.
 func (f *FlatTree) convertV1(v1 []uint64) error {
-	d, points := f.cfg.Dim, f.leafKind == flatLeafPoints
+	d := f.cfg.Dim
 	numNodes, numEntries := len(f.meta), len(f.refs)
 	if f.size > 0 {
 		f.q = quantForRect(f.bounds)
@@ -959,13 +844,8 @@ func (f *FlatTree) convertV1(v1 []uint64) error {
 		s, e := f.nodeEntries(i)
 		c := e - s
 		old := v1[2*d*s : 2*d*e]
-		for _, x := range old[:d*c] {
-			f.planes = append(f.planes, f.q.lower(math.Float64frombits(x), points))
-		}
-		if f.planeWidth(f.nodeLevel(i)) == 2*d {
-			for _, x := range old[d*c:] {
-				f.planes = append(f.planes, f.q.upper(math.Float64frombits(x), points))
-			}
+		for _, x := range old[:c*f.planeWidth(f.nodeLevel(i))] {
+			f.planes = append(f.planes, f.q.near(math.Float64frombits(x)))
 		}
 		f.poff[i+1] = uint64(len(f.planes))
 	}

@@ -13,7 +13,7 @@ import (
 // geom/batch.go and vec/batch.go — which evaluate the scalar
 // expressions of Theorem 3 and Lemma 1 per entry — before any descent,
 // entries are visited in slot order (depth first for the range probes,
-// best first for k-NN), and returned Items and Rects are materialized
+// best first for k-NN), and returned Items are materialized
 // fresh (the arena has no per-entry objects to share).
 //
 // The planes are in the arena's units (see quant), so every search first
@@ -41,22 +41,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.Penetration.Add(o.Penetration)
 }
 
-// RectItem is a leaf entry together with its extent, as returned by
-// the rectangle-aware searches.  For point entries the rectangle is
-// degenerate (L == H == the point).
-type RectItem struct {
-	Rect geom.Rect
-	ID   int64
-}
-
-// RectItemDist pairs a leaf entry with a lower bound on the distance
-// from the line to anything inside its extent.
-type RectItemDist struct {
-	Rect geom.Rect
-	ID   int64
-	Dist float64
-}
-
 // ItemDist pairs an item with its distance to the query line.
 type ItemDist struct {
 	Item Item
@@ -65,8 +49,7 @@ type ItemDist struct {
 
 // lineQuery is one line or segment probe: what a descent prunes
 // subtrees and tests leaf entries against.  The line and segment
-// searches — over point or rectangle leaf entries, returning items or
-// IDs — share the one descend loop on it.
+// searches — returning items or IDs — share the one descend loop on it.
 type lineQuery struct {
 	l vec.Line
 	// segment restricts the line to the parameter range [tMin, tMax].
@@ -74,10 +57,6 @@ type lineQuery struct {
 	tMin, tMax float64
 	eps        float64
 	strategy   geom.Strategy
-	// rects applies the Theorem 3 box test all the way to the leaf
-	// slots (rectangle entries); otherwise leaves hold points and the
-	// exact point-to-line distance (Lemma 1) decides.
-	rects bool
 }
 
 // flatScratch holds the per-search reusable buffers.  Verdicts of
@@ -117,32 +96,15 @@ func (f *FlatTree) getScratch() *flatScratch {
 
 func (f *FlatTree) putScratch(sc *flatScratch) { f.pool.Put(sc) }
 
-// leafItem materializes the Item of leaf entry s+k, whose node planes
-// are pl, in caller units.  Point-mode leaves store the point as their
-// L rows, which are gathered; rect-mode items carry only the ID.
+// leafItem materializes the Item of leaf entry ei, slot k of the node
+// whose planes are pl, in caller units: the point is gathered from the
+// leaf's rows.
 func (f *FlatTree) leafItem(ei int, pl geom.Planes[float32], k int) Item {
-	id := int64(f.refs[ei])
-	if f.leafKind != flatLeafPoints {
-		return Item{ID: id}
-	}
 	p := make(vec.Vector, f.cfg.Dim)
 	for j := range p {
 		p[j] = f.q.wide(pl.LRow(j)[k])
 	}
-	return Item{Point: p, ID: id}
-}
-
-// leafRect materializes the extent of entry k of the node viewed by pl,
-// in caller units.
-func (f *FlatTree) leafRect(pl geom.Planes[float32], k int) geom.Rect {
-	d := f.cfg.Dim
-	lo := make(vec.Vector, d)
-	hi := make(vec.Vector, d)
-	for j := 0; j < d; j++ {
-		lo[j] = f.q.wide(pl.LRow(j)[k])
-		hi[j] = f.q.wide(pl.HRow(j)[k])
-	}
-	return geom.Rect{L: lo, H: hi}
+	return Item{Point: p, ID: int64(f.refs[ei])}
 }
 
 // entryRect gathers entry k of pl into the scratch rect (no
@@ -256,14 +218,6 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 			return nil
 		}
 		pl := f.nodePlanes(ni)
-		if q.rects {
-			for k, in := range q.penetrated(pl, &sc.bs, pen) {
-				if in {
-					hit(pl, s, k)
-				}
-			}
-			return nil
-		}
 		if q.segment {
 			vec.PSegDFastBatch(pl.Data, c, c, q.l, q.tMin, q.tMax, sc.qpD, sc.qpQp, sc.dist)
 		} else {
@@ -302,18 +256,6 @@ func (f *FlatTree) searchItems(q lineQuery, stats *SearchStats) []Item {
 	return out
 }
 
-// searchRects runs q and materializes the hits as RectItems.
-func (f *FlatTree) searchRects(ctx context.Context, q lineQuery, stats *SearchStats) ([]RectItem, error) {
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	q = f.arenaQuery(q, sc)
-	var out []RectItem
-	err := f.descend(ctx, 0, &q, stats, sc, func(pl geom.Planes[float32], s, k int) {
-		out = append(out, RectItem{Rect: f.leafRect(pl, k), ID: int64(f.refs[s+k])})
-	})
-	return out, err
-}
-
 // searchIDs runs q, appending the ID of every hit to ids and reporting
 // the descent to the obs registry.  Nothing is materialized per hit:
 // the ID is read straight out of the arena's ref column.
@@ -340,7 +282,7 @@ func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, s
 
 // SegmentSearch is LineSearch restricted to the parameter range
 // [tMin, tMax] of the line: returned items lie within eps of the
-// SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.  Point entries only.
+// SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.
 func (f *FlatTree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
 	return f.searchItems(lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
 }
@@ -356,42 +298,6 @@ func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, s
 // [tMin, tMax].
 func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
 	return f.searchIDs(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
-}
-
-// LineSearchRects returns every leaf entry whose ε-enlarged extent is
-// penetrated by the line l — the Theorem 3 test applied all the way to
-// the leaf slots.  Unlike LineSearch it works for rectangle (sub-trail
-// MBR) entries: any point within L2 distance ε of the line lies inside
-// the ε-enlargement of every box containing it, so no qualifying entry
-// is missed; the caller's exact post-check removes the extra
-// candidates the L∞ box test admits.  stats may be nil.
-func (f *FlatTree) LineSearchRects(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	out, _ := f.searchRects(context.Background(), lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
-	return out
-}
-
-// SegmentSearchRects is SegmentSearch for trees with rectangle
-// (sub-trail MBR) leaf entries: the ε-enlarged extent must be
-// penetrated by the segment.
-func (f *FlatTree) SegmentSearchRects(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []RectItem {
-	out, _ := f.searchRects(context.Background(), lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
-	return out
-}
-
-// LineSearchRectsContext is LineSearchRects with cooperative
-// cancellation.
-func (f *FlatTree) LineSearchRectsContext(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
-	nb, lb := descentBefore(stats)
-	defer recordDescent(stats, nb, lb)
-	return f.searchRects(ctx, lineQuery{l: l, eps: eps, strategy: strategy, rects: true}, stats)
-}
-
-// SegmentSearchRectsContext is SegmentSearchRects with cooperative
-// cancellation.
-func (f *FlatTree) SegmentSearchRectsContext(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) ([]RectItem, error) {
-	nb, lb := descentBefore(stats)
-	defer recordDescent(stats, nb, lb)
-	return f.searchRects(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy, rects: true}, stats)
 }
 
 // flatNNEntry is one best-first queue element: a node to expand
@@ -510,52 +416,6 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 		for k := 0; k < c; k++ {
 			d := geom.LineRectDist(sc.entryRect(pl, k), l)
 			h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
-		}
-	}
-}
-
-// NearestRectsToLineFunc streams leaf entries in non-decreasing
-// line-to-extent distance (exact LineRectDist, a valid lower bound for
-// every point inside).  Works for both point and rectangle entries.
-func (f *FlatTree) NearestRectsToLineFunc(l vec.Line, stats *SearchStats, fn func(RectItemDist) bool) {
-	if f.size == 0 {
-		return
-	}
-	nb, lb := descentBefore(stats)
-	defer recordDescent(stats, nb, lb)
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	l = f.arenaLine(l, sc)
-	h := &sc.nn
-	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
-	for len(*h) > 0 {
-		top := h.pop()
-		if top.k >= 0 {
-			s, _ := f.nodeEntries(top.node)
-			ri := RectItemDist{Rect: f.leafRect(f.nodePlanes(top.node), top.k), ID: int64(f.refs[s+top.k]), Dist: top.dist * f.q.scale}
-			if !fn(ri) {
-				return
-			}
-			continue
-		}
-		ni := top.node
-		if stats != nil {
-			stats.NodeAccesses += f.nodePages(ni)
-		}
-		s, e := f.nodeEntries(ni)
-		c := e - s
-		pl := f.nodePlanes(ni)
-		leaf := f.nodeLevel(ni) == 0
-		for k := 0; k < c; k++ {
-			d := geom.LineRectDist(sc.entryRect(pl, k), l)
-			if leaf {
-				if stats != nil {
-					stats.LeafEntriesChecked++
-				}
-				h.push(flatNNEntry{dist: d, node: ni, k: k})
-			} else {
-				h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
-			}
 		}
 	}
 }

@@ -3,10 +3,15 @@ package rtree
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"scaleshift/internal/binio"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
@@ -38,33 +43,14 @@ func buildPointTree(t *testing.T, rng *rand.Rand, cfg Config, n int) *Tree {
 	return tr
 }
 
-// buildRectTree inserts n random small rects one by one.
-func buildRectTree(t *testing.T, rng *rand.Rand, cfg Config, n int) *Tree {
-	t.Helper()
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		c := randPoint(rng, cfg.Dim, 10)
-		r := geom.RectFromPoint(c)
-		for j := range c {
-			r.H[j] += rng.Float64()
-		}
-		tr.InsertRect(r, int64(i))
-	}
-	return tr
-}
-
 // checkSearchEquivalence asserts every search of the arena against the
 // references over the builder it was frozen from, as the arena stores it
 // (reference_test.go):
 // the same hits in the same order, and the same SearchStats — node
 // accesses, leaf checks and penetration primitives — for every range
 // descent under both strategies; the brute-force order for the k-NN
-// streams.  Point trees exercise the Item and ID variants; rect trees
-// the RectItem variants.
-func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand, points bool) {
+// streams.
+func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand) {
 	t.Helper()
 	dim := tr.Config().Dim
 	ctx := context.Background()
@@ -75,101 +61,61 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand,
 		eps := rng.Float64() * 4
 		tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
 		for _, strat := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-			line := lineQuery{l: l, eps: eps, strategy: strat, rects: !points}
-			seg := lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strat, rects: !points}
+			line := lineQuery{l: l, eps: eps, strategy: strat}
+			seg := lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strat}
 			wantLine, lineStats := refLine(root, arenaUnits(f, line))
 			wantSeg, segStats := refLine(root, arenaUnits(f, seg))
-			if points {
-				var fs SearchStats
-				if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantLine), got) {
-					t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(wantLine), len(got))
-				}
-				if lineStats != fs {
-					t.Fatalf("LineSearch stats diverged: %+v vs %+v", lineStats, fs)
-				}
-				fs = SearchStats{}
-				if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantSeg), got) {
-					t.Fatalf("SegmentSearch diverged (q=%d)", q)
-				}
-				if segStats != fs {
-					t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", segStats, fs)
-				}
-				// The ID-emitting descents the query engine drives.
-				fs = SearchStats{}
-				gotIDs, err := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
-				if err != nil || !reflect.DeepEqual(entryIDs(wantLine), gotIDs) {
-					t.Fatalf("LineSearchIDs diverged (q=%d): %v", q, err)
-				}
-				if lineStats != fs {
-					t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", lineStats, fs)
-				}
-				fs = SearchStats{}
-				gotIDs, err = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, &fs, nil)
-				if err != nil || !reflect.DeepEqual(entryIDs(wantSeg), gotIDs) {
-					t.Fatalf("SegmentSearchIDs diverged (q=%d): %v", q, err)
-				}
-				if segStats != fs {
-					t.Fatalf("SegmentSearchIDs stats diverged: %+v vs %+v", segStats, fs)
-				}
-			} else {
-				var fs SearchStats
-				if got := f.LineSearchRects(l, eps, strat, &fs); !reflect.DeepEqual(storedRectItems(f, wantLine), got) {
-					t.Fatalf("LineSearchRects diverged (q=%d strat=%d)", q, strat)
-				}
-				if lineStats != fs {
-					t.Fatalf("LineSearchRects stats diverged: %+v vs %+v", lineStats, fs)
-				}
-				fs = SearchStats{}
-				if got := f.SegmentSearchRects(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedRectItems(f, wantSeg), got) {
-					t.Fatalf("SegmentSearchRects diverged (q=%d)", q)
-				}
-				if segStats != fs {
-					t.Fatalf("SegmentSearchRects stats diverged: %+v vs %+v", segStats, fs)
-				}
-				fs = SearchStats{}
-				got, err := f.LineSearchRectsContext(ctx, l, eps, strat, &fs)
-				if err != nil || !reflect.DeepEqual(storedRectItems(f, wantLine), got) || lineStats != fs {
-					t.Fatalf("LineSearchRectsContext diverged (q=%d): %v", q, err)
-				}
-				fs = SearchStats{}
-				got, err = f.SegmentSearchRectsContext(ctx, l, tMin, tMax, eps, strat, &fs)
-				if err != nil || !reflect.DeepEqual(storedRectItems(f, wantSeg), got) || segStats != fs {
-					t.Fatalf("SegmentSearchRectsContext diverged (q=%d): %v", q, err)
-				}
+			var fs SearchStats
+			if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantLine), got) {
+				t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(wantLine), len(got))
+			}
+			if lineStats != fs {
+				t.Fatalf("LineSearch stats diverged: %+v vs %+v", lineStats, fs)
+			}
+			fs = SearchStats{}
+			if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantSeg), got) {
+				t.Fatalf("SegmentSearch diverged (q=%d)", q)
+			}
+			if segStats != fs {
+				t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", segStats, fs)
+			}
+			// The ID-emitting descents the query engine drives.
+			fs = SearchStats{}
+			gotIDs, err := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
+			if err != nil || !reflect.DeepEqual(entryIDs(wantLine), gotIDs) {
+				t.Fatalf("LineSearchIDs diverged (q=%d): %v", q, err)
+			}
+			if lineStats != fs {
+				t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", lineStats, fs)
+			}
+			fs = SearchStats{}
+			gotIDs, err = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, &fs, nil)
+			if err != nil || !reflect.DeepEqual(entryIDs(wantSeg), gotIDs) {
+				t.Fatalf("SegmentSearchIDs diverged (q=%d): %v", q, err)
+			}
+			if segStats != fs {
+				t.Fatalf("SegmentSearchIDs stats diverged: %+v vs %+v", segStats, fs)
 			}
 		}
 
-		// Nearest-neighbour streams: the brute-force order, bit for bit.
+		// Nearest-neighbour stream: the brute-force order, bit for bit.
 		dist := make(map[int64]float64, len(all))
 		var ids []int64
 		var dists []float64
 		var ns SearchStats
 		al := arenaUnits(f, lineQuery{l: l}).l
-		if points {
-			for _, e := range all {
-				dist[e.item.ID] = vec.PLDFast(e.item.Point, al) * f.q.scale
-			}
-			for _, id := range f.NearestToLine(l, 1+rng.Intn(20), &ns) {
-				ids, dists = append(ids, id.Item.ID), append(dists, id.Dist)
-			}
-		} else {
-			for _, e := range all {
-				dist[e.item.ID] = geom.LineRectDist(e.rect, al) * f.q.scale
-			}
-			f.NearestRectsToLineFunc(l, &ns, func(d RectItemDist) bool {
-				ids, dists = append(ids, d.ID), append(dists, d.Dist)
-				return len(ids) < 15
-			})
+		for _, e := range all {
+			dist[e.item.ID] = vec.PLDFast(e.item.Point, al) * f.q.scale
+		}
+		for _, id := range f.NearestToLine(l, 1+rng.Intn(20), &ns) {
+			ids, dists = append(ids, id.Item.ID), append(dists, id.Dist)
 		}
 		checkStream(t, "nearest", ids, dists, dist)
 		if len(all) > 0 && (len(ids) == 0 || ns.NodeAccesses < f.Height() || ns.NodeAccesses > f.NodeCount() || ns.LeafEntriesChecked < len(ids)) {
 			t.Fatalf("nearest: %d hits with implausible stats %+v", len(ids), ns)
 		}
 
-		// Range queries (defined for point leaves only).
-		if !points {
-			continue
-		}
+		// Range queries.
 		lo := randPoint(rng, dim, 8)
 		r := geom.RectFromPoint(lo)
 		for j := range lo {
@@ -209,32 +155,13 @@ func TestFlatEquivalencePoints(t *testing.T) {
 	for ci, cfg := range flatConfigs() {
 		for _, n := range []int{0, 1, 7, 300} {
 			tr := buildPointTree(t, rng, cfg, n)
-			f, err := tr.Freeze()
-			if err != nil {
-				t.Fatalf("cfg %d n %d: %v", ci, n, err)
-			}
+			f := tr.Freeze()
 			if err := f.Validate(); err != nil {
 				t.Fatalf("cfg %d n %d: frozen tree invalid: %v", ci, n, err)
 			}
 			checkFlatShape(t, tr, f)
-			checkSearchEquivalence(t, tr, f, rng, true)
+			checkSearchEquivalence(t, tr, f, rng)
 		}
-	}
-}
-
-func TestFlatEquivalenceRects(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for ci, cfg := range flatConfigs() {
-		tr := buildRectTree(t, rng, cfg, 250)
-		f, err := tr.Freeze()
-		if err != nil {
-			t.Fatalf("cfg %d: %v", ci, err)
-		}
-		if err := f.Validate(); err != nil {
-			t.Fatalf("cfg %d: frozen tree invalid: %v", ci, err)
-		}
-		checkFlatShape(t, tr, f)
-		checkSearchEquivalence(t, tr, f, rng, false)
 	}
 }
 
@@ -249,15 +176,12 @@ func TestFlatEquivalenceBulkLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := tr.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tr.Freeze()
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	checkFlatShape(t, tr, f)
-	checkSearchEquivalence(t, tr, f, rng, true)
+	checkSearchEquivalence(t, tr, f, rng)
 }
 
 func checkFlatShape(t *testing.T, tr *Tree, f *FlatTree) {
@@ -280,10 +204,7 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cfg := Config{Dim: 3, MaxEntries: 6, MinEntries: 2, ReinsertCount: 2, Split: SplitRStar}
 	tr := buildPointTree(t, rng, cfg, 400)
-	f, err := tr.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tr.Freeze()
 	back, err := f.Thaw()
 	if err != nil {
 		t.Fatal(err)
@@ -293,10 +214,7 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	if want, got := f.All(), entryItems(builderEntries(back)); !reflect.DeepEqual(want, got) {
 		t.Fatal("thawed tree lost or mutated items")
 	}
-	again, err := back.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := back.Freeze()
 	again.sample = f.sample // a thaw resamples by leaf walk
 	if !bytes.Equal(f.AppendArena(nil), again.AppendArena(nil)) {
 		t.Fatal("freezing a thawed arena changed it")
@@ -314,52 +232,67 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	if back.Len() != tr.Len() {
 		t.Fatalf("len after insert+delete = %d, want %d", back.Len(), tr.Len())
 	}
-	if _, err := back.Freeze(); err != nil {
-		t.Fatal(err)
-	}
+	back.Freeze()
 }
 
 func TestArenaRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, rects := range []bool{false, true} {
-		cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
-		var tr *Tree
-		if rects {
-			tr = buildRectTree(t, rng, cfg, 220)
-		} else {
-			tr = buildPointTree(t, rng, cfg, 220)
-		}
-		f, err := tr.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena := f.AppendArena(nil)
-		if len(arena) != f.ArenaSize() {
-			t.Fatalf("ArenaSize %d != emitted %d", f.ArenaSize(), len(arena))
-		}
-		// Aligned decode (zero-copy on little-endian hosts).
-		g, _, err := FlatFromArena(arena)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		checkFlatShape(t, tr, g)
-		checkSearchEquivalence(t, tr, g, rng, !rects)
-
-		// Misaligned decode must transparently fall back to copying.
-		buf := make([]byte, 4+len(arena))
-		copy(buf[4:], arena)
-		h, _, err := FlatFromArena(buf[4:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		checkFlatShape(t, tr, h)
+	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
+	tr := buildPointTree(t, rng, cfg, 220)
+	f := tr.Freeze()
+	arena := f.AppendArena(nil)
+	if len(arena) != f.ArenaSize() {
+		t.Fatalf("ArenaSize %d != emitted %d", f.ArenaSize(), len(arena))
 	}
+	// Aligned decode (zero-copy on little-endian hosts).
+	g, _, err := FlatFromArena(arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkFlatShape(t, tr, g)
+	checkSearchEquivalence(t, tr, g, rng)
+
+	// Misaligned decode must transparently fall back to copying.
+	buf := make([]byte, 4+len(arena))
+	copy(buf[4:], arena)
+	h, _, err := FlatFromArena(buf[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkFlatShape(t, tr, h)
+}
+
+// TestRectLeafArenaRejected holds the one leaf shape: header word 9 of an
+// arena is reserved-zero, and FlatFromArena refuses anything else with a
+// version error naming the word, before it looks at a plane — a point
+// arena with the word set to 1, and testdata/rect_leaf_arena.bin, a
+// genuine rectangle-leaf arena (sub-trail MBRs of 8 windows over the
+// 6 x 100 test store) frozen by the last commit that could write one.
+func TestRectLeafArenaRejected(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "rect_leaf_arena.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 40)
+	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.Freeze().AppendArena(nil), 1), "fixture": old} {
+		_, _, err := FlatFromArena(arena)
+		if !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1 in flat arena header word 9") {
+			t.Errorf("%s: err = %v, want a version error naming header word 9", what, err)
+		}
+	}
+}
+
+// withLeafKind returns a copy of arena whose header word 9 says kind.
+func withLeafKind(arena []byte, kind byte) []byte {
+	out := bytes.Clone(arena)
+	out[8*9] = kind
+	return out
 }
 
 // TestFlatArenaCorruption flips every byte and cuts every 8-byte
@@ -370,10 +303,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
 	tr := buildPointTree(t, rng, cfg, 60)
-	f, err := tr.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tr.Freeze()
 	arena := f.AppendArena(nil)
 	l := randLine(rng, 2)
 
@@ -419,12 +349,15 @@ func FuzzFlatFromArena(f *testing.F) {
 	for i := 0; i < 40; i++ {
 		tr.Insert(randPoint(rng, 2, 10), int64(i))
 	}
-	ft, err := tr.Freeze()
+	ft := tr.Freeze()
+	f.Add(ft.AppendArena(nil))
+	f.Add([]byte{})
+	f.Add(withLeafKind(ft.AppendArena(nil), 1))
+	old, err := os.ReadFile(filepath.Join("testdata", "rect_leaf_arena.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(ft.AppendArena(nil))
-	f.Add([]byte{})
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, _, err := FlatFromArena(data)
 		if err != nil {

@@ -150,49 +150,40 @@ func FuzzArenaNoDismissal(f *testing.F) {
 }
 
 // TestValidateContainment corrupts one plane value of a valid arena the
-// way a rounding-direction bug or a flipped bit would — an internal
-// entry's bound moved inside its child's extent — and requires Validate
-// to name the node, for arenas over points and over rectangles; and a
-// non-finite plane value to be rejected wherever it sits.
+// way a rounding bug or a flipped bit would — an internal entry's bound
+// moved inside its child's extent — and requires Validate to name the
+// node; and a non-finite plane value to be rejected wherever it sits.
 func TestValidateContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
-	for _, rects := range []bool{false, true} {
-		var tr *Tree
-		if rects {
-			tr = buildRectTree(t, rng, cfg, 200)
-		} else {
-			tr = buildPointTree(t, rng, cfg, 200)
-		}
-		f := frozen(t, tr)
-		if err := f.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		// The tightest lower bound of the root's first entry: some entry
-		// of the child attains it, so any move inward excludes that entry.
-		pl := f.nodePlanes(0)
-		row := pl.LRow(1)
-		saved := row[0]
-		row[0] = math.Nextafter32(saved, float32(math.Inf(1)))
-		err := f.Validate()
-		if err == nil {
-			t.Fatalf("rects=%v: a lower bound moved one float32 inward passed Validate", rects)
-		}
-		t.Logf("rects=%v: %v", rects, err)
-		row[0] = float32(math.Inf(-1))
-		if err := f.Validate(); err == nil {
-			t.Fatalf("rects=%v: an infinite bound passed Validate", rects)
-		}
-		row[0] = saved
-		leaf := f.planes[len(f.planes)-1:]
-		savedLeaf := leaf[0]
-		leaf[0] = float32(math.Inf(1))
-		if err := f.Validate(); err == nil {
-			t.Fatalf("rects=%v: an infinite leaf value passed Validate", rects)
-		}
-		leaf[0] = savedLeaf
-		if err := f.Validate(); err != nil {
-			t.Fatalf("rects=%v: restored arena: %v", rects, err)
-		}
+	f := buildPointTree(t, rng, cfg, 200).Freeze()
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The tightest lower bound of the root's first entry: some entry
+	// of the child attains it, so any move inward excludes that entry.
+	pl := f.nodePlanes(0)
+	row := pl.LRow(1)
+	saved := row[0]
+	row[0] = math.Nextafter32(saved, float32(math.Inf(1)))
+	err := f.Validate()
+	if err == nil {
+		t.Fatal("a lower bound moved one float32 inward passed Validate")
+	}
+	t.Log(err)
+	row[0] = float32(math.Inf(-1))
+	if err := f.Validate(); err == nil {
+		t.Fatal("an infinite bound passed Validate")
+	}
+	row[0] = saved
+	leaf := f.planes[len(f.planes)-1:]
+	savedLeaf := leaf[0]
+	leaf[0] = float32(math.Inf(1))
+	if err := f.Validate(); err == nil {
+		t.Fatal("an infinite leaf value passed Validate")
+	}
+	leaf[0] = savedLeaf
+	if err := f.Validate(); err != nil {
+		t.Fatalf("restored arena: %v", err)
 	}
 }

@@ -41,7 +41,7 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 		if !ok {
 			return false
 		}
-		got := frozen(t, tr).RangeSearch(bounds, nil)
+		got := tr.Freeze().RangeSearch(bounds, nil)
 		return len(got) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -83,8 +83,8 @@ func TestQuickLineSearchSupersetOfTightened(t *testing.T) {
 			tr.Insert(vec.Vector{x, y}, int64(i))
 		}
 		l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}
-		small := frozen(t, tr).LineSearch(l, eps/2, geom.EnteringExiting, nil)
-		large := frozen(t, tr).LineSearch(l, eps, geom.EnteringExiting, nil)
+		small := tr.Freeze().LineSearch(l, eps/2, geom.EnteringExiting, nil)
+		large := tr.Freeze().LineSearch(l, eps, geom.EnteringExiting, nil)
 		if len(small) > len(large) {
 			return false
 		}

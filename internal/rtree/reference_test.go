@@ -25,29 +25,18 @@ import (
 // float64 expressions on the same values, which is what makes the
 // comparison exact.
 
-// frozen freezes tr: the only way to search what a builder holds.
-func frozen(t testing.TB, tr *Tree) *FlatTree {
-	t.Helper()
-	f, err := tr.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // storedView copies the nodes of tr with every coordinate as f stores it:
-// rounded by f's format and widened to float64, in arena units.  Point
+// rounded by f's format and widened to float64, in arena units.  Leaf
 // entries keep their point as the lower corner of their rect.
 func storedView(tr *Tree, f *FlatTree) *node {
-	points := f.PointLeaves()
 	var cp func(n *node) *node
 	cp = func(n *node) *node {
 		out := &node{level: n.level, super: n.super}
 		for _, e := range n.entries {
 			r := geom.Rect{L: make(vec.Vector, len(e.rect.L)), H: make(vec.Vector, len(e.rect.H))}
 			for j := range r.L {
-				r.L[j] = float64(f.q.lower(e.rect.L[j], points))
-				r.H[j] = float64(f.q.upper(e.rect.H[j], points))
+				r.L[j] = float64(f.q.near(e.rect.L[j]))
+				r.H[j] = float64(f.q.near(e.rect.H[j]))
 			}
 			ce := &entry{rect: r, item: Item{ID: e.item.ID}}
 			if e.item.Point != nil {
@@ -90,8 +79,8 @@ func refDescend(n *node, stats *SearchStats, prune func(geom.Rect) bool, accept 
 }
 
 // refLine answers q over the nodes under root: Theorem 3 prunes the
-// directory, and the leaves are decided by the same test (rects) or by
-// the exact point-to-line distance of Lemma 1.
+// directory, and the leaves are decided by the exact point-to-line
+// distance of Lemma 1.
 func refLine(root *node, q lineQuery) ([]*entry, SearchStats) {
 	var stats SearchStats
 	var hits []*entry
@@ -102,10 +91,7 @@ func refLine(root *node, q lineQuery) ([]*entry, SearchStats) {
 		return geom.PenetratesEnlarged(q.strategy, r, q.eps, q.l, &stats.Penetration)
 	}
 	accept := func(e *entry) bool {
-		switch {
-		case q.rects:
-			return penetrates(e.rect)
-		case q.segment:
+		if q.segment {
 			return vec.PSegDFast(e.item.Point, q.l, q.tMin, q.tMax) <= q.eps
 		}
 		return vec.PLDFast(e.item.Point, q.l) <= q.eps
@@ -168,15 +154,6 @@ func storedItems(f *FlatTree, es []*entry) []Item {
 	var items []Item
 	for _, e := range es {
 		items = append(items, Item{Point: callerUnits(f, e.item.Point), ID: e.item.ID})
-	}
-	return items
-}
-
-// storedRectItems is the RectItem form of storedItems.
-func storedRectItems(f *FlatTree, es []*entry) []RectItem {
-	var items []RectItem
-	for _, e := range es {
-		items = append(items, RectItem{Rect: geom.Rect{L: callerUnits(f, e.rect.L), H: callerUnits(f, e.rect.H)}, ID: e.item.ID})
 	}
 	return items
 }

@@ -126,9 +126,7 @@ func (c Config) validate() error {
 
 // Item is a stored point with its caller-assigned identifier (the
 // <ID, S'> leaf entry of §6 with the feature point standing in for the
-// subsequence).  Entries inserted with InsertRect have a nil Point;
-// their extent is the rectangle returned alongside them by the
-// rectangle-aware search methods.
+// subsequence).
 type Item struct {
 	Point vec.Vector
 	ID    int64
@@ -220,9 +218,8 @@ type Tree struct {
 	// reinsertDone marks levels already force-reinserted during the
 	// current insertion (R* "first overflow of the level" rule).
 	reinsertDone map[int]bool
-	// sample holds every sampleStride-th inserted feature point (rect
-	// entries contribute their center), the planner's data-distribution
-	// statistic; see sampleAdd in stats.go.
+	// sample holds every sampleStride-th inserted feature point, the
+	// planner's data-distribution statistic; see sampleAdd in stats.go.
 	sample       []vec.Vector
 	sampleStride int
 	sampleTick   int
@@ -233,7 +230,7 @@ type Tree struct {
 	// inserted: zero for a tree only ever inserted into, a few float32
 	// ulps of the arena's scale for one thawed from an arena (see
 	// FlatTree.Thaw), whose entries were rounded when it was frozen.
-	// Delete and DeleteRect match within it.
+	// Delete matches within it.
 	tol float64
 }
 
@@ -284,25 +281,6 @@ func (t *Tree) Insert(point vec.Vector, id int64) {
 	t.insertEntry(e, 0)
 	t.size++
 	t.sampleAdd(p)
-}
-
-// InsertRect adds a rectangle with its identifier — the sub-trail MBR
-// entry of the ST-index [2], where one leaf slot summarizes a run of
-// consecutive feature points.  The rectangle is copied.  Rect items
-// are returned by the frozen tree's rectangle-aware searches
-// (LineSearchRects, SegmentSearchRects); its point searches must not be
-// used on trees containing them, and a tree mixing both kinds cannot
-// be frozen.
-func (t *Tree) InsertRect(r geom.Rect, id int64) {
-	if r.Dim() != t.cfg.Dim {
-		panic(fmt.Sprintf("rtree: inserting %d-dimensional rect into %d-dimensional tree",
-			r.Dim(), t.cfg.Dim))
-	}
-	e := &entry{rect: geom.NewRect(r.L, r.H), item: Item{ID: id}}
-	t.reinsertDone = make(map[int]bool)
-	t.insertEntry(e, 0)
-	t.size++
-	t.sampleAdd(e.rect.Center())
 }
 
 // insertEntry places e into a node at the given level, handling

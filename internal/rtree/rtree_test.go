@@ -22,7 +22,7 @@ func randVec(r *rand.Rand, n int) vec.Vector {
 
 func randRect(r *rand.Rand, n int) geom.Rect {
 	rect := geom.RectFromPoint(randVec(r, n))
-	rect.ExtendPoint(randVec(r, n))
+	rect.Extend(geom.RectFromPoint(randVec(r, n)))
 	return rect
 }
 
@@ -103,7 +103,7 @@ func TestInsertGrowsAndStaysValid(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(frozen(t, tr).All()); got != 500 {
+			if got := len(tr.Freeze().All()); got != 500 {
 				t.Errorf("All() returned %d items", got)
 			}
 		})
@@ -125,7 +125,7 @@ func TestInsertCopiesPoint(t *testing.T) {
 	p := vec.Vector{1, 2}
 	tr.Insert(p, 7)
 	p[0] = 99
-	items := frozen(t, tr).All()
+	items := tr.Freeze().All()
 	if items[0].Point[0] != 1 {
 		t.Error("tree shares caller's slice")
 	}
@@ -143,7 +143,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			}
 			for q := 0; q < 50; q++ {
 				rect := randRect(r, 3)
-				got := idSet(frozen(t, tr).RangeSearch(rect, nil))
+				got := idSet(tr.Freeze().RangeSearch(rect, nil))
 				want := map[int64]bool{}
 				for i, p := range pts {
 					if rect.Contains(p) {
@@ -193,7 +193,7 @@ func TestLineSearchMatchesBruteForce(t *testing.T) {
 					l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 					for _, eps := range []float64{0, 0.5, 2, 5} {
 						var stats SearchStats
-						got := idSet(frozen(t, tr).LineSearch(l, eps, strategy, &stats))
+						got := idSet(tr.Freeze().LineSearch(l, eps, strategy, &stats))
 						want := map[int64]bool{}
 						for i, p := range pts {
 							if d, _ := vec.PLD(p, l); d <= eps {
@@ -226,7 +226,7 @@ func TestLineSearchDegenerateLine(t *testing.T) {
 	}
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{0, 0}}
 	eps := 3.0
-	got := idSet(frozen(t, tr).LineSearch(l, eps, geom.EnteringExiting, nil))
+	got := idSet(tr.Freeze().LineSearch(l, eps, geom.EnteringExiting, nil))
 	want := map[int64]bool{}
 	for i, p := range pts {
 		if vec.Norm(p) <= eps {
@@ -249,7 +249,7 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 	for q := 0; q < 20; q++ {
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 		for _, k := range []int{1, 5, 17} {
-			got := frozen(t, tr).NearestToLine(l, k, nil)
+			got := tr.Freeze().NearestToLine(l, k, nil)
 			// Brute force: k smallest PLDs.
 			type pd struct {
 				id int64
@@ -277,14 +277,14 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 func TestNearestToLineEdgeCases(t *testing.T) {
 	tr := newTestTree(t, 2, SplitRStar)
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 0}}
-	if got := frozen(t, tr).NearestToLine(l, 3, nil); got != nil {
+	if got := tr.Freeze().NearestToLine(l, 3, nil); got != nil {
 		t.Errorf("empty tree returned %v", got)
 	}
 	tr.Insert(vec.Vector{1, 1}, 1)
-	if got := frozen(t, tr).NearestToLine(l, 0, nil); got != nil {
+	if got := tr.Freeze().NearestToLine(l, 0, nil); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	got := frozen(t, tr).NearestToLine(l, 10, nil)
+	got := tr.Freeze().NearestToLine(l, 10, nil)
 	if len(got) != 1 || got[0].Item.ID != 1 {
 		t.Errorf("k larger than size: %v", got)
 	}
@@ -320,7 +320,7 @@ func TestDelete(t *testing.T) {
 				// Around the float32 the arena keeps for p.
 				rect := geom.RectFromPoint(p).Enlarge(1e-5)
 				found := false
-				for _, it := range frozen(t, tr).RangeSearch(rect, nil) {
+				for _, it := range tr.Freeze().RangeSearch(rect, nil) {
 					if it.ID == int64(i) {
 						found = true
 					}
@@ -401,7 +401,7 @@ func TestInterleavedInsertDeleteProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Final: all live items retrievable.
-			got := idSet(frozen(t, tr).All())
+			got := idSet(tr.Freeze().All())
 			if len(got) != len(live) {
 				t.Fatalf("All=%d live=%d", len(got), len(live))
 			}
@@ -423,7 +423,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := idSet(frozen(t, tr).RangeSearch(geom.RectFromPoint(p), nil))
+	got := idSet(tr.Freeze().RangeSearch(geom.RectFromPoint(p), nil))
 	if len(got) != 60 {
 		t.Errorf("retrieved %d of 60 duplicates", len(got))
 	}
@@ -482,7 +482,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		var s SearchStats
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		frozen(t, tr).LineSearch(l, 1, geom.BoundingSpheres, &s)
+		tr.Freeze().LineSearch(l, 1, geom.BoundingSpheres, &s)
 		if s.NodeAccesses == 0 {
 			t.Error("no node accesses recorded")
 		}
@@ -510,7 +510,7 @@ func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 	}
 	var s SearchStats
 	l := vec.Line{P: randVec(r, 4), D: randVec(r, 4)}
-	frozen(t, tr).LineSearch(l, 0.1, geom.EnteringExiting, &s)
+	tr.Freeze().LineSearch(l, 0.1, geom.EnteringExiting, &s)
 	if s.LeafEntriesChecked >= nPts/2 {
 		t.Errorf("tree checked %d of %d entries; pruning ineffective",
 			s.LeafEntriesChecked, nPts)
@@ -544,82 +544,11 @@ func BenchmarkLineSearchDim6(b *testing.B) {
 		tr.Insert(randVec(r, 6), int64(i))
 	}
 	l := vec.Line{P: make(vec.Vector, 6), D: randVec(r, 6)}
-	f := frozen(b, tr)
+	f := tr.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.LineSearch(l, 0.5, geom.EnteringExiting, nil)
-	}
-}
-
-func TestTreeSerializationRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(60))
-	for _, n := range []int{0, 1, 50, 3000} {
-		cfg := DefaultConfig(4)
-		cfg.SupernodeMaxOverlap = 0.1 // exercise the X-tree fields too
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			tr.Insert(randVec(r, 4), int64(i))
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		tr2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if tr2.Len() != tr.Len() || tr2.NodeCount() != tr.NodeCount() || tr2.Height() != tr.Height() {
-			t.Fatalf("n=%d: shape mismatch", n)
-		}
-		if tr2.Config() != tr.Config() {
-			t.Fatalf("n=%d: config mismatch", n)
-		}
-		// Same results on a few queries.
-		for q := 0; q < 5; q++ {
-			rect := randRect(r, 4)
-			if !sameIDSet(idSet(frozen(t, tr).RangeSearch(rect, nil)), idSet(frozen(t, tr2).RangeSearch(rect, nil))) {
-				t.Fatalf("n=%d: range results differ after round trip", n)
-			}
-		}
-		// Reloaded tree stays mutable.
-		tr2.Insert(randVec(r, 4), 99999)
-		if err := tr2.CheckInvariants(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestReadBinaryRejectsCorrupt(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	tr, err := New(DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		tr.Insert(randVec(r, 3), int64(i))
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOTATREE"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	for _, cut := range []int{4, 30, len(good) / 2, len(good) - 3} {
-		if _, err := ReadBinary(bytes.NewReader(good[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	// Flip a config byte so validation fails (dim = 0).
-	bad := append([]byte(nil), good...)
-	copy(bad[len(treeMagic):], make([]byte, 8)) // dim := 0
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("zero-dimension config accepted")
 	}
 }
 
@@ -629,7 +558,7 @@ func TestStats(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
 	}
-	stats := frozen(t, tr).Stats()
+	stats := tr.Freeze().Stats()
 	if len(stats) != tr.Height() {
 		t.Fatalf("%d levels reported, height %d", len(stats), tr.Height())
 	}
@@ -662,7 +591,7 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats pages %d, tree pages %d", totalPages, tr.NodeCount())
 	}
 	var buf bytes.Buffer
-	if err := frozen(t, tr).WriteStats(&buf); err != nil {
+	if err := tr.Freeze().WriteStats(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "sphere-gap") {
@@ -676,7 +605,7 @@ func TestStatsDegenerate(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		tr.Insert(vec.Vector{1, 1}, int64(i))
 	}
-	for _, ls := range frozen(t, tr).Stats() {
+	for _, ls := range tr.Freeze().Stats() {
 		if ls.Level == 0 && (ls.AvgElongation != 1 || ls.AvgSphereGap != 1) {
 			t.Errorf("degenerate stats: %+v", ls)
 		}
@@ -697,7 +626,7 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 			tMin := r.Float64()*4 - 2
 			tMax := tMin + r.Float64()*3
 			for _, eps := range []float64{0.5, 2} {
-				got := idSet(frozen(t, tr).SegmentSearch(l, tMin, tMax, eps, strategy, nil))
+				got := idSet(tr.Freeze().SegmentSearch(l, tMin, tMax, eps, strategy, nil))
 				want := map[int64]bool{}
 				for i, p := range pts {
 					if vec.PSegDFast(p, l, tMin, tMax) <= eps {
@@ -710,13 +639,13 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		// Empty parameter range returns nothing.
-		if got := frozen(t, tr).SegmentSearch(vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, 2, 1, 10, strategy, nil); len(got) != 0 {
+		if got := tr.Freeze().SegmentSearch(vec.Line{P: randVec(r, 3), D: randVec(r, 3)}, 2, 1, 10, strategy, nil); len(got) != 0 {
 			t.Errorf("inverted range returned %d items", len(got))
 		}
 		// A huge range reproduces the full line search.
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		full := idSet(frozen(t, tr).LineSearch(l, 1, strategy, nil))
-		seg := idSet(frozen(t, tr).SegmentSearch(l, -1e9, 1e9, 1, strategy, nil))
+		full := idSet(tr.Freeze().LineSearch(l, 1, strategy, nil))
+		seg := idSet(tr.Freeze().SegmentSearch(l, -1e9, 1e9, 1, strategy, nil))
 		if !sameIDSet(full, seg) {
 			t.Error("wide segment differs from full line search")
 		}

@@ -55,11 +55,11 @@ func writeLevelStats(w io.Writer, stats []LevelStats) error {
 
 // CostHints summarizes the tree's structure for selectivity and cost
 // estimation by a query planner: the leaf-entry count, the page count,
-// the height, the root MBR's diagonal length and volume, the mean size
-// of a leaf entry, and a small feature sample.  All fields are O(1)
-// reads of maintained state, so a planner can call this on every query.
+// the height, the root MBR's diagonal length and volume, and a small
+// feature sample.  All fields are O(1) reads of maintained state, so a
+// planner can call this on every query.
 type CostHints struct {
-	// Entries counts leaf entries (points or sub-trail MBRs).
+	// Entries counts leaf entries, one feature point each.
 	Entries int
 	// Nodes counts index pages; Height counts levels.
 	Nodes, Height int
@@ -68,15 +68,10 @@ type CostHints struct {
 	// Diameter is the Euclidean length of the root MBR's diagonal and
 	// Volume its d-dimensional volume; both are 0 for an empty tree.
 	Diameter, Volume float64
-	// EntryRadius is the mean outer radius (half the MBR diagonal) of a
-	// leaf entry: 0 for point entries, the reach of a sub-trail MBR around
-	// its center otherwise.
-	EntryRadius float64
 	// Sample is a deterministic stratified sample of the stored feature
-	// points (rect entries are represented by their centers), for
-	// distribution-aware selectivity estimation — the MBR-volume model
-	// alone wildly underestimates selectivity on concentrated data.
-	// The slice is shared with the tree: read-only.
+	// points, for distribution-aware selectivity estimation — the
+	// MBR-volume model alone wildly underestimates selectivity on
+	// concentrated data.  The slice is shared with the tree: read-only.
 	Sample []vec.Vector
 }
 
@@ -110,7 +105,7 @@ func (t *Tree) sampleAdd(p vec.Vector) {
 
 // rebuildSample repopulates the sample with a leaf walk — used by the
 // constructors that assemble nodes directly instead of inserting
-// (thawing, deserialization).
+// (thawing).
 func (t *Tree) rebuildSample() {
 	t.sample = nil
 	t.sampleStride = 1 + t.size/sampleCap
@@ -118,13 +113,10 @@ func (t *Tree) rebuildSample() {
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
-			switch {
-			case e.child != nil:
+			if e.child != nil {
 				walk(e.child)
-			case e.item.Point != nil:
+			} else {
 				t.sampleAdd(e.item.Point)
-			default:
-				t.sampleAdd(e.rect.Center())
 			}
 		}
 	}

@@ -41,9 +41,6 @@ func (t *Tree) CheckInvariants() error {
 				if e.rect.Dim() != t.cfg.Dim {
 					return fmt.Errorf("rtree: leaf rect dimension %d != %d", e.rect.Dim(), t.cfg.Dim)
 				}
-				if e.item.Point == nil {
-					continue // rectangle (sub-trail MBR) entry
-				}
 				if len(e.item.Point) != t.cfg.Dim {
 					return fmt.Errorf("rtree: item dimension %d != %d", len(e.item.Point), t.cfg.Dim)
 				}

@@ -95,10 +95,10 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	fx, fp := frozen(t, x), frozen(t, plain)
+	fx, fp := x.Freeze(), plain.Freeze()
 	for q := 0; q < 25; q++ {
 		rect := geom.RectFromPoint(clusteredVec(r, 6))
-		rect.ExtendPoint(clusteredVec(r, 6))
+		rect.Extend(geom.RectFromPoint(clusteredVec(r, 6)))
 		if !sameIDSet(idSet(fx.RangeSearch(rect, nil)), idSet(fp.RangeSearch(rect, nil))) {
 			t.Fatal("range results differ between X-tree and R*-tree")
 		}
@@ -165,7 +165,7 @@ func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// All duplicates retrievable, and a line query through the point
 	// charges the supernode's full page span.
 	var stats SearchStats
-	got := frozen(t, tr).LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
+	got := tr.Freeze().LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
 	if len(got) != 200 {
 		t.Errorf("retrieved %d of 200 near-duplicates", len(got))
 	}

@@ -14,11 +14,10 @@
 // query), Limit > 0 returns only the answer's first rows beside its
 // exact size (Result.Total), and ExecBatch runs a slice of them
 // concurrently.  An Index is read as one immutable segment: the segment
-// prices its access paths (tree probe, sub-trail probe, scan) for the
-// query, the cheapest runs, and one exact verifier checks whatever it
-// emits, so the choice shows only in Result.Explain.  See the
-// repository README for a tour and EXPERIMENTS.md for the reproduction
-// of the paper's evaluation.
+// prices its access paths (tree probe, scan) for the query, the cheaper
+// runs, and one exact verifier checks whatever it emits, so the choice
+// shows only in Result.Explain.  See the repository README for a tour
+// and EXPERIMENTS.md for the reproduction of the paper's evaluation.
 //
 // Basic use:
 //
@@ -116,7 +115,6 @@ const (
 	PathAuto  = engine.PathAuto
 	PathRTree = engine.PathRTree
 	PathScan  = engine.PathScan
-	PathTrail = engine.PathTrail
 )
 
 // Dimension-reduction bases.
@@ -166,8 +164,8 @@ func DefaultTreeConfig(dim int) TreeConfig { return rtree.DefaultConfig(dim) }
 // UnboundedCosts places no restriction on the transformation.
 func UnboundedCosts() CostBounds { return core.UnboundedCosts() }
 
-// ParsePathKind maps an access-path name (auto, rtree, scan, trail)
-// to its PathKind.
+// ParsePathKind maps an access-path name (auto, rtree, scan) to its
+// PathKind.
 func ParsePathKind(s string) (PathKind, error) { return engine.ParsePathKind(s) }
 
 // MinDist returns the minimum achievable Euclidean distance between

@@ -116,7 +116,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestPublicAPIVariants exercises the option knobs exposed publicly:
-// spheres strategy, Haar reduction, trail leaves, bulk build, CSV.
+// spheres strategy, Haar reduction, split algorithm, X-tree, CSV.
 func TestPublicAPIVariants(t *testing.T) {
 	st := scaleshift.NewStore()
 	vals := make([]float64, 200)
@@ -131,7 +131,6 @@ func TestPublicAPIVariants(t *testing.T) {
 	}{
 		{"spheres", func(o *scaleshift.Options) { o.Strategy = scaleshift.BoundingSpheres }},
 		{"haar", func(o *scaleshift.Options) { o.Reduction = scaleshift.ReductionHaar }},
-		{"trail", func(o *scaleshift.Options) { o.SubtrailLen = 8 }},
 		{"quadratic-split", func(o *scaleshift.Options) { o.Tree.Split = scaleshift.SplitQuadratic }},
 		{"xtree", func(o *scaleshift.Options) { o.Tree.SupernodeMaxOverlap = 0.2 }},
 	} {
