@@ -121,12 +121,14 @@ bench-verify:
 	$(GO) test -run '^$$' -bench 'BenchmarkExec(Range|KNN)' -benchmem ./internal/core
 
 # The build pipeline's inner loop: a cold start's bulk build (feature
-# extraction into columns, STR over a permutation, the serving arena) at
-# 200 x 650 and at paper scale 1000 x 650, the fold of a 4 096-window
-# delta into a frozen segment, and the write of the 1000 x 650 index
-# artifact — ns/op, B/op and allocs/op, in about fifteen seconds.  Run
-# it before and after touching extraction, rtree.BulkLoadFlat, the
-# arena layout or the artifact writers.
+# extraction into columns, polar STR over a permutation, the serving
+# arena) at 200 x 650 and at paper scale 1000 x 650 — with its stage
+# split, extract-ms/op, tile-ms/op and emit-ms/op, the numbers a cold
+# start's how= string carries — the fold of a 4 096-window delta into a
+# frozen segment, and the write of the 1000 x 650 index artifact —
+# ns/op, B/op and allocs/op, in about fifteen seconds.  Run it before
+# and after touching extraction, rtree.BulkLoadFlat, the arena layout or
+# the artifact writers.
 bench-build:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildBulk|BenchmarkCompactSegment|BenchmarkWriteIndexArtifact' -benchmem -benchtime 5x ./internal/core
 

@@ -106,7 +106,7 @@ var experiments = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(r.stdout, "Index phase per query (row limit 100); arena %d bytes\n", r.env.Index.IndexByteCount())
+		fmt.Fprintf(r.stdout, "Index phase per query (row limit 100); arena %d bytes, %s directory\n", r.env.Index.IndexByteCount(), r.env.Index.Directory())
 		if err := bench.WriteProbeTable(r.stdout, points); err != nil {
 			return err
 		}

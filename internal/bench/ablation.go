@@ -239,8 +239,10 @@ func (e *Env) RunNearestNeighbor(ks []int) ([]NNPoint, error) {
 type ProbePoint struct {
 	EpsFrac float64
 	// Nodes and LeafChecks count index pages read and leaf entries
-	// tested; Candidates counts what the probe hands the verifier.
-	Nodes, LeafChecks, Candidates float64
+	// tested, DirTests the directory entries tested on the way (slab or
+	// sphere tests of MBRs, box tests of a direction-box directory);
+	// Candidates counts what the probe hands the verifier.
+	Nodes, LeafChecks, DirTests, Candidates float64
 	// ProbeTime is the engine's probe stage, VerifyTime what follows it.
 	ProbeTime, VerifyTime time.Duration
 }
@@ -261,6 +263,7 @@ func (e *Env) RunProbeSweep(epsFracs []float64) ([]ProbePoint, error) {
 			EpsFrac:    frac,
 			Nodes:      float64(agg.IndexNodeAccesses) / nq,
 			LeafChecks: float64(agg.LeafEntriesChecked) / nq,
+			DirTests:   float64(agg.Penetration.SlabTests+agg.Penetration.SphereTests) / nq,
 			Candidates: float64(agg.Candidates) / nq,
 			ProbeTime:  time.Duration(float64(agg.ProbeTime) / nq),
 			VerifyTime: time.Duration(float64(agg.VerifyTime) / nq),

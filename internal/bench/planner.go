@@ -29,9 +29,14 @@ type CalibrationPoint struct {
 	AutoCPU time.Duration
 	// Best is the fastest forced path, the oracle the planner chases.
 	Best engine.PathKind
-	// LossPct is how much slower auto ran than the oracle, in percent;
-	// negative means auto measured faster (timing noise).
+	// LossPct is how much slower auto ran than the oracle, in percent —
+	// the planner's regret; negative means auto measured faster (timing
+	// noise).
 	LossPct float64
+	// PredictedNodes and ActualNodes are the index probe's node reads per
+	// query as the plan table priced them and as the forced probe counted
+	// them: how well the estimate fits the directory it is asked about.
+	PredictedNodes, ActualNodes float64
 }
 
 // Mispredicted reports whether this cell is a calibration miss: the
@@ -83,25 +88,32 @@ func (e *Env) runCalibrationPoint(frac float64) (CalibrationPoint, error) {
 		if err != nil {
 			return p, err
 		}
+		for _, plan := range res.Explain.Plans {
+			if plan.Path == engine.PathRTree && plan.Available {
+				p.PredictedNodes += plan.Cost.NodeReads / nq
+			}
+			if i == 0 && plan.Available {
+				available = append(available, plan.Path)
+			}
+		}
 		if i == 0 {
 			p.Chosen = res.Explain.Chosen
-			for _, plan := range res.Explain.Plans {
-				if plan.Available {
-					available = append(available, plan.Path)
-				}
-			}
 		}
 	}
 
 	p.Best = available[0]
 	for _, kind := range available {
+		var agg core.SearchStats
 		start := time.Now()
 		for _, q := range e.Queries {
-			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps, Force: kind}, nil); err != nil {
+			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps, Force: kind}, &agg); err != nil {
 				return p, err
 			}
 		}
 		p.ForcedCPU[kind] = time.Duration(float64(time.Since(start)) / nq)
+		if kind == engine.PathRTree {
+			p.ActualNodes = float64(agg.IndexNodeAccesses) / nq
+		}
 		if p.ForcedCPU[kind] < p.ForcedCPU[p.Best] {
 			p.Best = kind
 		}
@@ -118,14 +130,16 @@ func (e *Env) runCalibrationPoint(frac float64) (CalibrationPoint, error) {
 	return p, nil
 }
 
-// WritePlannerTable renders the calibration grid and lists any cells
-// where cost-based planning lost more than 10 % to the forced oracle.
+// WritePlannerTable renders the calibration grid — per cell the timings,
+// the planner's regret (loss) and its predicted against the probe's
+// actual node reads — and lists any cells where cost-based planning lost
+// more than 10 % to the forced oracle.
 func WritePlannerTable(w io.Writer, points []CalibrationPoint) error {
 	var b strings.Builder
 	b.WriteString("Planner calibration: cost-based auto vs forced access paths (cpu/query)\n")
-	fmt.Fprintf(&b, "%-10s %-9s %-9s %-7s %10s %10s %10s %-7s %8s\n",
-		"companies", "windows", "eps-frac", "chosen", "rtree", "scan", "auto", "best", "loss")
-	b.WriteString(strings.Repeat("-", 89))
+	fmt.Fprintf(&b, "%-10s %-9s %-9s %-7s %10s %10s %10s %-7s %8s %11s %9s\n",
+		"companies", "windows", "eps-frac", "chosen", "rtree", "scan", "auto", "best", "loss", "pred-nodes", "nodes")
+	b.WriteString(strings.Repeat("-", 111))
 	b.WriteByte('\n')
 	forced := func(p CalibrationPoint, k engine.PathKind) string {
 		if p.ForcedCPU[k] == 0 {
@@ -140,10 +154,10 @@ func WritePlannerTable(w io.Writer, points []CalibrationPoint) error {
 			flag = "  <-- MISS"
 			misses = append(misses, p)
 		}
-		fmt.Fprintf(&b, "%-10d %-9d %-9g %-7s %10s %10s %10s %-7s %7.1f%%%s\n",
+		fmt.Fprintf(&b, "%-10d %-9d %-9g %-7s %10s %10s %10s %-7s %7.1f%% %11.1f %9.1f%s\n",
 			p.Companies, p.Windows, p.EpsFrac, p.Chosen,
 			forced(p, engine.PathRTree), forced(p, engine.PathScan),
-			fmtDuration(p.AutoCPU), p.Best.String(), p.LossPct, flag)
+			fmtDuration(p.AutoCPU), p.Best.String(), p.LossPct, p.PredictedNodes, p.ActualNodes, flag)
 	}
 	if len(misses) == 0 {
 		b.WriteString("no regime lost more than 10% to the forced-path oracle\n")

@@ -1,12 +1,18 @@
 package ckpt
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"scaleshift/internal/core"
+	"scaleshift/internal/engine"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -14,10 +20,11 @@ import (
 // digestSSCKP is the SHA-256 of the SSCKP v1 artifact of the 200 × 650
 // fixture (generation 1, WAL offset 0, created at the epoch): a
 // checkpoint must be byte for byte reproducible, and one an older build
-// wrote must stay readable.  Recorded when the segment arenas inside it
-// went to version 2 (see core's digest_test.go); the container did not
-// change.
-const digestSSCKP = "9ade92205f05ce49854167a13162994dd2a54c632934ed06cac28066d2025f9c"
+// wrote must stay readable (TestPreChangeCheckpoint).  Re-recorded once
+// for PR 24, when the segment arenas inside it went from MBR to
+// direction-box directories (see core's digest_test.go); the container
+// did not change.
+const digestSSCKP = "034fb67049432f1f2a2460445470ae30bc896d8f700edc883b7c375956c4e56d"
 
 func TestCheckpointDigest(t *testing.T) {
 	st := store.New()
@@ -43,5 +50,69 @@ func TestCheckpointDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != digestSSCKP {
 		t.Errorf("SSCKP v1 digest %s, want %s", got, digestSSCKP)
+	}
+}
+
+// TestPreChangeCheckpoint recovers a checkpoint the parent of the
+// direction-box commit wrote (testdata/mbr_arena.ssckp: 4 × 220 values,
+// window 32, generation 7, WAL offset 4096; its one segment an MBR-
+// directory arena): it is read as it is — the index answers what a
+// segmented index built today over the recovered store answers, forced
+// down the tree included — and checkpointing it again writes the same
+// bytes, so nothing was converted on the way.
+func TestPreChangeCheckpoint(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "mbr_arena.ssckp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, st, seg, err := Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if want := (Meta{Generation: 7, WALOffset: 4096, CreatedAt: time.Unix(0, 0)}); meta != want {
+		t.Fatalf("meta %+v, want %+v", meta, want)
+	}
+	fresh, err := core.NewSegmentedIndex(st, seg.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	n := seg.Options().WindowLen
+	q := make([]float64, n)
+	for s := 0; s < st.NumSequences(); s++ {
+		if err := seg.QueryWindow(s, 17*s, n, q); err != nil {
+			t.Fatal(err)
+		}
+		for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree} {
+			query := core.Query{Vec: q, Eps: 2, Force: force}
+			var stats core.SearchStats
+			got, err := seg.Exec(context.Background(), query, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Exec(context.Background(), query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Matches) == 0 || !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Fatalf("sequence %d, force %v: %d matches from the recovered index, %d from a fresh one", s, force, len(got.Matches), len(want.Matches))
+			}
+			if force == engine.PathRTree && stats.IndexNodeAccesses == 0 {
+				t.Fatalf("sequence %d: the forced probe read no index page", s)
+			}
+		}
+	}
+	write, release, err := seg.SegmentWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	var again bytes.Buffer
+	if err := Write(&again, meta, st.Snapshot().WriteBinary, write); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), old) {
+		t.Fatalf("the recovered checkpoint writes itself back differently (%d vs %d bytes)", again.Len(), len(old))
 	}
 }

@@ -109,6 +109,23 @@ func (s *ServeFlags) Validate() error {
 	return nil
 }
 
+// openedHow describes an index opened from the artifact at cache: mapped
+// in place or converted from an older arena layout, and what its
+// directory stores — a bulk build's direction boxes, or the MBRs of an
+// insert-built tree or of an artifact that predates them, served as they
+// are until the index is next built.
+func openedHow(ix *core.Index, cache string, took time.Duration) string {
+	verb := "mapped"
+	if ix.Converted() {
+		verb = "converted (version-1 arena, parsed into the heap: save the index to rewrite it)"
+	}
+	dir := ix.Directory() + " directory"
+	if ix.Directory() == core.DirectoryMBR {
+		dir += ": rebuild with -bulk for the direction-box one"
+	}
+	return fmt.Sprintf("%s from %s in %v (%s)", verb, cache, took.Round(time.Millisecond), dir)
+}
+
 // LoadStore resolves the shared database flags: a checksummed binary
 // artifact (-store), a CSV file (-data), or freshly generated
 // synthetic data.
@@ -150,7 +167,9 @@ func LoadStore(storeFile, dataFile string, companies, days int, seed int64) (*st
 // scan fallback with a structured warning by default — queries keep
 // returning exact results through the raw store — or fails the run
 // when strict is set.  The returned string describes how the index was
-// obtained, for the command's status output.
+// obtained and in which shape — mapped or converted from an older layout,
+// with which directory, or built, with the build's stage split — for the
+// command's status output: the one place that says it.
 func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bool, logger *slog.Logger) (*core.Index, string, error) {
 	if cache != "" {
 		if _, err := os.Stat(cache); err == nil {
@@ -168,7 +187,7 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 				if err != nil {
 					return nil, "", fmt.Errorf("index cache %s unusable: %v (delete it or rebuild without a cache)", cache, err)
 				}
-				return ix, fmt.Sprintf("mapped from %s in %v", cache, time.Since(start).Round(time.Millisecond)), nil
+				return ix, openedHow(ix, cache, time.Since(start)), nil
 			}
 			ix, status, err := core.OpenOrRebuildFile(cache, st, opts)
 			if err != nil {
@@ -190,7 +209,7 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 					"reason", status.Reason, "cache", cache)
 				return ix, fmt.Sprintf("DEGRADED (%s)", status.Reason), nil
 			}
-			return ix, fmt.Sprintf("mapped from %s in %v", cache, time.Since(start).Round(time.Millisecond)), nil
+			return ix, openedHow(ix, cache, time.Since(start)), nil
 		}
 	}
 	ix, err := core.NewIndex(st, opts)
@@ -207,6 +226,10 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 		return nil, "", err
 	}
 	how := fmt.Sprintf("built in %v", time.Since(start).Round(time.Millisecond))
+	if bs := ix.BuildStages(); bs != (core.BuildStages{}) {
+		const tenth = time.Millisecond / 10
+		how += fmt.Sprintf(" (extract %v, tile %v, emit %v)", bs.Extract.Round(tenth), bs.Tile.Round(tenth), bs.Emit.Round(tenth))
+	}
 	if cache != "" {
 		// Atomic replace: a crash mid-save leaves the previous cache (or
 		// none), never a torn file for the next run to choke on.

@@ -127,19 +127,32 @@ func TestOpenIndexBuildAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains([]byte(how), []byte("built")) {
-		t.Fatalf("first open should build, got %q", how)
+	if !strings.Contains(how, "built") || !strings.Contains(how, "(extract ") || !strings.Contains(how, "tile ") {
+		t.Fatalf("first open should build and say where the time went, got %q", how)
 	}
-	loaded, how, err := OpenIndex(st, opts, cache, false, true, logger)
-	if err != nil {
-		t.Fatal(err)
+	for _, strict := range []bool{true, false} {
+		loaded, how, err := OpenIndex(st, opts, cache, false, strict, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(how, "mapped from") || !strings.HasSuffix(how, "(direction-box directory)") {
+			t.Fatalf("second open (strict %v) should map the bulk-built cache and say its shape, got %q", strict, how)
+		}
+		if built.WindowCount() != loaded.WindowCount() {
+			t.Fatalf("cache round trip changed window count: %d != %d",
+				built.WindowCount(), loaded.WindowCount())
+		}
+		loaded.Close()
 	}
-	if !bytes.Contains([]byte(how), []byte("mapped")) {
-		t.Fatalf("second open should map the cache, got %q", how)
+
+	// An insert-built index — like an artifact written before bulk builds
+	// changed shape — carries MBRs, is served as it is, and says so once.
+	old := filepath.Join(t.TempDir(), "mbr.index")
+	if _, how, err = OpenIndex(st, opts, old, false, false, logger); err != nil || strings.Contains(how, "extract") {
+		t.Fatalf("insert build: how %q, err %v", how, err)
 	}
-	if built.WindowCount() != loaded.WindowCount() {
-		t.Fatalf("cache round trip changed window count: %d != %d",
-			built.WindowCount(), loaded.WindowCount())
+	if _, how, err = OpenIndex(st, opts, old, true, false, logger); err != nil || !strings.Contains(how, "(MBR directory: rebuild with -bulk for the direction-box one)") {
+		t.Fatalf("reopening an MBR artifact: how %q, err %v", how, err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 func benchmarkBuildBulk(b *testing.B, companies int) {
 	st := populatedStore(b, companies, 650, 1)
+	var stages BuildStages
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -26,14 +27,20 @@ func benchmarkBuildBulk(b *testing.B, companies int) {
 		if err := ix.BuildBulkParallel(0); err != nil {
 			b.Fatal(err)
 		}
+		s := ix.BuildStages()
+		stages.Extract, stages.Tile, stages.Emit = stages.Extract+s.Extract, stages.Tile+s.Tile, stages.Emit+s.Emit
 		if err := ix.Freeze(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(stages.Extract.Seconds()*1e3/float64(b.N), "extract-ms/op")
+	b.ReportMetric(stages.Tile.Seconds()*1e3/float64(b.N), "tile-ms/op")
+	b.ReportMetric(stages.Emit.Seconds()*1e3/float64(b.N), "emit-ms/op")
 }
 
-// BenchmarkBuildBulk is the cold start's index build: extraction, STR
-// and the serving arena (Freeze is a no-op after a bulk build).
+// BenchmarkBuildBulk is the cold start's index build, with its stage
+// split: extraction, tiling and the serving arena (Freeze is a no-op
+// after a bulk build).
 func BenchmarkBuildBulk(b *testing.B) {
 	for _, companies := range []int{200, 1000} {
 		b.Run(fmt.Sprintf("%dx650", companies), func(b *testing.B) { benchmarkBuildBulk(b, companies) })

@@ -299,7 +299,42 @@ type Index struct {
 	// query exactly.  A degraded index is read-only and refuses to
 	// serialize.
 	degraded string
+	// converted records that the arena came from an artifact in an older
+	// layout and was parsed into the heap at open (see Converted); stages
+	// is where the last bulk build's time went (see BuildStages).
+	converted bool
+	stages    BuildStages
 }
+
+// BuildStages is where a bulk build's time went: extracting the feature
+// points into columns, tiling them (polar keys, sorts, directory
+// extents), and emitting the arena.  Zero for an index that was opened
+// or built by insertion.
+type BuildStages struct {
+	Extract, Tile, Emit time.Duration
+}
+
+// BuildStages returns the stage split of the bulk build that produced
+// the index's arena.
+func (ix *Index) BuildStages() BuildStages { return ix.stages }
+
+// The values of Index.Directory.
+const (
+	DirectoryMBR = rtree.DirectoryMBR
+	DirectoryBox = rtree.DirectoryBox
+)
+
+// Directory names the shape of the arena's directory: DirectoryBox for a
+// bulk-built arena (norm ranges and unit-direction boxes, pruned by the
+// cone test), DirectoryMBR for one frozen from one-by-one insertion or
+// opened from an artifact written before bulk builds changed shape —
+// served as it is, and replaced by the next bulk build.
+func (ix *Index) Directory() string { return ix.flat.Directory() }
+
+// Converted reports whether the arena was opened from an artifact in an
+// older layout (arena version 1) and so parsed into the heap rather than
+// mapped; saving the index rewrites the artifact in the current layout.
+func (ix *Index) Converted() bool { return ix.converted }
 
 // NewIndex creates an empty index over st.  Sequences already in st
 // are not indexed until Build (or IndexSequence) is called.
@@ -452,10 +487,12 @@ func (ix *Index) Build() error {
 }
 
 // BuildBulk indexes every window of every sequence by building the
-// R*-tree with Sort-Tile-Recursive bulk loading instead of one-by-one
+// tree with Sort-Tile-Recursive bulk loading instead of one-by-one
 // insertion — typically an order of magnitude faster and producing a
-// tighter tree.  It requires an empty index; the loader emits the
-// serving arena directly (see rtree.BulkLoadFlat).  Dynamic insertion
+// tighter tree, tiled on the norm and direction of the feature points
+// and summarised for the cone test (Directory reads DirectoryBox).  It
+// requires an empty index; the loader emits the serving arena directly
+// (see rtree.BulkLoadFlat).  Dynamic insertion
 // and removal work normally afterwards, thawing the arena first.  It is
 // BuildBulkParallel on one worker.
 func (ix *Index) BuildBulk() error {
@@ -501,14 +538,14 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 			ranges = append(ranges, winRange{Seq: seq, Lo: 0, Hi: count})
 		}
 	}
-	flat, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers)
+	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
 		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
-	ix.flat, ix.indexed = flat, indexed
+	ix.flat, ix.indexed, ix.stages = flat, indexed, stages
 	ix.pin()
 	return nil
 }
@@ -520,8 +557,10 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 // made per window.  The work is cut at featureCheckpoint boundaries,
 // where the sliding DFT restarts, and shared over workers goroutines
 // that poll ctx between pieces; every piece lands at slots fixed in
-// advance, so the tree does not depend on the schedule.
-func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (*rtree.FlatTree, error) {
+// advance, so the tree does not depend on the schedule.  The stage
+// split is returned and, with observability on, published.
+func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (*rtree.FlatTree, BuildStages, error) {
+	start := time.Now()
 	type piece struct{ seq, cp, segLast, lo, slot int }
 	var pieces []piece
 	n := 0
@@ -575,15 +614,23 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			ctxErr = err
 		} else if err != nil {
-			return nil, err
+			return nil, BuildStages{}, err
 		}
 	}
 	if ctxErr != nil {
-		return nil, ctxErr
+		return nil, BuildStages{}, ctxErr
 	}
 	cfg := opts.Tree
 	cfg.Dim = dim
-	return rtree.BulkLoadFlat(cfg, ids, cols, workers)
+	extract := time.Since(start)
+	flat, err := rtree.BulkLoadFlat(cfg, ids, cols, workers)
+	if err != nil {
+		return nil, BuildStages{}, err
+	}
+	stages := BuildStages{Extract: extract}
+	stages.Tile, stages.Emit = flat.BuildStages()
+	recordBuildStages(stages)
+	return flat, stages, nil
 }
 
 // IndexSequence indexes the windows of sequence seq that are not yet

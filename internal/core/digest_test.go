@@ -12,15 +12,19 @@ import (
 // space_amp read the tree those bytes describe.  The digests below are
 // of the 200 × 650 fixture of exec_bench_test.go; any change to the STR
 // cascade, the arena layout or the section framing moves them, and must
-// come with a version it can be told by.  They were recorded when the
-// arena went to version 2 (float32 planes, points stored once); the
-// version-1 digests before them dated from the pointer-tree loader
-// (BulkLoad → Freeze → AppendArena, staged section by section), and a
-// version-1 artifact is still opened: TestArenaV1Fixture.
+// come with something it can be told by.  They were re-recorded once for
+// PR 24, when bulk builds went from the Cartesian STR tiling under an MBR
+// directory to the polar tiling under a direction-box directory: the
+// arena says which it holds in header word 9 (0 and 2; the arena version
+// stays 2 and the containers did not move), an MBR arena written before
+// is served as it is (TestMBRDirectoryServedAsIs, over the fixture the
+// previous digests' commit wrote) and a version-1 artifact is still
+// opened (TestArenaV1Fixture).  The digests before these dated from
+// arena version 2 itself (float32 planes, points stored once).
 const (
-	digestSSIDX         = "e794343badca29bb5f8a488ceec14d073d8157b1f90f2d87d0ffb609858af750"
-	digestSSSEGThree    = "e1e835631813408c4db07a0cf28d1247bb3aab4b145c7701f4927d2f9b1becee"
-	digestSSSEGMergedTo = "2b118a7a3a57135574eaf9db8f6158ed2e3377ddd5d6955645c171a785d9bd1c"
+	digestSSIDX         = "79dfd4e7ea396dbce81eaa72e54d574a06bf6354d3948cb59d62c83261dffa86"
+	digestSSSEGThree    = "4d2b6297d8fe4dca44462efdc2973d4c579ae6e3ce80f08084f7d8203ee00420"
+	digestSSSEGMergedTo = "c1547ddae3520193413e94bb33448db427382942de38899ea932fab8a9ad19eb"
 )
 
 func digestOf(t *testing.T, write func(io.Writer) error) string {

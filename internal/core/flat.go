@@ -42,6 +42,7 @@ func (ix *Index) Freeze() error {
 		return nil
 	}
 	ix.flat, ix.builder, ix.artifact = ix.builder.Freeze(), nil, nil
+	ix.converted, ix.stages = false, BuildStages{} // they described the arena just replaced
 	ix.pin()
 	m := ix.mapping
 	ix.mapping = nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -605,9 +606,11 @@ func rejectedArtifact(t *testing.T, st *store.Store, path, want string) {
 // populatedStore(3, 100, 1) as SSIDX v3, and the same index as a
 // one-segment SSSEG v1 — float64 planes, every point twice): both
 // containers still load, converted at open — not aliasing the file,
-// verified in full because nothing is left to defer — answer as a fresh
-// build does, and write themselves back as the bytes a fresh build
-// writes; a flipped byte is refused at open.
+// verified in full because nothing is left to defer — keep the MBR
+// directory they were written with, return what a fresh build returns,
+// and write themselves back as the version-2 bytes the last commit to
+// bulk-build MBR directories wrote for the same index
+// (testdata/arena_v2_mbr.*); a flipped byte is refused at open.
 func TestArenaV1Fixture(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
 	fresh, err := NewIndex(st, testOptions())
@@ -618,8 +621,8 @@ func TestArenaV1Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := testQueries(t, fresh, 4)
-	wantR, wantNN, wantB, wantS := runAllSearches(t, fresh, qs, 8)
-	wantBytes := digestOf(t, fresh.WriteBinary)
+	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
+	wantBytes := digestOfFile(t, filepath.Join("testdata", "arena_v2_mbr.ssidx"))
 
 	old, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssidx"))
 	if err != nil {
@@ -644,13 +647,15 @@ func TestArenaV1Fixture(t *testing.T) {
 		if err := ix.VerifyArtifact(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, 8)
-		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) ||
-			!reflect.DeepEqual(wantB, gotB) || !reflect.DeepEqual(wantS, gotS) {
+		if !ix.Converted() || ix.Directory() != DirectoryMBR {
+			t.Fatalf("%s: converted %v, %s directory; want a converted MBR arena", what, ix.Converted(), ix.Directory())
+		}
+		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
+		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
 			t.Fatalf("%s-loaded version-1 arena diverged from a fresh build", what)
 		}
 		if got := digestOf(t, ix.WriteBinary); got != wantBytes {
-			t.Fatalf("%s-loaded version-1 arena re-serialises as %s, a fresh build as %s", what, got, wantBytes)
+			t.Fatalf("%s-loaded version-1 arena re-serialises as %s, the version-2 MBR fixture is %s", what, got, wantBytes)
 		}
 	}
 
@@ -660,10 +665,6 @@ func TestArenaV1Fixture(t *testing.T) {
 		t.Fatalf("corrupt version-1 arena: %v, want a checksum error at open", err)
 	}
 
-	g, err := NewSegmentedFromIndex(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oldSeg, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssseg"))
 	if err != nil {
 		t.Fatal(err)
@@ -672,8 +673,8 @@ func TestArenaV1Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("segments load: %v", err)
 	}
-	if got, want := digestOf(t, loaded.WriteSegments), digestOf(t, g.WriteSegments); got != want {
-		t.Fatalf("version-1 segment re-serialises as %s, a fresh one as %s", got, want)
+	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")); got != want {
+		t.Fatalf("version-1 segment re-serialises as %s, the version-2 MBR fixture is %s", got, want)
 	}
 	for i, q := range qs {
 		got, err := search(loaded, q, 8, nil)
@@ -682,6 +683,120 @@ func TestArenaV1Fixture(t *testing.T) {
 		}
 		if err := sameMatches(got, wantR[i]); err != nil {
 			t.Fatalf("query %d over the version-1 segment: %v", i, err)
+		}
+	}
+}
+
+// digestOfFile is digestOf of a file's bytes.
+func digestOfFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestOf(t, func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+// TestMBRDirectoryServedAsIs holds "no conversion runs": the artifacts
+// the parent of the direction-box commit wrote for the bulk-built index
+// over populatedStore(3, 100, 1) (testdata/arena_v2_mbr.ssidx and .ssseg:
+// arena version 2, header word 9 = 0, Cartesian STR tiling under an MBR
+// directory) are mapped in place, say what they are, pass the deferred
+// verification, answer every search exactly as a fresh direction-box
+// build of the same store does — rows, (a, b) and distances — and write
+// themselves back byte for byte; so does the MBR arena an index freezes
+// after one-by-one mutation.
+func TestMBRDirectoryServedAsIs(t *testing.T) {
+	st := populatedStore(t, 3, 100, 1)
+	fresh, err := NewIndex(st, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.BuildBulk(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Directory() != DirectoryBox || fresh.Converted() {
+		t.Fatalf("a bulk build has a %s directory (converted %v)", fresh.Directory(), fresh.Converted())
+	}
+	qs := testQueries(t, fresh, 4)
+	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
+
+	path := filepath.Join("testdata", "arena_v2_mbr.ssidx")
+	mapped, err := LoadIndexFile(path, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if mapped.mapping == nil || mapped.Converted() || mapped.Directory() != DirectoryMBR {
+		t.Fatalf("pre-change artifact: aliased %v, converted %v, %s directory; want it mapped as the MBR arena it is",
+			mapped.mapping != nil, mapped.Converted(), mapped.Directory())
+	}
+	if err := mapped.VerifyArtifact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestOf(t, mapped.WriteBinary), digestOfFile(t, path); got != want {
+		t.Fatalf("the mapped MBR artifact writes itself back as %s, the file is %s", got, want)
+	}
+
+	// The same store through the builder: thaw, mutate, freeze.
+	thawed, err := NewIndex(st, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := thawed.BuildBulk(); err != nil {
+		t.Fatal(err)
+	}
+	if err := thawed.UnindexSequence(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := thawed.IndexSequence(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := thawed.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if thawed.Directory() != DirectoryMBR {
+		t.Fatalf("a frozen builder has a %s directory", thawed.Directory())
+	}
+
+	for what, ix := range map[string]*Index{"mapped pre-change artifact": mapped, "thawed and refrozen": thawed} {
+		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
+		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
+			t.Fatalf("%s: answers differ from a fresh direction-box build", what)
+		}
+		// And down the tree whatever the planner would have chosen.
+		for i, q := range qs {
+			var stats SearchStats
+			res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: 8, Force: engine.PathRTree}, &stats)
+			if err != nil || stats.IndexNodeAccesses == 0 {
+				t.Fatalf("%s query %d: forced index probe read %d nodes: %v", what, i, stats.IndexNodeAccesses, err)
+			}
+			if err := sameMatches(res.Matches, wantR[i]); err != nil {
+				t.Fatalf("%s query %d down the tree: %v", what, i, err)
+			}
+		}
+	}
+
+	segPath := filepath.Join("testdata", "arena_v2_mbr.ssseg")
+	f, err := os.Open(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadSegments(f, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, segPath); got != want {
+		t.Fatalf("the pre-change segment writes itself back as %s, the file is %s", got, want)
+	}
+	for i, q := range qs {
+		got, err := search(loaded, q, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameMatches(got, wantR[i]); err != nil {
+			t.Fatalf("query %d over the pre-change segment: %v", i, err)
 		}
 	}
 }

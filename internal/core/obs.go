@@ -41,6 +41,8 @@ var cm struct {
 	matchPerQ  *obs.Histogram
 	piecesPerQ *obs.Histogram
 
+	buildStage [3]*obs.Histogram // extract, tile, emit
+
 	compactions  *obs.Counter
 	compactBuild *obs.Histogram
 	compactPause *obs.Histogram
@@ -88,6 +90,11 @@ func initCoreMetrics() {
 		"Matches per query.")
 	cm.piecesPerQ = r.Histogram("scaleshift_pieces_per_query",
 		"Index probes per query (1 for plain range queries, k for multipiece).")
+	for i, stage := range []string{"extract", "tile", "emit"} {
+		cm.buildStage[i] = r.DurationHistogram("scaleshift_index_build_stage_seconds",
+			"Bulk build stages (cold start, compaction, delta freeze): feature extraction into columns, tiling (polar keys, sorts, directory extents), arena emission.",
+			obs.Label{Key: "stage", Value: stage})
+	}
 	cm.compactions = r.Counter("scaleshift_compactions_total",
 		"Segment compactions completed (merges and delta freezes).")
 	cm.compactBuild = r.DurationHistogram("scaleshift_compaction_build_seconds",
@@ -134,6 +141,20 @@ func recordSearchMetrics(d *SearchStats, elapsed time.Duration, pieces int) {
 	cm.candPerQ.Observe(int64(d.Candidates))
 	cm.matchPerQ.Observe(int64(d.Results))
 	cm.piecesPerQ.Observe(int64(pieces))
+}
+
+// recordBuildStages publishes one bulk build's stage split; a stage that
+// did not run (a delta freeze extracts nothing) is left out.
+func recordBuildStages(st BuildStages) {
+	if !obs.Enabled() {
+		return
+	}
+	cm.once.Do(initCoreMetrics)
+	for i, d := range []time.Duration{st.Extract, st.Tile, st.Emit} {
+		if d > 0 {
+			cm.buildStage[i].ObserveDuration(d)
+		}
+	}
 }
 
 // recordCompaction publishes one completed compaction's phase timings:

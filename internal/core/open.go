@@ -8,7 +8,9 @@ import (
 )
 
 // OpenStatus reports how an index came up: healthy (zero value), or
-// degraded with the validation failure that caused the fallback.
+// degraded with the validation failure that caused the fallback.  What
+// was opened, and in which shape, is the index's own to say
+// (Index.Directory, Index.Converted).
 type OpenStatus struct {
 	// Degraded is true when the index artifact failed validation and
 	// the returned index serves queries through the scan path over

@@ -388,6 +388,9 @@ func buildSegment(d deltaSeg, opts Options) (*frozenSeg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: segment bulk load: %w", err)
 	}
+	var stages BuildStages // the delta's features were extracted as they arrived
+	stages.Tile, stages.Emit = flat.BuildStages()
+	recordBuildStages(stages)
 	return &frozenSeg{flat: flat, ranges: rangesOf(ids), count: d.n}, nil
 }
 
@@ -429,7 +432,7 @@ func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, fro
 		count += hi[seq] - lo[seq]
 	}
 	slices.SortFunc(ranges, func(a, b winRange) int { return cmp.Compare(a.Seq, b.Seq) })
-	flat, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0))
+	flat, _, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("core: segment merge: %w", err)
 	}

@@ -262,7 +262,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 		return nil, fmt.Errorf("core: tree section: %w", err)
 	}
 
-	flat, _, err := flatFromSection(body)
+	flat, converted, err := flatFromSection(body)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.flat = flat
+	ix.flat, ix.converted = flat, converted
 	ix.pin()
 	return ix, nil
 }
@@ -345,7 +345,7 @@ func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	ix.flat = flat
+	ix.flat, ix.converted = flat, converted
 	ix.pin()
 	return ix, !converted, nil
 }

@@ -33,6 +33,10 @@ type FeatureMap struct {
 	n     int
 	fc    int
 	basis [][]float64 // 2·fc rows, each an orthonormal length-n basis vector
+	// cos and sin are the unnormalized twiddles cos/sin(2πjk/n) of
+	// coefficient k = 1 … fc (row k−1) at sample j: what the sliding
+	// transformer re-seeds from.  Empty for a Haar map.
+	cos, sin [][]float64
 }
 
 // NewFeatureMap returns a feature map for windows of length n keeping
@@ -49,14 +53,16 @@ func NewFeatureMap(n, fc int) (*FeatureMap, error) {
 	m := &FeatureMap{n: n, fc: fc, basis: make([][]float64, 0, 2*fc)}
 	amp := math.Sqrt(2 / float64(n))
 	for k := 1; k <= fc; k++ {
-		cosRow := make([]float64, n)
-		sinRow := make([]float64, n)
+		cosRow, sinRow := make([]float64, n), make([]float64, n)
+		cos, sin := make([]float64, n), make([]float64, n)
 		for j := 0; j < n; j++ {
 			angle := 2 * math.Pi * float64(j) * float64(k) / float64(n)
-			cosRow[j] = amp * math.Cos(angle)
-			sinRow[j] = amp * math.Sin(angle)
+			cos[j], sin[j] = math.Cos(angle), math.Sin(angle)
+			cosRow[j] = amp * cos[j]
+			sinRow[j] = amp * sin[j]
 		}
 		m.basis = append(m.basis, cosRow, sinRow)
+		m.cos, m.sin = append(m.cos, cos), append(m.sin, sin)
 	}
 	return m, nil
 }

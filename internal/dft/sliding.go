@@ -67,20 +67,25 @@ func NewSlidingTransformer(m *FeatureMap, initial vec.Vector) (*SlidingTransform
 	return st, nil
 }
 
-// recompute refreshes the coefficients from the ring buffer.
+// recompute refreshes the coefficients from the ring buffer, against the
+// map's twiddle table: the cos/sin(2πjk/n) it would otherwise evaluate
+// again at every re-seed, the same expression computed once — so the
+// sums, term for term and in order, are the ones evaluating it here gave.
 func (st *SlidingTransformer) recompute() {
-	n := st.m.N()
-	fc := st.m.Coefficients()
-	for k := 1; k <= fc; k++ {
+	older, newer := st.window[st.head:], st.window[:st.head]
+	for k := range st.re {
+		cos, sin := st.m.cos[k], st.m.sin[k]
 		var re, im float64
-		for j := 0; j < n; j++ {
-			x := st.window[(st.head+j)%n]
-			angle := 2 * math.Pi * float64(j) * float64(k) / float64(n)
-			re += x * math.Cos(angle)
-			im += x * math.Sin(angle)
+		for j, x := range older {
+			re += x * cos[j]
+			im += x * sin[j]
 		}
-		st.re[k-1] = re
-		st.im[k-1] = im
+		cos, sin = cos[len(older):], sin[len(older):]
+		for j, x := range newer {
+			re += x * cos[j]
+			im += x * sin[j]
+		}
+		st.re[k], st.im[k] = re, im
 	}
 	st.steps = 0
 }

@@ -552,3 +552,64 @@ func ContainsBatch[T vec.Coord](rows []T, count int, r Rect, verdict []bool) {
 		}
 	}
 }
+
+// ConeBatch evaluates the cone test of cone.go for every entry of a
+// direction-box node and returns the verdict slice (valid until the next
+// call on sc).  pl views the node's planes with Dim one more than the
+// feature dimension: row 0 holds the norm bounds (L: r_lo, H: r_hi), rows
+// 1… the bounds of the unit-direction box.  Each entry counts as one
+// directory box test, into stats.SlabTests; stats may be nil.
+func ConeBatch[T vec.Coord](pl Planes[T], cn *Cone, sc *BatchScratch, stats *CheckStats) []bool {
+	c := pl.Count
+	if stats != nil {
+		stats.SlabTests += c
+	}
+	lowerSq := ConeLowerSqBatch(pl, cn, sc)
+	verdict := sc.verdict
+	rLo, rHi := pl.LRow(0), pl.HRow(0)
+	for k := 0; k < c; k++ {
+		verdict[k] = cn.Enters(lowerSq[k], float64(rLo[k]), float64(rHi[k]))
+	}
+	return verdict
+}
+
+// ConeLowerSqBatch returns cn.LowerSq of every entry of pl (laid out as
+// ConeBatch describes), valid until the next call on sc.  Like the slab
+// kernel it sweeps one row pair at a time over contiguous memory, four
+// entries per iteration, accumulating each entry's two squared box
+// distances dimension-ascending — the scalar function's expressions in
+// the scalar function's order, so the two agree bit for bit.
+func ConeLowerSqBatch[T vec.Coord](pl Planes[T], cn *Cone, sc *BatchScratch) []float64 {
+	c := pl.Count
+	sc.grow(c)
+	mp, mn, out := sc.qpD, sc.qpQp, sc.tLo
+	clear(mp)
+	clear(mn)
+	for j, x := range cn.Dir {
+		lr, hr := pl.LRow(1+j), pl.HRow(1+j)
+		k := 0
+		for ; k+4 <= c; k += 4 {
+			gp0, gn0 := coneGaps(float64(lr[k]), float64(hr[k]), x)
+			gp1, gn1 := coneGaps(float64(lr[k+1]), float64(hr[k+1]), x)
+			gp2, gn2 := coneGaps(float64(lr[k+2]), float64(hr[k+2]), x)
+			gp3, gn3 := coneGaps(float64(lr[k+3]), float64(hr[k+3]), x)
+			mp[k] += gp0 * gp0
+			mp[k+1] += gp1 * gp1
+			mp[k+2] += gp2 * gp2
+			mp[k+3] += gp3 * gp3
+			mn[k] += gn0 * gn0
+			mn[k+1] += gn1 * gn1
+			mn[k+2] += gn2 * gn2
+			mn[k+3] += gn3 * gn3
+		}
+		for ; k < c; k++ {
+			gp, gn := coneGaps(float64(lr[k]), float64(hr[k]), x)
+			mp[k] += gp * gp
+			mn[k] += gn * gn
+		}
+	}
+	for k, r := range pl.LRow(0) {
+		out[k] = cn.lower(float64(r), mp[k], mn[k])
+	}
+	return out
+}

@@ -24,17 +24,14 @@ func columnsOf(items []Item, dim int) ([]int64, []float64) {
 }
 
 // checkAgainstOracle bulk loads items both ways — the arena-native
-// loader at every worker count, and the pointer loader it replaced,
-// frozen — and requires byte-identical arenas, a structurally valid
-// arena, and a thawed tree that satisfies the dynamic-tree invariants.
+// loader at every worker count, and the stable-sort reference of
+// bulkload_oracle_test.go — and requires byte-identical arenas, a
+// structurally valid arena, and a thawed tree that satisfies the
+// dynamic-tree invariants.
 func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...int) {
 	t.Helper()
-	ref, err := oracleBulkLoad(cfg, items, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := ref.Freeze()
-	want := frozen.AppendArena(nil)
+	ref := refBulkLoad(cfg, items)
+	want := ref.AppendArena(nil)
 	ids, cols := columnsOf(items, cfg.Dim)
 	for _, workers := range workerCounts {
 		f, err := BulkLoadFlat(cfg, ids, cols, workers)
@@ -46,7 +43,7 @@ func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...
 			t.Fatalf("workers=%d: arena is %d bytes, ArenaSize says %d", workers, len(got), f.ArenaSize())
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d workers=%d: arena differs from the frozen oracle tree (%d vs %d bytes, first difference at %d)",
+			t.Fatalf("n=%d workers=%d: arena differs from the reference's (%d vs %d bytes, first difference at %d)",
 				len(items), workers, len(got), len(want), firstDiff(got, want))
 		}
 		if err := f.Validate(); err != nil {
@@ -57,7 +54,7 @@ func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if thawed.Len() != len(items) || thawed.NodeCount() != ref.NodeCount() {
-			t.Fatalf("workers=%d: thawed tree holds %d items in %d pages, oracle %d in %d",
+			t.Fatalf("workers=%d: thawed tree holds %d items in %d pages, the reference %d in %d",
 				workers, thawed.Len(), thawed.NodeCount(), ref.Len(), ref.NodeCount())
 		}
 	}
@@ -72,7 +69,7 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// TestBulkLoadFlatMatchesOracle sweeps the shapes the STR cascade
+// TestBulkLoadFlatMatchesOracle sweeps the shapes the tiling cascade
 // branches on.  With M = 20 the group capacity c is 17 and m is 8.
 func TestBulkLoadFlatMatchesOracle(t *testing.T) {
 	const c = 17
@@ -215,11 +212,12 @@ func TestBulkLoadFlatIsItsArena(t *testing.T) {
 	}
 }
 
-// FuzzFlatBulkLoad feeds random ids, points and worker counts to both
-// loaders.  Coordinates come from the fuzzer's bytes a few bits at a
-// time, so ties, signed zeros and keys that overflow are common.  (Infinite
-// coordinates are left out: a node spanning both has a NaN center, which
-// the oracle's comparison sort orders arbitrarily.)
+// FuzzFlatBulkLoad feeds random ids, points and worker counts to the
+// loader and its reference.  Coordinates come from the fuzzer's bytes a
+// few bits at a time, so ties, signed zeros, whole zero points and
+// squares that would overflow outside the arena's units are common.
+// (Infinite coordinates are left out: their direction is NaN, which the
+// reference's comparison sort orders arbitrarily.)
 func FuzzFlatBulkLoad(f *testing.F) {
 	f.Add([]byte("seed"), uint16(40), uint8(2), uint8(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255}, uint16(700), uint8(3), uint8(1))
@@ -252,35 +250,35 @@ func FuzzFlatBulkLoad(f *testing.F) {
 			}
 			items[i] = Item{Point: p, ID: int64(i) * 3}
 		}
-		checkAgainstOracle(t, cfg, items, 1+int(workers)%9)
+		checkAgainstOracle(t, cfg, items, 1, 2, 7, 1+int(workers)%9)
 	})
 }
 
 // TestWriteArenaWithoutHostByteOrder runs the writers with the host
 // byte-order shortcut switched off — the path a big-endian machine
-// takes — and requires the same bytes, from a frozen pointer tree and
-// from a bulk-loaded one (which then holds no ready-made arena).
+// takes — and requires the same bytes: from a frozen pointer tree, from
+// a bulk-loaded one (which then holds no ready-made arena), and from the
+// bulk load's reference, whose arrays are encoded either way.
 func TestWriteArenaWithoutHostByteOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	items := bulkItems(r, 2*arenaChunk/10, 3)
 	ids, cols := columnsOf(items, 3)
-	build := func() (frozen, loaded []byte) {
-		tr, err := oracleBulkLoad(DefaultConfig(3), items, 1)
+	build := func() (frozen, loaded, ref []byte) {
+		tr, err := bulkLoadTree(DefaultConfig(3), items, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := tr.Freeze()
 		g, err := BulkLoadFlat(DefaultConfig(3), ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f.AppendArena(nil), g.AppendArena(nil)
+		return tr.Freeze().AppendArena(nil), g.AppendArena(nil), refBulkLoad(DefaultConfig(3), items).AppendArena(nil)
 	}
-	wantFrozen, wantLoaded := build()
+	wantFrozen, wantLoaded, wantRef := build()
 	defer func(v bool) { hostLittleEndian = v }(hostLittleEndian)
 	hostLittleEndian = false
-	gotFrozen, gotLoaded := build()
-	if !bytes.Equal(gotFrozen, wantFrozen) || !bytes.Equal(gotLoaded, wantLoaded) || !bytes.Equal(gotLoaded, gotFrozen) {
+	gotFrozen, gotLoaded, gotRef := build()
+	if !bytes.Equal(gotFrozen, wantFrozen) || !bytes.Equal(gotLoaded, wantLoaded) || !bytes.Equal(gotRef, wantRef) || !bytes.Equal(gotLoaded, gotRef) {
 		t.Fatal("arena bytes depend on the host byte-order shortcut")
 	}
 }

@@ -1,261 +1,190 @@
 package rtree
 
 import (
-	"fmt"
+	"math"
 	"sort"
-	"sync"
 
 	"scaleshift/internal/geom"
+	"scaleshift/internal/vec"
 )
 
-// sema is a counting semaphore bounding the extra goroutines a
-// parallel bulk load may spawn; the calling goroutine is not counted,
-// so capacity 0 means fully sequential execution.
-type sema chan struct{}
+// The reference BulkLoadFlat is tested against: the same tiling and the
+// same directory written the obvious way — one heap entry per point and
+// per node, every sort a sort.SliceStable on the float32 key, the
+// extents folded bottom-up, the arena appended node by node as
+// Tree.Freeze appends a builder's.  Nothing is shared with the loader but
+// the arena's number format (quant) and its writer.
 
-func newSema(extra int) sema {
-	if extra < 0 {
-		extra = 0
-	}
-	return make(sema, extra)
+// refEntry is a point (child nil) or a node, with its polar extent: row
+// 0 the norm range, rows 1… the direction box.
+type refEntry struct {
+	id     int64
+	point  vec.Vector // exact
+	child  *refNode
+	lo, hi []float32
 }
 
-// tryAcquire takes a worker token without blocking: bulk loading never
-// waits for parallelism, it degrades to inline execution.
-func (s sema) tryAcquire() bool {
-	select {
-	case s <- struct{}{}:
-		return true
-	default:
-		return false
-	}
+type refNode struct {
+	level   int
+	entries []*refEntry
 }
 
-func (s sema) release() { <-s }
-
-// oracleBulkLoad is the pointer-tree bulk loader BulkLoadFlat replaced,
-// kept verbatim as its reference: Sort-Tile-Recursive packing over heap
-// entries, one per item, with the leaf-entry construction, the STR sort
-// passes, and the per-slab tiling recursion fanned out over at most
-// workers goroutines (including the caller; values < 2 mean
-// sequential).  Every sort is stable — the parallel path uses a stable
-// merge sort, and any two stable sorts under the same comparator
-// produce the same permutation — and slab outputs are concatenated in
-// slab order.  Freezing its tree gives the arena BulkLoadFlat must
-// produce byte for byte.
-func oracleBulkLoad(cfg Config, items []Item, workers int) (*Tree, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	t := &Tree{cfg: cfg, root: &node{level: 0}, nodes: 1}
-	if len(items) == 0 {
-		return t, nil
-	}
-	for i, it := range items {
-		if len(it.Point) != cfg.Dim {
-			return nil, fmt.Errorf("rtree: bulk item %d has dimension %d, want %d", i, len(it.Point), cfg.Dim)
-		}
-	}
-	sem := newSema(workers - 1)
-
-	capacity := int(bulkFill * float64(cfg.MaxEntries))
-	if capacity < cfg.MinEntries {
-		capacity = cfg.MinEntries
-	}
-
-	// Leaf level: one entry per item, built in parallel chunks (each
-	// chunk writes a disjoint range, so the result is order-exact).
-	entries := make([]*entry, len(items))
-	buildRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := items[i].Point.Clone()
-			entries[i] = &entry{rect: geom.RectFromPoint(p), item: Item{Point: p, ID: items[i].ID}}
-		}
-	}
-	var wg sync.WaitGroup
-	const leafChunk = 4096
-	for lo := 0; lo < len(items); lo += leafChunk {
-		hi := lo + leafChunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if hi < len(items) && sem.tryAcquire() {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer sem.release()
-				buildRange(lo, hi)
-			}(lo, hi)
-		} else {
-			buildRange(lo, hi)
-		}
-	}
-	wg.Wait()
-
-	level := 0
-	for len(entries) > cfg.MaxEntries {
-		groups := strTile(entries, capacity, cfg.MinEntries, cfg.Dim, 0, sem)
-		parents := make([]*entry, len(groups))
-		for gi, g := range groups {
-			// Copy the group: strTile returns sub-slices of one backing
-			// array, and nodes must own their entry slices so later
-			// appends cannot clobber a sibling.
-			es := make([]*entry, len(g), len(g)+2)
-			copy(es, g)
-			n := &node{level: level, entries: es}
-			for _, e := range g {
-				if e.child != nil {
-					e.child.parent = n
-				}
-			}
-			t.nodes++
-			parents[gi] = &entry{rect: mbrOf(g), child: n}
-		}
-		entries = parents
-		level++
-	}
-	root := &node{level: level, entries: entries}
-	for _, e := range entries {
-		if e.child != nil {
-			e.child.parent = root
-		}
-	}
-	t.root = root
-	t.size = len(items)
-	t.rebuildSample()
-	return t, nil
+// refKey is the tiling key of e along row k: the centre of its extent (a
+// point's extent, before the outward step, is its key).
+func (e *refEntry) refKey(k int) float32 {
+	return float32((float64(e.lo[k])+float64(e.hi[k]))/2) + 0
 }
 
-// strTile partitions entries into groups of at most c (and at least
-// minEntries) using recursive sort-tile on the rectangle centers,
-// cycling through the dimensions starting at dim.  Slabs recurse on
-// disjoint sub-slices, so spare worker tokens from sem run them
-// concurrently; outputs are collected in slab order, keeping the
-// grouping identical to the sequential tiling.
-func strTile(entries []*entry, c, minEntries, dims, dim int, sem sema) [][]*entry {
-	if len(entries) <= c {
-		return [][]*entry{entries}
+// refPoint is the leaf entry of p: its stored coordinates' norm and
+// folded unit direction, each rounded to nearest.
+func refPoint(q quant, p vec.Vector, id int64) *refEntry {
+	var sumSq float64
+	for _, x := range p {
+		sumSq += float64(q.near(x)) * float64(q.near(x))
 	}
-	// Number of groups needed and slab count along this dimension.
-	groups := (len(entries) + c - 1) / c
-	slabs := 1
-	for slabs*slabs < groups { // ceil(sqrt) is enough when cycling dims
-		slabs++
+	norm := math.Sqrt(sumSq)
+	inv := 0.0
+	if norm != 0 {
+		inv = math.Copysign(1/norm, float64(q.near(p[0])))
 	}
-	d := dim % dims
-	sortByDim(entries, d, sem)
-	perSlab := (len(entries) + slabs - 1) / slabs
-	// Keep each slab a multiple-ish of c so downstream groups fill.
-	if r := perSlab % c; r != 0 && perSlab > c {
-		perSlab += c - r
+	e := &refEntry{id: id, point: p, lo: []float32{float32(norm)}}
+	for _, x := range p {
+		e.lo = append(e.lo, float32(float64(q.near(x))*inv)+0)
 	}
-	nSlabs := (len(entries) + perSlab - 1) / perSlab
-	slabOut := make([][][]*entry, nSlabs)
-	var wg sync.WaitGroup
-	for si, start := 0, 0; start < len(entries); si, start = si+1, start+perSlab {
-		end := start + perSlab
-		if end > len(entries) {
-			end = len(entries)
+	e.hi = e.lo
+	return e
+}
+
+// refTile cuts es into groups of at most c and, where it can, at least m:
+// stable sort on key depth mod keys, slabs doubling from c along the norm
+// and ⌈√groups⌉ equal ones along a direction, recursion on the next key,
+// and the trailing-group rebalance.
+func refTile(es []*refEntry, c, m, depth int) [][]*refEntry {
+	if len(es) <= c {
+		return [][]*refEntry{es}
+	}
+	key := depth % len(es[0].lo)
+	sort.SliceStable(es, func(i, j int) bool { return es[i].refKey(key) < es[j].refKey(key) })
+	var out [][]*refEntry
+	if key == 0 {
+		for size := c; len(es) > 0; size *= 2 {
+			k := min(size, len(es))
+			out = append(out, refTile(es[:k], c, m, depth+1)...)
+			es = es[k:]
 		}
-		slab := entries[start:end]
-		if len(slab) <= c {
-			slabOut[si] = [][]*entry{slab}
-			continue
+	} else {
+		groups := (len(es) + c - 1) / c
+		slabs := int(math.Ceil(math.Sqrt(float64(groups))))
+		perSlab := (len(es) + slabs - 1) / slabs
+		if r := perSlab % c; r != 0 && perSlab > c {
+			perSlab += c - r
 		}
-		if sem.tryAcquire() {
-			wg.Add(1)
-			go func(si int, slab []*entry) {
-				defer wg.Done()
-				defer sem.release()
-				slabOut[si] = strTile(slab, c, minEntries, dims, dim+1, sem)
-			}(si, slab)
-		} else {
-			slabOut[si] = strTile(slab, c, minEntries, dims, dim+1, sem)
+		for len(es) > 0 {
+			k := min(perSlab, len(es))
+			out = append(out, refTile(es[:k], c, m, depth+1)...)
+			es = es[k:]
 		}
 	}
-	wg.Wait()
-	var out [][]*entry
-	for _, groups := range slabOut {
-		out = append(out, groups...)
-	}
-	// Rebalance any trailing underfull group against its predecessor.
 	for i := 1; i < len(out); i++ {
-		if len(out[i]) >= minEntries {
+		if len(out[i]) >= m {
 			continue
 		}
-		merged := append(append([]*entry(nil), out[i-1]...), out[i]...)
-		half := len(merged) / 2
-		if half < minEntries {
-			// Merge outright: half < m means merged < 2m <= M+1, so the
-			// combined group still fits in one node.
-			out[i-1] = merged
-			out = append(out[:i], out[i+1:]...)
-			i--
+		merged := append(append([]*refEntry(nil), out[i-1]...), out[i]...)
+		if half := len(merged) / 2; half >= m {
+			out[i-1], out[i] = merged[:half], merged[half:]
 			continue
 		}
-		out[i-1] = merged[:half]
-		out[i] = merged[half:]
+		out[i-1] = merged
+		out = append(out[:i], out[i+1:]...)
+		i--
 	}
 	return out
 }
 
-// sortKey orders entries by rectangle center along dimension d.
-func sortKey(e *entry, d int) float64 { return e.rect.L[d] + e.rect.H[d] }
-
-// sortByDim stable-sorts entries by center along dimension d.  Large
-// slices with spare worker tokens use a stable parallel merge sort;
-// stability makes its output identical to sort.SliceStable's, so the
-// tree shape is independent of the worker count.
-func sortByDim(entries []*entry, d int, sem sema) {
-	if len(entries) < parallelSortCutoff || cap(sem) == 0 {
-		sort.SliceStable(entries, func(i, j int) bool {
-			return sortKey(entries[i], d) < sortKey(entries[j], d)
-		})
-		return
-	}
-	mergeSortByDim(entries, make([]*entry, len(entries)), d, sem)
-}
-
-// mergeSortByDim sorts es using aux (same length) as merge scratch.
-func mergeSortByDim(es, aux []*entry, d int, sem sema) {
-	if len(es) < parallelSortCutoff {
-		sort.SliceStable(es, func(i, j int) bool {
-			return sortKey(es[i], d) < sortKey(es[j], d)
-		})
-		return
-	}
-	mid := len(es) / 2
-	if sem.tryAcquire() {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sem.release()
-			mergeSortByDim(es[:mid], aux[:mid], d, sem)
-		}()
-		mergeSortByDim(es[mid:], aux[mid:], d, sem)
-		wg.Wait()
-	} else {
-		mergeSortByDim(es[:mid], aux[:mid], d, sem)
-		mergeSortByDim(es[mid:], aux[mid:], d, sem)
-	}
-	// Stable merge: ties take the left run, preserving original order.
-	copy(aux, es)
-	i, j := 0, mid
-	for k := range es {
-		switch {
-		case i >= mid:
-			es[k] = aux[j]
-			j++
-		case j >= len(aux):
-			es[k] = aux[i]
-			i++
-		case sortKey(aux[j], d) < sortKey(aux[i], d):
-			es[k] = aux[j]
-			j++
-		default:
-			es[k] = aux[i]
-			i++
+// refBulkLoad builds the reference tree's arena.
+func refBulkLoad(cfg Config, items []Item) *FlatTree {
+	f := &FlatTree{cfg: cfg, dir: dirCone, size: len(items), q: quantExp(0)}
+	bounds := geom.Rect{L: make(vec.Vector, cfg.Dim), H: make(vec.Vector, cfg.Dim)}
+	for j := 0; j < cfg.Dim && len(items) > 0; j++ {
+		bounds.L[j], bounds.H[j] = items[0].Point[j], items[0].Point[j]
+		for _, it := range items {
+			bounds.L[j], bounds.H[j] = min(bounds.L[j], it.Point[j]), max(bounds.H[j], it.Point[j])
 		}
 	}
+	if len(items) > 0 {
+		f.q = quantForRect(bounds)
+		f.bounds = f.storedRect(bounds)
+	}
+	c := max(int(bulkFill*float64(cfg.MaxEntries)), cfg.MinEntries)
+	es := make([]*refEntry, len(items))
+	for i, it := range items {
+		es[i] = refPoint(f.q, it.Point, it.ID)
+	}
+	level := 0
+	for ; len(es) > cfg.MaxEntries; level++ {
+		var parents []*refEntry
+		for _, g := range refTile(es, c, cfg.MinEntries, 0) {
+			p := &refEntry{child: &refNode{level: level, entries: append([]*refEntry(nil), g...)}}
+			for k := range g[0].lo {
+				lo, hi := g[0].lo[k], g[0].hi[k]
+				for _, e := range g {
+					lo, hi = min(lo, e.lo[k]), max(hi, e.hi[k])
+				}
+				if level == 0 { // the keys of points, stepped outward
+					lo, hi = below32(lo), above32(hi)
+					if k == 0 {
+						lo = max(lo, 0)
+					}
+				}
+				p.lo, p.hi = append(p.lo, lo), append(p.hi, hi)
+			}
+			parents = append(parents, p)
+		}
+		es = parents
+	}
+	f.height = level + 1
+
+	stride, tick := 1+len(items)/sampleCap, 0
+	var walk func(n *refNode) int
+	walk = func(n *refNode) int {
+		idx := len(f.meta)
+		f.meta = append(f.meta, packMeta(n.level, 1))
+		f.pages++
+		f.maxNode = max(f.maxNode, len(n.entries))
+		f.starts = append(f.starts, uint64(len(f.refs)))
+		f.poff = append(f.poff, uint64(len(f.planes)))
+		base := len(f.refs)
+		for _, e := range n.entries {
+			f.refs = append(f.refs, uint64(e.id))
+		}
+		if n.level == 0 {
+			for j := 0; j < cfg.Dim; j++ {
+				for _, e := range n.entries {
+					f.planes = append(f.planes, f.q.near(e.point[j]))
+				}
+			}
+			for _, e := range n.entries {
+				if tick%stride == 0 {
+					f.sample = append(f.sample, e.point.Clone())
+				}
+				tick++
+			}
+			return idx
+		}
+		for _, side := range []func(*refEntry) []float32{func(e *refEntry) []float32 { return e.lo }, func(e *refEntry) []float32 { return e.hi }} {
+			for k := 0; k <= cfg.Dim; k++ {
+				for _, e := range n.entries {
+					f.planes = append(f.planes, side(e)[k])
+				}
+			}
+		}
+		for k, e := range n.entries {
+			f.refs[base+k] = uint64(walk(e.child))
+		}
+		return idx
+	}
+	walk(&refNode{level: level, entries: es})
+	f.starts = append(f.starts, uint64(len(f.refs)))
+	f.poff = append(f.poff, uint64(len(f.planes)))
+	return f
 }

@@ -20,14 +20,7 @@ func bulkItems(r *rand.Rand, n, dim int) []Item {
 // bulkLoadTree bulk loads items (BulkLoadFlat over their columns) and
 // thaws the arena into the mutable tree these tests inspect.
 func bulkLoadTree(cfg Config, items []Item, workers int) (*Tree, error) {
-	n := len(items)
-	ids, cols := make([]int64, n), make([]float64, n*cfg.Dim)
-	for i, it := range items {
-		ids[i] = it.ID
-		for j, x := range it.Point {
-			cols[j*n+i] = x
-		}
-	}
+	ids, cols := columnsOf(items, cfg.Dim)
 	f, err := BulkLoadFlat(cfg, ids, cols, workers)
 	if err != nil {
 		return nil, err
@@ -137,14 +130,15 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 }
 
 func TestBulkLoadPackingQuality(t *testing.T) {
-	// STR packing guarantees a smaller tree; line-search cost should be
-	// in the same ballpark as an insert-built R*-tree (R* insertion
-	// optimizes overlap specifically, so parity — not victory — is the
-	// expectation on uniform data).
+	// Packing guarantees a smaller tree, and — tiled and summarised for
+	// lines through the origin — one that such a line reads fewer pages
+	// of than an insert-built R*-tree's MBR directory, even on uniform
+	// data, where R* insertion is at its best.
 	r := rand.New(rand.NewSource(43))
 	items := bulkItems(r, 5000, 4)
 	cfg := DefaultConfig(4)
-	bulk, err := bulkLoadTree(cfg, items, 1)
+	ids, cols := columnsOf(items, 4)
+	fb, err := BulkLoadFlat(cfg, ids, cols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +149,25 @@ func TestBulkLoadPackingQuality(t *testing.T) {
 	for _, it := range items {
 		inc.Insert(it.Point, it.ID)
 	}
-	if bulk.NodeCount() > inc.NodeCount() {
-		t.Errorf("bulk tree has %d nodes, incremental %d", bulk.NodeCount(), inc.NodeCount())
+	if fb.NodeCount() > inc.NodeCount() {
+		t.Errorf("bulk tree has %d nodes, incremental %d", fb.NodeCount(), inc.NodeCount())
 	}
 	var bulkAcc, incAcc int
-	fb, fi := bulk.Freeze(), inc.Freeze()
+	fi := inc.Freeze()
 	for q := 0; q < 40; q++ {
 		l := vec.Line{P: make(vec.Vector, 4), D: randVec(r, 4)}
 		var sb, si SearchStats
-		fb.LineSearch(l, 0.3, geom.EnteringExiting, &sb)
-		fi.LineSearch(l, 0.3, geom.EnteringExiting, &si)
+		got := fb.LineSearch(l, 0.3, geom.EnteringExiting, &sb)
+		want := fi.LineSearch(l, 0.3, geom.EnteringExiting, &si)
+		if !sameIDSet(idSet(got), idSet(want)) {
+			t.Fatalf("query %d: the two trees return different points", q)
+		}
 		bulkAcc += sb.NodeAccesses
 		incAcc += si.NodeAccesses
 	}
-	if float64(bulkAcc) > 1.6*float64(incAcc) {
-		t.Errorf("bulk tree accesses %d vs incremental %d; packing hurt badly", bulkAcc, incAcc)
+	t.Logf("node accesses: bulk-loaded %d, insert-built %d", bulkAcc, incAcc)
+	if bulkAcc > incAcc {
+		t.Errorf("bulk tree accesses %d vs incremental %d; the tiling hurt", bulkAcc, incAcc)
 	}
 }
 

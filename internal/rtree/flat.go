@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"slices"
 	"sync"
+	"time"
 	"unsafe"
 
 	"scaleshift/internal/binio"
@@ -30,10 +30,14 @@ import (
 // [starts[i], starts[i+1]) of refs and the values [poff[i], poff[i+1])
 // of planes.  refs holds the child node index for internal entries and
 // the item ID (as uint64 bits) for leaf entries.  planes holds, per
-// node, the entry MBRs dimension-major — all L planes (dimension 0 of
-// every entry, then dimension 1, ...), then all H planes: the layout
+// node, the entries' extents dimension-major — all L planes (dimension 0
+// of every entry, then dimension 1, ...), then all H planes: the layout
 // geom.Planes describes — except that a leaf stores each point once, as
-// its L rows alone.
+// its L rows alone.  What a directory entry's extent is depends on who
+// built the arena (dirKind): the MBR of the subtree in an arena frozen
+// from a builder, and in a bulk-loaded one the range of the norms and the
+// box of the unit directions beneath it — one row more than the feature
+// dimension, the norm's first.
 //
 // The tree is a filter (the caller's exact check decides), so a plane
 // value is a float32: coordinate x is stored as float32(x·2^-e) with one
@@ -45,6 +49,7 @@ import (
 // the planes, and return coordinates and distances in the caller's.
 type FlatTree struct {
 	cfg     Config
+	dir     dirKind
 	size    int
 	height  int
 	pages   int // total pages (a supernode spans several)
@@ -61,7 +66,50 @@ type FlatTree struct {
 	sample []vec.Vector // planner sample (see CostHints)
 	arena  []byte       // backing arena when loaded zero-copy, else nil
 	pool   sync.Pool    // *flatScratch, per-search reusable buffers
+
+	buildTile, buildEmit time.Duration // see BuildStages
 }
+
+// dirKind is what the directory entries of an arena store, recorded in
+// header word 9.  The descent picks its pruning kernel from it; nothing
+// else does.  (1 was the rectangle-leaf arena retired in PR 22 and stays
+// refused.)
+type dirKind uint64
+
+const (
+	// dirMBR: an entry is the Cartesian MBR of its subtree, pruned by
+	// Theorem 3's slab (or sphere) test.  What Tree.Freeze writes.
+	dirMBR dirKind = 0
+	// dirCone: an entry is the norm range and the unit-direction box of
+	// its subtree, pruned by the cone test.  What BulkLoadFlat writes.
+	dirCone dirKind = 2
+)
+
+// The values of FlatTree.Directory.
+const (
+	DirectoryMBR = "MBR"
+	DirectoryBox = "direction-box"
+)
+
+func (k dirKind) String() string {
+	switch k {
+	case dirMBR:
+		return DirectoryMBR
+	case dirCone:
+		return DirectoryBox
+	}
+	return fmt.Sprintf("unknown(%d)", uint64(k))
+}
+
+// Directory names what the arena's directory entries store: DirectoryMBR
+// for an arena frozen from a builder (or written before bulk loads
+// changed shape), DirectoryBox for a bulk-loaded one.
+func (f *FlatTree) Directory() string { return f.dir.String() }
+
+// BuildStages returns how long BulkLoadFlat spent tiling (polar columns,
+// sorts, extents) and emitting the arena; zero for a tree that was
+// frozen or opened.
+func (f *FlatTree) BuildStages() (tile, emit time.Duration) { return f.buildTile, f.buildEmit }
 
 // quant is an arena's number format: the coordinate x is stored as
 // float32(x·2^-exp).  exp is chosen from the largest coordinate
@@ -109,11 +157,11 @@ func (q quant) near(x float64) float32 { return float32(x*q.inv) + 0 }
 // wide returns the coordinate a stored value stands for.
 func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
 
-// Freeze builds the flat form of t.  The tree is walked pre-order;
-// the result shares nothing mutable with t (the planner sample
-// vectors are shared, but neither representation mutates them).  Every
-// value is rounded on its own (see FlatTree), which leaves the arena
-// BulkLoadFlat computes for the same tree.
+// Freeze builds the flat form of t, its directory the builder's MBRs
+// (dirMBR).  The tree is walked pre-order; the result shares nothing
+// mutable with t (the planner sample vectors are shared, but neither
+// representation mutates them).  Every value is rounded on its own (see
+// FlatTree).
 func (t *Tree) Freeze() *FlatTree {
 	f := &FlatTree{
 		cfg:    t.cfg,
@@ -240,20 +288,30 @@ func (f *FlatTree) nodeEntries(i int) (s, e int) {
 	return int(f.starts[i]), int(f.starts[i+1])
 }
 
-// nodePlanes returns the SoA MBR view of node i's entries, in arena
-// units: what every kernel and every statistic reads.
+// nodePlanes returns the SoA view of node i's entries, in arena units:
+// what every kernel and every statistic reads.
 func (f *FlatTree) nodePlanes(i int) geom.Planes[float32] {
 	s, e := f.nodeEntries(i)
-	return geom.Planes[float32]{Data: f.planes[f.poff[i]:f.poff[i+1]], Count: e - s, Dim: f.cfg.Dim}
+	return geom.Planes[float32]{Data: f.planes[f.poff[i]:f.poff[i+1]], Count: e - s, Dim: f.planeDim(f.nodeLevel(i))}
+}
+
+// planeDim returns how many rows an extent of a node at level lvl has: a
+// direction-box directory entry carries the norm beside the direction.
+func (f *FlatTree) planeDim(lvl int) int {
+	if lvl > 0 && f.dir == dirCone {
+		return f.cfg.Dim + 1
+	}
+	return f.cfg.Dim
 }
 
 // planeWidth returns how many plane values an entry of a node at level
-// lvl occupies: a leaf's point is stored once, an MBR as two bounds.
+// lvl occupies: a leaf's point is stored once, a directory extent as two
+// bounds.
 func (f *FlatTree) planeWidth(lvl int) int {
 	if lvl == 0 {
 		return f.cfg.Dim
 	}
-	return 2 * f.cfg.Dim
+	return 2 * f.planeDim(lvl)
 }
 
 // child resolves the entry at index ei of node n to its child node
@@ -279,6 +337,9 @@ func (f *FlatTree) child(n, ei int) int {
 // entry.  It is meant to run with artifact checksum verification, off
 // the serving path.
 func (f *FlatTree) Validate() error {
+	if f.dir != dirMBR && f.dir != dirCone {
+		return fmt.Errorf("rtree: flat arena: unknown directory kind %d", uint64(f.dir))
+	}
 	numNodes := len(f.meta)
 	numEntries := len(f.refs)
 	if len(f.starts) != numNodes+1 || len(f.poff) != numNodes+1 {
@@ -353,14 +414,16 @@ func (f *FlatTree) Validate() error {
 	if maxNode != f.maxNode {
 		return fmt.Errorf("rtree: flat arena: max node size %d but %d recorded", maxNode, f.maxNode)
 	}
-	// Every plane value is finite, every entry rect well-formed (L <= H
-	// per dimension), and every child sits inside the entry referencing
-	// it.  The root's entries are checked on their own; every other
-	// node's are ordered and inside the rectangle of the one entry that
-	// references the node (the structural pass above found exactly one),
-	// which by induction from the root makes them finite too — a NaN
-	// fails every comparison.
-	d := f.cfg.Dim
+	// Every plane value is finite, every extent well-formed (L <= H per
+	// row), and every child sits inside the entry referencing it.  The
+	// root's entries are checked on their own; every other node's are
+	// ordered and inside the extent of the one entry that references the
+	// node (the structural pass above found exactly one), which by
+	// induction from the root makes them finite too — a NaN fails every
+	// comparison.  Under a direction-box directory "inside" means, for a
+	// leaf, that the norm and the folded unit direction of every stored
+	// point — computed as the builder computes them — lie in the entry's
+	// range and box.
 	inside := func(pl geom.Planes[float32], j int, lo, hi float32) bool {
 		lr, hr := pl.LRow(j), pl.HRow(j)
 		ok := true
@@ -369,14 +432,20 @@ func (f *FlatTree) Validate() error {
 		}
 		return ok
 	}
+	sumSq, sinv := make([]float64, maxNode), make([]float64, maxNode)
 	root := f.nodePlanes(0)
-	for j := 0; j < d; j++ {
-		if !inside(root, j, -math.MaxFloat32, math.MaxFloat32) {
-			return fmt.Errorf("rtree: flat arena: inverted or non-finite rect in the root (dim %d)", j)
+	for j := 0; j < root.Dim; j++ {
+		lo := float32(-math.MaxFloat32)
+		if j == 0 && f.dir == dirCone && f.height > 1 {
+			lo = 0 // a norm
+		}
+		if !inside(root, j, lo, math.MaxFloat32) {
+			return fmt.Errorf("rtree: flat arena: inverted or non-finite extent in the root (row %d)", j)
 		}
 	}
 	for i := 0; i < numNodes; i++ {
-		if f.nodeLevel(i) == 0 {
+		lvl := f.nodeLevel(i)
+		if lvl == 0 {
 			continue
 		}
 		s, _ := f.nodeEntries(i)
@@ -384,15 +453,53 @@ func (f *FlatTree) Validate() error {
 		for k := 0; k < pl.Count; k++ {
 			ci := int(f.refs[s+k])
 			child := f.nodePlanes(ci)
-			for j := 0; j < d; j++ {
+			if lvl == 1 && f.dir == dirCone {
+				if j, ok := polarInside(child, pl, k, sumSq, sinv); !ok {
+					return fmt.Errorf("rtree: flat arena: leaf %d holds a point outside the norm range or direction box of entry %d of node %d, which references it (row %d: [%v, %v])",
+						ci, s+k, i, j, pl.LRow(j)[k], pl.HRow(j)[k])
+				}
+				continue
+			}
+			for j := 0; j < pl.Dim; j++ {
 				if lo, hi := pl.LRow(j)[k], pl.HRow(j)[k]; !inside(child, j, lo, hi) {
-					return fmt.Errorf("rtree: flat arena: node %d holds an inverted rect or reaches outside entry %d of node %d, which references it (dim %d: [%v, %v])",
+					return fmt.Errorf("rtree: flat arena: node %d holds an inverted extent or reaches outside entry %d of node %d, which references it (row %d: [%v, %v])",
 						ci, s+k, i, j, lo, hi)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// polarInside reports whether every point of the leaf viewed by pts has
+// its norm and folded unit direction inside entry k of the direction-box
+// node viewed by pl, and the first row that fails.  sumSq and sinv are
+// scratch of at least pts.Count values; the leaf is swept a row at a
+// time, as it is stored.
+func polarInside(pts, pl geom.Planes[float32], k int, sumSq, sinv []float64) (row int, ok bool) {
+	sumSq, sinv = sumSq[:pts.Count], sinv[:pts.Count]
+	clear(sumSq)
+	for j := 0; j < pts.Dim; j++ {
+		for i, v := range pts.LRow(j) {
+			sumSq[i] += float64(v) * float64(v)
+		}
+	}
+	rLo, rHi := pl.LRow(0)[k], pl.HRow(0)[k]
+	for i, v0 := range pts.LRow(0) {
+		var r float32
+		if r, sinv[i] = polarOf(sumSq[i], v0); !(r >= rLo && r <= rHi) {
+			return 0, false
+		}
+	}
+	for j := 0; j < pts.Dim; j++ {
+		lo, hi := pl.LRow(1 + j)[k], pl.HRow(1 + j)[k]
+		for i, v := range pts.LRow(j) {
+			if u := polarDir(v, sinv[i]); !(u >= lo && u <= hi) {
+				return 1 + j, false
+			}
+		}
+	}
+	return 0, true
 }
 
 // Thaw reconstructs a mutable builder from the frozen arena, over the
@@ -456,10 +563,11 @@ func (f *FlatTree) Thaw() (*Tree, error) {
 	return t, nil
 }
 
-// Stats returns per-level geometry statistics, leaves first.
+// Stats returns per-level geometry statistics, leaves first: of the
+// extents the arena stores, so the directory levels of a direction-box
+// arena are measured in its (norm, direction) rows.
 func (f *FlatTree) Stats() []LevelStats {
 	byLevel := make([]*LevelStats, f.height)
-	d := f.cfg.Dim
 	for i := range f.meta {
 		lvl := f.nodeLevel(i)
 		ls := byLevel[lvl]
@@ -480,7 +588,7 @@ func (f *FlatTree) Stats() []LevelStats {
 		minSide, maxSide := math.Inf(1), 0.0
 		var outerSq float64
 		innerHalf := math.Inf(1)
-		for j := 0; j < d; j++ {
+		for j := 0; j < pl.Dim; j++ {
 			lr, hr := pl.LRow(j), pl.HRow(j)
 			lo, hi := lr[0], hr[0]
 			for k := 1; k < len(lr); k++ {
@@ -562,7 +670,7 @@ func (f *FlatTree) arenaHead() []uint64 {
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
 		uint64(f.cfg.ReinsertCount), uint64(f.cfg.Split),
 		math.Float64bits(f.cfg.SupernodeMaxOverlap),
-		uint64(f.size), uint64(f.height), 0, // word 9: reserved, see FlatFromArena
+		uint64(f.size), uint64(f.height), uint64(f.dir),
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
 		uint64(int64(f.q.exp)),
@@ -661,9 +769,6 @@ func (f *FlatTree) ArenaSize() int {
 		len(f.meta) + len(f.starts) + len(f.poff) + len(f.refs) + (len(f.planes)+1)/2)
 }
 
-// convertLog reports the first conversion of an old arena in a process.
-var convertLog sync.Once
-
 // FlatFromArena decodes an arena blob in O(1): only the header and
 // the small bounds/sample blocks are parsed; the big arrays are
 // reinterpreted in place when the blob is 8-byte aligned on a
@@ -709,12 +814,16 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 		maxNode: int(word(11)),
 		q:       quantExp(0),
 	}
-	// Word 9 said what a leaf entry was while rectangle (sub-trail MBR)
-	// leaves existed: 0 for points, the only kind left and the only value
-	// written.  Anything else is an arena this code cannot read, and says
-	// so before any plane is touched.
-	if kind := word(9); kind != 0 {
-		return nil, false, fmt.Errorf("rtree: unsupported leaf kind %d in flat arena header word 9 (only point leaves, 0, are read; rebuild the index): %w", kind, binio.ErrVersion)
+	// Word 9 is the directory kind.  It said what a leaf entry was while
+	// rectangle (sub-trail MBR) leaves existed — 0 for points, 1 for
+	// rectangles — which is why the direction-box directory is 2: an arena
+	// of the retired kind, or of a kind a later build writes, is one this
+	// code cannot read, and says so before any plane is touched.
+	switch f.dir = dirKind(word(9)); {
+	case f.dir == 1:
+		return nil, false, fmt.Errorf("rtree: unsupported leaf kind 1 in flat arena header word 9 (a rectangle-leaf arena; only point leaves are read; rebuild the index): %w", binio.ErrVersion)
+	case f.dir != dirMBR && (f.dir != dirCone || version == 1):
+		return nil, false, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 9 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
 		return nil, false, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
@@ -770,12 +879,13 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	if sampleCount > maxArenaSample {
 		return nil, false, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
 	}
-	// A leaf entry is d plane values wide, every other entry 2·d; version 1
-	// stored them all 2·d wide, as 8-byte values.
+	// A leaf entry is d plane values wide and every other entry an extent
+	// of two bounds per row (planeWidth); version 1 stored them all 2·d
+	// wide, as 8-byte values.
 	numPlanes := 2 * d * numEntries
 	planeWords := numPlanes
 	if version == arenaVersion {
-		numPlanes -= d * uint64(f.size)
+		numPlanes = d*uint64(f.size) + uint64(f.planeWidth(1))*(numEntries-uint64(f.size))
 		planeWords = (numPlanes+1)/2 + numNodes + 1 // with the poff column
 	}
 	need := off + sampleCount*d + numNodes + (numNodes + 1) + numEntries + planeWords
@@ -804,10 +914,6 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 		if err := f.convertV1(u64View(b[8*off:], int(numPlanes))); err != nil {
 			return nil, false, err
 		}
-		convertLog.Do(func() {
-			slog.Info("rtree: version-1 arena converted to version 2 at open (not zero-copy); the next Freeze, compaction or checkpoint rewrites it",
-				"entries", numEntries, "v1_bytes", len(b), "v2_bytes", f.ArenaSize())
-		})
 		return f, true, nil
 	}
 	f.poff = u64View(b[8*off:], int(numNodes+1))

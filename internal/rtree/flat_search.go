@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"scaleshift/internal/geom"
@@ -15,6 +16,12 @@ import (
 // entries are visited in slot order (depth first for the range probes,
 // best first for k-NN), and returned Items are materialized
 // fresh (the arena has no per-entry objects to share).
+//
+// Which directory kernel runs is read off the arena (dirKind): the slab
+// or sphere test of the caller's Strategy over MBRs, or the cone test
+// over norm ranges and direction boxes, which has no strategies — the
+// argument is ignored there.  The leaves are tested the same way under
+// both, so the same stored points come back.
 //
 // The planes are in the arena's units (see quant), so every search first
 // scales its query into them — a line's point, ε and a segment's
@@ -57,6 +64,9 @@ type lineQuery struct {
 	tMin, tMax float64
 	eps        float64
 	strategy   geom.Strategy
+	// cone is the probe as a direction-box directory tests it, prepared
+	// by arenaQuery when the arena has one.
+	cone geom.Cone
 }
 
 // flatScratch holds the per-search reusable buffers.  Verdicts of
@@ -72,6 +82,7 @@ type flatScratch struct {
 	dist   []float64
 	rL, rH vec.Vector // entryRect gather destination; RangeSearch's query rect
 	lineP  vec.Vector // the query line's point in arena units
+	dir    []float64  // the query's unit direction (direction-box arenas)
 	nn     flatNNHeap // best-first queue of the k-NN streams
 }
 
@@ -87,6 +98,7 @@ func (f *FlatTree) getScratch() *flatScratch {
 		rL:     make(vec.Vector, f.cfg.Dim),
 		rH:     make(vec.Vector, f.cfg.Dim),
 		lineP:  make(vec.Vector, f.cfg.Dim),
+		dir:    make([]float64, 0, f.cfg.Dim),
 	}
 	for i := range sc.levels {
 		sc.levels[i] = make([]bool, f.maxNode)
@@ -133,12 +145,21 @@ func (f *FlatTree) arenaQuery(q lineQuery, sc *flatScratch) lineQuery {
 	q.eps *= f.q.inv
 	q.tMin *= f.q.inv
 	q.tMax *= f.q.inv
+	if f.dir == dirCone {
+		q.cone.Dir = sc.dir
+		geom.PrepareCone(&q.cone, q.l, q.eps, q.tMin, q.tMax, q.segment)
+	}
 	return q
 }
 
 // RangeSearch returns every item whose point lies inside r.  stats may
 // be nil.
 func (f *FlatTree) RangeSearch(r geom.Rect, stats *SearchStats) []Item {
+	if f.dir != dirMBR && f.height > 1 {
+		// Only a bug gets here: rectangle queries run over trees their own
+		// builder froze (internal/euclid), never over a bulk-loaded one.
+		panic(fmt.Sprintf("rtree: RangeSearch over a %s directory; a rectangle query needs MBRs (Tree.Freeze)", f.dir))
+	}
 	sc := f.getScratch()
 	defer f.putScratch(sc)
 	for j := range r.L {
@@ -183,9 +204,14 @@ func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchSt
 	}
 }
 
-// penetrated is the batched Theorem 3 test of the node viewed by pl.
-// The returned verdicts alias sc and are valid until its next use.
-func (q *lineQuery) penetrated(pl geom.Planes[float32], sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
+// penetrated is the batched Theorem 3 test of the directory node viewed
+// by pl: of its entries' ε-enlarged MBRs under the probe's strategy, or —
+// cone set, for a direction-box node — of their cones.  The returned
+// verdicts alias sc and are valid until its next use.
+func (q *lineQuery) penetrated(pl geom.Planes[float32], cone bool, sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
+	if cone {
+		return geom.ConeBatch(pl, &q.cone, sc, pen)
+	}
 	if q.segment {
 		return geom.PenetratesEnlargedSegmentBatch(q.strategy, pl, q.eps, q.l, q.tMin, q.tMax, sc, pen)
 	}
@@ -232,7 +258,7 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 	}
 	// The verdicts must survive the recursion below, which reuses sc.bs.
 	verdict := sc.levels[lvl][:c]
-	copy(verdict, q.penetrated(f.nodePlanes(ni), &sc.bs, pen))
+	copy(verdict, q.penetrated(f.nodePlanes(ni), f.dir == dirCone, &sc.bs, pen))
 	for k, in := range verdict {
 		if in {
 			if err := f.descend(ctx, f.child(ni, s+k), q, stats, sc, hit); err != nil {
@@ -371,8 +397,10 @@ func (f *FlatTree) NearestToLine(l vec.Line, k int, stats *SearchStats) []ItemDi
 // NearestToLineFunc streams items in non-decreasing distance to the
 // line l until fn returns false or the tree is exhausted.  The caller
 // can use the monotone distances as lower bounds for early termination
-// (e.g. GEMINI-style exact refinement over reduced features).  stats
-// may be nil.
+// (e.g. GEMINI-style exact refinement over reduced features).  A
+// directory entry is queued at the line's distance to its MBR, or, in a
+// direction-box arena, at the cone bound r_lo·sin θ_min.  stats may be
+// nil.
 func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(ItemDist) bool) {
 	if f.size == 0 {
 		return
@@ -381,11 +409,19 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
-	l = f.arenaLine(l, sc)
+	q := f.arenaQuery(lineQuery{l: l}, sc)
+	l = q.l
 	h := &sc.nn
 	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
 	for len(*h) > 0 {
 		top := h.pop()
+		// Under a direction-box directory nothing is queued below the bound
+		// its node was popped at, whatever the roundings of the cone bound
+		// and of a leaf's one-pass distance say: the stream stays monotone.
+		floor := 0.0
+		if f.dir == dirCone {
+			floor = top.dist
+		}
 		if top.k >= 0 {
 			s, _ := f.nodeEntries(top.node)
 			if !fn(ItemDist{Item: f.leafItem(s+top.k, f.nodePlanes(top.node), top.k), Dist: top.dist * f.q.scale}) {
@@ -407,12 +443,25 @@ func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(Ite
 				continue
 			}
 			vec.PLDFastBatch(f.nodePlanes(ni).Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
-			for k := 0; k < c; k++ {
-				h.push(flatNNEntry{dist: sc.dist[k], node: ni, k: k})
+			for k, d := range sc.dist[:c] {
+				if d < floor {
+					d = floor
+				}
+				h.push(flatNNEntry{dist: d, node: ni, k: k})
 			}
 			continue
 		}
 		pl := f.nodePlanes(ni)
+		if f.dir == dirCone {
+			for k, lowerSq := range geom.ConeLowerSqBatch(pl, &q.cone, &sc.bs) {
+				d := q.cone.Bound(lowerSq)
+				if d < floor {
+					d = floor
+				}
+				h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
+			}
+			continue
+		}
 		for k := 0; k < c; k++ {
 			d := geom.LineRectDist(sc.entryRect(pl, k), l)
 			h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})

@@ -296,15 +296,14 @@ func withLeafKind(arena []byte, kind byte) []byte {
 }
 
 // TestFlatArenaCorruption flips every byte and cuts every 8-byte
-// prefix of a small arena: decoding must fail cleanly or produce a
-// tree that either fails Validate or still answers a search without
-// panicking — never a crash.
+// prefix of a small arena of each directory kind: decoding must fail
+// cleanly or produce a tree that either fails Validate or still answers
+// a search without panicking — never a crash.
 func TestFlatArenaCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
 	tr := buildPointTree(t, rng, cfg, 60)
-	f := tr.Freeze()
-	arena := f.AppendArena(nil)
+	boxes, _ := boxTree(t, rng, cfg, 60)
 	l := randLine(rng, 2)
 
 	probe := func(b []byte, what string, i int) {
@@ -323,19 +322,24 @@ func TestFlatArenaCorruption(t *testing.T) {
 		// Structurally valid after corruption (e.g. a plane value
 		// changed): traversal must still be safe.
 		g.LineSearch(l, 1.0, geom.EnteringExiting, nil)
-		g.RangeSearch(geom.Rect{L: vec.Vector{-1, -1}, H: vec.Vector{1, 1}}, nil)
-	}
-
-	for i := range arena {
-		mut := append([]byte(nil), arena...)
-		for bit := 0; bit < 8; bit += 3 {
-			mut[i] ^= 1 << bit
-			probe(mut, "flip", i)
-			mut[i] = arena[i]
+		g.NearestToLine(l, 3, nil)
+		if g.dir == dirMBR {
+			g.RangeSearch(geom.Rect{L: vec.Vector{-1, -1}, H: vec.Vector{1, 1}}, nil)
 		}
 	}
-	for cut := 0; cut <= len(arena); cut += 8 {
-		probe(arena[:cut], "cut", cut)
+
+	for _, arena := range [][]byte{tr.Freeze().AppendArena(nil), boxes.AppendArena(nil)} {
+		for i := range arena {
+			mut := append([]byte(nil), arena...)
+			for bit := 0; bit < 8; bit += 3 {
+				mut[i] ^= 1 << bit
+				probe(mut, "flip", i)
+				mut[i] = arena[i]
+			}
+		}
+		for cut := 0; cut <= len(arena); cut += 8 {
+			probe(arena[:cut], "cut", cut)
+		}
 	}
 }
 
@@ -358,6 +362,14 @@ func FuzzFlatFromArena(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(old)
+	// A direction-box arena, the four single-value corruptions of it that
+	// Validate refuses, and a directory kind nobody writes.
+	boxes, _ := boxTree(f, rng, Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 120)
+	f.Add(boxes.AppendArena(nil))
+	for _, what := range []string{"shrunk direction box", "raised r_lo", "lowered r_hi", "root entry inside its child"} {
+		f.Add(boxCorruptions(f, boxes)[what])
+	}
+	f.Add(withLeafKind(boxes.AppendArena(nil), 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, _, err := FlatFromArena(data)
 		if err != nil {

@@ -18,6 +18,14 @@
 //   - NearestToLine — best-first k-nearest-neighbour search by
 //     point-to-line distance (Corollary 1).
 //
+// An arena frozen from a builder carries the builder's MBRs and is
+// pruned exactly so.  A bulk-loaded arena is tiled and summarised for
+// the lines the index is actually asked about — all of them through the
+// origin: its directory entries hold the range of the norms and a box of
+// the unit directions beneath them, and Theorem 3 is applied to the cone
+// they span (geom/cone.go).  The arena says which it is; the searches
+// read it off.
+//
 // Every node corresponds to one disk page in the paper's cost model;
 // SearchStats.NodeAccesses therefore equals the number of index page
 // accesses of a query.
