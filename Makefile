@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke loc bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc cone bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -20,7 +20,7 @@ LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 # (TestExecKNNAllocCeiling) and the bulk build's, which must not scale
 # with the window count (TestBuildBulkAllocCeiling in
 # internal/core/build_bench_test.go).
-check: vet fmt-check build test race examples-smoke soak-smoke
+check: vet fmt-check cone build test race examples-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +60,14 @@ loc:
 		{ printf "%-28s %8d %8d\n", $$1, $$2, $$3 } \
 		$$1 !~ /^benchmark/ { s += $$2; t += $$3 } \
 		END { printf "%-28s %8d %8d\n", "total (benchmark/ excluded)", s, t }'
+
+# The serving cone: what the library, the servers and the tools that
+# ship import.  The paper's experiment code — the insert-built R*-tree,
+# the ablations, the tables — lives under internal/bench and must stay
+# reachable from ssbench (and tests) only.
+cone:
+	@out="$$($(GO) list -deps ./cmd/ssserve ./cmd/ssquery ./cmd/ssgen ./cmd/sstop . | grep '^scaleshift/internal/bench' || true)"; \
+	if [ -n "$$out" ]; then echo "experiment packages in the serving cone:"; echo "$$out"; exit 1; fi
 
 # Quick benchmark smoke: the build comparison and the verification
 # micro-benchmarks committed under results/.

@@ -224,7 +224,9 @@ func BenchmarkNearestNeighbors(b *testing.B) {
 }
 
 // BenchmarkIndexBuild measures pre-processing throughput: windows
-// SE-transformed, feature-mapped and inserted per second.
+// feature-extracted and bulk-loaded per second by Build, the STR build
+// on every CPU (one-by-one R* insertion is ssbench's -build insert and
+// BenchmarkFig4CPUTime's environment).
 func BenchmarkIndexBuild(b *testing.B) {
 	st := store.New()
 	scfg := stock.DefaultConfig()

@@ -66,7 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, or scan")
 	indexCache := fs.String("index-cache", "", "cache the built index at this path (load when present, save after building)")
 	strictCache := fs.Bool("strict-cache", false, "fail instead of degrading to a scan when the index cache is invalid")
-	bulk := fs.Bool("bulk", false, "construct the index with STR bulk loading")
 	obsFlags := cliutil.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 	if *spheres {
 		opts.Strategy = geom.BoundingSpheres
 	}
-	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *bulk, *strictCache, logger)
+	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *strictCache, logger)
 	if err != nil {
 		return err
 	}

@@ -290,12 +290,17 @@ func TestQueryExplainAndForcedPaths(t *testing.T) {
 	}
 }
 
+// TestQueryBulkMode: the bulk build is the only build, and -bulk is not
+// a flag.
 func TestQueryBulkMode(t *testing.T) {
 	var sb strings.Builder
-	if err := run(smallArgs("-query", "3:50", "-eps-frac", "0.001", "-bulk"), &sb); err != nil {
+	if err := run(smallArgs("-query", "3:50", "-eps-frac", "0.001"), &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "HK0004") {
-		t.Errorf("bulk mode missed the source:\n%s", sb.String())
+		t.Errorf("the default build missed the source:\n%s", sb.String())
+	}
+	if err := run(smallArgs("-query", "3:50", "-bulk"), &sb); err == nil {
+		t.Error("-bulk is still accepted")
 	}
 }

@@ -81,7 +81,7 @@ func run(args []string) error {
 	window := fs.Int("window", 128, "index window length n")
 	fc := fs.Int("fc", 3, "DFT coefficients f_c")
 	spheres := fs.Bool("spheres", false, "use the bounding-spheres penetration heuristic")
-	bulk := fs.Bool("bulk", false, "construct the index with STR bulk loading")
+	fs.Bool("bulk", false, "accepted and ignored: the index is always built with STR bulk loading")
 	indexCache := fs.String("index", "", "index artifact path (load when present, save after building)")
 	strictCache := fs.Bool("strict", false, "fail instead of degrading to a scan when the index artifact is invalid")
 	appendMode := fs.Bool("append", false, "enable live ingest via POST /append (hot reload then requires -checkpoint)")
@@ -161,7 +161,7 @@ func run(args []string) error {
 		if err != nil {
 			return nil, nil, "", err
 		}
-		ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *bulk, *strictCache, logger)
+		ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *strictCache, logger)
 		return st, ix, how, err
 	}
 
@@ -194,7 +194,6 @@ func run(args []string) error {
 				StorePath: *storeFile,
 				IndexPath: *indexCache,
 				Opts:      opts,
-				Bulk:      *bulk,
 				Seed:      *seed,
 			}
 		}
@@ -217,6 +216,9 @@ func run(args []string) error {
 				st, seg = res.Store, res.Seg
 				how = fmt.Sprintf("recovered from checkpoint %s (generation %d, wal offset %d)",
 					res.Source, res.Meta.Generation, res.Meta.WALOffset)
+				if seg.Converted() {
+					how += "; converted a version-1 segment arena, which the next checkpoint rewrites"
+				}
 			case errors.Is(err, ckpt.ErrNoCheckpoint) && len(warns) == 0:
 				logger.Info("no checkpoint artifact yet; building from seed data", "path", *ckptPath)
 			case errors.Is(err, ckpt.ErrNoCheckpoint):

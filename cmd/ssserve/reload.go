@@ -36,8 +36,6 @@ type reloadConfig struct {
 	// Opts shape the rebuilt index when IndexPath is empty, and the
 	// normScale window length always.
 	Opts core.Options
-	// Bulk selects STR bulk loading for rebuilds.
-	Bulk bool
 	// Seed feeds the normScale sample, matching startup.
 	Seed int64
 	// Open opens an artifact for reading.  Tests and the chaos
@@ -129,12 +127,7 @@ func (rl *reloader) load() (*snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rebuilding index: %w", err)
 		}
-		if cfg.Bulk {
-			err = ix.BuildBulkParallel(0)
-		} else {
-			err = ix.Build()
-		}
-		if err != nil {
+		if err = ix.Build(); err != nil {
 			return nil, fmt.Errorf("rebuilding index: %w", err)
 		}
 		how = fmt.Sprintf("reloaded from %s, index rebuilt", cfg.StorePath)

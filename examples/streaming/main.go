@@ -4,10 +4,9 @@
 //
 // A live market feed is simulated: the index starts with one month of
 // history for 50 tickers, then new tickers list (AppendAndIndex) while
-// a monitoring query runs after every batch.  The R*-tree grows by
-// insertion, with no rebuild from the store; Freeze then folds the
-// batch into the arena searches read, and each freshly indexed window
-// is searchable.
+// a monitoring query runs after every batch.  Each batch lands in the
+// index's delta and is searchable when the call returns; Freeze, once
+// at the end of the session, folds what accumulated into the arena.
 package main
 
 import (
@@ -77,9 +76,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := ix.Freeze(); err != nil {
-			log.Fatal(err)
-		}
 
 		var stats core.SearchStats
 		res, err := ix.Exec(context.Background(), core.Query{Vec: pattern, Eps: eps, Costs: costs}, &stats)
@@ -109,7 +105,7 @@ func main() {
 
 	// Live ticks: the most recent ticker keeps trading; every batch of
 	// new samples is indexed incrementally — windows spanning the old
-	// end become searchable at the next Freeze (requirement 2 of §3).
+	// end are searchable at once (requirement 2 of §3).
 	fmt.Println()
 	live := st.NumSequences() - 1
 	lastPrice := 30.0
@@ -123,20 +119,18 @@ func main() {
 		if err := ix.ExtendAndIndex(live, batch); err != nil {
 			log.Fatal(err)
 		}
-		if err := ix.Freeze(); err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("tick batch %d: +20 samples on %s, %d new windows indexed (total %d)\n",
 			tick+1, st.SequenceName(live), ix.WindowCount()-before, ix.WindowCount())
 	}
 
-	// Delisting: remove a ticker from the index.
+	// End of session: fold the day's delta into the arena, then remove a
+	// delisted ticker from the index.
+	if err := ix.Freeze(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
 	before := ix.WindowCount()
 	if err := ix.UnindexSequence(0); err != nil {
-		log.Fatal(err)
-	}
-	if err := ix.Freeze(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("delisted %s: %d windows removed, %d remain searchable\n",

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
@@ -141,7 +142,8 @@ type BuildMode int
 
 const (
 	// BuildInsert constructs the tree by one-by-one R* insertion (as
-	// the paper's dynamic-index requirement implies).
+	// the paper's dynamic-index requirement implies): rstar.Load behind
+	// core.Index.BuildWith, an MBR directory.
 	BuildInsert BuildMode = iota
 	// BuildBulk constructs the tree with sequential STR bulk loading.
 	BuildBulk
@@ -211,7 +213,7 @@ func NewEnvBuilt(cfg Config, mode BuildMode) (*Env, error) {
 	case BuildParallel:
 		err = ix.BuildBulkParallel(0)
 	default:
-		err = ix.Build()
+		err = ix.BuildWith(rstar.Load)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bench: building index: %w", err)

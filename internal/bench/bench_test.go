@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/rtree"
 )
@@ -257,7 +258,7 @@ func TestTreeConfigDerivation(t *testing.T) {
 	}
 	// Tiny fanout still valid.
 	cfg.MaxEntries = 4
-	if _, err := rtree.New(cfg.treeConfig()); err != nil {
+	if _, err := rstar.New(cfg.treeConfig()); err != nil {
 		t.Errorf("M=4 config invalid: %v", err)
 	}
 }

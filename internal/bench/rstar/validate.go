@@ -1,4 +1,4 @@
-package rtree
+package rstar
 
 import (
 	"fmt"
@@ -22,47 +22,47 @@ func (t *Tree) CheckInvariants() error {
 	walk = func(n *node, isRoot bool) error {
 		nodes += n.pages()
 		if n.super > 1 && (t.cfg.SupernodeMaxOverlap <= 0 || n.isLeaf()) {
-			return fmt.Errorf("rtree: unexpected supernode at level %d", n.level)
+			return fmt.Errorf("rstar: unexpected supernode at level %d", n.level)
 		}
 		if len(n.entries) > t.capacity(n) {
-			return fmt.Errorf("rtree: node at level %d has %d entries > capacity %d",
+			return fmt.Errorf("rstar: node at level %d has %d entries > capacity %d",
 				n.level, len(n.entries), t.capacity(n))
 		}
 		if !isRoot && len(n.entries) < t.cfg.MinEntries {
-			return fmt.Errorf("rtree: non-root node at level %d has %d entries < m=%d",
+			return fmt.Errorf("rstar: non-root node at level %d has %d entries < m=%d",
 				n.level, len(n.entries), t.cfg.MinEntries)
 		}
 		if n.isLeaf() {
 			items += len(n.entries)
 			for _, e := range n.entries {
 				if e.child != nil {
-					return fmt.Errorf("rtree: leaf entry has a child pointer")
+					return fmt.Errorf("rstar: leaf entry has a child pointer")
 				}
 				if e.rect.Dim() != t.cfg.Dim {
-					return fmt.Errorf("rtree: leaf rect dimension %d != %d", e.rect.Dim(), t.cfg.Dim)
+					return fmt.Errorf("rstar: leaf rect dimension %d != %d", e.rect.Dim(), t.cfg.Dim)
 				}
 				if len(e.item.Point) != t.cfg.Dim {
-					return fmt.Errorf("rtree: item dimension %d != %d", len(e.item.Point), t.cfg.Dim)
+					return fmt.Errorf("rstar: item dimension %d != %d", len(e.item.Point), t.cfg.Dim)
 				}
 				if !e.rect.Contains(e.item.Point) {
-					return fmt.Errorf("rtree: leaf rect does not contain its point")
+					return fmt.Errorf("rstar: leaf rect does not contain its point")
 				}
 			}
 			return nil
 		}
 		for _, e := range n.entries {
 			if e.child == nil {
-				return fmt.Errorf("rtree: internal entry without child at level %d", n.level)
+				return fmt.Errorf("rstar: internal entry without child at level %d", n.level)
 			}
 			if e.child.level != n.level-1 {
-				return fmt.Errorf("rtree: child level %d under node level %d", e.child.level, n.level)
+				return fmt.Errorf("rstar: child level %d under node level %d", e.child.level, n.level)
 			}
 			if e.child.parent != n {
-				return fmt.Errorf("rtree: broken parent pointer at level %d", n.level)
+				return fmt.Errorf("rstar: broken parent pointer at level %d", n.level)
 			}
 			m := e.child.mbr()
 			if !rectsEqual(e.rect, m) {
-				return fmt.Errorf("rtree: entry rect %v..%v is not the child MBR %v..%v",
+				return fmt.Errorf("rstar: entry rect %v..%v is not the child MBR %v..%v",
 					e.rect.L, e.rect.H, m.L, m.H)
 			}
 			if err := walk(e.child, false); err != nil {
@@ -75,10 +75,10 @@ func (t *Tree) CheckInvariants() error {
 		return err
 	}
 	if items != t.size {
-		return fmt.Errorf("rtree: size %d but %d items reachable", t.size, items)
+		return fmt.Errorf("rstar: size %d but %d items reachable", t.size, items)
 	}
 	if nodes != t.nodes {
-		return fmt.Errorf("rtree: page count %d but %d pages reachable", t.nodes, nodes)
+		return fmt.Errorf("rstar: page count %d but %d pages reachable", t.nodes, nodes)
 	}
 	return nil
 }

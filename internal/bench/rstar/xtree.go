@@ -1,8 +1,10 @@
-package rtree
+package rstar
 
 import (
 	"math"
 	"sort"
+
+	"scaleshift/internal/rtree"
 )
 
 // This file implements the X-tree extension (Berchtold et al. [23],
@@ -34,9 +36,9 @@ func (t *Tree) chooseSplitGroups(n *node) (g1, g2 []*entry, supernode bool) {
 // baseSplit runs the configured split algorithm.
 func (t *Tree) baseSplit(entries []*entry) ([]*entry, []*entry) {
 	switch t.cfg.Split {
-	case SplitQuadratic:
+	case rtree.SplitQuadratic:
 		return splitQuadratic(entries, t.cfg.MinEntries)
-	case SplitLinear:
+	case rtree.SplitLinear:
 		return splitLinear(entries, t.cfg.MinEntries)
 	default:
 		return splitRStar(entries, t.cfg.MinEntries)
@@ -51,15 +53,6 @@ func (t *Tree) growSupernode(n *node) {
 	}
 	n.super++
 	t.nodes++
-}
-
-// shrinkSupernodeIfPossible demotes a supernode step by step while its
-// entries fit into fewer pages, releasing pages from the cost model.
-func (t *Tree) shrinkSupernodeIfPossible(n *node) {
-	for n.super > 1 && len(n.entries) <= (n.super-1)*t.cfg.MaxEntries {
-		n.super--
-		t.nodes--
-	}
 }
 
 // groupOverlapRatio measures how much the MBRs of two entry groups

@@ -111,9 +111,9 @@ func (s *ServeFlags) Validate() error {
 
 // openedHow describes an index opened from the artifact at cache: mapped
 // in place or converted from an older arena layout, and what its
-// directory stores — a bulk build's direction boxes, or the MBRs of an
-// insert-built tree or of an artifact that predates them, served as they
-// are until the index is next built.
+// directory stores — a build's direction boxes, or the MBRs of an
+// artifact that predates them, served as they are until the cache is
+// deleted and the index built again.
 func openedHow(ix *core.Index, cache string, took time.Duration) string {
 	verb := "mapped"
 	if ix.Converted() {
@@ -121,7 +121,7 @@ func openedHow(ix *core.Index, cache string, took time.Duration) string {
 	}
 	dir := ix.Directory() + " directory"
 	if ix.Directory() == core.DirectoryMBR {
-		dir += ": rebuild with -bulk for the direction-box one"
+		dir += ": delete the cache to rebuild it with the direction-box one"
 	}
 	return fmt.Sprintf("%s from %s in %v (%s)", verb, cache, took.Round(time.Millisecond), dir)
 }
@@ -170,7 +170,7 @@ func LoadStore(storeFile, dataFile string, companies, days int, seed int64) (*st
 // obtained and in which shape — mapped or converted from an older layout,
 // with which directory, or built, with the build's stage split — for the
 // command's status output: the one place that says it.
-func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bool, logger *slog.Logger) (*core.Index, string, error) {
+func OpenIndex(st *store.Store, opts core.Options, cache string, strict bool, logger *slog.Logger) (*core.Index, string, error) {
 	if cache != "" {
 		if _, err := os.Stat(cache); err == nil {
 			start := time.Now()
@@ -217,12 +217,7 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, bulk, strict bo
 		return nil, "", err
 	}
 	start := time.Now()
-	if bulk {
-		err = ix.BuildBulkParallel(0)
-	} else {
-		err = ix.Build()
-	}
-	if err != nil {
+	if err := ix.Build(); err != nil {
 		return nil, "", err
 	}
 	how := fmt.Sprintf("built in %v", time.Since(start).Round(time.Millisecond))

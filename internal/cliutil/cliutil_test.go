@@ -12,6 +12,8 @@ import (
 	"strings"
 	"time"
 
+	"scaleshift/internal/atomicfile"
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 )
@@ -93,7 +95,7 @@ func TestOpenIndexDegradesOnCorruptCache(t *testing.T) {
 
 	var logbuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logbuf, nil))
-	ix, how, err := OpenIndex(st, opts, cache, false, false, logger)
+	ix, how, err := OpenIndex(st, opts, cache, false, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestOpenIndexDegradesOnCorruptCache(t *testing.T) {
 	}
 
 	// Strict mode fails loudly instead.
-	if _, _, err := OpenIndex(st, opts, cache, false, true, logger); err == nil {
+	if _, _, err := OpenIndex(st, opts, cache, true, logger); err == nil {
 		t.Fatal("strict open of a corrupt cache must fail")
 	}
 }
@@ -123,7 +125,7 @@ func TestOpenIndexBuildAndReload(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	cache := filepath.Join(t.TempDir(), "good.index")
-	built, how, err := OpenIndex(st, opts, cache, true, false, logger)
+	built, how, err := OpenIndex(st, opts, cache, false, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestOpenIndexBuildAndReload(t *testing.T) {
 		t.Fatalf("first open should build and say where the time went, got %q", how)
 	}
 	for _, strict := range []bool{true, false} {
-		loaded, how, err := OpenIndex(st, opts, cache, false, strict, logger)
+		loaded, how, err := OpenIndex(st, opts, cache, strict, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,14 +147,22 @@ func TestOpenIndexBuildAndReload(t *testing.T) {
 		loaded.Close()
 	}
 
-	// An insert-built index — like an artifact written before bulk builds
-	// changed shape — carries MBRs, is served as it is, and says so once.
+	// An artifact written before builds took the direction-box shape — or
+	// by the experiments' insert loader — carries MBRs, is served as it
+	// is, and says once what to do about it.
 	old := filepath.Join(t.TempDir(), "mbr.index")
-	if _, how, err = OpenIndex(st, opts, old, false, false, logger); err != nil || strings.Contains(how, "extract") {
-		t.Fatalf("insert build: how %q, err %v", how, err)
+	mbr, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = mbr.BuildWith(rstar.Load)
 	}
-	if _, how, err = OpenIndex(st, opts, old, true, false, logger); err != nil || !strings.Contains(how, "(MBR directory: rebuild with -bulk for the direction-box one)") {
-		t.Fatalf("reopening an MBR artifact: how %q, err %v", how, err)
+	if err == nil {
+		err = atomicfile.WriteFile(old, mbr.WriteBinary)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, how, err = OpenIndex(st, opts, old, false, logger); err != nil || !strings.Contains(how, "(MBR directory: delete the cache to rebuild it with the direction-box one)") {
+		t.Fatalf("opening an MBR artifact: how %q, err %v", how, err)
 	}
 }
 

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
+	"scaleshift/internal/engine"
+	"scaleshift/internal/query"
 	"scaleshift/internal/store"
 )
 
@@ -91,6 +95,71 @@ func BenchmarkWriteIndexArtifact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIndexMutatePaper is the write path of a plain Index at paper
+// scale (1000 × 650): one 650-value sequence appended (searchable when
+// AppendAndIndex returns), folded in by Freeze, then unindexed — and what
+// a tight probe reads of the folded arena beside a from-scratch build of
+// the same store.
+func BenchmarkIndexMutatePaper(b *testing.B) {
+	st := populatedStore(b, 1000, 650, 1)
+	ix, err := NewIndex(st, DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.BuildBulkParallel(0); err != nil {
+		b.Fatal(err)
+	}
+	_, vals := fullSequences(b, populatedStore(b, 1, 650, 2))
+	scale, err := query.SENormScale(st, 128, 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := Query{Vec: vals[0][100:228], Eps: 0.001 * scale, Force: engine.PathRTree} // range_tight's ε
+	var appendT, foldT, unindexT time.Duration
+	var folded, fresh SearchStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		seq, err := ix.AppendAndIndex("NEW", vals[0])
+		appendT += time.Since(start)
+		if err == nil {
+			err = ix.Freeze()
+		}
+		foldT += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.StopTimer()
+			scratch, err := NewIndex(st, DefaultOptions())
+			if err == nil {
+				err = scratch.BuildBulkParallel(0)
+			}
+			if err == nil {
+				_, err = scratch.Exec(context.Background(), q, &fresh)
+			}
+			if err == nil {
+				_, err = ix.Exec(context.Background(), q, &folded)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		start = time.Now()
+		if err := ix.UnindexSequence(seq); err != nil {
+			b.Fatal(err)
+		}
+		unindexT += time.Since(start)
+	}
+	n := float64(b.N)
+	b.ReportMetric(appendT.Seconds()*1e6/n, "append-us/op")
+	b.ReportMetric(foldT.Seconds()*1e3/n, "append+freeze-ms/op")
+	b.ReportMetric(unindexT.Seconds()*1e3/n, "unindex-ms/op")
+	b.ReportMetric(float64(folded.IndexNodeAccesses), "folded-nodes")
+	b.ReportMetric(float64(fresh.IndexNodeAccesses), "fresh-nodes")
 }
 
 // buildCost is what one bulk build of st allocates.

@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -268,21 +269,25 @@ func (s SearchStats) CheckInvariants() error {
 	return nil
 }
 
-// Index is the scale/shift-invariant subsequence index of §6.
-// Mutating methods must not run concurrently with searches.
+// Index is the scale/shift-invariant subsequence index of §6: one
+// frozen arena over the windows indexed when it was last built, and a
+// delta holding what the mutators (IndexSequence, AppendAndIndex,
+// ExtendAndIndex) have added since — searched together, so a mutation
+// is visible to the next Exec — until Freeze folds the delta into a new
+// arena.  Mutating methods must not run concurrently with searches.
 type Index struct {
-	opts Options
-	st   *store.Store
-	fmap *dft.FeatureMap
-	// flat is the arena; see flat.go for the life cycle.  builder, when
-	// non-nil, holds the tree an incremental mutator thawed it into:
-	// queries are refused until Freeze folds the builder back into flat.
+	// writer is the mutable side: the store, the delta, the extraction
+	// state that continues each sequence (writer.go).
+	writer
+	// flat is the arena, and indexed how many windows of each sequence it
+	// covers: the first indexed[seq] of them.  The delta continues every
+	// sequence from there to writer.next.
 	flat    *rtree.FlatTree
-	builder *rtree.Tree
-	// man is what every query and shape accessor reads: the arena and
-	// the indexed counts as the one frozen segment of a manifest with no
-	// delta, over the live store.  It is immutable; whatever replaces
-	// flat, indexed or the strategy pins a fresh one (see pin).
+	indexed []int
+	// man is what every query and shape accessor reads: the arena as the
+	// one frozen segment of a manifest, the delta as of the last
+	// mutation, over the live store.  It is immutable; install and
+	// republish replace it.
 	man *manifest
 	// mapping backs flat when the index was opened zero-copy from a
 	// file (LoadIndexFile); the arena's arrays alias it, so it must
@@ -290,9 +295,6 @@ type Index struct {
 	// kept for the deferred VerifyArtifact pass.
 	mapping  *binio.Mapping
 	artifact []byte
-	// indexed tracks how many windows of each sequence are indexed, so
-	// dynamic extension indexes only the new ones.
-	indexed []int
 	// degraded, when non-empty, records why the index artifact could
 	// not be loaded (see OpenOrRebuild): the tree is empty but indexed
 	// covers every window, so the segment's scan still answers every
@@ -309,7 +311,7 @@ type Index struct {
 // BuildStages is where a bulk build's time went: extracting the feature
 // points into columns, tiling them (polar keys, sorts, directory
 // extents), and emitting the arena.  Zero for an index that was opened
-// or built by insertion.
+// or built by a loader of the caller's (BuildWith).
 type BuildStages struct {
 	Extract, Tile, Emit time.Duration
 }
@@ -324,11 +326,11 @@ const (
 	DirectoryBox = rtree.DirectoryBox
 )
 
-// Directory names the shape of the arena's directory: DirectoryBox for a
-// bulk-built arena (norm ranges and unit-direction boxes, pruned by the
-// cone test), DirectoryMBR for one frozen from one-by-one insertion or
-// opened from an artifact written before bulk builds changed shape —
-// served as it is, and replaced by the next bulk build.
+// Directory names the shape of the arena's directory: DirectoryBox for
+// one this package built (norm ranges and unit-direction boxes, pruned
+// by the cone test), DirectoryMBR for one opened from an artifact
+// written before builds took that shape, or built by a loader that keeps
+// MBRs (BuildWith) — served as it is, and replaced by the next fold.
 func (ix *Index) Directory() string { return ix.flat.Directory() }
 
 // Converted reports whether the arena was opened from an artifact in an
@@ -366,32 +368,33 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown penetration strategy %d", int(opts.Strategy))
 	}
-	ix := &Index{opts: opts, st: st, fmap: fmap, flat: flat}
-	ix.pin()
+	ix := &Index{writer: newWriter(st, opts, fmap)}
+	ix.install(flat, nil)
 	return ix, nil
 }
 
-// pin derives the manifest from the index's current arena, indexed
-// counts, options and degraded state.  It runs whenever one of those is
-// replaced — construction, a bulk build, Freeze, an artifact open,
-// SetStrategy — never per query.
-func (ix *Index) pin() {
-	seg := &frozenSeg{flat: ix.flat, ranges: make([]winRange, 0, len(ix.indexed)), degraded: ix.degraded}
-	for seq, c := range ix.indexed {
-		if c > 0 {
-			seg.ranges = append(seg.ranges, winRange{Seq: seq, Lo: 0, Hi: c})
-			seg.count += c
-		}
+// install makes flat, covering the first indexed[seq] windows of every
+// sequence, the index's arena, with nothing pending: the delta is
+// emptied, extraction continues from the arena's coverage, and the
+// manifest is the arena as its one frozen segment.
+func (ix *Index) install(flat *rtree.FlatTree, indexed []int) {
+	ix.flat, ix.indexed = flat, indexed
+	ix.delta = deltaSeg{dim: ix.fmap.Dim()}
+	clear(ix.sliders)
+	ix.next = slices.Clone(indexed)
+	bounds, _ := flat.Bounds() // the zero Rect, hence no slack, while empty
+	ix.maxAbs = maxAbsRect(bounds)
+	seg := &frozenSeg{flat: flat, ranges: prefixRanges(indexed), degraded: ix.degraded}
+	for _, r := range seg.ranges {
+		seg.count += r.Hi
 	}
-	bounds, _ := ix.flat.Bounds() // the zero Rect, hence no slack, while empty
-	ix.man = &manifest{
-		opts:   ix.opts,
-		fmap:   ix.fmap,
-		sv:     ix.st,
-		frozen: []*frozenSeg{seg},
-		delta:  deltaSeg{dim: ix.fmap.Dim()},
-		slack:  numericSlack(maxAbsRect(bounds), ix.fmap.Dim()),
-	}
+	ix.man = ix.manifest(0, ix.st, []*frozenSeg{seg})
+}
+
+// republish replaces the manifest after a mutation: the same frozen
+// segment, the delta and the options as they now are.
+func (ix *Index) republish() {
+	ix.man = ix.manifest(0, ix.st, ix.man.frozen)
 }
 
 // Degraded reports whether the index is serving in degraded mode
@@ -400,10 +403,9 @@ func (ix *Index) Degraded() (bool, string) {
 	return ix.degraded != "", ix.degraded
 }
 
-// checkMutable rejects structural mutation of a degraded index: with
-// no tree to keep consistent, inserts and deletes would silently
-// desynchronize the indexed-window accounting the scan path relies
-// on.  Rebuild from the store instead.
+// checkMutable rejects mutation of a degraded index: it has no arena to
+// fold a delta into, and its scan covers the store as it was opened.
+// Rebuild from the store instead.
 func (ix *Index) checkMutable() error {
 	if ix.degraded != "" {
 		return fmt.Errorf("core: index is degraded (%s); rebuild it before mutating", ix.degraded)
@@ -421,7 +423,7 @@ func (ix *Index) SetStrategy(s geom.Strategy) error {
 	switch s {
 	case geom.EnteringExiting, geom.BoundingSpheres:
 		ix.opts.Strategy = s
-		ix.pin()
+		ix.republish()
 		return nil
 	default:
 		return fmt.Errorf("core: unknown penetration strategy %d", int(s))
@@ -443,15 +445,15 @@ func (ix *Index) QueryWindow(seq, start, n int, dst vec.Vector) error {
 // serving-layer gauges; see QueryWindow for the concurrency contract.
 func (ix *Index) StoreShape() (seqs, values, pages int) { return ix.man.storeShape() }
 
-// WindowCount returns the number of indexed windows.  On a degraded
-// index this is the number of scannable windows — the tree is empty,
-// but every window of the raw store remains searchable.  Like the
-// other shape accessors it describes the arena: incremental mutations
-// show once Freeze has folded them in.
+// WindowCount returns the number of searchable windows: the arena's and
+// the delta's, so a mutation shows at once.  On a degraded index this is
+// the number of scannable windows — the tree is empty, but every window
+// of the raw store remains searchable.
 func (ix *Index) WindowCount() int { return ix.man.windowCount() }
 
-// EntryCount returns the number of leaf entries in the tree: one
-// feature point per indexed window.
+// EntryCount returns the number of leaf entries in the arena: one
+// feature point per window it covers.  Like the other shape accessors
+// below it describes the arena, which the delta joins at the next fold.
 func (ix *Index) EntryCount() int { return ix.flat.Len() }
 
 // IndexPageCount returns the number of index pages (tree nodes).
@@ -471,30 +473,30 @@ func (ix *Index) TreeHeight() int { return ix.man.treeHeight() }
 // failure.
 func (ix *Index) WriteIndexStats(w io.Writer) error { return ix.flat.WriteStats(w) }
 
-// Build indexes every not-yet-indexed window of every sequence
-// currently in the store (§6 pre-processing) by one-by-one R* insertion,
-// and freezes the result: like BuildBulk it returns a servable index.
+// Build indexes every window of every sequence currently in the store
+// (§6 pre-processing), whatever the index held before: the bulk build of
+// BuildBulkParallel, on every CPU.
 func (ix *Index) Build() error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
-	for seq := 0; seq < ix.st.NumSequences(); seq++ {
-		if err := ix.IndexSequence(seq); err != nil {
-			return err
-		}
-	}
-	return ix.Freeze()
+	return ix.rebuild(context.Background(), ix.allWindows(), 0, nil)
+}
+
+// BuildWith is Build with the arena made by load, a loader of
+// rtree.BulkLoadFlat's shape, from the feature points in (sequence,
+// start) order: how the paper's experiments index by one-by-one R*
+// insertion (internal/bench/rstar.Load) an index that is then searched,
+// mutated and saved like any other.  Whatever directory load writes is
+// served as it is until the next fold.
+func (ix *Index) BuildWith(load func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error)) error {
+	return ix.rebuild(context.Background(), ix.allWindows(), 0, load)
 }
 
 // BuildBulk indexes every window of every sequence by building the
-// tree with Sort-Tile-Recursive bulk loading instead of one-by-one
-// insertion — typically an order of magnitude faster and producing a
-// tighter tree, tiled on the norm and direction of the feature points
-// and summarised for the cone test (Directory reads DirectoryBox).  It
-// requires an empty index; the loader emits the serving arena directly
-// (see rtree.BulkLoadFlat).  Dynamic insertion
-// and removal work normally afterwards, thawing the arena first.  It is
-// BuildBulkParallel on one worker.
+// tree with Sort-Tile-Recursive bulk loading — tiled on the norm and
+// direction of the feature points and summarised for the cone test
+// (Directory reads DirectoryBox).  It requires an empty index; the
+// loader emits the serving arena directly (see rtree.BulkLoadFlat).
+// Dynamic insertion and removal work normally afterwards, through the
+// delta.  It is BuildBulkParallel on one worker.
 func (ix *Index) BuildBulk() error {
 	return ix.BuildBulkParallelContext(context.Background(), 1)
 }
@@ -523,31 +525,60 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 	if err := ix.checkMutable(); err != nil {
 		return err
 	}
-	if ix.flat.Len() != 0 || ix.builder != nil {
+	if ix.man.windowCount() != 0 {
 		return fmt.Errorf("core: BuildBulk requires an empty index")
+	}
+	return ix.rebuild(ctx, ix.allWindows(), workers, nil)
+}
+
+// allWindows returns, per sequence of the store, how many windows it
+// holds: the coverage of a full build.
+func (ix *Index) allWindows() []int {
+	counts := make([]int, ix.st.NumSequences())
+	for seq := range counts {
+		counts[seq] = max(0, ix.st.SequenceLen(seq)-ix.opts.WindowLen+1)
+	}
+	return counts
+}
+
+// rebuild replaces the arena with one built from the store over the
+// first next[seq] windows of every sequence, and empties the delta: a
+// fold when next is what the index already covers, a build when it is
+// the whole store.  The old arena is released (its backing mapping, if
+// any, closed); on failure the index is left as it was.  load, when
+// non-nil, stands in for rtree.BulkLoadFlat; workers < 1 means
+// runtime.GOMAXPROCS(0).
+func (ix *Index) rebuild(ctx context.Context, next []int, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) error {
+	if err := ix.checkMutable(); err != nil {
+		return err
 	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nSeq := ix.st.NumSequences()
-	indexed := make([]int, nSeq)
-	ranges := make([]winRange, 0, nSeq)
-	for seq := range indexed {
-		if count := ix.st.SequenceLen(seq) - ix.opts.WindowLen + 1; count > 0 {
-			indexed[seq] = count
-			ranges = append(ranges, winRange{Seq: seq, Lo: 0, Hi: count})
-		}
-	}
-	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers)
+	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, prefixRanges(next), workers, load)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
 		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
-	ix.flat, ix.indexed, ix.stages = flat, indexed, stages
-	ix.pin()
-	return nil
+	ix.converted, ix.stages, ix.artifact = false, stages, nil
+	ix.install(flat, next)
+	m := ix.mapping
+	ix.mapping = nil
+	return m.Close()
+}
+
+// prefixRanges returns the windows [0, counts[seq]) of every sequence
+// that has any.
+func prefixRanges(counts []int) []winRange {
+	ranges := make([]winRange, 0, len(counts))
+	for seq, c := range counts {
+		if c > 0 {
+			ranges = append(ranges, winRange{Seq: seq, Lo: 0, Hi: c})
+		}
+	}
+	return ranges
 }
 
 // bulkLoadRanges extracts the feature point of every window of ranges
@@ -558,8 +589,9 @@ func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) erro
 // where the sliding DFT restarts, and shared over workers goroutines
 // that poll ctx between pieces; every piece lands at slots fixed in
 // advance, so the tree does not depend on the schedule.  The stage
-// split is returned and, with observability on, published.
-func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (*rtree.FlatTree, BuildStages, error) {
+// split is returned and, with observability on, published.  It is the
+// fold of both index types; a nil load is rtree.BulkLoadFlat on workers.
+func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) (*rtree.FlatTree, BuildStages, error) {
 	start := time.Now()
 	type piece struct{ seq, cp, segLast, lo, slot int }
 	var pieces []piece
@@ -623,7 +655,12 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 	cfg := opts.Tree
 	cfg.Dim = dim
 	extract := time.Since(start)
-	flat, err := rtree.BulkLoadFlat(cfg, ids, cols, workers)
+	if load == nil {
+		load = func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
+			return rtree.BulkLoadFlat(cfg, ids, cols, workers)
+		}
+	}
+	flat, err := load(cfg, ids, cols)
 	if err != nil {
 		return nil, BuildStages{}, err
 	}
@@ -634,73 +671,31 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 }
 
 // IndexSequence indexes the windows of sequence seq that are not yet
-// indexed.  It is idempotent and supports sequences that grew since
-// the last call (requirement 2 of §3).
+// indexed, into the delta: the next Exec finds them.  It is idempotent
+// and supports sequences that grew since the last call (requirement 2
+// of §3).
 func (ix *Index) IndexSequence(seq int) error {
-	if err := ix.thaw(); err != nil {
+	if err := ix.checkMutable(); err != nil {
 		return err
 	}
 	if seq < 0 || seq >= ix.st.NumSequences() {
 		return fmt.Errorf("core: sequence %d out of range [0, %d)", seq, ix.st.NumSequences())
 	}
-	for len(ix.indexed) <= seq {
-		ix.indexed = append(ix.indexed, 0)
+	if err := ix.extract(seq); err != nil {
+		return err
 	}
-	n := ix.opts.WindowLen
-	L := ix.st.SequenceLen(seq)
-	from := ix.indexed[seq]
-	if from+n > L {
-		return nil // nothing new to index
-	}
-	err := ix.featureWindows(seq, from, func(start int, f vec.Vector) error {
-		ix.builder.Insert(f, store.EncodeWindowID(seq, start))
-		ix.indexed[seq] = start + 1
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("core: indexing: %w", err)
-	}
+	ix.republish()
 	return nil
 }
 
 // featureCheckpoint is the absolute window-start stride at which the
 // sliding DFT restarts from scratch.  Restarting at fixed checkpoints
-// makes every window's feature bit-reproducible no matter where a
-// featureWindows call begins — required so dynamic extension
-// (ExtendAndIndex) and later deletion (UnindexSequence) regenerate
-// exactly the stored feature points — and bounds floating-point drift
-// as a side effect.
+// makes every window's feature bit-reproducible no matter where an
+// extraction begins — required so a window absorbed as its sequence
+// grew (ExtendAndIndex, AppendValues) and the same window re-extracted
+// by a fold are one feature point — and bounds floating-point drift as
+// a side effect.
 const featureCheckpoint = 256
-
-// featureWindows streams the feature point of every window of sequence
-// seq from position from onward into fn; the vector it passes is reused
-// from window to window.  For the DFT basis the features are computed
-// incrementally with the sliding recurrence of [2] — O(f_c) per window
-// instead of O(n·f_c) — exploiting that the retained non-DC
-// coefficients are unaffected by mean removal, so raw windows yield SE
-// features.
-func (ix *Index) featureWindows(seq, from int, fn func(start int, f vec.Vector) error) error {
-	return extractRange(ix.st, ix.fmap, ix.opts, seq, from, ix.st.SequenceLen(seq)-ix.opts.WindowLen+1, fn)
-}
-
-// extractRange streams the features of windows [lo, hi) of sequence
-// seq into fn, reading through sv, one checkpoint segment at a time —
-// so the emitted features are bit-identical to what any other
-// extraction computes for the same windows, regardless of how [lo, hi)
-// slices the sequence.
-func extractRange(sv storeView, fmap *dft.FeatureMap, opts Options, seq, lo, hi int, fn func(start int, f vec.Vector) error) error {
-	if lo >= hi {
-		return nil
-	}
-	sc := newSegScratch(opts)
-	feat := make(vec.Vector, fmap.Dim())
-	for cp := lo - lo%featureCheckpoint; cp < hi; cp += featureCheckpoint {
-		if err := extractSegment(sv, fmap, opts, seq, cp, min(cp+featureCheckpoint, hi)-1, lo, sc, feat, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // segScratch holds the per-worker state of one feature-extraction
 // stream: raw spans a checkpoint segment's samples for the sliding DFT
@@ -774,14 +769,11 @@ func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, s
 // AppendAndIndex appends a new sequence to the store and indexes its
 // windows, returning the sequence id.
 func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
-	if err := ix.thaw(); err != nil {
+	if err := ix.checkMutable(); err != nil {
 		return -1, err
 	}
 	seq := ix.st.AppendSequence(name, values)
-	if err := ix.IndexSequence(seq); err != nil {
-		return seq, err
-	}
-	return seq, nil
+	return seq, ix.IndexSequence(seq)
 }
 
 // ExtendAndIndex appends new samples to the store's most recent
@@ -789,7 +781,7 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 // windows spanning the old end (requirement 2 of §3: time series are
 // collected regularly and must become searchable as they arrive).
 func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
-	if err := ix.thaw(); err != nil {
+	if err := ix.checkMutable(); err != nil {
 		return err
 	}
 	if err := ix.st.ExtendSequence(seq, values); err != nil {
@@ -798,35 +790,17 @@ func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
 	return ix.IndexSequence(seq)
 }
 
-// UnindexSequence removes every indexed window of sequence seq from
-// the tree.  The raw data remains in the store (the store is
-// append-only) but the windows will no longer be found by searches.
+// UnindexSequence removes every indexed window of sequence seq: the
+// arena is rebuilt from the store without them (and with whatever the
+// delta held folded in).  The raw data remains in the store (the store
+// is append-only) but the windows will no longer be found by searches.
 func (ix *Index) UnindexSequence(seq int) error {
-	if err := ix.thaw(); err != nil {
-		return err
-	}
-	if seq < 0 || seq >= len(ix.indexed) {
+	if seq < 0 || seq >= len(ix.next) {
 		return fmt.Errorf("core: sequence %d not indexed", seq)
 	}
-	limit := ix.indexed[seq]
-	// Regenerate the stored feature points with featureWindows so they
-	// are bit-identical to what Build/IndexSequence inserted (the
-	// sliding DFT path differs from the direct transform by float
-	// rounding).
-	err := ix.featureWindows(seq, 0, func(start int, f vec.Vector) error {
-		if start >= limit {
-			return nil
-		}
-		if !ix.builder.Delete(f, store.EncodeWindowID(seq, start)) {
-			return fmt.Errorf("core: window (%d, %d) missing from tree", seq, start)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("core: unindexing: %w", err)
-	}
-	ix.indexed[seq] = 0
-	return nil
+	next := slices.Clone(ix.next)
+	next[seq] = 0
+	return ix.rebuild(context.Background(), next, 0, nil)
 }
 
 // numericSlack is how far the index phase widens ε so that neither of

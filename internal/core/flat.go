@@ -1,57 +1,36 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"scaleshift/internal/binio"
 	"scaleshift/internal/store"
 )
 
-// The life cycle of the tree.  Every search and shape accessor reads
-// ix.flat, the frozen arena — one contiguous pointer-free blob
-// traversed with batched kernels (see rtree.FlatTree) — as the one
-// segment of ix.man.  An index is
-// born with the empty arena; a bulk build and an artifact open install
-// theirs directly, and Build ends by freezing what it inserted.  The
-// incremental mutators (IndexSequence, AppendAndIndex, ExtendAndIndex,
-// UnindexSequence) thaw the arena into ix.builder, the R*-tree being
-// changed, and leave it pending: until Freeze folds it back, Exec
-// refuses queries with engine.ErrUnsupported rather than answer from
-// the stale arena.
+// The one write path.  Every search and shape accessor reads ix.man: the
+// frozen arena ix.flat — one contiguous pointer-free blob traversed with
+// batched kernels (see rtree.FlatTree) — as its one frozen segment, and
+// the delta beside it.  An index is born with the empty arena; a build
+// and an artifact open install theirs.  The mutators (IndexSequence,
+// AppendAndIndex, ExtendAndIndex) append feature points to the delta
+// through the writer a SegmentedIndex appends through, so the next Exec
+// already answers with them; Freeze folds the delta into a new arena,
+// and UnindexSequence is that fold without the sequence.
 
-// thaw makes sure a builder is pending before a structural mutation,
-// reconstructing it from the arena on the first one.
-func (ix *Index) thaw() error {
-	if err := ix.checkMutable(); err != nil || ix.builder != nil {
-		return err
-	}
-	t, err := ix.flat.Thaw()
-	if err != nil {
-		return fmt.Errorf("core: thawing frozen index: %w", err)
-	}
-	ix.builder = t
-	return nil
-}
-
-// Freeze folds pending mutations into a new arena, releasing the
-// builder and the old arena (closing its backing mapping, if any).  With
-// nothing pending — after any Build*, an artifact open, or on a degraded
-// index — it is a no-op.
+// Freeze folds the delta into the arena: one bulk build from the store
+// over every indexed window (a direction-box directory, whatever the old
+// arena's was), releasing the old arena and closing its backing mapping,
+// if any.  Queries do not need it — they read the delta — it buys back
+// the directory's pruning for the windows added since the last build.
+// With nothing pending — after any Build*, an artifact open, or on a
+// degraded index — it is a no-op.
 func (ix *Index) Freeze() error {
-	if ix.builder == nil {
+	if ix.delta.n == 0 {
 		return nil
 	}
-	ix.flat, ix.builder, ix.artifact = ix.builder.Freeze(), nil, nil
-	ix.converted, ix.stages = false, BuildStages{} // they described the arena just replaced
-	ix.pin()
-	m := ix.mapping
-	ix.mapping = nil
-	return m.Close()
+	return ix.rebuild(context.Background(), ix.next, 0, nil)
 }
-
-// Frozen reports whether the index is servable: no mutation is pending
-// a Freeze.
-func (ix *Index) Frozen() bool { return ix.builder == nil }
 
 // VerifyArtifact runs the full integrity check a lazily-opened
 // artifact deferred: every section CRC32C, the whole-file trailer, and

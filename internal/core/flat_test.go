@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"scaleshift/internal/atomicfile"
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/seqscan"
@@ -97,58 +100,36 @@ func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]
 	return rangeRes, nnRes, batch, allStats
 }
 
-// TestFrozenIndexEquivalence asserts that the trip a mutation takes —
-// the arena thawed into a builder, the builder frozen into a new arena —
-// is invisible when nothing was changed: every search family returns
-// bit-identical results and identical deterministic stats before and
-// after, for an insert-built and for a bulk-built index.
+// TestFrozenIndexEquivalence asserts that a fold is invisible when
+// nothing was changed: the arena rebuilt from the store over the same
+// windows returns bit-identical results and identical deterministic
+// stats for every search family, on however many workers it was built.
 func TestFrozenIndexEquivalence(t *testing.T) {
-	for _, bulk := range []bool{false, true} {
-		opts := testOptions()
-		ix := buildTestIndex(t, opts, 8, 120)
-		if bulk {
-			fresh, err := NewIndex(ix.Store(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.BuildBulk(); err != nil {
-				t.Fatal(err)
-			}
-			ix = fresh
-		}
-		if !ix.Frozen() {
-			t.Fatalf("bulk=%v: a built index should be frozen", bulk)
-		}
-		qs := testQueries(t, ix, 6)
-		eps := 8.0
-		wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
+	ix := buildTestIndex(t, testOptions(), 8, 120)
+	qs := testQueries(t, ix, 6)
+	eps := 8.0
+	wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
 
+	for _, workers := range []int{1, 3} {
 		arena := ix.flat
-		if err := ix.thaw(); err != nil {
+		if err := ix.rebuild(context.Background(), ix.next, workers, nil); err != nil {
 			t.Fatal(err)
 		}
-		if ix.Frozen() {
-			t.Fatal("a pending builder should mark the index unfrozen")
-		}
-		if err := ix.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		if !ix.Frozen() || ix.flat == arena {
-			t.Fatalf("Freeze left frozen=%v, arena replaced=%v", ix.Frozen(), ix.flat != arena)
+		if ix.flat == arena {
+			t.Fatal("the fold kept the old arena")
 		}
 		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, eps)
-
 		if !reflect.DeepEqual(wantR, gotR) {
-			t.Fatalf("bulk=%v: range results diverged after thaw and freeze", bulk)
+			t.Fatalf("workers=%d: range results diverged after a fold", workers)
 		}
 		if !reflect.DeepEqual(wantNN, gotNN) {
-			t.Fatalf("bulk=%v: k-NN results diverged after thaw and freeze", bulk)
+			t.Fatalf("workers=%d: k-NN results diverged after a fold", workers)
 		}
 		if !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("bulk=%v: batch/long results diverged after thaw and freeze", bulk)
+			t.Fatalf("workers=%d: batch/long results diverged after a fold", workers)
 		}
 		if !reflect.DeepEqual(wantS, gotS) {
-			t.Fatalf("bulk=%v: search stats diverged after thaw and freeze:\n%+v\nvs\n%+v", bulk, wantS, gotS)
+			t.Fatalf("workers=%d: search stats diverged after a fold:\n%+v\nvs\n%+v", workers, wantS, gotS)
 		}
 	}
 }
@@ -180,9 +161,6 @@ func TestFileLoadedIndexEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if !loaded.Frozen() {
-		t.Fatal("file-loaded v3 index should serve from the flat arena")
-	}
 	if err := loaded.VerifyArtifact(); err != nil {
 		t.Fatalf("VerifyArtifact on a pristine artifact: %v", err)
 	}
@@ -208,145 +186,219 @@ func TestFileLoadedIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrozenIndexMutationThaws checks the life cycle's one rule on a
-// built and on a file-loaded index: a structural mutation leaves a
-// builder pending, queries are refused until Freeze, and Freeze folds
-// the mutation in with nothing lost.
-func TestFrozenIndexMutationThaws(t *testing.T) {
-	opts := testOptions()
-	built := buildTestIndex(t, opts, 4, 80)
-	path := filepath.Join(t.TempDir(), "ix.v3")
-	var buf bytes.Buffer
-	if err := built.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+// mutatedOracle answers q by sequential scan over every sequence of st
+// but removed (none when negative): the windows an index that
+// unindexed it still covers.
+func mutatedOracle(t *testing.T, st *store.Store, q Query, removed int) []seqscan.Result {
+	t.Helper()
+	var all []seqscan.Result
+	var err error
+	if q.K > 0 {
+		k := q.K
+		if removed >= 0 {
+			k += max(0, st.SequenceLen(removed)-len(q.Vec)+1)
+		}
+		all, err = seqscan.Nearest(st, q.Vec, k, nil)
+	} else {
+		var keep seqscan.Filter
+		if q.Costs != (CostBounds{}) {
+			keep = q.Costs.Allow
+		}
+		all, err = seqscan.Search(st, q.Vec, q.Eps, keep, nil)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndexFile(path, built.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
-	for _, ix := range []*Index{built, loaded} {
-		before := ix.WindowCount()
-		if _, err := ix.AppendAndIndex("NEW", make([]float64, 64)); err != nil {
-			t.Fatal(err)
-		}
-		if ix.Frozen() {
-			t.Fatal("mutation should leave a builder pending")
-		}
-		q := Query{Vec: make(vec.Vector, opts.WindowLen), Eps: 1}
-		if _, err := ix.Exec(context.Background(), q, nil); !errors.Is(err, engine.ErrUnsupported) {
-			t.Fatalf("Exec with a pending builder: err = %v, want ErrUnsupported", err)
-		}
-		freeze(t, ix)
-		if got, want := ix.WindowCount(), before+(64-opts.WindowLen+1); got != want {
-			t.Fatalf("window count after append+freeze = %d, want %d", got, want)
-		}
-		if _, err := ix.Exec(context.Background(), q, nil); err != nil {
-			t.Fatalf("Exec after Freeze: %v", err)
+	kept := all[:0]
+	for _, r := range all {
+		if r.Seq != removed {
+			kept = append(kept, r)
 		}
 	}
+	if q.K > 0 && len(kept) > q.K {
+		kept = kept[:q.K]
+	}
+	return kept
 }
 
-// TestUnfrozenMutationIsRefused walks the life cycle through every
-// incremental mutator: with a builder pending, range, k-NN and batch queries all fail with
-// engine.ErrUnsupported — the arena lacks the mutation, so an answer
-// from it would be a false dismissal — and once Freeze has folded the
-// builder in, the answers are the sequential scan's.
-func TestUnfrozenMutationIsRefused(t *testing.T) {
+// TestMutatedIndexAnswers is the write path's differential: every
+// mutator, on a bulk-built, an insert-built, a file-mapped and an empty
+// index, leaves an
+// index that answers the moment it returns — range, cost-bounded,
+// limited, long and k-NN queries, Float64bits-equal to a sequential scan
+// of the indexed windows — and answers the same after Freeze, which
+// leaves a direction-box arena that a tight probe reads as it reads one
+// built from scratch over the same windows.
+func TestMutatedIndexAnswers(t *testing.T) {
 	opts := testOptions()
-	ix := buildTestIndex(t, opts, 5, 90)
-	st := ix.Store()
 	wl := opts.WindowLen
-	tail := make([]float64, wl+10)
-	for i := range tail {
-		tail[i] = 40 + float64(i*i%17)
-	}
-	// Each step returns the sequence whose last window it made
-	// searchable.
-	steps := []struct {
-		name   string
-		mutate func() (int, error)
-	}{
-		{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
-		{"ExtendAndIndex", func() (int, error) {
-			last := st.NumSequences() - 1
-			return last, ix.ExtendAndIndex(last, tail[:7])
-		}},
-		{"IndexSequence", func() (int, error) {
-			seq := st.AppendSequence("RAW", tail)
-			return seq, ix.IndexSequence(seq)
-		}},
-		// Unindexing alone would leave the scan covering more than the
-		// index; taking the sequence out and putting it back does not.
-		{"UnindexSequence", func() (int, error) {
-			if err := ix.UnindexSequence(2); err != nil {
-				return 2, err
-			}
-			return 2, ix.IndexSequence(2)
-		}},
+	tail := make([]float64, 2*wl+10)
+	for i := range tail { // no two windows alike: k-NN ties have no order
+		tail[i] = 40 + float64(i*i%17) + math.Sin(float64(i))
 	}
 	ctx := context.Background()
-	for _, step := range steps {
-		seq, err := step.mutate()
-		if err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		if ix.Frozen() {
-			t.Fatalf("%s left no builder pending", step.name)
-		}
-		w := make(vec.Vector, wl)
-		if err := st.Window(seq, st.SequenceLen(seq)-wl, wl, w, nil); err != nil {
-			t.Fatal(err)
-		}
-		q := vec.Apply(w, 1.5, -4)
-		const eps = 6.0
-		if _, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil); !errors.Is(err, engine.ErrUnsupported) {
-			t.Fatalf("%s: range query with a builder pending: err = %v", step.name, err)
-		}
-		if _, err := ix.Exec(ctx, Query{Vec: q, K: 3}, nil); !errors.Is(err, engine.ErrUnsupported) {
-			t.Fatalf("%s: k-NN query with a builder pending: err = %v", step.name, err)
-		}
-		if _, _, err := ix.ExecBatch(ctx, rangeQueries([]vec.Vector{q, w}, eps), 2, nil); !errors.Is(err, engine.ErrUnsupported) {
-			t.Fatalf("%s: batch with a builder pending: err = %v", step.name, err)
-		}
+	inf := math.Inf(1)
 
-		freeze(t, ix)
-		got, err := search(ix, q, eps, nil)
-		if err != nil {
-			t.Fatalf("%s: after Freeze: %v", step.name, err)
+	built := func(build func(*Index) error) *Index {
+		ix, err := NewIndex(populatedStore(t, 5, 90, 3), opts)
+		if err == nil {
+			err = build(ix)
 		}
-		scan, err := seqscan.Search(st, q, eps, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameAsScan(got, scan); err != nil {
-			t.Fatalf("%s: after Freeze: %v", step.name, err)
-		}
-		if len(got) == 0 {
-			t.Fatalf("%s: the disguised window was not found", step.name)
-		}
-		nn, err := nearest(ix, q, 3, nil)
-		if err != nil {
-			t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
-		}
-		nscan, err := seqscan.Nearest(st, q, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameAsScan(nn, nscan); err != nil {
-			t.Fatalf("%s: k-NN after Freeze: %v", step.name, err)
+		return ix
+	}
+	bases := map[string]func() *Index{
+		"bulk-built": func() *Index { return built((*Index).BuildBulk) },
+		// An MBR directory until the first fold.
+		"insert-built": func() *Index { return built(func(ix *Index) error { return ix.BuildWith(rstar.Load) }) },
+		"mapped": func() *Index {
+			src := built((*Index).BuildBulk)
+			path := filepath.Join(t.TempDir(), "ix.v3")
+			if err := atomicfile.WriteFile(path, src.WriteBinary); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := LoadIndexFile(path, src.Store())
+			if err != nil || ix.mapping == nil {
+				t.Fatalf("mapping the artifact: %v", err)
+			}
+			return ix
+		},
+		"empty": func() *Index {
+			ix, err := NewIndex(store.New(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		},
+	}
+	for base, open := range bases {
+		ix := open()
+		st := ix.Store()
+		removed := -1
+		// Each step returns the sequence to draw the queries from.
+		steps := []struct {
+			name   string
+			mutate func() (int, error)
+		}{
+			{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
+			// Twice: the first extension finds no extraction state for a
+			// sequence the arena holds, the second continues the first's.
+			{"ExtendAndIndex", func() (int, error) {
+				last := st.NumSequences() - 1
+				if err := ix.ExtendAndIndex(last, tail[:7]); err != nil {
+					return last, err
+				}
+				return last, ix.ExtendAndIndex(last, tail[7:12])
+			}},
+			{"IndexSequence", func() (int, error) {
+				seq := st.AppendSequence("RAW", tail[3:])
+				return seq, ix.IndexSequence(seq)
+			}},
+			{"UnindexSequence", func() (int, error) {
+				removed = st.NumSequences() - 2
+				return removed, ix.UnindexSequence(removed)
+			}},
+		}
+		for _, step := range steps {
+			what := base + "/" + step.name
+			seq, err := step.mutate()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			w := make(vec.Vector, 2*wl)
+			if err := st.Window(seq, st.SequenceLen(seq)-2*wl, 2*wl, w, nil); err != nil {
+				t.Fatal(err)
+			}
+			long := vec.Apply(w, 0.7, 9)
+			q := vec.Apply(w[wl:], 1.5, -4)
+			queries := map[string]Query{
+				"range":   {Vec: q, Eps: 6},
+				"bounded": {Vec: q, Eps: 6, Costs: CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}},
+				"limit":   {Vec: q, Eps: 20, Limit: 3},
+				"long":    {Vec: long, Eps: 8},
+				"knn":     {Vec: q, K: 3},
+			}
+			check := func(when string) {
+				for kind, query := range queries {
+					res, err := ix.Exec(ctx, query, nil)
+					if err != nil {
+						t.Fatalf("%s, %s, %s: %v", what, when, kind, err)
+					}
+					want := mutatedOracle(t, st, query, removed)
+					if res.Total != len(want) {
+						t.Fatalf("%s, %s, %s: total %d, the scan finds %d", what, when, kind, res.Total, len(want))
+					}
+					if query.Limit > 0 && len(want) > query.Limit {
+						want = want[:query.Limit]
+					}
+					if err := sameAsScan(res.Matches, want); err != nil {
+						t.Fatalf("%s, %s, %s: %v", what, when, kind, err)
+					}
+					if kind == "range" && seq != removed && len(want) == 0 {
+						t.Fatalf("%s, %s: the disguised window of sequence %d was not found", what, when, seq)
+					}
+				}
+			}
+			check("before Freeze")
+			// Saved with the delta pending, the artifact holds it folded.
+			var buf bytes.Buffer
+			if err := ix.WriteBinary(&buf); err != nil {
+				t.Fatalf("%s: writing with a delta pending: %v", what, err)
+			}
+			saved, err := LoadIndex(&buf, st)
+			if err != nil {
+				t.Fatalf("%s: reopening: %v", what, err)
+			}
+			live := ix
+			ix = saved
+			check("saved before Freeze and reopened")
+			ix = live
+			freeze(t, ix)
+			check("after Freeze")
+
+			if ix.delta.n != 0 || ix.mapping != nil || ix.Directory() != DirectoryBox {
+				t.Fatalf("%s: Freeze left %d delta windows, mapping %v, a %s directory", what, ix.delta.n, ix.mapping != nil, ix.Directory())
+			}
+			// A from-scratch build over the same windows.
+			scratch := store.New()
+			names, vals := fullSequences(t, st)
+			for s := range names {
+				if s != removed {
+					scratch.AppendSequence(names[s], vals[s])
+				}
+			}
+			fresh, err := NewIndex(scratch, opts)
+			if err == nil {
+				err = fresh.BuildBulk()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want SearchStats
+			tight := Query{Vec: q, Eps: 0.5, Force: engine.PathRTree}
+			if _, err := ix.Exec(ctx, tight, &got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Exec(ctx, tight, &want); err != nil {
+				t.Fatal(err)
+			}
+			if d := got.IndexNodeAccesses - want.IndexNodeAccesses; want.IndexNodeAccesses == 0 || 50*max(d, -d) > want.IndexNodeAccesses {
+				t.Fatalf("%s: a tight probe reads %d nodes, %d of a from-scratch build", what, got.IndexNodeAccesses, want.IndexNodeAccesses)
+			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestBulkBuiltIndexIsBornFrozen checks the loader's contract at the
 // Index: a bulk build serves from the arena it emitted, Freeze has
-// nothing left to do, and inserts and deletes still work — the first
-// one thaws — leaving, once frozen again, the same answers as an
-// insert-built index put through the same edits.
+// nothing left to do, and inserts and deletes still work — through the
+// delta — leaving, once folded, the same answers as an index built on
+// other workers and put through the same edits.
 func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	opts := testOptions()
 	ref := buildTestIndex(t, opts, 6, 100)
@@ -361,9 +413,6 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	}
 	if err := ix.BuildBulkParallel(2); err != nil {
 		t.Fatal(err)
-	}
-	if !ix.Frozen() {
-		t.Fatal("a bulk build should leave the index frozen")
 	}
 	arena := ix.flat
 	if err := ix.Freeze(); err != nil || ix.flat != arena {
@@ -382,22 +431,16 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Frozen() {
-		t.Fatal("mutation should thaw the bulk-built index")
-	}
-	if err := ix.builder.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	freeze(t, ref)
 	freeze(t, ix)
 	if got, want := ix.WindowCount(), ref.WindowCount(); got != want {
-		t.Fatalf("%d windows after the edits, insert-built index has %d", got, want)
+		t.Fatalf("%d windows after the edits, the reference index has %d", got, want)
 	}
 	qs := testQueries(t, ref, 4)
 	wantR, wantNN, _, _ := runAllSearches(t, ref, qs, 8.0)
 	gotR, gotNN, _, _ := runAllSearches(t, ix, qs, 8.0)
 	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) {
-		t.Fatal("bulk-built index diverged from the insert-built one after the same edits")
+		t.Fatal("bulk-built index diverged from the reference after the same edits")
 	}
 }
 
@@ -670,8 +713,8 @@ func TestArenaV1Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSegments(bytes.NewReader(oldSeg), st)
-	if err != nil {
-		t.Fatalf("segments load: %v", err)
+	if err != nil || !loaded.Converted() {
+		t.Fatalf("segments load: converted %v, %v", err == nil && loaded.Converted(), err)
 	}
 	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")); got != want {
 		t.Fatalf("version-1 segment re-serialises as %s, the version-2 MBR fixture is %s", got, want)
@@ -704,8 +747,9 @@ func digestOfFile(t *testing.T, path string) string {
 // directory) are mapped in place, say what they are, pass the deferred
 // verification, answer every search exactly as a fresh direction-box
 // build of the same store does — rows, (a, b) and distances — and write
-// themselves back byte for byte; so does the MBR arena an index freezes
-// after one-by-one mutation.
+// themselves back byte for byte; so does the MBR arena the experiments'
+// insert loader builds — until a mutation is folded in, which leaves a
+// direction-box arena behind.
 func TestMBRDirectoryServedAsIs(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
 	fresh, err := NewIndex(st, testOptions())
@@ -738,28 +782,19 @@ func TestMBRDirectoryServedAsIs(t *testing.T) {
 		t.Fatalf("the mapped MBR artifact writes itself back as %s, the file is %s", got, want)
 	}
 
-	// The same store through the builder: thaw, mutate, freeze.
-	thawed, err := NewIndex(st, testOptions())
+	// The same store through the experiments' insert loader.
+	inserted, err := NewIndex(st, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thawed.BuildBulk(); err != nil {
+	if err := inserted.BuildWith(rstar.Load); err != nil {
 		t.Fatal(err)
 	}
-	if err := thawed.UnindexSequence(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := thawed.IndexSequence(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := thawed.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if thawed.Directory() != DirectoryMBR {
-		t.Fatalf("a frozen builder has a %s directory", thawed.Directory())
+	if inserted.Directory() != DirectoryMBR {
+		t.Fatalf("an insert-built tree has a %s directory", inserted.Directory())
 	}
 
-	for what, ix := range map[string]*Index{"mapped pre-change artifact": mapped, "thawed and refrozen": thawed} {
+	for what, ix := range map[string]*Index{"mapped pre-change artifact": mapped, "insert-built": inserted} {
 		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
 		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
 			t.Fatalf("%s: answers differ from a fresh direction-box build", what)
@@ -784,8 +819,8 @@ func TestMBRDirectoryServedAsIs(t *testing.T) {
 	}
 	defer f.Close()
 	loaded, err := LoadSegments(f, st)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || loaded.Converted() {
+		t.Fatalf("the pre-change segment: converted %v, %v", err == nil, err)
 	}
 	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, segPath); got != want {
 		t.Fatalf("the pre-change segment writes itself back as %s, the file is %s", got, want)

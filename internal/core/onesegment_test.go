@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
@@ -186,7 +187,7 @@ func TestIndexIsOneSegment(t *testing.T) {
 		segmented bool // NewSegmentedFromIndex accepts it
 	}{
 		{"bulk", built(plain, (*Index).BuildBulk), true},
-		{"insert", built(plain, (*Index).Build), true},
+		{"insert", built(plain, func(ix *Index) error { return ix.BuildWith(rstar.Load) }), true},
 		{"spheres", built(func(o *Options) { o.Strategy = geom.BoundingSpheres }, (*Index).BuildBulk), true},
 		{"degraded", func(st *store.Store) *Index {
 			ix, err := NewDegradedIndex(st, testOptions(), "artifact lost")

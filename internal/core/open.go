@@ -62,13 +62,6 @@ func NewDegradedIndex(st *store.Store, opts Options, reason string) (*Index, err
 		return nil, err
 	}
 	ix.degraded = reason
-	ix.indexed = make([]int, st.NumSequences())
-	n := opts.WindowLen
-	for seq := range ix.indexed {
-		if count := st.SequenceLen(seq) - n + 1; count > 0 {
-			ix.indexed[seq] = count
-		}
-	}
-	ix.pin()
+	ix.install(ix.flat, ix.allWindows())
 	return ix, nil
 }

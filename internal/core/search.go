@@ -459,12 +459,6 @@ type probeTally struct {
 // cannot serve with engine.ErrUnsupported.  stats may be nil; on
 // success the query's ledger is added to it.
 func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
-	// The arena does not hold mutations still pending in the builder,
-	// and answering without them would be a false dismissal.
-	if ix.builder != nil {
-		recordSearchError()
-		return Result{}, fmt.Errorf("core: %w: the index has unfrozen mutations; call Freeze before searching", engine.ErrUnsupported)
-	}
 	return exec(ctx, ix.man, q, stats)
 }
 

@@ -432,7 +432,7 @@ func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, fro
 		count += hi[seq] - lo[seq]
 	}
 	slices.SortFunc(ranges, func(a, b winRange) int { return cmp.Compare(a.Seq, b.Seq) })
-	flat, _, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0))
+	flat, _, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: segment merge: %w", err)
 	}

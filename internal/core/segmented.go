@@ -41,9 +41,9 @@ import (
 // mutually safe against queries but serialize against each other
 // internally; queries may run from any number of goroutines.
 type SegmentedIndex struct {
-	opts Options
-	st   *store.Store
-	fmap *dft.FeatureMap
+	// writer is the delta, the extraction state behind it and the store
+	// they follow — what an Index holds too — guarded by mu.
+	writer
 	// base retains the wrapped Index (and with it any mmap backing the
 	// initial frozen segment's arena) until Close.
 	base *Index
@@ -75,12 +75,10 @@ type SegmentedIndex struct {
 	mu        sync.Mutex
 	compactMu sync.Mutex
 
-	frozen  []*frozenSeg
-	delta   deltaSeg
-	sliders map[int]*seqSlider
-	next    []int // per-sequence next window start to extract
-	maxAbs  float64
-	gen     int64
+	frozen []*frozenSeg
+	gen    int64
+	// converted: see Converted.
+	converted bool
 
 	// compactHook, when set (tests), runs between a compaction's
 	// decide and build phases; a non-nil error aborts the compaction.
@@ -96,14 +94,6 @@ type SegmentedIndex struct {
 	closeOnce   sync.Once
 	closeErr    error
 	wg          sync.WaitGroup
-}
-
-// seqSlider is one sequence's incremental extraction state: the
-// sliding transformer and the window start it is currently positioned
-// on.
-type seqSlider struct {
-	sl  *dft.SlidingTransformer
-	pos int
 }
 
 // NewSegmentedIndex builds a segmented index over st: the current
@@ -158,16 +148,11 @@ func newSegmentedFrom(ix *Index) (*SegmentedIndex, error) {
 // caller fills frozen/next and then finishInit publishes generation 0.
 func emptySegmented(st *store.Store, opts Options, fmap *dft.FeatureMap, base *Index) *SegmentedIndex {
 	return &SegmentedIndex{
-		opts:             opts,
-		st:               st,
-		fmap:             fmap,
+		writer:           newWriter(st, opts, fmap),
 		base:             base,
-		delta:            deltaSeg{dim: fmap.Dim()},
 		CompactThreshold: 4096,
 		MergeRatio:       2,
 		MaxFrozen:        8,
-		sliders:          map[int]*seqSlider{},
-		next:             make([]int, st.NumSequences()),
 		kick:             make(chan struct{}, 1),
 		done:             make(chan struct{}),
 	}
@@ -184,7 +169,7 @@ func (g *SegmentedIndex) finishInit() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for seq := range g.next {
-		if err := g.extractLocked(seq); err != nil {
+		if err := g.extract(seq); err != nil {
 			return err
 		}
 	}
@@ -215,7 +200,7 @@ func (g *SegmentedIndex) AppendValues(seq int, values []float64) error {
 	if err := g.st.AppendValues(seq, values); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := g.extractLocked(seq); err != nil {
+	if err := g.extract(seq); err != nil {
 		return err
 	}
 	g.publishLocked()
@@ -231,10 +216,7 @@ func (g *SegmentedIndex) AppendSequence(name string, values []float64) (int, err
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	seq := g.st.AppendSequence(name, values)
-	for len(g.next) <= seq {
-		g.next = append(g.next, 0)
-	}
-	if err := g.extractLocked(seq); err != nil {
+	if err := g.extract(seq); err != nil {
 		return seq, err
 	}
 	g.publishLocked()
@@ -243,115 +225,11 @@ func (g *SegmentedIndex) AppendSequence(name string, values []float64) (int, err
 	return seq, nil
 }
 
-// extractLocked runs feature extraction forward for sequence seq, from
-// the last extracted window to the end of the sequence.  The sliding
-// DFT continues from its previous position when possible — O(f_c) per
-// new window — and Repositions at every featureCheckpoint boundary,
-// exactly where a from-scratch extraction restarts, so the features
-// absorbed into the delta are bit-identical to what BuildBulkParallel
-// would compute over the grown sequence.
-func (g *SegmentedIndex) extractLocked(seq int) error {
-	n := g.opts.WindowLen
-	lastStart := g.st.SequenceLen(seq) - n
-	if g.next[seq] > lastStart {
-		return nil
-	}
-	feat := make(vec.Vector, g.fmap.Dim())
-	if g.opts.Reduction != ReductionDFT {
-		w := make(vec.Vector, n)
-		se := make(vec.Vector, n)
-		for st := g.next[seq]; st <= lastStart; st++ {
-			if err := g.st.Window(seq, st, n, w, nil); err != nil {
-				return fmt.Errorf("core: incremental extraction: %w", err)
-			}
-			vec.SETransformInPlace(se, w)
-			g.fmap.TransformInto(feat, se)
-			g.absorbLocked(seq, st, feat)
-		}
-		return nil
-	}
-	sl := g.sliders[seq]
-	buf := make(vec.Vector, n)
-	for st := g.next[seq]; st <= lastStart; st++ {
-		switch {
-		case st%featureCheckpoint == 0:
-			// Checkpoint boundary: restart the recurrence from scratch,
-			// as extractSegment does for a fresh segment.
-			if err := g.st.Window(seq, st, n, buf, nil); err != nil {
-				return fmt.Errorf("core: incremental extraction: %w", err)
-			}
-			if sl == nil {
-				t, err := dft.NewSlidingTransformer(g.fmap, buf)
-				if err != nil {
-					return err
-				}
-				sl = &seqSlider{sl: t}
-				g.sliders[seq] = sl
-			} else if err := sl.sl.Reposition(buf); err != nil {
-				return err
-			}
-			sl.pos = st
-		case sl != nil && sl.pos == st-1:
-			// The common streaming case: one new sample, one O(f_c) slide.
-			if err := g.st.Window(seq, st+n-1, 1, buf[:1], nil); err != nil {
-				return fmt.Errorf("core: incremental extraction: %w", err)
-			}
-			sl.sl.Slide(buf[0])
-			sl.pos = st
-		default:
-			// Bootstrap mid-segment (first append after wrapping a loaded
-			// index): replay from the checkpoint so the slider state is
-			// bit-identical to a from-scratch extraction reaching st.
-			cp := st - st%featureCheckpoint
-			span := st - cp + n
-			raw := make(vec.Vector, span)
-			if err := g.st.Window(seq, cp, span, raw, nil); err != nil {
-				return fmt.Errorf("core: incremental extraction: %w", err)
-			}
-			if sl == nil {
-				t, err := dft.NewSlidingTransformer(g.fmap, raw[:n])
-				if err != nil {
-					return err
-				}
-				sl = &seqSlider{sl: t}
-				g.sliders[seq] = sl
-			} else if err := sl.sl.Reposition(raw[:n]); err != nil {
-				return err
-			}
-			for s := cp + 1; s <= st; s++ {
-				sl.sl.Slide(raw[s-cp+n-1])
-			}
-			sl.pos = st
-		}
-		sl.sl.Feature(feat)
-		g.absorbLocked(seq, st, feat)
-	}
-	return nil
-}
-
-func (g *SegmentedIndex) absorbLocked(seq, start int, feat vec.Vector) {
-	g.delta.append(store.EncodeWindowID(seq, start), feat)
-	for _, v := range feat {
-		if a := math.Abs(v); a > g.maxAbs {
-			g.maxAbs = a
-		}
-	}
-	g.next[seq] = start + 1
-}
-
 // manifestLocked assembles the current immutable view: frozen segment
 // list pinned by value, delta pinned by length, store pinned via
 // Snapshot.
 func (g *SegmentedIndex) manifestLocked() *manifest {
-	return &manifest{
-		opts:   g.opts,
-		fmap:   g.fmap,
-		gen:    g.gen,
-		sv:     g.st.Snapshot(),
-		frozen: append([]*frozenSeg(nil), g.frozen...),
-		delta:  g.delta.prefix(g.delta.n),
-		slack:  numericSlack(g.maxAbs, g.fmap.Dim()),
-	}
+	return g.manifest(g.gen, g.st.Snapshot(), append([]*frozenSeg(nil), g.frozen...))
 }
 
 func (g *SegmentedIndex) publishLocked() {
@@ -584,6 +462,11 @@ func (g *SegmentedIndex) Options() Options { return g.opts }
 // appends run, read through QueryWindow (or a manifest snapshot)
 // instead.
 func (g *SegmentedIndex) Store() *store.Store { return g.st }
+
+// Converted reports whether LoadSegments met a segment in an older arena
+// layout (version 1) and parsed it into the current one, as
+// Index.Converted does; the next checkpoint writes it back converted.
+func (g *SegmentedIndex) Converted() bool { return g.converted }
 
 // Degraded reports false: a segmented index never serves degraded.
 func (g *SegmentedIndex) Degraded() (bool, string) { return false, "" }

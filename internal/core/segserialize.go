@@ -189,6 +189,7 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 		Tree:         DefaultOptions().Tree,
 	}
 	frozen := make([]*frozenSeg, 0, len(dirs))
+	converted := false
 	for i, d := range dirs {
 		body, err := br.Section(maxIndexSection)
 		if err != nil {
@@ -198,10 +199,11 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		flat, _, err := rtree.FlatFromArena(arena)
+		flat, conv, err := rtree.FlatFromArena(arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: segment %d: %w", i, err)
 		}
+		converted = converted || conv
 		if err := flat.Validate(); err != nil {
 			return nil, fmt.Errorf("core: segment %d: %w", i, err)
 		}
@@ -230,7 +232,7 @@ func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
 			frozen[0].flat.Config().Dim, ix.fmap.Dim())
 	}
 	g := emptySegmented(st, ix.opts, ix.fmap, nil)
-	g.frozen = frozen
+	g.frozen, g.converted = frozen, converted
 	copy(g.next, next)
 	if err := g.finishInit(); err != nil {
 		return nil, err

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 
 	"scaleshift/internal/binio"
 	"scaleshift/internal/geom"
@@ -72,8 +74,8 @@ func reservedRunLength(v uint64) error {
 	return nil
 }
 
-// encodeHeader serializes the options and indexed counts.
-func (ix *Index) encodeHeader() []byte {
+// encodeHeader serializes the options and the indexed counts given.
+func (ix *Index) encodeHeader(indexed []int) []byte {
 	var head bytes.Buffer
 	var scratch [8]byte
 	writeU64 := func(v uint64) {
@@ -86,11 +88,11 @@ func (ix *Index) encodeHeader() []byte {
 		uint64(ix.opts.Reduction),
 		uint64(ix.opts.Strategy),
 		0, // reserved, see reservedRunLength
-		uint64(len(ix.indexed)),
+		uint64(len(indexed)),
 	} {
 		writeU64(v)
 	}
-	for _, c := range ix.indexed {
+	for _, c := range indexed {
 		writeU64(uint64(c))
 	}
 	return head.Bytes()
@@ -170,7 +172,6 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 		return nil, fmt.Errorf("core: indexed counts imply %d leaf entries but tree holds %d",
 			total, treeLen)
 	}
-	ix.indexed = h.indexed
 	return ix, nil
 }
 
@@ -179,8 +180,8 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 // checksummed v3 format, so it can be reopened with LoadIndex (or
 // memory-mapped with LoadIndexFile) without re-running
 // pre-processing.  The index streams the arena it serves from; one with
-// mutations pending a Freeze is frozen transiently for writing, its
-// in-memory state left unchanged.  The
+// a delta pending writes what Freeze would install, folded transiently,
+// its in-memory state left unchanged.  The
 // underlying store is NOT included; persist it separately with
 // Store.WriteBinary.  A degraded index (see OpenOrRebuild) refuses to
 // serialize: it has no tree to persist.
@@ -188,13 +189,18 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 	if ix.degraded != "" {
 		return fmt.Errorf("core: refusing to serialize a degraded index (%s)", ix.degraded)
 	}
-	flat := ix.flat
-	if ix.builder != nil {
-		flat = ix.builder.Freeze()
+	flat, indexed := ix.flat, ix.indexed
+	if ix.delta.n > 0 {
+		var err error
+		flat, _, err = bulkLoadRanges(context.Background(), ix.st, ix.fmap, ix.opts, prefixRanges(ix.next), runtime.GOMAXPROCS(0), nil)
+		if err != nil {
+			return fmt.Errorf("core: folding the delta for writing: %w", err)
+		}
+		indexed = ix.next
 	}
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
-	bw.Section(ix.encodeHeader())
+	bw.Section(ix.encodeHeader(indexed))
 	writeArenaSection(bw, flat)
 	return bw.Close()
 }
@@ -279,8 +285,8 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.flat, ix.converted = flat, converted
-	ix.pin()
+	ix.converted = converted
+	ix.install(flat, h.indexed)
 	return ix, nil
 }
 
@@ -345,7 +351,7 @@ func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	ix.flat, ix.converted = flat, converted
-	ix.pin()
+	ix.converted = converted
+	ix.install(flat, h.indexed)
 	return ix, !converted, nil
 }

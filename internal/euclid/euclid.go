@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/dft"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/rtree"
@@ -111,14 +112,14 @@ func (ix *Index) WindowCount() int { return ix.flat.Len() }
 // IndexPageCount returns the number of index pages.
 func (ix *Index) IndexPageCount() int { return ix.flat.NodeCount() }
 
-// Build indexes every window of every sequence by R* insertion and
-// freezes the tree.
+// Build indexes every window of every sequence by R* insertion
+// (rstar.Load) and freezes the tree.
 func (ix *Index) Build() error {
-	tree, err := rtree.New(ix.opts.Tree)
-	if err != nil {
-		return fmt.Errorf("euclid: %w", err)
+	n, total := ix.opts.WindowLen, 0
+	for seq := 0; seq < ix.st.NumSequences(); seq++ {
+		total += max(0, ix.st.SequenceLen(seq)-n+1)
 	}
-	n := ix.opts.WindowLen
+	ids, cols := make([]int64, 0, total), make([]float64, total*ix.dim)
 	w := make(vec.Vector, n)
 	for seq := 0; seq < ix.st.NumSequences(); seq++ {
 		L := ix.st.SequenceLen(seq)
@@ -126,10 +127,17 @@ func (ix *Index) Build() error {
 			if err := ix.st.Window(seq, start, n, w, nil); err != nil {
 				return fmt.Errorf("euclid: indexing: %w", err)
 			}
-			tree.Insert(ix.feature(w), store.EncodeWindowID(seq, start))
+			for j, x := range ix.feature(w) {
+				cols[j*total+len(ids)] = x
+			}
+			ids = append(ids, store.EncodeWindowID(seq, start))
 		}
 	}
-	ix.flat = tree.Freeze()
+	flat, err := rstar.Load(ix.opts.Tree, ids, cols)
+	if err != nil {
+		return fmt.Errorf("euclid: %w", err)
+	}
+	ix.flat = flat
 	return nil
 }
 

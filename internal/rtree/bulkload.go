@@ -173,7 +173,7 @@ func (p *polar) dir(col []float64, e int32) float32 {
 // polarOf returns the norm of a stored point, rounded to nearest, and
 // the signed reciprocal that turns its coordinates into the folded unit
 // direction, from the sum of its squared coordinates and its coordinate
-// 0.  The builder and Validate share it, so they agree to the bit.
+// 0.  The loader and Validate share it, so they agree to the bit.
 func polarOf(sumSq float64, v0 float32) (r float32, sinv float64) {
 	norm := math.Sqrt(sumSq)
 	switch {

@@ -25,9 +25,8 @@ func columnsOf(items []Item, dim int) ([]int64, []float64) {
 
 // checkAgainstOracle bulk loads items both ways — the arena-native
 // loader at every worker count, and the stable-sort reference of
-// bulkload_oracle_test.go — and requires byte-identical arenas, a
-// structurally valid arena, and a thawed tree that satisfies the
-// dynamic-tree invariants.
+// bulkload_oracle_test.go — and requires byte-identical arenas and a
+// structurally valid arena of the reference's size.
 func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...int) {
 	t.Helper()
 	ref := refBulkLoad(cfg, items)
@@ -49,13 +48,9 @@ func checkAgainstOracle(t testing.TB, cfg Config, items []Item, workerCounts ...
 		if err := f.Validate(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		thawed, err := f.Thaw() // runs CheckInvariants
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if thawed.Len() != len(items) || thawed.NodeCount() != ref.NodeCount() {
-			t.Fatalf("workers=%d: thawed tree holds %d items in %d pages, the reference %d in %d",
-				workers, thawed.Len(), thawed.NodeCount(), ref.Len(), ref.NodeCount())
+		if f.Len() != len(items) || f.NodeCount() != ref.NodeCount() {
+			t.Fatalf("workers=%d: the tree holds %d items in %d pages, the reference %d in %d",
+				workers, f.Len(), f.NodeCount(), ref.Len(), ref.NodeCount())
 		}
 	}
 }
@@ -256,23 +251,19 @@ func FuzzFlatBulkLoad(f *testing.F) {
 
 // TestWriteArenaWithoutHostByteOrder runs the writers with the host
 // byte-order shortcut switched off — the path a big-endian machine
-// takes — and requires the same bytes: from a frozen pointer tree, from
-// a bulk-loaded one (which then holds no ready-made arena), and from the
-// bulk load's reference, whose arrays are encoded either way.
+// takes — and requires the same bytes: from a tree frozen from nodes,
+// from a bulk-loaded one (which then holds no ready-made arena), and from
+// the bulk load's reference, whose arrays are encoded either way.
 func TestWriteArenaWithoutHostByteOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	items := bulkItems(r, 2*arenaChunk/10, 3)
 	ids, cols := columnsOf(items, 3)
 	build := func() (frozen, loaded, ref []byte) {
-		tr, err := bulkLoadTree(DefaultConfig(3), items, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		g, err := BulkLoadFlat(DefaultConfig(3), ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.Freeze().AppendArena(nil), g.AppendArena(nil), refBulkLoad(DefaultConfig(3), items).AppendArena(nil)
+		return mbrTwin(t, g).AppendArena(nil), g.AppendArena(nil), refBulkLoad(DefaultConfig(3), items).AppendArena(nil)
 	}
 	wantFrozen, wantLoaded, wantRef := build()
 	defer func(v bool) { hostLittleEndian = v }(hostLittleEndian)

@@ -12,7 +12,7 @@ import (
 // same directory written the obvious way — one heap entry per point and
 // per node, every sort a sort.SliceStable on the float32 key, the
 // extents folded bottom-up, the arena appended node by node as
-// Tree.Freeze appends a builder's.  Nothing is shared with the loader but
+// FlatFromNodes appends a caller's.  Nothing is shared with the loader but
 // the arena's number format (quant) and its writer.
 
 // refEntry is a point (child nil) or a node, with its polar extent: row

@@ -12,20 +12,20 @@ import (
 
 func buildCancelTree(t *testing.T, n int) (*FlatTree, vec.Line) {
 	t.Helper()
-	tree, err := New(DefaultConfig(4))
+	rng := rand.New(rand.NewSource(7))
+	ids, cols := make([]int64, n), make([]float64, 4*n)
+	for i := range ids {
+		ids[i] = int64(i)
+		for d := 0; d < 4; d++ {
+			cols[d*n+i] = rng.NormFloat64()
+		}
+	}
+	f, err := BulkLoadFlat(DefaultConfig(4), ids, cols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		p := make(vec.Vector, 4)
-		for d := range p {
-			p[d] = rng.NormFloat64()
-		}
-		tree.Insert(p, int64(i))
-	}
 	d := vec.Vector{1, 0.5, -0.25, 2}
-	return tree.Freeze(), vec.Line{P: make(vec.Vector, 4), D: d}
+	return mbrTwin(t, f), vec.Line{P: make(vec.Vector, 4), D: d}
 }
 
 // TestContextSearchesMatchPlain asserts the ctx variants return

@@ -72,11 +72,7 @@ func TestDirectionBoxNoDismissal(t *testing.T) {
 		if f.Directory() != DirectoryBox || f.Height() < 3 {
 			t.Fatalf("bulk load built a %s directory of height %d", f.Directory(), f.Height())
 		}
-		thawed, err := f.Thaw()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mbr := thawed.Freeze()
+		mbr := mbrTwin(t, f)
 		// What the one-pass leaf kernel may lose to cancellation, which
 		// callers cover (core's numericSlack).
 		kernel := 1e-7 * math.Sqrt(float64(cfg.Dim))

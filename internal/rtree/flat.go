@@ -16,15 +16,15 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// FlatTree is the frozen, pointer-free, array-backed form of a Tree
-// and the only form that is searched: one contiguous node arena with
+// FlatTree is the frozen, pointer-free, array-backed tree, the only form
+// that is searched: one contiguous node arena with
 // offset-indexed children and structure-of-arrays MBR planes,
 // traversed with batched (4-wide unrolled) pruning kernels, that
 // (de)serializes as a single verbatim byte blob which can be
 // memory-mapped and served zero-copy.
 //
-// A FlatTree is immutable and safe for concurrent searches.  Mutation
-// goes through Thaw, which reconstructs an independent builder.
+// A FlatTree is immutable and safe for concurrent searches: an index
+// changes by building another.
 //
 // Node 0 is the root.  For node i, entries occupy the half-open range
 // [starts[i], starts[i+1]) of refs and the values [poff[i], poff[i+1])
@@ -35,7 +35,7 @@ import (
 // geom.Planes describes — except that a leaf stores each point once, as
 // its L rows alone.  What a directory entry's extent is depends on who
 // built the arena (dirKind): the MBR of the subtree in an arena frozen
-// from a builder, and in a bulk-loaded one the range of the norms and the
+// from somebody's nodes (FlatFromNodes), and in a bulk-loaded one the range of the norms and the
 // box of the unit directions beneath it — one row more than the feature
 // dimension, the norm's first.
 //
@@ -78,7 +78,7 @@ type dirKind uint64
 
 const (
 	// dirMBR: an entry is the Cartesian MBR of its subtree, pruned by
-	// Theorem 3's slab (or sphere) test.  What Tree.Freeze writes.
+	// Theorem 3's slab (or sphere) test.  What FlatFromNodes writes.
 	dirMBR dirKind = 0
 	// dirCone: an entry is the norm range and the unit-direction box of
 	// its subtree, pruned by the cone test.  What BulkLoadFlat writes.
@@ -102,7 +102,7 @@ func (k dirKind) String() string {
 }
 
 // Directory names what the arena's directory entries store: DirectoryMBR
-// for an arena frozen from a builder (or written before bulk loads
+// for an arena frozen from nodes (or written before bulk loads
 // changed shape), DirectoryBox for a bulk-loaded one.
 func (f *FlatTree) Directory() string { return f.dir.String() }
 
@@ -157,66 +157,76 @@ func (q quant) near(x float64) float32 { return float32(x*q.inv) + 0 }
 // wide returns the coordinate a stored value stands for.
 func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
 
-// Freeze builds the flat form of t, its directory the builder's MBRs
-// (dirMBR).  The tree is walked pre-order; the result shares nothing
-// mutable with t (the planner sample vectors are shared, but neither
-// representation mutates them).  Every value is rounded on its own (see
-// FlatTree).
-func (t *Tree) Freeze() *FlatTree {
-	f := &FlatTree{
-		cfg:    t.cfg,
-		size:   t.size,
-		height: t.root.level + 1,
-		q:      quantExp(0),
+// FlatFromNodes freezes a tree somebody else grew into an arena whose
+// directory keeps the tree's MBRs (dirMBR): the way a tree built by
+// insertion (internal/bench/rstar) becomes searchable.  open describes
+// node n — its level (0 for a leaf), the pages it spans (an X-tree
+// supernode spans several), the rectangle of every entry (a leaf entry's
+// is its point, as a degenerate rectangle) and, per entry, the item
+// identifier in a leaf or the child node above one — and the nodes are
+// laid out pre-order from root, entries in the order open lists them.
+// Every value is rounded on its own (see FlatTree); nothing of the
+// caller's is retained but the sample vectors, the planner's statistic
+// (CostHints), which neither side mutates.
+func FlatFromNodes[N any](cfg Config, root N, sample []vec.Vector, open func(n N) (level, pages int, rects []geom.Rect, ids []int64, children []N)) (*FlatTree, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if t.size > 0 {
-		f.q = quantForRect(t.root.mbr())
-	}
-	dim := t.cfg.Dim
-
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		idx := len(f.meta)
-		f.meta = append(f.meta, packMeta(n.level, n.pages()))
-		f.pages += n.pages()
-		c := len(n.entries)
-		if c > f.maxNode {
-			f.maxNode = c
+	f := &FlatTree{cfg: cfg, q: quantExp(0), sample: slices.Clone(sample)}
+	level, _, rects, _, _ := open(root)
+	f.height = level + 1
+	var bounds geom.Rect
+	if len(rects) > 0 {
+		bounds = geom.Rect{L: rects[0].L.Clone(), H: rects[0].H.Clone()}
+		for _, r := range rects[1:] {
+			bounds.Extend(r)
 		}
+		f.q = quantForRect(bounds)
+	}
+	dim := cfg.Dim
+
+	var walk func(n N) int
+	walk = func(n N) int {
+		level, pages, rects, ids, children := open(n)
+		idx := len(f.meta)
+		f.meta = append(f.meta, packMeta(level, pages))
+		f.pages += pages
+		f.maxNode = max(f.maxNode, len(rects))
 		f.starts = append(f.starts, uint64(len(f.refs)))
 		f.poff = append(f.poff, uint64(len(f.planes)))
-		refBase := len(f.refs)
-		// A leaf entry's item ID; a directory entry's (zero) item gives way
-		// to the child's index once the walk below knows it.
-		for _, e := range n.entries {
-			f.refs = append(f.refs, uint64(e.item.ID))
-		}
 		for j := 0; j < dim; j++ {
-			for _, e := range n.entries {
-				f.planes = append(f.planes, f.q.near(e.rect.L[j]))
+			for _, r := range rects {
+				f.planes = append(f.planes, f.q.near(r.L[j]))
 			}
 		}
-		if n.isLeaf() {
+		if level == 0 {
+			f.size += len(ids)
+			for _, id := range ids {
+				f.refs = append(f.refs, uint64(id))
+			}
 			return idx
 		}
 		for j := 0; j < dim; j++ {
-			for _, e := range n.entries {
-				f.planes = append(f.planes, f.q.near(e.rect.H[j]))
+			for _, r := range rects {
+				f.planes = append(f.planes, f.q.near(r.H[j]))
 			}
 		}
-		for k, e := range n.entries {
-			f.refs[refBase+k] = uint64(walk(e.child))
+		// A directory entry's reference is its child's index, known once
+		// the walk below has placed the child.
+		refBase := len(f.refs)
+		f.refs = append(f.refs, make([]uint64, len(children))...)
+		for k, c := range children {
+			f.refs[refBase+k] = uint64(walk(c))
 		}
 		return idx
 	}
-	walk(t.root)
+	walk(root)
 	f.starts = append(f.starts, uint64(len(f.refs)))
 	f.poff = append(f.poff, uint64(len(f.planes)))
-	if t.size > 0 {
-		f.bounds = f.storedRect(t.root.mbr())
+	if f.size > 0 {
+		f.bounds = f.storedRect(bounds)
 	}
-	f.sample = append([]vec.Vector(nil), t.sample...)
-	return f
+	return f, nil
 }
 
 // storedRect returns the MBR r as the arena stores it, in caller units.
@@ -422,7 +432,7 @@ func (f *FlatTree) Validate() error {
 	// induction from the root makes them finite too — a NaN fails every
 	// comparison.  Under a direction-box directory "inside" means, for a
 	// leaf, that the norm and the folded unit direction of every stored
-	// point — computed as the builder computes them — lie in the entry's
+	// point — computed as the bulk loader computes them — lie in the entry's
 	// range and box.
 	inside := func(pl geom.Planes[float32], j int, lo, hi float32) bool {
 		lr, hr := pl.LRow(j), pl.HRow(j)
@@ -500,67 +510,6 @@ func polarInside(pts, pl geom.Planes[float32], k int, sumSq, sinv []float64) (ro
 		}
 	}
 	return 0, true
-}
-
-// Thaw reconstructs a mutable builder from the frozen arena, over the
-// coordinates the arena stores: freezing it again, unchanged, rounds
-// nothing (every value is already representable).  The result shares no
-// memory with f (or its backing mapping), so the arena may be closed
-// once Thaw returns.
-func (f *FlatTree) Thaw() (*Tree, error) {
-	t, err := New(f.cfg)
-	if err != nil {
-		return nil, err
-	}
-	var build func(i int) (*node, error)
-	build = func(i int) (*node, error) {
-		if i < 0 || i >= len(f.meta) {
-			return nil, fmt.Errorf("rtree: flat arena: node index %d out of range", i)
-		}
-		s, e := f.nodeEntries(i)
-		if s > e || e > len(f.refs) {
-			return nil, fmt.Errorf("rtree: flat arena: node %d entry range invalid", i)
-		}
-		lvl := f.nodeLevel(i)
-		n := &node{level: lvl, super: f.nodePages(i)}
-		if f.poff[i] > f.poff[i+1] || f.poff[i+1] > uint64(len(f.planes)) || f.poff[i+1]-f.poff[i] != uint64((e-s)*f.planeWidth(lvl)) {
-			return nil, fmt.Errorf("rtree: flat arena: node %d plane range invalid", i)
-		}
-		pl := f.nodePlanes(i)
-		for k := 0; k < e-s; k++ {
-			if lvl == 0 {
-				it := f.leafItem(s+k, pl, k)
-				n.entries = append(n.entries, &entry{rect: geom.Rect{L: it.Point, H: it.Point.Clone()}, item: it})
-				continue
-			}
-			ci := int(f.refs[s+k])
-			if ci <= 0 || ci >= len(f.meta) || f.nodeLevel(ci) != lvl-1 {
-				return nil, fmt.Errorf("rtree: flat arena: node %d references invalid child %d", i, ci)
-			}
-			child, err := build(ci)
-			if err != nil {
-				return nil, err
-			}
-			child.parent = n
-			n.entries = append(n.entries, &entry{rect: child.mbr(), child: child})
-		}
-		return n, nil
-	}
-	root, err := build(0)
-	if err != nil {
-		return nil, err
-	}
-	t.root = root
-	t.size = f.size
-	t.nodes = f.pages
-	// A stored point is within 2⁻²⁴ of its magnitude of the inserted one,
-	// and no magnitude exceeds 2·2^exp.
-	t.tol = 0x1p-21 * f.q.scale
-	if err := t.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("rtree: thawed tree invalid: %w", err)
-	}
-	t.rebuildSample()
-	return t, nil
 }
 
 // Stats returns per-level geometry statistics, leaves first: of the
@@ -704,7 +653,7 @@ const arenaChunk = 1 << 13
 // to a whole word: the blob is a multiple of 8 bytes long, and one
 // starting at an 8-byte-aligned offset has every array aligned for
 // zero-copy reads.  A tree that is a view of an arena — bulk-loaded, or
-// opened from one — writes the bytes it holds; one frozen from a builder
+// opened from one — writes the bytes it holds; one frozen from nodes
 // writes its arrays as the byte ranges they are on a little-endian host,
 // and encodes them chunk by chunk elsewhere.
 func (f *FlatTree) WriteArena(w io.Writer) error {
@@ -777,10 +726,10 @@ func (f *FlatTree) ArenaSize() int {
 // not unmap it while the tree is in use.
 //
 // A version-1 blob is converted instead, in O(n): its float64 planes
-// are rounded into a fresh version-2 tree, exactly as Freeze rounds a
-// builder's, and converted reports true — the tree shares nothing with
-// b, and writes itself as version 2 (the next Freeze, compaction or
-// checkpoint replaces the old artifact).
+// are rounded into a fresh version-2 tree, exactly as FlatFromNodes
+// rounds a rectangle's, and converted reports true — the tree shares
+// nothing with b, and writes itself as version 2 (the next fold,
+// compaction or checkpoint replaces the old artifact).
 //
 // Only length- and range-consistency is checked here.  A blob whose
 // checksum has not been verified can still describe a structurally
@@ -929,8 +878,8 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 // meta, starts and refs are in f (possibly as views of the blob) and
 // whose float64 planes — an L and an H block per node, point leaves
 // included, as their bit patterns — are v1: the planes are rounded
-// value by value as Freeze
-// rounds a builder's, the plane offsets derived, the stored bounds
+// value by value as FlatFromNodes
+// rounds a rectangle's, the plane offsets derived, the stored bounds
 // rounded with them, and every array f keeps is copied, so the result
 // shares nothing with the blob.
 func (f *FlatTree) convertV1(v1 []uint64) error {

@@ -156,9 +156,9 @@ func (f *FlatTree) arenaQuery(q lineQuery, sc *flatScratch) lineQuery {
 // be nil.
 func (f *FlatTree) RangeSearch(r geom.Rect, stats *SearchStats) []Item {
 	if f.dir != dirMBR && f.height > 1 {
-		// Only a bug gets here: rectangle queries run over trees their own
-		// builder froze (internal/euclid), never over a bulk-loaded one.
-		panic(fmt.Sprintf("rtree: RangeSearch over a %s directory; a rectangle query needs MBRs (Tree.Freeze)", f.dir))
+		// Only a bug gets here: rectangle queries run over a tree frozen
+		// from nodes (internal/euclid's), never over a bulk-loaded one.
+		panic(fmt.Sprintf("rtree: RangeSearch over a %s directory; a rectangle query needs MBRs (FlatFromNodes)", f.dir))
 	}
 	sc := f.getScratch()
 	defer f.putScratch(sc)

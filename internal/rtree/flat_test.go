@@ -30,31 +30,78 @@ func randLine(rng *rand.Rand, dim int) vec.Line {
 	return vec.Line{P: randPoint(rng, dim, 5), D: randPoint(rng, dim, 1)}
 }
 
-// buildPointTree inserts n random points one by one.
-func buildPointTree(t *testing.T, rng *rand.Rand, cfg Config, n int) *Tree {
+// mbrTwin freezes the nodes of f again, under the MBRs of what each
+// holds (FlatFromNodes): the same leaves beneath the directory an
+// insert-built tree has, whatever f's own was.
+func mbrTwin(t testing.TB, f *FlatTree) *FlatTree {
 	t.Helper()
-	tr, err := New(cfg)
+	var rectsOf func(i int) []geom.Rect
+	rectsOf = func(i int) []geom.Rect {
+		s, e := f.nodeEntries(i)
+		pl := f.nodePlanes(i)
+		rects := make([]geom.Rect, e-s)
+		for k := range rects {
+			if f.nodeLevel(i) == 0 {
+				p := f.leafItem(s+k, pl, k).Point
+				rects[k] = geom.Rect{L: p, H: p}
+				continue
+			}
+			below := rectsOf(f.child(i, s+k))
+			rects[k] = geom.Rect{L: below[0].L.Clone(), H: below[0].H.Clone()}
+			for _, r := range below[1:] {
+				rects[k].Extend(r)
+			}
+		}
+		return rects
+	}
+	twin, err := FlatFromNodes(f.cfg, 0, f.sample, func(i int) (level, pages int, rects []geom.Rect, ids []int64, children []int) {
+		s, e := f.nodeEntries(i)
+		for ei := s; ei < e; ei++ {
+			if f.nodeLevel(i) == 0 {
+				ids = append(ids, int64(f.refs[ei]))
+			} else {
+				children = append(children, f.child(i, ei))
+			}
+		}
+		return f.nodeLevel(i), f.nodePages(i), rectsOf(i), ids, children
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		tr.Insert(randPoint(rng, cfg.Dim, 10), int64(i))
+	if twin.Directory() != DirectoryMBR {
+		t.Fatalf("FlatFromNodes wrote a %s directory", twin.Directory())
 	}
-	return tr
+	return twin
 }
 
-// checkSearchEquivalence asserts every search of the arena against the
-// references over the builder it was frozen from, as the arena stores it
+// buildPointTree bulk loads n random points and returns the tree's MBR
+// twin.
+func buildPointTree(t testing.TB, rng *rand.Rand, cfg Config, n int) *FlatTree {
+	t.Helper()
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Point: randPoint(rng, cfg.Dim, 10), ID: int64(i)}
+	}
+	ids, cols := columnsOf(items, cfg.Dim)
+	f, err := BulkLoadFlat(cfg, ids, cols, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mbrTwin(t, f)
+}
+
+// checkSearchEquivalence asserts every search of the MBR-directory arena
+// f against the references over its own nodes, as it stores them
 // (reference_test.go):
 // the same hits in the same order, and the same SearchStats — node
 // accesses, leaf checks and penetration primitives — for every range
 // descent under both strategies; the brute-force order for the k-NN
 // streams.
-func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand) {
+func checkSearchEquivalence(t *testing.T, f *FlatTree, rng *rand.Rand) {
 	t.Helper()
-	dim := tr.Config().Dim
+	dim := f.Config().Dim
 	ctx := context.Background()
-	root := storedView(tr, f)
+	root := storedView(f)
 	all := leafEntries(root)
 	for q := 0; q < 30; q++ {
 		l := randLine(rng, dim)
@@ -137,109 +184,39 @@ func checkSearchEquivalence(t *testing.T, tr *Tree, f *FlatTree, rng *rand.Rand)
 	}
 }
 
-// flatConfigs is the structural matrix the equivalence tests sweep:
-// low/high dimension, tiny/default fanout, R* and Guttman splits, with
-// and without X-tree supernodes.
-func flatConfigs() []Config {
-	return []Config{
-		{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar},
-		{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 2, Split: SplitRStar},
-		{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitQuadratic},
-		{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar},
-		{Dim: 4, MaxEntries: 4, MinEntries: 2, Split: SplitRStar, SupernodeMaxOverlap: 0.2},
-	}
-}
-
-func TestFlatEquivalencePoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for ci, cfg := range flatConfigs() {
-		for _, n := range []int{0, 1, 7, 300} {
-			tr := buildPointTree(t, rng, cfg, n)
-			f := tr.Freeze()
-			if err := f.Validate(); err != nil {
-				t.Fatalf("cfg %d n %d: frozen tree invalid: %v", ci, n, err)
-			}
-			checkFlatShape(t, tr, f)
-			checkSearchEquivalence(t, tr, f, rng)
-		}
-	}
-}
-
 func TestFlatEquivalenceBulkLoaded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	cfg := DefaultConfig(6)
-	items := make([]Item, 2000)
-	for i := range items {
-		items[i] = Item{Point: randPoint(rng, 6, 10), ID: int64(i)}
+	for _, n := range []int{0, 1, 7, 300, 2000} {
+		f := buildPointTree(t, rng, DefaultConfig(6), n)
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkSearchEquivalence(t, f, rng)
 	}
-	tr, err := bulkLoadTree(cfg, items, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := tr.Freeze()
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	checkFlatShape(t, tr, f)
-	checkSearchEquivalence(t, tr, f, rng)
 }
 
-func checkFlatShape(t *testing.T, tr *Tree, f *FlatTree) {
+// checkFlatShape asserts that got is the tree want is: size, shape,
+// bounds and every item in document order.
+func checkFlatShape(t *testing.T, want, got *FlatTree) {
 	t.Helper()
-	if tr.Len() != f.Len() || tr.Height() != f.Height() || tr.NodeCount() != f.NodeCount() {
+	if want.Len() != got.Len() || want.Height() != got.Height() || want.NodeCount() != got.NodeCount() {
 		t.Fatalf("shape diverged: len %d/%d height %d/%d nodes %d/%d",
-			tr.Len(), f.Len(), tr.Height(), f.Height(), tr.NodeCount(), f.NodeCount())
+			want.Len(), got.Len(), want.Height(), got.Height(), want.NodeCount(), got.NodeCount())
 	}
-	tb, tok := tr.Bounds()
-	fb, fok := f.Bounds()
-	if tok != fok || (tok && !reflect.DeepEqual(f.storedRect(tb), fb)) {
-		t.Fatalf("bounds diverged: %v,%v vs %v,%v", tb, tok, fb, fok)
+	wb, wok := want.Bounds()
+	gb, gok := got.Bounds()
+	if wok != gok || !reflect.DeepEqual(wb, gb) {
+		t.Fatalf("bounds diverged: %v,%v vs %v,%v", wb, wok, gb, gok)
 	}
-	if want, got := storedItems(f, leafEntries(storedView(tr, f))), f.All(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("All() diverged: %d vs %d items", len(want), len(got))
+	if !reflect.DeepEqual(want.All(), got.All()) {
+		t.Fatalf("All() diverged: %d vs %d items", len(want.All()), len(got.All()))
 	}
-}
-
-func TestFreezeThawRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cfg := Config{Dim: 3, MaxEntries: 6, MinEntries: 2, ReinsertCount: 2, Split: SplitRStar}
-	tr := buildPointTree(t, rng, cfg, 400)
-	f := tr.Freeze()
-	back, err := f.Thaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The thawed tree holds what the arena stored, and freezing it again
-	// rounds nothing: the same arena, byte for byte.
-	if want, got := f.All(), entryItems(builderEntries(back)); !reflect.DeepEqual(want, got) {
-		t.Fatal("thawed tree lost or mutated items")
-	}
-	again := back.Freeze()
-	again.sample = f.sample // a thaw resamples by leaf walk
-	if !bytes.Equal(f.AppendArena(nil), again.AppendArena(nil)) {
-		t.Fatal("freezing a thawed arena changed it")
-	}
-	// The thawed tree must be fully mutable again — deleting by the point
-	// the caller inserted, not the one the arena rounded it to.
-	back.Insert(randPoint(rng, 3, 10), 10_000)
-	inserted := builderEntries(tr)[0].item
-	if !back.Delete(inserted.Point, inserted.ID) {
-		t.Fatal("delete on thawed tree failed")
-	}
-	if back.Delete(inserted.Point, inserted.ID) {
-		t.Fatal("second delete of the same item succeeded")
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("len after insert+delete = %d, want %d", back.Len(), tr.Len())
-	}
-	back.Freeze()
 }
 
 func TestArenaRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
-	tr := buildPointTree(t, rng, cfg, 220)
-	f := tr.Freeze()
+	f := buildPointTree(t, rng, cfg, 220)
 	arena := f.AppendArena(nil)
 	if len(arena) != f.ArenaSize() {
 		t.Fatalf("ArenaSize %d != emitted %d", f.ArenaSize(), len(arena))
@@ -252,8 +229,8 @@ func TestArenaRoundtrip(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	checkFlatShape(t, tr, g)
-	checkSearchEquivalence(t, tr, g, rng)
+	checkFlatShape(t, f, g)
+	checkSearchEquivalence(t, g, rng)
 
 	// Misaligned decode must transparently fall back to copying.
 	buf := make([]byte, 4+len(arena))
@@ -265,7 +242,7 @@ func TestArenaRoundtrip(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	checkFlatShape(t, tr, h)
+	checkFlatShape(t, f, h)
 }
 
 // TestRectLeafArenaRejected holds the one leaf shape: header word 9 of an
@@ -280,7 +257,7 @@ func TestRectLeafArenaRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 40)
-	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.Freeze().AppendArena(nil), 1), "fixture": old} {
+	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.AppendArena(nil), 1), "fixture": old} {
 		_, _, err := FlatFromArena(arena)
 		if !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1 in flat arena header word 9") {
 			t.Errorf("%s: err = %v, want a version error naming header word 9", what, err)
@@ -328,7 +305,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 		}
 	}
 
-	for _, arena := range [][]byte{tr.Freeze().AppendArena(nil), boxes.AppendArena(nil)} {
+	for _, arena := range [][]byte{tr.AppendArena(nil), boxes.AppendArena(nil)} {
 		for i := range arena {
 			mut := append([]byte(nil), arena...)
 			for bit := 0; bit < 8; bit += 3 {
@@ -346,14 +323,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 func FuzzFlatFromArena(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
 	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
-	tr, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		tr.Insert(randPoint(rng, 2, 10), int64(i))
-	}
-	ft := tr.Freeze()
+	ft := buildPointTree(f, rng, cfg, 40)
 	f.Add(ft.AppendArena(nil))
 	f.Add([]byte{})
 	f.Add(withLeafKind(ft.AppendArena(nil), 1))

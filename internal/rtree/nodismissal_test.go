@@ -156,7 +156,7 @@ func FuzzArenaNoDismissal(f *testing.F) {
 func TestValidateContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
-	f := buildPointTree(t, rng, cfg, 200).Freeze()
+	f := buildPointTree(t, rng, cfg, 200)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}

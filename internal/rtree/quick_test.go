@@ -1,10 +1,12 @@
-package rtree
+package rtree_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/geom"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
 )
 
@@ -21,8 +23,8 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 		if n == 0 || n > 300 {
 			return true
 		}
-		cfg := Config{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 1, Split: SplitRStar}
-		tr, err := New(cfg)
+		cfg := rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 1, Split: rtree.SplitRStar}
+		tr, err := rstar.New(cfg)
 		if err != nil {
 			return false
 		}
@@ -37,12 +39,12 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 			t.Logf("invariants: %v", err)
 			return false
 		}
-		bounds, ok := tr.Bounds()
+		frozen := tr.Freeze()
+		bounds, ok := frozen.Bounds()
 		if !ok {
 			return false
 		}
-		got := tr.Freeze().RangeSearch(bounds, nil)
-		return len(got) == n
+		return len(frozen.RangeSearch(bounds, nil)) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -70,8 +72,8 @@ func TestQuickLineSearchSupersetOfTightened(t *testing.T) {
 		if eps > 1e6 {
 			return true
 		}
-		cfg := Config{Dim: 2, MaxEntries: 6, MinEntries: 2, Split: SplitQuadratic}
-		tr, err := New(cfg)
+		cfg := rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2, Split: rtree.SplitQuadratic}
+		tr, err := rstar.New(cfg)
 		if err != nil {
 			return false
 		}

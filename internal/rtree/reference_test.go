@@ -2,8 +2,6 @@ package rtree
 
 import (
 	"math"
-	"reflect"
-	"regexp"
 	"sort"
 	"testing"
 
@@ -13,44 +11,61 @@ import (
 
 // The references the arena's searches are tested against.  None of it
 // ships: the batched, allocation-free FlatTree descent is checked
-// against the textbook recursion over the builder's nodes with the
-// scalar geometry (geom.PenetratesEnlarged[Segment], vec.PLDFast,
+// against the textbook recursion over a pointer tree with the scalar
+// geometry (geom.PenetratesEnlarged[Segment], vec.PLDFast,
 // vec.PSegDFast), and the best-first k-NN streams against a sort of
 // every entry's distance.
 //
 // An arena stores rounded coordinates in its own units, so the
-// recursion runs over storedView's copy of the builder — every value
-// rounded the way Freeze rounds it, widened back to float64 and left in
-// arena units — with the query scaled into those units: the same
-// float64 expressions on the same values, which is what makes the
-// comparison exact.
+// recursion runs over storedView's copy of the arena's nodes — every
+// value as stored, widened to float64 and left in arena units — with the
+// query scaled into those units: the same float64 expressions on the
+// same values, which is what makes the comparison exact.
 
-// storedView copies the nodes of tr with every coordinate as f stores it:
-// rounded by f's format and widened to float64, in arena units.  Leaf
-// entries keep their point as the lower corner of their rect.
-func storedView(tr *Tree, f *FlatTree) *node {
-	var cp func(n *node) *node
-	cp = func(n *node) *node {
-		out := &node{level: n.level, super: n.super}
-		for _, e := range n.entries {
-			r := geom.Rect{L: make(vec.Vector, len(e.rect.L)), H: make(vec.Vector, len(e.rect.H))}
+// node and entry are the pointer tree the references recurse over.
+type node struct {
+	level, pages int
+	entries      []*entry
+}
+
+type entry struct {
+	rect  geom.Rect
+	child *node // nil at leaf level
+	item  Item  // meaningful only at leaf level
+}
+
+func (n *node) isLeaf() bool { return n.level == 0 }
+
+// storedView copies the nodes of the MBR-directory arena f into a
+// pointer tree, every coordinate widened to float64 and left in arena
+// units.  Leaf entries keep their point as the lower corner of their
+// rect.
+func storedView(f *FlatTree) *node {
+	var cp func(i int) *node
+	cp = func(i int) *node {
+		out := &node{level: f.nodeLevel(i), pages: f.nodePages(i)}
+		s, e := f.nodeEntries(i)
+		pl := f.nodePlanes(i)
+		for k := 0; k < e-s; k++ {
+			r := geom.Rect{L: make(vec.Vector, pl.Dim), H: make(vec.Vector, pl.Dim)}
 			for j := range r.L {
-				r.L[j] = float64(f.q.near(e.rect.L[j]))
-				r.H[j] = float64(f.q.near(e.rect.H[j]))
+				r.L[j] = float64(pl.LRow(j)[k])
+				r.H[j] = r.L[j]
+				if !out.isLeaf() {
+					r.H[j] = float64(pl.HRow(j)[k])
+				}
 			}
-			ce := &entry{rect: r, item: Item{ID: e.item.ID}}
-			if e.item.Point != nil {
-				ce.item.Point = r.L
-			}
-			if e.child != nil {
-				ce.child = cp(e.child)
-				ce.child.parent = out
+			ce := &entry{rect: r}
+			if out.isLeaf() {
+				ce.item = Item{Point: r.L, ID: int64(f.refs[s+k])}
+			} else {
+				ce.child = cp(f.child(i, s+k))
 			}
 			out.entries = append(out.entries, ce)
 		}
 		return out
 	}
-	return cp(tr.root)
+	return cp(0)
 }
 
 // arenaUnits returns q as f's searches run it.
@@ -63,7 +78,7 @@ func arenaUnits(f *FlatTree, q lineQuery) lineQuery {
 // accounts the visit as the paper does: a node is its pages, a leaf
 // entry tested is one check.
 func refDescend(n *node, stats *SearchStats, prune func(geom.Rect) bool, accept func(*entry) bool, hits *[]*entry) {
-	stats.NodeAccesses += n.pages()
+	stats.NodeAccesses += n.pages
 	for _, e := range n.entries {
 		if !n.isLeaf() {
 			if prune(e.rect) {
@@ -117,23 +132,12 @@ func leafEntries(root *node) []*entry {
 	return all
 }
 
-// builderEntries returns every leaf entry of tr in document order.
-func builderEntries(tr *Tree) []*entry { return leafEntries(tr.root) }
-
 func entryIDs(es []*entry) []int64 {
 	var ids []int64
 	for _, e := range es {
 		ids = append(ids, e.item.ID)
 	}
 	return ids
-}
-
-func entryItems(es []*entry) []Item {
-	var items []Item
-	for _, e := range es {
-		items = append(items, e.item)
-	}
-	return items
 }
 
 // callerUnits returns v, in f's arena units, as f's searches report it.
@@ -179,18 +183,6 @@ func checkStream(t *testing.T, what string, ids []int64, dists []float64, dist m
 		seen[id] = true
 		if math.Float64bits(dists[i]) != math.Float64bits(d) || math.Float64bits(d) != math.Float64bits(sorted[i]) {
 			t.Fatalf("%s: rank %d emits id %d at %v; its distance is %v and the rank's is %v", what, i, id, dists[i], d, sorted[i])
-		}
-	}
-}
-
-// TestBuilderExportsNoSearch keeps one tree on the query path: the
-// builder is mutated and frozen, and only the arena is searched.
-func TestBuilderExportsNoSearch(t *testing.T) {
-	query := regexp.MustCompile(`Search|Nearest`)
-	typ := reflect.TypeOf(&Tree{})
-	for i := 0; i < typ.NumMethod(); i++ {
-		if name := typ.Method(i).Name; query.MatchString(name) {
-			t.Errorf("*rtree.Tree exports %s; searches belong to FlatTree", name)
 		}
 	}
 }

@@ -1,24 +1,32 @@
-package rtree
+package rtree_test
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/geom"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
 )
 
-func randVec(r *rand.Rand, n int) vec.Vector {
-	v := make(vec.Vector, n)
-	for i := range v {
-		v[i] = r.Float64()*20 - 10
-	}
-	return v
-}
+// The tests of this file, xtree_test.go and quick_test.go grow their
+// fixtures by insertion.  The tree that does lives in internal/bench/rstar,
+// which imports this package — so they are an external test package, and
+// what they assert is the seam between the two: whatever rstar grows,
+// rtree freezes (FlatFromNodes) and searches correctly.
+
+var (
+	randVec   = rtree.RandVec
+	idSet     = rtree.IDSet
+	randItems = rtree.BulkItems
+)
 
 func randRect(r *rand.Rand, n int) geom.Rect {
 	rect := geom.RectFromPoint(randVec(r, n))
@@ -27,14 +35,14 @@ func randRect(r *rand.Rand, n int) geom.Rect {
 }
 
 // allSplits enumerates the split algorithms under test.
-var allSplits = []SplitAlgorithm{SplitRStar, SplitQuadratic, SplitLinear}
+var allSplits = []rtree.SplitAlgorithm{rtree.SplitRStar, rtree.SplitQuadratic, rtree.SplitLinear}
 
 // newTestTree builds a tree with small fanout so that modest item
 // counts produce several levels.
-func newTestTree(t testing.TB, dim int, split SplitAlgorithm) *Tree {
+func newTestTree(t testing.TB, dim int, split rtree.SplitAlgorithm) *rstar.Tree {
 	t.Helper()
-	cfg := Config{Dim: dim, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: split}
-	tr, err := New(cfg)
+	cfg := rtree.Config{Dim: dim, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: split}
+	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,32 +52,32 @@ func newTestTree(t testing.TB, dim int, split SplitAlgorithm) *Tree {
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name   string
-		cfg    Config
+		cfg    rtree.Config
 		wantOK bool
 	}{
-		{"default", DefaultConfig(6), true},
-		{"zero dim", Config{Dim: 0, MaxEntries: 8, MinEntries: 3}, false},
-		{"M too small", Config{Dim: 2, MaxEntries: 1, MinEntries: 1}, false},
-		{"m zero", Config{Dim: 2, MaxEntries: 8, MinEntries: 0}, false},
-		{"m too large", Config{Dim: 2, MaxEntries: 8, MinEntries: 5}, false},
-		{"m at half", Config{Dim: 2, MaxEntries: 8, MinEntries: 4}, true},
-		{"p negative", Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: -1}, false},
-		{"p too large", Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 6}, false},
-		{"p zero ok", Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0}, true},
-		{"bad split", Config{Dim: 2, MaxEntries: 8, MinEntries: 3, Split: SplitAlgorithm(9)}, false},
+		{"default", rtree.DefaultConfig(6), true},
+		{"zero dim", rtree.Config{Dim: 0, MaxEntries: 8, MinEntries: 3}, false},
+		{"M too small", rtree.Config{Dim: 2, MaxEntries: 1, MinEntries: 1}, false},
+		{"m zero", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 0}, false},
+		{"m too large", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 5}, false},
+		{"m at half", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 4}, true},
+		{"p negative", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: -1}, false},
+		{"p too large", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 6}, false},
+		{"p zero ok", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0}, true},
+		{"bad split", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, Split: rtree.SplitAlgorithm(9)}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.cfg)
+			_, err := rstar.New(tc.cfg)
 			if (err == nil) != tc.wantOK {
-				t.Errorf("New(%+v): err=%v wantOK=%v", tc.cfg, err, tc.wantOK)
+				t.Errorf("rstar.New(%+v): err=%v wantOK=%v", tc.cfg, err, tc.wantOK)
 			}
 		})
 	}
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig(6)
+	cfg := rtree.DefaultConfig(6)
 	if cfg.MaxEntries != 20 || cfg.MinEntries != 8 || cfg.ReinsertCount != 6 {
 		t.Errorf("paper settings M=20 m=8 p=6, got %+v", cfg)
 	}
@@ -111,7 +119,7 @@ func TestInsertGrowsAndStaysValid(t *testing.T) {
 }
 
 func TestInsertPanicsOnWrongDim(t *testing.T) {
-	tr := newTestTree(t, 3, SplitRStar)
+	tr := newTestTree(t, 3, rtree.SplitRStar)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -121,7 +129,7 @@ func TestInsertPanicsOnWrongDim(t *testing.T) {
 }
 
 func TestInsertCopiesPoint(t *testing.T) {
-	tr := newTestTree(t, 2, SplitRStar)
+	tr := newTestTree(t, 2, rtree.SplitRStar)
 	p := vec.Vector{1, 2}
 	tr.Insert(p, 7)
 	p[0] = 99
@@ -158,14 +166,6 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func idSet(items []Item) map[int64]bool {
-	s := map[int64]bool{}
-	for _, it := range items {
-		s[it.ID] = true
-	}
-	return s
-}
-
 func sameIDSet(a, b map[int64]bool) bool {
 	if len(a) != len(b) {
 		return false
@@ -192,7 +192,7 @@ func TestLineSearchMatchesBruteForce(t *testing.T) {
 				for q := 0; q < 30; q++ {
 					l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 					for _, eps := range []float64{0, 0.5, 2, 5} {
-						var stats SearchStats
+						var stats rtree.SearchStats
 						got := idSet(tr.Freeze().LineSearch(l, eps, strategy, &stats))
 						want := map[int64]bool{}
 						for i, p := range pts {
@@ -217,7 +217,7 @@ func TestLineSearchMatchesBruteForce(t *testing.T) {
 func TestLineSearchDegenerateLine(t *testing.T) {
 	// A zero-direction line degenerates to a point query: results are
 	// the points within eps of l.P.
-	tr := newTestTree(t, 2, SplitRStar)
+	tr := newTestTree(t, 2, rtree.SplitRStar)
 	r := rand.New(rand.NewSource(4))
 	pts := make([]vec.Vector, 200)
 	for i := range pts {
@@ -239,7 +239,7 @@ func TestLineSearchDegenerateLine(t *testing.T) {
 }
 
 func TestNearestToLineMatchesBruteForce(t *testing.T) {
-	tr := newTestTree(t, 3, SplitRStar)
+	tr := newTestTree(t, 3, rtree.SplitRStar)
 	r := rand.New(rand.NewSource(5))
 	pts := make([]vec.Vector, 300)
 	for i := range pts {
@@ -275,7 +275,7 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 }
 
 func TestNearestToLineEdgeCases(t *testing.T) {
-	tr := newTestTree(t, 2, SplitRStar)
+	tr := newTestTree(t, 2, rtree.SplitRStar)
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 0}}
 	if got := tr.Freeze().NearestToLine(l, 3, nil); got != nil {
 		t.Errorf("empty tree returned %v", got)
@@ -290,132 +290,8 @@ func TestNearestToLineEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	for _, split := range allSplits {
-		t.Run(split.String(), func(t *testing.T) {
-			tr := newTestTree(t, 3, split)
-			r := rand.New(rand.NewSource(6))
-			pts := make([]vec.Vector, 300)
-			for i := range pts {
-				pts[i] = randVec(r, 3)
-				tr.Insert(pts[i], int64(i))
-			}
-			// Delete a random half.
-			perm := r.Perm(300)
-			deleted := map[int64]bool{}
-			for _, i := range perm[:150] {
-				if !tr.Delete(pts[i], int64(i)) {
-					t.Fatalf("Delete(%d) failed", i)
-				}
-				deleted[int64(i)] = true
-			}
-			if tr.Len() != 150 {
-				t.Errorf("Len = %d after deletions", tr.Len())
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			// Deleted items are gone; survivors remain findable.
-			for i, p := range pts {
-				// Around the float32 the arena keeps for p.
-				rect := geom.RectFromPoint(p).Enlarge(1e-5)
-				found := false
-				for _, it := range tr.Freeze().RangeSearch(rect, nil) {
-					if it.ID == int64(i) {
-						found = true
-					}
-				}
-				if found == deleted[int64(i)] {
-					t.Fatalf("item %d: found=%v deleted=%v", i, found, deleted[int64(i)])
-				}
-			}
-			// Double delete fails.
-			if tr.Delete(pts[perm[0]], int64(perm[0])) {
-				t.Error("second delete of same item succeeded")
-			}
-			// Absent item fails.
-			if tr.Delete(vec.Vector{999, 999, 999}, 12345) {
-				t.Error("delete of absent item succeeded")
-			}
-		})
-	}
-}
-
-func TestDeleteAllEmptiesTree(t *testing.T) {
-	tr := newTestTree(t, 2, SplitRStar)
-	r := rand.New(rand.NewSource(7))
-	pts := make([]vec.Vector, 120)
-	for i := range pts {
-		pts[i] = randVec(r, 2)
-		tr.Insert(pts[i], int64(i))
-	}
-	for i, p := range pts {
-		if !tr.Delete(p, int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("after deleting %d: %v", i, err)
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 1 || tr.NodeCount() != 1 {
-		t.Errorf("not fully shrunk: len=%d height=%d nodes=%d",
-			tr.Len(), tr.Height(), tr.NodeCount())
-	}
-}
-
-func TestInterleavedInsertDeleteProperty(t *testing.T) {
-	for _, split := range allSplits {
-		t.Run(split.String(), func(t *testing.T) {
-			tr := newTestTree(t, 2, split)
-			r := rand.New(rand.NewSource(8))
-			live := map[int64]vec.Vector{}
-			next := int64(0)
-			for step := 0; step < 2000; step++ {
-				if len(live) == 0 || r.Float64() < 0.6 {
-					p := randVec(r, 2)
-					tr.Insert(p, next)
-					live[next] = p
-					next++
-				} else {
-					// Delete a random live id.
-					var id int64
-					for k := range live {
-						id = k
-						break
-					}
-					if !tr.Delete(live[id], id) {
-						t.Fatalf("step %d: delete %d failed", step, id)
-					}
-					delete(live, id)
-				}
-				if step%200 == 0 {
-					if err := tr.CheckInvariants(); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					if tr.Len() != len(live) {
-						t.Fatalf("step %d: Len=%d live=%d", step, tr.Len(), len(live))
-					}
-				}
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			// Final: all live items retrievable.
-			got := idSet(tr.Freeze().All())
-			if len(got) != len(live) {
-				t.Fatalf("All=%d live=%d", len(got), len(live))
-			}
-			for id := range live {
-				if !got[id] {
-					t.Fatalf("live id %d missing", id)
-				}
-			}
-		})
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
-	tr := newTestTree(t, 2, SplitRStar)
+	tr := newTestTree(t, 2, rtree.SplitRStar)
 	p := vec.Vector{1, 1}
 	for i := 0; i < 60; i++ {
 		tr.Insert(p, int64(i))
@@ -427,21 +303,12 @@ func TestDuplicatePoints(t *testing.T) {
 	if len(got) != 60 {
 		t.Errorf("retrieved %d of 60 duplicates", len(got))
 	}
-	// Delete them all.
-	for i := 0; i < 60; i++ {
-		if !tr.Delete(p, int64(i)) {
-			t.Fatalf("delete duplicate %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d", tr.Len())
-	}
 }
 
 func TestNoReinsertConfig(t *testing.T) {
 	// p = 0 (classic R-tree behaviour) must still produce a valid tree.
-	cfg := Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0, Split: SplitQuadratic}
-	tr, err := New(cfg)
+	cfg := rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0, Split: rtree.SplitQuadratic}
+	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +323,7 @@ func TestNoReinsertConfig(t *testing.T) {
 
 func TestPaperFanoutConfig(t *testing.T) {
 	// The exact paper configuration at dimension 6.
-	tr, err := New(DefaultConfig(6))
+	tr, err := rstar.New(rtree.DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,14 +340,14 @@ func TestPaperFanoutConfig(t *testing.T) {
 }
 
 func TestSearchStatsAccumulate(t *testing.T) {
-	tr := newTestTree(t, 3, SplitRStar)
+	tr := newTestTree(t, 3, rtree.SplitRStar)
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
 	}
-	var total SearchStats
+	var total rtree.SearchStats
 	for q := 0; q < 5; q++ {
-		var s SearchStats
+		var s rtree.SearchStats
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
 		tr.Freeze().LineSearch(l, 1, geom.BoundingSpheres, &s)
 		if s.NodeAccesses == 0 {
@@ -499,7 +366,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 	// With a selective query the tree should visit far fewer leaf
 	// entries than the database size — the heart of the paper's claim.
-	tr, err := New(DefaultConfig(4))
+	tr, err := rstar.New(rtree.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +375,7 @@ func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 	for i := 0; i < nPts; i++ {
 		tr.Insert(randVec(r, 4), int64(i))
 	}
-	var s SearchStats
+	var s rtree.SearchStats
 	l := vec.Line{P: randVec(r, 4), D: randVec(r, 4)}
 	tr.Freeze().LineSearch(l, 0.1, geom.EnteringExiting, &s)
 	if s.LeafEntriesChecked >= nPts/2 {
@@ -518,7 +385,7 @@ func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 }
 
 func BenchmarkInsertDim6(b *testing.B) {
-	tr, err := New(DefaultConfig(6))
+	tr, err := rstar.New(rtree.DefaultConfig(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -535,7 +402,7 @@ func BenchmarkInsertDim6(b *testing.B) {
 }
 
 func BenchmarkLineSearchDim6(b *testing.B) {
-	tr, err := New(DefaultConfig(6))
+	tr, err := rstar.New(rtree.DefaultConfig(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -553,7 +420,7 @@ func BenchmarkLineSearchDim6(b *testing.B) {
 }
 
 func TestStats(t *testing.T) {
-	tr := newTestTree(t, 3, SplitRStar)
+	tr := newTestTree(t, 3, rtree.SplitRStar)
 	r := rand.New(rand.NewSource(90))
 	for i := 0; i < 600; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
@@ -601,7 +468,7 @@ func TestStats(t *testing.T) {
 
 func TestStatsDegenerate(t *testing.T) {
 	// Identical points: MBRs are points, elongation and gap degrade to 1.
-	tr := newTestTree(t, 2, SplitQuadratic)
+	tr := newTestTree(t, 2, rtree.SplitQuadratic)
 	for i := 0; i < 30; i++ {
 		tr.Insert(vec.Vector{1, 1}, int64(i))
 	}
@@ -614,7 +481,7 @@ func TestStatsDegenerate(t *testing.T) {
 
 func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-		tr := newTestTree(t, 3, SplitRStar)
+		tr := newTestTree(t, 3, rtree.SplitRStar)
 		r := rand.New(rand.NewSource(95))
 		pts := make([]vec.Vector, 400)
 		for i := range pts {
@@ -649,5 +516,137 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 		if !sameIDSet(full, seg) {
 			t.Error("wide segment differs from full line search")
 		}
+	}
+}
+
+// flatConfigs is the structural matrix TestFlatEquivalencePoints sweeps:
+// low/high dimension, tiny/default fanout, R* and Guttman splits, with
+// and without X-tree supernodes.
+func flatConfigs() []rtree.Config {
+	return []rtree.Config{
+		{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar},
+		{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 2, Split: rtree.SplitRStar},
+		{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: rtree.SplitQuadratic},
+		{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: rtree.SplitRStar},
+		{Dim: 4, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar, SupernodeMaxOverlap: 0.2},
+	}
+}
+
+// TestFlatEquivalencePoints freezes insert-built trees of every shape
+// and holds every search of the arena to the scalar references over its
+// nodes (rtree.CheckSearchEquivalence), and the arena to the tree's size
+// and shape; rstar.Load is the same trip.
+func TestFlatEquivalencePoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for ci, cfg := range flatConfigs() {
+		for _, n := range []int{0, 1, 7, 300} {
+			tr, err := rstar.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := randItems(rng, n, cfg.Dim)
+			for _, it := range items {
+				tr.Insert(it.Point, it.ID)
+			}
+			f := tr.Freeze()
+			if err := f.Validate(); err != nil {
+				t.Fatalf("cfg %d n %d: frozen tree invalid: %v", ci, n, err)
+			}
+			if f.Directory() != rtree.DirectoryMBR || tr.Len() != f.Len() || tr.Height() != f.Height() || tr.NodeCount() != f.NodeCount() {
+				t.Fatalf("cfg %d n %d: a %s directory, len %d/%d height %d/%d nodes %d/%d",
+					ci, n, f.Directory(), tr.Len(), f.Len(), tr.Height(), f.Height(), tr.NodeCount(), f.NodeCount())
+			}
+			rtree.CheckSearchEquivalence(t, f, rng)
+			ids, cols := rtree.ColumnsOf(items, cfg.Dim)
+			loaded, err := rstar.Load(cfg, ids, cols)
+			if err != nil || !bytes.Equal(loaded.AppendArena(nil), f.AppendArena(nil)) {
+				t.Fatalf("cfg %d n %d: rstar.Load differs from Insert and Freeze (err %v)", ci, n, err)
+			}
+		}
+	}
+}
+
+// TestBuilderExportsNoSearch keeps one tree on the query path: the
+// builder is grown and frozen, and only the arena is searched.
+func TestBuilderExportsNoSearch(t *testing.T) {
+	query := regexp.MustCompile(`Search|Nearest`)
+	typ := reflect.TypeOf(&rstar.Tree{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; query.MatchString(name) {
+			t.Errorf("*rstar.Tree exports %s; searches belong to rtree.FlatTree", name)
+		}
+	}
+}
+
+func TestBulkLoadSearchMatchesInsertBuilt(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	items := randItems(r, 2000, 3)
+	cfg := rtree.Config{Dim: 3, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: rtree.SplitRStar}
+	ids, cols := rtree.ColumnsOf(items, cfg.Dim)
+	fb, err := rtree.BulkLoadFlat(cfg, ids, cols, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb = rtree.MBRTwin(t, fb) // a rectangle query needs MBRs
+	inc, err := rstar.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		inc.Insert(it.Point, it.ID)
+	}
+	fi := inc.Freeze()
+	for q := 0; q < 25; q++ {
+		rect := randRect(r, 3)
+		if !sameIDSet(idSet(fb.RangeSearch(rect, nil)), idSet(fi.RangeSearch(rect, nil))) {
+			t.Fatal("range results differ between bulk and incremental trees")
+		}
+		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
+		if !sameIDSet(idSet(fb.LineSearch(l, 1.5, geom.EnteringExiting, nil)),
+			idSet(fi.LineSearch(l, 1.5, geom.EnteringExiting, nil))) {
+			t.Fatal("line results differ between bulk and incremental trees")
+		}
+	}
+}
+
+func TestBulkLoadPackingQuality(t *testing.T) {
+	// Packing guarantees a smaller tree, and — tiled and summarised for
+	// lines through the origin — one that such a line reads fewer pages
+	// of than an insert-built R*-tree's MBR directory, even on uniform
+	// data, where R* insertion is at its best.
+	r := rand.New(rand.NewSource(43))
+	items := randItems(r, 5000, 4)
+	cfg := rtree.DefaultConfig(4)
+	ids, cols := rtree.ColumnsOf(items, 4)
+	fb, err := rtree.BulkLoadFlat(cfg, ids, cols, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := rstar.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		inc.Insert(it.Point, it.ID)
+	}
+	if fb.NodeCount() > inc.NodeCount() {
+		t.Errorf("bulk tree has %d nodes, incremental %d", fb.NodeCount(), inc.NodeCount())
+	}
+	var bulkAcc, incAcc int
+	fi := inc.Freeze()
+	for q := 0; q < 40; q++ {
+		l := vec.Line{P: make(vec.Vector, 4), D: randVec(r, 4)}
+		var sb, si rtree.SearchStats
+		got := fb.LineSearch(l, 0.3, geom.EnteringExiting, &sb)
+		want := fi.LineSearch(l, 0.3, geom.EnteringExiting, &si)
+		if !sameIDSet(idSet(got), idSet(want)) {
+			t.Fatalf("query %d: the two trees return different points", q)
+		}
+		bulkAcc += sb.NodeAccesses
+		incAcc += si.NodeAccesses
+	}
+	t.Logf("node accesses: bulk-loaded %d, insert-built %d", bulkAcc, incAcc)
+	if bulkAcc > incAcc {
+		t.Errorf("bulk tree accesses %d vs incremental %d; the tiling hurt", bulkAcc, incAcc)
 	}
 }

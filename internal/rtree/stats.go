@@ -75,50 +75,6 @@ type CostHints struct {
 	Sample []vec.Vector
 }
 
-// sampleCap bounds the planner's feature sample.  The sample holds
-// every sampleStride-th inserted entry; when it outgrows 2·sampleCap,
-// every other element is dropped and the stride doubles, which keeps
-// the kept ticks ≡ 0 (mod stride) — a stratified sample of the whole
-// insertion history, deterministic, with O(1) amortized maintenance.
+// sampleCap bounds the planner's feature sample: a bulk load keeps every
+// (1 + n/sampleCap)-th point in leaf order.
 const sampleCap = 256
-
-// sampleAdd records an inserted feature point (already owned by the
-// tree — the caller must not pass a slice it will reuse).  Deletions
-// do not shrink the sample; it is a statistic, not an index.
-func (t *Tree) sampleAdd(p vec.Vector) {
-	if t.sampleStride == 0 {
-		t.sampleStride = 1
-	}
-	if t.sampleTick%t.sampleStride == 0 {
-		t.sample = append(t.sample, p)
-		if len(t.sample) > 2*sampleCap {
-			kept := t.sample[:0]
-			for i := 0; i < len(t.sample); i += 2 {
-				kept = append(kept, t.sample[i])
-			}
-			t.sample = kept
-			t.sampleStride *= 2
-		}
-	}
-	t.sampleTick++
-}
-
-// rebuildSample repopulates the sample with a leaf walk — used by the
-// constructors that assemble nodes directly instead of inserting
-// (thawing).
-func (t *Tree) rebuildSample() {
-	t.sample = nil
-	t.sampleStride = 1 + t.size/sampleCap
-	t.sampleTick = 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, e := range n.entries {
-			if e.child != nil {
-				walk(e.child)
-			} else {
-				t.sampleAdd(e.item.Point)
-			}
-		}
-	}
-	walk(t.root)
-}

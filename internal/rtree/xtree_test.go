@@ -1,17 +1,19 @@
-package rtree
+package rtree_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/geom"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
 )
 
 // xtreeConfig enables supernodes with a tight overlap threshold so
 // clustered high-dimensional data actually produces them.
-func xtreeConfig(dim int) Config {
-	cfg := DefaultConfig(dim)
+func xtreeConfig(dim int) rtree.Config {
+	cfg := rtree.DefaultConfig(dim)
 	cfg.SupernodeMaxOverlap = 0.02
 	return cfg
 }
@@ -28,24 +30,24 @@ func clusteredVec(r *rand.Rand, dim int) vec.Vector {
 }
 
 func TestXtreeConfigValidation(t *testing.T) {
-	cfg := DefaultConfig(4)
+	cfg := rtree.DefaultConfig(4)
 	cfg.SupernodeMaxOverlap = -0.1
-	if _, err := New(cfg); err == nil {
+	if _, err := rstar.New(cfg); err == nil {
 		t.Error("negative threshold accepted")
 	}
 	cfg.SupernodeMaxOverlap = 1
-	if _, err := New(cfg); err == nil {
+	if _, err := rstar.New(cfg); err == nil {
 		t.Error("threshold 1 accepted")
 	}
 	cfg.SupernodeMaxOverlap = 0.2
-	if _, err := New(cfg); err != nil {
+	if _, err := rstar.New(cfg); err != nil {
 		t.Errorf("valid threshold rejected: %v", err)
 	}
 }
 
 func TestXtreeBuildsValidTreeWithSupernodes(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
-	tr, err := New(xtreeConfig(8))
+	tr, err := rstar.New(xtreeConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestXtreeBuildsValidTreeWithSupernodes(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if !hasSupernode(tr.root) {
+	if !hasSupernode(tr) {
 		t.Log("no supernodes formed on clustered data; threshold may be loose (informational)")
 	}
 	// Page count exceeds node count when supernodes exist.
@@ -64,12 +66,11 @@ func TestXtreeBuildsValidTreeWithSupernodes(t *testing.T) {
 	}
 }
 
-func hasSupernode(n *node) bool {
-	if n.super > 1 {
-		return true
-	}
-	for _, e := range n.entries {
-		if e.child != nil && hasSupernode(e.child) {
+// hasSupernode reports whether some node of tr spans several pages: a
+// level of the frozen tree then counts more pages than nodes.
+func hasSupernode(tr *rstar.Tree) bool {
+	for _, ls := range tr.Freeze().Stats() {
+		if ls.Pages > ls.Nodes {
 			return true
 		}
 	}
@@ -78,11 +79,11 @@ func hasSupernode(n *node) bool {
 
 func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	x, err := New(xtreeConfig(6))
+	x, err := rstar.New(xtreeConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(DefaultConfig(6))
+	plain, err := rstar.New(rtree.DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,40 +111,11 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	}
 }
 
-func TestXtreeDeleteShrinksSupernodes(t *testing.T) {
-	r := rand.New(rand.NewSource(52))
-	tr, err := New(xtreeConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]vec.Vector, 5000)
-	for i := range pts {
-		pts[i] = clusteredVec(r, 8)
-		tr.Insert(pts[i], int64(i))
-	}
-	for i := 0; i < 4900; i++ {
-		if !tr.Delete(pts[i], int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-		if i%500 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d deletes: %v", i+1, err)
-			}
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 100 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
 func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// Force a supernode deterministically: internal entries all
 	// overlapping so no split passes the threshold.
-	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar, SupernodeMaxOverlap: 0.01}
-	tr, err := New(cfg)
+	cfg := rtree.Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar, SupernodeMaxOverlap: 0.01}
+	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +131,12 @@ func TestXtreeSupernodePageAccounting(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if !hasSupernode(tr.root) {
+	if !hasSupernode(tr) {
 		t.Fatal("duplicate-point workload produced no supernode")
 	}
 	// All duplicates retrievable, and a line query through the point
 	// charges the supernode's full page span.
-	var stats SearchStats
+	var stats rtree.SearchStats
 	got := tr.Freeze().LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
 	if len(got) != 200 {
 		t.Errorf("retrieved %d of 200 near-duplicates", len(got))

@@ -13,11 +13,12 @@
 // longer than the window is a multipiece long query, otherwise a range
 // query), Limit > 0 returns only the answer's first rows beside its
 // exact size (Result.Total), and ExecBatch runs a slice of them
-// concurrently.  An Index is read as one immutable segment: the segment
-// prices its access paths (tree probe, scan) for the query, the cheaper
-// runs, and one exact verifier checks whatever it emits, so the choice
-// shows only in Result.Explain.  See the repository README for a tour
-// and EXPERIMENTS.md for the reproduction of the paper's evaluation.
+// concurrently.  An Index is read as one frozen segment and a delta:
+// the segment prices its access paths (tree probe, scan) for the query,
+// the cheaper runs, and one exact verifier checks whatever it emits, so
+// the choice shows only in Result.Explain.  See the repository README
+// for a tour and EXPERIMENTS.md for the reproduction of the paper's
+// evaluation.
 //
 // Basic use:
 //
@@ -31,16 +32,17 @@
 //	res, err := ix.Exec(ctx, scaleshift.Query{Vec: q, Eps: eps}, nil)
 //	for _, m := range res.Matches { ... } // m.Scale, m.Shift: the optimal (a, b)
 //
-// The index is built, then searched.  Build, BuildBulk and LoadIndex
-// hand back a frozen index, served from one contiguous arena.  The
-// incremental mutators (IndexSequence, AppendAndIndex, ExtendAndIndex,
-// UnindexSequence) reopen it as an R*-tree under construction, and
-// Exec refuses queries — an unsupported-query error, never a stale
-// answer — until Freeze folds the changes back into the arena:
+// The index is built, then searched and mutated.  Build, BuildBulk and
+// LoadIndex hand back an index served from one contiguous arena.  The
+// mutators (IndexSequence, AppendAndIndex, ExtendAndIndex) add windows
+// to a delta beside it, which the next Exec already searches;
+// UnindexSequence rebuilds the arena without a sequence.  Freeze folds
+// the delta into a new arena — never needed for a correct answer, worth
+// calling once a batch of mutations is in:
 //
 //	seq, err := ix.AppendAndIndex("NEW", prices)
-//	if err := ix.Freeze(); err != nil { ... }
 //	res, err = ix.Exec(ctx, q, nil) // sees the new windows
+//	if err := ix.Freeze(); err != nil { ... }
 //
 // The concrete types live in internal packages; this package re-exports
 // them with type aliases, so values are interchangeable across the
