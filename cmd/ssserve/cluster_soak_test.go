@@ -158,7 +158,7 @@ func canonFromCore(ms []core.Match) []clusterCanon {
 	return out
 }
 
-func canonFromJSON(ms []matchJSON) []clusterCanon {
+func canonFromJSON(ms []cluster.WireMatch) []clusterCanon {
 	out := make([]clusterCanon, len(ms))
 	for i, m := range ms {
 		out[i] = clusterCanon{m.Name, m.Start, math.Float64bits(m.Dist), math.Float64bits(m.Scale), math.Float64bits(m.Shift)}
@@ -373,7 +373,7 @@ func TestSoakCluster(t *testing.T) {
 		}
 	}
 	checkResponse := func(spec *clusterSpec, status int, body []byte) {
-		var resp coordRespJSON
+		var resp cluster.SearchWire
 		switch status {
 		case http.StatusOK:
 			if err := json.Unmarshal(body, &resp); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,7 +9,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,12 +26,12 @@ import (
 )
 
 // coordTestCluster is a full scatter-gather topology built from real
-// ssserve shard servers — the production shard surface, not the
-// in-process ShardNode adapter — plus the single-node oracle over the
-// same union store.
+// ssserve shard servers plus the single-node oracle over the same union
+// store: every cluster answer has a ground truth.
 type coordTestCluster struct {
 	front  *coordServer
 	single *server            // oracle over the union store
+	union  *core.Index        // the oracle's index
 	shards []*httptest.Server // real ssserve processes' HTTP surface
 	man    *cluster.Manifest
 	norm   float64 // union norm scale, for eps selection
@@ -74,6 +78,9 @@ func buildCoordCluster(t *testing.T, shards int) *coordTestCluster {
 		t.Fatal(err)
 	}
 	tc := &coordTestCluster{man: man, single: buildServer(st)}
+	pin := tc.single.snap.Acquire()
+	tc.union = pin.Value().ix.(*core.Index)
+	pin.Release()
 	norm, err := query.SENormScale(st, opts.WindowLen, 100, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -91,13 +98,7 @@ func buildCoordCluster(t *testing.T, shards int) *coordTestCluster {
 		addrs[i] = srv.URL
 	}
 
-	coord, err := cluster.NewCoordinator(t.Context(), cluster.CoordinatorConfig{
-		Manifest:       man,
-		Addrs:          addrs,
-		Shard:          cluster.ShardConfig{AttemptTimeout: 10 * time.Second},
-		ConnectTimeout: 10 * time.Second,
-		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
+	coord, err := newTestCoordinator(t, man, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +114,16 @@ func buildCoordCluster(t *testing.T, shards int) *coordTestCluster {
 	}
 	tc.front = front
 	return tc
+}
+
+func newTestCoordinator(t *testing.T, man *cluster.Manifest, addrs []string) (*cluster.Coordinator, error) {
+	return cluster.NewCoordinator(t.Context(), cluster.CoordinatorConfig{
+		Manifest:       man,
+		Addrs:          addrs,
+		Shard:          cluster.ShardConfig{AttemptTimeout: 10 * time.Second},
+		ConnectTimeout: 10 * time.Second,
+		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
 }
 
 func coordGet(t *testing.T, h http.Handler, path string, header http.Header) (*http.Response, []byte) {
@@ -133,74 +144,164 @@ func coordGet(t *testing.T, h http.Handler, path string, header http.Header) (*h
 	return resp, body
 }
 
-type coordRespJSON struct {
-	TraceID   string      `json:"trace_id"`
-	Eps       float64     `json:"eps"`
-	Total     int         `json:"total_matches"`
-	Matches   []matchJSON `json:"matches"`
-	Truncated bool        `json:"truncated"`
-	Coverage  struct {
-		Complete bool `json:"complete"`
-		OK       int  `json:"ok"`
-		Degraded int  `json:"degraded"`
-		Failed   int  `json:"failed"`
-		Shards   []struct {
-			ID      int    `json:"id"`
-			State   string `json:"state"`
-			TraceID string `json:"trace_id"`
-			Error   string `json:"error"`
-		} `json:"shards"`
-	} `json:"coverage"`
+// search sends a GET /search and decodes the body, requiring status.
+func search(t *testing.T, h http.Handler, path string, status int) cluster.SearchWire {
+	t.Helper()
+	resp, body := coordGet(t, h, path, nil)
+	if resp.StatusCode != status {
+		t.Fatalf("%s: status %d, want %d: %s", path, resp.StatusCode, status, body)
+	}
+	var sw cluster.SearchWire
+	if err := json.Unmarshal(body, &sw); err != nil {
+		t.Fatalf("%s: decoding: %v\n%s", path, err, body)
+	}
+	return sw
+}
+
+// values formats a window of the union store, disguised, exactly the
+// way the coordinator fans values out.
+func (tc *coordTestCluster) values(t *testing.T, seq, start, n int, scale, shift float64) string {
+	t.Helper()
+	raw := make([]float64, n)
+	if err := tc.union.Store().Window(seq, start, n, raw, nil); err != nil {
+		t.Fatal(err)
+	}
+	fields := make([]string, n)
+	for i, v := range raw {
+		fields[i] = strconv.FormatFloat(scale*v+shift, 'g', -1, 64)
+	}
+	return strings.Join(fields, ",")
+}
+
+func (tc *coordTestCluster) eps(frac float64) string {
+	return strconv.FormatFloat(frac*tc.norm, 'g', -1, 64)
+}
+
+// byDist puts a k-NN answer in canonical (dist, seq, start) order: two
+// exact answers may list distance ties differently, never differ in
+// what they hold.
+func byDist(ms []cluster.WireMatch) {
+	slices.SortFunc(ms, func(a, b cluster.WireMatch) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Start, b.Start))
+	})
+}
+
+// sameMatches requires two answers to hold the same rows, every float
+// bit-identical.
+func sameMatches(t *testing.T, what string, got, want []cluster.WireMatch) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: cluster returned %d matches, single node %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Seq != w.Seq || g.Start != w.Start || g.Name != w.Name ||
+			math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
+			math.Float64bits(g.Scale) != math.Float64bits(w.Scale) ||
+			math.Float64bits(g.Shift) != math.Float64bits(w.Shift) {
+			t.Fatalf("%s: match %d differs:\n  cluster %+v\n  oracle  %+v", what, i, g, w)
+		}
+	}
+}
+
+// matchSingleNode sends path to the coordinator and to the single-node
+// oracle and requires the same complete answer — rows, total and
+// truncation — and returns the oracle's.
+func (tc *coordTestCluster) matchSingleNode(t *testing.T, path string, knn bool) cluster.SearchWire {
+	t.Helper()
+	got := search(t, tc.front, path, http.StatusOK)
+	if !got.Coverage.Complete || got.Coverage.OK != len(tc.shards) {
+		t.Fatalf("%s: coverage %+v, want complete with every shard ok", path, got.Coverage)
+	}
+	want := search(t, tc.single, path, http.StatusOK)
+	if got.Total != want.Total || got.Truncated != want.Truncated {
+		t.Fatalf("%s: coordinator total %d (truncated %v), single node %d (%v)", path, got.Total, got.Truncated, want.Total, want.Truncated)
+	}
+	if knn {
+		byDist(got.Matches)
+		byDist(want.Matches)
+	}
+	sameMatches(t, path, got.Matches, want.Matches)
+	return want
 }
 
 // TestCoordinatorMatchesSingleNode drives the same seq/start query
 // through the coordinator and the single-node oracle and requires
-// bit-identical matches: coverage of the acceptance criterion at the
-// HTTP layer, on top of the cluster package's engine-level suite.
+// bit-identical matches: unlimited, with a limit the shards each apply
+// before the merge, and with the default.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	tc := buildCoordCluster(t, 3)
-	eps := 0.08 * tc.norm
-	// Unlimited, with a limit the shards each apply before the merge, and
-	// with the default.
 	for _, limit := range []string{"&limit=0", "&limit=2", ""} {
-		path := fmt.Sprintf("/search?seq=3&start=12&eps=%s%s", strconv.FormatFloat(eps, 'g', -1, 64), limit)
-
-		resp, body := coordGet(t, tc.front, path, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("coordinator status %d: %s", resp.StatusCode, body)
-		}
-		var got coordRespJSON
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatalf("decoding: %v\n%s", err, body)
-		}
-		if !got.Coverage.Complete || got.Coverage.OK != 3 {
-			t.Fatalf("coverage %+v, want complete with 3 ok shards", got.Coverage)
-		}
-
-		sresp, sbody := get(t, tc.single, path)
-		if sresp.StatusCode != http.StatusOK {
-			t.Fatalf("oracle status %d: %s", sresp.StatusCode, sbody)
-		}
-		var want searchResponse
-		if err := json.Unmarshal(sbody, &want); err != nil {
-			t.Fatal(err)
-		}
+		want := tc.matchSingleNode(t, "/search?seq=3&start=12&eps="+tc.eps(0.08)+limit, false)
 		if want.Total < 3 {
 			t.Fatalf("oracle found %d matches; the comparison needs at least 3", want.Total)
 		}
-		if got.Total != want.Total || len(got.Matches) != len(want.Matches) || got.Truncated != want.Truncated {
-			t.Fatalf("%q: coordinator returned %d of %d matches (truncated %v), single node %d of %d (%v)",
-				limit, len(got.Matches), got.Total, got.Truncated, len(want.Matches), want.Total, want.Truncated)
-		}
-		for i := range want.Matches {
-			g, w := got.Matches[i], want.Matches[i]
-			if g.Seq != w.Seq || g.Start != w.Start || g.Name != w.Name ||
-				math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
-				math.Float64bits(g.Scale) != math.Float64bits(w.Scale) ||
-				math.Float64bits(g.Shift) != math.Float64bits(w.Shift) {
-				t.Fatalf("%q: match %d differs:\n  coordinator %+v\n  oracle      %+v", limit, i, g, w)
+	}
+}
+
+// TestRangeEquivalence disguises the query window (the coordinator
+// resolves it against the owner shard and fans out the values): the
+// merged head and total must be the single node's at every limit, and
+// the shards' own counts must add up to the oracle's total — the merge
+// drops duplicate rows silently, so only that sum shows a row reaching
+// it twice.
+func TestRangeEquivalence(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	for _, c := range []struct {
+		name         string
+		seq, start   int
+		scale, shift float64
+	}{
+		{"identity", 2, 10, 1, 0},
+		{"scaled_shifted", 7, 40, 1.7, 3.25},
+		{"negative_shift", 11, 0, 0.6, -12.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := fmt.Sprintf("/search?seq=%d&start=%d&scale=%g&shift=%g&eps=%s", c.seq, c.start, c.scale, c.shift, tc.eps(0.08))
+			all := tc.matchSingleNode(t, path+"&limit=0", false)
+			if all.Total == 0 {
+				t.Fatal("oracle found nothing; the equivalence check would be vacuous")
 			}
-		}
+			params := url.Values{}
+			params.Set("values", tc.values(t, c.seq, c.start, 32, c.scale, c.shift))
+			params.Set("eps", tc.eps(0.08))
+			for _, limit := range []int{0, 1, 5, all.Total, 1000} {
+				if limit > 0 {
+					tc.matchSingleNode(t, fmt.Sprintf("%s&limit=%d", path, limit), false)
+				}
+				params.Set("limit", strconv.Itoa(limit))
+				g := tc.front.coord.Scatter(t.Context(), params, 0, "")
+				if g.Failed != 0 || g.ShardResults != all.Total || g.Total != all.Total {
+					t.Fatalf("limit %d: %d failed shards, shard result total %d, merged total %d, oracle %d",
+						limit, g.Failed, g.ShardResults, g.Total, all.Total)
+				}
+			}
+		})
+	}
+}
+
+// TestLongQueryEquivalence: a query three windows long runs as a
+// multipiece search on every shard and on the oracle alike.
+func TestLongQueryEquivalence(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	path := fmt.Sprintf("/search?values=%s&eps=%s&limit=0", tc.values(t, 4, 8, 96, 1.2, -2), tc.eps(0.25))
+	if tc.matchSingleNode(t, path, false).Total == 0 {
+		t.Fatal("oracle found nothing; raise eps")
+	}
+}
+
+// TestKNNEquivalence: the merged global top-k is the single node's, and
+// a limit cuts the merged list while the shards still send all of
+// theirs.
+func TestKNNEquivalence(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	const k = 9
+	path := fmt.Sprintf("/search?values=%s&nn=%d", tc.values(t, 9, 25, 32, 1, 0), k)
+	if all := tc.matchSingleNode(t, path+"&limit=0", true); len(all.Matches) != k {
+		t.Fatalf("oracle returned %d of %d neighbors", len(all.Matches), k)
+	}
+	if got := tc.matchSingleNode(t, path+"&limit=4", true); got.Total != k || len(got.Matches) != 4 {
+		t.Fatalf("limit 4: %d rows, total %d, want 4 of %d", len(got.Matches), got.Total, k)
 	}
 }
 
@@ -220,12 +321,17 @@ func TestCoordinatorTraceparentPropagation(t *testing.T) {
 	if got := obs.ParseTraceparent(resp.Header.Get(obs.TraceparentHeader)); got != traceID {
 		t.Fatalf("response traceparent %q, want %q", got, traceID)
 	}
-	var cr coordRespJSON
+	var cr cluster.SearchWire
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
 	if cr.TraceID != traceID {
 		t.Fatalf("coordinator trace id %q, want %q", cr.TraceID, traceID)
+	}
+	// The coordinator's root span describes the query as a shard's does.
+	tr, ok := tc.front.tracer.Get(traceID)
+	if !ok || !slices.Contains(tr.Spans[0].Attrs, obs.Attr{Key: "query", Value: "window 0:5 len 32 (a=1 b=0)"}) {
+		t.Fatalf("coordinator root span lacks the query attribute: %+v", tr)
 	}
 	for _, sh := range cr.Coverage.Shards {
 		if sh.TraceID != traceID {
@@ -244,69 +350,53 @@ func TestCoordinatorTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPartialCoverage kills one shard and requires: 206 (not
-// a 5xx), accurate per-shard attribution in the coverage block, exact
-// matches for the surviving slices, and a "partial" wide event carrying
-// the per-shard outcomes.
-func TestCoordinatorPartialCoverage(t *testing.T) {
-	tc := buildCoordCluster(t, 3)
-	const dead = 2
+// checkPartial kills shard dead and requires, for path: 206 (not a
+// 5xx), accurate per-shard attribution in the coverage block, and
+// exact matches for the surviving slices — the oracle's answer minus
+// the dead shard's sequences.
+func (tc *coordTestCluster) checkPartial(t *testing.T, dead int, path string) {
+	t.Helper()
+	want := search(t, tc.single, path, http.StatusOK)
 	tc.shards[dead].Close()
-
-	eps := 0.08 * tc.norm
-	path := fmt.Sprintf("/search?seq=3&start=12&eps=%s&limit=0", strconv.FormatFloat(eps, 'g', -1, 64))
-	resp, body := coordGet(t, tc.front, path, nil)
-	if resp.StatusCode != http.StatusPartialContent {
-		t.Fatalf("status %d, want 206: %s", resp.StatusCode, body)
-	}
-	var got coordRespJSON
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := search(t, tc.front, path, http.StatusPartialContent)
 	if got.Coverage.Complete || got.Coverage.Failed != 1 || got.Coverage.OK != 2 {
 		t.Fatalf("coverage %+v, want failed=1 ok=2", got.Coverage)
 	}
 	for _, sh := range got.Coverage.Shards {
-		if sh.ID == dead {
-			if sh.State != "failed" || sh.Error == "" {
-				t.Fatalf("dead shard entry %+v, want failed with an error", sh)
-			}
-		} else if sh.State != "ok" {
-			t.Fatalf("healthy shard %d reported %q", sh.ID, sh.State)
+		if (sh.ID == dead) != (sh.State == "failed") || (sh.ID == dead) != (sh.Error != "") {
+			t.Fatalf("shard %d entry %+v; only shard %d should fail, with an error", sh.ID, sh, dead)
 		}
-	}
-
-	// Surviving matches are exact: the oracle's answer minus the dead
-	// shard's sequences.
-	_, sbody := get(t, tc.single, path)
-	var want searchResponse
-	if err := json.Unmarshal(sbody, &want); err != nil {
-		t.Fatal(err)
 	}
 	deadSeqs := make(map[int]bool)
 	for _, g := range tc.man.Shards[dead].Seqs {
 		deadSeqs[g] = true
 	}
-	var expect []matchJSON
-	for _, m := range want.Matches {
-		if !deadSeqs[m.Seq] {
-			expect = append(expect, m)
-		}
-	}
-	if len(expect) == len(want.Matches) {
+	expect := slices.DeleteFunc(want.Matches, func(m cluster.WireMatch) bool { return deadSeqs[m.Seq] })
+	if len(expect) == want.Total {
 		t.Fatal("no oracle match lives on the dead shard; the check would be vacuous")
 	}
-	if len(got.Matches) != len(expect) {
-		t.Fatalf("partial answer has %d matches, want %d", len(got.Matches), len(expect))
+	sameMatches(t, "partial", got.Matches, expect)
+	if got.Total != len(expect) {
+		t.Fatalf("partial total %d, want %d", got.Total, len(expect))
 	}
-	for i := range expect {
-		if got.Matches[i].Seq != expect[i].Seq || got.Matches[i].Start != expect[i].Start ||
-			math.Float64bits(got.Matches[i].Dist) != math.Float64bits(expect[i].Dist) {
-			t.Fatalf("partial match %d differs: %+v vs %+v", i, got.Matches[i], expect[i])
-		}
-	}
+}
 
-	// The wide event attributes the same coverage.
+// TestPartialCoverageAttribution: a query given by value loses exactly
+// the dead fault domain's slice — degraded, attributed, and never
+// silently wrong.
+func TestPartialCoverageAttribution(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	tc.checkPartial(t, 1, fmt.Sprintf("/search?values=%s&eps=%s&limit=0", tc.values(t, 2, 10, 32, 1, 0), tc.eps(0.08)))
+}
+
+// TestCoordinatorPartialCoverage: the same for a seq/start query whose
+// owner survives, and the "partial" wide event carries the per-shard
+// outcomes.
+func TestCoordinatorPartialCoverage(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	const dead = 2
+	tc.checkPartial(t, dead, "/search?seq=3&start=12&eps="+tc.eps(0.08)+"&limit=0")
+
 	events, _, _ := tc.front.events.Drain(0, 0)
 	var found *obs.Event
 	for _, e := range events {
@@ -371,6 +461,16 @@ func TestCoordinatorReadyzQuorum(t *testing.T) {
 	if !rz.Ready || rz.ShardsReady != 3 || rz.ShardsTotal != 3 {
 		t.Fatalf("readyz %+v, want 3/3 ready", rz)
 	}
+	// Draining drops the ready gauge; undraining restores it to the
+	// quorum's verdict.
+	tc.front.SetDraining(true)
+	if g := tc.front.readyGauge.Value(); g != 0 {
+		t.Fatalf("draining: scaleshift_ready %g, want 0", g)
+	}
+	tc.front.SetDraining(false)
+	if g := tc.front.readyGauge.Value(); g != 1 {
+		t.Fatalf("undrained: scaleshift_ready %g, want 1", g)
+	}
 
 	// One shard down: 2/3 >= 0.5, still ready, with the dead shard named.
 	tc.shards[0].Close()
@@ -422,5 +522,43 @@ func TestCoordinatorRejectsBadQuery(t *testing.T) {
 	tc.front.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("POST /search = %d, want 501", rec.Code)
+	}
+}
+
+// TestWindowResolution checks coordinator-side seq/start resolution:
+// the owner shard serves exactly the union store's bytes.
+func TestWindowResolution(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	for _, seq := range []int{0, 3, 7, 9} {
+		got := make([]float64, 32)
+		if err := tc.front.coord.Window(t.Context(), seq, 5, got); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, 32)
+		if err := tc.union.Store().Window(seq, 5, 32, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sequence %d value %d: cluster %v, store %v", seq, i, got[i], want[i])
+			}
+		}
+	}
+	if err := tc.front.coord.Window(t.Context(), tc.man.Sequences, 0, make([]float64, 32)); err == nil {
+		t.Fatal("out-of-range sequence must not resolve")
+	}
+}
+
+// TestCoordinatorRejectsMiswiredFleet swaps two shard addresses; the
+// fingerprint check must refuse to start rather than remap answers
+// through the wrong table.
+func TestCoordinatorRejectsMiswiredFleet(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	_, err := newTestCoordinator(t, tc.man, []string{tc.shards[1].URL, tc.shards[0].URL, tc.shards[2].URL})
+	if err == nil {
+		t.Fatal("coordinator accepted a mis-wired -shard-addrs ordering")
+	}
+	if !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("want a fingerprint identity error, got: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -29,7 +28,7 @@ type eventDraft struct {
 	path     string
 	degraded bool
 	matches  int
-	outcome  string // set early by shed/breaker rejections
+	outcome  string // set by shed/breaker rejections and a coordinator's partial answer
 	plan     []obs.EventPlanRow
 	stats    *obs.EventStats
 	shards   []obs.EventShard // coordinator mode: per-fault-domain coverage
@@ -119,9 +118,9 @@ func outcomeFromStatus(status int) string {
 // between handle (which owns the statusWriter) and guard (which sheds),
 // so the event sees every outcome.  The disabled path is one atomic
 // check and allocates nothing.
-func (s *server) instrument(kind string, h http.HandlerFunc) http.HandlerFunc {
+func (f *frontend) instrument(kind string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.events.Active() {
+		if !f.events.Active() {
 			h(w, r)
 			return
 		}
@@ -150,6 +149,7 @@ func (s *server) instrument(kind string, h http.HandlerFunc) http.HandlerFunc {
 			Matches:    draft.matches,
 			Plan:       draft.plan,
 			Stats:      draft.stats,
+			Shards:     draft.shards,
 		}
 		if e.Outcome == "" {
 			e.Outcome = outcomeFromStatus(status)
@@ -169,9 +169,9 @@ func (s *server) instrument(kind string, h http.HandlerFunc) http.HandlerFunc {
 			// The request was rejected before a trace could root (shed
 			// at admission, open breaker, parse failure).  Mint an id
 			// anyway: every wide event stays correlatable.
-			e.TraceID = s.tracer.MintID()
+			e.TraceID = f.tracer.MintID()
 		}
-		s.events.Emit(e, time.Now().UnixNano())
+		f.events.Emit(e, time.Now().UnixNano())
 	}
 }
 
@@ -201,18 +201,13 @@ func (s *server) emitBatchSlotEvents(traceID string, status int, resp *batchResp
 // resumes a poller's cursor; ?max= caps the page.  The envelope carries
 // the ring's accounting counters so a poller can prove exactly-once
 // coverage: drained + missed converges on emitted.
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	serveEvents(s.events, s.logger, w, r)
-}
-
-// serveEvents is shared by the shard and coordinator frontends.
-func serveEvents(ring *obs.EventRing, logger *slog.Logger, w http.ResponseWriter, r *http.Request) {
+func (f *frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var since uint64
 	if v := q.Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeErrorResp(logger, w, http.StatusBadRequest, fmt.Errorf("parameter since: %w", err))
+			f.writeError(w, http.StatusBadRequest, fmt.Errorf("parameter since: %w", err))
 			return
 		}
 		since = n
@@ -221,21 +216,21 @@ func serveEvents(ring *obs.EventRing, logger *slog.Logger, w http.ResponseWriter
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeErrorResp(logger, w, http.StatusBadRequest, fmt.Errorf("parameter max: %w", err))
+			f.writeError(w, http.StatusBadRequest, fmt.Errorf("parameter max: %w", err))
 			return
 		}
 		max = n
 	}
-	events, missed, next := ring.Drain(since, max)
+	events, missed, next := f.events.Drain(since, max)
 	if events == nil {
 		events = []*obs.Event{}
 	}
-	writeJSONResp(logger, w, http.StatusOK, map[string]interface{}{
+	f.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"events":       events,
 		"missed":       missed,
 		"next":         next,
-		"emitted":      ring.Emitted(),
-		"overwritten":  ring.Overwritten(),
-		"sink_dropped": ring.SinkDropped(),
+		"emitted":      f.events.Emitted(),
+		"overwritten":  f.events.Overwritten(),
+		"sink_dropped": f.events.SinkDropped(),
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scaleshift/internal/cliutil"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/obs"
@@ -80,7 +81,7 @@ func TestSearchEmitsOneWideEvent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestAppendEmitsOneWideEvent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("segmented search status %d: %s", resp.StatusCode, raw)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestTraceparentAdoptAndEcho(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/resilience"
@@ -115,7 +116,7 @@ func TestAppendEndpoint(t *testing.T) {
 	if gr.StatusCode != http.StatusOK {
 		t.Fatalf("search after append: %d: %s", gr.StatusCode, body2)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal([]byte(body2), &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,11 @@
 // overload protection: deadline-aware admission control, a circuit
 // breaker on the degraded scan path, and hot artifact reload.
 //
+// One frontend (frontend.go) serves two modes: a shard answers from its
+// own artifacts (server.go), a coordinator from a fleet of shards
+// (coord.go).  Both share the middleware, the operational routes, the
+// serving loop and the /search response schema (cluster.SearchWire).
+//
 // Endpoints:
 //
 //	/search        GET: run a query (see parseSearchRequest for params)
@@ -31,7 +36,8 @@
 // With -coordinator the process serves no artifacts of its own:
 // it validates a shard fleet against an SSMAN cluster manifest
 // (ssgen -shards) and scatter-gathers every query across it, merging
-// exactly and reporting per-shard coverage — see coord.go.
+// exactly and reporting per-shard coverage.  It serves the same routes
+// less /append, /admin/*, /shardinfo and /window, and no POST /search.
 //
 //	ssgen -companies 100 -binary -shards 3 -o cluster/
 //	ssserve -store cluster/shard0/store.bin -addr :8081 &
@@ -46,7 +52,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -54,6 +59,7 @@ import (
 
 	"scaleshift/internal/ckpt"
 	"scaleshift/internal/cliutil"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/obs"
@@ -118,6 +124,11 @@ func run(args []string) error {
 	// on here, not opt-in as in the batch CLIs.
 	obs.Enable()
 	cliutil.PublishBuildInfo(obs.Default)
+	obs.Default.PublishExpvar("scaleshift")
+	tracer := obs.NewTracer(*traceRing)
+	// The wide-event ring always exists; the JSONL tee (-event-log) is
+	// opt-in and set up by serve.
+	events := obs.NewEventRing(*eventRing)
 	if *coordinator {
 		if *storeFile != "" || *dataFile != "" || *appendMode {
 			return fmt.Errorf("-coordinator serves only from shards; -store, -data, and -append do not apply")
@@ -125,21 +136,46 @@ func run(args []string) error {
 		if *shardAddrs == "" || *clusterManifest == "" {
 			return fmt.Errorf("-coordinator requires -shard-addrs and -cluster-manifest")
 		}
-		return runCoordinator(coordRunOpts{
-			addr:           *addr,
-			manifestPath:   *clusterManifest,
-			shardAddrs:     splitAddrs(*shardAddrs),
-			attemptTimeout: *shardTimeout,
-			retries:        *shardRetries,
-			backoff:        *shardBackoff,
-			hedgeAfter:     *hedgeAfter,
-			connectTimeout: *shardConnect,
-			quorum:         *readyQuorum,
-			traceRing:      *traceRing,
-			eventRing:      *eventRing,
-			eventLog:       *eventLog,
-			serve:          *serveFlags,
-		}, logger, obsFlags.Finish)
+		man, err := cluster.LoadManifest(*clusterManifest)
+		if err != nil {
+			return err
+		}
+		// Armed before fleet validation so an operator can abort a
+		// coordinator stuck waiting for shards.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		addrs := splitAddrs(*shardAddrs)
+		logger.Info("validating shard fleet", "shards", len(addrs), "manifest", *clusterManifest)
+		coord, err := cluster.NewCoordinator(ctx, cluster.CoordinatorConfig{
+			Manifest: man,
+			Addrs:    addrs,
+			Shard: cluster.ShardConfig{
+				AttemptTimeout: *shardTimeout,
+				Retries:        *shardRetries,
+				BackoffBase:    *shardBackoff,
+				HedgeAfter:     *hedgeAfter,
+			},
+			ConnectTimeout: *shardConnect,
+			Logger:         logger,
+		})
+		if err != nil {
+			return err
+		}
+		srv, err := newCoordServer(coordConfig{
+			coord:  coord,
+			tracer: tracer,
+			logger: logger,
+			serve:  *serveFlags,
+			events: events,
+			quorum: *readyQuorum,
+		})
+		if err == nil {
+			err = srv.serve(ctx, *addr, *eventLog)
+		}
+		if err != nil {
+			return err
+		}
+		return obsFlags.Finish()
 	}
 	if *ckptPath != "" && !*appendMode {
 		return fmt.Errorf("-checkpoint requires -append (there is nothing to checkpoint without live ingest)")
@@ -299,30 +335,6 @@ func run(args []string) error {
 		return err
 	}
 
-	tracer := obs.NewTracer(*traceRing)
-	obs.Default.PublishExpvar("scaleshift")
-
-	// The wide-event ring always exists; the JSONL tee is opt-in.  The
-	// sink closes (flushing its queue) after the HTTP server has fully
-	// drained, so no served request's event is lost on shutdown.
-	events := obs.NewEventRing(*eventRing)
-	if *eventLog != "" {
-		f, err := os.OpenFile(*eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("-event-log %s: %w", *eventLog, err)
-		}
-		sink := obs.NewEventLog(f, 1024)
-		events.Tee(sink)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				logger.Warn("closing event log", "err", err)
-			}
-			if n := sink.Dropped(); n > 0 {
-				logger.Warn("event log shed events under backpressure", "dropped", n)
-			}
-		}()
-	}
-
 	srv, err := newServer(serverConfig{
 		snap:    &snapshot{ix: serving, normScale: normScale, how: how, loadedAt: time.Now()},
 		tracer:  tracer,
@@ -336,12 +348,6 @@ func run(args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	// SIGHUP triggers a hot artifact reload; a rejected reload keeps the
@@ -367,26 +373,7 @@ func run(args []string) error {
 	if ckptr != nil {
 		go ckptr.loop(ctx)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Info("shutting down")
-	// Flip /readyz to 503 first so load balancers stop routing here,
-	// then let in-flight requests finish.
-	srv.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.serve(ctx, *addr, *eventLog); err != nil {
 		return err
 	}
 	return obsFlags.Finish()

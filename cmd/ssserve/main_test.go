@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scaleshift/internal/cliutil"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
@@ -120,7 +121,7 @@ func TestSearchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("decoding response: %v\n%s", err, body)
 	}
@@ -147,7 +148,7 @@ func TestSearchTraceSpanDurations(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -202,23 +203,46 @@ func TestSearchTraceSpanDurations(t *testing.T) {
 
 func TestSearchParameterErrors(t *testing.T) {
 	s := newTestServer(t, false)
-	cases := []string{
-		"/search",                               // no query at all
-		"/search?seq=abc&start=1",               // bad int
-		"/search?seq=0&start=5&eps=x",           // bad float
-		"/search?values=1,2,zebra",              // bad values list
-		"/search?seq=0&start=99999",             // window out of range
-		"/search?seq=0&start=5&nn=3&path=rtree", // nn + forced path
-		"/search?seq=0&start=5&path=warp",       // unknown path
-	}
-	for _, path := range cases {
-		resp, body := get(t, s, path)
-		if resp.StatusCode < 400 {
-			t.Errorf("%s: status %d, want an error", path, resp.StatusCode)
-		}
+	tc := buildCoordCluster(t, 2)
+	// One bound on len, whichever route addresses a window: a negative
+	// len once panicked GET /search, a huge one allocated what the client
+	// asked for, and a batch fell back to the window length.
+	lenErr := fmt.Sprintf("parameter len must be in (0, %d]", maxAppendValues)
+	huge := strconv.Itoa(maxAppendValues + 1)
+	for _, c := range []struct {
+		h                        http.Handler
+		method, path, body, want string
+	}{
+		{s, "GET", "/search", "", ""},                               // no query at all
+		{s, "GET", "/search?seq=abc&start=1", "", ""},               // bad int
+		{s, "GET", "/search?seq=0&start=5&eps=x", "", ""},           // bad float
+		{s, "GET", "/search?values=1,2,zebra", "", ""},              // bad values list
+		{s, "GET", "/search?seq=0&start=99999", "", ""},             // window out of range
+		{s, "GET", "/search?seq=0&start=5&nn=3&path=rtree", "", ""}, // nn + forced path
+		{s, "GET", "/search?seq=0&start=5&path=warp", "", ""},       // unknown path
+		{s, "GET", "/search?seq=0&start=0&len=-1", "", lenErr},
+		{s, "GET", "/search?seq=0&start=0&len=" + huge, "", lenErr},
+		{s, "POST", "/search", `{"queries": [{"seq": 0, "start": 0, "len": -5}]}`, lenErr},
+		{s, "POST", "/search", `{"queries": [{"seq": 0, "start": 0, "len": ` + huge + `}]}`, lenErr},
+		{s, "GET", "/window?seq=0&start=0&len=-1", "", lenErr},
+		{s, "GET", "/window?seq=0&start=0&len=" + huge, "", lenErr},
+		{s, "GET", "/window?start=0&len=32", "", "parameter seq is required"},
+		{s, "GET", "/window?seq=0&len=32", "", "parameter start is required"},
+		{s, "GET", "/window?seq=0&start=0", "", "parameter len is required"},
+		{tc.front, "GET", "/search?seq=0&start=0&len=-1", "", lenErr},
+		{tc.front, "GET", "/search?seq=0&start=0&len=" + huge, "", lenErr},
+	} {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
 		var e map[string]string
-		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: error response not JSON with an error field: %s", path, body)
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+			t.Errorf("%s %s: error response not JSON with an error field: %s", c.method, c.path, rec.Body)
+		}
+		switch {
+		case rec.Code < 400:
+			t.Errorf("%s %s: status %d, want an error", c.method, c.path, rec.Code)
+		case c.want != "" && (rec.Code != http.StatusBadRequest || !strings.Contains(e["error"], c.want)):
+			t.Errorf("%s %s: status %d %q, want 400 %q", c.method, c.path, rec.Code, e["error"], c.want)
 		}
 	}
 }
@@ -229,7 +253,7 @@ func TestSearchNearestNeighbour(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +298,7 @@ func TestDegradedSearchServesExactResults(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +433,13 @@ func counterValue(t *testing.T, body, name string) int64 {
 
 func TestSearchLimitTruncates(t *testing.T) {
 	s := newTestServer(t, false)
-	fetch := func(limit string) searchResponse {
+	fetch := func(limit string) cluster.SearchWire {
 		t.Helper()
 		resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.2"+limit)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-		var sr searchResponse
+		var sr cluster.SearchWire
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +479,7 @@ func TestLongQueryOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchWire
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"scaleshift/internal/cliutil"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/faulty"
 	"scaleshift/internal/obs"
@@ -332,7 +333,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if gresp.StatusCode != http.StatusOK {
 			t.Fatalf("sequential query %d: %d", i, gresp.StatusCode)
 		}
-		var sr searchResponse
+		var sr cluster.SearchWire
 		if err := json.Unmarshal(gbody, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +625,7 @@ func TestReloadRejectsCorruptArtifact(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search after rejected reload: %d", resp.StatusCode)
 	}
-	var rBefore, rAfter searchResponse
+	var rBefore, rAfter cluster.SearchWire
 	if err := json.Unmarshal(before, &rBefore); err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -44,29 +41,21 @@ type serverConfig struct {
 	events  *obs.EventRing // nil gets a default ring
 }
 
-// server is the HTTP query frontend.  The artifact snapshot sits
-// behind an RCU cell so hot reloads swap it atomically; the admission
-// controller and circuit breaker stand between the mux and the
-// engine; liveness and readiness are separate signals.
+// server is the shard mode of the frontend: it serves queries from
+// its own artifacts.  The artifact snapshot sits behind an RCU cell so
+// hot reloads swap it atomically; the circuit breaker stands between
+// the degraded scan path and the engine.
 type server struct {
+	*frontend
 	snap    *resilience.Cell[*snapshot]
-	adm     *resilience.Admission
 	breaker *resilience.Breaker
 	rel     *reloader
 	ingest  *ingestState
 	ckpt    *checkpointer
-	tracer  *obs.Tracer
-	logger  *slog.Logger
-	reg     *obs.Registry
-	mux     *http.ServeMux
-	events  *obs.EventRing
 
-	requestTimeout time.Duration
-	draining       atomic.Bool
-	reloading      atomic.Bool
-	lastReloadErr  atomic.Pointer[reloadFailure]
+	reloading     atomic.Bool
+	lastReloadErr atomic.Pointer[reloadFailure]
 
-	readyGauge      *obs.Gauge
 	reloadsOK       *obs.Counter
 	reloadsRejected *obs.Counter
 	generation      *obs.Gauge
@@ -80,38 +69,29 @@ type reloadFailure struct {
 }
 
 func newServer(cfg serverConfig) (*server, error) {
-	if err := cfg.serve.Validate(); err != nil {
+	f, err := newFrontend(cfg.serve, cfg.tracer, cfg.logger, cfg.events)
+	if err != nil {
 		return nil, err
 	}
 	s := &server{
-		snap:   resilience.NewCell(cfg.snap),
-		ingest: cfg.ingest,
-		ckpt:   cfg.ckpt,
-		tracer: cfg.tracer,
-		logger: cfg.logger,
-		reg:    obs.Default,
-		mux:    http.NewServeMux(),
-		events: cfg.events,
-
-		requestTimeout: cfg.serve.RequestTimeout,
+		frontend: f,
+		snap:     resilience.NewCell(cfg.snap),
+		ingest:   cfg.ingest,
+		ckpt:     cfg.ckpt,
 	}
-	if s.events == nil {
-		s.events = obs.NewEventRing(256)
+	f.readiness = s.readiness
+	if s.ingest != nil {
+		// Ingest and checkpoint gauges are point-in-time reads; refresh
+		// them before a scrape so it never serves values stale since the
+		// last /readyz.
+		f.refresh = s.publishIngestGauges
 	}
-	s.adm = resilience.NewAdmission(resilience.AdmissionConfig{
-		MaxInflight:  cfg.serve.MaxInflight,
-		MaxQueue:     cfg.serve.MaxQueue,
-		QueueTimeout: cfg.serve.QueueTimeout,
-		Registry:     s.reg,
-	})
 	cfg.breaker.Registry = s.reg
 	s.breaker = resilience.NewBreaker(cfg.breaker)
 	if cfg.reload != nil {
 		s.rel = newReloader(*cfg.reload)
 	}
 
-	s.readyGauge = s.reg.Gauge("scaleshift_ready", "1 when /readyz reports ready.")
-	s.readyGauge.Set(1)
 	s.reloadsOK = s.reg.Counter("scaleshift_reloads_total", "Artifact reload attempts, by result.", obs.Label{Key: "result", Value: "ok"})
 	s.reloadsRejected = s.reg.Counter("scaleshift_reloads_total", "Artifact reload attempts, by result.", obs.Label{Key: "result", Value: "rejected"})
 	s.generation = s.reg.Gauge("scaleshift_snapshot_generation", "Monotone generation number of the serving snapshot; increments on every successful reload.")
@@ -123,23 +103,10 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.handle("shardinfo", "/shardinfo", s.handleShardInfo)
 	s.handle("window", "/window", s.handleWindow)
 	s.handle("healthz", "/healthz", s.handleHealthz)
-	s.handle("livez", "/livez", s.handleLivez)
-	s.handle("readyz", "/readyz", s.handleReadyz)
 	s.handle("reload", "/admin/reload", s.handleReload)
 	s.handle("checkpoint", "/admin/checkpoint", s.handleCheckpoint)
-	s.handle("metrics", "/metrics", s.handleMetrics)
-	s.handle("traces", "/debug/traces", s.handleTraces)
-	s.handle("events", "/debug/events", s.handleEvents)
-	s.mux.Handle("/debug/vars", expvar.Handler())
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s, nil
 }
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // publishSnapshotGauges re-announces the static shape of the serving
 // snapshot; called at startup and after every successful swap.
@@ -159,116 +126,6 @@ func (s *server) publishSnapshotGauges(sn *snapshot) {
 	s.reg.Gauge("scaleshift_index_degraded", "1 when the index is serving in degraded (scan-only) mode.").Set(degraded)
 }
 
-// handle wraps a route with the request-logging and per-route metrics
-// middleware.  Route label values are constant, so the counters are
-// registered once here and recording stays allocation-free.
-func (s *server) handle(name, pattern string, h http.HandlerFunc) {
-	l := obs.Label{Key: "handler", Value: name}
-	reqs := s.reg.Counter("scaleshift_http_requests_total", "HTTP requests served, by handler.", l)
-	errs := s.reg.Counter("scaleshift_http_errors_total", "HTTP responses with status >= 400, by handler.", l)
-	dur := s.reg.DurationHistogram("scaleshift_http_request_duration_seconds", "HTTP request latency, by handler.", l)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		elapsed := time.Since(start)
-		reqs.Inc()
-		dur.ObserveDuration(elapsed)
-		if sw.status >= 400 {
-			errs.Inc()
-		}
-		s.logger.Info("request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"duration", elapsed, "remote", r.RemoteAddr)
-	})
-}
-
-// guard is the serving-path middleware: it applies the per-request
-// timeout (feeding the engine's cooperative cancellation), bounds the
-// request body, and runs the request through the admission controller.
-// Shed requests get 429 with a Retry-After hint and never touch the
-// engine.
-func (s *server) guard(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-		}
-		release, err := s.adm.Acquire(ctx)
-		if err != nil {
-			s.writeOverloaded(w, r, err)
-			return
-		}
-		defer release()
-		h(w, r)
-	}
-}
-
-// writeOverloaded renders an admission or breaker rejection: 429 (shed)
-// or 503 (breaker open), always with a Retry-After header so polite
-// clients back off instead of hammering.  The rejection kind is stamped
-// on the request's wide-event draft — a 503 status alone cannot tell an
-// open breaker from a timeout.
-func (s *server) writeOverloaded(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusTooManyRequests
-	retryAfter := time.Second
-	outcome := "shed"
-	var oe *resilience.OverloadError
-	var be *resilience.BreakerOpenError
-	switch {
-	case errors.As(err, &oe):
-		retryAfter = oe.RetryAfter
-	case errors.As(err, &be):
-		status = http.StatusServiceUnavailable
-		retryAfter = be.RetryAfter
-		outcome = "breaker_open"
-	}
-	if d := eventDraftFrom(r.Context()); d != nil {
-		d.outcome = outcome
-	}
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.writeError(w, status, err)
-}
-
-// statusWriter captures the response status for logging and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// writeJSONResp renders v; encoding failures after the header is out
-// can only be logged.  Free function so the coordinator frontend (which
-// is not a *server) shares the exact response shape.
-func writeJSONResp(logger *slog.Logger, w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		logger.Error("encoding response", "err", err)
-	}
-}
-
-func writeErrorResp(logger *slog.Logger, w http.ResponseWriter, status int, err error) {
-	writeJSONResp(logger, w, status, map[string]string{"error": err.Error()})
-}
-
-func (s *server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	writeJSONResp(s.logger, w, status, v)
-}
-
-func (s *server) writeError(w http.ResponseWriter, status int, err error) {
-	writeErrorResp(s.logger, w, status, err)
-}
-
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sn := s.snap.Acquire()
 	defer sn.Release()
@@ -282,23 +139,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleLivez is pure liveness: the process is up and the mux answers.
-// It never consults snapshots, breakers, or drain state — a draining
-// server is still alive, and restarting it because it is draining
-// would be the bug.
-func (s *server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// SetDraining flips the drain flag /readyz reports; main sets it when
-// shutdown begins so load balancers stop routing here while in-flight
-// requests finish.
-func (s *server) SetDraining(v bool) {
-	s.draining.Store(v)
-	s.updateReadyGauge()
-}
-
-func (s *server) ready() (bool, map[string]interface{}) {
+// readiness is the shard's /readyz verdict: draining, a reload in
+// progress, checkpoint lag past its bound, and an open circuit breaker
+// each take the instance out of rotation.
+func (s *server) readiness(context.Context) (bool, map[string]interface{}) {
 	sn := s.snap.Acquire()
 	defer sn.Release()
 	deg, degReason := sn.Value().ix.Degraded()
@@ -337,28 +181,6 @@ func (s *server) ready() (bool, map[string]interface{}) {
 		detail["checkpoint"] = s.ckpt.detail()
 	}
 	return ready, detail
-}
-
-func (s *server) updateReadyGauge() {
-	if ready, _ := s.ready(); ready {
-		s.readyGauge.Set(1)
-	} else {
-		s.readyGauge.Set(0)
-	}
-}
-
-// handleReadyz is readiness: 200 only when this instance should
-// receive traffic.  Draining, a reload in progress, and an open
-// circuit breaker all report 503 — the process is healthy (see
-// /livez) but routing to it right now would hurt.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready, detail := s.ready()
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-	}
-	s.updateReadyGauge()
-	s.writeJSON(w, status, detail)
 }
 
 // Reload swaps in a fresh snapshot.  In artifact mode it re-reads the
@@ -446,164 +268,6 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Ingest and checkpoint gauges are point-in-time reads; refresh them
-	// here so a scrape never serves values stale since the last /readyz.
-	if s.ingest != nil {
-		s.publishIngestGauges()
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
-		s.logger.Error("writing metrics", "err", err)
-	}
-}
-
-// handleTraces serves the retained traces.  ?id= fetches one; the
-// list accepts ?min_ms= (only traces at least that slow), ?error=1
-// (only errored), and ?degraded=1 (only degraded-path) filters, which
-// compose conjunctively.
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	serveTraces(s.tracer, s.logger, w, r)
-}
-
-// serveTraces is shared by the shard and coordinator frontends.
-func serveTraces(tracer *obs.Tracer, logger *slog.Logger, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if id := q.Get("id"); id != "" {
-		tr, ok := tracer.Get(id)
-		if !ok {
-			writeErrorResp(logger, w, http.StatusNotFound, fmt.Errorf("trace %q not retained", id))
-			return
-		}
-		writeJSONResp(logger, w, http.StatusOK, tr)
-		return
-	}
-	minMs := 0.0
-	if v := q.Get("min_ms"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeErrorResp(logger, w, http.StatusBadRequest, fmt.Errorf("parameter min_ms: %w", err))
-			return
-		}
-		minMs = f
-	}
-	errOnly := q.Get("error") == "1"
-	degOnly := q.Get("degraded") == "1"
-	traces := tracer.Recent()
-	if minMs > 0 || errOnly || degOnly {
-		filtered := traces[:0]
-		for _, tr := range traces {
-			if float64(tr.DurationNs)/1e6 < minMs {
-				continue
-			}
-			if errOnly && !tr.Error {
-				continue
-			}
-			if degOnly && !tr.Degraded {
-				continue
-			}
-			filtered = append(filtered, tr)
-		}
-		traces = filtered
-	}
-	writeJSONResp(logger, w, http.StatusOK, traces)
-}
-
-// parseSearchRequest decodes the /search query string into the query
-// to run and a description for traces and events.
-// The query is either explicit (values=, decoded with every other
-// parameter by cluster.DecodeSearchQuery — the one decoder shards and
-// the ShardNode fixture share) or addresses a window of the store:
-//
-//	seq, start     address a window of the store (with optional len)
-//	scale, shift   disguise the window (defaults 1, 0)
-//
-// limit defaults to 100 (0 = all).
-func (s *server) parseSearchRequest(sn *snapshot, r *http.Request) (q core.Query, describe string, err error) {
-	p := r.URL.Query()
-	if q, err = cluster.DecodeSearchQuery(p, sn.normScale, 100); err != nil {
-		return core.Query{}, "", err
-	}
-	if q.Vec != nil {
-		return q, fmt.Sprintf("%d explicit values", len(q.Vec)), nil
-	}
-	if p.Get("seq") == "" && p.Get("start") == "" {
-		return core.Query{}, "", fmt.Errorf("provide seq=&start= or values=")
-	}
-	pr := cluster.ParamReader{Values: p}
-	seq, start := pr.Int("seq", 0), pr.Int("start", 0)
-	n := pr.Int("len", sn.ix.Options().WindowLen)
-	scale, shift := pr.Float("scale", 1), pr.Float("shift", 0)
-	if pr.Err != nil {
-		return core.Query{}, "", pr.Err
-	}
-	w := make(vec.Vector, n)
-	if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
-		return core.Query{}, "", err
-	}
-	q.Vec = vec.Apply(w, scale, shift)
-	return q, fmt.Sprintf("window %d:%d len %d (a=%g b=%g)", seq, start, n, scale, shift), nil
-}
-
-// matchJSON is one reported match.
-type matchJSON struct {
-	Name  string  `json:"name"`
-	Seq   int     `json:"seq"`
-	Start int     `json:"start"`
-	End   int     `json:"end"`
-	Dist  float64 `json:"dist"`
-	Scale float64 `json:"scale"`
-	Shift float64 `json:"shift"`
-}
-
-// statsJSON is the per-query cost accounting in the response.
-type statsJSON struct {
-	Candidates     int   `json:"candidates"`
-	FalseAlarms    int   `json:"false_alarms"`
-	CostRejected   int   `json:"cost_rejected"`
-	IndexNodeReads int   `json:"index_node_reads"`
-	DataPageReads  int   `json:"data_page_reads"`
-	PlanNs         int64 `json:"plan_ns"`
-	ProbeNs        int64 `json:"probe_ns"`
-	VerifyNs       int64 `json:"verify_ns"`
-}
-
-// planJSON summarizes the chosen plan.
-type planJSON struct {
-	Path           string  `json:"path"`
-	Forced         bool    `json:"forced,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
-	DegradedReason string  `json:"degraded_reason,omitempty"`
-	Pieces         int     `json:"pieces,omitempty"`
-	EstCandidates  float64 `json:"est_candidates"`
-}
-
-// searchResponse is the /search payload.
-type searchResponse struct {
-	TraceID   string      `json:"trace_id,omitempty"`
-	Query     string      `json:"query"`
-	Eps       float64     `json:"eps"`
-	ElapsedNs int64       `json:"elapsed_ns"`
-	Total     int         `json:"total_matches"`
-	Matches   []matchJSON `json:"matches"`
-	Truncated bool        `json:"truncated,omitempty"`
-	Stats     statsJSON   `json:"stats"`
-	Plan      *planJSON   `json:"plan,omitempty"`
-}
-
-// matchesJSON converts the engine's rows (the query's limit is already
-// applied: core.Query.Limit).
-func matchesJSON(matches []core.Match, qlen int) []matchJSON {
-	out := make([]matchJSON, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, matchJSON{
-			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + qlen,
-			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,
-		})
-	}
-	return out
-}
-
 // breakerGate admits or rejects a query that would run on the
 // degraded scan path.  It returns a record func (no-op on a healthy
 // index) to call with the query's outcome.
@@ -689,30 +353,21 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	root.End() // commits the trace, so /debug/traces can serve it immediately
 	fillSearchDraft(ctx, root, describe, &stats, ex, res.Total)
 
-	resp := searchResponse{
+	resp := cluster.SearchWire{
 		TraceID:   stats.TraceID,
 		Query:     describe,
 		Eps:       q.Eps,
 		ElapsedNs: elapsed.Nanoseconds(),
 		Total:     res.Total,
-		Matches:   matchesJSON(res.Matches, len(q.Vec)),
+		Matches:   wireMatches(res.Matches, len(q.Vec)),
 		Truncated: res.Total > len(res.Matches),
-		Stats: statsJSON{
-			Candidates:     stats.Candidates,
-			FalseAlarms:    stats.FalseAlarms,
-			CostRejected:   stats.CostRejected,
-			IndexNodeReads: stats.IndexNodeAccesses,
-			DataPageReads:  stats.DataPageAccesses,
-			PlanNs:         stats.PlanTime.Nanoseconds(),
-			ProbeNs:        stats.ProbeTime.Nanoseconds(),
-			VerifyNs:       stats.VerifyTime.Nanoseconds(),
-		},
+		Stats:     wireStats(&stats),
 	}
 	if resp.TraceID == "" {
 		resp.TraceID = obs.TraceIDFromContext(ctx)
 	}
 	if ex != nil {
-		resp.Plan = &planJSON{
+		resp.Plan = &cluster.WirePlan{
 			Path:           ex.Chosen.String(),
 			Forced:         ex.Forced,
 			Degraded:       ex.Degraded,
@@ -722,6 +377,32 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// wireMatches converts the engine's rows (the query's limit is already
+// applied: core.Query.Limit) for a query of qlen values.
+func wireMatches(matches []core.Match, qlen int) []cluster.WireMatch {
+	out := make([]cluster.WireMatch, len(matches))
+	for i, m := range matches {
+		out[i] = cluster.WireMatch{
+			Name: m.Name, Seq: m.Seq, Start: m.Start, End: m.Start + qlen,
+			Dist: m.Dist, Scale: m.Scale, Shift: m.Shift,
+		}
+	}
+	return out
+}
+
+func wireStats(st *core.SearchStats) cluster.WireStats {
+	return cluster.WireStats{
+		Candidates:     st.Candidates,
+		FalseAlarms:    st.FalseAlarms,
+		CostRejected:   st.CostRejected,
+		IndexNodeReads: st.IndexNodeAccesses,
+		DataPageReads:  st.DataPageAccesses,
+		PlanNs:         st.PlanTime.Nanoseconds(),
+		ProbeNs:        st.ProbeTime.Nanoseconds(),
+		VerifyNs:       st.VerifyTime.Nanoseconds(),
+	}
 }
 
 // writeSearchError maps an engine error to a response.  A canceled
@@ -746,7 +427,7 @@ func (s *server) writeSearchError(w http.ResponseWriter, r *http.Request, err er
 type batchQueryJSON struct {
 	Seq      *int      `json:"seq,omitempty"`
 	Start    *int      `json:"start,omitempty"`
-	Len      int       `json:"len,omitempty"`
+	Len      *int      `json:"len,omitempty"`
 	Scale    *float64  `json:"scale,omitempty"`
 	Shift    *float64  `json:"shift,omitempty"`
 	Values   []float64 `json:"values,omitempty"`
@@ -768,21 +449,29 @@ type batchRequestJSON struct {
 // batchItemJSON is one query's slot in the batch response, positionally
 // aligned with the request's queries.
 type batchItemJSON struct {
-	Status    string      `json:"status"` // complete | incomplete
-	Eps       float64     `json:"eps,omitempty"`
-	Total     int         `json:"total_matches"`
-	Matches   []matchJSON `json:"matches"`
-	Truncated bool        `json:"truncated,omitempty"`
+	Status    string              `json:"status"` // complete | incomplete
+	Eps       float64             `json:"eps,omitempty"`
+	Total     int                 `json:"total_matches"`
+	Matches   []cluster.WireMatch `json:"matches"`
+	Truncated bool                `json:"truncated,omitempty"`
 }
 
 // batchResponseJSON is the POST /search payload.
 type batchResponseJSON struct {
-	TraceID   string          `json:"trace_id,omitempty"`
-	ElapsedNs int64           `json:"elapsed_ns"`
-	Completed int             `json:"completed"`
-	Canceled  bool            `json:"canceled,omitempty"`
-	Results   []batchItemJSON `json:"results"`
-	Stats     statsJSON       `json:"stats"`
+	TraceID   string            `json:"trace_id,omitempty"`
+	ElapsedNs int64             `json:"elapsed_ns"`
+	Completed int               `json:"completed"`
+	Canceled  bool              `json:"canceled,omitempty"`
+	Results   []batchItemJSON   `json:"results"`
+	Stats     cluster.WireStats `json:"stats"`
+}
+
+// or dereferences an optional JSON field, def when it is absent.
+func or[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
 }
 
 // toBatchQuery resolves one JSON query against the snapshot.
@@ -793,28 +482,18 @@ func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON, force engi
 	case len(bq.Values) > 0:
 		q = vec.Vector(bq.Values)
 	case bq.Seq != nil || bq.Start != nil:
-		seq, start, n := 0, 0, window
-		if bq.Seq != nil {
-			seq = *bq.Seq
+		ref := windowRef{
+			seq: or(bq.Seq, 0), start: or(bq.Start, 0), n: or(bq.Len, window),
+			scale: or(bq.Scale, 1), shift: or(bq.Shift, 0),
 		}
-		if bq.Start != nil {
-			start = *bq.Start
-		}
-		if bq.Len > 0 {
-			n = bq.Len
-		}
-		w := make(vec.Vector, n)
-		if err := sn.ix.QueryWindow(seq, start, n, w); err != nil {
+		if err := ref.check(); err != nil {
 			return core.Query{}, fmt.Errorf("query %d: %w", i, err)
 		}
-		scale, shift := 1.0, 0.0
-		if bq.Scale != nil {
-			scale = *bq.Scale
+		w, err := ref.fetch(sn.ix.QueryWindow)
+		if err != nil {
+			return core.Query{}, fmt.Errorf("query %d: %w", i, err)
 		}
-		if bq.Shift != nil {
-			shift = *bq.Shift
-		}
-		q = vec.Apply(w, scale, shift)
+		q = vec.Apply(w, ref.scale, ref.shift)
 	default:
 		return core.Query{}, fmt.Errorf("query %d: provide seq/start or values", i)
 	}
@@ -937,26 +616,17 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 		ElapsedNs: elapsed.Nanoseconds(),
 		Canceled:  canceled,
 		Results:   make([]batchItemJSON, len(results)),
-		Stats: statsJSON{
-			Candidates:     stats.Candidates,
-			FalseAlarms:    stats.FalseAlarms,
-			CostRejected:   stats.CostRejected,
-			IndexNodeReads: stats.IndexNodeAccesses,
-			DataPageReads:  stats.DataPageAccesses,
-			PlanNs:         stats.PlanTime.Nanoseconds(),
-			ProbeNs:        stats.ProbeTime.Nanoseconds(),
-			VerifyNs:       stats.VerifyTime.Nanoseconds(),
-		},
+		Stats:     wireStats(&stats),
 	}
 	for i, res := range results {
 		item := batchItemJSON{Status: statuses[i].String(), Eps: queries[i].Eps}
 		if statuses[i] == core.BatchComplete {
 			resp.Completed++
 			item.Total = res.Total
-			item.Matches = matchesJSON(res.Matches, len(queries[i].Vec))
+			item.Matches = wireMatches(res.Matches, len(queries[i].Vec))
 			item.Truncated = res.Total > len(res.Matches)
 		} else {
-			item.Matches = []matchJSON{}
+			item.Matches = []cluster.WireMatch{}
 		}
 		resp.Results[i] = item
 	}

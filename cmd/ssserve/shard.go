@@ -3,10 +3,8 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"scaleshift/internal/cluster"
-	"scaleshift/internal/vec"
 )
 
 // Shard-side surface of the cluster protocol: every ssserve instance
@@ -46,46 +44,32 @@ func (s *server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWindow serves raw sequence values: GET /window?seq=&start=&len=.
-// seq is shard-local (the only kind of id a shard knows).
+// seq is shard-local (the only kind of id a shard knows).  All three
+// parameters are required; scale and shift are not read.
 func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	p := r.URL.Query()
-	intParam := func(name string) (int, error) {
-		v := p.Get(name)
-		if v == "" {
-			return 0, fmt.Errorf("parameter %s is required", name)
+	for _, name := range []string{"seq", "start", "len"} {
+		if p.Get(name) == "" {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("parameter %s is required", name))
+			return
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return n, nil
 	}
-	seq, err := intParam("seq")
+	pr := paramReader{values: p}
+	ref := windowRef{seq: pr.int("seq", 0), start: pr.int("start", 0), n: pr.int("len", 0)}
+	err := pr.err
+	if err == nil {
+		err = ref.check()
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	start, err := intParam("start")
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	length, err := intParam("len")
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if length <= 0 || length > maxAppendValues {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("parameter len must be in (0, %d]", maxAppendValues))
-		return
-	}
-
 	pin := s.snap.Acquire()
 	defer pin.Release()
-	vals := make(vec.Vector, length)
-	if err := pin.Value().ix.QueryWindow(seq, start, length, vals); err != nil {
+	vals, err := ref.fetch(pin.Value().ix.QueryWindow)
+	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, cluster.WindowWire{Seq: seq, Start: start, Values: vals})
+	s.writeJSON(w, http.StatusOK, cluster.WindowWire{Seq: ref.seq, Start: ref.start, Values: vals})
 }

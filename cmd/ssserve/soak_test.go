@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"scaleshift/internal/atomicfile"
+	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/faulty"
 	"scaleshift/internal/obs"
@@ -77,7 +78,7 @@ func TestSoak(t *testing.T) {
 	// chaos starts.  Reloads re-read the same artifacts, so these stay
 	// the ground truth for the whole run.
 	specs := soakSpecs()
-	oracle := make([]searchResponse, len(specs))
+	oracle := make([]cluster.SearchWire, len(specs))
 	for i, spec := range specs {
 		resp, err := client.Get(ts.URL + spec)
 		if err != nil {
@@ -119,7 +120,7 @@ func TestSoak(t *testing.T) {
 			if spec < 0 {
 				return
 			}
-			var sr searchResponse
+			var sr cluster.SearchWire
 			if err := json.Unmarshal(body, &sr); err != nil {
 				fail("spec %d: bad 200 body: %v", spec, err)
 				return

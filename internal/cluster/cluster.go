@@ -67,11 +67,12 @@ func Fingerprint(names []string) uint32 {
 	return h.Sum32()
 }
 
-// Wire types: the JSON shapes shards serve and the coordinator
-// consumes.  Field names mirror ssserve's response schema exactly —
-// the coordinator decodes a shard's /search payload into these, and
-// encoding/json round-trips float64 bit-exactly, so distances survive
-// the extra hop unchanged.
+// Wire types: the JSON shapes ssserve serves — a shard and the
+// coordinator alike — and the coordinator consumes.  They are the one
+// declaration of the /search response schema; the field order is the
+// byte order of the body.  The coordinator decodes a shard's /search
+// payload into these, and encoding/json round-trips float64
+// bit-exactly, so distances survive the extra hop unchanged.
 
 // WireMatch is one match as serialized by a shard.  Seq is shard-local
 // on the wire; the coordinator remaps it to the global id through the
@@ -101,23 +102,41 @@ type WireStats struct {
 	VerifyNs       int64 `json:"verify_ns"`
 }
 
-// WirePlan is the slice of a shard's plan the coordinator cares about:
-// whether the shard served from its degraded scan fallback.
+// WirePlan summarizes the plan a shard chose.  The coordinator reads
+// one bit of it: whether the shard served from its degraded scan
+// fallback.
 type WirePlan struct {
-	Path           string `json:"path"`
-	Degraded       bool   `json:"degraded,omitempty"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
+	Path           string  `json:"path"`
+	Forced         bool    `json:"forced,omitempty"`
+	Degraded       bool    `json:"degraded,omitempty"`
+	DegradedReason string  `json:"degraded_reason,omitempty"`
+	Pieces         int     `json:"pieces,omitempty"`
+	EstCandidates  float64 `json:"est_candidates"`
 }
 
-// SearchWire is a shard's /search response.
+// CoverageWire states exactly which slice of the data a coordinator's
+// answer covers: one entry per fault domain.
+type CoverageWire struct {
+	Complete bool           `json:"complete"`
+	OK       int            `json:"ok"`
+	Degraded int            `json:"degraded"`
+	Failed   int            `json:"failed"`
+	Shards   []ShardOutcome `json:"shards"`
+}
+
+// SearchWire is a GET /search response.  A shard fills Plan; the
+// coordinator fills Coverage instead.
 type SearchWire struct {
-	TraceID   string      `json:"trace_id,omitempty"`
-	Eps       float64     `json:"eps"`
-	Total     int         `json:"total_matches"`
-	Matches   []WireMatch `json:"matches"`
-	Truncated bool        `json:"truncated,omitempty"`
-	Stats     WireStats   `json:"stats"`
-	Plan      *WirePlan   `json:"plan,omitempty"`
+	TraceID   string        `json:"trace_id,omitempty"`
+	Query     string        `json:"query"`
+	Eps       float64       `json:"eps"`
+	ElapsedNs int64         `json:"elapsed_ns"`
+	Total     int           `json:"total_matches"`
+	Matches   []WireMatch   `json:"matches"`
+	Truncated bool          `json:"truncated,omitempty"`
+	Stats     WireStats     `json:"stats"`
+	Plan      *WirePlan     `json:"plan,omitempty"`
+	Coverage  *CoverageWire `json:"coverage,omitempty"`
 }
 
 // ShardInfoWire is a shard's /shardinfo response: the identity the

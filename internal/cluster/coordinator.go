@@ -36,16 +36,17 @@ type CoordinatorConfig struct {
 }
 
 // ShardOutcome is one shard's slice of a gather: which fault-domain
-// state it ended in and the attempt accounting behind it.
+// state it ended in and the attempt accounting behind it.  It is also
+// the shard's entry in a response's coverage block.
 type ShardOutcome struct {
-	ID       int
-	Addr     string
-	State    string // ok | degraded | failed
-	TraceID  string
-	Attempts int
-	Hedged   bool
-	Elapsed  time.Duration
-	Err      error
+	ID       int           `json:"id"`
+	Addr     string        `json:"addr"`
+	State    string        `json:"state"` // ok | degraded | failed
+	TraceID  string        `json:"trace_id,omitempty"`
+	Attempts int           `json:"attempts,omitempty"`
+	Hedged   bool          `json:"hedged,omitempty"`
+	Elapsed  time.Duration `json:"elapsed_ns,omitempty"`
+	Error    string        `json:"error,omitempty"`
 }
 
 // GatherResult is one scatter-gather answer with its coverage.
@@ -74,6 +75,11 @@ type GatherResult struct {
 
 // Partial reports whether any fault domain is missing from the answer.
 func (g *GatherResult) Partial() bool { return g.Failed > 0 }
+
+// CoverageWire is the gather's coverage block.
+func (g *GatherResult) CoverageWire() *CoverageWire {
+	return &CoverageWire{Complete: g.Failed == 0, OK: g.OK, Degraded: g.Degraded, Failed: g.Failed, Shards: g.Coverage}
+}
 
 // ShardReady is one shard's slice of the coordinator's quorum /readyz.
 type ShardReady struct {
@@ -385,7 +391,7 @@ func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, t
 		}
 		if r.err != nil {
 			out.State = "failed"
-			out.Err = r.err
+			out.Error = r.err.Error()
 			g.Failed++
 			if ClientFault(r.err) {
 				clientFaults++
@@ -486,24 +492,25 @@ func (c *Coordinator) remap(shard int, ms []WireMatch) error {
 	return nil
 }
 
-// Window fetches n raw values of a global sequence from its owner
+// Window fills dst with raw values of a global sequence from its owner
 // shard — how the coordinator resolves a seq/start-addressed query
 // into the explicit value vector it fans out.  If the owner's fault
 // domain is down, the query cannot be resolved at all (the bytes live
 // nowhere else); callers surface that as unavailable rather than
 // guessing.
-func (c *Coordinator) Window(ctx context.Context, globalSeq, start, n int) ([]float64, error) {
+func (c *Coordinator) Window(ctx context.Context, globalSeq, start int, dst []float64) error {
 	shard, local, err := c.man.Owner(globalSeq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var ww WindowWire
 	if _, err := c.shards[shard].GetJSON(ctx,
-		fmt.Sprintf("/window?seq=%d&start=%d&len=%d", local, start, n), nil, &ww); err != nil {
-		return nil, fmt.Errorf("resolving sequence %d on shard %d: %w", globalSeq, shard, err)
+		fmt.Sprintf("/window?seq=%d&start=%d&len=%d", local, start, len(dst)), nil, &ww); err != nil {
+		return fmt.Errorf("resolving sequence %d on shard %d: %w", globalSeq, shard, err)
 	}
-	if len(ww.Values) != n {
-		return nil, fmt.Errorf("shard %d returned %d values for a %d-value window", shard, len(ww.Values), n)
+	if len(ww.Values) != len(dst) {
+		return fmt.Errorf("shard %d returned %d values for a %d-value window", shard, len(ww.Values), len(dst))
 	}
-	return ww.Values, nil
+	copy(dst, ww.Values)
+	return nil
 }
