@@ -101,8 +101,8 @@ var experiments = []experiment{
 			bytes, float64(bytes)/float64(max(windows, 1)))
 		return nil
 	}},
-	{"probe", "index phase vs ε: node reads, leaf checks, candidates and stage times per query", true, func(r *runner) error {
-		points, err := r.env.RunProbeSweep([]float64{0.001, 0.005, 0.02})
+	{"probe", "index phase vs ε: node reads, leaf checks, subtrees accepted whole, candidates and stage times per query", true, func(r *runner) error {
+		points, err := r.env.RunProbeSweep([]float64{0.001, 0.005, 0.02, 0.05})
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,7 @@ func TestBenchAblations(t *testing.T) {
 func TestBenchNN(t *testing.T) {
 	for exp, want := range map[string]string{
 		"nn":    "Nearest-neighbour",
-		"probe": "leaf-checks",
+		"probe": "leaf-checks    dir-tests   accepted     untested",
 		"shape": "per window",
 	} {
 		var sb strings.Builder

@@ -243,6 +243,10 @@ type ProbePoint struct {
 	// sphere tests of MBRs, box tests of a direction-box directory);
 	// Candidates counts what the probe hands the verifier.
 	Nodes, LeafChecks, DirTests, Candidates float64
+	// Accepted counts the directory entries accepted whole (every point
+	// beneath them within ε: the a ≈ 0 shell), Untested the leaf points
+	// they forwarded without a leaf check.
+	Accepted, Untested float64
 	// ProbeTime is the engine's probe stage, VerifyTime what follows it.
 	ProbeTime, VerifyTime time.Duration
 }
@@ -265,6 +269,8 @@ func (e *Env) RunProbeSweep(epsFracs []float64) ([]ProbePoint, error) {
 			LeafChecks: float64(agg.LeafEntriesChecked) / nq,
 			DirTests:   float64(agg.Penetration.SlabTests+agg.Penetration.SphereTests) / nq,
 			Candidates: float64(agg.Candidates) / nq,
+			Accepted:   float64(agg.SubtreesAccepted) / nq,
+			Untested:   float64(agg.LeafEntriesAccepted) / nq,
 			ProbeTime:  time.Duration(float64(agg.ProbeTime) / nq),
 			VerifyTime: time.Duration(float64(agg.VerifyTime) / nq),
 		})

@@ -133,12 +133,12 @@ func WriteAblationTable(w io.Writer, title string, rows []AblationRow) error {
 // WriteProbeTable renders a RunProbeSweep result.
 func WriteProbeTable(w io.Writer, points []ProbePoint) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s %12s %12s\n", "eps/scale", "nodes", "leaf-checks", "dir-tests", "candidates", "probe/query", "verify/query")
-	b.WriteString(strings.Repeat("-", 86))
+	fmt.Fprintf(&b, "%-10s %10s %12s %12s %10s %12s %12s %12s %12s\n", "eps/scale", "nodes", "leaf-checks", "dir-tests", "accepted", "untested", "candidates", "probe/query", "verify/query")
+	b.WriteString(strings.Repeat("-", 110))
 	b.WriteByte('\n')
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-10.3f %10.1f %12.1f %12.1f %12.1f %12s %12s\n",
-			p.EpsFrac, p.Nodes, p.LeafChecks, p.DirTests, p.Candidates, fmtDuration(p.ProbeTime), fmtDuration(p.VerifyTime))
+		fmt.Fprintf(&b, "%-10.3f %10.1f %12.1f %12.1f %10.1f %12.1f %12.1f %12s %12s\n",
+			p.EpsFrac, p.Nodes, p.LeafChecks, p.DirTests, p.Accepted, p.Untested, p.Candidates, fmtDuration(p.ProbeTime), fmtDuration(p.VerifyTime))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

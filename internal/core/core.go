@@ -171,6 +171,11 @@ type SearchStats struct {
 	NormCertified int
 	// LeafEntriesChecked counts leaf feature points compared.
 	LeafEntriesChecked int
+	// SubtreesAccepted counts directory entries the index phase accepted
+	// whole — every point beneath them within ε of the SE-line, the
+	// a ≈ 0 shell — and LeafEntriesAccepted the leaf points they
+	// forwarded without a comparison (see rtree.SearchStats).
+	SubtreesAccepted, LeafEntriesAccepted int
 	// Penetration counts geometric pruning primitives.
 	Penetration geom.CheckStats
 	// PlanTime, ProbeTime, and VerifyTime are the wall-clock totals of
@@ -211,6 +216,8 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.ExactChecks += o.ExactChecks
 	s.NormCertified += o.NormCertified
 	s.LeafEntriesChecked += o.LeafEntriesChecked
+	s.SubtreesAccepted += o.SubtreesAccepted
+	s.LeafEntriesAccepted += o.LeafEntriesAccepted
 	s.Penetration.Add(o.Penetration)
 	s.PlanTime += o.PlanTime
 	s.ProbeTime += o.ProbeTime
@@ -252,6 +259,8 @@ func (s SearchStats) CheckInvariants() error {
 		{"ExactChecks", s.ExactChecks},
 		{"NormCertified", s.NormCertified},
 		{"LeafEntriesChecked", s.LeafEntriesChecked},
+		{"SubtreesAccepted", s.SubtreesAccepted},
+		{"LeafEntriesAccepted", s.LeafEntriesAccepted},
 		{"DegradedProbes", s.DegradedProbes},
 	} {
 		if c.value < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -19,10 +20,11 @@ type queryScratch struct {
 	// ids holds the candidates — the windows the index phase proposes —
 	// as the packed ids the index leaves store (store.EncodeWindowID),
 	// whose integer order is (seq, start) order: appended by the probes
-	// in leaf order, then sorted into storage order for the verifier.
+	// in leaf order, then put in storage order for the verifier
+	// (orderIDs).
 	ids []int64
-	// spare is the radix sort's second buffer.
-	spare   []int64
+	// bits is orderIDs' window bitmap, all zero between queries.
+	bits    []uint64
 	workers []verifyWorker
 	// sample receives the planner-sample distances of the frozen segment
 	// being planned.
@@ -57,7 +59,7 @@ func acquireScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 func (sc *queryScratch) release() {
 	sc.probeTally = probeTally{}
 	sc.ids = pooled(sc.ids, maxPooledIDs)
-	sc.spare = pooled(sc.spare, maxPooledIDs)
+	sc.bits = pooled(sc.bits, maxPooledIDs)
 	sc.sample = pooled(sc.sample, maxPooledIDs)
 	sc.nnDist = pooled(sc.nnDist, maxPooledIDs)
 	sc.nnHeap = pooled(sc.nnHeap, maxPooledIDs)
@@ -108,70 +110,81 @@ func alignPieceHits(ids []int64, first, off, queryLen int, sv storeView) []int64
 	return kept
 }
 
-// radixMinLen is the length below which a comparison sort beats the
-// radix sort's fixed histogram cost.
-const radixMinLen = 256
+// windowBits lays out one bit per window of a store view in (seq,
+// start) order — the integer order of the packed window ids — for
+// orderIDs: sequence seq owns words [words[seq], words[seq+1]) and its
+// window at start s is bit s of them.  A manifest derives it once, the
+// first time a query needs it (manifest.windowBits).
+type windowBits struct {
+	words []int
+}
 
-// sortIDs sorts ids ascending — for window ids, (seq, start) order —
-// with spare as working memory, returning the sorted slice and the
-// other buffer (the two may have traded places).  It is an LSD byte
-// radix sort over only the bytes in which the ids differ: ids of one
-// store share their high seq and start bytes, so a paper-scale
-// candidate set takes four counting passes instead of
-// n·log n comparisons.  Already-sorted input (the scan path emits in
-// storage order) costs the one detection pass.
-func sortIDs(ids, spare []int64) (sorted, other []int64) {
-	if len(ids) < radixMinLen {
-		slices.Sort(ids)
-		return ids, spare
+func newWindowBits(sv storeView, windowLen int) windowBits {
+	words := make([]int, sv.NumSequences()+1)
+	for seq := range sv.NumSequences() {
+		words[seq+1] = words[seq] + (max(sv.SequenceLen(seq)-windowLen+1, 0)+63)/64
 	}
-	// Flipping the sign bit maps int64 order onto uint64 order, so the
-	// byte passes are right for negative ids too.
-	const signBit = 1 << 63
-	var diff uint64
-	inOrder := true
-	for i, id := range ids[1:] {
-		diff |= uint64(id ^ ids[0])
-		inOrder = inOrder && ids[i] <= id
+	return windowBits{words: words}
+}
+
+// bitmapWordsPerID is the density from which orderIDs sets and scans the
+// window bitmap instead of sorting: at least one candidate per this many
+// bitmap words.  Below it slices.Sort's n·log n comparisons cost less
+// than clearing and scanning the words.  BenchmarkOrderIDs measures the
+// two at paper scale (9 000 words): they cross near 900 ids, 11.7 µs each
+// on the 2-vCPU box; at a loose query's 68 565 the bitmap takes 0.27 ms
+// and the sort 5.4 ms.
+const bitmapWordsPerID = 10
+
+// orderIDs puts sc.ids — the windows of the store view laid out by wb,
+// in any order, duplicates allowed (a long query's pieces propose common
+// alignments) — in (seq, start) order without duplicates, the order the
+// verifier walks the store in: by the window bitmap when the set is
+// dense enough, by sorting otherwise, or when an id lies outside the
+// layout (none does, on a consistent manifest).
+func (sc *queryScratch) orderIDs(wb *windowBits) {
+	if len(sc.ids)*bitmapWordsPerID < wb.words[len(wb.words)-1] || !sc.bitmapOrder(wb) {
+		slices.Sort(sc.ids)
+		sc.ids = slices.Compact(sc.ids)
 	}
-	if inOrder {
-		return ids, spare
+}
+
+// bitmapOrder orders sc.ids as orderIDs does by setting one bit per id in
+// sc.bits and reading the bits back in order, clearing them as it goes.
+// It reports false, with sc.ids as they were and the bitmap clear again,
+// when an id lies outside wb.
+func (sc *queryScratch) bitmapOrder(wb *windowBits) bool {
+	ids, total := sc.ids, wb.words[len(wb.words)-1]
+	if cap(sc.bits) < total {
+		sc.bits = make([]uint64, total)
 	}
-	var shifts [8]uint
-	passes := 0
-	for b := uint(0); b < 64; b += 8 {
-		if diff>>b&0xff != 0 {
-			shifts[passes] = b
-			passes++
+	set := sc.bits[:total]
+	ns := len(wb.words) - 1
+	for i, id := range ids {
+		seq, start := int(id>>32), int(uint32(id))
+		if uint(seq) >= uint(ns) || start >= 64*(wb.words[seq+1]-wb.words[seq]) {
+			for _, id := range ids[:i] {
+				set[wb.words[id>>32]+int(uint32(id))/64] = 0
+			}
+			return false
+		}
+		set[wb.words[seq]+start/64] |= 1 << (start % 64)
+	}
+	out := ids[:0]
+	for seq := range ns {
+		base := store.EncodeWindowID(seq, 0)
+		for w := wb.words[seq]; w < wb.words[seq+1]; w++ {
+			word := set[w]
+			if word == 0 {
+				continue
+			}
+			set[w] = 0
+			start := base + int64(64*(w-wb.words[seq]))
+			for ; word != 0; word &= word - 1 {
+				out = append(out, start+int64(bits.TrailingZeros64(word)))
+			}
 		}
 	}
-	// One read fills every pass's histogram: a stable pass permutes the
-	// ids but not how many carry each digit.
-	var counts [8][256]int
-	for _, id := range ids {
-		key := uint64(id) ^ signBit
-		for p := 0; p < passes; p++ {
-			counts[p][byte(key>>shifts[p])]++
-		}
-	}
-	if cap(spare) < len(ids) {
-		// Same capacity as ids: the two buffers trade places.
-		spare = make([]int64, cap(ids))
-	}
-	src, dst := ids, spare[:len(ids)]
-	for p := 0; p < passes; p++ {
-		next := &counts[p]
-		pos := 0
-		for d, c := range next {
-			next[d] = pos
-			pos += c
-		}
-		for _, id := range src {
-			d := byte((uint64(id) ^ signBit) >> shifts[p])
-			dst[next[d]] = id
-			next[d]++
-		}
-		src, dst = dst, src
-	}
-	return src, dst
+	sc.ids = out
+	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,46 +15,96 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// TestSortIDsMatchesSlicesSort holds the radix order to slices.Sort on
-// the shapes the executor meets — leaf-order ids of one store, the scan
-// path's already-sorted ids, duplicates, ids that differ in one byte or
-// above the low 16 bits of either half — and around the comparison-sort
-// cutover.
-func TestSortIDsMatchesSlicesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	gens := map[string]func(i int) int64{
-		"random windows": func(int) int64 { return store.EncodeWindowID(r.Intn(1000), r.Intn(523)) },
-		"already sorted": func(i int) int64 { return store.EncodeWindowID(i/300, i%300) },
-		"reversed":       func(i int) int64 { return store.EncodeWindowID(4000-i/300, 299-i%300) },
-		"all equal":      func(int) int64 { return store.EncodeWindowID(7, 99) },
-		"one byte":       func(int) int64 { return store.EncodeWindowID(3, 0x4200+r.Intn(256)) },
-		"few distinct":   func(int) int64 { return store.EncodeWindowID(r.Intn(2), r.Intn(3)) },
-		"seq above 2^16": func(int) int64 { return store.EncodeWindowID(1<<16+r.Intn(1<<20), r.Intn(523)) },
-		"start above 2^16": func(int) int64 {
-			return store.EncodeWindowID(r.Intn(50), 1<<16+r.Intn(1<<24))
-		},
-		"every byte":   func(int) int64 { return int64(r.Uint64() >> 1) },
-		"negative too": func(int) int64 { return int64(r.Uint64()) },
+// windowIDs returns every window id of sv at window length n, in
+// storage order.
+func windowIDs(sv storeView, n int) []int64 {
+	var all []int64
+	for seq := range sv.NumSequences() {
+		for start := 0; start+n <= sv.SequenceLen(seq); start++ {
+			all = append(all, store.EncodeWindowID(seq, start))
+		}
 	}
-	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, 255, 256, 257, 1000, 5000} {
-			ids := make([]int64, n)
-			for i := range ids {
-				ids[i] = gen(i)
+	return all
+}
+
+// sortCompact is the order orderIDs must produce: slices.Sort, then
+// slices.Compact, over a copy of ids.
+func sortCompact(ids []int64) []int64 {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestSortIDsMatchesSlicesSort holds orderIDs to slices.Sort followed by
+// slices.Compact over valid window ids of two store views: a store whose
+// sequences were grown — packed pages and tails, window counts on and
+// either side of a 64-bit word, sequences too short for a window — and
+// the snapshot a segmented index with frozen segments and a delta
+// answers from.  The inputs are the shapes the executor meets — leaf
+// order, the scan's storage order, reversed, duplicates (a long query's
+// pieces), one window many times — at sizes on both sides of the
+// bitmap cutover; an id outside the layout takes the sort.  Between
+// calls the pooled bitmap must be all zero again.
+func TestSortIDsMatchesSlicesSort(t *testing.T) {
+	const n = 32
+	grown := store.New()
+	for i, l := range []int{n - 1, n, n + 63, n + 64, 2*n + 100, 650, n + 127, 0, 3*store.ValuesPerPage + 5} {
+		seq := grown.AppendSequence(fmt.Sprintf("s%d", i), make([]float64, l/2))
+		if err := grown.ExtendSequence(seq, make([]float64, l-l/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newSegmentedExecFixture(t, 40)
+	snap := f.g.cell.Acquire()
+	defer snap.Release()
+	views := []struct {
+		name string
+		sv   storeView
+		n    int
+	}{
+		{"grown store", grown, n},
+		{"segmented with a delta", snap.Value().sv, snap.Value().opts.WindowLen},
+	}
+	r := rand.New(rand.NewSource(13))
+	sc := &queryScratch{}
+	for _, v := range views {
+		wb := newWindowBits(v.sv, v.n)
+		all := windowIDs(v.sv, v.n)
+		cut := (wb.words[len(wb.words)-1] + bitmapWordsPerID - 1) / bitmapWordsPerID
+		gens := map[string]func(i int) int64{
+			"random":         func(int) int64 { return all[r.Intn(len(all))] },
+			"already sorted": func(i int) int64 { return all[i%len(all)] },
+			"reversed":       func(i int) int64 { return all[len(all)-1-i%len(all)] },
+			"all equal":      func(int) int64 { return all[len(all)/2] },
+			"few distinct":   func(int) int64 { return all[r.Intn(3)] },
+			"pairs":          func(i int) int64 { return all[(i/2*7919)%len(all)] },
+		}
+		for name, gen := range gens {
+			for _, size := range []int{0, 1, 2, 255, cut - 1, cut, cut + 1, len(all), 2 * len(all)} {
+				in := make([]int64, max(size, 0))
+				for i := range in {
+					in[i] = gen(i)
+				}
+				want := sortCompact(in)
+				sc.ids = slices.Clone(in)
+				sc.orderIDs(&wb)
+				if !slices.Equal(sc.ids, want) {
+					t.Fatalf("%s, %s, %d ids: %d ordered, slices.Sort+Compact gives %d", v.name, name, size, len(sc.ids), len(want))
+				}
+				if slices.ContainsFunc(sc.bits[:cap(sc.bits)], func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("%s, %s, %d ids: the bitmap was left dirty", v.name, name, size)
+				}
 			}
-			want := slices.Clone(ids)
-			slices.Sort(want)
-			// A spare too small for the input must be replaced, one large
-			// enough reused.
-			for _, spare := range [][]int64{nil, make([]int64, 0, n)} {
-				in := slices.Clone(ids)
-				sorted, other := sortIDs(in, spare)
-				if !slices.Equal(sorted, want) {
-					t.Fatalf("%s, n=%d: radix order differs from slices.Sort", name, n)
-				}
-				if len(other) > 0 && len(sorted) > 0 && &other[:1][0] == &sorted[0] {
-					t.Fatalf("%s, n=%d: sorted and spare buffers alias", name, n)
-				}
+		}
+		// A window the layout does not hold sends a dense set to the sort.
+		for _, stray := range []int64{store.EncodeWindowID(v.sv.NumSequences(), 0), store.EncodeWindowID(0, 1<<20), -1} {
+			in := append(slices.Clone(all), stray)
+			r.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+			want := sortCompact(in)
+			sc.ids = in
+			sc.orderIDs(&wb)
+			if !slices.Equal(sc.ids, want) || slices.ContainsFunc(sc.bits[:cap(sc.bits)], func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("%s: stray id %#x: wrong order or a dirty bitmap", v.name, stray)
 			}
 		}
 	}
@@ -130,6 +181,42 @@ func TestLongQueryOverlappingProposals(t *testing.T) {
 			math.Float64bits(m.Scale) != math.Float64bits(s.Scale) ||
 			math.Float64bits(m.Shift) != math.Float64bits(s.Shift) {
 			t.Fatalf("match %d = %+v, scan has %+v", i, m, s)
+		}
+	}
+}
+
+// BenchmarkOrderIDs measures the two ways orderIDs can order a candidate
+// set over the paper-scale store view (1000 sequences × 650 values,
+// windows of 128: 523 000 windows in 9 000 bitmap words), at set sizes
+// from a tight query's to a loose one's, the ids in a random order as a
+// probe emits them.  Where bitmap/op drops below sort/op is what
+// bitmapWordsPerID encodes.
+func BenchmarkOrderIDs(b *testing.B) {
+	st := store.New()
+	for seq := 0; seq < 1000; seq++ {
+		st.AppendSequence(fmt.Sprintf("s%d", seq), make([]float64, 650))
+	}
+	wb := newWindowBits(st, DefaultOptions().WindowLen)
+	all := windowIDs(st, DefaultOptions().WindowLen)
+	r := rand.New(rand.NewSource(17))
+	for _, size := range []int{64, 512, 768, 900, 1024, 2048, 4096, 16384, 68565} {
+		in := make([]int64, size)
+		for i, k := range r.Perm(len(all))[:size] {
+			in[i] = all[k]
+		}
+		for _, method := range []string{"sort", "bitmap"} {
+			b.Run(fmt.Sprintf("ids=%d/%s", size, method), func(b *testing.B) {
+				sc := &queryScratch{ids: make([]int64, 0, size)}
+				for i := 0; i < b.N; i++ {
+					sc.ids = append(sc.ids[:0], in...)
+					if method == "sort" {
+						slices.Sort(sc.ids)
+						sc.ids = slices.Compact(sc.ids)
+					} else if !sc.bitmapOrder(&wb) {
+						b.Fatal("an id outside the layout")
+					}
+				}
+			})
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -628,12 +627,11 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	// verifier then walks the store sequentially (adjacent windows share
 	// all but one sample and a prefix-sum line), the matches are born in
 	// answer order, and the alignments several pieces of a long query
-	// proposed in common become adjacent duplicates.
+	// proposed in common are merged.
 	verifyStart := time.Now()
 	verifyCtx, verifySpan := obs.StartSpan(ctx, "verify")
-	sc.ids, sc.spare = sortIDs(sc.ids, sc.spare)
+	sc.orderIDs(m.windowBits())
 	if long {
-		sc.ids = slices.Compact(sc.ids)
 		ex.Pieces = pieces
 	}
 	cands := len(sc.ids)
@@ -663,21 +661,23 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	ex.NormCertified = vd.normCertified
 
 	*delta = SearchStats{
-		IndexNodeAccesses:  sc.tree.NodeAccesses,
-		DataPageAccesses:   pc.Distinct(),
-		Candidates:         cands,
-		FalseAlarms:        vd.falseAlarms,
-		CostRejected:       vd.costRejected,
-		Results:            vd.matches,
-		ExactChecks:        vd.exactChecks,
-		NormCertified:      vd.normCertified,
-		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
-		Penetration:        sc.tree.Penetration,
-		PlanTime:           ex.PlanTime,
-		ProbeTime:          ex.ProbeTime,
-		VerifyTime:         ex.VerifyTime,
-		PathProbes:         sc.paths,
-		DegradedProbes:     sc.degraded,
+		IndexNodeAccesses:   sc.tree.NodeAccesses,
+		DataPageAccesses:    pc.Distinct(),
+		Candidates:          cands,
+		FalseAlarms:         vd.falseAlarms,
+		CostRejected:        vd.costRejected,
+		Results:             vd.matches,
+		ExactChecks:         vd.exactChecks,
+		NormCertified:       vd.normCertified,
+		LeafEntriesChecked:  sc.tree.LeafEntriesChecked,
+		SubtreesAccepted:    sc.tree.SubtreesAccepted,
+		LeafEntriesAccepted: sc.tree.LeafEntriesAccepted,
+		Penetration:         sc.tree.Penetration,
+		PlanTime:            ex.PlanTime,
+		ProbeTime:           ex.ProbeTime,
+		VerifyTime:          ex.VerifyTime,
+		PathProbes:          sc.paths,
+		DegradedProbes:      sc.degraded,
 	}
 	return Result{Matches: out, Total: vd.matches, Explain: ex}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"scaleshift/internal/dft"
@@ -155,6 +156,16 @@ type manifest struct {
 	// the delta's included (a monotone overestimate is safe: the exact
 	// verifier reapplies the caller's epsilon).
 	slack float64
+	// bits lays out sv's windows for ordering candidates (orderIDs),
+	// derived on first use.
+	bitsOnce sync.Once
+	bits     windowBits
+}
+
+// windowBits returns the window bitmap layout of m's store view.
+func (m *manifest) windowBits() *windowBits {
+	m.bitsOnce.Do(func() { m.bits = newWindowBits(m.sv, m.opts.WindowLen) })
+	return &m.bits
 }
 
 // windowCount is the manifest's candidate universe size.

@@ -404,10 +404,12 @@ type Backlog struct {
 	FrozenWindows int
 	DeltaWindows  int
 	// Compactions counts completed compactions; the pause fields
-	// distribute the manifest-swap stall (the lock-held phase 3).
+	// distribute the manifest-swap stall (the lock-held phase 3) over the
+	// last 1 024 compactions.
 	Compactions     int
 	CompactPauseMax time.Duration
 	CompactPauseP99 time.Duration
+	CompactPauseP50 time.Duration
 	// LastCompactErr is the most recent compaction failure, empty
 	// after any success.
 	LastCompactErr string
@@ -434,6 +436,7 @@ func (g *SegmentedIndex) Backlog() Backlog {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		b.CompactPauseMax = sorted[len(sorted)-1]
 		b.CompactPauseP99 = sorted[int(0.99*float64(len(sorted)-1))]
+		b.CompactPauseP50 = sorted[(len(sorted)-1)/2]
 	}
 	return b
 }

@@ -65,6 +65,13 @@ type Cone struct {
 	// rFloor is the least norm a qualifying point can have, when that is
 	// more than an entry's own r_lo tells: max(RMin, 0).
 	rFloor float64
+	// Accept is the greatest r_hi at which an entry of a line probe may be
+	// accepted whole: when r_hi ≤ Accept, every stored point beneath the
+	// entry is within ε of the line by vec.PLDFast's own arithmetic, so
+	// the leaf kernel would admit each of them (see shellAccept).  −Inf —
+	// nothing is accepted — for a segment, a point, and a probe outside
+	// the range the margin is proved for.
+	Accept float64
 	// off is the distance from the origin to the line.
 	off float64
 	// point marks a degenerate direction: nothing is known about angles.
@@ -75,7 +82,7 @@ type Cone struct {
 // [tMin, tMax] of it when segment is set — reusing cn.Dir.
 func PrepareCone(cn *Cone, l vec.Line, eps, tMin, tMax float64, segment bool) {
 	dir := cn.Dir[:0]
-	*cn = Cone{MaxSq: math.Inf(1), RMin: math.Inf(-1), RMax: math.Inf(1)}
+	*cn = Cone{MaxSq: math.Inf(1), RMin: math.Inf(-1), RMax: math.Inf(1), Accept: math.Inf(-1)}
 	var s float64
 	for _, d := range l.D {
 		s = max(s, math.Abs(d))
@@ -126,6 +133,9 @@ func PrepareCone(cn *Cone, l vec.Line, eps, tMin, tMax float64, segment bool) {
 	cn.off = off + conePad*pn
 	// Floored where ε² would underflow: a bound that small enters.
 	cn.MaxSq = max((eps+cn.off)*(eps+cn.off)*(1+coneSlack), 0x1p-1000)
+	if !segment {
+		cn.Accept = shellAccept(eps, cn.off, pn, s, len(l.D))
+	}
 	if !segment || tMin > tMax {
 		return
 	}
@@ -138,6 +148,28 @@ func PrepareCone(cn *Cone, l vec.Line, eps, tMin, tMax float64, segment bool) {
 	}
 	cn.RMin, cn.RMax = shellAround(math.Hypot(max(off-conePad*pn, 0), lo), math.Hypot(cn.off, hi), eps, pn)
 	cn.rFloor = max(cn.RMin, 0)
+}
+
+// shellAccept returns Cone.Accept for the line whose direction's largest
+// component is s, whose point has norm pn and which passes off (padded)
+// from the origin, probed at eps in dim dimensions.  Every point lies
+// within ‖p‖ + off of a line that passes off from the origin, so an entry
+// whose norms are all within eps − off matches whole — the a ≈ 0 shell
+// of Lemma 2, decided once for its subtree.  The margin keeps the
+// accepted set inside what the leaf kernel admits (DESIGN §5 item 10):
+// a stored norm r may sit 2⁻²⁴ of itself below the norm it rounds, and
+// the kernel's one-pass qpQp − qpD²/dd may overshoot the true distance
+// by σ·‖p − P‖, σ = 2√((dim+5)·2⁻⁵³); the constants below carry at least
+// a factor two over each.  Inside the guarded range — 2⁻²⁰⁰ ≤ s ≤ 2²⁰⁰,
+// pn and eps at most 2²⁰⁰ — nothing in the kernel overflows and its
+// underflows are absorbed by the 2⁻¹⁴⁰ term; outside it, and for a NaN
+// anywhere, nothing is accepted.
+func shellAccept(eps, off, pn, s float64, dim int) float64 {
+	if !(s >= 0x1p-200 && s <= 0x1p200 && pn <= 0x1p200 && eps <= 0x1p200) {
+		return math.Inf(-1)
+	}
+	sigma := 2 * math.Sqrt(float64(dim+5)*0x1p-53)
+	return (eps*(1-0x1p-40) - off - 2*sigma*pn - 0x1p-140) / ((1 + 0x1p-21) * (1 + sigma))
 }
 
 // shellAround returns the norms within eps of a probe whose own points

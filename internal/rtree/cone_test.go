@@ -249,8 +249,8 @@ func boxCorruptions(t testing.TB, f *FlatTree) map[string][]byte {
 }
 
 // TestValidateDirectionBox requires Validate to refuse each of
-// boxCorruptions and an unknown directory kind, and FlatFromArena to
-// refuse a header that names one.
+// boxCorruptions, children out of pre-order and an unknown directory
+// kind, and FlatFromArena to refuse a header that names one.
 func TestValidateDirectionBox(t *testing.T) {
 	f, _ := boxTree(t, rand.New(rand.NewSource(79)), Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}, 300)
 	for what, arena := range boxCorruptions(t, f) {
@@ -264,7 +264,22 @@ func TestValidateDirectionBox(t *testing.T) {
 		}
 		t.Logf("%s: %v", what, err)
 	}
+	// Two children swapped: every extent still holds, but the subtree an
+	// accepted entry emits is a node range, which is right only pre-order.
 	g, _, err := FlatFromArena(f.AppendArena(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.meta {
+		if s, e := g.nodeEntries(i); g.nodeLevel(i) == 1 && e-s >= 2 {
+			g.refs[s], g.refs[s+1] = g.refs[s+1], g.refs[s]
+			break
+		}
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "pre-order") {
+		t.Fatalf("children out of pre-order: Validate says %v", err)
+	}
+	g, _, err = FlatFromArena(f.AppendArena(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -424,6 +424,26 @@ func (f *FlatTree) Validate() error {
 	if maxNode != f.maxNode {
 		return fmt.Errorf("rtree: flat arena: max node size %d but %d recorded", maxNode, f.maxNode)
 	}
+	// A direction-box descent accepts a subtree as the node range from its
+	// child to the next entry's (descend), so such an arena is laid out
+	// pre-order, as emitFlat writes it: a node's first child follows it,
+	// and every further child starts where its predecessor's subtree ends.
+	if f.dir == dirCone {
+		end := make([]int, numNodes)
+		for i := numNodes - 1; i >= 0; i-- {
+			s, e := f.nodeEntries(i)
+			end[i] = i + 1
+			for ei := s; ei < e && f.nodeLevel(i) > 0; ei++ {
+				if ci := int(f.refs[ei]); ci != end[i] {
+					return fmt.Errorf("rtree: flat arena: entry %d of node %d references node %d, but the direction-box layout is pre-order and puts that child at node %d", ei, i, ci, end[i])
+				}
+				end[i] = end[end[i]]
+			}
+		}
+		if end[0] != numNodes {
+			return fmt.Errorf("rtree: flat arena: the root's subtree ends at node %d of %d", end[0], numNodes)
+		}
+	}
 	// Every plane value is finite, every extent well-formed (L <= H per
 	// row), and every child sits inside the entry referencing it.  The
 	// root's entries are checked on their own; every other node's are

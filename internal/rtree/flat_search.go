@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
@@ -37,6 +38,12 @@ type SearchStats struct {
 	NodeAccesses int
 	// LeafEntriesChecked counts leaf items whose distance was evaluated.
 	LeafEntriesChecked int
+	// SubtreesAccepted counts directory entries accepted whole (the a ≈ 0
+	// shell: every point beneath within ε of the line), and
+	// LeafEntriesAccepted the leaf items they emitted untested.  A leaf
+	// emitted that way is one node access; the directory nodes between it
+	// and the accepted entry are not read, and not counted.
+	SubtreesAccepted, LeafEntriesAccepted int
 	// Penetration counts the geometric primitives used while pruning.
 	Penetration geom.CheckStats
 }
@@ -45,6 +52,8 @@ type SearchStats struct {
 func (s *SearchStats) Add(o SearchStats) {
 	s.NodeAccesses += o.NodeAccesses
 	s.LeafEntriesChecked += o.LeafEntriesChecked
+	s.SubtreesAccepted += o.SubtreesAccepted
+	s.LeafEntriesAccepted += o.LeafEntriesAccepted
 	s.Penetration.Add(o.Penetration)
 }
 
@@ -67,6 +76,10 @@ type lineQuery struct {
 	// cone is the probe as a direction-box directory tests it, prepared
 	// by arenaQuery when the arena has one.
 	cone geom.Cone
+	// accept is the greatest r_hi of a direction-box entry the descent
+	// accepts whole (geom.Cone.Accept), −Inf under any other directory:
+	// set once per probe by arenaQuery.
+	accept float64
 }
 
 // flatScratch holds the per-search reusable buffers.  Verdicts of
@@ -145,9 +158,11 @@ func (f *FlatTree) arenaQuery(q lineQuery, sc *flatScratch) lineQuery {
 	q.eps *= f.q.inv
 	q.tMin *= f.q.inv
 	q.tMax *= f.q.inv
+	q.accept = math.Inf(-1)
 	if f.dir == dirCone {
 		q.cone.Dir = sc.dir
 		geom.PrepareCone(&q.cone, q.l, q.eps, q.tMin, q.tMax, q.segment)
+		q.accept = q.cone.Accept
 	}
 	return q
 }
@@ -220,11 +235,20 @@ func (q *lineQuery) penetrated(pl geom.Planes[float32], cone bool, sc *geom.Batc
 
 // descend visits every node under ni whose ε-enlarged MBR q penetrates,
 // entries in slot order, depth first, polling ctx at every node visit —
-// the natural cancellation grain: a node is one page of work.  Each
-// qualifying leaf entry k of the leaf at entry offset s (planes pl) is
-// handed to hit.  q is in arena units.  On cancellation the hits so far
-// stand and ctx.Err() is returned.
-func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.Planes[float32], s, k int)) error {
+// the natural cancellation grain: a node is one page of work.  The
+// qualifying entries of a leaf are handed to hit as runs: hit(pl, s,
+// from, to) passes slots [from, to) of the leaf whose planes are pl and
+// whose entries start at entry offset s.  q is in arena units.  On
+// cancellation the hits so far stand and ctx.Err() is returned.
+//
+// Nodes are laid out pre-order (emitFlat; Validate holds a direction-box
+// arena to it), so the subtree under ni is the node range [ni, end), and
+// the subtree under entry k the range from its child to the next entry's
+// child, or to end for the last entry.  An entered entry whose r_hi is at
+// most q.accept is accepted whole: acceptSubtree hands every leaf of that
+// range to hit, in the order the descent would, without testing anything
+// below it.
+func (f *FlatTree) descend(ctx context.Context, ni, end int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.Planes[float32], s, from, to int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -236,6 +260,7 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 	s, e := f.nodeEntries(ni)
 	c := e - s
 	lvl := f.nodeLevel(ni)
+	pl := f.nodePlanes(ni)
 	if lvl == 0 {
 		if stats != nil {
 			stats.LeafEntriesChecked += c
@@ -243,7 +268,6 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 		if c == 0 {
 			return nil
 		}
-		pl := f.nodePlanes(ni)
 		if q.segment {
 			vec.PSegDFastBatch(pl.Data, c, c, q.l, q.tMin, q.tMax, sc.qpD, sc.qpQp, sc.dist)
 		} else {
@@ -251,20 +275,59 @@ func (f *FlatTree) descend(ctx context.Context, ni int, q *lineQuery, stats *Sea
 		}
 		for k, d := range sc.dist[:c] {
 			if d <= q.eps {
-				hit(pl, s, k)
+				hit(pl, s, k, k+1)
 			}
 		}
 		return nil
 	}
 	// The verdicts must survive the recursion below, which reuses sc.bs.
 	verdict := sc.levels[lvl][:c]
-	copy(verdict, q.penetrated(f.nodePlanes(ni), f.dir == dirCone, &sc.bs, pen))
+	copy(verdict, q.penetrated(pl, f.dir == dirCone, &sc.bs, pen))
+	rHi := pl.HRow(0) // r_hi under a direction-box directory
 	for k, in := range verdict {
-		if in {
-			if err := f.descend(ctx, f.child(ni, s+k), q, stats, sc, hit); err != nil {
-				return err
-			}
+		if !in {
+			continue
 		}
+		child, next := f.child(ni, s+k), end
+		if k+1 < c {
+			next = int(f.refs[s+k+1])
+		}
+		var err error
+		if float64(rHi[k]) <= q.accept {
+			err = f.acceptSubtree(ctx, child, next, stats, hit)
+		} else {
+			err = f.descend(ctx, child, next, q, stats, sc, hit)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// acceptSubtree hands the leaves among nodes [from, to) — one accepted
+// subtree — to hit whole, polling ctx once.  Only the node levels and the
+// entry ranges are read, never a plane.
+func (f *FlatTree) acceptSubtree(ctx context.Context, from, to int, stats *SearchStats, hit func(pl geom.Planes[float32], s, from, to int)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if to <= from || to > len(f.meta) {
+		panic(fmt.Sprintf("rtree: corrupt flat arena: subtree of node %d ends at node %d of %d; verify the artifact before serving", from, to, len(f.meta)))
+	}
+	if stats != nil {
+		stats.SubtreesAccepted++
+	}
+	for i := from; i < to; i++ {
+		if f.nodeLevel(i) != 0 {
+			continue
+		}
+		s, e := f.nodeEntries(i)
+		if stats != nil {
+			stats.NodeAccesses += f.nodePages(i)
+			stats.LeafEntriesAccepted += e - s
+		}
+		hit(f.nodePlanes(i), s, 0, e-s)
 	}
 	return nil
 }
@@ -276,8 +339,10 @@ func (f *FlatTree) searchItems(q lineQuery, stats *SearchStats) []Item {
 	q = f.arenaQuery(q, sc)
 	var out []Item
 	// A background context never cancels, so the descent cannot fail.
-	_ = f.descend(context.Background(), 0, &q, stats, sc, func(pl geom.Planes[float32], s, k int) {
-		out = append(out, f.leafItem(s+k, pl, k))
+	_ = f.descend(context.Background(), 0, len(f.meta), &q, stats, sc, func(pl geom.Planes[float32], s, from, to int) {
+		for k := from; k < to; k++ {
+			out = append(out, f.leafItem(s+k, pl, k))
+		}
 	})
 	return out
 }
@@ -289,8 +354,10 @@ func (f *FlatTree) searchIDs(ctx context.Context, q lineQuery, stats *SearchStat
 	nb, lb := descentBefore(stats)
 	sc := f.getScratch()
 	q = f.arenaQuery(q, sc)
-	err := f.descend(ctx, 0, &q, stats, sc, func(_ geom.Planes[float32], s, k int) {
-		ids = append(ids, int64(f.refs[s+k]))
+	err := f.descend(ctx, 0, len(f.meta), &q, stats, sc, func(_ geom.Planes[float32], s, from, to int) {
+		for _, ref := range f.refs[s+from : s+to] {
+			ids = append(ids, int64(ref))
+		}
 	})
 	f.putScratch(sc)
 	recordDescent(stats, nb, lb)
