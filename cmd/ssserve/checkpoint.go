@@ -23,6 +23,7 @@ var ckm struct {
 	once sync.Once
 
 	checkpoints *obs.Counter
+	bytes       *obs.Counter
 	capture     *obs.Histogram
 	install     *obs.Histogram
 	truncateDur *obs.Histogram
@@ -30,20 +31,23 @@ var ckm struct {
 
 func initCkptMetrics() {
 	r := obs.Default
-	const help = "Checkpoint phase latency, by phase: capture (ingest quiesced), install (serialize + durable write), truncate (WAL prefix drop)."
+	const help = "Checkpoint phase latency, by phase: capture (ingest quiesced), install (new segment files + manifest, durable), truncate (WAL prefix drop)."
 	ckm.checkpoints = r.Counter("scaleshift_checkpoints_total", "Durable checkpoints installed.")
+	ckm.bytes = r.Counter("scaleshift_checkpoint_bytes_total", "Bytes checkpoints wrote: new segment files and manifests.")
 	ckm.capture = r.DurationHistogram("scaleshift_checkpoint_phase_seconds", help, obs.Label{Key: "phase", Value: "capture"})
 	ckm.install = r.DurationHistogram("scaleshift_checkpoint_phase_seconds", help, obs.Label{Key: "phase", Value: "install"})
 	ckm.truncateDur = r.DurationHistogram("scaleshift_checkpoint_phase_seconds", help, obs.Label{Key: "phase", Value: "truncate"})
 }
 
-// recordCheckpoint publishes one durable checkpoint's phase timings.
-func recordCheckpoint(capture, install, truncate time.Duration) {
+// recordCheckpoint publishes one durable checkpoint's phase timings and
+// the bytes it wrote.
+func recordCheckpoint(capture, install, truncate time.Duration, written int64) {
 	if !obs.Enabled() {
 		return
 	}
 	ckm.once.Do(initCkptMetrics)
 	ckm.checkpoints.Inc()
+	ckm.bytes.Add(written)
 	ckm.capture.ObserveDuration(capture)
 	ckm.install.ObserveDuration(install)
 	ckm.truncateDur.ObserveDuration(truncate)
@@ -90,6 +94,10 @@ type checkpointer struct {
 	lastAt     atomic.Int64 // unix nanos of the last durable checkpoint
 	lastOffset atomic.Int64 // WAL offset the last durable checkpoint covers
 	lastErr    atomic.Pointer[checkpointFailure]
+	// lastBytes and segFiles describe the last durable checkpoint: the
+	// bytes it wrote, and the segment files on disk after it.
+	lastBytes atomic.Int64
+	segFiles  atomic.Int64
 
 	// prevOffset (guarded by mu) is the WAL offset of the PREVIOUS
 	// durable checkpoint — the lag-one truncation bound.  Truncating
@@ -128,8 +136,8 @@ func (c *checkpointer) hook(phase string) error {
 
 // run takes one checkpoint: compact the delta, capture a consistent
 // (segments, store snapshot, WAL offset) triple under the ingest lock,
-// serialize and install off the lock, then truncate the WAL through the
-// previous checkpoint's offset.
+// write the new segments' files and install the manifest off the lock,
+// then truncate the WAL through the previous checkpoint's offset.
 func (c *checkpointer) run() (ckpt.Meta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,12 +156,12 @@ func (c *checkpointer) checkpointLocked(ingestLocked bool) (ckpt.Meta, error) {
 		return fail(err)
 	}
 
-	// Capture under the ingest lock: Compact drains the delta (required
-	// by the segment serializer), then the manifest pin, store snapshot,
-	// and WAL offset are taken together — one consistent cut of
-	// everything acked so far.  The expensive serialization happens
-	// after the lock drops; the pinned snapshot and immutable segments
-	// cannot change under it.
+	// Capture under the ingest lock: Compact drains the delta (a
+	// checkpoint names frozen segments only), then the segment pin,
+	// store snapshot, and WAL offset are taken together — one consistent
+	// cut of everything acked so far.  The writing happens after the
+	// lock drops; the pinned snapshot and immutable segments cannot
+	// change under it.
 	in := c.in
 	captureStart := time.Now()
 	if !ingestLocked {
@@ -165,7 +173,7 @@ func (c *checkpointer) checkpointLocked(ingestLocked bool) (ckpt.Meta, error) {
 		}
 		return fail(fmt.Errorf("checkpoint compaction: %w", err))
 	}
-	write, release, err := in.seg.SegmentWriter()
+	segs, err := in.seg.PinSegments()
 	if err != nil {
 		if !ingestLocked {
 			in.mu.Unlock()
@@ -184,12 +192,17 @@ func (c *checkpointer) checkpointLocked(ingestLocked bool) (ckpt.Meta, error) {
 
 	meta := ckpt.Meta{Generation: c.gen.Load() + 1, WALOffset: offset, CreatedAt: time.Now()}
 	installStart := time.Now()
-	err = ckpt.Install(c.cfg.Path, meta, snap.WriteBinary, write)
-	release()
+	stats, err := ckpt.Save(c.cfg.Path, meta, snap.WriteBinary, segs, c.hook)
+	segs.Release()
 	if err != nil {
 		return fail(err)
 	}
 	installDur := time.Since(installStart)
+	if stats.CollectErr != nil {
+		c.logger.Warn("checkpoint durable, but unreferenced segment files remain; collecting again at the next checkpoint", "err", stats.CollectErr)
+	}
+	c.lastBytes.Store(stats.BytesWritten)
+	c.segFiles.Store(int64(stats.SegmentFiles))
 	c.gen.Store(meta.Generation)
 	c.lastAt.Store(meta.CreatedAt.UnixNano())
 	c.lastOffset.Store(meta.WALOffset)
@@ -198,7 +211,7 @@ func (c *checkpointer) checkpointLocked(ingestLocked bool) (ckpt.Meta, error) {
 	c.prevOffset = meta.WALOffset
 
 	if err := c.hook("pre-truncate"); err != nil {
-		recordCheckpoint(capture, installDur, 0)
+		recordCheckpoint(capture, installDur, 0, stats.BytesWritten)
 		return meta, err
 	}
 	truncStart := time.Now()
@@ -208,7 +221,7 @@ func (c *checkpointer) checkpointLocked(ingestLocked bool) (ckpt.Meta, error) {
 		// (the next bound supersedes this one).
 		c.logger.Warn("WAL truncation failed; retrying at the next checkpoint", "err", err)
 	}
-	recordCheckpoint(capture, installDur, time.Since(truncStart))
+	recordCheckpoint(capture, installDur, time.Since(truncStart), stats.BytesWritten)
 	return meta, nil
 }
 
@@ -313,6 +326,10 @@ func (c *checkpointer) detail() map[string]interface{} {
 		"generation": c.gen.Load(),
 		"age":        age.Round(time.Millisecond).String(),
 		"wal_bytes":  c.walBytes(),
+		// What the last checkpoint wrote, and the segment files the
+		// current and previous manifests name between them.
+		"bytes_written": c.lastBytes.Load(),
+		"segment_files": c.segFiles.Load(),
 	}
 	if f := c.lastErr.Load(); f != nil {
 		d["last_error"] = f

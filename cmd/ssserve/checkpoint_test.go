@@ -209,14 +209,17 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 }
 
 // TestCheckpointCrashMatrix kills the lifecycle at each phase — before
-// the flush, after the flush but before the WAL truncation, mid
-// append-mode reload, and cleanly after truncation — and proves
+// the flush; after the segment files are fsynced but before the
+// manifest; between the manifest renames; before the segment-file
+// collection; after the install but before the WAL truncation; mid
+// append-mode reload; and cleanly after truncation — and proves
 // recovery reconstructs the acked state bit-identically every time.
 // The pre-truncate window is the torn-write case: the checkpoint is
 // durable but the WAL still holds records the checkpoint also
 // contains, and replay must not double-apply them.
 func TestCheckpointCrashMatrix(t *testing.T) {
-	for _, phase := range []string{"pre-flush", "pre-truncate", "mid-reload", "post-truncate"} {
+	for _, phase := range []string{"pre-flush", ckpt.PhaseSegmentsSynced, ckpt.PhaseMidRotate, ckpt.PhasePreGC,
+		"pre-truncate", "mid-reload", "post-truncate"} {
 		t.Run(phase, func(t *testing.T) {
 			dir := t.TempDir()
 			walPath := filepath.Join(dir, "ingest.wal")
@@ -272,35 +275,35 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptionSweep flips every byte of a checkpoint
-// artifact, one at a time, and requires each damaged copy to be
-// DETECTED and rejected with a loud typed warning — never a panic,
-// never silently serving damaged data.  With the WAL's full history
-// still on disk, startup then falls back to a full replay and
-// reconstructs the exact acked state.
+// TestCheckpointCorruptionSweep flips every byte of a checkpoint's
+// manifest and of every segment file it names, one at a time, and
+// deletes each segment file in turn.  A damaged manifest must be
+// DETECTED and rejected with a loud typed warning, recovery falling
+// back to .prev and its WAL tail; a damaged or missing segment file is
+// derived state, rebuilt from the manifest's store with a loud warning.
+// Either way the recovered answers equal the uncrashed server's —
+// never a panic, never silently serving damaged data.  Before the
+// second checkpoint, with no .prev yet and the WAL's full history on
+// disk, a torn manifest falls back to a full replay; once the WAL is
+// truncated, a rejected chain refuses instead.
 func TestCheckpointCorruptionSweep(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "ingest.wal")
 	ckptBase := filepath.Join(dir, "ckpt")
 
-	// A deliberately tiny dataset keeps the artifact small enough to
-	// sweep exhaustively.
-	st := store.New()
-	for s := 0; s < 2; s++ {
-		vals := make([]float64, 24)
-		for i := range vals {
-			vals[i] = 50 + 10*math.Sin(float64(i+9*s)/4)
-		}
-		st.AppendSequence([]string{"a", "b"}[s], vals)
-	}
+	// A deliberately tiny dataset keeps the files small enough to sweep
+	// exhaustively.
 	opts := core.DefaultOptions()
 	opts.WindowLen = 8
 	opts.Coefficients = 2
-	seg, err := core.NewSegmentedIndex(st, opts)
+	seg, err := core.NewSegmentedIndex(st2Clone(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
+	// No tiering: each checkpoint's compaction adds a segment, so the
+	// second manifest names the first one's files as well as its own.
+	seg.MergeRatio = 0
 
 	log, recs, err := wal.Open(walPath)
 	if err != nil {
@@ -319,59 +322,42 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 
 	// Ack appends through the WAL path, then checkpoint. The WAL is NOT
 	// truncated after the first checkpoint (lag-one bound is zero), so
-	// full replay stays possible — the corruption fallback under test.
-	grow := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	in.mu.Lock()
-	if err := in.log.AppendValues(0, grow); err != nil {
-		t.Fatal(err)
+	// full replay stays possible.
+	ack := func(seq int, vals []float64) {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		if err := in.log.AppendValues(seq, vals); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.seg.AppendValues(seq, vals); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := in.seg.AppendValues(0, grow); err != nil {
-		t.Fatal(err)
-	}
-	in.mu.Unlock()
+	ack(0, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	if _, err := c.run(); err != nil {
 		t.Fatal(err)
 	}
-
 	oracleWindows := seg.WindowCount()
-	raw, err := os.ReadFile(ckptBase)
+	p := ckpt.PathsFor(ckptBase)
+	raw, err := os.ReadFile(p.Cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sweeping %d bytes of checkpoint artifact", len(raw))
-	p := ckpt.PathsFor(ckptBase)
-	for i := range raw {
-		damaged := make([]byte, len(raw))
-		copy(damaged, raw)
-		damaged[i] ^= 0xFF
-		if err := os.WriteFile(p.Cur, damaged, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, warns, err := ckpt.Recover(ckptBase)
-		if err == nil {
-			res.Seg.Close()
-			t.Fatalf("byte %d: flipped artifact loaded without error", i)
-		}
-		if !errors.Is(err, ckpt.ErrNoCheckpoint) {
-			t.Fatalf("byte %d: want ErrNoCheckpoint, got %v", i, err)
-		}
-		if len(warns) != 1 || warns[0].Path != p.Cur || warns[0].Err == nil {
-			t.Fatalf("byte %d: rejection was not loud: warnings %v", i, warns)
-		}
-	}
 
-	// Full-replay fallback: with every artifact rejected but the WAL
+	// Full-replay fallback: with the only manifest torn but the WAL
 	// complete from offset zero, a fresh server reconstructs the acked
 	// state exactly — corruption cost is a slower restart, never loss.
-	if err := os.WriteFile(p.Cur, raw[:len(raw)/2], 0o644); err != nil { // torn artifact
+	if err := os.WriteFile(p.Cur, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	log2, recs2, err := wal.Open(walPath)
+	if _, warns, err := ckpt.Recover(ckptBase); !errors.Is(err, ckpt.ErrNoCheckpoint) || len(warns) != 1 || warns[0].Path != p.Cur {
+		t.Fatalf("torn only manifest: want ErrNoCheckpoint with one warning, got %v (warnings %v)", err, warns)
+	}
+	_, recs, err = wal.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	if err := validateRecovery(nil, log2); err != nil {
+	if err := validateRecovery(nil, log); err != nil {
 		t.Fatalf("full replay should be valid with an untruncated WAL: %v", err)
 	}
 	seg2, err := core.NewSegmentedIndex(st2Clone(t), opts)
@@ -379,20 +365,132 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg2.Close()
-	in2, err := newIngestState(seg2, log2, recs2, 0)
+	in2, err := newIngestState(seg2, nil, recs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := in2.index().WindowCount(); got != oracleWindows {
 		t.Fatalf("full replay covers %d windows, oracle %d", got, oracleWindows)
 	}
-
-	// Once the WAL has been truncated, a rejected chain must REFUSE
-	// loudly instead of silently dropping the checkpointed prefix.
-	if err := log2.TruncateThrough(log2.Offset()); err != nil {
+	if err := os.WriteFile(p.Cur, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := validateRecovery(nil, log2); !errors.Is(err, errUnrecoverable) {
+
+	// A second checkpoint: .prev exists, and the WAL keeps the tail past
+	// the first checkpoint's offset.
+	ack(1, []float64{4, 8, 15, 16, 23, 42, 4, 8, 15, 16, 23, 42})
+	if _, err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	ack(0, []float64{3, 1, 4, 1, 5})
+	oracle := segSearch(t, seg)
+	oracleWindows = seg.WindowCount()
+	_, recs, err = wal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// recoverSame recovers from disk, replays the WAL tail past the
+	// recovered checkpoint, and requires the oracle's answers; it
+	// returns the recovery's source and warnings.
+	recoverSame := func(what string) (string, []ckpt.Warning) {
+		t.Helper()
+		res, warns, err := ckpt.Recover(ckptBase)
+		if err != nil {
+			t.Fatalf("%s: %v (warnings %v)", what, err, warns)
+		}
+		defer res.Seg.Close()
+		rin, err := newIngestState(res.Seg, nil, recs, res.Meta.WALOffset)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := rin.index().WindowCount(); got != oracleWindows {
+			t.Fatalf("%s: recovered %d windows, oracle %d", what, got, oracleWindows)
+		}
+		requireSameSearch(t, oracle, segSearch(t, rin.index()), what)
+		return res.Source, warns
+	}
+
+	raw, err = os.ReadFile(p.Cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sweeping %d bytes of the manifest", len(raw))
+	for i := range raw {
+		damaged := append([]byte(nil), raw...)
+		damaged[i] ^= 0xFF
+		if err := os.WriteFile(p.Cur, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("manifest byte %d", i)
+		src, warns := recoverSame(what)
+		if src != p.Prev || len(warns) != 1 || warns[0].Path != p.Cur || warns[0].Err == nil || warns[0].Rebuilt {
+			t.Fatalf("%s: recovered from %s with warnings %v; want .prev and one loud rejection of the manifest", what, src, warns)
+		}
+	}
+	if err := os.WriteFile(p.Cur, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	files, err := filepath.Glob(filepath.Join(ckpt.SegmentDir(ckptBase), "*.sseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 3 {
+		t.Fatalf("segment files %v, want the three the current manifest names", files)
+	}
+	wantRebuilt := func(what, path string, warns []ckpt.Warning) {
+		t.Helper()
+		if len(warns) != 1 || warns[0].Path != path || !warns[0].Rebuilt || warns[0].Err == nil {
+			t.Fatalf("%s: warnings %v; want one loud rebuild of %s", what, warns, path)
+		}
+	}
+	for _, path := range files {
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("sweeping %d bytes of %s", len(good), filepath.Base(path))
+		for i := range good {
+			damaged := append([]byte(nil), good...)
+			damaged[i] ^= 0xFF
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s byte %d", filepath.Base(path), i)
+			src, warns := recoverSame(what)
+			if src != p.Cur {
+				t.Fatalf("%s: a damaged segment file cost the manifest (recovered from %s)", what, src)
+			}
+			wantRebuilt(what, path, warns)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		what := "deleted " + filepath.Base(path)
+		src, warns := recoverSame(what)
+		if src != p.Cur {
+			t.Fatalf("%s: a missing segment file cost the manifest (recovered from %s)", what, src)
+		}
+		wantRebuilt(what, path, warns)
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// With the WAL truncated past offset zero, a chain whose manifests
+	// are both rejected must REFUSE loudly instead of silently dropping
+	// the checkpointed prefix.
+	if err := os.WriteFile(p.Cur, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p.Prev, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ckpt.Recover(ckptBase); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("both manifests damaged: want ErrNoCheckpoint, got %v", err)
+	}
+	if err := validateRecovery(nil, log); !errors.Is(err, errUnrecoverable) {
 		t.Fatalf("truncated WAL without a checkpoint: want errUnrecoverable, got %v", err)
 	}
 }
@@ -521,14 +619,28 @@ func TestAdminCheckpointEndpoint(t *testing.T) {
 		t.Fatalf("checkpoint without -checkpoint: %d, want 409", rec.Code)
 	}
 
-	// The metrics surface carries the WAL/checkpoint gauges after a
-	// readiness probe refreshes them.
-	get(t, s, "/readyz")
+	// /readyz reports what the checkpoint wrote and the segment files
+	// on disk, and the metrics surface carries the WAL/checkpoint gauges
+	// after a readiness probe refreshes them.
+	_, rbody := get(t, s, "/readyz")
+	var ready struct {
+		Checkpoint struct {
+			Generation   int64 `json:"generation"`
+			BytesWritten int64 `json:"bytes_written"`
+			SegmentFiles int64 `json:"segment_files"`
+		} `json:"checkpoint"`
+	}
+	if err := json.Unmarshal(rbody, &ready); err != nil {
+		t.Fatal(err)
+	}
+	if c := ready.Checkpoint; c.Generation != 1 || c.SegmentFiles < 1 || c.BytesWritten <= 0 {
+		t.Fatalf("readyz checkpoint block: %+v", c)
+	}
 	mr, mbody := get(t, s, "/metrics")
 	if mr.StatusCode != http.StatusOK {
 		t.Fatal("metrics unavailable")
 	}
-	for _, name := range []string{"scaleshift_wal_bytes", "scaleshift_checkpoint_age_seconds"} {
+	for _, name := range []string{"scaleshift_wal_bytes", "scaleshift_checkpoint_age_seconds", "scaleshift_checkpoint_bytes_total"} {
 		if !strings.Contains(string(mbody), name) {
 			t.Errorf("metrics missing %s", name)
 		}

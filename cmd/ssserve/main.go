@@ -255,6 +255,15 @@ func run(args []string) error {
 				if seg.Converted() {
 					how += "; converted a version-1 segment arena, which the next checkpoint rewrites"
 				}
+				rebuilt := 0
+				for _, w := range warns {
+					if w.Rebuilt {
+						rebuilt++
+					}
+				}
+				if rebuilt > 0 {
+					how += fmt.Sprintf("; rebuilt %d segment(s) from its store, which the next checkpoint writes", rebuilt)
+				}
 			case errors.Is(err, ckpt.ErrNoCheckpoint) && len(warns) == 0:
 				logger.Info("no checkpoint artifact yet; building from seed data", "path", *ckptPath)
 			case errors.Is(err, ckpt.ErrNoCheckpoint):

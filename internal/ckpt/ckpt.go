@@ -1,22 +1,36 @@
-// Package ckpt is the durable-ingest checkpoint artifact: one file
-// capturing a consistent (store, segmented index, WAL offset) triple so
-// a restart recovers by loading the artifact and replaying only the WAL
-// tail past its offset — cost bounded by the tail, not the full ingest
-// history.
+// Package ckpt is the durable-ingest checkpoint: a consistent (store,
+// segmented index, WAL offset) triple on disk, so a restart recovers by
+// loading it and replaying only the WAL tail past its offset — cost
+// bounded by the tail, not the full ingest history.
 //
-// The SSCKP v1 format is binio-framed: a meta section (generation, WAL
-// offset, creation time), the store in the SSTOR format, the frozen
-// segments in the SSSEG format, and a whole-file trailer.  Every byte
-// is CRC-protected, so a torn or bit-flipped artifact is DETECTED at
-// load and recovery falls back — never silently serves damaged data.
+// A checkpoint (SSCKP v2, Save) is a manifest file at the base path and
+// a directory of segment files beside it (SegmentDir).  The manifest is
+// binio-framed: a meta section (generation, WAL offset, creation time),
+// the whole store in the SSTOR format, the ordered segment list (per
+// segment its file name, size, CRC32C and window ranges; core's
+// SegmentList), and a whole-file trailer.  A frozen segment is
+// immutable, so its file is written and fsynced once, the first time a
+// checkpoint names it; later checkpoints name the same file.  The store
+// stays inline in every manifest, so the current and the previous
+// checkpoint remain two independent copies of the data, and a segment
+// file that is missing or damaged is derived state that recovery
+// rebuilds from that store (a loud Warning, not a rejection).
 //
-// Install publishes with a retain-2 rotation: the previous checkpoint
-// survives as <base>.prev until the next one lands.  Paired with the
-// caller's lag-one WAL truncation (truncate only through the PREVIOUS
-// checkpoint's offset), corruption of the newest artifact always leaves
-// a recoverable older artifact whose WAL tail is still on disk.
-// Recover walks that chain — current, then previous — and reports every
-// rejected artifact as a typed Warning so the fallback is loud.
+// The SSCKP v1 format (Write, Read, Install) is the same meta and store
+// sections followed by every segment inline in the SSSEG format.
+// Recover still reads it; the next Save after it writes v2.
+//
+// Every byte is CRC-protected, so a torn or bit-flipped manifest is
+// DETECTED at load and recovery falls back — never silently serves
+// damaged data.  Install and Save publish with a retain-2 rotation: the
+// previous manifest survives as <base>.prev until the next one lands.
+// Paired with the caller's lag-one WAL truncation (truncate only through
+// the PREVIOUS checkpoint's offset), corruption of the newest manifest
+// always leaves a recoverable older one whose WAL tail is still on
+// disk.  After the rotation is durable, Save deletes every segment file
+// neither manifest names.  Recover walks the chain — current, then
+// previous — and reports every rejected file as a typed Warning so the
+// fallback is loud.
 package ckpt
 
 import (
@@ -27,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"scaleshift/internal/binio"
@@ -34,8 +49,12 @@ import (
 	"scaleshift/internal/store"
 )
 
-// ckptMagic identifies the checkpoint artifact format, version 1.
-var ckptMagic = []byte("SSCKP\x01")
+// ckptMagic identifies the checkpoint formats: version 1 embeds the
+// segments, version 2 names segment files.
+var (
+	ckptMagic   = []byte("SSCKP\x01")
+	ckptMagicV2 = []byte("SSCKP\x02")
+)
 
 // ckptVersions lists the format versions Read accepts.
 var ckptVersions = []byte{1}
@@ -57,6 +76,10 @@ var renameFile = os.Rename
 // history from logical offset zero.
 var ErrNoCheckpoint = errors.New("ckpt: no loadable checkpoint artifact")
 
+// ErrNotCheckpoint reports a file that does not begin with a checkpoint
+// magic at all.
+var ErrNotCheckpoint = errors.New("not a checkpoint artifact")
+
 // Meta is the checkpoint's identity: which generation it is, how much
 // of the WAL's logical offset space it covers, and when it was taken.
 type Meta struct {
@@ -69,6 +92,30 @@ type Meta struct {
 	WALOffset int64
 	// CreatedAt stamps the capture time (checkpoint age gauges).
 	CreatedAt time.Time
+}
+
+func (m Meta) encode() []byte {
+	head := make([]byte, metaLen)
+	binary.LittleEndian.PutUint64(head[0:], uint64(m.Generation))
+	binary.LittleEndian.PutUint64(head[8:], uint64(m.WALOffset))
+	binary.LittleEndian.PutUint64(head[16:], uint64(m.CreatedAt.UnixNano()))
+	return head
+}
+
+func decodeMeta(head []byte) (Meta, error) {
+	if len(head) != metaLen {
+		return Meta{}, fmt.Errorf("ckpt: meta section is %d bytes, want %d: %w", len(head), metaLen, binio.ErrChecksum)
+	}
+	meta := Meta{
+		Generation: int64(binary.LittleEndian.Uint64(head[0:])),
+		WALOffset:  int64(binary.LittleEndian.Uint64(head[8:])),
+		CreatedAt:  time.Unix(0, int64(binary.LittleEndian.Uint64(head[16:]))),
+	}
+	if meta.Generation < 0 || meta.WALOffset < 0 {
+		return Meta{}, fmt.Errorf("ckpt: implausible meta (generation %d, wal offset %d): %w",
+			meta.Generation, meta.WALOffset, binio.ErrChecksum)
+	}
+	return meta, nil
 }
 
 // Paths names the retain-2 artifact pair for a base path.
@@ -84,29 +131,48 @@ func PathsFor(base string) Paths {
 	return Paths{Cur: base, Prev: base + ".prev"}
 }
 
-// Write serializes one checkpoint to w: meta, then the store bytes
-// produced by writeStore (store/Snapshot WriteBinary), then the segment
-// bytes produced by writeSegments (core SegmentWriter).
+// SegmentDir is the directory holding the segment files the manifests
+// rooted at base name.
+func SegmentDir(base string) string { return base + ".segs" }
+
+// segSuffix ends every segment file name; a name ending in tmpSuffix is
+// a segment file being written.
+const (
+	segSuffix = ".sseg"
+	tmpSuffix = ".tmp"
+)
+
+// Write serializes one SSCKP v1 checkpoint to w: meta, then the store
+// bytes produced by writeStore (store/Snapshot WriteBinary), then the
+// segment bytes produced by writeSegments (core SegmentWriter).
 //
 // Neither artifact is staged in memory.  A section's length precedes
 // its bytes, so each writer runs twice — once into a counter, once into
 // the frame — and must write the same bytes both times; the two above
 // do, serializing a pinned snapshot and a pinned manifest.
 func Write(w io.Writer, meta Meta, writeStore, writeSegments func(io.Writer) error) error {
-	head := make([]byte, metaLen)
-	binary.LittleEndian.PutUint64(head[0:], uint64(meta.Generation))
-	binary.LittleEndian.PutUint64(head[8:], uint64(meta.WALOffset))
-	binary.LittleEndian.PutUint64(head[16:], uint64(meta.CreatedAt.UnixNano()))
-
 	bw := binio.NewWriter(w)
 	bw.Magic(ckptMagic)
-	bw.Section(head)
+	bw.Section(meta.encode())
 	if err := streamArtifact(bw, writeStore); err != nil {
 		return fmt.Errorf("ckpt: store section: %w", err)
 	}
 	if err := streamArtifact(bw, writeSegments); err != nil {
 		return fmt.Errorf("ckpt: segments section: %w", err)
 	}
+	return bw.Close()
+}
+
+// writeManifest serializes one SSCKP v2 manifest to w: meta, the store
+// as Write streams it, then the encoded segment list.
+func writeManifest(w io.Writer, meta Meta, writeStore func(io.Writer) error, list []byte) error {
+	bw := binio.NewWriter(w)
+	bw.Magic(ckptMagicV2)
+	bw.Section(meta.encode())
+	if err := streamArtifact(bw, writeStore); err != nil {
+		return fmt.Errorf("ckpt: store section: %w", err)
+	}
+	bw.Section(list)
 	return bw.Close()
 }
 
@@ -128,10 +194,11 @@ func (n *byteCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Read parses and fully validates a checkpoint written by Write,
-// returning its meta, the recovered store, and the segmented index
-// rebuilt over it.  Any framing, checksum, or structural failure is a
-// typed error; nothing partially loaded is ever returned.
+// Read parses and fully validates an SSCKP v1 checkpoint written by
+// Write, returning its meta, the recovered store, and the segmented
+// index rebuilt over it.  Any framing, checksum, or structural failure
+// is a typed error; nothing partially loaded is ever returned.  A v2
+// manifest names files beside it; Recover reads those.
 func Read(r io.Reader) (Meta, *store.Store, *core.SegmentedIndex, error) {
 	br := binio.NewReader(r)
 	if _, err := br.MagicVersions(ckptMagic, ckptVersions...); err != nil {
@@ -141,19 +208,10 @@ func Read(r io.Reader) (Meta, *store.Store, *core.SegmentedIndex, error) {
 	if err != nil {
 		return Meta{}, nil, nil, fmt.Errorf("ckpt: meta section: %w", err)
 	}
-	if len(head) != metaLen {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: meta section is %d bytes, want %d: %w", len(head), metaLen, binio.ErrChecksum)
+	meta, err := decodeMeta(head)
+	if err != nil {
+		return Meta{}, nil, nil, err
 	}
-	meta := Meta{
-		Generation: int64(binary.LittleEndian.Uint64(head[0:])),
-		WALOffset:  int64(binary.LittleEndian.Uint64(head[8:])),
-		CreatedAt:  time.Unix(0, int64(binary.LittleEndian.Uint64(head[16:]))),
-	}
-	if meta.Generation < 0 || meta.WALOffset < 0 {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: implausible meta (generation %d, wal offset %d): %w",
-			meta.Generation, meta.WALOffset, binio.ErrChecksum)
-	}
-
 	stBytes, err := br.Section(maxSection)
 	if err != nil {
 		return Meta{}, nil, nil, fmt.Errorf("ckpt: store section: %w", err)
@@ -177,10 +235,89 @@ func Read(r io.Reader) (Meta, *store.Store, *core.SegmentedIndex, error) {
 	return meta, st, seg, nil
 }
 
-// Install writes a checkpoint and publishes it with the retain-2
-// rotation: the artifact is built in a temp file and fsync'd, the
-// current checkpoint (if any) is renamed to the .prev slot, the temp
-// file is renamed into the current slot, and the directory is synced.
+// manifest is a parsed SSCKP v2 manifest.  store aliases the bytes it
+// was parsed from.
+type manifest struct {
+	meta  Meta
+	store []byte
+	list  *core.SegmentList
+}
+
+// checkMagic classifies the start of a checkpoint file: its format
+// version, ErrTruncated, ErrNotCheckpoint, or ErrVersion.
+func checkMagic(data []byte) (byte, error) {
+	n := len(ckptMagic)
+	if len(data) < n {
+		return 0, fmt.Errorf("ckpt: %d-byte file: %w", len(data), binio.ErrTruncated)
+	}
+	if !bytes.Equal(data[:n-1], ckptMagic[:n-1]) {
+		return 0, fmt.Errorf("ckpt: magic %q: %w", data[:n], ErrNotCheckpoint)
+	}
+	if v := data[n-1]; v != 1 && v != 2 {
+		return 0, fmt.Errorf("ckpt: %w: format version %d (this build reads versions 1 and 2)", binio.ErrVersion, v)
+	}
+	return data[n-1], nil
+}
+
+// parseManifest parses and verifies a whole SSCKP v2 manifest held in
+// memory: every section CRC and the trailer, the meta, and the segment
+// list's shape.  Failures are typed (binio's sentinels or
+// ErrNotCheckpoint); no length is trusted before it is bounded by the
+// bytes present, so nothing is allocated for a hostile claim.
+func parseManifest(data []byte) (manifest, error) { return readManifest(data, true) }
+
+// readManifest is parseManifest; with whole false it skips the store
+// section by its length and the trailer, so of a mapped manifest only
+// the pages holding the meta and the segment list are read.
+func readManifest(data []byte, whole bool) (manifest, error) {
+	v, err := checkMagic(data)
+	if err != nil {
+		return manifest{}, err
+	}
+	if v != 2 {
+		return manifest{}, fmt.Errorf("ckpt: %w: format version %d is not a manifest", binio.ErrVersion, v)
+	}
+	br := binio.NewByteReader(data)
+	if err := br.Magic(ckptMagicV2); err != nil {
+		return manifest{}, fmt.Errorf("ckpt: %w", err)
+	}
+	head, err := br.Section(metaLen)
+	if err != nil {
+		return manifest{}, fmt.Errorf("ckpt: meta section: %w", err)
+	}
+	section := br.SectionLazy
+	if whole {
+		section = br.Section
+	}
+	stBytes, err := section(maxSection)
+	if err != nil {
+		return manifest{}, fmt.Errorf("ckpt: store section: %w", err)
+	}
+	listBytes, err := br.Section(maxSection)
+	if err != nil {
+		return manifest{}, fmt.Errorf("ckpt: segment list section: %w", err)
+	}
+	if whole {
+		if err := br.Trailer(); err != nil {
+			return manifest{}, fmt.Errorf("ckpt: %w", err)
+		}
+	}
+	meta, err := decodeMeta(head)
+	if err != nil {
+		return manifest{}, err
+	}
+	list, err := core.ParseSegmentList(listBytes)
+	if err != nil {
+		return manifest{}, fmt.Errorf("ckpt: segment list: %w", err)
+	}
+	return manifest{meta: meta, store: stBytes, list: list}, nil
+}
+
+// Install writes an SSCKP v1 checkpoint and publishes it with the
+// retain-2 rotation: the artifact is built in a temp file and fsync'd,
+// the current checkpoint (if any) is renamed to the .prev slot, the
+// temp file is renamed into the current slot, and the directory is
+// synced.
 //
 // Every crash window leaves a recoverable state: before the first
 // rename nothing changed; between the renames the previous checkpoint
@@ -188,47 +325,268 @@ func Read(r io.Reader) (Meta, *store.Store, *core.SegmentedIndex, error) {
 // second rename the new checkpoint is live.  The previous artifact is
 // only ever displaced by a fully durable successor.
 func Install(base string, meta Meta, writeStore, writeSegments func(io.Writer) error) error {
+	_, err := install(base, func(w io.Writer) error { return Write(w, meta, writeStore, writeSegments) }, nil)
+	return err
+}
+
+// install is the rotation Install and Save share; it returns the size
+// of the file it published.  hook, when set, runs between the renames
+// with PhaseMidRotate.
+func install(base string, write func(io.Writer) error, hook func(string) error) (int64, error) {
 	p := PathsFor(base)
 	tmp := base + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("ckpt: install: %w", err)
+		return 0, fmt.Errorf("ckpt: install: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	if err := Write(f, meta, writeStore, writeSegments); err != nil {
+	var n byteCounter
+	if err := write(io.MultiWriter(f, &n)); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("ckpt: install sync: %w", err)
+		return 0, fmt.Errorf("ckpt: install sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("ckpt: install close: %w", err)
+		return 0, fmt.Errorf("ckpt: install close: %w", err)
 	}
 	if _, err := os.Stat(p.Cur); err == nil {
 		if err := renameFile(p.Cur, p.Prev); err != nil {
-			return fmt.Errorf("ckpt: rotating previous checkpoint: %w", err)
+			return 0, fmt.Errorf("ckpt: rotating previous checkpoint: %w", err)
 		}
 	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("ckpt: install: %w", err)
+		return 0, fmt.Errorf("ckpt: install: %w", err)
+	}
+	if hook != nil {
+		if err := hook(PhaseMidRotate); err != nil {
+			return 0, err
+		}
 	}
 	if err := renameFile(tmp, p.Cur); err != nil {
-		return fmt.Errorf("ckpt: publishing checkpoint: %w", err)
+		return 0, fmt.Errorf("ckpt: publishing checkpoint: %w", err)
 	}
-	return syncDir(base)
+	return int64(n), syncDir(filepath.Dir(base))
 }
 
-// Warning records one rejected artifact on the recovery chain.  The
-// chain continuing is the designed behavior; the warning exists so the
-// fallback is LOUD — operators must learn an artifact was damaged even
-// when recovery succeeds.
+// The phases at which Save calls its hook; a non-nil error from the
+// hook stops Save right there, as a crash would.
+const (
+	// PhaseSegmentsSynced: every segment file is written, fsynced and
+	// in a synced directory; no manifest names the new ones yet.
+	PhaseSegmentsSynced = "segments-synced"
+	// PhaseMidRotate: the current manifest has become .prev and the new
+	// one is not yet current.
+	PhaseMidRotate = "mid-rotate"
+	// PhasePreGC: the new manifest is durable; segment files neither
+	// manifest names are still on disk.
+	PhasePreGC = "pre-gc"
+)
+
+// Stats describes one Save.
+type Stats struct {
+	// BytesWritten counts the new segment files and the manifest.
+	BytesWritten int64
+	// SegmentsWritten counts segment files written; the rest of the
+	// segments already had theirs.
+	SegmentsWritten int
+	// SegmentFiles is how many segment files the directory holds after
+	// the collection: those the current and the previous manifest name.
+	SegmentFiles int
+	// CollectErr is a failed collection: the checkpoint is durable, and
+	// the next Save collects again.
+	CollectErr error
+}
+
+// Save takes an SSCKP v2 checkpoint of segs and the store writeStore
+// produces.  Each segment without a file in SegmentDir(base) is written
+// to one and fsynced, then the directory is fsynced; the manifest
+// naming those files is published with the retain-2 rotation; then
+// every segment file neither the new manifest nor the previous one
+// names — merged-away segments, orphans of a crashed Save — is deleted.
+// hook, when set, runs at the Phase* points.
+func Save(base string, meta Meta, writeStore func(io.Writer) error, segs *core.SegmentSet, hook func(string) error) (Stats, error) {
+	if hook == nil {
+		hook = func(string) error { return nil }
+	}
+	dir := SegmentDir(base)
+	stats, err := persistSegments(dir, meta.Generation, segs)
+	if err != nil {
+		return stats, err
+	}
+	if err := hook(PhaseSegmentsSynced); err != nil {
+		return stats, err
+	}
+	list, err := segs.EncodeList(dir)
+	if err != nil {
+		return stats, err
+	}
+	n, err := install(base, func(w io.Writer) error { return writeManifest(w, meta, writeStore, list) }, hook)
+	if err != nil {
+		return stats, err
+	}
+	stats.BytesWritten += n
+	if err := hook(PhasePreGC); err != nil {
+		return stats, err
+	}
+	keep := map[string]bool{}
+	for i := 0; i < segs.Len(); i++ {
+		f, _ := segs.File(i, dir)
+		keep[f.Name] = true
+	}
+	stats.SegmentFiles, stats.CollectErr = collect(dir, PathsFor(base).Prev, keep)
+	return stats, nil
+}
+
+// persistSegments gives every segment of segs a file in dir, writing
+// only those that have none there yet.
+func persistSegments(dir string, gen int64, segs *core.SegmentSet) (Stats, error) {
+	var stats Stats
+	_, statErr := os.Stat(dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return stats, fmt.Errorf("ckpt: segment directory: %w", err)
+	}
+	if os.IsNotExist(statErr) {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return stats, err
+		}
+	}
+	for i := 0; i < segs.Len(); i++ {
+		if f, ok := segs.File(i, dir); ok {
+			// A file that went missing under a live segment is written
+			// again rather than named.
+			if info, err := os.Stat(filepath.Join(dir, f.Name)); err == nil && info.Size() == f.Size {
+				continue
+			}
+		}
+		f, err := writeSegmentFile(dir, gen, i, segs)
+		if err != nil {
+			return stats, err
+		}
+		segs.SetFile(i, dir, f)
+		stats.BytesWritten += f.Size
+		stats.SegmentsWritten++
+	}
+	if stats.SegmentsWritten > 0 {
+		if err := syncDir(dir); err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
+}
+
+// writeSegmentFile writes segment i of segs into dir through a temp
+// file, fsynced, and renames it to a name carrying the generation that
+// wrote it, its position and its checksum — a name no other content
+// gets.
+func writeSegmentFile(dir string, gen int64, i int, segs *core.SegmentSet) (core.SegmentFile, error) {
+	tmp, err := os.CreateTemp(dir, "seg-*"+tmpSuffix)
+	if err != nil {
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment file: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after the rename
+	var n byteCounter
+	if err := segs.WriteFile(i, io.MultiWriter(tmp, &n)); err != nil {
+		tmp.Close()
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment %d: %w", i, err)
+	}
+	// The file ends in the arena section's CRC32C, then the trailer;
+	// the former is the checksum the manifest records.
+	var tail [8]byte
+	if _, err := tmp.ReadAt(tail[:], int64(n)-8); err != nil {
+		tmp.Close()
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment %d: %w", i, err)
+	}
+	crc := binary.LittleEndian.Uint32(tail[:4])
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment %d sync: %w", i, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment %d close: %w", i, err)
+	}
+	f := core.SegmentFile{Name: fmt.Sprintf("%d-%d-%08x%s", gen, i, crc, segSuffix), Size: int64(n), CRC: crc}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, f.Name)); err != nil {
+		return core.SegmentFile{}, fmt.Errorf("ckpt: segment %d: %w", i, err)
+	}
+	return f, nil
+}
+
+// collect deletes the segment files (and temp files) in dir that are
+// neither in keep nor named by the manifest at prev, and returns how
+// many segment files remain.  A previous manifest that cannot be read
+// keeps nothing: its segments are derived state, rebuilt from its own
+// store should it ever be recovered.
+func collect(dir, prev string, keep map[string]bool) (int, error) {
+	for _, f := range namedFiles(prev) {
+		keep[f.Name] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("ckpt: collecting segment files: %w", err)
+	}
+	kept, removed := 0, 0
+	var firstErr error
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case keep[name]:
+			kept++
+			continue
+		case strings.HasSuffix(name, segSuffix), strings.HasSuffix(name, tmpSuffix):
+		default:
+			continue // not ours
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			kept++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("ckpt: collecting segment files: %w", err)
+			}
+			continue
+		}
+		removed++
+	}
+	if removed > 0 {
+		if err := syncDir(dir); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return kept, firstErr
+}
+
+// namedFiles returns the segment files the manifest at path names, or
+// none when it cannot be read.  Its store is not read.
+func namedFiles(path string) []core.SegmentFile {
+	m, err := binio.OpenMapping(path)
+	if err != nil {
+		return nil
+	}
+	defer m.Close()
+	man, err := readManifest(m.Data, false)
+	if err != nil {
+		return nil
+	}
+	return man.list.Files()
+}
+
+// Warning records one rejected file on the recovery chain.  The chain
+// continuing is the designed behavior; the warning exists so the
+// fallback is LOUD — operators must learn a file was damaged even when
+// recovery succeeds.
 type Warning struct {
 	Path string
 	Err  error
+	// Rebuilt marks a segment file that was missing or damaged: the
+	// manifest naming it was recovered, the segment rebuilt from the
+	// manifest's store.
+	Rebuilt bool
 }
 
 func (w Warning) String() string {
+	if w.Rebuilt {
+		return fmt.Sprintf("segment file %s rejected (%v); segment rebuilt from the checkpoint's store", w.Path, w.Err)
+	}
 	return fmt.Sprintf("checkpoint artifact %s rejected: %v", w.Path, w.Err)
 }
 
@@ -244,37 +602,84 @@ type Result struct {
 
 // Recover walks the artifact chain — current checkpoint, then the
 // .prev fallback — and returns the first that loads and validates
-// completely, along with a Warning for every artifact rejected on the
-// way.  When neither loads, the error wraps ErrNoCheckpoint and the
-// warnings tell the caller whether artifacts existed at all (corrupt
-// chain) or the directory is simply fresh.
+// completely, along with a Warning for every file rejected on the way.
+// A v2 manifest's segment files are mapped and served in place, each
+// verified in full first; one that is missing or damaged is rebuilt
+// from the manifest's store (a Rebuilt warning), so a bad segment file
+// never costs a fallback.  When no manifest loads, the error wraps
+// ErrNoCheckpoint and the warnings tell the caller whether artifacts
+// existed at all (corrupt chain) or the directory is simply fresh.
 func Recover(base string) (*Result, []Warning, error) {
 	p := PathsFor(base)
 	var warns []Warning
 	for _, path := range []string{p.Cur, p.Prev} {
-		f, err := os.Open(path)
+		res, rebuilt, err := load(path, SegmentDir(base))
 		if err != nil {
 			if !os.IsNotExist(err) {
 				warns = append(warns, Warning{Path: path, Err: err})
 			}
 			continue
 		}
-		meta, st, seg, err := Read(f)
-		closeErr := f.Close()
-		if err == nil && closeErr != nil {
-			err = closeErr
+		for _, r := range rebuilt {
+			warns = append(warns, Warning{Path: r.Path, Err: r.Err, Rebuilt: true})
 		}
-		if err != nil {
-			warns = append(warns, Warning{Path: path, Err: err})
-			continue
-		}
-		return &Result{Meta: meta, Store: st, Seg: seg, Source: path}, warns, nil
+		res.Source = path
+		return res, warns, nil
 	}
 	return nil, warns, fmt.Errorf("%w (tried %s, %s)", ErrNoCheckpoint, p.Cur, p.Prev)
 }
 
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
+// load recovers the checkpoint at path: a v1 artifact streamed through
+// Read, a v2 manifest mapped and its segment files opened from segDir.
+// A missing file is an error os.IsNotExist reports.
+func load(path, segDir string) (*Result, []core.SegmentRebuild, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	magic := make([]byte, len(ckptMagic))
+	n, _ := io.ReadFull(f, magic)
+	v, err := checkMagic(magic[:n])
+	if err != nil {
+		return nil, nil, err
+	}
+	if v == 1 {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, nil, err
+		}
+		meta, st, seg, err := Read(f)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &Result{Meta: meta, Store: st, Seg: seg}, nil, nil
+	}
+	// The store is copied out of the mapping; the segments map their own
+	// files, so the manifest's mapping goes when load returns.
+	m, err := binio.OpenMapping(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer m.Close()
+	man, err := parseManifest(m.Data)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := store.ReadBinary(bytes.NewReader(man.store))
+	if err != nil {
+		return nil, nil, fmt.Errorf("ckpt: embedded store: %w", err)
+	}
+	seg, rebuilt, err := man.list.Open(segDir, st)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ckpt: segment list: %w", err)
+	}
+	return &Result{Meta: man.meta, Store: st, Seg: seg}, rebuilt, nil
+}
+
+// syncDir fsyncs a directory, so renames and creations in it are
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("ckpt: dir sync: %w", err)
 	}

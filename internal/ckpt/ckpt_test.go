@@ -17,7 +17,7 @@ import (
 // buildSeg makes a small compacted segmented index: three sequences of
 // deterministic values, grown past the initial build so the frozen side
 // holds more than one generation of history.
-func buildSeg(t *testing.T) (*store.Store, *core.SegmentedIndex) {
+func buildSeg(t testing.TB) (*store.Store, *core.SegmentedIndex) {
 	t.Helper()
 	st := store.New()
 	for s := 0; s < 3; s++ {

@@ -53,6 +53,47 @@ func TestCheckpointDigest(t *testing.T) {
 	}
 }
 
+// digestManifest and digestSegmentFile are the SHA-256 of the SSCKP v2
+// checkpoint of the same fixture: the manifest, and the one segment
+// file it names (1-0-<crc>.sseg, a one-segment SSSEG artifact).
+const (
+	digestManifest    = "8614bd40491fedbd7a677237becd82b610585faacd76785755aa8d13efd81565"
+	digestSegmentFile = "01cbcc6432e00647da424662da50f13012927761f9ca08db31c5692576acf4da"
+)
+
+func TestManifestDigest(t *testing.T) {
+	st := store.New()
+	cfg := stock.DefaultConfig()
+	cfg.Companies, cfg.Days = 200, 650
+	if _, err := stock.Populate(st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := core.NewSegmentedIndex(st, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	base := filepath.Join(t.TempDir(), "ckpt")
+	save(t, base, Meta{Generation: 1, WALOffset: 0, CreatedAt: time.Unix(0, 0)}, seg)
+	files := segFiles(t, base)
+	if len(files) != 1 {
+		t.Fatalf("segment files %v, want one", files)
+	}
+	for _, c := range []struct{ path, want string }{
+		{base, digestManifest},
+		{filepath.Join(SegmentDir(base), files[0]), digestSegmentFile},
+	} {
+		data, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("SSCKP v2 %s digest %s, want %s", filepath.Base(c.path), got, c.want)
+		}
+	}
+}
+
 // TestPreChangeCheckpoint recovers a checkpoint the parent of the
 // direction-box commit wrote (testdata/mbr_arena.ssckp: 4 × 220 values,
 // window 32, generation 7, WAL offset 4096; its one segment an MBR-

@@ -423,8 +423,14 @@ func (d *Dash) Render(w io.Writer) {
 		walB, _ := cur.Lookup("scaleshift_wal_bytes", nil)
 		age, _ := cur.Lookup("scaleshift_checkpoint_age_seconds", nil)
 		ckpts := cur.Sum("scaleshift_checkpoints_total", nil)
-		fmt.Fprintf(w, "ingest: delta_windows=%.0f frozen=%.0f gen=%.0f wal=%s ckpt_age=%s checkpoints=%.0f\n",
-			deltaW, frozen, igen, fmtBytes(walB), fmtSeconds(age), ckpts)
+		// Bytes per checkpoint: new segment files plus the manifest, on
+		// average over the process's checkpoints.
+		perCkpt := 0.0
+		if ckpts > 0 {
+			perCkpt = cur.Sum("scaleshift_checkpoint_bytes_total", nil) / ckpts
+		}
+		fmt.Fprintf(w, "ingest: delta_windows=%.0f frozen=%.0f gen=%.0f wal=%s ckpt_age=%s checkpoints=%.0f ckpt_bytes=%s/ckpt\n",
+			deltaW, frozen, igen, fmtBytes(walB), fmtSeconds(age), ckpts, fmtBytes(perCkpt))
 	}
 
 	if total, ok := cur.Lookup("scaleshift_cluster_shards", nil); ok {

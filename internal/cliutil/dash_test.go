@@ -167,3 +167,23 @@ func TestDashRender(t *testing.T) {
 		t.Errorf("batch_slot events must not appear in the slow-query panel:\n%s", out)
 	}
 }
+
+func TestDashIngestLine(t *testing.T) {
+	exp := sampleExposition + `scaleshift_ingest_generation 7
+scaleshift_ingest_frozen_segments 3
+scaleshift_wal_bytes 4096
+scaleshift_checkpoints_total 2
+scaleshift_checkpoint_bytes_total 3145728
+`
+	ms, err := ParseMetrics(strings.NewReader(exp), time.Unix(100, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Dash{Base: "http://test:8080"}
+	d.ObserveMetrics(ms)
+	var b strings.Builder
+	d.Render(&b)
+	if want := "checkpoints=2 ckpt_bytes=1.5MiB/ckpt"; !strings.Contains(b.String(), want) {
+		t.Errorf("frame missing %q:\n%s", want, b.String())
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scaleshift/internal/dft"
@@ -54,6 +55,9 @@ type frozenSeg struct {
 	// NewDegradedIndex): flat is the empty arena, and only the scan
 	// reads the segment.
 	degraded string
+	// file, once set, is the segment's own artifact file (segfile.go):
+	// the one it was opened from, or the one a checkpoint wrote.
+	file atomic.Pointer[durableFile]
 }
 
 // planTable is one segment's plan: a row per access path, the index

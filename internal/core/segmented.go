@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"scaleshift/internal/binio"
 	"scaleshift/internal/dft"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
@@ -45,8 +46,12 @@ type SegmentedIndex struct {
 	// they follow — what an Index holds too — guarded by mu.
 	writer
 	// base retains the wrapped Index (and with it any mmap backing the
-	// initial frozen segment's arena) until Close.
-	base *Index
+	// initial frozen segment's arena) until Close; mappings are the
+	// segment files the frozen segments were opened from (segfile.go),
+	// held until Close too — a merged-away segment may still be pinned
+	// by a query.
+	base     *Index
+	mappings []*binio.Mapping
 
 	// CompactThreshold is the delta size at which the background
 	// compactor is kicked (default 4096).
@@ -453,6 +458,11 @@ func (g *SegmentedIndex) Close() error {
 		g.wg.Wait()
 		if g.base != nil {
 			g.closeErr = g.base.Close()
+		}
+		for _, m := range g.mappings {
+			if err := m.Close(); err != nil && g.closeErr == nil {
+				g.closeErr = err
+			}
 		}
 	})
 	return g.closeErr

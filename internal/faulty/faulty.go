@@ -134,6 +134,41 @@ func (e *errWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// SyncWriter is a file's write path: writes, then an fsync.  An
+// *os.File is one.
+type SyncWriter interface {
+	io.Writer
+	Sync() error
+}
+
+// failingFile fails a file's writes after a byte budget and its syncs
+// outright.
+type failingFile struct {
+	io.Writer
+	f       SyncWriter
+	syncErr error
+}
+
+// FailingFile wraps f's write path: writes pass through for the first
+// n bytes and then fail with err, as ErrWriter's do (the bytes before
+// the fault reach the file — a disk that fills mid-record); a negative n
+// never fails a write.  Sync fails with syncErr when it is non-nil —
+// EIO from fsync — and syncs f otherwise.
+func FailingFile(f SyncWriter, n int64, err, syncErr error) SyncWriter {
+	w := io.Writer(f)
+	if n >= 0 {
+		w = ErrWriter(f, n, err)
+	}
+	return &failingFile{Writer: w, f: f, syncErr: syncErr}
+}
+
+func (ff *failingFile) Sync() error {
+	if ff.syncErr != nil {
+		return ff.syncErr
+	}
+	return ff.f.Sync()
+}
+
 // shortWriter silently drops everything past the first n bytes while
 // reporting full success — the lying-disk variant of a crash: the
 // writer believes the artifact is complete but only a prefix exists.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,33 @@ func TestBitFlipWriter(t *testing.T) {
 	}
 	if string(buf) != "zz" {
 		t.Fatalf("caller buffer mutated: %q", buf)
+	}
+}
+
+func TestFailingFile(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	full := errors.New("full")
+	w := FailingFile(f, 3, full, nil)
+	if n, err := w.Write([]byte("abcdef")); n != 3 || !errors.Is(err, full) {
+		t.Fatalf("write past the budget: %d, %v", n, err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("sync without a sync fault: %v", err)
+	}
+	eio := errors.New("eio")
+	w = FailingFile(f, -1, nil, eio)
+	if n, err := w.Write([]byte("gh")); n != 2 || err != nil {
+		t.Fatalf("write with no write fault: %d, %v", n, err)
+	}
+	if err := w.Sync(); !errors.Is(err, eio) {
+		t.Fatalf("sync fault: %v", err)
+	}
+	got, err := os.ReadFile(f.Name())
+	if err != nil || string(got) != "abcgh" {
+		t.Fatalf("file holds %q (%v), want %q", got, err, "abcgh")
 	}
 }

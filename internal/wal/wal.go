@@ -37,6 +37,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,15 +72,30 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // between building the truncated log and publishing it.
 var renameFile = os.Rename
 
+// ErrPoisoned reports a log that refuses appends because an earlier
+// append's write or fsync failed (see Log.AppendValues).
+var ErrPoisoned = errors.New("wal: log poisoned by a failed append")
+
+// syncWriter is the append path's view of the log file: f itself, or a
+// fault-injecting wrapper around it in tests.
+type syncWriter interface {
+	io.Writer
+	Sync() error
+}
+
 // Log is an append-only write-ahead log backed by one file.  Append
 // methods are not internally locked — the serving layer already
 // serializes appends through the segmented index's writer lock.
 type Log struct {
 	path string
 	f    *os.File
+	out  syncWriter
 	base int64 // logical offset of the record stream's first byte
 	hdr  int64 // header length in this file (0 for legacy headerless logs)
 	pos  int64 // physical record-stream length (bytes past the header)
+	// poison, once set, is returned by every later append, truncation
+	// and reset: the log failed stop.
+	poison error
 }
 
 // Open opens (creating if needed) the log at path and positions
@@ -111,7 +127,7 @@ func Open(path string) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Log{path: path, f: f, base: base, hdr: hdr, pos: valid}, recs, nil
+	return &Log{path: path, f: f, out: f, base: base, hdr: hdr, pos: valid}, recs, nil
 }
 
 // readHeader classifies the file's start: fresh (write a new header),
@@ -186,7 +202,8 @@ type Record struct {
 	End int64
 }
 
-// AppendValues logs an append to an existing sequence and fsyncs.
+// AppendValues logs an append to an existing sequence and fsyncs.  A
+// failed write or fsync poisons the log: see poisonWith.
 func (l *Log) AppendValues(seq int, values []float64) error {
 	payload := make([]byte, 1+8+8+8*len(values))
 	payload[0] = kindAppend
@@ -213,20 +230,50 @@ func putValues(dst []byte, values []float64) {
 }
 
 func (l *Log) append(payload []byte) error {
+	if l.poison != nil {
+		return l.poison
+	}
 	buf := make([]byte, 4+len(payload)+4)
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[4:], payload)
 	binary.LittleEndian.PutUint32(buf[4+len(payload):], crc32.Checksum(payload, castagnoli))
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	if _, err := l.out.Write(buf); err != nil {
+		return l.poisonWith(fmt.Errorf("wal: append: %w", err))
 	}
 	syncStart := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+	if err := l.out.Sync(); err != nil {
+		return l.poisonWith(fmt.Errorf("wal: sync: %w", err))
 	}
 	recordAppend(len(buf), time.Since(syncStart))
 	l.pos += int64(len(buf))
 	return nil
+}
+
+// poisonWith fails the log stop after an append's write or fsync
+// failed, and returns the error every later call gets.  A failed write
+// may have left part of the record in the file, where the next append
+// would land behind it and replay would stop short of both; after a
+// failed fsync the kernel may already have dropped the dirty pages, and
+// a retried fsync on the same descriptor can report success for data
+// that never reached the disk.  So the descriptor is closed and not
+// used again, the file is cut back to the last acked record through a
+// freshly opened handle (fsynced), and nothing more is appended until
+// the log is reopened.
+func (l *Log) poisonWith(cause error) error {
+	l.f.Close()
+	l.poison = fmt.Errorf("%w: %w", ErrPoisoned, cause)
+	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
+	if err == nil {
+		err = f.Truncate(l.hdr + l.pos)
+		if serr := f.Sync(); err == nil {
+			err = serr
+		}
+		f.Close()
+	}
+	if err != nil {
+		l.poison = fmt.Errorf("%w (cutting back to offset %d also failed: %v)", l.poison, l.base+l.pos, err)
+	}
+	return l.poison
 }
 
 // Size returns the current physical record-stream length in bytes (the
@@ -254,6 +301,9 @@ func (l *Log) Offset() int64 { return l.base + l.pos }
 // the log.  A crash before the rename leaves the old log intact; the
 // offset-driven replay skip makes the longer prefix harmless.
 func (l *Log) TruncateThrough(offset int64) error {
+	if l.poison != nil {
+		return l.poison
+	}
 	if offset <= l.base {
 		return nil // nothing retained is that old
 	}
@@ -306,7 +356,7 @@ func (l *Log) TruncateThrough(offset int64) error {
 		return err
 	}
 	l.f.Close()
-	l.f = tf
+	l.f, l.out = tf, tf
 	l.base = newBase
 	l.hdr = headerLen
 	l.pos -= cut
@@ -356,6 +406,9 @@ func syncDir(path string) error {
 // has been checkpointed durably — the log is the only other copy of
 // everything it holds.
 func (l *Log) Reset() error {
+	if l.poison != nil {
+		return l.poison
+	}
 	newBase := l.base + l.pos
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
@@ -372,8 +425,13 @@ func (l *Log) Reset() error {
 	return nil
 }
 
-// Close closes the log file.
-func (l *Log) Close() error { return l.f.Close() }
+// Close closes the log file (a poisoned log closed it already).
+func (l *Log) Close() error {
+	if l.poison != nil {
+		return nil
+	}
+	return l.f.Close()
+}
 
 // replay scans r from the end of the header, decoding records until
 // EOF or the first invalid record, and returns the decoded records
