@@ -94,9 +94,9 @@ func TestRunWritesSegmentedArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	seg, err := core.LoadSegments(g, st)
-	if err != nil {
-		t.Fatal(err)
+	seg, rebuilt, err := core.LoadSegments(g, st)
+	if err != nil || len(rebuilt) > 0 {
+		t.Fatalf("loading the segments ssgen wrote: %v (rebuilt %v)", err, rebuilt)
 	}
 	defer seg.Close()
 

@@ -65,7 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	explain := fs.Bool("explain", false, "print the query plan: per-path cost estimates and stage timings")
 	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, or scan")
 	indexCache := fs.String("index-cache", "", "cache the built index at this path (load when present, save after building)")
-	strictCache := fs.Bool("strict-cache", false, "fail instead of degrading to a scan when the index cache is invalid")
 	obsFlags := cliutil.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,7 +91,7 @@ func run(args []string, stdout io.Writer) error {
 	if *spheres {
 		opts.Strategy = geom.BoundingSpheres
 	}
-	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *strictCache, logger)
+	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, logger)
 	if err != nil {
 		return err
 	}

@@ -146,7 +146,10 @@ func TestIndexCacheRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCorruptIndexCacheDegradesToScan(t *testing.T) {
+// TestCorruptIndexCacheIsRebuilt: a cache with a flipped byte is rebuilt
+// from the store — the run succeeds, says so, answers as a run without a
+// cache does, and leaves a cache the next run maps.
+func TestCorruptIndexCacheIsRebuilt(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "idx.bin")
 	query := smallArgs("-query", "3:50", "-scale", "2", "-eps-frac", "0.001")
@@ -171,29 +174,24 @@ func TestCorruptIndexCacheDegradesToScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Default policy: the run still succeeds, announces the
-	// degradation, and returns the exact same matches via the scan.
-	var degraded strings.Builder
-	if err := run(append(query, "-index-cache", cache), &degraded); err != nil {
+	var rebuilt strings.Builder
+	if err := run(append(query, "-index-cache", cache), &rebuilt); err != nil {
 		t.Fatalf("corrupt cache failed the run: %v", err)
 	}
-	if !strings.Contains(degraded.String(), "DEGRADED") {
-		t.Errorf("degradation not reported:\n%s", degraded.String())
+	if !strings.Contains(rebuilt.String(), "rebuilt (") {
+		t.Errorf("rebuild not reported:\n%s", rebuilt.String())
 	}
 	tail := func(s string) string { return s[strings.Index(s, "matches"):] }
-	if tail(degraded.String()) != tail(fresh.String()) {
-		t.Errorf("degraded results differ from fresh build:\n%s\nvs\n%s",
-			degraded.String(), fresh.String())
+	if tail(rebuilt.String()) != tail(fresh.String()) {
+		t.Errorf("rebuilt results differ from fresh build:\n%s\nvs\n%s",
+			rebuilt.String(), fresh.String())
 	}
-
-	// -strict-cache turns the same situation into a hard failure.
-	var strict strings.Builder
-	err = run(append(query, "-index-cache", cache, "-strict-cache"), &strict)
-	if err == nil {
-		t.Fatal("-strict-cache accepted a corrupt cache")
+	var again strings.Builder
+	if err := run(append(query, "-index-cache", cache), &again); err != nil || !strings.Contains(again.String(), "mapped from") {
+		t.Fatalf("the rewritten cache was not mapped (%v):\n%s", err, again.String())
 	}
-	if !strings.Contains(err.Error(), "unusable") {
-		t.Errorf("strict error lacks diagnostic: %v", err)
+	if tail(again.String()) != tail(fresh.String()) {
+		t.Errorf("results over the rewritten cache differ from fresh build")
 	}
 }
 
@@ -224,21 +222,31 @@ func TestBinaryStoreArtifact(t *testing.T) {
 		t.Errorf("binary store not loaded:\n%s", sb.String())
 	}
 
-	// A truncated artifact is a one-line failure, not a wrong answer.
+	// A damaged store is a one-line failure, not a wrong answer: unlike
+	// an index, which is rebuilt from it, the store is the data.  This
+	// holds with a good index cache beside it, too.
+	cache := filepath.Join(dir, "idx.bin")
+	if err := run([]string{"-store", path, "-window", "32", "-query", "0:10", "-eps", "0.5", "-index-cache", cache}, &sb); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	err = run([]string{"-store", path, "-window", "32", "-query", "0:10", "-eps", "0.5"}, &sb)
-	if err == nil {
-		t.Fatal("truncated store artifact accepted")
-	}
-	if !strings.Contains(err.Error(), "unusable") {
-		t.Errorf("store error lacks diagnostic: %v", err)
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0x10
+	for what, bad := range map[string][]byte{"truncated": raw[:len(raw)-7], "flipped": flipped} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sb.Reset()
+		err = run([]string{"-store", path, "-window", "32", "-query", "0:10", "-eps", "0.5", "-index-cache", cache}, &sb)
+		if err == nil {
+			t.Fatalf("%s store artifact accepted", what)
+		}
+		if !strings.Contains(err.Error(), "unusable") {
+			t.Errorf("%s store: error lacks diagnostic: %v", what, err)
+		}
 	}
 }
 

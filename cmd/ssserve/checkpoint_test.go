@@ -21,7 +21,6 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/store"
 	"scaleshift/internal/wal"
 )
@@ -49,7 +48,7 @@ func startAppendServer(t *testing.T, walPath, ckptBase string) (*server, *ingest
 			t.Fatal(err)
 		}
 	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		ix, ns := newTestIndex(t, false)
+		ix, ns := newTestIndex(t)
 		if seg, err = core.NewSegmentedFromIndex(ix); err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +78,12 @@ func startAppendServer(t *testing.T, walPath, ckptBase string) (*server, *ingest
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	c := newCheckpointer(checkpointConfig{Path: ckptBase, Seed: 1}, in, logger, recovered)
 	s := newServerFromConfig(t, serverConfig{
-		snap:    &snapshot{ix: seg, normScale: normScale, how: "built for test", loadedAt: time.Now()},
-		tracer:  obs.NewTracer(16),
-		logger:  logger,
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
-		ingest:  in,
-		ckpt:    c,
+		snap:   &snapshot{ix: seg, normScale: normScale, how: "built for test", loadedAt: time.Now()},
+		tracer: obs.NewTracer(16),
+		logger: logger,
+		serve:  testServeFlags(),
+		ingest: in,
+		ckpt:   c,
 	})
 	return s, in, c
 }
@@ -611,7 +609,7 @@ func TestAdminCheckpointEndpoint(t *testing.T) {
 		t.Fatalf("GET /admin/checkpoint: %d", rec.Code)
 	}
 
-	plain := newTestServer(t, false)
+	plain := newTestServer(t)
 	req = httptest.NewRequest(http.MethodPost, "/admin/checkpoint", nil)
 	rec = httptest.NewRecorder()
 	plain.ServeHTTP(rec, req)

@@ -20,7 +20,6 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -65,11 +64,10 @@ func buildCoordCluster(t *testing.T, shards int) *coordTestCluster {
 			t.Fatal(err)
 		}
 		return newServerFromConfig(t, serverConfig{
-			snap:    &snapshot{ix: ix, normScale: norm, how: "built for test", loadedAt: time.Now()},
-			tracer:  obs.NewTracer(16),
-			logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-			serve:   testServeFlags(),
-			breaker: resilience.DefaultBreakerConfig(),
+			snap:   &snapshot{ix: ix, normScale: norm, how: "built for test", loadedAt: time.Now()},
+			tracer: obs.NewTracer(16),
+			logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+			serve:  testServeFlags(),
 		})
 	}
 

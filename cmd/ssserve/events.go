@@ -14,8 +14,8 @@ import (
 
 // Wide events: the serving layer emits exactly one structured event
 // per /search request, per POST /search batch, and per /append —
-// whatever the outcome (parse error, admission shed, breaker
-// rejection, engine error, success).  The handler fills an eventDraft
+// whatever the outcome (parse error, admission shed, engine error,
+// success).  The handler fills an eventDraft
 // as it learns things; the instrument middleware turns the draft into
 // an obs.Event after the response is written, when the status and the
 // committed trace are both known.  Batch slots additionally get one
@@ -23,15 +23,14 @@ import (
 
 // eventDraft accumulates what a handler knows about its request.
 type eventDraft struct {
-	trace    *obs.Trace
-	query    string
-	path     string
-	degraded bool
-	matches  int
-	outcome  string // set by shed/breaker rejections and a coordinator's partial answer
-	plan     []obs.EventPlanRow
-	stats    *obs.EventStats
-	shards   []obs.EventShard // coordinator mode: per-fault-domain coverage
+	trace   *obs.Trace
+	query   string
+	path    string
+	matches int
+	outcome string // set by a coordinator's partial answer
+	plan    []obs.EventPlanRow
+	stats   *obs.EventStats
+	shards  []obs.EventShard // coordinator mode: per-fault-domain coverage
 }
 
 type eventDraftKey struct{}
@@ -44,9 +43,8 @@ func eventDraftFrom(ctx context.Context) *eventDraft {
 }
 
 // eventStats flattens the engine's ledger into the obs event form.
-// ScanProbes rides along so the Candidates == FalseAlarms +
-// CostRejected + Results and DegradedProbes <= ScanProbes invariants
-// stay checkable from the event alone.
+// ScanProbes rides along beside the Candidates == FalseAlarms +
+// CostRejected + Results identity, checkable from the event alone.
 func eventStats(st *core.SearchStats) *obs.EventStats {
 	return &obs.EventStats{
 		Candidates:     st.Candidates,
@@ -58,7 +56,6 @@ func eventStats(st *core.SearchStats) *obs.EventStats {
 		IndexNodeReads: st.IndexNodeAccesses,
 		DataPageReads:  st.DataPageAccesses,
 		ScanProbes:     st.PathProbes[engine.PathScan],
-		DegradedProbes: st.DegradedProbes,
 		PlanNs:         st.PlanTime.Nanoseconds(),
 		ProbeNs:        st.ProbeTime.Nanoseconds(),
 		VerifyNs:       st.VerifyTime.Nanoseconds(),
@@ -93,14 +90,13 @@ func fillSearchDraft(ctx context.Context, root *obs.Span, describe string, stats
 	d.matches = matches
 	if ex != nil {
 		d.path = ex.Chosen.String()
-		d.degraded = ex.Degraded
 		d.plan = eventPlanRows(ex)
 	}
 }
 
 // outcomeFromStatus classifies a response when the handler did not
-// already decide (shed and breaker rejections set the draft outcome
-// explicitly, because 503 alone cannot tell a breaker from a timeout).
+// already decide (a coordinator's partial answer sets the draft outcome
+// explicitly).
 func outcomeFromStatus(status int) string {
 	switch {
 	case status < 400:
@@ -145,7 +141,6 @@ func (f *frontend) instrument(kind string, h http.HandlerFunc) http.HandlerFunc 
 			DurationNs: elapsed.Nanoseconds(),
 			Query:      draft.query,
 			Path:       draft.path,
-			Degraded:   draft.degraded,
 			Matches:    draft.matches,
 			Plan:       draft.plan,
 			Stats:      draft.stats,

@@ -64,7 +64,6 @@ func statsFromEvent(e *obs.Event) core.SearchStats {
 		Results:           e.Stats.Results,
 		IndexNodeAccesses: e.Stats.IndexNodeReads,
 		DataPageAccesses:  e.Stats.DataPageReads,
-		DegradedProbes:    e.Stats.DegradedProbes,
 	}
 	st.PathProbes[engine.PathScan] = e.Stats.ScanProbes
 	return st
@@ -75,7 +74,7 @@ func statsFromEvent(e *obs.Event) core.SearchStats {
 // stats ledger that passes CheckInvariants and span timings that sum
 // within the event's own duration.
 func TestSearchEmitsOneWideEvent(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 
 	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
 	if resp.StatusCode != http.StatusOK {
@@ -145,7 +144,7 @@ func TestSearchEmitsOneWideEvent(t *testing.T) {
 // TestBatchEmitsSlotEvents: one search_batch event per POST plus one
 // thin batch_slot event per slot, all sharing the batch's trace ID.
 func TestBatchEmitsSlotEvents(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	body := `{"queries": [{"seq": 0, "start": 3}, {"seq": 1, "start": 7}, {"seq": 2, "start": 11}]}`
 	req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -272,7 +271,7 @@ func TestAppendEmitsOneWideEvent(t *testing.T) {
 }
 
 func TestEventsEndpointPaging(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	for i := 0; i < 5; i++ {
 		get(t, s, fmt.Sprintf("/search?seq=0&start=%d&eps_frac=0.05", 3+i))
 	}
@@ -308,7 +307,7 @@ func TestEventsEndpointPaging(t *testing.T) {
 // as the query's trace identity and echoed on the response; without one
 // the response still carries a parseable traceparent.
 func TestTraceparentAdoptAndEcho(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	const inboundID = "4bf92f3577b34da6a3ce929d0e0e4736"
 
 	req := httptest.NewRequest(http.MethodGet, "/search?seq=0&start=5&eps_frac=0.05", nil)
@@ -343,12 +342,12 @@ func TestTraceparentAdoptAndEcho(t *testing.T) {
 }
 
 func TestTraceFilters(t *testing.T) {
-	s := newTestServer(t, true) // degraded: every search flags its trace
+	s := newTestServer(t)
 
-	// One degraded-but-fine query, one errored query (the engine rejects
-	// a too-short explicit vector after the trace has started).
+	// One fine query, one errored query (the engine rejects a too-short
+	// explicit vector after the trace has started).
 	if resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded search status %d: %s", resp.StatusCode, body)
+		t.Fatalf("search status %d: %s", resp.StatusCode, body)
 	}
 	if resp, _ := get(t, s, "/search?values=1,2,3"); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("short query status %d, want 422", resp.StatusCode)
@@ -371,15 +370,6 @@ func TestTraceFilters(t *testing.T) {
 	if len(errored) != 1 || !errored[0].Error {
 		t.Fatalf("?error=1 returned %d traces (want exactly the failed query)", len(errored))
 	}
-	degraded := fetch("/debug/traces?degraded=1")
-	if len(degraded) == 0 {
-		t.Fatal("?degraded=1 returned nothing on a degraded server")
-	}
-	for _, tr := range degraded {
-		if !tr.Degraded {
-			t.Fatalf("?degraded=1 returned non-degraded trace %s", tr.ID)
-		}
-	}
 	if got := fetch("/debug/traces?min_ms=0"); len(got) < 2 {
 		t.Fatalf("min_ms=0 filtered traces away: %d", len(got))
 	}
@@ -387,8 +377,8 @@ func TestTraceFilters(t *testing.T) {
 		t.Fatalf("min_ms=1e6 returned %d traces, want 0", len(got))
 	}
 	// Filters compose conjunctively.
-	if got := fetch("/debug/traces?error=1&degraded=1"); len(got) != 0 {
-		t.Fatalf("error=1&degraded=1 returned %d traces, want 0 (the errored query never reached the engine's degraded path)", len(got))
+	if got := fetch("/debug/traces?error=1&min_ms=1000000"); len(got) != 0 {
+		t.Fatalf("error=1&min_ms=1e6 returned %d traces, want 0 (the errored query was fast)", len(got))
 	}
 	if resp, _ := get(t, s, "/debug/traces?min_ms=banana"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad min_ms: status %d, want 400", resp.StatusCode)
@@ -400,7 +390,7 @@ func TestTraceFilters(t *testing.T) {
 // (and during) the flood must still be retrievable via /debug/traces,
 // because the tracer's tail buckets outlive the recent ring.
 func TestTailRetention(t *testing.T) {
-	cfg := newTestServerConfig(t, false)
+	cfg := newTestServerConfig(t)
 	cfg.tracer = obs.NewTracer(128)
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -519,7 +509,7 @@ func TestCheckpointPhaseMetrics(t *testing.T) {
 // TestDashAgainstLiveServer drives the sstop poll-render loop against
 // a live ssserve over real HTTP.
 func TestDashAgainstLiveServer(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -543,7 +533,7 @@ func TestDashAgainstLiveServer(t *testing.T) {
 		"ready=1",
 		"endpoint",
 		"search",
-		"breaker=closed",
+		"inflight=",
 		"slow queries",
 	} {
 		if !strings.Contains(out, want) {

@@ -126,7 +126,7 @@ func (f *frontend) guard(h http.HandlerFunc) http.HandlerFunc {
 		}
 		release, err := f.adm.Acquire(ctx)
 		if err != nil {
-			f.writeOverloaded(w, r, err)
+			f.writeOverloaded(w, err)
 			return
 		}
 		defer release()
@@ -134,31 +134,16 @@ func (f *frontend) guard(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeOverloaded renders an admission or breaker rejection: 429 (shed)
-// or 503 (breaker open), always with a Retry-After header so polite
-// clients back off instead of hammering.  The rejection kind is stamped
-// on the request's wide-event draft — a 503 status alone cannot tell an
-// open breaker from a timeout.
-func (f *frontend) writeOverloaded(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusTooManyRequests
+// writeOverloaded renders an admission rejection: 429, with a
+// Retry-After header so polite clients back off instead of hammering.
+func (f *frontend) writeOverloaded(w http.ResponseWriter, err error) {
 	retryAfter := time.Second
-	outcome := "shed"
-	var oe *resilience.OverloadError
-	var be *resilience.BreakerOpenError
-	switch {
-	case errors.As(err, &oe):
+	if oe := (*resilience.OverloadError)(nil); errors.As(err, &oe) {
 		retryAfter = oe.RetryAfter
-	case errors.As(err, &be):
-		status = http.StatusServiceUnavailable
-		retryAfter = be.RetryAfter
-		outcome = "breaker_open"
-	}
-	if d := eventDraftFrom(r.Context()); d != nil {
-		d.outcome = outcome
 	}
 	secs := int64((retryAfter + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	f.writeError(w, status, err)
+	f.writeError(w, http.StatusTooManyRequests, err)
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -189,7 +174,7 @@ func (f *frontend) writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // handleLivez is pure liveness: the process is up and the mux answers.
-// It never consults snapshots, shards, breakers, or drain state — a
+// It never consults snapshots, shards, or drain state — a
 // draining server is still alive, and restarting it because it is
 // draining would be the bug.
 func (f *frontend) handleLivez(w http.ResponseWriter, r *http.Request) {
@@ -246,9 +231,8 @@ func (f *frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces serves the retained traces.  ?id= fetches one; the
-// list accepts ?min_ms= (only traces at least that slow), ?error=1
-// (only errored), and ?degraded=1 (only degraded-path) filters, which
-// compose conjunctively.
+// list accepts ?min_ms= (only traces at least that slow) and ?error=1
+// (only errored) filters, which compose conjunctively.
 func (f *frontend) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if id := q.Get("id"); id != "" {
@@ -270,18 +254,14 @@ func (f *frontend) handleTraces(w http.ResponseWriter, r *http.Request) {
 		minMs = m
 	}
 	errOnly := q.Get("error") == "1"
-	degOnly := q.Get("degraded") == "1"
 	traces := f.tracer.Recent()
-	if minMs > 0 || errOnly || degOnly {
+	if minMs > 0 || errOnly {
 		filtered := traces[:0]
 		for _, tr := range traces {
 			if float64(tr.DurationNs)/1e6 < minMs {
 				continue
 			}
 			if errOnly && !tr.Error {
-				continue
-			}
-			if degOnly && !tr.Degraded {
 				continue
 			}
 			filtered = append(filtered, tr)

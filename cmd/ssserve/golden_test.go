@@ -48,26 +48,18 @@ func checkGolden(t *testing.T, name string, status, wantStatus int, body []byte,
 }
 
 // TestGoldenBodies pins the bytes of every /search body shape both
-// modes serve — shard range, k-NN, limited, degraded and batch, and the
+// modes serve — shard range, k-NN, limited and batch, and the
 // coordinator's full, partial and no-coverage answers — against files
 // recorded before the two frontends shared one wire schema.  Run with
 // -update to rewrite them after a deliberate change to the schema.
 func TestGoldenBodies(t *testing.T) {
-	s := newTestServer(t, false)
-	for _, c := range []struct {
-		name, path string
-		degraded   bool
-	}{
-		{"shard_range", "/search?seq=0&start=5&eps_frac=0.05", false},
-		{"shard_knn", "/search?seq=2&start=11&nn=5", false},
-		{"shard_limited", "/search?seq=0&start=5&eps_frac=0.2&limit=3", false},
-		{"shard_degraded", "/search?seq=0&start=5&eps_frac=0.05", true},
+	s := newTestServer(t)
+	for _, c := range []struct{ name, path string }{
+		{"shard_range", "/search?seq=0&start=5&eps_frac=0.05"},
+		{"shard_knn", "/search?seq=2&start=11&nn=5"},
+		{"shard_limited", "/search?seq=0&start=5&eps_frac=0.2&limit=3"},
 	} {
-		srv := s
-		if c.degraded {
-			srv = newTestServer(t, true)
-		}
-		resp, body := get(t, srv, c.path)
+		resp, body := get(t, s, c.path)
 		checkGolden(t, c.name, resp.StatusCode, http.StatusOK, body, nil)
 	}
 	resp, body := post(t, s, "/search", []byte(`{"queries": [{"seq": 0, "start": 5}, {"seq": 3, "start": 40, "scale": 2, "shift": -1, "eps_frac": 0.1}], "limit": 3}`))
@@ -105,7 +97,7 @@ func TestSearchHandlerAllocCeiling(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	tc := buildCoordCluster(t, 3)
 	for _, c := range []struct {
 		name    string

@@ -28,7 +28,6 @@ type queryIndex interface {
 	IndexPageCount() int
 	IndexByteCount() int
 	TreeHeight() int
-	Degraded() (bool, string)
 	Close() error
 	QueryWindow(seq, start, n int, dst vec.Vector) error
 	StoreShape() (seqs, values, pages int)
@@ -285,7 +284,21 @@ func (in *ingestState) detail() map[string]interface{} {
 	if b.LastCompactErr != "" {
 		d["last_compact_error"] = b.LastCompactErr
 	}
+	if err := in.walPoisoned(); err != nil {
+		d["wal_poisoned"] = err.Error()
+	}
 	return d
+}
+
+// walPoisoned is the cause that poisoned the write-ahead log, or nil
+// while it accepts appends (and without one).
+func (in *ingestState) walPoisoned() error {
+	if in.log == nil {
+		return nil
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.log.Poisoned()
 }
 
 // publishIngestGauges refreshes the ingest gauges; cheap enough to run

@@ -16,7 +16,6 @@ import (
 	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/wal"
 )
 
@@ -27,7 +26,7 @@ func newIngestTestServer(t *testing.T, log *wal.Log, recs []wal.Record) (*server
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	ix, normScale := newTestIndex(t, false)
+	ix, normScale := newTestIndex(t)
 	seg, err := core.NewSegmentedFromIndex(ix)
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +36,11 @@ func newIngestTestServer(t *testing.T, log *wal.Log, recs []wal.Record) (*server
 		t.Fatal(err)
 	}
 	s := newServerFromConfig(t, serverConfig{
-		snap:    &snapshot{ix: seg, normScale: normScale, how: "built for test", loadedAt: time.Now()},
-		tracer:  obs.NewTracer(16),
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
-		ingest:  in,
+		snap:   &snapshot{ix: seg, normScale: normScale, how: "built for test", loadedAt: time.Now()},
+		tracer: obs.NewTracer(16),
+		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		serve:  testServeFlags(),
+		ingest: in,
 	})
 	return s, seg
 }
@@ -178,7 +176,7 @@ func TestAppendEndpoint(t *testing.T) {
 }
 
 func TestAppendWithoutIngestRejected(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, raw := postAppend(t, s, `{"seq": 0, "values": [1]}`)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("append on non-ingest server: got %d want 409: %s", resp.StatusCode, raw)

@@ -2,8 +2,9 @@
 // checksummed index/store artifact pair and serves scale/shift-
 // invariant similarity queries with full observability — Prometheus
 // metrics, expvar, pprof, and a ring of recent per-query traces — and
-// overload protection: deadline-aware admission control, a circuit
-// breaker on the degraded scan path, and hot artifact reload.
+// overload protection: deadline-aware admission control and hot artifact
+// reload.  An index artifact it cannot serve as it is, it rebuilds from
+// the store before it listens.
 //
 // One frontend (frontend.go) serves two modes: a shard answers from its
 // own artifacts (server.go), a coordinator from a fleet of shards
@@ -14,15 +15,15 @@
 //
 //	/search        GET: run a query (see parseSearchRequest for params)
 //	               POST: run a JSON batch of queries
-//	/healthz       process health plus the degraded-mode flag
+//	/healthz       process health
 //	/livez         liveness only (restart signal)
-//	/readyz        readiness (drain/reload/breaker aware; routing signal)
+//	/readyz        readiness (drain/reload/WAL aware; routing signal)
 //	/admin/reload  POST: reload artifacts; SIGHUP does the same
 //	/admin/checkpoint  POST: flush a durable checkpoint now (-checkpoint)
 //	/metrics       Prometheus text exposition
 //	/debug/vars    expvar JSON (includes the metrics snapshot)
 //	/debug/pprof/  the standard Go profiler endpoints
-//	/debug/traces  retained query traces (?id=, ?min_ms=, ?error=1, ?degraded=1)
+//	/debug/traces  retained query traces (?id=, ?min_ms=, ?error=1)
 //	/debug/events  wide per-request events, cursor-drained (?since=, ?max=)
 //	/shardinfo     this instance's cluster identity (fingerprint, shape)
 //	/window        raw sequence values (cluster-internal query resolution)
@@ -64,7 +65,6 @@ import (
 	"scaleshift/internal/geom"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/store"
 	"scaleshift/internal/wal"
 )
@@ -89,7 +89,6 @@ func run(args []string) error {
 	spheres := fs.Bool("spheres", false, "use the bounding-spheres penetration heuristic")
 	fs.Bool("bulk", false, "accepted and ignored: the index is always built with STR bulk loading")
 	indexCache := fs.String("index", "", "index artifact path (load when present, save after building)")
-	strictCache := fs.Bool("strict", false, "fail instead of degrading to a scan when the index artifact is invalid")
 	appendMode := fs.Bool("append", false, "enable live ingest via POST /append (hot reload then requires -checkpoint)")
 	walPath := fs.String("wal", "", "write-ahead log path for -append durability (empty: appends are not durable)")
 	ckptPath := fs.String("checkpoint", "", "checkpoint artifact base path for -append (bounds recovery to the WAL tail; keeps a .prev fallback)")
@@ -197,7 +196,7 @@ func run(args []string) error {
 		if err != nil {
 			return nil, nil, "", err
 		}
-		ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, *strictCache, logger)
+		ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, logger)
 		return st, ix, how, err
 	}
 
@@ -252,9 +251,6 @@ func run(args []string) error {
 				st, seg = res.Store, res.Seg
 				how = fmt.Sprintf("recovered from checkpoint %s (generation %d, wal offset %d)",
 					res.Source, res.Meta.Generation, res.Meta.WALOffset)
-				if seg.Converted() {
-					how += "; converted a version-1 segment arena, which the next checkpoint rewrites"
-				}
 				rebuilt := 0
 				for _, w := range warns {
 					if w.Rebuilt {
@@ -345,15 +341,14 @@ func run(args []string) error {
 	}
 
 	srv, err := newServer(serverConfig{
-		snap:    &snapshot{ix: serving, normScale: normScale, how: how, loadedAt: time.Now()},
-		tracer:  tracer,
-		events:  events,
-		logger:  logger,
-		serve:   *serveFlags,
-		breaker: resilience.DefaultBreakerConfig(),
-		reload:  reload,
-		ingest:  ingest,
-		ckpt:    ckptr,
+		snap:   &snapshot{ix: serving, normScale: normScale, how: how, loadedAt: time.Now()},
+		tracer: tracer,
+		events: events,
+		logger: logger,
+		serve:  *serveFlags,
+		reload: reload,
+		ingest: ingest,
+		ckpt:   ckptr,
 	})
 	if err != nil {
 		return err

@@ -7,6 +7,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,7 +21,6 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -37,7 +39,7 @@ func testServeFlags() cliutil.ServeFlags {
 
 // newTestIndex builds a small synthetic store + index + normScale for
 // server tests.
-func newTestIndex(t *testing.T, degraded bool) (*core.Index, float64) {
+func newTestIndex(t *testing.T) (*core.Index, float64) {
 	t.Helper()
 	st := store.New()
 	cfg := stock.DefaultConfig()
@@ -49,15 +51,9 @@ func newTestIndex(t *testing.T, degraded bool) (*core.Index, float64) {
 	opts := core.DefaultOptions()
 	opts.WindowLen = 32
 
-	var ix *core.Index
-	var err error
-	if degraded {
-		ix, err = core.NewDegradedIndex(st, opts, "forced for test")
-	} else {
-		ix, err = core.NewIndex(st, opts)
-		if err == nil {
-			err = ix.Build()
-		}
+	ix, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = ix.Build()
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -71,16 +67,15 @@ func newTestIndex(t *testing.T, degraded bool) (*core.Index, float64) {
 
 // newTestServerConfig builds the default test serverConfig over a small
 // synthetic store; tests adjust it before calling newServerFromConfig.
-func newTestServerConfig(t *testing.T, degraded bool) serverConfig {
+func newTestServerConfig(t *testing.T) serverConfig {
 	t.Helper()
-	ix, normScale := newTestIndex(t, degraded)
+	ix, normScale := newTestIndex(t)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	return serverConfig{
-		snap:    &snapshot{ix: ix, normScale: normScale, how: "built for test", loadedAt: time.Now()},
-		tracer:  obs.NewTracer(16),
-		logger:  logger,
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
+		snap:   &snapshot{ix: ix, normScale: normScale, how: "built for test", loadedAt: time.Now()},
+		tracer: obs.NewTracer(16),
+		logger: logger,
+		serve:  testServeFlags(),
 	}
 }
 
@@ -95,11 +90,11 @@ func newServerFromConfig(t *testing.T, cfg serverConfig) *server {
 
 // newTestServer builds a server over a small synthetic store, with the
 // obs layer enabled (as ssserve always runs).
-func newTestServer(t *testing.T, degraded bool) *server {
+func newTestServer(t *testing.T) *server {
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	return newServerFromConfig(t, newTestServerConfig(t, degraded))
+	return newServerFromConfig(t, newTestServerConfig(t))
 }
 
 func get(t *testing.T, s *server, path string) (*http.Response, []byte) {
@@ -116,7 +111,7 @@ func get(t *testing.T, s *server, path string) (*http.Response, []byte) {
 }
 
 func TestSearchEndpoint(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -143,7 +138,7 @@ func TestSearchEndpoint(t *testing.T) {
 // query's trace must contain plan/probe/verify spans whose durations
 // sum to no more than the root span's total.
 func TestSearchTraceSpanDurations(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/search?seq=1&start=9&eps_frac=0.05")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -202,7 +197,7 @@ func TestSearchTraceSpanDurations(t *testing.T) {
 }
 
 func TestSearchParameterErrors(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	tc := buildCoordCluster(t, 2)
 	// One bound on len, whichever route addresses a window: a negative
 	// len once panicked GET /search, a huge one allocated what the client
@@ -248,7 +243,7 @@ func TestSearchParameterErrors(t *testing.T) {
 }
 
 func TestSearchNearestNeighbour(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/search?seq=2&start=11&nn=5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -263,7 +258,7 @@ func TestSearchNearestNeighbour(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -272,46 +267,60 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h["status"] != "ok" || h["degraded"] != false {
+	if len(h) != 1 || h["status"] != "ok" {
 		t.Fatalf("healthz = %s", body)
 	}
 }
 
-func TestHealthzDegraded(t *testing.T) {
-	s := newTestServer(t, true)
-	resp, body := get(t, s, "/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded server must still report healthy (results stay exact), got %d", resp.StatusCode)
-	}
-	var h map[string]interface{}
-	if err := json.Unmarshal(body, &h); err != nil {
+// TestRebuiltIndexServesExactResults: a server whose index cache cannot
+// be served comes up on the index rebuilt from the store, opened the way
+// main opens it (cliutil.OpenIndex): it answers range and k-NN queries
+// exactly as a server over a fresh build does, and /readyz says the
+// index was rebuilt and why.
+func TestRebuiltIndexServesExactResults(t *testing.T) {
+	fresh := newTestServer(t)
+	cfg := newTestServerConfig(t)
+	cache := filepath.Join(t.TempDir(), "index.bin")
+	if err := os.WriteFile(cache, []byte("not an index artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if h["degraded"] != true || h["reason"] == "" {
-		t.Fatalf("healthz = %s", body)
-	}
-}
-
-func TestDegradedSearchServesExactResults(t *testing.T) {
-	s := newTestServer(t, true)
-	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr cluster.SearchWire
-	if err := json.Unmarshal(body, &sr); err != nil {
+	ix, how, err := cliutil.OpenIndex(cfg.snap.ix.Store(), cfg.snap.ix.Options(), cache, cfg.logger)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Plan == nil || !sr.Plan.Degraded {
-		t.Fatalf("degraded search did not flag the plan: %s", body)
+	cfg.snap = &snapshot{ix: ix, normScale: cfg.snap.normScale, how: how, loadedAt: time.Now()}
+	s := newServerFromConfig(t, cfg)
+	for _, path := range []string{"/search?seq=0&start=5&eps_frac=0.05", "/search?seq=0&start=5&nn=3"} {
+		var want, got cluster.SearchWire
+		for _, c := range []struct {
+			s   *server
+			out *cluster.SearchWire
+		}{{fresh, &want}, {s, &got}} {
+			resp, body := get(t, c.s, path)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+			}
+			if err := json.Unmarshal(body, c.out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.Total < 1 || got.Total != want.Total || !reflect.DeepEqual(got.Matches, want.Matches) {
+			t.Fatalf("%s: %d matches over the rebuilt index, %d over a fresh one", path, got.Total, want.Total)
+		}
 	}
-	if sr.Total < 1 {
-		t.Fatal("degraded search must still find the self-match")
+	var ready struct {
+		Snapshot struct {
+			How string `json:"how"`
+		} `json:"snapshot"`
+	}
+	_, body := get(t, s, "/readyz")
+	if err := json.Unmarshal(body, &ready); err != nil || !strings.HasPrefix(ready.Snapshot.How, "rebuilt (") {
+		t.Fatalf("/readyz snapshot: %s (%v)", body, err)
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	// Drive one query so the search counters exist.
 	get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
 	resp, body := get(t, s, "/metrics")
@@ -338,7 +347,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestDebugVars(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/debug/vars")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -350,7 +359,7 @@ func TestDebugVars(t *testing.T) {
 }
 
 func TestPprofIndex(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/debug/pprof/")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -361,7 +370,7 @@ func TestPprofIndex(t *testing.T) {
 }
 
 func TestTracesEndpoint(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
 	resp, body := get(t, s, "/debug/traces")
 	if resp.StatusCode != http.StatusOK {
@@ -383,7 +392,7 @@ func TestTracesEndpoint(t *testing.T) {
 // TestConcurrentQueries hammers /search from several goroutines — the
 // registry, tracer ring, and engine must hold up under -race.
 func TestConcurrentQueries(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	_, before := get(t, s, "/metrics")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -432,7 +441,7 @@ func counterValue(t *testing.T, body, name string) int64 {
 }
 
 func TestSearchLimitTruncates(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	fetch := func(limit string) cluster.SearchWire {
 		t.Helper()
 		resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.2"+limit)
@@ -474,7 +483,7 @@ func TestSearchLimitTruncates(t *testing.T) {
 }
 
 func TestLongQueryOverHTTP(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/search?seq=0&start=5&len=64&eps_frac=0.1")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

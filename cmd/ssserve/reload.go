@@ -70,10 +70,9 @@ func newReloader(cfg reloadConfig) *reloader {
 // artifacts.  Every byte is covered by binio's per-section and
 // whole-file checksums, so a corrupt, truncated, or version-skewed
 // artifact returns a typed error here and the caller keeps the old
-// snapshot — rejection is the load failing, not a degraded fallback:
-// degrading on *reload* would silently trade an existing healthy index
-// for a full-scan server, which is strictly worse than keeping what we
-// have.
+// snapshot — rejection is the load failing, not a rebuild: rebuilding
+// on *reload* would trade an index that serves for a build's worth of
+// unavailability, which is strictly worse than keeping what we have.
 func (rl *reloader) load() (*snapshot, error) {
 	cfg := rl.cfg
 	f, err := cfg.Open(cfg.StorePath)

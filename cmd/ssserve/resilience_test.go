@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,9 +22,9 @@ import (
 	"scaleshift/internal/faulty"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
+	"scaleshift/internal/wal"
 )
 
 // promptBound is the acceptance bound on the server quiescing after a
@@ -67,7 +68,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 }
 
 func TestLivezAlwaysOK(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	s.SetDraining(true) // draining is a routing signal, not a liveness one
 	resp, body := get(t, s, "/livez")
 	if resp.StatusCode != http.StatusOK {
@@ -76,7 +77,7 @@ func TestLivezAlwaysOK(t *testing.T) {
 }
 
 func TestReadyzDraining(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	resp, body := get(t, s, "/readyz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh server not ready: %d: %s", resp.StatusCode, body)
@@ -103,7 +104,7 @@ func TestReadyzDraining(t *testing.T) {
 // then asserts the next request is shed immediately with 429 and a
 // Retry-After hint — the acceptance behaviour for overload.
 func TestOverloadShedsWith429(t *testing.T) {
-	cfg := newTestServerConfig(t, false)
+	cfg := newTestServerConfig(t)
 	cfg.serve.MaxInflight = 1
 	cfg.serve.MaxQueue = 1
 	cfg.serve.QueueTimeout = 2 * time.Second
@@ -169,7 +170,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 // -queue-timeout and asserts it sheds with 429 rather than waiting
 // forever.
 func TestQueueTimeoutSheds(t *testing.T) {
-	cfg := newTestServerConfig(t, false)
+	cfg := newTestServerConfig(t)
 	cfg.serve.MaxInflight = 1
 	cfg.serve.MaxQueue = 4
 	cfg.serve.QueueTimeout = 30 * time.Millisecond
@@ -191,102 +192,45 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	}
 }
 
-// TestBreakerGatesDegradedPath trips the breaker over the degraded
-// scan path and asserts subsequent queries are rejected with 503 and
-// /readyz reports not-ready until the breaker would half-open.
-func TestBreakerGatesDegradedPath(t *testing.T) {
-	cfg := newTestServerConfig(t, true)
-	cfg.breaker = resilience.BreakerConfig{
-		FailureThreshold:  1,
-		SlowThreshold:     time.Nanosecond, // every probe classifies slow
-		OpenTimeout:       time.Hour,
-		HalfOpenSuccesses: 1,
+// TestReadyzReportsPoisonedWAL: an append whose fsync fails — EIO,
+// injected into the write-ahead log's file through faulty.FailingFile —
+// poisons the log, which then refuses every append until the process
+// reopens it.  The append that hit the fault is refused, and /readyz
+// takes the instance out of rotation with the cause under
+// ingest.wal_poisoned.
+func TestReadyzReportsPoisonedWAL(t *testing.T) {
+	log, recs, err := wal.Open(filepath.Join(t.TempDir(), "ingest.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := newServerFromConfig(t, cfg)
-
-	// The first query is admitted, runs (exactly), and its slow
-	// classification trips the breaker.
-	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first degraded query: %d: %s", resp.StatusCode, body)
+	t.Cleanup(func() { log.Close() })
+	s, _ := newIngestTestServer(t, log, recs)
+	if resp, body := get(t, s, "/readyz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz before the fault: %d: %s", resp.StatusCode, body)
 	}
-	if st := s.breaker.State(); st != resilience.BreakerOpen {
-		t.Fatalf("breaker %v after slow probe, want open", st)
+	if resp, raw := postAppend(t, s, `{"seq": 0, "values": [1, 2, 3]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append before the fault: %d: %s", resp.StatusCode, raw)
 	}
 
-	resp, body = get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
+	log.InjectFault(func(f wal.SyncWriter) wal.SyncWriter { return faulty.FailingFile(f, -1, nil, syscall.EIO) })
+	if resp, raw := postAppend(t, s, `{"seq": 0, "values": [4, 5]}`); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("append through a failing fsync: %d, want 500: %s", resp.StatusCode, raw)
+	}
+	resp, body := get(t, s, "/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("breaker-open query: %d, want 503: %s", resp.StatusCode, body)
+		t.Fatalf("readyz with a poisoned log: %d, want 503: %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
+	var d struct {
+		Ready  bool `json:"ready"`
+		Ingest struct {
+			Poisoned string `json:"wal_poisoned"`
+		} `json:"ingest"`
 	}
-
-	resp, body = get(t, s, "/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with open breaker: %d", resp.StatusCode)
-	}
-	var d map[string]interface{}
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
-	if d["breaker"] != "open" {
-		t.Fatalf("readyz detail = %s", body)
-	}
-}
-
-// TestBreakerIgnoresHealthyPath: queries served by the index never
-// touch the breaker, so a healthy server cannot trip it.
-func TestBreakerIgnoresHealthyPath(t *testing.T) {
-	cfg := newTestServerConfig(t, false)
-	cfg.breaker = resilience.BreakerConfig{
-		FailureThreshold:  1,
-		SlowThreshold:     time.Nanosecond,
-		OpenTimeout:       time.Hour,
-		HalfOpenSuccesses: 1,
-	}
-	s := newServerFromConfig(t, cfg)
-	for i := 0; i < 3; i++ {
-		resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("healthy query %d: %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	if st := s.breaker.State(); st != resilience.BreakerClosed {
-		t.Fatalf("breaker %v on the healthy path, want closed", st)
-	}
-}
-
-// TestBreakerIgnoresClientErrors: on a degraded index, requests the
-// engine rejects as the client's own mistake (served as 422 — e.g. NN
-// search, which a degraded index cannot answer) must not move the
-// breaker.  Otherwise a handful of malformed requests would trip it
-// open and convert client misuse into 503s for valid scan queries.
-func TestBreakerIgnoresClientErrors(t *testing.T) {
-	cfg := newTestServerConfig(t, true)
-	cfg.breaker = resilience.BreakerConfig{
-		FailureThreshold:  2,
-		OpenTimeout:       time.Hour,
-		HalfOpenSuccesses: 1,
-	}
-	s := newServerFromConfig(t, cfg)
-
-	// Enough unsupported requests to trip a threshold-2 breaker many
-	// times over, were they (wrongly) counted as path failures.
-	for i := 0; i < 5; i++ {
-		resp, body := get(t, s, "/search?seq=0&start=5&nn=1")
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("NN on degraded index: %d, want 422: %s", resp.StatusCode, body)
-		}
-	}
-	if st := s.breaker.State(); st != resilience.BreakerClosed {
-		t.Fatalf("breaker %v after client errors only, want closed", st)
-	}
-
-	// The degraded scan path still serves well-formed queries.
-	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid scan query after client errors: %d: %s", resp.StatusCode, body)
+	if d.Ready || !strings.Contains(d.Ingest.Poisoned, syscall.EIO.Error()) {
+		t.Fatalf("readyz detail = %s, want ingest.wal_poisoned naming the EIO", body)
 	}
 }
 
@@ -311,7 +255,7 @@ func batchBody(t *testing.T, n int, epsFrac float64, path string) []byte {
 // POST batch must return, per slot, exactly what the equivalent GET
 // returns.
 func TestBatchMatchesSequential(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 	const n = 8
 	resp, body := post(t, s, "/search", batchBody(t, n, 0.05, ""))
 	if resp.StatusCode != http.StatusOK {
@@ -350,7 +294,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 }
 
 func TestBatchRequestLimits(t *testing.T) {
-	s := newTestServer(t, false)
+	s := newTestServer(t)
 
 	// One query over the batch ceiling.
 	resp, body := post(t, s, "/search", batchBody(t, maxBatchQueries+1, 0.05, ""))
@@ -417,11 +361,10 @@ func TestClientDisconnectCancelsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := serverConfig{
-		snap:    &snapshot{ix: ix, normScale: normScale, how: "built for test", loadedAt: time.Now()},
-		tracer:  obs.NewTracer(16),
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
+		snap:   &snapshot{ix: ix, normScale: normScale, how: "built for test", loadedAt: time.Now()},
+		tracer: obs.NewTracer(16),
+		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		serve:  testServeFlags(),
 	}
 	s := newServerFromConfig(t, cfg)
 
@@ -544,12 +487,11 @@ func newArtifactServer(t *testing.T, rcfg reloadConfig, in *faulty.Injector) *se
 		t.Fatal(err)
 	}
 	return newServerFromConfig(t, serverConfig{
-		snap:    snap,
-		tracer:  obs.NewTracer(16),
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
-		reload:  &rcfg,
+		snap:   snap,
+		tracer: obs.NewTracer(16),
+		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		serve:  testServeFlags(),
+		reload: &rcfg,
 	})
 }
 
@@ -591,7 +533,7 @@ func TestAdminReloadSwapsSnapshot(t *testing.T) {
 }
 
 func TestAdminReloadUnconfigured(t *testing.T) {
-	s := newTestServer(t, false) // synthetic data, no artifacts
+	s := newTestServer(t) // synthetic data, no artifacts
 	resp, body := post(t, s, "/admin/reload", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("reload without artifacts: %d, want 409: %s", resp.StatusCode, body)
@@ -756,7 +698,7 @@ func artifactLen(t *testing.T, path string) int64 {
 // TestServeFlagsRejectedByServer: a misconfigured limit fails server
 // construction instead of building a footgun.
 func TestServeFlagsRejectedByServer(t *testing.T) {
-	cfg := newTestServerConfig(t, false)
+	cfg := newTestServerConfig(t)
 	cfg.serve = cliutil.ServeFlags{MaxInflight: 0, MaxQueue: 1, QueueTimeout: time.Second, RequestTimeout: time.Second}
 	if _, err := newServer(cfg); err == nil {
 		t.Fatal("zero max-inflight accepted")

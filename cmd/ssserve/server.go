@@ -30,28 +30,25 @@ const (
 // serverConfig assembles a server.  Everything is explicit so tests
 // can build small, deterministic instances.
 type serverConfig struct {
-	snap    *snapshot
-	tracer  *obs.Tracer
-	logger  *slog.Logger
-	serve   cliutil.ServeFlags
-	breaker resilience.BreakerConfig
-	reload  *reloadConfig  // nil disables hot reload
-	ingest  *ingestState   // nil disables live append
-	ckpt    *checkpointer  // nil disables checkpointing (and append-mode reload)
-	events  *obs.EventRing // nil gets a default ring
+	snap   *snapshot
+	tracer *obs.Tracer
+	logger *slog.Logger
+	serve  cliutil.ServeFlags
+	reload *reloadConfig  // nil disables hot reload
+	ingest *ingestState   // nil disables live append
+	ckpt   *checkpointer  // nil disables checkpointing (and append-mode reload)
+	events *obs.EventRing // nil gets a default ring
 }
 
 // server is the shard mode of the frontend: it serves queries from
 // its own artifacts.  The artifact snapshot sits behind an RCU cell so
-// hot reloads swap it atomically; the circuit breaker stands between
-// the degraded scan path and the engine.
+// hot reloads swap it atomically.
 type server struct {
 	*frontend
-	snap    *resilience.Cell[*snapshot]
-	breaker *resilience.Breaker
-	rel     *reloader
-	ingest  *ingestState
-	ckpt    *checkpointer
+	snap   *resilience.Cell[*snapshot]
+	rel    *reloader
+	ingest *ingestState
+	ckpt   *checkpointer
 
 	reloading     atomic.Bool
 	lastReloadErr atomic.Pointer[reloadFailure]
@@ -86,8 +83,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		// last /readyz.
 		f.refresh = s.publishIngestGauges
 	}
-	cfg.breaker.Registry = s.reg
-	s.breaker = resilience.NewBreaker(cfg.breaker)
 	if cfg.reload != nil {
 		s.rel = newReloader(*cfg.reload)
 	}
@@ -119,34 +114,18 @@ func (s *server) publishSnapshotGauges(sn *snapshot) {
 	s.reg.Gauge("scaleshift_store_sequences", "Sequences in the loaded store.").Set(float64(seqs))
 	s.reg.Gauge("scaleshift_store_values", "Samples in the loaded store.").Set(float64(values))
 	s.reg.Gauge("scaleshift_store_pages", "Data pages in the loaded store.").Set(float64(pages))
-	degraded := 0.0
-	if deg, _ := sn.ix.Degraded(); deg {
-		degraded = 1
-	}
-	s.reg.Gauge("scaleshift_index_degraded", "1 when the index is serving in degraded (scan-only) mode.").Set(degraded)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Acquire()
-	defer sn.Release()
-	deg, reason := sn.Value().ix.Degraded()
-	resp := map[string]interface{}{"status": "ok", "degraded": deg}
-	if deg {
-		// Degraded still answers exactly (scan fallback), so the server
-		// stays healthy — the flag tells operators acceleration is gone.
-		resp["reason"] = reason
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readiness is the shard's /readyz verdict: draining, a reload in
-// progress, checkpoint lag past its bound, and an open circuit breaker
-// each take the instance out of rotation.
+// progress, checkpoint lag past its bound, and a poisoned write-ahead
+// log each take the instance out of rotation.
 func (s *server) readiness(context.Context) (bool, map[string]interface{}) {
 	sn := s.snap.Acquire()
 	defer sn.Release()
-	deg, degReason := sn.Value().ix.Degraded()
-	breakerState := s.breaker.State()
 	draining := s.draining.Load()
 	reloading := s.reloading.Load()
 	// Checkpoint lag warns (the detail below carries the age) without
@@ -154,21 +133,18 @@ func (s *server) readiness(context.Context) (bool, map[string]interface{}) {
 	// checkpoint means growing recovery cost, not wrong answers, so the
 	// instance keeps taking traffic while operators see the signal.
 	lagged := s.ckpt != nil && s.ckpt.lagExceeded()
-	ready := !draining && !reloading && !lagged && breakerState != resilience.BreakerOpen
+	// A poisoned log refuses every append until the process reopens it.
+	poisoned := s.ingest != nil && s.ingest.walPoisoned() != nil
+	ready := !draining && !reloading && !lagged && !poisoned
 
 	detail := map[string]interface{}{
 		"ready":     ready,
 		"draining":  draining,
 		"reloading": reloading,
-		"breaker":   breakerState.String(),
-		"degraded":  deg,
 		"snapshot": map[string]interface{}{
 			"how":       sn.Value().how,
 			"loaded_at": sn.Value().loadedAt,
 		},
-	}
-	if deg {
-		detail["degraded_reason"] = degReason
 	}
 	if f := s.lastReloadErr.Load(); f != nil {
 		detail["last_reload_rejected"] = f
@@ -268,35 +244,6 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// breakerGate admits or rejects a query that would run on the
-// degraded scan path.  It returns a record func (no-op on a healthy
-// index) to call with the query's outcome.
-func (s *server) breakerGate(w http.ResponseWriter, r *http.Request, sn *snapshot) (record func(d time.Duration, err error), ok bool) {
-	if deg, _ := sn.ix.Degraded(); !deg {
-		return func(time.Duration, error) {}, true
-	}
-	if err := s.breaker.Allow(); err != nil {
-		s.writeOverloaded(w, r, err)
-		return nil, false
-	}
-	return func(d time.Duration, err error) {
-		// Only outcomes that reflect the scan path's health may move the
-		// breaker.  A client that hung up proved nothing; neither did a
-		// request the engine rejected as the client's own mistake (an
-		// invalid query or an unsupported operation, served as 4xx) —
-		// recording those would let client misuse trip the breaker and
-		// convert into self-inflicted 503s for valid queries.
-		switch {
-		case errors.Is(err, context.Canceled) && r.Context().Err() != nil:
-			s.breaker.RecordNeutral()
-		case errors.Is(err, core.ErrInvalidQuery) || errors.Is(err, engine.ErrUnsupported):
-			s.breaker.RecordNeutral()
-		default:
-			s.breaker.Record(d, err)
-		}
-	}, true
-}
-
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	pin := s.snap.Acquire()
 	defer pin.Release()
@@ -310,11 +257,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q, describe, err := s.parseSearchRequest(sn, r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	record, ok := s.breakerGate(w, r, sn)
-	if !ok {
 		return
 	}
 
@@ -336,7 +278,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	res, err := sn.ix.Exec(ctx, q, &stats)
 	elapsed := time.Since(start)
 	ex := res.Explain
-	record(elapsed, err)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 		root.End()
@@ -345,11 +286,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.SetInt("matches", int64(res.Total))
-	if ex != nil && ex.Degraded {
-		// Flagging the root span routes the trace into the tracer's
-		// degraded retention bucket (and the ?degraded=1 filter).
-		root.SetBool("degraded", true)
-	}
 	root.End() // commits the trace, so /debug/traces can serve it immediately
 	fillSearchDraft(ctx, root, describe, &stats, ex, res.Total)
 
@@ -368,12 +304,10 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if ex != nil {
 		resp.Plan = &cluster.WirePlan{
-			Path:           ex.Chosen.String(),
-			Forced:         ex.Forced,
-			Degraded:       ex.Degraded,
-			DegradedReason: ex.DegradedReason,
-			Pieces:         ex.Pieces,
-			EstCandidates:  ex.EstCandidates,
+			Path:          ex.Chosen.String(),
+			Forced:        ex.Forced,
+			Pieces:        ex.Pieces,
+			EstCandidates: ex.EstCandidates,
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -571,11 +505,6 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 		queries[i].Limit = limit
 	}
 
-	record, ok := s.breakerGate(w, r, sn)
-	if !ok {
-		return
-	}
-
 	ctx, root := s.tracer.StartTraceWithID(r.Context(), "search_batch",
 		obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)))
 	root.SetInt("queries", int64(len(queries)))
@@ -587,7 +516,6 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 	start := time.Now()
 	results, statuses, err := sn.ix.ExecBatch(ctx, queries, breq.Parallelism, &stats)
 	elapsed := time.Since(start)
-	record(elapsed, err)
 	describe := fmt.Sprintf("batch of %d queries", len(queries))
 	canceled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if err != nil && !canceled {
@@ -605,9 +533,6 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request, sn *s
 		fillSearchDraft(ctx, root, describe, &stats, nil, 0)
 		s.writeError(w, 499, err)
 		return
-	}
-	if deg, _ := sn.ix.Degraded(); deg {
-		root.SetBool("degraded", true)
 	}
 	root.End()
 

@@ -30,7 +30,6 @@ func (s *server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		names[i] = st.SequenceName(i)
 	}
 	seqs, values, _ := sn.ix.StoreShape()
-	degraded, _ := sn.ix.Degraded()
 	s.writeJSON(w, http.StatusOK, cluster.ShardInfoWire{
 		Sequences:    seqs,
 		Values:       values,
@@ -39,7 +38,6 @@ func (s *server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		Coefficients: sn.ix.Options().Coefficients,
 		NormScale:    sn.normScale,
 		Fingerprint:  cluster.Fingerprint(names),
-		Degraded:     degraded,
 	})
 }
 

@@ -27,7 +27,6 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/faulty"
 	"scaleshift/internal/obs"
-	"scaleshift/internal/resilience"
 	"scaleshift/internal/wal"
 )
 
@@ -477,7 +476,7 @@ func TestSoak(t *testing.T) {
 				fail("wide event missing identity: kind=%q trace=%q", e.Kind, e.TraceID)
 			}
 			switch e.Outcome {
-			case "ok", "shed", "breaker_open", "client_error", "error":
+			case "ok", "shed", "client_error", "error":
 			default:
 				fail("wide event with unknown outcome %q", e.Outcome)
 			}
@@ -663,7 +662,7 @@ func soakSpecParams(i int) (seq, start int, epsFrac float64) {
 // run to prove a failed compaction never disturbs serving.
 func newIngestSoakServer(t *testing.T) (*server, *core.SegmentedIndex, *atomic.Int64) {
 	t.Helper()
-	ix, normScale := newTestIndex(t, false)
+	ix, normScale := newTestIndex(t)
 	seg, err := core.NewSegmentedFromIndex(ix)
 	if err != nil {
 		t.Fatal(err)
@@ -690,12 +689,11 @@ func newIngestSoakServer(t *testing.T) (*server, *core.SegmentedIndex, *atomic.I
 	}
 	seg.StartCompactor()
 	srv := newServerFromConfig(t, serverConfig{
-		snap:    &snapshot{ix: seg, normScale: normScale, how: "built for soak", loadedAt: time.Now()},
-		tracer:  obs.NewTracer(16),
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:   testServeFlags(),
-		breaker: resilience.DefaultBreakerConfig(),
-		ingest:  ing,
+		snap:   &snapshot{ix: seg, normScale: normScale, how: "built for soak", loadedAt: time.Now()},
+		tracer: obs.NewTracer(16),
+		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		serve:  testServeFlags(),
+		ingest: ing,
 	})
 	return srv, seg, hookFaults
 }
@@ -726,12 +724,11 @@ func newArtifactServerInjected(t *testing.T, rcfg reloadConfig, in *faulty.Injec
 	serve.MaxQueue = 4
 	serve.QueueTimeout = 250 * time.Millisecond
 	return newServerFromConfig(t, serverConfig{
-		snap:    snap,
-		tracer:  obs.NewTracer(16),
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:   serve,
-		breaker: resilience.DefaultBreakerConfig(),
-		reload:  &rcfg,
+		snap:   snap,
+		tracer: obs.NewTracer(16),
+		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		serve:  serve,
+		reload: &rcfg,
 	})
 }
 

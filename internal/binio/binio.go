@@ -13,8 +13,8 @@
 // Loaders classify failures with the three sentinel errors below so
 // callers can distinguish "wrong/old format" (ErrVersion) from "bytes
 // are damaged" (ErrChecksum) from "file ends early" (ErrTruncated) —
-// the distinction drives the CLI diagnostics and the degraded-mode
-// fallback (core.OpenOrRebuild).
+// the distinction drives the CLI diagnostics and the rebuild reason
+// (core.OpenOrRebuildFile).
 package binio
 
 import (

@@ -13,8 +13,10 @@
 // checkpoint names it; later checkpoints name the same file.  The store
 // stays inline in every manifest, so the current and the previous
 // checkpoint remain two independent copies of the data, and a segment
-// file that is missing or damaged is derived state that recovery
-// rebuilds from that store (a loud Warning, not a rejection).
+// that cannot be served as it is — its file missing or damaged, its
+// arena in an older layout or with an MBR directory — is derived state
+// that recovery rebuilds from that store (a loud Warning, not a
+// rejection).
 //
 // The SSCKP v1 format (Write, Read, Install) is the same meta and store
 // sections followed by every segment inline in the SSSEG format.
@@ -196,43 +198,45 @@ func (n *byteCounter) Write(p []byte) (int, error) {
 
 // Read parses and fully validates an SSCKP v1 checkpoint written by
 // Write, returning its meta, the recovered store, and the segmented
-// index rebuilt over it.  Any framing, checksum, or structural failure
-// is a typed error; nothing partially loaded is ever returned.  A v2
-// manifest names files beside it; Recover reads those.
-func Read(r io.Reader) (Meta, *store.Store, *core.SegmentedIndex, error) {
+// index over it, with every segment rebuilt from that store that could
+// not be served as it is (see core.LoadSegments).  Any framing,
+// checksum, or structural failure is a typed error; nothing partially
+// loaded is ever returned.  A v2 manifest names files beside it;
+// Recover reads those.
+func Read(r io.Reader) (*Result, []core.SegmentRebuild, error) {
 	br := binio.NewReader(r)
 	if _, err := br.MagicVersions(ckptMagic, ckptVersions...); err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: reading magic: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: reading magic: %w", err)
 	}
 	head, err := br.Section(metaLen)
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: meta section: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: meta section: %w", err)
 	}
 	meta, err := decodeMeta(head)
 	if err != nil {
-		return Meta{}, nil, nil, err
+		return nil, nil, err
 	}
 	stBytes, err := br.Section(maxSection)
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: store section: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: store section: %w", err)
 	}
 	segBytes, err := br.Section(maxSection)
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: segments section: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: segments section: %w", err)
 	}
 	if err := br.Trailer(); err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: %w", err)
 	}
 
 	st, err := store.ReadBinary(bytes.NewReader(stBytes))
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: embedded store: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: embedded store: %w", err)
 	}
-	seg, err := core.LoadSegments(bytes.NewReader(segBytes), st)
+	seg, rebuilt, err := core.LoadSegments(bytes.NewReader(segBytes), st)
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("ckpt: embedded segments: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: embedded segments: %w", err)
 	}
-	return meta, st, seg, nil
+	return &Result{Meta: meta, Store: st, Seg: seg}, rebuilt, nil
 }
 
 // manifest is a parsed SSCKP v2 manifest.  store aliases the bytes it
@@ -577,15 +581,17 @@ func namedFiles(path string) []core.SegmentFile {
 type Warning struct {
 	Path string
 	Err  error
-	// Rebuilt marks a segment file that was missing or damaged: the
-	// manifest naming it was recovered, the segment rebuilt from the
-	// manifest's store.
+	// Rebuilt marks a segment that could not be served as it is — its
+	// file missing or damaged, its arena in an older layout or with an
+	// MBR directory: the checkpoint naming it was recovered, the segment
+	// rebuilt from the checkpoint's store.  Path is the segment's file,
+	// or "<checkpoint> segment <i>" for one inline in an SSCKP v1 file.
 	Rebuilt bool
 }
 
 func (w Warning) String() string {
 	if w.Rebuilt {
-		return fmt.Sprintf("segment file %s rejected (%v); segment rebuilt from the checkpoint's store", w.Path, w.Err)
+		return fmt.Sprintf("%s rejected (%v); segment rebuilt from the checkpoint's store", w.Path, w.Err)
 	}
 	return fmt.Sprintf("checkpoint artifact %s rejected: %v", w.Path, w.Err)
 }
@@ -604,9 +610,9 @@ type Result struct {
 // .prev fallback — and returns the first that loads and validates
 // completely, along with a Warning for every file rejected on the way.
 // A v2 manifest's segment files are mapped and served in place, each
-// verified in full first; one that is missing or damaged is rebuilt
-// from the manifest's store (a Rebuilt warning), so a bad segment file
-// never costs a fallback.  When no manifest loads, the error wraps
+// verified in full first; a segment that cannot be served as it is is
+// rebuilt from the checkpoint's store (a Rebuilt warning), so a bad
+// segment never costs a fallback.  When no manifest loads, the error wraps
 // ErrNoCheckpoint and the warnings tell the caller whether artifacts
 // existed at all (corrupt chain) or the directory is simply fresh.
 func Recover(base string) (*Result, []Warning, error) {
@@ -648,11 +654,11 @@ func load(path, segDir string) (*Result, []core.SegmentRebuild, error) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, nil, err
 		}
-		meta, st, seg, err := Read(f)
-		if err != nil {
-			return nil, nil, err
+		res, rebuilt, err := Read(f)
+		for i := range rebuilt {
+			rebuilt[i].Path = path + " " + rebuilt[i].Path
 		}
-		return &Result{Meta: meta, Store: st, Seg: seg}, nil, nil
+		return res, rebuilt, err
 	}
 	// The store is copied out of the mapping; the segments map their own
 	// files, so the manifest's mapping goes when load returns.

@@ -93,10 +93,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, st2, seg2, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	res, rebuilt, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(rebuilt) > 0 {
+		t.Fatalf("read: %v (rebuilt %v)", err, rebuilt)
 	}
+	got, st2, seg2 := res.Meta, res.Store, res.Seg
 	defer seg2.Close()
 	if got != meta {
 		t.Fatalf("meta round trip: %+v, want %+v", got, meta)
@@ -153,13 +154,13 @@ func TestInstallRotationAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevMeta, _, prevSeg, err := Read(f)
+	prev, _, err := Read(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevSeg.Close()
-	if prevMeta.Generation != 2 || prevMeta.WALOffset != 200 {
+	prev.Seg.Close()
+	if prevMeta := prev.Meta; prevMeta.Generation != 2 || prevMeta.WALOffset != 200 {
 		t.Fatalf(".prev slot holds %+v, want generation 2", prevMeta)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
+	"scaleshift/internal/binio"
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/stock"
@@ -97,22 +99,32 @@ func TestManifestDigest(t *testing.T) {
 // TestPreChangeCheckpoint recovers a checkpoint the parent of the
 // direction-box commit wrote (testdata/mbr_arena.ssckp: 4 × 220 values,
 // window 32, generation 7, WAL offset 4096; its one segment an MBR-
-// directory arena): it is read as it is — the index answers what a
-// segmented index built today over the recovered store answers, forced
-// down the tree included — and checkpointing it again writes the same
-// bytes, so nothing was converted on the way.
+// directory arena, which is no longer served): Recover returns its meta
+// and store, with the segment rebuilt from that store and reported as a
+// Rebuilt warning; the index answers Float64bits-identically to a
+// segmented index built today over the recovered store — forced down the
+// tree and k-NN included — and checkpointing it writes the bytes that
+// fresh index's checkpoint has.
 func TestPreChangeCheckpoint(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("testdata", "mbr_arena.ssckp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, st, seg, err := Read(bytes.NewReader(old))
+	base := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(base, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, warns, err := Recover(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta, st, seg := res.Meta, res.Store, res.Seg
 	defer seg.Close()
 	if want := (Meta{Generation: 7, WALOffset: 4096, CreatedAt: time.Unix(0, 0)}); meta != want {
 		t.Fatalf("meta %+v, want %+v", meta, want)
+	}
+	if len(warns) != 1 || !warns[0].Rebuilt || warns[0].Path != base+" segment 0" || !errors.Is(warns[0].Err, binio.ErrVersion) {
+		t.Fatalf("warnings %v, want one rebuild of segment 0 for its version", warns)
 	}
 	fresh, err := core.NewSegmentedIndex(st, seg.Options())
 	if err != nil {
@@ -125,8 +137,7 @@ func TestPreChangeCheckpoint(t *testing.T) {
 		if err := seg.QueryWindow(s, 17*s, n, q); err != nil {
 			t.Fatal(err)
 		}
-		for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree} {
-			query := core.Query{Vec: q, Eps: 2, Force: force}
+		for _, query := range []core.Query{{Vec: q, Eps: 2}, {Vec: q, Eps: 2, Force: engine.PathRTree}, {Vec: q, K: 4}} {
 			var stats core.SearchStats
 			got, err := seg.Exec(context.Background(), query, &stats)
 			if err != nil {
@@ -136,24 +147,43 @@ func TestPreChangeCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Matches) == 0 || !reflect.DeepEqual(got.Matches, want.Matches) {
-				t.Fatalf("sequence %d, force %v: %d matches from the recovered index, %d from a fresh one", s, force, len(got.Matches), len(want.Matches))
+			if len(got.Matches) == 0 || !sameBits(got.Matches, want.Matches) {
+				t.Fatalf("sequence %d, %+v: %d matches from the recovered index, %d from a fresh one", s, query, len(got.Matches), len(want.Matches))
 			}
-			if force == engine.PathRTree && stats.IndexNodeAccesses == 0 {
+			if query.Force == engine.PathRTree && stats.IndexNodeAccesses == 0 {
 				t.Fatalf("sequence %d: the forced probe read no index page", s)
 			}
 		}
 	}
-	write, release, err := seg.SegmentWriter()
-	if err != nil {
-		t.Fatal(err)
+	checkpoint := func(g *core.SegmentedIndex) []byte {
+		write, release, err := g.SegmentWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		var buf bytes.Buffer
+		if err := Write(&buf, meta, st.Snapshot().WriteBinary, write); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	defer release()
-	var again bytes.Buffer
-	if err := Write(&again, meta, st.Snapshot().WriteBinary, write); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(checkpoint(seg), checkpoint(fresh)) {
+		t.Fatal("the recovered checkpoint writes itself differently from a fresh build's")
 	}
-	if !bytes.Equal(again.Bytes(), old) {
-		t.Fatalf("the recovered checkpoint writes itself back differently (%d vs %d bytes)", again.Len(), len(old))
+}
+
+// sameBits reports whether two answers agree row for row, distances and
+// (a, b) bit for bit.
+func sameBits(a, b []core.Match) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Seq != y.Seq || x.Start != y.Start || math.Float64bits(x.Dist) != math.Float64bits(y.Dist) ||
+			math.Float64bits(x.Scale) != math.Float64bits(y.Scale) || math.Float64bits(x.Shift) != math.Float64bits(y.Shift) {
+			return false
+		}
+	}
+	return true
 }

@@ -303,7 +303,7 @@ func TestReadRejectsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Read(bytes.NewReader(data)); !errors.Is(err, binio.ErrVersion) {
+	if _, _, err := Read(bytes.NewReader(data)); !errors.Is(err, binio.ErrVersion) {
 		t.Fatalf("Read of a v2 manifest: %v, want ErrVersion", err)
 	}
 }

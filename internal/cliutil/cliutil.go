@@ -109,23 +109,6 @@ func (s *ServeFlags) Validate() error {
 	return nil
 }
 
-// openedHow describes an index opened from the artifact at cache: mapped
-// in place or converted from an older arena layout, and what its
-// directory stores — a build's direction boxes, or the MBRs of an
-// artifact that predates them, served as they are until the cache is
-// deleted and the index built again.
-func openedHow(ix *core.Index, cache string, took time.Duration) string {
-	verb := "mapped"
-	if ix.Converted() {
-		verb = "converted (version-1 arena, parsed into the heap: save the index to rewrite it)"
-	}
-	dir := ix.Directory() + " directory"
-	if ix.Directory() == core.DirectoryMBR {
-		dir += ": delete the cache to rebuild it with the direction-box one"
-	}
-	return fmt.Sprintf("%s from %s in %v (%s)", verb, cache, took.Round(time.Millisecond), dir)
-}
-
 // LoadStore resolves the shared database flags: a checksummed binary
 // artifact (-store), a CSV file (-data), or freshly generated
 // synthetic data.
@@ -162,65 +145,36 @@ func LoadStore(storeFile, dataFile string, companies, days int, seed int64) (*st
 }
 
 // OpenIndex builds the index, or round-trips it through the cache file
-// when one is configured.  An invalid cache (truncated, corrupted,
-// version-skewed, or built over a different store) degrades to the
-// scan fallback with a structured warning by default — queries keep
-// returning exact results through the raw store — or fails the run
-// when strict is set.  The returned string describes how the index was
-// obtained and in which shape — mapped or converted from an older layout,
-// with which directory, or built, with the build's stage split — for the
-// command's status output: the one place that says it.
-func OpenIndex(st *store.Store, opts core.Options, cache string, strict bool, logger *slog.Logger) (*core.Index, string, error) {
-	if cache != "" {
-		if _, err := os.Stat(cache); err == nil {
-			start := time.Now()
-			if strict {
-				// A strict open must not serve unverified bytes, so run the
-				// deferred checksum + structural pass before returning; the
-				// mapping itself is still zero-copy.
-				ix, err := core.LoadIndexFile(cache, st)
-				if err == nil {
-					if err = ix.VerifyArtifact(); err != nil {
-						ix.Close()
-					}
-				}
-				if err != nil {
-					return nil, "", fmt.Errorf("index cache %s unusable: %v (delete it or rebuild without a cache)", cache, err)
-				}
-				return ix, openedHow(ix, cache, time.Since(start)), nil
-			}
-			ix, status, err := core.OpenOrRebuildFile(cache, st, opts)
-			if err != nil {
-				return nil, "", err
-			}
-			if !status.Degraded {
-				if verr := ix.VerifyArtifact(); verr != nil {
-					ix.Close()
-					status.Degraded = true
-					status.Reason = fmt.Sprintf("index artifact rejected: %v", verr)
-					ix, err = core.NewDegradedIndex(st, opts, status.Reason)
-					if err != nil {
-						return nil, "", err
-					}
-				}
-			}
-			if status.Degraded {
-				logger.Warn("index degraded; serving exact results via full scan",
-					"reason", status.Reason, "cache", cache)
-				return ix, fmt.Sprintf("DEGRADED (%s)", status.Reason), nil
-			}
-			return ix, openedHow(ix, cache, time.Since(start)), nil
+// when one is configured.  The cache is derived state: one that cannot be
+// served as it is — truncated, corrupted, version-skewed, an MBR
+// directory, or built over a different store — is rebuilt from the store
+// with one structured warning, and the rebuilt index replaces it.  The
+// returned string describes how the index was obtained — mapped, built
+// with the build's stage split, or rebuilt and why — for the command's
+// status output: the one place that says it.
+func OpenIndex(st *store.Store, opts core.Options, cache string, logger *slog.Logger) (*core.Index, string, error) {
+	start := time.Now()
+	var ix *core.Index
+	how := "built"
+	if _, err := os.Stat(cache); err == nil {
+		var rebuilt error
+		if ix, rebuilt, err = core.OpenOrRebuildFile(cache, st, opts); err != nil {
+			return nil, "", err
+		}
+		if rebuilt == nil {
+			return ix, fmt.Sprintf("mapped from %s in %v (%s directory)", cache, time.Since(start).Round(time.Millisecond), ix.Directory()), nil
+		}
+		logger.Warn("index cache rejected; rebuilt from the store", "reason", rebuilt, "cache", cache)
+		how = fmt.Sprintf("rebuilt (%v)", rebuilt)
+	} else {
+		if ix, err = core.NewIndex(st, opts); err != nil {
+			return nil, "", err
+		}
+		if err := ix.Build(); err != nil {
+			return nil, "", err
 		}
 	}
-	ix, err := core.NewIndex(st, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	start := time.Now()
-	if err := ix.Build(); err != nil {
-		return nil, "", err
-	}
-	how := fmt.Sprintf("built in %v", time.Since(start).Round(time.Millisecond))
+	how += fmt.Sprintf(" in %v", time.Since(start).Round(time.Millisecond))
 	if bs := ix.BuildStages(); bs != (core.BuildStages{}) {
 		const tenth = time.Millisecond / 10
 		how += fmt.Sprintf(" (extract %v, tile %v, emit %v)", bs.Extract.Round(tenth), bs.Tile.Round(tenth), bs.Emit.Round(tenth))

@@ -7,12 +7,10 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"testing"
-
 	"strings"
+	"testing"
 	"time"
 
-	"scaleshift/internal/atomicfile"
 	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
@@ -80,38 +78,68 @@ func TestLoadStoreMissingFile(t *testing.T) {
 	}
 }
 
-func TestOpenIndexDegradesOnCorruptCache(t *testing.T) {
+// TestOpenIndexRebuildsCorruptCache: a cache that cannot be served as it
+// is — garbage, or an MBR-directory artifact — is rebuilt from the store
+// with one warning, says so on the how line, answers as a fresh build,
+// and is replaced by the rebuilt index, which the next open maps.
+func TestOpenIndexRebuildsCorruptCache(t *testing.T) {
 	st, err := LoadStore("", "", 5, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
 	opts.WindowLen = 32
-
-	cache := filepath.Join(t.TempDir(), "bad.index")
-	if err := os.WriteFile(cache, []byte("not an index artifact"), 0o644); err != nil {
-		t.Fatal(err)
+	fresh, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = fresh.Build()
 	}
-
-	var logbuf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&logbuf, nil))
-	ix, how, err := OpenIndex(st, opts, cache, false, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deg, _ := ix.Degraded(); !deg {
-		t.Fatal("corrupt cache must degrade, not fail")
+	var want bytes.Buffer
+	if err := fresh.WriteBinary(&want); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Contains(logbuf.Bytes(), []byte("degraded")) {
-		t.Fatalf("degradation not logged: %s", logbuf.String())
+	mbr, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = mbr.BuildWith(rstar.Load)
 	}
-	if how == "" || !bytes.Contains([]byte(how), []byte("DEGRADED")) {
-		t.Fatalf("how = %q, want DEGRADED marker", how)
+	var mbrBytes bytes.Buffer
+	if err == nil {
+		err = mbr.WriteBinary(&mbrBytes)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Strict mode fails loudly instead.
-	if _, _, err := OpenIndex(st, opts, cache, true, logger); err == nil {
-		t.Fatal("strict open of a corrupt cache must fail")
+	for what, bad := range map[string][]byte{"garbage": []byte("not an index artifact"), "MBR directory": mbrBytes.Bytes()} {
+		cache := filepath.Join(t.TempDir(), "bad.index")
+		if err := os.WriteFile(cache, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logbuf bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&logbuf, nil))
+		ix, how, err := OpenIndex(st, opts, cache, logger)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := strings.Count(logbuf.String(), "level=WARN"); n != 1 || !strings.Contains(logbuf.String(), "rebuilt from the store") {
+			t.Fatalf("%s: want one rebuild warning, logged %q", what, logbuf.String())
+		}
+		if !strings.HasPrefix(how, "rebuilt (") || !strings.Contains(how, ", cached to "+cache) {
+			t.Fatalf("%s: how = %q, want the rebuild and its reason", what, how)
+		}
+		if ix.Directory() != core.DirectoryBox || ix.WindowCount() != fresh.WindowCount() {
+			t.Fatalf("%s: rebuilt a %s directory over %d windows", what, ix.Directory(), ix.WindowCount())
+		}
+		if got, err := os.ReadFile(cache); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: the cache was not replaced by the rebuilt index (%v)", what, err)
+		}
+		again, how, err := OpenIndex(st, opts, cache, logger)
+		if err != nil || !strings.HasPrefix(how, "mapped from") {
+			t.Fatalf("%s: reopening the rewritten cache: how %q, err %v", what, how, err)
+		}
+		again.Close()
 	}
 }
 
@@ -125,45 +153,25 @@ func TestOpenIndexBuildAndReload(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	cache := filepath.Join(t.TempDir(), "good.index")
-	built, how, err := OpenIndex(st, opts, cache, false, logger)
+	built, how, err := OpenIndex(st, opts, cache, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(how, "built") || !strings.Contains(how, "(extract ") || !strings.Contains(how, "tile ") {
+	if !strings.HasPrefix(how, "built in ") || !strings.Contains(how, "(extract ") || !strings.Contains(how, "tile ") {
 		t.Fatalf("first open should build and say where the time went, got %q", how)
 	}
-	for _, strict := range []bool{true, false} {
-		loaded, how, err := OpenIndex(st, opts, cache, strict, logger)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(how, "mapped from") || !strings.HasSuffix(how, "(direction-box directory)") {
-			t.Fatalf("second open (strict %v) should map the bulk-built cache and say its shape, got %q", strict, how)
-		}
-		if built.WindowCount() != loaded.WindowCount() {
-			t.Fatalf("cache round trip changed window count: %d != %d",
-				built.WindowCount(), loaded.WindowCount())
-		}
-		loaded.Close()
-	}
-
-	// An artifact written before builds took the direction-box shape — or
-	// by the experiments' insert loader — carries MBRs, is served as it
-	// is, and says once what to do about it.
-	old := filepath.Join(t.TempDir(), "mbr.index")
-	mbr, err := core.NewIndex(st, opts)
-	if err == nil {
-		err = mbr.BuildWith(rstar.Load)
-	}
-	if err == nil {
-		err = atomicfile.WriteFile(old, mbr.WriteBinary)
-	}
+	loaded, how, err := OpenIndex(st, opts, cache, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, how, err = OpenIndex(st, opts, old, false, logger); err != nil || !strings.Contains(how, "(MBR directory: delete the cache to rebuild it with the direction-box one)") {
-		t.Fatalf("opening an MBR artifact: how %q, err %v", how, err)
+	if !strings.Contains(how, "mapped from") || !strings.HasSuffix(how, "(direction-box directory)") {
+		t.Fatalf("second open should map the bulk-built cache and say its shape, got %q", how)
 	}
+	if built.WindowCount() != loaded.WindowCount() {
+		t.Fatalf("cache round trip changed window count: %d != %d",
+			built.WindowCount(), loaded.WindowCount())
+	}
+	loaded.Close()
 }
 
 func TestAddServeFlagsDefaults(t *testing.T) {

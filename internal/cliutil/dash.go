@@ -385,13 +385,12 @@ func (d *Dash) Render(w io.Writer) {
 		}
 	}
 	ready, _ := cur.Lookup("scaleshift_ready", nil)
-	degraded, _ := cur.Lookup("scaleshift_index_degraded", nil)
 	gen, _ := cur.Lookup("scaleshift_snapshot_generation", nil)
 	fmt.Fprintf(w, "ssserve %s  version=%s  %s\n", d.Base, version, at)
 	indexBytes, _ := cur.Lookup("scaleshift_index_bytes", nil)
 	indexPages, _ := cur.Lookup("scaleshift_index_pages", nil)
-	fmt.Fprintf(w, "ready=%.0f  degraded=%.0f  snapshot_gen=%.0f  index=%s in %.0f pages\n\n",
-		ready, degraded, gen, fmtBytes(indexBytes), indexPages)
+	fmt.Fprintf(w, "ready=%.0f  snapshot_gen=%.0f  index=%s in %.0f pages\n\n",
+		ready, gen, fmtBytes(indexBytes), indexPages)
 
 	fmt.Fprintf(w, "%-10s %9s %11s %11s %9s\n", "endpoint", "qps", "p50", "p99", "err/s")
 	for _, h := range []string{"search", "append", "metrics", "events", "traces"} {
@@ -409,12 +408,10 @@ func (d *Dash) Render(w io.Writer) {
 
 	shed := Rate(d.prev, cur, "scaleshift_admission_shed_total", nil)
 	shedTotal := cur.Sum("scaleshift_admission_shed_total", nil)
-	breakerState, _ := cur.Lookup("scaleshift_breaker_state", nil)
-	breakerRej := cur.Sum("scaleshift_breaker_rejected_total", nil)
 	inflight, _ := cur.Lookup("scaleshift_admission_inflight", nil)
 	depth, _ := cur.Lookup("scaleshift_admission_queue_depth", nil)
-	fmt.Fprintf(w, "overload: shed/s=%.1f (total %.0f)  breaker=%s (rejected %.0f)  inflight=%.0f queued=%.0f\n",
-		shed, shedTotal, breakerStateName(breakerState), breakerRej, inflight, depth)
+	fmt.Fprintf(w, "overload: shed/s=%.1f (total %.0f)  inflight=%.0f queued=%.0f\n",
+		shed, shedTotal, inflight, depth)
 
 	if _, ok := cur.Lookup("scaleshift_ingest_generation", nil); ok {
 		deltaW, _ := cur.Lookup("scaleshift_ingest_delta_windows", nil)
@@ -435,15 +432,14 @@ func (d *Dash) Render(w io.Writer) {
 
 	if total, ok := cur.Lookup("scaleshift_cluster_shards", nil); ok {
 		okN, _ := cur.Lookup("scaleshift_cluster_shards_ok", nil)
-		degN, _ := cur.Lookup("scaleshift_cluster_shards_degraded", nil)
 		failN, _ := cur.Lookup("scaleshift_cluster_shards_failed", nil)
 		full := Rate(d.prev, cur, "scaleshift_cluster_scatter_total", map[string]string{"result": "full"})
 		part := Rate(d.prev, cur, "scaleshift_cluster_scatter_total", map[string]string{"result": "partial"})
 		none := Rate(d.prev, cur, "scaleshift_cluster_scatter_total", map[string]string{"result": "none"})
 		retries := cur.Sum("scaleshift_cluster_shard_retries_total", nil)
 		hedges := cur.Sum("scaleshift_cluster_shard_hedges_total", nil)
-		fmt.Fprintf(w, "cluster: shards=%.0f ok=%.0f degraded=%.0f failed=%.0f  gather/s full=%.1f partial=%.1f none=%.1f  retries=%.0f hedges=%.0f\n",
-			total, okN, degN, failN, full, part, none, retries, hedges)
+		fmt.Fprintf(w, "cluster: shards=%.0f ok=%.0f failed=%.0f  gather/s full=%.1f partial=%.1f none=%.1f  retries=%.0f hedges=%.0f\n",
+			total, okN, failN, full, part, none, retries, hedges)
 	}
 
 	if slow := d.slowest(5); len(slow) > 0 {
@@ -464,17 +460,6 @@ func (d *Dash) slowest(n int) []*obs.Event {
 		sorted = sorted[:n]
 	}
 	return sorted
-}
-
-func breakerStateName(v float64) string {
-	switch v {
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	default:
-		return "closed"
-	}
 }
 
 func fmtSeconds(s float64) string {

@@ -155,7 +155,7 @@ func TestDashRender(t *testing.T) {
 		"index=18.5MiB in 32690 pages",
 		"search", "25.0", // qps from the +50/2s delta
 		"append",
-		"shed/s", "breaker=closed",
+		"shed/s", "inflight=",
 		"slow queries",
 		"q3", "80.0ms",
 	} {
@@ -163,17 +163,27 @@ func TestDashRender(t *testing.T) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}
 	}
+	for _, gone := range []string{"degraded=", "breaker="} {
+		if strings.Contains(out, gone) {
+			t.Errorf("frame still shows %q:\n%s", gone, out)
+		}
+	}
 	if strings.Contains(out, "q2") {
 		t.Errorf("batch_slot events must not appear in the slow-query panel:\n%s", out)
 	}
 }
 
+// TestDashIngestLine renders the ingest line, and the cluster line beside
+// it, from their gauges.
 func TestDashIngestLine(t *testing.T) {
 	exp := sampleExposition + `scaleshift_ingest_generation 7
 scaleshift_ingest_frozen_segments 3
 scaleshift_wal_bytes 4096
 scaleshift_checkpoints_total 2
 scaleshift_checkpoint_bytes_total 3145728
+scaleshift_cluster_shards 3
+scaleshift_cluster_shards_ok 2
+scaleshift_cluster_shards_failed 1
 `
 	ms, err := ParseMetrics(strings.NewReader(exp), time.Unix(100, 0))
 	if err != nil {
@@ -183,7 +193,9 @@ scaleshift_checkpoint_bytes_total 3145728
 	d.ObserveMetrics(ms)
 	var b strings.Builder
 	d.Render(&b)
-	if want := "checkpoints=2 ckpt_bytes=1.5MiB/ckpt"; !strings.Contains(b.String(), want) {
-		t.Errorf("frame missing %q:\n%s", want, b.String())
+	for _, want := range []string{"checkpoints=2 ckpt_bytes=1.5MiB/ckpt", "cluster: shards=3 ok=2 failed=1  gather/s"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("frame missing %q:\n%s", want, b.String())
+		}
 	}
 }

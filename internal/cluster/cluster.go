@@ -22,7 +22,7 @@
 //     soon as the global top-k is known.
 //   - Coordinator: the scatter-gather engine with explicit
 //     partial-result semantics — every gather reports per-shard
-//     coverage (ok / degraded / failed, with trace ids), and a failed
+//     coverage (ok / failed, with trace ids), and a failed
 //     fault domain yields a partial answer, never a silently-wrong one.
 //
 // Exactness argument (DESIGN.md §16 carries the full proofs): the
@@ -102,16 +102,12 @@ type WireStats struct {
 	VerifyNs       int64 `json:"verify_ns"`
 }
 
-// WirePlan summarizes the plan a shard chose.  The coordinator reads
-// one bit of it: whether the shard served from its degraded scan
-// fallback.
+// WirePlan summarizes the plan a shard chose.
 type WirePlan struct {
-	Path           string  `json:"path"`
-	Forced         bool    `json:"forced,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
-	DegradedReason string  `json:"degraded_reason,omitempty"`
-	Pieces         int     `json:"pieces,omitempty"`
-	EstCandidates  float64 `json:"est_candidates"`
+	Path          string  `json:"path"`
+	Forced        bool    `json:"forced,omitempty"`
+	Pieces        int     `json:"pieces,omitempty"`
+	EstCandidates float64 `json:"est_candidates"`
 }
 
 // CoverageWire states exactly which slice of the data a coordinator's
@@ -119,7 +115,6 @@ type WirePlan struct {
 type CoverageWire struct {
 	Complete bool           `json:"complete"`
 	OK       int            `json:"ok"`
-	Degraded int            `json:"degraded"`
 	Failed   int            `json:"failed"`
 	Shards   []ShardOutcome `json:"shards"`
 }
@@ -150,7 +145,6 @@ type ShardInfoWire struct {
 	Coefficients int     `json:"coefficients"`
 	NormScale    float64 `json:"norm_scale"`
 	Fingerprint  uint32  `json:"fingerprint"`
-	Degraded     bool    `json:"degraded,omitempty"`
 }
 
 // WindowWire is a shard's /window response: raw sequence values, used

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"scaleshift/internal/obs"
-	"scaleshift/internal/resilience"
 )
 
 // CoordinatorConfig wires a Coordinator.  Manifest and Addrs are
@@ -41,7 +40,7 @@ type CoordinatorConfig struct {
 type ShardOutcome struct {
 	ID       int           `json:"id"`
 	Addr     string        `json:"addr"`
-	State    string        `json:"state"` // ok | degraded | failed
+	State    string        `json:"state"` // ok | failed
 	TraceID  string        `json:"trace_id,omitempty"`
 	Attempts int           `json:"attempts,omitempty"`
 	Hedged   bool          `json:"hedged,omitempty"`
@@ -65,7 +64,6 @@ type GatherResult struct {
 	ShardResults int
 	Coverage     []ShardOutcome
 	OK           int
-	Degraded     int
 	Failed       int
 	// ClientErr is set when every shard rejected the request as the
 	// caller's own fault (4xx); the coordinator should surface that
@@ -78,7 +76,7 @@ func (g *GatherResult) Partial() bool { return g.Failed > 0 }
 
 // CoverageWire is the gather's coverage block.
 func (g *GatherResult) CoverageWire() *CoverageWire {
-	return &CoverageWire{Complete: g.Failed == 0, OK: g.OK, Degraded: g.Degraded, Failed: g.Failed, Shards: g.Coverage}
+	return &CoverageWire{Complete: g.Failed == 0, OK: g.OK, Failed: g.Failed, Shards: g.Coverage}
 }
 
 // ShardReady is one shard's slice of the coordinator's quorum /readyz.
@@ -103,12 +101,11 @@ type Coordinator struct {
 	logger    *slog.Logger
 	probeTO   time.Duration
 
-	okGauge       *obs.Gauge
-	degradedGauge *obs.Gauge
-	failedGauge   *obs.Gauge
-	scatterFull   *obs.Counter
-	scatterPart   *obs.Counter
-	scatterNone   *obs.Counter
+	okGauge     *obs.Gauge
+	failedGauge *obs.Gauge
+	scatterFull *obs.Counter
+	scatterPart *obs.Counter
+	scatterNone *obs.Counter
 }
 
 // NewCoordinator builds the shard clients and validates the live fleet
@@ -150,8 +147,6 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		probeTO: cfg.ProbeTimeout,
 		okGauge: cfg.Registry.Gauge("scaleshift_cluster_shards_ok",
 			"Shards that fully answered the most recent gather."),
-		degradedGauge: cfg.Registry.Gauge("scaleshift_cluster_shards_degraded",
-			"Shards that answered the most recent gather from a degraded fallback."),
 		failedGauge: cfg.Registry.Gauge("scaleshift_cluster_shards_failed",
 			"Shards missing from the most recent gather."),
 		scatterFull: cfg.Registry.Counter("scaleshift_cluster_scatter_total",
@@ -282,27 +277,6 @@ func (c *Coordinator) Manifest() *Manifest { return c.man }
 // Sequences returns the cluster-wide sequence count.
 func (c *Coordinator) Sequences() int { return c.man.Sequences }
 
-// Degraded reports whether any shard announced a degraded index at
-// validation time.
-func (c *Coordinator) Degraded() bool {
-	for _, info := range c.info {
-		if info.Degraded {
-			return true
-		}
-	}
-	return false
-}
-
-// BreakerStates returns each shard's breaker position, for /readyz and
-// the dashboard.
-func (c *Coordinator) BreakerStates() []resilience.BreakerState {
-	out := make([]resilience.BreakerState, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.BreakerState()
-	}
-	return out
-}
-
 // ProbeReady polls every shard's /readyz concurrently and reports the
 // per-shard readiness the coordinator's quorum /readyz is built from.
 func (c *Coordinator) ProbeReady(ctx context.Context) []ShardReady {
@@ -405,13 +379,8 @@ func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, t
 			continue
 		}
 		out.TraceID = r.resp.TraceID
-		if r.resp.Plan != nil && r.resp.Plan.Degraded {
-			out.State = "degraded"
-			g.Degraded++
-		} else {
-			out.State = "ok"
-			g.OK++
-		}
+		out.State = "ok"
+		g.OK++
 		if g.Eps == 0 {
 			g.Eps = r.resp.Eps
 		}
@@ -449,7 +418,6 @@ func (c *Coordinator) Scatter(ctx context.Context, params url.Values, knn int, t
 		g.Matches = g.Matches[:limit]
 	}
 	c.okGauge.Set(float64(g.OK))
-	c.degradedGauge.Set(float64(g.Degraded))
 	c.failedGauge.Set(float64(g.Failed))
 	switch {
 	case g.Failed == 0:

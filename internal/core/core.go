@@ -188,10 +188,6 @@ type SearchStats struct {
 	// a multipiece long query; a segmented index adds one per further
 	// frozen segment and one for a non-empty delta.
 	PathProbes [engine.NumPathKinds]int
-	// DegradedProbes counts probes of a degraded segment (scan fallback
-	// after the index artifact failed validation); nonzero means results
-	// were exact but index acceleration was lost.
-	DegradedProbes int
 	// TraceID references the obs trace recorded for this query, when
 	// the search ran under a traced context (obs.Tracer.StartTrace);
 	// empty otherwise.  Accumulating stats across queries keeps the
@@ -225,7 +221,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	for i := range s.PathProbes {
 		s.PathProbes[i] += o.PathProbes[i]
 	}
-	s.DegradedProbes += o.DegradedProbes
 	if s.TraceID == "" {
 		s.TraceID = o.TraceID
 	}
@@ -233,13 +228,11 @@ func (s *SearchStats) Add(o SearchStats) {
 
 // CheckInvariants verifies the accounting identities that range-query
 // stats must satisfy, however they were accumulated (single queries,
-// long queries, batches, any access path, degraded mode):
+// long queries, batches, any access path):
 //
 //   - every candidate emitted by a probe is classified exactly once:
 //     Candidates == FalseAlarms + CostRejected + Results;
-//   - no counter is negative;
-//   - degraded probes are scan probes, so DegradedProbes cannot
-//     exceed PathProbes[PathScan].
+//   - no counter is negative.
 //
 // It applies to range-query accounting only: nearest-neighbour search
 // counts refined candidates without classifying them, so NN stats are
@@ -261,7 +254,6 @@ func (s SearchStats) CheckInvariants() error {
 		{"LeafEntriesChecked", s.LeafEntriesChecked},
 		{"SubtreesAccepted", s.SubtreesAccepted},
 		{"LeafEntriesAccepted", s.LeafEntriesAccepted},
-		{"DegradedProbes", s.DegradedProbes},
 	} {
 		if c.value < 0 {
 			return fmt.Errorf("core: SearchStats invariant violated: %s = %d < 0", c.name, c.value)
@@ -270,10 +262,6 @@ func (s SearchStats) CheckInvariants() error {
 	if got := s.FalseAlarms + s.CostRejected + s.Results; s.Candidates != got {
 		return fmt.Errorf("core: SearchStats invariant violated: Candidates = %d but FalseAlarms+CostRejected+Results = %d+%d+%d = %d",
 			s.Candidates, s.FalseAlarms, s.CostRejected, s.Results, got)
-	}
-	if s.DegradedProbes > s.PathProbes[engine.PathScan] {
-		return fmt.Errorf("core: SearchStats invariant violated: DegradedProbes = %d exceeds scan probes %d",
-			s.DegradedProbes, s.PathProbes[engine.PathScan])
 	}
 	return nil
 }
@@ -304,17 +292,8 @@ type Index struct {
 	// kept for the deferred VerifyArtifact pass.
 	mapping  *binio.Mapping
 	artifact []byte
-	// degraded, when non-empty, records why the index artifact could
-	// not be loaded (see OpenOrRebuild): the tree is empty but indexed
-	// covers every window, so the segment's scan still answers every
-	// query exactly.  A degraded index is read-only and refuses to
-	// serialize.
-	degraded string
-	// converted records that the arena came from an artifact in an older
-	// layout and was parsed into the heap at open (see Converted); stages
-	// is where the last bulk build's time went (see BuildStages).
-	converted bool
-	stages    BuildStages
+	// stages is where the last bulk build's time went (see BuildStages).
+	stages BuildStages
 }
 
 // BuildStages is where a bulk build's time went: extracting the feature
@@ -329,23 +308,15 @@ type BuildStages struct {
 // the index's arena.
 func (ix *Index) BuildStages() BuildStages { return ix.stages }
 
-// The values of Index.Directory.
-const (
-	DirectoryMBR = rtree.DirectoryMBR
-	DirectoryBox = rtree.DirectoryBox
-)
+// DirectoryBox is the value of Index.Directory for every arena this
+// package builds or opens.
+const DirectoryBox = rtree.DirectoryBox
 
-// Directory names the shape of the arena's directory: DirectoryBox for
-// one this package built (norm ranges and unit-direction boxes, pruned
-// by the cone test), DirectoryMBR for one opened from an artifact
-// written before builds took that shape, or built by a loader that keeps
-// MBRs (BuildWith) — served as it is, and replaced by the next fold.
+// Directory names the shape of the arena's directory: DirectoryBox (norm
+// ranges and unit-direction boxes, pruned by the cone test) for every
+// arena this package builds or opens — flatFromSection refuses any other
+// — and whatever a caller's loader writes for one built by BuildWith.
 func (ix *Index) Directory() string { return ix.flat.Directory() }
-
-// Converted reports whether the arena was opened from an artifact in an
-// older layout (arena version 1) and so parsed into the heap rather than
-// mapped; saving the index rewrites the artifact in the current layout.
-func (ix *Index) Converted() bool { return ix.converted }
 
 // NewIndex creates an empty index over st.  Sequences already in st
 // are not indexed until Build (or IndexSequence) is called.
@@ -393,7 +364,7 @@ func (ix *Index) install(flat *rtree.FlatTree, indexed []int) {
 	ix.next = slices.Clone(indexed)
 	bounds, _ := flat.Bounds() // the zero Rect, hence no slack, while empty
 	ix.maxAbs = maxAbsRect(bounds)
-	seg := &frozenSeg{flat: flat, ranges: prefixRanges(indexed), degraded: ix.degraded}
+	seg := &frozenSeg{flat: flat, ranges: prefixRanges(indexed)}
 	for _, r := range seg.ranges {
 		seg.count += r.Hi
 	}
@@ -404,22 +375,6 @@ func (ix *Index) install(flat *rtree.FlatTree, indexed []int) {
 // segment, the delta and the options as they now are.
 func (ix *Index) republish() {
 	ix.man = ix.manifest(0, ix.st, ix.man.frozen)
-}
-
-// Degraded reports whether the index is serving in degraded mode
-// (scan fallback over the raw store; see OpenOrRebuild) and why.
-func (ix *Index) Degraded() (bool, string) {
-	return ix.degraded != "", ix.degraded
-}
-
-// checkMutable rejects mutation of a degraded index: it has no arena to
-// fold a delta into, and its scan covers the store as it was opened.
-// Rebuild from the store instead.
-func (ix *Index) checkMutable() error {
-	if ix.degraded != "" {
-		return fmt.Errorf("core: index is degraded (%s); rebuild it before mutating", ix.degraded)
-	}
-	return nil
 }
 
 // Options returns the index configuration.
@@ -455,9 +410,7 @@ func (ix *Index) QueryWindow(seq, start, n int, dst vec.Vector) error {
 func (ix *Index) StoreShape() (seqs, values, pages int) { return ix.man.storeShape() }
 
 // WindowCount returns the number of searchable windows: the arena's and
-// the delta's, so a mutation shows at once.  On a degraded index this is
-// the number of scannable windows — the tree is empty, but every window
-// of the raw store remains searchable.
+// the delta's, so a mutation shows at once.
 func (ix *Index) WindowCount() int { return ix.man.windowCount() }
 
 // EntryCount returns the number of leaf entries in the arena: one
@@ -531,9 +484,6 @@ func (ix *Index) BuildBulkParallel(workers int) error {
 // *WorkerPanicError naming the offending (seq, window) instead of
 // crashing the process.
 func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
 	if ix.man.windowCount() != 0 {
 		return fmt.Errorf("core: BuildBulk requires an empty index")
 	}
@@ -558,9 +508,6 @@ func (ix *Index) allWindows() []int {
 // non-nil, stands in for rtree.BulkLoadFlat; workers < 1 means
 // runtime.GOMAXPROCS(0).
 func (ix *Index) rebuild(ctx context.Context, next []int, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -571,7 +518,7 @@ func (ix *Index) rebuild(ctx context.Context, next []int, workers int, load func
 		}
 		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
-	ix.converted, ix.stages, ix.artifact = false, stages, nil
+	ix.stages, ix.artifact = stages, nil
 	ix.install(flat, next)
 	m := ix.mapping
 	ix.mapping = nil
@@ -684,9 +631,6 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 // and supports sequences that grew since the last call (requirement 2
 // of §3).
 func (ix *Index) IndexSequence(seq int) error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
 	if seq < 0 || seq >= ix.st.NumSequences() {
 		return fmt.Errorf("core: sequence %d out of range [0, %d)", seq, ix.st.NumSequences())
 	}
@@ -778,9 +722,6 @@ func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, s
 // AppendAndIndex appends a new sequence to the store and indexes its
 // windows, returning the sequence id.
 func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
-	if err := ix.checkMutable(); err != nil {
-		return -1, err
-	}
 	seq := ix.st.AppendSequence(name, values)
 	return seq, ix.IndexSequence(seq)
 }
@@ -790,9 +731,6 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 // windows spanning the old end (requirement 2 of §3: time series are
 // collected regularly and must become searchable as they arrive).
 func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
-	if err := ix.checkMutable(); err != nil {
-		return err
-	}
 	if err := ix.st.ExtendSequence(seq, values); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

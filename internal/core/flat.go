@@ -23,8 +23,8 @@ import (
 // arena's was), releasing the old arena and closing its backing mapping,
 // if any.  Queries do not need it — they read the delta — it buys back
 // the directory's pruning for the windows added since the last build.
-// With nothing pending — after any Build*, an artifact open, or on a
-// degraded index — it is a no-op.
+// With nothing pending — after any Build* or an artifact open — it is a
+// no-op.
 func (ix *Index) Freeze() error {
 	if ix.delta.n == 0 {
 		return nil
@@ -71,53 +71,21 @@ func (ix *Index) Close() error {
 // section is parsed and checksummed.  The deferred integrity check is
 // VerifyArtifact; until it (or a full CRC pass) has run, a corrupted
 // arena can surface as a traversal panic rather than wrong results.
-//
-// "Aliased" is the property all of that hangs on: the index's arrays
-// ARE the mapped bytes, so the mapping lives as long as the index and
-// the deferred check has something to check.  An artifact that must be
-// converted instead — one whose arena is version 1 (float64 planes) — is
-// verified in full and parsed into the heap at open, in O(n); the
-// mapping is released, nothing is deferred, and the index writes itself
-// in the current layout from then on.  Compatibility costs the parse,
-// not correctness, and lasts until the caller next saves the index.
+// The index's arrays ARE the mapped bytes, so the mapping lives as long
+// as the index, and the deferred check has something to check.  An
+// artifact in any other layout (an older arena version, an MBR
+// directory) is refused with ErrVersion; OpenOrRebuildFile rebuilds it.
 func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 	m, err := binio.OpenMapping(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening index artifact: %w", err)
 	}
-	ix, aliased, err := loadIndexBytes(m.Data, st)
+	ix, err := loadIndexBytes(m.Data, st)
 	if err != nil {
 		m.Close()
 		return nil, err
 	}
-	if aliased {
-		// Zero-copy open: the index aliases the mapping; keep it alive
-		// and remember the full frame for VerifyArtifact.
-		ix.mapping = m
-		ix.artifact = m.Data
-	} else {
-		// Converted at open: fully parsed into the heap; the mapping can go.
-		m.Close()
-	}
+	ix.mapping = m
+	ix.artifact = m.Data
 	return ix, nil
-}
-
-// OpenOrRebuildFile is OpenOrRebuild over a file path: it opens the
-// artifact zero-copy via LoadIndexFile and degrades to the scan path
-// instead of failing when the artifact is missing or damaged.  Like
-// LoadIndexFile it defers full checksum verification of an artifact it
-// can alias (one it had to convert is verified at open); callers that
-// must not serve unverified bytes should VerifyArtifact (and treat
-// failure as a reload/rebuild trigger) before publishing the index.
-func OpenOrRebuildFile(path string, st *store.Store, opts Options) (*Index, OpenStatus, error) {
-	ix, err := LoadIndexFile(path, st)
-	if err == nil {
-		return ix, OpenStatus{}, nil
-	}
-	reason := fmt.Sprintf("index artifact rejected: %v", err)
-	deg, derr := NewDegradedIndex(st, opts, reason)
-	if derr != nil {
-		return nil, OpenStatus{Degraded: true, Reason: reason, Err: err}, derr
-	}
-	return deg, OpenStatus{Degraded: true, Reason: reason, Err: err}, nil
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +16,7 @@ import (
 	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/seqscan"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -469,7 +470,7 @@ func TestV3ArtifactCorruption(t *testing.T) {
 		if _, err := LoadIndex(bytes.NewReader(mut), st); err == nil {
 			t.Fatalf("%s at %d: stream load accepted a corrupt artifact", what, i)
 		}
-		lazy, _, err := loadIndexBytes(mut, st)
+		lazy, err := loadIndexBytes(mut, st)
 		if err != nil {
 			return
 		}
@@ -493,11 +494,11 @@ func TestV3ArtifactCorruption(t *testing.T) {
 // pointer-tree payload): testdata/pointer_v2.ssidx — buildTestIndex over
 // the 6 x 100 test store, written by the last commit that had a v2 writer
 // — is refused as a version error on the stream and the file path alike,
-// and OpenOrRebuild degrades on it and still answers as the scan does.
+// and OpenOrRebuildFile rebuilds it.
 func TestV2ArtifactRejected(t *testing.T) {
 	st := buildTestIndex(t, testOptions(), 6, 100).Store()
 	path := filepath.Join("testdata", "pointer_v2.ssidx")
-	rejectedArtifact(t, st, path, "format version 2")
+	rebuiltArtifact(t, st, path, "format version 2")
 }
 
 // TestRunLeafArtifactRejected holds the one leaf shape at the container:
@@ -508,7 +509,7 @@ func TestV2ArtifactRejected(t *testing.T) {
 // refused the same way.
 func TestRunLeafArtifactRejected(t *testing.T) {
 	st := buildTestIndex(t, testOptions(), 6, 100).Store()
-	rejectedArtifact(t, st, filepath.Join("testdata", "trail8.ssidx"), "header word 4 (reserved; once the sub-trail run length) is 8")
+	rebuiltArtifact(t, st, filepath.Join("testdata", "trail8.ssidx"), "header word 4 (reserved; once the sub-trail run length) is 8")
 
 	g, err := NewSegmentedIndex(st, testOptions())
 	if err != nil {
@@ -519,7 +520,7 @@ func TestRunLeafArtifactRejected(t *testing.T) {
 	if err := g.WriteSegments(&seg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSegments(bytes.NewReader(reframed(t, seg.Bytes(), segMagic, func(sections [][]byte) {
+	if _, _, err := LoadSegments(bytes.NewReader(reframed(t, seg.Bytes(), segMagic, func(sections [][]byte) {
 		sections[0][8*4] = 8
 	})), st); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "header word 4") {
 		t.Fatalf("segments with header word 4 = 8: err = %v, want ErrVersion naming the word", err)
@@ -533,7 +534,7 @@ func TestLeafKindArtifactRejected(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 3, 80)
 	bad := leafKindArtifact(t, ix)
 	_, streamErr := LoadIndex(bytes.NewReader(bad), ix.Store())
-	_, _, lazyErr := loadIndexBytes(bad, ix.Store())
+	_, lazyErr := loadIndexBytes(bad, ix.Store())
 	for what, err := range map[string]error{"stream": streamErr, "lazy": lazyErr} {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1") {
 			t.Errorf("%s load: err = %v, want ErrVersion for the leaf kind", what, err)
@@ -587,12 +588,12 @@ func reframed(t testing.TB, artifact, magic []byte, edit func(sections [][]byte)
 	return out.Bytes()
 }
 
-// rejectedArtifact asserts that the index artifact at path, written over
+// rebuiltArtifact asserts that the index artifact at path, written over
 // st, is refused with an ErrVersion whose text contains want by LoadIndex
-// and LoadIndexFile, and that OpenOrRebuild and OpenOrRebuildFile degrade
-// on it — reason recorded — to an index whose range answers are
-// Float64bits-equal to seqscan's and whose Explain carries the reason.
-func rejectedArtifact(t *testing.T, st *store.Store, path, want string) {
+// and LoadIndexFile, and that OpenOrRebuildFile rebuilds it — the reason
+// reported — into a direction-box index that answers every search
+// Float64bits-identically to a fresh build of st.
+func rebuiltArtifact(t *testing.T, st *store.Store, path, want string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -600,238 +601,176 @@ func rejectedArtifact(t *testing.T, st *store.Store, path, want string) {
 	}
 	_, streamErr := LoadIndex(bytes.NewReader(data), st)
 	_, fileErr := LoadIndexFile(path, st)
-	for what, err := range map[string]error{"stream": streamErr, "file": fileErr} {
+	ix, rebuilt, err := OpenOrRebuildFile(path, st, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for what, err := range map[string]error{"stream load": streamErr, "file load": fileErr, "rebuild reason": rebuilt} {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s load: err = %v, want ErrVersion naming %q", what, err, want)
+			t.Fatalf("%s: %s = %v, want ErrVersion naming %q", path, what, err, want)
 		}
 	}
-	streamed, sStatus, err := OpenOrRebuild(bytes.NewReader(data), st, testOptions())
-	if err != nil {
-		t.Fatal(err)
+	if ix.Directory() != DirectoryBox {
+		t.Fatalf("%s: rebuilt with a %s directory", path, ix.Directory())
 	}
-	mapped, fStatus, err := OpenOrRebuildFile(path, st, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make(vec.Vector, testOptions().WindowLen)
-	if err := st.Window(2, 11, len(w), w, nil); err != nil {
-		t.Fatal(err)
-	}
-	q := vec.Apply(w, 1.5, -4)
-	scan, err := seqscan.Search(st, q, 8, nil, nil)
-	if err != nil || len(scan) == 0 {
-		t.Fatalf("scan: %d matches, err %v", len(scan), err)
-	}
-	for _, c := range []struct {
-		what   string
-		ix     *Index
-		status OpenStatus
-	}{{"stream", streamed, sStatus}, {"file", mapped, fStatus}} {
-		what, status := c.what, c.status
-		if !status.Degraded || !errors.Is(status.Err, ErrVersion) || !strings.Contains(status.Reason, want) {
-			t.Fatalf("%s: status %+v, want degraded by the version error", what, status)
-		}
-		got, ex, err := run(context.Background(), c.ix, Query{Vec: q, Eps: 8}, nil)
-		if err != nil {
-			t.Fatalf("%s: degraded search: %v", what, err)
-		}
-		if err := sameAsScan(got, scan); err != nil {
-			t.Fatalf("%s: degraded answer: %v", what, err)
-		}
-		if !ex.Degraded || !strings.Contains(ex.DegradedReason, want) {
-			t.Fatalf("%s: Explain degraded=%v reason %q", what, ex.Degraded, ex.DegradedReason)
-		}
-	}
-}
-
-// TestArenaV1Fixture opens artifacts the commit before arena version 2
-// wrote (testdata/arena_v1.*: the bulk-built index over
-// populatedStore(3, 100, 1) as SSIDX v3, and the same index as a
-// one-segment SSSEG v1 — float64 planes, every point twice): both
-// containers still load, converted at open — not aliasing the file,
-// verified in full because nothing is left to defer — keep the MBR
-// directory they were written with, return what a fresh build returns,
-// and write themselves back as the version-2 bytes the last commit to
-// bulk-build MBR directories wrote for the same index
-// (testdata/arena_v2_mbr.*); a flipped byte is refused at open.
-func TestArenaV1Fixture(t *testing.T) {
-	st := populatedStore(t, 3, 100, 1)
-	fresh, err := NewIndex(st, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.BuildBulk(); err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshIndex(t, st, testOptions())
 	qs := testQueries(t, fresh, 4)
 	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
-	wantBytes := digestOfFile(t, filepath.Join("testdata", "arena_v2_mbr.ssidx"))
+	gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
+	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
+		t.Fatalf("%s: the rebuilt index answers differently from a fresh build", path)
+	}
+}
 
-	old, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssidx"))
+// freshIndex is a bulk build of st.
+func freshIndex(t *testing.T, st *store.Store, opts Options) *Index {
+	t.Helper()
+	ix, err := NewIndex(st, opts)
+	if err == nil {
+		err = ix.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(old) < fresh.flat.ArenaSize()*3/2 {
-		t.Fatalf("fixture is %d bytes, a fresh arena %d: not a version-1 arena", len(old), fresh.flat.ArenaSize())
-	}
-	mapped, err := LoadIndexFile(filepath.Join("testdata", "arena_v1.ssidx"), st)
-	if err != nil {
-		t.Fatalf("file load: %v", err)
-	}
-	defer mapped.Close()
-	if mapped.mapping != nil || mapped.artifact != nil {
-		t.Fatal("a converted arena should not alias the file")
-	}
-	streamed, err := LoadIndex(bytes.NewReader(old), st)
-	if err != nil {
-		t.Fatalf("stream load: %v", err)
-	}
-	for what, ix := range map[string]*Index{"file": mapped, "stream": streamed} {
-		if err := ix.VerifyArtifact(); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if !ix.Converted() || ix.Directory() != DirectoryMBR {
-			t.Fatalf("%s: converted %v, %s directory; want a converted MBR arena", what, ix.Converted(), ix.Directory())
-		}
-		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
-		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("%s-loaded version-1 arena diverged from a fresh build", what)
-		}
-		if got := digestOf(t, ix.WriteBinary); got != wantBytes {
-			t.Fatalf("%s-loaded version-1 arena re-serialises as %s, the version-2 MBR fixture is %s", what, got, wantBytes)
-		}
-	}
+	return ix
+}
 
-	mut := append([]byte(nil), old...)
-	mut[len(mut)-200] ^= 0x04 // inside the planes
-	if _, _, err := loadIndexBytes(mut, st); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupt version-1 arena: %v, want a checksum error at open", err)
-	}
-
-	oldSeg, err := os.ReadFile(filepath.Join("testdata", "arena_v1.ssseg"))
+// rebuiltSegments asserts that the one-segment SSSEG artifact data,
+// written over st, comes back rebuilt through both paths a segment
+// reaches — LoadSegments over the stream, and SegmentList.Open over the
+// same bytes as a checkpoint's segment file — with an ErrVersion whose
+// text contains want, serving only direction-box arenas and answering
+// range, forced-tree and k-NN queries like a fresh build of st.
+func rebuiltSegments(t *testing.T, st *store.Store, data []byte, want string) {
+	t.Helper()
+	loaded, rebuilt, err := LoadSegments(bytes.NewReader(data), st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSegments(bytes.NewReader(oldSeg), st)
-	if err != nil || !loaded.Converted() {
-		t.Fatalf("segments load: converted %v, %v", err == nil && loaded.Converted(), err)
+	defer loaded.Close()
+	checkRebuilt(t, "stream", st, loaded, rebuilt, want)
+
+	// The list is loaded's — its entry is the artifact's, rebuilt over
+	// the same ranges — naming the artifact as the segment's file.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "old.sseg"), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")); got != want {
-		t.Fatalf("version-1 segment re-serialises as %s, the version-2 MBR fixture is %s", got, want)
+	set, err := loaded.PinSegments()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, q := range qs {
-		got, err := search(loaded, q, 8, nil)
-		if err != nil {
-			t.Fatal(err)
+	set.SetFile(0, dir, SegmentFile{Name: "old.sseg", Size: int64(len(data)), CRC: binary.LittleEndian.Uint32(data[len(data)-8:])})
+	enc, err := set.EncodeList(dir)
+	set.Release()
+	list, err2 := ParseSegmentList(enc)
+	if err != nil || err2 != nil {
+		t.Fatalf("segment list: %v, %v", err, err2)
+	}
+	opened, rebuilt, err := list.Open(dir, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	checkRebuilt(t, "segment file", st, opened, rebuilt, want)
+}
+
+// checkRebuilt holds g, opened over st with every segment rebuilt (as
+// rebuilt reports), to rebuiltSegments' terms.
+func checkRebuilt(t *testing.T, what string, st *store.Store, g *SegmentedIndex, rebuilt []SegmentRebuild, want string) {
+	t.Helper()
+	if len(rebuilt) != len(g.frozen) {
+		t.Fatalf("%s: %d of %d segments rebuilt", what, len(rebuilt), len(g.frozen))
+	}
+	for i, r := range rebuilt {
+		if !errors.Is(r.Err, ErrVersion) || !strings.Contains(r.Err.Error(), want) {
+			t.Fatalf("%s: %s rebuilt for %v, want the version error naming %q", what, r.Path, r.Err, want)
 		}
-		if err := sameMatches(got, wantR[i]); err != nil {
-			t.Fatalf("query %d over the version-1 segment: %v", i, err)
+		if d := g.frozen[i].flat.Directory(); d != DirectoryBox {
+			t.Fatalf("%s: segment %d serves a %s directory", what, i, d)
+		}
+	}
+	fresh := freshIndex(t, st, g.Options())
+	for i, q := range testQueries(t, fresh, 4) {
+		for _, query := range []Query{{Vec: q, Eps: 8}, {Vec: q, Eps: 8, Force: engine.PathRTree}, {Vec: q, K: 3}} {
+			want, _, err := run(context.Background(), fresh, query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := run(context.Background(), g, query, nil)
+			if err == nil {
+				err = sameMatches(got, want)
+			}
+			if err != nil {
+				t.Fatalf("%s: query %d %+v: %v", what, i, query, err)
+			}
 		}
 	}
 }
 
-// digestOfFile is digestOf of a file's bytes.
-func digestOfFile(t *testing.T, path string) string {
+// TestArenaV1Fixture holds the artifacts the commit before arena version
+// 2 wrote (testdata/arena_v1.*: the bulk-built index over
+// populatedStore(3, 100, 1) as SSIDX v3, and the same index as a
+// one-segment SSSEG v1 — float64 planes, every point twice) to the one
+// rule for an arena that cannot be served as it is: refused with a
+// version error naming the arena version, and rebuilt from the store.
+func TestArenaV1Fixture(t *testing.T) {
+	st := populatedStore(t, 3, 100, 1)
+	const want = "unsupported flat arena version 1"
+	rebuiltArtifact(t, st, filepath.Join("testdata", "arena_v1.ssidx"), want)
+	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v1.ssseg")), want)
+}
+
+// readFile returns the bytes of a fixture.
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return digestOf(t, func(w io.Writer) error { _, err := w.Write(data); return err })
+	return data
 }
 
-// TestMBRDirectoryServedAsIs holds "no conversion runs": the artifacts
-// the parent of the direction-box commit wrote for the bulk-built index
-// over populatedStore(3, 100, 1) (testdata/arena_v2_mbr.ssidx and .ssseg:
+// TestMBRDirectoryIsRebuilt: the artifacts the parent of the
+// direction-box commit wrote for the bulk-built index over
+// populatedStore(3, 100, 1) (testdata/arena_v2_mbr.ssidx and .ssseg:
 // arena version 2, header word 9 = 0, Cartesian STR tiling under an MBR
-// directory) are mapped in place, say what they are, pass the deferred
-// verification, answer every search exactly as a fresh direction-box
-// build of the same store does — rows, (a, b) and distances — and write
-// themselves back byte for byte; so does the MBR arena the experiments'
-// insert loader builds — until a mutation is folded in, which leaves a
-// direction-box arena behind.
-func TestMBRDirectoryServedAsIs(t *testing.T) {
+// directory) are refused with a version error and rebuilt.  The MBR
+// arena the experiments' insert loader builds in process (BuildWith) is
+// still served as it is, answering every search — down the tree too —
+// exactly as a direction-box build does.
+func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
-	fresh, err := NewIndex(st, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.BuildBulk(); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Directory() != DirectoryBox || fresh.Converted() {
-		t.Fatalf("a bulk build has a %s directory (converted %v)", fresh.Directory(), fresh.Converted())
-	}
+	const want = "MBR directory is no longer served"
+	rebuiltArtifact(t, st, filepath.Join("testdata", "arena_v2_mbr.ssidx"), want)
+	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), want)
+
+	fresh := freshIndex(t, st, testOptions())
 	qs := testQueries(t, fresh, 4)
 	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
-
-	path := filepath.Join("testdata", "arena_v2_mbr.ssidx")
-	mapped, err := LoadIndexFile(path, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if mapped.mapping == nil || mapped.Converted() || mapped.Directory() != DirectoryMBR {
-		t.Fatalf("pre-change artifact: aliased %v, converted %v, %s directory; want it mapped as the MBR arena it is",
-			mapped.mapping != nil, mapped.Converted(), mapped.Directory())
-	}
-	if err := mapped.VerifyArtifact(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := digestOf(t, mapped.WriteBinary), digestOfFile(t, path); got != want {
-		t.Fatalf("the mapped MBR artifact writes itself back as %s, the file is %s", got, want)
-	}
-
-	// The same store through the experiments' insert loader.
 	inserted, err := NewIndex(st, testOptions())
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = inserted.BuildWith(rstar.Load)
 	}
-	if err := inserted.BuildWith(rstar.Load); err != nil {
-		t.Fatal(err)
+	if err != nil || inserted.Directory() != rtree.DirectoryMBR {
+		t.Fatalf("an insert-built tree: %v, %s directory", err, inserted.Directory())
 	}
-	if inserted.Directory() != DirectoryMBR {
-		t.Fatalf("an insert-built tree has a %s directory", inserted.Directory())
-	}
-
-	for what, ix := range map[string]*Index{"mapped pre-change artifact": mapped, "insert-built": inserted} {
-		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
-		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("%s: answers differ from a fresh direction-box build", what)
-		}
-		// And down the tree whatever the planner would have chosen.
-		for i, q := range qs {
-			var stats SearchStats
-			res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: 8, Force: engine.PathRTree}, &stats)
-			if err != nil || stats.IndexNodeAccesses == 0 {
-				t.Fatalf("%s query %d: forced index probe read %d nodes: %v", what, i, stats.IndexNodeAccesses, err)
-			}
-			if err := sameMatches(res.Matches, wantR[i]); err != nil {
-				t.Fatalf("%s query %d down the tree: %v", what, i, err)
-			}
-		}
-	}
-
-	segPath := filepath.Join("testdata", "arena_v2_mbr.ssseg")
-	f, err := os.Open(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := LoadSegments(f, st)
-	if err != nil || loaded.Converted() {
-		t.Fatalf("the pre-change segment: converted %v, %v", err == nil, err)
-	}
-	if got, want := digestOf(t, loaded.WriteSegments), digestOfFile(t, segPath); got != want {
-		t.Fatalf("the pre-change segment writes itself back as %s, the file is %s", got, want)
+	gotR, gotNN, gotB, _ := runAllSearches(t, inserted, qs, 8)
+	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
+		t.Fatal("insert-built: answers differ from a fresh direction-box build")
 	}
 	for i, q := range qs {
-		got, err := search(loaded, q, 8, nil)
-		if err != nil {
-			t.Fatal(err)
+		var stats SearchStats
+		res, err := inserted.Exec(context.Background(), Query{Vec: q, Eps: 8, Force: engine.PathRTree}, &stats)
+		if err == nil && stats.IndexNodeAccesses == 0 {
+			err = errors.New("no node read")
 		}
-		if err := sameMatches(got, wantR[i]); err != nil {
-			t.Fatalf("query %d over the pre-change segment: %v", i, err)
+		if err == nil {
+			err = sameMatches(res.Matches, wantR[i])
+		}
+		if err != nil {
+			t.Fatalf("insert-built query %d down the tree: %v", i, err)
 		}
 	}
 }
@@ -857,23 +796,24 @@ func TestPaperScaleArenaSize(t *testing.T) {
 	}
 }
 
-// TestLoadIndexFileMissing keeps the degraded-open contract: a missing
-// artifact degrades OpenOrRebuildFile rather than failing it.
+// TestLoadIndexFileMissing: a missing artifact fails LoadIndexFile and
+// is built by OpenOrRebuildFile.
 func TestLoadIndexFileMissing(t *testing.T) {
 	opts := testOptions()
 	st := store.New()
 	st.AppendSequence("a", make([]float64, 80))
-	if _, err := LoadIndexFile(filepath.Join(t.TempDir(), "nope"), st); err == nil {
+	path := filepath.Join(t.TempDir(), "nope")
+	if _, err := LoadIndexFile(path, st); err == nil {
 		t.Fatal("missing artifact should fail LoadIndexFile")
 	}
-	ix, status, err := OpenOrRebuildFile(filepath.Join(t.TempDir(), "nope"), st, opts)
+	ix, rebuilt, err := OpenOrRebuildFile(path, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !status.Degraded {
-		t.Fatal("missing artifact should degrade OpenOrRebuildFile")
+	if !errors.Is(rebuilt, os.ErrNotExist) {
+		t.Fatalf("rebuilt = %v, want the missing file", rebuilt)
 	}
-	if deg, _ := ix.Degraded(); !deg {
-		t.Fatal("index should report degraded")
+	if got, want := ix.WindowCount(), 80-opts.WindowLen+1; got != want {
+		t.Fatalf("built index holds %d windows, want %d", got, want)
 	}
 }

@@ -73,6 +73,37 @@ func FuzzLoadIndex(f *testing.F) {
 	})
 }
 
+// FuzzOpenOrRebuild feeds arbitrary bytes to OpenOrRebuildFile as the
+// index artifact over a good store: the open never panics and never
+// fails — whatever the bytes, the index it returns (mapped, or rebuilt
+// from the store) answers a fixed range query and a fixed k-NN query
+// Float64bits-identically to a fresh build.
+func FuzzOpenOrRebuild(f *testing.F) {
+	fresh := buildTestIndex(f, testOptions(), 2, 60)
+	var buf bytes.Buffer
+	if err := fresh.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, in := range [][]byte{good, {}, good[:len(good)/2], flipped, leafKindArtifact(f, fresh)} {
+		f.Add(in)
+	}
+	for _, name := range []string{"arena_v1.ssidx", "arena_v2_mbr.ssidx", "trail8.ssidx"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+	}
+	oracle := newOpenOracle(f, fresh)
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		oracle.open(t, filepath.Join(dir, "index.ssidx"), in)
+	})
+}
+
 // FuzzLoadSegments is FuzzLoadIndex for the segmented-manifest
 // decoder: malformed segment counts, overlapping or out-of-bounds
 // window ranges, and CRC flips must all surface as typed errors —
@@ -122,7 +153,7 @@ func FuzzLoadSegments(f *testing.F) {
 	dirFlipped[20] ^= 0x01
 	f.Add(dirFlipped)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		g, err := LoadSegments(bytes.NewReader(in), st)
+		g, _, err := LoadSegments(bytes.NewReader(in), st)
 		if err != nil {
 			return
 		}

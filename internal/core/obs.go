@@ -30,7 +30,6 @@ var cm struct {
 	matches      *obs.Counter
 	nodeReads    *obs.Counter
 	dataPages    *obs.Counter
-	degraded     *obs.Counter
 	pathProbes   [engine.NumPathKinds]*obs.Counter
 
 	searchDur  *obs.Histogram
@@ -69,8 +68,6 @@ func initCoreMetrics() {
 		"R*-tree index pages read by searches.")
 	cm.dataPages = r.Counter("scaleshift_data_page_reads_total",
 		"Distinct data pages fetched during verification (per-query distinct counts, summed).")
-	cm.degraded = r.Counter("scaleshift_degraded_probes_total",
-		"Probes answered by the degraded-mode scan fallback.")
 	for k := engine.PathRTree; k < engine.NumPathKinds; k++ {
 		cm.pathProbes[k] = r.Counter("scaleshift_path_probes_total",
 			"Index-phase probes served, by access path.",
@@ -129,7 +126,6 @@ func recordSearchMetrics(d *SearchStats, elapsed time.Duration, pieces int) {
 	cm.falseAlarms.Add(int64(d.FalseAlarms))
 	cm.costRejected.Add(int64(d.CostRejected))
 	cm.matches.Add(int64(d.Results))
-	cm.degraded.Add(int64(d.DegradedProbes))
 	for k := engine.PathRTree; k < engine.NumPathKinds; k++ {
 		if n := d.PathProbes[k]; n > 0 {
 			cm.pathProbes[k].Add(int64(n))

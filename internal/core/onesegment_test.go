@@ -86,12 +86,12 @@ func ledger(res Result, stats SearchStats, err error) string {
 	}
 	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "nodes=%d pages=%d cand=%d fa=%d cr=%d res=%d exact=%d leaf=%d pen=%v probes=%v degraded=%d",
+	fmt.Fprintf(&b, "nodes=%d pages=%d cand=%d fa=%d cr=%d res=%d exact=%d leaf=%d pen=%v probes=%v",
 		stats.IndexNodeAccesses, stats.DataPageAccesses, stats.Candidates, stats.FalseAlarms, stats.CostRejected,
-		stats.Results, stats.ExactChecks, stats.LeafEntriesChecked, stats.Penetration, stats.PathProbes, stats.DegradedProbes)
+		stats.Results, stats.ExactChecks, stats.LeafEntriesChecked, stats.Penetration, stats.PathProbes)
 	if ex := res.Explain; ex != nil {
-		fmt.Fprintf(&b, " | chosen=%s forced=%v pieces=%d degraded=%v est=%s actual=%d",
-			ex.Chosen, ex.Forced, ex.Pieces, ex.Degraded, g(ex.EstCandidates), ex.ActualCandidates)
+		fmt.Fprintf(&b, " | chosen=%s forced=%v pieces=%d est=%s actual=%d",
+			ex.Chosen, ex.Forced, ex.Pieces, g(ex.EstCandidates), ex.ActualCandidates)
 		for _, p := range ex.Plans {
 			if p.Available {
 				fmt.Fprintf(&b, " %s(%s %s %s)", p.Path, g(p.Cost.Units), g(p.Cost.Candidates), g(p.Cost.NodeReads))
@@ -118,7 +118,8 @@ func ledger(res Result, stats SearchStats, err error) string {
 // — and the planner's sampled estimates (est and the rtree(…) costs: the
 // sample is every k-th point in leaf order, and leaf order changed);
 // cand, fa, cr, res, exact, pages, probes and every chosen path stayed,
-// as did every insert/* and degraded/* row.  When the descent began
+// as did every insert/* row (and the degraded/* rows, which left with
+// degraded mode by a mechanical edit, with the degraded= columns).  When the descent began
 // accepting the a ≈ 0 shell whole (a directory entry with r_hi within ε
 // of an SE-line emits its leaves untested), the bulk/* and spheres/*
 // rows of the three line probes that reach the shell — tight,
@@ -127,34 +128,27 @@ func ledger(res Result, stats SearchStats, err error) string {
 // else in them moved.  The bounded (segment) probe and
 // k-NN never accept, and their rows did not change.
 var oneSegmentGolden = map[string]string{
-	"bulk/tight":           "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
-	"bulk/loose":           "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
-	"bulk/bounded":         "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
-	"bulk/force-rtree":     "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"bulk/force-scan":      "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"bulk/long":            "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
-	"bulk/knn":             "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0] degraded=0",
-	"insert/tight":         "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=87.54437869822485 actual=99 rtree(726.4138413492329 87.54437869822485 53.23912188758401) scan(5380 5380 0)",
-	"insert/loose":         "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(7372.080543214561 3557.4852071005917 317.8829446761641) scan(5380 5380 0)",
-	"insert/bounded":       "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=7.958579881656805 actual=2 rtree(234.11242603550298 7.958579881656805 18.846153846153847) scan(5380 5380 0)",
-	"insert/force-rtree":   "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1026.6568047337278 actual=1018 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
-	"insert/force-scan":    "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
-	"insert/long":          "nodes=599 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=8239 pen={772 0 0} probes=[0 2 1] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2156.775147928994 actual=4100 rtree(5137.5575939586415 2156.775147928994 248.3985371691373) scan(5380 5380 0)",
-	"insert/knn":           "nodes=153 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=1976 pen={0 0 0} probes=[0 0 0] degraded=0",
-	"spheres/tight":        "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
-	"spheres/loose":        "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=false pieces=1 degraded=false est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
-	"spheres/bounded":      "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=false pieces=1 degraded=false est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
-	"spheres/force-rtree":  "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] degraded=0 | chosen=rtree forced=true pieces=1 degraded=false est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"spheres/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=0 | chosen=scan forced=true pieces=1 degraded=false est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"spheres/long":         "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] degraded=0 | chosen=rtree forced=false pieces=3 degraded=false est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
-	"spheres/knn":          "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0] degraded=0",
-	"degraded/tight":       "nodes=0 pages=12 cand=5380 fa=5351 cr=0 res=29 exact=29 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/loose":       "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/bounded":     "nodes=0 pages=12 cand=5380 fa=3101 cr=2278 res=1 exact=1 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=false pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/force-rtree": "error: core: planning: engine: unsupported operation: path rtree unavailable: index degraded: artifact lost",
-	"degraded/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] degraded=1 | chosen=scan forced=true pieces=1 degraded=true est=5380 actual=5380 rtree(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/long":        "nodes=0 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=0 pen={0 0 0} probes=[0 0 3] degraded=3 | chosen=scan forced=false pieces=3 degraded=true est=5380 actual=4100 rtree(index degraded: artifact lost) scan(5380 5380 0)",
-	"degraded/knn":         "error: core: unsupported operation: nearest-neighbour search unavailable: index is degraded (artifact lost)",
+	"bulk/tight":          "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
+	"bulk/loose":          "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
+	"bulk/bounded":        "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
+	"bulk/force-rtree":    "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
+	"bulk/force-scan":     "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
+	"bulk/long":           "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
+	"bulk/knn":            "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0]",
+	"insert/tight":        "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=87.54437869822485 actual=99 rtree(726.4138413492329 87.54437869822485 53.23912188758401) scan(5380 5380 0)",
+	"insert/loose":        "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(7372.080543214561 3557.4852071005917 317.8829446761641) scan(5380 5380 0)",
+	"insert/bounded":      "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=7.958579881656805 actual=2 rtree(234.11242603550298 7.958579881656805 18.846153846153847) scan(5380 5380 0)",
+	"insert/force-rtree":  "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1026.6568047337278 actual=1018 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
+	"insert/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
+	"insert/long":         "nodes=599 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=8239 pen={772 0 0} probes=[0 2 1] | chosen=rtree forced=false pieces=3 est=2156.775147928994 actual=4100 rtree(5137.5575939586415 2156.775147928994 248.3985371691373) scan(5380 5380 0)",
+	"insert/knn":          "nodes=153 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=1976 pen={0 0 0} probes=[0 0 0]",
+	"spheres/tight":       "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
+	"spheres/loose":       "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
+	"spheres/bounded":     "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
+	"spheres/force-rtree": "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
+	"spheres/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
+	"spheres/long":        "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
+	"spheres/knn":         "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0]",
 }
 
 // TestIndexIsOneSegment is the differential behind "an Index is the
@@ -189,20 +183,12 @@ func TestIndexIsOneSegment(t *testing.T) {
 	}
 	plain := func(*Options) {}
 	configs := []struct {
-		name      string
-		open      func(*store.Store) *Index
-		segmented bool // NewSegmentedFromIndex accepts it
+		name string
+		open func(*store.Store) *Index
 	}{
-		{"bulk", built(plain, (*Index).BuildBulk), true},
-		{"insert", built(plain, func(ix *Index) error { return ix.BuildWith(rstar.Load) }), true},
-		{"spheres", built(func(o *Options) { o.Strategy = geom.BoundingSpheres }, (*Index).BuildBulk), true},
-		{"degraded", func(st *store.Store) *Index {
-			ix, err := NewDegradedIndex(st, testOptions(), "artifact lost")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix
-		}, false},
+		{"bulk", built(plain, (*Index).BuildBulk)},
+		{"insert", built(plain, func(ix *Index) error { return ix.BuildWith(rstar.Load) })},
+		{"spheres", built(func(o *Options) { o.Strategy = geom.BoundingSpheres }, (*Index).BuildBulk)},
 	}
 	ctx := context.Background()
 	for _, cfg := range configs {
@@ -229,12 +215,6 @@ func TestIndexIsOneSegment(t *testing.T) {
 			if err := sameAsScan(res.Matches, c.oracle(t, st)); err != nil || res.Total != len(res.Matches) {
 				t.Errorf("%s: total %d: %v", key, res.Total, err)
 			}
-		}
-		if !cfg.segmented {
-			if _, err := NewSegmentedFromIndex(ix); err == nil {
-				t.Errorf("%s: NewSegmentedFromIndex accepted the index", cfg.name)
-			}
-			continue
 		}
 		seg, err := NewSegmentedFromIndex(ix)
 		if err != nil {

@@ -1,67 +1,34 @@
 package core
 
-import (
-	"fmt"
-	"io"
+import "scaleshift/internal/store"
 
-	"scaleshift/internal/store"
-)
-
-// OpenStatus reports how an index came up: healthy (zero value), or
-// degraded with the validation failure that caused the fallback.  What
-// was opened, and in which shape, is the index's own to say
-// (Index.Directory, Index.Converted).
-type OpenStatus struct {
-	// Degraded is true when the index artifact failed validation and
-	// the returned index serves queries through the scan path over
-	// the raw store.
-	Degraded bool
-	// Reason is a one-line human-readable cause (empty when healthy).
-	Reason string
-	// Err is the underlying load error (nil when healthy); matchable
-	// with errors.Is against ErrChecksum, ErrTruncated, ErrVersion.
-	Err error
-}
-
-// OpenOrRebuild loads an index artifact and degrades instead of
-// failing when the artifact is damaged: if LoadIndex rejects r (bad
-// checksum, truncation, version skew, store mismatch), the returned
-// index has no tree but knows every window of st, so the engine's
-// scan path answers every range query with exactly the same match
-// set — the acceleration is lost, not the answers.  The status says
-// which of the two happened; an error is returned only when even the
-// degraded index cannot be constructed (invalid opts).
+// OpenOrRebuildFile opens the index artifact at path over st, or builds
+// the index from st when the artifact cannot be served as it is.  An
+// index is derived state — every feature point is the transform of a
+// window of the checksummed store, and Lemma 2 makes the index answer
+// exactly what a scan answers — so an artifact that does not map, fails
+// VerifyArtifact (a checksum, truncation, a structural check), was built
+// over a different store, or is in a layout this code does not serve (an
+// older arena version, an MBR directory: ErrVersion) costs one bulk
+// build (Build, on every CPU) and nothing else.
 //
-// A degraded index is read-only: mutation and serialization return
-// errors, and nearest-neighbour queries (whose early termination
-// needs the tree) fail loudly rather than returning wrong answers.
-func OpenOrRebuild(r io.Reader, st *store.Store, opts Options) (*Index, OpenStatus, error) {
-	ix, err := LoadIndex(r, st)
-	if err == nil {
-		return ix, OpenStatus{}, nil
+// rebuilt is why the artifact was not used, nil when it was; it matches
+// ErrChecksum, ErrTruncated and ErrVersion with errors.Is.  err is the
+// build's own failure (invalid opts), and only that.  A rebuilt index is
+// not written anywhere: saving it over path is the caller's choice.
+func OpenOrRebuildFile(path string, st *store.Store, opts Options) (ix *Index, rebuilt, err error) {
+	ix, rebuilt = LoadIndexFile(path, st)
+	if rebuilt == nil {
+		if rebuilt = ix.VerifyArtifact(); rebuilt == nil {
+			return ix, nil, nil
+		}
+		ix.Close()
 	}
-	reason := fmt.Sprintf("index artifact rejected: %v", err)
-	deg, derr := NewDegradedIndex(st, opts, reason)
-	if derr != nil {
-		return nil, OpenStatus{Degraded: true, Reason: reason, Err: err}, derr
+	if ix, err = NewIndex(st, opts); err != nil {
+		return nil, rebuilt, err
 	}
-	return deg, OpenStatus{Degraded: true, Reason: reason, Err: err}, nil
-}
-
-// NewDegradedIndex builds an index that has no tree but marks every
-// complete window of every sequence in st as searchable, so its
-// segment's scan enumerates all of them and the exact verifier keeps the
-// result set identical to a healthy index.  reason is surfaced in
-// Explain output and Degraded().
-func NewDegradedIndex(st *store.Store, opts Options, reason string) (*Index, error) {
-	if reason == "" {
-		reason = "unspecified degradation"
+	if err = ix.Build(); err != nil {
+		return nil, rebuilt, err
 	}
-	ix, err := NewIndex(st, opts)
-	if err != nil {
-		return nil, err
-	}
-	ix.degraded = reason
-	ix.install(ix.flat, ix.allWindows())
-	return ix, nil
+	return ix, rebuilt, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,7 +21,7 @@ import (
 
 // testQueryEps returns a disguised window of ix's store and an epsilon
 // wide enough to match a handful of windows.
-func testQueryEps(t *testing.T, ix *Index) (vec.Vector, float64) {
+func testQueryEps(t testing.TB, ix *Index) (vec.Vector, float64) {
 	t.Helper()
 	n := ix.Options().WindowLen
 	w := make(vec.Vector, n)
@@ -385,7 +387,12 @@ func TestVerifyWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
-func TestDegradedIndexServesExactResults(t *testing.T) {
+// TestCorruptArtifactIsRebuilt: an index artifact with a flipped byte is
+// refused by the strict loaders and rebuilt by OpenOrRebuildFile, with a
+// typed reason, into an index that answers range, long, forced-tree and
+// k-NN queries Float64bits-identically to the index that wrote the
+// artifact, mutates, and writes the artifact's bytes again.
+func TestCorruptArtifactIsRebuilt(t *testing.T) {
 	opts := testOptions()
 	healthy := buildTestIndex(t, opts, 6, 120)
 	st := healthy.Store()
@@ -398,116 +405,128 @@ func TestDegradedIndexServesExactResults(t *testing.T) {
 	good := buf.Bytes()
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)/2] ^= 0x10
+	path := filepath.Join(t.TempDir(), "index.ssidx")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	ix, status, err := OpenOrRebuild(bytes.NewReader(corrupt), st, opts)
+	ix, rebuilt, err := OpenOrRebuildFile(path, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !status.Degraded || status.Err == nil {
-		t.Fatalf("corrupt artifact opened healthy: %+v", status)
+	defer ix.Close()
+	if !errors.Is(rebuilt, ErrChecksum) && !errors.Is(rebuilt, ErrTruncated) {
+		t.Fatalf("rebuilt = %v, want a typed artifact error", rebuilt)
 	}
-	if !errors.Is(status.Err, ErrChecksum) && !errors.Is(status.Err, ErrTruncated) {
-		t.Errorf("status.Err = %v, want a typed artifact error", status.Err)
+	if ix.Directory() != DirectoryBox {
+		t.Fatalf("the rebuilt index has a %s directory", ix.Directory())
 	}
-	if deg, reason := ix.Degraded(); !deg || reason == "" {
-		t.Fatalf("Degraded() = %v, %q", deg, reason)
-	}
-
-	// Identical match sets, via the scan path, flagged in the explain
-	// and the stats.
-	for _, e := range []float64{0, eps, 3 * eps} {
-		want, err := search(healthy, q, e, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats SearchStats
-		got, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: e}, &stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ex.Degraded || ex.DegradedReason == "" {
-			t.Errorf("eps=%v: explain not flagged degraded", e)
-		}
-		if ex.Chosen != engine.PathScan {
-			t.Errorf("eps=%v: degraded query used %v, want scan", e, ex.Chosen)
-		}
-		if stats.DegradedProbes != 1 {
-			t.Errorf("eps=%v: DegradedProbes = %d, want 1", e, stats.DegradedProbes)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("eps=%v: degraded %d matches, healthy %d", e, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("eps=%v: match %d differs in degraded mode", e, i)
-			}
-		}
-	}
-
-	// The explain text announces the mode.
-	var sb strings.Builder
-	_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "DEGRADED") {
-		t.Errorf("explain text misses degradation:\n%s", sb.String())
-	}
-
-	// Long queries degrade too.
 	long := append(q.Clone(), q...)
-	wantLong, err := search(healthy, long, eps, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		what string
+		q    Query
+	}{
+		{"exact", Query{Vec: q}},
+		{"range", Query{Vec: q, Eps: eps}},
+		{"wide", Query{Vec: q, Eps: 3 * eps}},
+		{"long", Query{Vec: long, Eps: eps}},
+		{"forced tree", Query{Vec: q, Eps: eps, Force: engine.PathRTree}},
+		{"k-NN", Query{Vec: q, K: 5}},
+	} {
+		want, _, err := run(context.Background(), healthy, c.q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := run(context.Background(), ix, c.q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if err := sameMatches(got, want); err != nil {
+			t.Fatalf("%s: the rebuilt index answers differently: %v", c.what, err)
+		}
 	}
-	gotLong, err := search(ix, long, eps, nil)
-	if err != nil {
-		t.Fatal(err)
+	var again bytes.Buffer
+	if err := ix.WriteBinary(&again); err != nil || !bytes.Equal(again.Bytes(), good) {
+		t.Fatalf("the rebuilt index writes %d bytes (%v), not the undamaged artifact's %d", again.Len(), err, len(good))
 	}
-	if len(gotLong) != len(wantLong) {
-		t.Fatalf("long query: degraded %d matches, healthy %d", len(gotLong), len(wantLong))
-	}
-
-	// Forcing the tree path fails loudly; NN, mutation, and
-	// serialization are refused rather than silently wrong.
-	if _, _, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathRTree}, nil); err == nil {
-		t.Error("forced rtree path worked on a degraded index")
-	}
-	if _, err := nearest(ix, q, 3, nil); err == nil {
-		t.Error("NN search worked on a degraded index")
-	}
-	if _, err := ix.AppendAndIndex("new", make([]float64, 64)); err == nil {
-		t.Error("mutation worked on a degraded index")
-	}
-	if err := ix.WriteBinary(io.Discard); err == nil {
-		t.Error("degraded index serialized")
-	}
-
-	// The undamaged artifact still opens healthy through the same door.
-	ix2, status2, err := OpenOrRebuild(bytes.NewReader(good), st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status2.Degraded {
-		t.Fatalf("good artifact degraded: %+v", status2)
-	}
-	if deg, _ := ix2.Degraded(); deg {
-		t.Error("healthy open reports degraded")
+	if _, err := ix.AppendAndIndex("new", make([]float64, 64)); err != nil {
+		t.Fatalf("mutating the rebuilt index: %v", err)
 	}
 }
 
+// openOracle is what a fresh build answers to a fixed range query and a
+// fixed k-NN query, to hold an index OpenOrRebuildFile returns to.
+type openOracle struct {
+	st            *store.Store
+	opts          Options
+	q             vec.Vector
+	eps           float64
+	wantR, wantNN []Match
+}
+
+func newOpenOracle(t testing.TB, fresh *Index) *openOracle {
+	o := &openOracle{st: fresh.Store(), opts: fresh.Options()}
+	o.q, o.eps = testQueryEps(t, fresh)
+	var err error
+	if o.wantR, err = search(fresh, o.q, o.eps, nil); err == nil {
+		o.wantNN, err = nearest(fresh, o.q, 3, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// open writes in as the artifact at path and opens it with
+// OpenOrRebuildFile, failing t unless the open succeeds and the index
+// answers both queries as the fresh build did; it returns the rebuild
+// reason.
+func (o *openOracle) open(t *testing.T, path string, in []byte) error {
+	t.Helper()
+	if err := os.WriteFile(path, in, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, rebuilt, err := OpenOrRebuildFile(path, o.st, o.opts)
+	if err != nil {
+		t.Fatalf("open failed: %v", err)
+	}
+	defer ix.Close()
+	r, err := search(ix, o.q, o.eps, nil)
+	if err == nil {
+		err = sameMatches(r, o.wantR)
+	}
+	nn, err2 := nearest(ix, o.q, 3, nil)
+	if err2 == nil {
+		err2 = sameMatches(nn, o.wantNN)
+	}
+	if err != nil || err2 != nil {
+		t.Fatalf("range query: %v; k-NN query: %v", err, err2)
+	}
+	return rebuilt
+}
+
+// TestIndexArtifactCorruptionAlwaysDetected flips every byte of an
+// artifact and cuts it at every seventh offset: the stream loader
+// rejects every mutation with a typed error, and OpenOrRebuildFile
+// rebuilds every one into an index that answers a fixed range query and
+// a fixed k-NN query Float64bits-identically to the index that wrote it.
 func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 	opts := testOptions()
-	ix := buildTestIndex(t, opts, 3, 70)
+	ix := buildTestIndex(t, opts, 2, 50)
 	st := ix.Store()
 	var buf bytes.Buffer
 	if err := ix.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	oracle := newOpenOracle(t, ix)
+	path := filepath.Join(t.TempDir(), "index.ssidx")
+	rebuilds := func(bad []byte, what string) {
+		t.Helper()
+		if rebuilt := oracle.open(t, path, bad); rebuilt == nil {
+			t.Fatalf("%s: served without a rebuild", what)
+		}
+	}
 
 	if _, err := LoadIndex(bytes.NewReader(good), st); err != nil {
 		t.Fatalf("pristine artifact rejected: %v", err)
@@ -520,6 +539,7 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 		if _, err := LoadIndex(bytes.NewReader(bad), st); err == nil {
 			t.Fatalf("flip at byte %d accepted", off)
 		}
+		rebuilds(bad, fmt.Sprintf("flip at byte %d", off))
 	}
 	// Every truncation must be rejected with a typed error.
 	for cut := 0; cut < len(good); cut += 7 {
@@ -530,6 +550,7 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrVersion) {
 			t.Fatalf("truncation at %d: untyped error %v", cut, err)
 		}
+		rebuilds(good[:cut], fmt.Sprintf("truncation at %d", cut))
 	}
 	// A v1 artifact is version-skew, not garbage.
 	v1 := append([]byte(nil), good...)

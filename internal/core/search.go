@@ -404,9 +404,7 @@ type Query struct {
 	Costs CostBounds
 	// Force pins the index phase of every segment to one access path —
 	// a debugging and benchmarking tool, never a correctness knob: the
-	// result set is bit-identical whichever path runs.  A path some
-	// segment lacks (the index probe on a degraded index) fails the
-	// query with engine.ErrUnsupported.
+	// result set is bit-identical whichever path runs.
 	Force engine.PathKind
 	// Pool plays the verifier's data-page fetches through a shared LRU
 	// buffer pool, for bounded-memory cost studies.
@@ -439,12 +437,10 @@ type Result struct {
 }
 
 // probeTally accumulates the index-phase accounting of one query
-// across its probes: tree counters, probes per access path, and how
-// many of them ran degraded.
+// across its probes: tree counters and probes per access path.
 type probeTally struct {
-	tree     rtree.SearchStats
-	paths    [engine.NumPathKinds]int
-	degraded int
+	tree  rtree.SearchStats
+	paths [engine.NumPathKinds]int
 }
 
 // Exec answers one query.  The result set is exact: the feature-space
@@ -533,8 +529,7 @@ func exec(ctx context.Context, m *manifest, q Query, stats *SearchStats) (Result
 	return res, nil
 }
 
-// validate rejects what no index can answer correctly (ErrInvalidQuery)
-// and then what this one cannot serve (engine.ErrUnsupported).
+// validate rejects what no index can answer correctly (ErrInvalidQuery).
 func validate(m *manifest, q Query) error {
 	n := m.opts.WindowLen
 	switch {
@@ -547,26 +542,10 @@ func validate(m *manifest, q Query) error {
 	case len(q.Vec) < n:
 		return fmt.Errorf("core: %w: query length %d below index window length %d", ErrInvalidQuery, len(q.Vec), n)
 	}
-	var err error
 	if q.K > 0 {
-		err = validateQueryValues(q.Vec)
-	} else {
-		err = validateQuery(q.Vec, q.Eps)
+		return validateQueryValues(q.Vec)
 	}
-	if err != nil {
-		return err
-	}
-	// A forced path a segment lacks is its plan's to reject; only k-NN
-	// needs a check here.  Its refinement bound needs the tree's
-	// best-first stream; a degraded segment has no tree, and silently
-	// returning nothing would be wrong, so NN queries fail loudly until
-	// a rebuild.
-	for _, sg := range m.frozen {
-		if q.K > 0 && sg.degraded != "" {
-			return fmt.Errorf("core: %w: nearest-neighbour search unavailable: index is degraded (%s)", engine.ErrUnsupported, sg.degraded)
-		}
-	}
-	return nil
+	return validateQuery(q.Vec, q.Eps)
 }
 
 // execRange is the range-query executor, multipiece included (§7,
@@ -677,7 +656,6 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 		ProbeTime:           ex.ProbeTime,
 		VerifyTime:          ex.VerifyTime,
 		PathProbes:          sc.paths,
-		DegradedProbes:      sc.degraded,
 	}
 	return Result{Matches: out, Total: vd.matches, Explain: ex}, nil
 }

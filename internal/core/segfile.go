@@ -191,11 +191,47 @@ func ParseSegmentList(b []byte) (*SegmentList, error) {
 // Files lists the segment files, in manifest order.
 func (l *SegmentList) Files() []SegmentFile { return l.files }
 
-// SegmentRebuild reports one segment whose file could not be used and
-// was rebuilt from the store.
+// SegmentRebuild reports one segment whose arena could not be served as
+// it is — a segment file missing or damaged, an arena in an older layout
+// or with an MBR directory — and was rebuilt from the store.  Path names
+// the segment: its file, or its position in an SSSEG stream.
 type SegmentRebuild struct {
 	Path string
 	Err  error
+}
+
+// assembleSegments makes the segmented index over st whose frozen
+// segments are frozen, rebuilding every one that is nil from st with the
+// bulk build — the windows of its directory entry, in a direction-box
+// arena of the served segments' node shape — and whose windows past the
+// segments' coverage, next, go to the delta.  The index owns mappings
+// from here on, and closes them on failure.
+func assembleSegments(st *store.Store, ix *Index, dirs []segDir, frozen []*frozenSeg, next []int, mappings []*binio.Mapping) (*SegmentedIndex, error) {
+	for _, sg := range frozen {
+		if sg != nil {
+			ix.opts.Tree = sg.flat.Config()
+			break
+		}
+	}
+	g := emptySegmented(st, ix.opts, ix.fmap, nil)
+	g.frozen, g.mappings = frozen, mappings
+	for i, sg := range frozen {
+		if sg != nil {
+			continue
+		}
+		flat, _, err := bulkLoadRanges(context.Background(), st, ix.fmap, ix.opts, dirs[i].ranges, runtime.GOMAXPROCS(0), nil)
+		if err != nil {
+			g.Close()
+			return nil, fmt.Errorf("core: rebuilding segment %d: %w", i, err)
+		}
+		frozen[i] = &frozenSeg{flat: flat, ranges: dirs[i].ranges, count: dirs[i].count}
+	}
+	copy(g.next, next)
+	if err := g.finishInit(); err != nil {
+		g.Close()
+		return nil, err
+	}
+	return g, nil
 }
 
 // Open assembles the segmented index a segment list describes over st,
@@ -203,7 +239,8 @@ type SegmentRebuild struct {
 // before it is used — its size and CRC32C against the list,
 // its header against the list's entry, its tree structurally — and its
 // arena is then served in place.  A segment whose file is missing or
-// fails a check is rebuilt from st over the list's ranges with the bulk
+// fails a check — its arena in an older layout or with an MBR directory
+// included — is rebuilt from st over the list's ranges with the bulk
 // build, and reported.  Open fails only when the list itself does not
 // fit st; the returned index owns the mappings until Close.
 func (l *SegmentList) Open(dir string, st *store.Store) (*SegmentedIndex, []SegmentRebuild, error) {
@@ -218,57 +255,30 @@ func (l *SegmentList) Open(dir string, st *store.Store) (*SegmentedIndex, []Segm
 	frozen := make([]*frozenSeg, len(l.dirs))
 	var mappings []*binio.Mapping
 	var rebuilt []SegmentRebuild
-	converted, treeSet := false, false
 	for i, f := range l.files {
 		path := filepath.Join(dir, f.Name)
-		sg, m, conv, err := openSegmentFile(path, f, l.opts, l.dirs[i], ix.fmap.Dim())
+		sg, m, err := openSegmentFile(path, f, l.opts, l.dirs[i], ix.fmap.Dim())
 		if err != nil {
 			rebuilt = append(rebuilt, SegmentRebuild{Path: path, Err: err})
 			continue
 		}
-		if m != nil {
-			mappings = append(mappings, m)
-		}
-		if !conv {
-			sg.file.Store(&durableFile{dir: dir, file: f})
-		}
-		converted = converted || conv
+		mappings = append(mappings, m)
+		sg.file.Store(&durableFile{dir: dir, file: f})
 		frozen[i] = sg
-		if !treeSet {
-			// Rebuilds below follow the files' node shape.
-			ix.opts.Tree, treeSet = sg.flat.Config(), true
-		}
 	}
-	for i, sg := range frozen {
-		if sg != nil {
-			continue
-		}
-		flat, _, err := bulkLoadRanges(context.Background(), st, ix.fmap, ix.opts, l.dirs[i].ranges, runtime.GOMAXPROCS(0), nil)
-		if err != nil {
-			for _, m := range mappings {
-				m.Close()
-			}
-			return nil, nil, fmt.Errorf("core: rebuilding segment %d: %w", i, err)
-		}
-		frozen[i] = &frozenSeg{flat: flat, ranges: l.dirs[i].ranges, count: l.dirs[i].count}
-	}
-	g := emptySegmented(st, ix.opts, ix.fmap, nil)
-	g.frozen, g.converted, g.mappings = frozen, converted, mappings
-	copy(g.next, next)
-	if err := g.finishInit(); err != nil {
-		g.Close()
+	g, err := assembleSegments(st, ix, l.dirs, frozen, next, mappings)
+	if err != nil {
 		return nil, nil, err
 	}
 	return g, rebuilt, nil
 }
 
 // openSegmentFile maps one segment file and checks it against its list
-// entry.  The returned mapping backs the segment's arena (nil when a
-// version-1 arena was converted into the heap, converted true).
-func openSegmentFile(path string, f SegmentFile, opts Options, d segDir, dim int) (sg *frozenSeg, m *binio.Mapping, converted bool, err error) {
+// entry.  The returned mapping backs the segment's arena.
+func openSegmentFile(path string, f SegmentFile, opts Options, d segDir, dim int) (sg *frozenSeg, m *binio.Mapping, err error) {
 	mapped, err := binio.OpenMapping(path)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	defer func() {
 		if m == nil {
@@ -277,43 +287,39 @@ func openSegmentFile(path string, f SegmentFile, opts Options, d segDir, dim int
 	}()
 	data := mapped.Data
 	if int64(len(data)) != f.Size {
-		return nil, nil, false, fmt.Errorf("core: segment file is %d bytes, the manifest says %d: %w", len(data), f.Size, ErrTruncated)
+		return nil, nil, fmt.Errorf("core: segment file is %d bytes, the manifest says %d: %w", len(data), f.Size, ErrTruncated)
 	}
 	if err := binio.CheckFrame(data, len(segMagic), 2); err != nil {
-		return nil, nil, false, fmt.Errorf("core: segment file: %w", err)
+		return nil, nil, fmt.Errorf("core: segment file: %w", err)
 	}
 	br := binio.NewByteReader(data)
 	if _, err := br.MagicVersions(segMagic, segVersions...); err != nil {
-		return nil, nil, false, fmt.Errorf("core: segment file: %w", err)
+		return nil, nil, fmt.Errorf("core: segment file: %w", err)
 	}
 	head, err := br.Section(maxIndexSection)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: segment file header: %w", err)
+		return nil, nil, fmt.Errorf("core: segment file header: %w", err)
 	}
 	h, err := parseSegHeader(head)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if len(h.dirs) != 1 || !sameShape(h.opts, opts) || !sameDir(h.dirs[0], d) {
-		return nil, nil, false, fmt.Errorf("core: segment file does not hold the segment the manifest names: %w", ErrChecksum)
+		return nil, nil, fmt.Errorf("core: segment file does not hold the segment the manifest names: %w", ErrChecksum)
 	}
 	// CheckFrame verified the arena section's checksum; it must also be
 	// the one the manifest recorded for this segment.
 	arena, err := br.SectionLazy(maxIndexSection)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: segment file arena: %w", err)
+		return nil, nil, fmt.Errorf("core: segment file arena: %w", err)
 	}
 	if crc := binary.LittleEndian.Uint32(data[br.Offset()-4:]); crc != f.CRC {
-		return nil, nil, false, fmt.Errorf("core: segment file arena crc %08x, the manifest says %08x: %w", crc, f.CRC, ErrChecksum)
+		return nil, nil, fmt.Errorf("core: segment file arena crc %08x, the manifest says %08x: %w", crc, f.CRC, ErrChecksum)
 	}
-	sg, converted, err = segmentFromArena(0, arena, d, dim)
-	if err != nil {
-		return nil, nil, false, err
+	if sg, err = segmentFromArena(0, arena, d, dim); err != nil {
+		return nil, nil, err
 	}
-	if converted {
-		return sg, nil, true, nil
-	}
-	return sg, mapped, false, nil
+	return sg, mapped, nil
 }
 
 // sameShape compares the options a segment artifact records.

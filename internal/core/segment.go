@@ -51,10 +51,6 @@ type frozenSeg struct {
 	flat   *rtree.FlatTree
 	ranges []winRange
 	count  int
-	// degraded, when non-empty, is why the segment has no tree (see
-	// NewDegradedIndex): flat is the empty arena, and only the scan
-	// reads the segment.
-	degraded string
 	// file, once set, is the segment's own artifact file (segfile.go):
 	// the one it was opened from, or the one a checkpoint wrote.
 	file atomic.Pointer[durableFile]
@@ -62,8 +58,7 @@ type frozenSeg struct {
 
 // planTable is one segment's plan: a row per access path, the index
 // probe before the scan so an exact cost tie keeps the paper's behavior.
-// Availability is structural: the probe is off without a tree, and the
-// scan always works.
+// Both are always available; Force picks either.
 type planTable [2]engine.PathPlan
 
 // plan prices the two ways to emit the segment's candidates for eq —
@@ -73,21 +68,16 @@ type planTable [2]engine.PathPlan
 // the query's SE-line (its scale segment when cost bounds apply) once,
 // into sc.sample: the empirical half of the selectivity estimate.
 func (sg *frozenSeg) plan(eq engine.Query, sc *queryScratch) planTable {
-	t := planTable{{Path: engine.PathRTree},
-		{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(sg.count)}}
-	tree := &t[0]
-	if sg.degraded != "" {
-		tree.Reason = "index degraded: " + sg.degraded
-		return t
-	}
 	h := sg.flat.CostHints()
 	tMin, tMax := math.Inf(-1), math.Inf(1)
 	if eq.Segment {
 		tMin, tMax = eq.TMin, eq.TMax
 	}
 	sc.sample = engine.SegmentDistances(sc.sample, h.Sample, eq.Line, tMin, tMax)
-	tree.Available, tree.Cost = true, engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)
-	return t
+	return planTable{
+		{Path: engine.PathRTree, Available: true, Cost: engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)},
+		{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(sg.count)},
+	}
 }
 
 // candidates appends the segment's candidate windows for eq to sc.ids
@@ -103,7 +93,6 @@ func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq en
 		_, span := obs.StartSpan(ctx, "scan")
 		err := sg.appendWindows(ctx, sc)
 		if span != nil {
-			span.SetBool("degraded", sg.degraded != "")
 			span.SetInt("emitted", int64(len(sc.ids)-before))
 			spanEndWithError(span, err)
 		}
@@ -261,9 +250,6 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	var sampled, frozenWindows float64
 	for i, sg := range m.frozen {
 		t := sg.plan(eq, sc)
-		if sg.degraded != "" {
-			ex.Degraded, ex.DegradedReason = true, sg.degraded
-		}
 		if err = choose(engine.SegmentPlan{Seg: i, Kind: "frozen", Windows: sg.count}, t, sg.count > lead); err != nil {
 			break
 		}
@@ -298,9 +284,6 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
 	if probeSpan != nil {
 		probeSpan.SetAttr("path", ex.Chosen.String())
-		if ex.Degraded {
-			probeSpan.SetBool("degraded", true)
-		}
 	}
 	idsBefore, nodesBefore := len(sc.ids), sc.tree.NodeAccesses
 	for i := range ex.Segments {
@@ -310,9 +293,6 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		case sp.Seg >= 0:
 			sg := m.frozen[sp.Seg]
 			err = sg.candidates(probeCtx, sp.Chosen, eq, m.opts.Strategy, sc)
-			if sg.degraded != "" {
-				sc.degraded++
-			}
 		case sp.Chosen == engine.PathScan:
 			sc.ids = m.delta.appendIDs(sc.ids)
 		default:

@@ -82,8 +82,6 @@ type SegmentedIndex struct {
 
 	frozen []*frozenSeg
 	gen    int64
-	// converted: see Converted.
-	converted bool
 
 	// compactHook, when set (tests), runs between a compaction's
 	// decide and build phases; a non-nil error aborts the compaction.
@@ -113,7 +111,7 @@ func NewSegmentedIndex(st *store.Store, opts Options) (*SegmentedIndex, error) {
 	if err := ix.BuildBulkParallel(0); err != nil {
 		return nil, err
 	}
-	return newSegmentedFrom(ix)
+	return NewSegmentedFromIndex(ix)
 }
 
 // NewSegmentedFromIndex wraps an already-built (or artifact-loaded)
@@ -121,13 +119,6 @@ func NewSegmentedIndex(st *store.Store, opts Options) (*SegmentedIndex, error) {
 // the store gained after the index was built land in the delta, so
 // the segmented view covers the store completely from the start.
 func NewSegmentedFromIndex(ix *Index) (*SegmentedIndex, error) {
-	if deg, why := ix.Degraded(); deg {
-		return nil, fmt.Errorf("core: cannot segment a degraded index (%s)", why)
-	}
-	return newSegmentedFrom(ix)
-}
-
-func newSegmentedFrom(ix *Index) (*SegmentedIndex, error) {
 	if err := ix.Freeze(); err != nil {
 		return nil, err
 	}
@@ -475,14 +466,6 @@ func (g *SegmentedIndex) Options() Options { return g.opts }
 // appends run, read through QueryWindow (or a manifest snapshot)
 // instead.
 func (g *SegmentedIndex) Store() *store.Store { return g.st }
-
-// Converted reports whether LoadSegments met a segment in an older arena
-// layout (version 1) and parsed it into the current one, as
-// Index.Converted does; the next checkpoint writes it back converted.
-func (g *SegmentedIndex) Converted() bool { return g.converted }
-
-// Degraded reports false: a segmented index never serves degraded.
-func (g *SegmentedIndex) Degraded() (bool, string) { return false, "" }
 
 // Generation returns the published manifest generation.
 func (g *SegmentedIndex) Generation() int64 {

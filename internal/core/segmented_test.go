@@ -531,9 +531,9 @@ func TestSegmentedTieredRetention(t *testing.T) {
 	if err := g.WriteSegments(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
-	if err != nil {
-		t.Fatalf("tiered layout failed artifact validation: %v", err)
+	g2, rebuilt, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
+	if err != nil || len(rebuilt) > 0 {
+		t.Fatalf("tiered layout failed artifact validation: %v (rebuilt %v)", err, rebuilt)
 	}
 	defer g2.Close()
 	got2, err := search(g2, q, eps, nil)
@@ -638,9 +638,9 @@ func TestWriteLoadSegments(t *testing.T) {
 
 	// Reopen against the same store, then grow both the original and
 	// the loaded copy to the full data and compare against ref.
-	g2, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
-	if err != nil {
-		t.Fatal(err)
+	g2, rebuilt, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
+	if err != nil || len(rebuilt) > 0 {
+		t.Fatalf("round trip: %v (rebuilt %v)", err, rebuilt)
 	}
 	defer g2.Close()
 	if got, want := g2.WindowCount(), g.WindowCount(); got != want {
@@ -669,7 +669,7 @@ func TestWriteLoadSegments(t *testing.T) {
 	for seq := range names {
 		short.AppendSequence(names[seq], vals[seq][:100])
 	}
-	if _, err := LoadSegments(bytes.NewReader(buf.Bytes()), short); err == nil {
+	if _, _, err := LoadSegments(bytes.NewReader(buf.Bytes()), short); err == nil {
 		t.Fatal("artifact loaded against a store missing its windows")
 	}
 }

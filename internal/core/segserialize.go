@@ -17,9 +17,9 @@ import (
 // segment — each using the same pad-to-8 scheme as the SSIDX v3 arena
 // so the format stays mmap-friendly — and a whole-file trailer.  Header
 // word 4 is reserved-zero as in SSIDX (reservedRunLength).  As in
-// SSIDX the arenas are versioned on their own: a version-1 arena is
-// converted as its segment is loaded, and written back in the current
-// layout by the next checkpoint.
+// SSIDX the arenas are versioned on their own, and only the current
+// direction-box arena is served (flatFromSection): LoadSegments rebuilds
+// a segment in any other from the store.
 var segMagic = []byte("SSSEG\x01")
 
 // segVersions lists the format versions LoadSegments accepts.
@@ -242,23 +242,22 @@ func checkCoverage(dirs []segDir, st *store.Store, windowLen int) ([]int, error)
 
 // segmentFromArena opens segment i's arena section and checks it
 // against its directory entry: a valid tree of the options' dimension
-// holding exactly the windows the entry claims.  converted reports a
-// version-1 arena parsed into the heap; otherwise the tree aliases body.
-func segmentFromArena(i int, body []byte, d segDir, dim int) (sg *frozenSeg, converted bool, err error) {
-	flat, converted, err := flatFromSection(body)
+// holding exactly the windows the entry claims.  The tree aliases body.
+func segmentFromArena(i int, body []byte, d segDir, dim int) (*frozenSeg, error) {
+	flat, err := flatFromSection(body)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: segment %d: %w", i, err)
+		return nil, fmt.Errorf("core: segment %d: %w", i, err)
 	}
 	if err := flat.Validate(); err != nil {
-		return nil, false, fmt.Errorf("core: segment %d: %w", i, err)
+		return nil, fmt.Errorf("core: segment %d: %w", i, err)
 	}
 	if flat.Len() != d.count {
-		return nil, false, fmt.Errorf("core: segment %d directory claims %d windows but tree holds %d", i, d.count, flat.Len())
+		return nil, fmt.Errorf("core: segment %d directory claims %d windows but tree holds %d", i, d.count, flat.Len())
 	}
 	if flat.Config().Dim != dim {
-		return nil, false, fmt.Errorf("core: segment %d dimension %d does not match options (%d)", i, flat.Config().Dim, dim)
+		return nil, fmt.Errorf("core: segment %d dimension %d does not match options (%d)", i, flat.Config().Dim, dim)
 	}
-	return &frozenSeg{flat: flat, ranges: d.ranges, count: d.count}, converted, nil
+	return &frozenSeg{flat: flat, ranges: d.ranges, count: d.count}, nil
 }
 
 // LoadSegments reopens a segmented index written by WriteSegments,
@@ -269,55 +268,53 @@ func segmentFromArena(i int, body []byte, d segDir, dim int) (sg *frozenSeg, con
 // directory is validated structurally: in-bounds ranges, contiguous
 // per-sequence coverage starting at zero, counts consistent with each
 // segment's tree.  Corruption surfaces as a typed error, never a
-// panic and never wrong results.
-func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, error) {
+// panic and never wrong results.  A segment whose arena checksums but
+// cannot be served as it is — an older arena layout, an MBR directory,
+// a tree that disagrees with its directory entry — is rebuilt from st
+// over the entry's ranges with the bulk build, and reported.
+func LoadSegments(r io.Reader, st *store.Store) (*SegmentedIndex, []SegmentRebuild, error) {
 	br := binio.NewReader(r)
 	if _, err := br.MagicVersions(segMagic, segVersions...); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
+		return nil, nil, fmt.Errorf("core: reading magic: %w", err)
 	}
 	headBytes, err := br.Section(maxIndexSection)
 	if err != nil {
-		return nil, fmt.Errorf("core: header section: %w", err)
+		return nil, nil, fmt.Errorf("core: header section: %w", err)
 	}
 	h, err := parseSegHeader(headBytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	next, err := checkCoverage(h.dirs, st, h.opts.WindowLen)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// NewIndex validates the options and builds the feature map; the
 	// unbuilt shell is kept only for that (no tree of its own).
 	ix, err := NewIndex(st, h.opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	frozen := make([]*frozenSeg, 0, len(h.dirs))
-	converted := false
+	frozen := make([]*frozenSeg, len(h.dirs))
+	var rebuilt []SegmentRebuild
 	for i, d := range h.dirs {
 		body, err := br.Section(maxIndexSection)
 		if err != nil {
-			return nil, fmt.Errorf("core: segment %d arena section: %w", i, err)
+			return nil, nil, fmt.Errorf("core: segment %d arena section: %w", i, err)
 		}
-		sg, conv, err := segmentFromArena(i, body, d, ix.fmap.Dim())
+		sg, err := segmentFromArena(i, body, d, ix.fmap.Dim())
 		if err != nil {
-			return nil, err
+			rebuilt = append(rebuilt, SegmentRebuild{Path: fmt.Sprintf("segment %d", i), Err: err})
+			continue
 		}
-		converted = converted || conv
-		frozen = append(frozen, sg)
+		frozen[i] = sg
 	}
 	if err := br.Trailer(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	if len(frozen) > 0 {
-		ix.opts.Tree = frozen[0].flat.Config()
+	g, err := assembleSegments(st, ix, h.dirs, frozen, next, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	g := emptySegmented(st, ix.opts, ix.fmap, nil)
-	g.frozen, g.converted = frozen, converted
-	copy(g.next, next)
-	if err := g.finishInit(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return g, rebuilt, nil
 }

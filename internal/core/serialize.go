@@ -23,13 +23,12 @@ import (
 // so a memory-mapped artifact serves queries zero-copy (LoadIndexFile).
 //
 // The arena carries its own version, and the container's does not move
-// with it: an artifact holding a version-1 arena (float64 planes) is
-// converted to the current layout when it is opened, in O(n) and into
-// the heap; the opened index serves, and writes itself as, the current
-// arena, and the old file is replaced the next time the caller saves
-// one.  Version 2 of the container (same framing, a pointer-tree payload
-// in the second section) and version 1 (unchecksummed) are rejected with
-// ErrVersion; rebuild them from the store.
+// with it.  Only the current arena layout with a direction-box directory
+// is read (flatFromSection): a version-1 arena (float64 planes), an MBR
+// directory, version 2 of the container (a pointer-tree payload in the
+// second section) and version 1 (unchecksummed) are all rejected with
+// ErrVersion.  An index is derived state; OpenOrRebuildFile rebuilds it
+// from the store.
 //
 // The header section is six words and the indexed counts.  Word 4 (the
 // fifth, after the strategy) is reserved and written as zero: it held
@@ -66,7 +65,7 @@ type indexHeader struct {
 // reservedRunLength checks header word 4 of an SSIDX or SSSEG artifact
 // (see indexMagic): a value of 2 or more marks an index of sub-trail MBR
 // leaves, which this code no longer reads — a version error, so the
-// callers that degrade on version skew degrade here too.
+// callers that rebuild on version skew rebuild here too.
 func reservedRunLength(v uint64) error {
 	if v >= 2 {
 		return fmt.Errorf("core: header word 4 (reserved; once the sub-trail run length) is %d: an index of one MBR per run of windows is no longer read, rebuild it from the store: %w", v, ErrVersion)
@@ -183,12 +182,8 @@ func assembleIndex(h indexHeader, cfg rtree.Config, treeLen int, st *store.Store
 // a delta pending writes what Freeze would install, folded transiently,
 // its in-memory state left unchanged.  The
 // underlying store is NOT included; persist it separately with
-// Store.WriteBinary.  A degraded index (see OpenOrRebuild) refuses to
-// serialize: it has no tree to persist.
+// Store.WriteBinary.
 func (ix *Index) WriteBinary(w io.Writer) error {
-	if ix.degraded != "" {
-		return fmt.Errorf("core: refusing to serialize a degraded index (%s)", ix.degraded)
-	}
 	flat, indexed := ix.flat, ix.indexed
 	if ix.delta.n > 0 {
 		var err error
@@ -268,7 +263,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 		return nil, fmt.Errorf("core: tree section: %w", err)
 	}
 
-	flat, converted, err := flatFromSection(body)
+	flat, err := flatFromSection(body)
 	if err != nil {
 		return nil, err
 	}
@@ -285,73 +280,66 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.converted = converted
 	ix.install(flat, h.indexed)
 	return ix, nil
 }
 
-// flatFromSection opens the arena of an arena section: in place, or —
-// converted reports which — rounded into a fresh tree when the section
-// holds a version-1 arena.
-func flatFromSection(body []byte) (flat *rtree.FlatTree, converted bool, err error) {
+// flatFromSection opens the arena of an arena section in place.  It is
+// the one place an arena enters this package from bytes — every SSIDX
+// and SSSEG load and every segment file passes through it — and it
+// admits only the direction-box directory the bulk build writes: an
+// arena of any other kind (an MBR directory, written before builds took
+// that shape) is refused with ErrVersion, like an older arena version,
+// and its caller rebuilds it from the store.
+func flatFromSection(body []byte) (*rtree.FlatTree, error) {
 	arena, err := arenaFromSection(body)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if flat, converted, err = rtree.FlatFromArena(arena); err != nil {
-		return nil, false, fmt.Errorf("core: %w", err)
+	flat, err := rtree.FlatFromArena(arena)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return flat, converted, nil
+	if d := flat.Directory(); d != rtree.DirectoryBox {
+		return nil, fmt.Errorf("core: an arena with a %s directory is no longer served; rebuild it from the store: %w", d, ErrVersion)
+	}
+	return flat, nil
 }
 
 // loadIndexBytes opens an index artifact already resident in memory
 // (typically a memory mapping).  It opens in O(1): the header
 // section is small and CRC-checked, but the arena section's checksum
 // and structural validation are DEFERRED (Index.VerifyArtifact) and
-// the arena's arrays are reinterpreted in place, aliasing data — which
-// aliased reports.  What has to be converted anyway — an artifact around
-// a version-1 arena — is fully verified and parsed into the heap,
-// exactly like LoadIndex: aliased is false and data may be released.
-func loadIndexBytes(data []byte, st *store.Store) (ix *Index, aliased bool, err error) {
+// the arena's arrays are reinterpreted in place, aliasing data.
+func loadIndexBytes(data []byte, st *store.Store) (*Index, error) {
 	br := binio.NewByteReader(data)
 	if _, err := br.MagicVersions(indexMagic, indexVersions...); err != nil {
-		return nil, false, fmt.Errorf("core: reading magic: %w", err)
+		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
 
 	head, err := br.Section(maxIndexSection)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: header section: %w", err)
+		return nil, fmt.Errorf("core: header section: %w", err)
 	}
 	h, err := parseIndexHeader(head, st)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	body, err := br.SectionLazy(maxIndexSection)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: arena section: %w", err)
+		return nil, fmt.Errorf("core: arena section: %w", err)
 	}
 	if rest := len(data) - br.Offset(); rest != 4 {
-		return nil, false, fmt.Errorf("core: %d bytes after arena section (want 4-byte trailer): %w", rest, ErrTruncated)
+		return nil, fmt.Errorf("core: %d bytes after arena section (want 4-byte trailer): %w", rest, ErrTruncated)
 	}
-	flat, converted, err := flatFromSection(body)
+	flat, err := flatFromSection(body)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if converted {
-		// Nothing is deferred for a tree that no longer aliases the bytes
-		// VerifyArtifact would check.
-		if err := binio.CheckFrame(data, len(indexMagic), 2); err != nil {
-			return nil, false, fmt.Errorf("core: index artifact: %w", err)
-		}
-		if err := flat.Validate(); err != nil {
-			return nil, false, fmt.Errorf("core: %w", err)
-		}
-	}
-	ix, err = assembleIndex(h, flat.Config(), flat.Len(), st)
+	ix, err := assembleIndex(h, flat.Config(), flat.Len(), st)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	ix.converted = converted
 	ix.install(flat, h.indexed)
-	return ix, !converted, nil
+	return ix, nil
 }

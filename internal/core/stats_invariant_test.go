@@ -15,8 +15,8 @@ import (
 
 // The SearchStats ledger must balance on every path: each candidate is
 // exactly one of (false alarm, cost-rejected, result).  These tests
-// assert CheckInvariants across all three access paths, degraded mode,
-// long queries, and batches — the accounting identity a dashboard
+// assert CheckInvariants across all three access paths, long queries,
+// and batches — the accounting identity a dashboard
 // reader relies on when the counters are exported.
 
 // invariantQuery returns a query window and an eps wide enough to
@@ -61,28 +61,6 @@ func TestStatsInvariantsAcrossPaths(t *testing.T) {
 		if stats.Candidates == 0 {
 			t.Errorf("path %v: query produced no candidates; invariant check is vacuous", force)
 		}
-	}
-}
-
-func TestStatsInvariantsDegraded(t *testing.T) {
-	healthy := buildTestIndex(t, testOptions(), 8, 100)
-	ix, err := NewDegradedIndex(healthy.Store(), testOptions(), "forced for test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, eps := invariantQuery(t, ix)
-	var stats SearchStats
-	matches, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ex.Degraded {
-		t.Fatal("degraded index did not report Degraded")
-	}
-	checkStats(t, "degraded", stats, len(matches))
-	if stats.DegradedProbes != 1 || stats.PathProbes[engine.PathScan] != 1 {
-		t.Errorf("degraded probes = %d, scan probes = %d; want 1, 1",
-			stats.DegradedProbes, stats.PathProbes[engine.PathScan])
 	}
 }
 
@@ -223,11 +201,6 @@ func TestCheckInvariantsDetectsDrift(t *testing.T) {
 	s.Candidates = -1
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("negative counter must fail")
-	}
-	s = SearchStats{DegradedProbes: 2}
-	s.PathProbes[engine.PathScan] = 1
-	if err := s.CheckInvariants(); err == nil {
-		t.Fatal("DegradedProbes > scan probes must fail")
 	}
 }
 

@@ -26,11 +26,9 @@ import (
 
 // ErrUnsupported tags a query that asks for an operation the current
 // index state or configuration cannot serve — a forced path that is
-// unavailable or not in the plan table, no access path at all, or (wrapped by
-// the core layer) nearest-neighbour search on a degraded index.  These
+// unavailable or not in the plan table, or no access path at all.  These
 // are the caller's problem, not the path's: serving layers use
-// errors.Is(err, ErrUnsupported) to map them to 4xx responses and keep
-// them out of path-health accounting such as circuit breakers.
+// errors.Is(err, ErrUnsupported) to map them to 4xx responses.
 var ErrUnsupported = errors.New("unsupported operation")
 
 // PathKind identifies an access path.
@@ -148,12 +146,6 @@ type Explain struct {
 	// PlanTime, ProbeTime, and VerifyTime are the per-stage wall-clock
 	// times of this query.
 	PlanTime, ProbeTime, VerifyTime time.Duration
-	// Degraded reports that the index artifact failed validation and a
-	// segment was served through the scan fallback over the raw
-	// store; DegradedReason says why.  Results remain exact — the scan
-	// path feeds the same verifier — only slower.
-	Degraded       bool
-	DegradedReason string
 	// TraceID links this plan to the structured trace the query
 	// produced (empty when tracing was off or no trace was active).
 	TraceID string
@@ -194,12 +186,6 @@ func (e *Explain) WriteText(w io.Writer) error {
 	}
 	if _, err := fmt.Fprintf(w, "plan: path=%s (%s)\n", e.Chosen, mode); err != nil {
 		return err
-	}
-	if e.Degraded {
-		if _, err := fmt.Fprintf(w, "  DEGRADED: %s (results exact, served by scan over raw data)\n",
-			e.DegradedReason); err != nil {
-			return err
-		}
 	}
 	for _, p := range e.Plans {
 		if !p.Available {

@@ -83,7 +83,7 @@ func TestPlanTieBreaksTowardRegistrationOrder(t *testing.T) {
 
 func TestPlanForce(t *testing.T) {
 	plans := []PathPlan{
-		row(PathRTree, false, "index degraded", units(1)),
+		row(PathRTree, false, "no tree", units(1)),
 		row(PathScan, true, "", units(1000)),
 	}
 	k, err := ChoosePath(plans, PathScan)

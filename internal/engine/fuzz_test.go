@@ -87,7 +87,7 @@ func FuzzCostEstimatesMonotone(f *testing.F) {
 // arbitrary availability patterns and costs: ChoosePath errors if and
 // only if nothing is available (or an unavailable path is forced), and
 // a successful choice always names an available path — the cheapest,
-// unless forced — e.g. never the tree of a degraded index.
+// unless forced.
 func FuzzPlanChoosesAvailablePath(f *testing.F) {
 	f.Add(true, true, 10.0, 30.0, uint8(0))
 	f.Add(false, false, 1.0, 1.0, uint8(1))

@@ -46,7 +46,6 @@ type EventStats struct {
 	IndexNodeReads int   `json:"index_node_reads"`
 	DataPageReads  int   `json:"data_page_reads"`
 	ScanProbes     int   `json:"scan_probes,omitempty"`
-	DegradedProbes int   `json:"degraded_probes,omitempty"`
 	PlanNs         int64 `json:"plan_ns"`
 	ProbeNs        int64 `json:"probe_ns"`
 	VerifyNs       int64 `json:"verify_ns"`
@@ -65,7 +64,7 @@ type EventSpan struct {
 // drill-down work), and the attempt accounting.
 type EventShard struct {
 	ID         int    `json:"id"`
-	State      string `json:"state"` // ok | degraded | failed
+	State      string `json:"state"` // ok | failed
 	TraceID    string `json:"trace_id,omitempty"`
 	Attempts   int    `json:"attempts,omitempty"`
 	Hedged     bool   `json:"hedged,omitempty"`
@@ -80,11 +79,10 @@ type Event struct {
 	Kind       string         `json:"kind"` // search | search_batch | batch_slot | append
 	TraceID    string         `json:"trace_id,omitempty"`
 	Status     int            `json:"status"`
-	Outcome    string         `json:"outcome"` // ok | shed | breaker_open | client_error | error
+	Outcome    string         `json:"outcome"` // ok | shed | client_error | error
 	DurationNs int64          `json:"duration_ns"`
 	Query      string         `json:"query,omitempty"`
 	Path       string         `json:"path,omitempty"`
-	Degraded   bool           `json:"degraded,omitempty"`
 	Matches    int            `json:"matches,omitempty"`
 	Slot       int            `json:"slot,omitempty"` // batch_slot: index within the batch
 	Plan       []EventPlanRow `json:"plan,omitempty"`

@@ -21,8 +21,8 @@ import (
 // the disabled path costs one context lookup.
 //
 // Retention is tail-biased, not keep-recent: alongside the ring of
-// most recent traces, separate buckets hold the slowest, the errored,
-// and the degraded traces seen so far.  A burst of ten thousand fast
+// most recent traces, separate buckets hold the slowest and the
+// errored traces seen so far.  A burst of ten thousand fast
 // queries can therefore never evict the one slow or failing trace an
 // operator needs — which is exactly the trace worth keeping.
 
@@ -34,22 +34,20 @@ type Attr struct {
 
 // Tracer owns the retention buckets and issues trace IDs.
 type Tracer struct {
-	mu       sync.Mutex
-	recent   []*Trace // fixed capacity ring, next points at the oldest slot
-	next     int
-	slowest  []*Trace // top-K by root duration, unordered
-	errored  []*Trace // ring of traces with an error attr
-	errNext  int
-	degraded []*Trace // ring of traces that ran degraded
-	degNext  int
-	auxCap   int
-	base     uint32
-	seq      atomic.Uint32
+	mu      sync.Mutex
+	recent  []*Trace // fixed capacity ring, next points at the oldest slot
+	next    int
+	slowest []*Trace // top-K by root duration, unordered
+	errored []*Trace // ring of traces with an error attr
+	errNext int
+	auxCap  int
+	base    uint32
+	seq     atomic.Uint32
 }
 
 // NewTracer returns a tracer keeping the most recent capacity traces
 // (minimum 1) plus tail-retention buckets of max(4, capacity/8)
-// slowest, errored, and degraded traces each.
+// slowest and errored traces each.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
@@ -68,7 +66,7 @@ func NewTracer(capacity int) *Tracer {
 // Trace is one request's span collection.  Spans append under mu; the
 // bucket snapshot readers take the same mutex, so a trace can be
 // dumped while its query is still running.  The classification fields
-// (dur, err, deg) are stamped once at commit, under mu.
+// (dur, err) are stamped once at commit, under mu.
 type Trace struct {
 	tracer *Tracer
 	id     string
@@ -79,7 +77,6 @@ type Trace struct {
 	nextID int
 	dur    time.Duration
 	err    bool
-	deg    bool
 }
 
 // ID returns the trace's identifier (16 hex characters, unique within
@@ -147,7 +144,7 @@ func formatTraceID(base, seq uint32) string {
 // MintID issues a locally unique trace id from the tracer's sequence
 // without starting a trace.  The serving layer uses it to stamp wide
 // events for requests rejected before a trace can root (admission
-// sheds, open breakers, parse failures), so every event stays
+// sheds, parse failures), so every event stays
 // correlatable with client-side logs.
 func (t *Tracer) MintID() string {
 	if t == nil {
@@ -247,17 +244,14 @@ func (s *Span) End() {
 	}
 }
 
-// classifyLocked stamps the root duration and the error/degraded flags
-// from the span attrs; tr.mu is held.
+// classifyLocked stamps the root duration and the error flag from the
+// span attrs; tr.mu is held.
 func (tr *Trace) classifyLocked(root *Span) {
 	tr.dur = root.end.Sub(root.start)
 	for _, s := range tr.spans {
 		for _, a := range s.attrs {
-			switch {
-			case a.Key == "error":
+			if a.Key == "error" {
 				tr.err = true
-			case a.Key == "degraded" && a.Value == "true":
-				tr.deg = true
 			}
 		}
 	}
@@ -266,7 +260,7 @@ func (tr *Trace) classifyLocked(root *Span) {
 // commit files a finished trace into every bucket it belongs to.
 func (t *Tracer) commit(tr *Trace) {
 	tr.mu.Lock()
-	dur, errored, degraded := tr.dur, tr.err, tr.deg
+	dur, errored := tr.dur, tr.err
 	tr.mu.Unlock()
 
 	t.mu.Lock()
@@ -274,9 +268,6 @@ func (t *Tracer) commit(tr *Trace) {
 	pushRing(&t.recent, &t.next, cap(t.recent), tr)
 	if errored {
 		pushRing(&t.errored, &t.errNext, t.auxCap, tr)
-	}
-	if degraded {
-		pushRing(&t.degraded, &t.degNext, t.auxCap, tr)
 	}
 	// Slowest bucket: fill to capacity, then replace the current
 	// minimum when this trace outlasts it (O(K) with K = auxCap).
@@ -331,7 +322,6 @@ type TraceSnapshot struct {
 	StartNs    int64          `json:"start_unix_nano"`
 	DurationNs int64          `json:"duration_ns"`
 	Error      bool           `json:"error,omitempty"`
-	Degraded   bool           `json:"degraded,omitempty"`
 	Spans      []SpanSnapshot `json:"spans"`
 }
 
@@ -340,7 +330,7 @@ type TraceSnapshot struct {
 func (tr *Trace) Snapshot() TraceSnapshot {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	out := TraceSnapshot{ID: tr.id, Name: tr.name, StartNs: tr.start.UnixNano(), Error: tr.err, Degraded: tr.deg}
+	out := TraceSnapshot{ID: tr.id, Name: tr.name, StartNs: tr.start.UnixNano(), Error: tr.err}
 	for _, s := range tr.spans {
 		ss := SpanSnapshot{
 			ID:      s.id,
@@ -369,7 +359,7 @@ func (tr *Trace) Snapshot() TraceSnapshot {
 func (t *Tracer) retained() []*Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	seen := make(map[*Trace]bool, len(t.recent)+3*t.auxCap)
+	seen := make(map[*Trace]bool, len(t.recent)+2*t.auxCap)
 	var traces []*Trace
 	add := func(tr *Trace) {
 		if tr != nil && !seen[tr] {
@@ -387,14 +377,11 @@ func (t *Tracer) retained() []*Trace {
 	for _, tr := range t.errored {
 		add(tr)
 	}
-	for _, tr := range t.degraded {
-		add(tr)
-	}
 	return traces
 }
 
 // Recent returns snapshots of every retained trace — the recent ring
-// plus the slowest/errored/degraded reservoirs — newest first.
+// plus the slowest and errored reservoirs — newest first.
 func (t *Tracer) Recent() []TraceSnapshot {
 	traces := t.retained()
 	out := make([]TraceSnapshot, 0, len(traces))

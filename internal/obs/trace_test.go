@@ -143,7 +143,7 @@ func TestRingEviction(t *testing.T) {
 }
 
 // TestTailRetention is the policy the buckets exist for: a flood of
-// fast queries must not evict the slow, errored, or degraded trace.
+// fast queries must not evict the slow or the errored trace.
 func TestTailRetention(t *testing.T) {
 	Enable()
 	defer Disable()
@@ -166,7 +166,6 @@ func TestTailRetention(t *testing.T) {
 		root.trace.mu.Unlock()
 	})
 	errID := mkTrace("boom", func(root *Span) { root.SetAttr("error", "synthetic failure") })
-	degID := mkTrace("deg", func(root *Span) { root.SetBool("degraded", true) })
 
 	for i := 0; i < 10000; i++ {
 		mkTrace("fast", nil)
@@ -178,7 +177,6 @@ func TestTailRetention(t *testing.T) {
 	}{
 		{slowID, "slow", func(s TraceSnapshot) bool { return s.DurationNs >= int64(10*time.Second) }},
 		{errID, "errored", func(s TraceSnapshot) bool { return s.Error }},
-		{degID, "degraded", func(s TraceSnapshot) bool { return s.Degraded }},
 	} {
 		snap, ok := tr.Get(tc.id)
 		if !ok {

@@ -40,8 +40,8 @@ type BreakerConfig struct {
 	// probes that trips the breaker open.
 	FailureThreshold int
 	// SlowThreshold classifies a successful probe as "slow" (counted
-	// like a failure): the degraded scan path succeeding in 30s is
-	// still an outage amplifier.  Zero disables slowness accounting.
+	// like a failure): a remote answering in 30s is still an outage
+	// amplifier.  Zero disables slowness accounting.
 	SlowThreshold time.Duration
 	// OpenTimeout is how long the breaker stays open before
 	// half-opening to admit a probe.
@@ -75,15 +75,14 @@ func DefaultBreakerConfig() BreakerConfig {
 	}
 }
 
-// Breaker is a state-machine circuit breaker.  It protects an
-// expensive fallback path (the degraded full-scan) from repeated
-// slow or failing probes: after FailureThreshold consecutive bad
-// outcomes it rejects callers outright, half-opening on a timer to
-// test whether the path has recovered.
+// Breaker is a state-machine circuit breaker.  It protects a path —
+// a coordinator's shard client — from repeated slow or failing probes:
+// after FailureThreshold consecutive bad outcomes it rejects callers
+// outright, half-opening on a timer to test whether the path has
+// recovered.
 //
-// A mutex serializes transitions; the breaker sits in front of
-// requests that scan the whole store, so one uncontended lock per
-// request is noise.
+// A mutex serializes transitions; the breaker sits in front of network
+// round trips, so one uncontended lock per request is noise.
 type Breaker struct {
 	mu          sync.Mutex
 	cfg         BreakerConfig

@@ -1,17 +1,16 @@
 // Package resilience is the overload-protection layer for the serving
 // path: a deadline-aware admission controller (bounded in-flight
 // concurrency plus a bounded wait queue, with typed shedding), a
-// state-machine circuit breaker for expensive fallback paths, and a
-// refcounted RCU-style snapshot cell for hot artifact reload.
+// state-machine circuit breaker, and a refcounted RCU-style snapshot
+// cell for hot artifact reload.
 //
-// The pieces share one design stance, inherited from the rest of the
-// repo: the index is a rebuildable acceleration structure over durable
-// data, so the server should degrade and recover around it instead of
-// failing with it.  Admission keeps an overload from consuming the
-// process (shed early, shed cheaply, tell the client when to retry);
-// the breaker keeps a degraded full-scan fallback from amplifying an
-// outage; the snapshot cell lets a new store+index artifact pair swap
-// in atomically while in-flight queries finish on the old one.
+// The pieces share one design stance: a fault should cost a bounded
+// slice of the service, not the process.  Admission keeps an overload
+// from consuming the process (shed early, shed cheaply, tell the client
+// when to retry); the breaker keeps a flapping remote — a coordinator's
+// shard (internal/cluster) — from being re-probed on every request; the
+// snapshot cell lets a new store+index artifact pair swap in atomically
+// while in-flight queries finish on the old one.
 //
 // Every decision the layer makes — admitted, queued, shed (and why),
 // breaker transitions, snapshot swaps — is recorded in the obs metrics

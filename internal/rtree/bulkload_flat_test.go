@@ -187,7 +187,7 @@ func TestBulkLoadFlatIsItsArena(t *testing.T) {
 	if hostLittleEndian && len(f.arena) != f.ArenaSize() {
 		t.Fatalf("built tree holds a %d-byte arena, ArenaSize says %d", len(f.arena), f.ArenaSize())
 	}
-	back, _, err := FlatFromArena(f.AppendArena(nil))
+	back, err := FlatFromArena(f.AppendArena(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func boxCorruptions(t testing.TB, f *FlatTree) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	mutate := func(what string, node, row int, hi bool, steps int) {
-		g, _, err := FlatFromArena(f.AppendArena(nil))
+		g, err := FlatFromArena(f.AppendArena(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func boxCorruptions(t testing.TB, f *FlatTree) map[string][]byte {
 func TestValidateDirectionBox(t *testing.T) {
 	f, _ := boxTree(t, rand.New(rand.NewSource(79)), Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}, 300)
 	for what, arena := range boxCorruptions(t, f) {
-		g, _, err := FlatFromArena(arena)
+		g, err := FlatFromArena(arena)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -266,7 +266,7 @@ func TestValidateDirectionBox(t *testing.T) {
 	}
 	// Two children swapped: every extent still holds, but the subtree an
 	// accepted entry emits is a node range, which is right only pre-order.
-	g, _, err := FlatFromArena(f.AppendArena(nil))
+	g, err := FlatFromArena(f.AppendArena(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestValidateDirectionBox(t *testing.T) {
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "pre-order") {
 		t.Fatalf("children out of pre-order: Validate says %v", err)
 	}
-	g, _, err = FlatFromArena(f.AppendArena(nil))
+	g, err = FlatFromArena(f.AppendArena(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestValidateDirectionBox(t *testing.T) {
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "unknown directory kind 3") {
 		t.Fatalf("directory kind 3: Validate says %v", err)
 	}
-	if _, _, err := FlatFromArena(withLeafKind(f.AppendArena(nil), 3)); !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 3") {
+	if _, err := FlatFromArena(withLeafKind(f.AppendArena(nil), 3)); !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 3") {
 		t.Fatalf("header word 9 = 3: %v, want a version error naming the directory kind", err)
 	}
 }

@@ -609,16 +609,12 @@ func (f *FlatTree) Stats() []LevelStats {
 
 // arenaVersion identifies the arena encoding; bump on layout changes.
 // Version 1 — every entry a float64 rectangle, points included, no
-// exponent and no plane-offset column — is still read, and converted at
-// open (see FlatFromArena).
+// exponent and no plane-offset column — is refused with binio.ErrVersion:
+// an arena is derived state, rebuilt from the store.
 const arenaVersion = 2
 
-// arenaHeaderWords is the fixed u64 header of an arena blob; version 1
-// had one word less (no plane exponent).
-const (
-	arenaHeaderWords   = 15
-	arenaHeaderWordsV1 = 14
-)
+// arenaHeaderWords is the fixed u64 header of an arena blob.
+const arenaHeaderWords = 15
 
 // arena sanity bounds: far above any real index, far below anything
 // that could drive pathological allocation from a corrupt header.
@@ -745,30 +741,25 @@ func (f *FlatTree) ArenaSize() int {
 // returned tree keeps b alive; callers memory-mapping the blob must
 // not unmap it while the tree is in use.
 //
-// A version-1 blob is converted instead, in O(n): its float64 planes
-// are rounded into a fresh version-2 tree, exactly as FlatFromNodes
-// rounds a rectangle's, and converted reports true — the tree shares
-// nothing with b, and writes itself as version 2 (the next fold,
-// compaction or checkpoint replaces the old artifact).
+// Any other arena version is refused with binio.ErrVersion.
 //
 // Only length- and range-consistency is checked here.  A blob whose
 // checksum has not been verified can still describe a structurally
 // corrupt tree; run Validate (or verify the enclosing artifact's CRC)
 // before serving queries — see the child accessor for the failure
 // mode when neither has run.
-func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
+func FlatFromArena(b []byte) (*FlatTree, error) {
 	if len(b)%8 != 0 {
-		return nil, false, fmt.Errorf("rtree: flat arena length %d is not a multiple of 8", len(b))
+		return nil, fmt.Errorf("rtree: flat arena length %d is not a multiple of 8", len(b))
 	}
-	if len(b) < 8*arenaHeaderWordsV1 {
-		return nil, false, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
+	if len(b) < 8*arenaHeaderWords {
+		return nil, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	version := word(0)
-	if version != 1 && version != arenaVersion {
-		return nil, false, fmt.Errorf("rtree: unsupported flat arena version %d", version)
+	if version := word(0); version != arenaVersion {
+		return nil, fmt.Errorf("rtree: unsupported flat arena version %d (version %d is read; rebuild the index): %w", version, arenaVersion, binio.ErrVersion)
 	}
-	f = &FlatTree{
+	f := &FlatTree{
 		cfg: Config{
 			Dim:                 int(word(1)),
 			MaxEntries:          int(word(2)),
@@ -790,46 +781,40 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	// code cannot read, and says so before any plane is touched.
 	switch f.dir = dirKind(word(9)); {
 	case f.dir == 1:
-		return nil, false, fmt.Errorf("rtree: unsupported leaf kind 1 in flat arena header word 9 (a rectangle-leaf arena; only point leaves are read; rebuild the index): %w", binio.ErrVersion)
-	case f.dir != dirMBR && (f.dir != dirCone || version == 1):
-		return nil, false, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 9 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
+		return nil, fmt.Errorf("rtree: unsupported leaf kind 1 in flat arena header word 9 (a rectangle-leaf arena; only point leaves are read; rebuild the index): %w", binio.ErrVersion)
+	case f.dir != dirMBR && f.dir != dirCone:
+		return nil, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 9 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
-		return nil, false, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
+		return nil, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
 	}
 	if err := f.cfg.validate(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	numNodes, numEntries := word(12), word(13)
 	if numNodes < 1 || numNodes > maxArenaNodes || numEntries > maxArenaEntries {
-		return nil, false, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
+		return nil, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
 	}
 	if f.size < 0 || uint64(f.size) > numEntries {
-		return nil, false, fmt.Errorf("rtree: flat arena size %d exceeds %d entries", f.size, numEntries)
+		return nil, fmt.Errorf("rtree: flat arena size %d exceeds %d entries", f.size, numEntries)
 	}
 	if f.height < 1 || uint64(f.height) > numNodes {
-		return nil, false, fmt.Errorf("rtree: implausible flat height %d for %d nodes", f.height, numNodes)
+		return nil, fmt.Errorf("rtree: implausible flat height %d for %d nodes", f.height, numNodes)
 	}
 	if f.maxNode < 0 || uint64(f.maxNode) > numEntries || f.pages < int(numNodes) {
-		return nil, false, fmt.Errorf("rtree: implausible flat arena counters (maxNode=%d, pages=%d)", f.maxNode, f.pages)
+		return nil, fmt.Errorf("rtree: implausible flat arena counters (maxNode=%d, pages=%d)", f.maxNode, f.pages)
 	}
 	d := uint64(f.cfg.Dim)
-	off := uint64(arenaHeaderWordsV1)
-	if version == arenaVersion {
-		off = arenaHeaderWords
-		if len(b) < 8*arenaHeaderWords {
-			return nil, false, fmt.Errorf("rtree: flat arena header truncated (%d bytes)", len(b))
-		}
-		e := int64(word(arenaHeaderWords - 1))
-		if e < minQuantExp || e > maxQuantExp {
-			return nil, false, fmt.Errorf("rtree: flat arena plane exponent %d outside [%d, %d]", e, minQuantExp, maxQuantExp)
-		}
-		f.q = quantExp(int(e))
+	off := uint64(arenaHeaderWords)
+	e := int64(word(arenaHeaderWords - 1))
+	if e < minQuantExp || e > maxQuantExp {
+		return nil, fmt.Errorf("rtree: flat arena plane exponent %d outside [%d, %d]", e, minQuantExp, maxQuantExp)
 	}
+	f.q = quantExp(int(e))
 
 	// Bounds block.
 	if uint64(len(b))/8 < off+2*d+1 {
-		return nil, false, fmt.Errorf("rtree: flat arena bounds truncated")
+		return nil, fmt.Errorf("rtree: flat arena bounds truncated")
 	}
 	if f.size > 0 {
 		lo := make(vec.Vector, d)
@@ -846,20 +831,15 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	sampleCount := word(int(off))
 	off++
 	if sampleCount > maxArenaSample {
-		return nil, false, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
+		return nil, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
 	}
 	// A leaf entry is d plane values wide and every other entry an extent
-	// of two bounds per row (planeWidth); version 1 stored them all 2·d
-	// wide, as 8-byte values.
-	numPlanes := 2 * d * numEntries
-	planeWords := numPlanes
-	if version == arenaVersion {
-		numPlanes = d*uint64(f.size) + uint64(f.planeWidth(1))*(numEntries-uint64(f.size))
-		planeWords = (numPlanes+1)/2 + numNodes + 1 // with the poff column
-	}
+	// of two bounds per row (planeWidth).
+	numPlanes := d*uint64(f.size) + uint64(f.planeWidth(1))*(numEntries-uint64(f.size))
+	planeWords := (numPlanes+1)/2 + numNodes + 1 // with the poff column
 	need := off + sampleCount*d + numNodes + (numNodes + 1) + numEntries + planeWords
 	if uint64(len(b)) != 8*need {
-		return nil, false, fmt.Errorf("rtree: flat arena is %d bytes, layout requires %d", len(b), 8*need)
+		return nil, fmt.Errorf("rtree: flat arena is %d bytes, layout requires %d", len(b), 8*need)
 	}
 	if sampleCount > 0 {
 		f.sample = make([]vec.Vector, sampleCount)
@@ -877,54 +857,13 @@ func FlatFromArena(b []byte) (f *FlatTree, converted bool, err error) {
 	off += numNodes
 	f.starts = u64View(b[8*off:], int(numNodes+1))
 	off += numNodes + 1
-	if version == 1 {
-		f.refs = u64View(b[8*off:], int(numEntries))
-		off += numEntries
-		if err := f.convertV1(u64View(b[8*off:], int(numPlanes))); err != nil {
-			return nil, false, err
-		}
-		return f, true, nil
-	}
 	f.poff = u64View(b[8*off:], int(numNodes+1))
 	off += numNodes + 1
 	f.refs = u64View(b[8*off:], int(numEntries))
 	off += numEntries
 	f.planes = f32View(b[8*off:], int(numPlanes))
 	f.arena = b
-	return f, false, nil
-}
-
-// convertV1 finishes the decode of a version-1 arena whose header,
-// meta, starts and refs are in f (possibly as views of the blob) and
-// whose float64 planes — an L and an H block per node, point leaves
-// included, as their bit patterns — are v1: the planes are rounded
-// value by value as FlatFromNodes
-// rounds a rectangle's, the plane offsets derived, the stored bounds
-// rounded with them, and every array f keeps is copied, so the result
-// shares nothing with the blob.
-func (f *FlatTree) convertV1(v1 []uint64) error {
-	d := f.cfg.Dim
-	numNodes, numEntries := len(f.meta), len(f.refs)
-	if f.size > 0 {
-		f.q = quantForRect(f.bounds)
-		f.bounds = f.storedRect(f.bounds)
-	}
-	f.meta, f.starts, f.refs = slices.Clone(f.meta), slices.Clone(f.starts), slices.Clone(f.refs)
-	f.poff = make([]uint64, numNodes+1)
-	f.planes = make([]float32, 0, 2*d*numEntries-d*f.size)
-	for i := 0; i < numNodes; i++ {
-		if f.starts[i] > f.starts[i+1] || f.starts[i+1] > uint64(numEntries) {
-			return fmt.Errorf("rtree: flat arena: node %d entry range [%d, %d) out of order", i, f.starts[i], f.starts[i+1])
-		}
-		s, e := f.nodeEntries(i)
-		c := e - s
-		old := v1[2*d*s : 2*d*e]
-		for _, x := range old[:c*f.planeWidth(f.nodeLevel(i))] {
-			f.planes = append(f.planes, f.q.near(math.Float64frombits(x)))
-		}
-		f.poff[i+1] = uint64(len(f.planes))
-	}
-	return nil
+	return f, nil
 }
 
 // hostLittleEndian reports whether uint64 loads read little-endian

@@ -222,7 +222,7 @@ func TestArenaRoundtrip(t *testing.T) {
 		t.Fatalf("ArenaSize %d != emitted %d", f.ArenaSize(), len(arena))
 	}
 	// Aligned decode (zero-copy on little-endian hosts).
-	g, _, err := FlatFromArena(arena)
+	g, err := FlatFromArena(arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestArenaRoundtrip(t *testing.T) {
 	// Misaligned decode must transparently fall back to copying.
 	buf := make([]byte, 4+len(arena))
 	copy(buf[4:], arena)
-	h, _, err := FlatFromArena(buf[4:])
+	h, err := FlatFromArena(buf[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRectLeafArenaRejected(t *testing.T) {
 	}
 	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 40)
 	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.AppendArena(nil), 1), "fixture": old} {
-		_, _, err := FlatFromArena(arena)
+		_, err := FlatFromArena(arena)
 		if !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1 in flat arena header word 9") {
 			t.Errorf("%s: err = %v, want a version error naming header word 9", what, err)
 		}
@@ -289,7 +289,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 				t.Fatalf("%s at %d: panic %v", what, i, r)
 			}
 		}()
-		g, _, err := FlatFromArena(b)
+		g, err := FlatFromArena(b)
 		if err != nil {
 			return
 		}
@@ -341,7 +341,7 @@ func FuzzFlatFromArena(f *testing.F) {
 	}
 	f.Add(withLeafKind(boxes.AppendArena(nil), 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _, err := FlatFromArena(data)
+		g, err := FlatFromArena(data)
 		if err != nil {
 			return
 		}

@@ -76,9 +76,9 @@ var renameFile = os.Rename
 // append's write or fsync failed (see Log.AppendValues).
 var ErrPoisoned = errors.New("wal: log poisoned by a failed append")
 
-// syncWriter is the append path's view of the log file: f itself, or a
-// fault-injecting wrapper around it in tests.
-type syncWriter interface {
+// SyncWriter is the append path's view of the log file: the file
+// itself, or a fault-injecting wrapper around it (InjectFault).
+type SyncWriter interface {
 	io.Writer
 	Sync() error
 }
@@ -89,7 +89,7 @@ type syncWriter interface {
 type Log struct {
 	path string
 	f    *os.File
-	out  syncWriter
+	out  SyncWriter
 	base int64 // logical offset of the record stream's first byte
 	hdr  int64 // header length in this file (0 for legacy headerless logs)
 	pos  int64 // physical record-stream length (bytes past the header)
@@ -248,6 +248,14 @@ func (l *Log) append(payload []byte) error {
 	l.pos += int64(len(buf))
 	return nil
 }
+
+// Poisoned returns the cause that poisoned the log — ErrPoisoned
+// wrapping the failed write or fsync — or nil while it accepts appends.
+func (l *Log) Poisoned() error { return l.poison }
+
+// InjectFault routes every later append through wrap(file): the seam a
+// fault-injection test hands faulty.FailingFile to.
+func (l *Log) InjectFault(wrap func(SyncWriter) SyncWriter) { l.out = wrap(l.f) }
 
 // poisonWith fails the log stop after an append's write or fsync
 // failed, and returns the error every later call gets.  A failed write
