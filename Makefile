@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke loc cone bench bench-planner bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -75,12 +75,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBulkBuild' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkVerify' -benchtime 0.2s ./internal/vec/
 
-# Planner calibration: time cost-based auto against every forced access
-# path over a store-size x epsilon grid, regenerating the committed
-# ablation artifact.
-bench-planner:
-	$(GO) run ./cmd/ssbench -experiment planner -scale medium > results/planner_ablation.txt
-	@cat results/planner_ablation.txt
+# Tree vs scan at paper scale: the forced tree against the forced scan
+# over epsilon on the bulk-built serving index, regenerating the
+# committed artifact under a header naming the commit and the command.
+bench-paths:
+	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-paths (go run ./cmd/ssbench -experiment paths -scale full)"; \
+		$(GO) run ./cmd/ssbench -experiment paths -scale full; } > results/tree_vs_scan.txt
+	@cat results/tree_vs_scan.txt
 
 # Bench smoke: a small fig4/5 run with a metrics snapshot, the CI
 # trajectory artifact (BENCH_smoke.json).

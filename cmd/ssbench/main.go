@@ -31,16 +31,16 @@ func main() {
 	}
 }
 
-// runner is what an experiment runs against: the configuration the
-// ablations and the planner grid build their own environments from,
-// and — for the experiments marked env — the shared built environment.
+// runner is what an experiment runs against: the configurations the
+// ablations (ablCfg, capped at 200 companies) and the path sweep (cfg,
+// the scale as asked) build their own environments from, and — for the
+// experiments marked env — the shared built environment.
 type runner struct {
-	stdout    io.Writer
-	ablCfg    bench.Config
-	env       *bench.Env
-	scale     string
-	companies int
-	csvPath   string
+	stdout  io.Writer
+	cfg     bench.Config
+	ablCfg  bench.Config
+	env     *bench.Env
+	csvPath string
 }
 
 // ablEps is the ε (as a fraction of the mean SE-norm) the ablations
@@ -97,7 +97,7 @@ var experiments = []experiment{
 			return err
 		}
 		bytes, windows := r.env.Index.IndexByteCount(), r.env.Index.WindowCount()
-		fmt.Fprintf(r.stdout, "arena: %d bytes with its header and planner sample, %.1f per window\n\n",
+		fmt.Fprintf(r.stdout, "arena: %d bytes with its header and feature sample, %.1f per window\n\n",
 			bytes, float64(bytes)/float64(max(windows, 1)))
 		return nil
 	}},
@@ -136,7 +136,7 @@ var experiments = []experiment{
 		fmt.Fprintln(r.stdout)
 		return nil
 	}},
-	{"planner", "query-engine calibration: cost-based path choice vs each forced access path over an ε × size grid", false, (*runner).planner},
+	{"paths", "forced tree vs forced scan over ε on the bulk-built serving index: time, node reads, candidates and strict pages per query", false, (*runner).paths},
 	{"nn", "nearest-neighbour search cost vs k (Corollary 1)", true, func(r *runner) error {
 		points, err := r.env.RunNearestNeighbor([]int{1, 5, 10, 50})
 		if err != nil {
@@ -243,7 +243,7 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Queries = *queries
 	}
 
-	r := &runner{stdout: stdout, ablCfg: cfg, scale: *scale, companies: *companies, csvPath: *csvPath}
+	r := &runner{stdout: stdout, cfg: cfg, ablCfg: cfg, csvPath: *csvPath}
 	if r.ablCfg.Companies > 200 {
 		r.ablCfg.Companies = 200 // keep rebuild sweeps tractable
 	}
@@ -314,25 +314,21 @@ func (r *runner) ablation(what string, rows []bench.AblationRow, err error) erro
 	return nil
 }
 
-// planner prints the calibration grid.  It builds one environment per
-// store size, so it ignores the shared env and derives its sizes from
-// the scale.
-func (r *runner) planner() error {
-	sizes := []int{50, 200}
-	switch r.scale {
-	case "full":
-		sizes = []int{100, 400, 1000}
-	case "small":
-		sizes = []int{25, 50}
-	}
-	if r.companies > 0 {
-		sizes = []int{r.companies}
-	}
-	points, err := bench.PlannerSweep(r.ablCfg, sizes, []float64{0.01, 0.05, 0.2, 1, 5})
+// paths prints the tree-vs-scan sweep.  It builds its own bulk
+// environment, the index that serves, whatever -build says.
+func (r *runner) paths() error {
+	env, err := bench.NewEnvBuilt(r.cfg, bench.BuildBulk)
 	if err != nil {
 		return err
 	}
-	if err := bench.WritePlannerTable(r.stdout, points); err != nil {
+	fmt.Fprintf(r.stdout, "bulk-built index: %d companies x %d days, window %d, %d queries; %d windows, %d index pages, %d data pages\n",
+		r.cfg.Companies, r.cfg.Days, r.cfg.WindowLen, r.cfg.Queries,
+		env.Index.WindowCount(), env.Index.IndexPageCount(), env.Store.PageCount())
+	points, err := env.RunPathSweep([]float64{0.001, 0.005, 0.02, 0.05, 0.2, 1, 5})
+	if err != nil {
+		return err
+	}
+	if err := bench.WritePathTable(r.stdout, points); err != nil {
 		return err
 	}
 	fmt.Fprintln(r.stdout)

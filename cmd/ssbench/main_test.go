@@ -48,6 +48,7 @@ func TestBenchNN(t *testing.T) {
 		"nn":    "Nearest-neighbour",
 		"probe": "leaf-checks    dir-tests   accepted     untested",
 		"shape": "per window",
+		"paths": "Tree vs scan",
 	} {
 		var sb strings.Builder
 		err := run([]string{"-experiment", exp, "-scale", "small", "-companies", "12", "-queries", "3"}, &sb)
@@ -65,8 +66,9 @@ func TestBenchErrors(t *testing.T) {
 		t.Error("bad scale accepted")
 	}
 	// An unknown experiment — the four that left with the in-process
-	// perf harness included — is rejected before anything is built.
-	for _, name := range []string{"bogus", "perf", "ingest", "recovery", "cluster", ""} {
+	// perf harness, and the planner calibration the path sweep replaced,
+	// included — is rejected before anything is built.
+	for _, name := range []string{"bogus", "perf", "ingest", "recovery", "cluster", "planner", ""} {
 		var sb strings.Builder
 		if err := run([]string{"-experiment", name, "-scale", "small"}, &sb); err == nil {
 			t.Errorf("experiment %q accepted", name)

@@ -62,8 +62,8 @@ func run(args []string, stdout io.Writer) error {
 	shiftAbs := fs.Float64("shift-abs", 0, "cost bound: maximum |shift offset| (0=unbounded)")
 	limit := fs.Int("limit", 20, "print at most this many matches (0 = all); the count is always complete")
 	long := fs.Bool("long", false, "treat the query as longer than the window (multipiece search)")
-	explain := fs.Bool("explain", false, "print the query plan: per-path cost estimates and stage timings")
-	pathName := fs.String("path", "auto", "access path: auto (cost-based), rtree, or scan")
+	explain := fs.Bool("explain", false, "print the query plan: the path, candidates per segment and stage timings")
+	pathName := fs.String("path", "auto", "access path: auto (the tree), rtree, or scan (the sequential-scan oracle)")
 	indexCache := fs.String("index-cache", "", "cache the built index at this path (load when present, save after building)")
 	obsFlags := cliutil.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {

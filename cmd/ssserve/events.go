@@ -62,17 +62,15 @@ func eventStats(st *core.SearchStats) *obs.EventStats {
 	}
 }
 
-// eventPlanRows renders the planner's per-path comparison table.
+// eventPlanRows renders one row per probed segment: its path and the
+// candidates it actually emitted.
 func eventPlanRows(ex *engine.Explain) []obs.EventPlanRow {
 	if ex == nil {
 		return nil
 	}
-	rows := make([]obs.EventPlanRow, 0, len(ex.Plans))
-	for _, p := range ex.Plans {
-		if !p.Available {
-			continue
-		}
-		rows = append(rows, obs.EventPlanRow{Path: p.Path.String(), Candidates: int(p.Cost.Candidates)})
+	rows := make([]obs.EventPlanRow, 0, len(ex.Segments))
+	for _, sp := range ex.Segments {
+		rows = append(rows, obs.EventPlanRow{Path: sp.Chosen.String(), Candidates: sp.Candidates})
 	}
 	return rows
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,11 @@ func TestSearchEmitsOneWideEvent(t *testing.T) {
 	}
 	if err := statsFromEvent(e).CheckInvariants(); err != nil {
 		t.Fatalf("event stats: %v", err)
+	}
+	// An Index is one segment: one plan row, the tree's, carrying the
+	// candidates it actually emitted.
+	if want := []obs.EventPlanRow{{Path: "rtree", Candidates: e.Stats.Candidates}}; !reflect.DeepEqual(e.Plan, want) {
+		t.Errorf("event plan rows %+v, want %+v", e.Plan, want)
 	}
 	if e.DurationNs <= 0 {
 		t.Fatal("event has no duration")
@@ -256,8 +262,17 @@ func TestAppendEmitsOneWideEvent(t *testing.T) {
 	if len(page.Events) != 1 || page.Events[0].Kind != "search" {
 		t.Fatalf("segmented search events = %+v", page.Events)
 	}
-	if len(page.Events[0].Plan) == 0 {
-		t.Error("segmented search event has no plan rows")
+	// One row per probed segment, whose actual candidates add up to
+	// the query's: every window lives in exactly one segment.
+	rows, emitted := page.Events[0].Plan, 0
+	for _, row := range rows {
+		if row.Path != "rtree" {
+			t.Errorf("segmented search plan row %+v, want the tree", row)
+		}
+		emitted += row.Candidates
+	}
+	if len(rows) == 0 || page.Events[0].Stats == nil || emitted != page.Events[0].Stats.Candidates {
+		t.Errorf("segmented search plan rows %+v do not add up to the event's candidates (stats %+v)", rows, page.Events[0].Stats)
 	}
 	seen = map[string]bool{}
 	for _, sp := range page.Events[0].Spans {
@@ -407,11 +422,13 @@ func TestTailRetention(t *testing.T) {
 	}
 	errID := errTraces[0].ID
 
-	// The slow request: a 64-query forced-scan batch, orders of
-	// magnitude slower than one indexed lookup.
+	// The slow request: a forced-scan batch of the most queries a batch
+	// may hold, far slower than one indexed lookup.  (At 64 queries it
+	// took ~5 ms, within reach of the flood's own slowest few on a
+	// loaded 2-vCPU box.)
 	var queries []string
-	for i := 0; i < 64; i++ {
-		queries = append(queries, fmt.Sprintf(`{"seq": %d, "start": %d}`, i%4, 3+i))
+	for i := 0; i < maxBatchQueries; i++ {
+		queries = append(queries, fmt.Sprintf(`{"seq": %d, "start": %d}`, i%4, 3+i%64))
 	}
 	breq := fmt.Sprintf(`{"queries": [%s], "path": "scan"}`, strings.Join(queries, ","))
 	req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(breq))

@@ -460,6 +460,10 @@ func TestSearchLimitTruncates(t *testing.T) {
 	}
 	// The limit reaches the engine, which counts what it does not
 	// return: same total, same ledger, the unlimited answer's first rows.
+	// Only the data pages may fall: with no cost bound, a row past the
+	// limit whose window norm certifies it is counted without being read
+	// (core.Query.Limit), so a limited query reads at most the pages the
+	// unlimited one does.
 	for _, limit := range []int{1, 3} {
 		sr := fetch(fmt.Sprintf("&limit=%d", limit))
 		if sr.Total != full.Total || len(sr.Matches) != limit || !sr.Truncated {
@@ -473,6 +477,9 @@ func TestSearchLimitTruncates(t *testing.T) {
 		}
 		got, want := sr.Stats, full.Stats
 		got.PlanNs, got.ProbeNs, got.VerifyNs = want.PlanNs, want.ProbeNs, want.VerifyNs
+		if got.DataPageReads <= want.DataPageReads {
+			got.DataPageReads = want.DataPageReads
+		}
 		if got != want {
 			t.Fatalf("limit=%d: stats %+v, unlimited %+v", limit, sr.Stats, full.Stats)
 		}

@@ -303,12 +303,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = obs.TraceIDFromContext(ctx)
 	}
 	if ex != nil {
-		resp.Plan = &cluster.WirePlan{
-			Path:          ex.Chosen.String(),
-			Forced:        ex.Forced,
-			Pieces:        ex.Pieces,
-			EstCandidates: ex.EstCandidates,
-		}
+		resp.Plan = &cluster.WirePlan{Path: ex.Chosen.String(), Forced: ex.Forced, Pieces: ex.Pieces}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -500,43 +500,51 @@ func TestRecallSweep(t *testing.T) {
 	}
 }
 
-func TestPlannerSweep(t *testing.T) {
+func TestPathSweep(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Queries = 4
-	points, err := PlannerSweep(cfg, []int{10, 30}, []float64{0.01, 5})
+	cfg.Companies, cfg.Queries = 10, 4
+	env, err := NewEnvBuilt(cfg, BuildBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
+	points, err := env.RunPathSweep([]float64{0.01, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
 		t.Fatalf("%d points", len(points))
 	}
-	chosen := map[engine.PathKind]bool{}
+	windows := float64(env.Index.WindowCount())
+	tree, scan := engine.PathRTree, engine.PathScan
 	for _, p := range points {
-		chosen[p.Chosen] = true
-		if p.ForcedCPU[p.Chosen] == 0 {
-			t.Errorf("chosen path %s was not measured: %+v", p.Chosen, p)
+		if p.CPU[tree] <= 0 || p.CPU[scan] <= 0 || p.CPU[engine.PathAuto] != 0 {
+			t.Errorf("eps-frac %g: timings %v", p.EpsFrac, p.CPU)
 		}
-		if p.AutoCPU <= 0 || p.ForcedCPU[p.Best] <= 0 {
-			t.Errorf("timings missing: %+v", p)
+		// The scan emits every window and reads no index page; the tree
+		// emits a subset and reads at least its root.
+		if p.Candidates[scan] != windows || p.Nodes[scan] != 0 || p.Nodes[tree] < 1 || p.Candidates[tree] > windows {
+			t.Errorf("eps-frac %g: nodes %v, candidates %v of %v windows", p.EpsFrac, p.Nodes, p.Candidates, windows)
+		}
+		if p.StrictPages[tree] < p.Nodes[tree] || p.StrictPages[scan] <= 0 {
+			t.Errorf("eps-frac %g: strict pages %v", p.EpsFrac, p.StrictPages)
 		}
 	}
-	// The grid spans both regimes: a selective ε (index probe wins) and
-	// a degenerate one (scan wins), so the planner's choice must vary.
-	if !chosen[engine.PathRTree] || !chosen[engine.PathScan] {
-		t.Errorf("planner chose only %v across the grid", chosen)
+	if points[0].Candidates[tree] >= points[1].Candidates[tree] {
+		t.Errorf("tree candidates did not grow with eps: %v then %v", points[0].Candidates[tree], points[1].Candidates[tree])
 	}
 	var buf bytes.Buffer
-	if err := WritePlannerTable(&buf, points); err != nil {
+	if err := WritePathTable(&buf, points); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Planner calibration", "chosen", "rtree", "scan"} {
+	for _, want := range []string{"Tree vs scan", "tree-nodes", "scan-pages", "0.01 ", "5 "} {
 		if !strings.Contains(out, want) {
-			t.Errorf("planner table missing %q:\n%s", want, out)
+			t.Errorf("path table missing %q:\n%s", want, out)
 		}
 	}
-	// The miss footer appears in exactly one form.
-	if !strings.Contains(out, "10%") {
-		t.Errorf("planner table lacks the 10%% calibration verdict:\n%s", out)
+	for _, gone := range []string{"auto", "loss", "regret"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("path table still has a %q column:\n%s", gone, out)
+		}
 	}
 }

@@ -130,7 +130,7 @@ type Tree struct {
 	// current insertion (R* "first overflow of the level" rule).
 	reinsertDone map[int]bool
 	// sample holds every sampleStride-th inserted feature point, the
-	// planner's data-distribution statistic; see sampleAdd.
+	// arena's feature sample; see sampleAdd.
 	sample       []vec.Vector
 	sampleStride int
 	sampleTick   int
@@ -173,7 +173,7 @@ func openNode(n *node) (level, pages int, rects []geom.Rect, ids []int64, childr
 	return n.level, n.pages(), rects, ids, children
 }
 
-// sampleCap bounds the planner's feature sample.  The sample holds
+// sampleCap bounds the arena's feature sample.  The sample holds
 // every sampleStride-th inserted entry; when it outgrows 2·sampleCap,
 // every other element is dropped and the stride doubles, which keeps
 // the kept ticks ≡ 0 (mod stride) — a stratified sample of the whole

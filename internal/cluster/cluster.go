@@ -102,12 +102,11 @@ type WireStats struct {
 	VerifyNs       int64 `json:"verify_ns"`
 }
 
-// WirePlan summarizes the plan a shard chose.
+// WirePlan summarizes the plan a shard ran.
 type WirePlan struct {
-	Path          string  `json:"path"`
-	Forced        bool    `json:"forced,omitempty"`
-	Pieces        int     `json:"pieces,omitempty"`
-	EstCandidates float64 `json:"est_candidates"`
+	Path   string `json:"path"`
+	Forced bool   `json:"forced,omitempty"`
+	Pieces int    `json:"pieces,omitempty"`
 }
 
 // CoverageWire states exactly which slice of the data a coordinator's

@@ -774,12 +774,3 @@ func (ix *Index) UnindexSequence(seq int) error {
 func numericSlack(maxAbs float64, dim int) float64 {
 	return (1e-7 + 0x1p-24) * maxAbs * math.Sqrt(float64(dim))
 }
-
-// seLineFor returns the query's SE-line image in feature space: the
-// line {t·F(T_se(q))} through the origin (§5.1 property 3; linear maps
-// send lines through the origin to lines through the origin).
-func seLineFor(fmap *dft.FeatureMap, q vec.Vector) vec.Line {
-	se := vec.SETransform(q)
-	d := fmap.Transform(se)
-	return vec.Line{P: make(vec.Vector, fmap.Dim()), D: d}
-}

@@ -72,7 +72,7 @@ func run(ctx context.Context, ix execer, q Query, stats *SearchStats) ([]Match, 
 }
 
 // search runs the common query of these suites — range (or, for a
-// longer q, multipiece) within eps, unbounded costs, planner's choice —
+// longer q, multipiece) within eps, unbounded costs, the default path —
 // through Exec.
 func search(ix execer, q vec.Vector, eps float64, stats *SearchStats) ([]Match, error) {
 	res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: eps}, stats)

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"scaleshift/internal/engine"
+	"scaleshift/internal/query"
+	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
 
@@ -25,9 +28,9 @@ func forcedSearch(t *testing.T, ix *Index, q vec.Vector, eps float64, costs Cost
 }
 
 // TestCrossPathEquivalence is the engine's core invariant: for
-// randomized stores and queries, every available access path — and the
-// planner's automatic choice — returns the identical sorted Match set,
-// bit for bit (distances, scales, and shifts included).
+// randomized stores and queries, the tree, the scan oracle and the
+// default (the tree) return the identical sorted Match set, bit for bit
+// (distances, scales, and shifts included).
 func TestCrossPathEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	opts := testOptions()
@@ -67,8 +70,8 @@ func TestCrossPathEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ex.Forced || (ex.Chosen != engine.PathRTree && ex.Chosen != engine.PathScan) {
-					t.Fatalf("auto plan chose %v forced=%v", ex.Chosen, ex.Forced)
+				if ex.Forced || ex.Chosen != engine.PathRTree {
+					t.Fatalf("auto plan chose %v forced=%v, want the tree", ex.Chosen, ex.Forced)
 				}
 				if !reflect.DeepEqual(autoOut, rtreeOut) {
 					t.Fatalf("trial %d query %d eps %g: auto (%v) differs from forced paths", trial, qi, eps, ex.Chosen)
@@ -116,74 +119,81 @@ func TestCrossPathEquivalenceLong(t *testing.T) {
 	}
 }
 
-// TestPlannerRegimes checks the cost model picks the expected winner
-// in the two unambiguous regimes: a selective probe on a sizeable
-// store (tree wins) and a degenerate everything-matches probe (scan
-// wins, since the tree would read every page and then verify every
-// window anyway).
-func TestPlannerRegimes(t *testing.T) {
+// TestAutoIsTheTree pins the default path: on a monolithic index, a
+// three-segment index with a delta and a delta-only index, from a
+// tight ε to one at which nearly every window matches, and under cost
+// bounds, an auto query is the forced tree query — the same rows, the
+// same ledger and the same segment plans.  Only the Forced flag tells
+// them apart.
+func TestAutoIsTheTree(t *testing.T) {
 	opts := testOptions()
-	ix := buildTestIndex(t, opts, 8, 200)
-	q := make(vec.Vector, opts.WindowLen)
-	if err := ix.Store().Window(0, 10, opts.WindowLen, q, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	_, exTiny, err := run(context.Background(), ix, Query{Vec: q, Eps: 1e-3}, nil)
+	n := opts.WindowLen
+	st := populatedStore(t, 20, 300, 1)
+	mono, err := NewIndex(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exTiny.Chosen != engine.PathRTree {
-		t.Errorf("tiny eps chose %v, want rtree", exTiny.Chosen)
+	if err := mono.BuildBulk(); err != nil {
+		t.Fatal(err)
 	}
-	_, exHuge, err := run(context.Background(), ix, Query{Vec: q, Eps: 1e9}, nil)
+	names, vals := fullSequences(t, st)
+	grown := growWithDelta(t, opts, names, vals, rand.New(rand.NewSource(36)))
+	if _, _, frozen := grown.deltaShape(); frozen != 3 {
+		t.Fatalf("grown fixture has %d frozen segments, want 3", frozen)
+	}
+	deltaOnly, err := NewSegmentedIndex(store.New(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exHuge.Chosen != engine.PathScan {
-		t.Errorf("huge eps chose %v, want scan", exHuge.Chosen)
-	}
-	if exTiny.PlanTime < 0 || exTiny.ProbeTime < 0 || exTiny.VerifyTime < 0 {
-		t.Errorf("negative stage timings: %+v", exTiny)
-	}
-}
-
-// TestPlannerEstimatesSaneOnIndex exercises the satellite fuzz
-// properties against the real index paths: estimates are non-negative
-// and monotone in eps, and the chosen path is always available.
-func TestPlannerEstimatesSaneOnIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	opts := testOptions()
-	ix := buildTestIndex(t, opts, 4, 120)
-	q := make(vec.Vector, opts.WindowLen)
-	for i := range q {
-		q[i] = rng.NormFloat64() * 20
-	}
-	prev := -1.0
-	for _, eps := range []float64{0, 1e-3, 0.1, 1, 10, 1e3, 1e6} {
-		_, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps}, nil)
-		if err != nil {
+	defer deltaOnly.Close()
+	for seq := range names {
+		if _, err := deltaOnly.AppendSequence(names[seq], vals[seq]); err != nil {
 			t.Fatal(err)
 		}
-		chosenAvailable := false
-		for _, p := range ex.Plans {
-			if p.Available && (p.Cost.Units < 0 || p.Cost.Candidates < 0 || math.IsNaN(p.Cost.Units)) {
-				t.Fatalf("eps %g: bad estimate %+v", eps, p)
+	}
+
+	w := make(vec.Vector, n)
+	if err := st.Window(3, 40, n, w, nil); err != nil {
+		t.Fatal(err)
+	}
+	q := vec.Apply(w, 1.4, -3)
+	scale, err := query.SENormScale(st, n, 100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	bounded := CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}
+	for _, ix := range []struct {
+		name string
+		ix   execer
+	}{{"monolithic", mono}, {"three segments and a delta", grown.g}, {"delta only", deltaOnly}} {
+		for _, c := range []struct {
+			frac  float64
+			costs CostBounds
+		}{{0.001, UnboundedCosts()}, {0.05, UnboundedCosts()}, {0.6, UnboundedCosts()}, {5, UnboundedCosts()}, {0.2, bounded}} {
+			label := fmt.Sprintf("%s, eps-frac %g, costs %+v", ix.name, c.frac, c.costs)
+			q := Query{Vec: q, Eps: c.frac * scale, Costs: c.costs}
+			var autoStats, treeStats SearchStats
+			auto, err := ix.ix.Exec(context.Background(), q, &autoStats)
+			if err != nil {
+				t.Fatalf("%s: auto: %v", label, err)
 			}
-			if p.Path == ex.Chosen {
-				chosenAvailable = p.Available
+			q.Force = engine.PathRTree
+			tree, err := ix.ix.Exec(context.Background(), q, &treeStats)
+			if err != nil {
+				t.Fatalf("%s: tree: %v", label, err)
 			}
-		}
-		if !chosenAvailable {
-			t.Fatalf("eps %g: chose %v, which its plan table does not list available", eps, ex.Chosen)
-		}
-		if ex.EstCandidates < prev && ex.Chosen != engine.PathScan {
-			// Index-probe candidate estimates grow with eps; the
-			// scan's is constant, so only compare within probes.
-			t.Fatalf("est candidates shrank as eps grew: %v -> %v", prev, ex.EstCandidates)
-		}
-		if ex.Chosen != engine.PathScan {
-			prev = ex.EstCandidates
+			zeroTimes(&autoStats)
+			zeroTimes(&treeStats)
+			if autoStats != treeStats {
+				t.Errorf("%s: stats\n  auto %+v\n  tree %+v", label, autoStats, treeStats)
+			}
+			if err := sameMatches(auto.Matches, tree.Matches); err != nil || auto.Total != tree.Total {
+				t.Errorf("%s: auto rows (total %d) differ from the tree's (total %d): %v", label, auto.Total, tree.Total, err)
+			}
+			if auto.Explain.Chosen != engine.PathRTree || auto.Explain.Forced || !reflect.DeepEqual(auto.Explain.Segments, tree.Explain.Segments) {
+				t.Errorf("%s: auto plan %v forced=%v %+v, the tree's %+v", label, auto.Explain.Chosen, auto.Explain.Forced, auto.Explain.Segments, tree.Explain.Segments)
+			}
 		}
 	}
 }
@@ -195,9 +205,10 @@ func zeroTimes(s *SearchStats) {
 }
 
 // TestSearchBatchPlannedMixedEps is the ExecBatch satellite: one
-// batch holding a tiny-ε and a huge-ε query must plan per query —
-// choosing different paths within a single call — and its accumulated
-// stats must equal the sequential per-query totals exactly.
+// batch holding a tiny-ε query, a huge-ε query and a huge-ε forced scan
+// must run each query on its own path — the tree, the tree and the scan
+// within a single call — and its accumulated stats must equal the
+// sequential per-query totals exactly.
 func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	opts := testOptions()
 	ix := buildTestIndex(t, opts, 8, 200)
@@ -214,7 +225,7 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	batch := []Query{
 		{Vec: q1, Eps: 1e-3},
 		{Vec: q2, Eps: 1e9},
-		{Vec: q1, Eps: 1e9},
+		{Vec: q1, Eps: 1e9, Force: engine.PathScan},
 	}
 
 	var batchStats SearchStats
@@ -222,14 +233,13 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results[0].Explain.Chosen; got != engine.PathRTree {
-		t.Errorf("tiny-eps query planned %v, want rtree", got)
+	for i, want := range []engine.PathKind{engine.PathRTree, engine.PathRTree, engine.PathScan} {
+		if got := results[i].Explain.Chosen; got != want {
+			t.Errorf("query %d ran %v, want %v", i, got, want)
+		}
 	}
-	if a, b := results[1].Explain.Chosen, results[2].Explain.Chosen; a != engine.PathScan || b != engine.PathScan {
-		t.Errorf("huge-eps queries planned %v and %v, want scan", a, b)
-	}
-	if batchStats.PathProbes[engine.PathRTree] != 1 || batchStats.PathProbes[engine.PathScan] != 2 {
-		t.Errorf("PathProbes = %v, want 1 rtree + 2 scan", batchStats.PathProbes)
+	if batchStats.PathProbes[engine.PathRTree] != 2 || batchStats.PathProbes[engine.PathScan] != 1 {
+		t.Errorf("PathProbes = %v, want 2 rtree + 1 scan", batchStats.PathProbes)
 	}
 
 	// Exact accounting: the batch totals must equal running the same
@@ -251,30 +261,38 @@ func TestSearchBatchPlannedMixedEps(t *testing.T) {
 	}
 }
 
-// TestSearchBatchStillPlansPerQuery pins that a fixed-ε batch routes
-// each query through the planner (one probe counted per query).
+// TestSearchBatchStillPlansPerQuery pins that a fixed-ε batch honours
+// each query's forced path: one probe per query, counted against the
+// path that query asked for.
 func TestSearchBatchStillPlansPerQuery(t *testing.T) {
 	opts := testOptions()
 	ix := buildTestIndex(t, opts, 4, 100)
-	queries := make([]vec.Vector, 5)
+	forces := []engine.PathKind{engine.PathAuto, engine.PathScan, engine.PathRTree, engine.PathScan, engine.PathAuto}
 	rng := rand.New(rand.NewSource(5))
-	for i := range queries {
+	batch := make([]Query, len(forces))
+	for i, force := range forces {
 		q := make(vec.Vector, opts.WindowLen)
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		queries[i] = q
+		batch[i] = Query{Vec: q, Eps: 0.5, Force: force}
 	}
 	var stats SearchStats
-	if _, _, err := ix.ExecBatch(context.Background(), rangeQueries(queries, 0.5), 0, &stats); err != nil {
+	results, _, err := ix.ExecBatch(context.Background(), batch, 0, &stats)
+	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, c := range stats.PathProbes {
-		total += c
+	for i, force := range forces {
+		want := force
+		if want == engine.PathAuto {
+			want = engine.PathRTree
+		}
+		if ex := results[i].Explain; ex.Chosen != want || ex.Forced != (force != engine.PathAuto) {
+			t.Errorf("query %d forced %v: ran %v forced=%v", i, force, ex.Chosen, ex.Forced)
+		}
 	}
-	if total != len(queries) {
-		t.Errorf("PathProbes total %d, want one probe per query (%d)", total, len(queries))
+	if want := [engine.NumPathKinds]int{0, 3, 2}; stats.PathProbes != want {
+		t.Errorf("PathProbes %v, want %v: one probe per query on the path it asked for", stats.PathProbes, want)
 	}
 }
 

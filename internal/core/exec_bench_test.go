@@ -231,12 +231,14 @@ func BenchmarkExecKNNSegmentedDelta(b *testing.B) {
 // packed/tail boundary, and with a Limit neither allocations nor bytes
 // scale with the match count.  What remains per query is the plan and
 // Explain (one SegmentPlan per segment), the verifier's query-side
-// vectors, the page sets, and one exactly sized answer slice.
+// vectors, the page sets, and one exactly sized answer slice: 20–21
+// allocs a loose query, 9 a tight one, on the 2-vCPU box; the ceiling
+// keeps the headroom it was set with.
 func TestExecRangeAllocCeiling(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random, so pooled buffers are reallocated")
 	}
-	const ceiling = 400
+	const ceiling = 397
 	ctx := context.Background()
 	// measure returns the allocations and candidates of one query.
 	measure := func(ix execer, q Query) (allocs float64, candidates int) {

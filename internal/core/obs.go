@@ -76,7 +76,7 @@ func initCoreMetrics() {
 	cm.searchDur = r.DurationHistogram("scaleshift_search_duration_seconds",
 		"End-to-end query latency (plan+probe+verify; stream+refine for k-NN).")
 	cm.planDur = r.DurationHistogram("scaleshift_plan_duration_seconds",
-		"Planner stage latency.")
+		"Plan stage latency: a probe's preparation (SE-line and engine query).")
 	cm.probeDur = r.DurationHistogram("scaleshift_probe_duration_seconds",
 		"Index-probe stage latency.")
 	cm.verifyDur = r.DurationHistogram("scaleshift_verify_duration_seconds",

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -26,8 +24,8 @@ type oneSegmentQuery struct {
 	q    Query
 }
 
-// oneSegmentQueries is the query mix: every kind, the planner on both
-// sides of its crossover, a scale-bounded (segment) probe, and every
+// oneSegmentQueries is the query mix: every kind, a tight and a loose
+// ε on the default path, a scale-bounded (segment) probe, and every
 // forced path.
 func oneSegmentQueries(t *testing.T, st *store.Store, n int) []oneSegmentQuery {
 	t.Helper()
@@ -78,27 +76,18 @@ func (c oneSegmentQuery) oracle(t *testing.T, st *store.Store) []seqscan.Result 
 
 // ledger renders what a query's answer must reproduce exactly beyond
 // its rows: every non-time SearchStats field and the plan the Explain
-// records, floats in round-trip form.  A refused query renders as its
-// error.
+// records.  A refused query renders as its error.
 func ledger(res Result, stats SearchStats, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "nodes=%d pages=%d cand=%d fa=%d cr=%d res=%d exact=%d leaf=%d pen=%v probes=%v",
 		stats.IndexNodeAccesses, stats.DataPageAccesses, stats.Candidates, stats.FalseAlarms, stats.CostRejected,
 		stats.Results, stats.ExactChecks, stats.LeafEntriesChecked, stats.Penetration, stats.PathProbes)
 	if ex := res.Explain; ex != nil {
-		fmt.Fprintf(&b, " | chosen=%s forced=%v pieces=%d est=%s actual=%d",
-			ex.Chosen, ex.Forced, ex.Pieces, g(ex.EstCandidates), ex.ActualCandidates)
-		for _, p := range ex.Plans {
-			if p.Available {
-				fmt.Fprintf(&b, " %s(%s %s %s)", p.Path, g(p.Cost.Units), g(p.Cost.Candidates), g(p.Cost.NodeReads))
-			} else {
-				fmt.Fprintf(&b, " %s(%s)", p.Path, p.Reason)
-			}
-		}
+		fmt.Fprintf(&b, " | chosen=%s forced=%v pieces=%d actual=%d",
+			ex.Chosen, ex.Forced, ex.Pieces, ex.ActualCandidates)
 	}
 	return b.String()
 }
@@ -126,28 +115,35 @@ func ledger(res Result, stats SearchStats, err error) string {
 // force-rtree, long — were recorded again: leaf went down, and nodes
 // and pen with it where an accepted entry sat above level 1; nothing
 // else in them moved.  The bounded (segment) probe and
-// k-NN never accept, and their rows did not change.
+// k-NN never accept, and their rows did not change.  When the cost
+// model was deleted (auto became the tree), the est= column and the
+// rtree(…)/scan(…) plan-table cells left every row by a mechanical edit,
+// and the four cells where auto had chosen the scan — bulk/loose,
+// insert/loose, spheres/loose and insert/long, whose third piece had
+// scanned — were recorded again: there nodes, pages, cand, fa, leaf,
+// pen, probes and chosen moved to the tree's, and res and exact did
+// not; no other row changed.
 var oneSegmentGolden = map[string]string{
-	"bulk/tight":          "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
-	"bulk/loose":          "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
-	"bulk/bounded":        "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
-	"bulk/force-rtree":    "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"bulk/force-scan":     "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"bulk/long":           "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
+	"bulk/tight":          "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
+	"bulk/loose":          "nodes=283 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=2431 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
+	"bulk/bounded":        "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
+	"bulk/force-rtree":    "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
+	"bulk/force-scan":     "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
+	"bulk/long":           "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
 	"bulk/knn":            "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0]",
-	"insert/tight":        "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=87.54437869822485 actual=99 rtree(726.4138413492329 87.54437869822485 53.23912188758401) scan(5380 5380 0)",
-	"insert/loose":        "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(7372.080543214561 3557.4852071005917 317.8829446761641) scan(5380 5380 0)",
-	"insert/bounded":      "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=7.958579881656805 actual=2 rtree(234.11242603550298 7.958579881656805 18.846153846153847) scan(5380 5380 0)",
-	"insert/force-rtree":  "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1026.6568047337278 actual=1018 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
-	"insert/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(3098.0955322527175 1026.6568047337278 172.6198939599158) scan(5380 5380 0)",
-	"insert/long":         "nodes=599 pages=12 cand=4100 fa=3182 cr=0 res=918 exact=918 leaf=8239 pen={772 0 0} probes=[0 2 1] | chosen=rtree forced=false pieces=3 est=2156.775147928994 actual=4100 rtree(5137.5575939586415 2156.775147928994 248.3985371691373) scan(5380 5380 0)",
+	"insert/tight":        "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
+	"insert/loose":        "nodes=358 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=4960 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
+	"insert/bounded":      "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
+	"insert/force-rtree":  "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
+	"insert/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
+	"insert/long":         "nodes=942 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=12972 pen={1158 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
 	"insert/knn":          "nodes=153 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=1976 pen={0 0 0} probes=[0 0 0]",
-	"spheres/tight":       "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=142.15447154471545 actual=99 rtree(833.5593175712931 142.15447154471545 57.61707050221481) scan(5380 5380 0)",
-	"spheres/loose":       "nodes=0 pages=12 cand=5380 fa=2075 cr=0 res=3305 exact=3305 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=false pieces=1 est=5380 actual=5380 rtree(6770.885891555579 3488.252032520325 273.5528215862712) scan(5380 5380 0)",
-	"spheres/bounded":     "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 est=10.934959349593496 actual=2 rtree(228.71155769854784 10.934959349593496 18.14804986241286) scan(5380 5380 0)",
-	"spheres/force-rtree": "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 est=1104.4308943089432 actual=1018 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"spheres/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 est=5380 actual=5380 rtree(2967.2630985463834 1104.4308943089432 155.2360170197867) scan(5380 5380 0)",
-	"spheres/long":        "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 est=2110.4471544715448 actual=2076 rtree(4671.768365627107 2110.4471544715448 213.4434342629635) scan(5380 5380 0)",
+	"spheres/tight":       "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
+	"spheres/loose":       "nodes=283 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=2431 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
+	"spheres/bounded":     "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
+	"spheres/force-rtree": "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
+	"spheres/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
+	"spheres/long":        "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
 	"spheres/knn":         "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0]",
 }
 
@@ -207,9 +203,6 @@ func TestIndexIsOneSegment(t *testing.T) {
 				t.Errorf("%s: ledger\n  got  %q\n  want %q", key, got, want)
 			}
 			if err != nil {
-				if !errors.Is(err, engine.ErrUnsupported) {
-					t.Errorf("%s: refused with %v, want an engine.ErrUnsupported", key, err)
-				}
 				continue
 			}
 			if err := sameAsScan(res.Matches, c.oracle(t, st)); err != nil || res.Total != len(res.Matches) {

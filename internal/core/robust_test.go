@@ -78,6 +78,8 @@ func TestQueryValidationTyped(t *testing.T) {
 		{"NN wrong length", try(ix, Query{Vec: q[:n-2], K: 3}), ErrInvalidQuery},
 		{"NN forced path", try(ix, Query{Vec: q, K: 3, Force: engine.PathRTree}), ErrInvalidQuery},
 		{"NN forced path, segmented", try(deltaOnly, Query{Vec: q, K: 3, Force: engine.PathScan}), ErrInvalidQuery},
+		{"unknown forced path", try(ix, Query{Vec: q, Eps: eps, Force: engine.NumPathKinds}), ErrInvalidQuery},
+		{"negative forced path, segmented", try(deltaOnly, Query{Vec: q, Eps: eps, Force: -1}), ErrInvalidQuery},
 		{"batch NaN", func() error {
 			_, _, err := ix.ExecBatch(context.Background(), rangeQueries([]vec.Vector{q, nanQ}, eps), 2, nil)
 			return err

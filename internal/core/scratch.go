@@ -5,7 +5,9 @@ import (
 	"slices"
 	"sync"
 
+	"scaleshift/internal/dft"
 	"scaleshift/internal/store"
+	"scaleshift/internal/vec"
 )
 
 // queryScratch is the working memory of one query, acquired once by its
@@ -26,9 +28,9 @@ type queryScratch struct {
 	// bits is orderIDs' window bitmap, all zero between queries.
 	bits    []uint64
 	workers []verifyWorker
-	// sample receives the planner-sample distances of the frozen segment
-	// being planned.
-	sample []float64
+	// line holds the origin and direction of the SE-line being probed
+	// (seLine).
+	line []float64
 	// qpD, qpQp and dist are the batched PLD kernel's accumulator and
 	// output rows for one delta block.
 	qpD, qpQp, dist [deltaBlockLen]float64
@@ -60,7 +62,6 @@ func (sc *queryScratch) release() {
 	sc.probeTally = probeTally{}
 	sc.ids = pooled(sc.ids, maxPooledIDs)
 	sc.bits = pooled(sc.bits, maxPooledIDs)
-	sc.sample = pooled(sc.sample, maxPooledIDs)
 	sc.nnDist = pooled(sc.nnDist, maxPooledIDs)
 	sc.nnHeap = pooled(sc.nnHeap, maxPooledIDs)
 	for i := range sc.workers {
@@ -76,6 +77,22 @@ func pooled[T any](buf []T, limit int) []T {
 		return nil
 	}
 	return buf[:0]
+}
+
+// seLine returns the query's SE-line image in feature space: the line
+// {t·F(T_se(q))} through the origin (§5.1 property 3; linear maps send
+// lines through the origin to lines through the origin).  Its vectors
+// live in sc until the next call: a query's line lives only as long as
+// its probe or its k-NN stream.
+func (sc *queryScratch) seLine(fmap *dft.FeatureMap, q vec.Vector) vec.Line {
+	dim := fmap.Dim()
+	if cap(sc.line) < 2*dim {
+		sc.line = make([]float64, 2*dim)
+	}
+	p, d := sc.line[:dim:dim], sc.line[dim:2*dim:2*dim]
+	clear(p)
+	fmap.TransformSE(d, q)
+	return vec.Line{P: p, D: d}
 }
 
 // verifyWorkers returns n workers in their released state — zero but

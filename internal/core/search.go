@@ -390,9 +390,8 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds) engin
 //
 // Query{Vec: q, Eps: eps} is a complete query: the zero Costs is read
 // as UnboundedCosts (so an omitted field cannot silently empty the
-// result set), the zero Force lets every segment of the index choose
-// its cheapest path, and a nil Pool counts data pages without a buffer
-// pool.
+// result set), the zero Force probes every segment down the tree, and
+// a nil Pool counts data pages without a buffer pool.
 type Query struct {
 	// Vec is the query sequence Q.
 	Vec vec.Vector
@@ -402,9 +401,10 @@ type Query struct {
 	K int
 	// Costs bounds the transformation of every reported match.
 	Costs CostBounds
-	// Force pins the index phase of every segment to one access path —
-	// a debugging and benchmarking tool, never a correctness knob: the
-	// result set is bit-identical whichever path runs.
+	// Force pins the index phase of every segment to one access path;
+	// PathScan, the sequential scan, is the oracle and diagnostic path.
+	// It is never a correctness knob: the result set is bit-identical
+	// whichever path runs.
 	Force engine.PathKind
 	// Pool plays the verifier's data-page fetches through a shared LRU
 	// buffer pool, for bounded-memory cost studies.
@@ -423,11 +423,10 @@ type Query struct {
 }
 
 // Result is a query's answer.  Range and long queries return Matches
-// ordered by (Seq, Start) and the Explain recording the plan decision,
-// the per-path estimates behind it, one row per probed segment (an
-// Index is one), candidate actuals and stage timings; k-NN
-// queries return Matches by increasing distance and a nil Explain (no
-// plan is made: they are pinned to the index probe).  Total is the
+// ordered by (Seq, Start) and the Explain recording the path, one row
+// per probed segment (an Index is one), candidate actuals and stage
+// timings; k-NN queries return Matches by increasing distance and a
+// nil Explain (no plan is made: they are pinned to the index probe).  Total is the
 // size of the whole answer, of which Matches is the first Query.Limit
 // rows: len(Matches) == Total unless the limit cut it.
 type Result struct {
@@ -450,23 +449,21 @@ type probeTally struct {
 // descents poll ctx per node, scans and verification every few
 // candidates — and partial work is discarded: a cancelled query
 // returns ctx.Err() and no matches, never a silently truncated answer
-// set.  A malformed query fails with ErrInvalidQuery, one the index
-// cannot serve with engine.ErrUnsupported.  stats may be nil; on
-// success the query's ledger is added to it.
+// set.  A malformed query fails with ErrInvalidQuery.  stats may be
+// nil; on success the query's ledger is added to it.
 func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
 	return exec(ctx, ix.man, q, stats)
 }
 
 // ExecBatch answers many queries concurrently with up to parallelism
 // goroutines (capped at the query count; values < 1 default to
-// runtime.GOMAXPROCS(0)).  Every query is planned independently — a
-// tiny-ε query probes the tree while a huge-ε query in the same batch
-// scans — and results and statuses are positionally aligned with the
-// queries.  When ctx is cancelled mid-batch the call stops handing out
-// queries, lets in-flight ones unwind at their next poll, and returns
-// ctx.Err() together with the PARTIAL results: every BatchComplete
-// slot holds its full exact answer, every BatchIncomplete slot is
-// empty.  Any other failure (I/O error, recovered worker panic) aborts
+// runtime.GOMAXPROCS(0)).  Every query runs independently — its own
+// Force pins its own path — and results and statuses are positionally
+// aligned with the queries.  When ctx is cancelled mid-batch the call
+// stops handing out queries, lets in-flight ones unwind at their next
+// poll, and returns ctx.Err() together with the PARTIAL results: every
+// BatchComplete slot holds its full exact answer, every BatchIncomplete
+// slot is empty.  Any other failure (I/O error, recovered worker panic) aborts
 // the whole batch.  Stats are accumulated for completed queries only,
 // in query order, so the totals equal running them sequentially.
 func (ix *Index) ExecBatch(ctx context.Context, queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
@@ -537,6 +534,8 @@ func validate(m *manifest, q Query) error {
 		return fmt.Errorf("core: %w: k %d < 0", ErrInvalidQuery, q.K)
 	case q.K > 0 && len(q.Vec) != n:
 		return fmt.Errorf("core: %w: query length %d, index window length %d", ErrInvalidQuery, len(q.Vec), n)
+	case q.Force < engine.PathAuto || q.Force >= engine.NumPathKinds:
+		return fmt.Errorf("core: %w: unknown access path %v", ErrInvalidQuery, q.Force)
 	case q.K > 0 && q.Force != engine.PathAuto:
 		return fmt.Errorf("core: %w: a forced path applies to range queries; nearest-neighbour search is pinned to the index probe", ErrInvalidQuery)
 	case len(q.Vec) < n:
@@ -561,12 +560,11 @@ func validate(m *manifest, q Query) error {
 // its aligned window at the same (a, b), and the per-piece optimal
 // distance can only be smaller.
 //
-// Each piece is planned independently and q.Force pins them all; the
-// returned Explain is the first piece's plan with candidate and timing
-// actuals totalled across pieces.  The ledger is written to delta only
-// when the whole query succeeds, so a failure mid-pieces never leaves
-// probes counted against zero candidates (the CheckInvariants
-// identity).
+// q.Force pins every piece's path; the returned Explain is the first
+// piece's plan with candidate and timing actuals totalled across
+// pieces.  The ledger is written to delta only when the whole query
+// succeeds, so a failure mid-pieces never leaves probes counted against
+// zero candidates (the CheckInvariants identity).
 func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Result, error) {
 	n, sv := m.opts.WindowLen, m.sv
 	pieces := len(q.Vec) / n
@@ -670,7 +668,7 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 // a stream stops as soon as its bound passes the kth best exact
 // distance (GEMINI-style refinement); the top-k shared across streams
 // keeps the answer exact over a segmented view.  NN queries pin the
-// index probe rather than consulting the planner: only the tree's
+// index probe and refuse a forced path: only the tree's
 // best-first traversal yields that order, and a scan has no early
 // termination, so it is never cheaper.  ctx is polled every
 // verifyCheckInterval refined windows.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -24,8 +23,8 @@ import (
 // immutable frozen segments — each a pointer-free flat R*-tree over a
 // contiguous per-sequence window range — plus a small mutable delta
 // absorbing freshly appended windows (deltaSeg, delta.go), read through
-// one manifest.  A segment is the unit of planning: each one prices its
-// own access paths and is probed down the cheapest.  An Index is the
+// one manifest.  A query probes every frozen segment down its own tree
+// and sweeps the delta with the tree's leaf test.  An Index is the
 // one-segment, empty-delta manifest over its live store; every
 // generation of a SegmentedIndex pins a store snapshot, so queries fan
 // across segments and verify against data that cannot move under them.
@@ -56,36 +55,13 @@ type frozenSeg struct {
 	file atomic.Pointer[durableFile]
 }
 
-// planTable is one segment's plan: a row per access path, the index
-// probe before the scan so an exact cost tie keeps the paper's behavior.
-// Both are always available; Force picks either.
-type planTable [2]engine.PathPlan
-
-// plan prices the two ways to emit the segment's candidates for eq —
-// each a superset of the true answer set, the shared verifier removing
-// the rest, which is what keeps the choice between them invisible in the
-// result set.  The tree's maintained feature sample is measured against
-// the query's SE-line (its scale segment when cost bounds apply) once,
-// into sc.sample: the empirical half of the selectivity estimate.
-func (sg *frozenSeg) plan(eq engine.Query, sc *queryScratch) planTable {
-	h := sg.flat.CostHints()
-	tMin, tMax := math.Inf(-1), math.Inf(1)
-	if eq.Segment {
-		tMin, tMax = eq.TMin, eq.TMax
-	}
-	sc.sample = engine.SegmentDistances(sc.sample, h.Sample, eq.Line, tMin, tMax)
-	return planTable{
-		{Path: engine.PathRTree, Available: true, Cost: engine.EstimateTreeCostSampled(h, sg.count, eq.Eps, sc.sample)},
-		{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(sg.count)},
-	}
-}
-
 // candidates appends the segment's candidate windows for eq to sc.ids
-// down path, which plan must have listed available, counting tree work
-// into sc's tally.  The index probe is the paper's §6 index phase —
-// descend into children whose ε-enlarged MBR the SE-line penetrates,
-// collect the leaf entries within ε of it — under an "rtree.descent"
-// span; the scan is experiment set 1, every window of the segment in
+// down path, counting tree work into sc's tally.  Either path emits a
+// superset of the true answer set — the shared verifier removes the
+// rest — which is what keeps the path invisible in the result set.
+// The index probe is the paper's §6 index phase — descend into
+// children whose ε-enlarged MBR the SE-line penetrates, collect the
+// leaf entries within ε of it — under an "rtree.descent" span; the scan is experiment set 1, every window of the segment in
 // storage order and no index page read, under a "scan" span.
 func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, strategy geom.Strategy, sc *queryScratch) error {
 	before := len(sc.ids)
@@ -203,107 +179,65 @@ func (m *manifest) storeShape() (seqs, values, pages int) {
 	return m.sv.NumSequences(), m.sv.TotalValues(), m.sv.PageCount()
 }
 
-// probe plans and runs the index phase for one window-length piece:
-// the id of every window within eps of the piece's SE-line is appended
-// to sc.ids (a superset is fine, the verifier is exact) and the probes
-// issued are counted into sc's tally.  All planning comes first, under
-// the "plan" span and PlanTime — every frozen segment fills its table
-// and engine.ChoosePath picks its path or honors force, then the delta
-// is priced — and the chosen probes run after it, under "probe" and
-// ProbeTime, each segment opening its own descent or scan span (an
-// untraced context skips the spans without allocating).  The returned
-// Explain has one SegmentPlan per probed segment; its Chosen and Plans
-// are the largest frozen segment's (the delta's while nothing is
-// frozen).
+// probe runs the index phase for one window-length piece: the id of
+// every window within eps of the piece's SE-line is appended to sc.ids
+// (a superset is fine, the verifier is exact) and the probes issued are
+// counted into sc's tally.  Every frozen segment is probed down its tree
+// and the delta by the tree path's leaf test swept over its windows
+// (deltaSeg.filter), unless force is PathScan, which emits every window
+// of every segment: the oracle the tree is checked against.  The
+// piece's SE-line and engine query are computed under the "plan" span
+// and PlanTime, the probes run under "probe" and ProbeTime, each
+// segment opening its own descent or scan span (an untraced context
+// skips the spans without allocating).  The returned Explain has one
+// SegmentPlan per probed segment.
 func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
-	line := seLineFor(m.fmap, piece)
-	planStart := time.Now()
-	_, planSpan := obs.StartSpan(ctx, "plan")
-	eq := buildEngineQuery(line, eps, m.slack, costs)
+	path := engine.PathRTree
+	if force == engine.PathScan {
+		path = engine.PathScan
+	}
 	ex := &engine.Explain{
-		Chosen:   engine.PathScan,
+		Chosen:   path,
 		Forced:   force != engine.PathAuto,
 		Pieces:   1,
 		Segments: make([]engine.SegmentPlan, 0, len(m.frozen)+1),
 	}
-	lead := -1 // window count of the segment that set ex.Chosen
-	choose := func(sp engine.SegmentPlan, t planTable, leads bool) error {
-		k, err := engine.ChoosePath(t[:], force)
-		if leads || err != nil {
-			ex.Plans = append(ex.Plans[:0], t[:]...)
-		}
-		if err != nil {
-			return err
-		}
-		sp.Chosen, sp.Cost = t[k].Path, t[k].Cost
-		if leads {
-			lead, ex.Chosen = sp.Windows, sp.Chosen
-		}
-		ex.Segments = append(ex.Segments, sp)
-		ex.EstCandidates += sp.Cost.Candidates
-		return nil
-	}
-	var err error
-	// sampled totals the candidates the frozen segments' samples predict
-	// for their index probes: the query's measured selectivity, carried
-	// over to the delta.
-	var sampled, frozenWindows float64
 	for i, sg := range m.frozen {
-		t := sg.plan(eq, sc)
-		if err = choose(engine.SegmentPlan{Seg: i, Kind: "frozen", Windows: sg.count}, t, sg.count > lead); err != nil {
-			break
-		}
-		sampled += t[0].Cost.Candidates
-		frozenWindows += float64(sg.count)
+		ex.Segments = append(ex.Segments, engine.SegmentPlan{Seg: i, Kind: "frozen", Windows: sg.count, Chosen: path})
 	}
-	if err == nil && m.delta.n > 0 {
-		// The delta has no directory, so its PathRTree is the tree path's
-		// leaf test swept over every window (deltaSeg.filter), priced at
-		// the frozen segments' selectivity (1 when there are none): never
-		// dearer than emitting every window, which only a forced scan does
-		// — Force: PathScan stays the scan oracle over all segments.
-		sel := 1.0
-		if frozenWindows > 0 {
-			sel = sampled / frozenWindows
-		}
-		est := sel * float64(m.delta.n)
-		err = choose(engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: m.delta.n}, planTable{
-			{Path: engine.PathRTree, Available: true, Cost: engine.Cost{Candidates: est, Units: est}},
-			{Path: engine.PathScan, Available: true, Cost: engine.EstimateScanCost(m.delta.n)},
-		}, lead < 0)
+	if m.delta.n > 0 {
+		ex.Segments = append(ex.Segments, engine.SegmentPlan{Seg: -1, Kind: "delta", Windows: m.delta.n, Chosen: path})
 	}
-	if err != nil {
-		spanEndWithError(planSpan, err)
-		return ex, fmt.Errorf("core: planning: %w", err)
-	}
-	planSpan.SetAttr("path", ex.Chosen.String())
-	planSpan.End()
+	_, planSpan := obs.StartSpan(ctx, "plan")
+	planStart := time.Now()
+	eq := buildEngineQuery(sc.seLine(m.fmap, piece), eps, m.slack, costs)
 	ex.PlanTime = time.Since(planStart)
+	planSpan.End()
 
 	probeStart := time.Now()
 	probeCtx, probeSpan := obs.StartSpan(ctx, "probe")
 	if probeSpan != nil {
-		probeSpan.SetAttr("path", ex.Chosen.String())
+		probeSpan.SetAttr("path", path.String())
 	}
 	idsBefore, nodesBefore := len(sc.ids), sc.tree.NodeAccesses
 	for i := range ex.Segments {
 		sp := &ex.Segments[i]
 		first := len(sc.ids)
+		var err error
 		switch {
 		case sp.Seg >= 0:
-			sg := m.frozen[sp.Seg]
-			err = sg.candidates(probeCtx, sp.Chosen, eq, m.opts.Strategy, sc)
-		case sp.Chosen == engine.PathScan:
+			err = m.frozen[sp.Seg].candidates(probeCtx, path, eq, m.opts.Strategy, sc)
+		case path == engine.PathScan:
 			sc.ids = m.delta.appendIDs(sc.ids)
 		default:
 			err = m.delta.filter(probeCtx, eq, sc)
 		}
 		if err != nil {
 			spanEndWithError(probeSpan, err)
-			return ex, fmt.Errorf("core: %s probe: %w", sp.Chosen, err)
+			return ex, fmt.Errorf("core: %s probe: %w", path, err)
 		}
 		sp.Candidates = len(sc.ids) - first
-		sc.paths[sp.Chosen]++
+		sc.paths[path]++
 	}
 	if probeSpan != nil {
 		probeSpan.SetInt("candidates", int64(len(sc.ids)-idsBefore))
@@ -323,7 +257,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 // so each stops at its first bound past the running kth best and a full
 // delta costs a sweep of its feature planes, not a refinement per window.
 func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, start int) bool) {
-	line := seLineFor(m.fmap, q)
+	line := sc.seLine(m.fmap, q)
 	for _, sg := range m.frozen {
 		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
 			seq, start := store.DecodeWindowID(id.Item.ID)

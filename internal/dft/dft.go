@@ -87,17 +87,52 @@ func (m *FeatureMap) Transform(x vec.Vector) vec.Vector {
 // TransformInto is Transform writing into dst, which must have length
 // Dim().  x must have length N().
 func (m *FeatureMap) TransformInto(dst, x vec.Vector) {
-	if len(x) != m.n {
-		panic(fmt.Sprintf("dft: input length %d, want %d", len(x), m.n))
-	}
-	if len(dst) != m.Dim() {
-		panic(fmt.Sprintf("dft: output length %d, want %d", len(dst), m.Dim()))
-	}
+	m.checkLengths(dst, x)
 	for r, row := range m.basis {
 		var s float64
 		for j, v := range x {
 			s += row[j] * v
 		}
 		dst[r] = s
+	}
+}
+
+// TransformSE writes the feature point of x's SE-transform into dst:
+// Transform(vec.SETransform(x)) bit for bit — each window value less
+// the mean, then each row summed in Transform's order — without the
+// intermediate vector, and with three rows summed side by side so their
+// additions overlap.  It maps a query to its SE-line's direction.
+func (m *FeatureMap) TransformSE(dst, x vec.Vector) {
+	m.checkLengths(dst, x)
+	mean := vec.Mean(x)
+	r := 0
+	for ; r+2 < len(m.basis); r += 3 {
+		a, b, c := m.basis[r][:len(x)], m.basis[r+1][:len(x)], m.basis[r+2][:len(x)]
+		var sa, sb, sc float64
+		for j, v := range x {
+			d := v - mean
+			sa += a[j] * d
+			sb += b[j] * d
+			sc += c[j] * d
+		}
+		dst[r], dst[r+1], dst[r+2] = sa, sb, sc
+	}
+	for ; r < len(m.basis); r++ {
+		a := m.basis[r][:len(x)]
+		var s float64
+		for j, v := range x {
+			s += a[j] * (v - mean)
+		}
+		dst[r] = s
+	}
+}
+
+// checkLengths panics unless x has length N() and dst length Dim().
+func (m *FeatureMap) checkLengths(dst, x vec.Vector) {
+	if len(x) != m.n {
+		panic(fmt.Sprintf("dft: input length %d, want %d", len(x), m.n))
+	}
+	if len(dst) != m.Dim() {
+		panic(fmt.Sprintf("dft: output length %d, want %d", len(dst), m.Dim()))
 	}
 }

@@ -176,6 +176,50 @@ func TestSELineMapsToLine(t *testing.T) {
 	}
 }
 
+// TestTransformSEBitIdentical pins TransformSE to the composition it
+// replaces, Transform(SETransform(x)), bit for bit — on DFT maps with an
+// even and Haar maps with an odd row count, and at magnitudes where a
+// reassociated sum would round differently — so no query's SE-line, and
+// with it no candidate set, moves.
+func TestTransformSEBitIdentical(t *testing.T) {
+	var maps []*FeatureMap
+	for _, fc := range []int{1, 3, 6} {
+		m, err := NewFeatureMap(64, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps = append(maps, m)
+	}
+	for _, dim := range []int{1, 5, 6} {
+		m, err := NewHaarMap(64, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps = append(maps, m)
+	}
+	r := rand.New(rand.NewSource(36))
+	for _, m := range maps {
+		got := make(vec.Vector, m.Dim())
+		for trial := 0; trial < 200; trial++ {
+			x := randVec(r, m.N())
+			scale := math.Pow(10, float64(r.Intn(61)-30))
+			for i := range x {
+				x[i] = x[i]*scale + float64(trial)*scale
+			}
+			want := m.Transform(vec.SETransform(x))
+			m.TransformSE(got, x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dim %d trial %d row %d: %v, the composition gives %v", m.Dim(), trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	m := maps[1]
+	assertPanics(t, "short input", func() { m.TransformSE(make(vec.Vector, 6), make(vec.Vector, 63)) })
+	assertPanics(t, "short output", func() { m.TransformSE(make(vec.Vector, 5), make(vec.Vector, 64)) })
+}
+
 func TestTransformIntoPanics(t *testing.T) {
 	m, err := NewFeatureMap(16, 3)
 	if err != nil {

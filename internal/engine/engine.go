@@ -1,22 +1,17 @@
-// Package engine is the query-engine layer between the public search
+// Package engine is the vocabulary shared between the public search
 // API and the physical access paths.  The paper's §6 R*-tree probe is
-// one of several ways to answer a range query Q ~ε S': the tree wins
-// when ε is small and the SE-line penetrates few directory MBRs, but a
-// sequential SE-plane scan wins on small stores or huge ε (where the
-// tree visits every node and then verifies every window anyway).
-//
-// The planner is two estimates and a choice: a segment of the index
-// (internal/core) fills one PathPlan row per path — its availability
-// and the cost the pure Estimate* functions predict from the segment's
-// structural hints — and ChoosePath picks the cheapest available row.
+// the one way a range query Q ~ε S' is answered: every frozen segment
+// of the index (internal/core) is probed down its tree, and the mutable
+// delta is filtered by the tree path's leaf test.  A sequential scan of
+// every window stays as a path a caller must force — the oracle the
+// tree is checked against and a diagnostic for the one regime where it
+// is faster, an ε at which nearly every window matches (DESIGN.md §8).
 // Candidate verification is NOT part of a path: every path feeds the
-// same exact post-processing check, which is what makes the choice
-// invisible in the result set (the bit-identical-results invariant,
-// DESIGN.md §8).
+// same exact post-processing check, which is what makes the path
+// invisible in the result set.
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -24,18 +19,11 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// ErrUnsupported tags a query that asks for an operation the current
-// index state or configuration cannot serve — a forced path that is
-// unavailable or not in the plan table, or no access path at all.  These
-// are the caller's problem, not the path's: serving layers use
-// errors.Is(err, ErrUnsupported) to map them to 4xx responses.
-var ErrUnsupported = errors.New("unsupported operation")
-
 // PathKind identifies an access path.
 type PathKind int
 
 const (
-	// PathAuto lets the planner choose the cheapest available path.
+	// PathAuto is the default: the tree probe, PathRTree.
 	PathAuto PathKind = iota
 	// PathRTree probes the R*-tree with per-window point entries
 	// (the paper's §6 index phase).
@@ -79,8 +67,7 @@ func ParsePathKind(s string) (PathKind, error) {
 // Query is the engine's view of one index-phase probe: the query's
 // SE-line image in feature space, the (slack-widened) index epsilon,
 // and the optional scale-segment restriction derived from the cost
-// bounds.  It carries no data pointers, so cost estimation is a pure
-// function of this struct and a segment's structural hints.
+// bounds.
 type Query struct {
 	// Line is the query's SE-line in feature space (through the origin).
 	Line vec.Line
@@ -93,46 +80,15 @@ type Query struct {
 	TMin, TMax float64
 }
 
-// Cost is a predicted probe cost in abstract units where 1 unit is one
-// window verification (the shared verifier's prefix-sum pass).
-type Cost struct {
-	// Candidates is the expected number of windows emitted.
-	Candidates float64
-	// NodeReads is the expected number of index pages touched.
-	NodeReads float64
-	// Units is the total cost: NodeReadCost·NodeReads + Candidates.
-	Units float64
-}
-
-// PathPlan is one row of a segment's plan table: what the planner knew
-// about one path.  Availability is structural — it depends on how the
-// segment stores its windows, never on the query — so a forced path
-// either always works or always errors.
-type PathPlan struct {
-	Path      PathKind
-	Available bool
-	// Reason explains unavailability (empty when available).
-	Reason string
-	// Cost is the estimate for an available path, zero otherwise.
-	Cost Cost
-}
-
-// Explain records one planned query: the decision, the per-path
-// estimates it was based on, and the actuals filled in by the
-// executor — the query engine's EXPLAIN ANALYZE.
+// Explain records one range query: the path it ran, one row per probed
+// segment, and the actuals filled in by the executor — the query
+// engine's EXPLAIN ANALYZE.
 type Explain struct {
 	// Chosen is the path that ran; Forced reports whether the caller
-	// forced it rather than letting the cost model decide.
+	// forced it rather than leaving it to the default.
 	Chosen PathKind
 	Forced bool
-	// Plans is the plan table — one row per path, in preference order —
-	// of the segment that set Chosen: the largest frozen one (an Index
-	// has exactly one).
-	Plans []PathPlan
-	// EstCandidates is the predicted candidate count of the chosen
-	// paths, summed over the probed segments; ActualCandidates is what
-	// the probe emitted.
-	EstCandidates    float64
+	// ActualCandidates is what the probes emitted, summed over pieces.
 	ActualCandidates int
 	// Matches counts verified results; NormCertified those of them
 	// counted from their window statistics without the window being
@@ -140,19 +96,19 @@ type Explain struct {
 	Matches       int
 	NormCertified int
 	// Pieces is 1 for a plain range query and the number of length-n
-	// pieces for a multipiece (long-query) search, where the recorded
-	// estimates are the first piece's and the actuals are totals.
+	// pieces for a multipiece (long-query) search, where Segments are
+	// the first piece's and the actuals are totals.
 	Pieces int
 	// PlanTime, ProbeTime, and VerifyTime are the per-stage wall-clock
-	// times of this query.
+	// times of this query.  PlanTime is the probe's preparation: the
+	// query's SE-line and its engine Query.
 	PlanTime, ProbeTime, VerifyTime time.Duration
 	// TraceID links this plan to the structured trace the query
 	// produced (empty when tracing was off or no trace was active).
 	TraceID string
 	// Segments holds one entry per probed segment: each frozen segment
-	// is planned independently and the mutable delta of a segmented
-	// (LSM-style) index is filtered by the leaf test.  An Index is one
-	// frozen segment.
+	// and the mutable delta of a segmented (LSM-style) index.  An Index
+	// is one frozen segment.
 	Segments []SegmentPlan
 }
 
@@ -168,39 +124,23 @@ type SegmentPlan struct {
 	Windows int
 	// Chosen is the access path that probed the segment.  The delta has
 	// no directory: PathRTree there is the tree path's leaf test swept
-	// over every window, PathScan (forced only) emits them all.
+	// over every window, PathScan emits them all.
 	Chosen PathKind
-	// Cost is the estimate the per-segment choice was based on; the
-	// delta's is priced from the selectivity the frozen segments'
-	// samples measured for the query.
-	Cost Cost
 	// Candidates is what the segment's probe actually emitted.
 	Candidates int
 }
 
 // WriteText renders the plan in ssquery -explain form.
 func (e *Explain) WriteText(w io.Writer) error {
-	mode := "cost-based"
+	mode := "auto"
 	if e.Forced {
 		mode = "forced"
 	}
 	if _, err := fmt.Fprintf(w, "plan: path=%s (%s)\n", e.Chosen, mode); err != nil {
 		return err
 	}
-	for _, p := range e.Plans {
-		if !p.Available {
-			if _, err := fmt.Fprintf(w, "  %-5s unavailable: %s\n", p.Path, p.Reason); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "  %-5s est-cost=%.4g (candidates %.4g, node reads %.4g)\n",
-			p.Path, p.Cost.Units, p.Cost.Candidates, p.Cost.NodeReads); err != nil {
-			return err
-		}
-	}
 	if e.Pieces > 1 {
-		if _, err := fmt.Fprintf(w, "  pieces: %d (multipiece long query; per-piece estimates above)\n", e.Pieces); err != nil {
+		if _, err := fmt.Fprintf(w, "  pieces: %d (multipiece long query; segment rows are the first piece's)\n", e.Pieces); err != nil {
 			return err
 		}
 	}
@@ -209,8 +149,8 @@ func (e *Explain) WriteText(w io.Writer) error {
 		if sp.Seg < 0 {
 			label = "delta"
 		}
-		if _, err := fmt.Fprintf(w, "  %-6s %-6s windows=%d path=%s est-cost=%.4g candidates=%d\n",
-			label, sp.Kind, sp.Windows, sp.Chosen, sp.Cost.Units, sp.Candidates); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-6s %-6s windows=%d path=%s candidates=%d\n",
+			label, sp.Kind, sp.Windows, sp.Chosen, sp.Candidates); err != nil {
 			return err
 		}
 	}
@@ -218,8 +158,7 @@ func (e *Explain) WriteText(w io.Writer) error {
 	if e.NormCertified > 0 {
 		norm = fmt.Sprintf(" (%d norm-certified)", e.NormCertified)
 	}
-	if _, err := fmt.Fprintf(w, "  candidates: %d actual vs %.4g estimated; %d matched%s\n",
-		e.ActualCandidates, e.EstCandidates, e.Matches, norm); err != nil {
+	if _, err := fmt.Fprintf(w, "  candidates: %d; %d matched%s\n", e.ActualCandidates, e.Matches, norm); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "  stages: plan=%v probe=%v verify=%v\n",

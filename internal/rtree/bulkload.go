@@ -47,9 +47,8 @@ const radixCutoff = 1 << 10
 // must be thin where equal-count slabs would put one tiny-norm point
 // into every leaf of the first slab.  The direction keys are cut into
 // ⌈√groups⌉ slabs each, and the levels above tile the same way on the
-// centres of their entries' ranges and boxes.  A side effect the
-// planner's later steps rest on: the windows nearest the origin are a
-// prefix of leaf order.
+// centres of their entries' ranges and boxes.  A side effect: the
+// windows nearest the origin are a prefix of leaf order.
 //
 // Nothing is built per point: the polar keys are a norm and a signed
 // reciprocal per point (polarColumns), a direction coordinate is one
@@ -540,7 +539,7 @@ func radixSortKeys(a, b []uint64) {
 // as rows of stored coordinates, a directory node's entries as the norm
 // ranges and direction boxes extents computed — in one buffer in arena
 // layout.  On a little-endian host that buffer is the arena verbatim.
-// The planner sample keeps the exact points.
+// The feature sample keeps the exact points.
 func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64, levels []bulkLevel) *FlatTree {
 	n, dim := len(ids), cfg.Dim
 	numNodes, numEntries := 0, n

@@ -63,7 +63,7 @@ type FlatTree struct {
 	planes []float32 // per node: SoA MBR planes, in arena units
 
 	bounds geom.Rect    // root MBR as stored, in caller units; valid when size > 0
-	sample []vec.Vector // planner sample (see CostHints)
+	sample []vec.Vector // feature sample (see sampleCap)
 	arena  []byte       // backing arena when loaded zero-copy, else nil
 	pool   sync.Pool    // *flatScratch, per-search reusable buffers
 
@@ -166,8 +166,8 @@ func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
 // identifier in a leaf or the child node above one — and the nodes are
 // laid out pre-order from root, entries in the order open lists them.
 // Every value is rounded on its own (see FlatTree); nothing of the
-// caller's is retained but the sample vectors, the planner's statistic
-// (CostHints), which neither side mutates.
+// caller's is retained but the sample vectors (the feature sample, see
+// sampleCap), which neither side mutates.
 func FlatFromNodes[N any](cfg Config, root N, sample []vec.Vector, open func(n N) (level, pages int, rects []geom.Rect, ids []int64, children []N)) (*FlatTree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -261,30 +261,6 @@ func (f *FlatTree) Bounds() (geom.Rect, bool) {
 		return geom.Rect{}, false
 	}
 	return geom.Rect{L: f.bounds.L.Clone(), H: f.bounds.H.Clone()}, true
-}
-
-// CostHints returns the planner's view of the tree.
-func (f *FlatTree) CostHints() CostHints {
-	h := CostHints{
-		Entries: f.size,
-		Nodes:   f.pages,
-		Height:  f.height,
-		Dim:     f.cfg.Dim,
-		Sample:  f.sample,
-	}
-	if f.size == 0 {
-		return h
-	}
-	var diagSq float64
-	volume := 1.0
-	for i := range f.bounds.L {
-		side := f.bounds.H[i] - f.bounds.L[i]
-		diagSq += side * side
-		volume *= side
-	}
-	h.Diameter = math.Sqrt(diagSq)
-	h.Volume = volume
-	return h
 }
 
 // nodeLevel returns the level of node i (0 = leaf).
@@ -625,7 +601,7 @@ const (
 )
 
 // arenaHead returns the words of the arena that precede the arrays: the
-// 15-word header, the root bounds, and the planner sample behind its
+// 15-word header, the root bounds, and the feature sample behind its
 // count.
 func (f *FlatTree) arenaHead() []uint64 {
 	d := f.cfg.Dim
@@ -664,7 +640,7 @@ const arenaChunk = 1 << 13
 
 // WriteArena writes the little-endian arena encoding of f to w.  The
 // layout is a 15-word header (the last word the plane exponent), the
-// root bounds, the planner sample, the meta/starts/poff/refs arrays of
+// root bounds, the feature sample, the meta/starts/poff/refs arrays of
 // 8-byte words verbatim, then the planes as 4-byte float32s, zero-padded
 // to a whole word: the blob is a multiple of 8 bytes long, and one
 // starting at an 8-byte-aligned offset has every array aligned for

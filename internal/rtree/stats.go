@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"scaleshift/internal/vec"
 )
 
 // LevelStats summarizes the geometry of one tree level — the numbers
@@ -53,28 +51,7 @@ func writeLevelStats(w io.Writer, stats []LevelStats) error {
 	return err
 }
 
-// CostHints summarizes the tree's structure for selectivity and cost
-// estimation by a query planner: the leaf-entry count, the page count,
-// the height, the root MBR's diagonal length and volume, and a small
-// feature sample.  All fields are O(1) reads of maintained state, so a
-// planner can call this on every query.
-type CostHints struct {
-	// Entries counts leaf entries, one feature point each.
-	Entries int
-	// Nodes counts index pages; Height counts levels.
-	Nodes, Height int
-	// Dim is the indexed dimensionality.
-	Dim int
-	// Diameter is the Euclidean length of the root MBR's diagonal and
-	// Volume its d-dimensional volume; both are 0 for an empty tree.
-	Diameter, Volume float64
-	// Sample is a deterministic stratified sample of the stored feature
-	// points, for distribution-aware selectivity estimation — the
-	// MBR-volume model alone wildly underestimates selectivity on
-	// concentrated data.  The slice is shared with the tree: read-only.
-	Sample []vec.Vector
-}
-
-// sampleCap bounds the planner's feature sample: a bulk load keeps every
-// (1 + n/sampleCap)-th point in leaf order.
+// sampleCap bounds the arena's feature sample, a deterministic
+// stratified sample of the stored feature points: a bulk load keeps
+// every (1 + n/sampleCap)-th point in leaf order.
 const sampleCap = 256

@@ -82,8 +82,8 @@ type (
 	SearchStats = core.SearchStats
 	// PathKind identifies a query-engine access path (or PathAuto).
 	PathKind = engine.PathKind
-	// Explain records one planned query: the chosen access path, the
-	// per-path cost estimates, and the per-stage actuals.
+	// Explain records one range query: the access path, the candidates
+	// each segment emitted, and the per-stage actuals.
 	Explain = engine.Explain
 	// ReductionKind selects the dimension-reduction basis.
 	ReductionKind = core.ReductionKind
@@ -109,10 +109,10 @@ const (
 	BoundingSpheres = geom.BoundingSpheres
 )
 
-// Query-engine access paths: set Query.Force to one of these to force
-// a physical plan, or leave it PathAuto (the zero value) to let the
-// cost-based planner choose.  Results are bit-identical whichever path
-// runs.
+// Query-engine access paths: leave Query.Force PathAuto (the zero
+// value) to probe the tree, or force PathScan to run the sequential
+// scan, the oracle the tree is checked against.  Results are
+// bit-identical whichever path runs.
 const (
 	PathAuto  = engine.PathAuto
 	PathRTree = engine.PathRTree
