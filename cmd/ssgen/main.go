@@ -128,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 // The features are bit-identical to a from-scratch build — append-time
 // extraction replays the same sliding-DFT schedule — so loading the
 // artifact gives the same answers as building over the full store.
-func buildSegmented(st *store.Store, opts core.Options, count int) (*core.SegmentedIndex, error) {
+func buildSegmented(st *store.Store, opts core.Options, count int) (*core.Index, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("segment count %d < 1", count)
 	}

@@ -36,7 +36,7 @@ func startAppendServer(t *testing.T, walPath, ckptBase string) (*server, *ingest
 	obs.Enable()
 	t.Cleanup(obs.Disable)
 
-	var seg *core.SegmentedIndex
+	var seg *core.Index
 	var normScale float64
 	var recovered *ckpt.Result
 	res, _, err := ckpt.Recover(ckptBase)
@@ -48,11 +48,7 @@ func startAppendServer(t *testing.T, walPath, ckptBase string) (*server, *ingest
 			t.Fatal(err)
 		}
 	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		ix, ns := newTestIndex(t)
-		if seg, err = core.NewSegmentedFromIndex(ix); err != nil {
-			t.Fatal(err)
-		}
-		normScale = ns
+		seg, normScale = newTestIndex(t)
 	default:
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func appendRamp(t *testing.T, s *server, seq, base, nvals int) {
 // 0) and returns the matches sorted by position, so results compare
 // structurally even when the frozen/delta split differs between the
 // live oracle and a recovered index.
-func segSearch(t *testing.T, seg *core.SegmentedIndex) []core.Match {
+func segSearch(t *testing.T, seg *core.Index) []core.Match {
 	t.Helper()
 	n := seg.Options().WindowLen
 	q := make([]float64, n)

@@ -77,7 +77,7 @@ func buildCoordCluster(t *testing.T, shards int) *coordTestCluster {
 	}
 	tc := &coordTestCluster{man: man, single: buildServer(st)}
 	pin := tc.single.snap.Acquire()
-	tc.union = pin.Value().ix.(*core.Index)
+	tc.union = pin.Value().ix
 	pin.Release()
 	norm, err := query.SENormScale(st, opts.WindowLen, 100, 3)
 	if err != nil {

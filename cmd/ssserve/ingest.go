@@ -11,30 +11,8 @@ import (
 
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
-	"scaleshift/internal/store"
-	"scaleshift/internal/vec"
 	"scaleshift/internal/wal"
 )
-
-// queryIndex is the read surface a snapshot serves queries through.
-// Both *core.Index (static artifacts) and *core.SegmentedIndex (live
-// ingest) satisfy it; the handlers never care which one is behind a
-// snapshot.  QueryWindow and StoreShape exist instead of raw
-// Store() reads so that under concurrent appends the serving path
-// only ever reads through a published manifest snapshot.
-type queryIndex interface {
-	Options() core.Options
-	WindowCount() int
-	IndexPageCount() int
-	IndexByteCount() int
-	TreeHeight() int
-	Close() error
-	QueryWindow(seq, start, n int, dst vec.Vector) error
-	StoreShape() (seqs, values, pages int)
-	Store() *store.Store
-	Exec(ctx context.Context, q core.Query, stats *core.SearchStats) (core.Result, error)
-	ExecBatch(ctx context.Context, queries []core.Query, parallelism int, stats *core.SearchStats) ([]core.Result, []core.BatchStatus, error)
-}
 
 // maxAppendValues bounds one append request; larger loads belong in
 // ssgen.  (The 1 MiB body cap binds first for JSON floats anyway.)
@@ -47,7 +25,7 @@ const maxAppendValues = 65536
 // matches the store order.
 type ingestState struct {
 	mu    sync.Mutex
-	seg   *core.SegmentedIndex
+	seg   *core.Index
 	log   *wal.Log // nil: durability delegated to the caller (tests)
 	names map[string]int
 }
@@ -58,7 +36,7 @@ type ingestState struct {
 // at or below it are already contained in the checkpoint and are
 // skipped, which is what keeps recovery cost proportional to the WAL
 // tail instead of the full ingest history (pass 0 to replay all).
-func newIngestState(seg *core.SegmentedIndex, log *wal.Log, recs []wal.Record, ckptOffset int64) (*ingestState, error) {
+func newIngestState(seg *core.Index, log *wal.Log, recs []wal.Record, ckptOffset int64) (*ingestState, error) {
 	st := seg.Store()
 	in := &ingestState{seg: seg, log: log, names: make(map[string]int, st.NumSequences())}
 	for seq := 0; seq < st.NumSequences(); seq++ {
@@ -77,7 +55,7 @@ func newIngestState(seg *core.SegmentedIndex, log *wal.Log, recs []wal.Record, c
 				}
 				continue
 			}
-			seq, err := in.seg.AppendSequence(rec.Name, rec.Values)
+			seq, err := in.seg.AppendAndIndex(rec.Name, rec.Values)
 			if err != nil {
 				return nil, fmt.Errorf("wal replay, record %d: %w", i, err)
 			}
@@ -213,7 +191,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	_, applySpan := obs.StartSpan(ctx, "apply")
 	if created {
-		newSeq, err := in.seg.AppendSequence(req.Name, req.Values)
+		newSeq, err := in.seg.AppendAndIndex(req.Name, req.Values)
 		if err != nil {
 			applySpan.End()
 			fail(http.StatusInternalServerError, err)
@@ -254,7 +232,7 @@ func (s *server) fillAppendDraft(ctx context.Context, root *obs.Span, describe s
 // index reads the live segmented index under the ingest lock: the
 // append-mode reload barrier swaps in.seg, so unlocked reads of the
 // pointer would race with it.
-func (in *ingestState) index() *core.SegmentedIndex {
+func (in *ingestState) index() *core.Index {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.seg

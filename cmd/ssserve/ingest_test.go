@@ -22,15 +22,11 @@ import (
 // newIngestTestServer builds a server over a live segmented index with
 // append enabled.  The compactor is not started: tests drive Compact
 // explicitly so there is no background goroutine to race or leak.
-func newIngestTestServer(t *testing.T, log *wal.Log, recs []wal.Record) (*server, *core.SegmentedIndex) {
+func newIngestTestServer(t *testing.T, log *wal.Log, recs []wal.Record) (*server, *core.Index) {
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	ix, normScale := newTestIndex(t)
-	seg, err := core.NewSegmentedFromIndex(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg, normScale := newTestIndex(t)
 	in, err := newIngestState(seg, log, recs, 0)
 	if err != nil {
 		t.Fatal(err)

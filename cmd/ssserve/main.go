@@ -202,7 +202,7 @@ func run(args []string) error {
 
 	var (
 		st      *store.Store
-		serving queryIndex
+		serving *core.Index
 		how     string
 		ingest  *ingestState
 		ckptr   *checkpointer
@@ -238,7 +238,7 @@ func run(args []string) error {
 		// its offset.  Every rejected artifact on the way is logged loudly
 		// — falling back is designed behavior, doing so silently is not.
 		recoveryStart := time.Now()
-		var seg *core.SegmentedIndex
+		var seg *core.Index
 		var recovered *ckpt.Result
 		if *ckptPath != "" {
 			res, warns, err := ckpt.Recover(*ckptPath)
@@ -273,14 +273,9 @@ func run(args []string) error {
 			}
 		}
 		if seg == nil {
-			var ix *core.Index
 			var err error
-			st, ix, how, err = loadSeed()
-			if err != nil {
+			if st, seg, how, err = loadSeed(); err != nil {
 				return err
-			}
-			if seg, err = core.NewSegmentedFromIndex(ix); err != nil {
-				return fmt.Errorf("-append: %w", err)
 			}
 		}
 		var log *wal.Log

@@ -18,7 +18,7 @@ import (
 // reload swaps all three at once while in-flight queries finish on the
 // generation they started with.
 type snapshot struct {
-	ix        queryIndex
+	ix        *core.Index
 	normScale float64
 	how       string    // provenance, for logs and /readyz
 	loadedAt  time.Time // when this generation was published
@@ -51,9 +51,8 @@ type reloader struct {
 	cfg reloadConfig
 	// fileOpen selects the zero-copy index path: when the artifact
 	// source is the real filesystem (no injected Open), the index is
-	// memory-mapped and fully verified before the swap, making reload
-	// cost O(store) + O(1) in the index size instead of re-parsing the
-	// whole tree.
+	// memory-mapped and fully verified before the swap, and served in
+	// place instead of copied onto the heap.
 	fileOpen bool
 }
 
@@ -92,18 +91,11 @@ func (rl *reloader) load() (*snapshot, error) {
 	var how string
 	if cfg.IndexPath != "" {
 		if rl.fileOpen {
-			// Zero-copy: map the artifact and run the deferred integrity
-			// check (every CRC + arena validation) here, off the serving
-			// path — the swap only publishes verified bytes, and the old
-			// snapshot keeps serving while we check.
-			ix, err = core.LoadIndexFile(cfg.IndexPath, st)
-			if err == nil {
-				if verr := ix.VerifyArtifact(); verr != nil {
-					ix.Close()
-					err = verr
-				}
-			}
-			if err != nil {
+			// Zero-copy: map the artifact, every CRC and the arena
+			// validation checked here, off the serving path — the swap
+			// only publishes verified bytes, and the old snapshot keeps
+			// serving while we check.
+			if ix, err = core.LoadIndexFile(cfg.IndexPath, st); err != nil {
 				return nil, fmt.Errorf("index artifact %s rejected: %w", cfg.IndexPath, err)
 			}
 		} else {

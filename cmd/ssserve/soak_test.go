@@ -660,13 +660,9 @@ func soakSpecParams(i int) (seq, start int, epsFrac float64) {
 // background compactor churns constantly), a WAL on disk (so every ack
 // pays the real fsync), and a compaction hook that fails every fourth
 // run to prove a failed compaction never disturbs serving.
-func newIngestSoakServer(t *testing.T) (*server, *core.SegmentedIndex, *atomic.Int64) {
+func newIngestSoakServer(t *testing.T) (*server, *core.Index, *atomic.Int64) {
 	t.Helper()
-	ix, normScale := newTestIndex(t)
-	seg, err := core.NewSegmentedFromIndex(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg, normScale := newTestIndex(t)
 	seg.CompactThreshold = 64
 	seg.MaxFrozen = 3
 	hookFaults := &atomic.Int64{}

@@ -1,8 +1,8 @@
-// Package binio is the shared binary-artifact framing of the format-v2
-// index (SSIDX) and store (SSTOR) files: a 6-byte magic (5 identifying
-// bytes plus a version byte), a fixed number of length-prefixed
-// sections each protected by a CRC32C (Castagnoli) of its payload, and
-// a whole-file CRC32C trailer.
+// Package binio is the shared binary-artifact framing of the index
+// (SSSEG; SSIDX is read), checkpoint and store files: a 6-byte magic
+// (5 identifying bytes plus a version byte), length-prefixed sections
+// each protected by a CRC32C (Castagnoli) of its payload, and a
+// whole-file CRC32C trailer.
 //
 // The framing exists so that a half-written, truncated, or bit-flipped
 // artifact is always DETECTED at load — never silently served.  The

@@ -86,9 +86,9 @@ func (br *ByteReader) Section(limit uint64) ([]byte, error) {
 }
 
 // SectionLazy reads one length-prefixed payload WITHOUT verifying its
-// checksum, returning it as a subslice of the input.  This is the O(1)
-// open path for large sections; callers must verify the artifact out
-// of band (CheckFrame) before trusting the bytes.
+// checksum, returning it as a subslice of the input: how a reader skips
+// a large section it does not use.  Callers must verify the bytes out
+// of band before trusting them.
 func (br *ByteReader) SectionLazy(limit uint64) ([]byte, error) {
 	lb, err := br.take(8)
 	if err != nil {
@@ -123,23 +123,4 @@ func (br *ByteReader) Trailer() error {
 		return fmt.Errorf("trailer: %w (file crc %08x, want %08x)", ErrChecksum, sum, want)
 	}
 	return nil
-}
-
-// CheckFrame verifies the complete framing of an in-memory artifact:
-// every section CRC and the whole-file trailer, for an artifact of
-// magicLen magic bytes and numSections sections.  This is the
-// full-integrity check the zero-copy open path defers — run it off the
-// serving path before (or concurrently with publishing) a
-// lazily-opened artifact.
-func CheckFrame(data []byte, magicLen, numSections int) error {
-	br := NewByteReader(data)
-	if _, err := br.take(magicLen); err != nil {
-		return fmt.Errorf("magic: %w", err)
-	}
-	for i := 0; i < numSections; i++ {
-		if _, err := br.Section(uint64(len(data))); err != nil {
-			return fmt.Errorf("section %d: %w", i, err)
-		}
-	}
-	return br.Trailer()
 }

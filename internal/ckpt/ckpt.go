@@ -600,7 +600,7 @@ func (w Warning) String() string {
 type Result struct {
 	Meta  Meta
 	Store *store.Store
-	Seg   *core.SegmentedIndex
+	Seg   *core.Index
 	// Source is the artifact path the recovery loaded (the current
 	// checkpoint, or the .prev fallback).
 	Source string

@@ -17,7 +17,7 @@ import (
 // buildSeg makes a small compacted segmented index: three sequences of
 // deterministic values, grown past the initial build so the frozen side
 // holds more than one generation of history.
-func buildSeg(t testing.TB) (*store.Store, *core.SegmentedIndex) {
+func buildSeg(t testing.TB) (*store.Store, *core.Index) {
 	t.Helper()
 	st := store.New()
 	for s := 0; s < 3; s++ {
@@ -51,7 +51,7 @@ func buildSeg(t testing.TB) (*store.Store, *core.SegmentedIndex) {
 }
 
 // checkpointOf serializes seg into one artifact file at path.
-func checkpointOf(t *testing.T, path string, meta Meta, seg *core.SegmentedIndex) {
+func checkpointOf(t *testing.T, path string, meta Meta, seg *core.Index) {
 	t.Helper()
 	write, release, err := seg.SegmentWriter()
 	if err != nil {
@@ -64,7 +64,7 @@ func checkpointOf(t *testing.T, path string, meta Meta, seg *core.SegmentedIndex
 }
 
 // searchAnswer runs one deterministic query against an index.
-func searchAnswer(t *testing.T, seg *core.SegmentedIndex) []core.Match {
+func searchAnswer(t *testing.T, seg *core.Index) []core.Match {
 	t.Helper()
 	n := seg.Options().WindowLen
 	q := make([]float64, n)

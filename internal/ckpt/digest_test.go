@@ -155,7 +155,7 @@ func TestPreChangeCheckpoint(t *testing.T) {
 			}
 		}
 	}
-	checkpoint := func(g *core.SegmentedIndex) []byte {
+	checkpoint := func(g *core.Index) []byte {
 		write, release, err := g.SegmentWriter()
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 )
 
 // save takes a v2 checkpoint of seg at base.
-func save(t *testing.T, base string, meta Meta, seg *core.SegmentedIndex) Stats {
+func save(t *testing.T, base string, meta Meta, seg *core.Index) Stats {
 	t.Helper()
 	segs, err := seg.PinSegments()
 	if err != nil {
@@ -35,7 +35,7 @@ func save(t *testing.T, base string, meta Meta, seg *core.SegmentedIndex) Stats 
 
 // grow appends to every sequence of seg and compacts, so the next
 // checkpoint has a new segment to write.
-func grow(t *testing.T, seg *core.SegmentedIndex, k int) {
+func grow(t *testing.T, seg *core.Index, k int) {
 	t.Helper()
 	for s := 0; s < seg.Store().NumSequences(); s++ {
 		vals := make([]float64, 6)
@@ -95,7 +95,7 @@ func manifestNames(t *testing.T, base string) []string {
 	return names
 }
 
-func requireSameAnswer(t *testing.T, want, got *core.SegmentedIndex, what string) {
+func requireSameAnswer(t *testing.T, want, got *core.Index, what string) {
 	t.Helper()
 	if got.WindowCount() != want.WindowCount() {
 		t.Fatalf("%s: %d windows, want %d", what, got.WindowCount(), want.WindowCount())

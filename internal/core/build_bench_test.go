@@ -176,7 +176,7 @@ func buildCost(t *testing.T, st *store.Store) (allocs, bytes, arena uint64) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, uint64(ix.flat.ArenaSize())
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, uint64(ix.IndexByteCount())
 }
 
 // TestBuildBulkAllocCeiling pins the point of the arena-native loader:

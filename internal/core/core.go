@@ -44,6 +44,7 @@ import (
 	"scaleshift/internal/dft"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/geom"
+	"scaleshift/internal/resilience"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -183,10 +184,10 @@ type SearchStats struct {
 	PlanTime, ProbeTime, VerifyTime time.Duration
 	// PathProbes counts index-phase probes served by each access path,
 	// indexed by engine.PathKind (PathRTree and PathScan; the PathAuto
-	// slot stays zero): one per piece per probed segment — an
-	// Index is one segment, so one per range query and one per piece of
-	// a multipiece long query; a segmented index adds one per further
-	// frozen segment and one for a non-empty delta.
+	// slot stays zero): one per piece per probed segment — one per
+	// frozen segment and one for a non-empty delta, so a built index
+	// counts one per range query and one per piece of a multipiece long
+	// query.
 	PathProbes [engine.NumPathKinds]int
 	// TraceID references the obs trace recorded for this query, when
 	// the search ran under a traced context (obs.Tracer.StartTrace);
@@ -266,35 +267,90 @@ func (s SearchStats) CheckInvariants() error {
 	return nil
 }
 
-// Index is the scale/shift-invariant subsequence index of §6: one
-// frozen arena over the windows indexed when it was last built, and a
-// delta holding what the mutators (IndexSequence, AppendAndIndex,
-// ExtendAndIndex) have added since — searched together, so a mutation
-// is visible to the next Exec — until Freeze folds the delta into a new
-// arena.  Mutating methods must not run concurrently with searches.
+// Index is the scale/shift-invariant subsequence index of §6, and the
+// one index type: an ordered set of immutable frozen segments — each a
+// bulk-loaded flat R*-tree over a contiguous per-sequence window range
+// (segment.go) — plus a mutable delta of the windows added since the
+// last fold (delta.go), read through a manifest that is published
+// through an RCU cell.  A build installs one frozen segment over the
+// whole store.  The mutators (IndexSequence, AppendAndIndex,
+// ExtendAndIndex, AppendValues) extract the windows the store gained
+// into the delta and publish a new manifest, so the next Exec finds
+// them; queries pin a manifest and never block on a mutation.  Compact
+// folds the delta into a new frozen segment, merging older ones by the
+// size-tiered policy, and Freeze merges every segment and the delta
+// into one — the segment a Build over the same windows makes.  The
+// background compactor runs Compact whenever the delta crosses
+// CompactThreshold; it does not run until StartCompactor is called.
+//
+// Results are bit-identical to a sequential scan, whatever the segment
+// layout: extraction follows one checkpoint discipline, every segment
+// feeds the same exact verifier, and the verifier reads through the
+// manifest's pinned store snapshot.
+//
+// Queries may run from any number of goroutines, concurrently with the
+// mutators, which serialize against each other internally.
 type Index struct {
-	// writer is the mutable side: the store, the delta, the extraction
-	// state that continues each sequence (writer.go).
+	// writer is the delta, the extraction state behind it and the store
+	// they follow, guarded by mu.
 	writer
-	// flat is the arena, and indexed how many windows of each sequence it
-	// covers: the first indexed[seq] of them.  The delta continues every
-	// sequence from there to writer.next.
-	flat    *rtree.FlatTree
-	indexed []int
-	// man is what every query and shape accessor reads: the arena as the
-	// one frozen segment of a manifest, the delta as of the last
-	// mutation, over the live store.  It is immutable; install and
-	// republish replace it.
-	man *manifest
-	// mapping backs flat when the index was opened zero-copy from a
-	// file (LoadIndexFile); the arena's arrays alias it, so it must
-	// outlive the last search.  artifact is the whole mapped frame,
-	// kept for the deferred VerifyArtifact pass.
-	mapping  *binio.Mapping
-	artifact []byte
+	// mappings are the artifact files frozen segments were opened from
+	// (LoadIndexFile, SegmentList.Open), held until Close: a merged-away
+	// segment may still be pinned by a query.
+	mappings []*binio.Mapping
+
+	// CompactThreshold is the delta size at which the background
+	// compactor is kicked (default 4096).
+	//
+	// MergeRatio drives size-tiered retention: when the delta folds,
+	// adjacent frozen segments are absorbed into the new segment from
+	// the newest backward while each is at most MergeRatio times the
+	// windows already in the merge run (default 2 — the binary-counter
+	// schedule, whose total rewrite work is amortized O(log N) per
+	// window).  Zero disables tiering (segments only merge through the
+	// MaxFrozen backstop; ssgen uses this to keep explicit chunks).
+	//
+	// MaxFrozen is the backstop bound on the frozen segment count: a
+	// compaction that would exceed it merges everything into one
+	// segment (default 8; zero means unbounded).
+	//
+	// Set all three before StartCompactor.
+	CompactThreshold int
+	MergeRatio       float64
+	MaxFrozen        int
+
+	cell *resilience.Cell[*manifest]
+
+	// mu guards the writer-side state below; compactMu serializes
+	// compactions and builds, so a compaction's slow phase runs outside
+	// mu.
+	mu        sync.Mutex
+	compactMu sync.Mutex
+
+	frozen []*frozenSeg
+	gen    int64
 	// stages is where the last bulk build's time went (see BuildStages).
 	stages BuildStages
+
+	// compactHook, when set (tests), runs between a compaction's
+	// decide and build phases; a non-nil error aborts the compaction.
+	compactHook func() error
+
+	compactions int
+	pauses      []time.Duration
+	lastErr     error
+
+	compactorOn bool
+	kick        chan struct{}
+	done        chan struct{}
+	closeOnce   sync.Once
+	closeErr    error
+	wg          sync.WaitGroup
 }
+
+// SegmentedIndex is Index.  The name is kept for the callers that
+// still use it.
+type SegmentedIndex = Index
 
 // BuildStages is where a bulk build's time went: extracting the feature
 // points into columns, tiling them (polar keys, sorts, directory
@@ -304,19 +360,33 @@ type BuildStages struct {
 	Extract, Tile, Emit time.Duration
 }
 
-// BuildStages returns the stage split of the bulk build that produced
-// the index's arena.
-func (ix *Index) BuildStages() BuildStages { return ix.stages }
+// BuildStages returns the stage split of the last Build.
+func (ix *Index) BuildStages() BuildStages {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.stages
+}
 
 // DirectoryBox is the value of Index.Directory for every arena this
 // package builds or opens.
 const DirectoryBox = rtree.DirectoryBox
 
-// Directory names the shape of the arena's directory: DirectoryBox (norm
-// ranges and unit-direction boxes, pruned by the cone test) for every
-// arena this package builds or opens — flatFromSection refuses any other
-// — and whatever a caller's loader writes for one built by BuildWith.
-func (ix *Index) Directory() string { return ix.flat.Directory() }
+// Directory names the shape of the frozen segments' directories:
+// DirectoryBox (norm ranges and unit-direction boxes, pruned by the
+// cone test) for every arena this package builds or opens —
+// flatFromSection refuses any other — and whatever a caller's loader
+// writes for one built by BuildWith, until a fold replaces it.
+func (ix *Index) Directory() string {
+	d := DirectoryBox
+	ix.published(func(m *manifest) {
+		for _, sg := range m.frozen {
+			if sd := sg.flat.Directory(); sd != DirectoryBox {
+				d = sd
+			}
+		}
+	})
+	return d
+}
 
 // NewIndex creates an empty index over st.  Sequences already in st
 // are not indexed until Build (or IndexSequence) is called.
@@ -339,8 +409,7 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	}
 	cfg := opts.Tree
 	cfg.Dim = fmap.Dim()
-	flat, err := rtree.BulkLoadFlat(cfg, nil, nil, 1) // the empty arena
-	if err != nil {
+	if _, err := rtree.BulkLoadFlat(cfg, nil, nil, 1); err != nil { // validates cfg
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	switch opts.Strategy {
@@ -348,37 +417,48 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown penetration strategy %d", int(opts.Strategy))
 	}
-	ix := &Index{writer: newWriter(st, opts, fmap)}
-	ix.install(flat, nil)
+	ix := &Index{
+		writer:           newWriter(st, opts, fmap),
+		CompactThreshold: 4096,
+		MergeRatio:       2,
+		MaxFrozen:        8,
+		kick:             make(chan struct{}, 1),
+		done:             make(chan struct{}),
+	}
+	ix.cell = resilience.NewCell(ix.manifestLocked())
 	return ix, nil
 }
 
-// install makes flat, covering the first indexed[seq] windows of every
-// sequence, the index's arena, with nothing pending: the delta is
-// emptied, extraction continues from the arena's coverage, and the
-// manifest is the arena as its one frozen segment.
-func (ix *Index) install(flat *rtree.FlatTree, indexed []int) {
-	ix.flat, ix.indexed = flat, indexed
-	ix.delta = deltaSeg{dim: ix.fmap.Dim()}
-	clear(ix.sliders)
-	ix.next = slices.Clone(indexed)
-	bounds, _ := flat.Bounds() // the zero Rect, hence no slack, while empty
-	ix.maxAbs = maxAbsRect(bounds)
-	seg := &frozenSeg{flat: flat, ranges: prefixRanges(indexed)}
-	for _, r := range seg.ranges {
-		seg.count += r.Hi
+// NewSegmentedIndex is NewIndex followed by BuildBulkParallel on every
+// CPU: the store's current contents become the initial frozen segment,
+// and later AppendValues/AppendAndIndex calls grow the delta.
+func NewSegmentedIndex(st *store.Store, opts Options) (*Index, error) {
+	ix, err := NewIndex(st, opts)
+	if err == nil {
+		err = ix.BuildBulkParallel(0)
 	}
-	ix.man = ix.manifest(0, ix.st, []*frozenSeg{seg})
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
 }
 
-// republish replaces the manifest after a mutation: the same frozen
-// segment, the delta and the options as they now are.
-func (ix *Index) republish() {
-	ix.man = ix.manifest(0, ix.st, ix.man.frozen)
+// NewSegmentedFromIndex returns ix: there is one index type.  It is
+// kept for the callers that still convert.
+func NewSegmentedFromIndex(ix *Index) (*Index, error) { return ix, nil }
+
+// published runs fn on the published manifest, pinned for the call.
+func (ix *Index) published(fn func(*manifest)) {
+	pin := ix.cell.Acquire()
+	defer pin.Release()
+	fn(pin.Value())
 }
 
 // Options returns the index configuration.
-func (ix *Index) Options() Options { return ix.opts }
+func (ix *Index) Options() (o Options) {
+	ix.published(func(m *manifest) { o = m.opts })
+	return o
+}
 
 // SetStrategy switches the MBR penetration check used by subsequent
 // searches.  The index structure is independent of the strategy, so
@@ -386,60 +466,104 @@ func (ix *Index) Options() Options { return ix.opts }
 func (ix *Index) SetStrategy(s geom.Strategy) error {
 	switch s {
 	case geom.EnteringExiting, geom.BoundingSpheres:
-		ix.opts.Strategy = s
-		ix.republish()
-		return nil
 	default:
 		return fmt.Errorf("core: unknown penetration strategy %d", int(s))
 	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.opts.Strategy = s
+	ix.publishLocked()
+	return nil
 }
 
-// Store returns the underlying sequence store.
+// Store returns the underlying store.  It is writer-side state: while
+// mutations run, read through QueryWindow (or a manifest snapshot)
+// instead.
 func (ix *Index) Store() *store.Store { return ix.st }
 
-// QueryWindow reads window [start, start+n) of sequence seq for
-// serving-layer use.  On an Index the store is immutable, so this is
-// Store().Window; the segmented counterpart reads through the
-// published manifest's snapshot so the read cannot race with appends.
-func (ix *Index) QueryWindow(seq, start, n int, dst vec.Vector) error {
-	return ix.man.sv.Window(seq, start, n, dst, nil)
+// Generation returns the published manifest generation.
+func (ix *Index) Generation() (gen int64) {
+	ix.published(func(m *manifest) { gen = m.gen })
+	return gen
 }
 
-// StoreShape reports the store's sequence, value, and page counts for
-// serving-layer gauges; see QueryWindow for the concurrency contract.
-func (ix *Index) StoreShape() (seqs, values, pages int) { return ix.man.storeShape() }
+// QueryWindow reads window [start, start+n) of sequence seq through the
+// published manifest's store snapshot — safe against concurrent
+// mutations, unlike Store().Window.
+func (ix *Index) QueryWindow(seq, start, n int, dst vec.Vector) (err error) {
+	ix.published(func(m *manifest) { err = m.sv.Window(seq, start, n, dst, nil) })
+	return err
+}
 
-// WindowCount returns the number of searchable windows: the arena's and
-// the delta's, so a mutation shows at once.
-func (ix *Index) WindowCount() int { return ix.man.windowCount() }
+// StoreShape reports the snapshot's sequence, value, and page counts
+// for serving-layer gauges, read race-free through the manifest.
+func (ix *Index) StoreShape() (seqs, values, pages int) {
+	ix.published(func(m *manifest) { seqs, values, pages = m.storeShape() })
+	return seqs, values, pages
+}
 
-// EntryCount returns the number of leaf entries in the arena: one
-// feature point per window it covers.  Like the other shape accessors
-// below it describes the arena, which the delta joins at the next fold.
-func (ix *Index) EntryCount() int { return ix.flat.Len() }
+// WindowCount returns the number of searchable windows, frozen and
+// delta, so a mutation shows at once.
+func (ix *Index) WindowCount() (n int) {
+	ix.published(func(m *manifest) { n = m.windowCount() })
+	return n
+}
 
-// IndexPageCount returns the number of index pages (tree nodes).
-func (ix *Index) IndexPageCount() int { return ix.man.indexPageCount() }
+// EntryCount returns the number of leaf entries in the frozen
+// segments: one feature point per window they cover.  Like the other
+// shape accessors below it describes the frozen segments, which the
+// delta joins at the next fold.
+func (ix *Index) EntryCount() (n int) {
+	ix.published(func(m *manifest) {
+		for _, sg := range m.frozen {
+			n += sg.flat.Len()
+		}
+	})
+	return n
+}
 
-// IndexByteCount returns the size of the arena in bytes.  Pages count
-// nodes, the paper's unit of index I/O, whatever a node's entries weigh;
-// this is what the index costs in memory and on disk.
-func (ix *Index) IndexByteCount() int { return ix.man.indexByteCount() }
+// IndexPageCount returns the number of index pages (tree nodes) across
+// the frozen segments.
+func (ix *Index) IndexPageCount() (n int) {
+	ix.published(func(m *manifest) { n = m.indexPageCount() })
+	return n
+}
 
-// TreeHeight returns the R*-tree height.
-func (ix *Index) TreeHeight() int { return ix.man.treeHeight() }
+// IndexByteCount returns the size of the frozen segments' arenas in
+// bytes.  Pages count nodes, the paper's unit of index I/O, whatever a
+// node's entries weigh; this is what the index costs in memory and on
+// disk.
+func (ix *Index) IndexByteCount() (n int) {
+	ix.published(func(m *manifest) { n = m.indexByteCount() })
+	return n
+}
 
-// WriteIndexStats renders per-level geometry statistics of the
-// directory (occupancy, MBR elongation, circumscribed/inscribed sphere
-// gap) — the numbers behind §7's explanation of the bounding-spheres
-// failure.
-func (ix *Index) WriteIndexStats(w io.Writer) error { return ix.flat.WriteStats(w) }
+// TreeHeight returns the tallest frozen segment's R*-tree height.
+func (ix *Index) TreeHeight() (h int) {
+	ix.published(func(m *manifest) { h = m.treeHeight() })
+	return h
+}
+
+// WriteIndexStats renders per-level geometry statistics of each frozen
+// segment's directory (occupancy, MBR elongation, circumscribed/inscribed
+// sphere gap) — the numbers behind §7's explanation of the
+// bounding-spheres failure.
+func (ix *Index) WriteIndexStats(w io.Writer) (err error) {
+	ix.published(func(m *manifest) {
+		for _, sg := range m.frozen {
+			if err == nil {
+				err = sg.flat.WriteStats(w)
+			}
+		}
+	})
+	return err
+}
 
 // Build indexes every window of every sequence currently in the store
 // (§6 pre-processing), whatever the index held before: the bulk build of
 // BuildBulkParallel, on every CPU.
 func (ix *Index) Build() error {
-	return ix.rebuild(context.Background(), ix.allWindows(), 0, nil)
+	return ix.rebuild(context.Background(), 0, nil, ix.allWindows)
 }
 
 // BuildWith is Build with the arena made by load, a loader of
@@ -447,9 +571,10 @@ func (ix *Index) Build() error {
 // start) order: how the paper's experiments index by one-by-one R*
 // insertion (internal/bench/rstar.Load) an index that is then searched,
 // mutated and saved like any other.  Whatever directory load writes is
-// served as it is until the next fold.
+// served as it is until the next fold.  load runs under the index's
+// writer lock, so it must not call the index's mutators.
 func (ix *Index) BuildWith(load func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error)) error {
-	return ix.rebuild(context.Background(), ix.allWindows(), 0, load)
+	return ix.rebuild(context.Background(), 0, load, ix.allWindows)
 }
 
 // BuildBulk indexes every window of every sequence by building the
@@ -484,45 +609,63 @@ func (ix *Index) BuildBulkParallel(workers int) error {
 // *WorkerPanicError naming the offending (seq, window) instead of
 // crashing the process.
 func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
-	if ix.man.windowCount() != 0 {
-		return fmt.Errorf("core: BuildBulk requires an empty index")
-	}
-	return ix.rebuild(ctx, ix.allWindows(), workers, nil)
+	return ix.rebuild(ctx, workers, nil, func(next []int) ([]int, error) {
+		if ix.WindowCount() != 0 {
+			return nil, fmt.Errorf("core: BuildBulk requires an empty index")
+		}
+		return ix.allWindows(next)
+	})
 }
 
 // allWindows returns, per sequence of the store, how many windows it
 // holds: the coverage of a full build.
-func (ix *Index) allWindows() []int {
+func (ix *Index) allWindows([]int) ([]int, error) {
 	counts := make([]int, ix.st.NumSequences())
 	for seq := range counts {
 		counts[seq] = max(0, ix.st.SequenceLen(seq)-ix.opts.WindowLen+1)
 	}
-	return counts
+	return counts, nil
 }
 
-// rebuild replaces the arena with one built from the store over the
-// first next[seq] windows of every sequence, and empties the delta: a
-// fold when next is what the index already covers, a build when it is
-// the whole store.  The old arena is released (its backing mapping, if
-// any, closed); on failure the index is left as it was.  load, when
-// non-nil, stands in for rtree.BulkLoadFlat; workers < 1 means
-// runtime.GOMAXPROCS(0).
-func (ix *Index) rebuild(ctx context.Context, next []int, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) error {
+// rebuild replaces every segment and the delta with one frozen segment
+// bulk-built from the store over the first next[seq] windows of every
+// sequence, where next is what cover makes of a copy of the current
+// coverage.  It holds the writer lock throughout, so it serializes with
+// mutations and compactions while queries keep the published manifest;
+// on failure the index is left as it was.  load, when non-nil, stands
+// in for rtree.BulkLoadFlat; workers < 1 means runtime.GOMAXPROCS(0).
+func (ix *Index) rebuild(ctx context.Context, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error), cover func(next []int) ([]int, error)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, prefixRanges(next), workers, load)
+	ix.compactMu.Lock()
+	defer ix.compactMu.Unlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	next, err := cover(slices.Clone(ix.next))
+	if err != nil {
+		return err
+	}
+	ranges := prefixRanges(next)
+	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers, load)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
 		return fmt.Errorf("core: bulk indexing: %w", err)
 	}
-	ix.stages, ix.artifact = stages, nil
-	ix.install(flat, next)
-	m := ix.mapping
-	ix.mapping = nil
-	return m.Close()
+	ix.stages = stages
+	ix.frozen = nil
+	if flat.Len() > 0 {
+		ix.frozen = []*frozenSeg{{flat: flat, ranges: ranges, count: flat.Len()}}
+	}
+	ix.delta = deltaSeg{dim: ix.fmap.Dim()}
+	clear(ix.sliders)
+	ix.next = next
+	bounds, _ := flat.Bounds() // the zero Rect, hence no slack, while empty
+	ix.maxAbs = maxAbsRect(bounds)
+	ix.publishLocked()
+	return nil
 }
 
 // prefixRanges returns the windows [0, counts[seq]) of every sequence
@@ -545,8 +688,9 @@ func prefixRanges(counts []int) []winRange {
 // where the sliding DFT restarts, and shared over workers goroutines
 // that poll ctx between pieces; every piece lands at slots fixed in
 // advance, so the tree does not depend on the schedule.  The stage
-// split is returned and, with observability on, published.  It is the
-// fold of both index types; a nil load is rtree.BulkLoadFlat on workers.
+// split is returned and, with observability on, published.  Every
+// build and every merge runs it; a nil load is rtree.BulkLoadFlat on
+// workers.
 func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) (*rtree.FlatTree, BuildStages, error) {
 	start := time.Now()
 	type piece struct{ seq, cp, segLast, lo, slot int }
@@ -624,21 +768,6 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 	stages.Tile, stages.Emit = flat.BuildStages()
 	recordBuildStages(stages)
 	return flat, stages, nil
-}
-
-// IndexSequence indexes the windows of sequence seq that are not yet
-// indexed, into the delta: the next Exec finds them.  It is idempotent
-// and supports sequences that grew since the last call (requirement 2
-// of §3).
-func (ix *Index) IndexSequence(seq int) error {
-	if seq < 0 || seq >= ix.st.NumSequences() {
-		return fmt.Errorf("core: sequence %d out of range [0, %d)", seq, ix.st.NumSequences())
-	}
-	if err := ix.extract(seq); err != nil {
-		return err
-	}
-	ix.republish()
-	return nil
 }
 
 // featureCheckpoint is the absolute window-start stride at which the
@@ -719,11 +848,39 @@ func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, s
 	return nil
 }
 
+// IndexSequence indexes the windows of sequence seq that are not yet
+// indexed, into the delta: the next Exec finds them.  It is idempotent
+// and supports sequences that grew since the last call (requirement 2
+// of §3).
+func (ix *Index) IndexSequence(seq int) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.indexLocked(seq, time.Now())
+}
+
+// indexLocked extracts the windows sequence seq gained into the delta
+// and publishes them; start is when the mutation began.
+func (ix *Index) indexLocked(seq int, start time.Time) error {
+	if seq < 0 || seq >= ix.st.NumSequences() {
+		return fmt.Errorf("core: sequence %d out of range [0, %d)", seq, ix.st.NumSequences())
+	}
+	if err := ix.extract(seq); err != nil {
+		return err
+	}
+	ix.publishLocked()
+	ix.maybeKickLocked()
+	recordDeltaApply(time.Since(start))
+	return nil
+}
+
 // AppendAndIndex appends a new sequence to the store and indexes its
 // windows, returning the sequence id.
 func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
+	start := time.Now()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	seq := ix.st.AppendSequence(name, values)
-	return seq, ix.IndexSequence(seq)
+	return seq, ix.indexLocked(seq, start)
 }
 
 // ExtendAndIndex appends new samples to the store's most recent
@@ -731,23 +888,47 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 // windows spanning the old end (requirement 2 of §3: time series are
 // collected regularly and must become searchable as they arrive).
 func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
+	start := time.Now()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if err := ix.st.ExtendSequence(seq, values); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	return ix.IndexSequence(seq)
+	return ix.indexLocked(seq, start)
+}
+
+// AppendValues appends samples to sequence seq through its tail (any
+// sequence, unlike ExtendAndIndex), extracts the features of every
+// window the new samples complete — the sliding DFT runs forward from
+// the last extraction position, no old window is recomputed — and
+// publishes a new manifest generation.  Queries in flight keep their
+// pinned manifest; new queries see the appended windows at once.
+func (ix *Index) AppendValues(seq int, values []float64) error {
+	start := time.Now()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if seq < 0 || seq >= len(ix.next) {
+		return fmt.Errorf("core: sequence %d out of range [0, %d)", seq, len(ix.next))
+	}
+	if err := ix.st.AppendValues(seq, values); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return ix.indexLocked(seq, start)
 }
 
 // UnindexSequence removes every indexed window of sequence seq: the
-// arena is rebuilt from the store without them (and with whatever the
-// delta held folded in).  The raw data remains in the store (the store
-// is append-only) but the windows will no longer be found by searches.
+// index is rebuilt from the store as one frozen segment without them
+// (and with whatever the delta held folded in).  The raw data remains
+// in the store (the store is append-only) but the windows will no
+// longer be found by searches.
 func (ix *Index) UnindexSequence(seq int) error {
-	if seq < 0 || seq >= len(ix.next) {
-		return fmt.Errorf("core: sequence %d not indexed", seq)
-	}
-	next := slices.Clone(ix.next)
-	next[seq] = 0
-	return ix.rebuild(context.Background(), next, 0, nil)
+	return ix.rebuild(context.Background(), 0, nil, func(next []int) ([]int, error) {
+		if seq < 0 || seq >= len(next) {
+			return nil, fmt.Errorf("core: sequence %d not indexed", seq)
+		}
+		next[seq] = 0
+		return next, nil
+	})
 }
 
 // numericSlack is how far the index phase widens ε so that neither of

@@ -59,7 +59,16 @@ func freeze(t testing.TB, ix *Index) {
 	}
 }
 
-// execer is the query surface both index types share.
+// arena returns the tree of ix's one frozen segment.
+func arena(t testing.TB, ix *Index) *rtree.FlatTree {
+	t.Helper()
+	if len(ix.frozen) != 1 {
+		t.Fatalf("%d frozen segments, want 1", len(ix.frozen))
+	}
+	return ix.frozen[0].flat
+}
+
+// execer is the query surface of an index and of a manifest pin.
 type execer interface {
 	Exec(context.Context, Query, *SearchStats) (Result, error)
 }
@@ -94,26 +103,23 @@ func rangeQueries(qs []vec.Vector, eps float64) []Query {
 	return out
 }
 
-// TestQuerySurfaceIsExec stops the query surface regrowing: both index
-// types answer every kind of query through Exec and ExecBatch alone.
-// The three remaining names are logic-free adapters the frozen
-// benchmark/ harness still calls; the next benchmark PR deletes them
-// and their entries here.
+// TestQuerySurfaceIsExec stops the query surface regrowing: the index
+// answers every kind of query through Exec and ExecBatch alone.  The two
+// remaining names are logic-free adapters the frozen benchmark/ harness
+// still calls; the next benchmark PR deletes them and their entries
+// here.
 func TestQuerySurfaceIsExec(t *testing.T) {
 	query := regexp.MustCompile(`^(Exec|Search|Nearest)`)
-	for typ, want := range map[reflect.Type][]string{
-		reflect.TypeOf(&Index{}):          {"Exec", "ExecBatch", "NearestNeighborsWithCostsContext", "SearchPlannedContext"},
-		reflect.TypeOf(&SegmentedIndex{}): {"Exec", "ExecBatch", "SearchPlannedContext"},
-	} {
-		var got []string
-		for i := 0; i < typ.NumMethod(); i++ {
-			if name := typ.Method(i).Name; query.MatchString(name) {
-				got = append(got, name)
-			}
+	want := []string{"Exec", "ExecBatch", "NearestNeighborsWithCostsContext", "SearchPlannedContext"}
+	typ := reflect.TypeOf(&Index{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; query.MatchString(name) {
+			got = append(got, name)
 		}
-		if !reflect.DeepEqual(got, want) { // NumMethod order is sorted by name
-			t.Errorf("%v exports query methods %v, want exactly %v", typ, got, want)
-		}
+	}
+	if !reflect.DeepEqual(got, want) { // NumMethod order is sorted by name
+		t.Errorf("%v exports query methods %v, want exactly %v", typ, got, want)
 	}
 }
 

@@ -22,7 +22,7 @@ type deltaBlock struct {
 	feats []float64
 }
 
-// deltaSeg is the mutable segment of a SegmentedIndex: every window
+// deltaSeg is the mutable segment of an Index: every window
 // appended since the last compaction, in arrival order, with the
 // feature point extraction computed for it.  It is the same data a
 // frozen leaf level holds — ids and feature planes — without a

@@ -16,13 +16,14 @@ import (
 // PR 24, when bulk builds went from the Cartesian STR tiling under an MBR
 // directory to the polar tiling under a direction-box directory: the
 // arena says which it holds in header word 9 (0 and 2; the arena version
-// stays 2 and the containers did not move), an MBR arena written before
-// is served as it is (TestMBRDirectoryServedAsIs, over the fixture the
-// previous digests' commit wrote) and a version-1 artifact is still
-// opened (TestArenaV1Fixture).  The digests before these dated from
-// arena version 2 itself (float32 planes, points stored once).
+// stays 2 and the containers did not move).  The digests before these
+// dated from arena version 2 itself (float32 planes, points stored
+// once).  digestOneSegment was re-recorded once more when WriteBinary
+// went from SSIDX v3 to a one-segment SSSEG: its arena bytes are the
+// SSIDX writer's (TestSSIDXFixtureServed), only the header and the pad
+// before the arena moved.
 const (
-	digestSSIDX         = "79dfd4e7ea396dbce81eaa72e54d574a06bf6354d3948cb59d62c83261dffa86"
+	digestOneSegment    = "01cbcc6432e00647da424662da50f13012927761f9ca08db31c5692576acf4da"
 	digestSSSEGThree    = "4d2b6297d8fe4dca44462efdc2973d4c579ae6e3ce80f08084f7d8203ee00420"
 	digestSSSEGMergedTo = "c1547ddae3520193413e94bb33448db427382942de38899ea932fab8a9ad19eb"
 )
@@ -36,15 +37,16 @@ func digestOf(t *testing.T, write func(io.Writer) error) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestArtifactDigests pins the SSIDX v3 bytes of the bulk-built fixture
-// index and the SSSEG v1 bytes of the segmented fixture twice: as three
+// TestArtifactDigests pins the WriteBinary bytes (a one-segment SSSEG
+// v1) of the bulk-built fixture index and the SSSEG v1 bytes of the
+// segmented fixture twice: as three
 // frozen segments (the initial build and two delta folds), and after a
 // further round of appends is compacted with every segment merged into
 // one (the re-extracting merge).
 func TestArtifactDigests(t *testing.T) {
 	ix, _, _ := execRangeFixture(t)
-	if got := digestOf(t, ix.WriteBinary); got != digestSSIDX {
-		t.Errorf("SSIDX v3 digest %s, want %s", got, digestSSIDX)
+	if got := digestOf(t, ix.WriteBinary); got != digestOneSegment {
+		t.Errorf("WriteBinary digest %s, want %s", got, digestOneSegment)
 	}
 
 	f := newSegmentedExecFixture(t, 0)

@@ -147,7 +147,7 @@ func TestAutoIsTheTree(t *testing.T) {
 	}
 	defer deltaOnly.Close()
 	for seq := range names {
-		if _, err := deltaOnly.AppendSequence(names[seq], vals[seq]); err != nil {
+		if _, err := deltaOnly.AppendAndIndex(names[seq], vals[seq]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"scaleshift/internal/atomicfile"
@@ -112,11 +115,11 @@ func TestFrozenIndexEquivalence(t *testing.T) {
 	wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
 
 	for _, workers := range []int{1, 3} {
-		arena := ix.flat
-		if err := ix.rebuild(context.Background(), ix.next, workers, nil); err != nil {
+		old := arena(t, ix)
+		if err := ix.rebuild(context.Background(), workers, nil, func(next []int) ([]int, error) { return next, nil }); err != nil {
 			t.Fatal(err)
 		}
-		if ix.flat == arena {
+		if arena(t, ix) == old {
 			t.Fatal("the fold kept the old arena")
 		}
 		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, eps)
@@ -261,7 +264,7 @@ func TestMutatedIndexAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix, err := LoadIndexFile(path, src.Store())
-			if err != nil || ix.mapping == nil {
+			if err != nil || len(ix.mappings) == 0 {
 				t.Fatalf("mapping the artifact: %v", err)
 			}
 			return ix
@@ -359,8 +362,8 @@ func TestMutatedIndexAnswers(t *testing.T) {
 			freeze(t, ix)
 			check("after Freeze")
 
-			if ix.delta.n != 0 || ix.mapping != nil || ix.Directory() != DirectoryBox {
-				t.Fatalf("%s: Freeze left %d delta windows, mapping %v, a %s directory", what, ix.delta.n, ix.mapping != nil, ix.Directory())
+			if ix.delta.n != 0 || len(ix.frozen) != 1 || ix.Directory() != DirectoryBox {
+				t.Fatalf("%s: Freeze left %d delta windows, %d frozen segments, a %s directory", what, ix.delta.n, len(ix.frozen), ix.Directory())
 			}
 			// A from-scratch build over the same windows.
 			scratch := store.New()
@@ -395,6 +398,85 @@ func TestMutatedIndexAnswers(t *testing.T) {
 	}
 }
 
+// TestMutateWhileQuerying runs AppendAndIndex and ExtendAndIndex on one
+// goroutine while two others Exec range queries against the same index:
+// under -race it holds that a mutation and a query share no
+// unsynchronized state.  The windows the mutations add are noise of an
+// amplitude no scale and shift brings within eps of a query, so no
+// answer can move while they land: every answer, from whichever
+// generation it read, must be Float64bits-equal to a sequential scan
+// over the final store.
+func TestMutateWhileQuerying(t *testing.T) {
+	ix := buildTestIndex(t, testOptions(), 6, 120)
+	defer ix.Close()
+	st := ix.Store()
+	qs := testQueries(t, ix, 3)
+	const eps = 8.0
+	rng := rand.New(rand.NewSource(7))
+	noise := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1e4 * rng.NormFloat64()
+		}
+		return v
+	}
+
+	ctx := context.Background()
+	done := make(chan struct{})
+	var mu sync.Mutex
+	answers := make([][][]Match, len(qs))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for i, q := range qs {
+					res, err := ix.Exec(ctx, Query{Vec: q, Eps: eps}, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					answers[i] = append(answers[i], res.Matches)
+					mu.Unlock()
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20; round++ {
+		seq, err := ix.AppendAndIndex(fmt.Sprintf("noise%d", round), noise(50))
+		if err == nil {
+			err = ix.ExtendAndIndex(seq, noise(7))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	for i, q := range qs {
+		want, err := seqscan.Search(st, q, eps, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("query %d matches nothing", i)
+		}
+		for k, got := range answers[i] {
+			if err := sameAsScan(got, want); err != nil {
+				t.Fatalf("query %d, answer %d of %d: %v", i, k, len(answers[i]), err)
+			}
+		}
+	}
+}
+
 // TestBulkBuiltIndexIsBornFrozen checks the loader's contract at the
 // Index: a bulk build serves from the arena it emitted, Freeze has
 // nothing left to do, and inserts and deletes still work — through the
@@ -415,9 +497,9 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	if err := ix.BuildBulkParallel(2); err != nil {
 		t.Fatal(err)
 	}
-	arena := ix.flat
-	if err := ix.Freeze(); err != nil || ix.flat != arena {
-		t.Fatalf("Freeze after a bulk build: err %v, arena replaced %v", err, ix.flat != arena)
+	built := arena(t, ix)
+	if err := ix.Freeze(); err != nil || arena(t, ix) != built {
+		t.Fatalf("Freeze after a bulk build: err %v, arena replaced %v", err, arena(t, ix) != built)
 	}
 
 	extra := make([]float64, 40)
@@ -445,48 +527,48 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	}
 }
 
-// TestV3ArtifactCorruption is the exhaustive sweep over the v3 format:
-// flip a bit in EVERY byte and cut the file at every offset.  The
-// stream loader must reject every mutation outright; the lazy file
-// loader may open some mutations, but then the deferred VerifyArtifact
-// must catch them.  Nothing may panic.
+// TestV3ArtifactCorruption is the exhaustive sweep over the artifact
+// formats: flip a bit in EVERY byte and cut the file at every offset,
+// of a WriteBinary artifact (SSSEG) and of the SSIDX v3 fixture
+// testdata/served/box_v3.ssidx.  LoadIndex must reject every mutation
+// outright, and nothing may panic.  LoadIndexFile runs the same opener
+// over the mapped bytes: no check is left for later.
 func TestV3ArtifactCorruption(t *testing.T) {
 	opts := testOptions()
 	opts.WindowLen = 24
 	ix := buildTestIndex(t, opts, 2, 40)
-	st := ix.Store()
 	var buf bytes.Buffer
 	if err := ix.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
-	probe := func(mut []byte, what string, i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s at %d: panic %v", what, i, r)
+	for _, c := range []struct {
+		good []byte
+		st   *store.Store
+	}{
+		{buf.Bytes(), ix.Store()},
+		{readFile(t, filepath.Join("testdata", "served", "box_v3.ssidx")), populatedStore(t, 3, 100, 1)},
+	} {
+		probe := func(mut []byte, what string, i int) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s at %d: panic %v", what, i, r)
+				}
+			}()
+			if _, err := LoadIndex(bytes.NewReader(mut), c.st); err == nil {
+				t.Fatalf("%s at %d: LoadIndex accepted a corrupt artifact", what, i)
 			}
-		}()
-		if _, err := LoadIndex(bytes.NewReader(mut), st); err == nil {
-			t.Fatalf("%s at %d: stream load accepted a corrupt artifact", what, i)
 		}
-		lazy, err := loadIndexBytes(mut, st)
-		if err != nil {
-			return
+		if _, err := LoadIndex(bytes.NewReader(c.good), c.st); err != nil {
+			t.Fatalf("the pristine artifact: %v", err)
 		}
-		lazy.artifact = mut
-		if err := lazy.VerifyArtifact(); err == nil {
-			t.Fatalf("%s at %d: VerifyArtifact accepted a corrupt artifact", what, i)
+		for i := range c.good {
+			mut := append([]byte(nil), c.good...)
+			mut[i] ^= 0x40
+			probe(mut, "flip", i)
 		}
-	}
-
-	for i := range good {
-		mut := append([]byte(nil), good...)
-		mut[i] ^= 0x40
-		probe(mut, "flip", i)
-	}
-	for cut := 0; cut < len(good); cut++ {
-		probe(good[:cut], "cut", cut)
+		for cut := 0; cut < len(c.good); cut++ {
+			probe(c.good[:cut], "cut", cut)
+		}
 	}
 }
 
@@ -528,14 +610,18 @@ func TestRunLeafArtifactRejected(t *testing.T) {
 }
 
 // TestLeafKindArtifactRejected: an artifact whose arena says leaf kind 1
-// in header word 9 — every checksum valid — is refused at open, on the
-// eager path and on the lazy one, which parses the arena's header too.
+// in header word 9 — every checksum valid — is refused at open, from a
+// stream and from a mapped file alike.
 func TestLeafKindArtifactRejected(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 3, 80)
 	bad := leafKindArtifact(t, ix)
+	path := filepath.Join(t.TempDir(), "leaf_kind.ssseg")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	_, streamErr := LoadIndex(bytes.NewReader(bad), ix.Store())
-	_, lazyErr := loadIndexBytes(bad, ix.Store())
-	for what, err := range map[string]error{"stream": streamErr, "lazy": lazyErr} {
+	_, fileErr := LoadIndexFile(path, ix.Store())
+	for what, err := range map[string]error{"stream": streamErr, "file": fileErr} {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1") {
 			t.Errorf("%s load: err = %v, want ErrVersion for the leaf kind", what, err)
 		}
@@ -549,7 +635,7 @@ func leafKindArtifact(t testing.TB, ix *Index) []byte {
 	if err := ix.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return reframed(t, buf.Bytes(), indexMagic, func(sections [][]byte) {
+	return reframed(t, buf.Bytes(), segMagic, func(sections [][]byte) {
 		arena, err := arenaFromSection(sections[1])
 		if err != nil {
 			t.Fatal(err)
@@ -789,7 +875,7 @@ func TestPaperScaleArenaSize(t *testing.T) {
 	if err := ix.BuildBulkParallel(0); err != nil {
 		t.Fatal(err)
 	}
-	size, windows := ix.flat.ArenaSize(), ix.WindowCount()
+	size, windows := ix.IndexByteCount(), ix.WindowCount()
 	t.Logf("%d windows, %d index pages, %d arena bytes (%.1f per window)", windows, ix.IndexPageCount(), size, float64(size)/float64(windows))
 	if size > 20<<20 {
 		t.Fatalf("arena is %d bytes, over 20 MiB", size)

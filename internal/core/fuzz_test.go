@@ -6,71 +6,110 @@ import (
 	"path/filepath"
 	"testing"
 
-	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
 
-// FuzzLoadIndex asserts the index loader never panics, never
+// FuzzLoadIndex asserts the artifact reader never panics, never
 // over-allocates, and never hands back a usable index from corrupt
-// bytes: whatever it accepts must pass the same structural checks a
-// freshly built index does.
+// bytes: whatever LoadIndex or LoadSegments — the one reader, strict
+// and rebuilding — accepts must be internally consistent and
+// searchable.  Malformed segment counts, overlapping or out-of-bounds
+// window ranges and CRC flips must all surface as typed errors.  The
+// seeds are a WriteBinary artifact, a three-segment SSSEG that covers
+// less than the store (the rest goes to the delta), damaged copies of
+// both, and every SSIDX fixture.
 func FuzzLoadIndex(f *testing.F) {
-	st := store.New()
-	cfg := stock.DefaultConfig()
-	cfg.Companies = 2
-	cfg.Days = 60
-	if _, err := stock.Populate(st, cfg); err != nil {
-		f.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.WindowLen = 32
-	ix, err := NewIndex(st, opts)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := ix.Build(); err != nil {
-		f.Fatal(err)
-	}
+	opts := testOptions()
+	ix := buildTestIndex(f, opts, 6, 100)
+	st := ix.Store()
 	var buf bytes.Buffer
 	if err := ix.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte("SSIDX\x01"))
-	f.Add([]byte("SSIDX\x02"))
-	f.Add(good[:len(good)/2])
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)-2] ^= 0x40
-	f.Add(flipped)
-	// What is recognised and no longer read: a sub-trail MBR index (header
-	// word 4 says 8) and an arena whose leaf-kind word is set.
-	trail, err := os.ReadFile(filepath.Join("testdata", "trail8.ssidx"))
+
+	// Three frozen segments over the first 60, 75 and 90 values of every
+	// sequence of st.
+	names, vals := fullSequences(f, st)
+	short := store.New()
+	for seq := range names {
+		short.AppendSequence(names[seq], vals[seq][:60])
+	}
+	g, err := NewSegmentedIndex(short, opts)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(trail)
+	g.MergeRatio = 0
+	for _, cut := range [][2]int{{60, 75}, {75, 90}} {
+		for seq := range names {
+			if err := g.AppendValues(seq, vals[seq][cut[0]:cut[1]]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := g.Compact(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := g.WriteSegments(&buf); err != nil || g.Backlog().Frozen != 3 {
+		f.Fatalf("three segments: %v, %d written", err, g.Backlog().Frozen)
+	}
+	three := buf.Bytes()
+
+	for _, in := range [][]byte{good, three, {}, []byte("SSSEG\x00"), []byte("SSSEG\x01"), []byte("SSIDX\x02"), []byte("SSIDX\x03")} {
+		f.Add(in)
+	}
+	for _, a := range [][]byte{good, three} {
+		f.Add(a[:len(a)/2])
+		flipped := append([]byte(nil), a...)
+		flipped[len(flipped)-2] ^= 0x40
+		f.Add(flipped)
+		// A byte inside the segment directory.
+		dirFlipped := append([]byte(nil), a...)
+		dirFlipped[70] ^= 0x01
+		f.Add(dirFlipped)
+	}
 	f.Add(leafKindArtifact(f, ix))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		ix, err := LoadIndex(bytes.NewReader(in), st)
+	// Every SSIDX v3 artifact there is: the served box-directory one and
+	// those in layouts no longer read (a sub-trail MBR index, header word
+	// 4 says 8; a pointer tree; arena version 1; an MBR directory).
+	fixtures, _ := filepath.Glob(filepath.Join("testdata", "*.ssidx"))
+	for _, path := range append(fixtures, filepath.Join("testdata", "served", "box_v3.ssidx")) {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		// The CRC framing makes accepting anything but the genuine
-		// artifact astronomically unlikely; whatever loads must be
-		// internally consistent and searchable.
-		if ix.WindowCount() < 0 || ix.EntryCount() < 0 {
-			t.Fatalf("negative counts: %d windows, %d entries", ix.WindowCount(), ix.EntryCount())
+		f.Add(data)
+	}
+	q := make([]float64, opts.WindowLen)
+	if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		strict, err := LoadIndex(bytes.NewReader(in), st)
+		if err == nil {
+			checkLoaded(t, strict, q)
 		}
-		q := make([]float64, opts.WindowLen)
-		if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := search(ix, q, 0.1, nil); err != nil {
-			t.Fatalf("loaded index cannot search: %v", err)
+		rebuilt, _, err := LoadSegments(bytes.NewReader(in), st)
+		if err == nil {
+			checkLoaded(t, rebuilt, q)
 		}
 	})
+}
+
+// checkLoaded holds an index a loader accepted to what a fresh one
+// satisfies: counts that make sense, and a query it answers.  The CRC
+// framing makes accepting anything but a genuine artifact
+// astronomically unlikely.
+func checkLoaded(t *testing.T, ix *Index, q []float64) {
+	t.Helper()
+	defer ix.Close()
+	if ix.WindowCount() < 0 || ix.EntryCount() < 0 {
+		t.Fatalf("negative counts: %d windows, %d entries", ix.WindowCount(), ix.EntryCount())
+	}
+	if _, err := search(ix, q, 0.1, nil); err != nil {
+		t.Fatalf("loaded index cannot search: %v", err)
+	}
 }
 
 // FuzzOpenOrRebuild feeds arbitrary bytes to OpenOrRebuildFile as the
@@ -101,72 +140,5 @@ func FuzzOpenOrRebuild(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		oracle.open(t, filepath.Join(dir, "index.ssidx"), in)
-	})
-}
-
-// FuzzLoadSegments is FuzzLoadIndex for the segmented-manifest
-// decoder: malformed segment counts, overlapping or out-of-bounds
-// window ranges, and CRC flips must all surface as typed errors —
-// never a panic, an over-allocation, or a silently wrong index.
-func FuzzLoadSegments(f *testing.F) {
-	st := store.New()
-	cfg := stock.DefaultConfig()
-	cfg.Companies = 2
-	cfg.Days = 90
-	if _, err := stock.Populate(st, cfg); err != nil {
-		f.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.WindowLen = 32
-	good := func() []byte {
-		g, err := NewSegmentedIndex(st, opts)
-		if err != nil {
-			f.Fatal(err)
-		}
-		defer g.Close()
-		// Two frozen segments so the directory has more than one entry.
-		if err := g.AppendValues(0, make([]float64, 40)); err != nil {
-			f.Fatal(err)
-		}
-		if err := g.Compact(); err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := g.WriteSegments(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-	// The store grew by 40 values inside the closure; reloads below see
-	// the grown store, which the loader must accept (delta re-extract).
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte("SSSEG\x00"))
-	f.Add([]byte("SSSEG\x01"))
-	f.Add([]byte("SSIDX\x03"))
-	f.Add(good[:len(good)/2])
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)-2] ^= 0x40
-	f.Add(flipped)
-	// Flip a byte inside the segment directory region too.
-	dirFlipped := append([]byte(nil), good...)
-	dirFlipped[20] ^= 0x01
-	f.Add(dirFlipped)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		g, _, err := LoadSegments(bytes.NewReader(in), st)
-		if err != nil {
-			return
-		}
-		defer g.Close()
-		if g.WindowCount() < 0 {
-			t.Fatalf("negative window count: %d", g.WindowCount())
-		}
-		q := make([]float64, opts.WindowLen)
-		if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := search(g, q, 0.1, nil); err != nil {
-			t.Fatalf("loaded segmented index cannot search: %v", err)
-		}
 	})
 }

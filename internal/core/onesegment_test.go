@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -147,12 +146,11 @@ var oneSegmentGolden = map[string]string{
 	"spheres/knn":         "nodes=48 pages=4 cand=31 fa=0 cr=0 res=5 exact=6 leaf=612 pen={0 0 0} probes=[0 0 0]",
 }
 
-// TestIndexIsOneSegment is the differential behind "an Index is the
-// one-segment, empty-delta manifest": over every kind of index and of
-// query, the rows are bit-identical to a sequential scan's, the ledger
-// and the plan are the ones the separate Index read path produced
-// before the fold (oneSegmentGolden), and — where a SegmentedIndex can
-// wrap the index — wrapping it changes nothing a caller can observe.
+// TestIndexIsOneSegment is the differential behind "a built index is
+// one frozen segment of the one index type": over every kind of index
+// and of query, the rows are bit-identical to a sequential scan's, and
+// the ledger and the plan are the ones the separate Index read path
+// produced before the fold (oneSegmentGolden).
 func TestIndexIsOneSegment(t *testing.T) {
 	newStore := func() *store.Store {
 		st := store.New()
@@ -191,14 +189,10 @@ func TestIndexIsOneSegment(t *testing.T) {
 		st := newStore()
 		ix := cfg.open(st)
 		cells := oneSegmentQueries(t, st, ix.Options().WindowLen)
-		results := make([]Result, len(cells))
-		ledgers := make([]SearchStats, len(cells))
-		errs := make([]error, len(cells))
-		for i, c := range cells {
+		for _, c := range cells {
 			key := cfg.name + "/" + c.name
 			var stats SearchStats
 			res, err := ix.Exec(ctx, c.q, &stats)
-			results[i], ledgers[i], errs[i] = res, stats, err
 			if got, want := ledger(res, stats, err), oneSegmentGolden[key]; got != want {
 				t.Errorf("%s: ledger\n  got  %q\n  want %q", key, got, want)
 			}
@@ -209,37 +203,7 @@ func TestIndexIsOneSegment(t *testing.T) {
 				t.Errorf("%s: total %d: %v", key, res.Total, err)
 			}
 		}
-		seg, err := NewSegmentedFromIndex(ix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cells {
-			key := cfg.name + "/" + c.name + " segmented"
-			var stats SearchStats
-			res, err := seg.Exec(ctx, c.q, &stats)
-			if err != nil || errs[i] != nil {
-				if fmt.Sprint(err) != fmt.Sprint(errs[i]) {
-					t.Errorf("%s: error %v, the wrapped index's is %v", key, err, errs[i])
-				}
-				continue
-			}
-			zeroTimes(&stats)
-			zeroTimes(&ledgers[i])
-			if err := sameMatches(res.Matches, results[i].Matches); err != nil || res.Total != results[i].Total {
-				t.Errorf("%s: rows differ from the wrapped index's: %v", key, err)
-			}
-			if stats != ledgers[i] {
-				t.Errorf("%s: stats\n  got  %+v\n  want %+v", key, stats, ledgers[i])
-			}
-			if got, want := res.Explain, results[i].Explain; got != nil && want != nil {
-				got.PlanTime, got.ProbeTime, got.VerifyTime = 0, 0, 0
-				want.PlanTime, want.ProbeTime, want.VerifyTime = 0, 0, 0
-			}
-			if !reflect.DeepEqual(res.Explain, results[i].Explain) {
-				t.Errorf("%s: explain\n  got  %+v\n  want %+v", key, res.Explain, results[i].Explain)
-			}
-		}
-		if err := seg.Close(); err != nil {
+		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scaleshift/internal/query"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -31,7 +32,10 @@ func populatedStore(t testing.TB, companies, days, seed int) *store.Store {
 // sortedFeatures extracts every leaf feature point of the index in a
 // canonical (ID-sorted) order.
 func sortedFeatures(ix *Index) []rtreeFeature {
-	items := ix.flat.All()
+	var items []rtree.Item
+	for _, sg := range ix.frozen {
+		items = append(items, sg.flat.All()...)
+	}
 	feats := make([]rtreeFeature, len(items))
 	for i, it := range items {
 		feats[i] = rtreeFeature{id: it.ID, point: it.Point}

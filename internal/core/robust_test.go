@@ -8,11 +8,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"scaleshift/internal/atomicfile"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/query"
 	"scaleshift/internal/store"
@@ -52,7 +54,7 @@ func TestQueryValidationTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer deltaOnly.Close()
-	if _, err := deltaOnly.AppendSequence("fresh", append(q.Clone(), q...)); err != nil {
+	if _, err := deltaOnly.AppendAndIndex("fresh", append(q.Clone(), q...)); err != nil {
 		t.Fatal(err)
 	}
 	if b := deltaOnly.Backlog(); b.Frozen != 0 || b.DeltaWindows == 0 {
@@ -456,6 +458,42 @@ func TestCorruptArtifactIsRebuilt(t *testing.T) {
 	}
 }
 
+// TestOpenOrRebuildCoversGrownStore: an artifact written before its
+// store grew is served as it is, and the windows the store gained go to
+// the delta, so the index answers as a fresh build of the grown store.
+func TestOpenOrRebuildCoversGrownStore(t *testing.T) {
+	opts := testOptions()
+	full := buildTestIndex(t, opts, 4, 120)
+	names, vals := fullSequences(t, full.Store())
+	st := store.New()
+	for seq := range names {
+		st.AppendSequence(names[seq], vals[seq][:80])
+	}
+	path := filepath.Join(t.TempDir(), "index.ssseg")
+	if err := atomicfile.WriteFile(path, freshIndex(t, st, opts).WriteBinary); err != nil {
+		t.Fatal(err)
+	}
+	for seq := range names {
+		if err := st.AppendValues(seq, vals[seq][80:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, rebuilt, err := OpenOrRebuildFile(path, st, opts)
+	if err != nil || rebuilt != nil {
+		t.Fatalf("open: %v, rebuilt for %v", err, rebuilt)
+	}
+	defer ix.Close()
+	if got, want := ix.WindowCount(), full.WindowCount(); got != want {
+		t.Fatalf("%d windows, the grown store has %d", got, want)
+	}
+	qs := testQueries(t, full, 4)
+	wantR, wantNN, wantB, _ := runAllSearches(t, full, qs, 8)
+	gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
+	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
+		t.Fatal("the opened index answers differently from a fresh build of the grown store")
+	}
+}
+
 // openOracle is what a fresh build answers to a fixed range query and a
 // fixed k-NN query, to hold an index OpenOrRebuildFile returns to.
 type openOracle struct {
@@ -554,11 +592,12 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 		}
 		rebuilds(good[:cut], fmt.Sprintf("truncation at %d", cut))
 	}
-	// A v1 artifact is version-skew, not garbage.
-	v1 := append([]byte(nil), good...)
-	v1[5] = 0x01
-	if _, err := LoadIndex(bytes.NewReader(v1), st); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 magic: err = %v, want ErrVersion", err)
+	// An artifact of another container version is version skew, not
+	// garbage.
+	v0 := append([]byte(nil), good...)
+	v0[5] = 0x00
+	if _, err := LoadIndex(bytes.NewReader(v0), st); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v0 magic: err = %v, want ErrVersion", err)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // queryScratch is the working memory of one query, acquired once by its
 // executor and threaded through the index phase and the verification:
 // the index-phase tally, the candidate ids from the leaf that proposed
-// them to the verifier, the kernel rows a segmented index sweeps its
-// delta with, and the verification workers' match and stitch buffers.
+// them to the verifier, the kernel rows the index sweeps its delta
+// with, and the verification workers' match and stitch buffers.
 // It is pooled, so a query allocates per answer, not per candidate and
 // not per delta window.
 type queryScratch struct {

@@ -138,7 +138,10 @@ func TestLongQueryOverlappingProposals(t *testing.T) {
 	proposals, outOfOrder := 0, false
 	for i := 0; i < pieces; i++ {
 		sc := acquireScratch()
-		if _, err := ix.man.probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, sc); err != nil {
+		pin := ix.cell.Acquire()
+		_, err := pin.Value().probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, sc)
+		pin.Release()
+		if err != nil {
 			t.Fatal(err)
 		}
 		outOfOrder = outOfOrder || !slices.IsSorted(sc.ids)

@@ -34,10 +34,10 @@ const (
 const verifyCheckInterval = 64
 
 // storeView is the read surface a manifest needs from a data store.
-// Both *store.Store and *store.Snapshot satisfy it, so the same
-// executors run against a live store (an Index's manifest) or a pinned
-// snapshot (a SegmentedIndex's, where appends race with queries and
-// only the snapshot is stable).
+// Both *store.Store and *store.Snapshot satisfy it: a manifest reads a
+// pinned snapshot, where mutations race with queries and only the
+// snapshot is stable, and a build under the writer lock the store
+// itself.
 type storeView interface {
 	NumSequences() int
 	TotalValues() int
@@ -424,7 +424,7 @@ type Query struct {
 
 // Result is a query's answer.  Range and long queries return Matches
 // ordered by (Seq, Start) and the Explain recording the path, one row
-// per probed segment (an Index is one), candidate actuals and stage
+// per probed segment, candidate actuals and stage
 // timings; k-NN queries return Matches by increasing distance and a
 // nil Explain (no plan is made: they are pinned to the index probe).  Total is the
 // size of the whole answer, of which Matches is the first Query.Limit
@@ -450,24 +450,13 @@ type probeTally struct {
 // candidates — and partial work is discarded: a cancelled query
 // returns ctx.Err() and no matches, never a silently truncated answer
 // set.  A malformed query fails with ErrInvalidQuery.  stats may be
-// nil; on success the query's ledger is added to it.
+// nil; on success the query's ledger is added to it.  The query pins
+// the published manifest throughout — every piece of a long query sees
+// one generation — and mutations running beside it are not seen.
 func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result, error) {
-	return exec(ctx, ix.man, q, stats)
-}
-
-// ExecBatch answers many queries concurrently with up to parallelism
-// goroutines (capped at the query count; values < 1 default to
-// runtime.GOMAXPROCS(0)).  Every query runs independently — its own
-// Force pins its own path — and results and statuses are positionally
-// aligned with the queries.  When ctx is cancelled mid-batch the call
-// stops handing out queries, lets in-flight ones unwind at their next
-// poll, and returns ctx.Err() together with the PARTIAL results: every
-// BatchComplete slot holds its full exact answer, every BatchIncomplete
-// slot is empty.  Any other failure (I/O error, recovered worker panic) aborts
-// the whole batch.  Stats are accumulated for completed queries only,
-// in query order, so the totals equal running them sequentially.
-func (ix *Index) ExecBatch(ctx context.Context, queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
-	return execBatch(ctx, ix.Exec, queries, parallelism, stats)
+	pin := ix.cell.Acquire()
+	defer pin.Release()
+	return exec(ctx, pin.Value(), q, stats)
 }
 
 // SearchPlannedContext builds a range Query and calls Exec.  It is
@@ -486,11 +475,10 @@ func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vec
 	return res.Matches, err
 }
 
-// exec is the one query entry point behind both index types, run
-// against a manifest — a view whose contents cannot move for the
-// duration of the query: validation, dispatch on the derived kind, and
-// the entry/exit bookkeeping (error counter, metrics, trace id,
-// caller's ledger) for every kind.
+// exec is the one query entry point, run against a manifest — a view
+// whose contents cannot move for the duration of the query: validation,
+// dispatch on the derived kind, and the entry/exit bookkeeping (error
+// counter, metrics, trace id, caller's ledger) for every kind.
 func exec(ctx context.Context, m *manifest, q Query, stats *SearchStats) (Result, error) {
 	if q.Costs == (CostBounds{}) {
 		q.Costs = UnboundedCosts()
@@ -753,11 +741,20 @@ func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Res
 	return Result{Matches: best, Total: total}, nil
 }
 
-// execBatch fans queries over one index's Exec; *Index and
-// *SegmentedIndex share it (a segmented batch pins a manifest per
-// query, so each query is consistent and none holds a generation for
-// the whole batch).
-func execBatch(ctx context.Context, exec func(context.Context, Query, *SearchStats) (Result, error), queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
+// ExecBatch answers many queries concurrently with up to parallelism
+// goroutines (capped at the query count; values < 1 default to
+// runtime.GOMAXPROCS(0)).  Every query runs independently — its own
+// Force pins its own path — and results and statuses are positionally
+// aligned with the queries.  When ctx is cancelled mid-batch the call
+// stops handing out queries, lets in-flight ones unwind at their next
+// poll, and returns ctx.Err() together with the PARTIAL results: every
+// BatchComplete slot holds its full exact answer, every BatchIncomplete
+// slot is empty.  Any other failure (I/O error, recovered worker panic) aborts
+// the whole batch.  Stats are accumulated for completed queries only,
+// in query order, so the totals equal running them sequentially.  Each
+// query pins its own manifest, so none holds a generation for the whole
+// batch.
+func (ix *Index) ExecBatch(ctx context.Context, queries []Query, parallelism int, stats *SearchStats) ([]Result, []BatchStatus, error) {
 	if parallelism < 1 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -790,7 +787,7 @@ func execBatch(ctx context.Context, exec func(context.Context, Query, *SearchSta
 				}
 				func(i int) {
 					defer recoverWorkerPanic("batch search", nil, nil, &errs[i])
-					results[i], errs[i] = exec(ctx, queries[i], &perQuery[i])
+					results[i], errs[i] = ix.Exec(ctx, queries[i], &perQuery[i])
 				}(i)
 				if errs[i] == nil {
 					statuses[i] = BatchComplete

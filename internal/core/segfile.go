@@ -1,12 +1,11 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 
 	"scaleshift/internal/binio"
@@ -62,14 +61,14 @@ type SegmentSet struct {
 // PinSegments pins the published manifest's frozen segments.  It errors
 // when the manifest still has uncompacted delta windows: a checkpoint
 // compacts first, under the same lock it pins under.
-func (g *SegmentedIndex) PinSegments() (*SegmentSet, error) {
-	pin := g.cell.Acquire()
+func (ix *Index) PinSegments() (*SegmentSet, error) {
+	pin := ix.cell.Acquire()
 	man := pin.Value()
 	if man.delta.n > 0 {
 		pin.Release()
 		return nil, fmt.Errorf("core: %d uncompacted delta windows; run Compact before writing segments", man.delta.n)
 	}
-	return &SegmentSet{opts: g.opts, segs: man.frozen, release: pin.Release}, nil
+	return &SegmentSet{opts: man.opts, segs: man.frozen, release: pin.Release}, nil
 }
 
 // Release drops the pin.
@@ -200,41 +199,7 @@ type SegmentRebuild struct {
 	Err  error
 }
 
-// assembleSegments makes the segmented index over st whose frozen
-// segments are frozen, rebuilding every one that is nil from st with the
-// bulk build — the windows of its directory entry, in a direction-box
-// arena of the served segments' node shape — and whose windows past the
-// segments' coverage, next, go to the delta.  The index owns mappings
-// from here on, and closes them on failure.
-func assembleSegments(st *store.Store, ix *Index, dirs []segDir, frozen []*frozenSeg, next []int, mappings []*binio.Mapping) (*SegmentedIndex, error) {
-	for _, sg := range frozen {
-		if sg != nil {
-			ix.opts.Tree = sg.flat.Config()
-			break
-		}
-	}
-	g := emptySegmented(st, ix.opts, ix.fmap, nil)
-	g.frozen, g.mappings = frozen, mappings
-	for i, sg := range frozen {
-		if sg != nil {
-			continue
-		}
-		flat, _, err := bulkLoadRanges(context.Background(), st, ix.fmap, ix.opts, dirs[i].ranges, runtime.GOMAXPROCS(0), nil)
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("core: rebuilding segment %d: %w", i, err)
-		}
-		frozen[i] = &frozenSeg{flat: flat, ranges: dirs[i].ranges, count: dirs[i].count}
-	}
-	copy(g.next, next)
-	if err := g.finishInit(); err != nil {
-		g.Close()
-		return nil, err
-	}
-	return g, nil
-}
-
-// Open assembles the segmented index a segment list describes over st,
+// Open assembles the index a segment list describes over st,
 // mapping each segment's file in dir.  Every file is checked in full
 // before it is used — its size and CRC32C against the list,
 // its header against the list's entry, its tree structurally — and its
@@ -243,7 +208,7 @@ func assembleSegments(st *store.Store, ix *Index, dirs []segDir, frozen []*froze
 // included — is rebuilt from st over the list's ranges with the bulk
 // build, and reported.  Open fails only when the list itself does not
 // fit st; the returned index owns the mappings until Close.
-func (l *SegmentList) Open(dir string, st *store.Store) (*SegmentedIndex, []SegmentRebuild, error) {
+func (l *SegmentList) Open(dir string, st *store.Store) (*Index, []SegmentRebuild, error) {
 	next, err := checkCoverage(l.dirs, st, l.opts.WindowLen)
 	if err != nil {
 		return nil, nil, err
@@ -253,7 +218,6 @@ func (l *SegmentList) Open(dir string, st *store.Store) (*SegmentedIndex, []Segm
 		return nil, nil, err
 	}
 	frozen := make([]*frozenSeg, len(l.dirs))
-	var mappings []*binio.Mapping
 	var rebuilt []SegmentRebuild
 	for i, f := range l.files {
 		path := filepath.Join(dir, f.Name)
@@ -262,15 +226,14 @@ func (l *SegmentList) Open(dir string, st *store.Store) (*SegmentedIndex, []Segm
 			rebuilt = append(rebuilt, SegmentRebuild{Path: path, Err: err})
 			continue
 		}
-		mappings = append(mappings, m)
+		ix.mappings = append(ix.mappings, m)
 		sg.file.Store(&durableFile{dir: dir, file: f})
 		frozen[i] = sg
 	}
-	g, err := assembleSegments(st, ix, l.dirs, frozen, next, mappings)
-	if err != nil {
+	if err := ix.assemble(l.dirs, frozen, next, true); err != nil {
 		return nil, nil, err
 	}
-	return g, rebuilt, nil
+	return ix, rebuilt, nil
 }
 
 // openSegmentFile maps one segment file and checks it against its list
@@ -289,34 +252,17 @@ func openSegmentFile(path string, f SegmentFile, opts Options, d segDir, dim int
 	if int64(len(data)) != f.Size {
 		return nil, nil, fmt.Errorf("core: segment file is %d bytes, the manifest says %d: %w", len(data), f.Size, ErrTruncated)
 	}
-	if err := binio.CheckFrame(data, len(segMagic), 2); err != nil {
+	a, err := parseArtifact(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("core: segment file: %w", err)
 	}
-	br := binio.NewByteReader(data)
-	if _, err := br.MagicVersions(segMagic, segVersions...); err != nil {
-		return nil, nil, fmt.Errorf("core: segment file: %w", err)
-	}
-	head, err := br.Section(maxIndexSection)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: segment file header: %w", err)
-	}
-	h, err := parseSegHeader(head)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(h.dirs) != 1 || !sameShape(h.opts, opts) || !sameDir(h.dirs[0], d) {
+	if len(a.dirs) != 1 || !sameShape(a.opts, opts) || !sameDir(a.dirs[0], d) {
 		return nil, nil, fmt.Errorf("core: segment file does not hold the segment the manifest names: %w", ErrChecksum)
 	}
-	// CheckFrame verified the arena section's checksum; it must also be
-	// the one the manifest recorded for this segment.
-	arena, err := br.SectionLazy(maxIndexSection)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: segment file arena: %w", err)
+	if a.crcs[0] != f.CRC {
+		return nil, nil, fmt.Errorf("core: segment file arena crc %08x, the manifest says %08x: %w", a.crcs[0], f.CRC, ErrChecksum)
 	}
-	if crc := binary.LittleEndian.Uint32(data[br.Offset()-4:]); crc != f.CRC {
-		return nil, nil, fmt.Errorf("core: segment file arena crc %08x, the manifest says %08x: %w", crc, f.CRC, ErrChecksum)
-	}
-	if sg, err = segmentFromArena(0, arena, d, dim); err != nil {
+	if sg, err = segmentFromArena(0, a.arenas[0], d, dim); err != nil {
 		return nil, nil, err
 	}
 	return sg, mapped, nil
@@ -329,13 +275,5 @@ func sameShape(a, b Options) bool {
 }
 
 func sameDir(a, b segDir) bool {
-	if a.count != b.count || len(a.ranges) != len(b.ranges) {
-		return false
-	}
-	for i := range a.ranges {
-		if a.ranges[i] != b.ranges[i] {
-			return false
-		}
-	}
-	return true
+	return a.count == b.count && slices.Equal(a.ranges, b.ranges)
 }

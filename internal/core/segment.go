@@ -19,15 +19,14 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// The segment model behind both index types: an ordered set of
-// immutable frozen segments — each a pointer-free flat R*-tree over a
-// contiguous per-sequence window range — plus a small mutable delta
-// absorbing freshly appended windows (deltaSeg, delta.go), read through
-// one manifest.  A query probes every frozen segment down its own tree
-// and sweeps the delta with the tree's leaf test.  An Index is the
-// one-segment, empty-delta manifest over its live store; every
-// generation of a SegmentedIndex pins a store snapshot, so queries fan
-// across segments and verify against data that cannot move under them.
+// The segment model behind the index: an ordered set of immutable
+// frozen segments — each a pointer-free flat R*-tree over a contiguous
+// per-sequence window range — plus a small mutable delta absorbing
+// freshly appended windows (deltaSeg, delta.go), read through one
+// manifest.  A query probes every frozen segment down its own tree and
+// sweeps the delta with the tree's leaf test.  Every generation pins a
+// store snapshot, so queries fan across segments and verify against
+// data that cannot move under them.
 
 // scanCheckInterval is how many emitted windows pass between ctx polls
 // in a segment scan: frequent enough that cancellation latency stays in
@@ -104,18 +103,16 @@ func (sg *frozenSeg) appendWindows(ctx context.Context, sc *queryScratch) error 
 }
 
 // manifest is one immutable view of an index: what every query plans,
-// probes and verifies against.  A SegmentedIndex publishes one per
-// generation through an RCU cell — readers pin it for the duration of a
-// query, writers publish a fresh one after every mutation, and no
-// reader ever observes a half-updated view; an Index holds the one that
-// describes its arena.
+// probes and verifies against.  The index publishes one per generation
+// through an RCU cell — readers pin it for the duration of a query,
+// writers publish a fresh one after every mutation, and no reader ever
+// observes a half-updated view.
 type manifest struct {
 	opts Options
 	fmap *dft.FeatureMap
 	gen  int64
-	// sv reads the data the segments cover: a pinned snapshot under a
-	// SegmentedIndex, where appends race with queries, and the store
-	// itself under an Index, which is immutable while queries run.
+	// sv reads the data the segments cover: a store snapshot pinned when
+	// the manifest was published, since mutations race with queries.
 	sv     storeView
 	frozen []*frozenSeg
 	// delta is the view of the mutable segment as of this generation.
@@ -334,7 +331,7 @@ func buildSegment(d deltaSeg, opts Options) (*frozenSeg, error) {
 // sequence their ranges then tile one contiguous span [lo, hi), and
 // only that span is re-extracted — the size-tiered policy depends on a
 // partial merge not paying for the untouched older segments.
-func mergeSegments(snap *store.Snapshot, fmap *dft.FeatureMap, opts Options, frozen []*frozenSeg, delta deltaSeg) (*frozenSeg, error) {
+func mergeSegments(snap storeView, fmap *dft.FeatureMap, opts Options, frozen []*frozenSeg, delta deltaSeg) (*frozenSeg, error) {
 	lo := map[int]int{}
 	hi := map[int]int{}
 	cover := func(seq, l, h int) {

@@ -68,7 +68,7 @@ func growSegmented(t testing.TB, opts Options, names []string, vals [][]float64,
 			}
 		case introduced < len(names) && rng.Intn(3) == 0:
 			cut := rng.Intn(len(vals[introduced]) + 1)
-			seq, err := g.AppendSequence(names[introduced], vals[introduced][:cut])
+			seq, err := g.AppendAndIndex(names[introduced], vals[introduced][:cut])
 			if err != nil {
 				t.Fatal(err)
 			}

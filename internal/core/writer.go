@@ -13,10 +13,8 @@ import (
 // extracted forward, sequence by sequence, and absorbed into a delta —
 // searchable at once, with the test a frozen leaf applies — until a fold
 // bulk-loads them into a frozen segment (bulkLoadRanges, buildSegment).
-// Both index types hold one.  An Index drives it bare: one frozen
-// segment, the live store, a fold on Freeze.  A SegmentedIndex adds what
-// concurrent readers need — the lock, the manifest cell, store
-// snapshots, a background compactor over several segments.
+// The Index around it adds what concurrent readers need — the lock, the
+// manifest cell, store snapshots, a compactor over several segments.
 type writer struct {
 	opts Options
 	st   *store.Store

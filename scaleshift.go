@@ -13,12 +13,10 @@
 // longer than the window is a multipiece long query, otherwise a range
 // query), Limit > 0 returns only the answer's first rows beside its
 // exact size (Result.Total), and ExecBatch runs a slice of them
-// concurrently.  An Index is read as one frozen segment and a delta:
-// the segment prices its access paths (tree probe, scan) for the query,
-// the cheaper runs, and one exact verifier checks whatever it emits, so
-// the choice shows only in Result.Explain.  See the repository README
-// for a tour and EXPERIMENTS.md for the reproduction of the paper's
-// evaluation.
+// concurrently.  One exact verifier checks whatever the index phase
+// emits, so results are bit-identical to a sequential scan's.  See the
+// repository README for a tour and EXPERIMENTS.md for the reproduction
+// of the paper's evaluation.
 //
 // Basic use:
 //
@@ -32,17 +30,24 @@
 //	res, err := ix.Exec(ctx, scaleshift.Query{Vec: q, Eps: eps}, nil)
 //	for _, m := range res.Matches { ... } // m.Scale, m.Shift: the optimal (a, b)
 //
-// The index is built, then searched and mutated.  Build, BuildBulk and
-// LoadIndex hand back an index served from one contiguous arena.  The
-// mutators (IndexSequence, AppendAndIndex, ExtendAndIndex) add windows
-// to a delta beside it, which the next Exec already searches;
-// UnindexSequence rebuilds the arena without a sequence.  Freeze folds
-// the delta into a new arena — never needed for a correct answer, worth
-// calling once a batch of mutations is in:
+// There is one index type, built once and then grown as values arrive
+// (§3, requirement 2).  Build and LoadIndex hand back an index of one
+// frozen segment, served from one contiguous arena.  The mutators
+// (IndexSequence, AppendAndIndex, ExtendAndIndex, AppendValues) add
+// windows to a delta beside it, which the next Exec already searches,
+// and may run while queries do; UnindexSequence rebuilds the index
+// without a sequence.  Freeze merges the segments and the delta into
+// one segment, the one Build makes — never needed for a correct answer,
+// worth calling once a batch of mutations is in:
 //
 //	seq, err := ix.AppendAndIndex("NEW", prices)
 //	res, err = ix.Exec(ctx, q, nil) // sees the new windows
 //	if err := ix.Freeze(); err != nil { ... }
+//
+// A server that ingests without pause calls StartCompactor instead: a
+// background Compact folds the delta into a new frozen segment whenever
+// it grows past CompactThreshold, merging older segments as they pile
+// up.  WriteBinary saves the index as one SSSEG segment.
 //
 // The concrete types live in internal packages; this package re-exports
 // them with type aliases, so values are interchangeable across the
