@@ -18,7 +18,7 @@ import (
 // the segment and refers to that file from then on.  The file is a
 // one-segment SSSEG artifact (header section, one arena section, the
 // trailer), so a recovery maps it and serves the arena in place, as
-// LoadIndexFile serves an SSIDX arena.
+// LoadIndexFile does, through the same parser (parseArtifact).
 //
 // The segment list is what a checkpoint manifest says about its
 // segments, as one section: the options, then per segment, in manifest
