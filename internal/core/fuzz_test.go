@@ -13,20 +13,44 @@ import (
 // over-allocates, and never hands back a usable index from corrupt
 // bytes: whatever LoadIndex or LoadSegments — the one reader, strict
 // and rebuilding — accepts must be internally consistent and
-// searchable.  Malformed segment counts, overlapping or out-of-bounds
-// window ranges and CRC flips must all surface as typed errors.  The
-// seeds are a WriteBinary artifact, a three-segment SSSEG that covers
-// less than the store (the rest goes to the delta), damaged copies of
-// both, and every SSIDX fixture.
+// searchable.  The seeds are a WriteBinary artifact, damaged copies of
+// it, and every SSIDX fixture; FuzzLoadSegments runs the same check
+// from a multi-segment SSSEG.
 func FuzzLoadIndex(f *testing.F) {
 	opts := testOptions()
 	ix := buildTestIndex(f, opts, 6, 100)
-	st := ix.Store()
 	var buf bytes.Buffer
 	if err := ix.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()
+	for _, in := range [][]byte{good, {}, []byte("SSSEG\x00"), []byte("SSSEG\x01"), []byte("SSIDX\x02"), []byte("SSIDX\x03")} {
+		f.Add(in)
+	}
+	addDamaged(f, good)
+	f.Add(leafKindArtifact(f, ix))
+	// Every SSIDX v3 artifact there is: the served box-directory one and
+	// those in layouts no longer read (a sub-trail MBR index, header word
+	// 4 says 8; a pointer tree; arena version 1; an MBR directory).
+	fixtures, _ := filepath.Glob(filepath.Join("testdata", "*.ssidx"))
+	for _, path := range append(fixtures, filepath.Join("testdata", "served", "box_v3.ssidx")) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	fuzzLoaders(f, ix.Store(), opts)
+}
+
+// FuzzLoadSegments is FuzzLoadIndex from a segment directory with more
+// than one entry: malformed segment counts, overlapping or
+// out-of-bounds window ranges and CRC flips must all surface as typed
+// errors.  The seeds are a three-segment SSSEG that covers less than
+// the store (the rest goes to the delta) and damaged copies of it.
+func FuzzLoadSegments(f *testing.F) {
+	opts := testOptions()
+	st := buildTestIndex(f, opts, 6, 100).Store()
 
 	// Three frozen segments over the first 60, 75 and 90 values of every
 	// sequence of st.
@@ -50,37 +74,35 @@ func FuzzLoadIndex(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := g.WriteSegments(&buf); err != nil || g.Backlog().Frozen != 3 {
 		f.Fatalf("three segments: %v, %d written", err, g.Backlog().Frozen)
 	}
 	three := buf.Bytes()
 
-	for _, in := range [][]byte{good, three, {}, []byte("SSSEG\x00"), []byte("SSSEG\x01"), []byte("SSIDX\x02"), []byte("SSIDX\x03")} {
+	for _, in := range [][]byte{three, {}, []byte("SSSEG\x00"), []byte("SSSEG\x01"), []byte("SSIDX\x03")} {
 		f.Add(in)
 	}
-	for _, a := range [][]byte{good, three} {
-		f.Add(a[:len(a)/2])
-		flipped := append([]byte(nil), a...)
-		flipped[len(flipped)-2] ^= 0x40
-		f.Add(flipped)
-		// A byte inside the segment directory.
-		dirFlipped := append([]byte(nil), a...)
-		dirFlipped[70] ^= 0x01
-		f.Add(dirFlipped)
-	}
-	f.Add(leafKindArtifact(f, ix))
-	// Every SSIDX v3 artifact there is: the served box-directory one and
-	// those in layouts no longer read (a sub-trail MBR index, header word
-	// 4 says 8; a pointer tree; arena version 1; an MBR directory).
-	fixtures, _ := filepath.Glob(filepath.Join("testdata", "*.ssidx"))
-	for _, path := range append(fixtures, filepath.Join("testdata", "served", "box_v3.ssidx")) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	addDamaged(f, three)
+	fuzzLoaders(f, st, opts)
+}
+
+// addDamaged seeds f with three damaged copies of artifact a: its
+// first half, a CRC flip near the end, and a flipped byte inside the
+// segment directory.
+func addDamaged(f *testing.F, a []byte) {
+	f.Add(a[:len(a)/2])
+	flipped := append([]byte(nil), a...)
+	flipped[len(flipped)-2] ^= 0x40
+	f.Add(flipped)
+	dirFlipped := append([]byte(nil), a...)
+	dirFlipped[70] ^= 0x01
+	f.Add(dirFlipped)
+}
+
+// fuzzLoaders hands every input to both loaders over st and holds
+// whatever either accepts to checkLoaded.
+func fuzzLoaders(f *testing.F, st *store.Store, opts Options) {
 	q := make([]float64, opts.WindowLen)
 	if err := st.Window(0, 0, opts.WindowLen, q, nil); err != nil {
 		f.Fatal(err)
