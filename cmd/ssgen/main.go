@@ -145,7 +145,10 @@ func buildSegmented(st *store.Store, opts core.Options, count int) (*core.Index,
 		}
 		live.AppendSequence(st.SequenceName(seq), full[seq][:n/count])
 	}
-	g, err := core.NewSegmentedIndex(live, opts)
+	g, err := core.NewIndex(live, opts)
+	if err == nil {
+		err = g.Build()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -290,7 +290,10 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.WindowLen = 8
 	opts.Coefficients = 2
-	seg, err := core.NewSegmentedIndex(st2Clone(t), opts)
+	seg, err := core.NewIndex(st2Clone(t), opts)
+	if err == nil {
+		err = seg.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +357,10 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 	if err := validateRecovery(nil, log); err != nil {
 		t.Fatalf("full replay should be valid with an untruncated WAL: %v", err)
 	}
-	seg2, err := core.NewSegmentedIndex(st2Clone(t), opts)
+	seg2, err := core.NewIndex(st2Clone(t), opts)
+	if err == nil {
+		err = seg2.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

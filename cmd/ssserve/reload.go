@@ -112,6 +112,12 @@ func (rl *reloader) load() (*snapshot, error) {
 				return nil, fmt.Errorf("closing index artifact: %w", closeErr)
 			}
 		}
+		// As at startup (OpenOrRebuildFile), the windows the store
+		// gained since the index was written go to the delta.
+		if err = ix.IndexStore(); err != nil {
+			ix.Close()
+			return nil, fmt.Errorf("indexing the windows the store gained: %w", err)
+		}
 		how = fmt.Sprintf("reloaded from %s + %s", cfg.StorePath, cfg.IndexPath)
 	} else {
 		ix, err = core.NewIndex(st, cfg.Opts)

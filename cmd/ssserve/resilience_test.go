@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -537,6 +539,84 @@ func TestAdminReloadUnconfigured(t *testing.T) {
 	resp, body := post(t, s, "/admin/reload", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("reload without artifacts: %d, want 409: %s", resp.StatusCode, body)
+	}
+}
+
+// TestReloadCoversGrownStore: when the store artifact has grown since
+// the index artifact was written, a reload serves every window of the
+// grown store, as the startup open does, through the mapped file and
+// through an injected reader alike.
+func TestReloadCoversGrownStore(t *testing.T) {
+	rcfg := writeArtifacts(t, 4, 80)
+	f, err := os.Open(rcfg.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.ReadBinary(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 0; seq < st.NumSequences(); seq++ {
+		extra := make([]float64, 20)
+		for i := range extra {
+			extra[i] = 40 + float64(seq*3+i%7)
+		}
+		if err := st.AppendValues(seq, extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := st.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rcfg.StorePath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.NewIndex(st, rcfg.Opts)
+	if err == nil {
+		err = fresh.Build()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	q := make([]float64, rcfg.Opts.WindowLen)
+	if err := st.Window(2, st.SequenceLen(2)-len(q), len(q), q, nil); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(ix *core.Index) []core.Match {
+		res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: 5}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(res.Matches, func(i, j int) bool {
+			a, b := res.Matches[i], res.Matches[j]
+			return a.Seq < b.Seq || a.Seq == b.Seq && a.Start < b.Start
+		})
+		return res.Matches
+	}
+	want := answer(fresh)
+	if len(want) == 0 {
+		t.Fatal("the query finds nothing in the grown store")
+	}
+	for name, open := range map[string]func(string) (io.ReadCloser, error){
+		"mapped": nil,
+		"reader": func(path string) (io.ReadCloser, error) { return os.Open(path) },
+	} {
+		cfg := rcfg
+		cfg.Open = open
+		snap, err := newReloader(cfg).load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := snap.ix.WindowCount(), fresh.WindowCount(); got != want {
+			t.Errorf("%s: the reloaded index holds %d windows, the grown store %d", name, got, want)
+		}
+		if got := answer(snap.ix); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reloaded index answers %d matches, a fresh build %d", name, len(got), len(want))
+		}
+		snap.ix.Close()
 	}
 }
 

@@ -30,7 +30,10 @@ func buildSeg(t testing.TB) (*store.Store, *core.Index) {
 	opts := core.DefaultOptions()
 	opts.WindowLen = 16
 	opts.Coefficients = 2
-	seg, err := core.NewSegmentedIndex(st, opts)
+	seg, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = seg.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,10 @@ func TestCheckpointDigest(t *testing.T) {
 	if _, err := stock.Populate(st, cfg); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := core.NewSegmentedIndex(st, core.DefaultOptions())
+	seg, err := core.NewIndex(st, core.DefaultOptions())
+	if err == nil {
+		err = seg.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,10 @@ func TestManifestDigest(t *testing.T) {
 	if _, err := stock.Populate(st, cfg); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := core.NewSegmentedIndex(st, core.DefaultOptions())
+	seg, err := core.NewIndex(st, core.DefaultOptions())
+	if err == nil {
+		err = seg.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,10 @@ func TestPreChangeCheckpoint(t *testing.T) {
 	if len(warns) != 1 || !warns[0].Rebuilt || warns[0].Path != base+" segment 0" || !errors.Is(warns[0].Err, binio.ErrVersion) {
 		t.Fatalf("warnings %v, want one rebuild of segment 0 for its version", warns)
 	}
-	fresh, err := core.NewSegmentedIndex(st, seg.Options())
+	fresh, err := core.NewIndex(st, seg.Options())
+	if err == nil {
+		err = fresh.Build()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

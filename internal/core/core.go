@@ -429,20 +429,6 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// NewSegmentedIndex is NewIndex followed by BuildBulkParallel on every
-// CPU: the store's current contents become the initial frozen segment,
-// and later AppendValues/AppendAndIndex calls grow the delta.
-func NewSegmentedIndex(st *store.Store, opts Options) (*Index, error) {
-	ix, err := NewIndex(st, opts)
-	if err == nil {
-		err = ix.BuildBulkParallel(0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
 // NewSegmentedFromIndex returns ix: there is one index type.  It is
 // kept for the callers that still convert.
 func NewSegmentedFromIndex(ix *Index) (*Index, error) { return ix, nil }
@@ -870,6 +856,26 @@ func (ix *Index) indexLocked(seq int, start time.Time) error {
 	ix.publishLocked()
 	ix.maybeKickLocked()
 	recordDeltaApply(time.Since(start))
+	return nil
+}
+
+// IndexStore indexes, into the delta, every window the store holds
+// that the index does not: IndexSequence over every sequence, published
+// once if any window was added.  An index opened from an artifact
+// written before its store grew covers the grown store after it.
+func (ix *Index) IndexStore() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	had := ix.delta.n
+	for seq := range ix.st.NumSequences() {
+		if err := ix.extract(seq); err != nil {
+			return err
+		}
+	}
+	if ix.delta.n != had {
+		ix.publishLocked()
+		ix.maybeKickLocked()
+	}
 	return nil
 }
 

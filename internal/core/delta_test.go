@@ -59,9 +59,7 @@ func growWithDelta(t testing.TB, opts Options, names []string, vals [][]float64,
 	}
 	f := &deltaFixture{packed: slices.Clone(done)}
 	var err error
-	if f.g, err = NewSegmentedIndex(st, opts); err != nil {
-		t.Fatal(err)
-	}
+	f.g = freshIndex(t, st, opts)
 	t.Cleanup(func() { f.g.Close() })
 	f.g.MergeRatio, f.g.MaxFrozen = 0, 0
 	grow := func(seq, limit int) {
@@ -430,10 +428,7 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 	for seq := range names {
 		st.AppendSequence(names[seq], vals[seq][:200])
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	defer g.Close()
 	w := make(vec.Vector, n)
 	if err := st.Window(2, 150, n, w, nil); err != nil {

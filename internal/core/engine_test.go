@@ -141,10 +141,7 @@ func TestAutoIsTheTree(t *testing.T) {
 	if _, _, frozen := grown.deltaShape(); frozen != 3 {
 		t.Fatalf("grown fixture has %d frozen segments, want 3", frozen)
 	}
-	deltaOnly, err := NewSegmentedIndex(store.New(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deltaOnly := freshIndex(t, store.New(), opts)
 	defer deltaOnly.Close()
 	for seq := range names {
 		if _, err := deltaOnly.AppendAndIndex(names[seq], vals[seq]); err != nil {

@@ -95,9 +95,7 @@ func newSegmentedExecFixture(tb testing.TB, deltaAppends int) *segmentedExecFixt
 		f.feed[seq] = vals[seq][days:]
 	}
 	var err error
-	if f.g, err = NewSegmentedIndex(st, DefaultOptions()); err != nil {
-		tb.Fatal(err)
-	}
+	f.g = freshIndex(tb, st, DefaultOptions())
 	tb.Cleanup(func() { f.g.Close() })
 	f.g.MergeRatio, f.g.MaxFrozen = 0, 0
 	qcfg := query.DefaultConfig()

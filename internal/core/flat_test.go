@@ -593,10 +593,7 @@ func TestRunLeafArtifactRejected(t *testing.T) {
 	st := buildTestIndex(t, testOptions(), 6, 100).Store()
 	rebuiltArtifact(t, st, filepath.Join("testdata", "trail8.ssidx"), "header word 4 (reserved; once the sub-trail run length) is 8")
 
-	g, err := NewSegmentedIndex(st, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, testOptions())
 	defer g.Close()
 	var seg bytes.Buffer
 	if err := g.WriteSegments(&seg); err != nil {
@@ -710,7 +707,7 @@ func rebuiltArtifact(t *testing.T, st *store.Store, path, want string) {
 }
 
 // freshIndex is a bulk build of st.
-func freshIndex(t *testing.T, st *store.Store, opts Options) *Index {
+func freshIndex(t testing.TB, st *store.Store, opts Options) *Index {
 	t.Helper()
 	ix, err := NewIndex(st, opts)
 	if err == nil {

@@ -59,10 +59,7 @@ func FuzzLoadSegments(f *testing.F) {
 	for seq := range names {
 		short.AppendSequence(names[seq], vals[seq][:60])
 	}
-	g, err := NewSegmentedIndex(short, opts)
-	if err != nil {
-		f.Fatal(err)
-	}
+	g := freshIndex(f, short, opts)
 	g.MergeRatio = 0
 	for _, cut := range [][2]int{{60, 75}, {75, 90}} {
 		for seq := range names {

@@ -20,8 +20,11 @@ import "scaleshift/internal/store"
 // build's own failure (invalid opts), and only that.  A rebuilt index is
 // not written anywhere: saving it over path is the caller's choice.
 func OpenOrRebuildFile(path string, st *store.Store, opts Options) (ix *Index, rebuilt, err error) {
-	if ix, rebuilt = loadFile(path, st, true); rebuilt == nil {
-		return ix, nil, nil
+	if ix, rebuilt = LoadIndexFile(path, st); rebuilt == nil {
+		if rebuilt = ix.IndexStore(); rebuilt == nil {
+			return ix, nil, nil
+		}
+		ix.Close()
 	}
 	if ix, err = NewIndex(st, opts); err != nil {
 		return nil, rebuilt, err

@@ -49,10 +49,7 @@ func TestQueryValidationTyped(t *testing.T) {
 
 	// A segmented index whose manifest holds no frozen segment yet
 	// (delta only).
-	deltaOnly, err := NewSegmentedIndex(store.New(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	deltaOnly := freshIndex(t, store.New(), testOptions())
 	defer deltaOnly.Close()
 	if _, err := deltaOnly.AppendAndIndex("fresh", append(q.Clone(), q...)); err != nil {
 		t.Fatal(err)

@@ -206,8 +206,9 @@ type SegmentRebuild struct {
 // arena is then served in place.  A segment whose file is missing or
 // fails a check — its arena in an older layout or with an MBR directory
 // included — is rebuilt from st over the list's ranges with the bulk
-// build, and reported.  Open fails only when the list itself does not
-// fit st; the returned index owns the mappings until Close.
+// build, and reported.  The windows st holds past the list's coverage
+// go to the delta.  Open fails only when the list itself does not fit
+// st; the returned index owns the mappings until Close.
 func (l *SegmentList) Open(dir string, st *store.Store) (*Index, []SegmentRebuild, error) {
 	next, err := checkCoverage(l.dirs, st, l.opts.WindowLen)
 	if err != nil {
@@ -230,7 +231,11 @@ func (l *SegmentList) Open(dir string, st *store.Store) (*Index, []SegmentRebuil
 		sg.file.Store(&durableFile{dir: dir, file: f})
 		frozen[i] = sg
 	}
-	if err := ix.assemble(l.dirs, frozen, next, true); err != nil {
+	if err := ix.assemble(l.dirs, frozen, next); err != nil {
+		return nil, nil, err
+	}
+	if err := ix.IndexStore(); err != nil {
+		ix.Close()
 		return nil, nil, err
 	}
 	return ix, rebuilt, nil

@@ -47,10 +47,7 @@ func growSegmented(t testing.TB, opts Options, names []string, vals [][]float64,
 		st.AppendSequence(names[seq], vals[seq][:cut])
 		done[seq] = cut
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	for {
 		remaining := introduced < len(names)
 		for seq := 0; seq < introduced; seq++ {
@@ -250,10 +247,7 @@ func TestSegmentedConcurrent(t *testing.T) {
 		st.AppendSequence(names[seq], vals[seq][:prefix])
 		done[seq] = prefix
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	g.CompactThreshold = 64
 	g.MaxFrozen = 3
 	g.StartCompactor()
@@ -380,10 +374,7 @@ func TestSegmentedCompactionLifecycle(t *testing.T) {
 	for seq := range names {
 		st.AppendSequence(names[seq], vals[seq][:50])
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	defer g.Close()
 	g.MaxFrozen = 2
 
@@ -460,10 +451,7 @@ func TestSegmentedTieredRetention(t *testing.T) {
 	for seq := range names {
 		st.AppendSequence(names[seq], vals[seq][:60])
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	defer g.Close()
 	// Push the backstop out of the way: the tiered ladder alone must
 	// keep the list small.
@@ -609,10 +597,7 @@ func TestWriteLoadSegments(t *testing.T) {
 	for seq := range names {
 		st.AppendSequence(names[seq], vals[seq][:150])
 	}
-	g, err := NewSegmentedIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := freshIndex(t, st, opts)
 	defer g.Close()
 	for seq := range names {
 		if err := g.AppendValues(seq, vals[seq][150:200]); err != nil {

@@ -478,7 +478,7 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading index artifact: %w", err)
 	}
-	ix, _, err := openArtifact(data, st, nil, false, false)
+	ix, _, err := openArtifact(data, st, nil, false)
 	return ix, err
 }
 
@@ -489,17 +489,11 @@ func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
 // An artifact in any other layout (an older arena version, an MBR
 // directory) is refused with ErrVersion; OpenOrRebuildFile rebuilds it.
 func LoadIndexFile(path string, st *store.Store) (*Index, error) {
-	return loadFile(path, st, false)
-}
-
-// loadFile is LoadIndexFile; with extend, the windows st holds past the
-// artifact's coverage go to the delta.
-func loadFile(path string, st *store.Store, extend bool) (*Index, error) {
 	m, err := binio.OpenMapping(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening index artifact: %w", err)
 	}
-	ix, _, err := openArtifact(m.Data, st, m, false, extend)
+	ix, _, err := openArtifact(m.Data, st, m, false)
 	return ix, err
 }
 
@@ -516,16 +510,23 @@ func LoadSegments(r io.Reader, st *store.Store) (*Index, []SegmentRebuild, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reading index artifact: %w", err)
 	}
-	return openArtifact(data, st, nil, true, true)
+	ix, rebuilt, err := openArtifact(data, st, nil, true)
+	if err == nil {
+		if err = ix.IndexStore(); err != nil {
+			ix.Close()
+			return nil, nil, err
+		}
+	}
+	return ix, rebuilt, err
 }
 
 // openArtifact is the loaders' one opener: it parses data in full,
 // checks it against st, opens every arena in place, and assembles the
 // index, which owns m (nil for bytes read into memory) from then on.
 // With rebuild, an arena that cannot be served is rebuilt and reported;
-// without, the first such arena fails the open.  With extend, windows
-// past the artifact's coverage go to the delta.
-func openArtifact(data []byte, st *store.Store, m *binio.Mapping, rebuild, extend bool) (*Index, []SegmentRebuild, error) {
+// without, the first such arena fails the open.  The index covers what
+// the artifact covers.
+func openArtifact(data []byte, st *store.Store, m *binio.Mapping, rebuild bool) (*Index, []SegmentRebuild, error) {
 	a, err := parseArtifact(data)
 	var ix *Index
 	var next []int
@@ -556,7 +557,7 @@ func openArtifact(data []byte, st *store.Store, m *binio.Mapping, rebuild, exten
 			return nil, nil, err
 		}
 	}
-	if err := ix.assemble(a.dirs, frozen, next, extend); err != nil {
+	if err := ix.assemble(a.dirs, frozen, next); err != nil {
 		return nil, nil, err
 	}
 	return ix, rebuilt, nil
@@ -565,10 +566,8 @@ func openArtifact(data []byte, st *store.Store, m *binio.Mapping, rebuild, exten
 // assemble installs frozen as the index's segments, rebuilding every
 // one that is nil from the store with the bulk build — the windows of
 // its directory entry, in a direction-box arena of the served segments'
-// node shape — over the coverage next; with extend, every window the
-// store holds past next goes to the delta.  It closes the index on
-// failure.
-func (ix *Index) assemble(dirs []segDir, frozen []*frozenSeg, next []int, extend bool) error {
+// node shape — over the coverage next.  It closes the index on failure.
+func (ix *Index) assemble(dirs []segDir, frozen []*frozenSeg, next []int) error {
 	for _, sg := range frozen {
 		if sg != nil {
 			ix.opts.Tree = sg.flat.Config()
@@ -590,12 +589,6 @@ func (ix *Index) assemble(dirs []segDir, frozen []*frozenSeg, next []int, extend
 	for _, sg := range frozen {
 		b, _ := sg.flat.Bounds() // the zero Rect while empty
 		ix.maxAbs = max(ix.maxAbs, maxAbsRect(b))
-	}
-	for seq := 0; extend && seq < len(ix.next); seq++ {
-		if err := ix.extract(seq); err != nil {
-			ix.Close()
-			return err
-		}
 	}
 	ix.cell = resilience.NewCell(ix.manifestLocked())
 	return nil

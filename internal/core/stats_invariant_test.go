@@ -261,10 +261,7 @@ func TestKNNRecordsTraceAndMetrics(t *testing.T) {
 	defer obs.Disable()
 	ix := buildTestIndex(t, testOptions(), 12, 120)
 	q, _ := invariantQuery(t, ix)
-	seg, err := NewSegmentedIndex(ix.Store(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := freshIndex(t, ix.Store(), testOptions())
 	defer seg.Close()
 	cm.once.Do(initCoreMetrics) // handles are lazily created on first record
 
