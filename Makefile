@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-nn bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -82,6 +82,14 @@ bench-paths:
 	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-paths (go run ./cmd/ssbench -experiment paths -scale full)"; \
 		$(GO) run ./cmd/ssbench -experiment paths -scale full; } > results/tree_vs_scan.txt
 	@cat results/tree_vs_scan.txt
+
+# k-NN cost over k (Corollary 1) at paper scale on the bulk-built
+# serving index, regenerating the committed artifact under a header
+# naming the commit and the command.
+bench-nn:
+	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-nn (go run ./cmd/ssbench -experiment nn -scale full -build bulk)"; \
+		$(GO) run ./cmd/ssbench -experiment nn -scale full -build bulk; } > results/abl_nn.txt
+	@cat results/abl_nn.txt
 
 # Bench smoke: a small fig4/5 run with a metrics snapshot, the CI
 # trajectory artifact (BENCH_smoke.json).

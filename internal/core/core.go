@@ -954,10 +954,9 @@ func (ix *Index) UnindexSequence(seq int) error {
 // ‖p − p̃‖ ≤ 2⁻²⁴·maxAbs·√dim (the subnormal case is 2¹²⁵ times
 // smaller, and vanishes in float64 beside the other).  Point-to-line
 // distance is 1-Lipschitz in the point: PLD(p, l) ≤ ε implies
-// PLD(p̃, l) ≤ ε + ‖p − p̃‖, and the MBRs above contain p̃.  The k-NN
-// stream's stop rule reads the same inequality the other way (a streamed
-// bound is at most the true distance plus the slack).  The delta's exact
-// float64 features do not need the term; one slack serves a manifest.
+// PLD(p̃, l) ≤ ε + ‖p − p̃‖, and the MBRs above contain p̃.  The delta's
+// exact float64 features do not need the term; one slack serves a
+// manifest.
 func numericSlack(maxAbs float64, dim int) float64 {
 	return (1e-7 + 0x1p-24) * maxAbs * math.Sqrt(float64(dim))
 }

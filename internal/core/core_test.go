@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"regexp"
 	"sort"
@@ -514,13 +515,11 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != k || len(want) != k {
-				t.Fatalf("k=%d: got %d, oracle %d", k, len(got), len(want))
+			if len(got) != k {
+				t.Fatalf("k=%d: got %d", k, len(got))
 			}
-			for i := range got {
-				if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("k=%d rank %d: %v vs %v", k, i, got[i].Dist, want[i].Dist)
-				}
+			if err := sameAsScan(got, want); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
 			}
 			if stats.Candidates == 0 || stats.LeafEntriesChecked == 0 {
 				t.Error("NN stats empty")
@@ -786,19 +785,162 @@ func TestNearestNeighborsWithCosts(t *testing.T) {
 			t.Fatalf("cost bound leaked scale %v", m.Scale)
 		}
 	}
-	// Oracle: brute-force k smallest among windows passing the filter.
-	var oracle []float64
-	st.ScanWindows(opts.WindowLen, nil, func(seq, start int, win vec.Vector) bool {
-		m := vec.MinDist(w, win)
-		if m.Scale >= 0.1 {
-			oracle = append(oracle, m.Dist)
+	if err := sameAsScan(got, nearestScan(st, w, 15, costs)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nearestScan is the brute-force k-NN under cost bounds: every window of
+// st by vec.MinDist, those whose (a, b) the bounds allow, the k nearest,
+// ties in storage order — seqscan.Nearest's answer under unbounded costs.
+func nearestScan(st *store.Store, q vec.Vector, k int, costs CostBounds) []seqscan.Result {
+	var all []seqscan.Result
+	st.ScanWindows(len(q), nil, func(seq, start int, w vec.Vector) bool {
+		if m := vec.MinDist(q, w); costs.Allow(m.Scale, m.Shift) {
+			all = append(all, seqscan.Result{Seq: seq, Start: start, Dist: m.Dist, Scale: m.Scale, Shift: m.Shift})
 		}
 		return true
 	})
-	sort.Float64s(oracle)
-	for i := range got {
-		if math.Abs(got[i].Dist-oracle[i]) > 1e-9 {
-			t.Fatalf("rank %d: %v vs oracle %v", i, got[i].Dist, oracle[i])
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Dist < all[j].Dist })
+	return all[:min(k, len(all))]
+}
+
+// TestNearestNeighborsEdges holds k-NN to the brute force where its bound
+// is missing or unusual: k above the window count and cost bounds that
+// fewer than k windows pass — no k seeds pass either, so every window is
+// a candidate (PathScan) — and an index whose windows all sit in the
+// delta, with no frozen segment to descend.
+func TestNearestNeighborsEdges(t *testing.T) {
+	opts := testOptions()
+	n := opts.WindowLen
+	check := func(label string, ix *Index, q vec.Vector, k int, costs CostBounds) SearchStats {
+		t.Helper()
+		var stats SearchStats
+		res, err := ix.Exec(context.Background(), Query{Vec: q, K: k, Costs: costs}, &stats)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := nearestScan(ix.Store(), q, k, costs)
+		if err := sameAsScan(res.Matches, want); err != nil || res.Total != len(want) || len(want) == 0 {
+			t.Fatalf("%s: total %d of %d: %v", label, res.Total, len(want), err)
+		}
+		return stats
+	}
+
+	small := buildTestIndex(t, opts, 2, 40)
+	_, vals := fullSequences(t, small.Store())
+	q := vec.Apply(vals[1][3:3+n], 2, 1)
+	windows := small.WindowCount()
+	if stats := check("k above the window count", small, q, windows+5, UnboundedCosts()); stats.Candidates < windows {
+		t.Errorf("k above the window count: %d candidates of %d windows", stats.Candidates, windows)
+	}
+
+	ix := buildTestIndex(t, opts, 12, 150)
+	names, vals := fullSequences(t, ix.Store())
+	q = vec.Apply(vals[3][40:40+n], 0.5, 3)
+	var scales []float64
+	ix.Store().ScanWindows(n, nil, func(_, _ int, w vec.Vector) bool {
+		scales = append(scales, vec.MinDist(q, w).Scale)
+		return true
+	})
+	sort.Float64s(scales)
+	costs := UnboundedCosts()
+	costs.ScaleMin = scales[len(scales)-3] // three windows pass
+	if stats := check("cost bounds fewer than k pass", ix, q, 5, costs); stats.Candidates < ix.WindowCount() {
+		t.Errorf("cost bounds fewer than k pass: %d candidates of %d windows", stats.Candidates, ix.WindowCount())
+	}
+
+	// An outsized K asks for every window, and must neither overflow the
+	// seed budget nor size a buffer by K.
+	for _, k := range []int{math.MaxInt / 2, 1 << 62} {
+		check(fmt.Sprintf("k=%d", k), small, q, k, UnboundedCosts())
+	}
+
+	deltaOnly := freshIndex(t, store.New(), opts)
+	defer deltaOnly.Close()
+	for seq := 0; seq < 6; seq++ {
+		if _, err := deltaOnly.AppendAndIndex(names[seq], vals[seq]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := deltaOnly.Backlog(); b.Frozen != 0 || b.DeltaWindows == 0 {
+		t.Fatalf("%d frozen segments, %d delta windows", b.Frozen, b.DeltaWindows)
+	}
+	for _, k := range []int{1, 10} {
+		check(fmt.Sprintf("delta only, k=%d", k), deltaOnly, q, k, UnboundedCosts())
+	}
+}
+
+// TestNearestNeighborsSeedsReachExactCopy asks for the nearest window
+// to exact scale/shift copies of stored windows.  The copy's SE-line
+// passes through its source's feature point, so every directory bound on
+// the source's path is 0 — as are many others near the root — and the
+// seeds must reach it whichever zero comes first: the bound ε₀ is then
+// the source's own distance, and the range pass at ε₀ holds a handful
+// of candidates.  Seeding from the first zero at each level alone
+// misses the source for some of these queries and verifies more.
+func TestNearestNeighborsSeedsReachExactCopy(t *testing.T) {
+	opts := testOptions()
+	n := opts.WindowLen
+	ix := buildTestIndex(t, opts, 60, 300)
+	st := ix.Store()
+	rng := rand.New(rand.NewSource(5))
+	w := make(vec.Vector, n)
+	for i := 0; i < 40; i++ {
+		seq := rng.Intn(st.NumSequences())
+		start := rng.Intn(st.SequenceLen(seq) - n + 1)
+		if err := st.Window(seq, start, n, w, nil); err != nil {
+			t.Fatal(err)
+		}
+		q := vec.Apply(w, 0.25+3.75*rng.Float64(), 100*rng.NormFloat64())
+		var stats SearchStats
+		res, err := ix.Exec(context.Background(), Query{Vec: q, K: 1}, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 1 || res.Matches[0].Seq != seq || res.Matches[0].Start != start {
+			t.Fatalf("query %d: the nearest to a copy of (%d, %d) is %+v", i, seq, start, res.Matches)
+		}
+		// The seeds, and the source (with a feature-space twin, if any) in
+		// the range pass.
+		if stats.Candidates > knnSeedsPerK+2 {
+			t.Errorf("query %d: a copy of (%d, %d) took %d candidates", i, seq, start, stats.Candidates)
+		}
+	}
+}
+
+// TestNearestNeighborsTiesInStorageOrder makes a delta window identical
+// to a frozen one and asks for it: the two tie at distance 0, and the
+// answer orders them as the scan does, by (Seq, Start) — the delta's
+// window (0, 100) before the frozen (1, 10).
+func TestNearestNeighborsTiesInStorageOrder(t *testing.T) {
+	opts := testOptions()
+	n := opts.WindowLen
+	_, vals := stockSeries(t, 2, 200)
+	st := store.New()
+	st.AppendSequence("a", vals[0][:100])
+	st.AppendSequence("b", vals[1])
+	ix := freshIndex(t, st, opts)
+	defer ix.Close()
+	freeze(t, ix)
+	if err := ix.AppendValues(0, vals[1][10:10+n]); err != nil {
+		t.Fatal(err)
+	}
+	q := vals[1][10 : 10+n]
+	for _, k := range []int{1, 10} {
+		got, err := nearest(ix, q, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := seqscan.Nearest(st, q, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[0].Seq != 0 || want[0].Start != 100 || k > 1 && (want[1].Seq != 1 || want[1].Start != 10 || want[1].Dist != want[0].Dist) {
+			t.Fatalf("k=%d: the scan's nearest are %+v; the fixture has no tie", k, want)
+		}
+		if err := sameAsScan(got, want); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
 	}
 }

@@ -138,54 +138,21 @@ func (d deltaSeg) filter(ctx context.Context, eq engine.Query, sc *queryScratch)
 	return nil
 }
 
-// stream yields the view's windows in non-decreasing feature-space
-// distance to line, the lower bound a frozen segment's best-first
-// stream reports for the same points, until visit returns false.  All
-// distances are computed in one pass of block sweeps; a binary heap
-// over them then yields the order lazily, so a stream that stops after
-// a few windows pays for a heapify, not a sort.
-func (d deltaSeg) stream(line vec.Line, sc *queryScratch, visit func(lb float64, id int64) bool) {
-	if cap(sc.nnDist) < d.n {
-		sc.nnDist = make([]float64, d.n)
-	}
-	if cap(sc.nnHeap) < d.n {
-		sc.nnHeap = make([]int32, d.n)
-	}
-	dist, heap := sc.nnDist[:d.n], sc.nnHeap[:d.n]
+// seeds offers every window of the view to sc.seeds, a selection of at
+// most max, at its feature-space distance to line: one sweep of the
+// kernel a frozen leaf runs, counted where a leaf's tests are.
+func (d deltaSeg) seeds(ctx context.Context, line vec.Line, max int, sc *queryScratch) error {
 	eq := engine.Query{Line: line}
-	for b := range d.blocks {
-		d.distances(b, eq, sc, dist[b*deltaBlockLen:])
+	for b, blk := range d.blocks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		c := d.count(b)
+		d.distances(b, eq, sc, sc.dist[:c])
+		for k, dist := range sc.dist[:c] {
+			sc.seeds.offer(seed{dist: dist, id: blk.ids[k]}, max)
+		}
 	}
 	sc.tree.LeafEntriesChecked += d.n
-	for i := range heap {
-		heap[i] = int32(i)
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				return
-			}
-			if c+1 < len(heap) && dist[heap[c+1]] < dist[heap[c]] {
-				c++
-			}
-			if dist[heap[i]] <= dist[heap[c]] {
-				return
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(heap) > 0 {
-		w := int(heap[0])
-		if !visit(dist[w], d.blocks[w/deltaBlockLen].ids[w%deltaBlockLen]) {
-			return
-		}
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		down(0)
-	}
+	return nil
 }

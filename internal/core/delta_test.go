@@ -188,9 +188,7 @@ func (f *deltaFixture) checkRange(t *testing.T, label string, q vec.Vector, eps 
 	return len(want)
 }
 
-// checkKNN holds a k-NN query to the scan, distance for distance.  Tied
-// windows may come back in either order, so each returned window's
-// transformation is also checked against its own exact MinDist.
+// checkKNN holds a k-NN query to the scan, row for row.
 func (f *deltaFixture) checkKNN(t *testing.T, label string, q vec.Vector, k int) {
 	t.Helper()
 	got, err := nearest(f.g, q, k, nil)
@@ -201,20 +199,8 @@ func (f *deltaFixture) checkKNN(t *testing.T, label string, q vec.Vector, k int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(scan) {
-		t.Fatalf("%s: %d neighbours, the scan finds %d", label, len(got), len(scan))
-	}
-	w := make(vec.Vector, len(q))
-	for i, m := range got {
-		if !sameBits(m.Dist, scan[i].Dist) {
-			t.Fatalf("%s: neighbour %d at distance %v, the scan's is at %v", label, i, m.Dist, scan[i].Dist)
-		}
-		if err := f.ref.Store().Window(m.Seq, m.Start, len(q), w, nil); err != nil {
-			t.Fatal(err)
-		}
-		if e := vec.MinDist(q, w); !sameBits(m.Dist, e.Dist) || !sameBits(m.Scale, e.Scale) || !sameBits(m.Shift, e.Shift) {
-			t.Fatalf("%s: neighbour %d = %+v, its exact distance is %+v", label, i, m, e)
-		}
+	if err := sameAsScan(got, scan); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -355,12 +341,12 @@ func TestSegmentedDeltaAdversarialMagnitudes(t *testing.T) {
 }
 
 // TestSegmentedKNNStopsEarlyInDelta pins the delta's k-NN bound.  With
-// a delta of thousands of windows, a query refines exactly the windows
-// it would refine were the delta a frozen segment — the stream carries
-// the same lower bounds in the same order, so it stops at the same
-// place — which is a small multiple of what a from-scratch index
-// refines (each segment's stream starts before the shared top-k is at
-// its final value) and nowhere near one refinement per delta window.
+// a delta of thousands of windows, a query refines about the windows it
+// would refine were the delta a frozen segment — the delta's windows
+// compete for the seeds at the distances a frozen leaf gives them, and
+// the range pass tests them as a leaf does — which is a small multiple
+// of what a from-scratch index refines and nowhere near one refinement
+// per delta window.
 func TestSegmentedKNNStopsEarlyInDelta(t *testing.T) {
 	opts := testOptions()
 	n := opts.WindowLen
@@ -397,7 +383,7 @@ func TestSegmentedKNNStopsEarlyInDelta(t *testing.T) {
 		}
 	}
 	// Freeze the delta as a fourth segment (merging is off): the same
-	// windows, now behind a best-first tree stream.
+	// windows, now seeded by a greedy descent of their own tree.
 	if err := f.g.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +393,8 @@ func TestSegmentedKNNStopsEarlyInDelta(t *testing.T) {
 	for i, src := range sources {
 		var frozenStats SearchStats
 		knn(i, f.g, &frozenStats)
-		// Windows tied at the stopping bound may fall on either side.
+		// The delta's windows and the greedy path of their own tree seed
+		// differently, so the bound may move by a few windows.
 		if d := withDelta[i].Candidates - frozenStats.Candidates; d < -k || d > k {
 			t.Errorf("query %v: refined %d candidates with the delta, %d with the same windows frozen", src, withDelta[i].Candidates, frozenStats.Candidates)
 		}
@@ -548,7 +535,8 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 // TestDeltaSegViews unit-tests the columnar segment: prefix views stay
 // fixed while the writer appends into their last block, suffix copies
 // carry ids and feature rows across block boundaries, and the batched
-// sweep agrees with the scalar leaf test on every window.
+// sweep agrees with the scalar leaf test on every window, in the filter
+// and in the k-NN seed selection.
 func TestDeltaSegViews(t *testing.T) {
 	const dim = 6
 	rng := rand.New(rand.NewSource(3))
@@ -605,20 +593,27 @@ func TestDeltaSegViews(t *testing.T) {
 			}
 			sc.release()
 		}
-		// The k-NN stream: every window once, bounds ascending and equal
-		// to the scalar distance.
+		// The k-NN seeds: the max nearest windows, each at the scalar
+		// distance.
 		sc := acquireScratch()
 		defer sc.release()
-		seen, last := 0, -1.0
-		v.stream(line, sc, func(lb float64, id int64) bool {
-			if lb < last || !sameBits(lb, vec.PLDFast(feats[id], line)) {
-				t.Fatalf("%s: stream yields window %d at bound %v after %v", label, id, lb, last)
+		const max = 40
+		if err := v.seeds(context.Background(), line, max, sc); err != nil {
+			t.Fatal(err)
+		}
+		sc.seeds.keep(max)
+		all := make([]float64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			all = append(all, vec.PLDFast(feats[i], line))
+		}
+		slices.Sort(all)
+		if want := min(max, hi-lo); len(sc.seeds) != want || sc.tree.LeafEntriesChecked != hi-lo {
+			t.Fatalf("%s: %d seeds after %d tests, want %d after %d", label, len(sc.seeds), sc.tree.LeafEntriesChecked, want, hi-lo)
+		}
+		for _, s := range sc.seeds {
+			if d := vec.PLDFast(feats[s.id], line); !sameBits(s.dist, d) || d > all[len(sc.seeds)-1] {
+				t.Fatalf("%s: seed %d at %v, its distance %v, the %dth nearest %v", label, s.id, s.dist, d, len(sc.seeds), all[len(sc.seeds)-1])
 			}
-			seen, last = seen+1, lb
-			return true
-		})
-		if seen != hi-lo {
-			t.Fatalf("%s: stream visited %d windows, want %d", label, seen, hi-lo)
 		}
 	}
 

@@ -344,16 +344,17 @@ func TestExecRangeAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestExecKNNAllocCeiling pins the typed best-first queue: a 10-NN
-// query over the segmented fixture pushes some 19 000 queue entries,
-// and boxed one object each while the queue went through
-// container/heap.  What is left is geom.LineRectDist's breakpoint
-// slices, a few per internal entry visited — some 12 000 a query here.
+// TestExecKNNAllocCeiling pins what a 10-NN query allocates over the
+// segmented fixture.  It is a range query at a bound, so it allocates
+// what one does — the probe's Explain (one SegmentPlan per segment), the
+// verifier's query-side vectors, the page sets — plus the seed pass's
+// answer and its own: 14 allocs on the 2-vCPU box.  The seeds, their
+// bounded selection and the top-k collectors live in the pooled scratch.
 func TestExecKNNAllocCeiling(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random, so pooled buffers are reallocated")
 	}
-	const ceiling = 15000
+	const ceiling = 20
 	f := newSegmentedExecFixture(t, execFixtureDeltaAppends)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(3, func() {
@@ -366,5 +367,33 @@ func TestExecKNNAllocCeiling(t *testing.T) {
 	t.Logf("%.0f allocs per 10-NN query", allocs)
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per 10-NN query, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestExecKNNRefinesAsFrozen: over the segmented fixture — three frozen
+// segments and a 4 000-window delta — its 10-NN queries pay at most
+// 1.2× the exact checks they pay once Freeze has merged the same windows
+// into one segment.  Every segment's seed descent and the whole delta
+// compete for one set of seeds, so the bound is about as tight as the
+// frozen index's; one query's count goes either way with its seeds.
+func TestExecKNNRefinesAsFrozen(t *testing.T) {
+	f := newSegmentedExecFixture(t, execFixtureDeltaAppends)
+	exact := func() int {
+		var stats SearchStats
+		for _, q := range f.queries {
+			if _, err := f.g.Exec(context.Background(), Query{Vec: q.Values, K: 10}, &stats); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return stats.ExactChecks
+	}
+	segmented := exact()
+	if err := f.g.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	frozen := exact()
+	t.Logf("%d exact checks over the segments, %d after Freeze", segmented, frozen)
+	if float64(segmented) > 1.2*float64(frozen) {
+		t.Errorf("%d exact checks over the segments, more than 1.2 × the %d after Freeze", segmented, frozen)
 	}
 }

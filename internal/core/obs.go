@@ -74,7 +74,7 @@ func initCoreMetrics() {
 			obs.Label{Key: "path", Value: k.String()})
 	}
 	cm.searchDur = r.DurationHistogram("scaleshift_search_duration_seconds",
-		"End-to-end query latency (plan+probe+verify; stream+refine for k-NN).")
+		"End-to-end query latency (plan+probe+verify; seeds+range+verify for k-NN).")
 	cm.planDur = r.DurationHistogram("scaleshift_plan_duration_seconds",
 		"Plan stage latency: a probe's preparation (SE-line and engine query).")
 	cm.probeDur = r.DurationHistogram("scaleshift_probe_duration_seconds",

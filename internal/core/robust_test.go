@@ -630,31 +630,44 @@ func TestNearestNeighborsContextCancelled(t *testing.T) {
 }
 
 // TestNearestNeighborsCancelsPromptly is the serving-path contract:
-// a dropped client stops an in-flight k-NN refinement within the
-// shared cancellation grain.
+// a dropped client stops an in-flight k-NN query within the shared
+// cancellation grain — in its range pass, and in the scan it falls back
+// to when cost bounds leave fewer than k seeds — and a query that beats
+// the cancel answers as the brute force does.
 func TestNearestNeighborsCancelsPromptly(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 30, 650)
 	q, _ := testQueryEps(t, ix)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := ix.Exec(ctx, Query{Vec: q, K: 50}, nil)
-		done <- err
-	}()
-	time.Sleep(time.Millisecond)
-	cancelled := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v", err)
+	narrow := UnboundedCosts()
+	narrow.ScaleMin, narrow.ScaleMax = 0.5, 0.5000001
+	for _, costs := range []CostBounds{UnboundedCosts(), narrow} {
+		ctx, cancel := context.WithCancel(context.Background())
+		type answer struct {
+			res Result
+			err error
 		}
-		// err == nil means the query beat the cancel; that's fine.
-		if d := time.Since(cancelled); d > promptBound() {
-			t.Errorf("NN returned %v after cancel, want <= %v", d, promptBound())
+		done := make(chan answer, 1)
+		go func() {
+			res, err := ix.Exec(ctx, Query{Vec: q, K: 50, Costs: costs}, nil)
+			done <- answer{res, err}
+		}()
+		time.Sleep(time.Millisecond)
+		cancelled := time.Now()
+		cancel()
+		select {
+		case a := <-done:
+			switch {
+			case a.err == nil: // the query beat the cancel
+				if err := sameAsScan(a.res.Matches, nearestScan(ix.Store(), q, 50, costs)); err != nil {
+					t.Errorf("costs %+v: %v", costs, err)
+				}
+			case !errors.Is(a.err, context.Canceled):
+				t.Fatalf("costs %+v: err = %v", costs, a.err)
+			}
+			if d := time.Since(cancelled); d > promptBound() {
+				t.Errorf("costs %+v: NN returned %v after cancel, want <= %v", costs, d, promptBound())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("costs %+v: NN search did not return after cancel", costs)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("NN search did not return after cancel")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sync"
@@ -34,10 +35,9 @@ type queryScratch struct {
 	// qpD, qpQp and dist are the batched PLD kernel's accumulator and
 	// output rows for one delta block.
 	qpD, qpQp, dist [deltaBlockLen]float64
-	// nnDist and nnHeap hold a k-NN query's lower bound for every delta
-	// window and the heap that orders them.
-	nnDist []float64
-	nnHeap []int32
+	// seeds is a k-NN query's bounded selection of seed windows
+	// (manifest.seeds).
+	seeds seedSet
 }
 
 // Buffers beyond these capacities are dropped on release instead of
@@ -62,8 +62,7 @@ func (sc *queryScratch) release() {
 	sc.probeTally = probeTally{}
 	sc.ids = pooled(sc.ids, maxPooledIDs)
 	sc.bits = pooled(sc.bits, maxPooledIDs)
-	sc.nnDist = pooled(sc.nnDist, maxPooledIDs)
-	sc.nnHeap = pooled(sc.nnHeap, maxPooledIDs)
+	sc.seeds = pooled(sc.seeds, maxPooledIDs)
 	for i := range sc.workers {
 		w := &sc.workers[i]
 		*w = verifyWorker{out: pooled(w.out, maxPooledMatches), stitch: pooled(w.stitch, maxPooledStitch)}
@@ -83,7 +82,7 @@ func pooled[T any](buf []T, limit int) []T {
 // {t·F(T_se(q))} through the origin (§5.1 property 3; linear maps send
 // lines through the origin to lines through the origin).  Its vectors
 // live in sc until the next call: a query's line lives only as long as
-// its probe or its k-NN stream.
+// its probe or its k-NN seeding.
 func (sc *queryScratch) seLine(fmap *dft.FeatureMap, q vec.Vector) vec.Line {
 	dim := fmap.Dim()
 	if cap(sc.line) < 2*dim {
@@ -93,6 +92,34 @@ func (sc *queryScratch) seLine(fmap *dft.FeatureMap, q vec.Vector) vec.Line {
 	clear(p)
 	fmap.TransformSE(d, q)
 	return vec.Line{P: p, D: d}
+}
+
+// seed is a window a k-NN query may refine into its bound: its packed id
+// and its feature-space distance to the query's SE-line.
+type seed struct {
+	dist float64
+	id   int64
+}
+
+// seedSet is a bounded selection of the seeds nearest the line.  Once
+// it holds max its first max are sorted (keep), and a seed no nearer
+// than the last of them is dropped at one comparison; at 2·max it is cut
+// back to max.
+type seedSet []seed
+
+func (h *seedSet) offer(s seed, max int) {
+	if len(*h) >= max && s.dist >= (*h)[max-1].dist {
+		return
+	}
+	if *h = append(*h, s); len(*h) == max || len(*h) == 2*max {
+		h.keep(max)
+	}
+}
+
+// keep sorts the set by distance and cuts it to its max nearest.
+func (h *seedSet) keep(max int) {
+	slices.SortFunc(*h, func(a, b seed) int { return cmp.Compare(a.dist, b.dist) })
+	*h = (*h)[:min(len(*h), max)]
 }
 
 // verifyWorkers returns n workers in their released state — zero but

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,7 +55,8 @@ type storeView interface {
 // (vec.Prepared.Certify) and the exact confirmation (vec.Prepared.
 // MinDist), so a candidate never pays for the query's own reductions.
 // A range query's verifier is read-only after construction and
-// therefore shared by the parallel verification workers.
+// therefore shared by the parallel verification workers; a k-NN query's
+// workers each tighten a copy of it.
 type verifier struct {
 	sv    storeView
 	n     int // window length, len(q)
@@ -67,6 +69,9 @@ type verifier struct {
 	// epsHi dismisses a window and one at or below epsLo accepts it (see
 	// setEps).
 	eps, epsLo, epsHi float64
+	// k, when positive, makes verification collect the k nearest matches
+	// (verifyWorker.run) in place of the first ones.
+	k int
 }
 
 func newVerifier(sv storeView, q vec.Vector, eps float64, costs CostBounds) *verifier {
@@ -151,6 +156,13 @@ func (v *verifier) exact(w vec.Vector) (vec.Match, int) {
 // per-query verification fan-out is not worth the goroutine handoff.
 const verifyParallelThreshold = 32
 
+// knnVerifyParallelThreshold is verifyParallelThreshold under a top-k
+// verifier, whose workers each fill their own top-k before their
+// threshold tightens: a k-NN range pass of a few thousand candidates is
+// not verified sooner fanned out, a scan is (DESIGN §8 has the
+// measurements).
+const knnVerifyParallelThreshold = 1 << 12
+
 // verdicts is the classification of a query's candidates: every one is
 // a match, a false alarm or a cost rejection; exactChecks counts those
 // that paid the exact pass, normCertified the matches counted from
@@ -160,7 +172,8 @@ type verdicts struct {
 }
 
 // verifyWorker is the verification of one contiguous chunk of the
-// ordered candidate ids: its first rows in id order, its verdict counts,
+// ordered candidate ids: its first rows in id order (its nearest, in
+// (Dist, Seq, Start) order, under a top-k verifier), its verdict counts,
 // the buffer its boundary-straddling windows are stitched into, and —
 // on the parallel pass — its private page counter and failure.
 type verifyWorker struct {
@@ -186,7 +199,16 @@ type verifyWorker struct {
 // certify.  The exact pass runs on what certify leaves undecided and on
 // every match that becomes a row, so rows carry the exact pass's values
 // and the rest of the chunk is counted from the bounds alone.
+// Under a top-k verifier (v.k > 0) limit is ignored: the chunk keeps its
+// v.k nearest matches (nearestRows) — cut back from 2·v.k, so a k near
+// the candidate count costs a few sorts, not an insertion per row — and
+// each time it holds v.k it tightens its own copy of v's threshold to
+// the kth's distance.
 func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit int, pc *store.PageCounter) error {
+	if v.k > 0 {
+		own := *v
+		v = &own
+	}
 	out := w.out[:0]
 	for i, id := range ids {
 		if i%verifyCheckInterval == 0 {
@@ -199,7 +221,7 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 		if err != nil {
 			return err
 		}
-		row := limit <= 0 || len(out) < limit
+		row := v.k > 0 || limit <= 0 || len(out) < limit
 		if !row && v.normMatch(ws) {
 			w.matches++
 			w.normCertified++
@@ -215,14 +237,18 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 			m, verdict = v.exact(win)
 			w.exactChecks++
 			if verdict == verdictMatch && row {
-				out = append(out, Match{
+				match := Match{
 					Seq:   w.seq,
 					Start: w.start,
 					Name:  v.sv.SequenceName(w.seq),
 					Dist:  m.Dist,
 					Scale: m.Scale,
 					Shift: m.Shift,
-				})
+				}
+				if out = append(out, match); v.k > 0 && (len(out) == v.k || len(out) == 2*v.k) {
+					out = nearestRows(out, v.k)
+					v.setEps(out[v.k-1].Dist)
+				}
 			}
 		}
 		switch verdict {
@@ -238,10 +264,21 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 	return nil
 }
 
+// nearestRows returns the k nearest of rows in (Dist, Seq, Start)
+// order: equally distant windows as the scan orders them.
+func nearestRows(rows []Match, k int) []Match {
+	slices.SortFunc(rows, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Start, b.Start))
+	})
+	return rows[:min(len(rows), k)]
+}
+
 // verifyCandidates post-processes the ordered candidate ids in sc,
 // returning the first limit matches (all, without a positive limit) in id
 // order —
-// (Seq, Start) order, the order of the answer — and the classification
+// (Seq, Start) order, the order of the answer — or, under a top-k
+// verifier, the v.k nearest in (Dist, Seq, Start) order, merged from
+// the workers' own; and the classification
 // of every candidate.  The ids are cut into contiguous chunks, one per
 // worker; each worker keeps the first limit rows of its chunk in its own
 // scratch buffer and counts its own verdicts, and the answer is the
@@ -253,15 +290,20 @@ func (w *verifyWorker) run(ctx context.Context, v *verifier, ids []int64, limit 
 // afterwards; otherwise there is one chunk, run on the caller's
 // goroutine against pc itself.  Either way rows, ordering, and every
 // SearchStats field are identical but ExactChecks, NormCertified and
-// DataPageAccesses under a positive limit: each chunk runs the exact
-// pass, and fetches every window, until it holds limit rows.  Every chunk polls ctx
+// DataPageAccesses under a positive limit or a top-k verifier: each
+// chunk runs the exact pass, and fetches every window, until it holds
+// its rows.  Every chunk polls ctx
 // every verifyCheckInterval candidates; a panic on a worker goroutine
 // (a poisoned window) is recovered into a *WorkerPanicError rather than
 // crashing the process.
 func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit int, pc *store.PageCounter) ([]Match, verdicts, error) {
 	ids := sc.ids
 	workers := runtime.GOMAXPROCS(0)
-	if len(ids) < verifyParallelThreshold || pc.Pool != nil {
+	threshold := verifyParallelThreshold
+	if v.k > 0 {
+		threshold = knnVerifyParallelThreshold
+	}
+	if len(ids) < threshold || pc.Pool != nil {
 		workers = 1
 	}
 	if workers > len(ids) {
@@ -328,15 +370,18 @@ func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit 
 		vd.exactChecks += ws[g].exactChecks
 		vd.normCertified += ws[g].normCertified
 	}
-	if limit > 0 {
-		rows = min(rows, limit)
-	}
 	if rows == 0 {
 		return nil, vd, nil
+	}
+	if limit > 0 {
+		rows = min(rows, limit)
 	}
 	out := make([]Match, 0, rows)
 	for g := range ws {
 		out = append(out, ws[g].out[:min(len(ws[g].out), rows-len(out))]...)
+	}
+	if v.k > 0 {
+		out = nearestRows(out, v.k)
 	}
 	return out, vd, nil
 }
@@ -381,9 +426,9 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds) engin
 // Corollary 1 nearest-neighbour variants.  The kind is derived, never
 // set:
 //
-//   - K > 0 asks for the K nearest windows (Eps is ignored and Force
-//     must stay PathAuto: the refinement needs the tree's best-first
-//     stream);
+//   - K > 0 asks for the K nearest windows (Eps is ignored, and Force
+//     must stay PathAuto: the query picks its own path, the tree at a
+//     bound it finds or the scan when it finds none — see execKNN);
 //   - otherwise len(Vec) > Options.WindowLen is a multipiece long
 //     query and len(Vec) == WindowLen a plain range query, both within
 //     Eps.
@@ -425,8 +470,9 @@ type Query struct {
 // Result is a query's answer.  Range and long queries return Matches
 // ordered by (Seq, Start) and the Explain recording the path, one row
 // per probed segment, candidate actuals and stage
-// timings; k-NN queries return Matches by increasing distance and a
-// nil Explain (no plan is made: they are pinned to the index probe).  Total is the
+// timings; k-NN queries return Matches by increasing distance, ties in
+// (Seq, Start) order, and a nil Explain (the query chooses its own
+// path, see execKNN).  Total is the
 // size of the whole answer, of which Matches is the first Query.Limit
 // rows: len(Matches) == Total unless the limit cut it.
 type Result struct {
@@ -525,7 +571,7 @@ func validate(m *manifest, q Query) error {
 	case q.Force < engine.PathAuto || q.Force >= engine.NumPathKinds:
 		return fmt.Errorf("core: %w: unknown access path %v", ErrInvalidQuery, q.Force)
 	case q.K > 0 && q.Force != engine.PathAuto:
-		return fmt.Errorf("core: %w: a forced path applies to range queries; nearest-neighbour search is pinned to the index probe", ErrInvalidQuery)
+		return fmt.Errorf("core: %w: a forced path applies to range queries; nearest-neighbour search picks its own", ErrInvalidQuery)
 	case len(q.Vec) < n:
 		return fmt.Errorf("core: %w: query length %d below index window length %d", ErrInvalidQuery, len(q.Vec), n)
 	}
@@ -646,93 +692,79 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	return Result{Matches: out, Total: vd.matches, Explain: ex}, nil
 }
 
+// knnSeedsPerK is how many seeds per neighbour asked for a k-NN query
+// refines into its bound (manifest.seeds); DESIGN §8 has the sweep.
+const knnSeedsPerK = 4
+
 // execKNN returns the q.K windows with the smallest scale/shift
 // distance to q.Vec whose optimal transformation passes the cost
 // bounds — e.g. bounding the scale factor away from zero excludes the
 // degenerate matches where a near-constant window "matches" any query
-// via a ≈ 0 — in increasing order (Corollary 1).  The answer is exact:
-// candidates stream in non-decreasing feature-space distance, which
-// lower-bounds the true distance of every window, filtered or not, so
-// a stream stops as soon as its bound passes the kth best exact
-// distance (GEMINI-style refinement); the top-k shared across streams
-// keeps the answer exact over a segmented view.  NN queries pin the
-// index probe and refuse a forced path: only the tree's
-// best-first traversal yields that order, and a scan has no early
-// termination, so it is never cheaper.  ctx is polled every
-// verifyCheckInterval refined windows.
+// via a ≈ 0 — nearest first, ties in (Seq, Start) order (Corollary 1).
+//
+// It is a range query at a bound ε₀ under a top-k verifier (DESIGN §8).
+// The seeds (manifest.seeds) are verified first, and ε₀ is the kth
+// distance among those the cost bounds pass; with fewer than k there is
+// none, every window is a candidate (PathScan) and the threshold stays
+// open.  The probe at ε₀ feeds the same verifier.  The answer is exact:
+// at least k windows lie within ε₀, so the k nearest do, and the probe
+// dismisses no window within ε₀.
 func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	n, sv, k := m.opts.WindowLen, m.sv, q.K
-	slack := m.slack
-	vq := newVerifier(sv, q.Vec, 0, q.Costs)
-	pc := store.PageCounter{Pool: q.Pool}
+	windows := m.windowCount()
+	if windows == 0 {
+		return Result{}, nil
+	}
 	sc := acquireScratch()
 	defer sc.release()
-	stitch := sc.verifyWorkers(1, n)[0].stitch
-	var best []Match // sorted ascending by Dist, at most k
+	pc := store.PageCounter{Pool: q.Pool}
+	v := newVerifier(m.sv, q.Vec, math.Inf(1), q.Costs)
+	v.k = min(q.K, windows) // no seed budget or row buffer sized by K
+	var best []Match        // the v.k nearest of the last verification
 	var candidates, exactChecks int
-	var failed error
-
-	// refine exact-checks one window against the running top-k.  Once the
-	// top-k is full, certify runs first with the kth best distance as its
-	// threshold: a window certainly farther, or certainly outside the cost
-	// bounds, cannot enter the answer and skips the exact MinDist.
-	refine := func(seq, start int) error {
-		candidates++
-		if candidates%verifyCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	verify := func() (err error) {
+		sc.orderIDs(m.windowBits())
+		candidates += len(sc.ids)
+		var vd verdicts
+		best, vd, err = verifyCandidates(ctx, v, sc, 0, &pc)
+		exactChecks += vd.exactChecks
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("core: nearest-neighbour refinement: %w", err)
 		}
-		w, err := sv.WindowViewInto(seq, start, n, stitch, &pc)
-		if err != nil {
-			return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
-		}
-		if len(best) == k {
-			ws, err := sv.WindowStats(seq, start, n)
-			if err != nil {
-				return fmt.Errorf("core: nearest-neighbour refinement: %w", err)
-			}
-			if verdict := vq.certify(w, ws); verdict == verdictFalseAlarm || verdict == verdictCostRejected {
-				return nil
-			}
-		}
-		exactChecks++
-		m := vq.q.MinDist(w)
-		if !q.Costs.Allow(m.Scale, m.Shift) || (len(best) == k && m.Dist >= best[k-1].Dist) {
-			return nil
-		}
-		pos := sort.Search(len(best), func(i int) bool { return best[i].Dist > m.Dist })
-		if len(best) < k {
-			best = append(best, Match{})
-		}
-		copy(best[pos+1:], best[pos:])
-		best[pos] = Match{Seq: seq, Start: start, Name: sv.SequenceName(seq), Dist: m.Dist, Scale: m.Scale, Shift: m.Shift}
-		if len(best) == k {
-			vq.setEps(best[k-1].Dist)
-		}
-		return nil
+		return err
 	}
-	m.nearest(q.Vec, sc, func(lb float64, seq, start int) bool {
-		if failed != nil || (len(best) == k && lb > best[k-1].Dist+slack) {
-			return false // this stream cannot improve the top-k
-		}
-		failed = refine(seq, start)
-		return failed == nil
-	})
-	if failed != nil {
-		return Result{}, failed
+
+	if err := m.seeds(ctx, q.Vec, knnSeedsPerK*v.k, sc); err != nil {
+		return Result{}, err
+	}
+	if err := verify(); err != nil {
+		return Result{}, err
+	}
+	eps, force := math.Inf(1), engine.PathScan
+	if len(best) == v.k {
+		eps, force = best[v.k-1].Dist, engine.PathAuto
+	}
+	sc.ids = sc.ids[:0]
+	if _, err := m.probe(ctx, q.Vec, eps, q.Costs, force, sc); err != nil {
+		return Result{}, err
+	}
+	v.setEps(eps)
+	if err := verify(); err != nil {
+		return Result{}, err
 	}
 
 	*delta = SearchStats{
-		IndexNodeAccesses:  sc.tree.NodeAccesses,
-		DataPageAccesses:   pc.Distinct(),
-		Candidates:         candidates,
-		Results:            len(best),
-		ExactChecks:        exactChecks,
-		LeafEntriesChecked: sc.tree.LeafEntriesChecked,
+		IndexNodeAccesses:   sc.tree.NodeAccesses,
+		DataPageAccesses:    pc.Distinct(),
+		Candidates:          candidates,
+		Results:             len(best),
+		ExactChecks:         exactChecks,
+		LeafEntriesChecked:  sc.tree.LeafEntriesChecked,
+		SubtreesAccepted:    sc.tree.SubtreesAccepted,
+		LeafEntriesAccepted: sc.tree.LeafEntriesAccepted,
+		Penetration:         sc.tree.Penetration,
 	}
 	total := len(best)
 	if q.Limit > 0 && q.Limit < total {

@@ -245,28 +245,25 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 	return ex, nil
 }
 
-// nearest streams windows to visit, each with the lower bound lb on its
-// true distance to q, counting the index work into sc's tally: one
-// stream per frozen segment, its points in non-decreasing feature-space
-// distance to q's SE-line, then the delta's windows as one more, by the
-// distances a frozen leaf computes for the same points.  Within a stream
-// lb never decreases; visit returning false ends it and starts the next,
-// so each stops at its first bound past the running kth best and a full
-// delta costs a sweep of its feature planes, not a refinement per window.
-func (m *manifest) nearest(q vec.Vector, sc *queryScratch, visit func(lb float64, seq, start int) bool) {
+// seeds puts in sc.ids the windows a k-NN query refines into its bound:
+// of the leaf entries the descent of each frozen segment reports
+// (rtree.FlatTree.Seeds) and of every delta window (deltaSeg.seeds), the
+// max nearest q's SE-line in feature space.  The descents and the sweep
+// are counted into sc's tally.
+func (m *manifest) seeds(ctx context.Context, q vec.Vector, max int, sc *queryScratch) error {
 	line := sc.seLine(m.fmap, q)
+	offer := func(id int64, dist float64) { sc.seeds.offer(seed{dist: dist, id: id}, max) }
 	for _, sg := range m.frozen {
-		sg.flat.NearestToLineFunc(line, &sc.tree, func(id rtree.ItemDist) bool {
-			seq, start := store.DecodeWindowID(id.Item.ID)
-			return visit(id.Dist, seq, start)
-		})
+		sg.flat.Seeds(line, &sc.tree, offer)
 	}
-	if m.delta.n > 0 {
-		m.delta.stream(line, sc, func(lb float64, id int64) bool {
-			seq, start := store.DecodeWindowID(id)
-			return visit(lb, seq, start)
-		})
+	if err := m.delta.seeds(ctx, line, max, sc); err != nil {
+		return err
 	}
+	sc.seeds.keep(max)
+	for _, s := range sc.seeds {
+		sc.ids = append(sc.ids, s.id)
+	}
+	return nil
 }
 
 // rangesOf derives the contiguous window ranges covered by ids, which

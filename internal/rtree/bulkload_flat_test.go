@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scaleshift/internal/vec"
@@ -195,15 +196,14 @@ func TestBulkLoadFlatIsItsArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := vec.Line{P: make(vec.Vector, 4), D: vec.Vector{1, 2, -1, 0.5}}
-	var sa, sb SearchStats
-	a, b := f.NearestToLine(l, 25, &sa), back.NearestToLine(l, 25, &sb)
-	if len(a) != 25 || sa != sb {
-		t.Fatalf("k-NN over the built tree and its reopened arena: %d items %+v vs %d items %+v", len(a), sa, len(b), sb)
+	seeds := func(f *FlatTree) (ids []int64, dists []float64, stats SearchStats) {
+		f.Seeds(l, &stats, func(id int64, d float64) { ids, dists = append(ids, id), append(dists, d) })
+		return ids, dists, stats
 	}
-	for i := range a {
-		if a[i].Item.ID != b[i].Item.ID || a[i].Dist != b[i].Dist {
-			t.Fatalf("k-NN result %d differs: %v vs %v", i, a[i], b[i])
-		}
+	ia, da, sa := seeds(f)
+	ib, db, sb := seeds(back)
+	if len(ia) == 0 || sa != sb || !slices.Equal(ia, ib) || !slices.Equal(da, db) {
+		t.Fatalf("seeds over the built tree and its reopened arena: %v %v %+v vs %v %v %+v", ia, da, sa, ib, db, sb)
 	}
 }
 

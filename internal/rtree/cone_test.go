@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -150,55 +151,110 @@ func symmetricDiff(a, b []int64) int {
 	return n
 }
 
-// TestDirectionBoxNearestStream drains the best-first stream of bulk-
-// loaded trees: every stored point exactly once, distances never
-// decreasing, each the leaf kernel's own distance for the point (raised,
-// at most by the kernel's rounding, to the bound of the node it came
-// from), and the order the sorted brute force gives.
+// TestDirectionBoxNearestStream walks the k-NN seeds' descent over a
+// bulk-loaded (direction-box) tree: at every directory node it enters
+// the entry whose cone bound, by the scalar reference Cone.LowerSq, is
+// smallest (the first on a tie), so it ends at that level-1 node; the
+// seeds are that node's leaf entries in slot order, each at the leaf
+// kernel's distance bit for bit; and only that path and those leaves are
+// read.
 func TestDirectionBoxNearestStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	cfg := Config{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
-	f, stored := boxTree(t, rng, cfg, 2000)
-	kernel := 1e-7 * math.Sqrt(float64(cfg.Dim))
-	for q := 0; q < 10; q++ {
+	f, _ := boxTree(t, rng, cfg, 2000)
+	items := f.All()
+	lo, hi, p := make([]float64, cfg.Dim), make([]float64, cfg.Dim), make(vec.Vector, cfg.Dim)
+	for q := 0; q < 12; q++ {
 		l := vec.Line{P: make(vec.Vector, cfg.Dim), D: randPoint(rng, cfg.Dim, 1)}
-		if q%3 == 2 {
+		switch q % 3 {
+		case 1:
+			// Through a stored point, as a disguised query's line passes
+			// through its source: the point's path is bounded by 0 all the
+			// way down, and its leaf is tied at 0.
+			l.D = items[rng.Intn(len(items))].Point.Clone()
+		case 2:
 			l.P = randPoint(rng, cfg.Dim, 0.1)
 		}
-		want := make([]float64, len(stored))
-		for i, p := range stored {
-			want[i] = vec.PLDFast(p, l)
+		aq := arenaUnits(f, lineQuery{l: l})
+		var want SearchStats
+		var wantIDs, gotIDs []int64
+		var wantD, gotD []float64
+		// The scalar reference of the descent: Cone.LowerSq for the
+		// batched kernel.
+		nearest := func(front []int, skip int) []int {
+			var next []int
+			bestD := math.Inf(1)
+			for _, ni := range front {
+				if ni == skip {
+					continue
+				}
+				want.NodeAccesses += f.nodePages(ni)
+				s, e := f.nodeEntries(ni)
+				pl := f.nodePlanes(ni)
+				for k := 0; k < e-s; k++ {
+					for j := range lo {
+						lo[j], hi[j] = float64(pl.LRow(1 + j)[k]), float64(pl.HRow(1 + j)[k])
+					}
+					d := aq.cone.Bound(aq.cone.LowerSq(float64(pl.LRow(0)[k]), lo, hi))
+					switch {
+					case d < bestD || len(next) == 0:
+						next, bestD = []int{f.child(ni, s+k)}, d
+					case d == bestD && len(next) < seedFrontier:
+						next = append(next, f.child(ni, s+k))
+					}
+				}
+			}
+			return next
 		}
-		sorted := append([]float64(nil), want...)
-		sort.Float64s(sorted)
-		seen := make([]bool, len(stored))
-		prev, rank := math.Inf(-1), 0
+		leaf := func(ni int) {
+			want.NodeAccesses += f.nodePages(ni)
+			ls, le := f.nodeEntries(ni)
+			pl := f.nodePlanes(ni)
+			for k := 0; k < le-ls; k++ {
+				for j := range p {
+					p[j] = float64(pl.LRow(j)[k])
+				}
+				wantIDs = append(wantIDs, int64(f.refs[ls+k]))
+				wantD = append(wantD, vec.PLDFast(p, aq.l)*f.q.scale)
+				want.LeafEntriesChecked++
+			}
+		}
+		front := []int{0}
+		for f.nodeLevel(front[0]) > 1 {
+			front = nearest(front, -1)
+		}
+		first := front[0]
+		want.NodeAccesses += f.nodePages(first)
+		s, e := f.nodeEntries(first)
+		for ei := s; ei < e; ei++ {
+			leaf(f.child(first, ei))
+		}
+		for _, ni := range nearest(front, first) {
+			leaf(ni)
+		}
 		var stats SearchStats
-		f.NearestToLineFunc(l, &stats, func(it ItemDist) bool {
-			if seen[it.Item.ID] {
-				t.Fatalf("query %d: point %d streamed twice", q, it.Item.ID)
-			}
-			seen[it.Item.ID] = true
-			if it.Dist < prev {
-				t.Fatalf("query %d rank %d: stream went from %g back to %g", q, rank, prev, it.Dist)
-			}
-			if d := want[it.Item.ID]; it.Dist < d-kernel || it.Dist > d+kernel {
-				t.Fatalf("query %d rank %d: point %d streamed at %g, its distance is %g", q, rank, it.Item.ID, it.Dist, d)
-			}
-			if math.Abs(it.Dist-sorted[rank]) > kernel {
-				t.Fatalf("query %d rank %d: streamed %g, the sorted scan has %g", q, rank, it.Dist, sorted[rank])
-			}
-			prev = it.Dist
-			rank++
-			return true
-		})
-		if rank != len(stored) {
-			t.Fatalf("query %d: stream emitted %d of %d points", q, rank, len(stored))
+		f.Seeds(l, &stats, func(id int64, d float64) { gotIDs, gotD = append(gotIDs, id), append(gotD, d) })
+		if !reflect.DeepEqual(gotIDs, wantIDs) || stats != want {
+			t.Fatalf("query %d: seeded %v %+v, the descent to %v reports %v %+v", q, gotIDs, stats, front, wantIDs, want)
 		}
-		// A short prefix must not cost the whole tree.
-		var ks SearchStats
-		if got := f.NearestToLine(l, 5, &ks); len(got) != 5 || (q%3 != 2 && ks.NodeAccesses > f.NodeCount()/2) {
-			t.Fatalf("query %d: 5-NN returned %d items over %d of %d nodes", q, len(got), ks.NodeAccesses, f.NodeCount())
+		for i := range gotD {
+			if math.Float64bits(gotD[i]) != math.Float64bits(wantD[i]) {
+				t.Fatalf("query %d: seed %d at %v, the leaf kernel's distance is %v", q, gotIDs[i], gotD[i], wantD[i])
+			}
+		}
+		if q%3 == 1 {
+			nearestD := math.Inf(1)
+			for _, d := range gotD {
+				nearestD = min(nearestD, d)
+			}
+			if exact := vec.PLDFast(l.D, l); nearestD > exact {
+				t.Fatalf("query %d: the nearest seed is at %v, the stored point on the line at %v", q, nearestD, exact)
+			}
+		}
+		// The root, at most seedFrontier nodes a level below it, and the
+		// leaves of the first level-1 node and the tied ones.
+		if most := 1 + seedFrontier*(f.height-2) + cfg.MaxEntries + seedFrontier; stats.NodeAccesses > most {
+			t.Fatalf("query %d: seeding read %d nodes, more than the frontier's %d", q, stats.NodeAccesses, most)
 		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 // geom/batch.go and vec/batch.go — which evaluate the scalar
 // expressions of Theorem 3 and Lemma 1 per entry — before any descent,
 // entries are visited in slot order (depth first for the range probes,
-// best first for k-NN), and returned Items are materialized
-// fresh (the arena has no per-entry objects to share).
+// level by level along the smallest bounds for the k-NN seeds), and
+// returned Items are materialized fresh (the arena has no per-entry
+// objects to share).
 //
 // Which directory kernel runs is read off the arena (dirKind): the slab
 // or sphere test of the caller's Strategy over MBRs, or the cone test
@@ -57,12 +58,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.Penetration.Add(o.Penetration)
 }
 
-// ItemDist pairs an item with its distance to the query line.
-type ItemDist struct {
-	Item Item
-	Dist float64
-}
-
 // lineQuery is one line or segment probe: what a descent prunes
 // subtrees and tests leaf entries against.  The line and segment
 // searches — returning items or IDs — share the one descend loop on it.
@@ -96,7 +91,9 @@ type flatScratch struct {
 	rL, rH vec.Vector // entryRect gather destination; RangeSearch's query rect
 	lineP  vec.Vector // the query line's point in arena units
 	dir    []float64  // the query's unit direction (direction-box arenas)
-	nn     flatNNHeap // best-first queue of the k-NN streams
+	// front and next are the nodes Seeds holds at one level and gathers
+	// for the next.
+	front, next []int
 }
 
 func (f *FlatTree) getScratch() *flatScratch {
@@ -393,147 +390,95 @@ func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax,
 	return f.searchIDs(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
 }
 
-// flatNNEntry is one best-first queue element: a node to expand
-// (k == -1) or a leaf entry k of node, materialized only when popped
-// so pushes stay allocation-free.
-type flatNNEntry struct {
-	dist float64
-	node int
-	k    int
-}
+// seedFrontier caps the nodes Seeds keeps at one level, twice the most
+// level-1 nodes tied at 0 for a disguised query at paper scale.
+const seedFrontier = 64
 
-// flatNNHeap is the best-first queue: a binary min-heap on dist in a
-// typed slice, so a push boxes nothing.  push and pop sift exactly as
-// the standard library's heap does over the same Less — up from the new
-// last slot; root swapped with the last slot, then down — because the
-// order in which entries at equal distance leave the queue, and with it
-// the emitted stream, depends on the sift order.
-type flatNNHeap []flatNNEntry
-
-func (h *flatNNHeap) push(e flatNNEntry) {
-	*h = append(*h, e)
-	s := *h
-	for j := len(s) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(s[j].dist < s[i].dist) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-func (h *flatNNHeap) pop() flatNNEntry {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && s[r].dist < s[j].dist {
-			j = r
-		}
-		if !(s[j].dist < s[i].dist) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	*h = s[:n]
-	return s[n]
-}
-
-// NearestToLine returns the k items whose points are closest to the
-// line l in increasing distance order, using best-first traversal with
-// the exact line-to-MBR distance as the bound (nearest-neighbour
-// search per Corollary 1).  stats may be nil.
-func (f *FlatTree) NearestToLine(l vec.Line, k int, stats *SearchStats) []ItemDist {
-	if k <= 0 {
-		return nil
-	}
-	var out []ItemDist
-	f.NearestToLineFunc(l, stats, func(id ItemDist) bool {
-		out = append(out, id)
-		return len(out) < k
-	})
-	return out
-}
-
-// NearestToLineFunc streams items in non-decreasing distance to the
-// line l until fn returns false or the tree is exhausted.  The caller
-// can use the monotone distances as lower bounds for early termination
-// (e.g. GEMINI-style exact refinement over reduced features).  A
-// directory entry is queued at the line's distance to its MBR, or, in a
-// direction-box arena, at the cone bound r_lo·sin θ_min.  stats may be
-// nil.
-func (f *FlatTree) NearestToLineFunc(l vec.Line, stats *SearchStats, fn func(ItemDist) bool) {
-	if f.size == 0 {
-		return
-	}
+// Seeds reports leaf entries near the line l to seed, with their IDs
+// and their distances to l, the leaf kernel's, in caller units.  Level
+// by level it keeps the children of the nodes in hand at the smallest
+// directory bound (the cone bound, or geom.LineRectDist under MBRs),
+// every one tied at it up to seedFrontier, down to the level-1 nodes;
+// it reports every entry beneath the first of those, and every entry of
+// the leaves at the smallest bound beneath the others — where a query
+// that is an exact scale/shift of a stored window finds its source when
+// many bounds tie at 0 (DESIGN §5 item 9).  A tree of height one reports
+// its root.  Node reads are counted into stats, which may be nil.
+func (f *FlatTree) Seeds(l vec.Line, stats *SearchStats, seed func(id int64, dist float64)) {
 	nb, lb := descentBefore(stats)
 	defer recordDescent(stats, nb, lb)
 	sc := f.getScratch()
 	defer f.putScratch(sc)
 	q := f.arenaQuery(lineQuery{l: l}, sc)
-	l = q.l
-	h := &sc.nn
-	*h = append((*h)[:0], flatNNEntry{dist: 0, node: 0, k: -1})
-	for len(*h) > 0 {
-		top := h.pop()
-		// Under a direction-box directory nothing is queued below the bound
-		// its node was popped at, whatever the roundings of the cone bound
-		// and of a leaf's one-pass distance say: the stream stays monotone.
-		floor := 0.0
-		if f.dir == dirCone {
-			floor = top.dist
-		}
-		if top.k >= 0 {
-			s, _ := f.nodeEntries(top.node)
-			if !fn(ItemDist{Item: f.leafItem(s+top.k, f.nodePlanes(top.node), top.k), Dist: top.dist * f.q.scale}) {
-				return
-			}
-			continue
-		}
-		ni := top.node
+	read := func(ni int) (s, e int) {
 		if stats != nil {
 			stats.NodeAccesses += f.nodePages(ni)
 		}
-		s, e := f.nodeEntries(ni)
+		return f.nodeEntries(ni)
+	}
+	leaf := func(ni int) {
+		s, e := read(ni)
 		c := e - s
-		if f.nodeLevel(ni) == 0 {
-			if stats != nil {
-				stats.LeafEntriesChecked += c
-			}
-			if c == 0 {
-				continue
-			}
-			vec.PLDFastBatch(f.nodePlanes(ni).Data, c, c, l, sc.qpD, sc.qpQp, sc.dist)
-			for k, d := range sc.dist[:c] {
-				if d < floor {
-					d = floor
-				}
-				h.push(flatNNEntry{dist: d, node: ni, k: k})
-			}
-			continue
+		if stats != nil {
+			stats.LeafEntriesChecked += c
 		}
-		pl := f.nodePlanes(ni)
-		if f.dir == dirCone {
-			for k, lowerSq := range geom.ConeLowerSqBatch(pl, &q.cone, &sc.bs) {
-				d := q.cone.Bound(lowerSq)
-				if d < floor {
-					d = floor
-				}
-				h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
-			}
-			continue
-		}
-		for k := 0; k < c; k++ {
-			d := geom.LineRectDist(sc.entryRect(pl, k), l)
-			h.push(flatNNEntry{dist: d, node: f.child(ni, s+k), k: -1})
+		vec.PLDFastBatch(f.nodePlanes(ni).Data, c, c, q.l, sc.qpD, sc.qpQp, sc.dist)
+		for k, d := range sc.dist[:c] {
+			seed(int64(f.refs[s+k]), d*f.q.scale)
 		}
 	}
+	// nearest appends to next the children of the nodes in front at the
+	// smallest bound, but skip's (-1 for none).
+	nearest := func(front []int, skip int, next []int) []int {
+		bestD := math.Inf(1)
+		for _, ni := range front {
+			if ni == skip {
+				continue
+			}
+			s, e := read(ni)
+			pl := f.nodePlanes(ni)
+			var lowerSq []float64
+			if f.dir == dirCone {
+				lowerSq = geom.ConeLowerSqBatch(pl, &q.cone, &sc.bs)
+			}
+			for k := 0; k < e-s; k++ {
+				var d float64
+				if lowerSq != nil {
+					d = q.cone.Bound(lowerSq[k])
+				} else {
+					d = geom.LineRectDist(sc.entryRect(pl, k), q.l)
+				}
+				if d != d { // NaN: the entry may hold anything
+					d = math.Inf(1)
+				}
+				switch {
+				case d < bestD || len(next) == 0:
+					next, bestD = append(next[:0], f.child(ni, s+k)), d
+				case d == bestD && len(next) < seedFrontier:
+					next = append(next, f.child(ni, s+k))
+				}
+			}
+		}
+		return next
+	}
+	if f.nodeLevel(0) == 0 {
+		leaf(0)
+		return
+	}
+	front, spare := append(sc.front[:0], 0), sc.next[:0]
+	for f.nodeLevel(front[0]) > 1 {
+		front, spare = nearest(front, -1, spare[:0]), front
+	}
+	first := front[0]
+	s, e := read(first)
+	for ei := s; ei < e; ei++ {
+		leaf(f.child(first, ei))
+	}
+	spare = nearest(front, first, spare[:0])
+	for _, ni := range spare {
+		leaf(ni)
+	}
+	sc.front, sc.next = front, spare
 }
 
 // All returns every stored item in document order.  Intended for tests

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -95,14 +96,12 @@ func buildPointTree(t testing.TB, rng *rand.Rand, cfg Config, n int) *FlatTree {
 // (reference_test.go):
 // the same hits in the same order, and the same SearchStats — node
 // accesses, leaf checks and penetration primitives — for every range
-// descent under both strategies; the brute-force order for the k-NN
-// streams.
+// descent under both strategies, and for the k-NN seeds' greedy descent.
 func checkSearchEquivalence(t *testing.T, f *FlatTree, rng *rand.Rand) {
 	t.Helper()
 	dim := f.Config().Dim
 	ctx := context.Background()
 	root := storedView(f)
-	all := leafEntries(root)
 	for q := 0; q < 30; q++ {
 		l := randLine(rng, dim)
 		eps := rng.Float64() * 4
@@ -145,21 +144,21 @@ func checkSearchEquivalence(t *testing.T, f *FlatTree, rng *rand.Rand) {
 			}
 		}
 
-		// Nearest-neighbour stream: the brute-force order, bit for bit.
-		dist := make(map[int64]float64, len(all))
-		var ids []int64
-		var dists []float64
-		var ns SearchStats
+		// The k-NN seeds: the reference descent's leaf entries in order,
+		// each at the leaf kernel's distance, bit for bit.
 		al := arenaUnits(f, lineQuery{l: l}).l
-		for _, e := range all {
-			dist[e.item.ID] = vec.PLDFast(e.item.Point, al) * f.q.scale
-		}
-		for _, id := range f.NearestToLine(l, 1+rng.Intn(20), &ns) {
-			ids, dists = append(ids, id.Item.ID), append(dists, id.Dist)
-		}
-		checkStream(t, "nearest", ids, dists, dist)
-		if len(all) > 0 && (len(ids) == 0 || ns.NodeAccesses < f.Height() || ns.NodeAccesses > f.NodeCount() || ns.LeafEntriesChecked < len(ids)) {
-			t.Fatalf("nearest: %d hits with implausible stats %+v", len(ids), ns)
+		wantSeeds, seedStats := refSeeds(root, al)
+		var ids []int64
+		var ns SearchStats
+		f.Seeds(l, &ns, func(id int64, d float64) {
+			e := wantSeeds[min(len(ids), len(wantSeeds)-1)]
+			if want := vec.PLDFast(e.item.Point, al) * f.q.scale; math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("seeds (q=%d): id %d at %v, the leaf kernel's distance is %v", q, id, d, want)
+			}
+			ids = append(ids, id)
+		})
+		if !reflect.DeepEqual(entryIDs(wantSeeds), ids) || ns != seedStats {
+			t.Fatalf("seeds diverged (q=%d): %v %+v vs %v %+v", q, ids, ns, entryIDs(wantSeeds), seedStats)
 		}
 
 		// Range queries.
@@ -299,7 +298,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 		// Structurally valid after corruption (e.g. a plane value
 		// changed): traversal must still be safe.
 		g.LineSearch(l, 1.0, geom.EnteringExiting, nil)
-		g.NearestToLine(l, 3, nil)
+		g.Seeds(l, nil, func(int64, float64) {})
 		if g.dir == dirMBR {
 			g.RangeSearch(geom.Rect{L: vec.Vector{-1, -1}, H: vec.Vector{1, 1}}, nil)
 		}
@@ -350,6 +349,6 @@ func FuzzFlatFromArena(f *testing.F) {
 		}
 		l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}
 		g.LineSearch(l, 1.0, geom.EnteringExiting, nil)
-		g.NearestToLine(l, 3, nil)
+		g.Seeds(l, nil, func(int64, float64) {})
 	})
 }

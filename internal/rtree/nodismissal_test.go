@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scaleshift/internal/geom"
@@ -33,9 +34,8 @@ func segDist(q vec.Vector, l vec.Line, tMin, tMax float64) float64 {
 // a search of the arena at ε plus the rounding bound returns every point
 // a float64 brute force puts within ε, for lines through and off the
 // origin, for segments, and with ε placed exactly on a point's distance
-// and on the floats either side; and the best-first stream emits every
-// point at a bound no more than the rounding bound above its true
-// distance.
+// and on the floats either side; and the k-NN seeds are distinct points,
+// each reported no more than the rounding bound above its true distance.
 func FuzzArenaNoDismissal(f *testing.F) {
 	f.Add(int64(1), uint16(300), int16(0), false, true, uint8(0))
 	f.Add(int64(2), uint16(900), int16(75), false, false, uint8(1))
@@ -129,22 +129,19 @@ func FuzzArenaNoDismissal(f *testing.F) {
 			}
 		}
 
-		streamed := 0
-		prev := math.Inf(-1)
-		arena.NearestToLineFunc(l, nil, func(it ItemDist) bool {
-			if it.Dist < prev {
-				t.Fatalf("stream went from %g back to %g", prev, it.Dist)
+		seeded := make([]bool, n)
+		arena.Seeds(l, nil, func(id int64, d float64) {
+			if seeded[id] {
+				t.Fatalf("seeds: point %d reported twice", id)
 			}
-			if d := lineD[it.Item.ID]; it.Dist > d+bound {
-				t.Fatalf("stream, n=%d magnitude 1e%d mixed=%v origin=%v: point %d emitted at bound %g, true distance %g + bound %g",
-					n, exp10, mixed, origin, it.Item.ID, it.Dist, d, bound)
+			seeded[id] = true
+			if d > lineD[id]+bound {
+				t.Fatalf("seeds, n=%d magnitude 1e%d mixed=%v origin=%v: point %d reported at %g, true distance %g + bound %g",
+					n, exp10, mixed, origin, id, d, lineD[id], bound)
 			}
-			prev = it.Dist
-			streamed++
-			return true
 		})
-		if streamed != n {
-			t.Fatalf("stream emitted %d of %d points", streamed, n)
+		if !slices.Contains(seeded, true) {
+			t.Fatalf("no seeds from %d points", n)
 		}
 	})
 }

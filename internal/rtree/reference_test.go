@@ -2,8 +2,6 @@ package rtree
 
 import (
 	"math"
-	"sort"
-	"testing"
 
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
@@ -13,8 +11,8 @@ import (
 // ships: the batched, allocation-free FlatTree descent is checked
 // against the textbook recursion over a pointer tree with the scalar
 // geometry (geom.PenetratesEnlarged[Segment], vec.PLDFast,
-// vec.PSegDFast), and the best-first k-NN streams against a sort of
-// every entry's distance.
+// vec.PSegDFast), and the k-NN seeds' greedy descent against the same
+// descent over the pointer tree.
 //
 // An arena stores rounded coordinates in its own units, so the
 // recursion runs over storedView's copy of the arena's nodes — every
@@ -123,15 +121,6 @@ func refRange(root *node, r geom.Rect) ([]*entry, SearchStats) {
 	return hits, stats
 }
 
-// leafEntries returns every leaf entry under root in document order.
-func leafEntries(root *node) []*entry {
-	var all []*entry
-	var stats SearchStats
-	yes := func(geom.Rect) bool { return true }
-	refDescend(root, &stats, yes, func(*entry) bool { return true }, &all)
-	return all
-}
-
 func entryIDs(es []*entry) []int64 {
 	var ids []int64
 	for _, e := range es {
@@ -162,27 +151,48 @@ func storedItems(f *FlatTree, es []*entry) []Item {
 	return items
 }
 
-// checkStream asserts a best-first stream's prefix (ids[i] at dists[i])
-// against brute force: dist is the distance of every entry of tr by id,
-// the emitted distances must be the smallest len(ids) of them in order,
-// bit for bit, and every id must be a distinct entry emitted at its own
-// distance — which pins the stream up to the order of exact ties.
-func checkStream(t *testing.T, what string, ids []int64, dists []float64, dist map[int64]float64) {
-	t.Helper()
-	sorted := make([]float64, 0, len(dist))
-	for _, d := range dist {
-		sorted = append(sorted, d)
-	}
-	sort.Float64s(sorted)
-	seen := map[int64]bool{}
-	for i, id := range ids {
-		d, ok := dist[id]
-		if !ok || seen[id] {
-			t.Fatalf("%s: rank %d emits id %d (known %v, repeated %v)", what, i, id, ok, seen[id])
+// refSeeds is Seeds over the nodes under root: level by level the
+// children at the smallest geom.LineRectDist, every one tied at it in
+// order up to seedFrontier, down to the level-1 nodes; then every entry
+// beneath the first of them and every entry of the leaves at the
+// smallest bound beneath the others.
+func refSeeds(root *node, l vec.Line) ([]*entry, SearchStats) {
+	var stats SearchStats
+	nearest := func(front []*node, skip *node) []*node {
+		var next []*node
+		bestD := math.Inf(1)
+		for _, n := range front {
+			if n == skip {
+				continue
+			}
+			stats.NodeAccesses += n.pages
+			for _, e := range n.entries {
+				d := geom.LineRectDist(e.rect, l)
+				if d != d {
+					d = math.Inf(1)
+				}
+				switch {
+				case d < bestD || len(next) == 0:
+					next, bestD = []*node{e.child}, d
+				case d == bestD && len(next) < seedFrontier:
+					next = append(next, e.child)
+				}
+			}
 		}
-		seen[id] = true
-		if math.Float64bits(dists[i]) != math.Float64bits(d) || math.Float64bits(d) != math.Float64bits(sorted[i]) {
-			t.Fatalf("%s: rank %d emits id %d at %v; its distance is %v and the rank's is %v", what, i, id, dists[i], d, sorted[i])
+		return next
+	}
+	front := []*node{root}
+	for front[0].level > 1 {
+		front = nearest(front, nil)
+	}
+	var seeds []*entry
+	all := func(geom.Rect) bool { return true }
+	report := func(n *node) { refDescend(n, &stats, all, func(*entry) bool { return true }, &seeds) }
+	report(front[0])
+	if front[0].level == 1 {
+		for _, n := range nearest(front, front[0]) {
+			report(n)
 		}
 	}
+	return seeds, stats
 }

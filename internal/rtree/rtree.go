@@ -13,15 +13,17 @@
 // internal/bench/rstar — keeping its MBRs, pruned exactly so; arenas
 // written before bulk loads changed shape are of that kind too.  The
 // arena says which it is; the searches read it off.  Beyond standard
-// rectangle range search, the FlatTree supports the paper's two query
-// primitives:
+// rectangle range search, the FlatTree supports the paper's line query
+// and the start of its nearest-neighbour search:
 //
 //   - LineSearch — all points within ε of an arbitrary line, descending
 //     only into children whose ε-enlarged MBR is penetrated by the line
 //     (Theorem 3), with either Entering/Exiting-Points or
 //     Bounding-Spheres penetration checking (§7);
-//   - NearestToLine — best-first k-nearest-neighbour search by
-//     point-to-line distance (Corollary 1).
+//   - Seeds — leaf entries near a line, at their point-to-line
+//     distances, from a descent along the smallest directory bounds:
+//     what the query engine refines into the bound of its
+//     k-nearest-neighbour range query (Corollary 1).
 //
 // Every node corresponds to one disk page in the paper's cost model;
 // SearchStats.NodeAccesses therefore equals the number of index page

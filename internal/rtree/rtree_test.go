@@ -3,10 +3,10 @@ package rtree_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -238,55 +238,58 @@ func TestLineSearchDegenerateLine(t *testing.T) {
 	}
 }
 
+// TestNearestToLineMatchesBruteForce holds the k-NN seeds of an
+// insert-built (MBR-directory) tree to its stored items: every seed is a
+// distinct stored item, reported at the leaf kernel's distance to the
+// line bit for bit, and the descent reads at least a root-to-leaf path.
 func TestNearestToLineMatchesBruteForce(t *testing.T) {
 	tr := newTestTree(t, 3, rtree.SplitRStar)
 	r := rand.New(rand.NewSource(5))
-	pts := make([]vec.Vector, 300)
-	for i := range pts {
-		pts[i] = randVec(r, 3)
-		tr.Insert(pts[i], int64(i))
+	for i := 0; i < 300; i++ {
+		tr.Insert(randVec(r, 3), int64(i))
+	}
+	f := tr.Freeze()
+	stored := map[int64]vec.Vector{}
+	for _, it := range f.All() {
+		stored[it.ID] = it.Point
 	}
 	for q := 0; q < 20; q++ {
 		l := vec.Line{P: randVec(r, 3), D: randVec(r, 3)}
-		for _, k := range []int{1, 5, 17} {
-			got := tr.Freeze().NearestToLine(l, k, nil)
-			// Brute force: k smallest PLDs.
-			type pd struct {
-				id int64
-				d  float64
+		seen := map[int64]bool{}
+		var stats rtree.SearchStats
+		f.Seeds(l, &stats, func(id int64, d float64) {
+			p, ok := stored[id]
+			if !ok || seen[id] {
+				t.Fatalf("query %d: seed %d (stored %v, repeated %v)", q, id, ok, seen[id])
 			}
-			all := make([]pd, len(pts))
-			for i, p := range pts {
-				d, _ := vec.PLD(p, l)
-				all[i] = pd{int64(i), d}
+			seen[id] = true
+			if want := vec.PLDFast(p, l); math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("query %d: seed %d at %v, the leaf kernel's distance is %v", q, id, d, want)
 			}
-			sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-			if len(got) != k {
-				t.Fatalf("k=%d: returned %d items", k, len(got))
-			}
-			for i := range got {
-				// The arena ranks the float32-rounded points.
-				if diff := got[i].Dist - all[i].d; diff > 1e-5 || diff < -1e-5 {
-					t.Fatalf("k=%d rank %d: dist %v, want %v", k, i, got[i].Dist, all[i].d)
-				}
-			}
+		})
+		if len(seen) == 0 || stats.LeafEntriesChecked != len(seen) || stats.NodeAccesses < f.Height() {
+			t.Fatalf("query %d: %d seeds, stats %+v", q, len(seen), stats)
 		}
 	}
 }
 
+// TestNearestToLineEdgeCases: an empty tree has no seeds, and a
+// one-item tree — its root a leaf — seeds that item.
 func TestNearestToLineEdgeCases(t *testing.T) {
 	tr := newTestTree(t, 2, rtree.SplitRStar)
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 0}}
-	if got := tr.Freeze().NearestToLine(l, 3, nil); got != nil {
-		t.Errorf("empty tree returned %v", got)
+	var ids []int64
+	var dists []float64
+	seed := func(id int64, d float64) { ids, dists = append(ids, id), append(dists, d) }
+	tr.Freeze().Seeds(l, nil, seed)
+	if len(ids) != 0 {
+		t.Errorf("empty tree seeded %v", ids)
 	}
 	tr.Insert(vec.Vector{1, 1}, 1)
-	if got := tr.Freeze().NearestToLine(l, 0, nil); got != nil {
-		t.Errorf("k=0 returned %v", got)
-	}
-	got := tr.Freeze().NearestToLine(l, 10, nil)
-	if len(got) != 1 || got[0].Item.ID != 1 {
-		t.Errorf("k larger than size: %v", got)
+	var stats rtree.SearchStats
+	tr.Freeze().Seeds(l, &stats, seed)
+	if len(ids) != 1 || ids[0] != 1 || dists[0] != 1 || stats.NodeAccesses != 1 || stats.LeafEntriesChecked != 1 {
+		t.Errorf("one-item tree seeded %v at %v, stats %+v", ids, dists, stats)
 	}
 }
 
