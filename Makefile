@@ -64,10 +64,11 @@ loc:
 # The serving cone: what the library, the servers and the tools that
 # ship import.  The paper's experiment code — the insert-built R*-tree,
 # the ablations, the tables — lives under internal/bench and must stay
-# reachable from ssbench (and tests) only.
+# reachable from ssbench (and tests) only; internal/oracle, the
+# exactness check, is test support and reachable from tests only.
 cone:
-	@out="$$($(GO) list -deps ./cmd/ssserve ./cmd/ssquery ./cmd/ssgen ./cmd/sstop . | grep '^scaleshift/internal/bench' || true)"; \
-	if [ -n "$$out" ]; then echo "experiment packages in the serving cone:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -deps ./cmd/ssserve ./cmd/ssquery ./cmd/ssgen ./cmd/sstop . | grep -E '^scaleshift/internal/(bench|oracle)' || true)"; \
+	if [ -n "$$out" ]; then echo "experiment or test-support packages in the serving cone:"; echo "$$out"; exit 1; fi
 
 # Quick benchmark smoke: the build comparison and the verification
 # micro-benchmarks committed under results/.

@@ -9,6 +9,7 @@ import (
 
 	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
+	"scaleshift/internal/oracle"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -100,47 +101,16 @@ func TestRunWritesSegmentedArtifact(t *testing.T) {
 	}
 	defer seg.Close()
 
-	opts := core.DefaultOptions()
-	opts.WindowLen = 32
-	ref, err := core.NewIndex(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.BuildBulk(); err != nil {
-		t.Fatal(err)
-	}
-	if seg.WindowCount() != ref.WindowCount() {
-		t.Fatalf("segmented artifact indexes %d windows, from-scratch %d", seg.WindowCount(), ref.WindowCount())
-	}
 	b := seg.Backlog()
 	if b.Frozen != 3 || b.DeltaWindows != 0 {
 		t.Fatalf("artifact shape: %d frozen segments, %d delta windows", b.Frozen, b.DeltaWindows)
 	}
-
-	q := make([]float64, 32)
-	for _, start := range []int{0, 97, 260} {
-		if err := st.Window(2, start, 32, q, nil); err != nil {
-			t.Fatal(err)
-		}
-		var s1, s2 core.SearchStats
-		gotRes, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05}, &s1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes, err := ref.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05}, &s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := gotRes.Matches, wantRes.Matches
-		if len(got) != len(want) {
-			t.Fatalf("start %d: %d matches vs %d from scratch", start, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("start %d match %d: %+v vs %+v", start, i, got[i], want[i])
-			}
-		}
-	}
+	data := oracle.FromStore(st)
+	oracle.Check(t, oracle.Case{Data: data, Queries: oracle.Mix(data, 32, 1), Systems: []oracle.System{{
+		Name: "the ssgen segments", Answer: func(_ *core.Index, qs []core.Query) ([]core.Result, error) {
+			res, _, err := seg.ExecBatch(context.Background(), qs, 2, nil)
+			return res, err
+		}}}})
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

@@ -27,7 +27,6 @@ import (
 	"scaleshift/internal/cliutil"
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -56,7 +55,6 @@ func run(args []string, stdout io.Writer) error {
 	eps := fs.Float64("eps", -1, "absolute error bound (overrides -eps-frac)")
 	epsFrac := fs.Float64("eps-frac", 0.02, "error bound as a fraction of the mean window SE-norm")
 	nn := fs.Int("nn", 0, "if > 0, run k-nearest-neighbour search instead of a range query")
-	spheres := fs.Bool("spheres", false, "use the bounding-spheres penetration heuristic (set 3)")
 	scaleMin := fs.Float64("scale-min", 0, "cost bound: minimum allowed scale factor (0=unbounded)")
 	scaleMax := fs.Float64("scale-max", 0, "cost bound: maximum allowed scale factor (0=unbounded)")
 	shiftAbs := fs.Float64("shift-abs", 0, "cost bound: maximum |shift offset| (0=unbounded)")
@@ -88,9 +86,6 @@ func run(args []string, stdout io.Writer) error {
 	opts := core.DefaultOptions()
 	opts.WindowLen = *window
 	opts.Coefficients = *fc
-	if *spheres {
-		opts.Strategy = geom.BoundingSpheres
-	}
 	ix, how, err := cliutil.OpenIndex(st, opts, *indexCache, logger)
 	if err != nil {
 		return err

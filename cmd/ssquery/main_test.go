@@ -69,11 +69,6 @@ func TestQueryModes(t *testing.T) {
 	if !strings.Contains(sb.String(), "3 matches") {
 		t.Errorf("nn mode:\n%s", sb.String())
 	}
-	// Spheres strategy.
-	sb.Reset()
-	if err := run(smallArgs("-query", "2:20", "-spheres", "-eps-frac", "0.01"), &sb); err != nil {
-		t.Fatal(err)
-	}
 	// Long query (multipiece).
 	sb.Reset()
 	if err := run(smallArgs("-query", "2:20", "-long", "-eps-frac", "0.001"), &sb); err != nil {

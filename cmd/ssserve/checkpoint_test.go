@@ -20,6 +20,7 @@ import (
 	"scaleshift/internal/ckpt"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
+	"scaleshift/internal/oracle"
 	"scaleshift/internal/query"
 	"scaleshift/internal/store"
 	"scaleshift/internal/wal"
@@ -158,7 +159,7 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	appendRamp(t, s, 3, 42, 33)
 	appendRamp(t, s, 0, 11, 5)
 	oracleWindows := in.index().WindowCount()
-	oracle := segSearch(t, in.index())
+	acked := oracle.FromStore(in.index().Store())
 
 	// "Crash" (abandon the live server) and restart from disk: only the
 	// two tail records may replay.
@@ -181,7 +182,7 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	if got := in2.index().WindowCount(); got != oracleWindows {
 		t.Fatalf("recovered index covers %d windows, oracle %d", got, oracleWindows)
 	}
-	requireSameSearch(t, oracle, segSearch(t, in2.index()), "after bounded recovery")
+	exactOver(t, acked, in2.index())
 	if c2.gen.Load() != 1 {
 		t.Fatalf("recovered checkpointer resumes at generation %d, want 1", c2.gen.Load())
 	}
@@ -231,7 +232,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 				t.Fatalf("append new sequence: %d: %s", resp.StatusCode, raw)
 			}
 			oracleWindows := in.index().WindowCount()
-			oracle := segSearch(t, in.index())
+			acked := oracle.FromStore(in.index().Store())
 
 			boom := errors.New("injected crash")
 			c.testHook = func(p string) error {
@@ -261,7 +262,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			if got := in2.index().WindowCount(); got != oracleWindows {
 				t.Fatalf("recovered index covers %d windows, oracle %d", got, oracleWindows)
 			}
-			requireSameSearch(t, oracle, segSearch(t, in2.index()), "after "+phase+" crash")
+			exactOver(t, acked, in2.index())
 			if seq, ok := in2.names["CRASH"]; !ok || in2.index().Store().SequenceLen(seq) != 40 {
 				t.Fatalf("acked named sequence lost across %s crash (names=%v)", phase, in2.names)
 			}
@@ -525,7 +526,7 @@ func TestAppendModeReload(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append: %d: %s", resp.StatusCode, raw)
 	}
-	oracle := segSearch(t, in.index())
+	acked := oracle.FromStore(in.index().Store())
 	oracleWindows := in.index().WindowCount()
 
 	rr := httptest.NewRequest(http.MethodPost, "/admin/reload", nil)
@@ -538,7 +539,7 @@ func TestAppendModeReload(t *testing.T) {
 	if got := in.index().WindowCount(); got != oracleWindows {
 		t.Fatalf("reloaded index covers %d windows, want %d", got, oracleWindows)
 	}
-	requireSameSearch(t, oracle, segSearch(t, in.index()), "after append-mode reload")
+	exactOver(t, acked, in.index())
 
 	// The serving snapshot swapped to the recovered generation…
 	gr, gbody := get(t, s, "/readyz")
@@ -574,13 +575,13 @@ func TestAppendModeReload(t *testing.T) {
 	}
 
 	// No acked append may be lost across reload + crash + recovery.
-	oracle2 := segSearch(t, in.index())
+	acked = oracle.FromStore(in.index().Store())
 	oracleWindows2 := in.index().WindowCount()
 	_, in2, _ := startAppendServer(t, walPath, ckptBase)
 	if got := in2.index().WindowCount(); got != oracleWindows2 {
 		t.Fatalf("post-reload recovery covers %d windows, oracle %d", got, oracleWindows2)
 	}
-	requireSameSearch(t, oracle2, segSearch(t, in2.index()), "post-reload recovery")
+	exactOver(t, acked, in2.index())
 }
 
 // TestAdminCheckpointEndpoint covers the operational trigger and its
@@ -644,5 +645,40 @@ func TestAdminCheckpointEndpoint(t *testing.T) {
 		if !strings.Contains(string(mbody), name) {
 			t.Errorf("metrics missing %s", name)
 		}
+	}
+}
+
+// TestCheckpointMaxLagBlocksReadiness: with -checkpoint-max-lag set, a
+// checkpoint older than the bound takes the instance out of rotation
+// (/readyz 503, lag_exceeded), and a checkpoint brings it back.
+func TestCheckpointMaxLagBlocksReadiness(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := startAppendServer(t, filepath.Join(dir, "ingest.wal"), filepath.Join(dir, "ckpt"))
+	appendRamp(t, s, 0, 10, 12)
+	c.cfg.MaxLag = time.Minute
+	c.lastAt.Store(time.Now().Add(-2 * time.Minute).UnixNano()) // no checkpoint for two minutes
+	readyz := func() (int, bool) {
+		t.Helper()
+		resp, body := get(t, s, "/readyz")
+		var ready struct {
+			Checkpoint struct {
+				LagExceeded bool `json:"lag_exceeded"`
+			} `json:"checkpoint"`
+		}
+		if err := json.Unmarshal(body, &ready); err != nil {
+			t.Fatalf("/readyz: %v: %s", err, body)
+		}
+		return resp.StatusCode, ready.Checkpoint.LagExceeded
+	}
+	if code, lagged := readyz(); code != http.StatusServiceUnavailable || !lagged {
+		t.Fatalf("checkpoint two minutes old under a one-minute bound: /readyz %d, lag_exceeded %v", code, lagged)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/checkpoint", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /admin/checkpoint: %d: %s", rec.Code, rec.Body)
+	}
+	if code, lagged := readyz(); code != http.StatusOK || lagged {
+		t.Fatalf("after a checkpoint: /readyz %d, lag_exceeded %v", code, lagged)
 	}
 }

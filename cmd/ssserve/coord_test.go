@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -175,15 +173,6 @@ func (tc *coordTestCluster) eps(frac float64) string {
 	return strconv.FormatFloat(frac*tc.norm, 'g', -1, 64)
 }
 
-// byDist puts a k-NN answer in canonical (dist, seq, start) order: two
-// exact answers may list distance ties differently, never differ in
-// what they hold.
-func byDist(ms []cluster.WireMatch) {
-	slices.SortFunc(ms, func(a, b cluster.WireMatch) int {
-		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Start, b.Start))
-	})
-}
-
 // sameMatches requires two answers to hold the same rows, every float
 // bit-identical.
 func sameMatches(t *testing.T, what string, got, want []cluster.WireMatch) {
@@ -199,107 +188,6 @@ func sameMatches(t *testing.T, what string, got, want []cluster.WireMatch) {
 			math.Float64bits(g.Shift) != math.Float64bits(w.Shift) {
 			t.Fatalf("%s: match %d differs:\n  cluster %+v\n  oracle  %+v", what, i, g, w)
 		}
-	}
-}
-
-// matchSingleNode sends path to the coordinator and to the single-node
-// oracle and requires the same complete answer — rows, total and
-// truncation — and returns the oracle's.
-func (tc *coordTestCluster) matchSingleNode(t *testing.T, path string, knn bool) cluster.SearchWire {
-	t.Helper()
-	got := search(t, tc.front, path, http.StatusOK)
-	if !got.Coverage.Complete || got.Coverage.OK != len(tc.shards) {
-		t.Fatalf("%s: coverage %+v, want complete with every shard ok", path, got.Coverage)
-	}
-	want := search(t, tc.single, path, http.StatusOK)
-	if got.Total != want.Total || got.Truncated != want.Truncated {
-		t.Fatalf("%s: coordinator total %d (truncated %v), single node %d (%v)", path, got.Total, got.Truncated, want.Total, want.Truncated)
-	}
-	if knn {
-		byDist(got.Matches)
-		byDist(want.Matches)
-	}
-	sameMatches(t, path, got.Matches, want.Matches)
-	return want
-}
-
-// TestCoordinatorMatchesSingleNode drives the same seq/start query
-// through the coordinator and the single-node oracle and requires
-// bit-identical matches: unlimited, with a limit the shards each apply
-// before the merge, and with the default.
-func TestCoordinatorMatchesSingleNode(t *testing.T) {
-	tc := buildCoordCluster(t, 3)
-	for _, limit := range []string{"&limit=0", "&limit=2", ""} {
-		want := tc.matchSingleNode(t, "/search?seq=3&start=12&eps="+tc.eps(0.08)+limit, false)
-		if want.Total < 3 {
-			t.Fatalf("oracle found %d matches; the comparison needs at least 3", want.Total)
-		}
-	}
-}
-
-// TestRangeEquivalence disguises the query window (the coordinator
-// resolves it against the owner shard and fans out the values): the
-// merged head and total must be the single node's at every limit, and
-// the shards' own counts must add up to the oracle's total — the merge
-// drops duplicate rows silently, so only that sum shows a row reaching
-// it twice.
-func TestRangeEquivalence(t *testing.T) {
-	tc := buildCoordCluster(t, 3)
-	for _, c := range []struct {
-		name         string
-		seq, start   int
-		scale, shift float64
-	}{
-		{"identity", 2, 10, 1, 0},
-		{"scaled_shifted", 7, 40, 1.7, 3.25},
-		{"negative_shift", 11, 0, 0.6, -12.5},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			path := fmt.Sprintf("/search?seq=%d&start=%d&scale=%g&shift=%g&eps=%s", c.seq, c.start, c.scale, c.shift, tc.eps(0.08))
-			all := tc.matchSingleNode(t, path+"&limit=0", false)
-			if all.Total == 0 {
-				t.Fatal("oracle found nothing; the equivalence check would be vacuous")
-			}
-			params := url.Values{}
-			params.Set("values", tc.values(t, c.seq, c.start, 32, c.scale, c.shift))
-			params.Set("eps", tc.eps(0.08))
-			for _, limit := range []int{0, 1, 5, all.Total, 1000} {
-				if limit > 0 {
-					tc.matchSingleNode(t, fmt.Sprintf("%s&limit=%d", path, limit), false)
-				}
-				params.Set("limit", strconv.Itoa(limit))
-				g := tc.front.coord.Scatter(t.Context(), params, 0, "")
-				if g.Failed != 0 || g.ShardResults != all.Total || g.Total != all.Total {
-					t.Fatalf("limit %d: %d failed shards, shard result total %d, merged total %d, oracle %d",
-						limit, g.Failed, g.ShardResults, g.Total, all.Total)
-				}
-			}
-		})
-	}
-}
-
-// TestLongQueryEquivalence: a query three windows long runs as a
-// multipiece search on every shard and on the oracle alike.
-func TestLongQueryEquivalence(t *testing.T) {
-	tc := buildCoordCluster(t, 3)
-	path := fmt.Sprintf("/search?values=%s&eps=%s&limit=0", tc.values(t, 4, 8, 96, 1.2, -2), tc.eps(0.25))
-	if tc.matchSingleNode(t, path, false).Total == 0 {
-		t.Fatal("oracle found nothing; raise eps")
-	}
-}
-
-// TestKNNEquivalence: the merged global top-k is the single node's, and
-// a limit cuts the merged list while the shards still send all of
-// theirs.
-func TestKNNEquivalence(t *testing.T) {
-	tc := buildCoordCluster(t, 3)
-	const k = 9
-	path := fmt.Sprintf("/search?values=%s&nn=%d", tc.values(t, 9, 25, 32, 1, 0), k)
-	if all := tc.matchSingleNode(t, path+"&limit=0", true); len(all.Matches) != k {
-		t.Fatalf("oracle returned %d of %d neighbors", len(all.Matches), k)
-	}
-	if got := tc.matchSingleNode(t, path+"&limit=4", true); got.Total != k || len(got.Matches) != 4 {
-		t.Fatalf("limit 4: %d rows, total %d, want 4 of %d", len(got.Matches), got.Total, k)
 	}
 }
 

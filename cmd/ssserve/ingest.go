@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
+	"scaleshift/internal/store"
 	"scaleshift/internal/wal"
 )
 
@@ -126,11 +126,9 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("append of %d values exceeds the %d-value limit", len(req.Values), maxAppendValues))
 		return
 	}
-	for i, v := range req.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("value %d is not finite", i))
-			return
-		}
+	if err := store.CheckDomain(-1, 0, req.Values); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if (req.Seq == nil) == (req.Name == "") {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("provide exactly one of seq or name"))

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
 	"scaleshift/internal/obs"
+	"scaleshift/internal/oracle"
 	"scaleshift/internal/wal"
 )
 
@@ -228,30 +228,6 @@ func TestAppendWALReplay(t *testing.T) {
 		t.Fatalf("recovered index has %d windows, want %d", got, wantWindows)
 	}
 
-	// The recovered index answers a query over appended data the same
-	// way as the original.
-	n := seg.Options().WindowLen
-	q := make([]float64, n)
-	start := seg.Store().SequenceLen(0) - n
-	if err := seg.QueryWindow(0, start, n, q); err != nil {
-		t.Fatal(err)
-	}
-	var st1, st2 core.SearchStats
-	r1, err := seg.Exec(context.Background(), core.Query{Vec: q, Eps: 0.01}, &st1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := seg2.Exec(context.Background(), core.Query{Vec: q, Eps: 0.01}, &st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, m2 := r1.Matches, r2.Matches
-	if len(m1) != len(m2) {
-		t.Fatalf("recovered search returned %d matches, original %d", len(m2), len(m1))
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("match %d diverged after recovery: %+v vs %+v", i, m1[i], m2[i])
-		}
-	}
+	// The recovered index answers as the scan over the acked data.
+	exactOver(t, oracle.FromStore(seg.Store()), seg2)
 }

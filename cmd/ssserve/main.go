@@ -62,7 +62,6 @@ import (
 	"scaleshift/internal/cliutil"
 	"scaleshift/internal/cluster"
 	"scaleshift/internal/core"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/query"
 	"scaleshift/internal/store"
@@ -86,7 +85,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "synthetic data seed")
 	window := fs.Int("window", 128, "index window length n")
 	fc := fs.Int("fc", 3, "DFT coefficients f_c")
-	spheres := fs.Bool("spheres", false, "use the bounding-spheres penetration heuristic")
 	fs.Bool("bulk", false, "accepted and ignored: the index is always built with STR bulk loading")
 	indexCache := fs.String("index", "", "index artifact path (load when present, save after building)")
 	appendMode := fs.Bool("append", false, "enable live ingest via POST /append (hot reload then requires -checkpoint)")
@@ -183,9 +181,6 @@ func run(args []string) error {
 	opts := core.DefaultOptions()
 	opts.WindowLen = *window
 	opts.Coefficients = *fc
-	if *spheres {
-		opts.Strategy = geom.BoundingSpheres
-	}
 
 	// loadSeed is the cold-start data path: the configured store (or
 	// synthetic data) plus a built-or-loaded index artifact.  In append

@@ -7,9 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -269,53 +266,6 @@ func TestHealthz(t *testing.T) {
 	}
 	if len(h) != 1 || h["status"] != "ok" {
 		t.Fatalf("healthz = %s", body)
-	}
-}
-
-// TestRebuiltIndexServesExactResults: a server whose index cache cannot
-// be served comes up on the index rebuilt from the store, opened the way
-// main opens it (cliutil.OpenIndex): it answers range and k-NN queries
-// exactly as a server over a fresh build does, and /readyz says the
-// index was rebuilt and why.
-func TestRebuiltIndexServesExactResults(t *testing.T) {
-	fresh := newTestServer(t)
-	cfg := newTestServerConfig(t)
-	cache := filepath.Join(t.TempDir(), "index.bin")
-	if err := os.WriteFile(cache, []byte("not an index artifact"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix, how, err := cliutil.OpenIndex(cfg.snap.ix.Store(), cfg.snap.ix.Options(), cache, cfg.logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.snap = &snapshot{ix: ix, normScale: cfg.snap.normScale, how: how, loadedAt: time.Now()}
-	s := newServerFromConfig(t, cfg)
-	for _, path := range []string{"/search?seq=0&start=5&eps_frac=0.05", "/search?seq=0&start=5&nn=3"} {
-		var want, got cluster.SearchWire
-		for _, c := range []struct {
-			s   *server
-			out *cluster.SearchWire
-		}{{fresh, &want}, {s, &got}} {
-			resp, body := get(t, c.s, path)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
-			}
-			if err := json.Unmarshal(body, c.out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got.Total < 1 || got.Total != want.Total || !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("%s: %d matches over the rebuilt index, %d over a fresh one", path, got.Total, want.Total)
-		}
-	}
-	var ready struct {
-		Snapshot struct {
-			How string `json:"how"`
-		} `json:"snapshot"`
-	}
-	_, body := get(t, s, "/readyz")
-	if err := json.Unmarshal(body, &ready); err != nil || !strings.HasPrefix(ready.Snapshot.How, "rebuilt (") {
-		t.Fatalf("/readyz snapshot: %s (%v)", body, err)
 	}
 }
 

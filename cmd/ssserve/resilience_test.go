@@ -11,8 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,6 +21,7 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/faulty"
 	"scaleshift/internal/obs"
+	"scaleshift/internal/oracle"
 	"scaleshift/internal/query"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
@@ -251,48 +250,6 @@ func batchBody(t *testing.T, n int, epsFrac float64, path string) []byte {
 		t.Fatal(err)
 	}
 	return body
-}
-
-// TestBatchMatchesSequential is the oracle check at the HTTP layer: a
-// POST batch must return, per slot, exactly what the equivalent GET
-// returns.
-func TestBatchMatchesSequential(t *testing.T) {
-	s := newTestServer(t)
-	const n = 8
-	resp, body := post(t, s, "/search", batchBody(t, n, 0.05, ""))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	var br batchResponseJSON
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != n || br.Completed != n {
-		t.Fatalf("completed %d/%d results %d", br.Completed, n, len(br.Results))
-	}
-	for i, item := range br.Results {
-		if item.Status != "complete" {
-			t.Fatalf("slot %d status %q", i, item.Status)
-		}
-		seq, start := i%4, 3+i%20
-		gresp, gbody := get(t, s, fmt.Sprintf("/search?seq=%d&start=%d&eps_frac=0.05", seq, start))
-		if gresp.StatusCode != http.StatusOK {
-			t.Fatalf("sequential query %d: %d", i, gresp.StatusCode)
-		}
-		var sr cluster.SearchWire
-		if err := json.Unmarshal(gbody, &sr); err != nil {
-			t.Fatal(err)
-		}
-		if sr.Total != item.Total {
-			t.Fatalf("slot %d: batch %d matches, sequential %d", i, item.Total, sr.Total)
-		}
-		for j := range item.Matches {
-			if item.Matches[j] != sr.Matches[j] {
-				t.Fatalf("slot %d match %d differs: batch %+v sequential %+v",
-					i, j, item.Matches[j], sr.Matches[j])
-			}
-		}
-	}
 }
 
 func TestBatchRequestLimits(t *testing.T) {
@@ -573,32 +530,10 @@ func TestReloadCoversGrownStore(t *testing.T) {
 	if err := os.WriteFile(rcfg.StorePath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := core.NewIndex(st, rcfg.Opts)
-	if err == nil {
-		err = fresh.Build()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	q := make([]float64, rcfg.Opts.WindowLen)
-	if err := st.Window(2, st.SequenceLen(2)-len(q), len(q), q, nil); err != nil {
-		t.Fatal(err)
-	}
-	answer := func(ix *core.Index) []core.Match {
-		res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: 5}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(res.Matches, func(i, j int) bool {
-			a, b := res.Matches[i], res.Matches[j]
-			return a.Seq < b.Seq || a.Seq == b.Seq && a.Start < b.Start
-		})
-		return res.Matches
-	}
-	want := answer(fresh)
-	if len(want) == 0 {
-		t.Fatal("the query finds nothing in the grown store")
+	grown := oracle.FromStore(st)
+	windows := 0
+	for _, s := range grown {
+		windows += len(s.Values) - rcfg.Opts.WindowLen + 1
 	}
 	for name, open := range map[string]func(string) (io.ReadCloser, error){
 		"mapped": nil,
@@ -610,12 +545,10 @@ func TestReloadCoversGrownStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got, want := snap.ix.WindowCount(), fresh.WindowCount(); got != want {
-			t.Errorf("%s: the reloaded index holds %d windows, the grown store %d", name, got, want)
+		if got := snap.ix.WindowCount(); got != windows {
+			t.Errorf("%s: the reloaded index holds %d windows, the grown store %d", name, got, windows)
 		}
-		if got := answer(snap.ix); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the reloaded index answers %d matches, a fresh build %d", name, len(got), len(want))
-		}
+		exactOver(t, grown, snap.ix)
 		snap.ix.Close()
 	}
 }

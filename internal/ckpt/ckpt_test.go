@@ -108,19 +108,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if st2.TotalValues() != seg.Store().TotalValues() {
 		t.Fatalf("recovered store has %d values, want %d", st2.TotalValues(), seg.Store().TotalValues())
 	}
-	if seg2.WindowCount() != seg.WindowCount() {
-		t.Fatalf("recovered index covers %d windows, want %d", seg2.WindowCount(), seg.WindowCount())
-	}
-	want := searchAnswer(t, seg)
-	have := searchAnswer(t, seg2)
-	if len(want) != len(have) {
-		t.Fatalf("recovered search returned %d matches, want %d", len(have), len(want))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("match %d diverged after recovery: %+v vs %+v", i, have[i], want[i])
-		}
-	}
+	requireSameAnswer(t, seg, seg2, "recovered")
 }
 
 func TestInstallRotationAndRecover(t *testing.T) {

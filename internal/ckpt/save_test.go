@@ -100,7 +100,7 @@ func requireSameAnswer(t *testing.T, want, got *core.Index, what string) {
 	if got.WindowCount() != want.WindowCount() {
 		t.Fatalf("%s: %d windows, want %d", what, got.WindowCount(), want.WindowCount())
 	}
-	if a, b := searchAnswer(t, want), searchAnswer(t, got); len(a) == 0 || !reflect.DeepEqual(a, b) {
+	if a, b := searchAnswer(t, want), searchAnswer(t, got); len(a) == 0 || !sameBits(a, b) {
 		t.Fatalf("%s: %d matches, want %d", what, len(b), len(a))
 	}
 }

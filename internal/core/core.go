@@ -547,7 +547,9 @@ func (ix *Index) WriteIndexStats(w io.Writer) (err error) {
 
 // Build indexes every window of every sequence currently in the store
 // (§6 pre-processing), whatever the index held before: the bulk build of
-// BuildBulkParallel, on every CPU.
+// BuildBulkParallel, on every CPU.  Like every build, it fails with a
+// *store.DomainError naming the first value stored outside the numeric
+// domain: a store filled in process records it as it fills.
 func (ix *Index) Build() error {
 	return ix.rebuild(context.Background(), 0, nil, ix.allWindows)
 }
@@ -631,6 +633,9 @@ func (ix *Index) rebuild(ctx context.Context, workers int, load func(rtree.Confi
 	next, err := cover(slices.Clone(ix.next))
 	if err != nil {
 		return err
+	}
+	if _, err := ix.st.Domain(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	ranges := prefixRanges(next)
 	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers, load)
@@ -880,8 +885,13 @@ func (ix *Index) IndexStore() error {
 }
 
 // AppendAndIndex appends a new sequence to the store and indexes its
-// windows, returning the sequence id.
+// windows, returning the sequence id.  Values outside the numeric
+// domain (store.InDomain) are refused, as by every mutator, with a
+// *store.DomainError before the store is touched.
 func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
+	if err := store.CheckDomain(-1, 0, values); err != nil {
+		return -1, fmt.Errorf("core: %w", err)
+	}
 	start := time.Now()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -894,6 +904,9 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 // windows spanning the old end (requirement 2 of §3: time series are
 // collected regularly and must become searchable as they arrive).
 func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
+	if err := store.CheckDomain(-1, 0, values); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	start := time.Now()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -910,6 +923,9 @@ func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
 // publishes a new manifest generation.  Queries in flight keep their
 // pinned manifest; new queries see the appended windows at once.
 func (ix *Index) AppendValues(seq int, values []float64) error {
+	if err := store.CheckDomain(-1, 0, values); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	start := time.Now()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -959,4 +975,18 @@ func (ix *Index) UnindexSequence(seq int) error {
 // manifest.
 func numericSlack(maxAbs float64, dim int) float64 {
 	return (1e-7 + 0x1p-24) * maxAbs * math.Sqrt(float64(dim))
+}
+
+// featureNoise bounds, in norm, how far rounding moves an extracted
+// feature point from the exact one, in units of the values it was
+// extracted from: at most 2⁻⁴⁰·n·maxVal per coordinate for windows of
+// length n over values of magnitude up to maxVal (the sliding DFT,
+// restarted every featureCheckpoint windows, is measured at
+// 2⁻⁵⁵·n·maxVal).  numericSlack, scaled by the feature magnitudes,
+// does not cover it where those are far below the values: in an index
+// of (near-)constant windows every feature point is rounding noise
+// around the origin, and the query that matches them at scale 0 would
+// dismiss them.
+func featureNoise(maxVal float64, n, dim int) float64 {
+	return 0x1p-40 * float64(n) * maxVal * math.Sqrt(float64(dim))
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"scaleshift/internal/engine"
-	"scaleshift/internal/seqscan"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -122,88 +121,6 @@ func (f *deltaFixture) deltaShape() (windows, straddling, frozen int) {
 	return m.delta.n, straddling, len(m.frozen)
 }
 
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// sameMatches compares two answers window for window with
-// Float64bits-identical (dist, scale, shift).
-func sameMatches(a, b []Match) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d matches vs %d", len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Seq != y.Seq || x.Start != y.Start || x.Name != y.Name ||
-			!sameBits(x.Dist, y.Dist) || !sameBits(x.Scale, y.Scale) || !sameBits(x.Shift, y.Shift) {
-			return fmt.Errorf("match %d: %+v vs %+v", i, x, y)
-		}
-	}
-	return nil
-}
-
-// sameAsScan compares an answer with the sequential scan's.
-func sameAsScan(got []Match, scan []seqscan.Result) error {
-	if len(got) != len(scan) {
-		return fmt.Errorf("%d matches, the scan finds %d", len(got), len(scan))
-	}
-	for i, m := range got {
-		s := scan[i]
-		if m.Seq != s.Seq || m.Start != s.Start ||
-			!sameBits(m.Dist, s.Dist) || !sameBits(m.Scale, s.Scale) || !sameBits(m.Shift, s.Shift) {
-			return fmt.Errorf("match %d: %+v, the scan has %+v", i, m, s)
-		}
-	}
-	return nil
-}
-
-// checkRange holds one range (or long) query on the segmented index,
-// under every forced path, to the from-scratch index and to the scan,
-// and returns the match count.
-func (f *deltaFixture) checkRange(t *testing.T, label string, q vec.Vector, eps float64, costs CostBounds) int {
-	t.Helper()
-	ctx := context.Background()
-	scan, err := seqscan.Search(f.ref.Store(), q, eps, costs.Allow, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := run(ctx, f.ref, Query{Vec: q, Eps: eps, Costs: costs}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameAsScan(want, scan); err != nil {
-		t.Fatalf("%s: from-scratch index vs scan: %v", label, err)
-	}
-	for _, force := range []engine.PathKind{engine.PathAuto, engine.PathRTree, engine.PathScan} {
-		var stats SearchStats
-		got, _, err := run(ctx, f.g, Query{Vec: q, Eps: eps, Costs: costs, Force: force}, &stats)
-		if err != nil {
-			t.Fatalf("%s, %s: %v", label, force, err)
-		}
-		if err := sameMatches(got, want); err != nil {
-			t.Fatalf("%s, %s: segmented vs from-scratch index: %v", label, force, err)
-		}
-		if err := stats.CheckInvariants(); err != nil {
-			t.Fatalf("%s, %s: %v", label, force, err)
-		}
-	}
-	return len(want)
-}
-
-// checkKNN holds a k-NN query to the scan, row for row.
-func (f *deltaFixture) checkKNN(t *testing.T, label string, q vec.Vector, k int) {
-	t.Helper()
-	got, err := nearest(f.g, q, k, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	scan, err := seqscan.Nearest(f.ref.Store(), q, k, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameAsScan(got, scan); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-}
-
 // window reads one window of the final data.
 func (f *deltaFixture) window(t *testing.T, seq, start, n int) vec.Vector {
 	t.Helper()
@@ -212,132 +129,6 @@ func (f *deltaFixture) window(t *testing.T, seq, start, n int) vec.Vector {
 		t.Fatal(err)
 	}
 	return w
-}
-
-// seNorm is ‖T_se(w)‖, the unit ε is chosen in.
-func seNorm(w vec.Vector) float64 { return vec.Norm(vec.SETransform(w)) }
-
-// TestSegmentedDeltaDifferential runs every query class over random
-// append schedules that end with a populated delta: range with
-// unbounded and scale-bounded costs under Force auto/rtree/scan, long,
-// and k-NN, with queries cut from the delta's straddling windows, from
-// its tail windows and from the frozen side.
-func TestSegmentedDeltaDifferential(t *testing.T) {
-	opts := testOptions()
-	n := opts.WindowLen
-	names, vals := stockSeries(t, 6, 420)
-	bounded := CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)}
-	for trial := 0; trial < 4; trial++ {
-		rng := rand.New(rand.NewSource(int64(7100 + trial)))
-		f := growWithDelta(t, opts, names, vals, rng)
-		windows, straddling, frozen := f.deltaShape()
-		if windows <= deltaBlockLen || straddling < (n-1)*(len(names)/2) || frozen < 3 {
-			t.Fatalf("trial %d: fixture too easy: %d delta windows (%d straddling), %d frozen segments", trial, windows, straddling, frozen)
-		}
-		matched := 0
-		for _, src := range []struct {
-			what       string
-			seq, start int
-		}{
-			{"straddling", 1, f.packed[1] - n/2},
-			{"tail", 3, len(vals[3]) - n - 5},
-			{"frozen", 2, 3},
-		} {
-			w := f.window(t, src.seq, src.start, n)
-			q := vec.Apply(w, 1.3, -2)
-			for _, frac := range []float64{0.02, 0.3} {
-				label := fmt.Sprintf("trial %d, %s query, eps %g", trial, src.what, frac)
-				matched += f.checkRange(t, label, q, frac*seNorm(w), UnboundedCosts())
-				matched += f.checkRange(t, label+", scale-bounded", q, frac*seNorm(w), bounded)
-			}
-			f.checkKNN(t, fmt.Sprintf("trial %d, %s query", trial, src.what), q, 5)
-		}
-		// A long query ending on the last appended sample: its later
-		// pieces are delta windows.
-		long := f.window(t, 5, len(vals[5])-3*n, 3*n)
-		matched += f.checkRange(t, fmt.Sprintf("trial %d, long query", trial), vec.Apply(long, 0.8, 2), 0.2*seNorm(long), UnboundedCosts())
-		if matched == 0 {
-			t.Fatalf("trial %d: no query matched anything; the comparison is vacuous", trial)
-		}
-	}
-}
-
-// TestSegmentedDeltaAdversarialMagnitudes repeats the differential at
-// the magnitudes where a feature-space filter could go wrong: values
-// near the ends of the range the exact distance itself survives, constant
-// runs (windows whose SE image is the origin, at distance 0 of every
-// SE-line), and a delta whose features dwarf everything the frozen
-// segments held when they were built, so the slack every segment is
-// probed with has to come from the delta.
-//
-// The large end is 1e75, not 1e150: vec.MinDist forms ‖u‖²·‖v‖², which
-// overflows from about 1e77 on, and past that the sequential scan — the
-// oracle — reports every window at distance 0.  The small end has no
-// such limit short of the subnormals.
-func TestSegmentedDeltaAdversarialMagnitudes(t *testing.T) {
-	opts := testOptions()
-	n := opts.WindowLen
-	names, base := stockSeries(t, 6, 300)
-	var peak float64
-	for _, s := range base {
-		for _, v := range s {
-			peak = math.Max(peak, math.Abs(v))
-		}
-	}
-	scaled := func(mag func(seq int) float64) [][]float64 {
-		out := make([][]float64, len(base))
-		for seq, s := range base {
-			out[seq] = make([]float64, len(s))
-			for i, v := range s {
-				out[seq][i] = v / peak * mag(seq)
-			}
-		}
-		return out
-	}
-	plateaus := scaled(func(int) float64 { return 1 })
-	for seq, s := range plateaus {
-		// One constant run in what will be frozen, one reaching the end of
-		// the sequence (delta, straddling for the odd sequences), and one
-		// sequence constant throughout.
-		for i := range s {
-			if seq == 4 || (i >= 10 && i < 10+2*n) || i >= len(s)-2*n {
-				s[i] = s[10]
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		vals [][]float64
-	}{
-		{"1e75", scaled(func(int) float64 { return 1e75 })},
-		{"1e-150", scaled(func(int) float64 { return 1e-150 })},
-		{"constant runs", plateaus},
-		// The odd sequences reach the index only through the delta.
-		{"delta raises the slack", scaled(func(seq int) float64 { return math.Pow(1e6, float64(seq%2)) })},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := growWithDelta(t, opts, names, tc.vals, rand.New(rand.NewSource(99)))
-			if windows, straddling, frozen := f.deltaShape(); windows == 0 || straddling == 0 || frozen < 3 {
-				t.Fatalf("fixture too easy: %d delta windows (%d straddling), %d frozen segments", windows, straddling, frozen)
-			}
-			matched := 0
-			for _, src := range [][2]int{{1, f.packed[1] - n/2}, {3, len(tc.vals[3]) - n - 40}, {2, 60}} {
-				w := f.window(t, src[0], src[1], n)
-				mag := math.Abs(w[0])
-				q := vec.Apply(w, 1.7, 3*mag)
-				for _, frac := range []float64{0, 0.05, 0.5} {
-					label := fmt.Sprintf("query (%d,%d), eps %g", src[0], src[1], frac)
-					matched += f.checkRange(t, label, q, frac*seNorm(w), UnboundedCosts())
-					matched += f.checkRange(t, label+", scale-bounded", q, frac*seNorm(w),
-						CostBounds{ScaleMin: 0.25, ScaleMax: 4, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)})
-				}
-				f.checkKNN(t, fmt.Sprintf("query (%d,%d)", src[0], src[1]), q, 4)
-			}
-			if matched == 0 {
-				t.Fatal("no query matched anything; the comparison is vacuous")
-			}
-		})
-	}
 }
 
 // TestSegmentedKNNStopsEarlyInDelta pins the delta's k-NN bound.  With
@@ -370,7 +161,7 @@ func TestSegmentedKNNStopsEarlyInDelta(t *testing.T) {
 	for i, src := range sources {
 		var ref SearchStats
 		if err := sameMatches(knn(i, f.g, &withDelta[i]), knn(i, f.ref, &ref)); err != nil {
-			t.Fatalf("query %v: %v", src, err)
+			t.Fatalf("query %v: the segmented index's neighbours are not the from-scratch index's: %v", src, err)
 		}
 		seg := withDelta[i]
 		t.Logf("query %v: %d refined with a %d-window delta, %d on the from-scratch index", src, seg.Candidates, windows, ref.Candidates)
@@ -421,7 +212,7 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 	if err := st.Window(2, 150, n, w, nil); err != nil {
 		t.Fatal(err)
 	}
-	q, eps := vec.Apply(w, 1.2, 1), 0.3*seNorm(w)
+	q, eps := vec.Apply(w, 1.2, 1), 0.3*vec.Norm(vec.SETransform(w))
 	ctx := context.Background()
 
 	// Readers pin first, so the appenders never run unobserved; an
@@ -516,7 +307,7 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 	for seq := range names {
 		ref.AppendSequence(names[seq], vals[seq])
 	}
-	scan, err := seqscan.Search(ref, q, eps, nil, nil)
+	want, err := search(freshIndex(t, ref, opts), q, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,8 +315,8 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameAsScan(got, scan); err != nil {
-		t.Fatal(err)
+	if err := sameMatches(got, want); err != nil {
+		t.Fatalf("the quiesced index answers unlike a from-scratch build: %v", err)
 	}
 	if g.Backlog().Compactions == 0 {
 		t.Fatal("no compaction ran beside the pinned readers")
@@ -611,7 +402,7 @@ func TestDeltaSegViews(t *testing.T) {
 			t.Fatalf("%s: %d seeds after %d tests, want %d after %d", label, len(sc.seeds), sc.tree.LeafEntriesChecked, want, hi-lo)
 		}
 		for _, s := range sc.seeds {
-			if d := vec.PLDFast(feats[s.id], line); !sameBits(s.dist, d) || d > all[len(sc.seeds)-1] {
+			if d := vec.PLDFast(feats[s.id], line); math.Float64bits(s.dist) != math.Float64bits(d) || d > all[len(sc.seeds)-1] {
 				t.Fatalf("%s: seed %d at %v, its distance %v, the %dth nearest %v", label, s.id, s.dist, d, len(sc.seeds), all[len(sc.seeds)-1])
 			}
 		}
@@ -634,3 +425,6 @@ func TestDeltaSegViews(t *testing.T) {
 		t.Fatalf("empty suffix holds %d windows in %d blocks", rest.n, len(rest.blocks))
 	}
 }
+
+// seNorm is ‖T_se(w)‖, the unit ε is chosen in.
+func seNorm(w vec.Vector) float64 { return vec.Norm(vec.SETransform(w)) }

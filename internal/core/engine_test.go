@@ -14,111 +14,6 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// forcedSearch runs one forced-path query, failing the test on error.
-func forcedSearch(t *testing.T, ix *Index, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind) []Match {
-	t.Helper()
-	out, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Costs: costs, Force: force}, nil)
-	if err != nil {
-		t.Fatalf("forced %v search: %v", force, err)
-	}
-	if ex.Chosen != force || !ex.Forced {
-		t.Fatalf("forced %v but explain says chosen=%v forced=%v", force, ex.Chosen, ex.Forced)
-	}
-	return out
-}
-
-// TestCrossPathEquivalence is the engine's core invariant: for
-// randomized stores and queries, the tree, the scan oracle and the
-// default (the tree) return the identical sorted Match set, bit for bit
-// (distances, scales, and shifts included).
-func TestCrossPathEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	opts := testOptions()
-	for trial := 0; trial < 3; trial++ {
-		companies := 3 + rng.Intn(5)
-		days := opts.WindowLen + rng.Intn(120)
-		ix := buildTestIndex(t, opts, companies, days)
-		st := ix.Store()
-
-		for qi := 0; qi < 6; qi++ {
-			// Half the queries are disguised database windows (so
-			// matches exist), half are fresh noise.
-			q := make(vec.Vector, opts.WindowLen)
-			if qi%2 == 0 {
-				seq := rng.Intn(st.NumSequences())
-				start := rng.Intn(st.SequenceLen(seq) - opts.WindowLen + 1)
-				if err := st.Window(seq, start, opts.WindowLen, q, nil); err != nil {
-					t.Fatal(err)
-				}
-				q = vec.Apply(q, 0.5+rng.Float64()*3, rng.NormFloat64()*10)
-			} else {
-				for i := range q {
-					q[i] = rng.NormFloat64() * 50
-				}
-			}
-			costs := UnboundedCosts()
-			if qi%3 == 0 {
-				costs.ScaleMin, costs.ScaleMax = 0.1, 10
-			}
-			for _, eps := range []float64{0, 1, 25, 1e4} {
-				rtreeOut := forcedSearch(t, ix, q, eps, costs, engine.PathRTree)
-				scanOut := forcedSearch(t, ix, q, eps, costs, engine.PathScan)
-				if !reflect.DeepEqual(rtreeOut, scanOut) {
-					t.Fatalf("trial %d query %d eps %g: rtree %v != scan %v", trial, qi, eps, rtreeOut, scanOut)
-				}
-				autoOut, ex, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Costs: costs}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ex.Forced || ex.Chosen != engine.PathRTree {
-					t.Fatalf("auto plan chose %v forced=%v, want the tree", ex.Chosen, ex.Forced)
-				}
-				if !reflect.DeepEqual(autoOut, rtreeOut) {
-					t.Fatalf("trial %d query %d eps %g: auto (%v) differs from forced paths", trial, qi, eps, ex.Chosen)
-				}
-			}
-		}
-	}
-}
-
-// TestCrossPathEquivalenceLong checks the multipiece executor: long
-// queries return identical matches whichever path serves the pieces.
-func TestCrossPathEquivalenceLong(t *testing.T) {
-	opts := testOptions()
-	ix := buildTestIndex(t, opts, 4, 150)
-	st := ix.Store()
-	n := 2 * opts.WindowLen
-
-	q := make(vec.Vector, n)
-	if err := st.Window(1, 3, n, q, nil); err != nil {
-		t.Fatal(err)
-	}
-	q = vec.Apply(q, 2, -5)
-	for _, eps := range []float64{1, 50, 1e4} {
-		rtreeOut, exR, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathRTree}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exR.Pieces != 2 {
-			t.Errorf("explain pieces = %d, want 2", exR.Pieces)
-		}
-		scanOut, _, err := run(context.Background(), ix, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rtreeOut, scanOut) {
-			t.Fatalf("eps %g: long rtree %v != scan %v", eps, rtreeOut, scanOut)
-		}
-		autoOut, err := search(ix, q, eps, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(autoOut, rtreeOut) {
-			t.Fatalf("eps %g: auto long result differs", eps)
-		}
-	}
-}
-
 // TestAutoIsTheTree pins the default path: on a monolithic index, a
 // three-segment index with a delta and a delta-only index, from a
 // tight ε to one at which nearly every window matches, and under cost
@@ -185,8 +80,8 @@ func TestAutoIsTheTree(t *testing.T) {
 			if autoStats != treeStats {
 				t.Errorf("%s: stats\n  auto %+v\n  tree %+v", label, autoStats, treeStats)
 			}
-			if err := sameMatches(auto.Matches, tree.Matches); err != nil || auto.Total != tree.Total {
-				t.Errorf("%s: auto rows (total %d) differ from the tree's (total %d): %v", label, auto.Total, tree.Total, err)
+			if !reflect.DeepEqual(auto.Matches, tree.Matches) || auto.Total != tree.Total {
+				t.Errorf("%s: auto rows (total %d) differ from the tree's (total %d)", label, auto.Total, tree.Total)
 			}
 			if auto.Explain.Chosen != engine.PathRTree || auto.Explain.Forced || !reflect.DeepEqual(auto.Explain.Segments, tree.Explain.Segments) {
 				t.Errorf("%s: auto plan %v forced=%v %+v, the tree's %+v", label, auto.Explain.Chosen, auto.Explain.Forced, auto.Explain.Segments, tree.Explain.Segments)

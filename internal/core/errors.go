@@ -6,15 +6,17 @@ import (
 	"math"
 	"runtime/debug"
 
+	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
 
 // ErrInvalidQuery tags every query rejected at the API boundary —
-// NaN/Inf samples, negative or NaN epsilon, wrong length — so callers
-// can distinguish caller bugs (errors.Is(err, ErrInvalidQuery)) from
-// index or I/O failures.  Rejecting these up front matters for more
-// than hygiene: a NaN sample would poison the prefix-sum verifier's
-// certified bounds and silently drop true matches.
+// samples outside the numeric domain (store.InDomain), negative or NaN
+// epsilon, wrong length — so callers can distinguish caller bugs
+// (errors.Is(err, ErrInvalidQuery)) from index or I/O failures.
+// Rejecting these up front matters for more than hygiene: a NaN sample
+// would poison the prefix-sum verifier's certified bounds and silently
+// drop true matches.
 var ErrInvalidQuery = errors.New("invalid query")
 
 // validateQuery rejects range-query epsilons and samples the search
@@ -27,12 +29,10 @@ func validateQuery(q vec.Vector, eps float64) error {
 }
 
 // validateQueryValues checks the samples alone (used by NN search,
-// which has no epsilon).
+// which has no epsilon): each must lie in the numeric domain.
 func validateQueryValues(q vec.Vector) error {
-	for i, v := range q {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: %w: sample %d is %v", ErrInvalidQuery, i, v)
-		}
+	if err := store.CheckDomain(-1, 0, q); err != nil {
+		return fmt.Errorf("core: %w: %w", ErrInvalidQuery, err)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -71,8 +70,6 @@ func TestSSIDXFixtureServed(t *testing.T) {
 	path := filepath.Join("testdata", "served", "box_v3.ssidx")
 	data := readFile(t, path)
 	fresh := freshIndex(t, st, testOptions())
-	qs := testQueries(t, fresh, 4)
-	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
 
 	mapped, err := LoadIndexFile(path, st)
 	if err != nil {
@@ -89,10 +86,7 @@ func TestSSIDXFixtureServed(t *testing.T) {
 	}
 	defer opened.Close()
 	for what, ix := range map[string]*Index{"LoadIndexFile": mapped, "LoadIndex": streamed, "OpenOrRebuildFile": opened} {
-		gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
-		if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-			t.Errorf("%s: the fixture answers differently from a fresh build", what)
-		}
+		answersLike(t, what, fresh, ix)
 	}
 
 	var written bytes.Buffer

@@ -6,21 +6,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"scaleshift/internal/atomicfile"
 	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/rtree"
-	"scaleshift/internal/seqscan"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -44,358 +40,42 @@ func testQueries(t *testing.T, ix *Index, n int) []vec.Vector {
 	return qs
 }
 
-// checkStatsInvariant asserts the accounting identity every search
-// must satisfy: all candidates are either verified away or reported.
-func checkStatsInvariant(t *testing.T, s SearchStats) {
+// answersLike requires got to answer range, forced-tree, long and k-NN
+// queries Float64bits-identically to want, a fresh build.
+func answersLike(t *testing.T, what string, want *Index, got execer) {
 	t.Helper()
-	if s.Candidates != s.FalseAlarms+s.CostRejected+s.Results {
-		t.Fatalf("stats invariant broken: Candidates=%d FalseAlarms=%d CostRejected=%d Results=%d",
-			s.Candidates, s.FalseAlarms, s.CostRejected, s.Results)
-	}
-}
-
-// runAllSearches exercises range, long-query, k-NN, and batch search,
-// returning everything for equality comparison.  Stats are asserted
-// against the accounting invariant as they stream by.
-func runAllSearches(t *testing.T, ix *Index, qs []vec.Vector, eps float64) ([][]Match, [][]Match, [][]Match, []SearchStats) {
-	t.Helper()
-	var rangeRes, nnRes [][]Match
-	var allStats []SearchStats
-	for _, q := range qs {
-		var s SearchStats
-		m, err := search(ix, q, eps, &s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStatsInvariant(t, s)
-		// Wall-clock fields differ run to run; blank them for equality.
-		s.PlanTime, s.ProbeTime, s.VerifyTime = 0, 0, 0
-		rangeRes = append(rangeRes, m)
-		allStats = append(allStats, s)
-
-		var ns SearchStats
-		nn, err := nearest(ix, q, 5, &ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nnRes = append(nnRes, nn)
-	}
-	// Long query: three windows stitched together.
-	wl := ix.Options().WindowLen
-	long := make(vec.Vector, 3*wl)
+	qs := testQueries(t, want, 4)
+	long := make(vec.Vector, 3*len(qs[0]))
 	for i := range long {
-		long[i] = qs[0][i%wl] + 0.01*float64(i)
+		long[i] = qs[0][i%len(qs[0])] + 0.01*float64(i)
 	}
-	var ls SearchStats
-	lm, err := search(ix, long, eps, &ls)
-	if err != nil {
-		t.Fatal(err)
+	queries := []Query{{Vec: long, Eps: 8}}
+	for _, q := range qs {
+		queries = append(queries, Query{Vec: q, Eps: 8}, Query{Vec: q, Eps: 8, Force: engine.PathRTree}, Query{Vec: q, K: 3})
 	}
-	checkStatsInvariant(t, ls)
-	results, _, err := ix.ExecBatch(context.Background(), rangeQueries(qs, eps), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch [][]Match
-	for _, r := range results {
-		batch = append(batch, r.Matches)
-	}
-	batch = append(batch, lm)
-	return rangeRes, nnRes, batch, allStats
-}
-
-// TestFrozenIndexEquivalence asserts that a fold is invisible when
-// nothing was changed: the arena rebuilt from the store over the same
-// windows returns bit-identical results and identical deterministic
-// stats for every search family, on however many workers it was built.
-func TestFrozenIndexEquivalence(t *testing.T) {
-	ix := buildTestIndex(t, testOptions(), 8, 120)
-	qs := testQueries(t, ix, 6)
-	eps := 8.0
-	wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
-
-	for _, workers := range []int{1, 3} {
-		old := arena(t, ix)
-		if err := ix.rebuild(context.Background(), workers, nil, func(next []int) ([]int, error) { return next, nil }); err != nil {
-			t.Fatal(err)
-		}
-		if arena(t, ix) == old {
-			t.Fatal("the fold kept the old arena")
-		}
-		gotR, gotNN, gotB, gotS := runAllSearches(t, ix, qs, eps)
-		if !reflect.DeepEqual(wantR, gotR) {
-			t.Fatalf("workers=%d: range results diverged after a fold", workers)
-		}
-		if !reflect.DeepEqual(wantNN, gotNN) {
-			t.Fatalf("workers=%d: k-NN results diverged after a fold", workers)
-		}
-		if !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("workers=%d: batch/long results diverged after a fold", workers)
-		}
-		if !reflect.DeepEqual(wantS, gotS) {
-			t.Fatalf("workers=%d: search stats diverged after a fold:\n%+v\nvs\n%+v", workers, wantS, gotS)
-		}
-	}
-}
-
-// TestFileLoadedIndexEquivalence round-trips through the v3 artifact
-// on disk (the mmap zero-copy path) and asserts search equality, then
-// exercises VerifyArtifact and Close.
-func TestFileLoadedIndexEquivalence(t *testing.T) {
-	opts := testOptions()
-	ix := buildTestIndex(t, opts, 8, 120)
-	qs := testQueries(t, ix, 6)
-	eps := 8.0
-	wantR, wantNN, wantB, wantS := runAllSearches(t, ix, qs, eps)
-
-	path := filepath.Join(t.TempDir(), "ix.v3")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.WriteBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := LoadIndexFile(path, ix.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if err := loaded.VerifyArtifact(); err != nil {
-		t.Fatalf("VerifyArtifact on a pristine artifact: %v", err)
-	}
-	gotR, gotNN, gotB, gotS := runAllSearches(t, loaded, qs, eps)
-	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) ||
-		!reflect.DeepEqual(wantB, gotB) || !reflect.DeepEqual(wantS, gotS) {
-		t.Fatal("file-loaded index diverged from in-memory index")
-	}
-
-	// Stream load of the same artifact agrees too.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := LoadIndex(bytes.NewReader(data), ix.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sR, sNN, sB, sS := runAllSearches(t, streamed, qs, eps)
-	if !reflect.DeepEqual(wantR, sR) || !reflect.DeepEqual(wantNN, sNN) ||
-		!reflect.DeepEqual(wantB, sB) || !reflect.DeepEqual(wantS, sS) {
-		t.Fatal("stream-loaded index diverged from in-memory index")
-	}
-}
-
-// mutatedOracle answers q by sequential scan over every sequence of st
-// but removed (none when negative): the windows an index that
-// unindexed it still covers.
-func mutatedOracle(t *testing.T, st *store.Store, q Query, removed int) []seqscan.Result {
-	t.Helper()
-	var all []seqscan.Result
-	var err error
-	if q.K > 0 {
-		k := q.K
-		if removed >= 0 {
-			k += max(0, st.SequenceLen(removed)-len(q.Vec)+1)
-		}
-		all, err = seqscan.Nearest(st, q.Vec, k, nil)
-	} else {
-		var keep seqscan.Filter
-		if q.Costs != (CostBounds{}) {
-			keep = q.Costs.Allow
-		}
-		all, err = seqscan.Search(st, q.Vec, q.Eps, keep, nil)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := all[:0]
-	for _, r := range all {
-		if r.Seq != removed {
-			kept = append(kept, r)
-		}
-	}
-	if q.K > 0 && len(kept) > q.K {
-		kept = kept[:q.K]
-	}
-	return kept
-}
-
-// TestMutatedIndexAnswers is the write path's differential: every
-// mutator, on a bulk-built, an insert-built, a file-mapped and an empty
-// index, leaves an
-// index that answers the moment it returns — range, cost-bounded,
-// limited, long and k-NN queries, Float64bits-equal to a sequential scan
-// of the indexed windows — and answers the same after Freeze, which
-// leaves a direction-box arena that a tight probe reads as it reads one
-// built from scratch over the same windows.
-func TestMutatedIndexAnswers(t *testing.T) {
-	opts := testOptions()
-	wl := opts.WindowLen
-	tail := make([]float64, 2*wl+10)
-	for i := range tail { // no two windows alike: k-NN ties have no order
-		tail[i] = 40 + float64(i*i%17) + math.Sin(float64(i))
-	}
-	ctx := context.Background()
-	inf := math.Inf(1)
-
-	built := func(build func(*Index) error) *Index {
-		ix, err := NewIndex(populatedStore(t, 5, 90, 3), opts)
-		if err == nil {
-			err = build(ix)
-		}
+	for i, query := range queries {
+		w, _, err := run(context.Background(), want, query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ix
-	}
-	bases := map[string]func() *Index{
-		"bulk-built": func() *Index { return built((*Index).BuildBulk) },
-		// An MBR directory until the first fold.
-		"insert-built": func() *Index { return built(func(ix *Index) error { return ix.BuildWith(rstar.Load) }) },
-		"mapped": func() *Index {
-			src := built((*Index).BuildBulk)
-			path := filepath.Join(t.TempDir(), "ix.v3")
-			if err := atomicfile.WriteFile(path, src.WriteBinary); err != nil {
-				t.Fatal(err)
-			}
-			ix, err := LoadIndexFile(path, src.Store())
-			if err != nil || len(ix.mappings) == 0 {
-				t.Fatalf("mapping the artifact: %v", err)
-			}
-			return ix
-		},
-		"empty": func() *Index {
-			ix, err := NewIndex(store.New(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix
-		},
-	}
-	for base, open := range bases {
-		ix := open()
-		st := ix.Store()
-		removed := -1
-		// Each step returns the sequence to draw the queries from.
-		steps := []struct {
-			name   string
-			mutate func() (int, error)
-		}{
-			{"AppendAndIndex", func() (int, error) { return ix.AppendAndIndex("NEW", tail) }},
-			// Twice: the first extension finds no extraction state for a
-			// sequence the arena holds, the second continues the first's.
-			{"ExtendAndIndex", func() (int, error) {
-				last := st.NumSequences() - 1
-				if err := ix.ExtendAndIndex(last, tail[:7]); err != nil {
-					return last, err
-				}
-				return last, ix.ExtendAndIndex(last, tail[7:12])
-			}},
-			{"IndexSequence", func() (int, error) {
-				seq := st.AppendSequence("RAW", tail[3:])
-				return seq, ix.IndexSequence(seq)
-			}},
-			{"UnindexSequence", func() (int, error) {
-				removed = st.NumSequences() - 2
-				return removed, ix.UnindexSequence(removed)
-			}},
+		g, _, err := run(context.Background(), got, query, nil)
+		if err == nil {
+			err = sameMatches(g, w)
 		}
-		for _, step := range steps {
-			what := base + "/" + step.name
-			seq, err := step.mutate()
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			w := make(vec.Vector, 2*wl)
-			if err := st.Window(seq, st.SequenceLen(seq)-2*wl, 2*wl, w, nil); err != nil {
-				t.Fatal(err)
-			}
-			long := vec.Apply(w, 0.7, 9)
-			q := vec.Apply(w[wl:], 1.5, -4)
-			queries := map[string]Query{
-				"range":   {Vec: q, Eps: 6},
-				"bounded": {Vec: q, Eps: 6, Costs: CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}},
-				"limit":   {Vec: q, Eps: 20, Limit: 3},
-				"long":    {Vec: long, Eps: 8},
-				"knn":     {Vec: q, K: 3},
-			}
-			check := func(when string) {
-				for kind, query := range queries {
-					res, err := ix.Exec(ctx, query, nil)
-					if err != nil {
-						t.Fatalf("%s, %s, %s: %v", what, when, kind, err)
-					}
-					want := mutatedOracle(t, st, query, removed)
-					if res.Total != len(want) {
-						t.Fatalf("%s, %s, %s: total %d, the scan finds %d", what, when, kind, res.Total, len(want))
-					}
-					if query.Limit > 0 && len(want) > query.Limit {
-						want = want[:query.Limit]
-					}
-					if err := sameAsScan(res.Matches, want); err != nil {
-						t.Fatalf("%s, %s, %s: %v", what, when, kind, err)
-					}
-					if kind == "range" && seq != removed && len(want) == 0 {
-						t.Fatalf("%s, %s: the disguised window of sequence %d was not found", what, when, seq)
-					}
-				}
-			}
-			check("before Freeze")
-			// Saved with the delta pending, the artifact holds it folded.
-			var buf bytes.Buffer
-			if err := ix.WriteBinary(&buf); err != nil {
-				t.Fatalf("%s: writing with a delta pending: %v", what, err)
-			}
-			saved, err := LoadIndex(&buf, st)
-			if err != nil {
-				t.Fatalf("%s: reopening: %v", what, err)
-			}
-			live := ix
-			ix = saved
-			check("saved before Freeze and reopened")
-			ix = live
-			freeze(t, ix)
-			check("after Freeze")
+		if err != nil {
+			t.Fatalf("%s: query %d %+v: %v", what, i, query, err)
+		}
+	}
+}
 
-			if ix.delta.n != 0 || len(ix.frozen) != 1 || ix.Directory() != DirectoryBox {
-				t.Fatalf("%s: Freeze left %d delta windows, %d frozen segments, a %s directory", what, ix.delta.n, len(ix.frozen), ix.Directory())
-			}
-			// A from-scratch build over the same windows.
-			scratch := store.New()
-			names, vals := fullSequences(t, st)
-			for s := range names {
-				if s != removed {
-					scratch.AppendSequence(names[s], vals[s])
-				}
-			}
-			fresh, err := NewIndex(scratch, opts)
-			if err == nil {
-				err = fresh.BuildBulk()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got, want SearchStats
-			tight := Query{Vec: q, Eps: 0.5, Force: engine.PathRTree}
-			if _, err := ix.Exec(ctx, tight, &got); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fresh.Exec(ctx, tight, &want); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.IndexNodeAccesses - want.IndexNodeAccesses; want.IndexNodeAccesses == 0 || 50*max(d, -d) > want.IndexNodeAccesses {
-				t.Fatalf("%s: a tight probe reads %d nodes, %d of a from-scratch build", what, got.IndexNodeAccesses, want.IndexNodeAccesses)
-			}
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+// mustExec is Exec failing the test on error.
+func mustExec(t *testing.T, ix *Index, q Query) Result {
+	t.Helper()
+	res, err := ix.Exec(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 // TestMutateWhileQuerying runs AppendAndIndex and ExtendAndIndex on one
@@ -461,16 +141,14 @@ func TestMutateWhileQuerying(t *testing.T) {
 	close(done)
 	wg.Wait()
 
+	fresh := freshIndex(t, st, ix.Options())
 	for i, q := range qs {
-		want, err := seqscan.Search(st, q, eps, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustExec(t, fresh, Query{Vec: q, Eps: eps}).Matches
 		if len(want) == 0 {
 			t.Fatalf("query %d matches nothing", i)
 		}
 		for k, got := range answers[i] {
-			if err := sameAsScan(got, want); err != nil {
+			if err := sameMatches(got, want); err != nil {
 				t.Fatalf("query %d, answer %d of %d: %v", i, k, len(answers[i]), err)
 			}
 		}
@@ -519,12 +197,7 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	if got, want := ix.WindowCount(), ref.WindowCount(); got != want {
 		t.Fatalf("%d windows after the edits, the reference index has %d", got, want)
 	}
-	qs := testQueries(t, ref, 4)
-	wantR, wantNN, _, _ := runAllSearches(t, ref, qs, 8.0)
-	gotR, gotNN, _, _ := runAllSearches(t, ix, qs, 8.0)
-	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) {
-		t.Fatal("bulk-built index diverged from the reference after the same edits")
-	}
+	answersLike(t, "after the same edits", ref, ix)
 }
 
 // TestV3ArtifactCorruption is the exhaustive sweep over the artifact
@@ -697,13 +370,7 @@ func rebuiltArtifact(t *testing.T, st *store.Store, path, want string) {
 	if ix.Directory() != DirectoryBox {
 		t.Fatalf("%s: rebuilt with a %s directory", path, ix.Directory())
 	}
-	fresh := freshIndex(t, st, testOptions())
-	qs := testQueries(t, fresh, 4)
-	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
-	gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
-	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-		t.Fatalf("%s: the rebuilt index answers differently from a fresh build", path)
-	}
+	answersLike(t, path, freshIndex(t, st, testOptions()), ix)
 }
 
 // freshIndex is a bulk build of st.
@@ -774,22 +441,7 @@ func checkRebuilt(t *testing.T, what string, st *store.Store, g *SegmentedIndex,
 			t.Fatalf("%s: segment %d serves a %s directory", what, i, d)
 		}
 	}
-	fresh := freshIndex(t, st, g.Options())
-	for i, q := range testQueries(t, fresh, 4) {
-		for _, query := range []Query{{Vec: q, Eps: 8}, {Vec: q, Eps: 8, Force: engine.PathRTree}, {Vec: q, K: 3}} {
-			want, _, err := run(context.Background(), fresh, query, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := run(context.Background(), g, query, nil)
-			if err == nil {
-				err = sameMatches(got, want)
-			}
-			if err != nil {
-				t.Fatalf("%s: query %d %+v: %v", what, i, query, err)
-			}
-		}
-	}
+	answersLike(t, what, freshIndex(t, st, g.Options()), g)
 }
 
 // TestArenaV1Fixture holds the artifacts the commit before arena version
@@ -830,8 +482,6 @@ func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), want)
 
 	fresh := freshIndex(t, st, testOptions())
-	qs := testQueries(t, fresh, 4)
-	wantR, wantNN, wantB, _ := runAllSearches(t, fresh, qs, 8)
 	inserted, err := NewIndex(st, testOptions())
 	if err == nil {
 		err = inserted.BuildWith(rstar.Load)
@@ -839,18 +489,15 @@ func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	if err != nil || inserted.Directory() != rtree.DirectoryMBR {
 		t.Fatalf("an insert-built tree: %v, %s directory", err, inserted.Directory())
 	}
-	gotR, gotNN, gotB, _ := runAllSearches(t, inserted, qs, 8)
-	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-		t.Fatal("insert-built: answers differ from a fresh direction-box build")
-	}
-	for i, q := range qs {
+	answersLike(t, "insert-built", fresh, inserted)
+	for i, q := range testQueries(t, fresh, 4) {
 		var stats SearchStats
 		res, err := inserted.Exec(context.Background(), Query{Vec: q, Eps: 8, Force: engine.PathRTree}, &stats)
 		if err == nil && stats.IndexNodeAccesses == 0 {
 			err = errors.New("no node read")
 		}
 		if err == nil {
-			err = sameMatches(res.Matches, wantR[i])
+			err = sameMatches(res.Matches, mustExec(t, fresh, Query{Vec: q, Eps: 8}).Matches)
 		}
 		if err != nil {
 			t.Fatalf("insert-built query %d down the tree: %v", i, err)

@@ -212,3 +212,36 @@ func TestIndexIsOneSegment(t *testing.T) {
 		}
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameMatches compares two answers window for window with
+// Float64bits-identical (dist, scale, shift).
+func sameMatches(a, b []Match) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d matches vs %d", len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Seq != y.Seq || x.Start != y.Start || x.Name != y.Name ||
+			!sameBits(x.Dist, y.Dist) || !sameBits(x.Scale, y.Scale) || !sameBits(x.Shift, y.Shift) {
+			return fmt.Errorf("match %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return nil
+}
+
+// sameAsScan compares an answer with the sequential scan's.
+func sameAsScan(got []Match, scan []seqscan.Result) error {
+	if len(got) != len(scan) {
+		return fmt.Errorf("%d matches, the scan finds %d", len(got), len(scan))
+	}
+	for i, m := range got {
+		s := scan[i]
+		if m.Seq != s.Seq || m.Start != s.Start ||
+			!sameBits(m.Dist, s.Dist) || !sameBits(m.Scale, s.Scale) || !sameBits(m.Shift, s.Shift) {
+			return fmt.Errorf("match %d: %+v, the scan has %+v", i, m, s)
+		}
+	}
+	return nil
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"scaleshift/internal/query"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
@@ -109,75 +108,6 @@ func TestBuildBulkParallelDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBuildVariantsAgreeOnSearches asserts that insert-built,
-// bulk-built, and parallel-bulk-built indexes return identical search
-// and nearest-neighbour results.
-func TestBuildVariantsAgreeOnSearches(t *testing.T) {
-	opts := testOptions()
-	st := populatedStore(t, 8, 420, 7)
-
-	build := func(f func(*Index) error) *Index {
-		ix, err := NewIndex(st, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f(ix); err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	variants := map[string]*Index{
-		"insert":   build(func(ix *Index) error { return ix.Build() }),
-		"bulk":     build(func(ix *Index) error { return ix.BuildBulk() }),
-		"parallel": build(func(ix *Index) error { return ix.BuildBulkParallel(4) }),
-	}
-
-	scale, err := query.SENormScale(st, opts.WindowLen, 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make(vec.Vector, opts.WindowLen)
-	for _, src := range []struct{ seq, start int }{{0, 3}, {4, 200}, {7, 377}} {
-		if err := st.Window(src.seq, src.start, opts.WindowLen, w, nil); err != nil {
-			t.Fatal(err)
-		}
-		ref, err := search(variants["insert"], w, 0.2*scale, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refNN, err := nearest(variants["insert"], w, 5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, ix := range variants {
-			got, err := search(ix, w, 0.2*scale, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("%s: %d matches, insert %d", name, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s: match %d = %+v, insert %+v", name, i, got[i], ref[i])
-				}
-			}
-			gotNN, err := nearest(ix, w, 5, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotNN) != len(refNN) {
-				t.Fatalf("%s: %d neighbours, insert %d", name, len(gotNN), len(refNN))
-			}
-			for i := range refNN {
-				if gotNN[i] != refNN[i] {
-					t.Fatalf("%s: neighbour %d = %+v, insert %+v", name, i, gotNN[i], refNN[i])
-				}
-			}
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -397,7 +396,6 @@ func TestCorruptArtifactIsRebuilt(t *testing.T) {
 	opts := testOptions()
 	healthy := buildTestIndex(t, opts, 6, 120)
 	st := healthy.Store()
-	q, eps := testQueryEps(t, healthy)
 
 	var buf bytes.Buffer
 	if err := healthy.WriteBinary(&buf); err != nil {
@@ -422,30 +420,7 @@ func TestCorruptArtifactIsRebuilt(t *testing.T) {
 	if ix.Directory() != DirectoryBox {
 		t.Fatalf("the rebuilt index has a %s directory", ix.Directory())
 	}
-	long := append(q.Clone(), q...)
-	for _, c := range []struct {
-		what string
-		q    Query
-	}{
-		{"exact", Query{Vec: q}},
-		{"range", Query{Vec: q, Eps: eps}},
-		{"wide", Query{Vec: q, Eps: 3 * eps}},
-		{"long", Query{Vec: long, Eps: eps}},
-		{"forced tree", Query{Vec: q, Eps: eps, Force: engine.PathRTree}},
-		{"k-NN", Query{Vec: q, K: 5}},
-	} {
-		want, _, err := run(context.Background(), healthy, c.q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := run(context.Background(), ix, c.q, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.what, err)
-		}
-		if err := sameMatches(got, want); err != nil {
-			t.Fatalf("%s: the rebuilt index answers differently: %v", c.what, err)
-		}
-	}
+	answersLike(t, "the rebuilt index", healthy, ix)
 	var again bytes.Buffer
 	if err := ix.WriteBinary(&again); err != nil || !bytes.Equal(again.Bytes(), good) {
 		t.Fatalf("the rebuilt index writes %d bytes (%v), not the undamaged artifact's %d", again.Len(), err, len(good))
@@ -483,12 +458,7 @@ func TestOpenOrRebuildCoversGrownStore(t *testing.T) {
 	if got, want := ix.WindowCount(), full.WindowCount(); got != want {
 		t.Fatalf("%d windows, the grown store has %d", got, want)
 	}
-	qs := testQueries(t, full, 4)
-	wantR, wantNN, wantB, _ := runAllSearches(t, full, qs, 8)
-	gotR, gotNN, gotB, _ := runAllSearches(t, ix, qs, 8)
-	if !reflect.DeepEqual(wantR, gotR) || !reflect.DeepEqual(wantNN, gotNN) || !reflect.DeepEqual(wantB, gotB) {
-		t.Fatal("the opened index answers differently from a fresh build of the grown store")
-	}
+	answersLike(t, "opened over the grown store", full, ix)
 }
 
 // openOracle is what a fresh build answers to a fixed range query and a
@@ -657,7 +627,7 @@ func TestNearestNeighborsCancelsPromptly(t *testing.T) {
 		case a := <-done:
 			switch {
 			case a.err == nil: // the query beat the cancel
-				if err := sameAsScan(a.res.Matches, nearestScan(ix.Store(), q, 50, costs)); err != nil {
+				if err := sameMatches(a.res.Matches, mustExec(t, ix, Query{Vec: q, K: 50, Costs: costs}).Matches); err != nil {
 					t.Errorf("costs %+v: %v", costs, err)
 				}
 			case !errors.Is(a.err, context.Canceled):

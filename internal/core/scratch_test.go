@@ -174,16 +174,12 @@ func TestLongQueryOverlappingProposals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) == 0 || len(got) != len(scan) {
-		t.Fatalf("%d matches, scan finds %d", len(got), len(scan))
+	if err := sameAsScan(got, scan); err != nil || len(got) == 0 {
+		t.Fatalf("%d matches: %v", len(got), err)
 	}
 	for i, m := range got {
-		s := scan[i]
-		if m.Seq != s.Seq || m.Start != s.Start || !want[window{m.Seq, m.Start}] ||
-			math.Float64bits(m.Dist) != math.Float64bits(s.Dist) ||
-			math.Float64bits(m.Scale) != math.Float64bits(s.Scale) ||
-			math.Float64bits(m.Shift) != math.Float64bits(s.Shift) {
-			t.Fatalf("match %d = %+v, scan has %+v", i, m, s)
+		if !want[window{m.Seq, m.Start}] {
+			t.Fatalf("match %d = %+v was never proposed", i, m)
 		}
 	}
 }

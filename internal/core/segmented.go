@@ -182,9 +182,10 @@ func (ix *Index) compact(full bool) error {
 	}
 
 	// Phase 3 (brief, locked): swap the manifest.  The lock-held time
-	// here is the only moment ingest stalls on compaction.
-	start := time.Now()
+	// here is the only moment ingest stalls on compaction; the clock
+	// starts once the lock is held, so the wait for it is not counted.
 	ix.mu.Lock()
+	start := time.Now()
 	ix.frozen = newFrozen
 	ix.delta = ix.delta.suffix(cut)
 	ix.publishLocked()

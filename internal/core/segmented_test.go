@@ -1,16 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"scaleshift/internal/engine"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -30,203 +26,6 @@ func fullSequences(t testing.TB, st *store.Store) ([]string, [][]float64) {
 		vals[seq] = buf
 	}
 	return names, vals
-}
-
-// growSegmented replays the full sequences into a fresh store through
-// a SegmentedIndex with a random append/compact interleaving driven by
-// rng, and returns the segmented index over the final content.
-func growSegmented(t testing.TB, opts Options, names []string, vals [][]float64, rng *rand.Rand) *SegmentedIndex {
-	t.Helper()
-	st := store.New()
-	// Random initial prefixes for a random number of leading sequences;
-	// the rest arrive later via AppendSequence.
-	introduced := rng.Intn(len(names) + 1)
-	done := make([]int, len(names)) // values appended so far
-	for seq := 0; seq < introduced; seq++ {
-		cut := rng.Intn(len(vals[seq]) + 1)
-		st.AppendSequence(names[seq], vals[seq][:cut])
-		done[seq] = cut
-	}
-	g := freshIndex(t, st, opts)
-	for {
-		remaining := introduced < len(names)
-		for seq := 0; seq < introduced; seq++ {
-			if done[seq] < len(vals[seq]) {
-				remaining = true
-			}
-		}
-		if !remaining {
-			break
-		}
-		switch {
-		case rng.Intn(8) == 0:
-			if err := g.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		case introduced < len(names) && rng.Intn(3) == 0:
-			cut := rng.Intn(len(vals[introduced]) + 1)
-			seq, err := g.AppendAndIndex(names[introduced], vals[introduced][:cut])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq != introduced {
-				t.Fatalf("AppendSequence returned seq %d, want %d", seq, introduced)
-			}
-			done[introduced] = cut
-			introduced++
-		default:
-			if introduced == 0 {
-				continue
-			}
-			seq := rng.Intn(introduced)
-			left := len(vals[seq]) - done[seq]
-			if left == 0 {
-				continue
-			}
-			chunk := 1 + rng.Intn(left)
-			if err := g.AppendValues(seq, vals[seq][done[seq]:done[seq]+chunk]); err != nil {
-				t.Fatal(err)
-			}
-			done[seq] += chunk
-		}
-	}
-	if rng.Intn(2) == 0 {
-		if err := g.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
-}
-
-func matchesEqual(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSegmentedEquivalence is the heart of the segmented-index
-// contract: an index grown through arbitrary append/compact
-// interleavings answers every query class bit-identically to a
-// from-scratch bulk build over the same final data.
-func TestSegmentedEquivalence(t *testing.T) {
-	opts := testOptions()
-	ref := buildTestIndex(t, opts, 5, 400)
-	if err := ref.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	names, vals := fullSequences(t, ref.Store())
-	q, eps := testQueryEps(t, ref)
-
-	longQ := make(vec.Vector, 3*opts.WindowLen)
-	if err := ref.Store().Window(2, 11, len(longQ), longQ, nil); err != nil {
-		t.Fatal(err)
-	}
-	longQ = vec.Apply(longQ, 0.8, 2)
-
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		g := growSegmented(t, opts, names, vals, rng)
-		g.MaxFrozen = 2 + rng.Intn(3)
-
-		if got, want := g.WindowCount(), ref.WindowCount(); got != want {
-			t.Fatalf("trial %d: segmented covers %d windows, reference %d", trial, got, want)
-		}
-
-		for _, mult := range []float64{0.5, 1, 2} {
-			e := eps * mult
-			var rs, gs SearchStats
-			want, err := search(ref, q, e, &rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := search(g, q, e, &gs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matchesEqual(got, want) {
-				t.Fatalf("trial %d eps %g: segmented range results diverge:\n%v\nvs\n%v", trial, e, got, want)
-			}
-			if err := gs.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d: segmented stats: %v", trial, err)
-			}
-			if err := rs.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d: reference stats: %v", trial, err)
-			}
-		}
-
-		// Scale-bounded query (exercises segment-restricted probes) and
-		// a forced scan (must match too — same verifier).
-		costs := CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)}
-		want, _, err := run(context.Background(), ref, Query{Vec: q, Eps: eps, Costs: costs}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := run(context.Background(), g, Query{Vec: q, Eps: eps, Costs: costs}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(got, want) {
-			t.Fatalf("trial %d: scale-bounded results diverge", trial)
-		}
-		gotScan, _, err := run(context.Background(), g, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantScan, _, err := run(context.Background(), ref, Query{Vec: q, Eps: eps, Force: engine.PathScan}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gotScan, wantScan) {
-			t.Fatalf("trial %d: forced-scan results diverge", trial)
-		}
-
-		wantLong, err := search(ref, longQ, 2*eps, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLong, err := search(g, longQ, 2*eps, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gotLong, wantLong) {
-			t.Fatalf("trial %d: long-query results diverge:\n%v\nvs\n%v", trial, gotLong, wantLong)
-		}
-
-		var ns SearchStats
-		wantNN, err := nearest(ref, q, 5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotNN, err := nearest(g, q, 5, &ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gotNN, wantNN) {
-			t.Fatalf("trial %d: k-NN results diverge:\n%v\nvs\n%v", trial, gotNN, wantNN)
-		}
-
-		// The Explain must carry one plan per probed segment.
-		_, ex, err := run(context.Background(), g, Query{Vec: q, Eps: eps}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ex.Segments) == 0 {
-			t.Fatalf("trial %d: segmented Explain has no segment plans", trial)
-		}
-		var buf bytes.Buffer
-		if err := ex.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestSegmentedConcurrent drives appends, background compaction, and
@@ -431,108 +230,6 @@ func TestSegmentedCompactionLifecycle(t *testing.T) {
 	}
 }
 
-// TestSegmentedTieredRetention pins the size-tiered compaction policy:
-// under a long run of small folds the frozen list must stay
-// logarithmic in the ingested volume WITHOUT the MaxFrozen full-merge
-// backstop ever firing, partial merges must only ever touch an
-// adjacent run (checked structurally via the per-sequence contiguous
-// coverage the segment artifact validates), and the results must stay
-// bit-identical to a from-scratch build.
-func TestSegmentedTieredRetention(t *testing.T) {
-	opts := testOptions()
-	ref := buildTestIndex(t, opts, 4, 400)
-	if err := ref.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	names, vals := fullSequences(t, ref.Store())
-	q, eps := testQueryEps(t, ref)
-
-	st := store.New()
-	for seq := range names {
-		st.AppendSequence(names[seq], vals[seq][:60])
-	}
-	g := freshIndex(t, st, opts)
-	defer g.Close()
-	// Push the backstop out of the way: the tiered ladder alone must
-	// keep the list small.
-	g.MaxFrozen = 1024
-
-	// Feed the rest in small per-round chunks, compacting every round —
-	// the worst case for a flat policy (one new segment per round).
-	const chunk = 8
-	rounds, maxFrozen := 0, 0
-	for pos := 60; pos < 400; pos += chunk {
-		hi := pos + chunk
-		if hi > 400 {
-			hi = 400
-		}
-		for seq := range names {
-			if err := g.AppendValues(seq, vals[seq][pos:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := g.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		rounds++
-		if f := g.Backlog().Frozen; f > maxFrozen {
-			maxFrozen = f
-		}
-	}
-	b := g.Backlog()
-	if b.Compactions < rounds {
-		t.Fatalf("only %d compactions over %d rounds", b.Compactions, rounds)
-	}
-	if b.DeltaWindows != 0 {
-		t.Fatalf("delta not drained: %d windows", b.DeltaWindows)
-	}
-	// Ratio-2 tiering admits at most ~log2(total/chunkWindows)+2
-	// segments; 42 rounds under a flat policy would hold 40+.  The
-	// ladder must both form (partial merges, not a full merge every
-	// round) and stay logarithmic.
-	if maxFrozen > 12 {
-		t.Fatalf("tiered retention let the ladder grow to %d segments over %d rounds", maxFrozen, rounds)
-	}
-	if maxFrozen < 3 {
-		t.Fatalf("no ladder formed (max %d segments): merges are rewriting the world", maxFrozen)
-	}
-	if got, want := g.WindowCount(), ref.WindowCount(); got != want {
-		t.Fatalf("segmented covers %d windows, reference %d", got, want)
-	}
-
-	want, err := search(ref, q, eps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := search(g, q, eps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, want) {
-		t.Fatalf("tiered index diverges from reference:\n%v\nvs\n%v", got, want)
-	}
-
-	// The artifact round trip re-validates that every partial merge
-	// preserved contiguous per-sequence coverage (LoadSegments rejects
-	// gaps or overlaps), and the loaded copy serves identically.
-	var buf bytes.Buffer
-	if err := g.WriteSegments(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, rebuilt, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
-	if err != nil || len(rebuilt) > 0 {
-		t.Fatalf("tiered layout failed artifact validation: %v (rebuilt %v)", err, rebuilt)
-	}
-	defer g2.Close()
-	got2, err := search(g2, q, eps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got2, want) {
-		t.Fatalf("reloaded tiered index diverges:\n%v\nvs\n%v", got2, want)
-	}
-}
-
 // TestSegmentedMergeRunPolicy unit-tests the decide step directly:
 // the run must be a suffix, absorb equal-size neighbours (binary
 // counter), stop at a much larger older segment, and fall back to a
@@ -584,77 +281,14 @@ func TestSegmentedMergeRunPolicy(t *testing.T) {
 	}
 }
 
-// TestWriteLoadSegments round-trips a multi-segment artifact and
-// verifies the loaded index serves identically — including when the
-// store has grown past the artifact (the WAL-replay restart shape).
-func TestWriteLoadSegments(t *testing.T) {
-	opts := testOptions()
-	ref := buildTestIndex(t, opts, 4, 250)
-	names, vals := fullSequences(t, ref.Store())
-	q, eps := testQueryEps(t, ref)
-
-	st := store.New()
-	for seq := range names {
-		st.AppendSequence(names[seq], vals[seq][:150])
+func matchesEqual(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	g := freshIndex(t, st, opts)
-	defer g.Close()
-	for seq := range names {
-		if err := g.AppendValues(seq, vals[seq][150:200]); err != nil {
-			t.Fatal(err)
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-
-	// Uncompacted delta refuses to serialize.
-	var buf bytes.Buffer
-	if err := g.WriteSegments(&buf); err == nil {
-		t.Fatal("WriteSegments accepted a dirty delta")
-	}
-	if err := g.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := g.WriteSegments(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if g.Backlog().Frozen < 2 {
-		t.Fatalf("want a multi-segment artifact, got %d segments", g.Backlog().Frozen)
-	}
-
-	// Reopen against the same store, then grow both the original and
-	// the loaded copy to the full data and compare against ref.
-	g2, rebuilt, err := LoadSegments(bytes.NewReader(buf.Bytes()), st)
-	if err != nil || len(rebuilt) > 0 {
-		t.Fatalf("round trip: %v (rebuilt %v)", err, rebuilt)
-	}
-	defer g2.Close()
-	if got, want := g2.WindowCount(), g.WindowCount(); got != want {
-		t.Fatalf("loaded index covers %d windows, original %d", got, want)
-	}
-	for seq := range names {
-		if err := g2.AppendValues(seq, vals[seq][200:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := search(ref, q, eps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := search(g2, q, eps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, want) {
-		t.Fatalf("loaded+grown segmented index diverges:\n%v\nvs\n%v", got, want)
-	}
-
-	// Loading against a SHORTER store (artifact covers windows the
-	// store lacks) must be rejected, not served.
-	short := store.New()
-	for seq := range names {
-		short.AppendSequence(names[seq], vals[seq][:100])
-	}
-	if _, _, err := LoadSegments(bytes.NewReader(buf.Bytes()), short); err == nil {
-		t.Fatal("artifact loaded against a store missing its windows")
-	}
+	return true
 }

@@ -590,6 +590,10 @@ func (ix *Index) assemble(dirs []segDir, frozen []*frozenSeg, next []int) error 
 		b, _ := sg.flat.Bounds() // the zero Rect while empty
 		ix.maxAbs = max(ix.maxAbs, maxAbsRect(b))
 	}
+	if _, err := ix.st.Domain(); err != nil {
+		ix.Close()
+		return fmt.Errorf("core: %w", err)
+	}
 	ix.cell = resilience.NewCell(ix.manifestLocked())
 	return nil
 }

@@ -5,77 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"scaleshift/internal/query"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
-
-func TestIndexSerializationRoundTrip(t *testing.T) {
-	opts := testOptions()
-	ix := buildTestIndex(t, opts, 10, 140)
-	st := ix.Store()
-
-	// Persist store and index.
-	var stBuf, ixBuf bytes.Buffer
-	if err := st.WriteBinary(&stBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.WriteBinary(&ixBuf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reload both.
-	st2, err := store.ReadBinary(&stBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := LoadIndex(&ixBuf, st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.WindowCount() != ix.WindowCount() {
-		t.Fatalf("window count %d, want %d", ix2.WindowCount(), ix.WindowCount())
-	}
-	if ix2.IndexPageCount() != ix.IndexPageCount() {
-		t.Fatalf("page count %d, want %d", ix2.IndexPageCount(), ix.IndexPageCount())
-	}
-
-	// Identical search results on identical queries.
-	scale, err := query.SENormScale(st, opts.WindowLen, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make(vec.Vector, opts.WindowLen)
-	for _, src := range []struct{ seq, start int }{{2, 10}, {8, 77}} {
-		if err := st.Window(src.seq, src.start, opts.WindowLen, w, nil); err != nil {
-			t.Fatal(err)
-		}
-		q := vec.Apply(w, 1.3, -2)
-		for _, eps := range []float64{0, 0.1 * scale} {
-			a, err := search(ix, q, eps, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := search(ix2, q, eps, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("eps=%v: %d vs %d results", eps, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("eps=%v rank %d differs", eps, i)
-				}
-			}
-		}
-	}
-
-	// The reloaded index remains dynamic.
-	if _, err := ix2.AppendAndIndex("NEW", make([]float64, 64)); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 	opts := testOptions()

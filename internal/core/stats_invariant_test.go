@@ -92,30 +92,6 @@ func TestStatsInvariantsLongQuery(t *testing.T) {
 	}
 }
 
-func TestStatsInvariantsBatchAccumulate(t *testing.T) {
-	ix := buildTestIndex(t, testOptions(), 12, 120)
-	q, eps := invariantQuery(t, ix)
-	q2 := make(vec.Vector, len(q))
-	if err := ix.Store().Window(1, 10, len(q2), q2, nil); err != nil {
-		t.Fatal(err)
-	}
-	var stats SearchStats
-	queries := []Query{
-		{Vec: q, Eps: eps},
-		{Vec: q2, Eps: eps},
-		{Vec: q, Eps: eps / 2},
-	}
-	results, _, err := ix.ExecBatch(context.Background(), queries, 2, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, r := range results {
-		total += len(r.Matches)
-	}
-	checkStats(t, "batch", stats, total)
-}
-
 // TestStatsInvariantsSegmentedDelta holds the ledger, the per-segment
 // plans and the exported counters on a segmented index with a populated
 // delta: the delta's plan reports its window count and what its filter

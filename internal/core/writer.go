@@ -64,6 +64,9 @@ func (w *writer) extract(seq int) error {
 	if w.next[seq] > lastStart {
 		return nil
 	}
+	if _, err := w.st.Domain(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	feat := make(vec.Vector, w.fmap.Dim())
 	if w.opts.Reduction != ReductionDFT {
 		win := make(vec.Vector, n)
@@ -151,6 +154,7 @@ func (w *writer) absorb(seq, start int, feat vec.Vector) {
 // manifest assembles the immutable view queries read: the given frozen
 // segments, the delta pinned by length, the data read through sv.
 func (w *writer) manifest(gen int64, sv storeView, frozen []*frozenSeg) *manifest {
+	peak, _ := w.st.Domain() // the values' magnitude, for featureNoise
 	return &manifest{
 		opts:   w.opts,
 		fmap:   w.fmap,
@@ -158,6 +162,6 @@ func (w *writer) manifest(gen int64, sv storeView, frozen []*frozenSeg) *manifes
 		sv:     sv,
 		frozen: frozen,
 		delta:  w.delta.prefix(w.delta.n),
-		slack:  numericSlack(w.maxAbs, w.fmap.Dim()),
+		slack:  numericSlack(w.maxAbs, w.fmap.Dim()) + featureNoise(peak, w.opts.WindowLen, w.fmap.Dim()),
 	}
 }

@@ -38,7 +38,7 @@ func (s *Store) AppendValues(seq int, values []float64) error {
 	}
 	s.tails[seq] = append(s.tails[seq], values...)
 	s.lengths[seq] += len(values)
-	s.stats[seq].accumulate(values)
+	s.accumulate(seq, values)
 	s.gen.Add(1)
 	return nil
 }
@@ -80,6 +80,7 @@ func (s *Store) Snapshot() *Snapshot {
 			psumsq: s.stats[i].psumsq[:n:n],
 		}
 	}
+	sn.peak, sn.bad = s.peak, s.bad
 	return sn
 }
 

@@ -86,7 +86,8 @@ func (v *view) WriteBinary(w io.Writer) error {
 // store.  Failures are classified: ErrVersion for recognizable
 // artifacts of another format version, ErrTruncated for input that
 // ends early, ErrChecksum for damaged bytes — all wrapped with
-// context and matchable via errors.Is.
+// context and matchable via errors.Is.  A value outside the numeric
+// domain is a *DomainError (errors.As).
 func ReadBinary(r io.Reader) (*Store, error) {
 	br := binio.NewReader(r)
 	if err := br.Magic(storeMagic); err != nil {
@@ -158,5 +159,8 @@ func ReadBinary(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	st.rebuildStats()
+	if _, err := st.Domain(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	return st, nil
 }

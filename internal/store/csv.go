@@ -48,7 +48,8 @@ func (s *Store) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses the format written by WriteCSV into a fresh store.
-// Blank lines are skipped; a sequence may be empty (a bare name).
+// Blank lines are skipped; a sequence may be empty (a bare name).  A
+// value outside the numeric domain fails the read with a *DomainError.
 func ReadCSV(r io.Reader) (*Store, error) {
 	st := New()
 	sc := bufio.NewScanner(r)
@@ -77,6 +78,9 @@ func ReadCSV(r io.Reader) (*Store, error) {
 			vals = append(vals, v)
 		}
 		st.AppendSequence(name, vals)
+		if _, err := st.Domain(); err != nil {
+			return nil, fmt.Errorf("store: line %d: %w", lineNo, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("store: reading CSV: %w", err)

@@ -131,6 +131,11 @@ type view struct {
 	// stats holds the per-sequence running prefix sums of Σv and Σv²
 	// that back O(1) WindowStats lookups during candidate verification.
 	stats []seqStats
+	// peak is the largest magnitude stored, and bad the first value
+	// stored outside the numeric domain (nil while there is none): both
+	// kept by accumulate as values arrive.
+	peak float64
+	bad  *DomainError
 }
 
 // seqStats carries one sequence's prefix sums: psum[i] (psumsq[i]) is
@@ -148,11 +153,19 @@ type seqStats struct {
 // prefix within a small constant multiple of ε_machine times the
 // magnitude of the terms — independent of the sequence length — so
 // differencing two prefixes stays accurate for O(1) window statistics.
-func (st *seqStats) accumulate(values []float64) {
+// In the same pass it finds the largest magnitude among values and the
+// position of the first outside the numeric domain (bad, -1 for none).
+func (st *seqStats) accumulate(values []float64) (peak float64, bad int) {
 	s := st.psum[len(st.psum)-1]
 	q := st.psumsq[len(st.psumsq)-1]
 	cs, cq := st.csum, st.csumsq
-	for _, v := range values {
+	bad = -1
+	for i, v := range values {
+		peak = max(peak, math.Abs(v))
+		if bad < 0 && !InDomain(v) {
+			bad = i
+		}
+
 		y := v - cs
 		t := s + y
 		cs = (t - s) - y
@@ -167,6 +180,7 @@ func (st *seqStats) accumulate(values []float64) {
 		st.psumsq = append(st.psumsq, q)
 	}
 	st.csum, st.csumsq = cs, cq
+	return peak, bad
 }
 
 // newSeqStats returns empty prefix sums with room for n samples.
@@ -201,7 +215,7 @@ func (s *Store) AppendSequence(name string, values []float64) int {
 	s.data = append(s.data, values...)
 	s.tails = append(s.tails, nil)
 	s.stats = append(s.stats, newSeqStats(len(values)))
-	s.stats[id].accumulate(values)
+	s.accumulate(id, values)
 	s.gen.Add(1)
 	return id
 }
@@ -225,7 +239,7 @@ func (s *Store) ExtendSequence(seq int, values []float64) error {
 	}
 	s.data = append(s.data, values...)
 	s.lengths[seq] += len(values)
-	s.stats[seq].accumulate(values)
+	s.accumulate(seq, values)
 	s.gen.Add(1)
 	return nil
 }
@@ -442,9 +456,10 @@ func (v *view) WindowStats(seq, start, n int) (WindowStats, error) {
 // (deserialized stores are fully packed, so tails are not involved).
 func (v *view) rebuildStats() {
 	v.stats = make([]seqStats, len(v.names))
+	v.peak, v.bad = 0, nil
 	for seq := range v.names {
 		v.stats[seq] = newSeqStats(v.lengths[seq])
-		v.stats[seq].accumulate(v.data[v.offsets[seq] : v.offsets[seq]+v.lengths[seq]])
+		v.accumulate(seq, v.data[v.offsets[seq]:v.offsets[seq]+v.lengths[seq]])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scaleshift"
+	"scaleshift/internal/oracle"
 )
 
 // TestPublicAPIEndToEnd drives the whole public surface: build a store,
@@ -124,6 +125,7 @@ func TestPublicAPIVariants(t *testing.T) {
 		vals[i] = float64((i*i)%97) + 1
 	}
 	st.AppendSequence("s", vals)
+	data := oracle.FromStore(st)
 
 	for _, tc := range []struct {
 		name   string
@@ -138,30 +140,7 @@ func TestPublicAPIVariants(t *testing.T) {
 			opts := scaleshift.DefaultOptions()
 			opts.WindowLen = 32
 			tc.mutate(&opts)
-			ix, err := scaleshift.NewIndex(st, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Build(); err != nil {
-				t.Fatal(err)
-			}
-			q := make([]float64, 32)
-			for i := range q {
-				q[i] = 2*vals[50+i] + 3
-			}
-			res, err := ix.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, m := range res.Matches {
-				if m.Start == 50 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatal("source window not found")
-			}
+			oracle.Check(t, oracle.Case{Opts: opts, Data: data, Queries: oracle.Mix(data, 32, 1)})
 		})
 	}
 
