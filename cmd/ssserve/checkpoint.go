@@ -383,86 +383,52 @@ func (s *server) reloadAppend() error {
 	c := s.ckpt
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	s.reloading.Store(true)
-	s.updateReadyGauge()
-	defer func() {
-		s.reloading.Store(false)
-		s.updateReadyGauge()
-	}()
-
-	start := time.Now()
-	reject := func(err error) error {
-		s.reloadsRejected.Inc()
-		s.lastReloadErr.Store(&reloadFailure{Err: err.Error(), At: time.Now()})
-		s.logger.Error("append-mode reload rejected; old snapshot keeps serving", "err", err)
-		return err
-	}
-
-	in := s.ingest
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	meta, err := c.checkpointLocked(true)
-	if err != nil {
-		return reject(fmt.Errorf("checkpoint barrier: %w", err))
-	}
-	if err := c.hook("mid-reload"); err != nil {
-		return reject(err)
-	}
-	res, warns, err := ckpt.Recover(c.cfg.Path)
-	if err != nil {
-		return reject(fmt.Errorf("re-reading checkpoint: %w", err))
-	}
-	for _, w := range warns {
-		s.logger.Warn("during reload: " + w.String())
-	}
-	if res.Meta.Generation != meta.Generation {
-		res.Seg.Close()
-		return reject(fmt.Errorf("checkpoint raced: recovered generation %d, wrote %d", res.Meta.Generation, meta.Generation))
-	}
-	normScale, err := query.SENormScale(res.Store, res.Seg.Options().WindowLen, 500, c.cfg.Seed+2)
-	if err != nil {
-		res.Seg.Close()
-		return reject(fmt.Errorf("recomputing norm scale: %w", err))
-	}
-
-	old := in.seg
-	res.Seg.CompactThreshold = old.CompactThreshold
-	res.Seg.MergeRatio = old.MergeRatio
-	res.Seg.MaxFrozen = old.MaxFrozen
-	res.Seg.StartCompactor()
-	in.seg = res.Seg
-	in.names = make(map[string]int, res.Store.NumSequences())
-	for seq := 0; seq < res.Store.NumSequences(); seq++ {
-		in.names[res.Store.SequenceName(seq)] = seq
-	}
-
-	sn := &snapshot{
-		ix:        res.Seg,
-		normScale: normScale,
-		how:       fmt.Sprintf("reloaded from checkpoint %s (generation %d)", res.Source, res.Meta.Generation),
-		loadedAt:  time.Now(),
-	}
-	oldSnap := s.snap.Swap(sn)
-	gen := s.genCount.Add(1)
-	s.generation.Set(float64(gen))
-	s.reloadsOK.Inc()
-	s.lastReloadErr.Store(nil)
-	s.publishSnapshotGauges(sn)
-	s.logger.Info("snapshot swapped",
-		"generation", gen, "how", sn.how,
-		"windows", res.Seg.WindowCount(),
-		"elapsed", time.Since(start).Round(time.Millisecond))
-	go func() {
-		<-oldSnap.Drained()
-		// The superseded segmented index is unreachable; stop its
-		// compactor and release any artifact mapping it pinned.
-		if err := oldSnap.Value().ix.Close(); err != nil {
-			s.logger.Warn("closing drained snapshot", "err", err)
+	return s.hotReload(func(swap func(*snapshot)) error {
+		in := s.ingest
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		meta, err := c.checkpointLocked(true)
+		if err != nil {
+			return fmt.Errorf("checkpoint barrier: %w", err)
 		}
-		s.logger.Info("previous snapshot drained", "generation", gen-1)
-	}()
-	return nil
+		if err := c.hook("mid-reload"); err != nil {
+			return err
+		}
+		res, warns, err := ckpt.Recover(c.cfg.Path)
+		if err != nil {
+			return fmt.Errorf("re-reading checkpoint: %w", err)
+		}
+		for _, w := range warns {
+			s.logger.Warn("during reload: " + w.String())
+		}
+		if res.Meta.Generation != meta.Generation {
+			res.Seg.Close()
+			return fmt.Errorf("checkpoint raced: recovered generation %d, wrote %d", res.Meta.Generation, meta.Generation)
+		}
+		normScale, err := query.SENormScale(res.Store, res.Seg.Options().WindowLen, 500, c.cfg.Seed+2)
+		if err != nil {
+			res.Seg.Close()
+			return fmt.Errorf("recomputing norm scale: %w", err)
+		}
+
+		old := in.seg
+		res.Seg.CompactThreshold = old.CompactThreshold
+		res.Seg.MergeRatio = old.MergeRatio
+		res.Seg.MaxFrozen = old.MaxFrozen
+		res.Seg.StartCompactor()
+		in.seg = res.Seg
+		in.names = make(map[string]int, res.Store.NumSequences())
+		for seq := 0; seq < res.Store.NumSequences(); seq++ {
+			in.names[res.Store.SequenceName(seq)] = seq
+		}
+		swap(&snapshot{
+			ix:        res.Seg,
+			normScale: normScale,
+			how:       fmt.Sprintf("reloaded from checkpoint %s (generation %d)", res.Source, res.Meta.Generation),
+			loadedAt:  time.Now(),
+		})
+		return nil
+	})
 }
 
 // handleCheckpoint is the operational trigger: POST /admin/checkpoint.

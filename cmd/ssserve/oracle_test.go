@@ -52,7 +52,7 @@ func searchParams(q core.Query) (url.Values, error) {
 	if c == (core.CostBounds{}) {
 		return p, nil
 	}
-	if c.ShiftMin != -c.ShiftMax || c.ShiftMax == 0 || c.ScaleMin == 0 || c.ScaleMax == 0 {
+	if c.ShiftMin != -c.ShiftMax {
 		return nil, fmt.Errorf("cost bounds %+v have no /search form", c)
 	}
 	for name, v := range map[string]float64{"scale_min": c.ScaleMin, "scale_max": c.ScaleMax, "shift_abs": c.ShiftMax} {
@@ -138,9 +138,9 @@ func batchSystem(s *server) oracle.System {
 			req := batchRequestJSON{Path: engine.PathKind(key[0]).String(), Limit: &key[1]}
 			for _, i := range idx {
 				q := qs[i]
-				bq := batchQueryJSON{Values: q.Vec, Eps: q.Eps}
+				bq := batchQueryJSON{Values: q.Vec, Eps: &q.Eps}
 				if c := q.Costs; c != (core.CostBounds{}) {
-					bq.ScaleMin, bq.ScaleMax, bq.ShiftAbs = finite(c.ScaleMin), finite(c.ScaleMax), finite(c.ShiftMax)
+					bq.ScaleMin, bq.ScaleMax, bq.ShiftAbs = bound(c.ScaleMin), bound(c.ScaleMax), bound(c.ShiftMax)
 				}
 				req.Queries = append(req.Queries, bq)
 			}
@@ -170,13 +170,16 @@ func batchSystem(s *server) oracle.System {
 	}}
 }
 
-// finite is v, or 0 — the batch's "unbounded" — for an infinite v.
-func finite(v float64) float64 {
+// bound is the batch field for cost bound v: absent — unbounded — for
+// an infinite v.
+func bound(v float64) *float64 {
 	if math.IsInf(v, 0) {
-		return 0
+		return nil
 	}
-	return v
+	return &v
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // indexSystem answers through ix, whatever index Check holds.
 func indexSystem(name string, ix *core.Index) oracle.System {
@@ -231,9 +234,29 @@ func TestBatchMatchesSequential(t *testing.T) {
 	data := oracle.FromStore(pin.Value().ix.Store())
 	pin.Release()
 	qs := slices.DeleteFunc(expressible(oracle.Mix(data, 32, 1)), func(q core.Query) bool {
-		return q.K > 0 || len(q.Vec) != 32 || q.Eps <= 0
+		return q.K > 0 || len(q.Vec) != 32
 	})
 	oracle.Check(t, oracle.Case{Data: data, Queries: qs, Systems: []oracle.System{batchSystem(s), searchSystem("GET /search", s, 0)}})
+}
+
+// TestGivenZeroIsUsed: an absent ε or cost bound takes its default, and
+// a given 0 is used as it is — eps 0 is an exact-match query, and
+// scale_max=0, scale_min=0 and shift_abs=0 bound the transformation —
+// in a POST batch, in a GET by values and by stored window, and through
+// a coordinator, whose shards get the bounds as it forwards them.
+func TestGivenZeroIsUsed(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	data := oracle.FromStore(tc.union.Store())
+	d := drawn{3, 12, 32, 1.7, 3.25}
+	q := d.vec(data)
+	inf := math.Inf(1)
+	qs := []core.Query{
+		{Vec: q, Eps: 0},
+		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: core.CostBounds{ScaleMin: -inf, ScaleMax: 0, ShiftMin: -inf, ShiftMax: inf}},
+		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: core.CostBounds{ScaleMin: 0, ScaleMax: inf, ShiftMin: 0, ShiftMax: 0}},
+	}
+	tc.check(t, qs, d, d, d)
+	oracle.Check(t, oracle.Case{Data: data, Queries: qs, Systems: []oracle.System{batchSystem(tc.single)}})
 }
 
 // check holds the coordinator and the single-node server over the

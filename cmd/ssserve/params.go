@@ -32,6 +32,16 @@ func (r *paramReader) float(name string, def float64) float64 {
 	return f
 }
 
+// opt reads parameter name into *v and returns v, or nil when it is
+// absent.
+func (r *paramReader) opt(name string, v *float64) *float64 {
+	if r.values.Get(name) == "" {
+		return nil
+	}
+	*v = r.float(name, 0)
+	return v
+}
+
 // int returns parameter name as an int, def when it is absent.
 func (r *paramReader) int(name string, def int) int {
 	v := r.values.Get(name)
@@ -56,24 +66,14 @@ func (r *paramReader) int(name string, def int) int {
 //	limit          cap on returned matches (0 or less = all; default
 //	               100), carried by the query as core.Query.Limit
 //
-// Vec is left nil: the query vector is either explicit (values=, which
-// a coordinator forwards unparsed) or a window of the store
-// (parseWindowRef).
+// ε and the cost bounds follow searchBounds.  Vec is left nil: the
+// query vector is either explicit (values=, which a coordinator
+// forwards unparsed) or a window of the store (parseWindowRef).
 func decodeSearchQuery(p url.Values, normScale float64) (q core.Query, err error) {
 	pr := paramReader{values: p}
-	if q.Eps = pr.float("eps", -1); q.Eps < 0 {
-		q.Eps = pr.float("eps_frac", 0.02) * normScale
-	}
-	q.Costs = core.UnboundedCosts()
-	if v := pr.float("scale_min", 0); v != 0 {
-		q.Costs.ScaleMin = v
-	}
-	if v := pr.float("scale_max", 0); v != 0 {
-		q.Costs.ScaleMax = v
-	}
-	if v := pr.float("shift_abs", 0); v != 0 {
-		q.Costs.ShiftMin, q.Costs.ShiftMax = -v, v
-	}
+	var v [5]float64
+	q.Eps, q.Costs = searchBounds(pr.opt("eps", &v[0]), pr.opt("eps_frac", &v[1]),
+		pr.opt("scale_min", &v[2]), pr.opt("scale_max", &v[3]), pr.opt("shift_abs", &v[4]), normScale)
 	if nn := pr.int("nn", 0); nn > 0 {
 		q.K = nn
 	}
@@ -87,6 +87,20 @@ func decodeSearchQuery(p url.Values, normScale float64) (q core.Query, err error
 		}
 	}
 	return q, nil
+}
+
+// searchBounds resolves the ε and cost-bound parameters of both /search
+// forms, GET and the POST batch: an absent one takes its default — ε
+// as eps_frac 0.02 of normScale, no cost bound — and a given one is
+// used as it is, 0 included (eps 0 is an exact-match query, scale_max 0
+// or shift_abs 0 a bound).
+func searchBounds(eps, epsFrac, scaleMin, scaleMax, shiftAbs *float64, normScale float64) (float64, core.CostBounds) {
+	c := core.UnboundedCosts()
+	c.ScaleMin, c.ScaleMax = or(scaleMin, c.ScaleMin), or(scaleMax, c.ScaleMax)
+	if shiftAbs != nil {
+		c.ShiftMin, c.ShiftMax = -*shiftAbs, *shiftAbs
+	}
+	return or(eps, or(epsFrac, 0.02)*normScale), c
 }
 
 // windowRef addresses a query as a window of the store, disguised:

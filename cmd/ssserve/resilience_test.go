@@ -243,7 +243,7 @@ func batchBody(t *testing.T, n int, epsFrac float64, path string) []byte {
 	for i := 0; i < n; i++ {
 		seq, start := i%4, 3+i%20
 		ef := epsFrac
-		req.Queries = append(req.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: ef})
+		req.Queries = append(req.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: &ef})
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -335,7 +335,7 @@ func TestClientDisconnectCancelsBatch(t *testing.T) {
 	body := batchRequestJSON{Parallelism: 1}
 	for i := 0; i < maxBatchQueries; i++ {
 		seq, start := i%20, 3+i%500
-		body.Queries = append(body.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: 0.3})
+		body.Queries = append(body.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: ptr(0.3)})
 	}
 	raw, err := json.Marshal(body)
 	if err != nil {

@@ -174,7 +174,22 @@ func (s *server) Reload() error {
 	}
 	s.rel.mu.Lock()
 	defer s.rel.mu.Unlock()
+	return s.hotReload(func(swap func(*snapshot)) error {
+		sn, err := s.rel.load()
+		if err == nil {
+			swap(sn)
+		}
+		return err
+	})
+}
 
+// hotReload runs one reload as both kinds of server do: /readyz reports
+// it in progress while load builds the next snapshot and installs it
+// with swap.  An error from load is a rejection — counted, kept for
+// /readyz and logged — and the current snapshot keeps serving.  swap
+// publishes the snapshot, counts the generation, refreshes the gauges,
+// and closes the superseded index once its last query has drained.
+func (s *server) hotReload(load func(swap func(*snapshot)) error) error {
 	s.reloading.Store(true)
 	s.updateReadyGauge()
 	defer func() {
@@ -183,34 +198,35 @@ func (s *server) Reload() error {
 	}()
 
 	start := time.Now()
-	sn, err := s.rel.load()
-	if err != nil {
+	swap := func(sn *snapshot) {
+		old := s.snap.Swap(sn)
+		gen := s.genCount.Add(1)
+		s.generation.Set(float64(gen))
+		s.reloadsOK.Inc()
+		s.lastReloadErr.Store(nil)
+		s.publishSnapshotGauges(sn)
+		s.logger.Info("snapshot swapped",
+			"generation", gen, "how", sn.how,
+			"windows", sn.ix.WindowCount(),
+			"elapsed", time.Since(start).Round(time.Millisecond))
+		// Old queries finish on the superseded generation; log when it
+		// quiesces without blocking the reload path.
+		go func() {
+			<-old.Drained()
+			// No reader can touch the superseded index anymore; stop its
+			// compactor and release its memory mapping.
+			if err := old.Value().ix.Close(); err != nil {
+				s.logger.Warn("closing drained snapshot", "err", err)
+			}
+			s.logger.Info("previous snapshot drained", "generation", gen-1)
+		}()
+	}
+	if err := load(swap); err != nil {
 		s.reloadsRejected.Inc()
 		s.lastReloadErr.Store(&reloadFailure{Err: err.Error(), At: time.Now()})
 		s.logger.Error("reload rejected; old snapshot keeps serving", "err", err)
 		return err
 	}
-	old := s.snap.Swap(sn)
-	gen := s.genCount.Add(1)
-	s.generation.Set(float64(gen))
-	s.reloadsOK.Inc()
-	s.lastReloadErr.Store(nil)
-	s.publishSnapshotGauges(sn)
-	s.logger.Info("snapshot swapped",
-		"generation", gen, "how", sn.how,
-		"windows", sn.ix.WindowCount(),
-		"elapsed", time.Since(start).Round(time.Millisecond))
-	// Old queries finish on the superseded generation; log when it
-	// quiesces without blocking the reload path.
-	go func() {
-		<-old.Drained()
-		// No reader can touch the superseded index anymore; release its
-		// memory mapping (a no-op for heap-built indexes).
-		if err := old.Value().ix.Close(); err != nil {
-			s.logger.Warn("closing drained snapshot", "err", err)
-		}
-		s.logger.Info("previous snapshot drained", "generation", gen-1)
-	}()
 	return nil
 }
 
@@ -360,11 +376,11 @@ type batchQueryJSON struct {
 	Scale    *float64  `json:"scale,omitempty"`
 	Shift    *float64  `json:"shift,omitempty"`
 	Values   []float64 `json:"values,omitempty"`
-	Eps      float64   `json:"eps,omitempty"`
-	EpsFrac  float64   `json:"eps_frac,omitempty"`
-	ScaleMin float64   `json:"scale_min,omitempty"`
-	ScaleMax float64   `json:"scale_max,omitempty"`
-	ShiftAbs float64   `json:"shift_abs,omitempty"`
+	Eps      *float64  `json:"eps,omitempty"`
+	EpsFrac  *float64  `json:"eps_frac,omitempty"`
+	ScaleMin *float64  `json:"scale_min,omitempty"`
+	ScaleMax *float64  `json:"scale_max,omitempty"`
+	ShiftAbs *float64  `json:"shift_abs,omitempty"`
 }
 
 // batchRequestJSON is the POST /search body.
@@ -430,24 +446,7 @@ func (s *server) toBatchQuery(sn *snapshot, i int, bq batchQueryJSON, force engi
 		return core.Query{}, fmt.Errorf("query %d: long queries (len %d > window %d) are not batchable; use GET /search", i, len(q), window)
 	}
 
-	eps := bq.Eps
-	if eps <= 0 {
-		frac := bq.EpsFrac
-		if frac <= 0 {
-			frac = 0.02
-		}
-		eps = frac * sn.normScale
-	}
-	costs := core.UnboundedCosts()
-	if bq.ScaleMin != 0 {
-		costs.ScaleMin = bq.ScaleMin
-	}
-	if bq.ScaleMax != 0 {
-		costs.ScaleMax = bq.ScaleMax
-	}
-	if bq.ShiftAbs != 0 {
-		costs.ShiftMin, costs.ShiftMax = -bq.ShiftAbs, bq.ShiftAbs
-	}
+	eps, costs := searchBounds(bq.Eps, bq.EpsFrac, bq.ScaleMin, bq.ScaleMax, bq.ShiftAbs, sn.normScale)
 	return core.Query{Vec: q, Eps: eps, Costs: costs, Force: force}, nil
 }
 

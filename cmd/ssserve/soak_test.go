@@ -198,7 +198,7 @@ func TestSoak(t *testing.T) {
 			for j := range picks {
 				picks[j] = rng.Intn(len(specs))
 				seq, start, epsFrac := soakSpecParams(picks[j])
-				breq.Queries = append(breq.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: epsFrac})
+				breq.Queries = append(breq.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: &epsFrac})
 			}
 			raw, _ := json.Marshal(breq)
 			resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(raw))
@@ -296,7 +296,7 @@ func TestSoak(t *testing.T) {
 			breq := batchRequestJSON{Parallelism: 1}
 			for j := 0; j < 64; j++ {
 				seq, start := j%10, 3+j%150
-				breq.Queries = append(breq.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: 0.2})
+				breq.Queries = append(breq.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: ptr(0.2)})
 			}
 			raw, _ := json.Marshal(breq)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+rng.Intn(10))*time.Millisecond)
@@ -420,7 +420,7 @@ func TestSoak(t *testing.T) {
 		slow := batchRequestJSON{Path: "scan", Parallelism: 1}
 		for j := 0; j < 32; j++ {
 			seq, start := j%10, 5+j%150
-			slow.Queries = append(slow.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: 0.3})
+			slow.Queries = append(slow.Queries, batchQueryJSON{Seq: &seq, Start: &start, EpsFrac: ptr(0.3)})
 		}
 		raw, _ := json.Marshal(slow)
 		for {

@@ -116,7 +116,7 @@ func main() {
 			batch[i] = lastPrice
 		}
 		before := ix.WindowCount()
-		if err := ix.ExtendAndIndex(live, batch); err != nil {
+		if err := ix.AppendValues(live, batch); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("tick batch %d: +20 samples on %s, %d new windows indexed (total %d)\n",

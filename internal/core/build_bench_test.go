@@ -52,11 +52,12 @@ func BenchmarkBuildBulk(b *testing.B) {
 }
 
 // BenchmarkCompactSegment folds a 4 096-window delta — the compaction
-// threshold — into a frozen segment.
+// threshold — into a frozen segment, re-extracting its windows as every
+// fold does.
 func BenchmarkCompactSegment(b *testing.B) {
 	f := newSegmentedExecFixture(b, 4096/execFixtureAppendLen)
 	f.g.mu.Lock()
-	d := f.g.delta.prefix(f.g.delta.n)
+	d, snap := f.g.delta.prefix(f.g.delta.n), f.g.st.Snapshot()
 	f.g.mu.Unlock()
 	if d.n != 4096 {
 		b.Fatalf("delta holds %d windows", d.n)
@@ -64,7 +65,7 @@ func BenchmarkCompactSegment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildSegment(d, f.g.opts); err != nil {
+		if _, err := mergeSegments(snap, f.g.fmap, f.g.opts, nil, d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -274,7 +274,7 @@ func (s SearchStats) CheckInvariants() error {
 // last fold (delta.go), read through a manifest that is published
 // through an RCU cell.  A build installs one frozen segment over the
 // whole store.  The mutators (IndexSequence, AppendAndIndex,
-// ExtendAndIndex, AppendValues) extract the windows the store gained
+// AppendValues, IndexStore) extract the windows the store gained
 // into the delta and publish a new manifest, so the next Exec finds
 // them; queries pin a manifest and never block on a mutation.  Compact
 // folds the delta into a new frozen segment, merging older ones by the
@@ -651,7 +651,7 @@ func (ix *Index) rebuild(ctx context.Context, workers int, load func(rtree.Confi
 		ix.frozen = []*frozenSeg{{flat: flat, ranges: ranges, count: flat.Len()}}
 	}
 	ix.delta = deltaSeg{dim: ix.fmap.Dim()}
-	clear(ix.sliders)
+	clear(ix.streams)
 	ix.next = next
 	bounds, _ := flat.Bounds() // the zero Rect, hence no slack, while empty
 	ix.maxAbs = maxAbsRect(bounds)
@@ -684,12 +684,12 @@ func prefixRanges(counts []int) []winRange {
 // workers.
 func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) (*rtree.FlatTree, BuildStages, error) {
 	start := time.Now()
-	type piece struct{ seq, cp, segLast, lo, slot int }
+	type piece struct{ seq, lo, hi, slot int }
 	var pieces []piece
 	n := 0
 	for _, r := range ranges {
 		for cp := r.Lo - r.Lo%featureCheckpoint; cp < r.Hi; cp += featureCheckpoint {
-			pieces = append(pieces, piece{r.Seq, cp, min(cp+featureCheckpoint, r.Hi) - 1, r.Lo, n - r.Lo})
+			pieces = append(pieces, piece{r.Seq, max(cp, r.Lo), min(cp+featureCheckpoint, r.Hi) - 1, n - r.Lo})
 		}
 		n += r.Hi - r.Lo
 	}
@@ -706,15 +706,14 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 			defer wg.Done()
 			curSeq, curStart := -1, -1
 			defer recoverWorkerPanic("bulk build", &curSeq, &curStart, &errs[g])
-			sc := newSegScratch(opts)
-			feat := make(vec.Vector, dim)
+			fs := newFeatureStream(fmap, opts)
 			for k := int(next.Add(1)) - 1; k < len(pieces); k = int(next.Add(1)) - 1 {
 				if errs[g] = ctx.Err(); errs[g] != nil {
 					return
 				}
 				pc := pieces[k]
-				curSeq, curStart = pc.seq, pc.cp
-				errs[g] = extractSegment(sv, fmap, opts, pc.seq, pc.cp, pc.segLast, pc.lo, sc, feat, func(start int, f vec.Vector) error {
+				curSeq, curStart = pc.seq, pc.lo
+				errs[g] = fs.run(sv, pc.seq, pc.lo, pc.hi, func(start int, f vec.Vector) error {
 					curStart = start
 					ids[pc.slot+start] = store.EncodeWindowID(pc.seq, start)
 					for j, x := range f {
@@ -764,79 +763,100 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 // featureCheckpoint is the absolute window-start stride at which the
 // sliding DFT restarts from scratch.  Restarting at fixed checkpoints
 // makes every window's feature bit-reproducible no matter where an
-// extraction begins — required so a window absorbed as its sequence
-// grew (ExtendAndIndex, AppendValues) and the same window re-extracted
-// by a fold are one feature point — and bounds floating-point drift as
-// a side effect.
+// extraction begins — a window absorbed as its sequence grew and the
+// same window re-extracted by a build or a fold are one feature point —
+// and bounds floating-point drift as a side effect.
 const featureCheckpoint = 256
 
-// segScratch holds the per-worker state of one feature-extraction
-// stream: raw spans a checkpoint segment's samples for the sliding DFT
-// and slider is the transformer re-seeded on each segment; w and se
-// serve the direct (Haar) transform.
-type segScratch struct {
-	raw, w, se vec.Vector
-	slider     *dft.SlidingTransformer
+// featureStream is the one feature extractor: every build, merge, fold
+// and append computes a window's feature point through one.  It is
+// positioned on a window (seq, pos) of the sliding DFT and runs forward
+// from there: a run continues the recurrence only from the window just
+// before it, and only when that run does not begin on a checkpoint;
+// otherwise it restarts at the checkpoint at or before its first window.
+// The recurrence restarts at every checkpoint it crosses, so a window's
+// feature is the one the slides from its checkpoint give, wherever the
+// stream started.  The Haar reduction has no recurrence and transforms
+// each window directly.
+type featureStream struct {
+	fmap     *dft.FeatureMap
+	n        int
+	haar     bool
+	sl       *dft.SlidingTransformer // nil until the first restart
+	seq, pos int                     // the window sl is positioned on
+	raw, se  vec.Vector              // the samples of one run; a Haar window's SE form
+	feat     vec.Vector
 }
 
-func newSegScratch(opts Options) *segScratch {
-	n := opts.WindowLen
-	if opts.Reduction == ReductionDFT {
-		return &segScratch{raw: make(vec.Vector, n+featureCheckpoint-1)}
+func newFeatureStream(fmap *dft.FeatureMap, opts Options) *featureStream {
+	fs := &featureStream{fmap: fmap, n: opts.WindowLen, haar: opts.Reduction != ReductionDFT, seq: -1, feat: make(vec.Vector, fmap.Dim())}
+	if fs.haar {
+		fs.se = make(vec.Vector, fs.n)
 	}
-	return &segScratch{w: make(vec.Vector, n), se: make(vec.Vector, n)}
+	return fs
 }
 
-// extractSegment streams the features of windows [max(cp, from),
-// segLast] of sequence seq into fn, where cp is a checkpoint-aligned
-// segment start.  The sliding DFT restarts from scratch at cp, so the
-// emitted features depend only on (seq, cp) — any caller that respects
-// checkpoint alignment reproduces them bit-identically, which is what
-// lets the bulk build shard segments across workers and a compaction
-// re-extract any slice of a sequence.
-func extractSegment(sv storeView, fmap *dft.FeatureMap, opts Options, seq, cp, segLast, from int, sc *segScratch, feat vec.Vector, fn func(start int, f vec.Vector) error) error {
-	n := opts.WindowLen
-	if opts.Reduction == ReductionDFT {
-		span := segLast - cp + n // samples covering windows [cp, segLast]
-		if err := sv.Window(seq, cp, span, sc.raw[:span], nil); err != nil {
-			return err
-		}
-		// Reposition seeds exactly as NewSlidingTransformer does, so the
-		// features do not depend on what the scratch extracted before.
-		var err error
-		if sc.slider == nil {
-			sc.slider, err = dft.NewSlidingTransformer(fmap, sc.raw[:n])
-		} else {
-			err = sc.slider.Reposition(sc.raw[:n])
-		}
-		if err != nil {
-			return err
-		}
-		for s := cp; s <= segLast; s++ {
-			if s > cp {
-				sc.slider.Slide(sc.raw[s-cp+n-1])
-			}
-			if s < from {
-				continue
-			}
-			sc.slider.Feature(feat)
-			if err := fn(s, feat); err != nil {
-				return err
-			}
-		}
+// run emits the feature points of windows [lo, hi] of sequence seq to
+// fn, in start order, reading the samples they need from sv in one
+// read.  The vector fn receives is reused by the next window.
+func (fs *featureStream) run(sv storeView, seq, lo, hi int, fn func(start int, f vec.Vector) error) error {
+	if lo > hi {
 		return nil
 	}
-	for start := max(cp, from); start <= segLast; start++ {
-		if err := sv.Window(seq, start, n, sc.w, nil); err != nil {
-			return err
+	n := fs.n
+	cont := !fs.haar && fs.sl != nil && fs.seq == seq && fs.pos == lo-1 && lo%featureCheckpoint != 0
+	first, base := lo, lo // the first window stepped on, the first sample read
+	switch {
+	case cont: // the samples entering, and a crossed checkpoint's window
+		base = min(lo+n-1, lo-lo%featureCheckpoint+featureCheckpoint)
+	case !fs.haar:
+		first, base = lo-lo%featureCheckpoint, lo-lo%featureCheckpoint
+	}
+	span := hi + n - base
+	if cap(fs.raw) < span {
+		fs.raw = make(vec.Vector, span)
+	}
+	raw := fs.raw[:span]
+	if err := sv.Window(seq, base, span, raw, nil); err != nil {
+		return err
+	}
+	fs.seq = seq
+	for s := first; s <= hi; s++ {
+		switch {
+		case fs.haar:
+			vec.SETransformInPlace(fs.se, raw[s-base:s-base+n])
+			fs.fmap.TransformInto(fs.feat, fs.se)
+		case s%featureCheckpoint == 0: // a run that does not continue starts on one
+			// Reposition seeds exactly as NewSlidingTransformer does, so a
+			// restart does not depend on where the stream was.
+			if err := fs.restart(raw[s-base : s-base+n]); err != nil {
+				return err
+			}
+		default:
+			fs.sl.Slide(raw[s+n-1-base])
 		}
-		vec.SETransformInPlace(sc.se, sc.w)
-		fmap.TransformInto(feat, sc.se)
-		if err := fn(start, feat); err != nil {
+		fs.pos = s
+		if s < lo {
+			continue
+		}
+		if !fs.haar {
+			fs.sl.Feature(fs.feat)
+		}
+		if err := fn(s, fs.feat); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// restart seeds the recurrence on window w.
+func (fs *featureStream) restart(w vec.Vector) error {
+	if fs.sl == nil {
+		var err error
+		fs.sl, err = dft.NewSlidingTransformer(fs.fmap, w)
+		return err
+	}
+	return fs.sl.Reposition(w)
 }
 
 // IndexSequence indexes the windows of sequence seq that are not yet
@@ -899,27 +919,10 @@ func (ix *Index) AppendAndIndex(name string, values []float64) (int, error) {
 	return seq, ix.indexLocked(seq, start)
 }
 
-// ExtendAndIndex appends new samples to the store's most recent
-// sequence and indexes the windows they complete — including the
-// windows spanning the old end (requirement 2 of §3: time series are
-// collected regularly and must become searchable as they arrive).
-func (ix *Index) ExtendAndIndex(seq int, values []float64) error {
-	if err := store.CheckDomain(-1, 0, values); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	start := time.Now()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if err := ix.st.ExtendSequence(seq, values); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return ix.indexLocked(seq, start)
-}
-
-// AppendValues appends samples to sequence seq through its tail (any
-// sequence, unlike ExtendAndIndex), extracts the features of every
-// window the new samples complete — the sliding DFT runs forward from
-// the last extraction position, no old window is recomputed — and
+// AppendValues appends samples to sequence seq through its tail,
+// extracts the features of every window the new samples complete —
+// the sequence's feature stream runs forward from the last extraction
+// position, no old window is recomputed — and
 // publishes a new manifest generation.  Queries in flight keep their
 // pinned manifest; new queries see the appended windows at once.
 func (ix *Index) AppendValues(seq int, values []float64) error {

@@ -27,7 +27,8 @@ type deltaBlock struct {
 // feature point extraction computed for it.  It is the same data a
 // frozen leaf level holds — ids and feature planes — without a
 // directory above it, so the index phase tests it exactly as a leaf is
-// tested and compaction bulk-loads it without re-extracting.
+// tested; compaction re-extracts its windows from the store like every
+// merge (mergeSegments).
 //
 // The segment is append-only and is pinned by length: a deltaSeg value
 // is a view of its first n windows.  The writer fills slot n and only

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"scaleshift/internal/engine"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -320,6 +322,102 @@ func TestSegmentedPinnedReadersRace(t *testing.T) {
 	}
 	if g.Backlog().Compactions == 0 {
 		t.Fatal("no compaction ran beside the pinned readers")
+	}
+}
+
+// TestDeltaFeaturesAreBulkFeatures holds every feature point the delta
+// absorbs to the one a fresh bulk build extracts for its window,
+// Float64bits-equal, under both reductions.  The index is opened from
+// an artifact whose sequences end mid-segment, so each first append
+// restarts its stream at a checkpoint; the appends that follow, to the
+// three sequences in turn, come in chunks that end just before a
+// featureCheckpoint, start on one, cross one within a window of their
+// first start, cross several in one run, and are drawn at random.
+func TestDeltaFeaturesAreBulkFeatures(t *testing.T) {
+	for _, red := range []ReductionKind{ReductionDFT, ReductionHaar} {
+		t.Run(red.String(), func(t *testing.T) {
+			opts := testOptions()
+			opts.WindowLen, opts.Reduction = 16, red
+			rng := rand.New(rand.NewSource(43))
+			walk := func(n int) []float64 {
+				out, x := make([]float64, n), 50.0
+				for i := range out {
+					x += rng.NormFloat64()
+					out[i] = x
+				}
+				return out
+			}
+			full := [][]float64{walk(1100), walk(1097), walk(800)}
+			chunks := [][]int{nil, {6, 1, 10, 239, 20, 1, 255, 300}, {700}}
+			for left := 800; left > 0; left -= chunks[0][len(chunks[0])-1] {
+				chunks[0] = append(chunks[0], min(left, 1+rng.Intn(40)))
+			}
+			st := store.New()
+			have := make([]int, len(full))
+			for seq, vals := range full {
+				for _, c := range chunks[seq] {
+					have[seq] -= c
+				}
+				have[seq] += len(vals)
+				st.AppendSequence(fmt.Sprint(seq), vals[:have[seq]])
+			}
+			var art bytes.Buffer
+			if err := freshIndex(t, st, opts).WriteBinary(&art); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := LoadIndex(&art, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			for round := 0; round < len(chunks[0]); round++ {
+				for seq := range full {
+					if round < len(chunks[seq]) {
+						c := chunks[seq][round]
+						if err := ix.AppendValues(seq, full[seq][have[seq]:have[seq]+c]); err != nil {
+							t.Fatal(err)
+						}
+						have[seq] += c
+					}
+				}
+			}
+
+			ref, err := NewIndex(st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bulk := map[int64][]float64{}
+			if err := ref.BuildWith(func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
+				for k, id := range ids {
+					for j := range cfg.Dim {
+						bulk[id] = append(bulk[id], cols[j*len(ids)+k])
+					}
+				}
+				return rtree.BulkLoadFlat(cfg, ids, cols, 1)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ix.mu.Lock()
+			d := ix.delta.prefix(ix.delta.n)
+			ix.mu.Unlock()
+			if want := 800 + 832 + 700; d.n != want {
+				t.Fatalf("the delta holds %d windows, the appends completed %d", d.n, want)
+			}
+			for b, blk := range d.blocks {
+				for k := range d.count(b) {
+					seq, start := store.DecodeWindowID(blk.ids[k])
+					want := bulk[blk.ids[k]]
+					if want == nil {
+						t.Fatalf("window (%d, %d) is in the delta but not in the bulk build", seq, start)
+					}
+					for j, w := range want {
+						if got := blk.feats[j*deltaBlockLen+k]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("window (%d, %d) coordinate %d: delta %v, bulk %v", seq, start, j, got, w)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -78,7 +78,7 @@ func mustExec(t *testing.T, ix *Index, q Query) Result {
 	return res
 }
 
-// TestMutateWhileQuerying runs AppendAndIndex and ExtendAndIndex on one
+// TestMutateWhileQuerying runs AppendAndIndex and AppendValues on one
 // goroutine while two others Exec range queries against the same index:
 // under -race it holds that a mutation and a query share no
 // unsynchronized state.  The windows the mutations add are noise of an
@@ -132,7 +132,7 @@ func TestMutateWhileQuerying(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		seq, err := ix.AppendAndIndex(fmt.Sprintf("noise%d", round), noise(50))
 		if err == nil {
-			err = ix.ExtendAndIndex(seq, noise(7))
+			err = ix.AppendValues(seq, noise(7))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 		extra[i] = 50 + float64(i%7)
 	}
 	for _, x := range []*Index{ref, ix} {
-		if err := x.ExtendAndIndex(5, extra); err != nil {
+		if err := x.AppendValues(5, extra); err != nil {
 			t.Fatal(err)
 		}
 		if err := x.UnindexSequence(2); err != nil {

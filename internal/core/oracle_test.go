@@ -547,9 +547,9 @@ func TestNumericDomainEnforced(t *testing.T) {
 	}
 	var domain *store.DomainError
 	for name, err := range map[string]error{
-		"ExtendAndIndex": ix.ExtendAndIndex(0, huge[:5]),
-		"AppendValues":   ix.AppendValues(0, []float64{1, 0x1p-300}),
-		"AppendAndIndex": func() error { _, err := ix.AppendAndIndex("b", huge); return err }(),
+		"AppendValues":       ix.AppendValues(0, []float64{1, 0x1p-300}),
+		"AppendValues 2^256": ix.AppendValues(0, huge[:5]),
+		"AppendAndIndex":     func() error { _, err := ix.AppendAndIndex("b", huge); return err }(),
 	} {
 		if !errors.As(err, &domain) {
 			t.Errorf("%s outside the domain: %v", name, err)
@@ -749,10 +749,9 @@ func TestMutatedIndexAnswers(t *testing.T) {
 			last := len(c.Data) // the sequence AppendAndIndex adds
 			c.Steps = append(c.Steps,
 				oracle.Step{Op: oracle.AppendAndIndex, Name: "NEW", Values: tail},
-				// Twice: the first extension finds no extraction state for a
-				// sequence the arena holds, the second continues the first's.
-				oracle.Step{Op: oracle.ExtendAndIndex, Seq: last, Values: tail[:7]},
-				oracle.Step{Op: oracle.ExtendAndIndex, Seq: last, Values: tail[7:12]},
+				// Twice: the second append continues the first's stream.
+				oracle.Step{Op: oracle.AppendValues, Seq: last, Values: tail[:7]},
+				oracle.Step{Op: oracle.AppendValues, Seq: last, Values: tail[7:12]},
 				oracle.Step{Op: oracle.IndexStore, Name: "RAW", Values: tail[3:]},
 				oracle.Step{Op: oracle.WriteBinary},
 				oracle.Step{Op: oracle.Freeze},
@@ -984,9 +983,9 @@ func TestLimitDifferential(t *testing.T) {
 	}
 }
 
-// TestExtendAndIndexPointMode: samples arriving on a live series make
+// TestAppendValuesPointMode: samples arriving on a live series make
 // the windows spanning its old end searchable (requirement 2 of §3).
-func TestExtendAndIndexPointMode(t *testing.T) {
+func TestAppendValuesPointMode(t *testing.T) {
 	opts := testOpts()
 	opts.WindowLen = 16
 	series := make([]float64, 50)
@@ -997,7 +996,7 @@ func TestExtendAndIndexPointMode(t *testing.T) {
 	oracle.Check(t, oracle.Case{
 		Opts:    opts,
 		Data:    []oracle.Seq{{Name: "live", Values: series[:40]}},
-		Steps:   []oracle.Step{{Op: oracle.ExtendAndIndex, Seq: 0, Values: series[40:]}, {Op: oracle.Freeze}},
+		Steps:   []oracle.Step{{Op: oracle.AppendValues, Seq: 0, Values: series[40:]}, {Op: oracle.Freeze}},
 		Queries: []core.Query{{Vec: vec.Apply(w, 2, 1), Eps: 1e-6 * (1 + vec.Norm(w))}, {Vec: w, Eps: 0.5}, {Vec: w, K: 4}},
 	})
 }
@@ -1017,7 +1016,7 @@ func TestExtendThenUnindexPointMode(t *testing.T) {
 	c := oracle.Case{Opts: opts, Data: []oracle.Seq{{Name: "live", Values: vals[:300]}}, Queries: oracle.Mix([]oracle.Seq{{Values: vals}}, 16, 1)}
 	// Extend across several increments, past the 256-window checkpoint.
 	for i := range 4 {
-		c.Steps = append(c.Steps, oracle.Step{Op: oracle.ExtendAndIndex, Values: vals[300+20*i : 320+20*i]})
+		c.Steps = append(c.Steps, oracle.Step{Op: oracle.AppendValues, Values: vals[300+20*i : 320+20*i]})
 	}
 	c.Steps = append(c.Steps, oracle.Step{Op: oracle.Freeze}, oracle.Step{Op: oracle.Unindex}, oracle.Step{Op: oracle.Freeze})
 	oracle.Check(t, c)

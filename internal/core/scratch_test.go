@@ -50,7 +50,7 @@ func TestSortIDsMatchesSlicesSort(t *testing.T) {
 	grown := store.New()
 	for i, l := range []int{n - 1, n, n + 63, n + 64, 2*n + 100, 650, n + 127, 0, 3*store.ValuesPerPage + 5} {
 		seq := grown.AppendSequence(fmt.Sprintf("s%d", i), make([]float64, l/2))
-		if err := grown.ExtendSequence(seq, make([]float64, l-l/2)); err != nil {
+		if err := grown.AppendValues(seq, make([]float64, l-l/2)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -266,62 +266,12 @@ func (m *manifest) seeds(ctx context.Context, q vec.Vector, max int, sc *querySc
 	return nil
 }
 
-// rangesOf derives the contiguous window ranges covered by ids, which
-// must be sorted.
-func rangesOf(ids []int64) []winRange {
-	var out []winRange
-	for _, id := range ids {
-		seq, start := store.DecodeWindowID(id)
-		if k := len(out) - 1; k >= 0 && out[k].Seq == seq && out[k].Hi == start {
-			out[k].Hi++
-			continue
-		}
-		out = append(out, winRange{Seq: seq, Lo: start, Hi: start + 1})
-	}
-	return out
-}
-
-// buildSegment bulk-loads one frozen segment from the windows of d: the
-// ids and feature planes go to the loader as columns, in (seq, start)
-// order whatever order the windows arrived in — no object is made per
-// window.  The feature points were extracted under the checkpoint
-// discipline, so the segment indexes exactly the features a
-// from-scratch build would.  Returns nil for an empty view.
-func buildSegment(d deltaSeg, opts Options) (*frozenSeg, error) {
-	if d.n == 0 {
-		return nil, nil
-	}
-	arrival := d.appendIDs(make([]int64, 0, d.n))
-	order := make([]int32, d.n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(arrival[a], arrival[b]) })
-	ids, cols := make([]int64, d.n), make([]float64, d.n*d.dim)
-	for i, w := range order {
-		ids[i] = arrival[w]
-		feats, k := d.blocks[w/deltaBlockLen].feats, int(w)%deltaBlockLen
-		for j := 0; j < d.dim; j++ {
-			cols[j*d.n+i] = feats[j*deltaBlockLen+k]
-		}
-	}
-	cfg := opts.Tree
-	cfg.Dim = d.dim
-	flat, err := rtree.BulkLoadFlat(cfg, ids, cols, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, fmt.Errorf("core: segment bulk load: %w", err)
-	}
-	var stages BuildStages // the delta's features were extracted as they arrived
-	stages.Tile, stages.Emit = flat.BuildStages()
-	recordBuildStages(stages)
-	return &frozenSeg{flat: flat, ranges: rangesOf(ids), count: d.n}, nil
-}
-
 // mergeSegments re-extracts every window covered by the given frozen
 // segments and the delta view from snap and bulk-loads them into one
 // consolidated segment (bulkLoadRanges, the cold start's own build).
 // Re-extraction (rather than stitching stored feature points) keeps the
-// merged segment bit-identical to a from-scratch build by construction.
+// merged segment bit-identical to a from-scratch build by construction;
+// a fold of the delta alone is the merge of an empty run.
 //
 // The segments must be an ADJACENT run of the frozen list (plus the
 // folding delta, which continues past the newest segment): per

@@ -165,21 +165,12 @@ func (ix *Index) compact(full bool) error {
 	// Appends landing during this phase grow the delta past cut and
 	// survive as the post-compaction delta.
 	buildStart := time.Now()
-	var seg *frozenSeg
-	var err error
-	if len(run) > 0 {
-		seg, err = mergeSegments(snap, ix.fmap, opts, run, pinned)
-	} else {
-		seg, err = buildSegment(pinned, opts)
-	}
+	seg, err := mergeSegments(snap, ix.fmap, opts, run, pinned)
 	if err != nil {
 		return fail(err)
 	}
 	build := time.Since(buildStart)
-	newFrozen := keep
-	if seg != nil {
-		newFrozen = append(newFrozen, seg)
-	}
+	newFrozen := append(keep, seg)
 
 	// Phase 3 (brief, locked): swap the manifest.  The lock-held time
 	// here is the only moment ingest stalls on compaction; the clock

@@ -35,10 +35,9 @@ func Generate(seed int64, ops ...byte) Case {
 	}
 	copyWindow(rng, c.Data, c.Data[rng.Intn(len(c.Data))].Values, n)
 
-	// The schedule keeps to what the index allows: ExtendAndIndex grows
-	// a last sequence without a tail (recovery replays every growth as
-	// a tail), and a crash recovers the last checkpoint.
-	seqs, lastHasTail, checkpointed := len(c.Data), false, false
+	// The schedule keeps to what the index allows: a crash recovers the
+	// last checkpoint.
+	seqs, checkpointed := len(c.Data), false
 	steps := 1 + rng.Intn(8)
 	if len(ops) > 0 {
 		steps = min(len(ops), 16)
@@ -48,7 +47,7 @@ func Generate(seed int64, ops ...byte) Case {
 		if len(ops) > 0 {
 			op = Op(ops[i] % byte(numOps))
 		}
-		if op == ExtendAndIndex && lastHasTail || op == Crash && !checkpointed || op == Unindex {
+		if op == Crash && !checkpointed || op == Unindex {
 			op = AppendValues
 		}
 		s := Step{Op: op, Seq: rng.Intn(seqs), Values: series(rng, 1+rng.Intn(2*n))}
@@ -65,23 +64,13 @@ func Generate(seed int64, ops ...byte) Case {
 				}
 			}
 			seqs++
-			lastHasTail = false
-		case ExtendAndIndex:
-			s.Seq = seqs - 1
 		case IndexStore:
 			if rng.Intn(2) == 0 { // a new sequence of the store alone
 				s.Name = fmt.Sprintf("s%d", seqs)
 				seqs++
-				lastHasTail = false
-				break
 			}
-			lastHasTail = lastHasTail || s.Seq == seqs-1
-		case AppendValues:
-			lastHasTail = lastHasTail || s.Seq == seqs-1
 		case Checkpoint:
 			checkpointed = true
-		case Crash:
-			lastHasTail = true
 		}
 		c.Steps = append(c.Steps, s)
 	}

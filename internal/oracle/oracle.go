@@ -47,8 +47,6 @@ const (
 	AppendAndIndex Op = iota
 	// AppendValues grows sequence Seq by Values through its tail.
 	AppendValues
-	// ExtendAndIndex grows the last sequence, Seq, by Values.
-	ExtendAndIndex
 	// IndexStore grows sequence Seq — or adds sequence Name — of the
 	// store alone by Values, then lets the index catch up with
 	// Index.IndexStore.
@@ -77,7 +75,7 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{"AppendAndIndex", "AppendValues", "ExtendAndIndex", "IndexStore",
+var opNames = [numOps]string{"AppendAndIndex", "AppendValues", "IndexStore",
 	"Compact", "Freeze", "Checkpoint", "Crash", "WriteBinary", "WriteFile", "WriteSegments", "Unindex"}
 
 func (o Op) String() string {
@@ -209,7 +207,7 @@ func (r *state) apply(s Step) error {
 		return fmt.Errorf("%v after Unindex would index the store again", s.Op)
 	}
 	switch s.Op {
-	case AppendAndIndex, AppendValues, ExtendAndIndex, IndexStore:
+	case AppendAndIndex, AppendValues, IndexStore:
 		return r.grow(s)
 	case Unindex:
 		if err := r.ix.UnindexSequence(s.Seq); err != nil {
@@ -261,8 +259,6 @@ func (r *state) grow(s Step) error {
 		_, err = r.ix.AppendAndIndex(s.Name, s.Values)
 	case s.Op == AppendValues:
 		err = r.ix.AppendValues(s.Seq, s.Values)
-	case s.Op == ExtendAndIndex:
-		err = r.ix.ExtendAndIndex(s.Seq, s.Values)
 	case added:
 		r.ix.Store().AppendSequence(s.Name, s.Values)
 		err = r.ix.IndexStore()

@@ -20,7 +20,7 @@ func FuzzOracle(f *testing.F) {
 		every[i] = byte(i)
 	}
 	f.Add(int64(3), every)
-	f.Add(int64(4), []byte{byte(AppendAndIndex), byte(Checkpoint), byte(ExtendAndIndex), byte(AppendValues), byte(Crash), byte(WriteSegments), byte(IndexStore), byte(Crash)})
+	f.Add(int64(4), []byte{byte(AppendAndIndex), byte(Checkpoint), byte(AppendValues), byte(AppendValues), byte(Crash), byte(WriteSegments), byte(IndexStore), byte(Crash)})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		Check(t, Generate(seed, ops...))
 	})

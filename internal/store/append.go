@@ -11,7 +11,7 @@ import (
 var ErrStaleSnapshot = errors.New("store: snapshot is stale")
 
 // Generation returns the store's mutation counter.  Every
-// AppendSequence, ExtendSequence, and AppendValues increments it; a
+// AppendSequence and AppendValues increments it; a
 // Snapshot remembers the generation it was taken at.
 func (s *Store) Generation() int64 { return s.gen.Load() }
 

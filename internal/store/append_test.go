@@ -328,22 +328,3 @@ func TestSnapshotWriteBinary(t *testing.T) {
 		}
 	}
 }
-
-// TestExtendAfterTailRefused: once a sequence has a tail its packed
-// region is frozen.
-func TestExtendAfterTailRefused(t *testing.T) {
-	st := New()
-	st.AppendSequence("a", []float64{1, 2})
-	if err := st.AppendValues(0, []float64{3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ExtendSequence(0, []float64{4}); err == nil {
-		t.Fatal("ExtendSequence after AppendValues must refuse")
-	}
-	if err := st.AppendValues(0, []float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	if st.SequenceLen(0) != 4 {
-		t.Fatalf("length %d, want 4", st.SequenceLen(0))
-	}
-}

@@ -220,30 +220,6 @@ func (s *Store) AppendSequence(name string, values []float64) int {
 	return id
 }
 
-// ExtendSequence appends values to an existing sequence's packed
-// region.  Only the most recently added sequence can grow this way,
-// because packed sequences are contiguous — extending an interior
-// sequence would shift its successors.  Once a sequence has grown a
-// tail via AppendValues its packed region is frozen and ExtendSequence
-// refuses (the new samples would land before the tail).
-func (s *Store) ExtendSequence(seq int, values []float64) error {
-	if seq < 0 || seq >= len(s.names) {
-		return fmt.Errorf("store: sequence %d out of range [0, %d)", seq, len(s.names))
-	}
-	if seq != len(s.names)-1 {
-		return fmt.Errorf("store: only the last sequence (%d) can be extended, not %d",
-			len(s.names)-1, seq)
-	}
-	if s.tailLen(seq) > 0 {
-		return fmt.Errorf("store: sequence %d already has a tail; use AppendValues", seq)
-	}
-	s.data = append(s.data, values...)
-	s.lengths[seq] += len(values)
-	s.accumulate(seq, values)
-	s.gen.Add(1)
-	return nil
-}
-
 // NumSequences returns the number of stored sequences.
 func (v *view) NumSequences() int { return len(v.names) }
 

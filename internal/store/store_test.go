@@ -324,40 +324,6 @@ func TestPageCounterWithPool(t *testing.T) {
 	}
 }
 
-func TestExtendSequence(t *testing.T) {
-	s := New()
-	s.AppendSequence("a", []float64{1, 2, 3})
-	b := s.AppendSequence("b", []float64{4, 5})
-	// Only the last sequence can grow.
-	if err := s.ExtendSequence(0, []float64{9}); err == nil {
-		t.Error("extended a non-last sequence")
-	}
-	if err := s.ExtendSequence(5, []float64{9}); err == nil {
-		t.Error("extended an absent sequence")
-	}
-	if err := s.ExtendSequence(b, []float64{6, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if s.SequenceLen(b) != 4 || s.TotalValues() != 7 {
-		t.Errorf("len=%d total=%d", s.SequenceLen(b), s.TotalValues())
-	}
-	// Windows across the old boundary read correctly.
-	w := make(vec.Vector, 4)
-	if err := s.Window(b, 0, 4, w, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float64{4, 5, 6, 7} {
-		if w[i] != want {
-			t.Fatalf("w[%d]=%v want %v", i, w[i], want)
-		}
-	}
-	// Appending another sequence freezes b.
-	s.AppendSequence("c", []float64{8})
-	if err := s.ExtendSequence(b, []float64{9}); err == nil {
-		t.Error("extended a frozen sequence")
-	}
-}
-
 func TestWindowView(t *testing.T) {
 	s := New()
 	s.AppendSequence("a", []float64{1, 2, 3, 4, 5})
@@ -438,7 +404,7 @@ func TestWindowStats(t *testing.T) {
 	}
 }
 
-// TestWindowStatsExtend checks that prefix sums built by ExtendSequence
+// TestWindowStatsExtend checks that prefix sums built by AppendValues
 // match an all-at-once append bit for bit: the Kahan compensation is
 // carried across the boundary.
 func TestWindowStatsExtend(t *testing.T) {
@@ -451,10 +417,10 @@ func TestWindowStatsExtend(t *testing.T) {
 	whole.AppendSequence("x", vals)
 	grown := New()
 	grown.AppendSequence("x", vals[:100])
-	if err := grown.ExtendSequence(0, vals[100:250]); err != nil {
+	if err := grown.AppendValues(0, vals[100:250]); err != nil {
 		t.Fatal(err)
 	}
-	if err := grown.ExtendSequence(0, vals[250:]); err != nil {
+	if err := grown.AppendValues(0, vals[250:]); err != nil {
 		t.Fatal(err)
 	}
 	for start := 0; start+64 <= len(vals); start += 37 {

@@ -33,7 +33,7 @@
 // There is one index type, built once and then grown as values arrive
 // (§3, requirement 2).  Build and LoadIndex hand back an index of one
 // frozen segment, served from one contiguous arena.  The mutators
-// (IndexSequence, AppendAndIndex, ExtendAndIndex, AppendValues) add
+// (IndexSequence, AppendAndIndex, AppendValues, IndexStore) add
 // windows to a delta beside it, which the next Exec already searches,
 // and may run while queries do; UnindexSequence rebuilds the index
 // without a sequence.  Freeze merges the segments and the delta into
