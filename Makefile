@@ -88,8 +88,8 @@ bench-paths:
 # serving index, regenerating the committed artifact under a header
 # naming the commit and the command.
 bench-nn:
-	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-nn (go run ./cmd/ssbench -experiment nn -scale full -build bulk)"; \
-		$(GO) run ./cmd/ssbench -experiment nn -scale full -build bulk; } > results/abl_nn.txt
+	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-nn (go run ./cmd/ssbench -experiment nn -scale full)"; \
+		$(GO) run ./cmd/ssbench -experiment nn -scale full; } > results/abl_nn.txt
 	@cat results/abl_nn.txt
 
 # Bench smoke: a small fig4/5 run with a metrics snapshot, the CI

@@ -21,10 +21,10 @@ import (
 	"testing"
 
 	"scaleshift/internal/bench"
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/euclid"
 	"scaleshift/internal/geom"
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/seqscan"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
@@ -56,13 +56,17 @@ func sharedEnv(b *testing.B) *bench.Env {
 // fractions of the mean window SE-norm.
 var epsSweep = []float64{0, 0.02, 0.1}
 
-// benchSets pairs the tree experiment sets with their strategies.
-var benchSets = []struct {
-	name     string
-	strategy geom.Strategy
-}{
-	{"set2-tree-ee", geom.EnteringExiting},
-	{"set3-tree-spheres", geom.BoundingSpheres},
+// benchSets are the tree experiment sets, run on the insert-built tree.
+var benchSets = []bench.Method{bench.TreeEE, bench.TreeSpheres}
+
+// insertTree returns e's insert-built tree.
+func insertTree(b *testing.B, e *bench.Env) *bench.InsertTree {
+	b.Helper()
+	t, err := e.InsertTree()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return t
 }
 
 // BenchmarkFig4CPUTime measures average CPU time per query — the
@@ -80,13 +84,13 @@ func BenchmarkFig4CPUTime(b *testing.B) {
 			}
 		})
 		for _, set := range benchSets {
-			b.Run(fmt.Sprintf("%s/eps=%.2f", set.name, frac), func(b *testing.B) {
-				if err := e.Index.SetStrategy(set.strategy); err != nil {
-					b.Fatal(err)
-				}
+			b.Run(fmt.Sprintf("%s/eps=%.2f", set, frac), func(b *testing.B) {
+				t := insertTree(b, e)
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := e.Queries[i%len(e.Queries)]
-					if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, nil); err != nil {
+					var l bench.Ledger
+					if _, err := t.Search(q.Values, eps, set.Strategy(), &l); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -117,26 +121,25 @@ func BenchmarkFig5PageAccesses(b *testing.B) {
 			b.ReportMetric(float64(pages)/float64(b.N), "total-pages/query")
 		})
 		for _, set := range benchSets {
-			b.Run(fmt.Sprintf("%s/eps=%.2f", set.name, frac), func(b *testing.B) {
-				if err := e.Index.SetStrategy(set.strategy); err != nil {
-					b.Fatal(err)
-				}
-				var stats core.SearchStats
+			b.Run(fmt.Sprintf("%s/eps=%.2f", set, frac), func(b *testing.B) {
+				t := insertTree(b, e)
+				b.ResetTimer()
+				var l bench.Ledger
 				for i := 0; i < b.N; i++ {
 					q := e.Queries[i%len(e.Queries)]
-					if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
+					if _, err := t.Search(q.Values, eps, set.Strategy(), &l); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(stats.DataPageAccesses)/float64(b.N), "pages/query")
-				b.ReportMetric(float64(stats.PageAccesses())/float64(b.N), "total-pages/query")
+				b.ReportMetric(float64(l.DataPages)/float64(b.N), "pages/query")
+				b.ReportMetric(float64(l.DataPages+l.Tree.NodeAccesses)/float64(b.N), "total-pages/query")
 			})
 		}
 	}
 }
 
 // ablationEnvs caches per-configuration environments for the ablation
-// benchmarks (each needs its own index).
+// benchmarks (each needs its own insert-built tree).
 var (
 	ablMu   sync.Mutex
 	ablEnvs = map[string]*bench.Env{}
@@ -160,21 +163,22 @@ func ablationEnv(b *testing.B, key string, cfg bench.Config) *bench.Env {
 // BenchmarkAblationSplit compares query time across node-split
 // algorithms (DESIGN.md abl-split) on a 1/10-scale index.
 func BenchmarkAblationSplit(b *testing.B) {
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitRStar, rtree.SplitQuadratic, rtree.SplitLinear} {
+	for _, split := range []rstar.SplitAlgorithm{rstar.SplitRStar, rstar.SplitQuadratic, rstar.SplitLinear} {
 		b.Run(split.String(), func(b *testing.B) {
 			cfg := benchConfig().Scaled(100, 20)
 			cfg.Split = split
 			e := ablationEnv(b, "split/"+split.String(), cfg)
+			t := insertTree(b, e)
 			eps := 0.02 * e.NormScale
-			var stats core.SearchStats
+			var l bench.Ledger
 			b.ResetTimer() // exclude the one-off environment build
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
+				if _, err := t.Search(q.Values, eps, geom.EnteringExiting, &l); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(stats.PageAccesses())/float64(b.N), "total-pages/query")
+			b.ReportMetric(float64(l.DataPages+l.Tree.NodeAccesses)/float64(b.N), "total-pages/query")
 		})
 	}
 }
@@ -187,17 +191,18 @@ func BenchmarkAblationDims(b *testing.B) {
 			cfg := benchConfig().Scaled(100, 20)
 			cfg.Coefficients = fc
 			e := ablationEnv(b, fmt.Sprintf("dims/%d", fc), cfg)
+			t := insertTree(b, e)
 			eps := 0.02 * e.NormScale
-			var stats core.SearchStats
+			var l bench.Ledger
 			b.ResetTimer() // exclude the one-off environment build
 			for i := 0; i < b.N; i++ {
 				q := e.Queries[i%len(e.Queries)]
-				if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
+				if _, err := t.Search(q.Values, eps, geom.EnteringExiting, &l); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(stats.Candidates)/float64(b.N), "candidates/query")
-			b.ReportMetric(float64(stats.FalseAlarms)/float64(b.N), "false-alarms/query")
+			b.ReportMetric(float64(l.Candidates)/float64(b.N), "candidates/query")
+			b.ReportMetric(float64(l.Candidates-l.Results)/float64(b.N), "false-alarms/query")
 		})
 	}
 }
@@ -205,9 +210,6 @@ func BenchmarkAblationDims(b *testing.B) {
 // BenchmarkNearestNeighbors measures the k-NN extension (Corollary 1).
 func BenchmarkNearestNeighbors(b *testing.B) {
 	e := sharedEnv(b)
-	if err := e.Index.SetStrategy(geom.EnteringExiting); err != nil {
-		b.Fatal(err)
-	}
 	for _, k := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var stats core.SearchStats
@@ -225,8 +227,8 @@ func BenchmarkNearestNeighbors(b *testing.B) {
 
 // BenchmarkIndexBuild measures pre-processing throughput: windows
 // feature-extracted and bulk-loaded per second by Build, the STR build
-// on every CPU (one-by-one R* insertion is ssbench's -build insert and
-// BenchmarkFig4CPUTime's environment).
+// on every CPU (one-by-one R* insertion grows the tree of experiment
+// sets 2 and 3: bench.Env.InsertTree).
 func BenchmarkIndexBuild(b *testing.B) {
 	st := store.New()
 	scfg := stock.DefaultConfig()

@@ -2,11 +2,10 @@
 // ablation tables listed in DESIGN.md.  The experiments table below
 // names every -experiment value once: `ssbench -h` prints it.
 //
-// -scale full reproduces the paper's 1 000 × 650 data set (the index
-// build alone takes tens of seconds); -scale medium and small shrink
-// it for quick runs.  -build selects the construction method (insert,
-// bulk, or parallel), and -cpuprofile/-memprofile write pprof profiles
-// of the run.
+// -scale full reproduces the paper's 1 000 × 650 data set (growing the
+// insert-built tree of sets 2 and 3 alone takes tens of seconds);
+// -scale medium and small shrink it for quick runs.  -cpuprofile and
+// -memprofile write pprof profiles of the run.
 package main
 
 import (
@@ -31,13 +30,14 @@ func main() {
 	}
 }
 
-// runner is what an experiment runs against: the configurations the
-// ablations (ablCfg, capped at 200 companies) and the path sweep (cfg,
-// the scale as asked) build their own environments from, and — for the
-// experiments marked env — the shared built environment.
+// runner is what an experiment runs against: the configuration the
+// ablations build their own environments from (ablCfg, capped at 200
+// companies) and — for the experiments marked env — the shared
+// environment at the scale as asked: the data, the workload and the
+// serving index, and the insert-built tree once an experiment asks for
+// it.
 type runner struct {
 	stdout  io.Writer
-	cfg     bench.Config
 	ablCfg  bench.Config
 	env     *bench.Env
 	csvPath string
@@ -91,62 +91,48 @@ var experiments = []experiment{
 		rows, err := bench.BuildAblation(r.ablCfg, ablEps)
 		return r.ablation("construction method", rows, err)
 	}},
-	{"shape", "per-level directory geometry (why bounding spheres fail)", true, func(r *runner) error {
-		fmt.Fprintln(r.stdout, "Index directory shape (why bounding spheres fail, cf. [26]):")
-		if err := r.env.Index.WriteIndexStats(r.stdout); err != nil {
+	{"shape", "per-level MBR directory geometry of the insert-built tree (why bounding spheres fail)", true, func(r *runner) error {
+		t, err := r.env.InsertTree()
+		return r.print(err, func(w io.Writer) error {
+			fmt.Fprintln(w, "Insert-built tree directory shape (why bounding spheres fail, cf. [26]):")
+			if err := t.Flat.WriteStats(w); err != nil {
+				return err
+			}
+			bytes := t.Flat.ArenaSize()
+			_, err := fmt.Fprintf(w, "arena: %d bytes with its header and feature sample, %.1f per window\n",
+				bytes, float64(bytes)/float64(max(t.Flat.Len(), 1)))
 			return err
-		}
-		bytes, windows := r.env.Index.IndexByteCount(), r.env.Index.WindowCount()
-		fmt.Fprintf(r.stdout, "arena: %d bytes with its header and feature sample, %.1f per window\n\n",
-			bytes, float64(bytes)/float64(max(windows, 1)))
-		return nil
+		})
 	}},
 	{"probe", "index phase vs ε: node reads, leaf checks, subtrees accepted whole, candidates and stage times per query", true, func(r *runner) error {
 		points, err := r.env.RunProbeSweep([]float64{0.001, 0.005, 0.02, 0.05})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(r.stdout, "Index phase per query (row limit 100); arena %d bytes, %s directory\n", r.env.Index.IndexByteCount(), r.env.Index.Directory())
-		if err := bench.WriteProbeTable(r.stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.stdout)
-		return nil
+		return r.print(err, func(w io.Writer) error {
+			fmt.Fprintf(w, "Index phase per query (row limit 100); arena %d bytes\n", r.env.Index.IndexByteCount())
+			return bench.WriteProbeTable(w, points)
+		})
 	}},
 	{"buffer", "data-page reads vs LRU buffer-pool size", true, func(r *runner) error {
 		pages := r.env.Store.PageCount()
 		points, err := r.env.RunBufferSweep([]int{pages / 16, pages / 4, pages / 2, pages, 2 * pages}, ablEps)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteBufferTable(r.stdout, points, pages); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.stdout)
-		return nil
+		return r.print(err, func(w io.Writer) error { return bench.WriteBufferTable(w, points, pages) })
 	}},
 	{"recall", "scale/shift-invariant vs plain Euclidean recall under noise", false, func(r *runner) error {
 		points, err := bench.RecallSweep(r.ablCfg, []float64{0, 0.1, 0.5, 1, 2})
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteRecallTable(r.stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.stdout)
-		return nil
+		return r.print(err, func(w io.Writer) error { return bench.WriteRecallTable(w, points) })
 	}},
-	{"paths", "forced tree vs forced scan over ε on the bulk-built serving index: time, node reads, candidates and strict pages per query", false, (*runner).paths},
+	{"paths", "forced tree vs forced scan over ε on the serving index: time, node reads, candidates and strict pages per query", true, func(r *runner) error {
+		env, cfg := r.env, r.env.Config
+		points, err := env.RunPathSweep([]float64{0.001, 0.005, 0.02, 0.05, 0.2, 1, 5})
+		return r.print(err, func(w io.Writer) error {
+			fmt.Fprintf(w, "bulk-built index: %d companies x %d days, window %d, %d queries; %d windows, %d index pages, %d data pages\n",
+				cfg.Companies, cfg.Days, cfg.WindowLen, cfg.Queries,
+				env.Index.WindowCount(), env.Index.IndexPageCount(), env.Store.PageCount())
+			return bench.WritePathTable(w, points)
+		})
+	}},
 	{"nn", "nearest-neighbour search cost vs k (Corollary 1)", true, func(r *runner) error {
 		points, err := r.env.RunNearestNeighbor([]int{1, 5, 10, 50})
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteNNTable(r.stdout, points, r.env.Store.PageCount()); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.stdout)
-		return nil
+		return r.print(err, func(w io.Writer) error { return bench.WriteNNTable(w, points, r.env.Store.PageCount()) })
 	}},
 }
 
@@ -169,7 +155,6 @@ func run(args []string, stdout io.Writer) error {
 	queries := fs.Int("queries", 0, "override query count")
 	seed := fs.Int64("seed", 1, "data and workload seed")
 	csvPath := fs.String("csv", "", "also write the fig45 sweep as CSV to this file")
-	buildMode := fs.String("build", "insert", "index construction: insert | bulk | parallel")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	obsFlags := cliutil.AddObsFlags(fs)
@@ -217,11 +202,6 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	mode, err := bench.ParseBuildMode(*buildMode)
-	if err != nil {
-		return err
-	}
-
 	cfg := bench.DefaultConfig()
 	cfg.Seed = *seed
 	switch *scale {
@@ -243,18 +223,19 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Queries = *queries
 	}
 
-	r := &runner{stdout: stdout, cfg: cfg, ablCfg: cfg, csvPath: *csvPath}
+	r := &runner{stdout: stdout, ablCfg: cfg, csvPath: *csvPath}
 	if r.ablCfg.Companies > 200 {
 		r.ablCfg.Companies = 200 // keep rebuild sweeps tractable
 	}
 	if needEnv {
-		fmt.Fprintf(stdout, "building environment (%s): %d companies x %d days, window %d, %d queries...\n",
-			mode, cfg.Companies, cfg.Days, cfg.WindowLen, cfg.Queries)
+		fmt.Fprintf(stdout, "building environment: %d companies x %d days, window %d, %d queries...\n",
+			cfg.Companies, cfg.Days, cfg.WindowLen, cfg.Queries)
 		start := time.Now()
-		if r.env, err = bench.NewEnvBuilt(cfg, mode); err != nil {
+		var err error
+		if r.env, err = bench.NewEnv(cfg); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "environment ready in %v: %d values (%d data pages), %d windows indexed (%d index pages, height %d)\n\n",
+		fmt.Fprintf(stdout, "environment ready in %v: %d values (%d data pages), %d windows in the serving index (%d index pages, height %d)\n\n",
 			time.Since(start).Round(time.Millisecond),
 			r.env.Store.TotalValues(), r.env.Store.PageCount(),
 			r.env.Index.WindowCount(), r.env.Index.IndexPageCount(), r.env.Index.TreeHeight())
@@ -277,16 +258,14 @@ func (r *runner) fig45() error {
 	for _, write := range []func(io.Writer, []bench.Series) error{
 		bench.WriteCPUTable, bench.WritePagesTable, bench.WriteTotalPagesTable, bench.WriteCPUPlot, bench.WritePagesPlot,
 	} {
-		if err := write(stdout, series); err != nil {
+		if err := r.print(nil, func(w io.Writer) error { return write(w, series) }); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout)
 	}
 	for _, s := range series[1:] {
-		if err := bench.WriteDetailTable(stdout, s); err != nil {
+		if err := r.print(nil, func(w io.Writer) error { return bench.WriteDetailTable(w, s) }); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout)
 	}
 	if r.csvPath != "" {
 		// Atomic replace so downstream plot scripts never read a
@@ -304,33 +283,19 @@ func (r *runner) fig45() error {
 
 // ablation prints one ablation's rows under its title.
 func (r *runner) ablation(what string, rows []bench.AblationRow, err error) error {
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteAblationTable(r.stdout, fmt.Sprintf("Ablation: %s (eps/scale = %v)", what, ablEps), rows); err != nil {
-		return err
-	}
-	fmt.Fprintln(r.stdout)
-	return nil
+	return r.print(err, func(w io.Writer) error {
+		return bench.WriteAblationTable(w, fmt.Sprintf("Ablation: %s (eps/scale = %v)", what, ablEps), rows)
+	})
 }
 
-// paths prints the tree-vs-scan sweep.  It builds its own bulk
-// environment, the index that serves, whatever -build says.
-func (r *runner) paths() error {
-	env, err := bench.NewEnvBuilt(r.cfg, bench.BuildBulk)
-	if err != nil {
-		return err
+// print writes what an experiment found with write, then a blank line,
+// unless the experiment failed with err.
+func (r *runner) print(err error, write func(io.Writer) error) error {
+	if err == nil {
+		err = write(r.stdout)
 	}
-	fmt.Fprintf(r.stdout, "bulk-built index: %d companies x %d days, window %d, %d queries; %d windows, %d index pages, %d data pages\n",
-		r.cfg.Companies, r.cfg.Days, r.cfg.WindowLen, r.cfg.Queries,
-		env.Index.WindowCount(), env.Index.IndexPageCount(), env.Store.PageCount())
-	points, err := env.RunPathSweep([]float64{0.001, 0.005, 0.02, 0.05, 0.2, 1, 5})
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = fmt.Fprintln(r.stdout)
 	}
-	if err := bench.WritePathTable(r.stdout, points); err != nil {
-		return err
-	}
-	fmt.Fprintln(r.stdout)
-	return nil
+	return err
 }

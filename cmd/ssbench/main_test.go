@@ -77,14 +77,10 @@ func TestBenchErrors(t *testing.T) {
 			t.Errorf("experiment %q: ran before being rejected:\n%s", name, sb.String())
 		}
 	}
-	for _, gone := range []string{"-json", "-enforce", "-label"} {
+	for _, gone := range []string{"-json", "-enforce", "-label", "-build"} {
 		if err := run([]string{gone, "x", "-scale", "small"}, nil); err == nil {
 			t.Errorf("flag %s accepted", gone)
 		}
-	}
-	var sb strings.Builder
-	if err := run([]string{"-build", "osmotic", "-scale", "small"}, &sb); err == nil {
-		t.Error("bad build mode accepted")
 	}
 }
 
@@ -94,12 +90,12 @@ func TestBenchParallelBuildAndProfiles(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	var sb strings.Builder
 	err := run([]string{"-experiment", "nn", "-scale", "small", "-companies", "12", "-queries", "2",
-		"-build", "parallel", "-cpuprofile", cpu, "-memprofile", mem}, &sb)
+		"-cpuprofile", cpu, "-memprofile", mem}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "building environment (bulk-parallel)") {
-		t.Errorf("output missing build mode:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "windows in the serving index") {
+		t.Errorf("output missing the serving index:\n%s", sb.String())
 	}
 	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)

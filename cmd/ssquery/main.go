@@ -113,7 +113,11 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "eps: %.4g (absolute)\n", e)
 	}
 
-	costs := core.UnboundedCosts()
+	var costs *core.CostBounds
+	if *scaleMin != 0 || *scaleMax != 0 || *shiftAbs != 0 {
+		c := core.UnboundedCosts()
+		costs = &c
+	}
 	if *scaleMin != 0 {
 		costs.ScaleMin = *scaleMin
 	}

@@ -22,6 +22,7 @@ import (
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/oracle"
+	"scaleshift/internal/seqscan"
 	"scaleshift/internal/vec"
 )
 
@@ -49,7 +50,7 @@ func searchParams(q core.Query) (url.Values, error) {
 		p.Set("path", q.Force.String())
 	}
 	c := q.Costs
-	if c == (core.CostBounds{}) {
+	if c == nil {
 		return p, nil
 	}
 	if c.ShiftMin != -c.ShiftMax {
@@ -139,7 +140,7 @@ func batchSystem(s *server) oracle.System {
 			for _, i := range idx {
 				q := qs[i]
 				bq := batchQueryJSON{Values: q.Vec, Eps: &q.Eps}
-				if c := q.Costs; c != (core.CostBounds{}) {
+				if c := q.Costs; c != nil {
 					bq.ScaleMin, bq.ScaleMax, bq.ShiftAbs = bound(c.ScaleMin), bound(c.ScaleMax), bound(c.ShiftMax)
 				}
 				req.Queries = append(req.Queries, bq)
@@ -252,8 +253,8 @@ func TestGivenZeroIsUsed(t *testing.T) {
 	inf := math.Inf(1)
 	qs := []core.Query{
 		{Vec: q, Eps: 0},
-		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: core.CostBounds{ScaleMin: -inf, ScaleMax: 0, ShiftMin: -inf, ShiftMax: inf}},
-		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: core.CostBounds{ScaleMin: 0, ScaleMax: inf, ShiftMin: 0, ShiftMax: 0}},
+		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: &core.CostBounds{ScaleMin: -inf, ScaleMax: 0, ShiftMin: -inf, ShiftMax: inf}},
+		{Vec: q, Eps: oracle.Eps(q, 0.3), Costs: &core.CostBounds{ScaleMin: 0, ScaleMax: inf, ShiftMin: 0, ShiftMax: 0}},
 	}
 	tc.check(t, qs, d, d, d)
 	oracle.Check(t, oracle.Case{Data: data, Queries: qs, Systems: []oracle.System{batchSystem(tc.single)}})
@@ -346,4 +347,67 @@ func TestKNNEquivalence(t *testing.T) {
 	d := drawn{9, 25, 32, 1, 0}
 	q := d.vec(oracle.FromStore(tc.union.Store()))
 	tc.check(t, []core.Query{{Vec: q, K: 9}, {Vec: q, K: 9, Limit: 4}, {Vec: q, K: 1}}, d, d, d)
+}
+
+// TestZeroCostBoundIsABound: scale_min=0&scale_max=0&shift_abs=0 is the
+// bound a = b = 0, not the absence of one.  GET /search on a single node
+// and on a coordinator, and the same bound in a POST batch, answer as
+// the scan does with that bound's Allow as its filter.
+func TestZeroCostBoundIsABound(t *testing.T) {
+	tc := buildCoordCluster(t, 3)
+	st := tc.union.Store()
+	d := drawn{3, 12, 32, 1.7, 3.25}
+	q := d.vec(oracle.FromStore(st))
+	eps := oracle.Eps(q, 0.3)
+	var zero core.CostBounds
+	want, err := seqscan.Search(st, q, eps, zero.Allow, nil)
+	unbounded, err2 := seqscan.Search(st, q, eps, nil, nil)
+	if err != nil || err2 != nil || len(unbounded) == 0 {
+		t.Fatalf("scan: %v, %v, %d unbounded rows", err, err2, len(unbounded))
+	}
+	same := func(what string, got []cluster.WireMatch, total int) {
+		t.Helper()
+		if total != len(want) || len(got) != len(want) {
+			t.Fatalf("%s: %d rows of %d, the scan %d (%d without the bound)", what, len(got), total, len(want), len(unbounded))
+		}
+		for i, m := range got {
+			w := want[i]
+			if m.Seq != w.Seq || m.Start != w.Start || math.Float64bits(m.Dist) != math.Float64bits(w.Dist) {
+				t.Fatalf("%s: row %d is %+v, the scan's %+v", what, i, m, w)
+			}
+		}
+	}
+	get := fmt.Sprintf("/search?seq=%d&start=%d&len=%d&scale=%g&shift=%g&eps=%s&limit=0&scale_min=0&scale_max=0&shift_abs=0",
+		d.seq, d.start, d.n, d.scale, d.shift, strconv.FormatFloat(eps, 'g', -1, 64))
+	for name, h := range map[string]http.Handler{"single node": tc.single, "coordinator": tc.front} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, get, nil))
+		var sw cluster.SearchWire
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &sw); err != nil {
+			t.Fatal(err)
+		}
+		same("GET on the "+name, sw.Matches, sw.Total)
+	}
+	zeroF, all := 0.0, 0
+	body, err := json.Marshal(batchRequestJSON{Limit: &all, Queries: []batchQueryJSON{
+		{Values: q, Eps: &eps, ScaleMin: &zeroF, ScaleMax: &zeroF, ShiftAbs: &zeroF},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body))
+	r.Header.Set("Content-Type", "application/json")
+	tc.single.ServeHTTP(rec, r)
+	var br batchResponseJSON
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Results) != 1 {
+		t.Fatalf("batch: %v, %d results", err, len(br.Results))
+	}
+	same("POST batch", br.Results[0].Matches, br.Results[0].Total)
 }

@@ -91,16 +91,20 @@ func decodeSearchQuery(p url.Values, normScale float64) (q core.Query, err error
 
 // searchBounds resolves the ε and cost-bound parameters of both /search
 // forms, GET and the POST batch: an absent one takes its default — ε
-// as eps_frac 0.02 of normScale, no cost bound — and a given one is
-// used as it is, 0 included (eps 0 is an exact-match query, scale_max 0
-// or shift_abs 0 a bound).
-func searchBounds(eps, epsFrac, scaleMin, scaleMax, shiftAbs *float64, normScale float64) (float64, core.CostBounds) {
+// as eps_frac 0.02 of normScale, no cost bound (nil when none is given)
+// — and a given one is used as it is, 0 included (eps 0 is an
+// exact-match query, scale_max 0 or shift_abs 0 a bound).
+func searchBounds(eps, epsFrac, scaleMin, scaleMax, shiftAbs *float64, normScale float64) (float64, *core.CostBounds) {
+	e := or(eps, or(epsFrac, 0.02)*normScale)
+	if scaleMin == nil && scaleMax == nil && shiftAbs == nil {
+		return e, nil
+	}
 	c := core.UnboundedCosts()
 	c.ScaleMin, c.ScaleMax = or(scaleMin, c.ScaleMin), or(scaleMax, c.ScaleMax)
 	if shiftAbs != nil {
 		c.ShiftMin, c.ShiftMax = -*shiftAbs, *shiftAbs
 	}
-	return or(eps, or(epsFrac, 0.02)*normScale), c
+	return e, &c
 }
 
 // windowRef addresses a query as a window of the store, disguised:

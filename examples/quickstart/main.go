@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A query is a value; the zero Costs accepts every (a, b).
+	// A query is a value; a nil Costs accepts every (a, b).
 	res, err := ix.Exec(context.Background(), core.Query{Vec: a, Eps: 0.001}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -77,7 +77,7 @@ func main() {
 	costs.ScaleMin, costs.ScaleMax = 0.2, 5
 	costs.ShiftMin, costs.ShiftMax = -100, 100
 	stats = core.SearchStats{}
-	res, err = ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps, Costs: costs}, &stats)
+	res, err = ix.Exec(context.Background(), core.Query{Vec: q, Eps: eps, Costs: &costs}, &stats)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func main() {
 	// cost bounds the ranking is dominated by near-flat penny-stock
 	// windows that "match" any query via a ≈ 0 — bounding the scale
 	// factor keeps only genuine trend-alikes.
-	res, err = ix.Exec(context.Background(), core.Query{Vec: q, K: 60, Costs: costs}, nil)
+	res, err = ix.Exec(context.Background(), core.Query{Vec: q, K: 60, Costs: &costs}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func main() {
 		}
 
 		var stats core.SearchStats
-		res, err := ix.Exec(context.Background(), core.Query{Vec: pattern, Eps: eps, Costs: costs}, &stats)
+		res, err := ix.Exec(context.Background(), core.Query{Vec: pattern, Eps: eps, Costs: &costs}, &stats)
 		if err != nil {
 			log.Fatal(err)
 		}

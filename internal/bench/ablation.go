@@ -8,13 +8,11 @@ import (
 	"strings"
 	"time"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/euclid"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/seqscan"
-	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -35,10 +33,10 @@ type AblationRow struct {
 	Candidates, FalseAlarms, Results float64
 }
 
-// runAblationPoint builds a fresh environment for cfg and measures the
-// tree-EE method at epsFrac.
+// runAblationPoint grows the insert-built tree for cfg over fresh data
+// and measures the tree-EE method at epsFrac.
 func runAblationPoint(cfg Config, label string, epsFrac float64) (AblationRow, error) {
-	env, err := NewEnv(cfg)
+	env, err := newWorkload(cfg)
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("bench: ablation %q: %w", label, err)
 	}
@@ -48,8 +46,8 @@ func runAblationPoint(cfg Config, label string, epsFrac float64) (AblationRow, e
 	}
 	return AblationRow{
 		Label:           label,
-		BuildTime:       env.BuildTime,
-		IndexPagesTotal: env.Index.IndexPageCount(),
+		BuildTime:       env.insert.BuildTime,
+		IndexPagesTotal: env.insert.Flat.NodeCount(),
 		CPUPerQuery:     row.CPUPerQuery,
 		PagesPerQuery:   row.PagesPerQuery,
 		Candidates:      row.Candidates,
@@ -62,7 +60,7 @@ func runAblationPoint(cfg Config, label string, epsFrac float64) (AblationRow, e
 // DESIGN.md).
 func SplitAblation(base Config, epsFrac float64) ([]AblationRow, error) {
 	var out []AblationRow
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitRStar, rtree.SplitQuadratic, rtree.SplitLinear} {
+	for _, split := range []rstar.SplitAlgorithm{rstar.SplitRStar, rstar.SplitQuadratic, rstar.SplitLinear} {
 		cfg := base
 		cfg.Split = split
 		row, err := runAblationPoint(cfg, split.String(), epsFrac)
@@ -163,37 +161,48 @@ func IndexAblation(base Config, epsFrac float64) ([]AblationRow, error) {
 	return out, nil
 }
 
-// BuildAblation compares one-by-one R* insertion against sequential
-// and parallel STR bulk loading (abl-build in DESIGN.md): construction
-// time, index size, and query cost of the resulting trees.  The two
-// bulk rows describe identical trees — their query columns differ only
-// by measurement noise; the interesting contrast is build time.
+// BuildAblation compares one-by-one R* insertion against the serving
+// index's sequential and parallel STR bulk loads (abl-build in
+// DESIGN.md): construction time, index size, and query cost of the
+// resulting trees.  The two bulk rows describe identical trees — their
+// query columns differ only by measurement noise; the interesting
+// contrast is build time.
 func BuildAblation(base Config, epsFrac float64) ([]AblationRow, error) {
-	// Insert-built: the regular environment.
 	insertRow, err := runAblationPoint(base, "insert-built", epsFrac)
 	if err != nil {
 		return nil, err
 	}
 	out := []AblationRow{insertRow}
 
-	for _, mode := range []BuildMode{BuildBulk, BuildParallel} {
-		env, err := NewEnvBuilt(base, mode)
+	env, err := newWorkload(base)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range []struct {
+		label string
+		build func(*core.Index) error
+	}{
+		{"bulk-built", (*core.Index).BuildBulk},
+		{"bulk-parallel-built", func(ix *core.Index) error { return ix.BuildBulkParallel(0) }},
+	} {
+		ix, built, err := env.buildIndex(b.build)
 		if err != nil {
-			return nil, fmt.Errorf("bench: ablation %s-built: %w", mode, err)
+			return nil, fmt.Errorf("bench: ablation %s: %w", b.label, err)
 		}
-		row, err := env.runPoint(TreeEE, epsFrac)
+		agg, cpu, err := env.execAll(ix, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: epsFrac * env.NormScale} })
 		if err != nil {
-			return nil, fmt.Errorf("bench: ablation %s-built: %w", mode, err)
+			return nil, fmt.Errorf("bench: ablation %s: %w", b.label, err)
 		}
+		nq := float64(len(env.Queries))
 		out = append(out, AblationRow{
-			Label:           mode.String() + "-built",
-			BuildTime:       env.BuildTime,
-			IndexPagesTotal: env.Index.IndexPageCount(),
-			CPUPerQuery:     row.CPUPerQuery,
-			PagesPerQuery:   row.PagesPerQuery,
-			Candidates:      row.Candidates,
-			FalseAlarms:     row.FalseAlarms,
-			Results:         row.Results,
+			Label:           b.label,
+			BuildTime:       built,
+			IndexPagesTotal: ix.IndexPageCount(),
+			CPUPerQuery:     cpu,
+			PagesPerQuery:   float64(agg.IndexNodeAccesses)/nq + float64(agg.DataPageAccesses)/nq,
+			Candidates:      float64(agg.Candidates) / nq,
+			FalseAlarms:     float64(agg.FalseAlarms) / nq,
+			Results:         float64(agg.Results) / nq,
 		})
 	}
 	return out, nil
@@ -214,18 +223,13 @@ func (e *Env) RunNearestNeighbor(ks []int) ([]NNPoint, error) {
 	var out []NNPoint
 	nq := float64(len(e.Queries))
 	for _, k := range ks {
-		var agg core.SearchStats
-		start := time.Now()
-		for _, q := range e.Queries {
-			var stats core.SearchStats
-			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, K: k}, &stats); err != nil {
-				return nil, err
-			}
-			agg.Add(stats)
+		agg, cpu, err := e.execAll(e.Index, func(q vec.Vector) core.Query { return core.Query{Vec: q, K: k} })
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, NNPoint{
 			K:             k,
-			CPUPerQuery:   time.Duration(float64(time.Since(start)) / nq),
+			CPUPerQuery:   cpu,
 			PagesPerQuery: float64(agg.IndexNodeAccesses+agg.DataPageAccesses) / nq,
 			Candidates:    float64(agg.Candidates) / nq,
 		})
@@ -257,11 +261,9 @@ func (e *Env) RunProbeSweep(epsFracs []float64) ([]ProbePoint, error) {
 	var out []ProbePoint
 	nq := float64(len(e.Queries))
 	for _, frac := range epsFracs {
-		var agg core.SearchStats
-		for _, q := range e.Queries {
-			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: frac * e.NormScale, Limit: 100}, &agg); err != nil {
-				return nil, err
-			}
+		agg, _, err := e.execAll(e.Index, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: frac * e.NormScale, Limit: 100} })
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, ProbePoint{
 			EpsFrac:    frac,
@@ -317,15 +319,13 @@ func (e *Env) RunBufferSweep(sizes []int, epsFrac float64) ([]BufferPoint, error
 
 		// Tree method: warm pass then measured pass over the same pool.
 		pool = store.NewBufferPool(size)
-		if err := e.Index.SetStrategy(geom.EnteringExiting); err != nil {
-			return nil, err
-		}
 		for pass := 0; pass < 2; pass++ {
 			pool.ResetStats()
-			for _, q := range e.Queries {
-				if err := e.searchWithPool(q.Values, eps, pool); err != nil {
-					return nil, err
-				}
+			// The executor owns its PageCounter; Query.Pool attaches the
+			// shared pool to it, so false alarms are charged as well as
+			// matches.
+			if _, _, err := e.execAll(e.Index, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: eps, Pool: pool} }); err != nil {
+				return nil, err
 			}
 		}
 		if total := pool.Hits() + pool.Misses(); total > 0 {
@@ -334,15 +334,6 @@ func (e *Env) RunBufferSweep(sizes []int, epsFrac float64) ([]BufferPoint, error
 		out = append(out, point)
 	}
 	return out, nil
-}
-
-// searchWithPool runs one tree query charging data fetches through the
-// shared pool.
-func (e *Env) searchWithPool(q []float64, eps float64, pool *store.BufferPool) error {
-	// The executor owns its PageCounter; Query.Pool attaches the shared
-	// pool to it, so false alarms are charged as well as matches.
-	_, err := e.Index.Exec(context.Background(), core.Query{Vec: q, Eps: eps, Pool: pool}, nil)
-	return err
 }
 
 // WriteBufferTable renders the warm-cache sweep.
@@ -378,21 +369,11 @@ type RecallPoint struct {
 // disguise at any noise level, while the scale/shift index keeps full
 // recall as long as ε covers the noise.
 func RecallSweep(cfg Config, noises []float64) ([]RecallPoint, error) {
-	st := store.New()
-	scfg := stockConfig(cfg)
-	if _, err := stock.Populate(st, scfg); err != nil {
-		return nil, fmt.Errorf("bench: recall data: %w", err)
-	}
-	ssOpts := core.DefaultOptions()
-	ssOpts.WindowLen = cfg.WindowLen
-	ssOpts.Coefficients = cfg.Coefficients
-	ss, err := core.NewIndex(st, ssOpts)
+	env, err := NewEnv(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := ss.BuildBulk(); err != nil {
-		return nil, err
-	}
+	st, ss := env.Store, env.Index
 	euOpts := euclid.DefaultOptions()
 	euOpts.WindowLen = cfg.WindowLen
 	eu, err := euclid.NewIndex(st, euOpts)
@@ -450,15 +431,6 @@ func RecallSweep(cfg Config, noises []float64) ([]RecallPoint, error) {
 		out = append(out, point)
 	}
 	return out, nil
-}
-
-// stockConfig derives the generator settings from a bench Config.
-func stockConfig(cfg Config) stock.Config {
-	scfg := stock.DefaultConfig()
-	scfg.Companies = cfg.Companies
-	scfg.Days = cfg.Days
-	scfg.Seed = cfg.Seed
-	return scfg
 }
 
 // WriteRecallTable renders the noise sweep.

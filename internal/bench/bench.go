@@ -18,16 +18,19 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
+	"scaleshift/internal/dft"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/seqscan"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
+	"scaleshift/internal/vec"
 )
 
 // Method identifies one of the paper's three experiment sets.
@@ -57,6 +60,14 @@ func (m Method) String() string {
 	}
 }
 
+// Strategy returns the MBR penetration check a tree set searches with.
+func (m Method) Strategy() geom.Strategy {
+	if m == TreeSpheres {
+		return geom.BoundingSpheres
+	}
+	return geom.EnteringExiting
+}
+
 // Methods lists the three sets in paper order.
 var Methods = []Method{SeqScan, TreeEE, TreeSpheres}
 
@@ -76,11 +87,12 @@ type Config struct {
 	Seed int64
 	// EpsFracs is the ε sweep, as fractions of the mean window SE-norm.
 	EpsFracs []float64
-	// Split selects the tree's split algorithm.
-	Split rtree.SplitAlgorithm
+	// Split selects the insert-built tree's split algorithm.
+	Split rstar.SplitAlgorithm
 	// Reduction selects the feature basis (DFT default, Haar optional).
 	Reduction core.ReductionKind
-	// SupernodeMaxOverlap enables X-tree supernodes when positive.
+	// SupernodeMaxOverlap enables X-tree supernodes in the insert-built
+	// tree when positive.
 	SupernodeMaxOverlap float64
 	// MaxEntries overrides the tree fanout M when nonzero (m and p are
 	// derived as 40 % and 30 % of M, as in §7).
@@ -97,7 +109,7 @@ func DefaultConfig() Config {
 		Queries:      100,
 		Seed:         1,
 		EpsFracs:     []float64{0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2},
-		Split:        rtree.SplitRStar,
+		Split:        rstar.SplitRStar,
 	}
 }
 
@@ -110,9 +122,9 @@ func (c Config) Scaled(companies, queries int) Config {
 	return c
 }
 
-// treeConfig derives the R*-tree parameters from c.
-func (c Config) treeConfig() rtree.Config {
-	cfg := rtree.DefaultConfig(2 * c.Coefficients)
+// treeConfig derives the insert-built tree's parameters from c.
+func (c Config) treeConfig() rstar.Config {
+	cfg := rstar.DefaultConfig(2 * c.Coefficients)
 	cfg.Split = c.Split
 	cfg.SupernodeMaxOverlap = c.SupernodeMaxOverlap
 	if c.MaxEntries > 0 {
@@ -126,100 +138,65 @@ func (c Config) treeConfig() rtree.Config {
 	return cfg
 }
 
+// options derives the serving index's options from c: the same windows,
+// features and page shape as the insert-built tree.
+func (c Config) options() core.Options {
+	opts := core.DefaultOptions()
+	opts.WindowLen = c.WindowLen
+	opts.Coefficients = c.Coefficients
+	opts.Reduction = c.Reduction
+	opts.Tree = c.treeConfig().Config
+	return opts
+}
+
 // Env is a prepared experiment environment: the database, the query
-// workload, and one built index shared by sets 2 and 3.
+// workload, the serving index over it, and — once an experiment asks
+// for it — the insert-built tree sets 2 and 3 search.
 type Env struct {
-	Config    Config
-	Store     *store.Store
+	Config Config
+	Store  *store.Store
+	// Index is the serving index, bulk-built on every CPU in BuildTime.
 	Index     *core.Index
 	Queries   []query.Query
 	NormScale float64
 	BuildTime time.Duration
+
+	insert *InsertTree // see InsertTree
 }
 
-// BuildMode selects how the experiment index is constructed.
-type BuildMode int
-
-const (
-	// BuildInsert constructs the tree by one-by-one R* insertion (as
-	// the paper's dynamic-index requirement implies): rstar.Load behind
-	// core.Index.BuildWith, an MBR directory.
-	BuildInsert BuildMode = iota
-	// BuildBulk constructs the tree with sequential STR bulk loading.
-	BuildBulk
-	// BuildParallel shards feature extraction and STR packing across
-	// GOMAXPROCS workers; the resulting tree is identical to BuildBulk.
-	BuildParallel
-)
-
-// String returns the construction label used in reports.
-func (m BuildMode) String() string {
-	switch m {
-	case BuildInsert:
-		return "insert"
-	case BuildBulk:
-		return "bulk"
-	case BuildParallel:
-		return "bulk-parallel"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseBuildMode maps a command-line name to a BuildMode.
-func ParseBuildMode(s string) (BuildMode, error) {
-	switch s {
-	case "insert":
-		return BuildInsert, nil
-	case "bulk":
-		return BuildBulk, nil
-	case "parallel", "bulk-parallel":
-		return BuildParallel, nil
-	default:
-		return 0, fmt.Errorf("bench: unknown build mode %q (want insert, bulk, or parallel)", s)
-	}
-}
-
-// NewEnv generates the data, builds the index by one-by-one insertion,
-// and samples the workload.
+// NewEnv generates the data, builds the serving index and samples the
+// workload.  The insert-built tree is grown on first use (InsertTree).
 func NewEnv(cfg Config) (*Env, error) {
-	return NewEnvBuilt(cfg, BuildInsert)
+	e, err := newWorkload(cfg)
+	if err == nil {
+		e.Index, e.BuildTime, err = e.buildIndex((*core.Index).Build)
+	}
+	return e, err
 }
 
-// NewEnvBuilt is NewEnv with a choice of construction method.
-func NewEnvBuilt(cfg Config, mode BuildMode) (*Env, error) {
+// buildIndex builds a serving index over e's store with build and
+// times it.
+func (e *Env) buildIndex(build func(*core.Index) error) (*core.Index, time.Duration, error) {
+	ix, err := core.NewIndex(e.Store, e.Config.options())
+	if err != nil {
+		return nil, 0, fmt.Errorf("bench: creating index: %w", err)
+	}
+	start := time.Now()
+	if err := build(ix); err != nil {
+		return nil, 0, fmt.Errorf("bench: building index: %w", err)
+	}
+	return ix, time.Since(start), nil
+}
+
+// newWorkload generates the data and samples the workload: an Env
+// without an index.
+func newWorkload(cfg Config) (*Env, error) {
 	st := store.New()
 	scfg := stock.DefaultConfig()
-	scfg.Companies = cfg.Companies
-	scfg.Days = cfg.Days
-	scfg.Seed = cfg.Seed
+	scfg.Companies, scfg.Days, scfg.Seed = cfg.Companies, cfg.Days, cfg.Seed
 	if _, err := stock.Populate(st, scfg); err != nil {
 		return nil, fmt.Errorf("bench: generating data: %w", err)
 	}
-
-	opts := core.DefaultOptions()
-	opts.WindowLen = cfg.WindowLen
-	opts.Coefficients = cfg.Coefficients
-	opts.Reduction = cfg.Reduction
-	opts.Tree = cfg.treeConfig()
-	ix, err := core.NewIndex(st, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: creating index: %w", err)
-	}
-	buildStart := time.Now()
-	switch mode {
-	case BuildBulk:
-		err = ix.BuildBulk()
-	case BuildParallel:
-		err = ix.BuildBulkParallel(0)
-	default:
-		err = ix.BuildWith(rstar.Load)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bench: building index: %w", err)
-	}
-	buildTime := time.Since(buildStart)
-
 	qcfg := query.DefaultConfig()
 	qcfg.N = cfg.Queries
 	qcfg.WindowLen = cfg.WindowLen
@@ -232,14 +209,127 @@ func NewEnvBuilt(cfg Config, mode BuildMode) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: calibrating epsilon: %w", err)
 	}
-	return &Env{
-		Config:    cfg,
-		Store:     st,
-		Index:     ix,
-		Queries:   qs,
-		NormScale: scale,
-		BuildTime: buildTime,
-	}, nil
+	return &Env{Config: cfg, Store: st, Queries: qs, NormScale: scale}, nil
+}
+
+// execAll runs query(q) on ix for every workload query q, returning the
+// queries' ledgers summed and the wall time per query.
+func (e *Env) execAll(ix *core.Index, query func(q vec.Vector) core.Query) (core.SearchStats, time.Duration, error) {
+	var agg core.SearchStats
+	start := time.Now()
+	for _, q := range e.Queries {
+		if _, err := ix.Exec(context.Background(), query(q.Values), &agg); err != nil {
+			return agg, 0, err
+		}
+	}
+	return agg, time.Duration(float64(time.Since(start)) / float64(len(e.Queries))), nil
+}
+
+// InsertTree returns the tree experiment sets 2 and 3 search, growing
+// it on the first call.
+func (e *Env) InsertTree() (*InsertTree, error) {
+	if e.insert == nil {
+		t, err := growInsertTree(e.Store, e.Config)
+		if err != nil {
+			return nil, err
+		}
+		e.insert = t
+	}
+	return e.insert, nil
+}
+
+// InsertTree is the index the paper's experiments search (§6–7): the
+// §6 feature point of every window (core.Features), inserted one at a
+// time into an R*-tree (rstar.Load) of the configuration's split,
+// fanout and supernode settings, frozen into an arena whose directory
+// is the tree's MBRs.  Search runs sets 2 and 3 over it.
+type InsertTree struct {
+	// Flat is the frozen tree.
+	Flat *rtree.FlatTree
+	// Widen is what a search adds to ε so that neither the arena's
+	// float32 rounding nor the extraction's dismisses a true match.
+	Widen float64
+	// BuildTime covers the extraction and the insertions.
+	BuildTime time.Duration
+
+	st   *store.Store
+	n    int             // the window length
+	fmap *dft.FeatureMap // maps a query to its SE-line
+}
+
+// growInsertTree builds the insert-built tree over st's windows under
+// cfg.
+func growInsertTree(st *store.Store, cfg Config) (*InsertTree, error) {
+	start := time.Now()
+	ids, cols, widen, err := core.Features(st, cfg.options())
+	if err != nil {
+		return nil, fmt.Errorf("bench: extracting features: %w", err)
+	}
+	flat, err := rstar.Load(cfg.treeConfig(), ids, cols)
+	if err != nil {
+		return nil, fmt.Errorf("bench: growing the tree: %w", err)
+	}
+	built := time.Since(start)
+	fmap, err := dft.NewFeatureMap(cfg.WindowLen, cfg.Coefficients)
+	if cfg.Reduction == core.ReductionHaar {
+		fmap, err = dft.NewHaarMap(cfg.WindowLen, 2*cfg.Coefficients)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return &InsertTree{Flat: flat, Widen: widen, BuildTime: built, st: st, n: cfg.WindowLen, fmap: fmap}, nil
+}
+
+// Ledger accounts queries of InsertTree.Search in the paper's cost
+// model.
+type Ledger struct {
+	// Tree counts the index phase: nodes read (index pages), leaf
+	// entries checked, penetration tests.
+	Tree rtree.SearchStats
+	// DataPages counts the distinct data pages each query's
+	// post-processing read, summed over queries.
+	DataPages int
+	// Candidates counts the windows the index phase emitted, Results
+	// those within ε; the rest are false alarms.
+	Candidates, Results int
+}
+
+// Search answers the range query (q, eps) as experiment sets 2 and 3
+// do (§6).  The index phase descends the tree under strategy — the
+// children whose MBR, enlarged by ε plus Widen, the query's SE-line
+// penetrates — and collects the leaf points within that distance of it;
+// post-processing fetches every candidate window, in storage order,
+// through one page counter and keeps it when vec.MinDist, the
+// sequential scan's kernel, puts it within eps.  The rows are the
+// sequential scan's, in its order.
+func (t *InsertTree) Search(q vec.Vector, eps float64, strategy geom.Strategy, l *Ledger) ([]seqscan.Result, error) {
+	n := t.n
+	if len(q) != n {
+		return nil, fmt.Errorf("bench: query length %d, window length %d", len(q), n)
+	}
+	line := vec.Line{P: make(vec.Vector, t.fmap.Dim()), D: make(vec.Vector, t.fmap.Dim())}
+	t.fmap.TransformSE(line.D, q)
+	ids, err := t.Flat.LineSearchIDs(context.Background(), line, eps+t.Widen, strategy, &l.Tree, nil)
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(ids) // a window id orders as (seq, start)
+	var pc store.PageCounter
+	var out []seqscan.Result
+	w := make(vec.Vector, n)
+	for _, id := range ids {
+		seq, start := store.DecodeWindowID(id)
+		if err := t.st.Window(seq, start, n, w, &pc); err != nil {
+			return nil, err
+		}
+		if m := vec.MinDist(q, w); m.Dist <= eps {
+			out = append(out, seqscan.Result{Seq: seq, Start: start, Dist: m.Dist, Scale: m.Scale, Shift: m.Shift})
+		}
+	}
+	l.DataPages += pc.Distinct()
+	l.Candidates += len(ids)
+	l.Results += len(out)
+	return out, nil
 }
 
 // Row is one point of a sweep: one method at one ε, averaged over the
@@ -268,16 +358,6 @@ type Series struct {
 // RunMethod sweeps one method over the ε fractions.
 func (e *Env) RunMethod(m Method) (Series, error) {
 	s := Series{Method: m}
-	switch m {
-	case TreeEE:
-		if err := e.Index.SetStrategy(geom.EnteringExiting); err != nil {
-			return s, err
-		}
-	case TreeSpheres:
-		if err := e.Index.SetStrategy(geom.BoundingSpheres); err != nil {
-			return s, err
-		}
-	}
 	for _, frac := range e.Config.EpsFracs {
 		row, err := e.runPoint(m, frac)
 		if err != nil {
@@ -314,24 +394,26 @@ func (e *Env) runPoint(m Method, frac float64) (Row, error) {
 		row.Candidates = row.Results
 
 	case TreeEE, TreeSpheres:
-		var agg core.SearchStats
+		t, err := e.InsertTree()
+		if err != nil {
+			return row, err
+		}
+		var l Ledger
 		start := time.Now()
 		for _, q := range e.Queries {
-			var stats core.SearchStats
-			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: eps}, &stats); err != nil {
+			if _, err := t.Search(q.Values, eps, m.Strategy(), &l); err != nil {
 				return row, err
 			}
-			agg.Add(stats)
 		}
 		row.CPUPerQuery = time.Duration(float64(time.Since(start)) / nq)
-		row.IndexPages = float64(agg.IndexNodeAccesses) / nq
-		row.DataPages = float64(agg.DataPageAccesses) / nq
+		row.IndexPages = float64(l.Tree.NodeAccesses) / nq
+		row.DataPages = float64(l.DataPages) / nq
 		row.PagesPerQuery = row.IndexPages + row.DataPages
-		row.Candidates = float64(agg.Candidates) / nq
-		row.Results = float64(agg.Results) / nq
-		row.FalseAlarms = float64(agg.FalseAlarms) / nq
-		row.SlabTests = float64(agg.Penetration.SlabTests) / nq
-		row.SphereTests = float64(agg.Penetration.SphereTests) / nq
+		row.Candidates = float64(l.Candidates) / nq
+		row.Results = float64(l.Results) / nq
+		row.FalseAlarms = float64(l.Candidates-l.Results) / nq
+		row.SlabTests = float64(l.Tree.Penetration.SlabTests) / nq
+		row.SphereTests = float64(l.Tree.Penetration.SphereTests) / nq
 
 	default:
 		return row, fmt.Errorf("bench: unknown method %d", int(m))

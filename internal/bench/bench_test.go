@@ -7,7 +7,6 @@ import (
 
 	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/rtree"
 )
 
 // quickConfig keeps harness tests fast: ~13k values, 6 queries.
@@ -78,9 +77,13 @@ func TestRunAllShapes(t *testing.T) {
 	// Tree methods prune: only a fraction of the index is visited at
 	// tight epsilon.  (The absolute page-count win over the scan needs
 	// the paper-scale database; see cmd/ssbench and EXPERIMENTS.md.)
-	if ee.Rows[0].IndexPages >= float64(env.Index.IndexPageCount())/2 {
+	tree, err := env.InsertTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ee.Rows[0].IndexPages >= float64(tree.Flat.NodeCount())/2 {
 		t.Errorf("tree-EE at eps=0 visited %v of %d index pages",
-			ee.Rows[0].IndexPages, env.Index.IndexPageCount())
+			ee.Rows[0].IndexPages, tree.Flat.NodeCount())
 	}
 	// Set 3 performs sphere tests, set 2 none.
 	if ee.Rows[1].SphereTests != 0 {
@@ -253,7 +256,7 @@ func TestTreeConfigDerivation(t *testing.T) {
 	if tc.MaxEntries != 10 || tc.MinEntries != 4 || tc.ReinsertCount != 3 {
 		t.Errorf("M=10 tree config %+v", tc)
 	}
-	if tc.Split != rtree.SplitRStar {
+	if tc.Split != rstar.SplitRStar {
 		t.Errorf("split %v", tc.Split)
 	}
 	// Tiny fanout still valid.
@@ -503,7 +506,7 @@ func TestRecallSweep(t *testing.T) {
 func TestPathSweep(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Companies, cfg.Queries = 10, 4
-	env, err := NewEnvBuilt(cfg, BuildBulk)
+	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

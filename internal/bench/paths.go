@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
+	"scaleshift/internal/vec"
 )
 
 // PathPoint is one cell of the tree-vs-scan sweep: the whole workload
@@ -44,24 +44,15 @@ func (e *Env) RunPathSweep(epsFracs []float64) ([]PathPoint, error) {
 func (e *Env) runPathPoint(frac float64) (PathPoint, error) {
 	p := PathPoint{EpsFrac: frac, Eps: frac * e.NormScale}
 	nq := float64(len(e.Queries))
-	pass := func(force engine.PathKind, stats *core.SearchStats) error {
-		for _, q := range e.Queries {
-			if _, err := e.Index.Exec(context.Background(), core.Query{Vec: q.Values, Eps: p.Eps, Force: force}, stats); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := pass(engine.PathAuto, nil); err != nil {
-		return p, err
-	}
-	for _, kind := range []engine.PathKind{engine.PathRTree, engine.PathScan} {
-		var agg core.SearchStats
-		start := time.Now()
-		if err := pass(kind, &agg); err != nil {
+	for _, kind := range []engine.PathKind{engine.PathAuto, engine.PathRTree, engine.PathScan} {
+		agg, cpu, err := e.execAll(e.Index, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: p.Eps, Force: kind} })
+		if err != nil {
 			return p, err
 		}
-		p.CPU[kind] = time.Duration(float64(time.Since(start)) / nq)
+		if kind == engine.PathAuto {
+			continue // the untimed warm-up
+		}
+		p.CPU[kind] = cpu
 		p.Nodes[kind] = float64(agg.IndexNodeAccesses) / nq
 		p.Candidates[kind] = float64(agg.Candidates) / nq
 		p.StrictPages[kind] = float64(agg.IndexNodeAccesses+agg.DataPageAccesses) / nq

@@ -24,7 +24,7 @@ import (
 // the order given, and freezing the result: point i has identifier
 // ids[i] and coordinate j at cols[j·n+i], the columnar layout
 // rtree.BulkLoadFlat takes.
-func Load(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
+func Load(cfg Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -121,7 +121,7 @@ func (n *node) parentEntry() *entry {
 // never searched — Freeze it to search.  It is not safe for concurrent
 // use.
 type Tree struct {
-	cfg  rtree.Config
+	cfg  Config
 	root *node
 	size int
 	// nodes counts live pages for the page-access cost model.
@@ -141,9 +141,12 @@ type Tree struct {
 
 // New returns an empty tree with the given configuration, or the error
 // its arena would be refused with.
-func New(cfg rtree.Config) (*Tree, error) {
+func New(cfg Config) (*Tree, error) {
 	t := &Tree{cfg: cfg, root: &node{level: 0}, nodes: 1}
-	if _, err := rtree.FlatFromNodes(cfg, t.root, nil, openNode); err != nil {
+	if _, err := rtree.FlatFromNodes(cfg.Config, t.root, nil, openNode); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -152,7 +155,7 @@ func New(cfg rtree.Config) (*Tree, error) {
 // Freeze returns the tree as the arena that is searched, its directory
 // the tree's MBRs; the two share nothing mutable.
 func (t *Tree) Freeze() *rtree.FlatTree {
-	f, err := rtree.FlatFromNodes(t.cfg, t.root, t.sample, openNode)
+	f, err := rtree.FlatFromNodes(t.cfg.Config, t.root, t.sample, openNode)
 	if err != nil {
 		panic(err) // New accepted the configuration
 	}
@@ -265,7 +268,7 @@ func (t *Tree) chooseSubtree(r geom.Rect, level int, path []*entry) (*node, []*e
 	n := t.root
 	for n.level > level {
 		var best *entry
-		if t.cfg.Split == rtree.SplitRStar && n.level == 1 {
+		if t.cfg.Split == SplitRStar && n.level == 1 {
 			best = chooseMinOverlap(n.entries, r)
 		} else {
 			best = chooseMinEnlargement(n.entries, r)

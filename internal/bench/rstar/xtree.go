@@ -3,8 +3,6 @@ package rstar
 import (
 	"math"
 	"sort"
-
-	"scaleshift/internal/rtree"
 )
 
 // This file implements the X-tree extension (Berchtold et al. [23],
@@ -36,9 +34,9 @@ func (t *Tree) chooseSplitGroups(n *node) (g1, g2 []*entry, supernode bool) {
 // baseSplit runs the configured split algorithm.
 func (t *Tree) baseSplit(entries []*entry) ([]*entry, []*entry) {
 	switch t.cfg.Split {
-	case rtree.SplitQuadratic:
+	case SplitQuadratic:
 		return splitQuadratic(entries, t.cfg.MinEntries)
-	case rtree.SplitLinear:
+	case SplitLinear:
 		return splitLinear(entries, t.cfg.MinEntries)
 	default:
 		return splitRStar(entries, t.cfg.MinEntries)

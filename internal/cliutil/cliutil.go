@@ -162,7 +162,7 @@ func OpenIndex(st *store.Store, opts core.Options, cache string, logger *slog.Lo
 			return nil, "", err
 		}
 		if rebuilt == nil {
-			return ix, fmt.Sprintf("mapped from %s in %v (%s directory)", cache, time.Since(start).Round(time.Millisecond), ix.Directory()), nil
+			return ix, fmt.Sprintf("mapped from %s in %v (direction-box directory)", cache, time.Since(start).Round(time.Millisecond)), nil
 		}
 		logger.Warn("index cache rejected; rebuilt from the store", "reason", rebuilt, "cache", cache)
 		how = fmt.Sprintf("rebuilt (%v)", rebuilt)

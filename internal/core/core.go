@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -86,31 +85,26 @@ type Options struct {
 	Coefficients int
 	// Reduction selects the feature basis (default DFT, as in §7).
 	Reduction ReductionKind
-	// Tree holds the R*-tree structural parameters.  Tree.Dim is
-	// ignored; it is derived from Coefficients.
+	// Tree holds the page shape of the bulk-built tree: M and m.
+	// Tree.Dim is ignored; it is derived from Coefficients.
 	Tree rtree.Config
-	// Strategy selects the MBR penetration check (§7): experiment
-	// set 2 uses geom.EnteringExiting, set 3 geom.BoundingSpheres.
-	Strategy geom.Strategy
 }
 
 // DefaultOptions returns the paper's experimental configuration:
-// window length 128, f_c = 3 (6 dims), M = 20, m = 8, p = 6, R* split,
-// Entering/Exiting-Points penetration.
+// window length 128, f_c = 3 (6 dims), M = 20, m = 8.
 func DefaultOptions() Options {
 	return Options{
 		WindowLen:    128,
 		Coefficients: 3,
 		Tree:         rtree.DefaultConfig(6),
-		Strategy:     geom.EnteringExiting,
 	}
 }
 
 // CostBounds is the user-specified cost limit on transformations (§3):
 // a match is reported only when its optimal scale factor lies in
 // [ScaleMin, ScaleMax] and its shift offset in [ShiftMin, ShiftMax].
-// Use UnboundedCosts to accept every transformation; the zero value
-// accepts only a = b = 0.
+// Use UnboundedCosts (or a nil Query.Costs) to accept every
+// transformation; the zero value accepts only a = b = 0.
 type CostBounds struct {
 	ScaleMin, ScaleMax float64
 	ShiftMin, ShiftMax float64
@@ -354,8 +348,7 @@ type SegmentedIndex = Index
 
 // BuildStages is where a bulk build's time went: extracting the feature
 // points into columns, tiling them (polar keys, sorts, directory
-// extents), and emitting the arena.  Zero for an index that was opened
-// or built by a loader of the caller's (BuildWith).
+// extents), and emitting the arena.  Zero for an index that was opened.
 type BuildStages struct {
 	Extract, Tile, Emit time.Duration
 }
@@ -365,27 +358,6 @@ func (ix *Index) BuildStages() BuildStages {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.stages
-}
-
-// DirectoryBox is the value of Index.Directory for every arena this
-// package builds or opens.
-const DirectoryBox = rtree.DirectoryBox
-
-// Directory names the shape of the frozen segments' directories:
-// DirectoryBox (norm ranges and unit-direction boxes, pruned by the
-// cone test) for every arena this package builds or opens —
-// flatFromSection refuses any other — and whatever a caller's loader
-// writes for one built by BuildWith, until a fold replaces it.
-func (ix *Index) Directory() string {
-	d := DirectoryBox
-	ix.published(func(m *manifest) {
-		for _, sg := range m.frozen {
-			if sd := sg.flat.Directory(); sd != DirectoryBox {
-				d = sd
-			}
-		}
-	})
-	return d
 }
 
 // NewIndex creates an empty index over st.  Sequences already in st
@@ -411,11 +383,6 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	cfg.Dim = fmap.Dim()
 	if _, err := rtree.BulkLoadFlat(cfg, nil, nil, 1); err != nil { // validates cfg
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	switch opts.Strategy {
-	case geom.EnteringExiting, geom.BoundingSpheres:
-	default:
-		return nil, fmt.Errorf("core: unknown penetration strategy %d", int(opts.Strategy))
 	}
 	ix := &Index{
 		writer:           newWriter(st, opts, fmap),
@@ -444,22 +411,6 @@ func (ix *Index) published(fn func(*manifest)) {
 func (ix *Index) Options() (o Options) {
 	ix.published(func(m *manifest) { o = m.opts })
 	return o
-}
-
-// SetStrategy switches the MBR penetration check used by subsequent
-// searches.  The index structure is independent of the strategy, so
-// the paper's experiment sets 2 and 3 can share one index.
-func (ix *Index) SetStrategy(s geom.Strategy) error {
-	switch s {
-	case geom.EnteringExiting, geom.BoundingSpheres:
-	default:
-		return fmt.Errorf("core: unknown penetration strategy %d", int(s))
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.opts.Strategy = s
-	ix.publishLocked()
-	return nil
 }
 
 // Store returns the underlying store.  It is writer-side state: while
@@ -530,45 +481,19 @@ func (ix *Index) TreeHeight() (h int) {
 	return h
 }
 
-// WriteIndexStats renders per-level geometry statistics of each frozen
-// segment's directory (occupancy, MBR elongation, circumscribed/inscribed
-// sphere gap) — the numbers behind §7's explanation of the
-// bounding-spheres failure.
-func (ix *Index) WriteIndexStats(w io.Writer) (err error) {
-	ix.published(func(m *manifest) {
-		for _, sg := range m.frozen {
-			if err == nil {
-				err = sg.flat.WriteStats(w)
-			}
-		}
-	})
-	return err
-}
-
 // Build indexes every window of every sequence currently in the store
 // (§6 pre-processing), whatever the index held before: the bulk build of
 // BuildBulkParallel, on every CPU.  Like every build, it fails with a
 // *store.DomainError naming the first value stored outside the numeric
 // domain: a store filled in process records it as it fills.
 func (ix *Index) Build() error {
-	return ix.rebuild(context.Background(), 0, nil, ix.allWindows)
-}
-
-// BuildWith is Build with the arena made by load, a loader of
-// rtree.BulkLoadFlat's shape, from the feature points in (sequence,
-// start) order: how the paper's experiments index by one-by-one R*
-// insertion (internal/bench/rstar.Load) an index that is then searched,
-// mutated and saved like any other.  Whatever directory load writes is
-// served as it is until the next fold.  load runs under the index's
-// writer lock, so it must not call the index's mutators.
-func (ix *Index) BuildWith(load func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error)) error {
-	return ix.rebuild(context.Background(), 0, load, ix.allWindows)
+	return ix.rebuild(context.Background(), 0, ix.allWindows)
 }
 
 // BuildBulk indexes every window of every sequence by building the
 // tree with Sort-Tile-Recursive bulk loading — tiled on the norm and
-// direction of the feature points and summarised for the cone test
-// (Directory reads DirectoryBox).  It requires an empty index; the
+// direction of the feature points and summarised for the cone test.
+// It requires an empty index; the
 // loader emits the serving arena directly (see rtree.BulkLoadFlat).
 // Dynamic insertion and removal work normally afterwards, through the
 // delta.  It is BuildBulkParallel on one worker.
@@ -597,7 +522,7 @@ func (ix *Index) BuildBulkParallel(workers int) error {
 // *WorkerPanicError naming the offending (seq, window) instead of
 // crashing the process.
 func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
-	return ix.rebuild(ctx, workers, nil, func(next []int) ([]int, error) {
+	return ix.rebuild(ctx, workers, func(next []int) ([]int, error) {
 		if ix.WindowCount() != 0 {
 			return nil, fmt.Errorf("core: BuildBulk requires an empty index")
 		}
@@ -620,9 +545,9 @@ func (ix *Index) allWindows([]int) ([]int, error) {
 // sequence, where next is what cover makes of a copy of the current
 // coverage.  It holds the writer lock throughout, so it serializes with
 // mutations and compactions while queries keep the published manifest;
-// on failure the index is left as it was.  load, when non-nil, stands
-// in for rtree.BulkLoadFlat; workers < 1 means runtime.GOMAXPROCS(0).
-func (ix *Index) rebuild(ctx context.Context, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error), cover func(next []int) ([]int, error)) error {
+// on failure the index is left as it was.  workers < 1 means
+// runtime.GOMAXPROCS(0).
+func (ix *Index) rebuild(ctx context.Context, workers int, cover func(next []int) ([]int, error)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -638,7 +563,7 @@ func (ix *Index) rebuild(ctx context.Context, workers int, load func(rtree.Confi
 		return fmt.Errorf("core: %w", err)
 	}
 	ranges := prefixRanges(next)
-	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers, load)
+	flat, stages, err := bulkLoadRanges(ctx, ix.st, ix.fmap, ix.opts, ranges, workers)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
@@ -671,19 +596,71 @@ func prefixRanges(counts []int) []winRange {
 	return ranges
 }
 
+// Features is the §6 pre-processing of every window st holds under
+// opts: the feature point of each, in (seq, start) order — window k has
+// the identifier ids[k] (store.EncodeWindowID) and coordinate j at
+// cols[j·len(ids)+k], the columnar layout rtree.BulkLoadFlat and the
+// experiments' R*-insertion loader take — and widen, how far a
+// search of a float32 arena over those points widens ε so that neither
+// the arena's rounding nor the extraction's dismisses a true match
+// (numericSlack over the points, featureNoise over the values).  It is
+// the extraction every build runs, on every CPU; like a build, it fails
+// with a *store.DomainError naming the first value stored outside the
+// numeric domain.
+func Features(st *store.Store, opts Options) (ids []int64, cols []float64, widen float64, err error) {
+	ix, err := NewIndex(st, opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer ix.Close()
+	peak, err := st.Domain()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: %w", err)
+	}
+	counts, _ := ix.allWindows(nil)
+	ids, cols, err = extractRanges(context.Background(), st, ix.fmap, opts, prefixRanges(counts), runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var maxAbs float64
+	for _, x := range cols {
+		maxAbs = max(maxAbs, math.Abs(x))
+	}
+	dim := ix.fmap.Dim()
+	return ids, cols, numericSlack(maxAbs, dim) + featureNoise(peak, opts.WindowLen, dim), nil
+}
+
 // bulkLoadRanges extracts the feature point of every window of ranges
-// and bulk loads them into a frozen tree.  Extraction writes straight
-// into the columnar buffer the loader reads — window k of the
+// (extractRanges) and bulk loads them into a frozen tree on workers.
+// The stage split is returned and, with observability on, published.
+// Every build and every merge runs it.
+func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (*rtree.FlatTree, BuildStages, error) {
+	start := time.Now()
+	ids, cols, err := extractRanges(ctx, sv, fmap, opts, ranges, workers)
+	if err != nil {
+		return nil, BuildStages{}, err
+	}
+	cfg := opts.Tree
+	cfg.Dim = fmap.Dim()
+	extract := time.Since(start)
+	flat, err := rtree.BulkLoadFlat(cfg, ids, cols, workers)
+	if err != nil {
+		return nil, BuildStages{}, err
+	}
+	stages := BuildStages{Extract: extract}
+	stages.Tile, stages.Emit = flat.BuildStages()
+	recordBuildStages(stages)
+	return flat, stages, nil
+}
+
+// extractRanges extracts the feature point of every window of ranges,
+// in order, into the columnar buffer a loader reads — window k of the
 // concatenated ranges has coordinate j at cols[j·n+k] — so no object is
 // made per window.  The work is cut at featureCheckpoint boundaries,
 // where the sliding DFT restarts, and shared over workers goroutines
 // that poll ctx between pieces; every piece lands at slots fixed in
-// advance, so the tree does not depend on the schedule.  The stage
-// split is returned and, with observability on, published.  Every
-// build and every merge runs it; a nil load is rtree.BulkLoadFlat on
-// workers.
-func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int, load func(rtree.Config, []int64, []float64) (*rtree.FlatTree, error)) (*rtree.FlatTree, BuildStages, error) {
-	start := time.Now()
+// advance, so the result does not depend on the schedule.
+func extractRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opts Options, ranges []winRange, workers int) (ids []int64, cols []float64, err error) {
 	type piece struct{ seq, lo, hi, slot int }
 	var pieces []piece
 	n := 0
@@ -693,8 +670,7 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 		}
 		n += r.Hi - r.Lo
 	}
-	dim := fmap.Dim()
-	ids, cols := make([]int64, n), make([]float64, n*dim)
+	ids, cols = make([]int64, n), make([]float64, n*fmap.Dim())
 
 	workers = max(1, min(workers, len(pieces)))
 	var next atomic.Int64
@@ -736,28 +712,13 @@ func bulkLoadRanges(ctx context.Context, sv storeView, fmap *dft.FeatureMap, opt
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			ctxErr = err
 		} else if err != nil {
-			return nil, BuildStages{}, err
+			return nil, nil, err
 		}
 	}
 	if ctxErr != nil {
-		return nil, BuildStages{}, ctxErr
+		return nil, nil, ctxErr
 	}
-	cfg := opts.Tree
-	cfg.Dim = dim
-	extract := time.Since(start)
-	if load == nil {
-		load = func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
-			return rtree.BulkLoadFlat(cfg, ids, cols, workers)
-		}
-	}
-	flat, err := load(cfg, ids, cols)
-	if err != nil {
-		return nil, BuildStages{}, err
-	}
-	stages := BuildStages{Extract: extract}
-	stages.Tile, stages.Emit = flat.BuildStages()
-	recordBuildStages(stages)
-	return flat, stages, nil
+	return ids, cols, nil
 }
 
 // featureCheckpoint is the absolute window-start stride at which the
@@ -947,7 +908,7 @@ func (ix *Index) AppendValues(seq int, values []float64) error {
 // in the store (the store is append-only) but the windows will no
 // longer be found by searches.
 func (ix *Index) UnindexSequence(seq int) error {
-	return ix.rebuild(context.Background(), 0, nil, func(next []int) ([]int, error) {
+	return ix.rebuild(context.Background(), 0, func(next []int) ([]int, error) {
 		if seq < 0 || seq >= len(next) {
 			return nil, fmt.Errorf("core: sequence %d not indexed", seq)
 		}

@@ -1,19 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/stock"
@@ -134,8 +131,6 @@ func TestNewIndexValidation(t *testing.T) {
 		{"fc zero", func(o *Options) { o.Coefficients = 0 }, false},
 		{"fc too large", func(o *Options) { o.Coefficients = 70; o.WindowLen = 128 }, false},
 		{"bad tree", func(o *Options) { o.Tree.MinEntries = 0 }, false},
-		{"bad strategy", func(o *Options) { o.Strategy = geom.Strategy(9) }, false},
-		{"spheres ok", func(o *Options) { o.Strategy = geom.BoundingSpheres }, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,7 +228,7 @@ func TestSearchCostBounds(t *testing.T) {
 	bounds := UnboundedCosts()
 	bounds.ScaleMin, bounds.ScaleMax = 0.9, 1.1
 	var statsB SearchStats
-	res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: bounds}, &statsB)
+	res, err := ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: &bounds}, &statsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +252,7 @@ func TestSearchCostBounds(t *testing.T) {
 	shiftOnly := UnboundedCosts()
 	shiftOnly.ShiftMin, shiftOnly.ShiftMax = 1e17, 1e18 // rejects everything
 	var statsS SearchStats
-	res, err = ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: shiftOnly}, &statsS)
+	res, err = ix.Exec(context.Background(), Query{Vec: q, Eps: eps, Costs: &shiftOnly}, &statsS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,30 +536,10 @@ func TestConcurrentSearchesAreSafe(t *testing.T) {
 	}
 }
 
-func TestWriteIndexStats(t *testing.T) {
-	ix := buildTestIndex(t, testOptions(), 6, 80)
-	var buf bytes.Buffer
-	if err := ix.WriteIndexStats(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "elongation") {
-		t.Errorf("stats output malformed:\n%s", buf.String())
-	}
-}
-
-func TestOptionsAccessorAndSetStrategy(t *testing.T) {
+func TestOptionsAccessor(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 3, 60)
 	if got := ix.Options().WindowLen; got != 32 {
 		t.Errorf("Options().WindowLen = %d", got)
-	}
-	if err := ix.SetStrategy(geom.BoundingSpheres); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Options().Strategy != geom.BoundingSpheres {
-		t.Error("SetStrategy did not take effect")
-	}
-	if err := ix.SetStrategy(geom.Strategy(7)); err == nil {
-		t.Error("bad strategy accepted")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"scaleshift/internal/engine"
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -382,20 +381,15 @@ func TestDeltaFeaturesAreBulkFeatures(t *testing.T) {
 				}
 			}
 
-			ref, err := NewIndex(st, opts)
+			ids, cols, _, err := Features(st, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bulk := map[int64][]float64{}
-			if err := ref.BuildWith(func(cfg rtree.Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
-				for k, id := range ids {
-					for j := range cfg.Dim {
-						bulk[id] = append(bulk[id], cols[j*len(ids)+k])
-					}
+			for k, id := range ids {
+				for j := range len(cols) / len(ids) {
+					bulk[id] = append(bulk[id], cols[j*len(ids)+k])
 				}
-				return rtree.BulkLoadFlat(cfg, ids, cols, 1)
-			}); err != nil {
-				t.Fatal(err)
 			}
 			ix.mu.Lock()
 			d := ix.delta.prefix(ix.delta.n)

@@ -64,7 +64,7 @@ func TestAutoIsTheTree(t *testing.T) {
 			costs CostBounds
 		}{{0.001, UnboundedCosts()}, {0.05, UnboundedCosts()}, {0.6, UnboundedCosts()}, {5, UnboundedCosts()}, {0.2, bounded}} {
 			label := fmt.Sprintf("%s, eps-frac %g, costs %+v", ix.name, c.frac, c.costs)
-			q := Query{Vec: q, Eps: c.frac * scale, Costs: c.costs}
+			q := Query{Vec: q, Eps: c.frac * scale, Costs: &c.costs}
 			var autoStats, treeStats SearchStats
 			auto, err := ix.ix.Exec(context.Background(), q, &autoStats)
 			if err != nil {

@@ -32,7 +32,7 @@ func ExampleIndex_Exec() {
 	q := vec.Apply(vec.Vector{1, 3, 2, 4, 1, 3, 2, 4}, 10, 100)
 	costs := core.UnboundedCosts()
 	costs.ScaleMin = 0.01 // exclude degenerate a≈0 matches
-	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: 0.001, Costs: costs}, nil)
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: 0.001, Costs: &costs}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

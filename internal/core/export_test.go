@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 )
 
@@ -10,6 +11,19 @@ import (
 
 // Mapped reports how many artifact files ix's segments are mapped from.
 func (ix *Index) Mapped() int { return len(ix.mappings) }
+
+// BoxDirectories reports whether every frozen segment of ix serves a
+// direction-box directory, the one kind a build writes.
+func (ix *Index) BoxDirectories() bool {
+	pin := ix.cell.Acquire()
+	defer pin.Release()
+	for _, sg := range pin.Value().frozen {
+		if sg.flat.Directory() != rtree.DirectoryBox {
+			return false
+		}
+	}
+	return true
+}
 
 // FirstArena identifies the arena of ix's first frozen segment, nil
 // when there is none: a fold must replace it.
@@ -38,5 +52,5 @@ func (ix *Index) DeltaWindows() [][2]int {
 // Refold rebuilds ix's arena over the windows it covers, on workers
 // goroutines (0: one per CPU), as a fold does.
 func (ix *Index) Refold(workers int) error {
-	return ix.rebuild(context.Background(), workers, nil, func(next []int) ([]int, error) { return next, nil })
+	return ix.rebuild(context.Background(), workers, func(next []int) ([]int, error) { return next, nil })
 }

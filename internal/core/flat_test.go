@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/rtree"
@@ -367,8 +366,8 @@ func rebuiltArtifact(t *testing.T, st *store.Store, path, want string) {
 			t.Fatalf("%s: %s = %v, want ErrVersion naming %q", path, what, err, want)
 		}
 	}
-	if ix.Directory() != DirectoryBox {
-		t.Fatalf("%s: rebuilt with a %s directory", path, ix.Directory())
+	if !ix.BoxDirectories() {
+		t.Fatalf("%s: rebuilt with an MBR directory", path)
 	}
 	answersLike(t, path, freshIndex(t, st, testOptions()), ix)
 }
@@ -437,7 +436,7 @@ func checkRebuilt(t *testing.T, what string, st *store.Store, g *SegmentedIndex,
 		if !errors.Is(r.Err, ErrVersion) || !strings.Contains(r.Err.Error(), want) {
 			t.Fatalf("%s: %s rebuilt for %v, want the version error naming %q", what, r.Path, r.Err, want)
 		}
-		if d := g.frozen[i].flat.Directory(); d != DirectoryBox {
+		if d := g.frozen[i].flat.Directory(); d != rtree.DirectoryBox {
 			t.Fatalf("%s: segment %d serves a %s directory", what, i, d)
 		}
 	}
@@ -471,38 +470,14 @@ func readFile(t *testing.T, path string) []byte {
 // direction-box commit wrote for the bulk-built index over
 // populatedStore(3, 100, 1) (testdata/arena_v2_mbr.ssidx and .ssseg:
 // arena version 2, header word 9 = 0, Cartesian STR tiling under an MBR
-// directory) are refused with a version error and rebuilt.  The MBR
-// arena the experiments' insert loader builds in process (BuildWith) is
-// still served as it is, answering every search — down the tree too —
-// exactly as a direction-box build does.
+// directory) are refused with a version error and rebuilt.  An MBR arena
+// is searched only by the paper's experiments, over the insert-built
+// tree (internal/bench: TestInsertTreeExact).
 func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
 	const want = "MBR directory is no longer served"
 	rebuiltArtifact(t, st, filepath.Join("testdata", "arena_v2_mbr.ssidx"), want)
 	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), want)
-
-	fresh := freshIndex(t, st, testOptions())
-	inserted, err := NewIndex(st, testOptions())
-	if err == nil {
-		err = inserted.BuildWith(rstar.Load)
-	}
-	if err != nil || inserted.Directory() != rtree.DirectoryMBR {
-		t.Fatalf("an insert-built tree: %v, %s directory", err, inserted.Directory())
-	}
-	answersLike(t, "insert-built", fresh, inserted)
-	for i, q := range testQueries(t, fresh, 4) {
-		var stats SearchStats
-		res, err := inserted.Exec(context.Background(), Query{Vec: q, Eps: 8, Force: engine.PathRTree}, &stats)
-		if err == nil && stats.IndexNodeAccesses == 0 {
-			err = errors.New("no node read")
-		}
-		if err == nil {
-			err = sameMatches(res.Matches, mustExec(t, fresh, Query{Vec: q, Eps: 8}).Matches)
-		}
-		if err != nil {
-			t.Fatalf("insert-built query %d down the tree: %v", i, err)
-		}
-	}
 }
 
 // TestPaperScaleArenaSize holds the index to its budget at the

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/query"
 	"scaleshift/internal/seqscan"
 	"scaleshift/internal/stock"
@@ -45,7 +43,7 @@ func oneSegmentQueries(t *testing.T, st *store.Store, n int) []oneSegmentQuery {
 	return []oneSegmentQuery{
 		{"tight", Query{Vec: q, Eps: 0.01 * scale}},
 		{"loose", Query{Vec: q, Eps: 0.6 * scale}},
-		{"bounded", Query{Vec: q, Eps: 0.2 * scale, Costs: CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}}},
+		{"bounded", Query{Vec: q, Eps: 0.2 * scale, Costs: &CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: -inf, ShiftMax: inf}}},
 		{"force-rtree", Query{Vec: q, Eps: 0.05 * scale, Force: engine.PathRTree}},
 		{"force-scan", Query{Vec: q, Eps: 0.05 * scale, Force: engine.PathScan}},
 		{"long", Query{Vec: long, Eps: 0.1 * longScale}},
@@ -62,7 +60,7 @@ func (c oneSegmentQuery) oracle(t *testing.T, st *store.Store) []seqscan.Result 
 		want, err = seqscan.Nearest(st, c.q.Vec, c.q.K, nil)
 	} else {
 		var keep seqscan.Filter
-		if c.q.Costs != (CostBounds{}) {
+		if c.q.Costs != nil {
 			keep = c.q.Costs.Allow
 		}
 		want, err = seqscan.Search(st, c.q.Vec, c.q.Eps, keep, nil)
@@ -125,90 +123,53 @@ func ledger(res Result, stats SearchStats, err error) string {
 // refined from seeds, the three knn rows were recorded again: nodes,
 // cand, exact, leaf and pen count the seed descent and the range passes
 // (pages too, on the insert-built tree), and res did not move; no other
-// row changed.
+// row changed.  When the insert-built tree and the penetration strategy
+// left the serving index, the spheres/* rows, which repeated bulk/*,
+// left with them, and the insert/* rows moved to the experiments that
+// search that tree: internal/bench's TestInsertTreeGolden holds its
+// pipeline to the tight, loose and force-rtree rows, unedited.
 var oneSegmentGolden = map[string]string{
-	"bulk/tight":          "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
-	"bulk/loose":          "nodes=283 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=2431 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
-	"bulk/bounded":        "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
-	"bulk/force-rtree":    "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
-	"bulk/force-scan":     "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
-	"bulk/long":           "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
-	"bulk/knn":            "nodes=74 pages=4 cand=51 fa=0 cr=0 res=5 exact=29 leaf=918 pen={203 0 0} probes=[0 0 0]",
-	"insert/tight":        "nodes=173 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=2278 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
-	"insert/loose":        "nodes=358 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=4960 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
-	"insert/bounded":      "nodes=66 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=736 pen={292 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
-	"insert/force-rtree":  "nodes=243 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=3298 pen={386 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
-	"insert/force-scan":   "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
-	"insert/long":         "nodes=942 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=12972 pen={1158 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
-	"insert/knn":          "nodes=292 pages=5 cand=210 fa=0 cr=0 res=5 exact=61 leaf=3758 pen={386 0 0} probes=[0 0 0]",
-	"spheres/tight":       "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
-	"spheres/loose":       "nodes=283 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=2431 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
-	"spheres/bounded":     "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
-	"spheres/force-rtree": "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
-	"spheres/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
-	"spheres/long":        "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
-	"spheres/knn":         "nodes=74 pages=4 cand=51 fa=0 cr=0 res=5 exact=29 leaf=918 pen={203 0 0} probes=[0 0 0]",
+	"bulk/tight":       "nodes=60 pages=5 cand=99 fa=70 cr=0 res=29 exact=29 leaf=765 pen={203 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=99",
+	"bulk/loose":       "nodes=283 pages=12 cand=3525 fa=220 cr=0 res=3305 exact=3305 leaf=2431 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=3525",
+	"bulk/bounded":     "nodes=70 pages=1 cand=2 fa=1 cr=0 res=1 exact=1 leaf=969 pen={217 0 0} probes=[0 1 0] | chosen=rtree forced=false pieces=1 actual=2",
+	"bulk/force-rtree": "nodes=138 pages=8 cand=1018 fa=129 cr=0 res=889 exact=889 leaf=1547 pen={268 0 0} probes=[0 1 0] | chosen=rtree forced=true pieces=1 actual=1018",
+	"bulk/force-scan":  "nodes=0 pages=12 cand=5380 fa=4491 cr=0 res=889 exact=889 leaf=0 pen={0 0 0} probes=[0 0 1] | chosen=scan forced=true pieces=1 actual=5380",
+	"bulk/long":        "nodes=718 pages=11 cand=2076 fa=1158 cr=0 res=918 exact=918 leaf=7939 pen={787 0 0} probes=[0 3 0] | chosen=rtree forced=false pieces=3 actual=2076",
+	"bulk/knn":         "nodes=74 pages=4 cand=51 fa=0 cr=0 res=5 exact=29 leaf=918 pen={203 0 0} probes=[0 0 0]",
 }
 
 // TestIndexIsOneSegment is the differential behind "a built index is
-// one frozen segment of the one index type": over every kind of index
-// and of query, the rows are bit-identical to a sequential scan's, and
-// the ledger and the plan are the ones the separate Index read path
-// produced before the fold (oneSegmentGolden).
+// one frozen segment of the one index type": over every kind of query,
+// the rows of a bulk-built index are bit-identical to a sequential
+// scan's, and the ledger and the plan are the ones the separate Index
+// read path produced before the fold (oneSegmentGolden).
 func TestIndexIsOneSegment(t *testing.T) {
-	newStore := func() *store.Store {
-		st := store.New()
-		cfg := stock.DefaultConfig()
-		cfg.Companies, cfg.Days = 20, 300
-		if _, err := stock.Populate(st, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return st
+	st := store.New()
+	cfg := stock.DefaultConfig()
+	cfg.Companies, cfg.Days = 20, 300
+	if _, err := stock.Populate(st, cfg); err != nil {
+		t.Fatal(err)
 	}
-	built := func(mutate func(*Options), build func(*Index) error) func(*store.Store) *Index {
-		return func(st *store.Store) *Index {
-			opts := testOptions()
-			mutate(&opts)
-			ix, err := NewIndex(st, opts)
-			if err == nil {
-				err = build(ix)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix
-		}
+	ix, err := NewIndex(st, testOptions())
+	if err == nil {
+		err = ix.BuildBulk()
 	}
-	plain := func(*Options) {}
-	configs := []struct {
-		name string
-		open func(*store.Store) *Index
-	}{
-		{"bulk", built(plain, (*Index).BuildBulk)},
-		{"insert", built(plain, func(ix *Index) error { return ix.BuildWith(rstar.Load) })},
-		{"spheres", built(func(o *Options) { o.Strategy = geom.BoundingSpheres }, (*Index).BuildBulk)},
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for _, cfg := range configs {
-		st := newStore()
-		ix := cfg.open(st)
-		cells := oneSegmentQueries(t, st, ix.Options().WindowLen)
-		for _, c := range cells {
-			key := cfg.name + "/" + c.name
-			var stats SearchStats
-			res, err := ix.Exec(ctx, c.q, &stats)
-			if got, want := ledger(res, stats, err), oneSegmentGolden[key]; got != want {
-				t.Errorf("%s: ledger\n  got  %q\n  want %q", key, got, want)
-			}
-			if err != nil {
-				continue
-			}
-			if err := sameAsScan(res.Matches, c.oracle(t, st)); err != nil || res.Total != len(res.Matches) {
-				t.Errorf("%s: total %d: %v", key, res.Total, err)
-			}
+	defer ix.Close()
+	for _, c := range oneSegmentQueries(t, st, ix.Options().WindowLen) {
+		key := "bulk/" + c.name
+		var stats SearchStats
+		res, err := ix.Exec(context.Background(), c.q, &stats)
+		if got, want := ledger(res, stats, err), oneSegmentGolden[key]; got != want {
+			t.Errorf("%s: ledger\n  got  %q\n  want %q", key, got, want)
 		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
+		if err != nil {
+			continue
+		}
+		if err := sameAsScan(res.Matches, c.oracle(t, st)); err != nil || res.Total != len(res.Matches) {
+			t.Errorf("%s: total %d: %v", key, res.Total, err)
 		}
 	}
 }

@@ -12,10 +12,8 @@ import (
 	"slices"
 	"testing"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/oracle"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
@@ -100,13 +98,10 @@ func grow(data []oracle.Seq, rng *rand.Rand, maxChunk int) ([]oracle.Seq, []orac
 }
 
 func TestSearchExactlyMatchesSeqScan(t *testing.T) {
-	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			opts := testOpts()
-			opts.Strategy = strategy
-			oracle.Check(t, stockCase(opts, 15, 150))
-		})
-	}
+	// The index's cone test is the entering/exiting one.
+	t.Run("entering-exiting", func(t *testing.T) {
+		oracle.Check(t, stockCase(testOpts(), 15, 150))
+	})
 }
 
 func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
@@ -142,20 +137,16 @@ func TestSearchLongMatchesBruteForce(t *testing.T) {
 }
 
 func TestScaleBoundedSearchExact(t *testing.T) {
-	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-		opts := testOpts()
-		opts.Strategy = strategy
-		c := stockCase(opts, 10, 130)
-		q := disguised(c.Data, 4, 30, 32, 2, 5)
-		costs := core.UnboundedCosts()
-		costs.ScaleMin, costs.ScaleMax = 0.1, 3
-		c.Queries = nil
-		for _, frac := range []float64{0.02, 0.15, 0.5} {
-			c.Queries = append(c.Queries, core.Query{Vec: q, Eps: oracle.Eps(q, frac), Costs: costs})
-		}
-		c.Queries = append(c.Queries, core.Query{Vec: q, K: 5, Costs: costs})
-		oracle.Check(t, c)
+	c := stockCase(testOpts(), 10, 130)
+	q := disguised(c.Data, 4, 30, 32, 2, 5)
+	costs := core.UnboundedCosts()
+	costs.ScaleMin, costs.ScaleMax = 0.1, 3
+	c.Queries = nil
+	for _, frac := range []float64{0.02, 0.15, 0.5} {
+		c.Queries = append(c.Queries, core.Query{Vec: q, Eps: oracle.Eps(q, frac), Costs: &costs})
 	}
+	c.Queries = append(c.Queries, core.Query{Vec: q, K: 5, Costs: &costs})
+	oracle.Check(t, c)
 }
 
 func TestHaarReductionIsExactToo(t *testing.T) {
@@ -183,14 +174,7 @@ func TestAllVariantsAgree(t *testing.T) {
 		mutate func(*core.Options)
 	}{
 		{"baseline", func(o *core.Options) {}},
-		{"spheres", func(o *core.Options) { o.Strategy = geom.BoundingSpheres }},
 		{"haar", func(o *core.Options) { o.Reduction = core.ReductionHaar }},
-		{"quadratic", func(o *core.Options) { o.Tree.Split = rtree.SplitQuadratic }},
-		{"linear-noreinsert", func(o *core.Options) {
-			o.Tree.Split = rtree.SplitLinear
-			o.Tree.ReinsertCount = 0
-		}},
-		{"xtree", func(o *core.Options) { o.Tree.SupernodeMaxOverlap = 0.1 }},
 		{"fc2", func(o *core.Options) { o.Coefficients = 2; o.Tree = rtree.DefaultConfig(4) }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
@@ -415,7 +399,7 @@ func deltaCase(data []oracle.Seq, rng *rand.Rand, fracs []float64, maxChunk int)
 		}
 		for _, frac := range fracs {
 			eps := oracle.Eps(q, frac)
-			c.Queries = append(c.Queries, core.Query{Vec: q, Eps: eps}, core.Query{Vec: q, Eps: eps, Costs: bounded},
+			c.Queries = append(c.Queries, core.Query{Vec: q, Eps: eps}, core.Query{Vec: q, Eps: eps, Costs: &bounded},
 				core.Query{Vec: q, Eps: eps, Force: engine.PathScan})
 		}
 		c.Queries = append(c.Queries, core.Query{Vec: q, K: 5})
@@ -587,7 +571,7 @@ func TestNearestNeighborsWithCosts(t *testing.T) {
 	c := stockCase(testOpts(), 12, 150)
 	costs := core.UnboundedCosts()
 	costs.ScaleMin = 0.1
-	c.Queries = []core.Query{{Vec: c.Data[3].Values[40:72], K: 15, Costs: costs}}
+	c.Queries = []core.Query{{Vec: c.Data[3].Values[40:72], K: 15, Costs: &costs}}
 	oracle.Check(t, c)
 }
 
@@ -622,11 +606,11 @@ func TestNearestNeighborsEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats core.SearchStats
-	res, err := ix.Exec(context.Background(), core.Query{Vec: q, K: 5, Costs: few}, &stats)
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, K: 5, Costs: &few}, &stats)
 	if err != nil || res.Total >= 5 || res.Total == 0 || stats.Candidates < ix.WindowCount() {
 		t.Errorf("cost bounds fewer than k pass: %d rows, %d candidates of %d windows: %v", res.Total, stats.Candidates, ix.WindowCount(), err)
 	}
-	c := oracle.Case{Queries: []core.Query{{Vec: q, K: 5, Costs: few}, {Vec: q, K: 1}, {Vec: q, K: 10}}}
+	c := oracle.Case{Queries: []core.Query{{Vec: q, K: 5, Costs: &few}, {Vec: q, K: 1}, {Vec: q, K: 10}}}
 	c.Data = data
 	oracle.Check(t, c)
 
@@ -688,14 +672,12 @@ func TestConstantWindowsAnswer(t *testing.T) {
 	oracle.Check(t, oracle.Case{Data: data, Queries: qs})
 }
 
+// TestStrategiesReturnIdenticalResults: whichever access path a query
+// is forced down, the answer is the scan's.
 func TestStrategiesReturnIdenticalResults(t *testing.T) {
-	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-		opts := testOpts()
-		opts.Strategy = strategy
-		c := stockCase(opts, 10, 120)
-		c.Queries = onEveryPath(oracle.Mix(c.Data, 32, 9))
-		oracle.Check(t, c)
-	}
+	c := stockCase(testOpts(), 10, 120)
+	c.Queries = onEveryPath(oracle.Mix(c.Data, 32, 9))
+	oracle.Check(t, c)
 }
 
 // TestDynamicAppendAndIndex: a sequence appended to a built index is
@@ -722,13 +704,12 @@ func TestStatsInvariantsBatchAccumulate(t *testing.T) {
 }
 
 // TestMutatedIndexAnswers is the write path's differential: every
-// mutator, on a bulk-built, an insert-built, a file-mapped and an empty
-// index, leaves an index that answers the moment it returns — range,
-// cost-bounded, limited, long and k-NN queries — as the scan of the
-// indexed windows does, and does so saved with the delta pending and
-// reopened, and after Freeze, which leaves one direction-box segment
-// (the insert-built MBR base's included) that a tight probe reads as it
-// reads one built from scratch over the same windows.
+// mutator, on a bulk-built, a file-mapped and an empty index, leaves an
+// index that answers the moment it returns — range, cost-bounded,
+// limited, long and k-NN queries — as the scan of the indexed windows
+// does, and does so saved with the delta pending and reopened, and
+// after Freeze, which leaves one direction-box segment that a tight
+// probe reads as it reads one built from scratch over the same windows.
 func TestMutatedIndexAnswers(t *testing.T) {
 	tail := make([]float64, 2*32+10)
 	for i := range tail { // no two windows alike: k-NN ties have no order
@@ -736,14 +717,12 @@ func TestMutatedIndexAnswers(t *testing.T) {
 	}
 	q, long := vec.Apply(tail[40:72], 1.5, -4), vec.Apply(tail[8:72], 0.7, 9)
 	bounded := core.CostBounds{ScaleMin: 0.5, ScaleMax: 2, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)}
-	queries := []core.Query{{Vec: q, Eps: 6}, {Vec: q, Eps: 6, Costs: bounded}, {Vec: q, Eps: 20, Limit: 3}, {Vec: long, Eps: 8}, {Vec: q, K: 3}}
+	queries := []core.Query{{Vec: q, Eps: 6}, {Vec: q, Eps: 6, Costs: &bounded}, {Vec: q, Eps: 20, Limit: 3}, {Vec: long, Eps: 8}, {Vec: q, K: 3}}
 	data := oracle.Stock(5, 90, 3)
 	for base, c := range map[string]oracle.Case{
 		"bulk-built": {Data: data, Build: (*core.Index).BuildBulk},
-		// An MBR directory until the first fold.
-		"insert-built": {Data: data, Build: func(ix *core.Index) error { return ix.BuildWith(rstar.Load) }},
-		"mapped":       {Data: data, Steps: []oracle.Step{{Op: oracle.WriteFile}}},
-		"empty":        {},
+		"mapped":     {Data: data, Steps: []oracle.Step{{Op: oracle.WriteFile}}},
+		"empty":      {},
 	} {
 		t.Run(base, func(t *testing.T) {
 			last := len(c.Data) // the sequence AppendAndIndex adds
@@ -794,8 +773,8 @@ func TestMutatedIndexAnswers(t *testing.T) {
 // build from scratch over the same windows: the store's sequences but
 // skip.
 func foldedLikeFresh(ix *core.Index, skip []int, q vec.Vector) error {
-	if b := ix.Backlog(); b.DeltaWindows != 0 || b.Frozen != 1 || ix.Directory() != core.DirectoryBox {
-		return fmt.Errorf("Freeze left %d delta windows, %d frozen segments, a %s directory", b.DeltaWindows, b.Frozen, ix.Directory())
+	if b := ix.Backlog(); b.DeltaWindows != 0 || b.Frozen != 1 || !ix.BoxDirectories() {
+		return fmt.Errorf("Freeze left %d delta windows, %d frozen segments, box directories %v", b.DeltaWindows, b.Frozen, ix.BoxDirectories())
 	}
 	st := store.New()
 	for seq, s := range oracle.FromStore(ix.Store()) {
@@ -927,29 +906,29 @@ func TestLimitDifferential(t *testing.T) {
 	pivot := loose.Matches[len(loose.Matches)/2]
 	queries := func(straddling vec.Vector) []core.Query {
 		var qs []core.Query
-		add := func(q vec.Vector, eps float64, costs core.CostBounds) {
+		add := func(q vec.Vector, eps float64, costs *core.CostBounds) {
 			for _, limit := range []int{0, 1, 7, 100, 1e6} {
 				qs = append(qs, core.Query{Vec: q, Eps: eps, Costs: costs, Limit: limit})
 			}
 		}
 		for _, frac := range []float64{0.05, 0.4, 3} {
-			add(vec.Apply(straddling, 1.3, -2), oracle.Eps(straddling, frac), core.CostBounds{})
-			add(vec.Apply(frozen, 0.7, 11), oracle.Eps(frozen, frac), core.CostBounds{})
-			add(vec.Apply(frozen, 0.7, 11), oracle.Eps(frozen, frac), scaleBounded)
-			add(frozen, oracle.Eps(frozen, frac), shiftBounded)
-			add(vec.Apply(long, 2, 1), oracle.Eps(long, frac), core.CostBounds{})
-			add(long, oracle.Eps(long, frac), scaleBounded)
+			add(vec.Apply(straddling, 1.3, -2), oracle.Eps(straddling, frac), nil)
+			add(vec.Apply(frozen, 0.7, 11), oracle.Eps(frozen, frac), nil)
+			add(vec.Apply(frozen, 0.7, 11), oracle.Eps(frozen, frac), &scaleBounded)
+			add(frozen, oracle.Eps(frozen, frac), &shiftBounded)
+			add(vec.Apply(long, 2, 1), oracle.Eps(long, frac), nil)
+			add(long, oracle.Eps(long, frac), &scaleBounded)
 		}
-		add(flat, oracle.Eps(frozen, 0.5), core.CostBounds{})
-		add(flat, 0, core.CostBounds{})
-		add(frozen, 0, core.CostBounds{})
+		add(flat, oracle.Eps(frozen, 0.5), nil)
+		add(flat, 0, nil)
+		add(frozen, 0, nil)
 		for _, side := range []float64{-inf, 0, inf} {
 			eps, scale := pivot.Dist, pivot.Scale
 			if side != 0 {
 				eps, scale = math.Nextafter(eps, side), math.Nextafter(scale, side)
 			}
-			add(frozen, eps, core.CostBounds{})
-			add(frozen, oracle.Eps(frozen, 0.4), core.CostBounds{ScaleMin: scale, ScaleMax: inf, ShiftMin: -inf, ShiftMax: inf})
+			add(frozen, eps, nil)
+			add(frozen, oracle.Eps(frozen, 0.4), &core.CostBounds{ScaleMin: scale, ScaleMax: inf, ShiftMin: -inf, ShiftMax: inf})
 		}
 		return qs
 	}

@@ -417,8 +417,8 @@ func TestCorruptArtifactIsRebuilt(t *testing.T) {
 	if !errors.Is(rebuilt, ErrChecksum) && !errors.Is(rebuilt, ErrTruncated) {
 		t.Fatalf("rebuilt = %v, want a typed artifact error", rebuilt)
 	}
-	if ix.Directory() != DirectoryBox {
-		t.Fatalf("the rebuilt index has a %s directory", ix.Directory())
+	if !ix.BoxDirectories() {
+		t.Fatal("the rebuilt index has an MBR directory")
 	}
 	answersLike(t, "the rebuilt index", healthy, ix)
 	var again bytes.Buffer
@@ -617,7 +617,7 @@ func TestNearestNeighborsCancelsPromptly(t *testing.T) {
 		}
 		done := make(chan answer, 1)
 		go func() {
-			res, err := ix.Exec(ctx, Query{Vec: q, K: 50, Costs: costs}, nil)
+			res, err := ix.Exec(ctx, Query{Vec: q, K: 50, Costs: &costs}, nil)
 			done <- answer{res, err}
 		}()
 		time.Sleep(time.Millisecond)
@@ -627,7 +627,7 @@ func TestNearestNeighborsCancelsPromptly(t *testing.T) {
 		case a := <-done:
 			switch {
 			case a.err == nil: // the query beat the cancel
-				if err := sameMatches(a.res.Matches, mustExec(t, ix, Query{Vec: q, K: 50, Costs: costs}).Matches); err != nil {
+				if err := sameMatches(a.res.Matches, mustExec(t, ix, Query{Vec: q, K: 50, Costs: &costs}).Matches); err != nil {
 					t.Errorf("costs %+v: %v", costs, err)
 				}
 			case !errors.Is(a.err, context.Canceled):

@@ -433,9 +433,8 @@ func buildEngineQuery(line vec.Line, eps, slack float64, costs CostBounds) engin
 //     query and len(Vec) == WindowLen a plain range query, both within
 //     Eps.
 //
-// Query{Vec: q, Eps: eps} is a complete query: the zero Costs is read
-// as UnboundedCosts (so an omitted field cannot silently empty the
-// result set), the zero Force probes every segment down the tree, and
+// Query{Vec: q, Eps: eps} is a complete query: a nil Costs places no
+// cost bound, the zero Force probes every segment down the tree, and
 // a nil Pool counts data pages without a buffer pool.
 type Query struct {
 	// Vec is the query sequence Q.
@@ -444,8 +443,9 @@ type Query struct {
 	Eps float64
 	// K, when positive, selects the K-nearest-neighbour search.
 	K int
-	// Costs bounds the transformation of every reported match.
-	Costs CostBounds
+	// Costs, when non-nil, bounds the transformation of every reported
+	// match, as it is; nil is UnboundedCosts.
+	Costs *CostBounds
 	// Force pins the index phase of every segment to one access path;
 	// PathScan, the sequential scan, is the oracle and diagnostic path.
 	// It is never a correctness knob: the result set is bit-identical
@@ -465,6 +465,14 @@ type Query struct {
 	// cost bound is finite — and, like ExactChecks, how many depends on
 	// how the candidates were chunked over the verification workers.
 	Limit int
+}
+
+// costs returns the cost bounds q applies.
+func (q Query) costs() CostBounds {
+	if q.Costs == nil {
+		return UnboundedCosts()
+	}
+	return *q.Costs
 }
 
 // Result is a query's answer.  Range and long queries return Matches
@@ -509,7 +517,7 @@ func (ix *Index) Exec(ctx context.Context, q Query, stats *SearchStats) (Result,
 // retained only for the frozen benchmark/ harness; the next benchmark
 // PR removes it.
 func (ix *Index) SearchPlannedContext(ctx context.Context, q vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, stats *SearchStats) ([]Match, *engine.Explain, error) {
-	res, err := ix.Exec(ctx, Query{Vec: q, Eps: eps, Costs: costs, Force: force, Pool: pool}, stats)
+	res, err := ix.Exec(ctx, Query{Vec: q, Eps: eps, Costs: &costs, Force: force, Pool: pool}, stats)
 	return res.Matches, res.Explain, err
 }
 
@@ -517,7 +525,7 @@ func (ix *Index) SearchPlannedContext(ctx context.Context, q vec.Vector, eps flo
 // It is retained only for the frozen benchmark/ harness; the next
 // benchmark PR removes it.
 func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vector, k int, costs CostBounds, stats *SearchStats) ([]Match, error) {
-	res, err := ix.Exec(ctx, Query{Vec: q, K: k, Costs: costs}, stats)
+	res, err := ix.Exec(ctx, Query{Vec: q, K: k, Costs: &costs}, stats)
 	return res.Matches, err
 }
 
@@ -526,9 +534,6 @@ func (ix *Index) NearestNeighborsWithCostsContext(ctx context.Context, q vec.Vec
 // dispatch on the derived kind, and the entry/exit bookkeeping (error
 // counter, metrics, trace id, caller's ledger) for every kind.
 func exec(ctx context.Context, m *manifest, q Query, stats *SearchStats) (Result, error) {
-	if q.Costs == (CostBounds{}) {
-		q.Costs = UnboundedCosts()
-	}
 	var delta SearchStats
 	var res Result
 	var elapsed time.Duration
@@ -615,7 +620,7 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	var ex *engine.Explain
 	for i := 0; i < pieces; i++ {
 		first := len(sc.ids)
-		pieceEx, err := m.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.Costs, q.Force, sc)
+		pieceEx, err := m.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.costs(), q.Force, sc)
 		if err != nil {
 			return Result{Explain: pieceEx}, err
 		}
@@ -647,7 +652,7 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	}
 	cands := len(sc.ids)
 	pc := store.PageCounter{Pool: q.Pool}
-	v := newVerifier(sv, q.Vec, q.Eps, q.Costs)
+	v := newVerifier(sv, q.Vec, q.Eps, q.costs())
 	out, vd, err := verifyCandidates(verifyCtx, v, sc, q.Limit, &pc)
 	if err != nil {
 		spanEndWithError(verifySpan, err)
@@ -720,7 +725,7 @@ func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Res
 	sc := acquireScratch()
 	defer sc.release()
 	pc := store.PageCounter{Pool: q.Pool}
-	v := newVerifier(m.sv, q.Vec, math.Inf(1), q.Costs)
+	v := newVerifier(m.sv, q.Vec, math.Inf(1), q.costs())
 	v.k = min(q.K, windows) // no seed budget or row buffer sized by K
 	var best []Match        // the v.k nearest of the last verification
 	var candidates, exactChecks int
@@ -747,7 +752,7 @@ func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Res
 		eps, force = best[v.k-1].Dist, engine.PathAuto
 	}
 	sc.ids = sc.ids[:0]
-	if _, err := m.probe(ctx, q.Vec, eps, q.Costs, force, sc); err != nil {
+	if _, err := m.probe(ctx, q.Vec, eps, q.costs(), force, sc); err != nil {
 		return Result{}, err
 	}
 	v.setEps(eps)

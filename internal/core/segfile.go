@@ -106,7 +106,7 @@ func (s *SegmentSet) EncodeList(dir string) ([]byte, error) {
 	put(uint64(s.opts.WindowLen))
 	put(uint64(s.opts.Coefficients))
 	put(uint64(s.opts.Reduction))
-	put(uint64(s.opts.Strategy))
+	put(0) // reserved, see readOptions
 	put(uint64(len(s.segs)))
 	for i, sg := range s.segs {
 		f, ok := s.File(i, dir)
@@ -275,8 +275,7 @@ func openSegmentFile(path string, f SegmentFile, opts Options, d segDir, dim int
 
 // sameShape compares the options a segment artifact records.
 func sameShape(a, b Options) bool {
-	return a.WindowLen == b.WindowLen && a.Coefficients == b.Coefficients &&
-		a.Reduction == b.Reduction && a.Strategy == b.Strategy
+	return a.WindowLen == b.WindowLen && a.Coefficients == b.Coefficients && a.Reduction == b.Reduction
 }
 
 func sameDir(a, b segDir) bool {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -58,11 +57,14 @@ type frozenSeg struct {
 // down path, counting tree work into sc's tally.  Either path emits a
 // superset of the true answer set — the shared verifier removes the
 // rest — which is what keeps the path invisible in the result set.
-// The index probe is the paper's §6 index phase — descend into
-// children whose ε-enlarged MBR the SE-line penetrates, collect the
-// leaf entries within ε of it — under an "rtree.descent" span; the scan is experiment set 1, every window of the segment in
-// storage order and no index page read, under a "scan" span.
-func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, strategy geom.Strategy, sc *queryScratch) error {
+// The index probe is the paper's §6 index phase — descend into the
+// children whose cone (norm range and direction box) the ε-widened
+// SE-line reaches, collect the leaf entries within ε of it — under an
+// "rtree.descent" span; the scan is experiment set 1, every window of
+// the segment in storage order and no index page read, under a "scan"
+// span.  The cone test takes no penetration strategy; the descent's
+// argument is ignored.
+func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, sc *queryScratch) error {
 	before := len(sc.ids)
 	if path == engine.PathScan {
 		_, span := obs.StartSpan(ctx, "scan")
@@ -77,9 +79,9 @@ func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq en
 	nodesBefore, leavesBefore := sc.tree.NodeAccesses, sc.tree.LeafEntriesChecked
 	var err error
 	if eq.Segment {
-		sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, strategy, &sc.tree, sc.ids)
+		sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, geom.EnteringExiting, &sc.tree, sc.ids)
 	} else {
-		sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, strategy, &sc.tree, sc.ids)
+		sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, geom.EnteringExiting, &sc.tree, sc.ids)
 	}
 	endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(sc.ids)-before, err)
 	return err
@@ -223,7 +225,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		var err error
 		switch {
 		case sp.Seg >= 0:
-			err = m.frozen[sp.Seg].candidates(probeCtx, path, eq, m.opts.Strategy, sc)
+			err = m.frozen[sp.Seg].candidates(probeCtx, path, eq, sc)
 		case path == engine.PathScan:
 			sc.ids = m.delta.appendIDs(sc.ids)
 		default:
@@ -279,33 +281,32 @@ func (m *manifest) seeds(ctx context.Context, q vec.Vector, max int, sc *querySc
 // only that span is re-extracted — the size-tiered policy depends on a
 // partial merge not paying for the untouched older segments.
 func mergeSegments(snap storeView, fmap *dft.FeatureMap, opts Options, frozen []*frozenSeg, delta deltaSeg) (*frozenSeg, error) {
-	lo := map[int]int{}
-	hi := map[int]int{}
-	cover := func(seq, l, h int) {
-		if cur, ok := lo[seq]; !ok || l < cur {
-			lo[seq] = l
+	// spans[seq] is the merged range of sequence seq, Hi 0 while the run
+	// covers none of its windows (a window range is never empty).
+	spans := make([]winRange, snap.NumSequences())
+	cover := func(seq, lo, hi int) {
+		s := &spans[seq]
+		if s.Hi == 0 || lo < s.Lo {
+			s.Seq, s.Lo = seq, lo
 		}
-		if h > hi[seq] {
-			hi[seq] = h
-		}
+		s.Hi = max(s.Hi, hi)
 	}
 	for _, sg := range frozen {
 		for _, r := range sg.ranges {
 			cover(r.Seq, r.Lo, r.Hi)
 		}
 	}
-	for _, id := range delta.appendIDs(nil) {
-		seq, start := store.DecodeWindowID(id)
-		cover(seq, start, start+1)
+	for b, blk := range delta.blocks {
+		for _, id := range blk.ids[:delta.count(b)] {
+			seq, start := store.DecodeWindowID(id)
+			cover(seq, start, start+1)
+		}
 	}
-	ranges := make([]winRange, 0, len(hi))
-	count := 0
-	for seq := range hi {
-		ranges = append(ranges, winRange{Seq: seq, Lo: lo[seq], Hi: hi[seq]})
-		count += hi[seq] - lo[seq]
+	ranges, count := slices.DeleteFunc(spans, func(r winRange) bool { return r.Hi == 0 }), 0
+	for _, r := range ranges {
+		count += r.Hi - r.Lo
 	}
-	slices.SortFunc(ranges, func(a, b winRange) int { return cmp.Compare(a.Seq, b.Seq) })
-	flat, _, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0), nil)
+	flat, _, err := bulkLoadRanges(context.Background(), snap, fmap, opts, ranges, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("core: segment merge: %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"scaleshift/internal/binio"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/resilience"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
@@ -26,12 +25,12 @@ import (
 // file offset, so a memory-mapped artifact serves queries zero-copy
 // (LoadIndexFile).
 //
-// The header's options are four words, then a reserved word written as
-// zero: it held the run length of an index whose leaf entries were
-// sub-trail MBRs, one per run of consecutive windows, which no longer
-// exists.  An artifact that says 2 or more there is such an index and is
-// rejected with ErrVersion (see reservedRunLength); 0 and 1 always meant
-// a point per window.
+// The header's options are four words (the fourth reserved, see
+// readOptions), then a reserved word written as zero: it held the run
+// length of an index whose leaf entries were sub-trail MBRs, one per run
+// of consecutive windows, which no longer exists.  An artifact that says
+// 2 or more there is such an index and is rejected with ErrVersion (see
+// reservedRunLength); 0 and 1 always meant a point per window.
 //
 // The arenas carry their own version, and the container's does not move
 // with them.  Only the current arena layout with a direction-box
@@ -133,7 +132,7 @@ func writeSegments(opts Options, segs []*frozenSeg, w io.Writer) error {
 	put(uint64(opts.WindowLen))
 	put(uint64(opts.Coefficients))
 	put(uint64(opts.Reduction))
-	put(uint64(opts.Strategy))
+	put(0) // reserved, see readOptions
 	put(0) // reserved, see reservedRunLength
 	put(uint64(len(segs)))
 	for _, sg := range segs {
@@ -310,21 +309,23 @@ func (r *u64Reader) end() error {
 }
 
 // readOptions reads the four option words every artifact and segment
-// list starts with.
+// list starts with.  The fourth is reserved: it recorded the MBR
+// penetration check of the paper's experiment sets 2 and 3, which a
+// direction-box directory does not make.  It is written as zero, and
+// read only to be held to the bound it always had.
 func (r *u64Reader) readOptions() (Options, error) {
-	var windowLen, coeffs, reduction, strategy uint64
-	if err := r.words(&windowLen, &coeffs, &reduction, &strategy); err != nil {
+	var windowLen, coeffs, reduction, reserved uint64
+	if err := r.words(&windowLen, &coeffs, &reduction, &reserved); err != nil {
 		return Options{}, err
 	}
-	if windowLen > 1<<20 || coeffs > 1<<20 || reduction > 255 || strategy > 255 {
-		return Options{}, fmt.Errorf("core: implausible options (window %d, coefficients %d, reduction %d, strategy %d): %w",
-			windowLen, coeffs, reduction, strategy, ErrChecksum)
+	if windowLen > 1<<20 || coeffs > 1<<20 || reduction > 255 || reserved > 255 {
+		return Options{}, fmt.Errorf("core: implausible options (window %d, coefficients %d, reduction %d, reserved word %d): %w",
+			windowLen, coeffs, reduction, reserved, ErrChecksum)
 	}
 	return Options{
 		WindowLen:    int(windowLen),
 		Coefficients: int(coeffs),
 		Reduction:    ReductionKind(reduction),
-		Strategy:     geom.Strategy(strategy),
 		Tree:         DefaultOptions().Tree,
 	}, nil
 }
@@ -578,7 +579,7 @@ func (ix *Index) assemble(dirs []segDir, frozen []*frozenSeg, next []int) error 
 		if sg != nil {
 			continue
 		}
-		flat, _, err := bulkLoadRanges(context.Background(), ix.st, ix.fmap, ix.opts, dirs[i].ranges, runtime.GOMAXPROCS(0), nil)
+		flat, _, err := bulkLoadRanges(context.Background(), ix.st, ix.fmap, ix.opts, dirs[i].ranges, runtime.GOMAXPROCS(0))
 		if err != nil {
 			ix.Close()
 			return fmt.Errorf("core: rebuilding segment %d: %w", i, err)

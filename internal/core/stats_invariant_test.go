@@ -116,7 +116,7 @@ func TestStatsInvariantsSegmentedDelta(t *testing.T) {
 			label := fmt.Sprintf("%s, costs %+v", force, c)
 			before := [4]int64{cm.candidates.Value(), cm.falseAlarms.Value(), cm.costRejected.Value(), cm.matches.Value()}
 			var stats SearchStats
-			matches, ex, err := run(context.Background(), f.g, Query{Vec: q, Eps: eps, Costs: c, Force: force}, &stats)
+			matches, ex, err := run(context.Background(), f.g, Query{Vec: q, Eps: eps, Costs: &c, Force: force}, &stats)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

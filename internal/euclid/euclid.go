@@ -36,7 +36,7 @@ type Options struct {
 	// bound (the mean is the scaled 0-th coefficient).
 	Coefficients int
 	// Tree holds the R*-tree parameters; Dim is derived.
-	Tree rtree.Config
+	Tree rstar.Config
 }
 
 // DefaultOptions mirrors the paper's configuration (n = 128, f_c = 3).
@@ -44,7 +44,7 @@ func DefaultOptions() Options {
 	return Options{
 		WindowLen:    128,
 		Coefficients: 3,
-		Tree:         rtree.DefaultConfig(7),
+		Tree:         rstar.DefaultConfig(7),
 	}
 }
 
@@ -87,7 +87,7 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	}
 	dim := fmap.Dim() + 1 // +1 for the (normalized) mean component
 	opts.Tree.Dim = dim
-	flat, err := rtree.BulkLoadFlat(opts.Tree, nil, nil, 1) // the empty arena
+	flat, err := rstar.Load(opts.Tree, nil, nil) // the empty arena
 	if err != nil {
 		return nil, fmt.Errorf("euclid: %w", err)
 	}

@@ -168,17 +168,17 @@ func Mix(data []Seq, n int, seed int64) []core.Query {
 			qs = append(qs, core.Query{Vec: q, Eps: Eps(q, frac)})
 		}
 		qs = append(qs,
-			core.Query{Vec: q, Eps: Eps(q, 0.3), Costs: scaleBound},
+			core.Query{Vec: q, Eps: Eps(q, 0.3), Costs: &scaleBound},
 			core.Query{Vec: q, Eps: Eps(q, 0.5), Limit: 1 + rng.Intn(3)},
 			core.Query{Vec: q, Eps: Eps(q, 0.05), Force: engine.PathRTree},
 			core.Query{Vec: q, Eps: Eps(q, 0.05), Force: engine.PathScan},
 			core.Query{Vec: q, K: 1},
-			core.Query{Vec: q, K: 5, Costs: scaleBound},
+			core.Query{Vec: q, K: 5, Costs: &scaleBound},
 			core.Query{Vec: q, K: 3, Limit: 2},
 		)
 	}
 	if q, ok := window(n); ok {
-		qs = append(qs, core.Query{Vec: q, K: 1 << 20}, core.Query{Vec: q, K: 3, Costs: none})
+		qs = append(qs, core.Query{Vec: q, K: 1 << 20}, core.Query{Vec: q, K: 3, Costs: &none})
 	}
 	if q, ok := window(2*n + rng.Intn(n)); ok {
 		qs = append(qs, core.Query{Vec: q, Eps: Eps(q, 0.05)}, core.Query{Vec: q, Eps: Eps(q, 0.4), Limit: 2})

@@ -469,7 +469,7 @@ func limitLedger(ix *core.Index, q core.Query, got core.SearchStats, rows int) e
 	if _, err := ix.Exec(context.Background(), q, &full); err != nil {
 		return err
 	}
-	bounded := q.Costs != (core.CostBounds{}) && q.Costs != core.UnboundedCosts()
+	bounded := q.Costs != nil && *q.Costs != core.UnboundedCosts()
 	if got.Candidates != full.Candidates || got.FalseAlarms != full.FalseAlarms ||
 		got.CostRejected != full.CostRejected || got.Results != full.Results ||
 		got.DataPageAccesses > full.DataPageAccesses || full.NormCertified != 0 ||
@@ -492,15 +492,15 @@ type answer struct {
 // nearest of the windows the costs pass, nearest first, ties in storage
 // order; Limit cuts the rows.
 func scan(st *store.Store, q core.Query, skip []int) (answer, error) {
-	costs := q.Costs
-	if costs == (core.CostBounds{}) {
-		costs = core.UnboundedCosts()
+	var keep seqscan.Filter
+	if q.Costs != nil {
+		keep = q.Costs.Allow
 	}
 	eps := q.Eps
 	if q.K > 0 {
 		eps = math.Inf(1)
 	}
-	rows, err := seqscan.Search(st, q.Vec, eps, costs.Allow, nil)
+	rows, err := seqscan.Search(st, q.Vec, eps, keep, nil)
 	if err != nil {
 		return answer{}, err
 	}
@@ -537,8 +537,8 @@ func describe(q core.Query) string {
 	if q.K > 0 {
 		s = fmt.Sprintf("len %d, %d-NN", len(q.Vec), q.K)
 	}
-	if q.Costs != (core.CostBounds{}) {
-		s += fmt.Sprintf(", costs %+v", q.Costs)
+	if q.Costs != nil {
+		s += fmt.Sprintf(", costs %+v", *q.Costs)
 	}
 	if q.Limit > 0 {
 		s += fmt.Sprintf(", limit %d", q.Limit)

@@ -184,7 +184,7 @@ func FuzzShellAccept(f *testing.F) {
 				}
 			}
 		}
-		cfg := Config{Dim: dim, MaxEntries: 6, MinEntries: 2, Split: SplitRStar}
+		cfg := Config{Dim: dim, MaxEntries: 6, MinEntries: 2}
 		arena, err := BulkLoadFlat(cfg, ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +281,7 @@ func FuzzShellAccept(f *testing.F) {
 // counts an emitted leaf as one node read.
 func TestShellAcceptWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
-	cfg := Config{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
+	cfg := Config{Dim: 6, MaxEntries: 8, MinEntries: 3}
 	f, stored := boxTree(t, rng, cfg, 3000)
 	norms := make([]float64, len(stored))
 	for i, p := range stored {

@@ -101,9 +101,9 @@ func TestBulkLoadFlatRebalance(t *testing.T) {
 		cfg  Config
 		hit  func(c, entries int) bool
 	}{
-		{"re-cut", Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar},
+		{"re-cut", Config{Dim: 2, MaxEntries: 8, MinEntries: 3},
 			func(c, entries int) bool { return entries < c }},
-		{"merge", Config{Dim: 2, MaxEntries: 20, MinEntries: 10, ReinsertCount: 6, Split: SplitRStar},
+		{"merge", Config{Dim: 2, MaxEntries: 20, MinEntries: 10},
 			func(c, entries int) bool { return entries > c }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,8 +221,8 @@ func FuzzFlatBulkLoad(f *testing.F) {
 	configs := []Config{
 		DefaultConfig(2),
 		DefaultConfig(6),
-		{Dim: 3, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar},
-		{Dim: 1, MaxEntries: 4, MinEntries: 2, Split: SplitQuadratic},
+		{Dim: 3, MaxEntries: 8, MinEntries: 3},
+		{Dim: 1, MaxEntries: 4, MinEntries: 2},
 	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, workers, shape uint8) {
 		cfg := configs[int(shape)%len(configs)]

@@ -70,7 +70,7 @@ func TestBulkLoadRejectsBadInput(t *testing.T) {
 
 func TestBulkLoadCopiesPoints(t *testing.T) {
 	p := vec.Vector{1, 2}
-	cfg := Config{Dim: 2, MaxEntries: 8, MinEntries: 3, Split: SplitRStar}
+	cfg := Config{Dim: 2, MaxEntries: 8, MinEntries: 3}
 	f, err := bulkLoad(cfg, []Item{{Point: p, ID: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,8 @@ func TestDirectionBoxNoDismissal(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ctx := context.Background()
 	for _, cfg := range []Config{
-		{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar},
-		{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar},
+		{Dim: 6, MaxEntries: 8, MinEntries: 3},
+		{Dim: 2, MaxEntries: 4, MinEntries: 2},
 		DefaultConfig(3),
 	} {
 		f, stored := boxTree(t, rng, cfg, 1500)
@@ -160,7 +160,7 @@ func symmetricDiff(a, b []int64) int {
 // read.
 func TestDirectionBoxNearestStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	cfg := Config{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
+	cfg := Config{Dim: 6, MaxEntries: 8, MinEntries: 3}
 	f, _ := boxTree(t, rng, cfg, 2000)
 	items := f.All()
 	lo, hi, p := make([]float64, cfg.Dim), make([]float64, cfg.Dim), make(vec.Vector, cfg.Dim)
@@ -308,7 +308,7 @@ func boxCorruptions(t testing.TB, f *FlatTree) map[string][]byte {
 // boxCorruptions, children out of pre-order and an unknown directory
 // kind, and FlatFromArena to refuse a header that names one.
 func TestValidateDirectionBox(t *testing.T) {
-	f, _ := boxTree(t, rand.New(rand.NewSource(79)), Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}, 300)
+	f, _ := boxTree(t, rand.New(rand.NewSource(79)), Config{Dim: 3, MaxEntries: 5, MinEntries: 2}, 300)
 	for what, arena := range boxCorruptions(t, f) {
 		g, err := FlatFromArena(arena)
 		if err != nil {
@@ -353,7 +353,7 @@ func TestValidateDirectionBox(t *testing.T) {
 // directory, it is answered.
 func TestRangeSearchNeedsMBRs(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
+	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2}
 	everything := geom.Rect{L: vec.Vector{-100, -100}, H: vec.Vector{100, 100}}
 	leaf, _ := boxTree(t, rng, cfg, 3)
 	if got := leaf.RangeSearch(everything, nil); len(got) != 3 {

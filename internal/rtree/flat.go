@@ -592,6 +592,13 @@ const arenaVersion = 2
 // arenaHeaderWords is the fixed u64 header of an arena blob.
 const arenaHeaderWords = 15
 
+// Header words 4–6 are reserved, and readers skip them.  They held the
+// R*-insertion parameters of the tree (the forced-reinsert count, the
+// split algorithm, the X-tree overlap bound), which shape a tree while it
+// grows and say nothing about the arena it freezes into; they are written
+// as the values every arena carried before: 6, 0 and 0.0.
+const reservedWord4 = 6
+
 // arena sanity bounds: far above any real index, far below anything
 // that could drive pathological allocation from a corrupt header.
 const (
@@ -609,8 +616,7 @@ func (f *FlatTree) arenaHead() []uint64 {
 	head = append(head,
 		arenaVersion,
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
-		uint64(f.cfg.ReinsertCount), uint64(f.cfg.Split),
-		math.Float64bits(f.cfg.SupernodeMaxOverlap),
+		reservedWord4, 0, 0, // reserved, see reservedWord4
 		uint64(f.size), uint64(f.height), uint64(f.dir),
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
@@ -736,14 +742,7 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 		return nil, fmt.Errorf("rtree: unsupported flat arena version %d (version %d is read; rebuild the index): %w", version, arenaVersion, binio.ErrVersion)
 	}
 	f := &FlatTree{
-		cfg: Config{
-			Dim:                 int(word(1)),
-			MaxEntries:          int(word(2)),
-			MinEntries:          int(word(3)),
-			ReinsertCount:       int(word(4)),
-			Split:               SplitAlgorithm(word(5)),
-			SupernodeMaxOverlap: math.Float64frombits(word(6)),
-		},
+		cfg:     Config{Dim: int(word(1)), MaxEntries: int(word(2)), MinEntries: int(word(3))},
 		size:    int(word(7)),
 		height:  int(word(8)),
 		pages:   int(word(10)),

@@ -214,7 +214,7 @@ func checkFlatShape(t *testing.T, want, got *FlatTree) {
 
 func TestArenaRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
+	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2}
 	f := buildPointTree(t, rng, cfg, 220)
 	arena := f.AppendArena(nil)
 	if len(arena) != f.ArenaSize() {
@@ -255,7 +255,7 @@ func TestRectLeafArenaRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 40)
+	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, 40)
 	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.AppendArena(nil), 1), "fixture": old} {
 		_, err := FlatFromArena(arena)
 		if !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1 in flat arena header word 9") {
@@ -277,7 +277,7 @@ func withLeafKind(arena []byte, kind byte) []byte {
 // a search without panicking — never a crash.
 func TestFlatArenaCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
+	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2}
 	tr := buildPointTree(t, rng, cfg, 60)
 	boxes, _ := boxTree(t, rng, cfg, 60)
 	l := randLine(rng, 2)
@@ -321,7 +321,7 @@ func TestFlatArenaCorruption(t *testing.T) {
 
 func FuzzFlatFromArena(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
-	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}
+	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2}
 	ft := buildPointTree(f, rng, cfg, 40)
 	f.Add(ft.AppendArena(nil))
 	f.Add([]byte{})
@@ -333,7 +333,7 @@ func FuzzFlatFromArena(f *testing.F) {
 	f.Add(old)
 	// A direction-box arena, the four single-value corruptions of it that
 	// Validate refuses, and a directory kind nobody writes.
-	boxes, _ := boxTree(f, rng, Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: SplitRStar}, 120)
+	boxes, _ := boxTree(f, rng, Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, 120)
 	f.Add(boxes.AppendArena(nil))
 	for _, what := range []string{"shrunk direction box", "raised r_lo", "lowered r_hi", "root entry inside its child"} {
 		f.Add(boxCorruptions(f, boxes)[what])

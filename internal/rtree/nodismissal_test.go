@@ -66,7 +66,7 @@ func FuzzArenaNoDismissal(f *testing.F) {
 			}
 			points[i], ids[i] = p, int64(i)
 		}
-		cfg := Config{Dim: dim, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: SplitRStar}
+		cfg := Config{Dim: dim, MaxEntries: 8, MinEntries: 3}
 		arena, err := BulkLoadFlat(cfg, ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func FuzzArenaNoDismissal(f *testing.F) {
 // node; and a non-finite plane value to be rejected wherever it sits.
 func TestValidateContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: SplitRStar}
+	cfg := Config{Dim: 3, MaxEntries: 5, MinEntries: 2}
 	f := buildPointTree(t, rng, cfg, 200)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)

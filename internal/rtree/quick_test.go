@@ -23,7 +23,7 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 		if n == 0 || n > 300 {
 			return true
 		}
-		cfg := rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 1, Split: rtree.SplitRStar}
+		cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, ReinsertCount: 1, Split: rstar.SplitRStar}
 		tr, err := rstar.New(cfg)
 		if err != nil {
 			return false
@@ -72,7 +72,7 @@ func TestQuickLineSearchSupersetOfTightened(t *testing.T) {
 		if eps > 1e6 {
 			return true
 		}
-		cfg := rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2, Split: rtree.SplitQuadratic}
+		cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, Split: rstar.SplitQuadratic}
 		tr, err := rstar.New(cfg)
 		if err != nil {
 			return false

@@ -36,36 +36,10 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// SplitAlgorithm selects how overflowing nodes are split.
-type SplitAlgorithm int
-
-const (
-	// SplitRStar is the topological split of the R*-tree [16]:
-	// choose the axis minimizing total margin, then the distribution
-	// minimizing overlap.
-	SplitRStar SplitAlgorithm = iota
-	// SplitQuadratic is Guttman's quadratic-cost split [22].
-	SplitQuadratic
-	// SplitLinear is Guttman's linear-cost split [22].
-	SplitLinear
-)
-
-// String returns the conventional name of the algorithm.
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case SplitRStar:
-		return "rstar"
-	case SplitQuadratic:
-		return "quadratic"
-	case SplitLinear:
-		return "linear"
-	default:
-		return "unknown"
-	}
-}
-
 // Config holds the structural parameters of a tree.  The zero value is
-// not usable; start from DefaultConfig.
+// not usable; start from DefaultConfig.  A tree grown by insertion has
+// more of them (internal/bench/rstar.Config); what it freezes into an
+// arena keeps these.
 type Config struct {
 	// Dim is the dimensionality of indexed points.
 	Dim int
@@ -73,33 +47,12 @@ type Config struct {
 	MaxEntries int
 	// MinEntries is m, the fill guarantee (§7: 40 % of M).
 	MinEntries int
-	// ReinsertCount is p, how many entries the R* forced-reinsert
-	// removes on the first overflow of a level (§7: 30 % of M).
-	// 0 disables forced reinsertion (as in the classic R-tree).
-	ReinsertCount int
-	// Split selects the node-split algorithm.
-	Split SplitAlgorithm
-	// SupernodeMaxOverlap, when positive, enables X-tree behaviour
-	// (Berchtold et al. [23], cited by the paper for high-dimensional
-	// indexing): if splitting an internal node would leave its two
-	// halves overlapping by more than this fraction of their combined
-	// area, and no low-overlap split exists, the node becomes a
-	// *supernode* of multiplied capacity instead of splitting.  0
-	// disables supernodes (plain R-tree/R*-tree).
-	SupernodeMaxOverlap float64
 }
 
 // DefaultConfig returns the paper's experimental configuration (§7)
-// for the given dimensionality: M = 20, m = 8 (40 % of M), p = 6
-// (30 % of M), R* split.
+// for the given dimensionality: M = 20, m = 8 (40 % of M).
 func DefaultConfig(dim int) Config {
-	return Config{
-		Dim:           dim,
-		MaxEntries:    20,
-		MinEntries:    8,
-		ReinsertCount: 6,
-		Split:         SplitRStar,
-	}
+	return Config{Dim: dim, MaxEntries: 20, MinEntries: 8}
 }
 
 // validate reports whether the configuration is structurally sound.
@@ -113,18 +66,6 @@ func (c Config) validate() error {
 	if c.MinEntries < 1 || 2*c.MinEntries > c.MaxEntries+1 {
 		return fmt.Errorf("rtree: MinEntries %d out of range for MaxEntries %d (need 1 <= m <= (M+1)/2)",
 			c.MinEntries, c.MaxEntries)
-	}
-	if c.ReinsertCount < 0 || c.ReinsertCount > c.MaxEntries-c.MinEntries {
-		return fmt.Errorf("rtree: ReinsertCount %d out of range (need 0 <= p <= M-m = %d)",
-			c.ReinsertCount, c.MaxEntries-c.MinEntries)
-	}
-	switch c.Split {
-	case SplitRStar, SplitQuadratic, SplitLinear:
-	default:
-		return fmt.Errorf("rtree: unknown split algorithm %d", int(c.Split))
-	}
-	if c.SupernodeMaxOverlap < 0 || c.SupernodeMaxOverlap >= 1 {
-		return fmt.Errorf("rtree: SupernodeMaxOverlap %v out of range [0, 1)", c.SupernodeMaxOverlap)
 	}
 	return nil
 }

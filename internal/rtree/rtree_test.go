@@ -35,13 +35,13 @@ func randRect(r *rand.Rand, n int) geom.Rect {
 }
 
 // allSplits enumerates the split algorithms under test.
-var allSplits = []rtree.SplitAlgorithm{rtree.SplitRStar, rtree.SplitQuadratic, rtree.SplitLinear}
+var allSplits = []rstar.SplitAlgorithm{rstar.SplitRStar, rstar.SplitQuadratic, rstar.SplitLinear}
 
 // newTestTree builds a tree with small fanout so that modest item
 // counts produce several levels.
-func newTestTree(t testing.TB, dim int, split rtree.SplitAlgorithm) *rstar.Tree {
+func newTestTree(t testing.TB, dim int, split rstar.SplitAlgorithm) *rstar.Tree {
 	t.Helper()
-	cfg := rtree.Config{Dim: dim, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: split}
+	cfg := rstar.Config{Config: rtree.Config{Dim: dim, MaxEntries: 8, MinEntries: 3}, ReinsertCount: 2, Split: split}
 	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,21 +50,24 @@ func newTestTree(t testing.TB, dim int, split rtree.SplitAlgorithm) *rstar.Tree 
 }
 
 func TestConfigValidation(t *testing.T) {
+	shape := func(dim, M, m int) rstar.Config {
+		return rstar.Config{Config: rtree.Config{Dim: dim, MaxEntries: M, MinEntries: m}}
+	}
 	tests := []struct {
 		name   string
-		cfg    rtree.Config
+		cfg    rstar.Config
 		wantOK bool
 	}{
-		{"default", rtree.DefaultConfig(6), true},
-		{"zero dim", rtree.Config{Dim: 0, MaxEntries: 8, MinEntries: 3}, false},
-		{"M too small", rtree.Config{Dim: 2, MaxEntries: 1, MinEntries: 1}, false},
-		{"m zero", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 0}, false},
-		{"m too large", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 5}, false},
-		{"m at half", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 4}, true},
-		{"p negative", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: -1}, false},
-		{"p too large", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 6}, false},
-		{"p zero ok", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0}, true},
-		{"bad split", rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, Split: rtree.SplitAlgorithm(9)}, false},
+		{"default", rstar.DefaultConfig(6), true},
+		{"zero dim", shape(0, 8, 3), false},
+		{"M too small", shape(2, 1, 1), false},
+		{"m zero", shape(2, 8, 0), false},
+		{"m too large", shape(2, 8, 5), false},
+		{"m at half", shape(2, 8, 4), true},
+		{"p negative", rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3}, ReinsertCount: -1}, false},
+		{"p too large", rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3}, ReinsertCount: 6}, false},
+		{"p zero ok", shape(2, 8, 3), true},
+		{"bad split", rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3}, Split: rstar.SplitAlgorithm(9)}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,8 +80,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := rtree.DefaultConfig(6)
-	if cfg.MaxEntries != 20 || cfg.MinEntries != 8 || cfg.ReinsertCount != 6 {
+	cfg := rstar.DefaultConfig(6)
+	if cfg.MaxEntries != 20 || cfg.MinEntries != 8 || cfg.ReinsertCount != 6 || cfg.Config != rtree.DefaultConfig(6) {
 		t.Errorf("paper settings M=20 m=8 p=6, got %+v", cfg)
 	}
 	if cfg.MinEntries*100 != 40*cfg.MaxEntries {
@@ -119,7 +122,7 @@ func TestInsertGrowsAndStaysValid(t *testing.T) {
 }
 
 func TestInsertPanicsOnWrongDim(t *testing.T) {
-	tr := newTestTree(t, 3, rtree.SplitRStar)
+	tr := newTestTree(t, 3, rstar.SplitRStar)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -129,7 +132,7 @@ func TestInsertPanicsOnWrongDim(t *testing.T) {
 }
 
 func TestInsertCopiesPoint(t *testing.T) {
-	tr := newTestTree(t, 2, rtree.SplitRStar)
+	tr := newTestTree(t, 2, rstar.SplitRStar)
 	p := vec.Vector{1, 2}
 	tr.Insert(p, 7)
 	p[0] = 99
@@ -217,7 +220,7 @@ func TestLineSearchMatchesBruteForce(t *testing.T) {
 func TestLineSearchDegenerateLine(t *testing.T) {
 	// A zero-direction line degenerates to a point query: results are
 	// the points within eps of l.P.
-	tr := newTestTree(t, 2, rtree.SplitRStar)
+	tr := newTestTree(t, 2, rstar.SplitRStar)
 	r := rand.New(rand.NewSource(4))
 	pts := make([]vec.Vector, 200)
 	for i := range pts {
@@ -243,7 +246,7 @@ func TestLineSearchDegenerateLine(t *testing.T) {
 // distinct stored item, reported at the leaf kernel's distance to the
 // line bit for bit, and the descent reads at least a root-to-leaf path.
 func TestNearestToLineMatchesBruteForce(t *testing.T) {
-	tr := newTestTree(t, 3, rtree.SplitRStar)
+	tr := newTestTree(t, 3, rstar.SplitRStar)
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
@@ -276,7 +279,7 @@ func TestNearestToLineMatchesBruteForce(t *testing.T) {
 // TestNearestToLineEdgeCases: an empty tree has no seeds, and a
 // one-item tree — its root a leaf — seeds that item.
 func TestNearestToLineEdgeCases(t *testing.T) {
-	tr := newTestTree(t, 2, rtree.SplitRStar)
+	tr := newTestTree(t, 2, rstar.SplitRStar)
 	l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 0}}
 	var ids []int64
 	var dists []float64
@@ -294,7 +297,7 @@ func TestNearestToLineEdgeCases(t *testing.T) {
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr := newTestTree(t, 2, rtree.SplitRStar)
+	tr := newTestTree(t, 2, rstar.SplitRStar)
 	p := vec.Vector{1, 1}
 	for i := 0; i < 60; i++ {
 		tr.Insert(p, int64(i))
@@ -310,7 +313,7 @@ func TestDuplicatePoints(t *testing.T) {
 
 func TestNoReinsertConfig(t *testing.T) {
 	// p = 0 (classic R-tree behaviour) must still produce a valid tree.
-	cfg := rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3, ReinsertCount: 0, Split: rtree.SplitQuadratic}
+	cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 8, MinEntries: 3}, ReinsertCount: 0, Split: rstar.SplitQuadratic}
 	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +329,7 @@ func TestNoReinsertConfig(t *testing.T) {
 
 func TestPaperFanoutConfig(t *testing.T) {
 	// The exact paper configuration at dimension 6.
-	tr, err := rstar.New(rtree.DefaultConfig(6))
+	tr, err := rstar.New(rstar.DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +346,7 @@ func TestPaperFanoutConfig(t *testing.T) {
 }
 
 func TestSearchStatsAccumulate(t *testing.T) {
-	tr := newTestTree(t, 3, rtree.SplitRStar)
+	tr := newTestTree(t, 3, rstar.SplitRStar)
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
@@ -369,7 +372,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 	// With a selective query the tree should visit far fewer leaf
 	// entries than the database size — the heart of the paper's claim.
-	tr, err := rstar.New(rtree.DefaultConfig(4))
+	tr, err := rstar.New(rstar.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +391,7 @@ func TestLineSearchStatsVsSeqScanShape(t *testing.T) {
 }
 
 func BenchmarkInsertDim6(b *testing.B) {
-	tr, err := rstar.New(rtree.DefaultConfig(6))
+	tr, err := rstar.New(rstar.DefaultConfig(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,7 +408,7 @@ func BenchmarkInsertDim6(b *testing.B) {
 }
 
 func BenchmarkLineSearchDim6(b *testing.B) {
-	tr, err := rstar.New(rtree.DefaultConfig(6))
+	tr, err := rstar.New(rstar.DefaultConfig(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -423,7 +426,7 @@ func BenchmarkLineSearchDim6(b *testing.B) {
 }
 
 func TestStats(t *testing.T) {
-	tr := newTestTree(t, 3, rtree.SplitRStar)
+	tr := newTestTree(t, 3, rstar.SplitRStar)
 	r := rand.New(rand.NewSource(90))
 	for i := 0; i < 600; i++ {
 		tr.Insert(randVec(r, 3), int64(i))
@@ -471,7 +474,7 @@ func TestStats(t *testing.T) {
 
 func TestStatsDegenerate(t *testing.T) {
 	// Identical points: MBRs are points, elongation and gap degrade to 1.
-	tr := newTestTree(t, 2, rtree.SplitQuadratic)
+	tr := newTestTree(t, 2, rstar.SplitQuadratic)
 	for i := 0; i < 30; i++ {
 		tr.Insert(vec.Vector{1, 1}, int64(i))
 	}
@@ -484,7 +487,7 @@ func TestStatsDegenerate(t *testing.T) {
 
 func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 	for _, strategy := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-		tr := newTestTree(t, 3, rtree.SplitRStar)
+		tr := newTestTree(t, 3, rstar.SplitRStar)
 		r := rand.New(rand.NewSource(95))
 		pts := make([]vec.Vector, 400)
 		for i := range pts {
@@ -525,13 +528,14 @@ func TestSegmentSearchMatchesBruteForce(t *testing.T) {
 // flatConfigs is the structural matrix TestFlatEquivalencePoints sweeps:
 // low/high dimension, tiny/default fanout, R* and Guttman splits, with
 // and without X-tree supernodes.
-func flatConfigs() []rtree.Config {
-	return []rtree.Config{
-		{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar},
-		{Dim: 2, MaxEntries: 6, MinEntries: 2, ReinsertCount: 2, Split: rtree.SplitRStar},
-		{Dim: 3, MaxEntries: 5, MinEntries: 2, Split: rtree.SplitQuadratic},
-		{Dim: 6, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: rtree.SplitRStar},
-		{Dim: 4, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar, SupernodeMaxOverlap: 0.2},
+func flatConfigs() []rstar.Config {
+	shape := func(dim, M, m int) rtree.Config { return rtree.Config{Dim: dim, MaxEntries: M, MinEntries: m} }
+	return []rstar.Config{
+		{Config: shape(2, 4, 2), Split: rstar.SplitRStar},
+		{Config: shape(2, 6, 2), ReinsertCount: 2, Split: rstar.SplitRStar},
+		{Config: shape(3, 5, 2), Split: rstar.SplitQuadratic},
+		{Config: shape(6, 8, 3), ReinsertCount: 2, Split: rstar.SplitRStar},
+		{Config: shape(4, 4, 2), Split: rstar.SplitRStar, SupernodeMaxOverlap: 0.2},
 	}
 }
 
@@ -584,9 +588,9 @@ func TestBuilderExportsNoSearch(t *testing.T) {
 func TestBulkLoadSearchMatchesInsertBuilt(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	items := randItems(r, 2000, 3)
-	cfg := rtree.Config{Dim: 3, MaxEntries: 8, MinEntries: 3, ReinsertCount: 2, Split: rtree.SplitRStar}
+	cfg := rstar.Config{Config: rtree.Config{Dim: 3, MaxEntries: 8, MinEntries: 3}, ReinsertCount: 2, Split: rstar.SplitRStar}
 	ids, cols := rtree.ColumnsOf(items, cfg.Dim)
-	fb, err := rtree.BulkLoadFlat(cfg, ids, cols, 1)
+	fb, err := rtree.BulkLoadFlat(cfg.Config, ids, cols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +629,7 @@ func TestBulkLoadPackingQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := rstar.New(cfg)
+	inc, err := rstar.New(rstar.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 
 // xtreeConfig enables supernodes with a tight overlap threshold so
 // clustered high-dimensional data actually produces them.
-func xtreeConfig(dim int) rtree.Config {
-	cfg := rtree.DefaultConfig(dim)
+func xtreeConfig(dim int) rstar.Config {
+	cfg := rstar.DefaultConfig(dim)
 	cfg.SupernodeMaxOverlap = 0.02
 	return cfg
 }
@@ -30,7 +30,7 @@ func clusteredVec(r *rand.Rand, dim int) vec.Vector {
 }
 
 func TestXtreeConfigValidation(t *testing.T) {
-	cfg := rtree.DefaultConfig(4)
+	cfg := rstar.DefaultConfig(4)
 	cfg.SupernodeMaxOverlap = -0.1
 	if _, err := rstar.New(cfg); err == nil {
 		t.Error("negative threshold accepted")
@@ -83,7 +83,7 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := rstar.New(rtree.DefaultConfig(6))
+	plain, err := rstar.New(rstar.DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// Force a supernode deterministically: internal entries all
 	// overlapping so no split passes the threshold.
-	cfg := rtree.Config{Dim: 2, MaxEntries: 4, MinEntries: 2, Split: rtree.SplitRStar, SupernodeMaxOverlap: 0.01}
+	cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, Split: rstar.SplitRStar, SupernodeMaxOverlap: 0.01}
 	tr, err := rstar.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,6 @@ import (
 
 	"scaleshift/internal/core"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
@@ -74,7 +73,7 @@ type (
 	// CostBounds restricts matches by their transformation cost (§3).
 	CostBounds = core.CostBounds
 	// Query is one similarity query as a value: range, multipiece long
-	// or k-NN, by its fields.  The zero Costs means UnboundedCosts.
+	// or k-NN, by its fields.  A nil Costs means UnboundedCosts.
 	Query = core.Query
 	// Result is a query's answer: the matches (the first Query.Limit of
 	// them), their Total and, for range and long queries, the Explain of
@@ -92,12 +91,8 @@ type (
 	Explain = engine.Explain
 	// ReductionKind selects the dimension-reduction basis.
 	ReductionKind = core.ReductionKind
-	// Strategy selects the MBR penetration check (§7).
-	Strategy = geom.Strategy
-	// TreeConfig holds the R*-tree structural parameters.
+	// TreeConfig holds the page shape of the bulk-built tree.
 	TreeConfig = rtree.Config
-	// SplitAlgorithm selects the R-tree node split algorithm.
-	SplitAlgorithm = rtree.SplitAlgorithm
 )
 
 // Storage types.
@@ -106,12 +101,6 @@ type (
 	Store = store.Store
 	// PageCounter records page accesses for one query.
 	PageCounter = store.PageCounter
-)
-
-// Penetration-check strategies (§7): experiment set 2 vs set 3.
-const (
-	EnteringExiting = geom.EnteringExiting
-	BoundingSpheres = geom.BoundingSpheres
 )
 
 // Query-engine access paths: leave Query.Force PathAuto (the zero
@@ -128,13 +117,6 @@ const (
 const (
 	ReductionDFT  = core.ReductionDFT
 	ReductionHaar = core.ReductionHaar
-)
-
-// R-tree split algorithms.
-const (
-	SplitRStar     = rtree.SplitRStar
-	SplitQuadratic = rtree.SplitQuadratic
-	SplitLinear    = rtree.SplitLinear
 )
 
 // PageSize is the disk page size of the cost model (4 KB, as in §7).
@@ -159,13 +141,12 @@ func NewIndex(st *Store, opts Options) (*Index, error) { return core.NewIndex(st
 func LoadIndex(r io.Reader, st *Store) (*Index, error) { return core.LoadIndex(r, st) }
 
 // DefaultOptions returns the paper's experimental configuration:
-// window length 128, f_c = 3 DFT coefficients (6-dim R*-tree with
-// M = 20, m = 8, forced-reinsert p = 6), Entering/Exiting-Points
-// penetration checking.
+// window length 128, f_c = 3 DFT coefficients (a 6-dimensional tree
+// with M = 20, m = 8).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// DefaultTreeConfig returns the paper's R*-tree parameters for the
-// given dimensionality.
+// DefaultTreeConfig returns the paper's page shape (M = 20, m = 8) for
+// the given dimensionality.
 func DefaultTreeConfig(dim int) TreeConfig { return rtree.DefaultConfig(dim) }
 
 // UnboundedCosts places no restriction on the transformation.

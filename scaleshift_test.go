@@ -45,7 +45,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	costs := scaleshift.UnboundedCosts()
 	costs.ScaleMin = 0.01
 	var stats scaleshift.SearchStats
-	res, err := ix.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: costs}, &stats)
+	res, err := ix.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: &costs}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ix2.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: costs}, nil)
+	again, err := ix2.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: &costs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestPublicAPIVariants exercises the option knobs exposed publicly:
-// spheres strategy, Haar reduction, split algorithm, X-tree, CSV.
+// the Haar reduction, the CSV loader, the default page shape.
 func TestPublicAPIVariants(t *testing.T) {
 	st := scaleshift.NewStore()
 	vals := make([]float64, 200)
@@ -131,10 +131,7 @@ func TestPublicAPIVariants(t *testing.T) {
 		name   string
 		mutate func(*scaleshift.Options)
 	}{
-		{"spheres", func(o *scaleshift.Options) { o.Strategy = scaleshift.BoundingSpheres }},
 		{"haar", func(o *scaleshift.Options) { o.Reduction = scaleshift.ReductionHaar }},
-		{"quadratic-split", func(o *scaleshift.Options) { o.Tree.Split = scaleshift.SplitQuadratic }},
-		{"xtree", func(o *scaleshift.Options) { o.Tree.SupernodeMaxOverlap = 0.2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := scaleshift.DefaultOptions()
