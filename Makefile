@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-nn bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-probe bench-nn bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -84,6 +84,16 @@ bench-paths:
 		$(GO) run ./cmd/ssbench -experiment paths -scale full; } > results/tree_vs_scan.txt
 	@cat results/tree_vs_scan.txt
 
+# The probe fan-out sweep at paper scale: the index phase alone over
+# ε-frac 0.001–0.02 at GOMAXPROCS 1 and 2 — frontier width (p50, max),
+# probe time, the share of subtrees the helper ran and its start delay,
+# node reads and leaf checks — the table core.probeFanoutWidth is read
+# from, regenerated under a header naming the commit and the command.
+bench-probe:
+	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-probe (go test -run '^\$$' -bench BenchmarkProbeFanout -cpu 1,2 -benchtime 300x ./internal/core)"; \
+		$(GO) test -run '^$$' -bench BenchmarkProbeFanout -cpu 1,2 -benchtime 300x ./internal/core; } > results/probe_fanout.txt
+	@cat results/probe_fanout.txt
+
 # k-NN cost over k (Corollary 1) at paper scale on the bulk-built
 # serving index, regenerating the committed artifact under a header
 # naming the commit and the command.
@@ -129,7 +139,8 @@ soak-cluster:
 # rows exact, the rest counted from the certified bounds) — and that
 # limited loose query at the benchmark's own scale, 1000 x 650 at
 # ε-frac 0.02 (BenchmarkExecRangePaperLooseLimit100: range_loose in
-# process) — reporting ns/op, B/op, allocs/op, candidates/op and
+# process, its descent fanned out) beside the tight one at 0.001
+# (BenchmarkExecRangePaperTight: the serial descent) — reporting ns/op, B/op, allocs/op, candidates/op and
 # norm-certified/op in about thirty seconds, with no server to start.
 # Run it before and after touching the probe, the delta, the candidate
 # ordering, the kernels or the verifier; to compare two commits, build

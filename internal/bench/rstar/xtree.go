@@ -54,21 +54,24 @@ func (t *Tree) growSupernode(n *node) {
 }
 
 // groupOverlapRatio measures how much the MBRs of two entry groups
-// overlap, normalized by their combined area.
+// overlap as Berchtold et al. do: the volume of their intersection over
+// the volume of their union, 0 for disjoint boxes and 1 for equal ones.
+// (Over the sum of the two volumes the ratio could not exceed 0.5, and
+// measured at paper scale never reached 0.2.)
 func groupOverlapRatio(g1, g2 []*entry) float64 {
 	r1, r2 := mbrOf(g1), mbrOf(g2)
 	inter := r1.IntersectionArea(r2)
 	if inter == 0 {
 		return 0
 	}
-	total := r1.Area() + r2.Area()
-	if total <= 0 {
+	union := r1.Area() + r2.Area() - inter
+	if union <= 0 {
 		// Degenerate (zero-volume) boxes that still intersect: treat as
 		// full overlap so the caller prefers a supernode over a useless
 		// split.
 		return 1
 	}
-	return inter / total
+	return inter / union
 }
 
 // overlapMinimalSplit searches, on every dimension, the balanced

@@ -2,13 +2,18 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"scaleshift/internal/engine"
 	"scaleshift/internal/query"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -173,33 +178,125 @@ func BenchmarkExecRangeLooseLimit100(b *testing.B) {
 	benchmarkExec(b, ix, queries, Query{Eps: execFixtureLooseFrac * scale, Limit: 100})
 }
 
+var paperFixture struct {
+	once    sync.Once
+	err     error
+	ix      *Index
+	queries []query.Query
+	scale   float64
+}
+
+// paperExecFixture is the benchmark's index in process: the 1000 × 650
+// store bulk-built into one frozen segment, and its 100 disguised
+// queries.
+func paperExecFixture(tb testing.TB) (*Index, []query.Query, float64) {
+	tb.Helper()
+	f := &paperFixture
+	f.once.Do(func() {
+		st := store.New()
+		cfg := stock.DefaultConfig()
+		cfg.Companies, cfg.Days, cfg.Seed = 1000, 650, 1
+		if _, f.err = stock.Populate(st, cfg); f.err != nil {
+			return
+		}
+		if f.ix, f.err = NewIndex(st, DefaultOptions()); f.err != nil {
+			return
+		}
+		if f.err = f.ix.BuildBulkParallel(0); f.err != nil {
+			return
+		}
+		qcfg := query.DefaultConfig()
+		if f.queries, f.err = query.Generate(st, qcfg); f.err != nil {
+			return
+		}
+		f.scale, f.err = query.SENormScale(st, qcfg.WindowLen, 1000, qcfg.Seed)
+	})
+	if f.err != nil {
+		tb.Fatal(f.err)
+	}
+	return f.ix, f.queries, f.scale
+}
+
 // BenchmarkExecRangePaperLooseLimit100 is the benchmark's range_loose
 // query in process: the 1000 × 650 store, ε-frac 0.02, the first 100
-// rows exact.  The 200 × 650 fixture at 0.04 has a different share of
-// windows whose own norm is within ε (the a ≈ 0 shell the norm bound
-// counts without fetching), so what the verifier and the kernels do to
-// range_loose is measured at its own scale; norm-certified/op is that
-// share of candidates/op.
+// rows exact, over the first 20 queries.  The 200 × 650 fixture at 0.04
+// has a different share of windows whose own norm is within ε (the a ≈ 0
+// shell the norm bound counts without fetching), so what the verifier
+// and the kernels do to range_loose is measured at its own scale;
+// norm-certified/op is that share of candidates/op.  Its descents are
+// wide enough to fan out (probeFanoutWidth).
 func BenchmarkExecRangePaperLooseLimit100(b *testing.B) {
-	st := populatedStore(b, 1000, 650, 1)
-	ix, err := NewIndex(st, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
+	ix, queries, scale := paperExecFixture(b)
+	benchmarkExec(b, ix, queries[:20], Query{Eps: 0.02 * scale, Limit: 100})
+}
+
+// BenchmarkExecRangePaperTight is range_tight's query in process: the
+// same index and queries at ε-frac 0.001, a descent too narrow to fan
+// out, so it times the serial probe and its kernels.
+func BenchmarkExecRangePaperTight(b *testing.B) {
+	ix, queries, scale := paperExecFixture(b)
+	benchmarkExec(b, ix, queries[:20], Query{Eps: 0.001 * scale, Limit: 100})
+}
+
+// BenchmarkProbeFanout is the sweep probeFanoutWidth is read from (make
+// bench-probe writes it to results/probe_fanout.txt): the index phase
+// alone — manifest.probe, plan included — of the paper-scale fixture's
+// 100 queries at each ε-frac, run with -cpu 1,2.  Beside ns/op it
+// reports the frontier width (entered level-1 nodes and subtrees
+// accepted above them) at the smallest, the median and the largest
+// query, the share
+// of probes that fanned out, the share of their subtrees the helpers ran
+// and a helper's median start delay, and the nodes read and leaf entries
+// tested per probe.
+func BenchmarkProbeFanout(b *testing.B) {
+	ix, queries, scale := paperExecFixture(b)
+	pin := ix.cell.Acquire()
+	defer pin.Release()
+	m := pin.Value()
+	for _, frac := range []float64{0.001, 0.002, 0.005, 0.01, 0.02} {
+		b.Run(fmt.Sprintf("eps-frac=%g", frac), func(b *testing.B) {
+			ctx := context.Background()
+			sc := acquireScratch()
+			defer sc.release()
+			widths := make([]int, len(queries))
+			var tree rtree.SearchStats
+			var fanned, tasks, helperTasks int
+			var waits []time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.ids, sc.tree = sc.ids[:0], rtree.SearchStats{}
+				if _, err := m.probe(ctx, queries[i%len(queries)].Values, frac*scale, UnboundedCosts(), engine.PathAuto, nil, sc); err != nil {
+					b.Fatal(err)
+				}
+				tree.Add(sc.tree)
+				widths[i%len(queries)] = len(sc.tasks)
+				if workers := fanWorkers(len(sc.tasks), probeFanoutWidth, nil); workers > 1 {
+					fanned++
+					tasks += len(sc.tasks)
+					for _, w := range sc.probers[1:workers] {
+						helperTasks += w.tasks
+						waits = append(waits, w.wait)
+					}
+				}
+			}
+			b.StopTimer()
+			if b.N < len(queries) {
+				return // too few runs to have seen every query
+			}
+			slices.Sort(widths)
+			slices.Sort(waits)
+			b.ReportMetric(float64(widths[0]), "width-min")
+			b.ReportMetric(float64(widths[len(widths)/2]), "width-p50")
+			b.ReportMetric(float64(widths[len(widths)-1]), "width-max")
+			b.ReportMetric(float64(fanned)/float64(b.N), "fanned/op")
+			if tasks > 0 {
+				b.ReportMetric(float64(helperTasks)/float64(tasks), "helper-share")
+				b.ReportMetric(float64(waits[len(waits)/2].Microseconds()), "helper-wait-p50-us")
+			}
+			b.ReportMetric(float64(tree.NodeAccesses)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(tree.LeafEntriesChecked)/float64(b.N), "leaf-checks/op")
+		})
 	}
-	if err := ix.BuildBulkParallel(0); err != nil {
-		b.Fatal(err)
-	}
-	qcfg := query.DefaultConfig()
-	qcfg.N = 20
-	queries, err := query.Generate(st, qcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scale, err := query.SENormScale(st, qcfg.WindowLen, 1000, qcfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkExec(b, ix, queries, Query{Eps: 0.02 * scale, Limit: 100})
 }
 
 func BenchmarkExecRangeSegmentedDeltaTight(b *testing.B) {

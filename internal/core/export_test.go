@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
@@ -53,4 +54,70 @@ func (ix *Index) DeltaWindows() [][2]int {
 // goroutines (0: one per CPU), as a fold does.
 func (ix *Index) Refold(workers int) error {
 	return ix.rebuild(context.Background(), workers, func(next []int) ([]int, error) { return next, nil })
+}
+
+// ProbeFanoutWidth is the frontier width from which a descent fans out.
+const ProbeFanoutWidth = probeFanoutWidth
+
+// FrontierWidths returns, for each frozen segment of ix, the frontier
+// width of range query q's descent: what decides whether it fans out.
+func (ix *Index) FrontierWidths(q Query) []int {
+	pin := ix.cell.Acquire()
+	defer pin.Release()
+	m := pin.Value()
+	sc := acquireScratch()
+	defer sc.release()
+	eq := buildEngineQuery(sc.seLine(m.fmap, q.Vec), q.Eps, m.slack, q.costs())
+	var widths []int
+	for _, sg := range m.frozen {
+		var p rtree.Probe
+		if eq.Segment {
+			p = sg.flat.SegmentProbe(eq.Line, eq.TMin, eq.TMax, eq.Eps, nil)
+		} else {
+			p = sg.flat.LineProbe(eq.Line, eq.Eps, nil)
+		}
+		tasks, err := p.Frontier(context.Background(), nil, nil)
+		p.Release()
+		if err != nil {
+			panic(err) // a background context does not cancel
+		}
+		widths = append(widths, len(tasks))
+	}
+	return widths
+}
+
+// CorruptChildRefs publishes ix with every entry of every level-1 node
+// of its first frozen segment pointing at node 0, the root: a child
+// reference no verified arena holds, which the descent's child check
+// turns into a panic in whichever subtree below the frontier it enters.
+// The levels the frontier tests stay intact.  The arena is a copy; the
+// segment's own is untouched.
+func (ix *Index) CorruptChildRefs() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	sg := ix.frozen[0]
+	b := sg.flat.AppendArena(nil)
+	word := func(i int) int { return int(binary.LittleEndian.Uint64(b[8*i:])) }
+	// The arena layout (rtree.FlatTree.WriteArena): a 15-word header —
+	// word 1 the dimension, 12 the node count — the root bounds, the
+	// sample behind its count, then the meta, starts, poff and refs arrays.
+	dim, nodes := word(1), word(12)
+	meta := 15 + 2*dim + 1 + word(15+2*dim)*dim
+	starts := meta + nodes
+	refs := starts + 2*(nodes+1)
+	for i := 0; i < nodes; i++ {
+		if word(meta+i)>>32 != 1 {
+			continue
+		}
+		for e := word(starts + i); e < word(starts+i+1); e++ {
+			binary.LittleEndian.PutUint64(b[8*(refs+e):], 0)
+		}
+	}
+	flat, err := rtree.FlatFromArena(b)
+	if err != nil {
+		return err
+	}
+	ix.frozen[0] = &frozenSeg{flat: flat, ranges: sg.ranges, count: sg.count}
+	ix.publishLocked()
+	return nil
 }

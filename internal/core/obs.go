@@ -30,6 +30,7 @@ var cm struct {
 	matches      *obs.Counter
 	nodeReads    *obs.Counter
 	dataPages    *obs.Counter
+	probeFanouts *obs.Counter
 	pathProbes   [engine.NumPathKinds]*obs.Counter
 
 	searchDur  *obs.Histogram
@@ -66,6 +67,8 @@ func initCoreMetrics() {
 		"Matches found (all of them, whatever row limit the query carried).")
 	cm.nodeReads = r.Counter("scaleshift_index_node_reads_total",
 		"R*-tree index pages read by searches.")
+	cm.probeFanouts = r.Counter("scaleshift_probe_fanouts_total",
+		"Frozen-segment descents whose subtrees ran on several workers (a wide probe).")
 	cm.dataPages = r.Counter("scaleshift_data_page_reads_total",
 		"Distinct data pages fetched during verification (per-query distinct counts, summed).")
 	for k := engine.PathRTree; k < engine.NumPathKinds; k++ {
@@ -173,6 +176,15 @@ func recordDeltaApply(d time.Duration) {
 	}
 	cm.once.Do(initCoreMetrics)
 	cm.deltaApply.ObserveDuration(d)
+}
+
+// recordProbeFanout counts one descent fanned out across workers.
+func recordProbeFanout() {
+	if !obs.Enabled() {
+		return
+	}
+	cm.once.Do(initCoreMetrics)
+	cm.probeFanouts.Inc()
 }
 
 // recordSearchError counts a failed query (validation, I/O, or

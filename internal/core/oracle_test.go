@@ -962,6 +962,46 @@ func TestLimitDifferential(t *testing.T) {
 	}
 }
 
+// TestWideProbeEquivalence: at GOMAXPROCS 4 over an index large enough
+// that its loose queries' descents fan out (core.ProbeFanoutWidth), the
+// answers are the scan's — plain, limited, scale-bounded and long.
+func TestWideProbeEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	data := oracle.Stock(100, 700, 3)
+	q := disguised(data, 5, 100, 32, 1.7, -4)
+	long := disguised(data, 40, 300, 96, 0.6, 9)
+	scaleBounded := core.CostBounds{ScaleMin: 0.5, ScaleMax: 3, ShiftMin: math.Inf(-1), ShiftMax: math.Inf(1)}
+	var queries []core.Query
+	for _, frac := range []float64{0.02, 0.1, 0.3} {
+		queries = append(queries,
+			core.Query{Vec: q, Eps: oracle.Eps(q, frac)},
+			core.Query{Vec: q, Eps: oracle.Eps(q, frac), Limit: 100},
+			core.Query{Vec: q, Eps: oracle.Eps(q, frac), Costs: &scaleBounded},
+			core.Query{Vec: long, Eps: oracle.Eps(long, frac)})
+	}
+	wide := 0
+	oracle.Check(t, oracle.Case{Data: data, Queries: queries, Systems: []oracle.System{{
+		Name: "Exec, counting the wide frontiers",
+		Answer: func(ix *core.Index, qs []core.Query) ([]core.Result, error) {
+			res := make([]core.Result, len(qs))
+			for i, q := range qs {
+				if len(q.Vec) == ix.Options().WindowLen && slices.Max(ix.FrontierWidths(q)) >= core.ProbeFanoutWidth {
+					wide++
+				}
+				var err error
+				if res[i], err = ix.Exec(context.Background(), q, nil); err != nil {
+					return nil, err
+				}
+			}
+			return res, nil
+		},
+	}}})
+	if wide == 0 {
+		t.Fatalf("no query's frontier reached %d subtrees: nothing fanned out", core.ProbeFanoutWidth)
+	}
+	t.Logf("%d wide frontiers", wide)
+}
+
 // TestAppendValuesPointMode: samples arriving on a live series make
 // the windows spanning its old end searchable (requirement 2 of §3).
 func TestAppendValuesPointMode(t *testing.T) {

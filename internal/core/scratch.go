@@ -5,8 +5,10 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"scaleshift/internal/dft"
+	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
@@ -29,6 +31,13 @@ type queryScratch struct {
 	// bits is orderIDs' window bitmap, all zero between queries.
 	bits    []uint64
 	workers []verifyWorker
+	// probe is the frozen segment descent in hand, tasks its frontier,
+	// probers the workers of a fanned-out descent, and next the frontier
+	// index the next subtree is taken from (descend).
+	probe   rtree.Probe
+	tasks   []rtree.Subtree
+	probers []probeWorker
+	next    atomic.Int64
 	// line holds the origin and direction of the SE-line being probed
 	// (seLine).
 	line []float64
@@ -66,6 +75,10 @@ func (sc *queryScratch) release() {
 	for i := range sc.workers {
 		w := &sc.workers[i]
 		*w = verifyWorker{out: pooled(w.out, maxPooledMatches), stitch: pooled(w.stitch, maxPooledStitch)}
+	}
+	sc.tasks = pooled(sc.tasks, maxPooledIDs)
+	for i := range sc.probers {
+		sc.probers[i].ids = pooled(sc.probers[i].ids, maxPooledIDs)
 	}
 	scratchPool.Put(sc)
 }
@@ -134,6 +147,19 @@ func (sc *queryScratch) verifyWorkers(n, windowLen int) []verifyWorker {
 		if cap(ws[i].stitch) < windowLen {
 			ws[i].stitch = make([]float64, windowLen)
 		}
+	}
+	return ws
+}
+
+// probeWorkers returns n descent workers, empty but for the id buffers
+// of earlier queries.
+func (sc *queryScratch) probeWorkers(n int) []probeWorker {
+	if n > len(sc.probers) {
+		sc.probers = append(sc.probers, make([]probeWorker, n-len(sc.probers))...)
+	}
+	ws := sc.probers[:n]
+	for i := range ws {
+		ws[i] = probeWorker{ids: ws[i].ids[:0], fanState: fanState{seq: -1, start: -1}}
 	}
 	return ws
 }

@@ -139,7 +139,7 @@ func TestLongQueryOverlappingProposals(t *testing.T) {
 	for i := 0; i < pieces; i++ {
 		sc := acquireScratch()
 		pin := ix.cell.Acquire()
-		_, err := pin.Value().probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, sc)
+		_, err := pin.Value().probe(ctx, q[i*n:(i+1)*n], eps/math.Sqrt(pieces), UnboundedCosts(), engine.PathRTree, nil, sc)
 		pin.Release()
 		if err != nil {
 			t.Fatal(err)

@@ -180,9 +180,8 @@ type verifyWorker struct {
 	out    []Match
 	stitch vec.Vector
 	verdicts
-	seq, start int // the window in hand, for a panic report
-	pc         store.PageCounter
-	err        error
+	pc store.PageCounter
+	fanState
 	// Workers sit side by side in one slice and write their own fields
 	// on every window; the pad keeps neighbours off each other's cache
 	// line.
@@ -273,6 +272,70 @@ func nearestRows(rows []Match, k int) []Match {
 	return rows[:min(len(rows), k)]
 }
 
+// fanState is what fanOut keeps of one worker: the window in hand, for
+// a panic report (−1, −1 when the work has none), the worker's failure,
+// and how long after the fan-out began a helper goroutine started.
+type fanState struct {
+	seq, start int
+	err        error
+	wait       time.Duration
+}
+
+// fanWorkers returns how many workers fanOut should run over n units of
+// work: one — the caller alone — below threshold units, at GOMAXPROCS 1,
+// and with a buffer pool attached, whose shared LRU plays a cost study's
+// page fetches in order; otherwise GOMAXPROCS, capped at n.
+func fanWorkers(n, threshold int, pool *store.BufferPool) int {
+	if n < threshold || pool != nil {
+		return 1
+	}
+	return max(1, min(runtime.GOMAXPROCS(0), n))
+}
+
+// fanOut runs work(g) for every worker g < n and returns once all have:
+// work(0) on the calling goroutine — it would only wait otherwise — and
+// every other on a helper goroutine that first makes sure it is not
+// sharing the caller's CPU (leaveCPU says when a kernel leaves it there).
+// The caller yields its CPU once before it starts, so that a helper
+// queued there runs, and leaves, at once (yieldCPU).
+// state(g) is worker g's fanState: a panic in work(g) is recovered into
+// a *WorkerPanicError naming op and the window it holds, stored with
+// work's own error, and a helper's start delay is recorded.  The first
+// real failure (panic, I/O) is returned; a context error a worker saw
+// is returned only when there is none.
+func fanOut(n int, op string, state func(g int) *fanState, work func(g int) error) error {
+	var wg sync.WaitGroup
+	run := func(g int) {
+		defer wg.Done()
+		st := state(g)
+		defer recoverWorkerPanic(op, &st.seq, &st.start, &st.err)
+		st.err = work(g)
+	}
+	home, began := currentCPU(), time.Now()
+	wg.Add(n)
+	for g := n - 1; g > 0; g-- {
+		go func(g int) {
+			state(g).wait = time.Since(began)
+			leaveCPU(home)
+			run(g)
+		}(g)
+	}
+	yieldCPU()
+	run(0)
+	wg.Wait()
+	var ctxErr error
+	for g := 0; g < n; g++ {
+		if err := state(g).err; err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				ctxErr = err
+				continue
+			}
+			return err
+		}
+	}
+	return ctxErr
+}
+
 // verifyCandidates post-processes the ordered candidate ids in sc,
 // returning the first limit matches (all, without a positive limit) in id
 // order —
@@ -283,81 +346,43 @@ func nearestRows(rows []Match, k int) []Match {
 // worker; each worker keeps the first limit rows of its chunk in its own
 // scratch buffer and counts its own verdicts, and the answer is the
 // head of the chunk-order concatenation, copied into one exactly sized
-// slice (nil when empty).  When the query yields enough candidates, pc
-// is not attached to a buffer pool, and GOMAXPROCS allows, the chunks
-// run concurrently — the first on the caller's goroutine, the rest on
-// helpers — with private page counters that are merged into pc
-// afterwards; otherwise there is one chunk, run on the caller's
-// goroutine against pc itself.  Either way rows, ordering, and every
-// SearchStats field are identical but ExactChecks, NormCertified and
-// DataPageAccesses under a positive limit or a top-k verifier: each
-// chunk runs the exact pass, and fetches every window, until it holds
-// its rows.  Every chunk polls ctx
-// every verifyCheckInterval candidates; a panic on a worker goroutine
-// (a poisoned window) is recovered into a *WorkerPanicError rather than
+// slice (nil when empty).  When fanWorkers allows more than one worker,
+// the chunks run concurrently through fanOut, with private page counters
+// that are merged into pc afterwards; otherwise there is one chunk, run
+// on the caller's goroutine against pc itself.  Either way rows,
+// ordering, and every SearchStats field are identical but ExactChecks,
+// NormCertified and DataPageAccesses under a positive limit or a top-k
+// verifier: each chunk runs the exact pass, and fetches every window,
+// until it holds its rows.  Every chunk polls ctx every
+// verifyCheckInterval candidates; a panic on a worker goroutine (a
+// poisoned window) is recovered into a *WorkerPanicError rather than
 // crashing the process.
 func verifyCandidates(ctx context.Context, v *verifier, sc *queryScratch, limit int, pc *store.PageCounter) ([]Match, verdicts, error) {
 	ids := sc.ids
-	workers := runtime.GOMAXPROCS(0)
 	threshold := verifyParallelThreshold
 	if v.k > 0 {
 		threshold = knnVerifyParallelThreshold
 	}
-	if len(ids) < threshold || pc.Pool != nil {
-		workers = 1
-	}
-	if workers > len(ids) {
-		workers = len(ids)
+	workers := fanWorkers(len(ids), threshold, pc.Pool)
+	chunk := (len(ids) + workers - 1) / workers
+	if workers > 1 {
+		workers = (len(ids) + chunk - 1) / chunk
 	}
 	ws := sc.verifyWorkers(workers, v.n)
 	if workers == 1 {
 		if err := ws[0].run(ctx, v, ids, limit, pc); err != nil {
 			return nil, verdicts{}, err
 		}
-	} else if workers > 1 {
-		chunk := (len(ids) + workers - 1) / workers
-		var wg sync.WaitGroup
-		work := func(w *verifyWorker, ids []int64) {
-			defer wg.Done()
-			defer recoverWorkerPanic("verification", &w.seq, &w.start, &w.err)
-			w.err = w.run(ctx, v, ids, limit, &w.pc)
-		}
-		// The caller verifies the first chunk itself — it would only wait
-		// otherwise — and every helper first makes sure it is not sharing
-		// the caller's CPU (leaveCPU says when a kernel leaves it there).
-		home := currentCPU()
-		for g := len(ws) - 1; g >= 0; g-- {
+	} else {
+		err := fanOut(workers, "verification", func(g int) *fanState { return &ws[g].fanState }, func(g int) error {
 			lo := g * chunk
-			hi := min(lo+chunk, len(ids))
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			if g == 0 {
-				work(&ws[0], ids[:hi])
-			} else {
-				go func(w *verifyWorker, ids []int64) {
-					leaveCPU(home)
-					work(w, ids)
-				}(&ws[g], ids[lo:hi])
-			}
+			return ws[g].run(ctx, v, ids[lo:min(lo+chunk, len(ids))], limit, &ws[g].pc)
+		})
+		if err != nil {
+			return nil, verdicts{}, err
 		}
-		wg.Wait()
-		// A real failure (panic, I/O) outranks a context error seen by a
-		// sibling worker.
-		var ctxErr error
 		for g := range ws {
-			if err := ws[g].err; err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					ctxErr = err
-					continue
-				}
-				return nil, verdicts{}, err
-			}
 			pc.Merge(&ws[g].pc)
-		}
-		if ctxErr != nil {
-			return nil, verdicts{}, ctxErr
 		}
 	}
 	var vd verdicts
@@ -620,7 +645,7 @@ func execRange(ctx context.Context, m *manifest, q Query, delta *SearchStats) (R
 	var ex *engine.Explain
 	for i := 0; i < pieces; i++ {
 		first := len(sc.ids)
-		pieceEx, err := m.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.costs(), q.Force, sc)
+		pieceEx, err := m.probe(ctx, q.Vec[i*n:(i+1)*n], pieceEps, q.costs(), q.Force, q.Pool, sc)
 		if err != nil {
 			return Result{Explain: pieceEx}, err
 		}
@@ -752,7 +777,7 @@ func execKNN(ctx context.Context, m *manifest, q Query, delta *SearchStats) (Res
 		eps, force = best[v.k-1].Dist, engine.PathAuto
 	}
 	sc.ids = sc.ids[:0]
-	if _, err := m.probe(ctx, q.Vec, eps, q.costs(), force, sc); err != nil {
+	if _, err := m.probe(ctx, q.Vec, eps, q.costs(), force, q.Pool, sc); err != nil {
 		return Result{}, err
 	}
 	v.setEps(eps)

@@ -11,7 +11,6 @@ import (
 
 	"scaleshift/internal/dft"
 	"scaleshift/internal/engine"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/obs"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/store"
@@ -60,11 +59,10 @@ type frozenSeg struct {
 // The index probe is the paper's §6 index phase — descend into the
 // children whose cone (norm range and direction box) the ε-widened
 // SE-line reaches, collect the leaf entries within ε of it — under an
-// "rtree.descent" span; the scan is experiment set 1, every window of
-// the segment in storage order and no index page read, under a "scan"
-// span.  The cone test takes no penetration strategy; the descent's
-// argument is ignored.
-func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, sc *queryScratch) error {
+// "rtree.descent" span (descend); the scan is experiment set 1, every
+// window of the segment in storage order and no index page read, under
+// a "scan" span.  pool is the query's buffer pool, nil for none.
+func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq engine.Query, pool *store.BufferPool, sc *queryScratch) error {
 	before := len(sc.ids)
 	if path == engine.PathScan {
 		_, span := obs.StartSpan(ctx, "scan")
@@ -77,14 +75,105 @@ func (sg *frozenSeg) candidates(ctx context.Context, path engine.PathKind, eq en
 	}
 	descentCtx, span := obs.StartSpan(ctx, "rtree.descent")
 	nodesBefore, leavesBefore := sc.tree.NodeAccesses, sc.tree.LeafEntriesChecked
-	var err error
 	if eq.Segment {
-		sc.ids, err = sg.flat.SegmentSearchIDs(descentCtx, eq.Line, eq.TMin, eq.TMax, eq.Eps, geom.EnteringExiting, &sc.tree, sc.ids)
+		sc.probe = sg.flat.SegmentProbe(eq.Line, eq.TMin, eq.TMax, eq.Eps, &sc.tree)
 	} else {
-		sc.ids, err = sg.flat.LineSearchIDs(descentCtx, eq.Line, eq.Eps, geom.EnteringExiting, &sc.tree, sc.ids)
+		sc.probe = sg.flat.LineProbe(eq.Line, eq.Eps, &sc.tree)
 	}
+	err := sc.descend(descentCtx, &sc.probe, pool, span)
+	sc.probe.Release()
+	sc.probe = rtree.Probe{} // a pooled scratch must not pin the segment's tree
 	endDescentSpan(span, &sc.tree, nodesBefore, leavesBefore, len(sc.ids)-before, err)
 	return err
+}
+
+// probeFanoutWidth is the frontier width — entered level-1 nodes, and
+// subtrees accepted whole above them — from which a descent fans out.
+// results/probe_fanout.txt (make bench-probe) measured it at paper scale:
+// ε-frac 0.001 enters at most 88 subtrees, where the serial descent takes
+// ~0.1 ms and a helper's wake is a large share of that, and ε-frac 0.005
+// upwards at least 141, where two workers halve the descent.
+const probeFanoutWidth = 128
+
+// probeWorker is one worker of a fanned-out descent: the ids a helper
+// emitted and its share of the descent's counts, and the subtrees the
+// worker ran.
+type probeWorker struct {
+	ids   []int64
+	tree  rtree.SearchStats
+	tasks int
+	fanState
+	_ [64]byte // workers sit side by side and write their own fields per node
+}
+
+// descend runs probe p down its tree, appending the ids it emits to
+// sc.ids and its counts to sc.tree.  The frontier — the levels above
+// level 1 — is tested on the caller (rtree.Probe.Frontier).  A frontier
+// narrower than probeFanoutWidth, or one fanWorkers keeps on one worker,
+// runs subtree by subtree on the caller: the serial descent.  A wider
+// one fans out (fanOut): the caller and its helpers take subtrees off
+// one counter until none is left — a helper that wakes late still takes
+// a share — each into its own ids and counts, which are then
+// concatenated and summed.  The ids then differ from the serial
+// descent's in order only, which the verifier's orderIDs removes; every
+// count is the same.  A fanned-out descent stamps its subtrees, the
+// helpers' share and the latest helper start on span.
+func (sc *queryScratch) descend(ctx context.Context, p *rtree.Probe, pool *store.BufferPool, span *obs.Span) error {
+	tasks, err := p.Frontier(ctx, &sc.tree, sc.tasks[:0])
+	sc.tasks = tasks
+	if err != nil {
+		return err
+	}
+	workers := fanWorkers(len(tasks), probeFanoutWidth, pool)
+	if workers == 1 {
+		for _, t := range tasks {
+			if sc.ids, err = p.Descend(ctx, t, &sc.tree, sc.ids); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ws := sc.probeWorkers(workers)
+	sc.next.Store(0)
+	err = fanOut(workers, "probe", func(g int) *fanState { return &ws[g].fanState }, func(g int) error {
+		// The caller emits into the query's own buffers; a helper into its
+		// worker's, with a probe of its own.
+		w, wp, ids, tree := &ws[g], p, &sc.ids, &sc.tree
+		if g > 0 {
+			fork := p.Fork()
+			defer fork.Release()
+			wp, ids, tree = &fork, &w.ids, &w.tree
+		}
+		for {
+			i := int(sc.next.Add(1) - 1)
+			if i >= len(tasks) {
+				return nil
+			}
+			w.tasks++
+			var err error
+			if *ids, err = wp.Descend(ctx, tasks[i], tree, *ids); err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	var helperTasks int
+	var helperWait time.Duration
+	for _, w := range ws[1:] {
+		sc.ids = append(sc.ids, w.ids...)
+		sc.tree.Add(w.tree)
+		helperTasks += w.tasks
+		helperWait = max(helperWait, w.wait)
+	}
+	recordProbeFanout()
+	if span != nil {
+		span.SetInt("tasks", int64(len(tasks)))
+		span.SetInt("helper_tasks", int64(helperTasks))
+		span.SetInt("helper_wait_us", helperWait.Microseconds())
+	}
+	return nil
 }
 
 // appendWindows appends every window of the segment to sc.ids, in
@@ -190,7 +279,7 @@ func (m *manifest) storeShape() (seqs, values, pages int) {
 // segment opening its own descent or scan span (an untraced context
 // skips the spans without allocating).  The returned Explain has one
 // SegmentPlan per probed segment.
-func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, sc *queryScratch) (*engine.Explain, error) {
+func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, costs CostBounds, force engine.PathKind, pool *store.BufferPool, sc *queryScratch) (*engine.Explain, error) {
 	path := engine.PathRTree
 	if force == engine.PathScan {
 		path = engine.PathScan
@@ -225,7 +314,7 @@ func (m *manifest) probe(ctx context.Context, piece vec.Vector, eps float64, cos
 		var err error
 		switch {
 		case sp.Seg >= 0:
-			err = m.frozen[sp.Seg].candidates(probeCtx, path, eq, sc)
+			err = m.frozen[sp.Seg].candidates(probeCtx, path, eq, pool, sc)
 		case path == engine.PathScan:
 			sc.ids = m.delta.appendIDs(sc.ids)
 		default:

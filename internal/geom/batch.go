@@ -574,42 +574,55 @@ func ConeBatch[T vec.Coord](pl Planes[T], cn *Cone, sc *BatchScratch, stats *Che
 }
 
 // ConeLowerSqBatch returns cn.LowerSq of every entry of pl (laid out as
-// ConeBatch describes), valid until the next call on sc.  Like the slab
-// kernel it sweeps one row pair at a time over contiguous memory, four
-// entries per iteration, accumulating each entry's two squared box
-// distances dimension-ascending — the scalar function's expressions in
-// the scalar function's order, so the two agree bit for bit.
+// ConeBatch describes), valid until the next call on sc.  It takes the
+// entries four at a time and runs the dimensions inside, so each
+// entry's two squared box distances stay in registers from the first
+// dimension to the last and are stored once; each is accumulated
+// dimension-ascending from the scalar function's expressions, so the
+// two agree bit for bit.
 func ConeLowerSqBatch[T vec.Coord](pl Planes[T], cn *Cone, sc *BatchScratch) []float64 {
 	c := pl.Count
 	sc.grow(c)
-	mp, mn, out := sc.qpD, sc.qpQp, sc.tLo
-	clear(mp)
-	clear(mn)
-	for j, x := range cn.Dir {
-		lr, hr := pl.LRow(1+j), pl.HRow(1+j)
-		k := 0
-		for ; k+4 <= c; k += 4 {
-			gp0, gn0 := coneGaps(float64(lr[k]), float64(hr[k]), x)
-			gp1, gn1 := coneGaps(float64(lr[k+1]), float64(hr[k+1]), x)
-			gp2, gn2 := coneGaps(float64(lr[k+2]), float64(hr[k+2]), x)
-			gp3, gn3 := coneGaps(float64(lr[k+3]), float64(hr[k+3]), x)
-			mp[k] += gp0 * gp0
-			mp[k+1] += gp1 * gp1
-			mp[k+2] += gp2 * gp2
-			mp[k+3] += gp3 * gp3
-			mn[k] += gn0 * gn0
-			mn[k+1] += gn1 * gn1
-			mn[k+2] += gn2 * gn2
-			mn[k+3] += gn3 * gn3
-		}
-		for ; k < c; k++ {
-			gp, gn := coneGaps(float64(lr[k]), float64(hr[k]), x)
-			mp[k] += gp * gp
-			mn[k] += gn * gn
-		}
+	out := sc.tLo
+	rLo := pl.LRow(0)
+	dir := cn.Dir
+	// Rows 1… are the direction box: coordinate j of entry k is at
+	// lo[(1+j)·c + k] and hi[(1+j)·c + k].
+	lo, hi := pl.Data[c:pl.Dim*c], pl.Data[c:pl.Dim*c]
+	if len(pl.Data) != pl.Dim*c {
+		hi = pl.Data[(pl.Dim+1)*c : 2*pl.Dim*c]
 	}
-	for k, r := range pl.LRow(0) {
-		out[k] = cn.lower(float64(r), mp[k], mn[k])
+	k := 0
+	for ; k+4 <= c; k += 4 {
+		var mp0, mp1, mp2, mp3, mn0, mn1, mn2, mn3 float64
+		for j, x := range dir {
+			l, h := lo[j*c+k:j*c+k+4], hi[j*c+k:j*c+k+4]
+			gp0, gn0 := coneGaps(float64(l[0]), float64(h[0]), x)
+			gp1, gn1 := coneGaps(float64(l[1]), float64(h[1]), x)
+			gp2, gn2 := coneGaps(float64(l[2]), float64(h[2]), x)
+			gp3, gn3 := coneGaps(float64(l[3]), float64(h[3]), x)
+			mp0 += gp0 * gp0
+			mp1 += gp1 * gp1
+			mp2 += gp2 * gp2
+			mp3 += gp3 * gp3
+			mn0 += gn0 * gn0
+			mn1 += gn1 * gn1
+			mn2 += gn2 * gn2
+			mn3 += gn3 * gn3
+		}
+		out[k] = cn.lower(float64(rLo[k]), mp0, mn0)
+		out[k+1] = cn.lower(float64(rLo[k+1]), mp1, mn1)
+		out[k+2] = cn.lower(float64(rLo[k+2]), mp2, mn2)
+		out[k+3] = cn.lower(float64(rLo[k+3]), mp3, mn3)
+	}
+	for ; k < c; k++ {
+		var mp, mn float64
+		for j, x := range dir {
+			gp, gn := coneGaps(float64(lo[j*c+k]), float64(hi[j*c+k]), x)
+			mp += gp * gp
+			mn += gn * gn
+		}
+		out[k] = cn.lower(float64(rLo[k]), mp, mn)
 	}
 	return out
 }

@@ -204,33 +204,26 @@ func (cn *Cone) LowerSq(rLo float64, lo, hi []float64) float64 {
 }
 
 // coneGaps returns how far x and −x lie outside [lo, hi] along one
-// coordinate (0 inside).
+// coordinate (0 inside), negated: min(x − lo, hi − x, 0) is
+// −max(lo − x, x − hi, 0) exactly — a rounded difference changes sign
+// with its operands — and only the squares are used.  The form compiles
+// to no branch: a descent feeds it boxes at every angle, so a
+// data-dependent branch is mispredicted about as often as it is taken;
+// and min where max was saves the negations the compiler wraps a float
+// max in.  On finite input the squares are bit for bit those of the
+// four comparisons this replaced (a gap of ±0 squares to +0 either
+// way); a NaN — an entry whose box holds one — propagates into the
+// bound, and the entry is entered (Enters), where the comparisons read
+// the gap as 0.
 func coneGaps(lo, hi, x float64) (gp, gn float64) {
-	if d := lo - x; d > gp {
-		gp = d
-	}
-	if d := x - hi; d > gp {
-		gp = d
-	}
-	if d := lo + x; d > gn {
-		gn = d
-	}
-	if d := -x - hi; d > gn {
-		gn = d
-	}
-	return gp, gn
+	return min(x-lo, hi-x, 0), min(-x-lo, x+hi, 0)
 }
 
 // lower closes the bound from an entry's least norm and the squared box
-// distances of q̂ and −q̂.
+// distances of q̂ and −q̂, without a branch (a NaN propagates).
 func (cn *Cone) lower(rLo, mp, mn float64) float64 {
-	m := mp
-	if mn < m {
-		m = mn
-	}
-	if cn.rFloor > rLo {
-		rLo = cn.rFloor
-	}
+	m := min(mp, mn)
+	rLo = max(rLo, cn.rFloor)
 	return rLo * rLo * (m * (1 - m/4))
 }
 

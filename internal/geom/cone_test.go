@@ -134,6 +134,9 @@ func checkCone[T vec.Coord](t *testing.T, what string, groups [][][]float64, pl 
 		if got := sc.tLo[k]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s entry %d: batched bound %v, scalar %v", what, k, got, want)
 		}
+		if ref := lowerSqBranchy(&cn, rLo, lo, hi); math.Float64bits(ref) != math.Float64bits(want) {
+			t.Fatalf("%s entry %d: bound %v, the comparison form's %v", what, k, want, ref)
+		}
 		if verdict[k] != cn.Enters(want, rLo, rHi) {
 			t.Fatalf("%s entry %d: batched verdict %v, scalar %v", what, k, verdict[k], !verdict[k])
 		}
@@ -306,7 +309,127 @@ func FuzzConePrune(f *testing.F) {
 			checkCone(t, "fuzz", groups, pl, l, e, 0, 0, false)
 			checkCone(t, "fuzz", groups, pl, l, e, tMin, tMax, shape&8 == 0)
 		}
+		checkConeEdges(t, rng, 1+int(count)%11)
 	})
+}
+
+// coneGapsBranchy is coneGaps as the four comparisons it was before its
+// branch-free form, and lowerSqBranchy Cone.LowerSq over it with the
+// comparisons Cone.lower made: the references the branch-free kernel is
+// held to, bit for bit, on finite input.
+func coneGapsBranchy(lo, hi, x float64) (gp, gn float64) {
+	if d := lo - x; d > gp {
+		gp = d
+	}
+	if d := x - hi; d > gp {
+		gp = d
+	}
+	if d := lo + x; d > gn {
+		gn = d
+	}
+	if d := -x - hi; d > gn {
+		gn = d
+	}
+	return gp, gn
+}
+
+func lowerSqBranchy(cn *Cone, rLo float64, lo, hi []float64) float64 {
+	var mp, mn float64
+	for j, x := range cn.Dir {
+		gp, gn := coneGapsBranchy(lo[j], hi[j], x)
+		mp += gp * gp
+		mn += gn * gn
+	}
+	m := mp
+	if mn < m {
+		m = mn
+	}
+	if cn.rFloor > rLo {
+		rLo = cn.rFloor
+	}
+	return rLo * rLo * (m * (1 - m/4))
+}
+
+// coneEdgeValues are the plane values checkConeEdges draws from: signed
+// zeros, float32 subnormals, the float32 extremes, and values either
+// side of a unit direction's components.
+var coneEdgeValues = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	0x1p-126, -0x1p-126,
+	math.MaxFloat32, -math.MaxFloat32,
+	1, -1, 0.5, -0.5, 0x1p-24, -0x1p-24,
+}
+
+// checkConeEdges fills a node of count direction-box entries — boxes in
+// any order, not only lo ≤ hi — with edge values and random ones, and
+// requires the batched bound to be the comparison form's bit for bit
+// for probes whose directions hold zeros and subnormals too.
+func checkConeEdges(t *testing.T, rng *rand.Rand, count int) {
+	t.Helper()
+	const dim = 6
+	pl := Planes[float32]{Data: make([]float32, 2*(dim+1)*count), Count: count, Dim: dim + 1}
+	for i := range pl.Data {
+		pl.Data[i] = float32(rng.NormFloat64())
+		if rng.Intn(3) == 0 {
+			pl.Data[i] = coneEdgeValues[rng.Intn(len(coneEdgeValues))]
+		}
+	}
+	d := make(vec.Vector, dim)
+	for j := range d {
+		d[j] = rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			d[j] = float64(coneEdgeValues[rng.Intn(len(coneEdgeValues))])
+		}
+	}
+	var cn Cone
+	PrepareCone(&cn, vec.Line{P: make(vec.Vector, dim), D: d}, rng.Float64(), 0, 0, false)
+	var sc BatchScratch
+	got := ConeLowerSqBatch(pl, &cn, &sc)
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for k := 0; k < count; k++ {
+		for j := 0; j < dim; j++ {
+			lo[j], hi[j] = float64(pl.LRow(1 + j)[k]), float64(pl.HRow(1 + j)[k])
+		}
+		want := lowerSqBranchy(&cn, float64(pl.LRow(0)[k]), lo, hi)
+		if math.Float64bits(got[k]) != math.Float64bits(want) {
+			t.Fatalf("edge entry %d of %d (box %v–%v, direction %v): batched bound %v, the comparison form's %v",
+				k, count, lo, hi, cn.Dir, got[k], want)
+		}
+	}
+}
+
+// TestConeNaNEnters: an entry whose direction box holds a NaN has a NaN
+// bound and is entered — the branch-free coneGaps propagates the NaN,
+// where the comparison form read the gap as 0 — beside entries far from
+// the probe that are refused.
+func TestConeNaNEnters(t *testing.T) {
+	const dim = 3
+	far := [][]float64{{0, 0, 1}, {0, 0, 1}} // unit directions along z, the probe along x
+	groups := [][][]float64{{{10, 0, 0}}, far, far, far, far}
+	for _, g := range groups[1:] {
+		for _, p := range g {
+			p[2] = 10
+		}
+	}
+	pl := coneEntries(groups, dim, step32)
+	l := vec.Line{P: make(vec.Vector, dim), D: vec.Vector{1, 0, 0}}
+	var cn Cone
+	PrepareCone(&cn, l, 0.5, 0, 0, false)
+	var sc BatchScratch
+	if v := ConeBatch(pl, &cn, &sc, nil); !v[0] || v[1] || v[4] {
+		t.Fatalf("verdicts %v: want the entry on the line entered and the four perpendicular ones refused", v)
+	}
+	for _, k := range []int{1, 4} { // one entry of the blocked sweep, one of its tail
+		pl.HRow(2)[k] = float32(math.NaN())
+		lowerSq := ConeLowerSqBatch(pl, &cn, &sc)
+		if !math.IsNaN(lowerSq[k]) {
+			t.Fatalf("entry %d with a NaN box: bound %v, want NaN", k, lowerSq[k])
+		}
+		if v := ConeBatch(pl, &cn, &sc, nil); !v[k] {
+			t.Fatalf("entry %d with a NaN box was refused", k)
+		}
+	}
 }
 
 // BenchmarkConeBatch times the directory kernel of a served probe: one

@@ -75,6 +75,10 @@ type lineQuery struct {
 	// accepts whole (geom.Cone.Accept), −Inf under any other directory:
 	// set once per probe by arenaQuery.
 	accept float64
+	// tasks, when set, makes the descent a frontier (Probe.Frontier): an
+	// entered level-1 node or an entry accepted whole is appended to it
+	// as a Subtree instead of being descended.
+	tasks *[]Subtree
 }
 
 // flatScratch holds the per-search reusable buffers.  Verdicts of
@@ -244,7 +248,9 @@ func (q *lineQuery) penetrated(pl geom.Planes[float32], cone bool, sc *geom.Batc
 // child, or to end for the last entry.  An entered entry whose r_hi is at
 // most q.accept is accepted whole: acceptSubtree hands every leaf of that
 // range to hit, in the order the descent would, without testing anything
-// below it.
+// below it.  With q.tasks set the descent stops above level 1: an
+// accepted entry, and an entered entry of a level-2 node, is appended to
+// *q.tasks as a Subtree instead, and hit is never called.
 func (f *FlatTree) descend(ctx context.Context, ni, end int, q *lineQuery, stats *SearchStats, sc *flatScratch, hit func(pl geom.Planes[float32], s, from, to int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -289,10 +295,14 @@ func (f *FlatTree) descend(ctx context.Context, ni, end int, q *lineQuery, stats
 		if k+1 < c {
 			next = int(f.refs[s+k+1])
 		}
+		accept := float64(rHi[k]) <= q.accept
 		var err error
-		if float64(rHi[k]) <= q.accept {
+		switch {
+		case q.tasks != nil && (accept || lvl == 2):
+			*q.tasks = append(*q.tasks, Subtree{from: child, to: next, accept: accept})
+		case accept:
 			err = f.acceptSubtree(ctx, child, next, stats, hit)
-		} else {
+		default:
 			err = f.descend(ctx, child, next, q, stats, sc, hit)
 		}
 		if err != nil {
@@ -344,21 +354,116 @@ func (f *FlatTree) searchItems(q lineQuery, stats *SearchStats) []Item {
 	return out
 }
 
-// searchIDs runs q, appending the ID of every hit to ids and reporting
-// the descent to the obs registry.  Nothing is materialized per hit:
-// the ID is read straight out of the arena's ref column.
+// searchIDs runs q over the whole tree as one Subtree, appending the ID
+// of every hit to ids and reporting the descent to the obs registry.
 func (f *FlatTree) searchIDs(ctx context.Context, q lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
-	nb, lb := descentBefore(stats)
+	p := f.newProbe(q, stats)
+	ids, err := p.Descend(ctx, Subtree{from: 0, to: len(f.meta)}, stats, ids)
+	p.Release()
+	return ids, err
+}
+
+// Subtree is one unit of a split descent: the node range [from, to) of
+// an entered subtree in the arena's pre-order, and whether its entry was
+// accepted whole (then no node of it is tested).
+type Subtree struct {
+	from, to int
+	accept   bool
+}
+
+// Probe is one line or segment search split into steps, for a caller
+// that runs the subtrees of a wide descent on several goroutines:
+// Frontier tests the top of the tree and returns what it entered below,
+// and Descend runs one of those subtrees.  Running every Subtree of the
+// frontier, in its order, through one probe is the serial descent: the
+// same hits in the same order, and the same SearchStats summed.  A probe
+// holds its query in the arena's units and a scratch from the tree's
+// pool; Release returns it.
+type Probe struct {
+	f     *FlatTree
+	q     lineQuery
+	sc    *flatScratch
+	stats *SearchStats
+	// nb and lb are stats' node and leaf counts when the probe began
+	// (descentBefore); a fork reports nothing and has forked set.
+	nb, lb int
+	forked bool
+}
+
+// LineProbe prepares the search LineSearchIDs runs, the ε-band around
+// the line l — under an MBR directory, by the entering/exiting test.
+// stats, which may be nil, is the ledger Release reports
+// the descent from: the caller sums every Subtree's counts into it first.
+func (f *FlatTree) LineProbe(l vec.Line, eps float64, stats *SearchStats) Probe {
+	return f.newProbe(lineQuery{l: l, eps: eps}, stats)
+}
+
+// SegmentProbe is LineProbe restricted to the parameter range
+// [tMin, tMax]: the search SegmentSearchIDs runs.
+func (f *FlatTree) SegmentProbe(l vec.Line, tMin, tMax, eps float64, stats *SearchStats) Probe {
+	return f.newProbe(lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps}, stats)
+}
+
+func (f *FlatTree) newProbe(q lineQuery, stats *SearchStats) Probe {
 	sc := f.getScratch()
-	q = f.arenaQuery(q, sc)
-	err := f.descend(ctx, 0, len(f.meta), &q, stats, sc, func(_ geom.Planes[float32], s, from, to int) {
+	nb, lb := descentBefore(stats)
+	return Probe{f: f, q: f.arenaQuery(q, sc), sc: sc, stats: stats, nb: nb, lb: lb}
+}
+
+// Frontier runs the descent over every directory level above level 1 —
+// the same tests, in the same order, counted into stats, polling ctx per
+// node — and appends to tasks, in that order, each subtree it enters
+// below them: every entered level-1 node, and every entry accepted
+// whole.  A tree of height two or less is one Subtree, the whole tree,
+// and costs nothing here.
+func (p *Probe) Frontier(ctx context.Context, stats *SearchStats, tasks []Subtree) ([]Subtree, error) {
+	f := p.f
+	if f.nodeLevel(0) < 2 {
+		return append(tasks, Subtree{from: 0, to: len(f.meta)}), nil
+	}
+	q := p.q
+	q.tasks = &tasks
+	err := f.descend(ctx, 0, len(f.meta), &q, stats, p.sc, nil)
+	return tasks, err
+}
+
+// Descend runs the descent of t, appending the ID of every hit to ids
+// in the order the whole descent emits them, counting into stats and
+// polling ctx per node.  Nothing is materialized per hit: the ID is read
+// straight out of the arena's ref column.  A probe runs one Descend at a
+// time; concurrent ones each need their own Fork.
+func (p *Probe) Descend(ctx context.Context, t Subtree, stats *SearchStats, ids []int64) ([]int64, error) {
+	f := p.f
+	hit := func(_ geom.Planes[float32], s, from, to int) {
 		for _, ref := range f.refs[s+from : s+to] {
 			ids = append(ids, int64(ref))
 		}
-	})
-	f.putScratch(sc)
-	recordDescent(stats, nb, lb)
+	}
+	var err error
+	if t.accept {
+		err = f.acceptSubtree(ctx, t.from, t.to, stats, hit)
+	} else {
+		err = f.descend(ctx, t.from, t.to, &p.q, stats, p.sc, hit)
+	}
 	return ids, err
+}
+
+// Fork returns a probe of the same query with a scratch of its own, for
+// Descend on another goroutine.  It reads p's query, so it must be
+// released before p is; its Release reports nothing.
+func (p *Probe) Fork() Probe {
+	return Probe{f: p.f, q: p.q, sc: p.f.getScratch(), forked: true}
+}
+
+// Release returns the probe's scratch to the tree's pool and, unless it
+// is a fork, reports one descent to the obs registry with the node reads
+// and leaf checks its stats gained since the probe began.
+func (p *Probe) Release() {
+	if !p.forked {
+		recordDescent(p.stats, p.nb, p.lb)
+	}
+	p.f.putScratch(p.sc)
+	p.sc = nil
 }
 
 // LineSearch returns every item whose point lies within eps of the

@@ -36,7 +36,9 @@ func PLDFastBatch[T Coord](rows []T, stride, count int, l Line, qpD, qpQp, out [
 		return
 	}
 	for k := 0; k < count; k++ {
-		out[k] = math.Sqrt(math.Max(0, qpQp[k]-qpD[k]*qpD[k]/dd))
+		// The builtin max is math.Max on every input, ±0 and NaN
+		// included, without its call and branches.
+		out[k] = math.Sqrt(max(0, qpQp[k]-qpD[k]*qpD[k]/dd))
 	}
 }
 
@@ -67,38 +69,48 @@ func PSegDFastBatch[T Coord](rows []T, stride, count int, l Line, tMin, tMax flo
 
 // accumBatch fills the per-point accumulators qpD[k] = Σⱼ(qₖⱼ−Pⱼ)·Dⱼ
 // and qpQp[k] = Σⱼ(qₖⱼ−Pⱼ)² in dimension-ascending order, and returns
-// dd = Σⱼ Dⱼ² accumulated the same way.  The inner sweep over points
-// is 4-wide unrolled; the unroll is across points, never across
-// dimensions, so each point's accumulation order is untouched.
+// dd = Σⱼ Dⱼ² accumulated the same way.  It takes the points four at a
+// time and runs the dimensions inside, so each point's two sums stay in
+// registers across the dimensions and are stored once; the blocking is
+// across points, never across dimensions, so each point's accumulation
+// order is untouched.
 func accumBatch[T Coord](rows []T, stride, count int, l Line, qpD, qpQp []float64) float64 {
-	for k := 0; k < count; k++ {
-		qpD[k], qpQp[k] = 0, 0
-	}
+	dim := len(l.P)
+	p, d := l.P, l.D[:dim]
 	var dd float64
-	for j := range l.P {
-		p, d := l.P[j], l.D[j]
-		dd += d * d
-		row := rows[j*stride : j*stride+count]
-		k := 0
-		for ; k+4 <= count; k += 4 {
-			qp0 := float64(row[k]) - p
-			qp1 := float64(row[k+1]) - p
-			qp2 := float64(row[k+2]) - p
-			qp3 := float64(row[k+3]) - p
-			qpD[k] += qp0 * d
-			qpD[k+1] += qp1 * d
-			qpD[k+2] += qp2 * d
-			qpD[k+3] += qp3 * d
-			qpQp[k] += qp0 * qp0
-			qpQp[k+1] += qp1 * qp1
-			qpQp[k+2] += qp2 * qp2
-			qpQp[k+3] += qp3 * qp3
+	for _, x := range d {
+		dd += x * x
+	}
+	k := 0
+	for ; k+4 <= count; k += 4 {
+		var d0, d1, d2, d3, q0, q1, q2, q3 float64
+		for j := range p {
+			row := rows[j*stride+k : j*stride+k+4]
+			pj, dj := p[j], d[j]
+			qp0 := float64(row[0]) - pj
+			qp1 := float64(row[1]) - pj
+			qp2 := float64(row[2]) - pj
+			qp3 := float64(row[3]) - pj
+			d0 += qp0 * dj
+			d1 += qp1 * dj
+			d2 += qp2 * dj
+			d3 += qp3 * dj
+			q0 += qp0 * qp0
+			q1 += qp1 * qp1
+			q2 += qp2 * qp2
+			q3 += qp3 * qp3
 		}
-		for ; k < count; k++ {
-			qp := float64(row[k]) - p
-			qpD[k] += qp * d
-			qpQp[k] += qp * qp
+		qpD[k], qpD[k+1], qpD[k+2], qpD[k+3] = d0, d1, d2, d3
+		qpQp[k], qpQp[k+1], qpQp[k+2], qpQp[k+3] = q0, q1, q2, q3
+	}
+	for ; k < count; k++ {
+		var dk, qk float64
+		for j := range p {
+			qp := float64(rows[j*stride+k]) - p[j]
+			dk += qp * d[j]
+			qk += qp * qp
 		}
+		qpD[k], qpQp[k] = dk, qk
 	}
 	return dd
 }

@@ -101,10 +101,48 @@ func TestPLDFastBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// accumBatchDimOuter is accumBatch as it ran before its accumulators
+// moved into registers: dimensions outer, each point's two sums read and
+// written in memory once per dimension.  FuzzPLDBatchParity holds the
+// kernel to it bit for bit.
+func accumBatchDimOuter[T Coord](rows []T, stride, count int, l Line, qpD, qpQp []float64) float64 {
+	for k := 0; k < count; k++ {
+		qpD[k], qpQp[k] = 0, 0
+	}
+	var dd float64
+	for j := range l.P {
+		p, d := l.P[j], l.D[j]
+		dd += d * d
+		row := rows[j*stride : j*stride+count]
+		for k := 0; k < count; k++ {
+			qp := float64(row[k]) - p
+			qpD[k] += qp * d
+			qpQp[k] += qp * qp
+		}
+	}
+	return dd
+}
+
+// edgeCoords are the coordinates FuzzPLDBatchParity plants among its
+// points: signed zeros, the float32 and float64 subnormals, the extremes
+// a float32 plane holds, and the smallest normals.
+var edgeCoords = []float64{
+	0, math.Copysign(0, -1),
+	float64(math.SmallestNonzeroFloat32), -float64(math.SmallestNonzeroFloat32),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.MaxFloat32, -math.MaxFloat32,
+	0x1p-126, -0x1p-126, 0x1p-1022, -0x1p-1022,
+}
+
 // FuzzPLDBatchParity drives the batch kernel with fuzzer-chosen
-// coordinates and checks bit-identity against the scalar path.
+// coordinates and edge values, over float64 rows (a delta block, stride
+// > count when the fuzzer says so) and the float32 rows an arena leaf
+// keeps, and checks bit-identity against the scalar path and against
+// the dimension-outer accumulation the kernel replaced.
 func FuzzPLDBatchParity(f *testing.F) {
 	f.Add(int64(7), uint8(3), uint8(5), 1.5, -0.5)
+	f.Add(int64(8), uint8(13), uint8(9), 0.0, math.MaxFloat32)
+	f.Add(int64(9), uint8(30), uint8(11), -math.SmallestNonzeroFloat64, 0x1p-140)
 	f.Fuzz(func(t *testing.T, seed int64, dim8, count8 uint8, a, b float64) {
 		dim := int(dim8%8) + 1
 		count := int(count8%12) + 1
@@ -114,6 +152,9 @@ func FuzzPLDBatchParity(f *testing.F) {
 			points[k] = make(Vector, dim)
 			for j := range points[k] {
 				points[k][j] = rng.NormFloat64() * 50
+				if rng.Intn(4) == 0 {
+					points[k][j] = edgeCoords[rng.Intn(len(edgeCoords))]
+				}
 			}
 		}
 		if !math.IsNaN(a) && !math.IsInf(a, 0) {
@@ -123,12 +164,16 @@ func FuzzPLDBatchParity(f *testing.F) {
 		for j := 0; j < dim; j++ {
 			l.P[j] = rng.NormFloat64()
 			l.D[j] = rng.NormFloat64()
+			if rng.Intn(6) == 0 {
+				l.D[j] = edgeCoords[rng.Intn(len(edgeCoords))]
+			}
 		}
 		if !math.IsNaN(b) && !math.IsInf(b, 0) {
 			l.D[0] = b
 		}
 		stride := count + int(dim8/8)%4
 		rows := packRows(points, dim, stride)
+		checkAccumParity(t, rows, stride, count, l)
 		qpD := make([]float64, count)
 		qpQp := make([]float64, count)
 		out := make([]float64, count)
@@ -139,7 +184,31 @@ func FuzzPLDBatchParity(f *testing.F) {
 				t.Fatalf("parity break at k=%d: %v vs %v", k, out[k], want)
 			}
 		}
+		// The same points as a float32 leaf: values past ±MaxFloat32 would
+		// round to ±Inf, so the fuzzer's own a is clamped first.
+		points[0][0] = max(-math.MaxFloat32, min(points[0][0], math.MaxFloat32))
+		rows = packRows(points, dim, stride)
+		checkAccumParity(t, narrowRows(rows, points), stride, count, l)
+		checkBatchBitIdentical(t, narrowRows(rows, points), points, stride, l, -1, 2)
 	})
+}
+
+// checkAccumParity requires accumBatch's accumulators and dd to be the
+// dimension-outer reference's, bit for bit.
+func checkAccumParity[T Coord](t *testing.T, rows []T, stride, count int, l Line) {
+	t.Helper()
+	gotD, gotQ := make([]float64, count), make([]float64, count)
+	wantD, wantQ := make([]float64, count), make([]float64, count)
+	dd, wantDD := accumBatch(rows, stride, count, l, gotD, gotQ), accumBatchDimOuter(rows, stride, count, l, wantD, wantQ)
+	if math.Float64bits(dd) != math.Float64bits(wantDD) {
+		t.Fatalf("accumBatch[%T] dd %v, reference %v", rows, dd, wantDD)
+	}
+	for k := range gotD {
+		if math.Float64bits(gotD[k]) != math.Float64bits(wantD[k]) || math.Float64bits(gotQ[k]) != math.Float64bits(wantQ[k]) {
+			t.Fatalf("accumBatch[%T] dim=%d count=%d stride=%d k=%d: (%v, %v), reference (%v, %v)",
+				rows, len(l.P), count, stride, k, gotD[k], gotQ[k], wantD[k], wantQ[k])
+		}
+	}
 }
 
 // TestDotUnrolledAccuracy bounds dotUnrolled's divergence from the
