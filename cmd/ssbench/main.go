@@ -99,7 +99,7 @@ var experiments = []experiment{
 				return err
 			}
 			bytes := t.Flat.ArenaSize()
-			_, err := fmt.Fprintf(w, "arena: %d bytes with its header and feature sample, %.1f per window\n",
+			_, err := fmt.Fprintf(w, "arena: %d bytes with its header, %.1f per window\n",
 				bytes, float64(bytes)/float64(max(t.Flat.Len(), 1)))
 			return err
 		})

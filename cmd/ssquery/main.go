@@ -55,9 +55,9 @@ func run(args []string, stdout io.Writer) error {
 	eps := fs.Float64("eps", -1, "absolute error bound (overrides -eps-frac)")
 	epsFrac := fs.Float64("eps-frac", 0.02, "error bound as a fraction of the mean window SE-norm")
 	nn := fs.Int("nn", 0, "if > 0, run k-nearest-neighbour search instead of a range query")
-	scaleMin := fs.Float64("scale-min", 0, "cost bound: minimum allowed scale factor (0=unbounded)")
-	scaleMax := fs.Float64("scale-max", 0, "cost bound: maximum allowed scale factor (0=unbounded)")
-	shiftAbs := fs.Float64("shift-abs", 0, "cost bound: maximum |shift offset| (0=unbounded)")
+	scaleMin := fs.Float64("scale-min", 0, "cost bound: minimum allowed scale factor (unbounded when not given)")
+	scaleMax := fs.Float64("scale-max", 0, "cost bound: maximum allowed scale factor (unbounded when not given)")
+	shiftAbs := fs.Float64("shift-abs", 0, "cost bound: maximum |shift offset| (unbounded when not given)")
 	limit := fs.Int("limit", 20, "print at most this many matches (0 = all); the count is always complete")
 	long := fs.Bool("long", false, "treat the query as longer than the window (multipiece search)")
 	explain := fs.Bool("explain", false, "print the query plan: the path, candidates per segment and stage timings")
@@ -113,19 +113,23 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "eps: %.4g (absolute)\n", e)
 	}
 
+	// A cost bound given on the command line is used as it is, 0
+	// included, as /search uses a given one; none given is no bound.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	var costs *core.CostBounds
-	if *scaleMin != 0 || *scaleMax != 0 || *shiftAbs != 0 {
+	if given["scale-min"] || given["scale-max"] || given["shift-abs"] {
 		c := core.UnboundedCosts()
+		if given["scale-min"] {
+			c.ScaleMin = *scaleMin
+		}
+		if given["scale-max"] {
+			c.ScaleMax = *scaleMax
+		}
+		if given["shift-abs"] {
+			c.ShiftMin, c.ShiftMax = -*shiftAbs, *shiftAbs
+		}
 		costs = &c
-	}
-	if *scaleMin != 0 {
-		costs.ScaleMin = *scaleMin
-	}
-	if *scaleMax != 0 {
-		costs.ScaleMax = *scaleMax
-	}
-	if *shiftAbs != 0 {
-		costs.ShiftMin, costs.ShiftMax = -*shiftAbs, *shiftAbs
 	}
 
 	force, err := engine.ParsePathKind(*pathName)

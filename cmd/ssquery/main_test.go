@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"scaleshift/internal/cliutil"
+	"scaleshift/internal/core"
+	"scaleshift/internal/query"
 	"scaleshift/internal/stock"
 	"scaleshift/internal/store"
 )
@@ -305,5 +310,60 @@ func TestQueryBulkMode(t *testing.T) {
 	}
 	if err := run(smallArgs("-query", "3:50", "-bulk"), &sb); err == nil {
 		t.Error("-bulk is still accepted")
+	}
+}
+
+// TestGivenZeroCostBoundIsABound: a cost bound given on the command line
+// is used as it is, 0 included, as /search uses one — `-scale-max 0`
+// answers what core.Exec answers under ScaleMax 0, and not what no flag
+// answers.
+func TestGivenZeroCostBoundIsABound(t *testing.T) {
+	args := smallArgs("-query", "3:50", "-eps-frac", "0.05", "-limit", "0")
+	var bounded, unbounded strings.Builder
+	if err := run(append(args, "-scale-max", "0"), &bounded); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &unbounded); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same database, index, query and ε as run builds.
+	st, err := cliutil.LoadStore("", "", 20, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.WindowLen, opts.Coefficients = 32, 3
+	ix, err := core.NewIndex(st, opts)
+	if err == nil {
+		err = ix.Build()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	normScale, err := query.SENormScale(st, 32, 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, 32)
+	if err := st.Window(3, 50, 32, q, nil); err != nil {
+		t.Fatal(err)
+	}
+	costs := core.UnboundedCosts()
+	costs.ScaleMax = 0
+	res, err := ix.Exec(context.Background(), core.Query{Vec: q, Eps: 0.05 * normScale, Costs: &costs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("\n%d matches\n", res.Total)
+	for _, m := range res.Matches {
+		want += fmt.Sprintf("  %-8s window [%d, %d)  dist=%.4g  a=%.4g  b=%.4g\n", m.Name, m.Start, m.Start+len(q), m.Dist, m.Scale, m.Shift)
+	}
+	if !strings.HasSuffix(bounded.String(), want) {
+		t.Fatalf("-scale-max 0 printed\n%s\nwant the answer under ScaleMax 0, ending\n%s", bounded.String(), want)
+	}
+	if strings.HasSuffix(unbounded.String(), want) {
+		t.Fatalf("no cost flag answers as -scale-max 0 does (%d matches): the test cannot tell a bound from none", res.Total)
 	}
 }

@@ -129,11 +129,6 @@ type Tree struct {
 	// reinsertDone marks levels already force-reinserted during the
 	// current insertion (R* "first overflow of the level" rule).
 	reinsertDone map[int]bool
-	// sample holds every sampleStride-th inserted feature point, the
-	// arena's feature sample; see sampleAdd.
-	sample       []vec.Vector
-	sampleStride int
-	sampleTick   int
 	// pathScratch is reused by insertEntry to record the chooseSubtree
 	// descent, so the MBR-adjust ascent never scans a parent's entries.
 	pathScratch []*entry
@@ -143,7 +138,7 @@ type Tree struct {
 // its arena would be refused with.
 func New(cfg Config) (*Tree, error) {
 	t := &Tree{cfg: cfg, root: &node{level: 0}, nodes: 1}
-	if _, err := rtree.FlatFromNodes(cfg.Config, t.root, nil, openNode); err != nil {
+	if _, err := rtree.FlatFromNodes(cfg.Config, t.root, openNode); err != nil {
 		return nil, err
 	}
 	if err := cfg.validate(); err != nil {
@@ -155,7 +150,7 @@ func New(cfg Config) (*Tree, error) {
 // Freeze returns the tree as the arena that is searched, its directory
 // the tree's MBRs; the two share nothing mutable.
 func (t *Tree) Freeze() *rtree.FlatTree {
-	f, err := rtree.FlatFromNodes(t.cfg.Config, t.root, t.sample, openNode)
+	f, err := rtree.FlatFromNodes(t.cfg.Config, t.root, openNode)
 	if err != nil {
 		panic(err) // New accepted the configuration
 	}
@@ -174,33 +169,6 @@ func openNode(n *node) (level, pages int, rects []geom.Rect, ids []int64, childr
 		}
 	}
 	return n.level, n.pages(), rects, ids, children
-}
-
-// sampleCap bounds the arena's feature sample.  The sample holds
-// every sampleStride-th inserted entry; when it outgrows 2·sampleCap,
-// every other element is dropped and the stride doubles, which keeps
-// the kept ticks ≡ 0 (mod stride) — a stratified sample of the whole
-// insertion history, deterministic, with O(1) amortized maintenance.
-const sampleCap = 256
-
-// sampleAdd records an inserted feature point (already owned by the
-// tree — the caller must not pass a slice it will reuse).
-func (t *Tree) sampleAdd(p vec.Vector) {
-	if t.sampleStride == 0 {
-		t.sampleStride = 1
-	}
-	if t.sampleTick%t.sampleStride == 0 {
-		t.sample = append(t.sample, p)
-		if len(t.sample) > 2*sampleCap {
-			kept := t.sample[:0]
-			for i := 0; i < len(t.sample); i += 2 {
-				kept = append(kept, t.sample[i])
-			}
-			t.sample = kept
-			t.sampleStride *= 2
-		}
-	}
-	t.sampleTick++
 }
 
 // Len returns the number of stored items.
@@ -225,7 +193,6 @@ func (t *Tree) Insert(point vec.Vector, id int64) {
 	t.reinsertDone = make(map[int]bool)
 	t.insertEntry(e, 0)
 	t.size++
-	t.sampleAdd(p)
 }
 
 // insertEntry places e into a node at the given level, handling

@@ -1,5 +1,5 @@
 // Package binio is the shared binary-artifact framing of the index
-// (SSSEG; SSIDX is read), checkpoint and store files: a 6-byte magic
+// (SSSEG), checkpoint and store files: a 6-byte magic
 // (5 identifying bytes plus a version byte), length-prefixed sections
 // each protected by a CRC32C (Castagnoli) of its payload, and a
 // whole-file CRC32C trailer.

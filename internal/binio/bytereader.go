@@ -51,26 +51,6 @@ func (br *ByteReader) Magic(want []byte) error {
 	return fmt.Errorf("bad magic %q (want %q)", got, want)
 }
 
-// MagicVersions consumes the magic accepting any of the listed version
-// bytes, with the same semantics as Reader.MagicVersions.
-func (br *ByteReader) MagicVersions(want []byte, accept ...byte) (byte, error) {
-	got, err := br.take(len(want))
-	if err != nil {
-		return 0, err
-	}
-	if string(got[:len(got)-1]) != string(want[:len(want)-1]) {
-		return 0, fmt.Errorf("bad magic %q (want %q)", got, want)
-	}
-	v := got[len(got)-1]
-	for _, a := range accept {
-		if v == a {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: format version %d (this build reads version %d)",
-		ErrVersion, v, want[len(want)-1])
-}
-
 // Section reads one length-prefixed payload, verifies its CRC32C, and
 // returns the payload as a subslice of the input (no copy).
 func (br *ByteReader) Section(limit uint64) ([]byte, error) {

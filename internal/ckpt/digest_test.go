@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,9 +25,10 @@ import (
 // checkpoint must be byte for byte reproducible, and one an older build
 // wrote must stay readable (TestPreChangeCheckpoint).  Re-recorded once
 // for PR 24, when the segment arenas inside it went from MBR to
-// direction-box directories (see core's digest_test.go); the container
-// did not change.
-const digestSSCKP = "034fb67049432f1f2a2460445470ae30bc896d8f700edc883b7c375956c4e56d"
+// direction-box directories (see core's digest_test.go), and once when
+// the arenas went to version 3 (12-word header, no feature sample; it
+// was 034fb670…); the container did not change either time.
+const digestSSCKP = "c781ecf8e4b2a3c3f3060cd5628d68cbcc02143d825baa2b81758d606a8563dc"
 
 func TestCheckpointDigest(t *testing.T) {
 	st := store.New()
@@ -60,10 +62,14 @@ func TestCheckpointDigest(t *testing.T) {
 
 // digestManifest and digestSegmentFile are the SHA-256 of the SSCKP v2
 // checkpoint of the same fixture: the manifest, and the one segment
-// file it names (1-0-<crc>.sseg, a one-segment SSSEG artifact).
+// file it names (1-0-<crc>.sseg, a one-segment SSSEG artifact).  Both
+// were re-recorded when the arena went to version 3: the segment file's
+// arena section moved, and with it the size and CRC the manifest names
+// (they were 8614bd40… and 01cbcc64…).  The manifest's container did not
+// change.
 const (
-	digestManifest    = "8614bd40491fedbd7a677237becd82b610585faacd76785755aa8d13efd81565"
-	digestSegmentFile = "01cbcc6432e00647da424662da50f13012927761f9ca08db31c5692576acf4da"
+	digestManifest    = "16ae1aedc9db66560f868ed9fd9cc2463540bc018c47e46f6d47e4ad6f9c95cb"
+	digestSegmentFile = "7b5dc0e7de2638d34678dfe02cb12018aad8c07aba553103a23676de05d2193f"
 )
 
 func TestManifestDigest(t *testing.T) {
@@ -195,4 +201,86 @@ func sameBits(a, b []core.Match) bool {
 		}
 	}
 	return true
+}
+
+// TestPreChangeManifest recovers an SSCKP v2 checkpoint the build before
+// arena version 3 saved (testdata/arena_v2_box.ckpt and its .segs/: 4 ×
+// 220 values grown by 6 per sequence, window 32, generation 7, WAL offset
+// 4096; two segment files, each a direction-box arena of version 2):
+// Recover returns its meta and store with every segment rebuilt from that
+// store — one Rebuilt warning per segment file, a version error naming
+// arena version 2 — and the index answers Float64bits-identically to a
+// fresh build over the recovered store, forced down the tree and k-NN
+// included.
+func TestPreChangeManifest(t *testing.T) {
+	const name = "arena_v2_box.ckpt"
+	base := filepath.Join(t.TempDir(), name)
+	src := filepath.Join("testdata", name)
+	files := segFiles(t, src)
+	copyFile := func(from, to string) {
+		data, err := os.ReadFile(from)
+		if err == nil {
+			err = os.WriteFile(to, data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(SegmentDir(base), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyFile(src, base)
+	for _, f := range files {
+		copyFile(filepath.Join(SegmentDir(src), f), filepath.Join(SegmentDir(base), f))
+	}
+	res, warns, err := Recover(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, st, seg := res.Meta, res.Store, res.Seg
+	defer seg.Close()
+	if want := (Meta{Generation: 7, WALOffset: 4096, CreatedAt: time.Unix(0, 0)}); meta != want || res.Source != base {
+		t.Fatalf("meta %+v from %s, want %+v from %s", meta, res.Source, want, base)
+	}
+	if len(files) != 2 || len(warns) != len(files) {
+		t.Fatalf("warnings %v for segment files %v, want one per file", warns, files)
+	}
+	for i, w := range warns {
+		if !w.Rebuilt || w.Path != filepath.Join(SegmentDir(base), files[i]) || !errors.Is(w.Err, binio.ErrVersion) ||
+			!strings.Contains(w.Err.Error(), "unsupported flat arena version 2") {
+			t.Fatalf("warning %d: %v, want a rebuild of %s for arena version 2", i, w, files[i])
+		}
+	}
+	fresh, err := core.NewIndex(st, seg.Options())
+	if err == nil {
+		err = fresh.Build()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	n := seg.Options().WindowLen
+	q := make([]float64, n)
+	for s := 0; s < st.NumSequences(); s++ {
+		if err := seg.QueryWindow(s, 17*s, n, q); err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range []core.Query{{Vec: q, Eps: 2}, {Vec: q, Eps: 2, Force: engine.PathRTree}, {Vec: q, K: 4}} {
+			var stats core.SearchStats
+			got, err := seg.Exec(context.Background(), query, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Exec(context.Background(), query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Matches) == 0 || !sameBits(got.Matches, want.Matches) {
+				t.Fatalf("sequence %d, %+v: %d matches from the recovered index, %d from a fresh one", s, query, len(got.Matches), len(want.Matches))
+			}
+			if query.Force == engine.PathRTree && stats.IndexNodeAccesses == 0 {
+				t.Fatalf("sequence %d: the forced probe read no index page", s)
+			}
+		}
+	}
 }

@@ -73,6 +73,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 	long := append([]byte(nil), list...)
 	long[32] = 0xFF // the segment count
 	f.Add(long)
+	// A manifest the build before arena version 3 saved (its segment
+	// files are not read here; TestPreChangeManifest recovers them).
+	old, err := os.ReadFile(filepath.Join("testdata", "arena_v2_box.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	typed := func(t *testing.T, what string, err error) {
 		if err == nil {

@@ -78,8 +78,8 @@ func TestLoadStoreMissingFile(t *testing.T) {
 }
 
 // TestOpenIndexRebuildsCorruptCache: a cache that cannot be served as it
-// is — garbage, or an MBR-directory artifact (core's fixture, written
-// over this store) — is rebuilt from the store with one warning, says so
+// is — garbage, or an artifact of the previous arena version (core's
+// fixture, written over this store) — is rebuilt from the store with one warning, says so
 // on the how line, answers as a fresh build, and is replaced by the
 // rebuilt index, which the next open maps.
 func TestOpenIndexRebuildsCorruptCache(t *testing.T) {
@@ -100,12 +100,12 @@ func TestOpenIndexRebuildsCorruptCache(t *testing.T) {
 	if err := fresh.WriteBinary(&want); err != nil {
 		t.Fatal(err)
 	}
-	mbrBytes, err := os.ReadFile(filepath.Join("..", "core", "testdata", "arena_v2_mbr.ssidx"))
+	oldBytes, err := os.ReadFile(filepath.Join("..", "core", "testdata", "arena_v2_box.ssseg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for what, bad := range map[string][]byte{"garbage": []byte("not an index artifact"), "MBR directory": mbrBytes} {
+	for what, bad := range map[string][]byte{"garbage": []byte("not an index artifact"), "arena version 2": oldBytes} {
 		cache := filepath.Join(t.TempDir(), "bad.index")
 		if err := os.WriteFile(cache, bad, 0o644); err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestOpenIndexRebuildsCorruptCache(t *testing.T) {
 			t.Fatalf("%s: want one rebuild warning, logged %q", what, logbuf.String())
 		}
 		if !strings.HasPrefix(how, "rebuilt (") || !strings.Contains(how, ", cached to "+cache) ||
-			what == "MBR directory" && !strings.Contains(how, "MBR directory is no longer served") {
+			what == "arena version 2" && !strings.Contains(how, "unsupported flat arena version 2") {
 			t.Fatalf("%s: how = %q, want the rebuild and its reason", what, how)
 		}
 		if ix.WindowCount() != fresh.WindowCount() {

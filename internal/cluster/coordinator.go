@@ -113,9 +113,9 @@ type Coordinator struct {
 // answer or ConnectTimeout elapses, then checks each shard's
 // fingerprint, sequence count, and value count against its manifest
 // entry and that all shards agree on window length and coefficient
-// count.  A mis-wired -shard-addrs list (addresses swapped, a stale
-// artifact, a foreign process on the port) is a startup error here,
-// never a silently-remapped answer later.
+// count.  A mis-wired -shard-addrs list (one shard named twice,
+// addresses swapped, a stale artifact, a foreign process on the port) is
+// a startup error here, never a silently-remapped answer later.
 func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Manifest == nil {
 		return nil, fmt.Errorf("cluster: coordinator needs a manifest")
@@ -126,6 +126,14 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if len(cfg.Addrs) != len(cfg.Manifest.Shards) {
 		return nil, fmt.Errorf("cluster: manifest has %d shards but %d addresses were given",
 			len(cfg.Manifest.Shards), len(cfg.Addrs))
+	}
+	first := make(map[string]int, len(cfg.Addrs))
+	for i, addr := range cfg.Addrs {
+		url := normalizeAddr(addr)
+		if j, dup := first[url]; dup {
+			return nil, fmt.Errorf("cluster: shard addresses %d (%s) and %d (%s) both name %s; each manifest shard needs its own", j, cfg.Addrs[j], i, addr, url)
+		}
+		first[url] = i
 	}
 	if cfg.ConnectTimeout <= 0 {
 		cfg.ConnectTimeout = 30 * time.Second
@@ -241,12 +249,22 @@ func (c *Coordinator) connect(ctx context.Context, timeout time.Duration) error 
 	return nil
 }
 
-// validateShard pins addr ↔ manifest-shard identity.
+// validateShard pins addr ↔ manifest-shard identity.  A fingerprint
+// that does not match says whose data answered: another manifest shard's
+// (the addresses are swapped), or none (a stale or foreign process on
+// the port).
 func (c *Coordinator) validateShard(i int, info ShardInfoWire) error {
 	want := c.man.Shards[i]
 	if info.Fingerprint != want.Fingerprint {
-		return fmt.Errorf("cluster: shard %d (%s) fingerprint %08x does not match manifest %08x — check -shard-addrs ordering",
-			i, c.shards[i].Addr(), info.Fingerprint, want.Fingerprint)
+		why := "no manifest shard has it: a stale or foreign process is listening there"
+		for j, sh := range c.man.Shards {
+			if sh.Fingerprint == info.Fingerprint {
+				why = fmt.Sprintf("it is manifest shard %d's: the address serves shard %d, not shard %d", j, j, i)
+				break
+			}
+		}
+		return fmt.Errorf("cluster: shard %d (%s) fingerprint %08x does not match manifest %08x — %s",
+			i, c.shards[i].Addr(), info.Fingerprint, want.Fingerprint, why)
 	}
 	if info.Sequences != len(want.Seqs) {
 		return fmt.Errorf("cluster: shard %d (%s) holds %d sequences, manifest says %d",

@@ -15,17 +15,22 @@ import (
 // come with something it can be told by.  They were re-recorded once for
 // PR 24, when bulk builds went from the Cartesian STR tiling under an MBR
 // directory to the polar tiling under a direction-box directory: the
-// arena says which it holds in header word 9 (0 and 2; the arena version
-// stays 2 and the containers did not move).  The digests before these
-// dated from arena version 2 itself (float32 planes, points stored
-// once).  digestOneSegment was re-recorded once more when WriteBinary
-// went from SSIDX v3 to a one-segment SSSEG: its arena bytes are the
-// SSIDX writer's (TestSSIDXFixtureServed), only the header and the pad
-// before the arena moved.
+// arena says which it holds in its directory-kind word (0 and 2; the
+// arena version stayed 2 and the containers did not move).  The digests
+// before these dated from arena version 2 itself (float32 planes, points
+// stored once).  digestOneSegment was re-recorded once more when
+// WriteBinary went from SSIDX v3 to a one-segment SSSEG: its arena bytes
+// were the SSIDX writer's, only the header and the pad before the arena
+// moved.  All three were re-recorded when the arena went to version 3:
+// the 15-word header lost its three reserved words (12 words, the
+// directory kind now word 6) and the feature sample after the root
+// bounds went.  The SSSEG header sections did not move; the arena
+// sections, the pads before them and the trailer did.  Before that they
+// were 01cbcc64…, 4d2b6297… and c1547dda….
 const (
-	digestOneSegment    = "01cbcc6432e00647da424662da50f13012927761f9ca08db31c5692576acf4da"
-	digestSSSEGThree    = "4d2b6297d8fe4dca44462efdc2973d4c579ae6e3ce80f08084f7d8203ee00420"
-	digestSSSEGMergedTo = "c1547ddae3520193413e94bb33448db427382942de38899ea932fab8a9ad19eb"
+	digestOneSegment    = "7b5dc0e7de2638d34678dfe02cb12018aad8c07aba553103a23676de05d2193f"
+	digestSSSEGThree    = "928584373eb3bc01bfac063e1eaaf4a1737523cd42e4ded38ac59c1486803183"
+	digestSSSEGMergedTo = "0e772d9041b973326dba6bf6b5f71a847045db2b84b6a25535db2265b2c9c20c"
 )
 
 func digestOf(t *testing.T, write func(io.Writer) error) string {

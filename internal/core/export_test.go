@@ -98,11 +98,11 @@ func (ix *Index) CorruptChildRefs() error {
 	sg := ix.frozen[0]
 	b := sg.flat.AppendArena(nil)
 	word := func(i int) int { return int(binary.LittleEndian.Uint64(b[8*i:])) }
-	// The arena layout (rtree.FlatTree.WriteArena): a 15-word header —
-	// word 1 the dimension, 12 the node count — the root bounds, the
-	// sample behind its count, then the meta, starts, poff and refs arrays.
-	dim, nodes := word(1), word(12)
-	meta := 15 + 2*dim + 1 + word(15+2*dim)*dim
+	// The arena layout (rtree.FlatTree.WriteArena): a 12-word header —
+	// word 1 the dimension, 9 the node count — the root bounds, then the
+	// meta, starts, poff and refs arrays.
+	dim, nodes := word(1), word(9)
+	meta := 12 + 2*dim
 	starts := meta + nodes
 	refs := starts + 2*(nodes+1)
 	for i := 0; i < nodes; i++ {

@@ -12,13 +12,15 @@ import (
 
 // TestFixturesServeBoxDirectory holds the one structural invariant of
 // the serving path: whatever artifact it is handed, it serves only
-// direction-box arenas.  Every fixture under testdata/ and
-// ../ckpt/testdata/ — each written by an older build, in a layout
-// flatFromSection refuses — goes through every path its container
-// reaches: an SSIDX file mapped (OpenOrRebuildFile), and segment bytes
-// as an SSSEG stream (LoadSegments) and as a checkpoint's segment file
-// (SegmentList.Open).  Each path rebuilds the arena from the store, and
-// answers as a fresh build.
+// direction-box arenas of the current version.  Every fixture under
+// testdata/ and ../ckpt/testdata/*.ssckp — each written by an older
+// build, in a layout the loaders refuse — goes through every path its
+// container reaches: an index file (SSIDX, refused by its magic, or
+// SSSEG) opened by LoadIndex and LoadIndexFile, which refuse it with
+// ErrVersion, and mapped by OpenOrRebuildFile, and segment bytes as an
+// SSSEG stream (LoadSegments) and as a checkpoint's segment file
+// (SegmentList.Open).  Each rebuilding path rebuilds the arena from the
+// store, and answers as a fresh build.
 func TestFixturesServeBoxDirectory(t *testing.T) {
 	// The store each fixture of this package was written over.
 	storeFor := func(path string) *store.Store {
@@ -37,6 +39,7 @@ func TestFixturesServeBoxDirectory(t *testing.T) {
 		rebuiltArtifact(t, storeFor(path), path, "")
 	}
 	for _, path := range segments {
+		rebuiltArtifact(t, storeFor(path), path, "")
 		rebuiltSegments(t, storeFor(path), readFile(t, path), "")
 	}
 	for _, path := range checkpoints {
@@ -53,64 +56,5 @@ func TestFixturesServeBoxDirectory(t *testing.T) {
 			t.Fatalf("%s: %v, %v", path, err, err2)
 		}
 		rebuiltSegments(t, st, sections[2], "")
-	}
-}
-
-// TestSSIDXFixtureServed holds the reader whose writer is gone.  Nothing
-// writes SSIDX v3 any more, so testdata/served/box_v3.ssidx — the
-// bulk-built index over populatedStore(3, 100, 1), a direction-box
-// arena, written by the last SSIDX writer — is the only artifact that
-// reaches that reader.  It sits outside TestFixturesServeBoxDirectory's
-// glob, whose fixtures are all in layouts that are refused; this one is
-// served.  LoadIndexFile, LoadIndex and OpenOrRebuildFile serve it as it
-// is (no rebuild) and answer as a fresh build does, and its arena bytes
-// are the ones WriteBinary writes today over the same store.
-func TestSSIDXFixtureServed(t *testing.T) {
-	st := populatedStore(t, 3, 100, 1)
-	path := filepath.Join("testdata", "served", "box_v3.ssidx")
-	data := readFile(t, path)
-	fresh := freshIndex(t, st, testOptions())
-
-	mapped, err := LoadIndexFile(path, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	streamed, err := LoadIndex(bytes.NewReader(data), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, rebuilt, err := OpenOrRebuildFile(path, st, testOptions())
-	if err != nil || rebuilt != nil {
-		t.Fatalf("OpenOrRebuildFile: %v, rebuilt for %v", err, rebuilt)
-	}
-	defer opened.Close()
-	for what, ix := range map[string]*Index{"LoadIndexFile": mapped, "LoadIndex": streamed, "OpenOrRebuildFile": opened} {
-		answersLike(t, what, fresh, ix)
-	}
-
-	var written bytes.Buffer
-	if err := fresh.WriteBinary(&written); err != nil {
-		t.Fatal(err)
-	}
-	old, err := parseArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := parseArtifact(written.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldArena, err := arenaFromSection(old.arenas[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	curArena, err := arenaFromSection(cur.arenas[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cur.arenas) != 1 || !bytes.Equal(oldArena, curArena) {
-		t.Fatalf("WriteBinary writes %d arenas, the first %d bytes; the SSIDX fixture's arena is %d bytes, equal %v",
-			len(cur.arenas), len(curArena), len(oldArena), bytes.Equal(oldArena, curArena))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/rtree"
@@ -200,9 +201,8 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 }
 
 // TestV3ArtifactCorruption is the exhaustive sweep over the artifact
-// formats: flip a bit in EVERY byte and cut the file at every offset,
-// of a WriteBinary artifact (SSSEG) and of the SSIDX v3 fixture
-// testdata/served/box_v3.ssidx.  LoadIndex must reject every mutation
+// format: flip a bit in EVERY byte and cut the file at every offset of
+// a WriteBinary artifact (SSSEG).  LoadIndex must reject every mutation
 // outright, and nothing may panic.  LoadIndexFile runs the same opener
 // over the mapped bytes: no check is left for later.
 func TestV3ArtifactCorruption(t *testing.T) {
@@ -213,58 +213,38 @@ func TestV3ArtifactCorruption(t *testing.T) {
 	if err := ix.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		good []byte
-		st   *store.Store
-	}{
-		{buf.Bytes(), ix.Store()},
-		{readFile(t, filepath.Join("testdata", "served", "box_v3.ssidx")), populatedStore(t, 3, 100, 1)},
-	} {
-		probe := func(mut []byte, what string, i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("%s at %d: panic %v", what, i, r)
-				}
-			}()
-			if _, err := LoadIndex(bytes.NewReader(mut), c.st); err == nil {
-				t.Fatalf("%s at %d: LoadIndex accepted a corrupt artifact", what, i)
+	good, st := buf.Bytes(), ix.Store()
+	probe := func(mut []byte, what string, i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s at %d: panic %v", what, i, r)
 			}
+		}()
+		if _, err := LoadIndex(bytes.NewReader(mut), st); err == nil {
+			t.Fatalf("%s at %d: LoadIndex accepted a corrupt artifact", what, i)
 		}
-		if _, err := LoadIndex(bytes.NewReader(c.good), c.st); err != nil {
-			t.Fatalf("the pristine artifact: %v", err)
-		}
-		for i := range c.good {
-			mut := append([]byte(nil), c.good...)
-			mut[i] ^= 0x40
-			probe(mut, "flip", i)
-		}
-		for cut := 0; cut < len(c.good); cut++ {
-			probe(c.good[:cut], "cut", cut)
-		}
+	}
+	if _, err := LoadIndex(bytes.NewReader(good), st); err != nil {
+		t.Fatalf("the pristine artifact: %v", err)
+	}
+	for i := range good {
+		mut := append([]byte(nil), good...)
+		mut[i] ^= 0x40
+		probe(mut, "flip", i)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		probe(good[:cut], "cut", cut)
 	}
 }
 
-// TestV2ArtifactRejected holds the retirement of SSIDX version 2 (the
-// pointer-tree payload): testdata/pointer_v2.ssidx — buildTestIndex over
-// the 6 x 100 test store, written by the last commit that had a v2 writer
-// — is refused as a version error on the stream and the file path alike,
-// and OpenOrRebuildFile rebuilds it.
-func TestV2ArtifactRejected(t *testing.T) {
-	st := buildTestIndex(t, testOptions(), 6, 100).Store()
-	path := filepath.Join("testdata", "pointer_v2.ssidx")
-	rebuiltArtifact(t, st, path, "format version 2")
-}
-
 // TestRunLeafArtifactRejected holds the one leaf shape at the container:
-// testdata/trail8.ssidx — the same store indexed as sub-trail MBRs of 8
-// windows, written by the last commit that had them — says 8 in header
-// word 4, which is reserved-zero now, and is refused by that word before
-// its rectangle-leaf arena is looked at; a segment artifact saying so is
-// refused the same way.
+// a segment artifact whose header word 4 says 8 — the run length of an
+// index of sub-trail MBRs of 8 windows, which is reserved-zero now — is
+// refused by that word before its arenas are looked at.
+// (testdata/trail8.ssidx, such an index written as SSIDX, is refused by
+// its magic: TestFixturesServeBoxDirectory.)
 func TestRunLeafArtifactRejected(t *testing.T) {
 	st := buildTestIndex(t, testOptions(), 6, 100).Store()
-	rebuiltArtifact(t, st, filepath.Join("testdata", "trail8.ssidx"), "header word 4 (reserved; once the sub-trail run length) is 8")
-
 	g := freshIndex(t, st, testOptions())
 	defer g.Close()
 	var seg bytes.Buffer
@@ -278,9 +258,10 @@ func TestRunLeafArtifactRejected(t *testing.T) {
 	}
 }
 
-// TestLeafKindArtifactRejected: an artifact whose arena says leaf kind 1
-// in header word 9 — every checksum valid — is refused at open, from a
-// stream and from a mapped file alike.
+// TestLeafKindArtifactRejected: an artifact whose arena says kind 1 —
+// the retired rectangle-leaf kind — in its directory-kind word (header
+// word 6), every checksum valid, is refused at open, from a stream and
+// from a mapped file alike.
 func TestLeafKindArtifactRejected(t *testing.T) {
 	ix := buildTestIndex(t, testOptions(), 3, 80)
 	bad := leafKindArtifact(t, ix)
@@ -291,14 +272,14 @@ func TestLeafKindArtifactRejected(t *testing.T) {
 	_, streamErr := LoadIndex(bytes.NewReader(bad), ix.Store())
 	_, fileErr := LoadIndexFile(path, ix.Store())
 	for what, err := range map[string]error{"stream": streamErr, "file": fileErr} {
-		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1") {
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 1") {
 			t.Errorf("%s load: err = %v, want ErrVersion for the leaf kind", what, err)
 		}
 	}
 }
 
-// leafKindArtifact returns ix's artifact with arena header word 9 set to
-// 1 and every checksum recomputed.
+// leafKindArtifact returns ix's artifact with arena header word 6, the
+// directory kind, set to 1 and every checksum recomputed.
 func leafKindArtifact(t testing.TB, ix *Index) []byte {
 	var buf bytes.Buffer
 	if err := ix.WriteBinary(&buf); err != nil {
@@ -309,7 +290,7 @@ func leafKindArtifact(t testing.TB, ix *Index) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arena[8*9] = 1
+		arena[8*6] = 1
 	})
 }
 
@@ -443,21 +424,19 @@ func checkRebuilt(t *testing.T, what string, st *store.Store, g *SegmentedIndex,
 	answersLike(t, what, freshIndex(t, st, g.Options()), g)
 }
 
-// TestArenaV1Fixture holds the artifacts the commit before arena version
-// 2 wrote (testdata/arena_v1.*: the bulk-built index over
-// populatedStore(3, 100, 1) as SSIDX v3, and the same index as a
-// one-segment SSSEG v1 — float64 planes, every point twice) to the one
-// rule for an arena that cannot be served as it is: refused with a
-// version error naming the arena version, and rebuilt from the store.
+// TestArenaV1Fixture holds the segment artifact the commit before arena
+// version 2 wrote (testdata/arena_v1.ssseg: the bulk-built index over
+// populatedStore(3, 100, 1) as a one-segment SSSEG v1 — float64 planes,
+// every point twice) to the one rule for an arena that cannot be served
+// as it is: refused with a version error naming the arena version, and
+// rebuilt from the store.
 func TestArenaV1Fixture(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
-	const want = "unsupported flat arena version 1"
-	rebuiltArtifact(t, st, filepath.Join("testdata", "arena_v1.ssidx"), want)
-	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v1.ssseg")), want)
+	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v1.ssseg")), "unsupported flat arena version 1")
 }
 
 // readFile returns the bytes of a fixture.
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -466,18 +445,41 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestMBRDirectoryIsRebuilt: the artifacts the parent of the
-// direction-box commit wrote for the bulk-built index over
-// populatedStore(3, 100, 1) (testdata/arena_v2_mbr.ssidx and .ssseg:
-// arena version 2, header word 9 = 0, Cartesian STR tiling under an MBR
-// directory) are refused with a version error and rebuilt.  An MBR arena
-// is searched only by the paper's experiments, over the insert-built
-// tree (internal/bench: TestInsertTreeExact).
+// TestMBRDirectoryIsRebuilt: an artifact whose arena has an MBR
+// directory — the current arena version, the insert-built tree over the
+// same windows — is refused with a version error naming the directory
+// and rebuilt.  An MBR arena is searched only by the paper's
+// experiments, over the insert-built tree (internal/bench:
+// TestInsertTreeExact).  The segment artifact the parent of the
+// direction-box commit wrote (testdata/arena_v2_mbr.ssseg: a Cartesian
+// STR tiling under an MBR directory) is arena version 2, and is refused
+// by its version first.
 func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
+	opts := testOptions()
+	ids, cols, _, err := Features(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := freshIndex(t, st, opts)
+	defer fresh.Close()
+	flat, err := rstar.Load(rstar.DefaultConfig(fresh.fmap.Dim()), ids, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mbr bytes.Buffer
+	whole := fresh.frozen[0]
+	if err := writeSegments(opts, []*frozenSeg{{flat: flat, ranges: whole.ranges, count: whole.count}}, &mbr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mbr.ssseg")
+	if err := os.WriteFile(path, mbr.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	const want = "MBR directory is no longer served"
-	rebuiltArtifact(t, st, filepath.Join("testdata", "arena_v2_mbr.ssidx"), want)
-	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), want)
+	rebuiltArtifact(t, st, path, want)
+	rebuiltSegments(t, st, mbr.Bytes(), want)
+	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), "unsupported flat arena version 2")
 }
 
 // TestPaperScaleArenaSize holds the index to its budget at the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 // bytes: whatever LoadIndex or LoadSegments — the one reader, strict
 // and rebuilding — accepts must be internally consistent and
 // searchable.  The seeds are a WriteBinary artifact, damaged copies of
-// it, and every SSIDX fixture; FuzzLoadSegments runs the same check
-// from a multi-segment SSSEG.
+// it, and every fixture under testdata/; FuzzLoadSegments runs the same
+// check from a multi-segment SSSEG.
 func FuzzLoadIndex(f *testing.F) {
 	opts := testOptions()
 	ix := buildTestIndex(f, opts, 6, 100)
@@ -29,16 +28,15 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	addDamaged(f, good)
 	f.Add(leafKindArtifact(f, ix))
-	// Every SSIDX v3 artifact there is: the served box-directory one and
-	// those in layouts no longer read (a sub-trail MBR index, header word
-	// 4 says 8; a pointer tree; arena version 1; an MBR directory).
-	fixtures, _ := filepath.Glob(filepath.Join("testdata", "*.ssidx"))
-	for _, path := range append(fixtures, filepath.Join("testdata", "served", "box_v3.ssidx")) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	// Every artifact an older build wrote, each in a layout no longer
+	// read: SSIDX files of every kind (refused by their magic), and
+	// segment artifacts of arena versions 1 and 2 — the latter with the
+	// direction-box directory served today (arena_v2_box) and with an MBR
+	// directory.
+	ssidx, _ := filepath.Glob(filepath.Join("testdata", "*.ssidx"))
+	ssseg, _ := filepath.Glob(filepath.Join("testdata", "*.ssseg"))
+	for _, path := range append(ssidx, ssseg...) {
+		f.Add(readFile(f, path))
 	}
 	fuzzLoaders(f, ix.Store(), opts)
 }
@@ -81,6 +79,10 @@ func FuzzLoadSegments(f *testing.F) {
 		f.Add(in)
 	}
 	addDamaged(f, three)
+	// The artifacts the build before arena version 3 wrote.
+	for _, name := range []string{"arena_v2_box.ssseg", "arena_v2_box.ssidx"} {
+		f.Add(readFile(f, filepath.Join("testdata", name)))
+	}
 	fuzzLoaders(f, st, opts)
 }
 
@@ -148,12 +150,8 @@ func FuzzOpenOrRebuild(f *testing.F) {
 	for _, in := range [][]byte{good, {}, good[:len(good)/2], flipped, leafKindArtifact(f, fresh)} {
 		f.Add(in)
 	}
-	for _, name := range []string{"arena_v1.ssidx", "arena_v2_mbr.ssidx", "trail8.ssidx"} {
-		old, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(old)
+	for _, name := range []string{"arena_v1.ssidx", "arena_v2_mbr.ssidx", "trail8.ssidx", "arena_v2_box.ssidx", "arena_v2_box.ssseg"} {
+		f.Add(readFile(f, filepath.Join("testdata", name)))
 	}
 	oracle := newOpenOracle(f, fresh)
 	dir := f.TempDir()

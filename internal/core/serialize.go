@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"strings"
 
 	"scaleshift/internal/binio"
 	"scaleshift/internal/resilience"
@@ -38,16 +38,11 @@ import (
 // refused with ErrVersion by LoadIndex and LoadIndexFile, and rebuilt
 // from the store by LoadSegments and SegmentList.Open.  An index is
 // derived state; OpenOrRebuildFile rebuilds it from the store.
+//
+// An SSIDX file, of any version, is the index artifact written before
+// SSSEG was the one format, and is refused with ErrVersion by its magic
+// alone (see parseArtifact).
 var segMagic = []byte("SSSEG\x01")
-
-// indexMagic identifies SSIDX version 3, the index artifact written
-// before SSSEG was the one format.  It is read, never written: its
-// header — the four option words, the reserved word, and per sequence
-// the number of windows indexed — is one segment's directory entry over
-// [0, count) of every sequence, and its one arena section is framed as
-// an SSSEG arena.  Version 2 (a pointer-tree payload) and version 1
-// (unchecksummed) are rejected with ErrVersion.
-var indexMagic = []byte("SSIDX\x03")
 
 // Typed artifact-validation failures from the loaders, re-exported from
 // the shared framing package so callers can errors.Is against
@@ -227,18 +222,15 @@ type artifact struct {
 }
 
 // parseArtifact checks every section checksum and the whole-file
-// trailer of the SSSEG (or SSIDX v3) artifact data and parses its
-// header.  The arenas are not opened; they alias data.
+// trailer of the SSSEG artifact data and parses its header.  The arenas
+// are not opened; they alias data.  An SSIDX file is refused with
+// ErrVersion unread.
 func parseArtifact(data []byte) (*artifact, error) {
-	br := binio.NewByteReader(data)
-	ssidx := strings.HasPrefix(string(data[:min(len(data), 5)]), string(indexMagic[:5]))
-	var err error
-	if ssidx {
-		_, err = br.MagicVersions(indexMagic, 3)
-	} else {
-		_, err = br.MagicVersions(segMagic, 1)
+	if bytes.HasPrefix(data, []byte("SSIDX")) {
+		return nil, fmt.Errorf("core: an SSIDX index artifact is no longer read; rebuild it from the store: %w", ErrVersion)
 	}
-	if err != nil {
+	br := binio.NewByteReader(data)
+	if err := br.Magic(segMagic); err != nil {
 		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
 	head, err := br.Section(maxIndexSection)
@@ -248,11 +240,7 @@ func parseArtifact(data []byte) (*artifact, error) {
 	a := &artifact{}
 	r := &u64Reader{b: head}
 	if a.opts, err = r.readOptions(); err == nil {
-		if ssidx {
-			a.dirs, err = r.readIndexedCounts()
-		} else {
-			a.dirs, err = r.readSegDirs()
-		}
+		a.dirs, err = r.readSegDirs()
 	}
 	if err != nil {
 		return nil, err
@@ -330,62 +318,30 @@ func (r *u64Reader) readOptions() (Options, error) {
 	}, nil
 }
 
-// readReserved reads header word 4 and the count after it, which the
-// bytes left must be able to hold at per bytes an item: a hostile count
-// fails here, before anything is allocated for it.
-func (r *u64Reader) readReserved(per int) (int, error) {
-	var reserved, n uint64
-	if err := r.words(&reserved, &n); err != nil {
-		return 0, err
-	}
-	if err := reservedRunLength(reserved); err != nil {
-		return 0, err
-	}
-	if n > uint64(r.left()/per) {
-		return 0, fmt.Errorf("core: %d entries claimed in %d header bytes: %w", n, r.left(), ErrTruncated)
-	}
-	return int(n), nil
-}
-
-// readSegDirs reads an SSSEG header's segment directory.  It checks the
+// readSegDirs reads an SSSEG header's segment directory: header word 4
+// (see reservedRunLength), the segment count, which the bytes left must
+// be able to hold at 16 bytes a segment — a hostile count fails before
+// anything is allocated for it — and the entries.  It checks the
 // directory's shape only; checkCoverage holds it against a store.
 func (r *u64Reader) readSegDirs() ([]segDir, error) {
-	nsegs, err := r.readReserved(16)
-	if err != nil {
+	var reserved, nsegs uint64
+	if err := r.words(&reserved, &nsegs); err != nil {
 		return nil, err
+	}
+	if err := reservedRunLength(reserved); err != nil {
+		return nil, err
+	}
+	if nsegs > uint64(r.left()/16) {
+		return nil, fmt.Errorf("core: %d entries claimed in %d header bytes: %w", nsegs, r.left(), ErrTruncated)
 	}
 	dirs := make([]segDir, nsegs)
 	for i := range dirs {
+		var err error
 		if dirs[i], err = r.readDir(i); err != nil {
 			return nil, err
 		}
 	}
 	return dirs, r.end()
-}
-
-// readIndexedCounts reads an SSIDX v3 header's per-sequence indexed
-// counts as the directory entry of its one segment.
-func (r *u64Reader) readIndexedCounts() ([]segDir, error) {
-	nseqs, err := r.readReserved(8)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, nseqs)
-	for i := range counts {
-		c, err := r.next()
-		if err != nil {
-			return nil, err
-		}
-		if c > math.MaxInt32 {
-			return nil, fmt.Errorf("core: implausible indexed count %d for sequence %d: %w", c, i, ErrChecksum)
-		}
-		counts[i] = int(c)
-	}
-	d := segDir{ranges: prefixRanges(counts)}
-	for _, rg := range d.ranges {
-		d.count += rg.Hi
-	}
-	return []segDir{d}, r.end()
 }
 
 // readDir reads one segment's directory entry: its count, then its
@@ -464,8 +420,8 @@ func segmentFromArena(i int, body []byte, d segDir, dim int) (*frozenSeg, error)
 	return &frozenSeg{flat: flat, ranges: d.ranges, count: d.count}, nil
 }
 
-// LoadIndex reopens an index written by WriteBinary (or an SSIDX v3
-// artifact), attaching it to st, which must be the same store (or a
+// LoadIndex reopens an index written by WriteBinary or WriteSegments,
+// attaching it to st, which must be the same store (or a
 // bit-exact copy) the index was built over.  Every byte of the artifact
 // is covered by a CRC32C before it is parsed, and every arena is
 // structurally validated, so truncation and corruption always surface

@@ -539,7 +539,6 @@ func radixSortKeys(a, b []uint64) {
 // as rows of stored coordinates, a directory node's entries as the norm
 // ranges and direction boxes extents computed — in one buffer in arena
 // layout.  On a little-endian host that buffer is the arena verbatim.
-// The feature sample keeps the exact points.
 func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64, levels []bulkLevel) *FlatTree {
 	n, dim := len(ids), cfg.Dim
 	numNodes, numEntries := 0, n
@@ -556,12 +555,7 @@ func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64
 		q:      q,
 	}
 	numPlanes := dim*n + f.planeWidth(1)*(numNodes-1)
-	stride, sampleCount := 1+n/sampleCap, 0
-	if n > 0 {
-		sampleCount = (n + stride - 1) / stride
-	}
-
-	head := arenaHeaderWords + 2*dim + 1 + sampleCount*dim
+	head := arenaHeaderWords + 2*dim
 	words := make([]uint64, head+numNodes+2*(numNodes+1)+numEntries+(numPlanes+1)/2)
 	off := head
 	f.meta, off = words[off:off+numNodes], off+numNodes
@@ -571,13 +565,8 @@ func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64
 	if numPlanes > 0 {
 		f.planes = unsafe.Slice((*float32)(unsafe.Pointer(&words[off])), numPlanes)
 	}
-	sample := unsafe.Slice((*float64)(unsafe.Pointer(&words[head-sampleCount*dim])), sampleCount*dim)
-	f.sample = make([]vec.Vector, sampleCount)
-	for i := range f.sample {
-		f.sample[i] = sample[i*dim : (i+1)*dim : (i+1)*dim]
-	}
 
-	nextNode, nextEntry, nextPlane, tick := 0, 0, 0, 0
+	nextNode, nextEntry, nextPlane := 0, 0, 0
 	var emit func(l int, g int32) int
 	emit = func(l int, g int32) int {
 		lv := &levels[l]
@@ -600,12 +589,6 @@ func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64
 			}
 			for k, e := range run {
 				f.refs[s+k] = uint64(ids[e])
-				if tick%stride == 0 {
-					for j, p := 0, f.sample[tick/stride]; j < dim; j++ {
-						p[j] = cols[j*n+int(e)]
-					}
-				}
-				tick++
 			}
 			return idx
 		}

@@ -144,7 +144,6 @@ func refBulkLoad(cfg Config, items []Item) *FlatTree {
 	}
 	f.height = level + 1
 
-	stride, tick := 1+len(items)/sampleCap, 0
 	var walk func(n *refNode) int
 	walk = func(n *refNode) int {
 		idx := len(f.meta)
@@ -162,12 +161,6 @@ func refBulkLoad(cfg Config, items []Item) *FlatTree {
 				for _, e := range n.entries {
 					f.planes = append(f.planes, f.q.near(e.point[j]))
 				}
-			}
-			for _, e := range n.entries {
-				if tick%stride == 0 {
-					f.sample = append(f.sample, e.point.Clone())
-				}
-				tick++
 			}
 			return idx
 		}

@@ -343,8 +343,8 @@ func TestValidateDirectionBox(t *testing.T) {
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "unknown directory kind 3") {
 		t.Fatalf("directory kind 3: Validate says %v", err)
 	}
-	if _, err := FlatFromArena(withLeafKind(f.AppendArena(nil), 3)); !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 3") {
-		t.Fatalf("header word 9 = 3: %v, want a version error naming the directory kind", err)
+	if _, err := FlatFromArena(withDirKind(f.AppendArena(nil), 3)); !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 3") {
+		t.Fatalf("header word 6 = 3: %v, want a version error naming the directory kind", err)
 	}
 }
 

@@ -62,18 +62,16 @@ type FlatTree struct {
 	refs   []uint64  // per entry: child index or item ID bits
 	planes []float32 // per node: SoA MBR planes, in arena units
 
-	bounds geom.Rect    // root MBR as stored, in caller units; valid when size > 0
-	sample []vec.Vector // feature sample (see sampleCap)
-	arena  []byte       // backing arena when loaded zero-copy, else nil
-	pool   sync.Pool    // *flatScratch, per-search reusable buffers
+	bounds geom.Rect // root MBR as stored, in caller units; valid when size > 0
+	arena  []byte    // backing arena when loaded zero-copy, else nil
+	pool   sync.Pool // *flatScratch, per-search reusable buffers
 
 	buildTile, buildEmit time.Duration // see BuildStages
 }
 
 // dirKind is what the directory entries of an arena store, recorded in
-// header word 9.  The descent picks its pruning kernel from it; nothing
-// else does.  (1 was the rectangle-leaf arena retired in PR 22 and stays
-// refused.)
+// header word 6.  The descent picks its pruning kernel from it; nothing
+// else does.
 type dirKind uint64
 
 const (
@@ -166,13 +164,12 @@ func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
 // identifier in a leaf or the child node above one — and the nodes are
 // laid out pre-order from root, entries in the order open lists them.
 // Every value is rounded on its own (see FlatTree); nothing of the
-// caller's is retained but the sample vectors (the feature sample, see
-// sampleCap), which neither side mutates.
-func FlatFromNodes[N any](cfg Config, root N, sample []vec.Vector, open func(n N) (level, pages int, rects []geom.Rect, ids []int64, children []N)) (*FlatTree, error) {
+// caller's is retained.
+func FlatFromNodes[N any](cfg Config, root N, open func(n N) (level, pages int, rects []geom.Rect, ids []int64, children []N)) (*FlatTree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &FlatTree{cfg: cfg, q: quantExp(0), sample: slices.Clone(sample)}
+	f := &FlatTree{cfg: cfg, q: quantExp(0)}
 	level, _, rects, _, _ := open(root)
 	f.height = level + 1
 	var bounds geom.Rect
@@ -584,39 +581,32 @@ func (f *FlatTree) Stats() []LevelStats {
 }
 
 // arenaVersion identifies the arena encoding; bump on layout changes.
-// Version 1 — every entry a float64 rectangle, points included, no
-// exponent and no plane-offset column — is refused with binio.ErrVersion:
-// an arena is derived state, rebuilt from the store.
-const arenaVersion = 2
+// Any other version is refused with binio.ErrVersion: an arena is
+// derived state, rebuilt from the store.  Version 1 stored every entry as
+// a float64 rectangle, points included, with no exponent and no
+// plane-offset column; version 2 was this layout behind a 15-word header
+// (three reserved words after the node shape) and a feature sample after
+// the root bounds, which nothing read.
+const arenaVersion = 3
 
 // arenaHeaderWords is the fixed u64 header of an arena blob.
-const arenaHeaderWords = 15
-
-// Header words 4–6 are reserved, and readers skip them.  They held the
-// R*-insertion parameters of the tree (the forced-reinsert count, the
-// split algorithm, the X-tree overlap bound), which shape a tree while it
-// grows and say nothing about the arena it freezes into; they are written
-// as the values every arena carried before: 6, 0 and 0.0.
-const reservedWord4 = 6
+const arenaHeaderWords = 12
 
 // arena sanity bounds: far above any real index, far below anything
 // that could drive pathological allocation from a corrupt header.
 const (
 	maxArenaNodes   = 1 << 32
 	maxArenaEntries = 1 << 32
-	maxArenaSample  = 1 << 12
 )
 
 // arenaHead returns the words of the arena that precede the arrays: the
-// 15-word header, the root bounds, and the feature sample behind its
-// count.
+// 12-word header and the root bounds.
 func (f *FlatTree) arenaHead() []uint64 {
 	d := f.cfg.Dim
-	head := make([]uint64, 0, arenaHeaderWords+2*d+1+len(f.sample)*d)
+	head := make([]uint64, 0, arenaHeaderWords+2*d)
 	head = append(head,
 		arenaVersion,
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
-		reservedWord4, 0, 0, // reserved, see reservedWord4
 		uint64(f.size), uint64(f.height), uint64(f.dir),
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
@@ -631,12 +621,6 @@ func (f *FlatTree) arenaHead() []uint64 {
 			}
 		}
 	}
-	head = append(head, uint64(len(f.sample)))
-	for _, p := range f.sample {
-		for j := 0; j < d; j++ {
-			head = append(head, math.Float64bits(p[j]))
-		}
-	}
 	return head
 }
 
@@ -645,8 +629,8 @@ func (f *FlatTree) arenaHead() []uint64 {
 const arenaChunk = 1 << 13
 
 // WriteArena writes the little-endian arena encoding of f to w.  The
-// layout is a 15-word header (the last word the plane exponent), the
-// root bounds, the feature sample, the meta/starts/poff/refs arrays of
+// layout is a 12-word header (the last word the plane exponent), the
+// root bounds, the meta/starts/poff/refs arrays of
 // 8-byte words verbatim, then the planes as 4-byte float32s, zero-padded
 // to a whole word: the blob is a multiple of 8 bytes long, and one
 // starting at an 8-byte-aligned offset has every array aligned for
@@ -712,12 +696,12 @@ func (f *FlatTree) AppendArena(dst []byte) []byte {
 // ArenaSize returns the exact encoded size of the arena in bytes.
 func (f *FlatTree) ArenaSize() int {
 	d := f.cfg.Dim
-	return 8 * (arenaHeaderWords + 2*d + 1 + len(f.sample)*d +
+	return 8 * (arenaHeaderWords + 2*d +
 		len(f.meta) + len(f.starts) + len(f.poff) + len(f.refs) + (len(f.planes)+1)/2)
 }
 
 // FlatFromArena decodes an arena blob in O(1): only the header and
-// the small bounds/sample blocks are parsed; the big arrays are
+// the small bounds block are parsed; the big arrays are
 // reinterpreted in place when the blob is 8-byte aligned on a
 // little-endian host (the zero-copy path) and copied otherwise.  The
 // returned tree keeps b alive; callers memory-mapping the blob must
@@ -743,22 +727,18 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	}
 	f := &FlatTree{
 		cfg:     Config{Dim: int(word(1)), MaxEntries: int(word(2)), MinEntries: int(word(3))},
-		size:    int(word(7)),
-		height:  int(word(8)),
-		pages:   int(word(10)),
-		maxNode: int(word(11)),
+		size:    int(word(4)),
+		height:  int(word(5)),
+		pages:   int(word(7)),
+		maxNode: int(word(8)),
 		q:       quantExp(0),
 	}
-	// Word 9 is the directory kind.  It said what a leaf entry was while
-	// rectangle (sub-trail MBR) leaves existed — 0 for points, 1 for
-	// rectangles — which is why the direction-box directory is 2: an arena
-	// of the retired kind, or of a kind a later build writes, is one this
-	// code cannot read, and says so before any plane is touched.
-	switch f.dir = dirKind(word(9)); {
-	case f.dir == 1:
-		return nil, fmt.Errorf("rtree: unsupported leaf kind 1 in flat arena header word 9 (a rectangle-leaf arena; only point leaves are read; rebuild the index): %w", binio.ErrVersion)
-	case f.dir != dirMBR && f.dir != dirCone:
-		return nil, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 9 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
+	// Word 6 is the directory kind: an arena of a kind a later build
+	// writes is one this code cannot read, and says so before any plane
+	// is touched.  (Kind 1 was the rectangle-leaf arena of version 2 and
+	// earlier, which is why the direction-box directory is 2.)
+	if f.dir = dirKind(word(6)); f.dir != dirMBR && f.dir != dirCone {
+		return nil, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 6 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
 		return nil, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
@@ -766,7 +746,7 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	if err := f.cfg.validate(); err != nil {
 		return nil, err
 	}
-	numNodes, numEntries := word(12), word(13)
+	numNodes, numEntries := word(9), word(10)
 	if numNodes < 1 || numNodes > maxArenaNodes || numEntries > maxArenaEntries {
 		return nil, fmt.Errorf("rtree: implausible flat arena (%d nodes, %d entries)", numNodes, numEntries)
 	}
@@ -788,7 +768,7 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	f.q = quantExp(int(e))
 
 	// Bounds block.
-	if uint64(len(b))/8 < off+2*d+1 {
+	if uint64(len(b))/8 < off+2*d {
 		return nil, fmt.Errorf("rtree: flat arena bounds truncated")
 	}
 	if f.size > 0 {
@@ -802,31 +782,14 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 	}
 	off += 2 * d
 
-	// Sample block.
-	sampleCount := word(int(off))
-	off++
-	if sampleCount > maxArenaSample {
-		return nil, fmt.Errorf("rtree: implausible flat sample count %d", sampleCount)
-	}
 	// A leaf entry is d plane values wide and every other entry an extent
 	// of two bounds per row (planeWidth).
 	numPlanes := d*uint64(f.size) + uint64(f.planeWidth(1))*(numEntries-uint64(f.size))
 	planeWords := (numPlanes+1)/2 + numNodes + 1 // with the poff column
-	need := off + sampleCount*d + numNodes + (numNodes + 1) + numEntries + planeWords
+	need := off + numNodes + (numNodes + 1) + numEntries + planeWords
 	if uint64(len(b)) != 8*need {
 		return nil, fmt.Errorf("rtree: flat arena is %d bytes, layout requires %d", len(b), 8*need)
 	}
-	if sampleCount > 0 {
-		f.sample = make([]vec.Vector, sampleCount)
-		for i := range f.sample {
-			p := make(vec.Vector, d)
-			for j := uint64(0); j < d; j++ {
-				p[j] = math.Float64frombits(word(int(off + uint64(i)*d + j)))
-			}
-			f.sample[i] = p
-		}
-	}
-	off += sampleCount * d
 
 	f.meta = u64View(b[8*off:], int(numNodes))
 	off += numNodes

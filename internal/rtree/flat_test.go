@@ -55,7 +55,7 @@ func mbrTwin(t testing.TB, f *FlatTree) *FlatTree {
 		}
 		return rects
 	}
-	twin, err := FlatFromNodes(f.cfg, 0, f.sample, func(i int) (level, pages int, rects []geom.Rect, ids []int64, children []int) {
+	twin, err := FlatFromNodes(f.cfg, 0, func(i int) (level, pages int, rects []geom.Rect, ids []int64, children []int) {
 		s, e := f.nodeEntries(i)
 		for ei := s; ei < e; ei++ {
 			if f.nodeLevel(i) == 0 {
@@ -244,30 +244,37 @@ func TestArenaRoundtrip(t *testing.T) {
 	checkFlatShape(t, f, h)
 }
 
-// TestRectLeafArenaRejected holds the one leaf shape: header word 9 of an
-// arena is reserved-zero, and FlatFromArena refuses anything else with a
-// version error naming the word, before it looks at a plane — a point
-// arena with the word set to 1, and testdata/rect_leaf_arena.bin, a
-// genuine rectangle-leaf arena (sub-trail MBRs of 8 windows over the
-// 6 x 100 test store) frozen by the last commit that could write one.
+// TestRectLeafArenaRejected holds the one leaf shape: FlatFromArena
+// refuses, with a version error and before it looks at a plane, a point
+// arena whose directory kind (header word 6) says 1, the retired
+// rectangle-leaf kind, and testdata/rect_leaf_arena.bin, a genuine
+// rectangle-leaf arena (sub-trail MBRs of 8 windows over the 6 x 100
+// test store, arena version 2) frozen by the last commit that could
+// write one.
 func TestRectLeafArenaRejected(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("testdata", "rect_leaf_arena.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	point := buildPointTree(t, rand.New(rand.NewSource(31)), Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, 40)
-	for what, arena := range map[string][]byte{"flipped": withLeafKind(point.AppendArena(nil), 1), "fixture": old} {
-		_, err := FlatFromArena(arena)
-		if !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), "unsupported leaf kind 1 in flat arena header word 9") {
-			t.Errorf("%s: err = %v, want a version error naming header word 9", what, err)
+	for _, c := range []struct {
+		what  string
+		arena []byte
+		want  string
+	}{
+		{"flipped", withDirKind(point.AppendArena(nil), 1), "unsupported directory kind 1 in flat arena header word 6"},
+		{"fixture", old, "unsupported flat arena version 2"},
+	} {
+		if _, err := FlatFromArena(c.arena); !errors.Is(err, binio.ErrVersion) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a version error naming %q", c.what, err, c.want)
 		}
 	}
 }
 
-// withLeafKind returns a copy of arena whose header word 9 says kind.
-func withLeafKind(arena []byte, kind byte) []byte {
+// withDirKind returns a copy of arena whose header word 6 says kind.
+func withDirKind(arena []byte, kind byte) []byte {
 	out := bytes.Clone(arena)
-	out[8*9] = kind
+	out[8*6] = kind
 	return out
 }
 
@@ -325,7 +332,7 @@ func FuzzFlatFromArena(f *testing.F) {
 	ft := buildPointTree(f, rng, cfg, 40)
 	f.Add(ft.AppendArena(nil))
 	f.Add([]byte{})
-	f.Add(withLeafKind(ft.AppendArena(nil), 1))
+	f.Add(withDirKind(ft.AppendArena(nil), 1))
 	old, err := os.ReadFile(filepath.Join("testdata", "rect_leaf_arena.bin"))
 	if err != nil {
 		f.Fatal(err)
@@ -338,7 +345,7 @@ func FuzzFlatFromArena(f *testing.F) {
 	for _, what := range []string{"shrunk direction box", "raised r_lo", "lowered r_hi", "root entry inside its child"} {
 		f.Add(boxCorruptions(f, boxes)[what])
 	}
-	f.Add(withLeafKind(boxes.AppendArena(nil), 3))
+	f.Add(withDirKind(boxes.AppendArena(nil), 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := FlatFromArena(data)
 		if err != nil {

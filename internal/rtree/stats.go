@@ -50,8 +50,3 @@ func writeLevelStats(w io.Writer, stats []LevelStats) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// sampleCap bounds the arena's feature sample, a deterministic
-// stratified sample of the stored feature points: a bulk load keeps
-// every (1 + n/sampleCap)-th point in leaf order.
-const sampleCap = 256
