@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X scaleshift/internal/cliutil.Version=$(VERSION)"
 
-.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-probe bench-nn bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
+.PHONY: check vet build test race examples-smoke loc cone bench bench-paths bench-fig45 bench-probe bench-nn bench-smoke bench-obs bench-verify bench-build fmt-check soak soak-smoke soak-cluster
 
 # test already carries the allocation gates: the metrics-name lint
 # (internal/obs/lint_test.go), the 0 allocs/op assertion over the
@@ -83,6 +83,16 @@ bench-paths:
 	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-paths (go run ./cmd/ssbench -experiment paths -scale full)"; \
 		$(GO) run ./cmd/ssbench -experiment paths -scale full; } > results/tree_vs_scan.txt
 	@cat results/tree_vs_scan.txt
+
+# Figures 4-5 at paper scale: the three method sets over epsilon (set 1
+# the scan, sets 2-3 the insert-built R*-tree's slab under each
+# penetration strategy), regenerating the committed table and CSV —
+# the table under a header naming the commit and the command.  Only the
+# cpu columns move from run to run.  Takes about five minutes.
+bench-fig45:
+	{ echo "commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- '*.go' || echo ' (with uncommitted changes)'); command: make bench-fig45 (go run ./cmd/ssbench -experiment fig45 -scale full -csv results/fig45_full.csv)"; \
+		$(GO) run ./cmd/ssbench -experiment fig45 -scale full -csv results/fig45_full.csv; } > results/fig45_full.txt
+	@cat results/fig45_full.txt
 
 # The probe fan-out sweep at paper scale: the index phase alone over
 # ε-frac 0.001–0.02 at GOMAXPROCS 1 and 2 — frontier width (p50, max),

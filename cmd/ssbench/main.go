@@ -91,16 +91,16 @@ var experiments = []experiment{
 		rows, err := bench.BuildAblation(r.ablCfg, ablEps)
 		return r.ablation("construction method", rows, err)
 	}},
-	{"shape", "per-level MBR directory geometry of the insert-built tree (why bounding spheres fail)", true, func(r *runner) error {
+	{"shape", "per-level MBR geometry of the insert-built tree (why bounding spheres fail)", true, func(r *runner) error {
 		t, err := r.env.InsertTree()
 		return r.print(err, func(w io.Writer) error {
-			fmt.Fprintln(w, "Insert-built tree directory shape (why bounding spheres fail, cf. [26]):")
-			if err := t.Flat.WriteStats(w); err != nil {
+			fmt.Fprintln(w, "Insert-built tree MBR shape (why bounding spheres fail, cf. [26]):")
+			if err := t.Slab.WriteStats(w); err != nil {
 				return err
 			}
-			bytes := t.Flat.ArenaSize()
-			_, err := fmt.Fprintf(w, "arena: %d bytes with its header, %.1f per window\n",
-				bytes, float64(bytes)/float64(max(t.Flat.Len(), 1)))
+			bytes := t.Slab.Bytes()
+			_, err := fmt.Fprintf(w, "slab: %d bytes in memory, %.1f per window\n",
+				bytes, float64(bytes)/float64(max(t.Slab.Len(), 1)))
 			return err
 		})
 	}},

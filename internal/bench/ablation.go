@@ -47,7 +47,7 @@ func runAblationPoint(cfg Config, label string, epsFrac float64) (AblationRow, e
 	return AblationRow{
 		Label:           label,
 		BuildTime:       env.insert.BuildTime,
-		IndexPagesTotal: env.insert.Flat.NodeCount(),
+		IndexPagesTotal: env.insert.Slab.NodeCount(),
 		CPUPerQuery:     row.CPUPerQuery,
 		PagesPerQuery:   row.PagesPerQuery,
 		Candidates:      row.Candidates,

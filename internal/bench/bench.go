@@ -241,12 +241,12 @@ func (e *Env) InsertTree() (*InsertTree, error) {
 // InsertTree is the index the paper's experiments search (§6–7): the
 // §6 feature point of every window (core.Features), inserted one at a
 // time into an R*-tree (rstar.Load) of the configuration's split,
-// fanout and supernode settings, frozen into an arena whose directory
-// is the tree's MBRs.  Search runs sets 2 and 3 over it.
+// fanout and supernode settings, frozen into a slab of its MBRs.  Search
+// runs sets 2 and 3 over it.
 type InsertTree struct {
-	// Flat is the frozen tree.
-	Flat *rtree.FlatTree
-	// Widen is what a search adds to ε so that neither the arena's
+	// Slab is the frozen tree.
+	Slab *rstar.Slab
+	// Widen is what a search adds to ε so that neither the slab's
 	// float32 rounding nor the extraction's dismisses a true match.
 	Widen float64
 	// BuildTime covers the extraction and the insertions.
@@ -265,7 +265,7 @@ func growInsertTree(st *store.Store, cfg Config) (*InsertTree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: extracting features: %w", err)
 	}
-	flat, err := rstar.Load(cfg.treeConfig(), ids, cols)
+	slab, err := rstar.Load(cfg.treeConfig(), ids, cols)
 	if err != nil {
 		return nil, fmt.Errorf("bench: growing the tree: %w", err)
 	}
@@ -277,7 +277,7 @@ func growInsertTree(st *store.Store, cfg Config) (*InsertTree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	return &InsertTree{Flat: flat, Widen: widen, BuildTime: built, st: st, n: cfg.WindowLen, fmap: fmap}, nil
+	return &InsertTree{Slab: slab, Widen: widen, BuildTime: built, st: st, n: cfg.WindowLen, fmap: fmap}, nil
 }
 
 // Ledger accounts queries of InsertTree.Search in the paper's cost
@@ -309,10 +309,7 @@ func (t *InsertTree) Search(q vec.Vector, eps float64, strategy geom.Strategy, l
 	}
 	line := vec.Line{P: make(vec.Vector, t.fmap.Dim()), D: make(vec.Vector, t.fmap.Dim())}
 	t.fmap.TransformSE(line.D, q)
-	ids, err := t.Flat.LineSearchIDs(context.Background(), line, eps+t.Widen, strategy, &l.Tree, nil)
-	if err != nil {
-		return nil, err
-	}
+	ids := t.Slab.LineSearchIDs(line, eps+t.Widen, strategy, &l.Tree, nil)
 	slices.Sort(ids) // a window id orders as (seq, start)
 	var pc store.PageCounter
 	var out []seqscan.Result

@@ -81,9 +81,9 @@ func TestRunAllShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ee.Rows[0].IndexPages >= float64(tree.Flat.NodeCount())/2 {
+	if ee.Rows[0].IndexPages >= float64(tree.Slab.NodeCount())/2 {
 		t.Errorf("tree-EE at eps=0 visited %v of %d index pages",
-			ee.Rows[0].IndexPages, tree.Flat.NodeCount())
+			ee.Rows[0].IndexPages, tree.Slab.NodeCount())
 	}
 	// Set 3 performs sphere tests, set 2 none.
 	if ee.Rows[1].SphereTests != 0 {

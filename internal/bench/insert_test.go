@@ -126,7 +126,8 @@ func TestInsertTreeGolden(t *testing.T) {
 }
 
 // TestInsertTreeShape: the per-level statistics of the insert-built
-// tree's MBR directory, which ssbench -experiment shape prints.
+// tree's MBRs and the bytes of its in-memory slab, which ssbench
+// -experiment shape prints.
 func TestInsertTreeShape(t *testing.T) {
 	env, err := newWorkload(quickConfig())
 	if err != nil {
@@ -137,10 +138,17 @@ func TestInsertTreeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := tree.Flat.WriteStats(&b); err != nil {
+	if err := tree.Slab.WriteStats(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "elongation") {
 		t.Errorf("stats output malformed:\n%s", b.String())
+	}
+	levels := 0
+	for _, ls := range tree.Slab.Stats() {
+		levels += ls.Bytes
+	}
+	if bytes := tree.Slab.Bytes(); levels == 0 || levels >= bytes {
+		t.Errorf("the levels hold %d bytes of a %d-byte slab", levels, bytes)
 	}
 }

@@ -35,8 +35,8 @@ func (s SplitAlgorithm) String() string {
 }
 
 // Config holds the parameters of a tree grown by insertion: the page
-// shape its arena keeps (rtree.Config) and the ones that only steer the
-// growth.  The zero value is not usable; start from DefaultConfig.
+// shape (rtree.Config) and the ones that only steer the growth.  The
+// zero value is not usable; start from DefaultConfig.
 type Config struct {
 	rtree.Config
 	// ReinsertCount is p, how many entries the R* forced-reinsert
@@ -63,7 +63,7 @@ func DefaultConfig(dim int) Config {
 }
 
 // validate reports whether the growth parameters are sound; the page
-// shape is checked by the arena (rtree.FlatFromNodes).
+// shape is checked by rtree.Config.Validate.
 func (c Config) validate() error {
 	if c.ReinsertCount < 0 || c.ReinsertCount > c.MaxEntries-c.MinEntries {
 		return fmt.Errorf("rstar: ReinsertCount %d out of range (need 0 <= p <= M-m = %d)",

@@ -1,10 +1,9 @@
-package rtree_test
+package rstar
 
 import (
 	"testing"
 	"testing/quick"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
@@ -23,8 +22,8 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 		if n == 0 || n > 300 {
 			return true
 		}
-		cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, ReinsertCount: 1, Split: rstar.SplitRStar}
-		tr, err := rstar.New(cfg)
+		cfg := Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, ReinsertCount: 1, Split: SplitRStar}
+		tr, err := New(cfg)
 		if err != nil {
 			return false
 		}
@@ -39,12 +38,7 @@ func TestQuickInsertedPointsAreRetrievable(t *testing.T) {
 			t.Logf("invariants: %v", err)
 			return false
 		}
-		frozen := tr.Freeze()
-		bounds, ok := frozen.Bounds()
-		if !ok {
-			return false
-		}
-		return len(frozen.RangeSearch(bounds, nil)) == n
+		return len(tr.Freeze().RangeSearch(tr.root.mbr(), nil)) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -72,8 +66,8 @@ func TestQuickLineSearchSupersetOfTightened(t *testing.T) {
 		if eps > 1e6 {
 			return true
 		}
-		cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, Split: rstar.SplitQuadratic}
-		tr, err := rstar.New(cfg)
+		cfg := Config{Config: rtree.Config{Dim: 2, MaxEntries: 6, MinEntries: 2}, Split: SplitQuadratic}
+		tr, err := New(cfg)
 		if err != nil {
 			return false
 		}
@@ -85,21 +79,15 @@ func TestQuickLineSearchSupersetOfTightened(t *testing.T) {
 			tr.Insert(vec.Vector{x, y}, int64(i))
 		}
 		l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}
-		small := tr.Freeze().LineSearch(l, eps/2, geom.EnteringExiting, nil)
-		large := tr.Freeze().LineSearch(l, eps, geom.EnteringExiting, nil)
-		if len(small) > len(large) {
-			return false
-		}
-		in := map[int64]bool{}
-		for _, it := range large {
-			in[it.ID] = true
-		}
-		for _, it := range small {
-			if !in[it.ID] {
+		s := tr.Freeze()
+		small := s.LineSearchIDs(l, eps/2, geom.EnteringExiting, nil, nil)
+		in := idSet(s.LineSearchIDs(l, eps, geom.EnteringExiting, nil, nil))
+		for _, id := range small {
+			if !in[id] {
 				return false
 			}
 		}
-		return true
+		return len(small) <= len(in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -5,10 +5,11 @@
 // paper's experiments — Figures 4–5's insert-built sets, the split,
 // index and build ablations, the directory-shape table — and for the
 // Euclidean prior art of internal/euclid; nothing that serves queries
-// imports it.  A Tree is grown by Insert and never searched: Freeze
-// hands its nodes to rtree.FlatFromNodes, and the resulting arena — an
-// MBR directory — is searched like any other.  Load is the whole trip
-// in the shape of rtree.BulkLoadFlat.
+// imports it.  A Tree is grown by Insert and frozen to search: Freeze
+// lays its nodes out as a Slab, pre-order with its MBRs in one float64
+// array, and the Slab answers the line queries of Theorem 3 under either
+// penetration strategy of §7, and rectangle range queries.  Load is the
+// whole trip in the shape of rtree.BulkLoadFlat.
 package rstar
 
 import (
@@ -16,15 +17,14 @@ import (
 	"sort"
 
 	"scaleshift/internal/geom"
-	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
 )
 
-// Load builds an arena over n points by inserting them one at a time, in
+// Load builds a slab over n points by inserting them one at a time, in
 // the order given, and freezing the result: point i has identifier
 // ids[i] and coordinate j at cols[j·n+i], the columnar layout
 // rtree.BulkLoadFlat takes.
-func Load(cfg Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
+func Load(cfg Config, ids []int64, cols []float64) (*Slab, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -44,11 +44,12 @@ func Load(cfg Config, ids []int64, cols []float64) (*rtree.FlatTree, error) {
 }
 
 // entry is one slot of a node: an MBR plus either a child node
-// (internal levels) or an Item (leaves).
+// (internal levels) or, at a leaf, the stored point's identifier — the
+// point is the rectangle, L and H alike.
 type entry struct {
 	rect  geom.Rect
-	child *node      // nil at leaf level
-	item  rtree.Item // meaningful only at leaf level
+	child *node // nil at leaf level
+	id    int64 // meaningful only at leaf level
 }
 
 // node is one page of the tree — or, when super > 1, an X-tree
@@ -117,9 +118,8 @@ func (n *node) parentEntry() *entry {
 	panic("rstar: node not referenced by its parent")
 }
 
-// Tree is a dynamic R-tree variant under construction: it is grown,
-// never searched — Freeze it to search.  It is not safe for concurrent
-// use.
+// Tree is a dynamic R-tree variant under construction: it is grown, and
+// frozen to search (Freeze).  It is not safe for concurrent use.
 type Tree struct {
 	cfg  Config
 	root *node
@@ -135,40 +135,15 @@ type Tree struct {
 }
 
 // New returns an empty tree with the given configuration, or the error
-// its arena would be refused with.
+// the configuration is refused with.
 func New(cfg Config) (*Tree, error) {
-	t := &Tree{cfg: cfg, root: &node{level: 0}, nodes: 1}
-	if _, err := rtree.FlatFromNodes(cfg.Config, t.root, openNode); err != nil {
+	if err := cfg.Config.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
-}
-
-// Freeze returns the tree as the arena that is searched, its directory
-// the tree's MBRs; the two share nothing mutable.
-func (t *Tree) Freeze() *rtree.FlatTree {
-	f, err := rtree.FlatFromNodes(t.cfg.Config, t.root, openNode)
-	if err != nil {
-		panic(err) // New accepted the configuration
-	}
-	return f
-}
-
-// openNode describes n to rtree.FlatFromNodes.
-func openNode(n *node) (level, pages int, rects []geom.Rect, ids []int64, children []*node) {
-	rects = make([]geom.Rect, len(n.entries))
-	for k, e := range n.entries {
-		rects[k] = e.rect
-		if n.isLeaf() {
-			ids = append(ids, e.item.ID)
-		} else {
-			children = append(children, e.child)
-		}
-	}
-	return n.level, n.pages(), rects, ids, children
+	return &Tree{cfg: cfg, root: &node{level: 0}, nodes: 1}, nil
 }
 
 // Len returns the number of stored items.
@@ -188,8 +163,7 @@ func (t *Tree) Insert(point vec.Vector, id int64) {
 		panic(fmt.Sprintf("rstar: inserting %d-dimensional point into %d-dimensional tree",
 			len(point), t.cfg.Dim))
 	}
-	p := point.Clone()
-	e := &entry{rect: geom.RectFromPoint(p), item: rtree.Item{Point: p, ID: id}}
+	e := &entry{rect: geom.RectFromPoint(point), id: id}
 	t.reinsertDone = make(map[int]bool)
 	t.insertEntry(e, 0)
 	t.size++
@@ -336,17 +310,19 @@ func (t *Tree) capacity(n *node) int {
 
 // overflowTreatment resolves one overflowing node and returns any
 // nodes that may now be over capacity themselves (the split halves and
-// the parent that absorbed a new entry).
+// the parent that absorbed a new entry, or the node itself after a
+// forced reinsertion or a supernode's growth by one page: a half of a
+// split supernode can overflow by more than either makes room for).
 func (t *Tree) overflowTreatment(n *node) []*node {
 	if n.parent != nil && t.cfg.ReinsertCount > 0 && !t.reinsertDone[n.level] && n.super <= 1 {
 		t.reinsertDone[n.level] = true
 		t.forcedReinsert(n)
-		return nil
+		return []*node{n}
 	}
 	g1, g2, supernode := t.chooseSplitGroups(n)
 	if supernode {
 		t.growSupernode(n)
-		return nil
+		return []*node{n}
 	}
 	sibling := t.splitNode(n, g1, g2)
 	out := []*node{n, sibling}

@@ -41,11 +41,8 @@ func (t *Tree) CheckInvariants() error {
 				if e.rect.Dim() != t.cfg.Dim {
 					return fmt.Errorf("rstar: leaf rect dimension %d != %d", e.rect.Dim(), t.cfg.Dim)
 				}
-				if len(e.item.Point) != t.cfg.Dim {
-					return fmt.Errorf("rstar: item dimension %d != %d", len(e.item.Point), t.cfg.Dim)
-				}
-				if !e.rect.Contains(e.item.Point) {
-					return fmt.Errorf("rstar: leaf rect does not contain its point")
+				if !rectsEqual(e.rect, geom.RectFromPoint(e.rect.L)) {
+					return fmt.Errorf("rstar: leaf rect %v..%v is not a point", e.rect.L, e.rect.H)
 				}
 			}
 			return nil

@@ -1,10 +1,9 @@
-package rtree_test
+package rstar
 
 import (
 	"math/rand"
 	"testing"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/geom"
 	"scaleshift/internal/rtree"
 	"scaleshift/internal/vec"
@@ -12,8 +11,8 @@ import (
 
 // xtreeConfig enables supernodes with a tight overlap threshold so
 // clustered high-dimensional data actually produces them.
-func xtreeConfig(dim int) rstar.Config {
-	cfg := rstar.DefaultConfig(dim)
+func xtreeConfig(dim int) Config {
+	cfg := DefaultConfig(dim)
 	cfg.SupernodeMaxOverlap = 0.02
 	return cfg
 }
@@ -30,24 +29,24 @@ func clusteredVec(r *rand.Rand, dim int) vec.Vector {
 }
 
 func TestXtreeConfigValidation(t *testing.T) {
-	cfg := rstar.DefaultConfig(4)
+	cfg := DefaultConfig(4)
 	cfg.SupernodeMaxOverlap = -0.1
-	if _, err := rstar.New(cfg); err == nil {
+	if _, err := New(cfg); err == nil {
 		t.Error("negative threshold accepted")
 	}
 	cfg.SupernodeMaxOverlap = 1
-	if _, err := rstar.New(cfg); err == nil {
+	if _, err := New(cfg); err == nil {
 		t.Error("threshold 1 accepted")
 	}
 	cfg.SupernodeMaxOverlap = 0.2
-	if _, err := rstar.New(cfg); err != nil {
+	if _, err := New(cfg); err != nil {
 		t.Errorf("valid threshold rejected: %v", err)
 	}
 }
 
 func TestXtreeBuildsValidTreeWithSupernodes(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
-	tr, err := rstar.New(xtreeConfig(8))
+	tr, err := New(xtreeConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestXtreeBuildsValidTreeWithSupernodes(t *testing.T) {
 
 // hasSupernode reports whether some node of tr spans several pages: a
 // level of the frozen tree then counts more pages than nodes.
-func hasSupernode(tr *rstar.Tree) bool {
+func hasSupernode(tr *Tree) bool {
 	for _, ls := range tr.Freeze().Stats() {
 		if ls.Pages > ls.Nodes {
 			return true
@@ -79,11 +78,11 @@ func hasSupernode(tr *rstar.Tree) bool {
 
 func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	x, err := rstar.New(xtreeConfig(6))
+	x, err := New(xtreeConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := rstar.New(rstar.DefaultConfig(6))
+	plain, err := New(DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +103,8 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 			t.Fatal("range results differ between X-tree and R*-tree")
 		}
 		l := vec.Line{P: make(vec.Vector, 6), D: clusteredVec(r, 6)}
-		if !sameIDSet(idSet(fx.LineSearch(l, 0.2, geom.EnteringExiting, nil)),
-			idSet(fp.LineSearch(l, 0.2, geom.EnteringExiting, nil))) {
+		if !sameIDSet(idSet(fx.LineSearchIDs(l, 0.2, geom.EnteringExiting, nil, nil)),
+			idSet(fp.LineSearchIDs(l, 0.2, geom.EnteringExiting, nil, nil))) {
 			t.Fatal("line results differ between X-tree and R*-tree")
 		}
 	}
@@ -114,8 +113,8 @@ func TestXtreeSearchMatchesRStarTree(t *testing.T) {
 func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// Force a supernode deterministically: internal entries all
 	// overlapping so no split passes the threshold.
-	cfg := rstar.Config{Config: rtree.Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, Split: rstar.SplitRStar, SupernodeMaxOverlap: 0.01}
-	tr, err := rstar.New(cfg)
+	cfg := Config{Config: rtree.Config{Dim: 2, MaxEntries: 4, MinEntries: 2}, Split: SplitRStar, SupernodeMaxOverlap: 0.01}
+	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestXtreeSupernodePageAccounting(t *testing.T) {
 	// All duplicates retrievable, and a line query through the point
 	// charges the supernode's full page span.
 	var stats rtree.SearchStats
-	got := tr.Freeze().LineSearch(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats)
+	got := tr.Freeze().LineSearchIDs(vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}, 1e-3, geom.EnteringExiting, &stats, nil)
 	if len(got) != 200 {
 		t.Errorf("retrieved %d of 200 near-duplicates", len(got))
 	}

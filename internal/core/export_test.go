@@ -19,11 +19,18 @@ func (ix *Index) BoxDirectories() bool {
 	pin := ix.cell.Acquire()
 	defer pin.Release()
 	for _, sg := range pin.Value().frozen {
-		if sg.flat.Directory() != rtree.DirectoryBox {
+		if !boxArena(sg.flat) {
 			return false
 		}
 	}
 	return true
+}
+
+// boxArena reports whether f's bytes read back as an arena:
+// rtree.FlatFromArena refuses every directory kind but direction boxes.
+func boxArena(f *rtree.FlatTree) bool {
+	_, err := rtree.FlatFromArena(f.AppendArena(nil))
+	return err == nil
 }
 
 // FirstArena identifies the arena of ix's first frozen segment, nil

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"scaleshift/internal/bench/rstar"
 	"scaleshift/internal/binio"
 	"scaleshift/internal/engine"
 	"scaleshift/internal/rtree"
@@ -417,8 +416,8 @@ func checkRebuilt(t *testing.T, what string, st *store.Store, g *SegmentedIndex,
 		if !errors.Is(r.Err, ErrVersion) || !strings.Contains(r.Err.Error(), want) {
 			t.Fatalf("%s: %s rebuilt for %v, want the version error naming %q", what, r.Path, r.Err, want)
 		}
-		if d := g.frozen[i].flat.Directory(); d != rtree.DirectoryBox {
-			t.Fatalf("%s: segment %d serves a %s directory", what, i, d)
+		if !boxArena(g.frozen[i].flat) {
+			t.Fatalf("%s: segment %d does not serve a direction-box arena", what, i)
 		}
 	}
 	answersLike(t, what, freshIndex(t, st, g.Options()), g)
@@ -445,11 +444,11 @@ func readFile(t testing.TB, path string) []byte {
 	return data
 }
 
-// TestMBRDirectoryIsRebuilt: an artifact whose arena has an MBR
-// directory — the current arena version, the insert-built tree over the
-// same windows — is refused with a version error naming the directory
-// and rebuilt.  An MBR arena is searched only by the paper's
-// experiments, over the insert-built tree (internal/bench:
+// TestMBRDirectoryIsRebuilt: an artifact whose arena says it has an MBR
+// directory — the current arena version, its header word 6 set to 0, the
+// kind the insert-built tree was once frozen into — is refused with a
+// version error naming the directory kind and rebuilt.  The MBR tree is
+// searched only by the paper's experiments, in memory (internal/bench:
 // TestInsertTreeExact).  The segment artifact the parent of the
 // direction-box commit wrote (testdata/arena_v2_mbr.ssseg: a Cartesian
 // STR tiling under an MBR directory) is arena version 2, and is refused
@@ -457,18 +456,18 @@ func readFile(t testing.TB, path string) []byte {
 func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	st := populatedStore(t, 3, 100, 1)
 	opts := testOptions()
-	ids, cols, _, err := Features(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh := freshIndex(t, st, opts)
 	defer fresh.Close()
-	flat, err := rstar.Load(rstar.DefaultConfig(fresh.fmap.Dim()), ids, cols)
+	whole := fresh.frozen[0]
+	// A tree opened from an arena writes the bytes it was opened from, so
+	// the word set after the open is the one written.
+	arena := whole.flat.AppendArena(nil)
+	flat, err := rtree.FlatFromArena(arena)
 	if err != nil {
 		t.Fatal(err)
 	}
+	arena[8*6] = 0 // header word 6: the directory kind
 	var mbr bytes.Buffer
-	whole := fresh.frozen[0]
 	if err := writeSegments(opts, []*frozenSeg{{flat: flat, ranges: whole.ranges, count: whole.count}}, &mbr); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +475,7 @@ func TestMBRDirectoryIsRebuilt(t *testing.T) {
 	if err := os.WriteFile(path, mbr.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const want = "MBR directory is no longer served"
+	const want = "unsupported directory kind 0 in flat arena header word 6"
 	rebuiltArtifact(t, st, path, want)
 	rebuiltSegments(t, st, mbr.Bytes(), want)
 	rebuiltSegments(t, st, readFile(t, filepath.Join("testdata", "arena_v2_mbr.ssseg")), "unsupported flat arena version 2")

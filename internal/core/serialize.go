@@ -183,11 +183,11 @@ func arenaFromSection(payload []byte) ([]byte, error) {
 }
 
 // flatFromSection opens the arena of an arena section in place.  It is
-// the one place an arena enters this package from bytes, and it admits
-// only the direction-box directory the bulk build writes: an arena of
-// any other kind (an MBR directory, written before builds took that
-// shape) is refused with ErrVersion, like an older arena version, and
-// its caller rebuilds it from the store.
+// the one place an arena enters this package from bytes: an arena
+// rtree.FlatFromArena refuses with a version error — an older arena
+// version, or a directory other than the direction-box one the bulk
+// build writes (an MBR directory, written before builds took that
+// shape) — wraps ErrVersion, and its caller rebuilds it from the store.
 func flatFromSection(body []byte) (*rtree.FlatTree, error) {
 	arena, err := arenaFromSection(body)
 	if err != nil {
@@ -196,9 +196,6 @@ func flatFromSection(body []byte) (*rtree.FlatTree, error) {
 	flat, err := rtree.FlatFromArena(arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if d := flat.Directory(); d != rtree.DirectoryBox {
-		return nil, fmt.Errorf("core: an arena with a %s directory is no longer served; rebuild it from the store: %w", d, ErrVersion)
 	}
 	return flat, nil
 }

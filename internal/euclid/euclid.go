@@ -71,9 +71,11 @@ type Index struct {
 	opts Options
 	st   *store.Store
 	fmap *dft.FeatureMap
-	// flat is the frozen tree searches read: empty until Build.
-	flat *rtree.FlatTree
-	dim  int
+	// tree is the frozen tree searches read: empty until Build.
+	tree *rstar.Slab
+	// slack is what the index phase widens its box by (see Build).
+	slack float64
+	dim   int
 }
 
 // NewIndex creates an empty Euclidean index over st.
@@ -87,11 +89,11 @@ func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	}
 	dim := fmap.Dim() + 1 // +1 for the (normalized) mean component
 	opts.Tree.Dim = dim
-	flat, err := rstar.Load(opts.Tree, nil, nil) // the empty arena
+	tree, err := rstar.Load(opts.Tree, nil, nil) // the empty tree
 	if err != nil {
 		return nil, fmt.Errorf("euclid: %w", err)
 	}
-	return &Index{opts: opts, st: st, fmap: fmap, flat: flat, dim: dim}, nil
+	return &Index{opts: opts, st: st, fmap: fmap, tree: tree, dim: dim}, nil
 }
 
 // feature maps a raw window to its feature point: the 2·f_c non-DC DFT
@@ -107,13 +109,17 @@ func (ix *Index) feature(w vec.Vector) vec.Vector {
 }
 
 // WindowCount returns the number of indexed windows.
-func (ix *Index) WindowCount() int { return ix.flat.Len() }
+func (ix *Index) WindowCount() int { return ix.tree.Len() }
 
 // IndexPageCount returns the number of index pages.
-func (ix *Index) IndexPageCount() int { return ix.flat.NodeCount() }
+func (ix *Index) IndexPageCount() int { return ix.tree.NodeCount() }
 
 // Build indexes every window of every sequence by R* insertion
-// (rstar.Load) and freezes the tree.
+// (rstar.Load) and freezes the tree.  A search widens its box against
+// floating-point rounding in the feature computation and against the
+// slab's float32 values (each stored coordinate is within 2⁻²⁴ of its
+// magnitude of the exact one), mirroring core's numeric slack coordinate
+// by coordinate.
 func (ix *Index) Build() error {
 	n, total := ix.opts.WindowLen, 0
 	for seq := 0; seq < ix.st.NumSequences(); seq++ {
@@ -133,11 +139,15 @@ func (ix *Index) Build() error {
 			ids = append(ids, store.EncodeWindowID(seq, start))
 		}
 	}
-	flat, err := rstar.Load(ix.opts.Tree, ids, cols)
+	tree, err := rstar.Load(ix.opts.Tree, ids, cols)
 	if err != nil {
 		return fmt.Errorf("euclid: %w", err)
 	}
-	ix.flat = flat
+	var maxAbs float64
+	for _, x := range cols {
+		maxAbs = max(maxAbs, math.Abs(x))
+	}
+	ix.tree, ix.slack = tree, (1e-7+0x1p-24)*maxAbs
 	return nil
 }
 
@@ -155,17 +165,17 @@ func (ix *Index) Search(q vec.Vector, eps float64, stats *Stats) ([]Match, error
 	fq := ix.feature(q)
 	// ε-ball ⊂ ε-cube: rectangle range search, then exact feature-space
 	// ball check happens implicitly via the exact post-check.
-	rect := geom.RectFromPoint(fq).Enlarge(eps + ix.slack())
+	rect := geom.RectFromPoint(fq).Enlarge(eps + ix.slack)
 
 	var treeStats rtree.SearchStats
-	candidates := ix.flat.RangeSearch(rect, &treeStats)
+	candidates := ix.tree.RangeSearch(rect, &treeStats)
 
 	var pc store.PageCounter
 	w := make(vec.Vector, ix.opts.WindowLen)
 	var out []Match
 	falseAlarms := 0
-	for _, cand := range candidates {
-		seq, start := store.DecodeWindowID(cand.ID)
+	for _, id := range candidates {
+		seq, start := store.DecodeWindowID(id)
 		if err := ix.st.Window(seq, start, ix.opts.WindowLen, w, &pc); err != nil {
 			return nil, fmt.Errorf("euclid: post-processing: %w", err)
 		}
@@ -185,20 +195,4 @@ func (ix *Index) Search(q vec.Vector, eps float64, stats *Stats) ([]Match, error
 		stats.LeafEntriesChecked += treeStats.LeafEntriesChecked
 	}
 	return out, nil
-}
-
-// slack widens the index-phase box against floating-point rounding in
-// the feature computation and against the arena's float32 planes (each
-// stored coordinate is within 2⁻²⁴ of its magnitude of the exact one),
-// mirroring core's numeric slack coordinate by coordinate.
-func (ix *Index) slack() float64 {
-	b, ok := ix.flat.Bounds()
-	if !ok {
-		return 0
-	}
-	var m float64
-	for i := range b.L {
-		m = math.Max(m, math.Max(math.Abs(b.L[i]), math.Abs(b.H[i])))
-	}
-	return (1e-7 + 0x1p-24) * m
 }

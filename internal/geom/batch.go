@@ -100,17 +100,6 @@ func (sc *BatchScratch) grow(c int) {
 // EnteringExiting; one sphere test per entry plus a slab test for each
 // inconclusive sphere under BoundingSpheres.  stats may be nil.
 func PenetratesEnlargedBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, sc *BatchScratch, stats *CheckStats) []bool {
-	return penetrateBatch(strategy, pl, eps, l, math.Inf(-1), math.Inf(1), false, sc, stats)
-}
-
-// PenetratesEnlargedSegmentBatch is the batched
-// PenetratesEnlargedSegment: the line is restricted to the parameter
-// range [tMin, tMax].
-func PenetratesEnlargedSegmentBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, sc *BatchScratch, stats *CheckStats) []bool {
-	return penetrateBatch(strategy, pl, eps, l, tMin, tMax, true, sc, stats)
-}
-
-func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, sc *BatchScratch, stats *CheckStats) []bool {
 	c := pl.Count
 	sc.grow(c)
 	verdict := sc.verdict
@@ -118,7 +107,7 @@ func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l
 
 	if strategy == BoundingSpheres {
 		skip = sc.decided
-		sphereBatch(pl, eps, l, tMin, tMax, segment, skip, verdict, sc)
+		sphereBatch(pl, eps, l, skip, verdict, sc)
 		if stats != nil {
 			stats.SphereTests += c
 			for k := 0; k < c; k++ {
@@ -138,7 +127,7 @@ func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l
 		clear(verdict)
 	}
 
-	na := slabBatch(pl, eps, l, tMin, tMax, segment, skip, sc)
+	na := slabBatch(pl, eps, l, skip, sc)
 	for i := 0; i < na; i++ {
 		verdict[sc.active[i]] = true
 	}
@@ -150,8 +139,7 @@ func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l
 // holds their indices (a lane survives iff its parameter interval
 // stayed non-inverted, i.e. the scalar slab test returns true).
 // Entries with skip[k] set never enter the active set.  The
-// per-dimension expressions mirror slabPenetratesEnlarged /
-// slabPenetratesEnlargedSegment exactly.
+// per-dimension expressions mirror slabPenetratesEnlarged exactly.
 //
 // The scalar loops return as soon as an interval inverts; the batched
 // analogue is lane retirement.  An inverted interval can never
@@ -167,18 +155,11 @@ func penetrateBatch[T vec.Coord](strategy Strategy, pl Planes[T], eps float64, l
 // the sign of the shared direction component alone decides which plane
 // parameter is the lower one.  x−eps is evaluated as x+(−eps), which
 // IEEE-754 defines as the identical operation.
-func slabBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, skip []bool, sc *BatchScratch) int {
+func slabBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, skip []bool, sc *BatchScratch) int {
 	c := pl.Count
 	tLo, tHi := sc.tLo, sc.tHi
 	active := sc.active
 	lo0, hi0 := math.Inf(-1), math.Inf(1)
-	if segment {
-		if tMin > tMax {
-			// Every interval starts inverted; no dimension can help.
-			return 0
-		}
-		lo0, hi0 = tMin, tMax
-	}
 	na := 0
 	j0 := 0
 	if skip == nil && pl.Dim > 0 {
@@ -321,8 +302,7 @@ func slabBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax fl
 
 // slabDim0Unrolled evaluates dimension 0's slab interval for every
 // entry, four per iteration, intersecting it with the initial
-// [lo0, hi0] window (infinite for lines, the clamped parameter range
-// for segments), storing the result, and compacting the survivors into
+// [lo0, hi0] window (the whole line), storing the result, and compacting the survivors into
 // active — initialization, the first dimension, and the first
 // retirement pass fused into one sweep over the rows.  aRow/bRow are
 // the lower/upper plane rows pre-ordered by the caller for the sign of
@@ -411,17 +391,10 @@ func slabDim0Unrolled[T vec.Coord](aRow, bRow []T, tLo, tHi []float64, active []
 
 // sphereBatch runs the bounding-spheres pre-check for every entry,
 // setting decided[k] (and verdict[k] when decided) per
-// sphereCheckEnlarged / sphereCheckEnlargedSegment.  The accumulation
-// order per entry is dimension-ascending, matching the scalar loops.
-func sphereBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax float64, segment bool, decided, verdict []bool, sc *BatchScratch) {
+// sphereCheckEnlarged.  The accumulation order per entry is
+// dimension-ascending, matching the scalar loop.
+func sphereBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, decided, verdict []bool, sc *BatchScratch) {
 	c := pl.Count
-	if segment && tMin > tMax {
-		for k := 0; k < c; k++ {
-			decided[k] = true
-			verdict[k] = false // SphereMiss
-		}
-		return
-	}
 	qpD, qpQp := sc.qpD, sc.qpQp
 	outerSq, inner := sc.outerSq, sc.inner
 	for k := 0; k < c; k++ {
@@ -492,14 +465,6 @@ func sphereBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax 
 		var distSq float64
 		if dd == 0 {
 			distSq = qpQp[k]
-		} else if segment {
-			t := qpD[k] / dd
-			if t < tMin {
-				t = tMin
-			} else if t > tMax {
-				t = tMax
-			}
-			distSq = qpQp[k] - 2*t*qpD[k] + t*t*dd
 		} else {
 			distSq = qpQp[k] - qpD[k]*qpD[k]/dd
 		}
@@ -519,7 +484,7 @@ func sphereBatch[T vec.Coord](pl Planes[T], eps float64, l vec.Line, tMin, tMax 
 
 // IntersectsBatch fills verdict[k] with Rect.Intersects(rect_k, r) for
 // every entry of pl (the batched internal-node test of range search).
-func IntersectsBatch[T vec.Coord](pl Planes[T], r Rect, sc *BatchScratch, verdict []bool) {
+func IntersectsBatch[T vec.Coord](pl Planes[T], r Rect, verdict []bool) {
 	c := pl.Count
 	for k := 0; k < c; k++ {
 		verdict[k] = true

@@ -44,10 +44,10 @@ func narrowPlanes(pl NodePlanes, rects []Rect, points bool) Planes[float32] {
 	return out
 }
 
-// checkPenetrateParity holds the batched kernels over pl to the scalar
-// primitives over rects, verdict for verdict and stat for stat, in the
-// line and segment forms under both strategies.
-func checkPenetrateParity[T vec.Coord](t *testing.T, pl Planes[T], rects []Rect, eps float64, l vec.Line, tMin, tMax float64, sc *BatchScratch) {
+// checkPenetrateParity holds the batched kernel over pl to the scalar
+// primitive over rects, verdict for verdict and stat for stat, under
+// both strategies.
+func checkPenetrateParity[T vec.Coord](t *testing.T, pl Planes[T], rects []Rect, eps float64, l vec.Line, sc *BatchScratch) {
 	t.Helper()
 	for _, strat := range []Strategy{EnteringExiting, BoundingSpheres} {
 		var bs, ss CheckStats
@@ -59,16 +59,6 @@ func checkPenetrateParity[T vec.Coord](t *testing.T, pl Planes[T], rects []Rect,
 		}
 		if bs != ss {
 			t.Fatalf("%T dim=%d count=%d strat=%v: stats %+v vs %+v", pl.Data, pl.Dim, pl.Count, strat, bs, ss)
-		}
-		bs, ss = CheckStats{}, CheckStats{}
-		verdict = PenetratesEnlargedSegmentBatch(strat, pl, eps, l, tMin, tMax, sc, &bs)
-		for k, r := range rects {
-			if want := PenetratesEnlargedSegment(strat, r, eps, l, tMin, tMax, &ss); verdict[k] != want {
-				t.Fatalf("segment %T dim=%d count=%d strat=%v k=%d", pl.Data, pl.Dim, pl.Count, strat, k)
-			}
-		}
-		if bs != ss {
-			t.Fatalf("segment stats: %+v vs %+v", bs, ss)
 		}
 	}
 }
@@ -99,8 +89,8 @@ func randLineDim(rng *rand.Rand, dim int) vec.Line {
 
 // TestPenetrateBatchParity checks that the batched slab/sphere kernels
 // agree with the scalar primitives verdict-for-verdict and
-// stat-for-stat across strategies, counts (hitting both the unrolled
-// and remainder loops), and line/segment forms — over float64 planes,
+// stat-for-stat across strategies and counts (hitting both the unrolled
+// and remainder loops) — over float64 planes,
 // over the float32 planes an arena stores (decided on the values they
 // widen to), and over a node of points stored as their L rows alone.
 func TestPenetrateBatchParity(t *testing.T) {
@@ -113,13 +103,12 @@ func TestPenetrateBatchParity(t *testing.T) {
 				pl := packPlanes(rects, dim)
 				l := randLineDim(rng, dim)
 				eps := rng.Float64() * 2
-				tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
-				checkPenetrateParity(t, pl, rects, eps, l, tMin, tMax, &sc)
-				checkPenetrateParity(t, narrowPlanes(pl, rects, false), rects, eps, l, tMin, tMax, &sc)
+				checkPenetrateParity(t, pl, rects, eps, l, &sc)
+				checkPenetrateParity(t, narrowPlanes(pl, rects, false), rects, eps, l, &sc)
 				for _, r := range rects {
 					copy(r.H, r.L)
 				}
-				checkPenetrateParity(t, narrowPlanes(packPlanes(rects, dim), rects, true), rects, eps, l, tMin, tMax, &sc)
+				checkPenetrateParity(t, narrowPlanes(packPlanes(rects, dim), rects, true), rects, eps, l, &sc)
 			}
 		}
 	}
@@ -127,7 +116,6 @@ func TestPenetrateBatchParity(t *testing.T) {
 
 func TestIntersectsContainsBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	var sc BatchScratch
 	for _, dim := range []int{1, 2, 5} {
 		for _, count := range []int{1, 4, 7, 25} {
 			for trial := 0; trial < 30; trial++ {
@@ -135,13 +123,13 @@ func TestIntersectsContainsBatchParity(t *testing.T) {
 				pl := packPlanes(rects, dim)
 				q := randRectSlice(rng, dim, 1)[0]
 				verdict := make([]bool, count)
-				IntersectsBatch(pl, q, &sc, verdict)
+				IntersectsBatch(pl, q, verdict)
 				for k, r := range rects {
 					if verdict[k] != q.Intersects(r) {
 						t.Fatalf("IntersectsBatch dim=%d k=%d: %v vs %v", dim, k, verdict[k], q.Intersects(r))
 					}
 				}
-				IntersectsBatch(narrowPlanes(pl, rects, false), q, &sc, verdict)
+				IntersectsBatch(narrowPlanes(pl, rects, false), q, verdict)
 				for k, r := range rects {
 					if verdict[k] != q.Intersects(r) {
 						t.Fatalf("IntersectsBatch over float32 planes dim=%d k=%d: %v vs %v", dim, k, verdict[k], q.Intersects(r))

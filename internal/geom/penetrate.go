@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"sort"
 
 	"scaleshift/internal/vec"
 )
@@ -214,118 +213,6 @@ func sphereCheckEnlarged(r Rect, eps float64, l vec.Line) SphereVerdict {
 		return SphereHit
 	}
 	return SphereInconclusive
-}
-
-// LineRectDist returns the exact smallest Euclidean distance between
-// the line l and the rectangle r (0 when l penetrates r).
-//
-// The squared distance f(t) = Σᵢ gᵢ(l.P[i] + t·l.D[i])², with gᵢ the
-// per-dimension distance to the slab [L[i], H[i]], is convex and
-// piecewise quadratic in t.  The breakpoints are the parameters at
-// which the line crosses a slab plane; between consecutive breakpoints
-// the active set is constant, so the minimum is found by examining each
-// segment's quadratic vertex and the breakpoints themselves.
-func LineRectDist(r Rect, l vec.Line) float64 {
-	if l.Degenerate() {
-		return r.MinDistToPoint(l.P)
-	}
-	var bps []float64
-	for i := range r.L {
-		d := l.D[i]
-		if d == 0 {
-			continue
-		}
-		bps = append(bps, (r.L[i]-l.P[i])/d, (r.H[i]-l.P[i])/d)
-	}
-	sort.Float64s(bps)
-
-	distSqAt := func(t float64) float64 {
-		var s float64
-		for i := range r.L {
-			x := l.P[i] + t*l.D[i]
-			var g float64
-			switch {
-			case x < r.L[i]:
-				g = r.L[i] - x
-			case x > r.H[i]:
-				g = x - r.H[i]
-			}
-			s += g * g
-		}
-		return s
-	}
-
-	// Candidate minimizers: every breakpoint, plus the vertex of the
-	// quadratic on every open segment (clamped into the segment).
-	best := math.Inf(1)
-	consider := func(t float64) {
-		if v := distSqAt(t); v < best {
-			best = v
-		}
-	}
-	for _, t := range bps {
-		consider(t)
-	}
-	// Segment midpoint determines the active set; accumulate the
-	// quadratic A·t² + B·t + C over active dims and test its vertex.
-	segments := make([][2]float64, 0, len(bps)+1)
-	if len(bps) == 0 {
-		segments = append(segments, [2]float64{math.Inf(-1), math.Inf(1)})
-	} else {
-		segments = append(segments, [2]float64{math.Inf(-1), bps[0]})
-		for i := 0; i+1 < len(bps); i++ {
-			segments = append(segments, [2]float64{bps[i], bps[i+1]})
-		}
-		segments = append(segments, [2]float64{bps[len(bps)-1], math.Inf(1)})
-	}
-	for _, seg := range segments {
-		mid := segMid(seg[0], seg[1])
-		var a, b float64 // quadratic and linear coefficients of f on seg
-		for i := range r.L {
-			x := l.P[i] + mid*l.D[i]
-			switch {
-			case x < r.L[i]:
-				// term (L[i] − P[i] − t·D[i])²
-				a += l.D[i] * l.D[i]
-				b += -2 * l.D[i] * (r.L[i] - l.P[i])
-			case x > r.H[i]:
-				// term (P[i] + t·D[i] − H[i])²
-				a += l.D[i] * l.D[i]
-				b += 2 * l.D[i] * (l.P[i] - r.H[i])
-			}
-		}
-		if a == 0 {
-			// f is constant on this segment; the midpoint value covers it
-			// (and, for inside segments, is 0 — penetration).
-			consider(mid)
-			continue
-		}
-		t := -b / (2 * a)
-		if t < seg[0] {
-			t = seg[0]
-		} else if t > seg[1] {
-			t = seg[1]
-		}
-		if !math.IsInf(t, 0) {
-			consider(t)
-		}
-	}
-	return math.Sqrt(math.Max(0, best))
-}
-
-// segMid returns a finite point strictly inside the (possibly
-// unbounded) interval [a, b].
-func segMid(a, b float64) float64 {
-	switch {
-	case math.IsInf(a, -1) && math.IsInf(b, 1):
-		return 0
-	case math.IsInf(a, -1):
-		return b - 1
-	case math.IsInf(b, 1):
-		return a + 1
-	default:
-		return (a + b) / 2
-	}
 }
 
 // PenetratesEnlargedSegment is PenetratesEnlarged restricted to the

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -153,71 +152,6 @@ func TestPenetratesStats(t *testing.T) {
 	}
 }
 
-func TestLineRectDistKnownCases(t *testing.T) {
-	box := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
-	tests := []struct {
-		name string
-		l    vec.Line
-		want float64
-	}{
-		{"through", vec.Line{P: vec.Vector{-1, 1}, D: vec.Vector{1, 0}}, 0},
-		{"parallel above", vec.Line{P: vec.Vector{0, 5}, D: vec.Vector{1, 0}}, 3},
-		// Line x+y = 5 misses the box; nearest point is the corner (2,2).
-		{"diagonal corner", vec.Line{P: vec.Vector{5, 0}, D: vec.Vector{1, -1}}, math.Sqrt2 / 2},
-		{"point line inside", vec.Line{P: vec.Vector{1, 1}, D: vec.Vector{0, 0}}, 0},
-		{"point line outside", vec.Line{P: vec.Vector{5, 6}, D: vec.Vector{0, 0}}, 5},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := LineRectDist(box, tc.l)
-			if math.Abs(got-tc.want) > 1e-9 {
-				t.Errorf("LineRectDist = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestLineRectDistConsistentWithPenetration(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	for i := 0; i < 500; i++ {
-		n := 2 + r.Intn(5)
-		box := randRect(r, n)
-		l := randLine(r, n)
-		d := LineRectDist(box, l)
-		if SlabPenetrates(box, l) {
-			if d > 1e-9 {
-				t.Fatalf("penetrating line has distance %v", d)
-			}
-		} else if d <= 0 {
-			t.Fatalf("non-penetrating line has distance %v", d)
-		}
-	}
-}
-
-func TestLineRectDistIsLowerBound(t *testing.T) {
-	// No sampled point pair beats the reported distance, and some sample
-	// comes close to it.
-	r := rand.New(rand.NewSource(25))
-	for i := 0; i < 200; i++ {
-		n := 2 + r.Intn(4)
-		box := randRect(r, n)
-		l := randLine(r, n)
-		d := LineRectDist(box, l)
-		closest := math.Inf(1)
-		for tt := -30.0; tt <= 30.0; tt += 0.002 {
-			if c := box.MinDistToPoint(l.At(tt)); c < closest {
-				closest = c
-			}
-		}
-		if closest < d-1e-6 {
-			t.Fatalf("sampling found %v below LineRectDist %v", closest, d)
-		}
-		if closest > d+0.05 && d < 100 {
-			t.Fatalf("LineRectDist %v unattained; sampling best %v", d, closest)
-		}
-	}
-}
-
 func BenchmarkSlabPenetrates6D(b *testing.B) {
 	r := rand.New(rand.NewSource(26))
 	box := randRect(r, 6)
@@ -237,17 +171,6 @@ func BenchmarkSphereCheck6D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SphereCheck(box, l)
-	}
-}
-
-func BenchmarkLineRectDist6D(b *testing.B) {
-	r := rand.New(rand.NewSource(28))
-	box := randRect(r, 6)
-	l := randLine(r, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LineRectDist(box, l)
 	}
 }
 

@@ -256,9 +256,9 @@ func FuzzShellAccept(f *testing.F) {
 			var stats SearchStats
 			var got []int64
 			if q.segment {
-				got, err = arena.SegmentSearchIDs(ctx, q.l, q.tMin, q.tMax, eps, geom.EnteringExiting, &stats, nil)
+				got, err = arena.SegmentSearchIDs(ctx, q.l, q.tMin, q.tMax, eps, &stats, nil)
 			} else {
-				got, err = arena.LineSearchIDs(ctx, q.l, eps, geom.EnteringExiting, &stats, nil)
+				got, err = arena.LineSearchIDs(ctx, q.l, eps, &stats, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

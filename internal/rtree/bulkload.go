@@ -72,7 +72,7 @@ const radixCutoff = 1 << 10
 // produce the same permutation — the one a stable sort by key gives.
 // Keys compare as float32s (−0 is +0); NaN keys sort first.
 func BulkLoadFlat(cfg Config, ids []int64, cols []float64, workers int) (*FlatTree, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n, dim := len(ids), cfg.Dim
@@ -548,7 +548,6 @@ func emitFlat(cfg Config, q quant, bounds geom.Rect, ids []int64, cols []float64
 	numEntries += numNodes - 1
 	f := &FlatTree{
 		cfg:    cfg,
-		dir:    dirCone,
 		size:   n,
 		height: len(levels),
 		pages:  numNodes,

@@ -251,25 +251,25 @@ func FuzzFlatBulkLoad(f *testing.F) {
 
 // TestWriteArenaWithoutHostByteOrder runs the writers with the host
 // byte-order shortcut switched off — the path a big-endian machine
-// takes — and requires the same bytes: from a tree frozen from nodes,
-// from a bulk-loaded one (which then holds no ready-made arena), and from
-// the bulk load's reference, whose arrays are encoded either way.
+// takes — and requires the same bytes: from a bulk-loaded tree (which
+// then holds no ready-made arena), and from the bulk load's reference,
+// whose arrays are encoded either way.
 func TestWriteArenaWithoutHostByteOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	items := bulkItems(r, 2*arenaChunk/10, 3)
 	ids, cols := columnsOf(items, 3)
-	build := func() (frozen, loaded, ref []byte) {
+	build := func() (loaded, ref []byte) {
 		g, err := BulkLoadFlat(DefaultConfig(3), ids, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mbrTwin(t, g).AppendArena(nil), g.AppendArena(nil), refBulkLoad(DefaultConfig(3), items).AppendArena(nil)
+		return g.AppendArena(nil), refBulkLoad(DefaultConfig(3), items).AppendArena(nil)
 	}
-	wantFrozen, wantLoaded, wantRef := build()
+	wantLoaded, wantRef := build()
 	defer func(v bool) { hostLittleEndian = v }(hostLittleEndian)
 	hostLittleEndian = false
-	gotFrozen, gotLoaded, gotRef := build()
-	if !bytes.Equal(gotFrozen, wantFrozen) || !bytes.Equal(gotLoaded, wantLoaded) || !bytes.Equal(gotRef, wantRef) || !bytes.Equal(gotLoaded, gotRef) {
+	gotLoaded, gotRef := build()
+	if !bytes.Equal(gotLoaded, wantLoaded) || !bytes.Equal(gotRef, wantRef) || !bytes.Equal(gotLoaded, gotRef) {
 		t.Fatal("arena bytes depend on the host byte-order shortcut")
 	}
 }

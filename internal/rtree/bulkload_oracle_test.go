@@ -11,9 +11,9 @@ import (
 // The reference BulkLoadFlat is tested against: the same tiling and the
 // same directory written the obvious way — one heap entry per point and
 // per node, every sort a sort.SliceStable on the float32 key, the
-// extents folded bottom-up, the arena appended node by node as
-// FlatFromNodes appends a caller's.  Nothing is shared with the loader but
-// the arena's number format (quant) and its writer.
+// extents folded bottom-up, the arena appended node by node, pre-order.
+// Nothing is shared with the loader but the arena's number format
+// (quant) and its writer.
 
 // refEntry is a point (child nil) or a node, with its polar extent: row
 // 0 the norm range, rows 1… the direction box.
@@ -103,7 +103,7 @@ func refTile(es []*refEntry, c, m, depth int) [][]*refEntry {
 
 // refBulkLoad builds the reference tree's arena.
 func refBulkLoad(cfg Config, items []Item) *FlatTree {
-	f := &FlatTree{cfg: cfg, dir: dirCone, size: len(items), q: quantExp(0)}
+	f := &FlatTree{cfg: cfg, size: len(items), q: quantExp(0)}
 	bounds := geom.Rect{L: make(vec.Vector, cfg.Dim), H: make(vec.Vector, cfg.Dim)}
 	for j := 0; j < cfg.Dim && len(items) > 0; j++ {
 		bounds.L[j], bounds.H[j] = items[0].Point[j], items[0].Point[j]

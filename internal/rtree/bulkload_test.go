@@ -8,6 +8,13 @@ import (
 	"scaleshift/internal/vec"
 )
 
+// Item is a point with its identifier, as the tests hand points to the
+// bulk loader and read them back (storedItems).
+type Item struct {
+	Point vec.Vector
+	ID    int64
+}
+
 func randVec(r *rand.Rand, n int) vec.Vector {
 	v := make(vec.Vector, n)
 	for i := range v {
@@ -52,7 +59,7 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 		if err := f.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got := idSet(f.All())
+		got := idSet(storedItems(f))
 		if len(got) != n {
 			t.Fatalf("n=%d: %d items reachable", n, len(got))
 		}
@@ -76,7 +83,7 @@ func TestBulkLoadCopiesPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	p[0] = 99
-	if f.All()[0].Point[0] != 1 {
+	if storedItems(f)[0].Point[0] != 1 {
 		t.Error("bulk load shares caller's slice")
 	}
 }

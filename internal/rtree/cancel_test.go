@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
@@ -25,43 +25,34 @@ func buildCancelTree(t *testing.T, n int) (*FlatTree, vec.Line) {
 		t.Fatal(err)
 	}
 	d := vec.Vector{1, 0.5, -0.25, 2}
-	return mbrTwin(t, f), vec.Line{P: make(vec.Vector, 4), D: d}
+	return f, vec.Line{P: make(vec.Vector, 4), D: d}
 }
 
-// TestContextSearchesMatchPlain asserts the ctx variants return
-// exactly what the plain searches return when the context stays live.
+// TestContextSearchesMatchPlain asserts the ctx variants return exactly
+// what the reference descent does (reference_test.go) when the context
+// stays live, appended after whatever the caller's buffer holds.
 func TestContextSearchesMatchPlain(t *testing.T) {
 	tree, line := buildCancelTree(t, 600)
 	ctx := context.Background()
 	const eps = 1.2
+	root := storedView(tree)
 
-	plain := tree.LineSearch(line, eps, geom.EnteringExiting, nil)
-	// The IDs are appended after whatever the caller's buffer holds.
-	got, err := tree.LineSearchIDs(ctx, line, eps, geom.EnteringExiting, nil, []int64{-7})
+	plain, _ := refLine(root, arenaUnits(tree, lineQuery{l: line, eps: eps}))
+	got, err := tree.LineSearchIDs(ctx, line, eps, nil, []int64{-7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(plain)+1 || got[0] != -7 {
-		t.Fatalf("line: %d ids after the prefix vs %d items", len(got)-1, len(plain))
-	}
-	for i, id := range got[1:] {
-		if id != plain[i].ID {
-			t.Fatalf("line item %d differs", i)
-		}
+	if len(plain) == 0 || !slices.Equal(got, append([]int64{-7}, plain...)) {
+		t.Fatalf("line: %d ids after the prefix vs %d from the reference", len(got)-1, len(plain))
 	}
 
-	plainSeg := tree.SegmentSearch(line, -0.5, 2, eps, geom.EnteringExiting, nil)
-	gotSeg, err := tree.SegmentSearchIDs(ctx, line, -0.5, 2, eps, geom.EnteringExiting, nil, nil)
+	plainSeg, _ := refLine(root, arenaUnits(tree, lineQuery{l: line, segment: true, tMin: -0.5, tMax: 2, eps: eps}))
+	gotSeg, err := tree.SegmentSearchIDs(ctx, line, -0.5, 2, eps, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotSeg) != len(plainSeg) {
-		t.Fatalf("segment: %d vs %d items", len(gotSeg), len(plainSeg))
-	}
-	for i, id := range gotSeg {
-		if id != plainSeg[i].ID {
-			t.Fatalf("segment item %d differs", i)
-		}
+	if len(plainSeg) == 0 || !slices.Equal(gotSeg, plainSeg) {
+		t.Fatalf("segment: %d ids vs %d from the reference", len(gotSeg), len(plainSeg))
 	}
 }
 
@@ -87,13 +78,12 @@ func (c *dyingContext) Err() error {
 func TestContextSearchesStopWhenCancelled(t *testing.T) {
 	tree, line := buildCancelTree(t, 600)
 	const eps = 1.2
-	ee := geom.EnteringExiting
 	searches := map[string]func(ctx context.Context, stats *SearchStats) ([]int64, error){
 		"line": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
-			return tree.LineSearchIDs(ctx, line, eps, ee, stats, nil)
+			return tree.LineSearchIDs(ctx, line, eps, stats, nil)
 		},
 		"segment": func(ctx context.Context, stats *SearchStats) ([]int64, error) {
-			return tree.SegmentSearchIDs(ctx, line, -1, 1, eps, ee, stats, nil)
+			return tree.SegmentSearchIDs(ctx, line, -1, 1, eps, stats, nil)
 		},
 	}
 	for name, search := range searches {

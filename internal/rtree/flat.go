@@ -16,9 +16,9 @@ import (
 	"scaleshift/internal/vec"
 )
 
-// FlatTree is the frozen, pointer-free, array-backed tree, the only form
-// that is searched: one contiguous node arena with
-// offset-indexed children and structure-of-arrays MBR planes,
+// FlatTree is the frozen, pointer-free, array-backed tree the serving
+// path searches: one contiguous node arena with
+// offset-indexed children and structure-of-arrays planes,
 // traversed with batched (4-wide unrolled) pruning kernels, that
 // (de)serializes as a single verbatim byte blob which can be
 // memory-mapped and served zero-copy.
@@ -33,23 +33,19 @@ import (
 // node, the entries' extents dimension-major — all L planes (dimension 0
 // of every entry, then dimension 1, ...), then all H planes: the layout
 // geom.Planes describes — except that a leaf stores each point once, as
-// its L rows alone.  What a directory entry's extent is depends on who
-// built the arena (dirKind): the MBR of the subtree in an arena frozen
-// from somebody's nodes (FlatFromNodes), and in a bulk-loaded one the range of the norms and the
-// box of the unit directions beneath it — one row more than the feature
-// dimension, the norm's first.
+// its L rows alone.  A directory entry's extent is the range of the norms
+// and the box of the unit directions beneath it — one row more than the
+// feature dimension, the norm's first.
 //
 // The tree is a filter (the caller's exact check decides), so a plane
 // value is a float32: coordinate x is stored as float32(x·2^-e) with one
-// exponent e per arena (see quant).  Every value — point coordinate or
-// MBR bound — rounds to nearest.  The rounding is monotone, so min and
-// max commute with it: an MBR rounded on its own is exactly the MBR of
-// the stored points beneath it.
+// exponent e per arena (see quant).  A point coordinate rounds to
+// nearest; a directory bound is derived from the stored points and
+// stepped outward where it is computed, above them folded (bulkload.go).
 // Searches scale the query into the arena's units instead of widening
 // the planes, and return coordinates and distances in the caller's.
 type FlatTree struct {
 	cfg     Config
-	dir     dirKind
 	size    int
 	height  int
 	pages   int // total pages (a supernode spans several)
@@ -60,7 +56,7 @@ type FlatTree struct {
 	starts []uint64  // len numNodes+1: entry range offsets
 	poff   []uint64  // len numNodes+1: plane value offsets
 	refs   []uint64  // per entry: child index or item ID bits
-	planes []float32 // per node: SoA MBR planes, in arena units
+	planes []float32 // per node: SoA planes, in arena units
 
 	bounds geom.Rect // root MBR as stored, in caller units; valid when size > 0
 	arena  []byte    // backing arena when loaded zero-copy, else nil
@@ -69,44 +65,15 @@ type FlatTree struct {
 	buildTile, buildEmit time.Duration // see BuildStages
 }
 
-// dirKind is what the directory entries of an arena store, recorded in
-// header word 6.  The descent picks its pruning kernel from it; nothing
-// else does.
-type dirKind uint64
-
-const (
-	// dirMBR: an entry is the Cartesian MBR of its subtree, pruned by
-	// Theorem 3's slab (or sphere) test.  What FlatFromNodes writes.
-	dirMBR dirKind = 0
-	// dirCone: an entry is the norm range and the unit-direction box of
-	// its subtree, pruned by the cone test.  What BulkLoadFlat writes.
-	dirCone dirKind = 2
-)
-
-// The values of FlatTree.Directory.
-const (
-	DirectoryMBR = "MBR"
-	DirectoryBox = "direction-box"
-)
-
-func (k dirKind) String() string {
-	switch k {
-	case dirMBR:
-		return DirectoryMBR
-	case dirCone:
-		return DirectoryBox
-	}
-	return fmt.Sprintf("unknown(%d)", uint64(k))
-}
-
-// Directory names what the arena's directory entries store: DirectoryMBR
-// for an arena frozen from nodes (or written before bulk loads
-// changed shape), DirectoryBox for a bulk-loaded one.
-func (f *FlatTree) Directory() string { return f.dir.String() }
+// dirBox is what header word 6 of an arena says its directory entries
+// store: the norm range and the unit-direction box of a subtree.  It is
+// the one kind read; 0 named the MBR directory of arenas frozen from an
+// insert-built tree and 1 the rectangle-leaf arena, both retired.
+const dirBox = 2
 
 // BuildStages returns how long BulkLoadFlat spent tiling (polar columns,
 // sorts, extents) and emitting the arena; zero for a tree that was
-// frozen or opened.
+// opened.
 func (f *FlatTree) BuildStages() (tile, emit time.Duration) { return f.buildTile, f.buildEmit }
 
 // quant is an arena's number format: the coordinate x is stored as
@@ -154,77 +121,6 @@ func (q quant) near(x float64) float32 { return float32(x*q.inv) + 0 }
 
 // wide returns the coordinate a stored value stands for.
 func (q quant) wide(v float32) float64 { return float64(v) * q.scale }
-
-// FlatFromNodes freezes a tree somebody else grew into an arena whose
-// directory keeps the tree's MBRs (dirMBR): the way a tree built by
-// insertion (internal/bench/rstar) becomes searchable.  open describes
-// node n — its level (0 for a leaf), the pages it spans (an X-tree
-// supernode spans several), the rectangle of every entry (a leaf entry's
-// is its point, as a degenerate rectangle) and, per entry, the item
-// identifier in a leaf or the child node above one — and the nodes are
-// laid out pre-order from root, entries in the order open lists them.
-// Every value is rounded on its own (see FlatTree); nothing of the
-// caller's is retained.
-func FlatFromNodes[N any](cfg Config, root N, open func(n N) (level, pages int, rects []geom.Rect, ids []int64, children []N)) (*FlatTree, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	f := &FlatTree{cfg: cfg, q: quantExp(0)}
-	level, _, rects, _, _ := open(root)
-	f.height = level + 1
-	var bounds geom.Rect
-	if len(rects) > 0 {
-		bounds = geom.Rect{L: rects[0].L.Clone(), H: rects[0].H.Clone()}
-		for _, r := range rects[1:] {
-			bounds.Extend(r)
-		}
-		f.q = quantForRect(bounds)
-	}
-	dim := cfg.Dim
-
-	var walk func(n N) int
-	walk = func(n N) int {
-		level, pages, rects, ids, children := open(n)
-		idx := len(f.meta)
-		f.meta = append(f.meta, packMeta(level, pages))
-		f.pages += pages
-		f.maxNode = max(f.maxNode, len(rects))
-		f.starts = append(f.starts, uint64(len(f.refs)))
-		f.poff = append(f.poff, uint64(len(f.planes)))
-		for j := 0; j < dim; j++ {
-			for _, r := range rects {
-				f.planes = append(f.planes, f.q.near(r.L[j]))
-			}
-		}
-		if level == 0 {
-			f.size += len(ids)
-			for _, id := range ids {
-				f.refs = append(f.refs, uint64(id))
-			}
-			return idx
-		}
-		for j := 0; j < dim; j++ {
-			for _, r := range rects {
-				f.planes = append(f.planes, f.q.near(r.H[j]))
-			}
-		}
-		// A directory entry's reference is its child's index, known once
-		// the walk below has placed the child.
-		refBase := len(f.refs)
-		f.refs = append(f.refs, make([]uint64, len(children))...)
-		for k, c := range children {
-			f.refs[refBase+k] = uint64(walk(c))
-		}
-		return idx
-	}
-	walk(root)
-	f.starts = append(f.starts, uint64(len(f.refs)))
-	f.poff = append(f.poff, uint64(len(f.planes)))
-	if f.size > 0 {
-		f.bounds = f.storedRect(bounds)
-	}
-	return f, nil
-}
 
 // storedRect returns the MBR r as the arena stores it, in caller units.
 func (f *FlatTree) storedRect(r geom.Rect) geom.Rect {
@@ -279,9 +175,9 @@ func (f *FlatTree) nodePlanes(i int) geom.Planes[float32] {
 }
 
 // planeDim returns how many rows an extent of a node at level lvl has: a
-// direction-box directory entry carries the norm beside the direction.
+// directory entry carries the norm beside the direction.
 func (f *FlatTree) planeDim(lvl int) int {
-	if lvl > 0 && f.dir == dirCone {
+	if lvl > 0 {
 		return f.cfg.Dim + 1
 	}
 	return f.cfg.Dim
@@ -315,14 +211,11 @@ func (f *FlatTree) child(n, ei int) int {
 // the O(1) checks done at load.  After Validate returns nil, every
 // traversal is guaranteed panic-free, and the tree has the one property
 // Theorem 3's pruning rests on: every plane value is finite and every
-// internal entry's rectangle contains the entries of the child it
+// directory entry's extent covers the entries of the child it
 // references, so a subtree is never skipped while holding a qualifying
 // entry.  It is meant to run with artifact checksum verification, off
 // the serving path.
 func (f *FlatTree) Validate() error {
-	if f.dir != dirMBR && f.dir != dirCone {
-		return fmt.Errorf("rtree: flat arena: unknown directory kind %d", uint64(f.dir))
-	}
 	numNodes := len(f.meta)
 	numEntries := len(f.refs)
 	if len(f.starts) != numNodes+1 || len(f.poff) != numNodes+1 {
@@ -397,25 +290,23 @@ func (f *FlatTree) Validate() error {
 	if maxNode != f.maxNode {
 		return fmt.Errorf("rtree: flat arena: max node size %d but %d recorded", maxNode, f.maxNode)
 	}
-	// A direction-box descent accepts a subtree as the node range from its
-	// child to the next entry's (descend), so such an arena is laid out
-	// pre-order, as emitFlat writes it: a node's first child follows it,
-	// and every further child starts where its predecessor's subtree ends.
-	if f.dir == dirCone {
-		end := make([]int, numNodes)
-		for i := numNodes - 1; i >= 0; i-- {
-			s, e := f.nodeEntries(i)
-			end[i] = i + 1
-			for ei := s; ei < e && f.nodeLevel(i) > 0; ei++ {
-				if ci := int(f.refs[ei]); ci != end[i] {
-					return fmt.Errorf("rtree: flat arena: entry %d of node %d references node %d, but the direction-box layout is pre-order and puts that child at node %d", ei, i, ci, end[i])
-				}
-				end[i] = end[end[i]]
+	// The descent accepts a subtree as the node range from its child to
+	// the next entry's (descend), so the arena is laid out pre-order, as
+	// emitFlat writes it: a node's first child follows it, and every
+	// further child starts where its predecessor's subtree ends.
+	end := make([]int, numNodes)
+	for i := numNodes - 1; i >= 0; i-- {
+		s, e := f.nodeEntries(i)
+		end[i] = i + 1
+		for ei := s; ei < e && f.nodeLevel(i) > 0; ei++ {
+			if ci := int(f.refs[ei]); ci != end[i] {
+				return fmt.Errorf("rtree: flat arena: entry %d of node %d references node %d, but the direction-box layout is pre-order and puts that child at node %d", ei, i, ci, end[i])
 			}
+			end[i] = end[end[i]]
 		}
-		if end[0] != numNodes {
-			return fmt.Errorf("rtree: flat arena: the root's subtree ends at node %d of %d", end[0], numNodes)
-		}
+	}
+	if end[0] != numNodes {
+		return fmt.Errorf("rtree: flat arena: the root's subtree ends at node %d of %d", end[0], numNodes)
 	}
 	// Every plane value is finite, every extent well-formed (L <= H per
 	// row), and every child sits inside the entry referencing it.  The
@@ -423,10 +314,9 @@ func (f *FlatTree) Validate() error {
 	// ordered and inside the extent of the one entry that references the
 	// node (the structural pass above found exactly one), which by
 	// induction from the root makes them finite too — a NaN fails every
-	// comparison.  Under a direction-box directory "inside" means, for a
-	// leaf, that the norm and the folded unit direction of every stored
-	// point — computed as the bulk loader computes them — lie in the entry's
-	// range and box.
+	// comparison.  For a leaf "inside" means that the norm and the folded
+	// unit direction of every stored point — computed as the bulk loader
+	// computes them — lie in the entry's range and box.
 	inside := func(pl geom.Planes[float32], j int, lo, hi float32) bool {
 		lr, hr := pl.LRow(j), pl.HRow(j)
 		ok := true
@@ -439,7 +329,7 @@ func (f *FlatTree) Validate() error {
 	root := f.nodePlanes(0)
 	for j := 0; j < root.Dim; j++ {
 		lo := float32(-math.MaxFloat32)
-		if j == 0 && f.dir == dirCone && f.height > 1 {
+		if j == 0 && f.height > 1 {
 			lo = 0 // a norm
 		}
 		if !inside(root, j, lo, math.MaxFloat32) {
@@ -456,7 +346,7 @@ func (f *FlatTree) Validate() error {
 		for k := 0; k < pl.Count; k++ {
 			ci := int(f.refs[s+k])
 			child := f.nodePlanes(ci)
-			if lvl == 1 && f.dir == dirCone {
+			if lvl == 1 {
 				if j, ok := polarInside(child, pl, k, sumSq, sinv); !ok {
 					return fmt.Errorf("rtree: flat arena: leaf %d holds a point outside the norm range or direction box of entry %d of node %d, which references it (row %d: [%v, %v])",
 						ci, s+k, i, j, pl.LRow(j)[k], pl.HRow(j)[k])
@@ -505,81 +395,6 @@ func polarInside(pts, pl geom.Planes[float32], k int, sumSq, sinv []float64) (ro
 	return 0, true
 }
 
-// Stats returns per-level geometry statistics, leaves first: of the
-// extents the arena stores, so the directory levels of a direction-box
-// arena are measured in its (norm, direction) rows.
-func (f *FlatTree) Stats() []LevelStats {
-	byLevel := make([]*LevelStats, f.height)
-	for i := range f.meta {
-		lvl := f.nodeLevel(i)
-		ls := byLevel[lvl]
-		if ls == nil {
-			ls = &LevelStats{Level: lvl}
-			byLevel[lvl] = ls
-		}
-		s, e := f.nodeEntries(i)
-		ls.Nodes++
-		ls.Pages += f.nodePages(i)
-		ls.Entries += e - s
-		ls.Bytes += 24 + (e-s)*(8+4*f.planeWidth(lvl))
-		if e == s {
-			continue
-		}
-		// Ratios of side lengths: the arena's units cancel.
-		pl := f.nodePlanes(i)
-		minSide, maxSide := math.Inf(1), 0.0
-		var outerSq float64
-		innerHalf := math.Inf(1)
-		for j := 0; j < pl.Dim; j++ {
-			lr, hr := pl.LRow(j), pl.HRow(j)
-			lo, hi := lr[0], hr[0]
-			for k := 1; k < len(lr); k++ {
-				if lr[k] < lo {
-					lo = lr[k]
-				}
-				if hr[k] > hi {
-					hi = hr[k]
-				}
-			}
-			side := float64(hi) - float64(lo)
-			minSide = math.Min(minSide, side)
-			maxSide = math.Max(maxSide, side)
-			outerSq += (side / 2) * (side / 2)
-			innerHalf = math.Min(innerHalf, side/2)
-		}
-		switch {
-		case minSide > 0:
-			ls.AvgElongation += maxSide / minSide
-		case maxSide > 0:
-			ls.AvgElongation += math.Inf(1)
-		default:
-			ls.AvgElongation++
-		}
-		outer := math.Sqrt(outerSq)
-		switch {
-		case innerHalf > 0:
-			ls.AvgSphereGap += outer / innerHalf
-		case outer > 0:
-			ls.AvgSphereGap += math.Inf(1)
-		default:
-			ls.AvgSphereGap++
-		}
-	}
-	out := make([]LevelStats, 0, f.height)
-	for lvl := 0; lvl < f.height; lvl++ {
-		ls := byLevel[lvl]
-		if ls == nil {
-			continue
-		}
-		n := float64(ls.Nodes)
-		ls.AvgElongation /= n
-		ls.AvgSphereGap /= n
-		ls.AvgOccupancy = float64(ls.Entries) / float64(ls.Pages*f.cfg.MaxEntries)
-		out = append(out, *ls)
-	}
-	return out
-}
-
 // arenaVersion identifies the arena encoding; bump on layout changes.
 // Any other version is refused with binio.ErrVersion: an arena is
 // derived state, rebuilt from the store.  Version 1 stored every entry as
@@ -607,7 +422,7 @@ func (f *FlatTree) arenaHead() []uint64 {
 	head = append(head,
 		arenaVersion,
 		uint64(d), uint64(f.cfg.MaxEntries), uint64(f.cfg.MinEntries),
-		uint64(f.size), uint64(f.height), uint64(f.dir),
+		uint64(f.size), uint64(f.height), dirBox,
 		uint64(f.pages), uint64(f.maxNode),
 		uint64(len(f.meta)), uint64(len(f.refs)),
 		uint64(int64(f.q.exp)),
@@ -634,10 +449,10 @@ const arenaChunk = 1 << 13
 // 8-byte words verbatim, then the planes as 4-byte float32s, zero-padded
 // to a whole word: the blob is a multiple of 8 bytes long, and one
 // starting at an 8-byte-aligned offset has every array aligned for
-// zero-copy reads.  A tree that is a view of an arena — bulk-loaded, or
-// opened from one — writes the bytes it holds; one frozen from nodes
-// writes its arrays as the byte ranges they are on a little-endian host,
-// and encodes them chunk by chunk elsewhere.
+// zero-copy reads.  A tree that is a view of an arena — bulk-loaded on a
+// little-endian host, or opened from one — writes the bytes it holds;
+// any other writes its arrays as the byte ranges they are on a
+// little-endian host, and encodes them chunk by chunk elsewhere.
 func (f *FlatTree) WriteArena(w io.Writer) error {
 	if f.arena != nil {
 		_, err := w.Write(f.arena)
@@ -733,17 +548,16 @@ func FlatFromArena(b []byte) (*FlatTree, error) {
 		maxNode: int(word(8)),
 		q:       quantExp(0),
 	}
-	// Word 6 is the directory kind: an arena of a kind a later build
-	// writes is one this code cannot read, and says so before any plane
-	// is touched.  (Kind 1 was the rectangle-leaf arena of version 2 and
-	// earlier, which is why the direction-box directory is 2.)
-	if f.dir = dirKind(word(6)); f.dir != dirMBR && f.dir != dirCone {
-		return nil, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 6 (0, MBRs, and 2, direction boxes, are read; rebuild the index): %w", uint64(f.dir), binio.ErrVersion)
+	// Word 6 is the directory kind (dirBox): an arena of any other kind
+	// — an MBR directory, a rectangle-leaf arena, or a kind a later build
+	// writes — is refused before any plane is touched.
+	if kind := word(6); kind != dirBox {
+		return nil, fmt.Errorf("rtree: unsupported directory kind %d in flat arena header word 6 (2, direction boxes, is read; rebuild the index): %w", kind, binio.ErrVersion)
 	}
 	if word(1) > 1<<16 || word(2) > 1<<20 {
 		return nil, fmt.Errorf("rtree: implausible flat config (dim=%d, M=%d)", word(1), word(2))
 	}
-	if err := f.cfg.validate(); err != nil {
+	if err := f.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	numNodes, numEntries := word(9), word(10)

@@ -3,33 +3,25 @@ package rtree
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
-// The searches.  The arena is the only representation searched: a node's
-// entries are tested in one sweep of the batched kernels of
-// geom/batch.go and vec/batch.go — which evaluate the scalar
-// expressions of Theorem 3 and Lemma 1 per entry — before any descent,
-// entries are visited in slot order (depth first for the range probes,
-// level by level along the smallest bounds for the k-NN seeds), and
-// returned Items are materialized fresh (the arena has no per-entry
-// objects to share).
-//
-// Which directory kernel runs is read off the arena (dirKind): the slab
-// or sphere test of the caller's Strategy over MBRs, or the cone test
-// over norm ranges and direction boxes, which has no strategies — the
-// argument is ignored there.  The leaves are tested the same way under
-// both, so the same stored points come back.
+// The searches.  A node's entries are tested in one sweep of the batched
+// kernels of geom/batch.go and vec/batch.go — the cone test over the
+// directory's norm ranges and direction boxes, and Lemma 1's distance at
+// the leaves — before any descent, and entries are visited in slot order
+// (depth first for the range probes, level by level along the smallest
+// bounds for the k-NN seeds).  What comes back is IDs, read straight out
+// of the arena's ref column.
 //
 // The planes are in the arena's units (see quant), so every search first
 // scales its query into them — a line's point, ε and a segment's
 // parameter range by 2^-exp, exactly; the direction is a direction in
-// either — and converts what it returns, coordinates and distances, back.
-// What comes back is the stored, rounded geometry: a caller after the
+// either — and converts the distances it returns back.
+// The leaves decide on the stored, rounded geometry: a caller after the
 // exact answer widens ε by the arena's rounding bound and post-checks.
 
 // SearchStats records the cost of one query in the paper's model:
@@ -60,20 +52,17 @@ func (s *SearchStats) Add(o SearchStats) {
 
 // lineQuery is one line or segment probe: what a descent prunes
 // subtrees and tests leaf entries against.  The line and segment
-// searches — returning items or IDs — share the one descend loop on it.
+// searches share the one descend loop on it.
 type lineQuery struct {
 	l vec.Line
 	// segment restricts the line to the parameter range [tMin, tMax].
 	segment    bool
 	tMin, tMax float64
 	eps        float64
-	strategy   geom.Strategy
-	// cone is the probe as a direction-box directory tests it, prepared
-	// by arenaQuery when the arena has one.
+	// cone is the probe as the directory tests it, prepared by arenaQuery.
 	cone geom.Cone
-	// accept is the greatest r_hi of a direction-box entry the descent
-	// accepts whole (geom.Cone.Accept), −Inf under any other directory:
-	// set once per probe by arenaQuery.
+	// accept is the greatest r_hi of a directory entry the descent accepts
+	// whole (geom.Cone.Accept): set once per probe by arenaQuery.
 	accept float64
 	// tasks, when set, makes the descent a frontier (Probe.Frontier): an
 	// entered level-1 node or an entry accepted whole is appended to it
@@ -92,9 +81,8 @@ type flatScratch struct {
 	qpD    []float64
 	qpQp   []float64
 	dist   []float64
-	rL, rH vec.Vector // entryRect gather destination; RangeSearch's query rect
 	lineP  vec.Vector // the query line's point in arena units
-	dir    []float64  // the query's unit direction (direction-box arenas)
+	dir    []float64  // the query's unit direction
 	// front and next are the nodes Seeds holds at one level and gathers
 	// for the next.
 	front, next []int
@@ -109,8 +97,6 @@ func (f *FlatTree) getScratch() *flatScratch {
 		qpD:    make([]float64, f.maxNode),
 		qpQp:   make([]float64, f.maxNode),
 		dist:   make([]float64, f.maxNode),
-		rL:     make(vec.Vector, f.cfg.Dim),
-		rH:     make(vec.Vector, f.cfg.Dim),
 		lineP:  make(vec.Vector, f.cfg.Dim),
 		dir:    make([]float64, 0, f.cfg.Dim),
 	}
@@ -121,28 +107,6 @@ func (f *FlatTree) getScratch() *flatScratch {
 }
 
 func (f *FlatTree) putScratch(sc *flatScratch) { f.pool.Put(sc) }
-
-// leafItem materializes the Item of leaf entry ei, slot k of the node
-// whose planes are pl, in caller units: the point is gathered from the
-// leaf's rows.
-func (f *FlatTree) leafItem(ei int, pl geom.Planes[float32], k int) Item {
-	p := make(vec.Vector, f.cfg.Dim)
-	for j := range p {
-		p[j] = f.q.wide(pl.LRow(j)[k])
-	}
-	return Item{Point: p, ID: int64(f.refs[ei])}
-}
-
-// entryRect gathers entry k of pl into the scratch rect (no
-// allocation), still in arena units, for kernels that take a Rect by
-// value and do not retain it, like geom.LineRectDist.
-func (sc *flatScratch) entryRect(pl geom.Planes[float32], k int) geom.Rect {
-	for j := range sc.rL {
-		sc.rL[j] = float64(pl.LRow(j)[k])
-		sc.rH[j] = float64(pl.HRow(j)[k])
-	}
-	return geom.Rect{L: sc.rL, H: sc.rH}
-}
 
 // arenaLine returns l in arena units, its point in sc's buffer.
 func (f *FlatTree) arenaLine(l vec.Line, sc *flatScratch) vec.Line {
@@ -159,82 +123,13 @@ func (f *FlatTree) arenaQuery(q lineQuery, sc *flatScratch) lineQuery {
 	q.eps *= f.q.inv
 	q.tMin *= f.q.inv
 	q.tMax *= f.q.inv
-	q.accept = math.Inf(-1)
-	if f.dir == dirCone {
-		q.cone.Dir = sc.dir
-		geom.PrepareCone(&q.cone, q.l, q.eps, q.tMin, q.tMax, q.segment)
-		q.accept = q.cone.Accept
-	}
+	q.cone.Dir = sc.dir
+	geom.PrepareCone(&q.cone, q.l, q.eps, q.tMin, q.tMax, q.segment)
+	q.accept = q.cone.Accept
 	return q
 }
 
-// RangeSearch returns every item whose point lies inside r.  stats may
-// be nil.
-func (f *FlatTree) RangeSearch(r geom.Rect, stats *SearchStats) []Item {
-	if f.dir != dirMBR && f.height > 1 {
-		// Only a bug gets here: rectangle queries run over a tree frozen
-		// from nodes (internal/euclid's), never over a bulk-loaded one.
-		panic(fmt.Sprintf("rtree: RangeSearch over a %s directory; a rectangle query needs MBRs (FlatFromNodes)", f.dir))
-	}
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	for j := range r.L {
-		sc.rL[j], sc.rH[j] = r.L[j]*f.q.inv, r.H[j]*f.q.inv
-	}
-	r = geom.Rect{L: sc.rL, H: sc.rH} // in arena units
-	var out []Item
-	f.rangeSearch(0, r, &out, stats, sc)
-	return out
-}
-
-func (f *FlatTree) rangeSearch(ni int, r geom.Rect, out *[]Item, stats *SearchStats, sc *flatScratch) {
-	if stats != nil {
-		stats.NodeAccesses += f.nodePages(ni)
-	}
-	s, e := f.nodeEntries(ni)
-	c := e - s
-	lvl := f.nodeLevel(ni)
-	if lvl == 0 {
-		if stats != nil {
-			stats.LeafEntriesChecked += c
-		}
-		if c == 0 {
-			return
-		}
-		pl := f.nodePlanes(ni)
-		verdict := sc.levels[0][:c]
-		geom.ContainsBatch(pl.Data, c, r, verdict)
-		for k := 0; k < c; k++ {
-			if verdict[k] {
-				*out = append(*out, f.leafItem(s+k, pl, k))
-			}
-		}
-		return
-	}
-	verdict := sc.levels[lvl][:c]
-	geom.IntersectsBatch(f.nodePlanes(ni), r, &sc.bs, verdict)
-	for k := 0; k < c; k++ {
-		if verdict[k] {
-			f.rangeSearch(f.child(ni, s+k), r, out, stats, sc)
-		}
-	}
-}
-
-// penetrated is the batched Theorem 3 test of the directory node viewed
-// by pl: of its entries' ε-enlarged MBRs under the probe's strategy, or —
-// cone set, for a direction-box node — of their cones.  The returned
-// verdicts alias sc and are valid until its next use.
-func (q *lineQuery) penetrated(pl geom.Planes[float32], cone bool, sc *geom.BatchScratch, pen *geom.CheckStats) []bool {
-	if cone {
-		return geom.ConeBatch(pl, &q.cone, sc, pen)
-	}
-	if q.segment {
-		return geom.PenetratesEnlargedSegmentBatch(q.strategy, pl, q.eps, q.l, q.tMin, q.tMax, sc, pen)
-	}
-	return geom.PenetratesEnlargedBatch(q.strategy, pl, q.eps, q.l, sc, pen)
-}
-
-// descend visits every node under ni whose ε-enlarged MBR q penetrates,
+// descend visits every node under ni whose cone q's ε-band enters,
 // entries in slot order, depth first, polling ctx at every node visit —
 // the natural cancellation grain: a node is one page of work.  The
 // qualifying entries of a leaf are handed to hit as runs: hit(pl, s,
@@ -242,8 +137,8 @@ func (q *lineQuery) penetrated(pl geom.Planes[float32], cone bool, sc *geom.Batc
 // whose entries start at entry offset s.  q is in arena units.  On
 // cancellation the hits so far stand and ctx.Err() is returned.
 //
-// Nodes are laid out pre-order (emitFlat; Validate holds a direction-box
-// arena to it), so the subtree under ni is the node range [ni, end), and
+// Nodes are laid out pre-order (emitFlat; Validate holds an arena to it),
+// so the subtree under ni is the node range [ni, end), and
 // the subtree under entry k the range from its child to the next entry's
 // child, or to end for the last entry.  An entered entry whose r_hi is at
 // most q.accept is accepted whole: acceptSubtree hands every leaf of that
@@ -285,8 +180,8 @@ func (f *FlatTree) descend(ctx context.Context, ni, end int, q *lineQuery, stats
 	}
 	// The verdicts must survive the recursion below, which reuses sc.bs.
 	verdict := sc.levels[lvl][:c]
-	copy(verdict, q.penetrated(pl, f.dir == dirCone, &sc.bs, pen))
-	rHi := pl.HRow(0) // r_hi under a direction-box directory
+	copy(verdict, geom.ConeBatch(pl, &q.cone, &sc.bs, pen))
+	rHi := pl.HRow(0)
 	for k, in := range verdict {
 		if !in {
 			continue
@@ -339,21 +234,6 @@ func (f *FlatTree) acceptSubtree(ctx context.Context, from, to int, stats *Searc
 	return nil
 }
 
-// searchItems runs q to completion and materializes the hits as Items.
-func (f *FlatTree) searchItems(q lineQuery, stats *SearchStats) []Item {
-	sc := f.getScratch()
-	defer f.putScratch(sc)
-	q = f.arenaQuery(q, sc)
-	var out []Item
-	// A background context never cancels, so the descent cannot fail.
-	_ = f.descend(context.Background(), 0, len(f.meta), &q, stats, sc, func(pl geom.Planes[float32], s, from, to int) {
-		for k := from; k < to; k++ {
-			out = append(out, f.leafItem(s+k, pl, k))
-		}
-	})
-	return out
-}
-
 // searchIDs runs q over the whole tree as one Subtree, appending the ID
 // of every hit to ids and reporting the descent to the obs registry.
 func (f *FlatTree) searchIDs(ctx context.Context, q lineQuery, stats *SearchStats, ids []int64) ([]int64, error) {
@@ -391,8 +271,7 @@ type Probe struct {
 }
 
 // LineProbe prepares the search LineSearchIDs runs, the ε-band around
-// the line l — under an MBR directory, by the entering/exiting test.
-// stats, which may be nil, is the ledger Release reports
+// the line l.  stats, which may be nil, is the ledger Release reports
 // the descent from: the caller sums every Subtree's counts into it first.
 func (f *FlatTree) LineProbe(l vec.Line, eps float64, stats *SearchStats) Probe {
 	return f.newProbe(lineQuery{l: l, eps: eps}, stats)
@@ -466,33 +345,20 @@ func (p *Probe) Release() {
 	p.sc = nil
 }
 
-// LineSearch returns every item whose point lies within eps of the
-// line l, in the order encountered.  Internal subtrees are pruned by
-// Theorem 3: a child is visited only when its ε-enlarged MBR is
-// penetrated by l under the chosen strategy.  At the leaves the exact
-// point-to-line distance (Lemma 1) decides.  stats may be nil.
-func (f *FlatTree) LineSearch(l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	return f.searchItems(lineQuery{l: l, eps: eps, strategy: strategy}, stats)
-}
-
-// SegmentSearch is LineSearch restricted to the parameter range
-// [tMin, tMax] of the line: returned items lie within eps of the
-// SEGMENT {l.P + t·l.D : tMin <= t <= tMax}.
-func (f *FlatTree) SegmentSearch(l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats) []Item {
-	return f.searchItems(lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats)
-}
-
-// LineSearchIDs appends to ids the ID of every item whose point lies
-// within eps of the line l, with cooperative cancellation — the query
-// engine's probe.
-func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
-	return f.searchIDs(ctx, lineQuery{l: l, eps: eps, strategy: strategy}, stats, ids)
+// LineSearchIDs appends to ids, in the order encountered, the ID of every
+// stored point within eps of the line l — the query engine's probe.
+// Subtrees are pruned by Theorem 3 applied to the cone a directory entry
+// spans; at the leaves the point-to-line distance (Lemma 1) decides.
+// ctx is polled at every node; stats may be nil.
+func (f *FlatTree) LineSearchIDs(ctx context.Context, l vec.Line, eps float64, stats *SearchStats, ids []int64) ([]int64, error) {
+	return f.searchIDs(ctx, lineQuery{l: l, eps: eps}, stats, ids)
 }
 
 // SegmentSearchIDs is LineSearchIDs restricted to the parameter range
-// [tMin, tMax].
-func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, strategy geom.Strategy, stats *SearchStats, ids []int64) ([]int64, error) {
-	return f.searchIDs(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strategy}, stats, ids)
+// [tMin, tMax]: the points within eps of the SEGMENT
+// {l.P + t·l.D : tMin <= t <= tMax}.
+func (f *FlatTree) SegmentSearchIDs(ctx context.Context, l vec.Line, tMin, tMax, eps float64, stats *SearchStats, ids []int64) ([]int64, error) {
+	return f.searchIDs(ctx, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps}, stats, ids)
 }
 
 // seedFrontier caps the nodes Seeds keeps at one level, twice the most
@@ -502,9 +368,9 @@ const seedFrontier = 64
 // Seeds reports leaf entries near the line l to seed, with their IDs
 // and their distances to l, the leaf kernel's, in caller units.  Level
 // by level it keeps the children of the nodes in hand at the smallest
-// directory bound (the cone bound, or geom.LineRectDist under MBRs),
-// every one tied at it up to seedFrontier, down to the level-1 nodes;
-// it reports every entry beneath the first of those, and every entry of
+// cone bound, every one tied at it up to seedFrontier, down to the
+// level-1 nodes; it reports every entry beneath the first of those, and
+// every entry of
 // the leaves at the smallest bound beneath the others — where a query
 // that is an exact scale/shift of a stored window finds its source when
 // many bounds tie at 0 (DESIGN §5 item 9).  A tree of height one reports
@@ -541,18 +407,9 @@ func (f *FlatTree) Seeds(l vec.Line, stats *SearchStats, seed func(id int64, dis
 				continue
 			}
 			s, e := read(ni)
-			pl := f.nodePlanes(ni)
-			var lowerSq []float64
-			if f.dir == dirCone {
-				lowerSq = geom.ConeLowerSqBatch(pl, &q.cone, &sc.bs)
-			}
+			lowerSq := geom.ConeLowerSqBatch(f.nodePlanes(ni), &q.cone, &sc.bs)
 			for k := 0; k < e-s; k++ {
-				var d float64
-				if lowerSq != nil {
-					d = q.cone.Bound(lowerSq[k])
-				} else {
-					d = geom.LineRectDist(sc.entryRect(pl, k), q.l)
-				}
+				d := q.cone.Bound(lowerSq[k])
 				if d != d { // NaN: the entry may hold anything
 					d = math.Inf(1)
 				}
@@ -584,31 +441,4 @@ func (f *FlatTree) Seeds(l vec.Line, stats *SearchStats, seed func(id int64, dis
 		leaf(ni)
 	}
 	sc.front, sc.next = front, spare
-}
-
-// All returns every stored item in document order.  Intended for tests
-// and diagnostics.
-func (f *FlatTree) All() []Item {
-	var out []Item
-	var walk func(ni int)
-	walk = func(ni int) {
-		s, e := f.nodeEntries(ni)
-		if f.nodeLevel(ni) == 0 {
-			pl := f.nodePlanes(ni)
-			for k := 0; k < e-s; k++ {
-				out = append(out, f.leafItem(s+k, pl, k))
-			}
-			return
-		}
-		for ei := s; ei < e; ei++ {
-			walk(f.child(ni, ei))
-		}
-	}
-	walk(0)
-	return out
-}
-
-// WriteStats renders Stats as an aligned table.
-func (f *FlatTree) WriteStats(w io.Writer) error {
-	return writeLevelStats(w, f.Stats())
 }

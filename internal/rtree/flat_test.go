@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"scaleshift/internal/binio"
-	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
@@ -31,52 +30,7 @@ func randLine(rng *rand.Rand, dim int) vec.Line {
 	return vec.Line{P: randPoint(rng, dim, 5), D: randPoint(rng, dim, 1)}
 }
 
-// mbrTwin freezes the nodes of f again, under the MBRs of what each
-// holds (FlatFromNodes): the same leaves beneath the directory an
-// insert-built tree has, whatever f's own was.
-func mbrTwin(t testing.TB, f *FlatTree) *FlatTree {
-	t.Helper()
-	var rectsOf func(i int) []geom.Rect
-	rectsOf = func(i int) []geom.Rect {
-		s, e := f.nodeEntries(i)
-		pl := f.nodePlanes(i)
-		rects := make([]geom.Rect, e-s)
-		for k := range rects {
-			if f.nodeLevel(i) == 0 {
-				p := f.leafItem(s+k, pl, k).Point
-				rects[k] = geom.Rect{L: p, H: p}
-				continue
-			}
-			below := rectsOf(f.child(i, s+k))
-			rects[k] = geom.Rect{L: below[0].L.Clone(), H: below[0].H.Clone()}
-			for _, r := range below[1:] {
-				rects[k].Extend(r)
-			}
-		}
-		return rects
-	}
-	twin, err := FlatFromNodes(f.cfg, 0, func(i int) (level, pages int, rects []geom.Rect, ids []int64, children []int) {
-		s, e := f.nodeEntries(i)
-		for ei := s; ei < e; ei++ {
-			if f.nodeLevel(i) == 0 {
-				ids = append(ids, int64(f.refs[ei]))
-			} else {
-				children = append(children, f.child(i, ei))
-			}
-		}
-		return f.nodeLevel(i), f.nodePages(i), rectsOf(i), ids, children
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if twin.Directory() != DirectoryMBR {
-		t.Fatalf("FlatFromNodes wrote a %s directory", twin.Directory())
-	}
-	return twin
-}
-
-// buildPointTree bulk loads n random points and returns the tree's MBR
-// twin.
+// buildPointTree bulk loads n random points.
 func buildPointTree(t testing.TB, rng *rand.Rand, cfg Config, n int) *FlatTree {
 	t.Helper()
 	items := make([]Item, n)
@@ -88,15 +42,15 @@ func buildPointTree(t testing.TB, rng *rand.Rand, cfg Config, n int) *FlatTree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mbrTwin(t, f)
+	return f
 }
 
-// checkSearchEquivalence asserts every search of the MBR-directory arena
-// f against the references over its own nodes, as it stores them
-// (reference_test.go):
-// the same hits in the same order, and the same SearchStats — node
-// accesses, leaf checks and penetration primitives — for every range
-// descent under both strategies, and for the k-NN seeds' greedy descent.
+// checkSearchEquivalence asserts every search of the arena f against the
+// references over its own nodes, as it stores them (reference_test.go):
+// the same IDs in the same order, and the same SearchStats — node
+// accesses, leaf checks, subtrees accepted whole and the leaf entries
+// they emitted, and box tests — for the line and the segment descent,
+// and for the k-NN seeds' greedy descent.
 func checkSearchEquivalence(t *testing.T, f *FlatTree, rng *rand.Rand) {
 	t.Helper()
 	dim := f.Config().Dim
@@ -104,81 +58,51 @@ func checkSearchEquivalence(t *testing.T, f *FlatTree, rng *rand.Rand) {
 	root := storedView(f)
 	for q := 0; q < 30; q++ {
 		l := randLine(rng, dim)
+		if q%2 == 0 {
+			l.P = make(vec.Vector, dim) // through the origin, the served case
+		}
 		eps := rng.Float64() * 4
+		if q%3 == 2 {
+			eps *= 5 // wide enough to accept whole subtrees near the origin
+		}
 		tMin, tMax := rng.Float64()*2-1, rng.Float64()*3
-		for _, strat := range []geom.Strategy{geom.EnteringExiting, geom.BoundingSpheres} {
-			line := lineQuery{l: l, eps: eps, strategy: strat}
-			seg := lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps, strategy: strat}
-			wantLine, lineStats := refLine(root, arenaUnits(f, line))
-			wantSeg, segStats := refLine(root, arenaUnits(f, seg))
-			var fs SearchStats
-			if got := f.LineSearch(l, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantLine), got) {
-				t.Fatalf("LineSearch diverged (q=%d strat=%d): %d vs %d items", q, strat, len(wantLine), len(got))
-			}
-			if lineStats != fs {
-				t.Fatalf("LineSearch stats diverged: %+v vs %+v", lineStats, fs)
-			}
-			fs = SearchStats{}
-			if got := f.SegmentSearch(l, tMin, tMax, eps, strat, &fs); !reflect.DeepEqual(storedItems(f, wantSeg), got) {
-				t.Fatalf("SegmentSearch diverged (q=%d)", q)
-			}
-			if segStats != fs {
-				t.Fatalf("SegmentSearch stats diverged: %+v vs %+v", segStats, fs)
-			}
-			// The ID-emitting descents the query engine drives.
-			fs = SearchStats{}
-			gotIDs, err := f.LineSearchIDs(ctx, l, eps, strat, &fs, nil)
-			if err != nil || !reflect.DeepEqual(entryIDs(wantLine), gotIDs) {
-				t.Fatalf("LineSearchIDs diverged (q=%d): %v", q, err)
-			}
-			if lineStats != fs {
-				t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", lineStats, fs)
-			}
-			fs = SearchStats{}
-			gotIDs, err = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, strat, &fs, nil)
-			if err != nil || !reflect.DeepEqual(entryIDs(wantSeg), gotIDs) {
-				t.Fatalf("SegmentSearchIDs diverged (q=%d): %v", q, err)
-			}
-			if segStats != fs {
-				t.Fatalf("SegmentSearchIDs stats diverged: %+v vs %+v", segStats, fs)
-			}
+		wantLine, lineStats := refLine(root, arenaUnits(f, lineQuery{l: l, eps: eps}))
+		wantSeg, segStats := refLine(root, arenaUnits(f, lineQuery{l: l, segment: true, tMin: tMin, tMax: tMax, eps: eps}))
+		var fs SearchStats
+		gotIDs, err := f.LineSearchIDs(ctx, l, eps, &fs, nil)
+		if err != nil || !reflect.DeepEqual(wantLine, gotIDs) {
+			t.Fatalf("LineSearchIDs diverged (q=%d): %d vs %d ids, %v", q, len(wantLine), len(gotIDs), err)
+		}
+		if lineStats != fs {
+			t.Fatalf("LineSearchIDs stats diverged: %+v vs %+v", lineStats, fs)
+		}
+		fs = SearchStats{}
+		gotIDs, err = f.SegmentSearchIDs(ctx, l, tMin, tMax, eps, &fs, nil)
+		if err != nil || !reflect.DeepEqual(wantSeg, gotIDs) {
+			t.Fatalf("SegmentSearchIDs diverged (q=%d): %d vs %d ids, %v", q, len(wantSeg), len(gotIDs), err)
+		}
+		if segStats != fs {
+			t.Fatalf("SegmentSearchIDs stats diverged: %+v vs %+v", segStats, fs)
 		}
 
 		// The k-NN seeds: the reference descent's leaf entries in order,
 		// each at the leaf kernel's distance, bit for bit.
-		al := arenaUnits(f, lineQuery{l: l}).l
-		wantSeeds, seedStats := refSeeds(root, al)
-		var ids []int64
+		aq := arenaUnits(f, lineQuery{l: l})
+		wantSeeds, seedStats := refSeeds(root, aq)
+		var ids, wantIDs []int64
+		for _, e := range wantSeeds {
+			wantIDs = append(wantIDs, e.id)
+		}
 		var ns SearchStats
 		f.Seeds(l, &ns, func(id int64, d float64) {
 			e := wantSeeds[min(len(ids), len(wantSeeds)-1)]
-			if want := vec.PLDFast(e.item.Point, al) * f.q.scale; math.Float64bits(d) != math.Float64bits(want) {
+			if want := vec.PLDFast(e.rect.L, aq.l) * f.q.scale; math.Float64bits(d) != math.Float64bits(want) {
 				t.Fatalf("seeds (q=%d): id %d at %v, the leaf kernel's distance is %v", q, id, d, want)
 			}
 			ids = append(ids, id)
 		})
-		if !reflect.DeepEqual(entryIDs(wantSeeds), ids) || ns != seedStats {
-			t.Fatalf("seeds diverged (q=%d): %v %+v vs %v %+v", q, ids, ns, entryIDs(wantSeeds), seedStats)
-		}
-
-		// Range queries.
-		lo := randPoint(rng, dim, 8)
-		r := geom.RectFromPoint(lo)
-		for j := range lo {
-			r.H[j] += rng.Float64() * 8
-		}
-		ar := geom.Rect{L: r.L.Clone(), H: r.H.Clone()}
-		for j := range ar.L {
-			ar.L[j] *= f.q.inv
-			ar.H[j] *= f.q.inv
-		}
-		want, ws := refRange(root, ar)
-		var fs SearchStats
-		if got := f.RangeSearch(r, &fs); !reflect.DeepEqual(storedItems(f, want), got) {
-			t.Fatalf("RangeSearch diverged (q=%d)", q)
-		}
-		if ws != fs {
-			t.Fatalf("RangeSearch stats diverged: %+v vs %+v", ws, fs)
+		if !reflect.DeepEqual(wantIDs, ids) || ns != seedStats {
+			t.Fatalf("seeds diverged (q=%d): %v %+v vs %v %+v", q, ids, ns, wantIDs, seedStats)
 		}
 	}
 }
@@ -207,8 +131,8 @@ func checkFlatShape(t *testing.T, want, got *FlatTree) {
 	if wok != gok || !reflect.DeepEqual(wb, gb) {
 		t.Fatalf("bounds diverged: %v,%v vs %v,%v", wb, wok, gb, gok)
 	}
-	if !reflect.DeepEqual(want.All(), got.All()) {
-		t.Fatalf("All() diverged: %d vs %d items", len(want.All()), len(got.All()))
+	if w, g := storedItems(want), storedItems(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("stored points diverged: %d vs %d items", len(w), len(g))
 	}
 }
 
@@ -279,9 +203,10 @@ func withDirKind(arena []byte, kind byte) []byte {
 }
 
 // TestFlatArenaCorruption flips every byte and cuts every 8-byte
-// prefix of a small arena of each directory kind: decoding must fail
-// cleanly or produce a tree that either fails Validate or still answers
-// a search without panicking — never a crash.
+// prefix of two small arenas — of uniform points, and of clustered
+// directions with norms over decades: decoding must fail cleanly or
+// produce a tree that either fails Validate or still answers a search
+// without panicking — never a crash.
 func TestFlatArenaCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{Dim: 2, MaxEntries: 4, MinEntries: 2}
@@ -304,11 +229,8 @@ func TestFlatArenaCorruption(t *testing.T) {
 		}
 		// Structurally valid after corruption (e.g. a plane value
 		// changed): traversal must still be safe.
-		g.LineSearch(l, 1.0, geom.EnteringExiting, nil)
+		g.LineSearchIDs(context.Background(), l, 1.0, nil, nil)
 		g.Seeds(l, nil, func(int64, float64) {})
-		if g.dir == dirMBR {
-			g.RangeSearch(geom.Rect{L: vec.Vector{-1, -1}, H: vec.Vector{1, 1}}, nil)
-		}
 	}
 
 	for _, arena := range [][]byte{tr.AppendArena(nil), boxes.AppendArena(nil)} {
@@ -346,6 +268,9 @@ func FuzzFlatFromArena(f *testing.F) {
 		f.Add(boxCorruptions(f, boxes)[what])
 	}
 	f.Add(withDirKind(boxes.AppendArena(nil), 3))
+	// An MBR directory, the kind arenas frozen from an insert-built tree
+	// had.
+	f.Add(withDirKind(ft.AppendArena(nil), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := FlatFromArena(data)
 		if err != nil {
@@ -355,7 +280,7 @@ func FuzzFlatFromArena(f *testing.F) {
 			return
 		}
 		l := vec.Line{P: vec.Vector{0, 0}, D: vec.Vector{1, 1}}
-		g.LineSearch(l, 1.0, geom.EnteringExiting, nil)
+		g.LineSearchIDs(context.Background(), l, 1.0, nil, nil)
 		g.Seeds(l, nil, func(int64, float64) {})
 	})
 }

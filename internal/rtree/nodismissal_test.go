@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
@@ -102,10 +101,10 @@ func FuzzArenaNoDismissal(f *testing.F) {
 				run  func(eps float64) ([]int64, error)
 			}{
 				{"line", lineD, func(eps float64) ([]int64, error) {
-					return arena.LineSearchIDs(ctx, l, eps, geom.EnteringExiting, nil, nil)
+					return arena.LineSearchIDs(ctx, l, eps, nil, nil)
 				}},
 				{"segment", segD, func(eps float64) ([]int64, error) {
-					return arena.SegmentSearchIDs(ctx, l, tMin, tMax, eps, geom.BoundingSpheres, nil, nil)
+					return arena.SegmentSearchIDs(ctx, l, tMin, tMax, eps, nil, nil)
 				}},
 			} {
 				eps := c.d[pivot]

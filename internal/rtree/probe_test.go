@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"scaleshift/internal/geom"
 	"scaleshift/internal/vec"
 )
 
@@ -14,9 +13,8 @@ import (
 // run in order through the probe, are LineSearchIDs/SegmentSearchIDs —
 // the same ids in the same order and the same SearchStats — and run in
 // reverse order through forks, each counting on its own, the same ids as
-// a set and the same counts summed; over a direction-box arena tall
-// enough to have a frontier, where some subtrees are accepted whole, and
-// over its MBR twin.
+// a set and the same counts summed; over an arena tall enough to have a
+// frontier, where some subtrees are accepted whole.
 func TestProbeFrontierIsTheDescent(t *testing.T) {
 	const n, dim = 20000, 4
 	rng := rand.New(rand.NewSource(11))
@@ -40,7 +38,7 @@ func TestProbeFrontierIsTheDescent(t *testing.T) {
 	for _, tree := range []struct {
 		name string
 		f    *FlatTree
-	}{{"direction-box", cone}, {"MBR", mbrTwin(t, cone)}} {
+	}{{"direction-box", cone}} {
 		f := tree.f
 		for _, eps := range []float64{0.05, 0.3, 1.5} {
 			for _, segment := range []bool{false, true} {
@@ -48,10 +46,10 @@ func TestProbeFrontierIsTheDescent(t *testing.T) {
 				var wantStats, stats SearchStats
 				var p Probe
 				if segment {
-					want, err = f.SegmentSearchIDs(ctx, line, -1, 1, eps, geom.EnteringExiting, &wantStats, nil)
+					want, err = f.SegmentSearchIDs(ctx, line, -1, 1, eps, &wantStats, nil)
 					p = f.SegmentProbe(line, -1, 1, eps, &stats)
 				} else {
-					want, err = f.LineSearchIDs(ctx, line, eps, geom.EnteringExiting, &wantStats, nil)
+					want, err = f.LineSearchIDs(ctx, line, eps, &wantStats, nil)
 					p = f.LineProbe(line, eps, &stats)
 				}
 				if err != nil {

@@ -10,9 +10,9 @@ import (
 // The references the arena's searches are tested against.  None of it
 // ships: the batched, allocation-free FlatTree descent is checked
 // against the textbook recursion over a pointer tree with the scalar
-// geometry (geom.PenetratesEnlarged[Segment], vec.PLDFast,
-// vec.PSegDFast), and the k-NN seeds' greedy descent against the same
-// descent over the pointer tree.
+// geometry (geom.Cone.LowerSq and Enters, vec.PLDFast, vec.PSegDFast),
+// and the k-NN seeds' greedy descent against the same descent over the
+// pointer tree.
 //
 // An arena stores rounded coordinates in its own units, so the
 // recursion runs over storedView's copy of the arena's nodes — every
@@ -26,18 +26,19 @@ type node struct {
 	entries      []*entry
 }
 
+// entry is a directory entry's extent — row 0 its norm range, rows 1…
+// its direction box — or a leaf entry's point, in L.
 type entry struct {
 	rect  geom.Rect
 	child *node // nil at leaf level
-	item  Item  // meaningful only at leaf level
+	id    int64 // meaningful only at leaf level
 }
 
 func (n *node) isLeaf() bool { return n.level == 0 }
 
-// storedView copies the nodes of the MBR-directory arena f into a
-// pointer tree, every coordinate widened to float64 and left in arena
-// units.  Leaf entries keep their point as the lower corner of their
-// rect.
+// storedView copies the nodes of the arena f into a pointer tree, every
+// value widened to float64 and left in arena units.  Leaf entries keep
+// their point as the lower corner of their rect.
 func storedView(f *FlatTree) *node {
 	var cp func(i int) *node
 	cp = func(i int) *node {
@@ -47,15 +48,11 @@ func storedView(f *FlatTree) *node {
 		for k := 0; k < e-s; k++ {
 			r := geom.Rect{L: make(vec.Vector, pl.Dim), H: make(vec.Vector, pl.Dim)}
 			for j := range r.L {
-				r.L[j] = float64(pl.LRow(j)[k])
-				r.H[j] = r.L[j]
-				if !out.isLeaf() {
-					r.H[j] = float64(pl.HRow(j)[k])
-				}
+				r.L[j], r.H[j] = float64(pl.LRow(j)[k]), float64(pl.HRow(j)[k])
 			}
 			ce := &entry{rect: r}
 			if out.isLeaf() {
-				ce.item = Item{Point: r.L, ID: int64(f.refs[s+k])}
+				ce.id = int64(f.refs[s+k])
 			} else {
 				ce.child = cp(f.child(i, s+k))
 			}
@@ -66,97 +63,80 @@ func storedView(f *FlatTree) *node {
 	return cp(0)
 }
 
-// arenaUnits returns q as f's searches run it.
+// arenaUnits returns q as f's searches run it: scaled into the arena's
+// units, its cone prepared.
 func arenaUnits(f *FlatTree, q lineQuery) lineQuery {
 	return f.arenaQuery(q, f.getScratch())
 }
 
-// refDescend visits n and, depth first in slot order, every child whose
-// MBR passes prune, collecting the leaf entries that pass accept, and
-// accounts the visit as the paper does: a node is its pages, a leaf
-// entry tested is one check.
-func refDescend(n *node, stats *SearchStats, prune func(geom.Rect) bool, accept func(*entry) bool, hits *[]*entry) {
-	stats.NodeAccesses += n.pages
-	for _, e := range n.entries {
+// bound is the cone test's lower bound on the distance from q's line to
+// anything under the directory entry e.
+func (q *lineQuery) bound(e *entry) float64 {
+	return q.cone.Bound(q.cone.LowerSq(e.rect.L[0], e.rect.L[1:], e.rect.H[1:]))
+}
+
+// refLine answers q over the nodes under root, depth first in slot order,
+// and accounts it as the paper does — a node is its pages, a leaf entry
+// tested one check, a directory entry tested one box test: Theorem 3
+// applied to an entry's cone prunes it, an entered entry whose r_hi is at
+// most q.accept is accepted whole — its leaves emitted untested, the
+// nodes between not read — and a leaf entry is decided by its exact
+// distance to the line (Lemma 1) or to the segment.
+func refLine(root *node, q lineQuery) ([]int64, SearchStats) {
+	var stats SearchStats
+	var hits []int64
+	var accept func(n *node)
+	accept = func(n *node) {
 		if !n.isLeaf() {
-			if prune(e.rect) {
-				refDescend(e.child, stats, prune, accept, hits)
+			for _, e := range n.entries {
+				accept(e.child)
 			}
-			continue
+			return
 		}
-		stats.LeafEntriesChecked++
-		if accept(e) {
-			*hits = append(*hits, e)
+		stats.NodeAccesses += n.pages
+		stats.LeafEntriesAccepted += len(n.entries)
+		for _, e := range n.entries {
+			hits = append(hits, e.id)
 		}
 	}
-}
-
-// refLine answers q over the nodes under root: Theorem 3 prunes the
-// directory, and the leaves are decided by the exact point-to-line
-// distance of Lemma 1.
-func refLine(root *node, q lineQuery) ([]*entry, SearchStats) {
-	var stats SearchStats
-	var hits []*entry
-	penetrates := func(r geom.Rect) bool {
-		if q.segment {
-			return geom.PenetratesEnlargedSegment(q.strategy, r, q.eps, q.l, q.tMin, q.tMax, &stats.Penetration)
+	var visit func(n *node)
+	visit = func(n *node) {
+		stats.NodeAccesses += n.pages
+		if n.isLeaf() {
+			for _, e := range n.entries {
+				stats.LeafEntriesChecked++
+				d := vec.PLDFast(e.rect.L, q.l)
+				if q.segment {
+					d = vec.PSegDFast(e.rect.L, q.l, q.tMin, q.tMax)
+				}
+				if d <= q.eps {
+					hits = append(hits, e.id)
+				}
+			}
+			return
 		}
-		return geom.PenetratesEnlarged(q.strategy, r, q.eps, q.l, &stats.Penetration)
-	}
-	accept := func(e *entry) bool {
-		if q.segment {
-			return vec.PSegDFast(e.item.Point, q.l, q.tMin, q.tMax) <= q.eps
+		stats.Penetration.SlabTests += len(n.entries)
+		for _, e := range n.entries {
+			switch rLo, rHi := e.rect.L[0], e.rect.H[0]; {
+			case !q.cone.Enters(q.cone.LowerSq(rLo, e.rect.L[1:], e.rect.H[1:]), rLo, rHi):
+			case rHi <= q.accept:
+				stats.SubtreesAccepted++
+				accept(e.child)
+			default:
+				visit(e.child)
+			}
 		}
-		return vec.PLDFast(e.item.Point, q.l) <= q.eps
 	}
-	refDescend(root, &stats, penetrates, accept, &hits)
+	visit(root)
 	return hits, stats
-}
-
-// refRange answers a rectangle range query over the nodes under root.
-func refRange(root *node, r geom.Rect) ([]*entry, SearchStats) {
-	var stats SearchStats
-	var hits []*entry
-	refDescend(root, &stats, r.Intersects, func(e *entry) bool { return r.Contains(e.item.Point) }, &hits)
-	return hits, stats
-}
-
-func entryIDs(es []*entry) []int64 {
-	var ids []int64
-	for _, e := range es {
-		ids = append(ids, e.item.ID)
-	}
-	return ids
-}
-
-// callerUnits returns v, in f's arena units, as f's searches report it.
-func callerUnits(f *FlatTree, v vec.Vector) vec.Vector {
-	if v == nil {
-		return nil
-	}
-	out := make(vec.Vector, len(v))
-	for j, x := range v {
-		out[j] = x * f.q.scale
-	}
-	return out
-}
-
-// storedItems is entryItems for entries of a storedView, in caller
-// units.
-func storedItems(f *FlatTree, es []*entry) []Item {
-	var items []Item
-	for _, e := range es {
-		items = append(items, Item{Point: callerUnits(f, e.item.Point), ID: e.item.ID})
-	}
-	return items
 }
 
 // refSeeds is Seeds over the nodes under root: level by level the
-// children at the smallest geom.LineRectDist, every one tied at it in
-// order up to seedFrontier, down to the level-1 nodes; then every entry
-// beneath the first of them and every entry of the leaves at the
-// smallest bound beneath the others.
-func refSeeds(root *node, l vec.Line) ([]*entry, SearchStats) {
+// children at the smallest cone bound, every one tied at it in order up
+// to seedFrontier, down to the level-1 nodes; then every entry beneath
+// the first of them and every entry of the leaves at the smallest bound
+// beneath the others.  q is in arena units.
+func refSeeds(root *node, q lineQuery) ([]*entry, SearchStats) {
 	var stats SearchStats
 	nearest := func(front []*node, skip *node) []*node {
 		var next []*node
@@ -167,7 +147,7 @@ func refSeeds(root *node, l vec.Line) ([]*entry, SearchStats) {
 			}
 			stats.NodeAccesses += n.pages
 			for _, e := range n.entries {
-				d := geom.LineRectDist(e.rect, l)
+				d := q.bound(e)
 				if d != d {
 					d = math.Inf(1)
 				}
@@ -181,13 +161,23 @@ func refSeeds(root *node, l vec.Line) ([]*entry, SearchStats) {
 		}
 		return next
 	}
+	var seeds []*entry
+	var report func(n *node)
+	report = func(n *node) {
+		stats.NodeAccesses += n.pages
+		for _, e := range n.entries {
+			if n.isLeaf() {
+				stats.LeafEntriesChecked++
+				seeds = append(seeds, e)
+			} else {
+				report(e.child)
+			}
+		}
+	}
 	front := []*node{root}
 	for front[0].level > 1 {
 		front = nearest(front, nil)
 	}
-	var seeds []*entry
-	all := func(geom.Rect) bool { return true }
-	report := func(n *node) { refDescend(n, &stats, all, func(*entry) bool { return true }, &seeds) }
 	report(front[0])
 	if front[0].level == 1 {
 		for _, n := range nearest(front, front[0]) {
@@ -195,4 +185,25 @@ func refSeeds(root *node, l vec.Line) ([]*entry, SearchStats) {
 		}
 	}
 	return seeds, stats
+}
+
+// storedItems returns every stored point of f with its ID, in node order
+// and in caller units: what the arena holds.
+func storedItems(f *FlatTree) []Item {
+	var items []Item
+	for i := range f.meta {
+		if f.nodeLevel(i) != 0 {
+			continue
+		}
+		s, e := f.nodeEntries(i)
+		pl := f.nodePlanes(i)
+		for k := 0; k < e-s; k++ {
+			p := make(vec.Vector, f.cfg.Dim)
+			for j := range p {
+				p[j] = f.q.wide(pl.LRow(j)[k])
+			}
+			items = append(items, Item{Point: p, ID: int64(f.refs[s+k])})
+		}
+	}
+	return items
 }

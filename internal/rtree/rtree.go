@@ -1,25 +1,24 @@
 // Package rtree implements the height-balanced spatial index the paper
-// builds its search on (§6), in the one form that is searched: FlatTree,
-// a pointer-free arena of nodes storing feature points, traversed with
+// builds its search on (§6), in the form that is served: FlatTree, a
+// pointer-free arena of nodes storing feature points, traversed with
 // batched pruning kernels and (de)serialized as one verbatim blob.
 //
 // An arena is built whole.  BulkLoadFlat tiles the points for the lines
 // the index is actually asked about — all of them through the origin:
 // its directory entries hold the range of the norms and a box of the
 // unit directions beneath them, and Theorem 3 is applied to the cone
-// they span (geom/cone.go).  FlatFromNodes freezes a tree somebody else
-// grew — the R*-tree of Beckmann et al. [16], Guttman's splits and the
-// X-tree supernodes the paper's experiments compare, which live in
-// internal/bench/rstar — keeping its MBRs, pruned exactly so; arenas
-// written before bulk loads changed shape are of that kind too.  The
-// arena says which it is; the searches read it off.  Beyond standard
-// rectangle range search, the FlatTree supports the paper's line query
-// and the start of its nearest-neighbour search:
+// they span (geom/cone.go).  That is the one directory an arena has.
+// (The R*-tree the paper grows by insertion, with Guttman's splits and
+// the X-tree supernodes its experiments compare, keeps MBRs and lives
+// with those experiments, in internal/bench/rstar.)  The FlatTree
+// supports the paper's line query and the start of its nearest-neighbour
+// search:
 //
-//   - LineSearch — all points within ε of an arbitrary line, descending
-//     only into children whose ε-enlarged MBR is penetrated by the line
-//     (Theorem 3), with either Entering/Exiting-Points or
-//     Bounding-Spheres penetration checking (§7);
+//   - LineSearchIDs and SegmentSearchIDs — the IDs of all points within ε
+//     of a line, or of a segment of it, descending only into children
+//     whose cone the ε-band enters (Theorem 3), and accepting whole a
+//     subtree whose every point is within ε; Probe splits the same
+//     descent into subtrees for a caller that runs them in parallel;
 //   - Seeds — leaf entries near a line, at their point-to-line
 //     distances, from a descent along the smallest directory bounds:
 //     what the query engine refines into the bound of its
@@ -30,16 +29,11 @@
 // accesses of a query.
 package rtree
 
-import (
-	"fmt"
-
-	"scaleshift/internal/vec"
-)
+import "fmt"
 
 // Config holds the structural parameters of a tree.  The zero value is
 // not usable; start from DefaultConfig.  A tree grown by insertion has
-// more of them (internal/bench/rstar.Config); what it freezes into an
-// arena keeps these.
+// more of them (internal/bench/rstar.Config), its page shape among them.
 type Config struct {
 	// Dim is the dimensionality of indexed points.
 	Dim int
@@ -55,8 +49,8 @@ func DefaultConfig(dim int) Config {
 	return Config{Dim: dim, MaxEntries: 20, MinEntries: 8}
 }
 
-// validate reports whether the configuration is structurally sound.
-func (c Config) validate() error {
+// Validate reports whether the configuration is structurally sound.
+func (c Config) Validate() error {
 	if c.Dim < 1 {
 		return fmt.Errorf("rtree: dimension %d < 1", c.Dim)
 	}
@@ -68,12 +62,4 @@ func (c Config) validate() error {
 			c.MinEntries, c.MaxEntries)
 	}
 	return nil
-}
-
-// Item is a stored point with its caller-assigned identifier (the
-// <ID, S'> leaf entry of §6 with the feature point standing in for the
-// subsequence).
-type Item struct {
-	Point vec.Vector
-	ID    int64
 }
