@@ -41,9 +41,12 @@ race:
 # The runnable examples have no tests, so an API migration can leave
 # them compiling but wrong; each exits non-zero when its own
 # expectations fail (quickstart must retrieve B and C, longquery and
-# streaming check themselves against a scan and a planted pattern).
+# streaming check themselves against a scan and a planted pattern,
+# stocks holds its cost-bounded matches to their bounds, and motivation
+# needs the scale/shift index to find every disguised source the
+# Euclidean index misses).
 examples-smoke:
-	@for ex in quickstart longquery streaming; do \
+	@for ex in quickstart longquery streaming stocks motivation; do \
 		echo "== examples/$$ex"; \
 		$(GO) run ./examples/$$ex >/dev/null || { echo "examples/$$ex failed"; exit 1; }; \
 	done

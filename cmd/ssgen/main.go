@@ -112,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-segments: %w", err)
 		}
 		defer g.Close()
-		if err := atomicfile.WriteFile(*segOut, g.WriteSegments); err != nil {
+		if err := atomicfile.WriteFile(*segOut, g.WriteBinary); err != nil {
 			return fmt.Errorf("-segments: %w", err)
 		}
 		b := g.Backlog()

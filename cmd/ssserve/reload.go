@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -38,9 +37,6 @@ type reloadConfig struct {
 	Opts core.Options
 	// Seed feeds the normScale sample, matching startup.
 	Seed int64
-	// Open opens an artifact for reading.  Tests and the chaos
-	// harness override it to inject faults; nil means os.Open.
-	Open func(path string) (io.ReadCloser, error)
 }
 
 // reloader serializes artifact reloads.  Loading and validation run
@@ -49,21 +45,9 @@ type reloadConfig struct {
 type reloader struct {
 	mu  sync.Mutex
 	cfg reloadConfig
-	// fileOpen selects the zero-copy index path: when the artifact
-	// source is the real filesystem (no injected Open), the index is
-	// memory-mapped and fully verified before the swap, and served in
-	// place instead of copied onto the heap.
-	fileOpen bool
 }
 
-func newReloader(cfg reloadConfig) *reloader {
-	rl := &reloader{fileOpen: cfg.Open == nil}
-	if cfg.Open == nil {
-		cfg.Open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
-	}
-	rl.cfg = cfg
-	return rl
-}
+func newReloader(cfg reloadConfig) *reloader { return &reloader{cfg: cfg} }
 
 // load reads and validates a complete snapshot from the configured
 // artifacts.  Every byte is covered by binio's per-section and
@@ -74,7 +58,7 @@ func newReloader(cfg reloadConfig) *reloader {
 // unavailability, which is strictly worse than keeping what we have.
 func (rl *reloader) load() (*snapshot, error) {
 	cfg := rl.cfg
-	f, err := cfg.Open(cfg.StorePath)
+	f, err := os.Open(cfg.StorePath)
 	if err != nil {
 		return nil, fmt.Errorf("opening store artifact: %w", err)
 	}
@@ -90,27 +74,12 @@ func (rl *reloader) load() (*snapshot, error) {
 	var ix *core.Index
 	var how string
 	if cfg.IndexPath != "" {
-		if rl.fileOpen {
-			// Zero-copy: map the artifact, every CRC and the arena
-			// validation checked here, off the serving path — the swap
-			// only publishes verified bytes, and the old snapshot keeps
-			// serving while we check.
-			if ix, err = core.LoadIndexFile(cfg.IndexPath, st); err != nil {
-				return nil, fmt.Errorf("index artifact %s rejected: %w", cfg.IndexPath, err)
-			}
-		} else {
-			g, err := cfg.Open(cfg.IndexPath)
-			if err != nil {
-				return nil, fmt.Errorf("opening index artifact: %w", err)
-			}
-			ix, err = core.LoadIndex(g, st)
-			closeErr = g.Close()
-			if err != nil {
-				return nil, fmt.Errorf("index artifact %s rejected: %w", cfg.IndexPath, err)
-			}
-			if closeErr != nil {
-				return nil, fmt.Errorf("closing index artifact: %w", closeErr)
-			}
+		// Map the artifact as startup does, every CRC and the arena
+		// validation checked here, off the serving path: the swap only
+		// publishes verified bytes, and the old snapshot keeps serving
+		// while we check.
+		if ix, err = core.LoadIndexFile(cfg.IndexPath, st); err != nil {
+			return nil, fmt.Errorf("index artifact %s rejected: %w", cfg.IndexPath, err)
 		}
 		// As at startup (OpenOrRebuildFile), the windows the store
 		// gained since the index was written go to the delta.
@@ -133,6 +102,7 @@ func (rl *reloader) load() (*snapshot, error) {
 	window := ix.Options().WindowLen
 	normScale, err := query.SENormScale(st, window, 500, cfg.Seed+2)
 	if err != nil {
+		ix.Close()
 		return nil, fmt.Errorf("recomputing norm scale: %w", err)
 	}
 	return &snapshot{ix: ix, normScale: normScale, how: how, loadedAt: time.Now()}, nil

@@ -422,25 +422,37 @@ func writeArtifacts(t *testing.T, companies, days int) reloadConfig {
 	return reloadConfig{StorePath: storePath, IndexPath: indexPath, Opts: opts, Seed: 7}
 }
 
-// newArtifactServer builds a server whose initial snapshot came from
-// on-disk artifacts and whose reload path reads them through the given
-// injector.
-func newArtifactServer(t *testing.T, rcfg reloadConfig, in *faulty.Injector) *server {
+// stageArtifact replaces the artifact at path with good read through
+// in's plan, as an operator replaces an artifact before a reload: the
+// copy is renamed over path, so a snapshot mapped from the old file
+// keeps its bytes.  An armed plan writes a flipped, truncated or
+// delayed copy, and one that fails a read cuts the copy where it fired.
+func stageArtifact(in *faulty.Injector, path string, good []byte) error {
+	data, _ := io.ReadAll(in.Reader(bytes.NewReader(good)))
+	tmp := path + ".staged"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// readArtifact returns the bytes of the artifact at path.
+func readArtifact(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// newArtifactServer builds a server with admission limits serve whose
+// initial snapshot came from on-disk artifacts, which its reloads read
+// again.
+func newArtifactServer(t *testing.T, rcfg reloadConfig, serve cliutil.ServeFlags) *server {
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	if in != nil {
-		rcfg.Open = func(path string) (io.ReadCloser, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			return struct {
-				io.Reader
-				io.Closer
-			}{in.Reader(f), f}, nil
-		}
-	}
 	snap, err := newReloader(rcfg).load()
 	if err != nil {
 		t.Fatal(err)
@@ -449,13 +461,13 @@ func newArtifactServer(t *testing.T, rcfg reloadConfig, in *faulty.Injector) *se
 		snap:   snap,
 		tracer: obs.NewTracer(16),
 		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:  testServeFlags(),
+		serve:  serve,
 		reload: &rcfg,
 	})
 }
 
 func TestAdminReloadSwapsSnapshot(t *testing.T) {
-	s := newArtifactServer(t, writeArtifacts(t, 4, 80), nil)
+	s := newArtifactServer(t, writeArtifacts(t, 4, 80), testServeFlags())
 
 	resp, body := get(t, s, "/search?seq=0&start=5&eps_frac=0.05")
 	if resp.StatusCode != http.StatusOK {
@@ -501,8 +513,7 @@ func TestAdminReloadUnconfigured(t *testing.T) {
 
 // TestReloadCoversGrownStore: when the store artifact has grown since
 // the index artifact was written, a reload serves every window of the
-// grown store, as the startup open does, through the mapped file and
-// through an injected reader alike.
+// grown store, as the startup open does.
 func TestReloadCoversGrownStore(t *testing.T) {
 	rcfg := writeArtifacts(t, 4, 80)
 	f, err := os.Open(rcfg.StorePath)
@@ -535,37 +546,35 @@ func TestReloadCoversGrownStore(t *testing.T) {
 	for _, s := range grown {
 		windows += len(s.Values) - rcfg.Opts.WindowLen + 1
 	}
-	for name, open := range map[string]func(string) (io.ReadCloser, error){
-		"mapped": nil,
-		"reader": func(path string) (io.ReadCloser, error) { return os.Open(path) },
-	} {
-		cfg := rcfg
-		cfg.Open = open
-		snap, err := newReloader(cfg).load()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := snap.ix.WindowCount(); got != windows {
-			t.Errorf("%s: the reloaded index holds %d windows, the grown store %d", name, got, windows)
-		}
-		exactOver(t, grown, snap.ix)
-		snap.ix.Close()
+	snap, err := newReloader(rcfg).load()
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer snap.ix.Close()
+	if got := snap.ix.WindowCount(); got != windows {
+		t.Errorf("the reloaded index holds %d windows, the grown store %d", got, windows)
+	}
+	exactOver(t, grown, snap.ix)
 }
 
-// TestReloadRejectsCorruptArtifact corrupts the artifact mid-reload
-// and asserts the old snapshot keeps serving identical results, the
-// rejection is visible in /readyz and the metrics, and a clean retry
-// recovers.
+// TestReloadRejectsCorruptArtifact replaces the index artifact with a
+// corrupt copy and asserts the reload is rejected, the old snapshot
+// keeps serving identical results, the rejection is visible in /readyz
+// and the metrics, and a clean retry recovers.
 func TestReloadRejectsCorruptArtifact(t *testing.T) {
+	rcfg := writeArtifacts(t, 4, 80)
+	good := readArtifact(t, rcfg.IndexPath)
 	var in faulty.Injector
-	s := newArtifactServer(t, writeArtifacts(t, 4, 80), &in)
+	s := newArtifactServer(t, rcfg, testServeFlags())
 
 	_, before := get(t, s, "/search?seq=1&start=7&eps_frac=0.1")
 
 	p := faulty.NonePlan()
 	p.FlipOffset, p.FlipMask = 100, 0xFF
 	in.Set(p)
+	if err := stageArtifact(&in, rcfg.IndexPath, good); err != nil {
+		t.Fatal(err)
+	}
 	resp, body := post(t, s, "/admin/reload", nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("corrupt reload: %d, want 422: %s", resp.StatusCode, body)
@@ -613,9 +622,12 @@ func TestReloadRejectsCorruptArtifact(t *testing.T) {
 		t.Fatalf("reloads rejected metric = %g", v)
 	}
 
-	// Disarming the fault recovers on the next reload, clearing the
+	// A good artifact recovers on the next reload, clearing the
 	// rejection report.
 	in.Clear()
+	if err := stageArtifact(&in, rcfg.IndexPath, good); err != nil {
+		t.Fatal(err)
+	}
 	if resp, body = post(t, s, "/admin/reload", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean reload after fault: %d: %s", resp.StatusCode, body)
 	}
@@ -635,66 +647,33 @@ func TestReloadRejectsCorruptArtifact(t *testing.T) {
 // stays fast.
 func TestReloadFlipEveryByte(t *testing.T) {
 	rcfg := writeArtifacts(t, 2, 40)
-	storeLen := artifactLen(t, rcfg.StorePath)
-	indexLen := artifactLen(t, rcfg.IndexPath)
-
-	var in faulty.Injector
-	rcfg.Open = func(path string) (io.ReadCloser, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			io.Reader
-			io.Closer
-		}{in.Reader(f), f}, nil
-	}
 	rl := newReloader(rcfg)
 
 	// Sanity: unfaulted load succeeds.
-	if _, err := rl.load(); err != nil {
+	snap, err := rl.load()
+	if err != nil {
 		t.Fatalf("clean load: %v", err)
 	}
+	snap.ix.Close()
 
-	flip := func(offset int64) {
-		p := faulty.NonePlan()
-		p.FlipOffset, p.FlipMask = offset, 0xFF
-		in.Set(p)
-	}
-	// The store artifact is opened first, so its offsets are hit on the
-	// first wrapped reader of each attempt; past the store's length the
-	// flip lands in the index artifact instead (TruncateReader-style
-	// offsets are per-reader, so aim per artifact).
-	for off := int64(0); off < storeLen; off++ {
-		flip(off)
-		if _, err := rl.load(); err == nil {
-			t.Fatalf("store byte %d: corrupt artifact accepted", off)
+	var in faulty.Injector
+	for _, path := range []string{rcfg.StorePath, rcfg.IndexPath} {
+		good := readArtifact(t, path)
+		for off := range int64(len(good)) {
+			p := faulty.NonePlan()
+			p.FlipOffset, p.FlipMask = off, 0xFF
+			in.Set(p)
+			if err := stageArtifact(&in, path, good); err != nil {
+				t.Fatal(err)
+			}
+			if snap, err := rl.load(); err == nil {
+				snap.ix.Close()
+				t.Fatalf("%s byte %d: corrupt artifact accepted", filepath.Base(path), off)
+			}
 		}
-	}
-	// For index offsets the store must read clean: the injector plan is
-	// captured per wrapped reader, so swap to a plan only the second
-	// reader of the attempt sees.  Easiest correct arrangement: wrap
-	// only the index artifact.
-	in.Clear()
-	rcfg2 := rcfg
-	rcfg2.Open = func(path string) (io.ReadCloser, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		if path != rcfg.IndexPath {
-			return f, nil
-		}
-		return struct {
-			io.Reader
-			io.Closer
-		}{in.Reader(f), f}, nil
-	}
-	rl2 := newReloader(rcfg2)
-	for off := int64(0); off < indexLen; off++ {
-		flip(off)
-		if _, err := rl2.load(); err == nil {
-			t.Fatalf("index byte %d: corrupt artifact accepted", off)
+		in.Clear()
+		if err := stageArtifact(&in, path, good); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -64,9 +64,14 @@ func TestSoak(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 
-	var in faulty.Injector
+	// Soak-grade admission limits: small enough that bursts shed, large
+	// enough that the steady-state workers mostly get through.
+	serve := testServeFlags()
+	serve.MaxInflight = 4
+	serve.MaxQueue = 4
+	serve.QueueTimeout = 250 * time.Millisecond
 	rcfg := writeArtifacts(t, 10, 200)
-	s := newArtifactServerInjected(t, rcfg, &in)
+	s := newArtifactServer(t, rcfg, serve)
 	ts := httptest.NewServer(s)
 	client := ts.Client()
 
@@ -243,12 +248,17 @@ func TestSoak(t *testing.T) {
 		}
 	}()
 
-	// Reload worker: alternate clean reloads (must swap) and
-	// fault-injected ones (must be rejected, old snapshot serving).
+	// Reload worker: alternate clean reloads (must swap) and ones over
+	// a bit-flipped copy of the store or the index artifact (must be
+	// rejected, old snapshot serving); the good file is put back after
+	// each.  Every reload maps the index file, swaps, drains and closes
+	// the old snapshot as production does.
+	goods := [][]byte{readArtifact(t, rcfg.StorePath), readArtifact(t, rcfg.IndexPath)}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(11))
+		var in faulty.Injector
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -256,14 +266,24 @@ func TestSoak(t *testing.T) {
 			case <-time.After(30 * time.Millisecond):
 			}
 			faultThis := i%3 == 2
+			which := rng.Intn(2)
+			path := []string{rcfg.StorePath, rcfg.IndexPath}[which]
 			if faultThis {
 				p := faulty.NonePlan()
-				p.FlipOffset, p.FlipMask = int64(rng.Intn(512)), 0xFF
+				p.FlipOffset, p.FlipMask = int64(rng.Intn(len(goods[which]))), 0xFF
 				in.Set(p)
+				if err := stageArtifact(&in, path, goods[which]); err != nil {
+					fail("staging a corrupt artifact: %v", err)
+					return
+				}
 			}
 			resp, err := client.Post(ts.URL+"/admin/reload", "application/json", nil)
 			if faultThis {
 				in.Clear()
+				if err := stageArtifact(&in, path, goods[which]); err != nil {
+					fail("restoring the artifact: %v", err)
+					return
+				}
 			}
 			if err != nil {
 				fail("reload worker: %v", err)
@@ -692,40 +712,6 @@ func newIngestSoakServer(t *testing.T) (*server, *core.Index, *atomic.Int64) {
 		ingest: ing,
 	})
 	return srv, seg, hookFaults
-}
-
-// newArtifactServerInjected is newArtifactServer with soak-grade
-// admission limits: small enough that bursts shed, large enough that
-// the steady-state workers mostly get through.
-func newArtifactServerInjected(t *testing.T, rcfg reloadConfig, in *faulty.Injector) *server {
-	t.Helper()
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	rcfg.Open = func(path string) (io.ReadCloser, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			io.Reader
-			io.Closer
-		}{in.Reader(f), f}, nil
-	}
-	snap, err := newReloader(rcfg).load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serve := testServeFlags()
-	serve.MaxInflight = 4
-	serve.MaxQueue = 4
-	serve.QueueTimeout = 250 * time.Millisecond
-	return newServerFromConfig(t, serverConfig{
-		snap:   snap,
-		tracer: obs.NewTracer(16),
-		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		serve:  serve,
-		reload: &rcfg,
-	})
 }
 
 // soakVal is the deterministic value stream for the recovery soak:

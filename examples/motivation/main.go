@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"scaleshift/internal/core"
 	"scaleshift/internal/euclid"
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ss.BuildBulk(); err != nil {
+	if err := ss.Build(); err != nil {
 		log.Fatal(err)
 	}
 	euOpts := euclid.DefaultOptions()
@@ -113,5 +114,6 @@ func main() {
 		fmt.Println("   exactly the failure mode the paper's similarity definition fixes.")
 	} else {
 		fmt.Println("unexpected recall pattern — inspect the workload parameters")
+		os.Exit(1)
 	}
 }

@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if err := ix.BuildBulk(); err != nil { // STR bulk load: ~20x faster than insertion
+	if err := ix.Build(); err != nil { // STR bulk load: ~20x faster than insertion
 		log.Fatal(err)
 	}
 	fmt.Printf("index: %d windows in %v\n\n", ix.WindowCount(), time.Since(start).Round(time.Millisecond))
@@ -82,6 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	positive := res.Matches
+	checkCosts(positive, costs)
 	fmt.Printf("with cost bounds 0.2<=a<=5, |b|<=100:     %d matches (%d rejected by cost)\n\n",
 		len(positive), stats.CostRejected)
 
@@ -93,6 +94,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	checkCosts(res.Matches, costs)
 	fmt.Println("top trend-alikes from other companies (cost-bounded):")
 	printed := 0
 	for _, m := range res.Matches {
@@ -104,6 +106,16 @@ func main() {
 		printed++
 		if printed == 10 {
 			break
+		}
+	}
+}
+
+// checkCosts exits non-zero when a cost-bounded match lies outside the
+// bounds it was searched under.
+func checkCosts(matches []core.Match, costs core.CostBounds) {
+	for _, m := range matches {
+		if m.Scale < costs.ScaleMin || m.Scale > costs.ScaleMax || m.Shift < costs.ShiftMin || m.Shift > costs.ShiftMax {
+			log.Fatalf("%s day %d matched at a=%g, b=%g, outside the cost bounds", m.Name, m.Start, m.Scale, m.Shift)
 		}
 	}
 }

@@ -162,50 +162,32 @@ func IndexAblation(base Config, epsFrac float64) ([]AblationRow, error) {
 }
 
 // BuildAblation compares one-by-one R* insertion against the serving
-// index's sequential and parallel STR bulk loads (abl-build in
-// DESIGN.md): construction time, index size, and query cost of the
-// resulting trees.  The two bulk rows describe identical trees — their
-// query columns differ only by measurement noise; the interesting
-// contrast is build time.
+// index's STR bulk load (abl-build in DESIGN.md): construction time,
+// index size, and query cost of the resulting trees.
 func BuildAblation(base Config, epsFrac float64) ([]AblationRow, error) {
 	insertRow, err := runAblationPoint(base, "insert-built", epsFrac)
 	if err != nil {
 		return nil, err
 	}
-	out := []AblationRow{insertRow}
-
-	env, err := newWorkload(base)
+	env, err := NewEnv(base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: ablation bulk-built: %w", err)
 	}
-	for _, b := range []struct {
-		label string
-		build func(*core.Index) error
-	}{
-		{"bulk-built", (*core.Index).BuildBulk},
-		{"bulk-parallel-built", func(ix *core.Index) error { return ix.BuildBulkParallel(0) }},
-	} {
-		ix, built, err := env.buildIndex(b.build)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation %s: %w", b.label, err)
-		}
-		agg, cpu, err := env.execAll(ix, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: epsFrac * env.NormScale} })
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation %s: %w", b.label, err)
-		}
-		nq := float64(len(env.Queries))
-		out = append(out, AblationRow{
-			Label:           b.label,
-			BuildTime:       built,
-			IndexPagesTotal: ix.IndexPageCount(),
-			CPUPerQuery:     cpu,
-			PagesPerQuery:   float64(agg.IndexNodeAccesses)/nq + float64(agg.DataPageAccesses)/nq,
-			Candidates:      float64(agg.Candidates) / nq,
-			FalseAlarms:     float64(agg.FalseAlarms) / nq,
-			Results:         float64(agg.Results) / nq,
-		})
+	agg, cpu, err := env.execAll(env.Index, func(q vec.Vector) core.Query { return core.Query{Vec: q, Eps: epsFrac * env.NormScale} })
+	if err != nil {
+		return nil, fmt.Errorf("bench: ablation bulk-built: %w", err)
 	}
-	return out, nil
+	nq := float64(len(env.Queries))
+	return []AblationRow{insertRow, {
+		Label:           "bulk-built",
+		BuildTime:       env.BuildTime,
+		IndexPagesTotal: env.Index.IndexPageCount(),
+		CPUPerQuery:     cpu,
+		PagesPerQuery:   float64(agg.IndexNodeAccesses)/nq + float64(agg.DataPageAccesses)/nq,
+		Candidates:      float64(agg.Candidates) / nq,
+		FalseAlarms:     float64(agg.FalseAlarms) / nq,
+		Results:         float64(agg.Results) / nq,
+	}}, nil
 }
 
 // NNPoint measures the nearest-neighbour extension (Corollary 1):

@@ -169,20 +169,19 @@ type Env struct {
 func NewEnv(cfg Config) (*Env, error) {
 	e, err := newWorkload(cfg)
 	if err == nil {
-		e.Index, e.BuildTime, err = e.buildIndex((*core.Index).Build)
+		e.Index, e.BuildTime, err = e.buildIndex()
 	}
 	return e, err
 }
 
-// buildIndex builds a serving index over e's store with build and
-// times it.
-func (e *Env) buildIndex(build func(*core.Index) error) (*core.Index, time.Duration, error) {
+// buildIndex builds the serving index over e's store and times it.
+func (e *Env) buildIndex() (*core.Index, time.Duration, error) {
 	ix, err := core.NewIndex(e.Store, e.Config.options())
 	if err != nil {
 		return nil, 0, fmt.Errorf("bench: creating index: %w", err)
 	}
 	start := time.Now()
-	if err := build(ix); err != nil {
+	if err := ix.Build(); err != nil {
 		return nil, 0, fmt.Errorf("bench: building index: %w", err)
 	}
 	return ix, time.Since(start), nil

@@ -6,8 +6,10 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"time"
@@ -144,35 +146,28 @@ func LoadStore(storeFile, dataFile string, companies, days int, seed int64) (*st
 	return st, nil
 }
 
-// OpenIndex builds the index, or round-trips it through the cache file
-// when one is configured.  The cache is derived state: one that cannot be
-// served as it is — truncated, corrupted, version-skewed, an MBR
-// directory, or built over a different store — is rebuilt from the store
-// with one structured warning, and the rebuilt index replaces it.  The
-// returned string describes how the index was obtained — mapped, built
-// with the build's stage split, or rebuilt and why — for the command's
-// status output: the one place that says it.
+// OpenIndex maps the index from the cache file, or builds it from the
+// store when there is none (cache "" or no file there) and then saves
+// it there when one is configured.  The cache is derived state: one
+// that cannot be served as it is — truncated, corrupted,
+// version-skewed, an MBR directory, or built over a different store —
+// is rebuilt from the store with one structured warning, and the
+// rebuilt index replaces it.  The returned string describes how the
+// index was obtained — mapped, built with the build's stage split, or
+// rebuilt and why — for the command's status output: the one place
+// that says it.
 func OpenIndex(st *store.Store, opts core.Options, cache string, logger *slog.Logger) (*core.Index, string, error) {
 	start := time.Now()
-	var ix *core.Index
+	ix, rebuilt, err := core.OpenOrRebuildFile(cache, st, opts)
 	how := "built"
-	if _, err := os.Stat(cache); err == nil {
-		var rebuilt error
-		if ix, rebuilt, err = core.OpenOrRebuildFile(cache, st, opts); err != nil {
-			return nil, "", err
-		}
-		if rebuilt == nil {
-			return ix, fmt.Sprintf("mapped from %s in %v (direction-box directory)", cache, time.Since(start).Round(time.Millisecond)), nil
-		}
+	switch {
+	case err != nil:
+		return nil, "", err
+	case rebuilt == nil:
+		return ix, fmt.Sprintf("mapped from %s in %v (direction-box directory)", cache, time.Since(start).Round(time.Millisecond)), nil
+	case !errors.Is(rebuilt, fs.ErrNotExist):
 		logger.Warn("index cache rejected; rebuilt from the store", "reason", rebuilt, "cache", cache)
 		how = fmt.Sprintf("rebuilt (%v)", rebuilt)
-	} else {
-		if ix, err = core.NewIndex(st, opts); err != nil {
-			return nil, "", err
-		}
-		if err := ix.Build(); err != nil {
-			return nil, "", err
-		}
 	}
 	how += fmt.Sprintf(" in %v", time.Since(start).Round(time.Millisecond))
 	if bs := ix.BuildStages(); bs != (core.BuildStages{}) {

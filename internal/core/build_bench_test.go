@@ -28,7 +28,7 @@ func benchmarkBuildBulk(b *testing.B, companies int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ix.BuildBulkParallel(0); err != nil {
+		if err := ix.Build(); err != nil {
 			b.Fatal(err)
 		}
 		s := ix.BuildStages()
@@ -78,7 +78,7 @@ func BenchmarkWriteIndexArtifact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(0); err != nil {
+	if err := ix.Build(); err != nil {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "bench.index")
@@ -109,7 +109,7 @@ func BenchmarkIndexMutatePaper(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(0); err != nil {
+	if err := ix.Build(); err != nil {
 		b.Fatal(err)
 	}
 	_, vals := fullSequences(b, populatedStore(b, 1, 650, 2))
@@ -136,7 +136,7 @@ func BenchmarkIndexMutatePaper(b *testing.B) {
 			b.StopTimer()
 			scratch, err := NewIndex(st, DefaultOptions())
 			if err == nil {
-				err = scratch.BuildBulkParallel(0)
+				err = scratch.Build()
 			}
 			if err == nil {
 				_, err = scratch.Exec(context.Background(), q, &fresh)
@@ -173,7 +173,7 @@ func buildCost(t *testing.T, st *store.Store) (allocs, bytes, arena uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(0); err != nil {
+	if err := ix.Build(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -267,8 +267,8 @@ func (s SearchStats) CheckInvariants() error {
 // (segment.go) — plus a mutable delta of the windows added since the
 // last fold (delta.go), read through a manifest that is published
 // through an RCU cell.  A build installs one frozen segment over the
-// whole store.  The mutators (IndexSequence, AppendAndIndex,
-// AppendValues, IndexStore) extract the windows the store gained
+// whole store.  The mutators (AppendAndIndex, AppendValues,
+// IndexStore) extract the windows the store gained
 // into the delta and publish a new manifest, so the next Exec finds
 // them; queries pin a manifest and never block on a mutation.  Compact
 // folds the delta into a new frozen segment, merging older ones by the
@@ -361,7 +361,7 @@ func (ix *Index) BuildStages() BuildStages {
 }
 
 // NewIndex creates an empty index over st.  Sequences already in st
-// are not indexed until Build (or IndexSequence) is called.
+// are not indexed until Build (or IndexStore) is called.
 func NewIndex(st *store.Store, opts Options) (*Index, error) {
 	if opts.WindowLen < 3 {
 		return nil, fmt.Errorf("core: window length %d too short", opts.WindowLen)
@@ -481,53 +481,25 @@ func (ix *Index) TreeHeight() (h int) {
 	return h
 }
 
-// Build indexes every window of every sequence currently in the store
-// (§6 pre-processing), whatever the index held before: the bulk build of
-// BuildBulkParallel, on every CPU.  Like every build, it fails with a
-// *store.DomainError naming the first value stored outside the numeric
-// domain: a store filled in process records it as it fills.
+// Build indexes every window of every sequence currently in the store,
+// whatever the index held before: the §6 pre-processing bulk-loaded
+// into one frozen segment, on every CPU.  Feature extraction is sharded
+// across sequences and featureCheckpoint-aligned runs (each restarts
+// the sliding DFT, so its features are bit-reproducible whichever
+// worker computes them), and rtree.BulkLoadFlat parallelizes its sorts;
+// the tree does not depend on the worker count.  A panic in a worker is
+// recovered into a *WorkerPanicError naming the offending (seq,
+// window).  Like every build, it fails with a *store.DomainError naming
+// the first value stored outside the numeric domain: a store filled in
+// process records it as it fills.
 func (ix *Index) Build() error {
 	return ix.rebuild(context.Background(), 0, ix.allWindows)
 }
 
-// BuildBulk indexes every window of every sequence by building the
-// tree with Sort-Tile-Recursive bulk loading — tiled on the norm and
-// direction of the feature points and summarised for the cone test.
-// It requires an empty index; the
-// loader emits the serving arena directly (see rtree.BulkLoadFlat).
-// Dynamic insertion and removal work normally afterwards, through the
-// delta.  It is BuildBulkParallel on one worker.
-func (ix *Index) BuildBulk() error {
-	return ix.BuildBulkParallelContext(context.Background(), 1)
-}
-
-// BuildBulkParallel is BuildBulk with the pre-processing fanned out
-// over a bounded worker pool: feature extraction is sharded across
-// sequences and across featureCheckpoint-aligned segments (each
-// segment restarts the sliding DFT, so its features are
-// bit-reproducible no matter which worker computes them and land at
-// precomputed slots), and the STR bulk load parallelizes its sort and
-// tiling passes.  workers < 1 means runtime.GOMAXPROCS(0).  The
-// resulting tree is identical to the sequential BuildBulk tree.
+// BuildBulkParallel is Build on workers goroutines (< 1: one per CPU),
+// kept for the frozen benchmark harness.
 func (ix *Index) BuildBulkParallel(workers int) error {
-	return ix.BuildBulkParallelContext(context.Background(), workers)
-}
-
-// BuildBulkParallelContext is BuildBulkParallel with cooperative
-// cancellation: workers poll ctx between checkpoint segments (each
-// segment is at most featureCheckpoint windows of O(f_c) work, so
-// cancellation latency is bounded by one segment) and the build
-// returns ctx.Err() with the index left empty and reusable.  A panic
-// in any worker — one poisoned sequence, say — is recovered into a
-// *WorkerPanicError naming the offending (seq, window) instead of
-// crashing the process.
-func (ix *Index) BuildBulkParallelContext(ctx context.Context, workers int) error {
-	return ix.rebuild(ctx, workers, func(next []int) ([]int, error) {
-		if ix.WindowCount() != 0 {
-			return nil, fmt.Errorf("core: BuildBulk requires an empty index")
-		}
-		return ix.allWindows(next)
-	})
+	return ix.rebuild(context.Background(), workers, ix.allWindows)
 }
 
 // allWindows returns, per sequence of the store, how many windows it
@@ -546,7 +518,8 @@ func (ix *Index) allWindows([]int) ([]int, error) {
 // coverage.  It holds the writer lock throughout, so it serializes with
 // mutations and compactions while queries keep the published manifest;
 // on failure the index is left as it was.  workers < 1 means
-// runtime.GOMAXPROCS(0).
+// runtime.GOMAXPROCS(0).  The workers poll ctx between checkpoint runs,
+// so a cancelled build returns ctx.Err() within one run's work.
 func (ix *Index) rebuild(ctx context.Context, workers int, cover func(next []int) ([]int, error)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -820,16 +793,6 @@ func (fs *featureStream) restart(w vec.Vector) error {
 	return fs.sl.Reposition(w)
 }
 
-// IndexSequence indexes the windows of sequence seq that are not yet
-// indexed, into the delta: the next Exec finds them.  It is idempotent
-// and supports sequences that grew since the last call (requirement 2
-// of §3).
-func (ix *Index) IndexSequence(seq int) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.indexLocked(seq, time.Now())
-}
-
 // indexLocked extracts the windows sequence seq gained into the delta
 // and publishes them; start is when the mutation began.
 func (ix *Index) indexLocked(seq int, start time.Time) error {
@@ -846,7 +809,7 @@ func (ix *Index) indexLocked(seq int, start time.Time) error {
 }
 
 // IndexStore indexes, into the delta, every window the store holds
-// that the index does not: IndexSequence over every sequence, published
+// that the index does not, every sequence extracted and published
 // once if any window was added.  An index opened from an artifact
 // written before its store grew covers the grown store after it.
 func (ix *Index) IndexStore() error {

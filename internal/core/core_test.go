@@ -119,6 +119,41 @@ func TestQuerySurfaceIsExec(t *testing.T) {
 	}
 }
 
+// TestLifecycleSurfaceIsOneOfEach pins *Index's exported build, save
+// and open methods: one build (Build), one writer (WriteBinary), no
+// opener (the openers are the functions LoadIndexFile,
+// OpenOrRebuildFile and LoadSegments) and no IndexSequence beside the
+// grow methods.  The other names are the logic-free shims the frozen
+// benchmark harness calls, a statistic and a test helper, each listed
+// as what it is.
+func TestLifecycleSurfaceIsOneOfEach(t *testing.T) {
+	lifecycle := regexp.MustCompile(`^(Build|Write|Load|Open|Read|Save|Segment|Verify|IndexSequence)`)
+	want := map[string]string{
+		"Build":             "the build",
+		"WriteBinary":       "the writer",
+		"BuildBulkParallel": "harness shim: Build on a worker count",
+		"SegmentWriter":     "harness shim: WriteBinary split at its pin",
+		"VerifyArtifact":    "harness shim: a no-op, every open verifies",
+		"BuildStages":       "a statistic of the last build",
+		"BuildOn":           "test helper (export_test.go)",
+	}
+	typ := reflect.TypeOf(&Index{})
+	got := map[string]bool{}
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; lifecycle.MatchString(name) {
+			got[name] = true
+			if _, ok := want[name]; !ok {
+				t.Errorf("%v exports %s, outside the pinned build, grow, save and open surface", typ, name)
+			}
+		}
+	}
+	for name, role := range want {
+		if !got[name] {
+			t.Errorf("%v no longer exports %s (%s)", typ, name, role)
+		}
+	}
+}
+
 func TestNewIndexValidation(t *testing.T) {
 	st := store.New()
 	tests := []struct {
@@ -354,7 +389,7 @@ func TestUnindexSequence(t *testing.T) {
 		}
 	}
 	// Re-indexing restores them.
-	if err := ix.IndexSequence(2); err != nil {
+	if err := ix.IndexStore(); err != nil {
 		t.Fatal(err)
 	}
 	freeze(t, ix)
@@ -395,21 +430,23 @@ func TestSearchLongValidation(t *testing.T) {
 	}
 }
 
+// TestIndexSequenceErrors: growing a sequence the store does not hold
+// is refused, and a sequence shorter than the window indexes no
+// window, without an error.
 func TestIndexSequenceErrors(t *testing.T) {
 	st := store.New()
 	ix, err := NewIndex(st, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.IndexSequence(0); err == nil {
+	if err := ix.AppendValues(0, []float64{1}); err == nil {
 		t.Error("empty store sequence accepted")
 	}
-	if err := ix.IndexSequence(-1); err == nil {
+	if err := ix.AppendValues(-1, []float64{1}); err == nil {
 		t.Error("negative sequence accepted")
 	}
-	// Sequence shorter than the window indexes zero windows, no error.
 	st.AppendSequence("tiny", []float64{1, 2, 3})
-	if err := ix.IndexSequence(0); err != nil {
+	if err := ix.IndexStore(); err != nil {
 		t.Errorf("short sequence errored: %v", err)
 	}
 	freeze(t, ix)
@@ -418,10 +455,9 @@ func TestIndexSequenceErrors(t *testing.T) {
 	}
 }
 
+// TestIndexSequenceIncrementalGrowth: IndexStore indexes the windows a
+// sequence gained since the last call, and only those.
 func TestIndexSequenceIncrementalGrowth(t *testing.T) {
-	// IndexSequence picks up windows that appeared since the last call
-	// (store-level sequence growth is modelled by re-appending; here we
-	// call IndexSequence twice and check idempotence instead).
 	opts := testOptions()
 	st := store.New()
 	st.AppendSequence("a", make([]float64, 50))
@@ -429,20 +465,17 @@ func TestIndexSequenceIncrementalGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.IndexSequence(0); err != nil {
-		t.Fatal(err)
-	}
-	freeze(t, ix)
-	n1 := ix.WindowCount()
-	if n1 != 50-opts.WindowLen+1 {
-		t.Fatalf("indexed %d windows, want %d", n1, 50-opts.WindowLen+1)
-	}
-	if err := ix.IndexSequence(0); err != nil {
-		t.Fatal(err)
-	}
-	freeze(t, ix)
-	if ix.WindowCount() != n1 {
-		t.Error("second IndexSequence call re-indexed windows")
+	for _, n := range []int{50, 50, 70} {
+		if err := st.AppendValues(0, make([]float64, n-st.SequenceLen(0))); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.IndexStore(); err != nil {
+			t.Fatal(err)
+		}
+		freeze(t, ix)
+		if got := ix.WindowCount(); got != n-opts.WindowLen+1 {
+			t.Fatalf("%d values: indexed %d windows, want %d", n, got, n-opts.WindowLen+1)
+		}
 	}
 }
 

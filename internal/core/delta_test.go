@@ -97,7 +97,7 @@ func growWithDelta(t testing.TB, opts Options, names []string, vals [][]float64,
 	if f.ref, err = NewIndex(refStore, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ref.BuildBulk(); err != nil {
+	if err := f.ref.Build(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := f.g.WindowCount(), f.ref.WindowCount(); got != want {
@@ -364,7 +364,7 @@ func TestDeltaFeaturesAreBulkFeatures(t *testing.T) {
 			if err := freshIndex(t, st, opts).WriteBinary(&art); err != nil {
 				t.Fatal(err)
 			}
-			ix, err := LoadIndex(&art, st)
+			ix, err := loadBytes(art.Bytes(), st)
 			if err != nil {
 				t.Fatal(err)
 			}

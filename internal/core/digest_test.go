@@ -55,7 +55,7 @@ func TestArtifactDigests(t *testing.T) {
 	}
 
 	f := newSegmentedExecFixture(t, 0)
-	if got := digestOf(t, f.g.WriteSegments); got != digestSSSEGThree {
+	if got := digestOf(t, f.g.WriteBinary); got != digestSSSEGThree {
 		t.Errorf("SSSEG v1 digest (three segments) %s, want %s", got, digestSSSEGThree)
 	}
 	f.g.MaxFrozen = 1
@@ -66,7 +66,7 @@ func TestArtifactDigests(t *testing.T) {
 	if b := f.g.Backlog(); b.Frozen != 1 || b.DeltaWindows != 0 {
 		t.Fatalf("merge left %d frozen segments and %d delta windows", b.Frozen, b.DeltaWindows)
 	}
-	if got := digestOf(t, f.g.WriteSegments); got != digestSSSEGMergedTo {
+	if got := digestOf(t, f.g.WriteBinary); got != digestSSSEGMergedTo {
 		t.Errorf("SSSEG v1 digest (merged) %s, want %s", got, digestSSSEGMergedTo)
 	}
 }

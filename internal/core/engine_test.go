@@ -28,7 +28,7 @@ func TestAutoIsTheTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mono.BuildBulk(); err != nil {
+	if err := mono.Build(); err != nil {
 		t.Fatal(err)
 	}
 	names, vals := fullSequences(t, st)

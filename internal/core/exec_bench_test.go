@@ -53,7 +53,7 @@ func execRangeFixture(tb testing.TB) (*Index, []query.Query, float64) {
 		if f.ix, f.err = NewIndex(st, DefaultOptions()); f.err != nil {
 			return
 		}
-		if f.err = f.ix.BuildBulk(); f.err != nil {
+		if f.err = f.ix.Build(); f.err != nil {
 			return
 		}
 		if f.err = f.ix.Freeze(); f.err != nil {
@@ -202,7 +202,7 @@ func paperExecFixture(tb testing.TB) (*Index, []query.Query, float64) {
 		if f.ix, f.err = NewIndex(st, DefaultOptions()); f.err != nil {
 			return
 		}
-		if f.err = f.ix.BuildBulkParallel(0); f.err != nil {
+		if f.err = f.ix.Build(); f.err != nil {
 			return
 		}
 		qcfg := query.DefaultConfig()

@@ -57,10 +57,10 @@ func (ix *Index) DeltaWindows() [][2]int {
 	return out
 }
 
-// Refold rebuilds ix's arena over the windows it covers, on workers
-// goroutines (0: one per CPU), as a fold does.
-func (ix *Index) Refold(workers int) error {
-	return ix.rebuild(context.Background(), workers, func(next []int) ([]int, error) { return next, nil })
+// BuildOn builds ix over every window of its store, as Build does, on
+// workers goroutines (0: one per CPU).
+func (ix *Index) BuildOn(workers int) error {
+	return ix.rebuild(context.Background(), workers, ix.allWindows)
 }
 
 // ProbeFanoutWidth is the frontier width from which a descent fans out.

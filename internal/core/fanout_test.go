@@ -140,7 +140,7 @@ func wideProbeIndex(t *testing.T) (*Index, Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildBulk(); err != nil {
+	if err := ix.Build(); err != nil {
 		t.Fatal(err)
 	}
 	qcfg := query.DefaultConfig()

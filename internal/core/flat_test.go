@@ -171,7 +171,7 @@ func TestBulkBuiltIndexIsBornFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(2); err != nil {
+	if err := ix.BuildOn(2); err != nil {
 		t.Fatal(err)
 	}
 	built := arena(t, ix)
@@ -219,11 +219,11 @@ func TestV3ArtifactCorruption(t *testing.T) {
 				t.Fatalf("%s at %d: panic %v", what, i, r)
 			}
 		}()
-		if _, err := LoadIndex(bytes.NewReader(mut), st); err == nil {
+		if _, err := loadBytes(mut, st); err == nil {
 			t.Fatalf("%s at %d: LoadIndex accepted a corrupt artifact", what, i)
 		}
 	}
-	if _, err := LoadIndex(bytes.NewReader(good), st); err != nil {
+	if _, err := loadBytes(good, st); err != nil {
 		t.Fatalf("the pristine artifact: %v", err)
 	}
 	for i := range good {
@@ -247,7 +247,7 @@ func TestRunLeafArtifactRejected(t *testing.T) {
 	g := freshIndex(t, st, testOptions())
 	defer g.Close()
 	var seg bytes.Buffer
-	if err := g.WriteSegments(&seg); err != nil {
+	if err := g.WriteBinary(&seg); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSegments(bytes.NewReader(reframed(t, seg.Bytes(), segMagic, func(sections [][]byte) {
@@ -268,7 +268,7 @@ func TestLeafKindArtifactRejected(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, streamErr := LoadIndex(bytes.NewReader(bad), ix.Store())
+	_, streamErr := loadBytes(bad, ix.Store())
 	_, fileErr := LoadIndexFile(path, ix.Store())
 	for what, err := range map[string]error{"stream": streamErr, "file": fileErr} {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "unsupported directory kind 1") {
@@ -334,7 +334,7 @@ func rebuiltArtifact(t *testing.T, st *store.Store, path, want string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, streamErr := LoadIndex(bytes.NewReader(data), st)
+	_, streamErr := loadBytes(data, st)
 	_, fileErr := LoadIndexFile(path, st)
 	ix, rebuilt, err := OpenOrRebuildFile(path, st, testOptions())
 	if err != nil {
@@ -492,7 +492,7 @@ func TestPaperScaleArenaSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(0); err != nil {
+	if err := ix.Build(); err != nil {
 		t.Fatal(err)
 	}
 	size, windows := ix.IndexByteCount(), ix.WindowCount()

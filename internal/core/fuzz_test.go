@@ -10,8 +10,9 @@ import (
 
 // FuzzLoadIndex asserts the artifact reader never panics, never
 // over-allocates, and never hands back a usable index from corrupt
-// bytes: whatever LoadIndex or LoadSegments — the one reader, strict
-// and rebuilding — accepts must be internally consistent and
+// bytes: whatever openArtifact (LoadIndexFile's open, here over the
+// bytes in memory) or LoadSegments — the one reader, strict and
+// rebuilding — accepts must be internally consistent and
 // searchable.  The seeds are a WriteBinary artifact, damaged copies of
 // it, and every fixture under testdata/; FuzzLoadSegments runs the same
 // check from a multi-segment SSSEG.
@@ -70,7 +71,7 @@ func FuzzLoadSegments(f *testing.F) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := g.WriteSegments(&buf); err != nil || g.Backlog().Frozen != 3 {
+	if err := g.WriteBinary(&buf); err != nil || g.Backlog().Frozen != 3 {
 		f.Fatalf("three segments: %v, %d written", err, g.Backlog().Frozen)
 	}
 	three := buf.Bytes()
@@ -107,7 +108,7 @@ func fuzzLoaders(f *testing.F, st *store.Store, opts Options) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		strict, err := LoadIndex(bytes.NewReader(in), st)
+		strict, err := loadBytes(in, st)
 		if err == nil {
 			checkLoaded(t, strict, q)
 		}

@@ -152,7 +152,7 @@ func TestIndexIsOneSegment(t *testing.T) {
 	}
 	ix, err := NewIndex(st, testOptions())
 	if err == nil {
-		err = ix.BuildBulk()
+		err = ix.Build()
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -185,27 +185,13 @@ func TestAllVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestBuildBulkMatchesBuild: a bulk-built index answers as the scan
-// does, and stays dynamic; BuildBulk refuses an index that holds
-// windows.
+// TestBuildBulkMatchesBuild: an index built on one worker answers as
+// the scan does, and stays dynamic.
 func TestBuildBulkMatchesBuild(t *testing.T) {
 	c := stockCase(testOpts(), 12, 150)
-	c.Build = (*core.Index).BuildBulk
+	c.Build = func(ix *core.Index) error { return ix.BuildOn(1) }
 	c.Steps = []oracle.Step{{Op: oracle.AppendAndIndex, Name: "X", Values: c.Data[3].Values[:60]}}
 	oracle.Check(t, c)
-
-	st := store.New()
-	st.AppendSequence("a", c.Data[0].Values)
-	ix, err := core.NewIndex(st, testOpts())
-	if err == nil {
-		err = ix.BuildBulk()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.BuildBulk(); err == nil {
-		t.Error("BuildBulk on non-empty index accepted")
-	}
 }
 
 // TestSearchBatchMatchesSerial: Check answers every query through
@@ -256,8 +242,8 @@ func TestBuildVariantsAgreeOnSearches(t *testing.T) {
 	data := oracle.Stock(8, 420, 7)
 	for name, build := range map[string]func(*core.Index) error{
 		"insert":   (*core.Index).Build,
-		"bulk":     (*core.Index).BuildBulk,
-		"parallel": func(ix *core.Index) error { return ix.BuildBulkParallel(4) },
+		"bulk":     func(ix *core.Index) error { return ix.BuildOn(1) },
+		"parallel": func(ix *core.Index) error { return ix.BuildOn(4) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			oracle.Check(t, oracle.Case{Data: data, Build: build, Queries: oracle.Mix(data, 32, 7)})
@@ -290,7 +276,7 @@ func TestFrozenIndexEquivalence(t *testing.T) {
 			built, err := ledgers(ix)
 			arena := ix.FirstArena()
 			if err == nil {
-				err = ix.Refold(workers)
+				err = ix.BuildOn(workers)
 			}
 			if err != nil {
 				return err
@@ -324,7 +310,7 @@ func TestFileLoadedIndexEquivalence(t *testing.T) {
 		{Op: oracle.WriteBinary},
 		{Op: oracle.AppendValues, Seq: 0, Values: c.Data[3].Values[:50]},
 		{Op: oracle.WriteFile},
-		{Op: oracle.WriteSegments},
+		{Op: oracle.CompactReopen},
 	}
 	oracle.Check(t, c)
 }
@@ -720,7 +706,7 @@ func TestMutatedIndexAnswers(t *testing.T) {
 	queries := []core.Query{{Vec: q, Eps: 6}, {Vec: q, Eps: 6, Costs: &bounded}, {Vec: q, Eps: 20, Limit: 3}, {Vec: long, Eps: 8}, {Vec: q, K: 3}}
 	data := oracle.Stock(5, 90, 3)
 	for base, c := range map[string]oracle.Case{
-		"bulk-built": {Data: data, Build: (*core.Index).BuildBulk},
+		"bulk-built": {Data: data, Build: func(ix *core.Index) error { return ix.BuildOn(1) }},
 		"mapped":     {Data: data, Steps: []oracle.Step{{Op: oracle.WriteFile}}},
 		"empty":      {},
 	} {
@@ -784,7 +770,7 @@ func foldedLikeFresh(ix *core.Index, skip []int, q vec.Vector) error {
 	}
 	fresh, err := core.NewIndex(st, ix.Options())
 	if err == nil {
-		err = fresh.BuildBulk()
+		err = fresh.Build()
 	}
 	if err != nil {
 		return err
@@ -814,9 +800,10 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	oracle.Check(t, c)
 }
 
-// TestWriteLoadSegments: a multi-segment index refuses to write its
-// segments while its delta holds windows, reopens from them, grows on,
-// and refuses a store that lacks windows the artifact covers.
+// TestWriteLoadSegments: a multi-segment index writes its frozen
+// segments as they are and its delta folded into one more, reopens
+// from them, grows on, and refuses a store that lacks windows the
+// artifact covers.
 func TestWriteLoadSegments(t *testing.T) {
 	data := oracle.Stock(4, 250, 1)
 	c := oracle.Case{Opts: testOpts(), Queries: oracle.Mix(data, 32, 4)}
@@ -824,10 +811,11 @@ func TestWriteLoadSegments(t *testing.T) {
 		c.Data = append(c.Data, oracle.Seq{Name: s.Name, Values: s.Values[:150]})
 		c.Steps = append(c.Steps, oracle.Step{Op: oracle.AppendValues, Seq: seq, Values: s.Values[150:200]})
 	}
-	c.Steps = append(c.Steps, oracle.Step{Op: oracle.WriteSegments})
+	c.Steps = append(c.Steps, oracle.Step{Op: oracle.CompactReopen})
 	for seq, s := range data {
 		c.Steps = append(c.Steps, oracle.Step{Op: oracle.AppendValues, Seq: seq, Values: s.Values[200:]})
 	}
+	c.Steps = append(c.Steps, oracle.Step{Op: oracle.WriteFile})
 	oracle.Check(t, c)
 
 	st := store.New()
@@ -845,16 +833,21 @@ func TestWriteLoadSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := g.WriteSegments(&buf); err == nil {
-		t.Fatal("WriteSegments accepted a dirty delta")
-	}
-	if err := g.Compact(); err != nil {
+	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := g.WriteSegments(&buf); err != nil {
-		t.Fatal(err)
+	if b := g.Backlog(); b.Frozen != 1 || b.DeltaWindows != 50 {
+		t.Fatalf("writing changed the index: %d frozen segments, %d delta windows", b.Frozen, b.DeltaWindows)
 	}
+	reopened, rebuilt, err := core.LoadSegments(bytes.NewReader(buf.Bytes()), st)
+	if err != nil || len(rebuilt) > 0 {
+		t.Fatalf("reopening: %v, %d segments rebuilt", err, len(rebuilt))
+	}
+	if b := reopened.Backlog(); b.Frozen != 2 || b.DeltaWindows != 0 || reopened.WindowCount() != g.WindowCount() {
+		t.Fatalf("reopened as %d frozen segments and %d delta windows of %d, want 2 and 0 of %d",
+			b.Frozen, b.DeltaWindows, reopened.WindowCount(), g.WindowCount())
+	}
+	reopened.Close()
 	short := store.New()
 	for _, s := range data {
 		short.AppendSequence(s.Name, s.Values[:100])
@@ -1061,7 +1054,7 @@ func TestSegmentedTieredRetention(t *testing.T) {
 		c.Steps = append(c.Steps, oracle.Step{Op: oracle.Compact})
 		rounds++
 	}
-	c.Steps = append(c.Steps, oracle.Step{Op: oracle.WriteSegments})
+	c.Steps = append(c.Steps, oracle.Step{Op: oracle.CompactReopen})
 	q := disguised(data, 1, 7, 32, 1.4, -3)
 	c.Queries = []core.Query{{Vec: q, Eps: oracle.Eps(q, 0.1)}, {Vec: q, K: 3}}
 	maxFrozen, compactions := 0, 0

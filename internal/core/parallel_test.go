@@ -26,9 +26,8 @@ func populatedStore(t testing.TB, companies, days, seed int) *store.Store {
 }
 
 // TestBuildBulkParallelDeterministic asserts the headline determinism
-// guarantee: BuildBulkParallel produces a byte-identical index to
-// BuildBulk for every worker count — the arena's stored feature points
-// and IDs among its bytes.
+// guarantee: a build writes a byte-identical index on every worker
+// count — the arena's stored feature points and IDs among its bytes.
 func TestBuildBulkParallelDeterministic(t *testing.T) {
 	opts := testOptions()
 	for _, tc := range []struct{ companies, days, seed int }{
@@ -42,7 +41,7 @@ func TestBuildBulkParallelDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.BuildBulk(); err != nil {
+			if err := ref.BuildOn(1); err != nil {
 				t.Fatal(err)
 			}
 			var refBin bytes.Buffer
@@ -55,7 +54,7 @@ func TestBuildBulkParallelDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := par.BuildBulkParallel(workers); err != nil {
+				if err := par.BuildOn(workers); err != nil {
 					t.Fatal(err)
 				}
 				var parBin bytes.Buffer
@@ -63,7 +62,7 @@ func TestBuildBulkParallelDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(refBin.Bytes(), parBin.Bytes()) {
-					t.Fatalf("workers=%d: serialized index differs from BuildBulk (%d vs %d bytes)",
+					t.Fatalf("workers=%d: serialized index differs from one worker's (%d vs %d bytes)",
 						workers, parBin.Len(), refBin.Len())
 				}
 			}
@@ -71,8 +70,9 @@ func TestBuildBulkParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildBulkParallelValidation covers the edges: non-empty index
-// rejected, empty store is a no-op, and the built index remains dynamic.
+// TestBuildBulkParallelValidation covers the edges: a build over a
+// built index builds it again, an empty store is a no-op, and the built
+// index remains dynamic.
 func TestBuildBulkParallelValidation(t *testing.T) {
 	opts := testOptions()
 	st := populatedStore(t, 3, 120, 9)
@@ -81,11 +81,13 @@ func TestBuildBulkParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildBulkParallel(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.BuildBulkParallel(4); err == nil {
-		t.Error("BuildBulkParallel on non-empty index accepted")
+	for range 2 {
+		if err := ix.BuildOn(4); err != nil {
+			t.Fatal(err)
+		}
+		if want := 3 * (120 - opts.WindowLen + 1); ix.WindowCount() != want {
+			t.Fatalf("built %d windows, want %d", ix.WindowCount(), want)
+		}
 	}
 	// Still dynamic after a parallel bulk load.
 	if _, err := ix.AppendAndIndex("X", make([]float64, 64)); err != nil {
@@ -96,7 +98,7 @@ func TestBuildBulkParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := empty.BuildBulkParallel(4); err != nil {
+	if err := empty.BuildOn(4); err != nil {
 		t.Fatalf("empty store: %v", err)
 	}
 	if empty.WindowCount() != 0 {

@@ -151,7 +151,7 @@ func TestBuildBulkParallelContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	baseline := runtime.NumGoroutine()
-	if err := ix.BuildBulkParallelContext(ctx, 4); !errors.Is(err, context.Canceled) {
+	if err := ix.rebuild(ctx, 4, ix.allWindows); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// All workers must be gone (they are joined before return).
@@ -167,14 +167,14 @@ func TestBuildBulkParallelContextCancelled(t *testing.T) {
 	if got := ix.WindowCount(); got != 0 {
 		t.Fatalf("cancelled build left %d windows", got)
 	}
-	if err := ix.BuildBulkParallelContext(context.Background(), 4); err != nil {
+	if err := ix.BuildOn(4); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := NewIndex(st, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.BuildBulk(); err != nil {
+	if err := seq.BuildOn(1); err != nil {
 		t.Fatal(err)
 	}
 	if ix.WindowCount() != seq.WindowCount() || ix.EntryCount() != seq.EntryCount() {
@@ -201,7 +201,7 @@ func TestBuildBulkParallelCancelsPromptly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- ix.BuildBulkParallelContext(ctx, 2) }()
+	go func() { done <- ix.rebuild(ctx, 2, ix.allWindows) }()
 	time.Sleep(2 * time.Millisecond)
 	cancelled := time.Now()
 	cancel()
@@ -535,7 +535,7 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 		}
 	}
 
-	if _, err := LoadIndex(bytes.NewReader(good), st); err != nil {
+	if _, err := loadBytes(good, st); err != nil {
 		t.Fatalf("pristine artifact rejected: %v", err)
 	}
 	// Every single-byte flip must be rejected (magic, lengths, CRCs,
@@ -543,14 +543,14 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 	for off := range good {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x04
-		if _, err := LoadIndex(bytes.NewReader(bad), st); err == nil {
+		if _, err := loadBytes(bad, st); err == nil {
 			t.Fatalf("flip at byte %d accepted", off)
 		}
 		rebuilds(bad, fmt.Sprintf("flip at byte %d", off))
 	}
 	// Every truncation must be rejected with a typed error.
 	for cut := 0; cut < len(good); cut += 7 {
-		_, err := LoadIndex(bytes.NewReader(good[:cut]), st)
+		_, err := loadBytes(good[:cut], st)
 		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
@@ -563,7 +563,7 @@ func TestIndexArtifactCorruptionAlwaysDetected(t *testing.T) {
 	// garbage.
 	v0 := append([]byte(nil), good...)
 	v0[5] = 0x00
-	if _, err := LoadIndex(bytes.NewReader(v0), st); !errors.Is(err, ErrVersion) {
+	if _, err := loadBytes(v0, st); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v0 magic: err = %v, want ErrVersion", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"scaleshift/internal/binio"
 	"scaleshift/internal/resilience"
@@ -35,7 +36,7 @@ import (
 // The arenas carry their own version, and the container's does not move
 // with them.  Only the current arena layout with a direction-box
 // directory is served (flatFromSection): an arena in any other layout is
-// refused with ErrVersion by LoadIndex and LoadIndexFile, and rebuilt
+// refused with ErrVersion by LoadIndexFile, and rebuilt
 // from the store by LoadSegments and SegmentList.Open.  An index is
 // derived state; OpenOrRebuildFile rebuilds it from the store.
 //
@@ -69,49 +70,33 @@ func reservedRunLength(v uint64) error {
 	return nil
 }
 
-// WriteBinary writes the index as a one-segment SSSEG artifact, which
-// LoadIndex reopens (and LoadIndexFile memory-maps) without re-running
-// pre-processing.  An index of one frozen segment and no delta streams
-// that segment's arena; any other writes the segment Freeze would make,
-// built transiently from the published manifest, and is left as it is.
-// The underlying store is NOT included; persist it separately with
+// WriteBinary writes the index as an SSSEG artifact, which
+// LoadIndexFile maps without re-running pre-processing: the published
+// frozen segments as they are, then the delta, if it holds windows,
+// folded into one more segment (the fold Compact makes when it merges
+// no segment), built transiently from the published manifest; the
+// index is left as it is.  A built index writes one segment.  The
+// underlying store is NOT included; persist it separately with
 // Store.WriteBinary.
 func (ix *Index) WriteBinary(w io.Writer) error {
 	pin := ix.cell.Acquire()
 	defer pin.Release()
 	m := pin.Value()
 	segs := m.frozen
-	if len(segs) != 1 || m.delta.n > 0 {
-		seg, err := mergeSegments(m.sv, m.fmap, m.opts, m.frozen, m.delta)
+	if m.delta.n > 0 {
+		seg, err := mergeSegments(m.sv, m.fmap, m.opts, nil, m.delta)
 		if err != nil {
-			return fmt.Errorf("core: folding the index for writing: %w", err)
+			return fmt.Errorf("core: folding the delta for writing: %w", err)
 		}
-		segs = []*frozenSeg{seg}
+		segs = append(slices.Clip(segs), seg)
 	}
 	return writeSegments(m.opts, segs, w)
 }
 
-// WriteSegments writes the published manifest's frozen segments, as
-// they are, as an SSSEG artifact.  The delta is not representable in
-// it: call Compact first (ssgen does), or expect an error when
-// uncompacted windows remain.  The store is persisted separately, as
-// with WriteBinary.
-func (ix *Index) WriteSegments(w io.Writer) error {
-	write, release, err := ix.SegmentWriter()
-	if err != nil {
-		return err
-	}
-	defer release()
-	return write(w)
-}
-
-// SegmentWriter pins the currently published manifest and returns a
-// closure serializing exactly that generation, plus a release func for
-// the pin.  The split lets a checkpoint capture the manifest under the
-// ingest lock and run the serialization after releasing it: segments
-// are immutable, so appends landing meanwhile (which only grow the
-// delta of LATER generations) cannot disturb the pinned bytes.  Errors
-// when the pinned manifest still has uncompacted delta windows.
+// SegmentWriter is WriteBinary split in two for the frozen benchmark
+// harness: it pins the published manifest (PinSegments, so it errors
+// while the delta holds windows) and returns a closure writing exactly
+// that generation, plus the release of the pin.
 func (ix *Index) SegmentWriter() (write func(io.Writer) error, release func(), err error) {
 	set, err := ix.PinSegments()
 	if err != nil {
@@ -417,28 +402,16 @@ func segmentFromArena(i int, body []byte, d segDir, dim int) (*frozenSeg, error)
 	return &frozenSeg{flat: flat, ranges: d.ranges, count: d.count}, nil
 }
 
-// LoadIndex reopens an index written by WriteBinary or WriteSegments,
-// attaching it to st, which must be the same store (or a
+// LoadIndexFile memory-maps the index artifact WriteBinary wrote at
+// path and opens it over st, which must be the same store (or a
 // bit-exact copy) the index was built over.  Every byte of the artifact
-// is covered by a CRC32C before it is parsed, and every arena is
+// is covered by a CRC32C, checked before it returns, and every arena is
 // structurally validated, so truncation and corruption always surface
 // as a typed error (ErrChecksum, ErrTruncated, ErrVersion) — never a
 // panic and never wrong results.  The consistency checks against st
-// guard the pair itself: an index loaded against the wrong store is
+// guard the pair itself: an index opened over the wrong store is
 // rejected, not served.  The index covers what the artifact covers.
-// LoadIndexFile opens a file in place.
-func LoadIndex(r io.Reader, st *store.Store) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index artifact: %w", err)
-	}
-	ix, _, err := openArtifact(data, st, nil, false)
-	return ix, err
-}
-
-// LoadIndexFile memory-maps the index artifact at path and opens it
-// with LoadIndex's checks, all of them run before it returns: the
-// arenas are then served straight out of the page cache, their arrays
+// The arenas are served straight out of the page cache, their arrays
 // the mapped bytes, so the mapping lives as long as the index (Close).
 // An artifact in any other layout (an older arena version, an MBR
 // directory) is refused with ErrVersion; OpenOrRebuildFile rebuilds it.
@@ -451,11 +424,11 @@ func LoadIndexFile(path string, st *store.Store) (*Index, error) {
 	return ix, err
 }
 
-// LoadSegments reopens an index written by WriteSegments or WriteBinary,
+// LoadSegments reopens an index written by WriteBinary from r,
 // attaching it to st (the same store, or one that has since GROWN —
 // windows beyond the artifact's coverage are extracted into the delta,
 // which is what makes a restart with a WAL replay exact).  It runs
-// LoadIndex's checks, but a segment whose arena checksums and cannot be
+// LoadIndexFile's checks, but a segment whose arena checksums and cannot be
 // served as it is — an older arena layout, an MBR directory, a tree that
 // disagrees with its directory entry — is rebuilt from st over the
 // entry's ranges with the bulk build, and reported.

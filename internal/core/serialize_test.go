@@ -2,13 +2,24 @@ package core
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"scaleshift/internal/store"
 	"scaleshift/internal/vec"
 )
 
+// loadBytes is LoadIndexFile's open over data held in memory: the same
+// checks, without the mapping.
+func loadBytes(data []byte, st *store.Store) (*Index, error) {
+	ix, _, err := openArtifact(data, st, nil, false)
+	return ix, err
+}
+
+// TestLoadIndexRejectsCorruptInput: LoadIndexFile refuses a file with a
+// bad magic, a truncated one, one over a store that lacks its windows
+// and garbage.
 func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 	opts := testOptions()
 	ix := buildTestIndex(t, opts, 4, 60)
@@ -19,26 +30,37 @@ func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "index")
+	load := func(data []byte, st *store.Store) error {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := LoadIndexFile(path, st)
+		if err == nil {
+			ix.Close()
+		}
+		return err
+	}
 
 	// Bad magic.
 	bad := append([]byte("XXXXXX"), good[6:]...)
-	if _, err := LoadIndex(bytes.NewReader(bad), st); err == nil {
+	if err := load(bad, st); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncation at several points.
 	for _, cut := range []int{3, 20, len(good) / 2, len(good) - 5} {
-		if _, err := LoadIndex(bytes.NewReader(good[:cut]), st); err == nil {
+		if err := load(good[:cut], st); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// Mismatched store: fewer sequences than the index covers.
 	tiny := store.New()
 	tiny.AppendSequence("only", make([]float64, 80))
-	if _, err := LoadIndex(bytes.NewReader(good), tiny); err == nil {
+	if err := load(good, tiny); err == nil {
 		t.Error("mismatched store accepted")
 	}
 	// Garbage body.
-	if _, err := LoadIndex(strings.NewReader("SSIDX\x01garbagegarbagegarbage"), st); err == nil {
+	if err := load([]byte("SSIDX\x01garbagegarbagegarbage"), st); err == nil {
 		t.Error("garbage body accepted")
 	}
 }

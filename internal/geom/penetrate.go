@@ -214,116 +214,3 @@ func sphereCheckEnlarged(r Rect, eps float64, l vec.Line) SphereVerdict {
 	}
 	return SphereInconclusive
 }
-
-// PenetratesEnlargedSegment is PenetratesEnlarged restricted to the
-// line segment {l.P + t·l.D : tMin <= t <= tMax}.  Restricting the
-// scaling line to the user's scale-factor bounds (§3 cost bounds)
-// prunes subtrees that only a degenerate or out-of-range scale could
-// reach.  stats may be nil.
-func PenetratesEnlargedSegment(strategy Strategy, r Rect, eps float64, l vec.Line, tMin, tMax float64, stats *CheckStats) bool {
-	if strategy == BoundingSpheres {
-		if stats != nil {
-			stats.SphereTests++
-		}
-		switch sphereCheckEnlargedSegment(r, eps, l, tMin, tMax) {
-		case SphereMiss:
-			if stats != nil {
-				stats.SphereHits++
-			}
-			return false
-		case SphereHit:
-			if stats != nil {
-				stats.SphereHits++
-			}
-			return true
-		}
-	}
-	if stats != nil {
-		stats.SlabTests++
-	}
-	return slabPenetratesEnlargedSegment(r, eps, l, tMin, tMax)
-}
-
-// slabPenetratesEnlargedSegment runs the Entering/Exiting-Points test
-// with the parameter interval pre-clamped to [tMin, tMax].
-func slabPenetratesEnlargedSegment(r Rect, eps float64, l vec.Line, tMin, tMax float64) bool {
-	if tMin > tMax {
-		return false
-	}
-	lo, hi := tMin, tMax
-	for i := range r.L {
-		a, b := r.L[i]-eps, r.H[i]+eps
-		p, d := l.P[i], l.D[i]
-		if d == 0 {
-			if p < a || p > b {
-				return false
-			}
-			continue
-		}
-		t0 := (a - p) / d
-		t1 := (b - p) / d
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t0 > lo {
-			lo = t0
-		}
-		if t1 < hi {
-			hi = t1
-		}
-		if lo > hi {
-			return false
-		}
-	}
-	return true
-}
-
-// sphereCheckEnlargedSegment is sphereCheckEnlarged against the
-// segment: the reference distance is from the box center to the
-// closest point of the segment.
-func sphereCheckEnlargedSegment(r Rect, eps float64, l vec.Line, tMin, tMax float64) SphereVerdict {
-	if tMin > tMax {
-		return SphereMiss
-	}
-	var qpD, qpQp, dd float64
-	for i := range r.L {
-		c := (r.L[i] + r.H[i]) / 2
-		qp := c - l.P[i]
-		d := l.D[i]
-		qpD += qp * d
-		qpQp += qp * qp
-		dd += d * d
-	}
-	var distSq float64
-	if dd == 0 {
-		distSq = qpQp
-	} else {
-		t := qpD / dd
-		if t < tMin {
-			t = tMin
-		} else if t > tMax {
-			t = tMax
-		}
-		// ‖c − (P + t·D)‖² = qpQp − 2·t·qpD + t²·dd.
-		distSq = qpQp - 2*t*qpD + t*t*dd
-	}
-	if distSq < 0 {
-		distSq = 0
-	}
-	var outerSq float64
-	inner := math.Inf(1)
-	for i := range r.L {
-		h := (r.H[i]-r.L[i])/2 + eps
-		outerSq += h * h
-		if h < inner {
-			inner = h
-		}
-	}
-	if distSq > outerSq {
-		return SphereMiss
-	}
-	if distSq <= inner*inner {
-		return SphereHit
-	}
-	return SphereInconclusive
-}

@@ -202,69 +202,3 @@ func BenchmarkPenetratesEnlarged6D(b *testing.B) {
 		PenetratesEnlarged(EnteringExiting, box, 0.5, l, nil)
 	}
 }
-
-func TestPenetratesEnlargedSegment(t *testing.T) {
-	box := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
-	l := vec.Line{P: vec.Vector{-3, 1}, D: vec.Vector{1, 0}} // enters box for t in [3, 5]
-	for _, strat := range []Strategy{EnteringExiting, BoundingSpheres} {
-		tests := []struct {
-			name       string
-			tMin, tMax float64
-			eps        float64
-			want       bool
-		}{
-			{"covers crossing", 0, 10, 0, true},
-			{"stops short", 0, 2, 0, false},
-			{"starts after", 6, 10, 0, false},
-			{"partial overlap", 4, 10, 0, true},
-			{"inverted range", 5, 3, 0, false},
-			{"short but enlarged", 0, 2.5, 0.6, true},
-			{"degenerate range inside", 4, 4, 0, true},
-			{"degenerate range outside", 1, 1, 0, false},
-		}
-		for _, tc := range tests {
-			t.Run(tc.name, func(t *testing.T) {
-				var stats CheckStats
-				got := PenetratesEnlargedSegment(strat, box, tc.eps, l, tc.tMin, tc.tMax, &stats)
-				if got != tc.want {
-					t.Errorf("strategy %v: got %v, want %v", strat, got, tc.want)
-				}
-			})
-		}
-	}
-	// Zero-direction segment behaves as a point test.
-	pt := vec.Line{P: vec.Vector{1, 1}, D: vec.Vector{0, 0}}
-	if !PenetratesEnlargedSegment(EnteringExiting, box, 0, pt, -1, 1, nil) {
-		t.Error("degenerate segment inside box missed")
-	}
-	out := vec.Line{P: vec.Vector{9, 9}, D: vec.Vector{0, 0}}
-	if PenetratesEnlargedSegment(BoundingSpheres, box, 0, out, -1, 1, nil) {
-		t.Error("degenerate segment outside box hit")
-	}
-}
-
-func TestSegmentStrategiesAgainstSampling(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	for i := 0; i < 500; i++ {
-		n := 2 + r.Intn(4)
-		box := randRect(r, n)
-		l := randLine(r, n)
-		tMin := r.Float64()*6 - 3
-		tMax := tMin + r.Float64()*4
-		eps := r.Float64()
-		ee := PenetratesEnlargedSegment(EnteringExiting, box, eps, l, tMin, tMax, nil)
-		bs := PenetratesEnlargedSegment(BoundingSpheres, box, eps, l, tMin, tMax, nil)
-		if ee != bs {
-			t.Fatalf("segment strategies disagree")
-		}
-		// Sampling oracle: any sampled segment point inside the enlarged
-		// box implies penetration.
-		enlarged := box.Enlarge(eps)
-		for s := 0.0; s <= 1.0; s += 0.01 {
-			tt := tMin + s*(tMax-tMin)
-			if enlarged.Contains(l.At(tt)) && !ee {
-				t.Fatalf("sampled point inside but segment test missed")
-			}
-		}
-	}
-}

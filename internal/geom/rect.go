@@ -158,20 +158,3 @@ func (r Rect) InnerRadius() float64 {
 	}
 	return m
 }
-
-// MinDistToPoint returns the smallest Euclidean distance from p to any
-// point of r (0 when p is inside).
-func (r Rect) MinDistToPoint(p vec.Vector) float64 {
-	var s float64
-	for i := range r.L {
-		var d float64
-		switch {
-		case p[i] < r.L[i]:
-			d = r.L[i] - p[i]
-		case p[i] > r.H[i]:
-			d = p[i] - r.H[i]
-		}
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

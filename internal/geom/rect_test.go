@@ -142,26 +142,6 @@ func TestCenterRadii(t *testing.T) {
 	}
 }
 
-func TestMinDistToPoint(t *testing.T) {
-	r := Rect{L: vec.Vector{0, 0}, H: vec.Vector{2, 2}}
-	tests := []struct {
-		p    vec.Vector
-		want float64
-	}{
-		{vec.Vector{1, 1}, 0},   // inside
-		{vec.Vector{2, 2}, 0},   // corner
-		{vec.Vector{3, 1}, 1},   // face
-		{vec.Vector{5, 6}, 5},   // corner 3-4-5
-		{vec.Vector{-3, -4}, 5}, // opposite corner
-		{vec.Vector{1, -2}, 2},  // below
-	}
-	for _, tc := range tests {
-		if got := r.MinDistToPoint(tc.p); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("MinDistToPoint(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
 func TestUnionCommutativeMonotoneProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {

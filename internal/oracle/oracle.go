@@ -60,14 +60,17 @@ const (
 	// Crash drops the index and recovers it: ckpt.Recover, then a
 	// replay of the write-ahead log past the checkpoint.
 	Crash
-	// WriteBinary reopens the index from its WriteBinary artifact
-	// (LoadIndex).
+	// WriteBinary reopens the index from its WriteBinary artifact file
+	// (LoadIndexFile): the frozen segments, and the delta folded into
+	// one more.
 	WriteBinary
-	// WriteFile does the same through a file (LoadIndexFile).
+	// WriteFile does the same, then holds the reopened index's
+	// WriteBinary bytes to the file's: a mapped index writes back the
+	// bytes it was opened from.
 	WriteFile
-	// WriteSegments compacts and reopens the index from its segments
-	// (WriteSegments, LoadSegments).
-	WriteSegments
+	// CompactReopen compacts and reopens the index from its WriteBinary
+	// bytes through LoadSegments, the checkpoint's reader.
+	CompactReopen
 	// Unindex removes sequence Seq's windows (UnindexSequence); the scan
 	// then skips them.  Only Unindex, Compact, Freeze, WriteBinary and
 	// WriteFile may follow: the other steps index the store again.
@@ -76,7 +79,7 @@ const (
 )
 
 var opNames = [numOps]string{"AppendAndIndex", "AppendValues", "IndexStore",
-	"Compact", "Freeze", "Checkpoint", "Crash", "WriteBinary", "WriteFile", "WriteSegments", "Unindex"}
+	"Compact", "Freeze", "Checkpoint", "Crash", "WriteBinary", "WriteFile", "CompactReopen", "Unindex"}
 
 func (o Op) String() string {
 	if o < numOps {
@@ -233,7 +236,7 @@ func (r *state) apply(s Step) error {
 		return err
 	case Crash:
 		return r.crash()
-	case WriteBinary, WriteFile, WriteSegments:
+	case WriteBinary, WriteFile, CompactReopen:
 		return r.reopen(s.Op)
 	default:
 		return fmt.Errorf("unknown op %v", s.Op)
@@ -326,12 +329,18 @@ func (r *state) reopen(op Op) error {
 	var buf bytes.Buffer
 	var next *core.Index
 	var err error
-	switch op {
-	case WriteBinary:
-		if err = r.ix.WriteBinary(&buf); err == nil {
-			next, err = core.LoadIndex(&buf, st)
+	if op == CompactReopen {
+		var rebuilt []core.SegmentRebuild
+		if err = r.ix.Compact(); err == nil {
+			err = r.ix.WriteBinary(&buf)
 		}
-	case WriteFile:
+		if err == nil {
+			next, rebuilt, err = core.LoadSegments(&buf, st)
+		}
+		if err == nil && len(rebuilt) > 0 {
+			err = fmt.Errorf("a freshly written segment was rebuilt: %v", rebuilt[0].Err)
+		}
+	} else {
 		r.files++
 		path := filepath.Join(r.dir, fmt.Sprintf("index%d", r.files))
 		if err = r.ix.WriteBinary(&buf); err == nil {
@@ -340,16 +349,15 @@ func (r *state) reopen(op Op) error {
 		if err == nil {
 			next, err = core.LoadIndexFile(path, st)
 		}
-	default:
-		var rebuilt []core.SegmentRebuild
-		if err = r.ix.Compact(); err == nil {
-			err = r.ix.WriteSegments(&buf)
-		}
-		if err == nil {
-			next, rebuilt, err = core.LoadSegments(&buf, st)
-		}
-		if err == nil && len(rebuilt) > 0 {
-			err = fmt.Errorf("a freshly written segment was rebuilt: %v", rebuilt[0].Err)
+		if err == nil && op == WriteFile {
+			written := slices.Clone(buf.Bytes())
+			buf.Reset()
+			if err = next.WriteBinary(&buf); err == nil && !bytes.Equal(buf.Bytes(), written) {
+				err = fmt.Errorf("the mapped index writes %d bytes other than the %d it was opened from", buf.Len(), len(written))
+			}
+			if err != nil {
+				next.Close()
+			}
 		}
 	}
 	if err != nil {

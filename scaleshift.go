@@ -31,11 +31,11 @@
 //	for _, m := range res.Matches { ... } // m.Scale, m.Shift: the optimal (a, b)
 //
 // There is one index type, built once and then grown as values arrive
-// (§3, requirement 2).  Build and LoadIndex hand back an index of one
-// frozen segment, served from one contiguous arena.  The mutators
-// (IndexSequence, AppendAndIndex, AppendValues, IndexStore) add
-// windows to a delta beside it, which the next Exec already searches,
-// and may run while queries do; UnindexSequence rebuilds the index
+// (§3, requirement 2).  Build hands back an index of one frozen
+// segment, served from one contiguous arena.  The mutators
+// (AppendAndIndex, AppendValues, IndexStore) add windows to a delta
+// beside it, which the next Exec already searches, and may run while
+// queries do; UnindexSequence rebuilds the index
 // without a sequence.  Freeze merges the segments and the delta into
 // one segment, the one Build makes — never needed for a correct answer,
 // worth calling once a batch of mutations is in:
@@ -47,7 +47,9 @@
 // A server that ingests without pause calls StartCompactor instead: a
 // background Compact folds the delta into a new frozen segment whenever
 // it grows past CompactThreshold, merging older segments as they pile
-// up.  WriteBinary saves the index as one SSSEG segment.
+// up.  WriteBinary saves the index as an SSSEG artifact (its frozen
+// segments, and the delta folded into one more: a built index writes
+// one), and LoadIndexFile maps it back over the same store.
 //
 // The concrete types live in internal packages; this package re-exports
 // them with type aliases, so values are interchangeable across the
@@ -132,13 +134,14 @@ func ReadCSV(r io.Reader) (*Store, error) { return store.ReadCSV(r) }
 // ReadStoreBinary parses a store from its binary serialization.
 func ReadStoreBinary(r io.Reader) (*Store, error) { return store.ReadBinary(r) }
 
-// NewIndex creates an empty index over st; call Build (or BuildBulk /
-// BuildBulkParallel) to index the store's sequences.
+// NewIndex creates an empty index over st; call Build to index the
+// store's sequences.
 func NewIndex(st *Store, opts Options) (*Index, error) { return core.NewIndex(st, opts) }
 
-// LoadIndex reopens an index written by Index.WriteBinary, attached to
-// the same store (or a bit-exact copy).
-func LoadIndex(r io.Reader, st *Store) (*Index, error) { return core.LoadIndex(r, st) }
+// LoadIndexFile maps the index Index.WriteBinary wrote at path,
+// attached to the same store (or a bit-exact copy); Close releases the
+// mapping.
+func LoadIndexFile(path string, st *Store) (*Index, error) { return core.LoadIndexFile(path, st) }
 
 // DefaultOptions returns the paper's experimental configuration:
 // window length 128, f_c = 3 DFT coefficients (a 6-dimensional tree

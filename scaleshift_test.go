@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"scaleshift"
@@ -103,10 +105,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := scaleshift.LoadIndex(&ixBuf, st2)
+	path := filepath.Join(t.TempDir(), "index")
+	if err := os.WriteFile(path, ixBuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := scaleshift.LoadIndexFile(path, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ix2.Close()
 	again, err := ix2.Exec(context.Background(), scaleshift.Query{Vec: q, Eps: 1e-6, Costs: &costs}, nil)
 	if err != nil {
 		t.Fatal(err)
